@@ -855,6 +855,7 @@ class Database:
                 "plan: reference pipeline "
                 "(query body is not a single query block)"
             )
+            lines.extend(self._executor_lines(core, config))
             return "\n".join(lines)
         reorder_ok = (
             not core.order_by
@@ -868,6 +869,8 @@ class Database:
             reorder_ok=reorder_ok,
             catalog_names=set(self.catalog.names()),
         )
+        executors = self._executor_lines(core, config)
+        batched = executors[0] == "executor: batch"
         if plan is None:
             if not config.optimize:
                 reason = "optimization disabled"
@@ -877,13 +880,40 @@ class Database:
                 reason = "no FROM clause"
             else:
                 reason = "no rewrite applicable"
-            lines.append(f"plan: reference pipeline ({reason})")
+            line = f"plan: reference pipeline ({reason})"
+            if batched:
+                line += "; the batch executor scans it through a forced operator tree"
+            lines.append(line)
         else:
             lines.append(plan.explain())
-        consumer = self._describe_consumer(core, config)
+        consumer = self._describe_consumer(core, config, batched)
         if consumer is not None:
             lines.append(f"consumer: {consumer}")
+        lines.extend(executors)
         return "\n".join(lines)
+
+    def _executor_lines(
+        self, core: ast.Query, config: EvalConfig, traced: bool = False
+    ) -> List[str]:
+        """EXPLAIN's ``executor:`` and ``kernels:`` lines
+        (:func:`repro.core.vectorized.explain_executors`): a dry run of
+        the executor decisions on a throwaway evaluator, which carries a
+        timing tracer when the run being explained did (EXPLAIN ANALYZE
+        — a timing tracer keeps unplanned blocks off the batch path)."""
+        from repro.core.vectorized import explain_executors
+
+        evaluator = Evaluator(
+            self.catalog,
+            config,
+            tracer=ExecTracer() if traced else None,
+            stats=self._stats,
+        )
+        try:
+            return explain_executors(evaluator, core)
+        except SQLPPError as error:
+            # Kernel compilation can reject what execution would reject
+            # (a malformed constant LIKE pattern); EXPLAIN still prints.
+            return [f"executor: undetermined ({error})"]
 
     def verify_plan(
         self,
@@ -962,9 +992,13 @@ class Database:
         return "\n".join(lines)
 
     @staticmethod
-    def _describe_consumer(core: ast.Query, config: EvalConfig) -> Optional[str]:
-        """How the streaming engine consumes the block's output stream
-        (None when the query runs on the eager reference path)."""
+    def _describe_consumer(
+        core: ast.Query, config: EvalConfig, batched: bool = False
+    ) -> Optional[str]:
+        """How the block's output is consumed (None when the query runs
+        on the eager reference path): by the streaming engine, or — when
+        ``batched`` — by the batch executor, which materializes chunk by
+        chunk what the streaming engine would pull row by row."""
         body = core.body
         if (
             not config.optimize
@@ -983,9 +1017,16 @@ class Database:
                     "top-K heap (ORDER BY with LIMIT): keeps limit+offset "
                     "rows, one sort-key evaluation per row"
                 )
+            if batched:
+                return "full sort over the batched input (ORDER BY without LIMIT)"
             return "full sort over the streamed input (ORDER BY without LIMIT)"
         if core.limit is not None:
             return "streamed with early termination after OFFSET+LIMIT rows"
+        if batched:
+            return (
+                "bag built a chunk (~1024 rows) at a time; under batch=False "
+                "a streamed bag (rows pulled one at a time)"
+            )
         return "streamed bag (rows pulled one at a time)"
 
     def explain_analyze(
@@ -1070,6 +1111,16 @@ class Database:
                 "plan: reference pipeline "
                 "(query body is not a single query block)"
             )
+        lines.append("")
+        lines.extend(
+            self._executor_lines(
+                core,
+                self._effective_config(
+                    typing_mode, sql_compat, optimize, batch=batch, parallel=parallel
+                ),
+                traced=True,
+            )
+        )
         lines.append("")
         lines.append("phases:")
         if metrics is not None:

@@ -16,11 +16,19 @@ CASE's mode-dependent MISSING rule) falls back to a closure that calls
 ``compiled(expr)(env) == eval_expr(expr, env)`` over generated
 expressions, so the fast path cannot drift from the reference
 semantics unnoticed.
+
+**Two forms, one semantics.**  :func:`compile_expr` is the env-space
+form (one binding in, one value out) the streaming pipeline calls per
+row; :func:`compile_batch` is the column-at-a-time form the batch
+pipeline calls per chunk (see "Column-at-a-time kernels" below).  Both
+defer to the same ``ops.*`` definitions, and
+``tests/properties/test_batch_parallel_equivalence.py`` checks kernel
+== closure == interpreter per node kind.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.environment import Environment, Unbound
 from repro.datamodel.equality import group_key
@@ -33,10 +41,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.evaluator import Evaluator
 
 CompiledExpr = Callable[[Environment], Any]
-#: Row-space compiled expression: a plain binding dict in, a value out.
-RowExpr = Callable[[dict], Any]
-#: Chunk-at-a-time compiled expression: ``(rows, outer_env) -> values``.
-BatchExpr = Callable[[List[dict], Environment], List[Any]]
+#: Chunk-at-a-time compiled expression: ``(rows, outer_env) -> values``
+#: (plus an optional shared per-chunk memo, see :func:`compile_batch`).
+BatchExpr = Callable[..., List[Any]]
 
 
 def _literal_probe_set(collection: ast.Expr) -> Any:
@@ -265,27 +272,34 @@ def _compile_binary(expr: ast.Binary, evaluator: "Evaluator") -> CompiledExpr:
     return lambda env: ops.arithmetic(op, left_fn(env), right_fn(env), config)
 
 
+def _constant_like(expr: ast.Like) -> Optional[Tuple[str, Optional[str]]]:
+    """``(pattern, escape char)`` of a LIKE whose pattern and ESCAPE are
+    string literals (the overwhelmingly common case), else None."""
+    if not (
+        isinstance(expr.pattern, ast.Literal)
+        and isinstance(expr.pattern.value, str)
+    ):
+        return None
+    if expr.escape is None:
+        return expr.pattern.value, None
+    if (
+        isinstance(expr.escape, ast.Literal)
+        and isinstance(expr.escape.value, str)
+        and len(expr.escape.value) == 1
+    ):
+        return expr.pattern.value, expr.escape.value
+    return None
+
+
 def _compile_like(expr: ast.Like, evaluator: "Evaluator") -> CompiledExpr:
     config = evaluator.config
     operand_fn = compile_expr(expr.operand, evaluator)
     negated = expr.negated
 
-    # A constant pattern (the overwhelmingly common case) compiles its
-    # regex exactly once.
-    if (
-        isinstance(expr.pattern, ast.Literal)
-        and isinstance(expr.pattern.value, str)
-        and (
-            expr.escape is None
-            or (
-                isinstance(expr.escape, ast.Literal)
-                and isinstance(expr.escape.value, str)
-                and len(expr.escape.value) == 1
-            )
-        )
-    ):
-        escape_char = expr.escape.value if expr.escape is not None else None
-        regex = ops._like_regex(expr.pattern.value, escape_char)
+    # A constant pattern compiles its regex exactly once.
+    constant = _constant_like(expr)
+    if constant is not None:
+        regex = ops._like_regex(*constant)
 
         def like_constant(env: Environment) -> Any:
             value = operand_fn(env)
@@ -339,315 +353,15 @@ def _compile_call(expr: ast.FunctionCall, evaluator: "Evaluator") -> CompiledExp
     return call
 
 
-def compile_batch(
-    expr: ast.Expr, evaluator: "Evaluator", row_vars: frozenset
-) -> "BatchExpr":
-    """Compile ``expr`` to a closure over a whole chunk of bindings.
-
-    The result maps ``(rows, env) -> values`` where ``rows`` is a list of
-    binding dicts each containing (at least) the names in ``row_vars``
-    and ``env`` is the enclosing environment those bindings would extend.
-    When every free name of the expression is a row variable, evaluation
-    runs in *row space* — plain dict lookups, no Environment allocation
-    per row.  Otherwise the loop falls back to ``env.extend(row)`` plus
-    the ordinary compiled closure, which is still one closure call per
-    row rather than a full interpreter walk.
-    """
-    row_fn = compile_row_expr(expr, evaluator, row_vars)
-    if row_fn is not None:
-        def batch(rows: List[dict], env: Environment) -> List[Any]:
-            return [row_fn(row) for row in rows]
-
-        return batch
-    env_fn = evaluator.compiled(expr)
-
-    def batch_fallback(rows: List[dict], env: Environment) -> List[Any]:
-        extend = env.extend
-        return [env_fn(extend(row)) for row in rows]
-
-    return batch_fallback
-
-
-def compile_row_expr(
-    expr: ast.Expr, evaluator: "Evaluator", row_vars: frozenset
-) -> "RowExpr | None":
-    """Compile ``expr`` to ``fn(row: dict) -> value``, or None.
-
-    Row-space compilation succeeds only when every free variable the
-    expression can reach is one of ``row_vars`` (so a dict lookup is
-    exactly the environment lookup) and every node kind is one whose
-    semantics :func:`compile_expr` already single-sources from
-    :mod:`repro.functions.operators`.  Returning None tells
-    :func:`compile_batch` to use the env-extension fallback; it is never
-    an error.  Bound row variables can never raise ``Unbound``, so the
-    interpreter's dotted-catalog-name fallback for name-shaped paths is
-    unreachable here by construction.
-    """
-    config = evaluator.config
-
-    if isinstance(expr, ast.Literal):
-        value = expr.value
-        return lambda row: value
-
-    if isinstance(expr, ast.VarRef):
-        if expr.name not in row_vars:
-            return None
-        name = expr.name
-        return lambda row: row[name]
-
-    if isinstance(expr, ast.Path):
-        base_fn = compile_row_expr(expr.base, evaluator, row_vars)
-        if base_fn is None:
-            return None
-        attr = expr.attr
-        return lambda row: ops.navigate_path(base_fn(row), attr, config)
-
-    if isinstance(expr, ast.Index):
-        base_fn = compile_row_expr(expr.base, evaluator, row_vars)
-        index_fn = compile_row_expr(expr.index, evaluator, row_vars)
-        if base_fn is None or index_fn is None:
-            return None
-        return lambda row: ops.navigate_index(base_fn(row), index_fn(row), config)
-
-    if isinstance(expr, ast.Binary):
-        left_fn = compile_row_expr(expr.left, evaluator, row_vars)
-        right_fn = compile_row_expr(expr.right, evaluator, row_vars)
-        if left_fn is None or right_fn is None:
-            return None
-        op = expr.op
-        if op == "AND":
-            return lambda row: ops.logical_and(left_fn(row), right_fn(row), config)
-        if op == "OR":
-            return lambda row: ops.logical_or(left_fn(row), right_fn(row), config)
-        if op == "=":
-            return lambda row: ops.equals(left_fn(row), right_fn(row), config)
-        if op == "!=":
-            return lambda row: ops.not_equals(left_fn(row), right_fn(row), config)
-        if op in ("<", "<=", ">", ">="):
-            return lambda row: ops.compare(op, left_fn(row), right_fn(row), config)
-        if op == "||":
-            return lambda row: ops.concat(left_fn(row), right_fn(row), config)
-        return lambda row: ops.arithmetic(op, left_fn(row), right_fn(row), config)
-
-    if isinstance(expr, ast.Unary):
-        operand_fn = compile_row_expr(expr.operand, evaluator, row_vars)
-        if operand_fn is None:
-            return None
-        if expr.op == "NOT":
-            return lambda row: ops.logical_not(operand_fn(row), config)
-        if expr.op == "-":
-            return lambda row: ops.negate(operand_fn(row), config)
-        return lambda row: ops.unary_plus(operand_fn(row), config)
-
-    if isinstance(expr, ast.IsPredicate):
-        operand_fn = compile_row_expr(expr.operand, evaluator, row_vars)
-        if operand_fn is None:
-            return None
-        kind = expr.kind
-        if expr.negated:
-            return lambda row: not ops.is_predicate(operand_fn(row), kind, config)
-        return lambda row: ops.is_predicate(operand_fn(row), kind, config)
-
-    if isinstance(expr, ast.Between):
-        operand_fn = compile_row_expr(expr.operand, evaluator, row_vars)
-        low_fn = compile_row_expr(expr.low, evaluator, row_vars)
-        high_fn = compile_row_expr(expr.high, evaluator, row_vars)
-        if operand_fn is None or low_fn is None or high_fn is None:
-            return None
-        negated = expr.negated
-
-        def between_row(row: dict) -> Any:
-            value = operand_fn(row)
-            low = low_fn(row)
-            high = high_fn(row)
-            verdict = ops.logical_and(
-                ops.compare(">=", value, low, config),
-                ops.compare("<=", value, high, config),
-                config,
-            )
-            return ops.logical_not(verdict, config) if negated else verdict
-
-        return between_row
-
-    if isinstance(expr, ast.Like):
-        operand_fn = compile_row_expr(expr.operand, evaluator, row_vars)
-        if operand_fn is None:
-            return None
-        negated = expr.negated
-        if (
-            isinstance(expr.pattern, ast.Literal)
-            and isinstance(expr.pattern.value, str)
-            and (
-                expr.escape is None
-                or (
-                    isinstance(expr.escape, ast.Literal)
-                    and isinstance(expr.escape.value, str)
-                    and len(expr.escape.value) == 1
-                )
-            )
-        ):
-            escape_char = expr.escape.value if expr.escape is not None else None
-            regex = ops._like_regex(expr.pattern.value, escape_char)
-
-            def like_row(row: dict) -> Any:
-                value = operand_fn(row)
-                if value is MISSING:
-                    verdict: Any = MISSING
-                elif value is None:
-                    verdict = None
-                elif not isinstance(value, str):
-                    verdict = config.type_error(
-                        f"LIKE expects strings, got {type_name(value)}"
-                    )
-                else:
-                    verdict = regex.fullmatch(value) is not None
-                return ops.logical_not(verdict, config) if negated else verdict
-
-            return like_row
-        pattern_fn = compile_row_expr(expr.pattern, evaluator, row_vars)
-        if pattern_fn is None:
-            return None
-        if expr.escape is not None:
-            escape_fn = compile_row_expr(expr.escape, evaluator, row_vars)
-            if escape_fn is None:
-                return None
-        else:
-            escape_fn = None
-
-        def like_dynamic_row(row: dict) -> Any:
-            verdict = ops.like(
-                operand_fn(row),
-                pattern_fn(row),
-                escape_fn(row) if escape_fn is not None else None,
-                config,
-            )
-            return ops.logical_not(verdict, config) if negated else verdict
-
-        return like_dynamic_row
-
-    if isinstance(expr, ast.InPredicate):
-        if isinstance(expr.collection, (ast.SubqueryExpr, ast.CoerceSubquery)):
-            return None
-        operand_fn = compile_row_expr(expr.operand, evaluator, row_vars)
-        if operand_fn is None:
-            return None
-        negated = expr.negated
-        probe = _literal_probe_set(expr.collection)
-        if probe is not None:
-            # Same literal-list set probe as the env-space compiler.
-            def contains_probe_row(row: dict) -> Any:
-                verdict = _probe_verdict(operand_fn(row), probe, config)
-                return (
-                    ops.logical_not(verdict, config) if negated else verdict
-                )
-
-            return contains_probe_row
-        collection_fn = compile_row_expr(expr.collection, evaluator, row_vars)
-        if collection_fn is None:
-            return None
-
-        def contains_row(row: dict) -> Any:
-            verdict = ops.in_collection(
-                operand_fn(row), collection_fn(row), config
-            )
-            return ops.logical_not(verdict, config) if negated else verdict
-
-        return contains_row
-
-    if isinstance(expr, ast.Exists):
-        if isinstance(expr.operand, ast.SubqueryExpr):
-            return None
-        operand_fn = compile_row_expr(expr.operand, evaluator, row_vars)
-        if operand_fn is None:
-            return None
-        return lambda row: ops.exists(operand_fn(row), config)
-
-    if isinstance(expr, ast.FunctionCall):
-        if expr.name == "$TUPLE_MERGE" or expr.star or expr.distinct:
-            return None
-        definition = REGISTRY.lookup(expr.name)
-        if definition is None:
-            return None
-        arg_fns = []
-        for arg in expr.args:
-            arg_fn = compile_row_expr(arg, evaluator, row_vars)
-            if arg_fn is None:
-                return None
-            arg_fns.append(arg_fn)
-
-        def call_row(row: dict) -> Any:
-            return definition.invoke([fn(row) for fn in arg_fns], config)
-
-        return call_row
-
-    if isinstance(expr, ast.StructLit):
-        keys: List[str] = []
-        for field in expr.fields:
-            if isinstance(field.key, ast.Literal) and isinstance(
-                field.key.value, str
-            ):
-                keys.append(field.key.value)
-            else:
-                return None
-        value_fns = []
-        for field in expr.fields:
-            value_fn = compile_row_expr(field.value, evaluator, row_vars)
-            if value_fn is None:
-                return None
-            value_fns.append(value_fn)
-
-        def struct_row(row: dict) -> Struct:
-            pairs = []
-            for key, fn in zip(keys, value_fns):
-                value = fn(row)
-                if value is not MISSING:
-                    pairs.append((key, value))
-            return Struct(pairs)
-
-        return struct_row
-
-    if isinstance(expr, ast.ArrayLit):
-        item_fns = []
-        for item in expr.items:
-            item_fn = compile_row_expr(item, evaluator, row_vars)
-            if item_fn is None:
-                return None
-            item_fns.append(item_fn)
-
-        def array_row(row: dict) -> list:
-            values = (fn(row) for fn in item_fns)
-            return [value for value in values if value is not MISSING]
-
-        return array_row
-
-    if isinstance(expr, ast.BagLit):
-        item_fns = []
-        for item in expr.items:
-            item_fn = compile_row_expr(item, evaluator, row_vars)
-            if item_fn is None:
-                return None
-            item_fns.append(item_fn)
-
-        def bag_row(row: dict) -> Bag:
-            values = (fn(row) for fn in item_fns)
-            return Bag(value for value in values if value is not MISSING)
-
-        return bag_row
-
-    return None
-
-
 def _compile_struct(expr: ast.StructLit, evaluator: "Evaluator") -> CompiledExpr:
     # Constant string keys (the rewriter's SELECT lowering always makes
     # them) take a fast path; dynamic keys defer to the interpreter.
-    keys: List[Any] = []
-    for field in expr.fields:
-        if isinstance(field.key, ast.Literal) and isinstance(field.key.value, str):
-            keys.append(field.key.value)
-        else:
-            node = expr
-            return lambda env: evaluator.eval_expr(node, env)
+    keys = _literal_keys(expr)
+    if keys is None:
+        node = expr
+        return lambda env: evaluator.eval_expr(node, env)
     value_fns = [compile_expr(field.value, evaluator) for field in expr.fields]
+    make = _struct_maker(keys)
 
     def struct(env: Environment) -> Struct:
         pairs = []
@@ -655,6 +369,679 @@ def _compile_struct(expr: ast.StructLit, evaluator: "Evaluator") -> CompiledExpr
             value = fn(env)
             if value is not MISSING:
                 pairs.append((key, value))
-        return Struct(pairs)
+        return make(pairs)
 
     return struct
+
+
+def _literal_keys(expr: ast.StructLit) -> Optional[List[str]]:
+    """The constructor's attribute names when all are string literals."""
+    keys: List[str] = []
+    for field in expr.fields:
+        if isinstance(field.key, ast.Literal) and isinstance(field.key.value, str):
+            keys.append(field.key.value)
+        else:
+            return None
+    return keys
+
+
+def _struct_maker(keys: List[str]) -> Callable[[list], Struct]:
+    """The constructor a compiled tuple literal may use for its pairs.
+
+    The compiled constructors drop MISSING values themselves and their
+    names are literal strings, which is everything ``Struct.__init__``
+    validates — except that only the public constructor notices
+    duplicate names, so a literal that repeats a name keeps using it.
+    """
+    return Struct._trusted if len(set(keys)) == len(keys) else Struct
+
+
+# =========================================================================
+# Column-at-a-time kernels (the batch pipeline)
+# =========================================================================
+#
+# The batch executor evaluates an expression over a whole chunk of
+# binding rows.  Each AST node compiles to a *kernel*
+# ``kern(rows, memo) -> column``: one tight list comprehension whose
+# well-typed case is inlined (``type(v) in {int, float}`` picks
+# ``v > lit``) and whose every other case — NULL, MISSING, booleans,
+# mistyped or nested values — calls the single definition in
+# :mod:`repro.functions.operators`.  The test is on the *exact* type,
+# not ``isinstance``, which keeps ``bool`` (an ``int`` subclass) off
+# the number path, so ``TRUE > 0`` still type-errors.
+#
+# ``memo`` is the per-chunk column cache: ``VarRef``/``Path`` columns
+# are stored under a structural key (``"o"``, ``("o", "qty")``) so a
+# base is dereferenced once per chunk however many conjuncts use it.
+# It also carries the enclosing environment under :data:`_ENV` for the
+# one other path: a node kind without a kernel evaluates through the
+# env-space closure per row (:meth:`_KernelCompiler.fallback`) and is
+# recorded on the compiled function's ``fallbacks``.
+#
+# Sub-expressions are evaluated column-major, so when two rows of a
+# chunk would both raise, the error reported may belong to a different
+# row than the reference reports — always one the reference raises too
+# (docs/LANGUAGE.md §8).
+
+Kernel = Callable[[List[dict], dict], List[Any]]
+
+#: Memo key of the environment the chunk's bindings extend.
+_ENV = None
+
+_compare = ops.compare
+_equals = ops.equals
+_not_equals = ops.not_equals
+_arithmetic = ops.arithmetic
+
+#: The exact types of the two scalar categories with a fast path.
+_NUMBERS = frozenset((int, float))
+_STRINGS = frozenset((str,))
+
+#: ``column OP literal`` per operator symbol; ``kinds`` is the literal's
+#: own category (:data:`_NUMBERS` or :data:`_STRINGS`).
+_LITERAL_OPS: Dict[str, Callable[..., List[Any]]] = {
+    "<": lambda column, lit, kinds, config: [
+        (v < lit) if type(v) in kinds else _compare("<", v, lit, config)
+        for v in column
+    ],
+    "<=": lambda column, lit, kinds, config: [
+        (v <= lit) if type(v) in kinds else _compare("<=", v, lit, config)
+        for v in column
+    ],
+    ">": lambda column, lit, kinds, config: [
+        (v > lit) if type(v) in kinds else _compare(">", v, lit, config)
+        for v in column
+    ],
+    ">=": lambda column, lit, kinds, config: [
+        (v >= lit) if type(v) in kinds else _compare(">=", v, lit, config)
+        for v in column
+    ],
+    "=": lambda column, lit, kinds, config: [
+        (v == lit) if type(v) in kinds else _equals(v, lit, config)
+        for v in column
+    ],
+    "!=": lambda column, lit, kinds, config: [
+        (v != lit) if type(v) in kinds else _not_equals(v, lit, config)
+        for v in column
+    ],
+    "+": lambda column, lit, kinds, config: [
+        (v + lit) if type(v) in kinds else _arithmetic("+", v, lit, config)
+        for v in column
+    ],
+    "-": lambda column, lit, kinds, config: [
+        (v - lit) if type(v) in kinds else _arithmetic("-", v, lit, config)
+        for v in column
+    ],
+    "*": lambda column, lit, kinds, config: [
+        (v * lit) if type(v) in kinds else _arithmetic("*", v, lit, config)
+        for v in column
+    ],
+}
+
+#: Arithmetic has no string fast path: ``'a' + 'b'`` is a type error.
+_NUMBER_ONLY = frozenset("+-*")
+
+#: ``column OP column`` per operator symbol; the fast path needs exact
+#: numbers on both sides.  ``/`` and ``%`` (zero and exact-integer
+#: division rules) and anything unknown stay on ``ops.arithmetic``.
+_COLUMN_OPS: Dict[str, Callable[..., List[Any]]] = {
+    "<": lambda left, right, config: [
+        (a < b) if type(a) in _NUMBERS and type(b) in _NUMBERS
+        else _compare("<", a, b, config)
+        for a, b in zip(left, right)
+    ],
+    "<=": lambda left, right, config: [
+        (a <= b) if type(a) in _NUMBERS and type(b) in _NUMBERS
+        else _compare("<=", a, b, config)
+        for a, b in zip(left, right)
+    ],
+    ">": lambda left, right, config: [
+        (a > b) if type(a) in _NUMBERS and type(b) in _NUMBERS
+        else _compare(">", a, b, config)
+        for a, b in zip(left, right)
+    ],
+    ">=": lambda left, right, config: [
+        (a >= b) if type(a) in _NUMBERS and type(b) in _NUMBERS
+        else _compare(">=", a, b, config)
+        for a, b in zip(left, right)
+    ],
+    "=": lambda left, right, config: [
+        (a == b) if type(a) in _NUMBERS and type(b) in _NUMBERS
+        else _equals(a, b, config)
+        for a, b in zip(left, right)
+    ],
+    "!=": lambda left, right, config: [
+        (a != b) if type(a) in _NUMBERS and type(b) in _NUMBERS
+        else _not_equals(a, b, config)
+        for a, b in zip(left, right)
+    ],
+    "+": lambda left, right, config: [
+        (a + b) if type(a) in _NUMBERS and type(b) in _NUMBERS
+        else _arithmetic("+", a, b, config)
+        for a, b in zip(left, right)
+    ],
+    "-": lambda left, right, config: [
+        (a - b) if type(a) in _NUMBERS and type(b) in _NUMBERS
+        else _arithmetic("-", a, b, config)
+        for a, b in zip(left, right)
+    ],
+    "*": lambda left, right, config: [
+        (a * b) if type(a) in _NUMBERS and type(b) in _NUMBERS
+        else _arithmetic("*", a, b, config)
+        for a, b in zip(left, right)
+    ],
+    # Both sides are always evaluated, as in the reference interpreter.
+    "AND": lambda left, right, config: [
+        (a and b) if type(a) is bool and type(b) is bool
+        else ops.logical_and(a, b, config)
+        for a, b in zip(left, right)
+    ],
+    "OR": lambda left, right, config: [
+        (a or b) if type(a) is bool and type(b) is bool
+        else ops.logical_or(a, b, config)
+        for a, b in zip(left, right)
+    ],
+    "||": lambda left, right, config: [
+        (a + b) if type(a) is str and type(b) is str
+        else ops.concat(a, b, config)
+        for a, b in zip(left, right)
+    ],
+}
+
+
+def _not_column(column: List[Any], config: Any) -> List[Any]:
+    return [
+        (not v) if type(v) is bool else ops.logical_not(v, config)
+        for v in column
+    ]
+
+
+def _rows_at(rows: List[dict], memo: dict, picks: List[int]):
+    """The sub-chunk at positions ``picks`` with a memo of its own
+    (memoised columns are positional, so they do not carry over)."""
+    if len(picks) == len(rows):
+        return rows, memo
+    return [rows[k] for k in picks], {_ENV: memo[_ENV]}
+
+
+def compile_batch(
+    expr: ast.Expr, evaluator: "Evaluator", row_vars: frozenset
+) -> "BatchExpr":
+    """Compile ``expr`` to a function over a whole chunk of bindings.
+
+    The result maps ``(rows, env) -> values`` where ``rows`` is a list of
+    binding dicts each containing (at least) the names in ``row_vars``
+    and ``env`` is the enclosing environment those bindings would extend.
+    Callers evaluating several expressions over the *same* chunk may pass
+    one ``memo`` dict to all of them so shared ``VarRef``/``Path``
+    columns are computed once.  ``fallbacks`` on the returned function
+    lists the nodes that had no kernel and run the env-space closure per
+    row; callers go through ``Evaluator.compiled_batch`` so an
+    expression is compiled once per evaluator, not per execution.
+    """
+    compiler = _KernelCompiler(evaluator, row_vars)
+    kernel = compiler.compile(expr)
+
+    def batch(
+        rows: List[dict], env: Environment, memo: Optional[dict] = None
+    ) -> List[Any]:
+        if memo is None:
+            memo = {}
+        memo[_ENV] = env
+        return kernel(rows, memo)
+
+    batch.fallbacks = tuple(compiler.fallbacks)  # type: ignore[attr-defined]
+    return batch
+
+
+class _KernelCompiler:
+    """One ``compile_batch`` call: AST node -> :data:`Kernel`."""
+
+    def __init__(self, evaluator: "Evaluator", row_vars: frozenset):
+        self.evaluator = evaluator
+        self.config = evaluator.config
+        self.row_vars = row_vars
+        self.fallbacks: List[ast.Expr] = []
+
+    def compile(self, expr: ast.Expr) -> Kernel:
+        method = _KERNELS.get(type(expr))
+        kernel = method(self, expr) if method is not None else None
+        return kernel if kernel is not None else self.fallback(expr)
+
+    def fallback(self, expr: ast.Expr) -> Kernel:
+        """Subqueries, windows, parameters, casts, wildcards, names
+        outside ``row_vars``: bind each row and run the env-space
+        closure — the only path besides the kernels."""
+        self.fallbacks.append(expr)
+        env_fn = self.evaluator.compiled(expr)
+
+        def batch_fallback(rows: List[dict], memo: dict) -> List[Any]:
+            extend = memo[_ENV].extend
+            return [env_fn(extend(row)) for row in rows]
+
+        return batch_fallback
+
+    # -- leaves ------------------------------------------------------------
+
+    def literal(self, expr: ast.Literal) -> Kernel:
+        value = expr.value
+        return lambda rows, memo: [value] * len(rows)
+
+    def var_ref(self, expr: ast.VarRef) -> Optional[Kernel]:
+        name = expr.name
+        if name not in self.row_vars:
+            return None
+
+        def var_column(rows: List[dict], memo: dict) -> List[Any]:
+            column = memo.get(name)
+            if column is None:
+                column = memo[name] = [row[name] for row in rows]
+            return column
+
+        return var_column
+
+    def _column_key(self, expr: ast.Expr) -> Any:
+        """Structural memo key of a path rooted at a row variable."""
+        if isinstance(expr, ast.VarRef):
+            return expr.name if expr.name in self.row_vars else None
+        if isinstance(expr, ast.Path):
+            base_key = self._column_key(expr.base)
+            return None if base_key is None else (base_key, expr.attr)
+        return None
+
+    def path(self, expr: ast.Path) -> Optional[Kernel]:
+        key = self._column_key(expr)
+        if key is None and isinstance(expr.base, (ast.VarRef, ast.Path)):
+            # Rooted outside the row: possibly a dotted catalog name,
+            # which only the env-space closure resolves.
+            return None
+        base_kernel = self.compile(expr.base)
+        attr = expr.attr
+        config = self.config
+        navigate = ops.navigate_path
+        # Inline cache: rows of one collection overwhelmingly share a
+        # layout, so remember where the attribute last was.  Exactly
+        # ``Struct`` guarantees unique names (values.py), so a hit at
+        # the cached position is the first match; anything else —
+        # duplicate-name tuples included — goes to ``navigate_path``.
+        cache = [0]
+
+        def scan(pairs: list) -> Any:
+            position = 0
+            for name, value in pairs:
+                if name == attr:
+                    cache[0] = position
+                    return value
+                position += 1
+            return MISSING
+
+        def path_column(rows: List[dict], memo: dict) -> List[Any]:
+            if key is not None:
+                column = memo.get(key)
+                if column is not None:
+                    return column
+            at = cache[0]
+            column = [
+                (
+                    pairs[at][1]
+                    if len(pairs := base._pairs) > at and pairs[at][0] == attr
+                    else scan(pairs)
+                )
+                if type(base) is Struct
+                else navigate(base, attr, config)
+                for base in base_kernel(rows, memo)
+            ]
+            if key is not None:
+                memo[key] = column
+            return column
+
+        return path_column
+
+    def index(self, expr: ast.Index) -> Kernel:
+        base = self.compile(expr.base)
+        index = self.compile(expr.index)
+        config = self.config
+        navigate = ops.navigate_index
+        return lambda rows, memo: [
+            navigate(b, i, config)
+            for b, i in zip(base(rows, memo), index(rows, memo))
+        ]
+
+    # -- operators ---------------------------------------------------------
+
+    def binary(self, expr: ast.Binary) -> Kernel:
+        op = expr.op
+        config = self.config
+        left = self.compile(expr.left)
+        if op in _LITERAL_OPS and isinstance(expr.right, ast.Literal):
+            lit = expr.right.value
+            kind = type(lit)
+            if kind in _NUMBERS or (kind is str and op not in _NUMBER_ONLY):
+                template = _LITERAL_OPS[op]
+                kinds = _STRINGS if kind is str else _NUMBERS
+                return lambda rows, memo: template(
+                    left(rows, memo), lit, kinds, config
+                )
+        right = self.compile(expr.right)
+        columns = _COLUMN_OPS.get(op)
+        if columns is not None:
+            return lambda rows, memo: columns(
+                left(rows, memo), right(rows, memo), config
+            )
+        return lambda rows, memo: [
+            _arithmetic(op, a, b, config)
+            for a, b in zip(left(rows, memo), right(rows, memo))
+        ]
+
+    def unary(self, expr: ast.Unary) -> Kernel:
+        operand = self.compile(expr.operand)
+        config = self.config
+        if expr.op == "NOT":
+            return lambda rows, memo: _not_column(operand(rows, memo), config)
+        if expr.op == "-":
+            negate = ops.negate
+            return lambda rows, memo: [
+                -v if type(v) in _NUMBERS else negate(v, config)
+                for v in operand(rows, memo)
+            ]
+        unary_plus = ops.unary_plus
+        return lambda rows, memo: [
+            unary_plus(v, config) for v in operand(rows, memo)
+        ]
+
+    def is_predicate(self, expr: ast.IsPredicate) -> Kernel:
+        operand = self.compile(expr.operand)
+        kind = expr.kind
+        negated = expr.negated
+        if kind == "MISSING":
+            if negated:
+                return lambda rows, memo: [
+                    v is not MISSING for v in operand(rows, memo)
+                ]
+            return lambda rows, memo: [v is MISSING for v in operand(rows, memo)]
+        if kind in ("NULL", "ABSENT"):
+            # ``IS NULL`` holds for MISSING too (ops.is_predicate).
+            if negated:
+                return lambda rows, memo: [
+                    v is not None and v is not MISSING
+                    for v in operand(rows, memo)
+                ]
+            return lambda rows, memo: [
+                v is None or v is MISSING for v in operand(rows, memo)
+            ]
+        config = self.config
+        test = ops.is_predicate
+        if negated:
+            return lambda rows, memo: [
+                not test(v, kind, config) for v in operand(rows, memo)
+            ]
+        return lambda rows, memo: [
+            test(v, kind, config) for v in operand(rows, memo)
+        ]
+
+    def between(self, expr: ast.Between) -> Kernel:
+        operand = self.compile(expr.operand)
+        low = self.compile(expr.low)
+        high = self.compile(expr.high)
+        config = self.config
+        negated = expr.negated
+        at_least, at_most = _COLUMN_OPS[">="], _COLUMN_OPS["<="]
+        both = _COLUMN_OPS["AND"]
+
+        def between_column(rows: List[dict], memo: dict) -> List[Any]:
+            # All three operand columns before any comparison, as the
+            # reference interpreter orders it.
+            values = operand(rows, memo)
+            lows = low(rows, memo)
+            highs = high(rows, memo)
+            verdicts = both(
+                at_least(values, lows, config),
+                at_most(values, highs, config),
+                config,
+            )
+            return _not_column(verdicts, config) if negated else verdicts
+
+        return between_column
+
+    def like(self, expr: ast.Like) -> Kernel:
+        operand = self.compile(expr.operand)
+        config = self.config
+        negated = expr.negated
+        like = ops.like
+        constant = _constant_like(expr)
+        if constant is not None:
+            pattern, escape = constant
+            # The pattern compiles once; non-strings (NULL, MISSING,
+            # mistyped) take the one definition in ops.like.
+            fullmatch = ops._like_regex(pattern, escape).fullmatch
+
+            def like_column(rows: List[dict], memo: dict) -> List[Any]:
+                verdicts = [
+                    (fullmatch(v) is not None)
+                    if type(v) is str
+                    else like(v, pattern, escape, config)
+                    for v in operand(rows, memo)
+                ]
+                return _not_column(verdicts, config) if negated else verdicts
+
+            return like_column
+        pattern_kernel = self.compile(expr.pattern)
+        escape_kernel = (
+            self.compile(expr.escape) if expr.escape is not None else None
+        )
+
+        def like_dynamic_column(rows: List[dict], memo: dict) -> List[Any]:
+            values = operand(rows, memo)
+            patterns = pattern_kernel(rows, memo)
+            escapes = (
+                escape_kernel(rows, memo)
+                if escape_kernel is not None
+                else [None] * len(rows)
+            )
+            verdicts = [
+                like(v, p, e, config)
+                for v, p, e in zip(values, patterns, escapes)
+            ]
+            return _not_column(verdicts, config) if negated else verdicts
+
+        return like_dynamic_column
+
+    def in_predicate(self, expr: ast.InPredicate) -> Optional[Kernel]:
+        if isinstance(expr.collection, (ast.SubqueryExpr, ast.CoerceSubquery)):
+            return None  # early-terminating probe lives in the evaluator
+        operand = self.compile(expr.operand)
+        config = self.config
+        negated = expr.negated
+        probe = _literal_probe_set(expr.collection)
+        if probe is not None:
+            category, keys, __ = probe
+            # A string list probes its raw literals; every other value
+            # (and every other category) asks _probe_verdict.
+            members = (
+                frozenset(key[1] for key in keys) if category == "string" else None
+            )
+
+            def probe_column(rows: List[dict], memo: dict) -> List[Any]:
+                if members is not None:
+                    verdicts = [
+                        (v in members)
+                        if type(v) is str
+                        else _probe_verdict(v, probe, config)
+                        for v in operand(rows, memo)
+                    ]
+                else:
+                    verdicts = [
+                        _probe_verdict(v, probe, config)
+                        for v in operand(rows, memo)
+                    ]
+                return _not_column(verdicts, config) if negated else verdicts
+
+            return probe_column
+        collection = self.compile(expr.collection)
+        contains = ops.in_collection
+
+        def in_column(rows: List[dict], memo: dict) -> List[Any]:
+            verdicts = [
+                contains(v, c, config)
+                for v, c in zip(operand(rows, memo), collection(rows, memo))
+            ]
+            return _not_column(verdicts, config) if negated else verdicts
+
+        return in_column
+
+    def exists(self, expr: ast.Exists) -> Optional[Kernel]:
+        if isinstance(expr.operand, ast.SubqueryExpr):
+            return None  # early termination, as for IN
+        operand = self.compile(expr.operand)
+        config = self.config
+        exists = ops.exists
+        return lambda rows, memo: [exists(v, config) for v in operand(rows, memo)]
+
+    def case(self, expr: ast.CaseExpr) -> Kernel:
+        """CASE over selection vectors: each WHEN runs over the rows no
+        earlier branch decided, each THEN/ELSE only over the rows its
+        WHEN selected — the rows ``_eval_case`` would evaluate them on.
+        A MISSING operand or condition makes the row MISSING unless
+        ``sql_compat`` (Listing 9)."""
+        config = self.config
+        propagate = not config.sql_compat
+        operand = (
+            self.compile(expr.operand) if expr.operand is not None else None
+        )
+        whens = [
+            (self.compile(condition), self.compile(result))
+            for condition, result in expr.whens
+        ]
+        otherwise = self.compile(expr.else_) if expr.else_ is not None else None
+        equals_columns = _COLUMN_OPS["="]
+
+        def case_column(rows: List[dict], memo: dict) -> List[Any]:
+            out: List[Any] = [None] * len(rows)
+            #: Output positions still undecided, their rows and memo.
+            pending: Any = range(len(rows))
+            live, live_memo = rows, memo
+            subjects = None
+            if operand is not None:
+                subjects = operand(rows, memo)
+                if propagate:
+                    keep = [k for k, v in enumerate(subjects) if v is not MISSING]
+                    if len(keep) != len(rows):
+                        for k, v in enumerate(subjects):
+                            if v is MISSING:
+                                out[k] = MISSING
+                        pending = keep
+                        live, live_memo = _rows_at(rows, memo, keep)
+                        subjects = [subjects[k] for k in keep]
+            for condition, result in whens:
+                if not live:
+                    return out
+                verdicts = condition(live, live_memo)
+                if subjects is not None:
+                    verdicts = equals_columns(subjects, verdicts, config)
+                hits = [k for k, v in enumerate(verdicts) if v is True]
+                if hits:
+                    hit_rows, hit_memo = _rows_at(live, live_memo, hits)
+                    for k, value in zip(hits, result(hit_rows, hit_memo)):
+                        out[pending[k]] = value
+                rest = []
+                for k, v in enumerate(verdicts):
+                    if v is MISSING and propagate:
+                        out[pending[k]] = MISSING
+                    elif v is not True:
+                        rest.append(k)
+                if len(rest) != len(live):
+                    pending = [pending[k] for k in rest]
+                    live, live_memo = _rows_at(live, live_memo, rest)
+                    if subjects is not None:
+                        subjects = [subjects[k] for k in rest]
+            if otherwise is not None and live:
+                for position, value in zip(pending, otherwise(live, live_memo)):
+                    out[position] = value
+            return out
+
+        return case_column
+
+    # -- calls and constructors --------------------------------------------
+
+    def call(self, expr: ast.FunctionCall) -> Optional[Kernel]:
+        if expr.name == "$TUPLE_MERGE" or expr.star or expr.distinct:
+            return None
+        definition = REGISTRY.lookup(expr.name)
+        if definition is None:
+            return None  # the env-space closure raises uniformly
+        config = self.config
+        invoke = definition.invoke
+        args = [self.compile(arg) for arg in expr.args]
+        if not args:
+            return lambda rows, memo: [invoke([], config) for __ in rows]
+        return lambda rows, memo: [
+            invoke(list(values), config)
+            for values in zip(*[arg(rows, memo) for arg in args])
+        ]
+
+    def struct(self, expr: ast.StructLit) -> Optional[Kernel]:
+        keys = _literal_keys(expr)
+        if keys is None:
+            return None
+        values = [self.compile(field.value) for field in expr.fields]
+        make = _struct_maker(keys)
+        if not keys:
+            return lambda rows, memo: [make([]) for __ in rows]
+
+        def struct_column(rows: List[dict], memo: dict) -> List[Struct]:
+            columns = [value(rows, memo) for value in values]
+            pair_columns = [
+                [(key, v) for v in column] for key, column in zip(keys, columns)
+            ]
+            pair_rows = list(map(list, zip(*pair_columns)))
+            # A MISSING value omits its attribute (Section IV-B); only
+            # the rows that have one are rebuilt.
+            for column in columns:
+                if MISSING in column:
+                    for position, v in enumerate(column):
+                        if v is MISSING:
+                            pair_rows[position] = [
+                                pair
+                                for pair in pair_rows[position]
+                                if pair[1] is not MISSING
+                            ]
+            return [make(pairs) for pairs in pair_rows]
+
+        return struct_column
+
+    def _items(self, items: List[ast.Expr]) -> Callable[[List[dict], dict], list]:
+        """Rows of present item values for an array/bag constructor."""
+        kernels = [self.compile(item) for item in items]
+        if not kernels:
+            return lambda rows, memo: [[] for __ in rows]
+        return lambda rows, memo: [
+            [v for v in values if v is not MISSING]
+            for values in zip(*[kernel(rows, memo) for kernel in kernels])
+        ]
+
+    def array(self, expr: ast.ArrayLit) -> Kernel:
+        return self._items(expr.items)
+
+    def bag(self, expr: ast.BagLit) -> Kernel:
+        items = self._items(expr.items)
+        return lambda rows, memo: [Bag(values) for values in items(rows, memo)]
+
+
+_KERNELS = {
+    ast.Literal: _KernelCompiler.literal,
+    ast.VarRef: _KernelCompiler.var_ref,
+    ast.Path: _KernelCompiler.path,
+    ast.Index: _KernelCompiler.index,
+    ast.Binary: _KernelCompiler.binary,
+    ast.Unary: _KernelCompiler.unary,
+    ast.IsPredicate: _KernelCompiler.is_predicate,
+    ast.Between: _KernelCompiler.between,
+    ast.Like: _KernelCompiler.like,
+    ast.InPredicate: _KernelCompiler.in_predicate,
+    ast.Exists: _KernelCompiler.exists,
+    ast.CaseExpr: _KernelCompiler.case,
+    ast.FunctionCall: _KernelCompiler.call,
+    ast.StructLit: _KernelCompiler.struct,
+    ast.ArrayLit: _KernelCompiler.array,
+    ast.BagLit: _KernelCompiler.bag,
+}

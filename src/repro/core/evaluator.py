@@ -169,12 +169,6 @@ def _filter_rows(predicate_fn, source: Iterable[Environment]) -> Iterator[Enviro
             yield current
 
 
-#: Sentinel returned by ``_eval_query_batch`` when the batch pipeline
-#: declines after the gate passed (no usable plan); the caller falls
-#: through to the streaming path.
-_STREAM_INSTEAD = object()
-
-
 class Evaluator:
     """Evaluates Core queries against a catalog of named values.
 
@@ -203,6 +197,7 @@ class Evaluator:
         self.config = config or EvalConfig()
         self._parameters = [from_python(value) for value in parameters or []]
         self._compiled: Dict[int, Any] = {}
+        self._batch_compiled: Dict[Tuple[int, frozenset], Any] = {}
         self._plans: Dict[int, Any] = {}
         self._batch_plans: Dict[int, Any] = {}
         self._decompositions: Dict[int, Any] = {}
@@ -223,10 +218,13 @@ class Evaluator:
         #: Optional :class:`repro.catalog.statistics.StatsProvider`
         #: feeding the planner's cost-based join ordering.
         self._stats = stats
-        #: The query object ``execute`` was entered with; the batch
-        #: pipeline engages only for this top-level query, so nested
-        #: subqueries keep the cheap streaming path.
+        #: The query object and environment ``execute`` was entered
+        #: with.  The batch pipeline engages for that query and for
+        #: blocks evaluated in that very environment (no row bindings in
+        #: scope, so uncorrelated and evaluated once: derived tables);
+        #: correlated subqueries keep the cheap streaming path.
         self._top_query: Optional[ast.Query] = None
+        self._top_env: Optional[Environment] = None
         #: Wall time spent in the physical planner, or None when the
         #: planner never ran for this execution (reference pipeline,
         #: strict mode).  Always measured — planning happens once per
@@ -258,9 +256,12 @@ class Evaluator:
         self.parallel_workers = 0
         self.plan_time_s = None
         self._top_query = None
+        self._top_env = None
         self.governor = ResourceGovernor.for_config(self.config)
         if len(self._compiled) > self.COMPILED_CACHE_SIZE:
             self._compiled.clear()
+        if len(self._batch_compiled) > self.COMPILED_CACHE_SIZE:
+            self._batch_compiled.clear()
         return self
 
     def compiled(self, expr: ast.Expr):
@@ -281,15 +282,33 @@ class Evaluator:
             self._compiled[id(expr)] = entry
         return entry[1]
 
+    def compiled_batch(self, expr: ast.Expr, row_vars: frozenset):
+        """The chunk kernel of an expression over bindings of
+        ``row_vars`` (:func:`repro.core.compile_expr.compile_batch`),
+        compiled once per evaluator like :meth:`compiled`, not once per
+        execution."""
+        key = (id(expr), row_vars)
+        entry = self._batch_compiled.get(key)
+        if entry is None:
+            from repro.core import compile_expr
+
+            # The node is kept alive in the entry (same id-reuse guard).
+            entry = (expr, compile_expr.compile_batch(expr, self, row_vars))
+            self._batch_compiled[key] = entry
+        return entry[1]
+
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
 
     def execute(self, query: ast.Query, env: Optional[Environment] = None) -> Any:
         """Evaluate a query, translating internal signals to public errors."""
+        if env is None:
+            env = Environment()
         self._top_query = query
+        self._top_env = env
         try:
-            return self.eval_query(query, env or Environment())
+            return self.eval_query(query, env)
         except Unbound as unbound:
             raise BindingError(
                 f"unresolved name {unbound.name!r}: not a variable in scope "
@@ -316,10 +335,19 @@ class Evaluator:
         body = query.body
         if isinstance(body, ast.QueryBlock):
             self._note_reorder(query, body)
-            if self._can_batch(query, body):
-                result = self._eval_query_batch(query, body, env)
-                if result is not _STREAM_INSTEAD:
-                    return result
+            plan, __ = self._batch_decision(query, body, env)
+            if plan is not None:
+                from repro.core.vectorized import execute_batch_query
+
+                # The batch pipeline is the chunked form of the
+                # streaming pipeline; both flags are observable so
+                # existing streaming assertions stay true and the batch
+                # path is distinguishable.  ``batched`` describes the
+                # top-level block only (EXPLAIN reports nested ones).
+                self.streamed = True
+                if query is self._top_query:
+                    self.batched = True
+                return execute_batch_query(self, query, body, plan, env)
             if self._can_stream(body):
                 return self._eval_query_streaming(query, body, env)
             result = self.eval_block(body, env)
@@ -388,51 +416,63 @@ class Evaluator:
             )
             self._reorder_flags[id(body)] = (body, allowed)
 
-    def _can_batch(self, query: ast.Query, body: ast.QueryBlock) -> bool:
-        """Whether the top-level block runs on the batch pipeline.
+    def _batch_refusal(
+        self, query: ast.Query, body: ast.QueryBlock, env: Environment
+    ) -> Optional[str]:
+        """The clause that keeps a block off the batch pipeline, or None.
 
-        Batch requires everything streaming requires, plus: it must be
-        the query ``execute`` was entered with (nested subqueries are
-        usually small — chunking them costs more than it saves) and
-        have no LIMIT/OFFSET (bounded consumers are the streaming
-        pipeline's home turf).  GROUP BY with ORDER BY stays streaming
-        because the sort keys may contain lowered aggregate sites that
-        must see the group environments.  Whether the planner folded
-        the FROM clause into a *single* operator tree is only known
-        after planning, so that check lives in ``_eval_query_batch``.
+        Batch requires everything streaming requires, plus: the block is
+        the query ``execute`` was entered with *or* is being evaluated
+        in the top-level environment — no row bindings in scope, so it
+        is uncorrelated and evaluated once (derived tables, notably the
+        ones rules SQLPPR01/SQLPPR02 synthesise over whole collections);
+        correlated subqueries run once per outer row over usually small
+        inputs, where chunking costs more than it saves.  No
+        LIMIT/OFFSET (bounded consumers are the streaming pipeline's
+        home turf).  GROUP BY with ORDER BY stays streaming because the
+        sort keys may contain lowered aggregate sites that must see the
+        group environments.  Whether the planner folded the FROM clause
+        into a *single* operator tree is only known after planning
+        (:meth:`_batch_decision`).
         """
         config = self.config
-        if not config.batch or not config.optimize or not config.is_permissive:
-            return False
-        if query is not self._top_query:
-            return False
+        if not config.batch:
+            return "batch=False"
+        if not config.optimize:
+            return "optimize=False"
+        if not config.is_permissive:
+            return "strict typing mode"
+        if query is not self._top_query and env is not self._top_env:
+            return "correlated subquery (row bindings in scope)"
         if query.limit is not None or query.offset is not None:
-            return False
+            return "LIMIT/OFFSET bounds the consumer"
         if body.from_ is None:
-            return False
+            return "no FROM clause"
         if not self._can_stream(body):
-            return False
+            return "PIVOT or window functions need the whole input"
         if body.group_by is not None and query.order_by:
-            return False
-        return True
+            return "GROUP BY with ORDER BY sorts over the group environments"
+        return None
 
-    def _eval_query_batch(self, query: ast.Query, body: ast.QueryBlock, env):
+    def _batch_decision(
+        self, query: ast.Query, body: ast.QueryBlock, env: Environment
+    ) -> Tuple[Any, Optional[str]]:
+        """``(plan, None)`` when the block runs on the batch pipeline,
+        else ``(None, the refusing clause)`` — the one decision both
+        execution and EXPLAIN (:func:`vectorized.explain_executors`)
+        consult."""
+        reason = self._batch_refusal(query, body, env)
+        if reason is not None:
+            return None, reason
         plan = self._batch_plan(body)
         if plan is None:
-            return _STREAM_INSTEAD
+            return None, "no plan is forced under a timing tracer"
         if len(plan.items) != 1:
             # The planner kept several FROM items (e.g. a comma join it
             # could not turn into a hash join); the chunk protocol
             # drives exactly one operator tree, so stream instead.
-            return _STREAM_INSTEAD
-        from repro.core.vectorized import execute_batch_query
-
-        # The batch pipeline is the chunked form of the streaming
-        # pipeline; both flags are observable so existing streaming
-        # assertions stay true and the batch path is distinguishable.
-        self.streamed = True
-        self.batched = True
-        return execute_batch_query(self, query, body, plan, env)
+            return None, f"FROM kept {len(plan.items)} operator trees"
+        return plan, None
 
     def _batch_plan(self, block: ast.QueryBlock):
         """A physical plan for the batch executor, forcing one when the

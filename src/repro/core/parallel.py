@@ -51,7 +51,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import errors
 from repro.core.environment import Environment, Unbound
-from repro.core.plan_ops import HashJoinOp, ScanOp
+from repro.core.plan_ops import HashJoinOp, ScanOp, walk_ops
 from repro.core.vectorized import (
     Decomposition,
     GroupState,
@@ -103,18 +103,6 @@ def _spine(op) -> Optional[Tuple[ScanOp, List[HashJoinOp]]]:
     if not isinstance(node, ScanOp):
         return None
     return node, joins
-
-
-def _enumerate_ops(op) -> List[Any]:
-    """Pre-order enumeration of an operator tree — the deterministic
-    index space worker tallies are keyed by (identical in parent and
-    forked children since the tree itself is inherited)."""
-    result = [op]
-    for attr in ("left", "right"):
-        child = getattr(op, attr, None)
-        if child is not None:
-            result.extend(_enumerate_ops(child))
-    return result
 
 
 def _run_morsel(span: Tuple[int, int]):
@@ -260,7 +248,11 @@ def try_parallel(
     if workers < 2:
         return None
 
-    op_list = _enumerate_ops(item_plan.op)
+    op_list = walk_ops(item_plan.op)
+    for node in op_list:
+        # Compile the operators' chunk kernels before forking, so the
+        # workers inherit them instead of each compiling its own.
+        node.batch_kernels(evaluator)
     parent_tracer = evaluator.tracer
     _WORKER_STATE = {
         "evaluator": evaluator,

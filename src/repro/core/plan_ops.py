@@ -162,6 +162,13 @@ class PlanOp:
             )
         return _rechunk(self.iter_bindings(evaluator, env))
 
+    def batch_kernels(self, evaluator: "Evaluator") -> List[Any]:
+        """The chunk kernels this operator's native ``iter_chunks`` runs
+        (from ``Evaluator.compiled_batch``, so compiled once per
+        evaluator); empty for operators that batch through the row
+        stream.  EXPLAIN reads their ``fallbacks``."""
+        return []
+
     def _iter_produce(
         self, evaluator: "Evaluator", env: "Environment"
     ) -> Iterator[Binding]:
@@ -335,18 +342,22 @@ class ScanOp(PlanOp):
             return len(value)
         return None
 
-    def _iter_scan_chunks(self, evaluator, env, morsel):
-        from repro.core.compile_expr import compile_batch
+    def batch_kernels(self, evaluator):
+        if not isinstance(self.item, ast.FromCollection):
+            return []
+        row_vars = frozenset(self.vars)
+        return [
+            evaluator.compiled_batch(predicate, row_vars)
+            for predicate in self.filters
+        ]
 
+    def _iter_scan_chunks(self, evaluator, env, morsel):
         tracer = evaluator.tracer
         trace = tracer.trace if tracer is not None else None
         span = (
             trace.begin(self.describe(), "operator") if trace is not None else None
         )
-        filter_fns = [
-            compile_batch(predicate, evaluator, frozenset(self.vars))
-            for predicate in self.filters
-        ]
+        filter_fns = self.batch_kernels(evaluator)
         rows_in = 0
         rows_out = 0
         elapsed = 0.0
@@ -676,12 +687,7 @@ class HashJoinOp(PlanOp):
         the table once in the parent process before forking: workers
         then share the pages copy-on-write instead of each re-building.
         """
-        from repro.core.compile_expr import compile_batch
-
-        right_vars = frozenset(self.right.vars)
-        key_fns = [
-            compile_batch(key, evaluator, right_vars) for key in self.right_keys
-        ]
+        key_fns = self._kernels(evaluator)[1]
         table: Dict[Tuple, List[Binding]] = {}
         for chunk in self.right.iter_chunks(evaluator, env):
             key_columns = [fn(chunk, env) for fn in key_fns]
@@ -697,26 +703,30 @@ class HashJoinOp(PlanOp):
                     table.setdefault(tuple(parts), []).append(right_binding)
         return table
 
-    def _iter_join_chunks(self, evaluator, env, morsel, tables):
-        from repro.core.compile_expr import compile_batch
+    def _kernels(self, evaluator):
+        """``(probe key, build key, residual, filter)`` kernel lists."""
+        compiled = evaluator.compiled_batch
+        left_vars = frozenset(self.left.vars)
+        right_vars = frozenset(self.right.vars)
+        out_vars = frozenset(self.vars)
+        return (
+            [compiled(key, left_vars) for key in self.left_keys],
+            [compiled(key, right_vars) for key in self.right_keys],
+            [compiled(p, out_vars) for p in self.residual],
+            [compiled(p, out_vars) for p in self.filters],
+        )
 
+    def batch_kernels(self, evaluator):
+        return [fn for fns in self._kernels(evaluator) for fn in fns]
+
+    def _iter_join_chunks(self, evaluator, env, morsel, tables):
         tracer = evaluator.tracer
         governor = evaluator.governor
         trace = tracer.trace if tracer is not None else None
         span = (
             trace.begin(self.describe(), "operator") if trace is not None else None
         )
-        left_vars = frozenset(self.left.vars)
-        out_vars = frozenset(self.vars)
-        left_key_fns = [
-            compile_batch(key, evaluator, left_vars) for key in self.left_keys
-        ]
-        residual_fns = [
-            compile_batch(p, evaluator, out_vars) for p in self.residual
-        ]
-        filter_fns = [
-            compile_batch(p, evaluator, out_vars) for p in self.filters
-        ]
+        left_key_fns, __, residual_fns, filter_fns = self._kernels(evaluator)
         is_left = self.kind == "LEFT"
         right_vars = self.right_vars
         table = tables.get(id(self)) if tables is not None else None
@@ -843,6 +853,18 @@ class HashJoinOp(PlanOp):
         return (
             [prefix + "probe:"] + left + [prefix + "build:"] + right
         )
+
+
+def walk_ops(op: PlanOp) -> List[PlanOp]:
+    """Pre-order enumeration of an operator tree — the deterministic
+    index space parallel worker tallies are keyed by (identical in
+    parent and forked children since the tree itself is inherited)."""
+    result = [op]
+    for attr in ("left", "right"):
+        child = getattr(op, attr, None)
+        if child is not None:
+            result.extend(walk_ops(child))
+    return result
 
 
 def _rechunk(source: Iterator[Binding]) -> Iterator[List[Binding]]:

@@ -14,9 +14,9 @@ run clause-major (all FROM rows, then LET over them, and so on within
 each chunk), which is exactly the order ``optimize=False`` evaluates
 in, so any error the batch path surfaces is one the reference
 semantics surfaces too.  The entry point is gated by
-``Evaluator._can_batch`` — permissive mode, a single FROM item, no
-LIMIT/OFFSET — and anything the gate rejects stays on the streaming
-path.
+``Evaluator._batch_decision`` — permissive mode, the top-level query or
+an uncorrelated derived table, a single FROM item, no LIMIT/OFFSET — and
+anything the gate rejects stays on the streaming path.
 
 Aggregate decomposition
 -----------------------
@@ -46,6 +46,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.environment import Environment
 from repro.core.grouping_sets import expand_grouping_sets
+from repro.core.plan_ops import ScanOp, walk_ops
 from repro.datamodel.equality import group_key
 from repro.datamodel.values import Bag
 from repro.errors import EvaluationError
@@ -328,18 +329,24 @@ def build_fold_fns(
     evaluator, decomp: Decomposition, row_vars: Tuple[str, ...]
 ) -> Tuple[List[Callable], List[Callable]]:
     """Batch-compiled key and aggregate-value functions for a fold."""
-    from repro.core.compile_expr import compile_batch
-
     row_var_set = frozenset(row_vars)
-    key_fns = [
-        compile_batch(key.expr, evaluator, row_var_set)
-        for key in decomp.clause.keys
-    ]
-    value_fns = [
-        compile_batch(spec.value_expr, evaluator, row_var_set)
-        for spec in decomp.specs
-    ]
+    compiled = evaluator.compiled_batch
+    key_fns = [compiled(key.expr, row_var_set) for key in decomp.clause.keys]
+    value_fns = [compiled(spec.value_expr, row_var_set) for spec in decomp.specs]
     return key_fns, value_fns
+
+
+def _identity_column(column: List[Any]) -> List[tuple]:
+    """:func:`group_key` of every value, its ``str``/``int`` cases
+    inlined (``type(...) is`` keeps ``bool`` on the general path)."""
+    return [
+        ("4str", value)
+        if type(value) is str
+        else ("3num", value)
+        if type(value) is int
+        else group_key(value)
+        for value in column
+    ]
 
 
 def fold_chunk(
@@ -350,20 +357,45 @@ def fold_chunk(
     groups: GroupState,
     order: List[tuple],
 ) -> None:
-    """Fold one chunk of binding rows into the group accumulators."""
-    key_columns = [fn(chunk, env) for fn in key_fns]
-    value_columns = [fn(chunk, env) for fn in value_fns]
-    for index in range(len(chunk)):
-        key_values = [column[index] for column in key_columns]
-        identity = tuple(group_key(value) for value in key_values)
+    """Fold one chunk of binding rows into the group accumulators.
+
+    The chunk is partitioned by group identity and each group's
+    accumulators are extended once per chunk, not once per row.  Groups
+    are met in first-seen order and a group's values keep row order —
+    :func:`merge_folds` and the parallel barrier depend on both.
+    """
+    memo: dict = {}
+    key_columns = [fn(chunk, env, memo) for fn in key_fns]
+    value_columns = [fn(chunk, env, memo) for fn in value_fns]
+    buckets: Dict[tuple, Any]
+    if key_columns:
+        buckets = {}
+        identities = zip(*[_identity_column(column) for column in key_columns])
+        for index, identity in enumerate(identities):
+            bucket = buckets.get(identity)
+            if bucket is None:
+                buckets[identity] = [index]
+            else:
+                bucket.append(index)
+    else:
+        # No keys is the implicit single group, not zero groups.
+        buckets = {(): range(len(chunk))}
+    for identity, indexes in buckets.items():  # dicts keep first-seen order
         state = groups.get(identity)
         if state is None:
-            state = (key_values, [[] for __ in value_columns])
+            state = (
+                [column[indexes[0]] for column in key_columns],
+                [[] for __ in value_columns],
+            )
             groups[identity] = state
             order.append(identity)
-        accumulators = state[1]
-        for position, column in enumerate(value_columns):
-            accumulators[position].append(column[index])
+        for accumulator, column in zip(state[1], value_columns):
+            if len(indexes) == len(chunk):
+                accumulator.extend(column)  # the whole chunk is one group
+            elif len(indexes) == 1:
+                accumulator.append(column[indexes[0]])
+            else:
+                accumulator.extend([column[index] for index in indexes])
 
 
 def merge_folds(
@@ -438,31 +470,102 @@ class _Stage:
         self.elapsed = 0.0
 
 
-def execute_batch_query(evaluator, query, body, plan, env) -> Any:
-    """Run one gated query block on the batch pipeline; returns the
-    final query result (an ordered list under ORDER BY, else a Bag).
+@dataclass
+class BlockKernels:
+    """Everything the batch executor compiles for one block's clauses
+    (the plan's operators compile their own, see
+    :meth:`PlanOp.batch_kernels`).  All of it comes from
+    ``Evaluator.compiled_batch``, so building this per execution is a
+    handful of cache probes."""
 
-    The caller (``Evaluator._eval_query_batch``) has already verified
-    the gate: permissive mode, optimization on, a physical plan with a
-    single FROM item, no LIMIT/OFFSET, and not GROUP BY + ORDER BY
-    together.
-    """
-    from repro.core.compile_expr import compile_batch
+    var_order: List[str]
+    let_names: List[str]
+    decomp: Optional[Decomposition]
+    prefix_fns: List[Callable]
+    let_fns: List[Tuple[str, Callable]]
+    residual_fn: Optional[Callable]
+    key_fns: List[Callable]
+    value_fns: List[Callable]
+    #: HAVING / SELECT VALUE kernels over the finalized group rows (or
+    #: the kept rows of an ungrouped block); None when absent or when
+    #: the semi-batch grouping fallback evaluates them in env space.
+    having_fn: Optional[Callable]
+    select_fn: Optional[Callable]
 
-    config = evaluator.config
-    tracer = evaluator.tracer
-    item_plan = plan.items[0]
-    op = item_plan.op
+    def all(self) -> List[Callable]:
+        fns = self.prefix_fns + [fn for __, fn in self.let_fns]
+        fns += self.key_fns + self.value_fns
+        fns += [self.residual_fn, self.having_fn, self.select_fn]
+        return [fn for fn in fns if fn is not None]
 
+
+def block_kernels(evaluator, body: ast.QueryBlock, plan) -> BlockKernels:
+    compiled = evaluator.compiled_batch
     var_order: List[str] = []
     for item in body.from_:
         evaluator._collect_item_vars(item, var_order)
     let_names = [let.name for let in body.lets]
     row_vars = tuple(var_order) + tuple(let_names)
+    row_var_set = frozenset(row_vars)
+    from_vars = frozenset(var_order)
 
     decomp: Optional[Decomposition] = None
     if body.group_by is not None:
         decomp = cached_decomposition(evaluator, body, row_vars)
+    key_fns: List[Callable] = []
+    value_fns: List[Callable] = []
+    having_expr, select_expr, out_vars = None, None, row_var_set
+    if decomp is not None:
+        key_fns, value_fns = build_fold_fns(evaluator, decomp, row_vars)
+        having_expr, select_expr = decomp.having_expr, decomp.select_expr
+        out_vars = frozenset(decomp.group_row_vars)
+    elif body.group_by is None:
+        having_expr = body.having
+        if isinstance(body.select, ast.SelectValue):
+            select_expr = body.select.expr
+    residual = plan.residual_where
+    return BlockKernels(
+        var_order=var_order,
+        let_names=let_names,
+        decomp=decomp,
+        prefix_fns=[
+            compiled(predicate, from_vars)
+            for predicate in plan.items[0].prefix_filters
+        ],
+        let_fns=[
+            (let.name, compiled(let.expr, frozenset(var_order + let_names[:index])))
+            for index, let in enumerate(body.lets)
+        ],
+        residual_fn=compiled(residual, row_var_set) if residual is not None else None,
+        key_fns=key_fns,
+        value_fns=value_fns,
+        having_fn=compiled(having_expr, out_vars) if having_expr is not None else None,
+        select_fn=compiled(select_expr, out_vars) if select_expr is not None else None,
+    )
+
+
+def execute_batch_query(evaluator, query, body, plan, env) -> Any:
+    """Run one gated query block on the batch pipeline; returns the
+    final query result (an ordered list under ORDER BY, else a Bag).
+
+    The caller has already verified the gate
+    (``Evaluator._batch_decision``): permissive mode, optimization on,
+    the top-level query or a block evaluated in the top-level
+    environment, a physical plan with a single FROM item, no
+    LIMIT/OFFSET, and not GROUP BY + ORDER BY together.
+    """
+    config = evaluator.config
+    tracer = evaluator.tracer
+    item_plan = plan.items[0]
+    op = item_plan.op
+
+    kernels = block_kernels(evaluator, body, plan)
+    var_order, let_names = kernels.var_order, kernels.let_names
+    row_vars = tuple(var_order) + tuple(let_names)
+    decomp = kernels.decomp
+    prefix_fns, let_fns = kernels.prefix_fns, kernels.let_fns
+    residual_fn = kernels.residual_fn
+    key_fns, value_fns = kernels.key_fns, kernels.value_fns
 
     stages: List[_Stage] = []
 
@@ -473,34 +576,10 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
 
     from_stage = stage("FROM")
     let_stage = stage("LET") if body.lets else None
-    residual = plan.residual_where
-    where_stage = stage("WHERE") if residual is not None else None
+    where_stage = stage("WHERE") if residual_fn is not None else None
     group_stage = stage("GROUP BY") if body.group_by is not None else None
 
-    prefix_fns = [
-        compile_batch(predicate, evaluator, frozenset(var_order))
-        for predicate in item_plan.prefix_filters
-    ]
-    let_fns = [
-        (
-            let.name,
-            compile_batch(
-                let.expr, evaluator, frozenset(var_order + let_names[:index])
-            ),
-        )
-        for index, let in enumerate(body.lets)
-    ]
-    residual_fn = (
-        compile_batch(residual, evaluator, frozenset(row_vars))
-        if residual is not None
-        else None
-    )
-
     folding = decomp is not None
-    key_fns: List[Callable] = []
-    value_fns: List[Callable] = []
-    if folding:
-        key_fns, value_fns = build_fold_fns(evaluator, decomp, row_vars)
     groups: GroupState = {}
     group_order: List[tuple] = []
     kept_rows: List[Binding] = []
@@ -534,7 +613,10 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
 
     # ---- FROM: serial chunks, or the morsel-parallel driver ----------
     ran_parallel = False
-    if config.parallel >= 2:
+    if config.parallel >= 2 and query is evaluator._top_query:
+        # Only the top-level block fans out: a derived table is scanned
+        # (and so evaluated) inside each morsel worker, and pool workers
+        # cannot fork pools of their own.
         from repro.core.parallel import try_parallel
 
         parallel_mode = (
@@ -611,9 +693,6 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
         kept_rows = finalize_groups(decomp, group_order, groups, config)
         group_stage.rows += len(kept_rows)
         group_stage.elapsed += perf_counter() - started
-        row_vars = decomp.group_row_vars
-        having_expr = decomp.having_expr
-        select_expr: Optional[ast.Expr] = decomp.select_expr
     elif body.group_by is not None:
         # Semi-batch fallback: general grouping (grouping sets, GROUP AS
         # consumed directly) over the folded rows via the streaming
@@ -632,39 +711,25 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
         output_vars = [key.alias for key in body.group_by.keys]
         if body.group_by.group_as:
             output_vars = output_vars + [body.group_by.group_as]
-        having_expr = body.having
-        select_expr = (
-            body.select.expr
-            if isinstance(body.select, ast.SelectValue)
-            else None
-        )
-    else:
-        having_expr = body.having
-        select_expr = (
-            body.select.expr
-            if isinstance(body.select, ast.SelectValue)
-            else None
-        )
 
     # ---- HAVING ------------------------------------------------------
-    if having_expr is not None:
+    if group_envs is not None and body.having is not None:
         having_stage = stage("HAVING")
         started = perf_counter()
-        if group_envs is not None:
-            having_fn = evaluator.compiled(having_expr)
-            group_envs = [
-                current for current in group_envs if having_fn(current) is True
-            ]
-            having_stage.rows = len(group_envs)
-        else:
-            batch_fn = compile_batch(having_expr, evaluator, frozenset(row_vars))
-            verdicts = batch_fn(kept_rows, env)
-            kept_rows = [
-                row
-                for row, verdict in zip(kept_rows, verdicts)
-                if verdict is True
-            ]
-            having_stage.rows = len(kept_rows)
+        having_fn = evaluator.compiled(body.having)
+        group_envs = [
+            current for current in group_envs if having_fn(current) is True
+        ]
+        having_stage.rows = len(group_envs)
+        having_stage.elapsed = perf_counter() - started
+    elif kernels.having_fn is not None:
+        having_stage = stage("HAVING")
+        started = perf_counter()
+        verdicts = kernels.having_fn(kept_rows, env)
+        kept_rows = [
+            row for row, verdict in zip(kept_rows, verdicts) if verdict is True
+        ]
+        having_stage.rows = len(kept_rows)
         having_stage.elapsed = perf_counter() - started
 
     # ---- SELECT ------------------------------------------------------
@@ -673,8 +738,8 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
     started = perf_counter()
     envs_out: Optional[List[Environment]] = None
     if group_envs is not None:
-        if select_expr is not None:
-            select_fn = evaluator.compiled(select_expr)
+        if isinstance(select, ast.SelectValue):
+            select_fn = evaluator.compiled(select.expr)
             values = [select_fn(current) for current in group_envs]
         else:
             values = [
@@ -682,9 +747,8 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
                 for current in group_envs
             ]
         envs_out = group_envs
-    elif select_expr is not None:
-        select_fn = compile_batch(select_expr, evaluator, frozenset(row_vars))
-        values = select_fn(kept_rows, env)
+    elif kernels.select_fn is not None:
+        values = kernels.select_fn(kept_rows, env)
     else:
         values = [
             evaluator._eval_star(env.extend(row), output_vars)
@@ -727,3 +791,114 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
         )
         return values
     return Bag(values)
+
+
+# =========================================================================
+# EXPLAIN: which executor runs which block, and where kernels fell back
+# =========================================================================
+
+
+def explain_executors(evaluator, query: ast.Query) -> List[str]:
+    """The ``executor:`` / ``kernels:`` lines of EXPLAIN [ANALYZE].
+
+    A dry run of the decisions execution makes, through the same
+    functions (``Evaluator._batch_decision``, :func:`block_kernels`,
+    ``PlanOp.batch_kernels``) on an evaluator that executes nothing:
+    which of ``batch | stream | reference`` runs the top-level block and
+    each derived table reachable in the top-level environment (with the
+    clause that refused the batch pipeline), and every expression of a
+    batched block that has no chunk kernel and takes the per-row
+    env-space fallback, with the node kind responsible.
+    """
+    from repro.syntax.printer import print_ast
+
+    env = Environment()
+    evaluator._top_query, evaluator._top_env = query, env
+    lines: List[str] = []
+    fallbacks: List[ast.Expr] = []
+    kernels = _explain_block(evaluator, query, env, "", "executor", lines, fallbacks)
+    if not kernels:
+        lines.append("kernels: none (no block runs on the batch executor)")
+    elif not fallbacks:
+        lines.append(f"kernels: {kernels} columnar, no env-space fallback")
+    else:
+        seen: Dict[int, ast.Expr] = {id(node): node for node in fallbacks}
+        rendered = "; ".join(
+            f"{print_ast(node)} [{type(node).__name__}]" for node in seen.values()
+        )
+        lines.append(
+            f"kernels: {kernels} columnar, env-space fallback for {rendered}"
+        )
+    return lines
+
+
+def _explain_block(
+    evaluator, query: ast.Query, env, indent: str, title: str,
+    lines: List[str], fallbacks: List[ast.Expr],
+) -> int:
+    """Append one block's ``executor`` line (then its derived tables',
+    indented); returns how many chunk kernels its batched blocks use."""
+    body = query.body
+    label = indent + title
+    indent += "  "
+    if not isinstance(body, ast.QueryBlock):
+        lines.append(f"{label}: reference (query body is not a single query block)")
+        # Bare block operands of a set operation run ``eval_block``;
+        # an operand with clauses of its own (ORDER BY, LIMIT) is a
+        # query evaluated in this same environment.
+        terms = [body.left, body.right] if isinstance(body, ast.SetOp) else []
+        count = 0
+        while terms:
+            term = terms.pop(0)
+            if isinstance(term, ast.SetOp):
+                terms[:0] = [term.left, term.right]
+            elif isinstance(term, (ast.Query, ast.SubqueryExpr)):
+                operand = term if isinstance(term, ast.Query) else term.query
+                count += _explain_block(
+                    evaluator, operand, env, indent, "operand", lines, fallbacks
+                )
+        return count
+    evaluator._note_reorder(query, body)
+    plan, reason = evaluator._batch_decision(query, body, env)
+    count = 0
+    items: List[ast.FromItem] = []
+    if plan is not None:
+        lines.append(f"{label}: batch")
+        ops_ = walk_ops(plan.items[0].op)
+        fns = block_kernels(evaluator, body, plan).all()
+        for op in ops_:
+            fns.extend(op.batch_kernels(evaluator))
+        count = len(fns)
+        for fn in fns:
+            fallbacks.extend(fn.fallbacks)
+        items = [op.item for op in ops_ if isinstance(op, ScanOp)]
+    else:
+        executor = "stream" if evaluator._can_stream(body) else "reference"
+        lines.append(f"{label}: {executor} ({reason})")
+        stream_plan = evaluator._block_plan(body) if executor == "stream" else None
+        if stream_plan is not None:
+            # Enumerated in the block's own environment: the first FROM
+            # item's tree and every uncorrelated item's (a lateral right
+            # side is not an operator, so the walk never reaches one).
+            for index, item_plan in enumerate(stream_plan.items):
+                if index == 0 or item_plan.uncorrelated:
+                    items.extend(
+                        op.item
+                        for op in walk_ops(item_plan.op)
+                        if isinstance(op, ScanOp)
+                    )
+        elif body.from_:
+            leftmost = body.from_[0]
+            while isinstance(leftmost, ast.FromJoin):
+                leftmost = leftmost.left
+            items = [leftmost]
+    for item in items:
+        if isinstance(item, ast.FromCollection) and isinstance(
+            item.expr, ast.SubqueryExpr
+        ):
+            count += _explain_block(
+                evaluator, item.expr.query, env, indent,
+                f"derived table {item.alias}", lines, fallbacks,
+            )
+    return count
+

@@ -15,7 +15,8 @@ returns the first binding).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Mapping, Tuple, Union
+from collections.abc import Mapping
+from typing import Any, Iterable, Iterator, List, Tuple, Union
 
 
 class Missing:
@@ -72,6 +73,13 @@ class Struct:
     time: MISSING may not appear as an attribute's value (Section IV-B).
     Construct structs through the evaluator (which silently omits MISSING
     attributes) or filter before constructing.
+
+    A tuple that does repeat a name is an instance of the (otherwise
+    identical) subclass :class:`_DuplicateNameStruct`, so ``type(value)
+    is Struct`` proves the names unique.  The batch path kernels
+    (:mod:`repro.core.compile_expr`) rely on that to read an attribute
+    at a remembered position; everything else uses ``isinstance`` and
+    never notices.
     """
 
     __slots__ = ("_pairs",)
@@ -82,7 +90,11 @@ class Struct:
     ):
         if pairs is None:
             items: List[Tuple[str, Any]] = []
-        elif isinstance(pairs, Mapping):
+        elif isinstance(pairs, dict) or (
+            # The ABC check is slow; a list of pairs (every projected
+            # row) must not pay for it.
+            not isinstance(pairs, list) and isinstance(pairs, Mapping)
+        ):
             items = list(pairs.items())
         else:
             items = [(name, value) for name, value in pairs]
@@ -97,6 +109,23 @@ class Struct:
                     "omit the attribute instead"
                 )
         self._pairs = items
+        if len(items) > 1 and len({name for name, __ in items}) != len(items):
+            # Same layout, so the instance can change class in place.
+            self.__class__ = _DuplicateNameStruct
+
+    @classmethod
+    def _trusted(cls, pairs: List[Tuple[str, Any]]) -> "Struct":
+        """Internal constructor: adopt ``pairs`` without validation.
+
+        For callers that guarantee by construction what ``__init__``
+        checks per pair — distinct string names, no MISSING values —
+        such as the compiled tuple constructors, whose keys are literal
+        strings and which drop MISSING attributes themselves.  The list
+        is adopted, not copied.
+        """
+        struct = cls.__new__(cls)
+        struct._pairs = pairs
+        return struct
 
     # -- mapping-style access ------------------------------------------------
 
@@ -176,6 +205,12 @@ class Struct:
     def __repr__(self) -> str:
         inner = ", ".join(f"{name!r}: {value!r}" for name, value in self._pairs)
         return "{" + inner + "}"
+
+
+class _DuplicateNameStruct(Struct):
+    """A :class:`Struct` with a repeated attribute name (see there)."""
+
+    __slots__ = ()
 
 
 class Bag:

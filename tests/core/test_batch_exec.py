@@ -290,3 +290,328 @@ class TestEvaluatorMemoization:
         db.execute(query, batch=False)
         db.execute(query, typing_mode="strict")
         assert len(db._evaluators) == 3
+
+
+class TestPartitionedFold:
+    """``fold_chunk`` partitions each chunk by group identity and
+    extends accumulators once per (group, chunk); the state it builds
+    must be exactly the row-at-a-time fold's."""
+
+    @staticmethod
+    def fold(key_sources, rows, chunk_size):
+        from repro.core import vectorized
+        from repro.core.compile_expr import compile_batch
+        from repro.core.environment import Environment
+        from repro.core.evaluator import Evaluator
+        from repro.syntax.parser import parse_expression
+
+        evaluator = Evaluator({})
+        row_vars = frozenset({"t"})
+        key_fns = [
+            compile_batch(parse_expression(source), evaluator, row_vars)
+            for source in key_sources
+        ]
+        value_fns = [
+            compile_batch(parse_expression(source), evaluator, row_vars)
+            for source in ("t.v", "t.i")
+        ]
+        env = Environment()
+        groups, order = {}, []
+        for start in range(0, len(rows), chunk_size):
+            vectorized.fold_chunk(
+                rows[start : start + chunk_size], env, key_fns, value_fns, groups, order
+            )
+        return key_fns, value_fns, order, groups
+
+    @staticmethod
+    def fold_row_at_a_time(key_fns, value_fns, rows):
+        """The loop ``fold_chunk`` replaced, kept as the reference."""
+        from repro.core.environment import Environment
+        from repro.datamodel.equality import group_key
+
+        env = Environment()
+        groups, order = {}, []
+        key_columns = [fn(rows, env) for fn in key_fns]
+        value_columns = [fn(rows, env) for fn in value_fns]
+        for index in range(len(rows)):
+            key_values = [column[index] for column in key_columns]
+            identity = tuple(group_key(value) for value in key_values)
+            state = groups.get(identity)
+            if state is None:
+                state = (key_values, [[] for __ in value_columns])
+                groups[identity] = state
+                order.append(identity)
+            for position, column in enumerate(value_columns):
+                state[1][position].append(column[index])
+        return order, groups
+
+    @staticmethod
+    def rows():
+        from repro.datamodel.convert import from_python
+        from repro.datamodel.values import MISSING
+
+        keys = [3, "a", 3.0, None, True, 1, "a", [1], MISSING, 2, {"x": 1}, 1.0]
+        rows = []
+        for i in range(40):
+            key = keys[(i * 7) % len(keys)]
+            row = {"i": i, "v": (i * 5) % 11, "j": i % 3}
+            if key is not MISSING:
+                row["k"] = key
+            rows.append({"t": from_python(row)})
+        return rows
+
+    @pytest.mark.parametrize("keys", [[], ["t.k"], ["t.k", "t.j"]])
+    @pytest.mark.parametrize("chunk_size", [1, 3, 7, 40])
+    def test_state_equals_the_row_at_a_time_fold(self, keys, chunk_size):
+        # A group spans chunk boundaries at every chunk size < 40;
+        # first-seen group order and per-group value order are exact
+        # (merge_folds and the parallel barrier depend on both).
+        rows = self.rows()
+        key_fns, value_fns, order, groups = self.fold(keys, rows, chunk_size)
+        want_order, want_groups = self.fold_row_at_a_time(key_fns, value_fns, rows)
+        assert order == want_order
+        assert list(groups) == list(want_groups)
+        for identity in want_order:
+            key_values, accumulators = groups[identity]
+            want_keys, want_accumulators = want_groups[identity]
+            assert deep_equals(key_values, want_keys)
+            assert accumulators == want_accumulators
+
+    def test_keyless_aggregate_is_one_group_even_when_empty(self):
+        db = Database()
+        for n in (0, 1, 2500):
+            db.set("t", [{"v": i} for i in range(n)])
+            query = "SELECT COUNT(*) AS n, SUM(t.v) AS s FROM t AS t"
+            three_ways(db, query)
+            rows = list(db.execute(query))
+            assert db.metrics.last.batched is True
+            assert len(rows) == 1 and rows[0]["n"] == n
+
+    def test_multi_key_group_spanning_chunks(self):
+        db = Database()
+        db.set("t", [{"a": i % 3, "b": i % 2, "v": i} for i in range(2500)])
+        query = (
+            "SELECT a, b, COUNT(*) AS n, SUM(t.v) AS s, MIN(t.v) AS lo "
+            "FROM t AS t GROUP BY t.a AS a, t.b AS b"
+        )
+        three_ways(db, query)
+        db.execute(query)
+        assert db.metrics.last.batched is True
+
+
+class TestDerivedTablesBatch:
+    """A block batches when it is the top-level query *or* is evaluated
+    in the top-level environment (uncorrelated, evaluated once)."""
+
+    @staticmethod
+    def batched_blocks(monkeypatch):
+        from repro.core import vectorized
+
+        seen = []
+        original = vectorized.execute_batch_query
+
+        def spy(evaluator, query, body, plan, env):
+            seen.append(query is evaluator._top_query)
+            return original(evaluator, query, body, plan, env)
+
+        monkeypatch.setattr(vectorized, "execute_batch_query", spy)
+        return seen
+
+    def test_semijoin_rule_output_batches_its_derived_table(self, db, monkeypatch):
+        seen = self.batched_blocks(monkeypatch)
+        query = (
+            "SELECT c.cid AS cid FROM custs AS c WHERE EXISTS "
+            "(SELECT o.oid FROM orders AS o WHERE o.cust = c.cid AND o.total > 90)"
+        )
+        plan = db.explain_plan(query)
+        assert "SQLPPR01" in plan
+        assert "executor: batch\n  derived table $semi1: batch" in plan
+        three_ways(db, query)
+        db.execute(query)
+        assert seen[-2:] == [True, False]  # top block, then its derived table
+
+    def test_decorrelate_rule_output_batches_its_derived_table(self, db, monkeypatch):
+        seen = self.batched_blocks(monkeypatch)
+        query = (
+            "SELECT c.cid AS cid, (SELECT SUM(o.total) FROM orders AS o "
+            "WHERE o.cust = c.cid) AS spent FROM custs AS c"
+        )
+        plan = db.explain_plan(query)
+        assert "SQLPPR02" in plan
+        assert "  derived table $dec2: batch" in plan
+        three_ways(db, query)
+        db.execute(query)
+        assert seen[-2:] == [True, False]
+
+    def test_correlated_subquery_stays_streaming(self, db, monkeypatch):
+        seen = self.batched_blocks(monkeypatch)
+        query = (
+            "SELECT c.cid AS cid, (SELECT VALUE o.oid FROM orders AS o "
+            "WHERE o.cust = c.cid AND o.total > 50) AS big FROM custs AS c"
+        )
+        # rewrite=False keeps the scalar subquery correlated (SQLPPR02
+        # would decorrelate it); EXPLAIN describes the same core.
+        no_rewrite = Database(rewrite=False)
+        no_rewrite.set("orders", db.get("orders"))
+        no_rewrite.set("custs", db.get("custs"))
+        plan = no_rewrite.explain_plan(query)
+        three_ways(no_rewrite, query)
+        seen.clear()
+        no_rewrite.execute(query)
+        assert seen == [True]  # seven correlated evaluations, none batched
+        assert no_rewrite.metrics.last.batched is True
+        assert "derived table" not in plan
+        assert "[SubqueryExpr]" in plan.splitlines()[-1]
+
+    def test_flags_describe_the_top_level_block_only(self, db, monkeypatch):
+        seen = self.batched_blocks(monkeypatch)
+        query = (
+            "SELECT VALUE d.oid FROM (SELECT o.oid AS oid FROM orders AS o "
+            "WHERE o.total > 10) AS d LIMIT 3"
+        )
+        result = db.execute(query)
+        assert len(list(result)) == 3
+        assert seen == [False]  # only the derived table ran batched
+        assert db.metrics.last.batched is False
+        assert db.metrics.last.streamed is True
+        plan = db.explain_plan(query)
+        assert "executor: stream (LIMIT/OFFSET bounds the consumer)" in plan
+        assert "  derived table d: batch" in plan
+
+    def test_limited_top_block_still_terminates_early(self, db):
+        # The derived table is materialized once (as it always was) —
+        # now on the batch pipeline; the LIMIT-ed block above it still
+        # stops pulling after 3 of its 50 rows.
+        report = db.explain_analyze(
+            "SELECT VALUE d.oid FROM (SELECT o.oid AS oid FROM orders AS o "
+            "WHERE o.total >= 0) AS d WHERE d.oid >= 0 LIMIT 3"
+        )
+        assert "rows returned: 3" in report
+        assert "  derived table d: batch" in report
+        scan = next(
+            line for line in report.splitlines() if line.strip().startswith("Scan (")
+        )
+        assert "rows_out=3" in scan
+
+    def test_nested_derived_tables_all_batch(self, db, monkeypatch):
+        seen = self.batched_blocks(monkeypatch)
+        query = (
+            "SELECT VALUE outer_.n FROM (SELECT VALUE {'n': inner_.oid + 1} FROM "
+            "(SELECT o.oid AS oid FROM orders AS o WHERE o.total > 50) AS inner_) "
+            "AS outer_"
+        )
+        three_ways(db, query)
+        db.execute(query)
+        assert seen[-3:] == [True, False, False]
+
+
+class TestExecutorExplain:
+    def test_forced_plan_blocks_say_batch(self, db):
+        for query in (
+            "SELECT o.cust AS c, COUNT(*) AS n FROM orders AS o GROUP BY o.cust",
+            "SELECT DISTINCT o.cust AS c FROM orders AS o",
+        ):
+            plan = db.explain_plan(query)
+            assert "executor: batch" in plan
+            assert "forced operator tree" in plan
+            assert "consumer: bag built a chunk" in plan
+            assert "no env-space fallback" in plan
+
+    def test_refusals_name_the_clause(self, db):
+        query = "SELECT VALUE o.oid FROM orders AS o"
+        assert "executor: stream (strict typing mode)" in db.explain_plan(
+            query, typing_mode="strict"
+        )
+        assert "executor: stream (LIMIT/OFFSET bounds the consumer)" in (
+            db.explain_plan(query + " LIMIT 2")
+        )
+        assert "executor: stream (FROM kept 2 operator trees)" in db.explain_plan(
+            "SELECT VALUE o.oid FROM orders AS o, custs AS c"
+        )
+        assert "executor: reference (PIVOT or window functions" in db.explain_plan(
+            "SELECT o.oid AS oid, RANK() OVER (ORDER BY o.total) AS r "
+            "FROM orders AS o"
+        )
+        no_batch = Database(batch=False)
+        no_batch.set("orders", [{"oid": 1}])
+        assert "executor: stream (batch=False)" in no_batch.explain_plan(query)
+        assert "kernels: none" in no_batch.explain_plan(query)
+
+    def test_set_operation_operands_with_their_own_clauses(self, db, monkeypatch):
+        seen = TestDerivedTablesBatch.batched_blocks(monkeypatch)
+        query = (
+            "(SELECT VALUE o.oid FROM orders AS o WHERE o.total > 90 ORDER BY o.oid) "
+            "UNION ALL SELECT VALUE c.cid FROM custs AS c"
+        )
+        plan = db.explain_plan(query)
+        assert "executor: reference (query body is not a single query block)" in plan
+        assert "  operand: batch" in plan
+        three_ways(db, query)
+        db.execute(query)
+        assert seen[-1] is False and db.metrics.last.batched is False
+
+    def test_kernel_fallbacks_are_listed_with_their_node_kind(self, db):
+        plan = db.explain_plan(
+            "SELECT VALUE CAST(o.oid AS STRING) FROM orders AS o WHERE o.total > ?"
+        )
+        kernels = plan.splitlines()[-1]
+        assert kernels.startswith("kernels: 2 columnar, env-space fallback for")
+        assert "? [Parameter]" in kernels
+        assert "[CastExpr]" in kernels
+
+    def test_analyze_reports_the_traced_run(self, db):
+        # Under a timing tracer an unplanned block keeps the reference
+        # FROM tree; EXPLAIN ANALYZE says so instead of claiming batch.
+        report = db.explain_analyze("SELECT VALUE o.oid FROM orders AS o")
+        assert "executor: stream (no plan is forced under a timing tracer)" in report
+        report = db.explain_analyze(
+            "SELECT VALUE o.oid FROM orders AS o WHERE o.total > 10"
+        )
+        assert "executor: batch" in report
+        assert "kernels: 2 columnar, no env-space fallback" in report
+
+
+class TestKernelsCompileOnce:
+    @staticmethod
+    def count_compiles(monkeypatch):
+        from repro.core import compile_expr
+
+        calls = []
+        original = compile_expr.compile_batch
+
+        def counting(expr, evaluator, row_vars):
+            calls.append(expr)
+            return original(expr, evaluator, row_vars)
+
+        monkeypatch.setattr(compile_expr, "compile_batch", counting)
+        return calls
+
+    def test_repeated_executes_hit_the_kernel_cache(self, db, monkeypatch):
+        calls = self.count_compiles(monkeypatch)
+        query = (
+            "SELECT c.name AS name, COUNT(*) AS n FROM orders AS o "
+            "JOIN custs AS c ON o.cust = c.cid WHERE o.total > 20 "
+            "GROUP BY c.name"
+        )
+        first = db.execute(query)
+        assert db.metrics.last.batched is True
+        misses = len(calls)
+        assert misses > 0
+        for __ in range(3):
+            again = db.execute(query)
+        assert len(calls) == misses
+        assert deep_equals(Bag(list(first)), Bag(list(again)))
+
+    def test_kernels_survive_rebind_with_new_parameters(self, db, monkeypatch):
+        calls = self.count_compiles(monkeypatch)
+        query = "SELECT VALUE o.oid FROM orders AS o WHERE o.total > ? AND o.open"
+        high = db.execute(query, parameters=[90])
+        misses = len(calls)
+        low = db.execute(query, parameters=[10])
+        assert len(calls) == misses
+        assert len(db._evaluators) == 1
+        # The cached kernel reads the rebound parameter, not the first.
+        assert len(list(low)) > len(list(high)) > 0
+        for result, bound in ((high, 90), (low, 10)):
+            reference = db.execute(query, parameters=[bound], optimize=False)
+            assert deep_equals(Bag(list(result)), Bag(list(reference)))

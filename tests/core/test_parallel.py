@@ -84,6 +84,38 @@ class TestFoldMode:
         assert db.metrics.last.parallel_workers == 2
         assert_bag_equal(result, db.execute(query, batch=False))
 
+    def test_merged_fold_is_bit_identical_to_serial(self, small_morsels):
+        # Every group spans every morsel (and chunk); the barrier merge
+        # must reproduce the serial fold's first-seen group order and
+        # per-group value order exactly, not just as bags — ARRAY_AGG
+        # exposes the value order, the result list the group order.
+        db = build_db()
+        for query in (
+            "SELECT k, COUNT(*) AS n, SUM(f.v) AS total, ARRAY_AGG(f.v) AS vs "
+            "FROM fact AS f GROUP BY f.k AS k",
+            "SELECT COUNT(*) AS n, ARRAY_AGG(f.v) AS vs FROM fact AS f",
+            "SELECT k, odd, ARRAY_AGG(f.v) AS vs FROM fact AS f "
+            "GROUP BY f.k AS k, f.v % 2 AS odd",
+        ):
+            fanned = db.execute(query)
+            assert db.metrics.last.parallel_workers == 2
+            serial = db.execute(query, parallel=0)
+            assert db.metrics.last.parallel_workers == 0
+            assert deep_equals(list(fanned), list(serial)), query
+
+    def test_derived_tables_do_not_fan_out(self, small_morsels):
+        # Only the top-level block forks: a derived table is evaluated
+        # inside each morsel worker, which cannot fork a pool itself.
+        db = build_db()
+        query = (
+            "SELECT VALUE d.v FROM (SELECT f.v AS v FROM fact AS f "
+            "WHERE f.v < 50) AS d WHERE d.v > 10"
+        )
+        result = db.execute(query)
+        assert db.metrics.last.parallel_workers == 2
+        assert_bag_equal(result, db.execute(query, parallel=0))
+        assert_bag_equal(result, db.execute(query, optimize=False))
+
     def test_distinct_aggregate_fold_parity(self, small_morsels):
         db = build_db()
         query = (

@@ -1,6 +1,7 @@
 """Unit tests for the value types (paper, Section II)."""
 
 import pickle
+from collections.abc import Mapping
 
 import pytest
 
@@ -99,6 +100,55 @@ class TestStruct:
     def test_unhashable(self):
         with pytest.raises(TypeError):
             hash(Struct())
+
+    def test_public_constructor_validates_every_input_shape(self):
+        # The trusted constructor exists *because* this one checks each
+        # pair; pin that the checks hold for dicts, other mappings,
+        # lists and plain iterables alike.
+        class Custom(Mapping):
+            def __init__(self, data):
+                self._data = data
+
+            def __getitem__(self, key):
+                return self._data[key]
+
+            def __iter__(self):
+                return iter(self._data)
+
+            def __len__(self):
+                return len(self._data)
+
+        assert Struct(Custom({"a": 1})).items() == [("a", 1)]
+        assert Struct(iter([("a", 1)])).items() == [("a", 1)]
+        for bad_name in ({1: "x"}, Custom({1: "x"}), [(1, "x")], iter([(1, "x")])):
+            with pytest.raises(TypeError):
+                Struct(bad_name)
+        for bad_value in ({"a": MISSING}, Custom({"a": MISSING}), [("a", MISSING)]):
+            with pytest.raises(ValueError):
+                Struct(bad_value)
+
+    def test_trusted_constructor_adopts_pairs_unchecked(self):
+        pairs = [("a", 1), ("b", None)]
+        struct = Struct._trusted(pairs)
+        assert type(struct) is Struct
+        assert struct == Struct(pairs)
+        assert struct.items() == pairs
+        pairs.append(("c", 3))  # adopted, not copied
+        assert struct.get("c") == 3
+
+    def test_exact_struct_type_proves_unique_names(self):
+        # What the batch path kernels' positional attribute cache
+        # relies on: a repeated name changes the instance's class.
+        unique = Struct([("a", 1), ("b", 2)])
+        repeated = Struct([("a", 1), ("a", 2)])
+        assert type(unique) is Struct
+        assert type(repeated) is not Struct and isinstance(repeated, Struct)
+        assert type(unique.with_attr("a", 3)) is not Struct
+        assert type(unique.merged(unique)) is not Struct
+        assert type(unique.merged(Struct({"c": 3}))) is Struct
+        assert type_name(repeated) == "tuple"
+        clone = pickle.loads(pickle.dumps(repeated))
+        assert type(clone) is type(repeated) and clone == repeated
 
 
 class TestBag:

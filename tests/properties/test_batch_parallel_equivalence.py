@@ -16,13 +16,24 @@ row-major order, but SQL++ query results without ORDER BY are bags.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Database
+from repro.catalog.catalog import Catalog
+from repro.config import EvalConfig
 from repro.core import parallel
+from repro.core.compile_expr import compile_batch
+from repro.core.environment import Environment
+from repro.core.evaluator import Evaluator
+from repro.core.plan_ops import CHUNK_ROWS
 from repro.datamodel.equality import deep_equals
-from repro.datamodel.values import Bag
+from repro.datamodel.values import MISSING, Bag, Struct
+from repro.errors import SQLPPError
+from repro.syntax import ast
+from repro.syntax.parser import parse_expression
 
 
 def row_strategy():
@@ -126,3 +137,267 @@ def test_join_parity(left, right, kind):
         "SELECT l.id AS lid, r.id AS rid, r.u AS u FROM lt AS l "
         f"{kind} rt AS r ON l.k = r.k WHERE l.j >= 1",
     )
+
+
+# ---------------------------------------------------------------------------
+# Chunk kernels: kernel == env-space closure == eval_expr, per node kind
+# ---------------------------------------------------------------------------
+#
+# ``compile_batch`` evaluates a whole column at a time with the
+# well-typed case inlined; everything else must still be the one
+# ``ops.*`` definition.  So for generated expressions over every node
+# kind that has a kernel (and some that fall back), and chunks mixing
+# every value category, the kernel's column must be *identical* to what
+# the env-space closure and the tree-walking interpreter produce row by
+# row — identity for MISSING/NULL/booleans, same type and value for the
+# rest, so MISSING-vs-NULL or 1-vs-1.0-vs-TRUE cannot blur.
+
+ROW_VARS = frozenset({"r", "s"})
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 6),
+    st.sampled_from([0.5, 2.0, -1.25, float("nan"), float("inf")]),
+    st.sampled_from(["", "a", "ab", "x%", "b"]),
+)
+nested = st.one_of(
+    scalars,
+    st.lists(scalars, max_size=3),
+    st.builds(
+        Struct,
+        st.lists(st.tuples(st.sampled_from(["n", "a"]), scalars), max_size=2),
+    ),
+)
+#: Tuples with the attributes at varying positions, absent or repeated.
+tuples_ = st.builds(
+    Struct,
+    st.lists(
+        st.tuples(st.sampled_from(["a", "b", "n", "pad"]), nested), max_size=5
+    ),
+)
+chunk_rows = st.lists(
+    st.fixed_dictionaries(
+        {
+            "r": st.one_of(tuples_, tuples_, scalars, st.just(MISSING)),
+            "s": st.one_of(nested, st.just(MISSING)),
+        }
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+kernel_literals = st.builds(
+    ast.Literal,
+    st.one_of(
+        st.none(), st.just(MISSING), st.booleans(), st.integers(-2, 4),
+        st.sampled_from([1.5, 2.0]), st.sampled_from(["a", "b", "a%", "_b"]),
+    ),
+)
+literal_lists = st.one_of(
+    st.lists(st.builds(ast.Literal, st.sampled_from(["a", "b", "ab"])), min_size=1, max_size=3),
+    st.lists(st.builds(ast.Literal, st.sampled_from([1, 2.0, 3])), min_size=1, max_size=3),
+    st.lists(st.builds(ast.Literal, st.sampled_from([1, "a", None])), min_size=1, max_size=3),
+).map(lambda items: ast.ArrayLit(items))
+
+
+def kernel_expressions(depth=3):
+    r, s = ast.VarRef("r"), ast.VarRef("s")
+    leaves = st.one_of(
+        kernel_literals,
+        st.sampled_from(
+            [
+                r, s,
+                ast.Path(r, "a"), ast.Path(r, "b"), ast.Path(s, "a"),
+                ast.Path(ast.Path(r, "a"), "n"), ast.Path(ast.Path(r, "n"), "a"),
+                ast.VarRef("encl"),   # bound by the enclosing environment
+                ast.VarRef("named"),   # a catalog name
+            ]
+        ),
+    )
+    if depth == 0:
+        return leaves
+    inner = kernel_expressions(depth - 1)
+    binary_ops = st.sampled_from(
+        ["+", "-", "*", "/", "%", "=", "!=", "<", "<=", ">", ">=", "||", "AND", "OR"]
+    )
+    return st.one_of(
+        leaves,
+        st.builds(ast.Path, inner, st.sampled_from(["a", "n"])),
+        st.builds(ast.Index, inner, st.one_of(inner, kernel_literals)),
+        st.builds(ast.Binary, binary_ops, inner, inner),
+        st.builds(ast.Binary, binary_ops, inner, kernel_literals),
+        st.builds(ast.Unary, st.sampled_from(["-", "+", "NOT"]), inner),
+        st.builds(
+            ast.IsPredicate,
+            inner,
+            st.sampled_from(["NULL", "MISSING", "ABSENT", "INTEGER", "STRING", "NUMBER"]),
+            st.booleans(),
+        ),
+        st.builds(ast.Like, inner, st.one_of(kernel_literals, inner), st.none(), st.booleans()),
+        st.builds(ast.Between, inner, st.one_of(kernel_literals, inner), inner, st.booleans()),
+        st.builds(ast.InPredicate, inner, st.one_of(literal_lists, inner), st.booleans()),
+        st.builds(ast.Exists, inner),
+        st.builds(
+            ast.CaseExpr,
+            st.one_of(st.none(), inner),
+            st.lists(st.tuples(inner, inner), min_size=1, max_size=2),
+            st.one_of(st.none(), inner),
+        ),
+        st.builds(
+            ast.FunctionCall,
+            st.sampled_from(["UPPER", "ABS", "COALESCE", "TYPEOF", "IFMISSING", "NO_SUCH_FN"]),
+            st.lists(inner, min_size=1, max_size=2),
+        ),
+        st.builds(ast.ArrayLit, st.lists(inner, max_size=3)),
+        st.builds(ast.BagLit, st.lists(inner, max_size=2)),
+        st.builds(
+            ast.StructLit,
+            st.lists(
+                st.builds(
+                    ast.StructField,
+                    st.builds(ast.Literal, st.sampled_from(["x", "y"])),
+                    inner,
+                ),
+                max_size=3,
+            ),
+        ),
+        # Node kinds without a kernel take the recorded fallback.
+        st.builds(ast.CastExpr, inner, st.just("STRING")),
+    )
+
+
+def identical(left, right) -> bool:
+    if left is MISSING or left is None or isinstance(left, bool):
+        return left is right
+    if type(left) is not type(right):
+        return False
+    if isinstance(left, float):
+        return (math.isnan(left) and math.isnan(right)) or left == right
+    if isinstance(left, (int, str)):
+        return left == right
+    if isinstance(left, Struct):
+        mine, theirs = left.items(), right.items()
+        return len(mine) == len(theirs) and all(
+            a == b and identical(v, w) for (a, v), (b, w) in zip(mine, theirs)
+        )
+    mine, theirs = list(left), list(right)
+    return len(mine) == len(theirs) and all(map(identical, mine, theirs))
+
+
+def check_kernel(expr, rows, sql_compat):
+    catalog = Catalog()
+    catalog.set("named", [1, 2, 3])
+    evaluator = Evaluator(catalog, EvalConfig(sql_compat=sql_compat))
+    root = Environment({"encl": 2})
+
+    def attempt(fn):
+        try:
+            return ("value", fn())
+        except SQLPPError as exc:
+            return ("error", type(exc).__name__)
+        except Exception as exc:  # Unbound and friends
+            return ("error", type(exc).__name__)
+
+    closure = evaluator.compiled(expr)
+    by_closure = [attempt(lambda: closure(root.extend(row))) for row in rows]
+    by_interpreter = [
+        attempt(lambda: evaluator.eval_expr(expr, root.extend(row))) for row in rows
+    ]
+    batch = compile_batch(expr, evaluator, ROW_VARS)
+    errors = {outcome[1] for outcome in by_interpreter if outcome[0] == "error"}
+    # Twice: the second call starts from the inline attribute-position
+    # caches the first one left behind.
+    for __ in range(2):
+        kernel = attempt(lambda: batch(rows, root))
+        if kernel[0] == "error":
+            # Column-major order may surface another row's error first,
+            # but only one the reference raises on this chunk too.
+            assert kernel[1] in errors, (kernel, by_interpreter)
+            continue
+        assert not errors, (kernel, by_interpreter)
+        assert len(kernel[1]) == len(rows)
+        for value, (__, closed), (__, walked) in zip(
+            kernel[1], by_closure, by_interpreter
+        ):
+            assert identical(value, closed), (value, closed)
+            assert identical(value, walked), (value, walked)
+
+
+@given(kernel_expressions(), chunk_rows, st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_kernel_matches_closure_and_interpreter(expr, rows, sql_compat):
+    check_kernel(expr, rows, sql_compat)
+    check_kernel(expr, rows[:1], sql_compat)
+    check_kernel(expr, [], sql_compat)
+
+
+@given(kernel_expressions(depth=2), chunk_rows, st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_kernel_over_more_than_a_chunk(expr, rows, sql_compat):
+    tiled = [dict(row) for __ in range(CHUNK_ROWS // len(rows) + 1) for row in rows]
+    assert len(tiled) > CHUNK_ROWS
+    check_kernel(expr, tiled, sql_compat)
+
+
+#: One expression (at least) per node kind with a kernel, the literal-
+#: and column-operand variants of the binary templates, and the node
+#: kinds that fall back.
+KERNEL_CASES = [
+    "r.a > 1", "r.a >= 2.5", "r.a < 'b'", "r.a <= r.b", "2 > r.a",
+    "r.a = 1", "r.a = 'a'", "r.a != 2.5", "r.a = r.b", "r.a != r.b", "r.a = TRUE",
+    "r.a + 1", "r.a - 0.5", "r.a * 2", "r.a + r.b", "r.a - r.b", "r.a * r.b",
+    "r.a / 2", "r.a / r.b", "r.a % 2", "r.a + 'a'", "1 + r.a",
+    "r.a > 1 AND r.b < 3", "r.a OR r.b", "r.a AND TRUE", "NOT r.a", "-r.a", "+r.a",
+    "r.a IS NULL", "r.a IS NOT NULL", "r.a IS MISSING", "r.a IS NOT MISSING",
+    "r.a || r.b", "r.a || 'z'",
+    "r.a BETWEEN 1 AND 3", "r.a NOT BETWEEN r.b AND 5",
+    "r.a LIKE 'a%'", "r.a NOT LIKE '_'", "r.a LIKE r.b", "r.a LIKE 'a!%' ESCAPE '!'",
+    "r.a IN ['a', 'first']", "r.a NOT IN ['a']", "r.a IN [1, 2.5]",
+    "r.a IN [1, 'a']", "r.a IN r.b", "r.a IN [TRUE]",
+    "r.b[0]", "r['a']", "r.a.n", "s", "r", "s.a", "r.a.n.deep",
+    "EXISTS r.b", "UPPER(r.a)", "COALESCE(r.a, r.b, 0)", "ABS(r.a)",
+    "{'x': r.a, 'y': r.b}", "{'x': r.a, 'x': r.b}", "[r.a, r.b]", "{{r.a, s}}",
+    "CASE WHEN r.a > 1 THEN r.b WHEN r.a IS NULL THEN 'n' ELSE r.a END",
+    "CASE r.a WHEN 1 THEN 'one' WHEN r.b THEN 'same' END",
+    "CASE WHEN r.a THEN 1 END",
+    "CASE WHEN r.a = 1 THEN 1 / 0 WHEN r.a = 'a' THEN UPPER(r.a) ELSE r.a.n END",
+    "CAST(r.a AS STRING)", "encl + r.a", "named[r.a]",
+    "(SELECT VALUE x FROM named AS x WHERE x = r.a)",
+]
+
+#: Every value category under ``r.a``/``r.b``, the attribute at
+#: different positions, absent and repeated, and non-tuple bases.  The
+#: repeated-name rows sit where a position remembered from a
+#: neighbouring layout would read the *second* ``a``.
+DIRTY_CHUNK = [
+    {"r": Struct(pairs), "s": s_value}
+    for pairs, s_value in [
+        ([("a", 1), ("b", 2)], 1),
+        ([("pad", 0), ("a", 2.5), ("b", "x")], "s"),
+        ([("b", 1), ("a", "a")], None),
+        ([("a", True), ("b", False)], MISSING),
+        ([("a", None), ("b", 3)], [1, 2]),
+        ([("b", [1, "a"])], Struct([("a", 5)])),
+        ([], 2.5),
+        ([("a", "first"), ("pad", 0), ("a", "second"), ("b", "a%")], True),
+        ([("pad", 0), ("b", 0), ("a", 3)], 0),
+        ([("a", float("nan")), ("b", float("nan"))], "ab"),
+        ([("a", float("inf")), ("b", -1)], ""),
+        ([("a", Struct([("n", 1)])), ("b", Struct([("n", 1)]))], 7),
+        ([("a", [1, 2]), ("b", [1, 2])], False),
+        ([("a", "ab"), ("b", "a_")], "b"),
+        ([("a", "a%"), ("b", 5)], 3),
+        ([("pad", 1), ("pad", 2), ("a", 4), ("b", 4)], 4),
+    ]
+] + [
+    {"r": base, "s": 1} for base in (5, "str", None, MISSING, [1], True)
+]
+
+
+@pytest.mark.parametrize("sql_compat", [True, False])
+@pytest.mark.parametrize("source", KERNEL_CASES)
+def test_kernel_per_node_kind_over_a_dirty_chunk(source, sql_compat):
+    expr = parse_expression(source)
+    check_kernel(expr, DIRTY_CHUNK, sql_compat)
+    check_kernel(expr, list(reversed(DIRTY_CHUNK)), sql_compat)
