@@ -52,6 +52,42 @@ from repro.syntax.parser import parse
 from repro.syntax.printer import print_ast
 
 
+@dataclasses.dataclass(eq=False)
+class CompiledQuery:
+    """One compile-cache entry: everything derived from a query text
+    under the dials that keyed it.  Built by
+    :meth:`Database._compile_query` only; ``execute`` and every EXPLAIN
+    surface read it."""
+
+    source: str
+    #: What executes: sugar-lowered, semantically rewritten, folded.
+    core: ast.Query
+    #: Sugar-lowered only — what the query store fingerprints, so
+    #: workload history and cardinality feedback survive registry
+    #: upgrades and per-query ``rewrite=False`` (docs/REWRITER.md).
+    pre_core: ast.Query
+    #: Fired semantic rewrites, each with its discharged conditions.
+    fired: Tuple[Any, ...]
+    typing_mode: str
+    sql_compat: bool
+    #: Whether the rewrite registry ran (``rewrite`` and ``optimize``).
+    rewrite_on: bool
+    catalog_version: int
+    _fingerprint: Optional[str] = None
+
+    def fingerprint(self) -> str:
+        """The query-store fingerprint, computed on first use (never
+        for ``compile()``/EXPLAIN alone, at most once per entry)."""
+        if self._fingerprint is None:
+            self._fingerprint = query_fingerprint(
+                self.pre_core,
+                self.typing_mode,
+                self.sql_compat,
+                self.catalog_version,
+            )
+        return self._fingerprint
+
+
 class Database:
     """A SQL++ database: a catalog of named values plus query execution."""
 
@@ -110,11 +146,11 @@ class Database:
         # language dials and the catalog/schema state the rewriter
         # consults (name set for dotted-name resolution, schema
         # attributes for disambiguation).
-        # Entries are ``(core, pre_rewrite_core, rewrites_fired)``; the
-        # key includes the semantic-rewrite gate and registry version.
-        self._compile_cache: (
-            "OrderedDict[Tuple, Tuple[ast.Query, ast.Query, Tuple]]"
-        ) = OrderedDict()
+        # The key also includes the semantic-rewrite gate and registry
+        # version (:meth:`_compile_query`).
+        self._compile_cache: "OrderedDict[Tuple, CompiledQuery]" = (
+            OrderedDict()
+        )
         #: The query store (docs/OBSERVABILITY.md): ``True`` keeps an
         #: in-memory store, a string persists to that JSON-lines path,
         #: ``False``/``None`` disables workload history and the
@@ -127,12 +163,9 @@ class Database:
             self._query_store = QueryStore()
         else:
             self._query_store = None
-        # Fingerprint / plan-hash memos, keyed by object identity with
-        # the keyed object kept alive in the entry (id() reuse safety).
-        self._fingerprints: "OrderedDict[int, Tuple[ast.Query, str]]" = (
-            OrderedDict()
-        )
-        self._plan_hashes: Dict[int, Tuple[Any, str]] = {}
+        if self._query_store is not None:
+            # Pulled by ``expose_text()``, never pushed per execute.
+            self.metrics.add_gauge_source(self._query_store.export_gauges)
 
     # ------------------------------------------------------------------
     # Named values
@@ -306,10 +339,10 @@ class Database:
         parameters/tracer — or a fresh one when the cached evaluator is
         mid-execution (reentrancy: a lazy-bag factory issuing a query
         while its consumer query runs)."""
-        evaluator = self._evaluators.get(config)
-        if evaluator is not None and not getattr(evaluator, "_in_use", False):
+        cached = self._evaluators.get(config)
+        if cached is not None and not cached._in_use:
             self._evaluators.move_to_end(config)
-            return evaluator.rebind(parameters=parameters, tracer=tracer)
+            return cached.rebind(parameters=parameters, tracer=tracer)
         evaluator = Evaluator(
             self.catalog,
             config,
@@ -317,9 +350,7 @@ class Database:
             tracer=tracer,
             stats=self._stats,
         )
-        if config not in self._evaluators or not getattr(
-            self._evaluators[config], "_in_use", False
-        ):
+        if cached is None:
             self._evaluators[config] = evaluator
             if len(self._evaluators) > self.EVALUATOR_CACHE_SIZE:
                 self._evaluators.popitem(last=False)
@@ -352,7 +383,9 @@ class Database:
         compiled tree across executions is safe — and lets the
         evaluator-side plan/closure caches stay warm per query object.
         """
-        return self._compile_profiled(query, typing_mode, sql_compat)[0]
+        return self._compile_query(
+            query, self._effective_config(typing_mode, sql_compat)
+        ).core
 
     def _rewrite_catalog_types(self) -> Dict[str, Any]:
         """Abstract catalog types for the rewrite registry's typeflow
@@ -370,25 +403,15 @@ class Database:
             for name, schema in self._schemas.items()
         }
 
-    def _compile_profiled(
+    def _compile_query(
         self,
         query: str,
-        typing_mode: Optional[str] = None,
-        sql_compat: Optional[bool] = None,
+        config: EvalConfig,
         metrics: Optional[QueryMetrics] = None,
         trace: Optional[TraceContext] = None,
-        optimize: Optional[bool] = None,
-        rewrite: Optional[bool] = None,
-    ) -> Tuple[ast.Query, ast.Query, Tuple[Any, ...], bool]:
-        """Compile with cache accounting:
-        ``(core, pre_rewrite_core, rewrites_fired, cache_hit)``.
-
-        ``core`` is what executes (sugar-lowered, then semantically
-        rewritten by :mod:`repro.core.rewrite_rules` when the registry
-        is enabled); ``pre_rewrite_core`` is the sugar-lowered query
-        *before* semantic rewrites — the query store fingerprints that
-        one, so workload history and cardinality feedback survive
-        registry upgrades and per-query ``rewrite=False``.
+    ) -> CompiledQuery:
+        """The one compile function: the cached :class:`CompiledQuery`
+        for a query text under ``config``, building it on a miss.
 
         The cache key includes the effective registry gate and
         ``rewrite_rules.REGISTRY_VERSION`` (read dynamically), so a
@@ -402,9 +425,6 @@ class Database:
         updated either way.  With a :class:`TraceContext`, a cache miss
         additionally records ``parse`` and ``rewrite`` phase spans.
         """
-        config = self._effective_config(
-            typing_mode, sql_compat, optimize=optimize, rewrite=rewrite
-        )
         rewrite_on = config.rewrite and config.optimize
         key = (
             query,
@@ -418,15 +438,14 @@ class Database:
             # changes the cached Core tree, not just the plan.
             config.optimize,
         )
-        cached = self._compile_cache.get(key)
-        if cached is not None:
+        compiled = self._compile_cache.get(key)
+        if compiled is not None:
             self._compile_cache.move_to_end(key)
             self.metrics.increment("compile_cache_hits")
-            core, pre_core, fired = cached
             if metrics is not None:
                 metrics.cache_hit = True
-                self._record_rewrites(metrics, fired)
-            return core, pre_core, fired, True
+                self._record_rewrites(metrics, compiled.fired)
+            return compiled
         self.metrics.increment("compile_cache_misses")
         started = perf_counter()
         parsed = parse(query)
@@ -464,10 +483,20 @@ class Database:
         if trace is not None:
             trace.event("parse", "phase", started, parsed_at - started)
             trace.event("rewrite", "phase", parsed_at, rewritten_at - parsed_at)
-        self._compile_cache[key] = (core, pre_core, fired)
+        compiled = CompiledQuery(
+            source=query,
+            core=core,
+            pre_core=pre_core,
+            fired=fired,
+            typing_mode=config.typing_mode,
+            sql_compat=config.sql_compat,
+            rewrite_on=rewrite_on,
+            catalog_version=self.catalog.version,
+        )
+        self._compile_cache[key] = compiled
         if len(self._compile_cache) > self.COMPILE_CACHE_SIZE:
             self._compile_cache.popitem(last=False)
-        return core, pre_core, fired, False
+        return compiled
 
     def _record_rewrites(
         self, metrics: QueryMetrics, fired: Tuple[Any, ...]
@@ -530,6 +559,22 @@ class Database:
             parallel,
             rewrite,
         )
+        result = self._run(query, config, parameters, tracer)[0]
+        if missing_as_null:
+            result = _missing_to_null(result)
+        return result
+
+    def _run(
+        self,
+        query: str,
+        config: EvalConfig,
+        parameters: Optional[Sequence[Any]],
+        tracer: Optional[ExecTracer],
+    ) -> Tuple[Any, CompiledQuery, QueryMetrics]:
+        """One execution under ``config``: ``(result, compiled query,
+        metrics record)``.  ``execute`` returns the first; EXPLAIN
+        ANALYZE formats all three, so what it reports is this run's own
+        record, not whatever ``self.metrics.last`` holds by then."""
         metrics = QueryMetrics(query=query)
         trace = tracer.trace if tracer is not None else None
         root = (
@@ -540,23 +585,12 @@ class Database:
         started = perf_counter()
         evaluator: Optional[Evaluator] = None
         store = self._query_store
-        core: Optional[ast.Query] = None
+        compiled: Optional[CompiledQuery] = None
         feedback_tracer: Optional[ExecTracer] = None
         try:
-            core, pre_core, __, ___ = self._compile_profiled(
-                query,
-                typing_mode,
-                sql_compat,
-                metrics=metrics,
-                trace=trace,
-                optimize=optimize,
-                rewrite=rewrite,
-            )
+            compiled = self._compile_query(query, config, metrics, trace)
             if store is not None:
-                # Fingerprint the *pre*-rewrite Core: workload history
-                # and cardinality feedback survive registry upgrades
-                # and per-query rewrite toggles (docs/REWRITER.md).
-                metrics.fingerprint = self._fingerprint_for(pre_core, config)
+                metrics.fingerprint = compiled.fingerprint()
                 if tracer is None and store.wants_feedback(
                     metrics.fingerprint, self.catalog.data_version
                 ):
@@ -574,7 +608,7 @@ class Database:
                 else None
             )
             try:
-                result = evaluator.execute(core, Environment())
+                result = evaluator.execute(compiled.core, Environment())
             finally:
                 evaluator._in_use = False
                 if execute_span is not None:
@@ -599,14 +633,17 @@ class Database:
             metrics.total_s = perf_counter() - started
             if store is not None and metrics.fingerprint is not None:
                 self._store_observe(
-                    store, metrics, core, evaluator, tracer, feedback_tracer
+                    store,
+                    metrics,
+                    compiled.core,
+                    evaluator,
+                    tracer,
+                    feedback_tracer,
                 )
             if root is not None:
                 trace.end(root, {"status": metrics.status})
             self.metrics.record(metrics)
-        if missing_as_null:
-            result = _missing_to_null(result)
-        return result
+        return result, compiled, metrics
 
     # ------------------------------------------------------------------
     # Query store integration
@@ -617,73 +654,23 @@ class Database:
         (None when constructed with ``query_store=False``)."""
         return self._query_store
 
-    def _fingerprint_for(self, core: ast.Query, config: EvalConfig) -> str:
-        """Memoized workload fingerprint for one compiled query object
-        (the compile cache already keys on text + dials + catalog
-        version, so object identity is a sound memo key)."""
-        key = id(core)
-        entry = self._fingerprints.get(key)
-        if entry is not None and entry[0] is core:
-            self._fingerprints.move_to_end(key)
-            return entry[1]
-        fingerprint = query_fingerprint(
-            core, config.typing_mode, config.sql_compat, self.catalog.version
-        )
-        self._fingerprints[key] = (core, fingerprint)
-        if len(self._fingerprints) > self.COMPILE_CACHE_SIZE:
-            self._fingerprints.popitem(last=False)
-        return fingerprint
-
-    def _plan_hash_for(self, plan: Any) -> str:
-        """Memoized hash of an executed plan object ("reference" when
-        no physical plan ran)."""
-        if plan is None:
-            return "reference"
-        entry = self._plan_hashes.get(id(plan))
-        if entry is not None and entry[0] is plan:
-            return entry[1]
-        value = plan_hash(plan)
-        self._plan_hashes[id(plan)] = (plan, value)
-        if len(self._plan_hashes) > 2 * self.COMPILE_CACHE_SIZE:
-            self._plan_hashes.clear()
-            self._plan_hashes[id(plan)] = (plan, value)
-        return value
-
-    @staticmethod
-    def _executed_plan(evaluator: Evaluator, core: ast.Query) -> Any:
-        """The physical plan this execution ran the top-level block on
-        (streaming or batch cache), or None for the reference path."""
-        body = core.body
-        if not isinstance(body, ast.QueryBlock):
-            return None
-        entry = evaluator._plans.get(id(body))
-        if entry is not None and entry[1] is not None:
-            return entry[1]
-        entry = evaluator._batch_plans.get(id(body))
-        if entry is not None:
-            return entry[1]
-        return None
-
     def _store_observe(
         self,
         store: QueryStore,
         metrics: QueryMetrics,
-        core: Optional[ast.Query],
+        core: ast.Query,
         evaluator: Optional[Evaluator],
         tracer: Optional[ExecTracer],
         feedback_tracer: Optional[ExecTracer],
     ) -> None:
         """Fold one finished execution into the query store: plan hash,
-        q-error, cardinality feedback, gauges.  Runs in ``execute``'s
-        ``finally`` — it must never raise over the query's own outcome,
-        and it only reads state the execution already produced."""
-        executed_plan = (
-            self._executed_plan(evaluator, core)
-            if evaluator is not None and core is not None
-            else None
-        )
+        q-error, cardinality feedback.  Runs in ``_run``'s ``finally`` —
+        it must never raise over the query's own outcome, and it only
+        reads state the execution already produced."""
+        executed_plan = None
         if evaluator is not None:
-            metrics.plan_hash = self._plan_hash_for(executed_plan)
+            executed_plan = evaluator.executed_plan(core)
+            metrics.plan_hash = plan_hash(executed_plan)
         qerror = None
         if tracer is not None and executed_plan is not None:
             qerror = plan_max_qerror(executed_plan, tracer)
@@ -693,7 +680,6 @@ class Database:
             # how many rows the consumer *wanted*, not how many exist.
             if (
                 executed_plan is not None
-                and core is not None
                 and core.limit is None
                 and core.offset is None
             ):
@@ -712,7 +698,6 @@ class Database:
             metrics.rows_returned,
             qerror,
         )
-        store.export_gauges(self.metrics)
 
     #: Bound on the collection size ``check`` will sample to infer an
     #: abstract shape for a schemaless named value.
@@ -833,87 +818,23 @@ class Database:
         sql_compat: Optional[bool] = None,
     ) -> str:
         """The physical plan the optimizer chose for a query (the
-        ``EXPLAIN`` verb): the FROM operator tree — hash joins, scans
-        with pushed-down filters, materialization — the residual WHERE,
-        and the list of rewrites that fired.  When no rewrite applies
-        (or in strict mode), says so and names the reference pipeline.
+        ``EXPLAIN`` verb): the block's one operator tree — hash joins,
+        scans with pushed-down filters, materialization — the residual
+        WHERE and the rewrites that fired, or the planner's refusal
+        (strict mode, ``optimize=False``); then how the output is
+        consumed and which executor runs each block.  A view of the
+        memoised evaluator's own plan and decisions
+        (:func:`repro.core.vectorized.explain_query`): explaining an
+        already-executed query plans nothing again.
         """
-        from repro.core.planner import plan_block
+        from repro.core.vectorized import explain_query
 
         config = self._effective_config(typing_mode, sql_compat)
-        core, __, fired, ___ = self._compile_profiled(
-            query, typing_mode, sql_compat
+        compiled = self._compile_query(query, config)
+        evaluator = self._evaluator_for(config, None, None)
+        return "\n".join(
+            _explain_header(compiled) + explain_query(evaluator, compiled.core)
         )
-        lines = [
-            f"core: {print_ast(core)}",
-            f"rewrites: {_format_rewrites(fired)}",
-            "",
-        ]
-        body = core.body
-        if not isinstance(body, ast.QueryBlock):
-            lines.append(
-                "plan: reference pipeline "
-                "(query body is not a single query block)"
-            )
-            lines.extend(self._executor_lines(core, config))
-            return "\n".join(lines)
-        reorder_ok = (
-            not core.order_by
-            and body.group_by is None
-            and not getattr(body.select, "distinct", False)
-        )
-        plan = plan_block(
-            body,
-            config,
-            stats=self._stats,
-            reorder_ok=reorder_ok,
-            catalog_names=set(self.catalog.names()),
-        )
-        executors = self._executor_lines(core, config)
-        batched = executors[0] == "executor: batch"
-        if plan is None:
-            if not config.optimize:
-                reason = "optimization disabled"
-            elif not config.is_permissive:
-                reason = "strict typing mode preserves evaluation order"
-            elif body.from_ is None:
-                reason = "no FROM clause"
-            else:
-                reason = "no rewrite applicable"
-            line = f"plan: reference pipeline ({reason})"
-            if batched:
-                line += "; the batch executor scans it through a forced operator tree"
-            lines.append(line)
-        else:
-            lines.append(plan.explain())
-        consumer = self._describe_consumer(core, config, batched)
-        if consumer is not None:
-            lines.append(f"consumer: {consumer}")
-        lines.extend(executors)
-        return "\n".join(lines)
-
-    def _executor_lines(
-        self, core: ast.Query, config: EvalConfig, traced: bool = False
-    ) -> List[str]:
-        """EXPLAIN's ``executor:`` and ``kernels:`` lines
-        (:func:`repro.core.vectorized.explain_executors`): a dry run of
-        the executor decisions on a throwaway evaluator, which carries a
-        timing tracer when the run being explained did (EXPLAIN ANALYZE
-        — a timing tracer keeps unplanned blocks off the batch path)."""
-        from repro.core.vectorized import explain_executors
-
-        evaluator = Evaluator(
-            self.catalog,
-            config,
-            tracer=ExecTracer() if traced else None,
-            stats=self._stats,
-        )
-        try:
-            return explain_executors(evaluator, core)
-        except SQLPPError as error:
-            # Kernel compilation can reject what execution would reject
-            # (a malformed constant LIKE pattern); EXPLAIN still prints.
-            return [f"executor: undetermined ({error})"]
 
     def verify_plan(
         self,
@@ -928,38 +849,29 @@ class Database:
         This is the on-demand form of the ``REPRO_VERIFY_PLANS=1``
         debug mode (:mod:`repro.analysis.verify_plan`): binding
         well-formedness, filter/key scoping, estimate monotonicity,
-        span presence, and operator-tree shape.  Nested subquery blocks
-        are planned (``force=True``) and checked too, so coverage does
-        not depend on whether a rewrite happened to fire.
+        span presence, and operator-tree shape.  Every block has a plan
+        whether or not a rewrite fired, nested subquery blocks included
+        (``Evaluator.block_plans`` — the plans execution runs, planned
+        here only for blocks no execution reached yet).
         """
         from repro.analysis.verify_plan import (
             verify_block_plan,
             verify_rewrite,
         )
-        from repro.core.planner import plan_block
 
         config = self._effective_config(typing_mode, sql_compat)
-        core, pre_core, fired, __ = self._compile_profiled(
-            query, typing_mode, sql_compat
-        )
+        compiled = self._compile_query(query, config)
         violations = list(
             verify_rewrite(
-                pre_core, core, fired, catalog_names=self.catalog.names()
+                compiled.pre_core,
+                compiled.core,
+                compiled.fired,
+                catalog_names=self.catalog.names(),
             )
         )
-        catalog_names = set(self.catalog.names())
-        for node in core.walk():
-            if not isinstance(node, ast.QueryBlock):
-                continue
-            plan = plan_block(
-                node,
-                config,
-                stats=self._stats,
-                force=True,
-                catalog_names=catalog_names,
-            )
-            if plan is not None:
-                violations.extend(verify_block_plan(plan))
+        evaluator = self._evaluator_for(config, None, None)
+        for plan in evaluator.block_plans(compiled.core):
+            violations.extend(verify_block_plan(plan))
         return violations
 
     def explain_rewrites(
@@ -972,62 +884,23 @@ class Database:
         conditions each firing discharged (the CLI's
         ``--explain-rewrites``; docs/REWRITER.md has the rule catalog).
         """
-        core, pre_core, fired, __ = self._compile_profiled(
-            query, typing_mode, sql_compat
+        compiled = self._compile_query(
+            query, self._effective_config(typing_mode, sql_compat)
         )
-        lines = [f"pre:  {print_ast(pre_core)}"]
-        if not fired:
-            config = self._effective_config(typing_mode, sql_compat)
-            if not (config.rewrite and config.optimize):
+        lines = [f"pre:  {print_ast(compiled.pre_core)}"]
+        if not compiled.fired:
+            if not compiled.rewrite_on:
                 lines.append("rewrites: disabled (rewrite/optimize off)")
             else:
                 lines.append("rewrites: none applicable")
             return "\n".join(lines)
-        lines.append(f"post: {print_ast(core)}")
+        lines.append(f"post: {print_ast(compiled.core)}")
         lines.append("")
-        for result in fired:
+        for result in compiled.fired:
             lines.append(result.describe())
             for condition in result.safety:
                 lines.append(f"  - {condition}")
         return "\n".join(lines)
-
-    @staticmethod
-    def _describe_consumer(
-        core: ast.Query, config: EvalConfig, batched: bool = False
-    ) -> Optional[str]:
-        """How the block's output is consumed (None when the query runs
-        on the eager reference path): by the streaming engine, or — when
-        ``batched`` — by the batch executor, which materializes chunk by
-        chunk what the streaming engine would pull row by row."""
-        body = core.body
-        if (
-            not config.optimize
-            or not isinstance(body, ast.QueryBlock)
-            or body.from_ is None
-            or isinstance(body.select, ast.PivotClause)
-        ):
-            return None
-        from repro.core.windows import find_window_calls
-
-        if find_window_calls(body.select):
-            return None
-        if core.order_by:
-            if core.limit is not None:
-                return (
-                    "top-K heap (ORDER BY with LIMIT): keeps limit+offset "
-                    "rows, one sort-key evaluation per row"
-                )
-            if batched:
-                return "full sort over the batched input (ORDER BY without LIMIT)"
-            return "full sort over the streamed input (ORDER BY without LIMIT)"
-        if core.limit is not None:
-            return "streamed with early termination after OFFSET+LIMIT rows"
-        if batched:
-            return (
-                "bag built a chunk (~1024 rows) at a time; under batch=False "
-                "a streamed bag (rows pulled one at a time)"
-            )
-        return "streamed bag (rows pulled one at a time)"
 
     def explain_analyze(
         self,
@@ -1049,43 +922,34 @@ class Database:
         inclusive wall time and the planner's row estimate against the
         actual (``est= actual= q-err=``, worst misestimate flagged); the
         clause pipeline's stage row counts and the per-phase timings
-        (parse/rewrite/plan/execute) follow.  On the optimized path the
-        annotated tree is the physical plan; with ``optimize=False`` (or
-        whenever the planner declines) it is the reference nested-loop
-        FROM tree, so all execution strategies — streaming, batch
-        (``batch=True`` shapes), parallel (``parallel=N``) — are
-        observable (docs/OBSERVABILITY.md).
+        (parse/rewrite/plan/execute) follow.  The annotated tree is
+        whatever the run enumerated FROM with: the block's physical plan
+        on the batch executor and wherever a rewrite fired, else the
+        reference nested-loop FROM tree — so all execution strategies
+        (streaming, batch, ``parallel=N``, ``optimize=False``) are
+        observable, and the run analysed is the run ``execute`` makes
+        (docs/OBSERVABILITY.md).
 
         The query really runs, so resource limits apply; a breached
         limit raises :class:`~repro.errors.ResourceExhausted` exactly as
         ``execute`` would.
         """
-        tracer = ExecTracer()
-        result = self.execute(
-            query,
-            parameters=parameters,
-            typing_mode=typing_mode,
-            sql_compat=sql_compat,
-            optimize=optimize,
-            timeout_s=timeout_s,
-            max_rows=max_rows,
-            max_recursion=max_recursion,
-            batch=batch,
-            parallel=parallel,
-            tracer=tracer,
-        )
-        core, __, fired, ___ = self._compile_profiled(
-            query,
+        from repro.core.vectorized import explain_executors
+
+        config = self._effective_config(
             typing_mode,
             sql_compat,
-            optimize=optimize,
+            optimize,
+            timeout_s,
+            max_rows,
+            max_recursion,
+            batch,
+            parallel,
         )
-        metrics = self.metrics.last
-        lines = [
-            f"core: {print_ast(core)}",
-            f"rewrites: {_format_rewrites(fired)}",
-            "",
-        ]
+        tracer = ExecTracer()
+        result, compiled, metrics = self._run(query, config, parameters, tracer)
+        core = compiled.core
+        lines = _explain_header(compiled)
         body = core.body
         if isinstance(body, ast.QueryBlock):
             plan = tracer.plan_for(body)
@@ -1113,18 +977,11 @@ class Database:
             )
         lines.append("")
         lines.extend(
-            self._executor_lines(
-                core,
-                self._effective_config(
-                    typing_mode, sql_compat, optimize, batch=batch, parallel=parallel
-                ),
-                traced=True,
-            )
+            explain_executors(self._evaluator_for(config, None, None), core)
         )
         lines.append("")
         lines.append("phases:")
-        if metrics is not None:
-            lines.extend("  " + line for line in metrics.format_phases())
+        lines.extend("  " + line for line in metrics.format_phases())
         if is_collection(result):
             lines.append(f"rows returned: {len(result)}")
         return "\n".join(lines)
@@ -1223,6 +1080,16 @@ class Database:
         from repro.formats.registry import read_text
 
         self.set(name, read_text(text, format))
+
+
+def _explain_header(compiled: CompiledQuery) -> List[str]:
+    """The ``core:`` / ``rewrites:`` lines EXPLAIN and EXPLAIN ANALYZE
+    open with."""
+    return [
+        f"core: {print_ast(compiled.core)}",
+        f"rewrites: {_format_rewrites(compiled.fired)}",
+        "",
+    ]
 
 
 def _format_rewrites(fired: Tuple[Any, ...]) -> str:

@@ -4,7 +4,7 @@ Since the runner attaches per-case :class:`QueryMetrics`, the report
 carries timing columns — each case line shows its wall time, the
 summary shows the sweep total, and the JSON form exposes the full
 phase breakdown per case — so a conformance run doubles as perf
-evidence (the trajectory harness reads the same numbers).
+evidence.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ timings, cache verdict, whether the streaming pipeline ran) is
 attached to the :class:`CaseResult`, and
 ``collect_trace=True`` additionally captures a structured span trace
 per case — so one conformance sweep doubles as a timing corpus for the
-report and the trajectory harness.
+report.
 """
 
 from __future__ import annotations

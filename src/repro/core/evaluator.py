@@ -26,7 +26,7 @@ from time import perf_counter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.config import EvalConfig
-from repro.core import coercion
+from repro.core import coercion, planner
 from repro.core.environment import Environment, Unbound
 from repro.core.grouping_sets import expand_grouping_sets
 from repro.core.windows import compute_window_values, find_window_calls
@@ -156,6 +156,39 @@ def _tallied(source: Iterable, tally: _StageTally) -> Iterator:
         _close_iter(it)
 
 
+def consumer_kind(query: ast.Query) -> str:
+    """How a streamed block's output is consumed — ``top-k`` (ORDER BY
+    with LIMIT), ``sort`` (ORDER BY alone), ``limit`` or ``bag``: what
+    :meth:`Evaluator._eval_query_streaming` branches on and what EXPLAIN
+    prints as ``consumer:`` (:func:`describe_consumer`)."""
+    if query.order_by:
+        return "top-k" if query.limit is not None else "sort"
+    return "limit" if query.limit is not None else "bag"
+
+
+def describe_consumer(query: ast.Query, batched: bool) -> str:
+    """EXPLAIN's ``consumer:`` text for :func:`consumer_kind`.  The
+    batch executor refuses LIMIT, so the two bounded consumers only ever
+    stream; it builds its bag chunk by chunk."""
+    kind = consumer_kind(query)
+    if kind == "top-k":
+        return (
+            "top-K heap (ORDER BY with LIMIT): keeps limit+offset rows, "
+            "one sort-key evaluation per row"
+        )
+    if kind == "sort":
+        how = "batched" if batched else "streamed"
+        return f"full sort over the {how} input (ORDER BY without LIMIT)"
+    if kind == "limit":
+        return "streamed with early termination after OFFSET+LIMIT rows"
+    if batched:
+        return (
+            "bag built a chunk (~1024 rows) at a time; under batch=False "
+            "a streamed bag (rows pulled one at a time)"
+        )
+    return "streamed bag (rows pulled one at a time)"
+
+
 def _let_rows(let_fns, source: Iterable[Environment]) -> Iterator[Environment]:
     for current in source:
         for name, let_fn in let_fns:
@@ -198,8 +231,9 @@ class Evaluator:
         self._parameters = [from_python(value) for value in parameters or []]
         self._compiled: Dict[int, Any] = {}
         self._batch_compiled: Dict[Tuple[int, frozenset], Any] = {}
+        #: The one physical-plan cache: id(block) → (block, plan or None,
+        #: data/feedback version).  See :meth:`_block_plan`.
         self._plans: Dict[int, Any] = {}
-        self._batch_plans: Dict[int, Any] = {}
         self._decompositions: Dict[int, Any] = {}
         self._streamable: Dict[int, Tuple[Any, bool]] = {}
         self._reorder_flags: Dict[int, Tuple[Any, bool]] = {}
@@ -225,6 +259,10 @@ class Evaluator:
         #: correlated subqueries keep the cheap streaming path.
         self._top_query: Optional[ast.Query] = None
         self._top_env: Optional[Environment] = None
+        #: Set by ``Database`` around ``execute``: a memoized evaluator
+        #: that is mid-execution must not be rebound by a reentrant
+        #: query (a lazy-bag factory issuing one while its consumer runs).
+        self._in_use = False
         #: Wall time spent in the physical planner, or None when the
         #: planner never ran for this execution (reference pipeline,
         #: strict mode).  Always measured — planning happens once per
@@ -347,6 +385,8 @@ class Evaluator:
                 self.streamed = True
                 if query is self._top_query:
                     self.batched = True
+                if self.tracer is not None:
+                    self.tracer.register_plan(body, plan)
                 return execute_batch_query(self, query, body, plan, env)
             if self._can_stream(body):
                 return self._eval_query_streaming(query, body, env)
@@ -464,51 +504,13 @@ class Evaluator:
         reason = self._batch_refusal(query, body, env)
         if reason is not None:
             return None, reason
-        plan = self._batch_plan(body)
-        if plan is None:
-            return None, "no plan is forced under a timing tracer"
+        plan = self._block_plan(body)
         if len(plan.items) != 1:
             # The planner kept several FROM items (e.g. a comma join it
             # could not turn into a hash join); the chunk protocol
             # drives exactly one operator tree, so stream instead.
             return None, f"FROM kept {len(plan.items)} operator trees"
         return plan, None
-
-    def _batch_plan(self, block: ast.QueryBlock):
-        """A physical plan for the batch executor, forcing one when the
-        planner found no rewrite (the chunk protocol needs an operator
-        tree even for a bare scan).  Traced executions decline instead:
-        EXPLAIN ANALYZE renders the reference FROM tree for plans
-        without rewrites, and a forced plan would change that surface.
-        """
-        plan = self._block_plan(block)
-        if plan is not None:
-            return plan
-        if self.tracer is not None and self.tracer.timing:
-            return None
-        version = self._catalog_data_version()
-        entry = self._batch_plans.get(id(block))
-        if entry is None or entry[2] != version:
-            from repro.core.planner import plan_block
-
-            started = perf_counter()
-            plan = plan_block(
-                block,
-                self.config,
-                stats=self._stats,
-                reorder_ok=self._reorder_flags.get(id(block), (None, False))[1],
-                force=True,
-                catalog_names=self._catalog_names(),
-            )
-            elapsed = perf_counter() - started
-            self.plan_time_s = (self.plan_time_s or 0.0) + elapsed
-            if plan is not None:
-                from repro.analysis.verify_plan import maybe_verify_block_plan
-
-                maybe_verify_block_plan(plan)
-            entry = (block, plan, version)
-            self._batch_plans[id(block)] = entry
-        return entry[1]
 
     def _catalog_names(self) -> set:
         """Names the catalog can resolve, for the planner's emptiness
@@ -561,18 +563,19 @@ class Evaluator:
             if query.offset is not None
             else None
         )
-        if query.order_by:
-            if limit is not None:
-                bound = limit + (offset or 0)
-                select_fn = self._deferred_select_fn(body, query.order_by)
-                if select_fn is not None:
-                    values = self._top_k_deferred(
-                        body, query.order_by, bound, env, select_fn
-                    )
-                else:
-                    stream = self._stream_block(body, env)
-                    values = self._top_k(stream, query.order_by, bound, env)
-                return values[offset:] if offset else values
+        kind = consumer_kind(query)
+        if kind == "top-k":
+            bound = limit + (offset or 0)
+            select_fn = self._deferred_select_fn(body, query.order_by)
+            if select_fn is not None:
+                values = self._top_k_deferred(
+                    body, query.order_by, bound, env, select_fn
+                )
+            else:
+                stream = self._stream_block(body, env)
+                values = self._top_k(stream, query.order_by, bound, env)
+            return values[offset:] if offset else values
+        if kind == "sort":
             stream = self._stream_block(body, env)
             pairs: List[Tuple[Any, Optional[Environment]]] = []
             source = iter(stream)
@@ -928,7 +931,7 @@ class Evaluator:
         else:
             for item in block.from_:
                 self._collect_item_vars(item, var_order)
-            plan = self._block_plan(block)
+            plan = self._stream_plan(block)
             if plan is not None:
                 envs = plan.execute(self, env)
             else:
@@ -1047,7 +1050,7 @@ class Evaluator:
         var_order: List[str] = []
         for item in block.from_:
             self._collect_item_vars(item, var_order)
-        plan = self._block_plan(block)
+        plan = self._stream_plan(block)
         stages: List[_StageTally] = []
 
         def tally(source: Iterable, name: str) -> Iterable:
@@ -1176,18 +1179,20 @@ class Evaluator:
     # -- FROM ----------------------------------------------------------------
 
     def _block_plan(self, block: ast.QueryBlock):
-        """The (cached) physical plan for a block, or None for the
-        reference pipeline.  Cached like ``compiled``: the block node is
-        kept alive alongside the plan so id() keys stay unique."""
-        if not self.config.optimize or not self.config.is_permissive:
+        """The block's physical plan, or None when the planner refuses
+        the block (:func:`planner.plan_refusal`: strict mode,
+        ``optimize=False``, no FROM — the reference pipeline).  One
+        plan per block per (data version, feedback version), built on
+        first use and read by every executor and every EXPLAIN surface.
+        Cached like ``compiled``: the block node is kept alive
+        alongside the plan so id() keys stay unique."""
+        if planner.plan_refusal(block, self.config) is not None:
             return None
         version = self._catalog_data_version()
         entry = self._plans.get(id(block))
         if entry is None or entry[2] != version:
-            from repro.core.planner import plan_block
-
             started = perf_counter()
-            plan = plan_block(
+            plan = planner.plan_block(
                 block,
                 self.config,
                 stats=self._stats,
@@ -1195,10 +1200,9 @@ class Evaluator:
                 catalog_names=self._catalog_names(),
             )
             elapsed = perf_counter() - started
-            if plan is not None:
-                from repro.analysis.verify_plan import maybe_verify_block_plan
+            from repro.analysis.verify_plan import maybe_verify_block_plan
 
-                maybe_verify_block_plan(plan)
+            maybe_verify_block_plan(plan)
             entry = (block, plan, version)
             self.plan_time_s = (self.plan_time_s or 0.0) + elapsed
             if self.tracer is not None and self.tracer.trace is not None:
@@ -1209,9 +1213,48 @@ class Evaluator:
             # this query (from cache), so the plan phase reports 0 time
             # rather than absent.
             self.plan_time_s = 0.0
-        if self.tracer is not None and entry[1] is not None:
-            self.tracer.register_plan(block, entry[1])
         return entry[1]
+
+    def _stream_plan(self, block: ast.QueryBlock):
+        """The plan the row-at-a-time pipelines run a block on: its one
+        plan exactly when a rewrite fired, else None (the direct FROM
+        loop).  A rewrite-free tree is that same loop behind
+        per-invocation operator overhead, which the per-group ``COLL_*``
+        subqueries of every GROUP BY would pay once per group
+        (docs/PLANNER.md, "One plan per block", has the measurement)."""
+        plan = self._block_plan(block)
+        if plan is None or not plan.rewrites:
+            return None
+        if self.tracer is not None:
+            self.tracer.register_plan(block, plan)
+        return plan
+
+    def executed_plan(self, query: ast.Query):
+        """The plan the last execution ran ``query``'s block on, or None
+        when it ran the direct FROM loop — what the query store hashes
+        and cardinality feedback reads."""
+        entry = self._plans.get(id(query.body))
+        plan = entry[1] if entry is not None else None
+        if plan is not None and (self.batched or plan.rewrites):
+            return plan
+        return None
+
+    def block_plans(self, query: ast.Query) -> List[Any]:
+        """The plan of every block under ``query`` that has one, planned
+        through the same cache (and reorder rule) execution uses — so
+        blocks an execution already planned cost nothing, and the rest
+        (per-row subqueries no binding reached) are planned once."""
+        plans = []
+        for node in query.walk():
+            if isinstance(node, ast.Query) and isinstance(
+                node.body, ast.QueryBlock
+            ):
+                self._note_reorder(node, node.body)
+            elif isinstance(node, ast.QueryBlock):
+                plan = self._block_plan(node)
+                if plan is not None:
+                    plans.append(plan)
+        return plans
 
     def _apply_from_item(
         self,

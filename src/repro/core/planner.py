@@ -21,11 +21,13 @@ rewrites it can fire:
   cross product is materialized; conjuncts over a prefix of items are
   applied as soon as the prefix is complete.
 
-Fallback rules (the planner *refuses* and the reference semantics run
-unchanged) — see docs/PLANNER.md:
+Fallback rules (the reference semantics run unchanged) — see
+docs/PLANNER.md:
 
 * strict typing mode: the reference pipeline's evaluation order is
-  observable through raised errors, so no rewriting happens at all;
+  observable through raised errors, so no block is planned at all
+  (:func:`plan_refusal` — with ``optimize=False`` and FROM-less blocks,
+  the only blocks without a plan);
 * correlated (lateral) right sides: the reference nested loop runs,
   via :class:`~repro.core.plan_ops.CorrelatedJoinOp`;
 * pushdown is skipped when the block has LET clauses (LET evaluates
@@ -183,6 +185,9 @@ class BlockPlan:
     #: by an :class:`~repro.core.plan_ops.EmptyOp`; None for ordinary
     #: plans.  Rendered as a ``pruned:`` EXPLAIN line.
     pruned: Optional[str] = None
+    #: Memo of :func:`repro.observability.query_store.plan_hash` (the
+    #: shape never changes once planned; a replan is a new object).
+    shape_hash: Optional[str] = field(default=None, repr=False, compare=False)
 
     def execute(self, evaluator, env) -> list:
         """Produce the block's binding environments eagerly (the
@@ -279,20 +284,34 @@ class BlockPlan:
 # =========================================================================
 
 
+def plan_refusal(block: ast.QueryBlock, config: EvalConfig) -> Optional[str]:
+    """Why a block has no physical plan (it runs the reference FROM
+    loop), or None when :func:`plan_block` plans it — the one refusal
+    ladder, which EXPLAIN prints."""
+    if not config.optimize:
+        return "optimization disabled"
+    if not config.is_permissive:
+        return "strict typing mode preserves evaluation order"
+    if block.from_ is None:
+        return "no FROM clause"
+    return None
+
+
 def plan_block(
     block: ast.QueryBlock,
     config: EvalConfig,
     stats=None,
     reorder_ok: bool = False,
-    force: bool = False,
     catalog_names: Optional[Set[str]] = None,
 ) -> Optional[BlockPlan]:
-    """Plan a Core query block; None means "run the reference pipeline".
+    """Plan a Core query block; None only when :func:`plan_refusal`
+    names a reason.
 
-    Returns a plan only when at least one rewrite fires, so the
-    reference path stays the common case for trivial queries —
-    ``force=True`` (the batch executor, which needs an operator tree
-    even for a plain scan) returns a plan regardless.
+    Every other block gets the one operator tree it will ever have,
+    rewrites or not: the batch executor always runs it (the chunk
+    protocol needs a tree even for a bare scan), the row-at-a-time
+    pipelines consult it exactly when ``plan.rewrites`` is non-empty
+    (docs/PLANNER.md, "One plan per block").
 
     ``stats`` is an optional
     :class:`repro.catalog.statistics.StatsProvider`; with one, scanned
@@ -306,9 +325,7 @@ def plan_block(
     collapse the whole pipeline to a zero-row
     :class:`~repro.core.plan_ops.EmptyOp` (EXPLAIN ``pruned:`` line).
     """
-    if block.from_ is None:
-        return None
-    if not config.optimize or not config.is_permissive:
+    if plan_refusal(block, config) is not None:
         return None
 
     if block.where is not None:
@@ -377,8 +394,6 @@ def plan_block(
         # est= next to actual= and the query store can compute q-errors.
         annotate_estimates(item_plans, stats)
 
-    if not rewrites and not force:
-        return None
     return BlockPlan(
         items=item_plans,
         residual_where=residual_where,

@@ -49,7 +49,7 @@ from repro.core.grouping_sets import expand_grouping_sets
 from repro.core.plan_ops import ScanOp, walk_ops
 from repro.datamodel.equality import group_key
 from repro.datamodel.values import Bag
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, SQLPPError
 from repro.functions import operators as ops
 from repro.functions.registry import REGISTRY
 from repro.syntax import ast
@@ -798,17 +798,50 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
 # =========================================================================
 
 
+def explain_query(evaluator, query: ast.Query) -> List[str]:
+    """EXPLAIN below its header: the top-level block's one plan (or the
+    planner's refusal), whether the row-at-a-time pipeline runs it, how
+    the output is consumed, then :func:`explain_executors`.  All read
+    from ``evaluator`` — the database's memoised one — so a query that
+    already ran is explained from the plan it ran on."""
+    from repro.core.evaluator import describe_consumer
+    from repro.core.planner import plan_refusal
+
+    executors = explain_executors(evaluator, query)
+    body = query.body
+    if not isinstance(body, ast.QueryBlock):
+        return [
+            "plan: reference pipeline (query body is not a single query block)"
+        ] + executors
+    batched = executors[0] == "executor: batch"
+    plan = evaluator._block_plan(body)
+    if plan is None:
+        reason = plan_refusal(body, evaluator.config)
+        lines = [f"plan: reference pipeline ({reason})"]
+    else:
+        lines = [plan.explain()]
+        if not plan.rewrites and not batched:
+            lines.append(
+                "from: direct FROM loop (no rewrite fired, so row-at-a-time "
+                "execution does not go through the operator tree above)"
+            )
+    if evaluator._can_stream(body):
+        lines.append(f"consumer: {describe_consumer(query, batched)}")
+    return lines + executors
+
+
 def explain_executors(evaluator, query: ast.Query) -> List[str]:
     """The ``executor:`` / ``kernels:`` lines of EXPLAIN [ANALYZE].
 
     A dry run of the decisions execution makes, through the same
     functions (``Evaluator._batch_decision``, :func:`block_kernels`,
-    ``PlanOp.batch_kernels``) on an evaluator that executes nothing:
-    which of ``batch | stream | reference`` runs the top-level block and
-    each derived table reachable in the top-level environment (with the
-    clause that refused the batch pipeline), and every expression of a
-    batched block that has no chunk kernel and takes the per-row
-    env-space fallback, with the node kind responsible.
+    ``PlanOp.batch_kernels``) and the same plan and kernel caches, on an
+    evaluator that is not executing: which of ``batch | stream |
+    reference`` runs the top-level block and each derived table
+    reachable in the top-level environment (with the clause that refused
+    the batch pipeline), and every expression of a batched block that
+    has no chunk kernel and takes the per-row env-space fallback, with
+    the node kind responsible.
     """
     from repro.syntax.printer import print_ast
 
@@ -816,7 +849,14 @@ def explain_executors(evaluator, query: ast.Query) -> List[str]:
     evaluator._top_query, evaluator._top_env = query, env
     lines: List[str] = []
     fallbacks: List[ast.Expr] = []
-    kernels = _explain_block(evaluator, query, env, "", "executor", lines, fallbacks)
+    try:
+        kernels = _explain_block(
+            evaluator, query, env, "", "executor", lines, fallbacks
+        )
+    except SQLPPError as error:
+        # Kernel compilation can reject what execution would reject
+        # (a malformed constant LIKE pattern); EXPLAIN still prints.
+        return [f"executor: undetermined ({error})"]
     if not kernels:
         lines.append("kernels: none (no block runs on the batch executor)")
     elif not fallbacks:
@@ -875,7 +915,7 @@ def _explain_block(
     else:
         executor = "stream" if evaluator._can_stream(body) else "reference"
         lines.append(f"{label}: {executor} ({reason})")
-        stream_plan = evaluator._block_plan(body) if executor == "stream" else None
+        stream_plan = evaluator._stream_plan(body)
         if stream_plan is not None:
             # Enumerated in the block's own environment: the first FROM
             # item's tree and every uncorrelated item's (a lateral right

@@ -180,6 +180,9 @@ class MetricsRegistry:
         #: Gauge families set wholesale by collaborators (the query
         #: store): name → (help text, [(labels, value), ...]).
         self.gauges: Dict[str, Any] = {}
+        #: Callables ``source(registry)`` that refresh gauge families
+        #: when the registry is exposed (:meth:`add_gauge_source`).
+        self._gauge_sources: List[Any] = []
         self._lock = threading.Lock()
 
     def increment(self, name: str, by: int = 1) -> None:
@@ -191,6 +194,12 @@ class MetricsRegistry:
         state, so wholesale replacement is the right update model)."""
         with self._lock:
             self.gauges[name] = (help_text, list(samples))
+
+    def add_gauge_source(self, source) -> None:
+        """Register ``source(registry)`` to be called at the start of
+        every :meth:`expose_text`: gauges describe current state, so
+        they are computed when read, not pushed on every query."""
+        self._gauge_sources.append(source)
 
     def record(self, metrics: QueryMetrics) -> None:
         """Fold one finished query into counters, histograms and sinks.
@@ -258,6 +267,8 @@ class MetricsRegistry:
         ``name{labels} value`` sample; ends with a trailing newline as
         the format requires.
         """
+        for source in self._gauge_sources:
+            source(self)  # calls set_gauge, which takes the lock itself
         with self._lock:
             lines: List[str] = []
             for counter_name, (metric, help_text) in _COUNTER_METRICS.items():

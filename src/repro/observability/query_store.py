@@ -122,13 +122,16 @@ def plan_signature(plan) -> str:
 
 
 def plan_hash(plan) -> str:
-    """A 12-hex-digit hash of the executed plan's shape; the literal
+    """A 12-hex-digit hash of the executed plan's shape, computed once
+    per :class:`~repro.core.planner.BlockPlan`; the literal
     ``"reference"`` when no physical plan ran (reference pipeline)."""
     if plan is None:
         return "reference"
-    return hashlib.sha256(
-        plan_signature(plan).encode("utf-8")
-    ).hexdigest()[:12]
+    if plan.shape_hash is None:
+        plan.shape_hash = hashlib.sha256(
+            plan_signature(plan).encode("utf-8")
+        ).hexdigest()[:12]
+    return plan.shape_hash
 
 
 # =========================================================================

@@ -138,3 +138,158 @@ class TestRewriteCacheKey:
         # With the registry off the version cannot affect the compiled
         # Core, so the cached entry must survive the bump.
         assert db.compile(REWRITABLE) is before
+
+    def test_schema_change_invalidates_exactly_once(self):
+        db = make_db()
+        db.execute(REWRITABLE)
+        before = db.compile(REWRITABLE)
+        db.set_schema("t", "BAG<STRUCT<v INT>>")
+        misses = db.metrics.counters["compile_cache_misses"]
+        after = db.compile(REWRITABLE)
+        assert after is not before
+        assert db.compile(REWRITABLE) is after
+        db.execute(REWRITABLE)
+        assert db.metrics.counters["compile_cache_misses"] == misses + 1
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap the real ``owner.name`` so every call's result is recorded."""
+    results = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        result = original(*args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(owner, name, counting)
+    return results
+
+
+NESTED = (
+    "SELECT r.v AS v, (SELECT VALUE s.v FROM t AS s WHERE s.v = r.v) AS same "
+    "FROM t AS r WHERE r.v > 100"
+)
+
+
+class TestDeriveOnce:
+    """Every per-query artefact is derived by one function, once, and
+    read by every surface: one plan per block per (evaluator, data
+    version, feedback version), one fingerprint per compile-cache entry,
+    one effective config per ``execute``."""
+
+    def surfaces(self, db, query):
+        db.explain_plan(query)
+        db.explain_analyze(query)
+        assert db.verify_plan(query) == []
+        db.execute(query)
+
+    def test_one_plan_per_block_across_surfaces(self, monkeypatch):
+        from repro.core import planner
+
+        plans = count_calls(monkeypatch, planner, "plan_block")
+        db = make_db(query_store=False)
+        db.execute(QUERY)
+        assert len(plans) == 1 and plans[0] is not None
+        self.surfaces(db, QUERY)
+        assert len(plans) == 1
+        # A data change is a new plan version: exactly one replan, no
+        # matter which surface asks first.
+        db.set("t", [{"v": 5}])
+        assert "Scan t AS r" in db.explain_plan(QUERY)
+        assert len(plans) == 2
+        self.surfaces(db, QUERY)
+        assert len(plans) == 2
+
+    def test_feedback_replans_once_then_every_surface_reads_it(
+        self, monkeypatch
+    ):
+        from repro.core import planner
+
+        plans = count_calls(monkeypatch, planner, "plan_block")
+        db = make_db()
+        db.execute(QUERY)  # feedback-sampled: records actual cardinalities
+        db.execute(QUERY)  # the exactly-one replan
+        settled = len(plans)
+        assert settled == 2
+        self.surfaces(db, QUERY)
+        assert len(plans) == settled
+
+    def test_verify_plan_plans_only_blocks_no_execution_reached(
+        self, monkeypatch
+    ):
+        from repro.core import planner
+
+        plans = count_calls(monkeypatch, planner, "plan_block")
+        db = make_db(query_store=False)
+        # No row passes the WHERE, so the per-row subquery never runs.
+        assert len(db.execute(NESTED)) == 0
+        assert len(plans) == 1
+        assert db.verify_plan(NESTED) == []
+        assert len(plans) == 2  # the nested block, planned once
+        assert db.verify_plan(NESTED) == []
+        self.surfaces(db, NESTED)
+        assert len(plans) == 2
+        assert all(plan is not None for plan in plans)
+
+    def test_evaluators_are_only_built_by_the_memo(self, monkeypatch):
+        from repro.catalog import database
+
+        built = count_calls(monkeypatch, database, "Evaluator")
+        db = make_db()
+        db.execute(QUERY)
+        self.surfaces(db, QUERY)
+        db.explain_rewrites(QUERY)
+        assert len(built) == 1
+
+    def test_fingerprint_once_per_cache_entry(self, monkeypatch):
+        from repro.catalog import database
+
+        prints = count_calls(monkeypatch, database, "query_fingerprint")
+        db = make_db()
+        db.compile(QUERY)
+        db.explain(QUERY)
+        db.explain_plan(QUERY)
+        db.explain_rewrites(QUERY)
+        db.verify_plan(QUERY)
+        assert prints == []  # nothing executed, nothing fingerprinted
+        for __ in range(3):
+            db.execute(QUERY)
+        db.explain_analyze(QUERY)
+        assert len(prints) == 1
+        assert db.metrics.last.fingerprint == prints[0]
+        # A new cache entry (different dial) is a new fingerprint.
+        db.execute(QUERY, typing_mode="strict")
+        db.execute(QUERY, typing_mode="strict")
+        assert len(prints) == 2
+        # With the store off nothing is ever fingerprinted.
+        quiet = make_db(query_store=False)
+        quiet.execute(QUERY)
+        assert len(prints) == 2
+
+    def test_effective_config_once_per_execute(self, monkeypatch):
+        configs = count_calls(monkeypatch, Database, "_effective_config")
+        db = make_db()
+        db.execute(QUERY)
+        assert len(configs) == 1
+        db.execute(QUERY, batch=False, timeout_s=5.0)
+        assert len(configs) == 2
+        db.explain_analyze(QUERY)
+        assert len(configs) == 3
+
+    def test_cold_kit_pass_plans_each_block_once(self, monkeypatch):
+        from repro import errors
+        from repro.compat.corpus import all_cases
+        from repro.compat.runner import build_database
+        from repro.core import planner
+
+        plans = count_calls(monkeypatch, planner, "plan_block")
+        for case in all_cases():
+            try:
+                build_database(case).execute(case.query)
+            except errors.SQLPPError:
+                assert case.expect_error
+        # 96 at the parent commit, 33 of them re-plans of a block
+        # planned a moment earlier and 48 results thrown away.
+        assert len(plans) <= 63
+        assert all(plan is not None for plan in plans)

@@ -292,6 +292,39 @@ class TestEvaluatorMemoization:
         assert len(db._evaluators) == 3
 
 
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_reentrant_execute_gets_its_own_evaluator(self, batch):
+        # A lazy-bag factory that queries the same database (same
+        # config, so the same memo slot) while its consumer query is
+        # mid-execution: the inner query must not rebind the evaluator
+        # the outer one is running on.
+        db = Database(batch=batch)
+        db.set("t", [{"x": i} for i in range(10)])
+        inner_results = []
+
+        def factory():
+            (memoised,) = db._evaluators.values()
+            assert memoised._in_use is True
+            inner = db.execute(
+                "SELECT VALUE t.x FROM t AS t WHERE t.x > ?", parameters=[7]
+            )
+            inner_results.append(sorted(inner))
+            assert list(db._evaluators.values()) == [memoised]
+            return ({"v": x} for x in range(6))
+
+        db.set_lazy("lz", factory)
+        outer_query = "SELECT VALUE l.v FROM lz AS l WHERE l.v > ?"
+        outer = db.execute(outer_query, parameters=[2])
+        # Were the memoised evaluator rebound, `?` would now be 7.
+        assert sorted(outer) == [3, 4, 5]
+        assert inner_results == [[8, 9]]
+        assert db.metrics.last.query == outer_query
+        assert db.metrics.last.rows_returned == 3
+        assert db.metrics.last.batched is batch
+        (memoised,) = db._evaluators.values()
+        assert memoised._in_use is False
+
+
 class TestPartitionedFold:
     """``fold_chunk`` partitions each chunk by group identity and
     extends accumulators once per (group, chunk); the state it builds
@@ -507,15 +540,28 @@ class TestDerivedTablesBatch:
 
 class TestExecutorExplain:
     def test_forced_plan_blocks_say_batch(self, db):
+        # Rewrite-free blocks: the batch executor runs the block's one
+        # plan, which EXPLAIN prints with nothing fired — there is no
+        # second, "forced" plan.
         for query in (
             "SELECT o.cust AS c, COUNT(*) AS n FROM orders AS o GROUP BY o.cust",
             "SELECT DISTINCT o.cust AS c FROM orders AS o",
         ):
             plan = db.explain_plan(query)
             assert "executor: batch" in plan
-            assert "forced operator tree" in plan
+            assert "  Scan orders AS o" in plan
+            assert "rewrites fired:\n  - (none)" in plan
+            assert "reference pipeline" not in plan
+            assert "from: direct FROM loop" not in plan
             assert "consumer: bag built a chunk" in plan
             assert "no env-space fallback" in plan
+            # The same text under batch=False: same plan, direct loop.
+            streamed = Database(batch=False)
+            streamed.set("orders", [{"oid": 1, "cust": 1}])
+            plan = streamed.explain_plan(query)
+            assert "rewrites fired:\n  - (none)" in plan
+            assert "from: direct FROM loop (no rewrite fired" in plan
+            assert "executor: stream (batch=False)" in plan
 
     def test_refusals_name_the_clause(self, db):
         query = "SELECT VALUE o.oid FROM orders AS o"
@@ -560,10 +606,25 @@ class TestExecutorExplain:
         assert "[CastExpr]" in kernels
 
     def test_analyze_reports_the_traced_run(self, db):
-        # Under a timing tracer an unplanned block keeps the reference
-        # FROM tree; EXPLAIN ANALYZE says so instead of claiming batch.
-        report = db.explain_analyze("SELECT VALUE o.oid FROM orders AS o")
-        assert "executor: stream (no plan is forced under a timing tracer)" in report
+        # EXPLAIN ANALYZE analyses the run ``execute`` makes: a timing
+        # tracer does not move a rewrite-free block off the batch
+        # executor, and the scan is rendered from the plan that ran.
+        query = "SELECT VALUE o.oid FROM orders AS o"
+        report = db.explain_analyze(query)
+        assert "executor: batch" in report
+        assert db.metrics.last.batched is True
+        scan = next(
+            line for line in report.splitlines() if line.startswith("  Scan orders")
+        )
+        assert "rows_out=50" in scan and "actual=50" in scan
+        assert "plan: reference pipeline" not in report
+        db.execute(query)
+        assert db.metrics.last.batched is True
+        # Streamed, the same block is analysed on the FROM loop it ran.
+        report = db.explain_analyze(query, batch=False)
+        assert "executor: stream (batch=False)" in report
+        assert "plan: reference pipeline" in report
+        assert db.metrics.last.batched is False
         report = db.explain_analyze(
             "SELECT VALUE o.oid FROM orders AS o WHERE o.total > 10"
         )

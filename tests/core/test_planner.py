@@ -15,10 +15,12 @@ from repro.core.planner import (
     free_names,
     is_relocatable,
     plan_block,
+    plan_refusal,
     split_conjuncts,
 )
 from repro.datamodel.equality import deep_equals
 from repro.datamodel.values import Bag
+from repro.observability import ExecTracer
 from repro.syntax.parser import parse_expression
 
 
@@ -118,8 +120,31 @@ class TestPlanSelection:
         assert plan is None or plan.residual_where is core.body.where
 
     def test_single_scan_without_filter_uses_reference(self, join_db):
-        plan = self.plan_for(join_db, "SELECT u.uid AS uid FROM users AS u")
-        assert plan is None
+        # One plan per block: a rewrite-free block still has its plan (a
+        # bare scan tree, which the batch executor runs) ...
+        query = "SELECT u.uid AS uid FROM users AS u"
+        plan = self.plan_for(join_db, query)
+        assert plan is not None and plan.rewrites == []
+        assert len(plan.items) == 1
+        # ... and the row-at-a-time pipeline keeps the reference FROM
+        # loop for it: no plan operator runs, the item statistics do.
+        tracer = ExecTracer()
+        join_db.execute(query, batch=False, tracer=tracer)
+        core = join_db.compile(query)
+        assert tracer.plan_for(core.body) is None
+        assert tracer.item_stats(core.body.from_[0]).rows_out == 8
+        assert join_db.metrics.last.plan_hash == "reference"
+        # The batch executor runs the same block on the plan.
+        tracer = ExecTracer()
+        join_db.execute(query, tracer=tracer)
+        assert tracer.plan_for(core.body) is not None
+        assert join_db.metrics.last.batched is True
+        assert join_db.metrics.last.plan_hash != "reference"
+
+    def test_only_the_refusal_ladder_returns_no_plan(self, join_db):
+        core = join_db.compile("SELECT VALUE 1")
+        assert plan_refusal(core.body, EvalConfig()) == "no FROM clause"
+        assert plan_block(core.body, EvalConfig()) is None
 
 
 # =========================================================================
@@ -368,8 +393,23 @@ class TestExplain:
         assert "predicate-pushdown" in text
 
     def test_explain_plan_reference_fallback(self, join_db):
-        text = join_db.explain_plan("SELECT u.uid AS uid FROM users AS u")
-        assert "reference pipeline" in text
+        # A rewrite-free block: its plan is shown with nothing fired;
+        # batch runs it, streaming says it keeps the direct FROM loop.
+        query = "SELECT u.uid AS uid FROM users AS u"
+        text = join_db.explain_plan(query)
+        assert "  Scan users AS u" in text
+        assert "rewrites fired:\n  - (none)" in text
+        assert "executor: batch" in text
+        assert "from: direct FROM loop" not in text
+        assert "reference pipeline" not in text
+        streamed = join_db.explain_plan(query + " LIMIT 2")
+        assert "rewrites fired:\n  - (none)" in streamed
+        assert "from: direct FROM loop (no rewrite fired" in streamed
+        assert "executor: stream (LIMIT/OFFSET bounds the consumer)" in streamed
+        # The reference pipeline is named only where the planner refuses.
+        assert "plan: reference pipeline (no FROM clause)" in (
+            join_db.explain_plan("SELECT VALUE 1")
+        )
 
     def test_explain_plan_strict_mode(self, join_db):
         text = join_db.explain_plan(

@@ -37,9 +37,7 @@ JOIN_QUERY = (
 def _plan(query: str = JOIN_QUERY) -> BlockPlan:
     config = EvalConfig()
     core = rewrite_query(parse(query), config, catalog_names=("xs", "ys"))
-    plan = plan_block(
-        core.body, config, force=True, catalog_names={"xs", "ys"}
-    )
+    plan = plan_block(core.body, config, catalog_names={"xs", "ys"})
     assert plan is not None
     return plan
 

@@ -154,13 +154,28 @@ class TestTallyParity:
         assert op_tallies(full) == op_tallies(light)
 
     def test_light_tracer_does_not_change_plan_choice(self):
-        # The feedback tracer must observe the same plan an untraced
-        # run would execute — scan-only shapes included (the batch
-        # executor forces a plan for those; a full tracer declines).
+        # Any tracer must observe the plan an untraced run executes —
+        # rewrite-free scan-only shapes included: the batch executor
+        # runs the block's one plan under a timing tracer too.
         db = build_db()
-        light = ExecTracer(timing=False)
-        db.execute("SELECT r.v AS v FROM r AS r", tracer=light)
+        query = "SELECT r.v AS v FROM r AS r"
+        db.execute(query)
+        assert db.metrics.last.batched is True
+        full, light = ExecTracer(), ExecTracer(timing=False)
+        db.execute(query, tracer=full)
+        assert db.metrics.last.batched is True
+        db.execute(query, tracer=light)
+        assert db.metrics.last.batched is True
         assert op_tallies(light), "light tracer saw no plan ops"
+        assert op_tallies(full) == op_tallies(light)
+        assert op_tallies(full)["Scan r AS r"][1] == 100
+        # Streamed, the same block runs the direct FROM loop: no plan
+        # operator is tallied, the FROM item reports the same 100 rows.
+        streamed = ExecTracer()
+        db.execute(query, batch=False, tracer=streamed)
+        assert op_tallies(streamed) == {}
+        item = db.compile(query).body.from_[0]
+        assert streamed.item_stats(item).rows_out == 100
 
     def test_limit_early_termination_tallies_exact(self):
         # LIMIT shapes run on the streaming pipeline; the tally must be

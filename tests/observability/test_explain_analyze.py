@@ -97,3 +97,49 @@ class TestEdgeShapes:
         report = join_db.explain_analyze(JOIN_QUERY, typing_mode="strict")
         assert "plan: reference pipeline" in report
         assert "rows returned: 49" in report
+
+
+class TestOneInternalRun:
+    """EXPLAIN ANALYZE takes Core, fired rewrites and the metrics
+    record from its one internal run — no second compile, no reading
+    ``metrics.last`` back."""
+
+    def test_one_compile_lookup_and_one_record_per_call(self, join_db):
+        join_db.execute(JOIN_QUERY)
+        counters = join_db.metrics.counters
+        hits, misses = counters["compile_cache_hits"], counters["compile_cache_misses"]
+        total = counters["queries_total"]
+        for call in range(1, 4):
+            join_db.explain_analyze(JOIN_QUERY)
+            assert counters["compile_cache_hits"] == hits + call
+            assert counters["compile_cache_misses"] == misses
+            assert counters["queries_total"] == total + call
+
+    def test_phases_block(self, join_db):
+        join_db.execute(JOIN_QUERY)
+        report = join_db.explain_analyze(JOIN_QUERY)
+        phases = report[report.index("phases:"):].splitlines()
+        assert [line.split(":")[0].strip() for line in phases] == [
+            "phases", "parse", "rewrite", "plan", "execute", "total",
+            "rows returned",
+        ]
+        assert "(compile cache: hit)" in phases[2]
+
+    def test_phases_are_this_runs_record_not_metrics_last(
+        self, join_db, monkeypatch
+    ):
+        from repro.observability import MetricsRegistry, QueryMetrics
+
+        join_db.execute(JOIN_QUERY)
+        record = MetricsRegistry.record
+
+        def record_then_lose_the_race(registry, metrics):
+            # Another thread's query finishes right after ours.
+            record(registry, metrics)
+            record(registry, QueryMetrics(query="someone else's", plan_s=None))
+
+        monkeypatch.setattr(MetricsRegistry, "record", record_then_lose_the_race)
+        report = join_db.explain_analyze(JOIN_QUERY)
+        assert join_db.metrics.last.query == "someone else's"
+        assert "(compile cache: hit)" in report
+        assert "  plan: " in report

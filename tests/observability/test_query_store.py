@@ -308,6 +308,32 @@ class TestDatabaseIntegration:
         assert "repro_query_store_latency_regressions_total" in text
         assert "repro_query_store_max_qerror" in text
 
+    def test_gauges_are_computed_at_exposition_not_per_execute(
+        self, monkeypatch
+    ):
+        from repro.observability import QueryStore
+
+        computed = []
+        export = QueryStore.export_gauges
+
+        def counting(store, registry):
+            computed.append(registry)
+            return export(store, registry)
+
+        monkeypatch.setattr(QueryStore, "export_gauges", counting)
+        db = build_db()
+        for bound in range(5):
+            db.execute(f"SELECT r.v AS v FROM r AS r WHERE r.v > {bound}")
+            db.execute("SELECT r.k AS k FROM r AS r")
+        assert computed == []
+        assert db.metrics.gauges == {}
+        text = db.metrics.expose_text()
+        assert computed == [db.metrics]
+        # Literals are stripped, so the ten executes are two fingerprints.
+        assert "repro_query_store_fingerprints 2" in text
+        db.execute("SELECT s.name AS name FROM s AS s")
+        assert "repro_query_store_fingerprints 3" in db.metrics.expose_text()
+
     def test_explain_analyze_does_not_hijack_feedback_tracer(self):
         # A user-supplied tracer must never be replaced by the store's
         # feedback tracer; EXPLAIN ANALYZE keeps full timing.
