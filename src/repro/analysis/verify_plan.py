@@ -97,12 +97,12 @@ def _check_span(expr: ast.Expr, where: str, out: List[str]) -> None:
         )
 
 
-def _check_vars(op: Any, out: List[str]) -> None:
+def _check_vars(op: Any, scope_names: Optional[Set[str]], out: List[str]) -> None:
     """Variable well-formedness for one operator."""
     from repro.core.plan_ops import (
-        CorrelatedJoinOp,
         EmptyOp,
         HashJoinOp,
+        LateralJoinOp,
         MaterializeJoinOp,
         ScanOp,
     )
@@ -124,15 +124,57 @@ def _check_vars(op: Any, out: List[str]) -> None:
                 f"{label}: vars {sorted(names)} != item variables "
                 f"{sorted(declared)}"
             )
-    elif isinstance(op, (HashJoinOp, MaterializeJoinOp, CorrelatedJoinOp)):
+    elif isinstance(op, (HashJoinOp, MaterializeJoinOp, LateralJoinOp)):
         expected = set(op.left.vars) | set(op.right_vars)
         if set(names) != expected:
             out.append(
                 f"{label}: vars {sorted(names)} != left vars + right vars "
                 f"{sorted(expected)}"
             )
+        if isinstance(op, LateralJoinOp):
+            _check_lateral(op, names, scope_names, out)
     elif isinstance(op, EmptyOp):
         pass  # only the generic checks above apply
+
+
+def _check_lateral(
+    op: Any, names: List[str], scope_names: Optional[Set[str]], out: List[str]
+) -> None:
+    """A lateral operator binds its left variables then its right
+    item's, in that order, and the right item ranges over nothing but
+    the left variables and names resolvable outside the plan."""
+    from repro.core.planner import free_names, item_vars
+
+    label = type(op).__name__
+    declared = item_vars(op.right_item)
+    if list(op.right_vars) != declared:
+        out.append(
+            f"{label}: right_vars {op.right_vars} != the right item's "
+            f"variables {declared}"
+        )
+    ordered = list(op.left.vars) + [
+        name for name in declared if name not in op.left.vars
+    ]
+    if names != ordered:
+        out.append(
+            f"{label}: vars {names} are not the left variables followed by "
+            f"the right item's ({ordered})"
+        )
+    referenced = free_names(op.right_item)
+    if not referenced & set(op.left.vars):
+        out.append(
+            f"{label}: the right item references no left variable "
+            f"({sorted(op.left.vars)}) — it is not lateral"
+        )
+    if scope_names is not None:
+        stray = referenced - set(op.left.vars) - set(declared) - scope_names
+        if stray:
+            out.append(
+                f"{label}: the right item references {sorted(stray)}, bound "
+                "by neither the left side nor the catalog"
+            )
+    if op.on is not None:
+        _check_span(op.on, f"{label} ON", out)
 
 
 def _check_filters(op: Any, out: List[str]) -> None:
@@ -204,54 +246,63 @@ def _check_estimates(op: Any, out: List[str]) -> None:
                 )
 
 
-def verify_block_plan(plan: Any) -> List[str]:
+def query_scope_names(query: ast.Query, catalog_names: Sequence[str]) -> Set[str]:
+    """``scope_names`` for the plans of ``query``'s blocks: the catalog's
+    names (and the roots of its dotted ones) plus every variable any
+    block of the query binds — a superset of each block's enclosing
+    scope, which is all the stray-name check needs."""
+    from repro.core.planner import item_vars
+
+    names: Set[str] = set()
+    for name in catalog_names:
+        names.add(name)
+        names.add(name.split(".", 1)[0])
+    for node in query.walk():
+        if isinstance(node, (ast.FromCollection, ast.FromUnpivot)):
+            names.update(item_vars(node))
+        elif isinstance(node, ast.LetBinding):
+            names.add(node.name)
+        elif isinstance(node, ast.GroupByClause):
+            names.update(key.alias for key in node.keys)
+            if node.group_as:
+                names.add(node.group_as)
+    return names
+
+
+def verify_block_plan(plan: Any, scope_names: Optional[Set[str]] = None) -> List[str]:
     """Every structural violation in one :class:`BlockPlan` (empty =
-    the plan upholds its invariants)."""
+    the plan upholds its invariants).
+
+    ``scope_names`` — the names resolvable outside the plan (catalog
+    names plus any enclosing block's variables), when the caller knows
+    them — additionally checks that a lateral right item references
+    nothing else."""
+    from repro.core.plan_ops import EmptyOp, PlanOp
     from repro.core.planner import BlockPlan, walk_plan_ops
 
     violations: List[str] = []
     if not isinstance(plan, BlockPlan):
         return [f"not a BlockPlan: {type(plan).__name__}"]
-    if not plan.items:
-        violations.append("plan has no items")
+    if not isinstance(plan.op, PlanOp):
+        return [f"plan has no operator tree: {type(plan.op).__name__}"]
 
     seen_ids: Set[int] = set()
-    prefix_vars: Set[str] = set()
-    for index, item_plan in enumerate(plan.items):
-        ops = list(walk_plan_ops(item_plan.op))
-        for op in ops:
-            if id(op) in seen_ids:
-                violations.append(
-                    f"{type(op).__name__} appears more than once in the "
-                    "operator tree — close() would propagate twice"
-                )
-                continue
-            seen_ids.add(id(op))
-            _check_vars(op, violations)
-            _check_filters(op, violations)
-            _check_estimates(op, violations)
-        prefix_vars |= set(getattr(item_plan.op, "vars", ()) or ())
-        for predicate in item_plan.prefix_filters:
-            _check_span(predicate, f"item {index + 1} prefix filter", violations)
-            extra = _expr_names(predicate) - prefix_vars
-            if extra:
-                violations.append(
-                    f"item {index + 1}: prefix filter references "
-                    f"{sorted(extra)}, not bound by any item so far "
-                    f"({sorted(prefix_vars)})"
-                )
+    for op in walk_plan_ops(plan.op):
+        if id(op) in seen_ids:
+            violations.append(
+                f"{type(op).__name__} appears more than once in the "
+                "operator tree — close() would propagate twice"
+            )
+            continue
+        seen_ids.add(id(op))
+        _check_vars(op, scope_names, violations)
+        _check_filters(op, violations)
+        _check_estimates(op, violations)
     if plan.residual_where is not None:
         _check_span(plan.residual_where, "residual WHERE", violations)
     if plan.pruned is not None:
-        from repro.core.plan_ops import EmptyOp
-
-        shape_ok = len(plan.items) == 1 and isinstance(
-            plan.items[0].op, EmptyOp
-        )
-        if not shape_ok:
-            violations.append(
-                "plan claims `pruned:` but is not a single EmptyOp"
-            )
+        if not isinstance(plan.op, EmptyOp):
+            violations.append("plan claims `pruned:` but is not a single EmptyOp")
         if plan.residual_where is not None:
             violations.append("pruned plan still carries a residual WHERE")
     return violations

@@ -855,6 +855,7 @@ class Database:
         here only for blocks no execution reached yet).
         """
         from repro.analysis.verify_plan import (
+            query_scope_names,
             verify_block_plan,
             verify_rewrite,
         )
@@ -870,8 +871,9 @@ class Database:
             )
         )
         evaluator = self._evaluator_for(config, None, None)
+        scope = query_scope_names(compiled.core, self.catalog.names())
         for plan in evaluator.block_plans(compiled.core):
-            violations.extend(verify_block_plan(plan))
+            violations.extend(verify_block_plan(plan, scope))
         return violations
 
     def explain_rewrites(

@@ -31,6 +31,8 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.environment import Environment, Unbound
+from repro.core.plan_ops import flatten_lateral, governor_tick
+from repro.core.planner import free_names, is_relocatable, item_vars
 from repro.datamodel.equality import group_key
 from repro.datamodel.values import MISSING, Bag, Struct, type_name
 from repro.functions import operators as ops
@@ -556,6 +558,25 @@ def _not_column(column: List[Any], config: Any) -> List[Any]:
     ]
 
 
+def _streamed_exists_rows(
+    owners: List[int], keep: Optional[List[int]], hit: List[bool]
+) -> int:
+    """How many of a slice's flattened rows the streamed EXISTS would
+    have pulled: for each owner not already decided (``hit``), its rows
+    up to and including its first survivor (``keep``: surviving
+    positions, None for all)."""
+    survivors = set(keep) if keep is not None else None
+    pulled = 0
+    decided = -1  # owners ascend, so one "decided in this slice" suffices
+    for k, owner in enumerate(owners):
+        if owner == decided or hit[owner]:
+            continue
+        pulled += 1
+        if survivors is None or k in survivors:
+            decided = owner
+    return pulled
+
+
 def _rows_at(rows: List[dict], memo: dict, picks: List[int]):
     """The sub-chunk at positions ``picks`` with a memo of its own
     (memoised columns are positional, so they do not carry over)."""
@@ -891,11 +912,154 @@ class _KernelCompiler:
 
     def exists(self, expr: ast.Exists) -> Optional[Kernel]:
         if isinstance(expr.operand, ast.SubqueryExpr):
-            return None  # early termination, as for IN
+            # Any other subquery keeps the evaluator's early-terminating
+            # stream, as for IN.
+            return self._segmented_subquery(expr.operand.query, exists=True)
         operand = self.compile(expr.operand)
         config = self.config
         exists = ops.exists
         return lambda rows, memo: [exists(v, config) for v in operand(rows, memo)]
+
+    # -- subqueries over a row's own collection ----------------------------
+
+    def subquery(self, expr: ast.SubqueryExpr) -> Optional[Kernel]:
+        return self._segmented_subquery(expr.query, exists=False)
+
+    def _segmented_subquery(
+        self, query: ast.Query, exists: bool
+    ) -> Optional[Kernel]:
+        """Flatten-and-segment kernel for ``(SELECT VALUE f FROM r.xs AS
+        x [, ...] [WHERE g])`` — the one subquery shape evaluated for a
+        whole chunk at once, or None (every other shape: the env-space
+        fallback, one ``eval_query`` per row).
+
+        Admitted: a single block, ``SELECT VALUE`` without DISTINCT,
+        FROM made only of range / UNPIVOT items whose sources mention
+        nothing but row variables and earlier items' variables (so each
+        is the lateral flatten of :func:`plan_ops.flatten_lateral`), an
+        optional WHERE, and no LET / GROUP BY / HAVING / ORDER BY /
+        LIMIT / OFFSET; every expression relocatable
+        (:func:`planner.is_relocatable`: total under permissive typing,
+        so evaluating each element — where the streamed EXISTS stops at
+        its first hit — is unobservable).  The chunk's collections are
+        flattened in slices of ~CHUNK_ROWS with the owning row's index
+        kept alongside, WHERE and SELECT run as kernels over the slices,
+        and the survivors are segmented back by owner: a ``Bag`` per row
+        (empty, never MISSING, without survivors) or, for EXISTS, a
+        boolean.
+        """
+        body = query.body
+        if (
+            not self.config.is_permissive
+            or not isinstance(body, ast.QueryBlock)
+            or query.order_by
+            or query.limit is not None
+            or query.offset is not None
+            or not isinstance(body.select, ast.SelectValue)
+            or body.select.distinct
+            or not body.from_
+            or body.lets
+            or body.group_by is not None
+            or body.having is not None
+        ):
+            return None
+        exprs = [body.select.expr]
+        if body.where is not None:
+            exprs.append(body.where)
+        scope = set(self.row_vars)
+        scopes: List[frozenset] = []
+        for item in body.from_:
+            if not isinstance(item, (ast.FromCollection, ast.FromUnpivot)):
+                return None
+            names = free_names(item.expr)
+            if not names or not names <= scope:
+                return None
+            exprs.append(item.expr)
+            scopes.append(frozenset(scope))
+            scope.update(item_vars(item))
+        if not all(is_relocatable(expr) for expr in exprs):
+            return None
+
+        def inner(expr: ast.Expr, row_vars: frozenset) -> Kernel:
+            compiler = _KernelCompiler(self.evaluator, row_vars)
+            kernel = compiler.compile(expr)
+            self.fallbacks.extend(compiler.fallbacks)
+            return kernel
+
+        items = body.from_
+        sources = [inner(item.expr, names) for item, names in zip(items, scopes)]
+        inner_vars = frozenset(scope)
+        where = inner(body.where, inner_vars) if body.where is not None else None
+        select = inner(body.select.expr, inner_vars)
+        evaluator = self.evaluator
+        config = self.config
+
+        def slices(level: int, rows: List[dict], owners: Any, memo: dict, tick):
+            """``(flat rows, owner per flat row)`` after ranging items
+            ``level``.. over ``rows`` (whose own owners are ``owners``)."""
+            if level == len(items):
+                yield rows, owners
+                return
+            column = sources[level](rows, memo)
+            for flat, local in flatten_lateral(
+                items[level], rows, column, config, tick, True
+            ):
+                if owners is not None:
+                    local = [owners[k] for k in local]
+                yield from slices(
+                    level + 1, flat, local, {_ENV: memo[_ENV]}, tick
+                )
+
+        def subquery_column(rows: List[dict], memo: dict) -> List[Any]:
+            if not rows:
+                return []
+            hit = [False] * len(rows)
+            segments: List[List[Any]] = [] if exists else [[] for __ in rows]
+            governor = evaluator.governor
+            account = tick = governor_tick(governor)
+            if governor is not None:
+                governor.enter_query()
+                if exists:
+                    # Only the deadline while flattening: the row tally
+                    # is what the first-hit-stopping stream would pull.
+                    tick = lambda produced: governor.add(0)  # noqa: E731
+            try:
+                for flat, owners in slices(0, rows, None, memo, tick):
+                    flat_memo = {_ENV: memo[_ENV]}
+                    keep = None
+                    if where is not None:
+                        keep = [
+                            k
+                            for k, verdict in enumerate(where(flat, flat_memo))
+                            if verdict is True
+                        ]
+                    if exists:
+                        if account is not None:
+                            account(_streamed_exists_rows(owners, keep, hit))
+                        # The streamed EXISTS projects exactly its first
+                        # survivor per row, then stops.
+                        first = []
+                        for k in range(len(flat)) if keep is None else keep:
+                            if not hit[owners[k]]:
+                                hit[owners[k]] = True
+                                first.append(k)
+                        if first:
+                            select(*_rows_at(flat, flat_memo, first))
+                        continue
+                    if keep is not None:
+                        if not keep:
+                            continue
+                        if len(keep) != len(flat):
+                            owners = [owners[k] for k in keep]
+                        flat, flat_memo = _rows_at(flat, flat_memo, keep)
+                    for owner, value in zip(owners, select(flat, flat_memo)):
+                        segments[owner].append(value)
+            finally:
+                if governor is not None:
+                    governor.exit_query()
+            return hit if exists else [Bag(values) for values in segments]
+
+        return subquery_column
 
     def case(self, expr: ast.CaseExpr) -> Kernel:
         """CASE over selection vectors: each WHEN runs over the rows no
@@ -1039,6 +1203,7 @@ _KERNELS = {
     ast.Like: _KernelCompiler.like,
     ast.InPredicate: _KernelCompiler.in_predicate,
     ast.Exists: _KernelCompiler.exists,
+    ast.SubqueryExpr: _KernelCompiler.subquery,
     ast.CaseExpr: _KernelCompiler.case,
     ast.FunctionCall: _KernelCompiler.call,
     ast.StructLit: _KernelCompiler.struct,

@@ -471,9 +471,7 @@ class Evaluator:
         LIMIT/OFFSET (bounded consumers are the streaming pipeline's
         home turf).  GROUP BY with ORDER BY stays streaming because the
         sort keys may contain lowered aggregate sites that must see the
-        group environments.  Whether the planner folded the FROM clause
-        into a *single* operator tree is only known after planning
-        (:meth:`_batch_decision`).
+        group environments.
         """
         config = self.config
         if not config.batch:
@@ -504,13 +502,7 @@ class Evaluator:
         reason = self._batch_refusal(query, body, env)
         if reason is not None:
             return None, reason
-        plan = self._block_plan(body)
-        if len(plan.items) != 1:
-            # The planner kept several FROM items (e.g. a comma join it
-            # could not turn into a hash join); the chunk protocol
-            # drives exactly one operator tree, so stream instead.
-            return None, f"FROM kept {len(plan.items)} operator trees"
-        return plan, None
+        return self._block_plan(body), None
 
     def _catalog_names(self) -> set:
         """Names the catalog can resolve, for the planner's emptiness
@@ -1365,7 +1357,11 @@ class Evaluator:
     ) -> List[Dict[str, Any]]:
         """``UNPIVOT expr AS v AT a``: ranges over a tuple's attributes
         (Section VI-A), turning attribute names into data."""
-        value = self.eval_expr(item.expr, env)
+        return self._unpivot_value(item, self.eval_expr(item.expr, env))
+
+    def _unpivot_value(
+        self, item: ast.FromUnpivot, value: Any
+    ) -> List[Dict[str, Any]]:
         if isinstance(value, Struct):
             return [
                 {item.value_alias: attr_value, item.at_alias: attr_name}
@@ -1491,7 +1487,10 @@ class Evaluator:
         if isinstance(item, ast.FromCollection):
             return self._iter_range_bindings(item, env)
         if isinstance(item, ast.FromUnpivot):
-            return iter(self._unpivot_bindings(item, env))
+            # Source through the closure compiler, like a range item.
+            return iter(
+                self._unpivot_value(item, self.compiled(item.expr)(env))
+            )
         if isinstance(item, ast.FromJoin):
             return self._iter_join_bindings(item, env)
         raise EvaluationError(f"unknown FROM item {type(item).__name__}")

@@ -51,7 +51,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import errors
 from repro.core.environment import Environment, Unbound
-from repro.core.plan_ops import HashJoinOp, ScanOp, walk_ops
+from repro.core.plan_ops import HashJoinOp, LateralJoinOp, ScanOp, walk_ops
 from repro.core.vectorized import (
     Decomposition,
     GroupState,
@@ -93,12 +93,17 @@ class ParallelOutcome:
 
 
 def _spine(op) -> Optional[Tuple[ScanOp, List[HashJoinOp]]]:
-    """The probe spine of an operator tree: the chain of hash joins
-    down the left side ending in a morsel-capable base scan, or None."""
+    """The probe spine of an operator tree: the chain of hash joins and
+    natively-chunked lateral operators down the left side ending in a
+    morsel-capable base scan (with the hash joins, whose tables the
+    parent prebuilds), or None."""
     joins: List[HashJoinOp] = []
     node = op
-    while isinstance(node, HashJoinOp):
-        joins.append(node)
+    while isinstance(node, HashJoinOp) or (
+        isinstance(node, LateralJoinOp) and node.native_chunks
+    ):
+        if isinstance(node, HashJoinOp):
+            joins.append(node)
         node = node.left
     if not isinstance(node, ScanOp):
         return None
@@ -199,7 +204,7 @@ def _rebuild_error(name: str, message: str, extras: Optional[Dict]) -> Exception
 
 def try_parallel(
     evaluator,
-    item_plan,
+    op,
     env: Environment,
     mode: str,
     decomp: Optional[Decomposition],
@@ -219,7 +224,7 @@ def try_parallel(
         return None
     if "fork" not in multiprocessing.get_all_start_methods():
         return None
-    spine = _spine(item_plan.op)
+    spine = _spine(op)
     if spine is None:
         return None
     scan, joins = spine
@@ -248,7 +253,7 @@ def try_parallel(
     if workers < 2:
         return None
 
-    op_list = walk_ops(item_plan.op)
+    op_list = walk_ops(op)
     for node in op_list:
         # Compile the operators' chunk kernels before forking, so the
         # workers inherit them instead of each compiling its own.
@@ -257,7 +262,7 @@ def try_parallel(
     _WORKER_STATE = {
         "evaluator": evaluator,
         "env": env,
-        "op": item_plan.op,
+        "op": op,
         "tables": tables,
         "mode": mode,
         "decomp": decomp,

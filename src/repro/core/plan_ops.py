@@ -14,9 +14,10 @@ strategy.  This module provides the physical operators the planner
 * :class:`MaterializeJoinOp` — a nested loop whose uncorrelated right
   side is materialized once instead of per left binding (exact
   reference semantics for arbitrary ``ON`` predicates);
-* :class:`CorrelatedJoinOp` — the lateral fallback: the right side is
-  re-enumerated under each left binding, exactly as the reference
-  evaluator does, preserving the paper's left-correlation semantics.
+* :class:`LateralJoinOp` — the paper's left-correlation (``FROM hr.emp
+  AS e, e.projects AS p`` and JOINs with a lateral right side): the
+  right item ranges over an expression of the left variables, a whole
+  left chunk flattened at a time on the chunk protocol.
 
 Operators follow the Volcano (iterator) model: the primary interface is
 :meth:`PlanOp.iter_bindings`, a generator yielding binding dicts one at
@@ -36,11 +37,22 @@ generated workloads.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import chain, repeat
 from time import perf_counter
-from typing import Any, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    TYPE_CHECKING,
+)
 
 from repro.datamodel.equality import group_key
-from repro.datamodel.values import Bag, LazyBag, MISSING, type_name
+from repro.datamodel.values import Bag, LazyBag, MISSING, Struct, type_name
 from repro.errors import TypeCheckError
 from repro.syntax import ast
 
@@ -147,8 +159,8 @@ class PlanOp:
         whole chunks instead of crossing a generator frame per row.
         This default adapter batches :meth:`iter_bindings` — every
         operator participates from day one; operators with a native
-        chunk implementation (scan, hash join) override it and skip the
-        per-row generator entirely.
+        chunk implementation (scan, hash join, lateral) override it and
+        skip the per-row generator entirely.
 
         ``morsel`` is a ``(start, stop)`` row span over the operator's
         *base scan* for morsel-driven parallelism; only native
@@ -371,15 +383,7 @@ class ScanOp(PlanOp):
                     elapsed += perf_counter() - started
                     break
                 rows_in += len(chunk)
-                for fn in filter_fns:
-                    if not chunk:
-                        break
-                    verdicts = fn(chunk, env)
-                    chunk = [
-                        row
-                        for row, verdict in zip(chunk, verdicts)
-                        if verdict is True
-                    ]
+                chunk = _apply_filters(chunk, filter_fns, env)
                 elapsed += perf_counter() - started
                 if chunk:
                     rows_out += len(chunk)
@@ -441,8 +445,7 @@ class ScanOp(PlanOp):
             for start in range(0, len(elements), CHUNK_ROWS):
                 piece = elements[start : start + CHUNK_ROWS]
                 if governor is not None:
-                    for offset in range(0, len(piece), GOVERNOR_TICK):
-                        governor.add(min(GOVERNOR_TICK, len(piece) - offset))
+                    _tick(governor, len(piece))
                 if positional:
                     origin = base + start
                     yield [
@@ -485,46 +488,198 @@ class ScanOp(PlanOp):
         return f"Scan {type(self.item).__name__}"
 
 
-class CorrelatedJoinOp(PlanOp):
-    """The lateral fallback: right side re-enumerated per left binding.
+class LateralJoinOp(PlanOp):
+    """Left-correlated FROM: the right item ranges over an expression of
+    the left side's variables, once per left binding.
 
-    Mirrors ``Evaluator._join_bindings`` exactly (the left subtree may
-    still be planned), so correlated right sides keep the paper's
-    left-correlation semantics.
+    Both spellings of the paper's left-correlation plan to it — a comma
+    item whose free names touch earlier variables (``FROM hr.emp AS e,
+    e.projects AS p``: INNER, no ``ON``) and an explicit JOIN with a
+    lateral right side.  The row form mirrors
+    ``Evaluator._iter_join_bindings``; when the right item is a plain
+    range or UNPIVOT the chunk form flattens a whole left chunk at a
+    time (:func:`flatten_lateral`) instead of re-entering the item
+    enumeration per left row.
     """
 
-    def __init__(self, left: PlanOp, item: ast.FromJoin):
+    def __init__(
+        self,
+        left: PlanOp,
+        right_item: ast.FromItem,
+        kind: str,
+        on: Optional[ast.Expr],
+        right_vars: List[str],
+    ):
         super().__init__()
         self.left = left
-        self.item = item
-        self.right_vars: List[str] = []
+        self.right_item = right_item
+        self.kind = kind
+        self.on = on
+        self.right_vars = right_vars
+
+    @property
+    def native_chunks(self) -> bool:
+        """Whether :meth:`iter_chunks` flattens natively (and so accepts
+        a morsel for its base scan) rather than batching the row form."""
+        return isinstance(
+            self.right_item, (ast.FromCollection, ast.FromUnpivot)
+        )
 
     def _iter_produce(self, evaluator, env):
-        item = self.item
+        # The governor sees each right binding once, inside the item
+        # enumeration, exactly as the direct FROM loop counts it; only a
+        # padded row is produced here without one.
         governor = evaluator.governor
-        on_fn = (
-            evaluator.compiled(item.on) if item.on is not None else None
-        )
+        on_fn = evaluator.compiled(self.on) if self.on is not None else None
         for left_binding in self.left.iter_bindings(evaluator, env):
             left_env = env.extend(left_binding)
             matched = False
             for right_binding in evaluator._iter_item_bindings(
-                item.right, left_env
+                self.right_item, left_env
             ):
                 combined = {**left_binding, **right_binding}
                 if on_fn is not None and on_fn(env.extend(combined)) is not True:
                     continue
                 matched = True
-                if governor is not None:
-                    governor.add(1)
                 yield combined
-            if item.kind == "LEFT" and not matched:
+            if self.kind == "LEFT" and not matched:
                 if governor is not None:
                     governor.add(1)
                 yield pad_right_vars(left_binding, self.right_vars)
 
+    def iter_chunks(self, evaluator, env, morsel=None, tables=None):
+        if not self.native_chunks:
+            return super().iter_chunks(evaluator, env, morsel, tables)
+        return self._iter_lateral_chunks(evaluator, env, morsel, tables)
+
+    def _kernels(self, evaluator):
+        """``(source, ON or None, filters)``: the right item's source
+        over the left variables, the rest over the flattened rows."""
+        compiled = evaluator.compiled_batch
+        out_vars = frozenset(self.vars)
+        return (
+            compiled(self.right_item.expr, frozenset(self.left.vars)),
+            compiled(self.on, out_vars) if self.on is not None else None,
+            [compiled(p, out_vars) for p in self.filters],
+        )
+
+    def batch_kernels(self, evaluator):
+        if not self.native_chunks:
+            return []
+        source_fn, on_fn, filter_fns = self._kernels(evaluator)
+        return [source_fn] + ([on_fn] if on_fn is not None else []) + filter_fns
+
+    def _iter_lateral_chunks(self, evaluator, env, morsel, tables):
+        tracer = evaluator.tracer
+        trace = tracer.trace if tracer is not None else None
+        span = (
+            trace.begin(self.describe(), "operator") if trace is not None else None
+        )
+        source_fn, on_fn, filter_fns = self._kernels(evaluator)
+        item = self.right_item
+        config = evaluator.config
+        governor = evaluator.governor
+        tick = governor_tick(governor)
+        is_left = self.kind == "LEFT"
+        right_vars = self.right_vars
+        rows_in = 0
+        rows_out = 0
+        elapsed = 0.0
+        out: List[Binding] = []
+        source = self.left.iter_chunks(
+            evaluator, env, morsel=morsel, tables=tables
+        )
+        try:
+            while True:
+                started = perf_counter()
+                try:
+                    left_chunk = next(source)
+                except StopIteration:
+                    elapsed += perf_counter() - started
+                    break
+                #: Left rows below ``settled`` have had their LEFT pad
+                #: decided; ``matched`` marks rows that kept a binding.
+                settled = 0
+                matched = bytearray(len(left_chunk)) if is_left else None
+                pads = 0
+                pieces = flatten_lateral(
+                    item, left_chunk, source_fn(left_chunk, env), config,
+                    tick, want_owners=is_left,
+                )
+                for rows, owners in pieces:
+                    if on_fn is not None:
+                        verdicts = on_fn(rows, env)
+                        if is_left:
+                            owners = [
+                                owner
+                                for owner, verdict in zip(owners, verdicts)
+                                if verdict is True
+                            ]
+                        rows = [
+                            row
+                            for row, verdict in zip(rows, verdicts)
+                            if verdict is True
+                        ]
+                    if is_left:
+                        # Owners ascend, so a row of owner ``o`` proves
+                        # every earlier left row complete: pad those
+                        # that never matched, in left order.
+                        merged: List[Binding] = []
+                        for row, owner in zip(rows, owners):
+                            while settled < owner:
+                                if not matched[settled]:
+                                    merged.append(
+                                        pad_right_vars(
+                                            left_chunk[settled], right_vars
+                                        )
+                                    )
+                                    pads += 1
+                                settled += 1
+                            matched[owner] = 1
+                            merged.append(row)
+                        rows = merged
+                    rows_in += len(rows)
+                    if out:
+                        out.extend(rows)
+                    else:
+                        out = rows
+                    if len(out) >= CHUNK_ROWS:
+                        ready = _apply_filters(out, filter_fns, env)
+                        out = []
+                        rows_out += len(ready)
+                        elapsed += perf_counter() - started
+                        if ready:
+                            yield ready
+                        started = perf_counter()
+                if is_left:
+                    tail = [
+                        pad_right_vars(left_chunk[index], right_vars)
+                        for index in range(settled, len(left_chunk))
+                        if not matched[index]
+                    ]
+                    rows_in += len(tail)
+                    out.extend(tail)
+                    if governor is not None:
+                        _tick(governor, pads + len(tail))
+                elapsed += perf_counter() - started
+            started = perf_counter()
+            out = _apply_filters(out, filter_fns, env)
+            rows_out += len(out)
+            elapsed += perf_counter() - started
+            if out:
+                yield out
+        finally:
+            source.close()
+            if span is not None:
+                trace.end(span, {"rows_in": rows_in, "rows_out": rows_out})
+            if tracer is not None:
+                tracer.record_op(self, rows_in, rows_out, elapsed)
+
     def describe(self) -> str:
-        return f"NestedLoopJoin[{self.item.kind}] (correlated/lateral right side)"
+        from repro.syntax.printer import print_ast
+
+        on = f" ON {print_ast(self.on)}" if self.on is not None else ""
+        return f"Lateral[{self.kind}]{on}"
 
     def _child_lines(
         self, indent: int, tracer=None, worst_id: Optional[int] = None
@@ -532,15 +687,7 @@ class CorrelatedJoinOp(PlanOp):
         from repro.syntax.printer import print_ast
 
         lines = self.left.explain_lines(indent, tracer, worst_id)
-        prefix = "  " * indent
-        if isinstance(self.item.right, ast.FromCollection):
-            right = (
-                f"lateral: {print_ast(self.item.right.expr)} "
-                f"AS {self.item.right.alias}"
-            )
-        else:
-            right = f"lateral: {type(self.item.right).__name__}"
-        lines.append(prefix + right)
+        lines.append("  " * indent + "lateral: " + print_ast(self.right_item))
         return lines
 
 
@@ -600,9 +747,9 @@ class MaterializeJoinOp(PlanOp):
     def _child_lines(
         self, indent: int, tracer=None, worst_id: Optional[int] = None
     ) -> List[str]:
-        return self.left.explain_lines(
-            indent, tracer, worst_id
-        ) + self.right.explain_lines(indent, tracer, worst_id)
+        right = self.right.explain_lines(indent, tracer, worst_id)
+        right[0] += "  [materialized once]"
+        return self.left.explain_lines(indent, tracer, worst_id) + right
 
 
 class HashJoinOp(PlanOp):
@@ -789,37 +936,19 @@ class HashJoinOp(PlanOp):
                         out.append(pad_right_vars(left_binding, right_vars))
                         produced += 1
                 if governor is not None:
-                    for offset in range(0, produced, GOVERNOR_TICK):
-                        governor.add(min(GOVERNOR_TICK, produced - offset))
+                    _tick(governor, produced)
                 rows_in += produced
                 ready: Optional[List[Binding]] = None
                 if len(out) >= CHUNK_ROWS:
-                    ready = out
+                    ready = _apply_filters(out, filter_fns, env)
                     out = []
-                    for fn in filter_fns:
-                        if not ready:
-                            break
-                        verdicts = fn(ready, env)
-                        ready = [
-                            row
-                            for row, verdict in zip(ready, verdicts)
-                            if verdict is True
-                        ]
                     rows_out += len(ready)
                 elapsed += perf_counter() - started
                 if ready:
                     yield ready
             if out:
                 started = perf_counter()
-                for fn in filter_fns:
-                    if not out:
-                        break
-                    verdicts = fn(out, env)
-                    out = [
-                        row
-                        for row, verdict in zip(out, verdicts)
-                        if verdict is True
-                    ]
+                out = _apply_filters(out, filter_fns, env)
                 rows_out += len(out)
                 elapsed += perf_counter() - started
                 if out:
@@ -882,6 +1011,152 @@ def _rechunk(source: Iterator[Binding]) -> Iterator[List[Binding]]:
         close = getattr(source, "close", None)
         if close is not None:
             close()
+
+
+def _apply_filters(chunk: List[Binding], filter_fns, env) -> List[Binding]:
+    """The rows of ``chunk`` every pushed-filter kernel finds TRUE."""
+    for fn in filter_fns:
+        if not chunk:
+            break
+        verdicts = fn(chunk, env)
+        chunk = [row for row, verdict in zip(chunk, verdicts) if verdict is True]
+    return chunk
+
+
+def _tick(governor, produced: int) -> None:
+    """Account ``produced`` rows in steps of at most GOVERNOR_TICK, so a
+    breach reports a tally within one tick of the row path's."""
+    for offset in range(0, produced, GOVERNOR_TICK):
+        governor.add(min(GOVERNOR_TICK, produced - offset))
+
+
+def governor_tick(governor) -> Optional[Callable[[int], None]]:
+    """:func:`flatten_lateral`'s ``tick`` for a governor (None: no limits)."""
+    return partial(_tick, governor) if governor is not None else None
+
+
+def lateral_bindings(item: ast.FromItem, value: Any, config) -> Any:
+    """The ``(element, AT value)`` pairs one range/UNPIVOT source value
+    binds — the case analysis of ``Evaluator._iter_range_bindings`` and
+    ``Evaluator._unpivot_bindings``, lazily for a bag so a
+    :class:`LazyBag` is pulled element by element."""
+    if isinstance(item, ast.FromUnpivot):
+        if isinstance(value, Struct):
+            return [(attr_value, name) for name, attr_value in value._pairs]
+        if not config.is_permissive:
+            raise TypeCheckError(f"UNPIVOT expects a tuple, got {type_name(value)}")
+        if value is None or value is MISSING:
+            return ()
+        return ((value, "_1"),)  # permissive: a non-tuple is {'_1': value}
+    if isinstance(value, list):
+        return zip(value, range(len(value)))
+    if isinstance(value, Bag):
+        return zip(value, repeat(MISSING))  # bags have no positions
+    if not config.is_permissive:
+        raise TypeCheckError(f"FROM expects a collection, got {type_name(value)}")
+    if value is None or value is MISSING:
+        return ()
+    return ((value, MISSING),)
+
+
+def flatten_lateral(
+    item: ast.FromItem,
+    rows: List[Binding],
+    column: List[Any],
+    config,
+    tick: Optional[Callable[[int], None]],
+    want_owners: bool,
+) -> Iterator[Tuple[List[Binding], List[int]]]:
+    """Range a FromCollection / FromUnpivot item over ``column`` (its
+    source evaluated per row of ``rows``), yielding ``(flat, owners)``
+    slices: each row extended with each binding its value produces, and
+    (when ``want_owners``) the index of the row every flat row extends.
+
+    Slices are cut at ~CHUNK_ROWS whatever the collections' sizes, so a
+    row holding a huge or lazy collection never materializes it whole;
+    ``tick`` (the governor's accounting, :func:`governor_tick`) is told
+    of the rows produced since its last call.
+    """
+    unpivot = isinstance(item, ast.FromUnpivot)
+    alias = item.value_alias if unpivot else item.alias
+    at = item.at_alias
+    #: The overwhelmingly common source: a materialized array (tuple,
+    #: for UNPIVOT) of chunk size or less.  Runs of them flatten in one
+    #: comprehension; anything else takes ``lateral_bindings``.
+    simple = Struct if unpivot else list
+    flat: List[Binding] = []
+    owners: List[int] = []
+
+    def extend_run(start: int, stop: int) -> None:
+        pairs = zip(rows[start:stop], column[start:stop])
+        if unpivot:
+            flat.extend(
+                [
+                    {**row, alias: attr_value, at: name}
+                    for row, value in pairs
+                    for name, attr_value in value._pairs
+                ]
+            )
+        elif at:
+            flat.extend(
+                [
+                    {**row, alias: element, at: position}
+                    for row, value in pairs
+                    for position, element in enumerate(value)
+                ]
+            )
+        else:
+            flat.extend(
+                [{**row, alias: element} for row, value in pairs for element in value]
+            )
+        if want_owners:
+            sizes = map(len, column[start:stop])
+            owners.extend(
+                chain.from_iterable(map(repeat, range(start, stop), sizes))
+            )
+
+    start = size = 0  # the pending run column[start:owner] and its row count
+    for owner, value in enumerate(column):
+        quick = type(value) is simple and len(value) <= CHUNK_ROWS
+        if quick and size + len(value) <= CHUNK_ROWS:
+            size += len(value)
+            continue
+        if size:
+            extend_run(start, owner)
+            if tick is not None:
+                tick(size)
+            if len(flat) >= CHUNK_ROWS:
+                yield flat, owners
+                flat, owners = [], []
+        if quick:
+            start, size = owner, len(value)
+            continue
+        start, size = owner + 1, 0
+        row = rows[owner]
+        pending = 0
+        for element, position in lateral_bindings(item, value, config):
+            binding = {**row, alias: element}
+            if at:
+                binding[at] = position
+            flat.append(binding)
+            if want_owners:
+                owners.append(owner)
+            pending += 1
+            if pending >= GOVERNOR_TICK:
+                if tick is not None:
+                    tick(pending)
+                pending = 0
+            if len(flat) >= CHUNK_ROWS:
+                yield flat, owners
+                flat, owners = [], []
+        if pending and tick is not None:
+            tick(pending)
+    if size:
+        extend_run(start, len(column))
+        if tick is not None:
+            tick(size)
+    if flat:
+        yield flat, owners
 
 
 def _key_tuple(key_fns, env) -> Optional[Tuple]:

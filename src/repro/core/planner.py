@@ -15,11 +15,16 @@ rewrites it can fire:
   instead of re-enumerated per left binding;
 * **materialize-once** — an uncorrelated later FROM item in a comma
   cross product is enumerated once instead of once per upstream
-  binding;
+  binding (``FROM a, b`` is ``a INNER JOIN b ON TRUE``: the same
+  :class:`~repro.core.plan_ops.MaterializeJoinOp`);
 * **predicate-pushdown** — WHERE conjuncts over a single FROM item's
   variables are evaluated during that item's enumeration, before the
   cross product is materialized; conjuncts over a prefix of items are
-  applied as soon as the prefix is complete.
+  applied by the operator that completes the prefix.
+
+Comma-separated FROM items fold left-deep into the block's one operator
+tree; a later item that mentions an earlier variable becomes a
+:class:`~repro.core.plan_ops.LateralJoinOp`.
 
 Fallback rules (the reference semantics run unchanged) — see
 docs/PLANNER.md:
@@ -28,8 +33,8 @@ docs/PLANNER.md:
   observable through raised errors, so no block is planned at all
   (:func:`plan_refusal` — with ``optimize=False`` and FROM-less blocks,
   the only blocks without a plan);
-* correlated (lateral) right sides: the reference nested loop runs,
-  via :class:`~repro.core.plan_ops.CorrelatedJoinOp`;
+* correlated (lateral) right sides never hash or materialize: they
+  re-range per left binding (:class:`~repro.core.plan_ops.LateralJoinOp`);
 * pushdown is skipped when the block has LET clauses (LET evaluates
   between FROM and WHERE in the reference pipeline);
 * a conjunct is only relocated when it is *relocatable*: built from
@@ -48,9 +53,9 @@ from typing import List, Optional, Set, Tuple
 
 from repro.config import EvalConfig
 from repro.core.plan_ops import (
-    CorrelatedJoinOp,
     EmptyOp,
     HashJoinOp,
+    LateralJoinOp,
     MaterializeJoinOp,
     PlanOp,
     ScanOp,
@@ -157,22 +162,11 @@ _and_fold = and_fold
 
 
 @dataclass
-class ItemPlan:
-    """One top-level FROM item: its operator plus cross-product hints."""
+class BlockPlan:
+    """The physical plan for one query block's FROM + WHERE stages: one
+    operator tree, whatever the number of FROM items."""
 
     op: PlanOp
-    #: Independent of every earlier item's variables → enumerate once.
-    uncorrelated: bool = False
-    #: Pushed conjuncts over a *prefix* of items, applied right after
-    #: this item extends the binding stream.
-    prefix_filters: List[ast.Expr] = field(default_factory=list)
-
-
-@dataclass
-class BlockPlan:
-    """The physical plan for one query block's FROM + WHERE stages."""
-
-    items: List[ItemPlan]
     residual_where: Optional[ast.Expr]
     rewrites: List[str]
     #: ``stats: <collection>: rows=…`` EXPLAIN lines, one per scanned
@@ -198,52 +192,20 @@ class BlockPlan:
         """Stream the block's binding environments (replaces the
         reference FROM loop and part of the WHERE in ``eval_block``).
 
-        Pipelined: each upstream environment flows through the item
-        chain as soon as it exists, so a downstream consumer that stops
-        pulling (LIMIT, top-K, EXISTS) stops every operator.  The
-        materialize-once rewrite survives streaming — an uncorrelated
-        item is enumerated a single time, caching its rows while the
-        first upstream environment streams through and replaying the
-        cache for later ones.  An item is never enumerated before the
-        upstream stream produces an environment, matching the reference
-        pipeline's behavior on empty streams (error parity).
+        Pipelined: the tree's probe sides stream, so a downstream
+        consumer that stops pulling (LIMIT, top-K, EXISTS) closes every
+        operator; a right side is never enumerated before its left side
+        produces a row, matching the reference pipeline's behavior on
+        empty streams (error parity).
         """
-        stream = iter((env,))
-        for item_plan in self.items:
-            stream = self._extend_stream(evaluator, env, stream, item_plan)
-        return stream
-
-    def _extend_stream(self, evaluator, root_env, upstream, item_plan):
-        governor = evaluator.governor
-        fns = [evaluator.compiled(p) for p in item_plan.prefix_filters]
-        if item_plan.uncorrelated:
-            # Uncorrelated: the operator's rows do not depend on the
-            # upstream environment, so enumerate against the root
-            # environment once and replay for later upstream rows.  The
-            # replayed cross product can explode on its own; account
-            # for replayed extensions in the governor per row.
-            cache = None
-            for current in upstream:
-                if cache is None:
-                    cache = []
-                    for row in item_plan.op.iter_bindings(evaluator, root_env):
-                        cache.append(row)
-                        extended = current.extend(row)
-                        if not fns or all(fn(extended) is True for fn in fns):
-                            yield extended
-                else:
-                    for row in cache:
-                        if governor is not None:
-                            governor.add(1)
-                        extended = current.extend(row)
-                        if not fns or all(fn(extended) is True for fn in fns):
-                            yield extended
-        else:
-            for current in upstream:
-                for row in item_plan.op.iter_bindings(evaluator, current):
-                    extended = current.extend(row)
-                    if not fns or all(fn(extended) is True for fn in fns):
-                        yield extended
+        source = self.op.iter_bindings(evaluator, env)
+        try:
+            for row in source:
+                yield env.extend(row)
+        finally:
+            close = getattr(source, "close", None)
+            if close is not None:
+                close()
 
     def explain(self, tracer=None) -> str:
         """The plan as text; with a tracer, annotated with runtime stats
@@ -252,16 +214,9 @@ class BlockPlan:
         from repro.syntax.printer import print_ast
 
         worst_id = (
-            _worst_misestimate(self.items, tracer) if tracer is not None else None
+            _worst_misestimate(self.op, tracer) if tracer is not None else None
         )
-        lines = ["FROM"]
-        for item_plan in self.items:
-            op_lines = item_plan.op.explain_lines(1, tracer, worst_id)
-            if item_plan.uncorrelated and len(self.items) > 1:
-                op_lines[0] += "  [materialized once]"
-            lines.extend(op_lines)
-            for predicate in item_plan.prefix_filters:
-                lines.append(f"  filter (prefix): {print_ast(predicate)}")
+        lines = ["FROM"] + self.op.explain_lines(1, tracer, worst_id)
         if self.pruned is not None:
             lines.append(f"pruned: {self.pruned}")
         lines.extend(self.stats_lines)
@@ -340,31 +295,41 @@ def plan_block(
                     if name not in variables:
                         variables.append(name)
             return BlockPlan(
-                items=[ItemPlan(op=EmptyOp(variables, reason))],
+                op=EmptyOp(variables, reason),
                 residual_where=None,
                 rewrites=[f"prune-empty: {reason}"],
                 pruned=reason,
             )
 
     rewrites: List[str] = []
-    item_plans: List[ItemPlan] = []
     item_var_sets: List[Set[str]] = []
-    prev_vars: Set[str] = set()
+    bound: List[str] = []
+    op: Optional[PlanOp] = None
     for index, item in enumerate(block.from_):
-        op = _plan_item(item, rewrites)
-        names = free_names(item)
-        uncorrelated = not (names & prev_vars)
-        if uncorrelated and index > 0:
-            rewrites.append(f"materialize-once: FROM item #{index + 1}")
-        item_plans.append(ItemPlan(op=op, uncorrelated=uncorrelated))
-        variables = set(item_vars(item))
-        item_var_sets.append(variables)
-        prev_vars |= variables
+        right_vars = item_vars(item)
+        if op is None:
+            op = _plan_item(item, rewrites)
+        else:
+            # ``FROM a, b`` is ``a INNER JOIN b ON TRUE`` with the
+            # paper's left-correlation: fold it into the one tree.
+            if free_names(item) & set(bound):
+                op = LateralJoinOp(op, item, "INNER", None, right_vars)
+            else:
+                op = MaterializeJoinOp(
+                    op, _plan_item(item, rewrites), "INNER", None, right_vars
+                )
+                rewrites.append(f"materialize-once: FROM item #{index + 1}")
+            op.vars = bound + [name for name in right_vars if name not in bound]
+        bound = list(op.vars)
+        item_var_sets.append(set(right_vars))
 
     residual_where = block.where
     # Pushdown is only safe when nothing evaluates between FROM and
-    # WHERE in the reference pipeline (LET does).
-    if block.where is not None and not block.lets:
+    # WHERE in the reference pipeline (LET does), and only sound when no
+    # item rebinds an earlier item's variable (the conjunct would bind
+    # to the wrong one below the rebinding).
+    distinct = sum(len(variables) for variables in item_var_sets) == len(bound)
+    if block.where is not None and not block.lets and distinct:
         conjuncts: List[ast.Expr] = []
         for conjunct in split_conjuncts(block.where):
             # A literal TRUE conjunct filters nothing and cannot raise
@@ -376,7 +341,7 @@ def plan_block(
             conjuncts.append(conjunct)
         residual: List[ast.Expr] = []
         for conjunct in conjuncts:
-            if not _push_conjunct(conjunct, item_plans, item_var_sets, rewrites):
+            if not _push_conjunct(conjunct, op, item_var_sets, rewrites):
                 residual.append(conjunct)
         if len(residual) < len(split_conjuncts(block.where)):
             residual_where = _and_fold(residual)
@@ -384,18 +349,15 @@ def plan_block(
     stats_lines: List[str] = []
     order_line: Optional[str] = None
     if stats is not None:
-        stats_lines = _stats_lines(item_plans, stats)
-        if len(item_plans) == 1:
-            order_line = _maybe_reorder(
-                item_plans[0], stats, reorder_ok, rewrites
-            )
+        stats_lines = _stats_lines(op, stats)
+        op, order_line = _maybe_reorder(op, stats, reorder_ok, rewrites)
         # After any reorder (it replaces operators): pin the planner's
         # row estimate onto every operator, so EXPLAIN ANALYZE can show
         # est= next to actual= and the query store can compute q-errors.
-        annotate_estimates(item_plans, stats)
+        _estimate_op(op, stats)
 
     return BlockPlan(
-        items=item_plans,
+        op=op,
         residual_where=residual_where,
         rewrites=rewrites,
         stats_lines=stats_lines,
@@ -405,7 +367,7 @@ def plan_block(
 
 def _push_conjunct(
     conjunct: ast.Expr,
-    item_plans: List[ItemPlan],
+    op: PlanOp,
     item_var_sets: List[Set[str]],
     rewrites: List[str],
 ) -> bool:
@@ -416,31 +378,28 @@ def _push_conjunct(
     names = free_names(conjunct)
     if not names or not is_relocatable(conjunct):
         return False
-    # Single-item conjunct: filter during that item's enumeration.
+    # Single-item conjunct: filter during that item's enumeration (or,
+    # for a lateral item, on the operator that ranges over it).
+    target = None
     for index, variables in enumerate(item_var_sets):
         if names <= variables:
-            _attach_filter(item_plans[index].op, conjunct, names)
-            rewrites.append(
-                f"predicate-pushdown: {print_ast(conjunct)} "
-                f"→ FROM item #{index + 1}"
-            )
-            return True
-    # Prefix conjunct: apply right after the earliest prefix that binds
-    # every referenced variable (worthless on the last item — that is
-    # just WHERE).
-    prefix: Set[str] = set()
-    for index, variables in enumerate(item_var_sets):
-        prefix |= variables
-        if names <= prefix:
-            if index >= len(item_var_sets) - 1:
-                return False
-            item_plans[index].prefix_filters.append(conjunct)
-            rewrites.append(
-                f"predicate-pushdown: {print_ast(conjunct)} "
-                f"→ after FROM item #{index + 1}"
-            )
-            return True
-    return False
+            target = f"FROM item #{index + 1}"
+            break
+    else:
+        # Prefix conjunct: the operator completing the earliest prefix
+        # that binds every referenced variable applies it (worthless on
+        # the last item — that is just WHERE).
+        prefix: Set[str] = set()
+        for index, variables in enumerate(item_var_sets[:-1]):
+            prefix |= variables
+            if names <= prefix:
+                target = f"after FROM item #{index + 1}"
+                break
+    if target is None:
+        return False
+    _attach_filter(op, conjunct, names)
+    rewrites.append(f"predicate-pushdown: {print_ast(conjunct)} → {target}")
+    return True
 
 
 def _attach_filter(op: PlanOp, conjunct: ast.Expr, names: Set[str]) -> None:
@@ -448,7 +407,7 @@ def _attach_filter(op: PlanOp, conjunct: ast.Expr, names: Set[str]) -> None:
     its variables.  Never descends into the padded (right) side of a
     LEFT join: filtering there before padding would change which rows
     get padded."""
-    if isinstance(op, (HashJoinOp, MaterializeJoinOp, CorrelatedJoinOp)):
+    if isinstance(op, (HashJoinOp, MaterializeJoinOp, LateralJoinOp)):
         if names <= set(op.left.vars):
             _attach_filter(op.left, conjunct, names)
             return
@@ -477,8 +436,7 @@ def _plan_join(item: ast.FromJoin, rewrites: List[str]) -> PlanOp:
     op: PlanOp
     if right_names & left_vars:
         # Lateral right side: the paper's left-correlation semantics.
-        op = CorrelatedJoinOp(left_op, item)
-        op.right_vars = right_vars
+        op = LateralJoinOp(left_op, item.right, item.kind, item.on, right_vars)
     else:
         right_op = _plan_item(item.right, rewrites)
         split = None
@@ -534,23 +492,22 @@ def _scan_ops(op: PlanOp) -> List[ScanOp]:
     return result
 
 
-def _stats_lines(item_plans: List[ItemPlan], stats) -> List[str]:
+def _stats_lines(op: PlanOp, stats) -> List[str]:
     """One ``stats:`` line per scanned collection with statistics."""
     from repro.catalog.statistics import source_name
 
     lines: List[str] = []
     seen: Set[str] = set()
-    for item_plan in item_plans:
-        for scan in _scan_ops(item_plan.op):
-            if not isinstance(scan.item, ast.FromCollection):
-                continue
-            name = source_name(scan.item.expr)
-            if name is None or name in seen:
-                continue
-            seen.add(name)
-            collected = stats.stats_for(name)
-            if collected is not None:
-                lines.append(f"stats: {name}: {collected.summary()}")
+    for scan in _scan_ops(op):
+        if not isinstance(scan.item, ast.FromCollection):
+            continue
+        name = source_name(scan.item.expr)
+        if name is None or name in seen:
+            continue
+        seen.add(name)
+        collected = stats.stats_for(name)
+        if collected is not None:
+            lines.append(f"stats: {name}: {collected.summary()}")
     return lines
 
 
@@ -580,16 +537,16 @@ class _JoinEdge:
 
 
 def _maybe_reorder(
-    item_plan: ItemPlan, stats, reorder_ok: bool, rewrites: List[str]
-) -> Optional[str]:
+    op: PlanOp, stats, reorder_ok: bool, rewrites: List[str]
+) -> Tuple[PlanOp, Optional[str]]:
     """Cost the join order of a pure-inner hash-join tree; reorder it
-    greedily when allowed and profitable.  Returns the EXPLAIN
-    ``order:`` line (also produced when the order is merely *costed*,
-    so EXPLAIN shows the decision either way), or None when the shape
-    does not qualify."""
-    flattened = _flatten_inner_joins(item_plan.op, stats)
+    greedily when allowed and profitable.  Returns the tree to run and
+    the EXPLAIN ``order:`` line (also produced when the order is merely
+    *costed*, so EXPLAIN shows the decision either way; None when the
+    shape does not qualify)."""
+    flattened = _flatten_inner_joins(op, stats)
     if flattened is None:
-        return None
+        return op, None
     leaves, edges, predicates = flattened
     syntactic = list(range(len(leaves)))
     total_rows = sum(leaf.stats.row_count for leaf in leaves)
@@ -598,13 +555,15 @@ def _maybe_reorder(
         chosen = _greedy_order(leaves, edges, stats)
     order_text = " ⋈ ".join(leaves[i].alias for i in chosen)
     if chosen == syntactic:
-        return f"order: {order_text} (syntactic)"
+        return op, f"order: {order_text} (syntactic)"
     syntactic_text = " ⋈ ".join(leaf.alias for leaf in leaves)
-    item_plan.op = _rebuild_join_tree(leaves, edges, predicates, chosen)
     rewrites.append(
         f"join-reorder: {order_text} (syntactic: {syntactic_text})"
     )
-    return f"order: {order_text} (syntactic: {syntactic_text})"
+    return (
+        _rebuild_join_tree(leaves, edges, predicates, chosen),
+        f"order: {order_text} (syntactic: {syntactic_text})",
+    )
 
 
 def _flatten_inner_joins(op: PlanOp, stats):
@@ -965,6 +924,35 @@ def join_feedback_key(op: PlanOp) -> Optional[str]:
     return _join_key_text(op.kind, names, key_texts, predicate_texts)
 
 
+def lateral_feedback_key(op: PlanOp) -> Optional[str]:
+    """The feedback-hint key for a lateral operator whose left side has
+    a key of its own (so the hint is pinned to the collections, filters
+    and joins that feed it), or None."""
+    from repro.syntax.printer import print_ast
+
+    if not isinstance(op, LateralJoinOp) or not op.native_chunks:
+        return None
+    left = feedback_key(op.left)
+    if left is None:
+        return None
+    unpivot = "unpivot " if isinstance(op.right_item, ast.FromUnpivot) else ""
+    on = print_ast(op.on) if op.on is not None else ""
+    filters = ",".join(sorted(print_ast(p) for p in op.filters))
+    return (
+        f"lateral[{op.kind}]|{left}|{unpivot}{print_ast(op.right_item.expr)}"
+        f"|{on}|{filters}"
+    )
+
+
+def feedback_key(op: PlanOp) -> Optional[str]:
+    """The feedback-hint key of an operator of any kind that has one."""
+    return (
+        scan_feedback_key(op)
+        or join_feedback_key(op)
+        or lateral_feedback_key(op)
+    )
+
+
 def _join_key_text(
     kind: str,
     names: List[str],
@@ -998,15 +986,10 @@ def _pair_feedback_key(
     return _join_key_text("INNER", [leaf_a.name, leaf_b.name], key_texts, [])
 
 
-def annotate_estimates(item_plans: List[ItemPlan], stats) -> None:
-    """Pin ``est_rows`` onto every operator of every item plan."""
-    for item_plan in item_plans:
-        _estimate_op(item_plan.op, stats)
-
-
 def _estimate_op(op: PlanOp, stats) -> Optional[float]:
     """Estimate one operator's output rows (children first); None means
-    the planner has no basis (lateral join, statistics-free source)."""
+    the planner has no basis (statistics-free source, lateral join
+    without feedback)."""
     from repro.catalog.statistics import source_name
 
     feedback = getattr(stats, "feedback_rows", None)
@@ -1064,10 +1047,16 @@ def _estimate_op(op: PlanOp, stats) -> Optional[float]:
             for _ in op.filters:
                 estimate *= 0.5
             estimate = max(estimate, 1.0)
-    elif isinstance(op, CorrelatedJoinOp):
-        # The lateral right side re-evaluates per left binding; without
-        # per-binding statistics no honest estimate exists (est=?).
+    elif isinstance(op, LateralJoinOp):
+        # The right item re-ranges per left binding and the catalog
+        # keeps no per-binding statistics, so the model has no basis
+        # (est=?); an observed actual for this exact shape does.
         _estimate_op(op.left, stats)
+        if feedback is not None:
+            hint = feedback(lateral_feedback_key(op))
+            if hint is not None:
+                estimate = max(float(hint), 1.0)
+                op.est_source = "feedback"
     op.est_rows = estimate
     return estimate
 
@@ -1100,7 +1089,7 @@ def _key_divisor(op: HashJoinOp, stats) -> Optional[float]:
     return best
 
 
-def _worst_misestimate(items: List[ItemPlan], tracer) -> Optional[int]:
+def _worst_misestimate(root: PlanOp, tracer) -> Optional[int]:
     """``id()`` of the operator with the largest q-error, or None.
 
     Only misestimates of at least 2× get flagged — an accurate plan's
@@ -1109,16 +1098,15 @@ def _worst_misestimate(items: List[ItemPlan], tracer) -> Optional[int]:
 
     worst_id: Optional[int] = None
     worst_q = 2.0
-    for item_plan in items:
-        for op in walk_plan_ops(item_plan.op):
-            estimate = getattr(op, "est_rows", None)
-            if estimate is None:
-                continue
-            stats = tracer.op_stats(op)
-            if stats is None:
-                continue
-            q = q_error(estimate, stats.rows_out)
-            if q >= worst_q:
-                worst_q = q
-                worst_id = id(op)
+    for op in walk_plan_ops(root):
+        estimate = getattr(op, "est_rows", None)
+        if estimate is None:
+            continue
+        stats = tracer.op_stats(op)
+        if stats is None:
+            continue
+        q = q_error(estimate, stats.rows_out)
+        if q >= worst_q:
+            worst_q = q
+            worst_id = id(op)
     return worst_id

@@ -15,8 +15,8 @@ each chunk), which is exactly the order ``optimize=False`` evaluates
 in, so any error the batch path surfaces is one the reference
 semantics surfaces too.  The entry point is gated by
 ``Evaluator._batch_decision`` — permissive mode, the top-level query or
-an uncorrelated derived table, a single FROM item, no LIMIT/OFFSET — and
-anything the gate rejects stays on the streaming path.
+an uncorrelated derived table, no LIMIT/OFFSET — and anything the gate
+rejects stays on the streaming path.
 
 Aggregate decomposition
 -----------------------
@@ -481,7 +481,6 @@ class BlockKernels:
     var_order: List[str]
     let_names: List[str]
     decomp: Optional[Decomposition]
-    prefix_fns: List[Callable]
     let_fns: List[Tuple[str, Callable]]
     residual_fn: Optional[Callable]
     key_fns: List[Callable]
@@ -493,7 +492,7 @@ class BlockKernels:
     select_fn: Optional[Callable]
 
     def all(self) -> List[Callable]:
-        fns = self.prefix_fns + [fn for __, fn in self.let_fns]
+        fns = [fn for __, fn in self.let_fns]
         fns += self.key_fns + self.value_fns
         fns += [self.residual_fn, self.having_fn, self.select_fn]
         return [fn for fn in fns if fn is not None]
@@ -507,7 +506,6 @@ def block_kernels(evaluator, body: ast.QueryBlock, plan) -> BlockKernels:
     let_names = [let.name for let in body.lets]
     row_vars = tuple(var_order) + tuple(let_names)
     row_var_set = frozenset(row_vars)
-    from_vars = frozenset(var_order)
 
     decomp: Optional[Decomposition] = None
     if body.group_by is not None:
@@ -528,10 +526,6 @@ def block_kernels(evaluator, body: ast.QueryBlock, plan) -> BlockKernels:
         var_order=var_order,
         let_names=let_names,
         decomp=decomp,
-        prefix_fns=[
-            compiled(predicate, from_vars)
-            for predicate in plan.items[0].prefix_filters
-        ],
         let_fns=[
             (let.name, compiled(let.expr, frozenset(var_order + let_names[:index])))
             for index, let in enumerate(body.lets)
@@ -551,19 +545,17 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
     The caller has already verified the gate
     (``Evaluator._batch_decision``): permissive mode, optimization on,
     the top-level query or a block evaluated in the top-level
-    environment, a physical plan with a single FROM item, no
-    LIMIT/OFFSET, and not GROUP BY + ORDER BY together.
+    environment, no LIMIT/OFFSET, and not GROUP BY + ORDER BY together.
     """
     config = evaluator.config
     tracer = evaluator.tracer
-    item_plan = plan.items[0]
-    op = item_plan.op
+    op = plan.op
 
     kernels = block_kernels(evaluator, body, plan)
     var_order, let_names = kernels.var_order, kernels.let_names
     row_vars = tuple(var_order) + tuple(let_names)
     decomp = kernels.decomp
-    prefix_fns, let_fns = kernels.prefix_fns, kernels.let_fns
+    let_fns = kernels.let_fns
     residual_fn = kernels.residual_fn
     key_fns, value_fns = kernels.key_fns, kernels.value_fns
 
@@ -621,16 +613,11 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
 
         parallel_mode = (
             "fold"
-            if (
-                folding
-                and not let_fns
-                and residual_fn is None
-                and not prefix_fns
-            )
+            if folding and not let_fns and residual_fn is None
             else "rows"
         )
         outcome = try_parallel(
-            evaluator, item_plan, env, parallel_mode, decomp, row_vars
+            evaluator, op, env, parallel_mode, decomp, row_vars
         )
         if outcome is not None:
             ran_parallel = True
@@ -642,19 +629,7 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
             if outcome.mode == "fold":
                 group_order, groups = outcome.order, outcome.groups
             else:
-                rows = outcome.rows
-                if prefix_fns:
-                    for fn in prefix_fns:
-                        if not rows:
-                            break
-                        verdicts = fn(rows, env)
-                        rows = [
-                            row
-                            for row, verdict in zip(rows, verdicts)
-                            if verdict is True
-                        ]
-                    from_stage.rows = len(rows)
-                process_chunk(rows)
+                process_chunk(outcome.rows)
 
     if not ran_parallel:
         source = op.iter_chunks(evaluator, env)
@@ -666,16 +641,6 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
                 except StopIteration:
                     from_stage.elapsed += perf_counter() - started
                     break
-                if prefix_fns:
-                    for fn in prefix_fns:
-                        if not chunk:
-                            break
-                        verdicts = fn(chunk, env)
-                        chunk = [
-                            row
-                            for row, verdict in zip(chunk, verdicts)
-                            if verdict is True
-                        ]
                 from_stage.rows += len(chunk)
                 from_stage.elapsed += perf_counter() - started
                 if chunk:
@@ -904,7 +869,7 @@ def _explain_block(
     items: List[ast.FromItem] = []
     if plan is not None:
         lines.append(f"{label}: batch")
-        ops_ = walk_ops(plan.items[0].op)
+        ops_ = walk_ops(plan.op)
         fns = block_kernels(evaluator, body, plan).all()
         for op in ops_:
             fns.extend(op.batch_kernels(evaluator))
@@ -917,16 +882,14 @@ def _explain_block(
         lines.append(f"{label}: {executor} ({reason})")
         stream_plan = evaluator._stream_plan(body)
         if stream_plan is not None:
-            # Enumerated in the block's own environment: the first FROM
-            # item's tree and every uncorrelated item's (a lateral right
-            # side is not an operator, so the walk never reaches one).
-            for index, item_plan in enumerate(stream_plan.items):
-                if index == 0 or item_plan.uncorrelated:
-                    items.extend(
-                        op.item
-                        for op in walk_ops(item_plan.op)
-                        if isinstance(op, ScanOp)
-                    )
+            # Every scan of the tree is enumerated in the block's own
+            # environment (a lateral right side is not an operator, so
+            # the walk never reaches one).
+            items = [
+                op.item
+                for op in walk_ops(stream_plan.op)
+                if isinstance(op, ScanOp)
+            ]
         elif body.from_:
             leftmost = body.from_[0]
             while isinstance(leftmost, ast.FromJoin):

@@ -143,26 +143,22 @@ def record_plan_feedback(plan, tracer, provider) -> bool:
     """Record observed scan/join output rows into the provider's
     feedback hints.  True when any hint changed enough to replan.
 
-    Only single-item plans qualify: a multi-item cross product replays
-    uncorrelated items per upstream row, so an operator's total
-    ``rows_out`` is not that operator's per-enumeration cardinality.
-    The caller guarantees the run completed (status ok) and was not cut
-    short by LIMIT/OFFSET — a truncated count would poison the hints.
+    Every operator of the block's one tree is enumerated once per
+    execution (build and materialized right sides included), so its
+    ``rows_out`` is its cardinality.  The caller guarantees the run
+    completed (status ok) and was not cut short by LIMIT/OFFSET — a
+    truncated count would poison the hints.
     """
-    from repro.core.planner import (
-        join_feedback_key,
-        scan_feedback_key,
-        walk_plan_ops,
-    )
+    from repro.core.planner import feedback_key, walk_plan_ops
 
-    if plan is None or len(plan.items) != 1:
+    if plan is None:
         return False
     changed = False
-    for op in walk_plan_ops(plan.items[0].op):
+    for op in walk_plan_ops(plan.op):
         stats = tracer.op_stats(op)
         if stats is None:
             continue
-        key = scan_feedback_key(op) or join_feedback_key(op)
+        key = feedback_key(op)
         if key is None:
             continue
         if provider.record_feedback(key, float(stats.rows_out)):
@@ -178,17 +174,16 @@ def plan_max_qerror(plan, tracer) -> Optional[float]:
     if plan is None:
         return None
     worst: Optional[float] = None
-    for item_plan in plan.items:
-        for op in walk_plan_ops(item_plan.op):
-            estimate = getattr(op, "est_rows", None)
-            if estimate is None:
-                continue
-            stats = tracer.op_stats(op)
-            if stats is None:
-                continue
-            q = q_error(estimate, stats.rows_out)
-            if worst is None or q > worst:
-                worst = q
+    for op in walk_plan_ops(plan.op):
+        estimate = getattr(op, "est_rows", None)
+        if estimate is None:
+            continue
+        stats = tracer.op_stats(op)
+        if stats is None:
+            continue
+        q = q_error(estimate, stats.rows_out)
+        if worst is None or q > worst:
+            worst = q
     return worst
 
 

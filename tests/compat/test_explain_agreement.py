@@ -1,7 +1,7 @@
 """EXPLAIN, EXPLAIN ANALYZE and ``execute`` tell one story.
 
-For every compat-kit case and every ``batch_analytics`` template of the
-layered benchmark: the ``executor:``/``kernels:`` lines ``explain_plan``
+For every compat-kit case and every ``batch_analytics`` and
+``nested_streaming`` template of the layered benchmark: the ``executor:``/``kernels:`` lines ``explain_plan``
 prints, the ones ``explain_analyze`` prints, and the
 ``batched``/``streamed`` flags a plain ``execute`` records all name the
 same executor — EXPLAIN is a view of the evaluator's own decisions, and
@@ -58,7 +58,7 @@ def test_kit_case(case):
         assert case.expect_error
 
 
-def test_batch_analytics_templates(monkeypatch):
+def harness_modules(monkeypatch):
     # The harness modules import each other by bare name (run.py's way).
     monkeypatch.syspath_prepend(str(LAYERED))
     try:
@@ -67,6 +67,11 @@ def test_batch_analytics_templates(monkeypatch):
     finally:
         for name in ("workloads", "datagen", "oracles"):
             sys.modules.pop(name, None)
+    return datagen, workloads
+
+
+def test_batch_analytics_templates(monkeypatch):
+    datagen, workloads = harness_modules(monkeypatch)
     db = Database()
     db.set("orders", datagen.orders(1, 300, 30))
     db.set("users", datagen.users(1, 30))
@@ -74,3 +79,41 @@ def test_batch_analytics_templates(monkeypatch):
     for template in workloads.BATCH_TEMPLATES:
         assert_one_story(db, template.sql)
         assert db.metrics.last.batched, template.name
+
+
+#: ``nested_streaming`` template -> the executor its top-level block runs
+#: on.  Comma-unnest, UNPIVOT and the subqueries over a row's own
+#: collection are batch; bounded consumers stream; windows need the
+#: whole input.
+NESTED_EXECUTORS = {
+    "unnest": "batch", "unnest_group": "batch", "group_as": "batch",
+    "topk": "stream", "limit_early": "stream", "exists_nested": "batch",
+    "nested_select": "batch", "unpivot": "batch", "hetero_group": "batch",
+    "hetero_tags": "batch", "window_rank": "reference", "construct": "batch",
+}
+
+
+def test_nested_streaming_templates(monkeypatch):
+    datagen, workloads = harness_modules(monkeypatch)
+    db = Database()
+    db.set("hr.emp", datagen.employees(1, 120))
+    db.set("events", datagen.events(1, 120, dirty=True))
+    db.set("prices", datagen.prices(1, 20))
+    assert {t.name for t in workloads.NESTED_TEMPLATES} == set(NESTED_EXECUTORS)
+    for template in workloads.NESTED_TEMPLATES:
+        assert_one_story(db, template.sql)
+        plan = db.explain_plan(template.sql)
+        executor, kernels = executor_lines(plan)[0], plan.splitlines()[-1]
+        assert executor.split()[1] == NESTED_EXECUTORS[template.name], (
+            template.name, executor,
+        )
+        if template.name in ("unnest", "unnest_group", "unpivot", "hetero_tags"):
+            assert kernels.endswith("no env-space fallback"), (template.name, kernels)
+        if template.name in ("exists_nested", "nested_select"):
+            assert "[Exists]" not in kernels and "[SubqueryExpr]" not in kernels
+    # A subquery the kernel does not admit is still listed.
+    kernels = db.explain_plan(
+        "SELECT e.id AS id, (SELECT VALUE p.name FROM e.projects AS p "
+        "ORDER BY p.hours LIMIT 1) AS top FROM hr.emp AS e"
+    ).splitlines()[-1]
+    assert "[SubqueryExpr]" in kernels

@@ -75,14 +75,17 @@ class TestBatchedFlag:
         )
         assert db.metrics.last.batched is False
 
-    def test_comma_join_plans_two_items_and_streams(self, db):
-        # A comma join keeps two plan items (no ON clause to hash on);
-        # the chunk protocol drives exactly one operator tree.
-        db.execute(
+    def test_comma_join_folds_into_one_tree_and_batches(self, db):
+        # ``FROM a, b`` is ``a INNER JOIN b ON TRUE``: the comma items
+        # fold into the block's one operator tree, which the chunk
+        # protocol drives.
+        query = (
             "SELECT VALUE {'o': o.oid, 'c': c.name} "
             "FROM orders AS o, custs AS c WHERE o.cust = c.cid"
         )
-        assert db.metrics.last.batched is False
+        three_ways(db, query)
+        db.execute(query)
+        assert db.metrics.last.batched is True
         assert db.metrics.last.streamed is True
 
 
@@ -571,9 +574,11 @@ class TestExecutorExplain:
         assert "executor: stream (LIMIT/OFFSET bounds the consumer)" in (
             db.explain_plan(query + " LIMIT 2")
         )
-        assert "executor: stream (FROM kept 2 operator trees)" in db.explain_plan(
-            "SELECT VALUE o.oid FROM orders AS o, custs AS c"
-        )
+        # A cross product is one tree like any other FROM: no refusal.
+        cross = db.explain_plan("SELECT VALUE o.oid FROM orders AS o, custs AS c")
+        assert "executor: batch" in cross
+        assert "  Scan orders AS o\n" in cross  # the driving scan: no tag
+        assert "Scan custs AS c  [materialized once]" in cross
         assert "executor: reference (PIVOT or window functions" in db.explain_plan(
             "SELECT o.oid AS oid, RANK() OVER (ORDER BY o.total) AS r "
             "FROM orders AS o"
@@ -676,3 +681,267 @@ class TestKernelsCompileOnce:
         for result, bound in ((high, 90), (low, 10)):
             reference = db.execute(query, parameters=[bound], optimize=False)
             assert deep_equals(Bag(list(result)), Bag(list(reference)))
+
+
+# ---------------------------------------------------------------------------
+# Nested data on the chunk pipeline: the lateral operator and the
+# subquery kernels (docs/PLANNER.md "Lateral operator", "Subquery kernels")
+# ---------------------------------------------------------------------------
+
+UNNEST = "SELECT e.id AS id, p.h AS h FROM emp AS e, e.projects AS p"
+EXISTS_NESTED = (
+    "SELECT e.id AS id FROM emp AS e WHERE EXISTS "
+    "(SELECT VALUE p FROM e.projects AS p WHERE p.h >= 0)"
+)
+NESTED_SELECT = (
+    "SELECT e.id AS id, (SELECT VALUE p.h FROM e.projects AS p WHERE p.h >= 0) "
+    "AS hs FROM emp AS e"
+)
+
+
+def emp_db(rows: int = 40, projects: int = 50, **kwargs) -> Database:
+    db = Database(**kwargs)
+    db.set(
+        "emp",
+        [
+            {"id": i, "projects": [{"h": i + j} for j in range(projects)]}
+            for i in range(rows)
+        ],
+    )
+    return db
+
+
+def exhausted(db: Database, query: str, **kwargs) -> errors.ResourceExhausted:
+    with pytest.raises(errors.ResourceExhausted) as info:
+        db.execute(query, **kwargs)
+    return info.value
+
+
+class TestLateralChunks:
+    def test_explain_renders_one_tree(self):
+        db = emp_db(rows=3, projects=2)
+        plan = db.explain_plan(UNNEST + " WHERE p.h > 1 AND e.id < 2")
+        # The driving scan is not a replayed right side: no tag; pushed
+        # filters sit on the operator that runs them.
+        assert (
+            "FROM\n"
+            "  Lateral[INNER]  [filter: (p.h > 1)]\n"
+            "    Scan emp AS e  [filter: (e.id < 2)]\n"
+            "    lateral: e.projects AS p\n"
+        ) in plan
+        assert "materialized once" not in plan
+        assert "executor: batch" in plan
+        assert "kernels: 4 columnar, no env-space fallback" in plan
+        three_ways(db, UNNEST + " WHERE p.h > 1 AND e.id < 2")
+
+    def test_unpivot_source_goes_through_the_kernels(self, monkeypatch):
+        # Neither the chunk path nor the row path evaluates an UNPIVOT
+        # source with the tree-walking interpreter under optimize=True.
+        from repro.core.evaluator import Evaluator
+
+        db = Database()
+        db.set("prices", [{"day": 1, "a": 10, "b": 20}, {"day": 2, "a": 11}, 7])
+        query = (
+            "SELECT sym AS sym, price AS price FROM prices AS c, "
+            "UNPIVOT c AS price AT sym WHERE sym != 'day'"
+        )
+        expected = three_ways(db, query)
+        assert len(expected) == 4  # a, b, a and the non-tuple's '_1'
+        assert "no env-space fallback" in db.explain_plan(query)
+        walked = []
+        original = Evaluator.eval_expr
+        monkeypatch.setattr(
+            Evaluator,
+            "eval_expr",
+            lambda self, expr, env: walked.append(expr) or original(self, expr, env),
+        )
+        db.execute(query)
+        db.execute(query, batch=False)
+        assert walked == []
+
+    def test_max_rows_fires_inside_a_lateral_chunk(self):
+        from repro.core.plan_ops import GOVERNOR_TICK
+
+        db = emp_db(rows=10, projects=500)
+        batch = exhausted(db, UNNEST, max_rows=700)
+        assert db.metrics.last.batched is True
+        streamed = exhausted(db, UNNEST, max_rows=700, batch=False)
+        assert batch.kind == streamed.kind == "max_rows"
+        assert streamed.rows_produced == 701
+        assert abs(batch.rows_produced - streamed.rows_produced) <= GOVERNOR_TICK
+
+    def test_limits_fire_inside_a_subquery_kernel(self):
+        from repro.core.plan_ops import GOVERNOR_TICK
+
+        db = emp_db(rows=10, projects=500)
+        never = EXISTS_NESTED.replace("p.h >= 0", "p.h < 0")
+        for query in (never, NESTED_SELECT):
+            assert "no env-space fallback" in db.explain_plan(query)
+            batch = exhausted(db, query, max_rows=700)
+            assert db.metrics.last.batched is True
+            streamed = exhausted(db, query, max_rows=700, batch=False)
+            assert batch.kind == streamed.kind == "max_rows"
+            assert (
+                abs(batch.rows_produced - streamed.rows_produced) <= GOVERNOR_TICK
+            ), query
+        # An EXISTS whose first element hits: the stream pulls one
+        # project per employee (20 rows in all) and the kernel, which
+        # evaluates all 5 000, accounts exactly that.
+        for overrides in ({}, {"batch": False}):
+            assert len(db.execute(EXISTS_NESTED, max_rows=20, **overrides)) == 10
+            assert exhausted(db, EXISTS_NESTED, max_rows=19, **overrides)
+        # One level of nesting is over a max_recursion of 1 either way.
+        assert exhausted(db, NESTED_SELECT, max_recursion=1).kind == "max_recursion"
+
+    @pytest.mark.parametrize("query", [UNNEST, NESTED_SELECT])
+    def test_timeout_fires_inside_the_flatten(self, query):
+        # A row whose collection is a slow lazy bag: the flatten pulls
+        # it element-wise and ticks the governor every GOVERNOR_TICK
+        # elements, so the deadline interrupts the chunk long before
+        # the 100 000 elements (or even one chunk of them) are pulled.
+        import time
+
+        from repro.datamodel.values import LazyBag, Struct
+
+        def slow():
+            for i in range(100_000):
+                time.sleep(0.001)
+                yield Struct([("h", i)])
+
+        # (Behind a lazy named value, which statistics never sample.)
+        row = Struct([("id", 0), ("projects", LazyBag(slow))])
+        db = Database(timeout_s=0.05)
+        db.catalog.set_model("emp", LazyBag(lambda: iter([row])))
+        started = time.perf_counter()
+        error = exhausted(db, query)
+        assert db.metrics.last.batched is True
+        assert error.kind == "timeout"
+        assert error.rows_produced < 1024
+        assert time.perf_counter() - started < 1.0
+
+    def test_lazy_source_error_surfaces_unchanged(self):
+        def rows():
+            for i in range(10):
+                if i == 6:
+                    raise RuntimeError("source broke at row 6")
+                yield {"id": i, "projects": [{"h": i}, {"h": -i}]}
+
+        db = Database()
+        db.set_lazy("emp", rows)
+        for overrides in ({}, {"batch": False}, {"optimize": False}):
+            with pytest.raises(RuntimeError, match="source broke at row 6"):
+                db.execute(UNNEST, **overrides)
+
+    def test_early_close_closes_the_left_child(self):
+        from repro.config import EvalConfig
+        from repro.core.environment import Environment
+        from repro.core.evaluator import Evaluator
+        from repro.core.plan_ops import CHUNK_ROWS, LateralJoinOp
+        from repro.core.planner import plan_block
+
+        closed = []
+
+        def rows():
+            try:
+                for i in range(10 * CHUNK_ROWS):
+                    yield {"id": i, "projects": [{"h": i}, {"h": -i}]}
+            finally:
+                closed.append(True)
+
+        db = Database()
+        db.set_lazy("emp", rows)
+        config = EvalConfig()
+        plan = plan_block(db.compile(UNNEST).body, config)
+        assert isinstance(plan.op, LateralJoinOp) and plan.op.native_chunks
+        chunks = plan.op.iter_chunks(Evaluator(db.catalog, config), Environment())
+        first = next(chunks)
+        assert CHUNK_ROWS <= len(first) <= 2 * CHUNK_ROWS
+        assert closed == []
+        chunks.close()
+        assert closed == [True]
+
+    def test_left_lateral_pads_in_left_order(self):
+        db = Database()
+        db.set(
+            "emp",
+            [
+                {"id": 0, "projects": [{"h": 1}, {"h": 9}]},
+                {"id": 1, "projects": []},
+                {"id": 2},
+                {"id": 3, "projects": [{"h": 9}]},
+                {"id": 4, "projects": "solo"},
+            ],
+        )
+        query = (
+            "SELECT e.id AS id, p AS p, i AS i FROM emp AS e "
+            "LEFT JOIN e.projects AS p AT i ON p.h < 5 ORDER BY e.id"
+        )
+        result = three_ways(db, query, ordered=True)
+        assert [row["id"] for row in result] == [0, 1, 2, 3, 4]
+        assert [row["p"] for row in result][1:] == [None] * 4
+        assert "executor: batch" in db.explain_plan(query)
+
+    def test_collections_larger_than_a_chunk_are_sliced(self):
+        from repro.core.plan_ops import CHUNK_ROWS
+
+        db = Database()
+        db.set(
+            "emp",
+            [{"id": i, "projects": [{"h": j} for j in range(3 * CHUNK_ROWS + 7)]}
+             for i in range(2)],
+        )
+        query = UNNEST + " WHERE p.h >= 5"
+        assert len(three_ways(db, query)) == 2 * (3 * CHUNK_ROWS + 2)
+        three_ways(db, NESTED_SELECT)
+        three_ways(db, EXISTS_NESTED)
+
+
+class TestSubqueryKernels:
+    def test_admitted_shapes_leave_the_fallback_list(self):
+        db = emp_db(rows=5, projects=3)
+        for query in (
+            EXISTS_NESTED,
+            NESTED_SELECT,
+            "SELECT VALUE COLL_SUM((SELECT VALUE p.h FROM e.projects AS p)) "
+            "FROM emp AS e",
+            "SELECT VALUE (SELECT VALUE [a, v] FROM e.projects AS p, "
+            "UNPIVOT p AS v AT a) FROM emp AS e",
+        ):
+            kernels = db.explain_plan(query).splitlines()[-1]
+            assert kernels.endswith("no env-space fallback"), kernels
+            three_ways(db, query)
+
+    def test_other_shapes_stay_listed(self):
+        db = emp_db(rows=5, projects=3)
+        db.set("other", [{"h": 1}])
+        for inner, kind in (
+            ("SELECT VALUE p.h FROM e.projects AS p ORDER BY p.h LIMIT 1", "SubqueryExpr"),
+            ("SELECT DISTINCT VALUE p.h FROM e.projects AS p", "SubqueryExpr"),
+            ("SELECT VALUE COLL_COUNT(g) FROM e.projects AS p GROUP BY p.h GROUP AS g",
+             "SubqueryExpr"),
+            ("SELECT VALUE p.h FROM e.projects AS p LET d = p.h * 2 WHERE d > 2",
+             "SubqueryExpr"),
+            # Not rooted in the row: re-ranged per row by the evaluator.
+            ("SELECT VALUE o.h FROM other AS o WHERE o.h = e.id", "SubqueryExpr"),
+            # A non-relocatable predicate pins evaluation order.
+            ("SELECT VALUE p.h FROM e.projects AS p WHERE p.h > ?", "SubqueryExpr"),
+        ):
+            query = f"SELECT e.id AS id, ({inner}) AS v FROM emp AS e"
+            kernels = db.explain_plan(query).splitlines()[-1]
+            assert f"[{kind}]" in kernels, kernels
+            three_ways(db, query, parameters=[1])
+        exists = (
+            "SELECT e.id AS id FROM emp AS e WHERE EXISTS "
+            "(SELECT VALUE p FROM e.projects AS p ORDER BY p.h LIMIT 1)"
+        )
+        assert "[Exists]" in db.explain_plan(exists).splitlines()[-1]
+        three_ways(db, exists)
+
+    def test_result_is_a_bag_per_row_never_missing(self):
+        db = Database()
+        db.set("emp", [{"id": 0, "projects": [{"h": 1}]}, {"id": 1}, {"id": 2, "projects": 5}])
+        result = db.execute(NESTED_SELECT)
+        assert db.metrics.last.batched is True
+        by_id = {row["id"]: row["hs"] for row in result}
+        assert all(type(value) is Bag for value in by_id.values())
+        assert [len(by_id[i]) for i in range(3)] == [1, 0, 0]

@@ -141,3 +141,60 @@ class TestProviderFeedback:
         assert not store.wants_feedback(fingerprint, db.catalog.data_version)
         db.set("b", B_ROWS + [{"id": 600, "name": "b600"}])
         assert store.wants_feedback(fingerprint, db.catalog.data_version)
+
+
+class TestLateralFeedback:
+    """The lateral operator has no model estimate (the catalog keeps no
+    per-binding statistics); the feedback-sampled first run pins one."""
+
+    QUERY = (
+        "SELECT o.id AS id, i AS i FROM o AS o, o.items AS i "
+        "WHERE o.k = 1 AND i > 1"
+    )
+
+    @staticmethod
+    def build_db(**kwargs) -> Database:
+        db = Database(**kwargs)
+        db.set(
+            "o", [{"id": n, "k": n % 2, "items": [1, 2, 3]} for n in range(600)]
+        )
+        return db
+
+    @staticmethod
+    def lateral_line(report: str) -> str:
+        return next(
+            line for line in report.splitlines() if "Lateral[INNER]" in line
+        )
+
+    def test_estimate_comes_from_the_observed_run(self):
+        from repro.core.plan_ops import LateralJoinOp
+
+        db = self.build_db()
+        assert "est=? actual=600" in self.lateral_line(db.explain_analyze(self.QUERY))
+        version = db._stats.feedback_version
+        db.execute(self.QUERY)  # the feedback-sampled run
+        assert db._stats.feedback_version > version
+        assert "est=600 actual=600 q-err=1.00" in self.lateral_line(
+            db.explain_analyze(self.QUERY)
+        )
+        evaluator = next(iter(db._evaluators.values()))
+        plan = evaluator.block_plans(db.compile(self.QUERY))[0]
+        assert isinstance(plan.op, LateralJoinOp)
+        assert plan.op.est_source == "feedback"
+        assert db.verify_plan(self.QUERY) == []
+        # Exactly one replan: the next runs neither re-trace nor re-hint.
+        version = db._stats.feedback_version
+        db.execute(self.QUERY)
+        db.execute(self.QUERY)
+        assert db._stats.feedback_version == version
+
+    def test_hint_is_keyed_by_the_feeding_shape(self):
+        db = self.build_db()
+        db.execute(self.QUERY)
+        other = self.QUERY.replace("o.k = 1", "o.k = 0")
+        assert "est=? actual=600" in self.lateral_line(db.explain_analyze(other))
+
+    def test_no_store_no_estimate(self):
+        db = self.build_db(query_store=False)
+        db.execute(self.QUERY)
+        assert "est=? actual=" in self.lateral_line(db.explain_analyze(self.QUERY))

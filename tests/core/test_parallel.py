@@ -103,6 +103,43 @@ class TestFoldMode:
             assert db.metrics.last.parallel_workers == 0
             assert deep_equals(list(fanned), list(serial)), query
 
+    def test_lateral_unnest_group_folds_in_the_workers(self, small_morsels, monkeypatch):
+        # The lateral chunk operator sits on the probe spine: each
+        # worker flattens its morsel of employees and folds the pairs.
+        modes = []
+        original = parallel.try_parallel
+
+        def spy(evaluator, op, env, mode, decomp, row_vars):
+            modes.append(mode)
+            return original(evaluator, op, env, mode, decomp, row_vars)
+
+        monkeypatch.setattr(parallel, "try_parallel", spy)
+        db = Database(parallel=2)
+        db.set(
+            "emp",
+            [
+                {
+                    "id": i,
+                    "projects": [
+                        {"name": f"p{(i + j) % 7}", "hours": (i * j) % 40}
+                        for j in range(i % 4)
+                    ],
+                }
+                for i in range(256)
+            ],
+        )
+        query = (
+            "SELECT p.name AS proj, COUNT(*) AS n, SUM(p.hours) AS h, "
+            "ARRAY_AGG(e.id) AS ids FROM emp AS e, e.projects AS p GROUP BY p.name"
+        )
+        fanned = db.execute(query)
+        assert db.metrics.last.parallel_workers == 2
+        assert modes == ["fold"]
+        serial = db.execute(query, parallel=0)
+        assert db.metrics.last.parallel_workers == 0
+        assert deep_equals(list(fanned), list(serial))
+        assert_bag_equal(fanned, db.execute(query, optimize=False))
+
     def test_derived_tables_do_not_fan_out(self, small_morsels):
         # Only the top-level block forks: a derived table is evaluated
         # inside each morsel worker, which cannot fork a pool itself.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Database, EvalConfig, TypeCheckError, to_python
+from repro.core.plan_ops import ScanOp
 from repro.core.planner import (
     free_names,
     is_relocatable,
@@ -125,7 +126,7 @@ class TestPlanSelection:
         query = "SELECT u.uid AS uid FROM users AS u"
         plan = self.plan_for(join_db, query)
         assert plan is not None and plan.rewrites == []
-        assert len(plan.items) == 1
+        assert isinstance(plan.op, ScanOp)
         # ... and the row-at-a-time pipeline keeps the reference FROM
         # loop for it: no plan operator runs, the item statistics do.
         tracer = ExecTracer()

@@ -23,7 +23,7 @@ from repro.analysis.verify_plan import (
 )
 from repro.config import EvalConfig
 from repro.core.plan_ops import EmptyOp
-from repro.core.planner import BlockPlan, ItemPlan, plan_block
+from repro.core.planner import BlockPlan, plan_block
 from repro.core.rewriter import rewrite_query
 from repro.syntax import ast
 from repro.syntax.parser import parse
@@ -62,20 +62,20 @@ class TestBrokenFixtures:
 
     def test_duplicate_operator_in_tree(self):
         plan = _plan()
-        join = plan.items[0].op
+        join = plan.op
         join.right = join.left  # one operator, two parents
         violations = verify_block_plan(plan)
         assert any("more than once" in v for v in violations)
 
     def test_negative_estimate(self):
         plan = _plan()
-        plan.items[0].op.est_rows = -1.0
+        plan.op.est_rows = -1.0
         violations = verify_block_plan(plan)
         assert any("negative row estimate" in v for v in violations)
 
     def test_model_estimate_above_product(self):
         plan = _plan()
-        join = plan.items[0].op
+        join = plan.op
         join.left.est_rows = 2.0
         join.right.est_rows = 3.0
         join.est_rows = 100.0
@@ -86,7 +86,7 @@ class TestBrokenFixtures:
     def test_feedback_estimate_above_product_allowed(self):
         # A feedback hint is an observed actual: it may exceed the model.
         plan = _plan()
-        join = plan.items[0].op
+        join = plan.op
         join.left.est_rows = 2.0
         join.right.est_rows = 3.0
         join.est_rows = 100.0
@@ -95,7 +95,7 @@ class TestBrokenFixtures:
 
     def test_filter_referencing_unbound_name(self):
         plan = _plan("SELECT VALUE a FROM xs AS a WHERE a.v > 1")
-        scan = plan.items[0].op
+        scan = plan.op
         assert scan.filters, "fixture expects a pushed filter"
         rogue = ast.Binary(
             op=">",
@@ -109,7 +109,7 @@ class TestBrokenFixtures:
 
     def test_filter_without_span(self):
         plan = _plan("SELECT VALUE a FROM xs AS a WHERE a.v > 1")
-        scan = plan.items[0].op
+        scan = plan.op
         for node in scan.filters[0].walk():
             node.line = None
         violations = verify_block_plan(plan)
@@ -117,7 +117,7 @@ class TestBrokenFixtures:
 
     def test_vars_not_matching_item(self):
         plan = _plan("SELECT VALUE a FROM xs AS a WHERE a.v > 1")
-        plan.items[0].op.vars = ["somebody_else"]
+        plan.op.vars = ["somebody_else"]
         violations = verify_block_plan(plan)
         assert any("item variables" in v for v in violations)
 
@@ -131,13 +131,91 @@ class TestBrokenFixtures:
         residual = ast.Literal(value=True)
         residual.line, residual.column = 1, 1
         plan = BlockPlan(
-            items=[ItemPlan(op=EmptyOp(["a"], "fixture"))],
+            op=EmptyOp(["a"], "fixture"),
             residual_where=residual,
             rewrites=[],
             pruned="fixture",
         )
         violations = verify_block_plan(plan)
         assert any("residual WHERE" in v for v in violations)
+
+
+LATERAL_QUERY = (
+    "SELECT VALUE [a.k, x] FROM xs AS a, a.items AS x AT p WHERE x > 1"
+)
+
+
+class TestLateralInvariants:
+    """The lateral operator: output variables are the left side's then
+    the right item's; the right item ranges over the left variables (and
+    names resolvable outside the plan); pushed filters stay in scope."""
+
+    def test_clean_lateral_plan_verifies(self):
+        from repro.core.plan_ops import LateralJoinOp
+
+        plan = _plan(LATERAL_QUERY)
+        assert isinstance(plan.op, LateralJoinOp)
+        assert plan.op.vars == ["a", "x", "p"]
+        assert plan.op.filters, "fixture expects the filter on the operator"
+        assert verify_block_plan(plan) == []
+        assert verify_block_plan(plan, scope_names={"xs", "ys"}) == []
+
+    def test_variable_order(self):
+        plan = _plan(LATERAL_QUERY)
+        plan.op.vars = ["x", "p", "a"]
+        violations = verify_block_plan(plan)
+        assert any("left variables followed by" in v for v in violations)
+
+    def test_right_vars_not_the_items(self):
+        plan = _plan(LATERAL_QUERY)
+        plan.op.right_vars = ["x"]
+        violations = verify_block_plan(plan)
+        assert any("right item's variables" in v for v in violations)
+
+    def test_right_item_not_lateral(self):
+        plan = _plan(LATERAL_QUERY)
+        plan.op.right_item = ast.FromCollection(
+            expr=ast.VarRef(name="ys"), alias="x", at_alias="p"
+        )
+        violations = verify_block_plan(plan)
+        assert any("not lateral" in v for v in violations)
+
+    def test_right_item_references_a_stray_name(self):
+        plan = _plan(LATERAL_QUERY)
+        plan.op.right_item = ast.FromCollection(
+            expr=ast.Binary(
+                op="||",
+                left=ast.Path(base=ast.VarRef(name="a"), attr="items"),
+                right=ast.VarRef(name="ghost"),
+            ),
+            alias="x",
+            at_alias="p",
+        )
+        # Only checkable when the caller knows what resolves outside.
+        assert verify_block_plan(plan) == []
+        violations = verify_block_plan(plan, scope_names={"xs", "ys"})
+        assert any("'ghost'" in v and "neither" in v for v in violations)
+
+    def test_pushed_filter_out_of_scope(self):
+        plan = _plan(LATERAL_QUERY)
+        plan.op.left.filters.append(plan.op.filters[0])  # x is not bound there
+        violations = verify_block_plan(plan)
+        assert any("unbound names ['x']" in v for v in violations)
+
+    def test_database_verify_plan_knows_the_enclosing_scope(self):
+        # A lateral right side inside a correlated subquery may mention
+        # the outer block's variable; that is not a stray name.
+        db = Database()
+        db.set("xs", [{"k": 1, "items": [[1, 2], [3]]}])
+        for typing_mode in ("permissive", "strict"):
+            assert (
+                db.verify_plan(
+                    "SELECT VALUE (SELECT VALUE y + a.k FROM a.items AS x, "
+                    "ARRAY_CONCAT(x, [a.k]) AS y) FROM xs AS a",
+                    typing_mode=typing_mode,
+                )
+                == []
+            )
 
 
 class TestRewriteVerification:
@@ -223,7 +301,7 @@ class TestEntryPoints:
     def test_maybe_verify_raises_non_sqlpp_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_VERIFY_PLANS", "1")
         plan = _plan()
-        plan.items[0].op.est_rows = -5.0
+        plan.op.est_rows = -5.0
         with pytest.raises(PlanVerificationError) as caught:
             maybe_verify_block_plan(plan)
         assert not isinstance(caught.value, errors.SQLPPError)
@@ -232,7 +310,7 @@ class TestEntryPoints:
     def test_maybe_verify_noop_when_disabled(self, monkeypatch):
         monkeypatch.delenv("REPRO_VERIFY_PLANS", raising=False)
         plan = _plan()
-        plan.items[0].op.est_rows = -5.0
+        plan.op.est_rows = -5.0
         maybe_verify_block_plan(plan)  # must not raise
 
     def test_database_verify_plan_clean(self):

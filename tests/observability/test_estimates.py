@@ -146,6 +146,40 @@ class TestTallyParity:
         # Worker tallies merged at the barrier sum to the serial count.
         assert t_batch == t_par, (t_batch, t_par)
 
+    def test_lateral_operator_matches_streaming_item_tallies(self, small_morsels):
+        # A comma-unnest: batch (and the fan-out) run the lateral chunk
+        # operator; streamed, the rewrite-free block runs the direct
+        # FROM loop, whose per-item tallies are the same numbers.
+        db = Database(query_store=False)
+        db.set("o", [{"k": i % 4, "items": list(range(i % 5))} for i in range(256)])
+        query = "SELECT o.k AS k, i AS i FROM o AS o, o.items AS i"
+        streaming, batch, par = ExecTracer(), ExecTracer(), ExecTracer()
+        r1 = db.execute(query, batch=False, tracer=streaming)
+        r2 = db.execute(query, tracer=batch)
+        r3 = db.execute(query, parallel=2, tracer=par)
+        assert db.metrics.last.parallel_workers >= 2
+        assert len(r1) == len(r2) == len(r3) == 512 - 2  # i%5 over 256 rows
+        assert op_tallies(streaming) == {}
+        scan_item, lateral_item = db.compile(query).body.from_
+        expected = {
+            "Scan o AS o": (256, streaming.item_stats(scan_item).rows_out),
+            "Lateral[INNER]": (len(r1), streaming.item_stats(lateral_item).rows_out),
+        }
+        assert expected["Scan o AS o"] == (256, 256)
+        assert expected["Lateral[INNER]"] == (len(r1), len(r1))
+        assert op_tallies(batch) == expected
+        assert op_tallies(par) == expected
+        # With a pushed filter a rewrite fired, so streaming consults
+        # the same tree: operator tallies agree across all three.
+        filtered = query + " WHERE i >= 2 AND o.k < 3"
+        tracers = [ExecTracer(), ExecTracer(), ExecTracer()]
+        db.execute(filtered, batch=False, tracer=tracers[0])
+        db.execute(filtered, tracer=tracers[1])
+        db.execute(filtered, parallel=2, tracer=tracers[2])
+        tallies = [op_tallies(tracer) for tracer in tracers]
+        assert tallies[0] == tallies[1] == tallies[2], tallies
+        assert tallies[0]["Lateral[INNER]"][0] > tallies[0]["Lateral[INNER]"][1] > 0
+
     def test_light_tracer_counts_match_full_tracer(self):
         db = build_db()
         full, light = ExecTracer(), ExecTracer(timing=False)

@@ -74,9 +74,11 @@ def run_modes(db: Database, query: str, ordered: bool = False) -> None:
 
 @pytest.fixture(autouse=True)
 def forkable_fixtures(monkeypatch):
-    """Tiny generated tables must still exercise the real fan-out."""
+    """Tiny generated tables must still exercise the real fan-out, and
+    every plan any sample produces goes through the structural verifier."""
     monkeypatch.setattr(parallel, "MIN_PARALLEL_ROWS", 8)
     monkeypatch.setattr(parallel, "MIN_MORSEL_ROWS", 4)
+    monkeypatch.setenv("REPRO_VERIFY_PLANS", "1")
 
 
 @given(st.lists(row_strategy(), min_size=8, max_size=24))
@@ -137,6 +139,185 @@ def test_join_parity(left, right, kind):
         "SELECT l.id AS lid, r.id AS rid, r.u AS u FROM lt AS l "
         f"{kind} rt AS r ON l.k = r.k WHERE l.j >= 1",
     )
+
+
+# ---------------------------------------------------------------------------
+# Nested data: lateral unnest / UNPIVOT operators and subquery kernels
+# ---------------------------------------------------------------------------
+#
+# Rows whose nested attribute is any kind of value the Core FROM ranges
+# over (paper, Section III-A: array, bag, empty, scalar, tuple, NULL,
+# absent, array of arrays), queried through every comma / JOIN / UNPIVOT
+# spelling of left-correlation and through subqueries over the row's own
+# collection.  Four executions must agree — default (batch), the eager
+# reference (``optimize=False``), streaming (``batch=False``) and the
+# morsel fan-out — in value *and* in type: a Bag stays a Bag (an empty
+# one, never MISSING), an array an array.
+
+nested_elements = st.one_of(
+    st.none(),
+    st.integers(-2, 5),
+    st.sampled_from(["a", "b"]),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "n": st.one_of(st.integers(0, 4), st.none(), st.just("x")),
+            "m": st.integers(0, 2),
+        },
+    ),
+)
+nested_attribute = st.one_of(
+    st.lists(nested_elements, max_size=4),  # array, the empty one included
+    st.lists(nested_elements, max_size=3).map(Bag),
+    st.integers(0, 3),
+    st.just("solo"),
+    st.fixed_dictionaries({"n": st.integers(0, 4)}),
+    st.none(),
+    st.lists(st.lists(st.integers(0, 3), max_size=2), max_size=3),
+)
+nested_rows = st.lists(
+    st.fixed_dictionaries(
+        {"j": st.integers(0, 2)},
+        optional={
+            "xs": nested_attribute,
+            # UNPIVOT sources: tuples and non-tuples.
+            "o": st.one_of(
+                st.fixed_dictionaries(
+                    {}, optional={"a": st.integers(0, 3), "b": st.integers(0, 3)}
+                ),
+                st.integers(0, 3),
+                st.none(),
+                st.lists(st.integers(0, 2), max_size=2),
+            ),
+        },
+    ),
+    min_size=8,
+    max_size=20,
+)
+
+#: ``(FROM clause, the variables it binds besides t)``.
+NESTED_FROMS = [
+    ("t AS t, t.xs AS x", ["x"]),
+    ("t AS t, t.xs AS x AT p", ["x", "p"]),
+    ("t AS t, t.xs AS x, x AS y", ["x", "y"]),
+    ("t AS t, t.xs AS x AT p, x AS y AT q", ["x", "p", "y", "q"]),
+    ("t AS t LEFT JOIN t.xs AS x ON x.n >= 1", ["x"]),
+    ("t AS t LEFT JOIN t.xs AS x AT p ON TRUE", ["x", "p"]),
+    ("t AS t INNER JOIN t.xs AS x ON x.m = t.j", ["x"]),
+    ("t AS t, t.xs AS x, u AS u", ["x", "u"]),
+    ("t AS t, UNPIVOT t.o AS x AT a", ["x", "a"]),
+    ("t AS t, UNPIVOT t.o AS x AT a, t.xs AS y", ["x", "a", "y"]),
+]
+
+#: Consumers over ``FROM … `` binding ``t`` and ``x``; ``{vars}`` is the
+#: tuple of every bound variable.
+NESTED_CONSUMERS = [
+    ("SELECT VALUE {{'id': t.id, {vars}}} FROM {from_}", False),
+    # Pushdown onto the lateral operator, its left child, and a residual.
+    (
+        "SELECT VALUE {{'id': t.id, {vars}}} FROM {from_} "
+        "WHERE x.n >= 1 AND t.j <= 1 AND (x.m = t.j OR x IS NOT NULL)",
+        False,
+    ),
+    (
+        "SELECT k, COUNT(*) AS c, SUM(x.n) AS total, MIN(t.id) AS lo "
+        "FROM {from_} GROUP BY x.m AS k",
+        False,
+    ),
+    ("SELECT x AS x, COUNT(*) AS c FROM {from_} GROUP BY x", False),
+    ("SELECT DISTINCT x AS x, t.j AS j FROM {from_}", False),
+    ("SELECT t.id AS id, x AS x FROM {from_} ORDER BY t.id, x", True),
+]
+
+#: Subqueries over the row's own collection.  The first group compiles
+#: to the flatten-and-segment kernel, the second must fall back.
+NESTED_SUBQUERIES = [
+    "SELECT t.id AS id, (SELECT VALUE x.n + 1 FROM t.xs AS x WHERE x.n >= 1) "
+    "AS big FROM t AS t",
+    "SELECT t.id AS id, (SELECT VALUE x FROM t.xs AS x) AS same FROM t AS t",
+    "SELECT t.id AS id FROM t AS t WHERE EXISTS "
+    "(SELECT VALUE x FROM t.xs AS x WHERE x.n > 1)",
+    "SELECT t.id AS id FROM t AS t WHERE NOT EXISTS (SELECT VALUE x FROM t.xs AS x)",
+    "SELECT t.id AS id, COLL_SUM((SELECT VALUE x.m FROM t.xs AS x)) AS s, "
+    "COLL_COUNT((SELECT VALUE x FROM t.xs AS x WHERE x.m = t.j)) AS c FROM t AS t",
+    "SELECT t.id AS id, (SELECT VALUE [p, q, y] FROM t.xs AS x AT p, x AS y AT q) "
+    "AS flat FROM t AS t",
+    "SELECT t.id AS id, (SELECT VALUE a FROM UNPIVOT t.o AS v AT a WHERE v >= 1) "
+    "AS names FROM t AS t",
+    "SELECT j, COLL_COUNT((SELECT VALUE x FROM g AS m, m.t.xs AS x)) AS n "
+    "FROM t AS t GROUP BY t.j AS j GROUP AS g",
+    # -- fallbacks -------------------------------------------------------
+    "SELECT t.id AS id, (SELECT VALUE x.n FROM t.xs AS x ORDER BY x.n, x.m LIMIT 1) "
+    "AS least FROM t AS t",
+    "SELECT t.id AS id, (SELECT VALUE [n, COLL_COUNT(g)] FROM t.xs AS x "
+    "GROUP BY x.n AS n GROUP AS g) AS counts FROM t AS t",
+    "SELECT t.id AS id, (SELECT DISTINCT VALUE x.m FROM t.xs AS x) AS ms FROM t AS t",
+    "SELECT t.id AS id FROM t AS t WHERE EXISTS (SELECT VALUE x FROM t.xs AS x "
+    "WHERE x.m IN (SELECT VALUE u.m FROM u AS u))",
+    "SELECT t.id AS id FROM t AS t WHERE t.j IN (SELECT x.m FROM t.xs AS x)",
+    "SELECT t.id AS id FROM t AS t WHERE t.j = (SELECT x.m FROM t.xs AS x LIMIT 1)",
+]
+
+
+def typed(value):
+    """A canonical, order-free-for-bags form that keeps the collection
+    kind and the NULL / MISSING / boolean distinctions."""
+    if value is MISSING:
+        return ("missing",)
+    if value is None:
+        return ("null",)
+    if isinstance(value, bool):
+        return ("bool", value)
+    if isinstance(value, (int, float)):
+        return ("number", float(value))
+    if isinstance(value, str):
+        return ("string", value)
+    if isinstance(value, Struct):
+        return ("tuple", tuple((name, typed(item)) for name, item in value.items()))
+    if isinstance(value, Bag):
+        return ("bag", tuple(sorted((typed(item) for item in value), key=repr)))
+    assert isinstance(value, list), value
+    return ("array", tuple(typed(item) for item in value))
+
+
+def nested_db(rows, sql_compat: bool = True) -> Database:
+    db = Database(sql_compat=sql_compat)
+    db.set("t", with_ids(rows))
+    db.set("u", [{"m": 0}, {"m": 1}])
+    return db
+
+
+def four_ways(db: Database, query: str, ordered: bool = False) -> None:
+    reference = db.execute(query, optimize=False)
+    assert isinstance(reference, list if ordered else Bag), query
+    expected = typed(reference)
+    for overrides in ({}, {"batch": False}, {"parallel": 2}):
+        result = db.execute(query, **overrides)
+        assert typed(result) == expected, (query, overrides)
+    db.execute(query)
+    assert db.metrics.last.batched is True, query
+    assert db.verify_plan(query) == [], query
+
+
+@given(
+    nested_rows,
+    st.sampled_from(NESTED_FROMS),
+    st.sampled_from(NESTED_CONSUMERS),
+)
+@settings(max_examples=150, deadline=None)
+def test_nested_from_parity(rows, from_, consumer):
+    clause, variables = from_
+    template, ordered = consumer
+    query = template.format(
+        from_=clause, vars=", ".join(f"'{name}': {name}" for name in variables)
+    )
+    four_ways(nested_db(rows), query, ordered)
+
+
+@given(nested_rows, st.sampled_from(NESTED_SUBQUERIES), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_subquery_over_own_collection_parity(rows, query, sql_compat):
+    four_ways(nested_db(rows, sql_compat), query)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +445,36 @@ def kernel_expressions(depth=3):
         ),
         # Node kinds without a kernel take the recorded fallback.
         st.builds(ast.CastExpr, inner, st.just("STRING")),
+        # A subquery over the row's own value (ranging ``s``, so the
+        # inner expressions see the element through the shadowed name):
+        # the flatten-and-segment kernel when every part is relocatable,
+        # the fallback otherwise.
+        st.builds(
+            own_collection_subquery,
+            st.sampled_from([ast.Path(r, "b"), ast.Path(r, "a"), s, r]),
+            inner,
+            st.one_of(st.none(), inner),
+            st.booleans(),
+        ),
     )
+
+
+def own_collection_subquery(source, select, where, exists):
+    if where is not None:
+        # The block is planned (and, in this file, verified): a WHERE
+        # conjunct the parser produced would carry a source span.
+        for node in where.walk():
+            node.line, node.column = 1, 1
+    subquery = ast.SubqueryExpr(
+        ast.Query(
+            ast.QueryBlock(
+                select=ast.SelectValue(select),
+                from_=[ast.FromCollection(source, "s")],
+                where=where,
+            )
+        )
+    )
+    return ast.Exists(subquery) if exists else subquery
 
 
 def identical(left, right) -> bool:
@@ -364,6 +574,19 @@ KERNEL_CASES = [
     "CASE WHEN r.a = 1 THEN 1 / 0 WHEN r.a = 'a' THEN UPPER(r.a) ELSE r.a.n END",
     "CAST(r.a AS STRING)", "encl + r.a", "named[r.a]",
     "(SELECT VALUE x FROM named AS x WHERE x = r.a)",
+    # Subqueries over the row's own collection: segment kernels ...
+    "(SELECT VALUE x FROM r.b AS x)", "(SELECT VALUE x + 1 FROM r.b AS x WHERE x >= 1)",
+    "(SELECT VALUE [p, x] FROM r.b AS x AT p)", "(SELECT VALUE y FROM r.b AS x, x AS y)",
+    "(SELECT VALUE [a, v] FROM UNPIVOT r AS v AT a WHERE a != 'pad')",
+    "(SELECT VALUE s FROM r.b AS s WHERE s = encl)",
+    "EXISTS (SELECT VALUE x FROM r.b AS x WHERE x = 1)",
+    "NOT EXISTS (SELECT VALUE x FROM r.a AS x)",
+    "EXISTS (SELECT VALUE no_such_name FROM r.b AS x)",
+    "COLL_COUNT((SELECT VALUE x FROM s AS x))", "COLL_SUM((SELECT VALUE x FROM r.b AS x))",
+    # ... and the shapes that keep the env-space fallback.
+    "(SELECT VALUE x FROM r.b AS x ORDER BY x LIMIT 1)",
+    "(SELECT DISTINCT VALUE x FROM r.b AS x)",
+    "EXISTS (SELECT VALUE x FROM r.b AS x WHERE CAST(x AS STRING) = NO_SUCH_FN(x))",
 ]
 
 #: Every value category under ``r.a``/``r.b``, the attribute at
