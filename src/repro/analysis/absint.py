@@ -165,7 +165,7 @@ def _branch_verdict(
 def _fold_case(node: ast.CaseExpr, config: EvalConfig) -> ast.Expr:
     """Fold a CASE whose scrutinee (and some conditions) are constant.
 
-    Mirrors ``Evaluator._eval_case`` exactly: a MISSING simple-CASE
+    Mirrors ``ReferenceEvaluator._eval_caseexpr`` exactly: a MISSING simple-CASE
     operand (outside sql_compat) short-circuits the whole expression;
     branch conditions are tried in order; a MISSING verdict (outside
     sql_compat) makes the CASE MISSING.  Dropping a constant

@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.config import EvalConfig
 from repro.core.environment import Environment
 from repro.core.evaluator import Evaluator
+from repro.core.reference import ReferenceEvaluator
 from repro.core import rewrite_rules
 from repro.core.rewriter import rewrite_query
 from repro.catalog.catalog import Catalog
@@ -129,11 +130,12 @@ class Database:
         #: Sampled collection statistics feeding the planner's
         #: cost-based join ordering; cached per catalog data version.
         self._stats = StatsProvider(self.catalog)
-        # Memoized evaluators, keyed by effective EvalConfig (frozen,
-        # hashable).  Re-running a query through the same config reuses
-        # the evaluator's compiled-closure and physical-plan caches —
-        # the compile cache returns the same AST object, so the
-        # id()-keyed caches hit.  ``rebind`` resets per-execution state.
+        # Memoized engine evaluators, keyed by effective EvalConfig
+        # (frozen, hashable).  Re-running a query through the same
+        # config reuses the evaluator's compiled-closure and
+        # physical-plan caches — the compile cache returns the same AST
+        # object, so the id()-keyed caches hit — until that compile-cache
+        # entry is evicted.  ``rebind`` resets per-execution state.
         self._evaluators: "OrderedDict[EvalConfig, Evaluator]" = OrderedDict()
         #: Per-database query metrics: monotonic counters, per-query
         #: records, pluggable sinks (docs/OBSERVABILITY.md).
@@ -287,44 +289,18 @@ class Database:
     # Query execution
     # ------------------------------------------------------------------
 
-    def _effective_config(
-        self,
-        typing_mode: Optional[str],
-        sql_compat: Optional[bool],
-        optimize: Optional[bool] = None,
-        timeout_s: Optional[float] = None,
-        max_rows: Optional[int] = None,
-        max_recursion: Optional[int] = None,
-        batch: Optional[bool] = None,
-        parallel: Optional[int] = None,
-        rewrite: Optional[bool] = None,
-    ) -> EvalConfig:
-        """The database config with per-query overrides applied.
+    def _effective_config(self, **dials: Any) -> EvalConfig:
+        """The database config with the per-query ``dials`` of any run
+        surface (``execute``, ``explain_analyze``, ``trace``) applied.
 
-        Built with :func:`dataclasses.replace` so fields that are not
-        overridden — including the resource limits — are inherited
-        rather than silently reset.  ``None`` always means "inherit";
-        a database-level limit cannot be *unset* per query.
+        The dials are exactly ``EvalConfig``'s fields
+        (:func:`dataclasses.replace` raises ``TypeError`` for any other
+        name); ``None`` and absent both mean "inherit", so a
+        database-level limit cannot be *unset* per query.
         """
-        overrides: Dict[str, Any] = {}
-        if typing_mode is not None:
-            overrides["typing_mode"] = typing_mode
-        if sql_compat is not None:
-            overrides["sql_compat"] = sql_compat
-        if optimize is not None:
-            overrides["optimize"] = optimize
-        if timeout_s is not None:
-            overrides["timeout_s"] = timeout_s
-        if max_rows is not None:
-            overrides["max_rows"] = max_rows
-        if max_recursion is not None:
-            overrides["max_recursion"] = max_recursion
-        if batch is not None:
-            overrides["batch"] = batch
-        if parallel is not None:
-            overrides["parallel"] = parallel
-        if rewrite is not None:
-            overrides["rewrite"] = rewrite
+        overrides = {
+            name: value for name, value in dials.items() if value is not None
+        }
         if not overrides:
             return self._config
         return dataclasses.replace(self._config, **overrides)
@@ -334,11 +310,15 @@ class Database:
         config: EvalConfig,
         parameters: Optional[Sequence[Any]],
         tracer: Optional[ExecTracer],
-    ) -> Evaluator:
-        """A memoized evaluator for this config, rebound to the given
+    ) -> Any:
+        """What runs a query under ``config``: a fresh
+        :class:`ReferenceEvaluator` with ``optimize=False``, else the
+        memoized engine evaluator for this config, rebound to the given
         parameters/tracer — or a fresh one when the cached evaluator is
         mid-execution (reentrancy: a lazy-bag factory issuing a query
         while its consumer query runs)."""
+        if not config.optimize:
+            return ReferenceEvaluator(self.catalog, config, parameters, tracer)
         cached = self._evaluators.get(config)
         if cached is not None and not cached._in_use:
             self._evaluators.move_to_end(config)
@@ -383,9 +363,10 @@ class Database:
         compiled tree across executions is safe — and lets the
         evaluator-side plan/closure caches stay warm per query object.
         """
-        return self._compile_query(
-            query, self._effective_config(typing_mode, sql_compat)
-        ).core
+        config = self._effective_config(
+            typing_mode=typing_mode, sql_compat=sql_compat
+        )
+        return self._compile_query(query, config).core
 
     def _rewrite_catalog_types(self) -> Dict[str, Any]:
         """Abstract catalog types for the rewrite registry's typeflow
@@ -495,7 +476,11 @@ class Database:
         )
         self._compile_cache[key] = compiled
         if len(self._compile_cache) > self.COMPILE_CACHE_SIZE:
-            self._compile_cache.popitem(last=False)
+            # Everything an evaluator derived from the evicted entry's
+            # AST (closures, kernels, plans) goes with it.
+            __, evicted = self._compile_cache.popitem(last=False)
+            for evaluator in self._evaluators.values():
+                evaluator.forget(evicted.core)
         return compiled
 
     def _record_rewrites(
@@ -514,51 +499,33 @@ class Database:
         self,
         query: str,
         parameters: Optional[Sequence[Any]] = None,
-        typing_mode: Optional[str] = None,
-        sql_compat: Optional[bool] = None,
         missing_as_null: bool = False,
-        optimize: Optional[bool] = None,
-        timeout_s: Optional[float] = None,
-        max_rows: Optional[int] = None,
-        max_recursion: Optional[int] = None,
-        batch: Optional[bool] = None,
-        parallel: Optional[int] = None,
-        rewrite: Optional[bool] = None,
         tracer: Optional[ExecTracer] = None,
+        **dials: Any,
     ) -> Any:
         """Execute a SQL++ query and return the result as model values.
 
         ``missing_as_null`` converts top-level MISSING elements of the
         result collection to NULL, the way the paper says JDBC/ODBC
-        clients see them (Section IV-B).  ``optimize=False`` bypasses
-        the physical planner and runs the reference Core semantics
-        (docs/PLANNER.md); results are identical either way.
-        ``rewrite=False`` disables just the semantic rewrite registry
-        (docs/REWRITER.md) while keeping physical planning.
-        ``batch=False`` additionally disables the chunk-vectorized
-        executor; ``parallel=N`` (N >= 2) lets partitionable scans fan
-        out over N morsel workers (docs/PLANNER.md).
+        clients see them (Section IV-B).
 
-        ``timeout_s`` / ``max_rows`` / ``max_recursion`` tighten the
-        database-level resource limits for this query; a breached limit
-        raises :class:`~repro.errors.ResourceExhausted` instead of
-        letting the query run away (docs/OBSERVABILITY.md).
+        ``dials`` override the database's :class:`EvalConfig` for this
+        query (:meth:`_effective_config`; every run surface takes the
+        same set): the language dials ``typing_mode`` / ``sql_compat``;
+        ``optimize=False`` runs the reference interpreter instead of the
+        engine, with identical results (docs/PLANNER.md);
+        ``rewrite=False`` disables just the semantic rewrite registry
+        (docs/REWRITER.md); ``batch=False`` disables the chunk-vectorized
+        executor; ``parallel=N`` (N >= 2) fans partitionable scans out
+        over N morsel workers; ``timeout_s`` / ``max_rows`` /
+        ``max_recursion`` tighten the resource limits, a breach raising
+        :class:`~repro.errors.ResourceExhausted` (docs/OBSERVABILITY.md).
 
         Every call — successful or not — produces one
         :class:`~repro.observability.QueryMetrics` record in
         ``self.metrics``.
         """
-        config = self._effective_config(
-            typing_mode,
-            sql_compat,
-            optimize,
-            timeout_s,
-            max_rows,
-            max_recursion,
-            batch,
-            parallel,
-            rewrite,
-        )
+        config = self._effective_config(**dials)
         result = self._run(query, config, parameters, tracer)[0]
         if missing_as_null:
             result = _missing_to_null(result)
@@ -583,7 +550,7 @@ class Database:
             else None
         )
         started = perf_counter()
-        evaluator: Optional[Evaluator] = None
+        evaluator: Any = None
         store = self._query_store
         compiled: Optional[CompiledQuery] = None
         feedback_tracer: Optional[ExecTracer] = None
@@ -659,7 +626,7 @@ class Database:
         store: QueryStore,
         metrics: QueryMetrics,
         core: ast.Query,
-        evaluator: Optional[Evaluator],
+        evaluator: Any,
         tracer: Optional[ExecTracer],
         feedback_tracer: Optional[ExecTracer],
     ) -> None:
@@ -736,7 +703,9 @@ class Database:
         from repro.analysis.diagnostics import ERROR, WARNING
         from repro.analysis.lattice import AType, from_schema, soften
 
-        config = self._effective_config(typing_mode, sql_compat)
+        config = self._effective_config(
+            typing_mode=typing_mode, sql_compat=sql_compat
+        )
         catalog_types: Dict[str, AType] = {}
         for name in self.catalog.names():
             schema = self._schemas.get(name)
@@ -785,17 +754,11 @@ class Database:
         self,
         query: str,
         parameters: Optional[Sequence[Any]] = None,
-        typing_mode: Optional[str] = None,
-        sql_compat: Optional[bool] = None,
+        **dials: Any,
     ) -> Any:
-        """Execute and convert the result to plain Python data."""
-        result = self.execute(
-            query,
-            parameters=parameters,
-            typing_mode=typing_mode,
-            sql_compat=sql_compat,
-        )
-        return to_python(result)
+        """Execute (under the same ``dials`` as :meth:`execute`) and
+        convert the result to plain Python data."""
+        return to_python(self.execute(query, parameters=parameters, **dials))
 
     def explain(
         self,
@@ -821,16 +784,23 @@ class Database:
         ``EXPLAIN`` verb): the block's one operator tree — hash joins,
         scans with pushed-down filters, materialization — the residual
         WHERE and the rewrites that fired, or the planner's refusal
-        (strict mode, ``optimize=False``); then how the output is
-        consumed and which executor runs each block.  A view of the
-        memoised evaluator's own plan and decisions
+        (strict mode, no FROM); then how the output is consumed and
+        which executor runs each block.  A view of the memoised
+        evaluator's own plan and decisions
         (:func:`repro.core.vectorized.explain_query`): explaining an
-        already-executed query plans nothing again.
+        already-executed query plans nothing again.  Under
+        ``optimize=False`` it says the reference interpreter runs.
         """
         from repro.core.vectorized import explain_query
 
-        config = self._effective_config(typing_mode, sql_compat)
+        config = self._effective_config(
+            typing_mode=typing_mode, sql_compat=sql_compat
+        )
         compiled = self._compile_query(query, config)
+        if not config.optimize:
+            return "\n".join(
+                _explain_header(compiled) + [_REFERENCE_PLAN] + _REFERENCE_EXECUTORS
+            )
         evaluator = self._evaluator_for(config, None, None)
         return "\n".join(
             _explain_header(compiled) + explain_query(evaluator, compiled.core)
@@ -860,7 +830,9 @@ class Database:
             verify_rewrite,
         )
 
-        config = self._effective_config(typing_mode, sql_compat)
+        config = self._effective_config(
+            typing_mode=typing_mode, sql_compat=sql_compat
+        )
         compiled = self._compile_query(query, config)
         violations = list(
             verify_rewrite(
@@ -870,10 +842,11 @@ class Database:
                 catalog_names=self.catalog.names(),
             )
         )
-        evaluator = self._evaluator_for(config, None, None)
-        scope = query_scope_names(compiled.core, self.catalog.names())
-        for plan in evaluator.block_plans(compiled.core):
-            violations.extend(verify_block_plan(plan, scope))
+        if config.optimize:
+            evaluator = self._evaluator_for(config, None, None)
+            scope = query_scope_names(compiled.core, self.catalog.names())
+            for plan in evaluator.block_plans(compiled.core):
+                violations.extend(verify_block_plan(plan, scope))
         return violations
 
     def explain_rewrites(
@@ -886,9 +859,10 @@ class Database:
         conditions each firing discharged (the CLI's
         ``--explain-rewrites``; docs/REWRITER.md has the rule catalog).
         """
-        compiled = self._compile_query(
-            query, self._effective_config(typing_mode, sql_compat)
+        config = self._effective_config(
+            typing_mode=typing_mode, sql_compat=sql_compat
         )
+        compiled = self._compile_query(query, config)
         lines = [f"pre:  {print_ast(compiled.pre_core)}"]
         if not compiled.fired:
             if not compiled.rewrite_on:
@@ -908,14 +882,7 @@ class Database:
         self,
         query: str,
         parameters: Optional[Sequence[Any]] = None,
-        typing_mode: Optional[str] = None,
-        sql_compat: Optional[bool] = None,
-        optimize: Optional[bool] = None,
-        timeout_s: Optional[float] = None,
-        max_rows: Optional[int] = None,
-        max_recursion: Optional[int] = None,
-        batch: Optional[bool] = None,
-        parallel: Optional[int] = None,
+        **dials: Any,
     ) -> str:
         """Execute the query and report the plan annotated with runtime
         statistics (the ``EXPLAIN ANALYZE`` verb).
@@ -927,27 +894,19 @@ class Database:
         (parse/rewrite/plan/execute) follow.  The annotated tree is
         whatever the run enumerated FROM with: the block's physical plan
         on the batch executor and wherever a rewrite fired, else the
-        reference nested-loop FROM tree — so all execution strategies
-        (streaming, batch, ``parallel=N``, ``optimize=False``) are
-        observable, and the run analysed is the run ``execute`` makes
+        nested-loop FROM tree of the direct FROM loop (or, under
+        ``optimize=False``, of the reference interpreter) — so all
+        execution strategies are observable, and the run analysed is
+        the run ``execute`` makes under the same ``dials``
         (docs/OBSERVABILITY.md).
 
         The query really runs, so resource limits apply; a breached
         limit raises :class:`~repro.errors.ResourceExhausted` exactly as
         ``execute`` would.
         """
-        from repro.core.vectorized import explain_executors
+        from repro.core.vectorized import NOT_A_BLOCK, explain_executors
 
-        config = self._effective_config(
-            typing_mode,
-            sql_compat,
-            optimize,
-            timeout_s,
-            max_rows,
-            max_recursion,
-            batch,
-            parallel,
-        )
+        config = self._effective_config(**dials)
         tracer = ExecTracer()
         result, compiled, metrics = self._run(query, config, parameters, tracer)
         core = compiled.core
@@ -958,7 +917,9 @@ class Database:
             if plan is not None:
                 lines.append(plan.explain(tracer))
             elif body.from_ is not None:
-                lines.append("plan: reference pipeline")
+                lines.append(
+                    "plan: direct FROM loop" if config.optimize else _REFERENCE_PLAN
+                )
                 lines.append("FROM")
                 lines.extend(tracer.reference_lines(list(body.from_)))
             else:
@@ -973,14 +934,14 @@ class Database:
                     for stats in stages
                 )
         else:
-            lines.append(
-                "plan: reference pipeline "
-                "(query body is not a single query block)"
-            )
+            lines.append(f"plan: none ({NOT_A_BLOCK})")
         lines.append("")
-        lines.extend(
-            explain_executors(self._evaluator_for(config, None, None), core)
-        )
+        if config.optimize:
+            lines.extend(
+                explain_executors(self._evaluator_for(config, None, None), core)
+            )
+        else:
+            lines.extend(_REFERENCE_EXECUTORS)
         lines.append("")
         lines.append("phases:")
         lines.extend("  " + line for line in metrics.format_phases())
@@ -992,46 +953,35 @@ class Database:
         self,
         query: str,
         parameters: Optional[Sequence[Any]] = None,
-        typing_mode: Optional[str] = None,
-        sql_compat: Optional[bool] = None,
-        optimize: Optional[bool] = None,
-        timeout_s: Optional[float] = None,
-        max_rows: Optional[int] = None,
-        max_recursion: Optional[int] = None,
         context: Optional[TraceContext] = None,
+        **dials: Any,
     ) -> TraceContext:
         """Execute the query and return its structured span trace.
 
         The returned :class:`~repro.observability.TraceContext` holds
         one span tree for the run — the ``query`` root, the
         ``parse``/``rewrite``/``plan``/``execute`` phases, every
-        physical plan operator (or reference nested-loop FROM item) and
-        every clause-pipeline stage — exportable via
+        physical plan operator (or nested-loop FROM item) and every
+        clause-pipeline stage — exportable via
         ``to_chrome_trace()`` (Perfetto / ``chrome://tracing``),
         ``to_collapsed()`` (flamegraph.pl / speedscope) and
         ``format_tree()`` (the REPL's ``.trace``).
 
-        The query really runs (same semantics, limits and metrics
-        recording as ``execute``); pass ``context`` to accumulate
-        several queries into one trace, as ``--trace-out`` does.
-        Errors propagate exactly as from ``execute`` — pass your own
-        ``context`` when you want to keep the partial trace of a
+        The query really runs (same semantics, ``dials``, limits and
+        metrics recording as ``execute``); pass ``context`` to
+        accumulate several queries into one trace, as ``--trace-out``
+        does.  Errors propagate exactly as from ``execute`` — pass your
+        own ``context`` when you want to keep the partial trace of a
         failing query.
         """
         trace_context = (
             context if context is not None else TraceContext(name=query[:120])
         )
-        tracer = ExecTracer(trace=trace_context)
         self.execute(
             query,
             parameters=parameters,
-            typing_mode=typing_mode,
-            sql_compat=sql_compat,
-            optimize=optimize,
-            timeout_s=timeout_s,
-            max_rows=max_rows,
-            max_recursion=max_recursion,
-            tracer=tracer,
+            tracer=ExecTracer(trace=trace_context),
+            **dials,
         )
         return trace_context
 
@@ -1082,6 +1032,15 @@ class Database:
         from repro.formats.registry import read_text
 
         self.set(name, read_text(text, format))
+
+
+#: What EXPLAIN [ANALYZE] says under ``optimize=False``: nothing is
+#: planned and no executor is chosen, the oracle runs the query.
+_REFERENCE_PLAN = "plan: reference pipeline (optimize=False)"
+_REFERENCE_EXECUTORS = [
+    "executor: reference (optimize=False)",
+    "kernels: none (no block runs on the batch executor)",
+]
 
 
 def _explain_header(compiled: CompiledQuery) -> List[str]:

@@ -93,7 +93,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--no-optimize",
         action="store_true",
-        help="bypass the physical planner (reference Core semantics)",
+        help="run the reference interpreter instead of the engine",
     )
     parser.add_argument(
         "--no-batch",

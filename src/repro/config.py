@@ -40,11 +40,14 @@ class EvalConfig:
 
     typing_mode: str = PERMISSIVE
     sql_compat: bool = True
-    #: Physical planning (hash equi-joins, predicate pushdown, right-side
-    #: materialization — see docs/PLANNER.md).  ``optimize=False`` runs
-    #: the executable reference semantics unchanged; results must be
-    #: identical either way (the planner only fires rewrites it can
-    #: prove equivalent, and falls back wholesale in strict mode).
+    #: Engine or oracle.  On (the default), the engine runs the query:
+    #: compiled closures, physical planning (hash equi-joins, predicate
+    #: pushdown, right-side materialization — see docs/PLANNER.md), the
+    #: batch and streaming executors.  ``optimize=False`` runs the
+    #: executable reference semantics instead — the eager tree-walking
+    #: interpreter of :mod:`repro.core.reference`, which shares no
+    #: execution code with the engine; results must be identical
+    #: either way.
     optimize: bool = True
     #: Resource limits (docs/OBSERVABILITY.md), enforced cooperatively by
     #: the evaluator; exceeding one raises
@@ -57,9 +60,8 @@ class EvalConfig:
     #: exchange ~1024-row chunks between physical operators and map
     #: compiled closures over each chunk instead of crossing a Python
     #: generator frame per binding.  Semantics are identical; shapes the
-    #: batch engine cannot prove equivalent (LIMIT/OFFSET, strict mode,
-    #: multi-item FROM, PIVOT, windows) fall back to the streaming
-    #: pipeline automatically.
+    #: batch engine does not run (LIMIT/OFFSET, strict mode, PIVOT,
+    #: windows) stream instead.
     batch: bool = True
     #: Morsel-driven parallelism: when >= 2, partitionable scans are
     #: split into morsels fanned across that many forked worker

@@ -10,7 +10,11 @@ SQL-compatibility flag.
 
 * :mod:`repro.core.environment` — variable-binding environments.
 * :mod:`repro.core.rewriter` — the sugar → Core lowering.
-* :mod:`repro.core.evaluator` — the Core clause-pipeline interpreter.
+* :mod:`repro.core.evaluator` — the engine: compiled closures, physical
+  plans, the batch and streaming executors.
+* :mod:`repro.core.reference` — the oracle: the eager tree-walking
+  reference interpreter ``optimize=False`` runs.
+* :mod:`repro.core.clauses` — the clause semantics both share.
 * :mod:`repro.core.coercion` — SQL-compat subquery coercion.
 * :mod:`repro.core.windows` — window functions (``OVER``).
 * :mod:`repro.core.grouping_sets` — CUBE / ROLLUP / GROUPING SETS.

@@ -31,23 +31,16 @@ def _elements(value: Any) -> List[Any]:
     )
 
 
-def _single_attribute(element: Any, config: EvalConfig) -> Any:
+def single_attribute(element: Any, config: EvalConfig) -> Any:
+    """Coerce one subquery row to its single attribute's value — the
+    per-row building block of :func:`coerce_collection`, which the
+    streaming ``IN <subquery>`` probe applies as rows arrive."""
     if isinstance(element, Struct) and len(element) == 1:
         return element.values()[0]
     return config.type_error(
         "coerced subquery rows must be single-attribute tuples, got "
         f"{type_name(element)}"
     )
-
-
-def single_attribute(element: Any, config: EvalConfig) -> Any:
-    """Coerce one subquery row to its single attribute's value.
-
-    The per-row building block of :func:`coerce_collection`, exposed so
-    the evaluator's streaming ``IN <subquery>`` path can coerce rows as
-    they arrive instead of materializing the whole collection first.
-    """
-    return _single_attribute(element, config)
 
 
 def coerce_scalar(result: Any, config: EvalConfig) -> Any:
@@ -66,7 +59,7 @@ def coerce_scalar(result: Any, config: EvalConfig) -> Any:
         raise EvaluationError(
             f"scalar subquery returned {len(elements)} rows"
         )
-    return _single_attribute(elements[0], config)
+    return single_attribute(elements[0], config)
 
 
 def coerce_collection(result: Any, config: EvalConfig) -> Any:
@@ -75,7 +68,7 @@ def coerce_collection(result: Any, config: EvalConfig) -> Any:
     Each single-attribute tuple row contributes its value; the result
     keeps the input's bag/array nature.
     """
-    elements = [_single_attribute(item, config) for item in _elements(result)]
+    elements = [single_attribute(item, config) for item in _elements(result)]
     if isinstance(result, list):
         return elements
     return Bag(elements)

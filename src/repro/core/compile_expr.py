@@ -1,21 +1,25 @@
 """Expression compilation: AST → Python closures.
 
-The Core evaluator's `eval_expr` walks the AST on every binding — for a
-query over n rows, the same dispatch and field accesses repeat n times.
-This module compiles an expression once into a nest of Python closures
-(`fn(env) -> value`), eliminating per-row dispatch for the hot node
-kinds.  E3/EXPERIMENTS.md records the interpretation overhead this
-addresses; ablation A4 measures the effect.
+A tree-walking interpreter repeats the same dispatch and field accesses
+on every binding — for a query over n rows, n times.  This module
+compiles an expression once into a nest of Python closures
+(``fn(env) -> value``), eliminating per-row dispatch; it is how the
+engine evaluates *every* expression (``Evaluator.eval_expr`` is
+``compiled(expr)(env)``).  E3/EXPERIMENTS.md records the interpretation
+overhead this addresses; ablation A4 measures the effect.
 
-**Single-source semantics.**  Only node kinds whose semantics live in
-:mod:`repro.functions.operators` are compiled; anything stateful or
-recursive into query evaluation (subqueries, window calls, coercions,
-CASE's mode-dependent MISSING rule) falls back to a closure that calls
-``evaluator.eval_expr`` on the original node.  The property test
+**Single-source semantics.**  Value-level semantics live in
+:mod:`repro.functions.operators`, which the closures, the chunk kernels
+and the reference interpreter (:mod:`repro.core.reference`) all call;
+what is written per evaluator is only the order in which operands are
+evaluated.  Every concrete ``ast.Expr`` kind has a row closure
+(:data:`_CLOSURES`) — subqueries re-enter ``Evaluator.eval_query``,
+EXISTS / IN over a subquery probe its value stream and stop at the
+first answer.  The property test
 ``tests/properties/test_compile_equivalence.py`` checks
-``compiled(expr)(env) == eval_expr(expr, env)`` over generated
-expressions, so the fast path cannot drift from the reference
-semantics unnoticed.
+``Evaluator.compiled(expr)(env) == ReferenceEvaluator.eval_expr(expr,
+env)`` over generated expressions, so the engine cannot drift from the
+reference semantics unnoticed.
 
 **Two forms, one semantics.**  :func:`compile_expr` is the env-space
 form (one binding in, one value out) the streaming pipeline calls per
@@ -28,15 +32,20 @@ defer to the same ``ops.*`` definitions, and
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
+from repro.core import coercion
 from repro.core.environment import Environment, Unbound
 from repro.core.plan_ops import flatten_lateral, governor_tick
 from repro.core.planner import free_names, is_relocatable, item_vars
+from repro.core.windows import OUTSIDE_SELECT
 from repro.datamodel.equality import group_key
-from repro.datamodel.values import MISSING, Bag, Struct, type_name
+from repro.datamodel.values import MISSING, Bag, Struct, is_collection, type_name
+from repro.errors import EvaluationError
 from repro.functions import operators as ops
 from repro.functions.registry import REGISTRY
+from repro.functions.scalar import cast_value
 from repro.syntax import ast
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -100,178 +109,308 @@ def _probe_verdict(value: Any, probe: Any, config: Any) -> Any:
 
 
 def compile_expr(expr: ast.Expr, evaluator: "Evaluator") -> CompiledExpr:
-    """Compile ``expr`` to a closure equivalent to ``eval_expr``."""
-    config = evaluator.config
+    """Compile ``expr`` to the closure the engine evaluates it with.
+
+    Compiling never raises for a node that only fails when evaluated
+    (an unknown function, a window call outside SELECT): a block's
+    closures are built before its first row, and a block without rows
+    must not observe the error.
+    """
+    compiler = _CLOSURES.get(type(expr))
+    if compiler is None:
+        message = f"cannot evaluate {type(expr).__name__}"
+        return lambda env: _raise(message)
+    return compiler(expr, evaluator)
+
+
+def _raise(message: str) -> Any:
+    raise EvaluationError(message)
+
+
+def _compile_literal(expr: ast.Literal, evaluator: "Evaluator") -> CompiledExpr:
+    value = expr.value
+    return lambda env: value
+
+
+def _compile_var_ref(expr: ast.VarRef, evaluator: "Evaluator") -> CompiledExpr:
+    name = expr.name
     catalog = evaluator._catalog
 
-    if isinstance(expr, ast.Literal):
-        value = expr.value
-        return lambda env: value
+    def var_ref(env: Environment) -> Any:
+        try:
+            return env.lookup(name)
+        except Unbound:
+            if name in catalog:
+                return catalog[name]
+            raise Unbound(name) from None
 
-    if isinstance(expr, ast.VarRef):
-        name = expr.name
+    return var_ref
 
-        def var_ref(env: Environment) -> Any:
-            try:
-                return env.lookup(name)
-            except Unbound:
-                if name in catalog:
-                    return catalog[name]
-                raise Unbound(name) from None
 
-        return var_ref
-
-    if isinstance(expr, ast.Path):
-        attr = expr.attr
-        base_fn = compile_expr(expr.base, evaluator)
-        # Name-shaped bases (``t.v``, ``hr.emp.name``) keep the
-        # interpreter's dotted-catalog-name resolution: only when the
-        # base turns out unbound can the path be a namespaced named
-        # value, so the fallback fires exactly on Unbound and the
-        # (overwhelmingly common) bound case navigates directly.
-        if isinstance(expr.base, (ast.VarRef, ast.Path)):
-            node = expr
-
-            def named_path(env: Environment) -> Any:
-                try:
-                    base = base_fn(env)
-                except Unbound:
-                    return evaluator.eval_expr(node, env)
-                return ops.navigate_path(base, attr, config)
-
-            return named_path
+def _compile_path(expr: ast.Path, evaluator: "Evaluator") -> CompiledExpr:
+    config = evaluator.config
+    attr = expr.attr
+    base_fn = compile_expr(expr.base, evaluator)
+    if not isinstance(expr.base, (ast.VarRef, ast.Path)):
         return lambda env: ops.navigate_path(base_fn(env), attr, config)
+    # A name-shaped base (``t.v``, ``hr.emp.name``) that turns out
+    # unbound makes the path a namespaced named value, not navigation
+    # into a variable: try successively longer dotted catalog names.
+    catalog = evaluator._catalog
 
-    if isinstance(expr, ast.Index):
-        base_fn = compile_expr(expr.base, evaluator)
-        index_fn = compile_expr(expr.index, evaluator)
-        return lambda env: ops.navigate_index(base_fn(env), index_fn(env), config)
+    def named_path(env: Environment) -> Any:
+        try:
+            base = base_fn(env)
+        except Unbound as unbound:
+            dotted = f"{unbound.name}.{attr}"
+            if dotted in catalog:
+                return catalog[dotted]
+            raise Unbound(dotted) from None
+        return ops.navigate_path(base, attr, config)
 
-    if isinstance(expr, ast.Binary):
-        return _compile_binary(expr, evaluator)
+    return named_path
 
-    if isinstance(expr, ast.Unary):
-        operand_fn = compile_expr(expr.operand, evaluator)
-        if expr.op == "NOT":
-            return lambda env: ops.logical_not(operand_fn(env), config)
-        if expr.op == "-":
-            return lambda env: ops.negate(operand_fn(env), config)
-        return lambda env: ops.unary_plus(operand_fn(env), config)
 
-    if isinstance(expr, ast.IsPredicate):
-        operand_fn = compile_expr(expr.operand, evaluator)
-        kind = expr.kind
-        if expr.negated:
-            return lambda env: not ops.is_predicate(operand_fn(env), kind, config)
-        return lambda env: ops.is_predicate(operand_fn(env), kind, config)
+def _compile_index(expr: ast.Index, evaluator: "Evaluator") -> CompiledExpr:
+    config = evaluator.config
+    base_fn = compile_expr(expr.base, evaluator)
+    index_fn = compile_expr(expr.index, evaluator)
+    return lambda env: ops.navigate_index(base_fn(env), index_fn(env), config)
 
-    if isinstance(expr, ast.Like):
-        return _compile_like(expr, evaluator)
 
-    if isinstance(expr, ast.Between):
-        operand_fn = compile_expr(expr.operand, evaluator)
-        low_fn = compile_expr(expr.low, evaluator)
-        high_fn = compile_expr(expr.high, evaluator)
-        negated = expr.negated
+def _compile_path_wildcard(
+    expr: ast.PathWildcard, evaluator: "Evaluator"
+) -> CompiledExpr:
+    config = evaluator.config
+    base_fn = compile_expr(expr.base, evaluator)
+    kind = expr.kind
+    # Only an ``[i]`` step's thunk is ever called.
+    steps = [
+        (step.wildcard, step.attr, step.index and compile_expr(step.index, evaluator))
+        for step in expr.steps
+    ]
 
-        def between(env: Environment) -> Any:
-            # All three operands evaluate before any comparison, exactly
-            # as the reference interpreter orders it (error parity).
-            value = operand_fn(env)
-            low = low_fn(env)
-            high = high_fn(env)
-            verdict = ops.logical_and(
-                ops.compare(">=", value, low, config),
-                ops.compare("<=", value, high, config),
-                config,
-            )
-            return ops.logical_not(verdict, config) if negated else verdict
+    def path_wildcard(env: Environment) -> list:
+        bound = [
+            (wildcard, attr, fn and partial(fn, env)) for wildcard, attr, fn in steps
+        ]
+        return ops.wildcard_path(base_fn(env), kind, bound, config)
 
-        return between
-
-    if isinstance(expr, ast.InPredicate):
-        if isinstance(expr.collection, (ast.SubqueryExpr, ast.CoerceSubquery)):
-            # Subquery collections go through the evaluator so the
-            # streaming engine can stop the subquery's producers at the
-            # first match (early termination, docs/LANGUAGE.md §8).
-            return lambda env: evaluator._eval_in(expr, env)
-        operand_fn = compile_expr(expr.operand, evaluator)
-        negated = expr.negated
-        probe = _literal_probe_set(expr.collection)
-        if probe is not None:
-            # Literal single-category IN list (what the OR→IN rewrite
-            # emits): probe a precomputed group-key set instead of
-            # re-evaluating the list and comparing linearly per row.
-            def contains_probe(env: Environment) -> Any:
-                verdict = _probe_verdict(operand_fn(env), probe, config)
-                return (
-                    ops.logical_not(verdict, config) if negated else verdict
-                )
-
-            return contains_probe
-        collection_fn = compile_expr(expr.collection, evaluator)
-
-        def contains(env: Environment) -> Any:
-            verdict = ops.in_collection(operand_fn(env), collection_fn(env), config)
-            return ops.logical_not(verdict, config) if negated else verdict
-
-        return contains
-
-    if isinstance(expr, ast.Exists):
-        if isinstance(expr.operand, ast.SubqueryExpr):
-            # Same early-termination routing as IN above.
-            return lambda env: evaluator._exists_verdict(expr.operand, env)
-        operand_fn = compile_expr(expr.operand, evaluator)
-        return lambda env: ops.exists(operand_fn(env), config)
-
-    if isinstance(expr, ast.FunctionCall):
-        return _compile_call(expr, evaluator)
-
-    if isinstance(expr, ast.StructLit):
-        return _compile_struct(expr, evaluator)
-
-    if isinstance(expr, ast.ArrayLit):
-        item_fns = [compile_expr(item, evaluator) for item in expr.items]
-
-        def array(env: Environment) -> list:
-            values = (fn(env) for fn in item_fns)
-            return [value for value in values if value is not MISSING]
-
-        return array
-
-    if isinstance(expr, ast.BagLit):
-        item_fns = [compile_expr(item, evaluator) for item in expr.items]
-
-        def bag(env: Environment) -> Bag:
-            values = (fn(env) for fn in item_fns)
-            return Bag(value for value in values if value is not MISSING)
-
-        return bag
-
-    # Subqueries, coercions, CASE, windows, parameters, casts, path
-    # wildcards: defer to the reference interpreter.
-    node = expr
-    return lambda env: evaluator.eval_expr(node, env)
+    return path_wildcard
 
 
 def _compile_binary(expr: ast.Binary, evaluator: "Evaluator") -> CompiledExpr:
     config = evaluator.config
-    op = expr.op
+    apply = ops.binary_operator(expr.op)
     left_fn = compile_expr(expr.left, evaluator)
     right_fn = compile_expr(expr.right, evaluator)
-    if op == "AND":
-        return lambda env: ops.logical_and(left_fn(env), right_fn(env), config)
-    if op == "OR":
-        return lambda env: ops.logical_or(left_fn(env), right_fn(env), config)
-    if op == "=":
-        return lambda env: ops.equals(left_fn(env), right_fn(env), config)
-    if op == "!=":
-        return lambda env: ops.not_equals(left_fn(env), right_fn(env), config)
-    if op in ("<", "<=", ">", ">="):
-        return lambda env: ops.compare(op, left_fn(env), right_fn(env), config)
-    if op == "||":
-        return lambda env: ops.concat(left_fn(env), right_fn(env), config)
-    return lambda env: ops.arithmetic(op, left_fn(env), right_fn(env), config)
+    return lambda env: apply(left_fn(env), right_fn(env), config)
+
+
+def _compile_unary(expr: ast.Unary, evaluator: "Evaluator") -> CompiledExpr:
+    config = evaluator.config
+    apply = ops.unary_operator(expr.op)
+    operand_fn = compile_expr(expr.operand, evaluator)
+    return lambda env: apply(operand_fn(env), config)
+
+
+def _compile_is(expr: ast.IsPredicate, evaluator: "Evaluator") -> CompiledExpr:
+    config = evaluator.config
+    operand_fn = compile_expr(expr.operand, evaluator)
+    kind = expr.kind
+    if expr.negated:
+        return lambda env: not ops.is_predicate(operand_fn(env), kind, config)
+    return lambda env: ops.is_predicate(operand_fn(env), kind, config)
+
+
+def _compile_between(expr: ast.Between, evaluator: "Evaluator") -> CompiledExpr:
+    config = evaluator.config
+    operand_fn = compile_expr(expr.operand, evaluator)
+    low_fn = compile_expr(expr.low, evaluator)
+    high_fn = compile_expr(expr.high, evaluator)
+    negated = expr.negated
+
+    def between(env: Environment) -> Any:
+        # All three operands evaluate before any comparison, exactly
+        # as the reference interpreter orders it (error parity).
+        value = operand_fn(env)
+        low = low_fn(env)
+        high = high_fn(env)
+        verdict = ops.logical_and(
+            ops.compare(">=", value, low, config),
+            ops.compare("<=", value, high, config),
+            config,
+        )
+        return ops.logical_not(verdict, config) if negated else verdict
+
+    return between
+
+
+def _subquery_stream(collection: ast.Expr) -> Optional[Tuple[ast.Query, bool]]:
+    """``(query, rows are coerced)`` for an IN collection that is a
+    subquery whose values can be probed one at a time, else None."""
+    if isinstance(collection, ast.SubqueryExpr):
+        return collection.query, False
+    if isinstance(collection, ast.CoerceSubquery) and collection.mode == "collection":
+        return collection.query, True
+    return None
+
+
+def _compile_in(expr: ast.InPredicate, evaluator: "Evaluator") -> CompiledExpr:
+    config = evaluator.config
+    operand_fn = compile_expr(expr.operand, evaluator)
+    negated = expr.negated
+    probe = _literal_probe_set(expr.collection)
+    if probe is not None:
+        # Literal single-category IN list (what the OR→IN rewrite
+        # emits): probe a precomputed group-key set instead of
+        # re-evaluating the list and comparing linearly per row.
+        def contains_probe(env: Environment) -> Any:
+            verdict = _probe_verdict(operand_fn(env), probe, config)
+            return ops.logical_not(verdict, config) if negated else verdict
+
+        return contains_probe
+    collection_fn = compile_expr(expr.collection, evaluator)
+    streamed = _subquery_stream(expr.collection)
+
+    def contains(env: Environment) -> Any:
+        operand = operand_fn(env)
+        stream = None
+        if streamed is not None and operand is not MISSING:
+            # Probe the subquery row by row: the first TRUE comparison
+            # stops its producers (docs/LANGUAGE.md §8).  A MISSING
+            # operand needs the collection fully evaluated for its side
+            # conditions, like every shape without a value stream.
+            stream = evaluator.open_value_stream(streamed[0], env)
+        if stream is not None:
+            verdict = _in_stream(operand, stream, streamed[1], config)
+        else:
+            verdict = ops.in_collection(operand, collection_fn(env), config)
+        return ops.logical_not(verdict, config) if negated else verdict
+
+    return contains
+
+
+def _in_stream(operand: Any, stream, coerce_rows: bool, config: Any) -> Any:
+    """Probe a streamed subquery: TRUE on the first match, else SQL's
+    three-valued verdict over the whole stream."""
+    rows = stream
+    if coerce_rows:
+        rows = (coercion.single_attribute(row, config) for row in stream)
+    try:
+        return ops.in_elements(operand, rows, config)
+    finally:
+        stream.close()
+
+
+def _compile_exists(expr: ast.Exists, evaluator: "Evaluator") -> CompiledExpr:
+    config = evaluator.config
+    operand_fn = compile_expr(expr.operand, evaluator)
+    if not isinstance(expr.operand, ast.SubqueryExpr):
+        return lambda env: ops.exists(operand_fn(env), config)
+    query = expr.operand.query
+
+    def exists_subquery(env: Environment) -> Any:
+        # EXISTS only asks whether the result is non-empty: stop the
+        # subquery's producers at its first row.
+        stream = evaluator.open_value_stream(query, env)
+        if stream is None:
+            return ops.exists(operand_fn(env), config)
+        try:
+            for __ in stream:
+                return True
+            return False
+        finally:
+            stream.close()
+
+    return exists_subquery
+
+
+def _compile_case(expr: ast.CaseExpr, evaluator: "Evaluator") -> CompiledExpr:
+    """CASE with the paper's MISSING treatment (Listing 9): in Core mode
+    a MISSING operand or condition makes the whole CASE MISSING; under
+    ``sql_compat`` it simply does not match, like SQL's NULL."""
+    config = evaluator.config
+    propagate = not config.sql_compat
+    operand_fn = (
+        compile_expr(expr.operand, evaluator) if expr.operand is not None else None
+    )
+    whens = [
+        (compile_expr(condition, evaluator), compile_expr(result, evaluator))
+        for condition, result in expr.whens
+    ]
+    else_fn = compile_expr(expr.else_, evaluator) if expr.else_ is not None else None
+
+    def case(env: Environment) -> Any:
+        if operand_fn is not None:
+            operand = operand_fn(env)
+            if operand is MISSING and propagate:
+                return MISSING
+        for condition_fn, result_fn in whens:
+            verdict = condition_fn(env)
+            if operand_fn is not None:
+                verdict = ops.equals(operand, verdict, config)
+            if verdict is MISSING and propagate:
+                return MISSING
+            if verdict is True:
+                return result_fn(env)
+        return else_fn(env) if else_fn is not None else None
+
+    return case
+
+
+def _compile_window_call(
+    expr: ast.WindowCall, evaluator: "Evaluator"
+) -> CompiledExpr:
+    # A block's SELECT never compiles its window calls: the executor
+    # lowers them to variables first (windows.lower_window_calls).
+    return lambda env: _raise(OUTSIDE_SELECT)
+
+
+def _compile_subquery(expr: ast.SubqueryExpr, evaluator: "Evaluator") -> CompiledExpr:
+    query = expr.query
+    return lambda env: evaluator.eval_query(query, env)
+
+
+def _compile_coerce(expr: ast.CoerceSubquery, evaluator: "Evaluator") -> CompiledExpr:
+    config = evaluator.config
+    query = expr.query
+    coerce = (
+        coercion.coerce_scalar if expr.mode == "scalar" else coercion.coerce_collection
+    )
+    return lambda env: coerce(evaluator.eval_query(query, env), config)
+
+
+def _compile_parameter(expr: ast.Parameter, evaluator: "Evaluator") -> CompiledExpr:
+    index = expr.index
+
+    def parameter(env: Environment) -> Any:
+        # Read per call: a memoised evaluator is rebound between runs.
+        parameters = evaluator._parameters
+        if index >= len(parameters):
+            raise EvaluationError(f"no value supplied for parameter #{index + 1}")
+        return parameters[index]
+
+    return parameter
+
+
+def _compile_cast(expr: ast.CastExpr, evaluator: "Evaluator") -> CompiledExpr:
+    config = evaluator.config
+    operand_fn = compile_expr(expr.operand, evaluator)
+    target = expr.type_name
+    return lambda env: cast_value(operand_fn(env), target, config)
+
+
+def _compile_collection(expr: Any, evaluator: "Evaluator") -> CompiledExpr:
+    """Array / bag construction; a MISSING item is left out."""
+    item_fns = [compile_expr(item, evaluator) for item in expr.items]
+    make = Bag if isinstance(expr, ast.BagLit) else list
+
+    def collection(env: Environment) -> Any:
+        values = (fn(env) for fn in item_fns)
+        return make(value for value in values if value is not MISSING)
+
+    return collection
 
 
 def _constant_like(expr: ast.Like) -> Optional[Tuple[str, Optional[str]]]:
@@ -340,40 +479,60 @@ def _compile_like(expr: ast.Like, evaluator: "Evaluator") -> CompiledExpr:
 
 
 def _compile_call(expr: ast.FunctionCall, evaluator: "Evaluator") -> CompiledExpr:
-    node = expr
-    if expr.name == "$TUPLE_MERGE" or expr.star or expr.distinct:
-        return lambda env: evaluator.eval_expr(node, env)
-    definition = REGISTRY.lookup(expr.name)
-    if definition is None:
-        return lambda env: evaluator.eval_expr(node, env)  # raise uniformly
     config = evaluator.config
     arg_fns = [compile_expr(arg, evaluator) for arg in expr.args]
+    if expr.name == "$TUPLE_MERGE":
+        return lambda env: ops.tuple_merge((fn(env) for fn in arg_fns), config)
+    definition = REGISTRY.lookup(expr.name)
+    if definition is None:
+        message = f"unknown function {expr.name}"
+        return lambda env: _raise(message)
+    if expr.star:
+        message = f"{expr.name}(*) is only meaningful inside a grouped query"
+        return lambda env: _raise(message)
+    if not (expr.distinct and definition.is_aggregate):
+        return lambda env: definition.invoke([fn(env) for fn in arg_fns], config)
 
-    def call(env: Environment) -> Any:
-        return definition.invoke([fn(env) for fn in arg_fns], config)
+    def call_distinct(env: Environment) -> Any:
+        args = [fn(env) for fn in arg_fns]
+        if args and is_collection(args[0]):
+            args[0] = ops.distinct_elements(args[0])
+        return definition.invoke(args, config)
 
-    return call
+    return call_distinct
 
 
 def _compile_struct(expr: ast.StructLit, evaluator: "Evaluator") -> CompiledExpr:
-    # Constant string keys (the rewriter's SELECT lowering always makes
-    # them) take a fast path; dynamic keys defer to the interpreter.
-    keys = _literal_keys(expr)
-    if keys is None:
-        node = expr
-        return lambda env: evaluator.eval_expr(node, env)
     value_fns = [compile_expr(field.value, evaluator) for field in expr.fields]
-    make = _struct_maker(keys)
+    # Constant string keys (the rewriter's SELECT lowering always makes
+    # them) take a fast path.
+    keys = _literal_keys(expr)
+    if keys is not None:
+        make = _struct_maker(keys)
 
-    def struct(env: Environment) -> Struct:
-        pairs = []
-        for key, fn in zip(keys, value_fns):
-            value = fn(env)
-            if value is not MISSING:
-                pairs.append((key, value))
-        return make(pairs)
+        def struct(env: Environment) -> Struct:
+            pairs = []
+            for key, fn in zip(keys, value_fns):
+                value = fn(env)
+                if value is not MISSING:
+                    pairs.append((key, value))
+            return make(pairs)
 
-    return struct
+        return struct
+    config = evaluator.config
+    key_fns = [compile_expr(field.key, evaluator) for field in expr.fields]
+
+    def struct_dynamic(env: Environment) -> Struct:
+        # An absent or mistyped name omits the attribute before its
+        # value is evaluated (strict mode: raises).
+        result = Struct()
+        for key_fn, value_fn in zip(key_fns, value_fns):
+            key = ops.attribute_name(key_fn(env), config)
+            if key is not MISSING:
+                result = result.with_attr(key, value_fn(env))
+        return result
+
+    return struct_dynamic
 
 
 def _literal_keys(expr: ast.StructLit) -> Optional[List[str]]:
@@ -396,6 +555,36 @@ def _struct_maker(keys: List[str]) -> Callable[[list], Struct]:
     duplicate names, so a literal that repeats a name keeps using it.
     """
     return Struct._trusted if len(set(keys)) == len(keys) else Struct
+
+
+#: Every concrete ``ast.Expr`` kind → its row-closure compiler (the
+#: exhaustiveness test in tests/properties/test_compile_equivalence.py
+#: holds this, the reference interpreter's dispatch and the kernel table
+#: against the AST).
+_CLOSURES: Dict[type, Callable[[Any, "Evaluator"], CompiledExpr]] = {
+    ast.Literal: _compile_literal,
+    ast.VarRef: _compile_var_ref,
+    ast.Path: _compile_path,
+    ast.Index: _compile_index,
+    ast.PathWildcard: _compile_path_wildcard,
+    ast.Binary: _compile_binary,
+    ast.Unary: _compile_unary,
+    ast.IsPredicate: _compile_is,
+    ast.Like: _compile_like,
+    ast.Between: _compile_between,
+    ast.InPredicate: _compile_in,
+    ast.Exists: _compile_exists,
+    ast.CaseExpr: _compile_case,
+    ast.FunctionCall: _compile_call,
+    ast.WindowCall: _compile_window_call,
+    ast.SubqueryExpr: _compile_subquery,
+    ast.CoerceSubquery: _compile_coerce,
+    ast.Parameter: _compile_parameter,
+    ast.CastExpr: _compile_cast,
+    ast.StructLit: _compile_struct,
+    ast.ArrayLit: _compile_collection,
+    ast.BagLit: _compile_collection,
+}
 
 
 # =========================================================================
@@ -1064,7 +1253,7 @@ class _KernelCompiler:
     def case(self, expr: ast.CaseExpr) -> Kernel:
         """CASE over selection vectors: each WHEN runs over the rows no
         earlier branch decided, each THEN/ELSE only over the rows its
-        WHEN selected — the rows ``_eval_case`` would evaluate them on.
+        WHEN selected — the rows the reference CASE evaluates them on.
         A MISSING operand or condition makes the row MISSING unless
         ``sql_compat`` (Listing 9)."""
         config = self.config

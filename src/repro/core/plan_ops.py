@@ -5,9 +5,9 @@ Section III-A); that definition is a *specification*, not an execution
 strategy.  This module provides the physical operators the planner
 (:mod:`repro.core.planner`) compiles a Core FROM clause into:
 
-* :class:`ScanOp` — enumerate one range/UNPIVOT item (reference
-  semantics), optionally applying pushed-down filter conjuncts before
-  the bindings enter any cross product;
+* :class:`ScanOp` — enumerate one range/UNPIVOT item, optionally
+  applying pushed-down filter conjuncts before the bindings enter any
+  cross product;
 * :class:`HashJoinOp` — an equi-join executed by hashing the right
   (build) side once and probing per left binding, with LEFT-join NULL
   padding and the Core rule that NULL/MISSING keys never match;
@@ -25,11 +25,11 @@ a time, so a downstream consumer (top-K heap, LIMIT, EXISTS) can stop
 pulling and the whole pipeline stops producing.  Probe sides stream;
 only what *must* be materialized is — the hash-join build table and the
 materialize-once right side of an uncorrelated nested loop (both built
-lazily, on the first probe-side row).  :meth:`PlanOp.bindings` remains
-as the eager wrapper (``list(iter_bindings(...))``).
+lazily, on the first probe-side row).
 
 Every operator must be observationally equivalent to the reference
-pipeline under permissive typing (the only mode the planner runs in);
+interpreter (:mod:`repro.core.reference`, which this module never
+calls) under permissive typing, the only mode the planner runs in;
 the property tests ``tests/properties/test_planner_equivalence.py`` and
 ``tests/properties/test_streaming_equivalence.py`` enforce this on
 generated workloads.
@@ -51,6 +51,7 @@ from typing import (
     TYPE_CHECKING,
 )
 
+from repro.core.clauses import pad_right_vars
 from repro.datamodel.equality import group_key
 from repro.datamodel.values import Bag, LazyBag, MISSING, Struct, type_name
 from repro.errors import TypeCheckError
@@ -75,18 +76,14 @@ CHUNK_ROWS = 1024
 GOVERNOR_TICK = 64
 
 
-def pad_right_vars(left_binding: Binding, right_vars: List[str]) -> Binding:
-    """A LEFT-join padded binding: every right-side variable — including
-    variables of joins nested inside the right side and AT position
-    variables — becomes NULL.
-
-    Shared by the reference nested-loop path and every physical join
-    operator so the padding sets cannot drift apart.
-    """
-    padded = dict(left_binding)
-    for name in right_vars:
-        padded[name] = None
-    return padded
+def close_iter(it) -> None:
+    """Close a generator-backed iterator promptly (no-op for plain
+    iterators); used so early-terminating consumers release upstream
+    producers deterministically instead of waiting for garbage
+    collection."""
+    close = getattr(it, "close", None)
+    if close is not None:
+        close()
 
 
 class PlanOp:
@@ -114,12 +111,6 @@ class PlanOp:
         #: join-output <= product-of-inputs monotonicity law on
         #: model-derived estimates.
         self.est_source: str = "model"
-
-    def bindings(
-        self, evaluator: "Evaluator", env: "Environment"
-    ) -> List[Binding]:
-        """Eager wrapper: the fully materialized binding rows."""
-        return list(self.iter_bindings(evaluator, env))
 
     def iter_bindings(
         self, evaluator: "Evaluator", env: "Environment"
@@ -254,9 +245,7 @@ class PlanOp:
                 rows_out += 1
                 yield row
         finally:
-            close = getattr(source, "close", None)
-            if close is not None:
-                close()
+            close_iter(source)
             tracer.record_op(self, rows_in, rows_out, 0.0)
 
     # -- EXPLAIN -----------------------------------------------------------
@@ -323,8 +312,8 @@ class EmptyOp(PlanOp):
 
 
 class ScanOp(PlanOp):
-    """Enumerate one FromCollection / FromUnpivot item (reference
-    semantics), then apply pushed filters before any cross product."""
+    """Enumerate one FromCollection / FromUnpivot item, then apply
+    pushed filters before any cross product."""
 
     def __init__(self, item: ast.FromItem):
         super().__init__()
@@ -396,81 +385,49 @@ class ScanOp(PlanOp):
                 tracer.record_op(self, rows_in, rows_out, elapsed)
 
     def _scan_chunks(self, evaluator, env, morsel):
-        """Raw (pre-filter) chunks for one FromCollection, with governor
-        accounting every GOVERNOR_TICK rows — matching the reference
-        case analysis of ``Evaluator._iter_range_bindings`` exactly."""
+        """Raw (pre-filter) chunks for one FromCollection: what
+        :func:`lateral_bindings` says the source binds, cut into chunks,
+        the governor told every GOVERNOR_TICK rows."""
         item = self.item
         alias = item.alias
         at = item.at_alias
         governor = evaluator.governor
+        config = evaluator.config
         value = evaluator.compiled(item.expr)(env)
-        # LazyBag first: it subclasses Bag but must stream element-wise
-        # (materializing it would defeat its purpose), ticking the
-        # governor as elements are pulled so a slow source cannot defer
-        # a timeout to the chunk boundary.
-        if isinstance(value, LazyBag):
+        elements, positions = lateral_bindings(item, value, config)
+        if isinstance(elements, LazyBag):
+            # Streams element-wise (materializing it would defeat its
+            # purpose), ticking the governor as elements are pulled so a
+            # slow source cannot defer a timeout to the chunk boundary.
             if morsel is not None:
                 raise ValueError("cannot morsel-scan a lazy bag")
-            chunk: List[Binding] = []
-            pending = 0
-            for element in value:
-                binding = {alias: element}
-                if at:
-                    binding[at] = MISSING
-                chunk.append(binding)
-                pending += 1
-                if pending >= GOVERNOR_TICK:
-                    if governor is not None:
-                        governor.add(pending)
-                    pending = 0
-                if len(chunk) >= CHUNK_ROWS:
-                    yield chunk
-                    chunk = []
-            if pending and governor is not None:
-                governor.add(pending)
-            if chunk:
+            pieces = flatten_lateral(
+                item, [{}], [value], config, governor_tick(governor), False
+            )
+            for chunk, __ in pieces:
                 yield chunk
             return
-        if isinstance(value, (list, Bag)):
-            if isinstance(value, list):
-                elements = value
-                positional = bool(at)
+        if isinstance(elements, Bag):
+            elements = elements.to_list()
+        base = 0
+        if morsel is not None:
+            # A singleton binding belongs to the first morsel.
+            base, stop = morsel
+            elements = elements[base:stop]
+        for start in range(0, len(elements), CHUNK_ROWS):
+            piece = elements[start : start + CHUNK_ROWS]
+            if governor is not None:
+                _tick(governor, len(piece))
+            if not at:
+                yield [{alias: element} for element in piece]
+            elif positions is None:
+                yield [{alias: element, at: MISSING} for element in piece]
             else:
-                elements = value.to_list()
-                positional = False
-            base = 0
-            if morsel is not None:
-                base, stop = morsel
-                elements = elements[base:stop]
-            for start in range(0, len(elements), CHUNK_ROWS):
-                piece = elements[start : start + CHUNK_ROWS]
-                if governor is not None:
-                    _tick(governor, len(piece))
-                if positional:
-                    origin = base + start
-                    yield [
-                        {alias: element, at: origin + offset}
-                        for offset, element in enumerate(piece)
-                    ]
-                elif at:
-                    yield [{alias: element, at: MISSING} for element in piece]
-                else:
-                    yield [{alias: element} for element in piece]
-            return
-        if not evaluator.config.is_permissive:
-            raise TypeCheckError(
-                f"FROM expects a collection, got {type_name(value)}"
-            )
-        if value is None or value is MISSING:
-            return
-        if morsel is not None and morsel[0] > 0:
-            return  # the singleton binding belongs to the first morsel
-        binding = {alias: value}
-        if at:
-            binding[at] = MISSING
-        if governor is not None:
-            governor.add(1)
-        yield [binding]
+                origin = base + start
+                yield [
+                    {alias: element, at: origin + offset}
+                    for offset, element in enumerate(piece)
+                ]
 
     def describe(self) -> str:
         from repro.syntax.printer import print_ast
@@ -495,8 +452,8 @@ class LateralJoinOp(PlanOp):
     Both spellings of the paper's left-correlation plan to it — a comma
     item whose free names touch earlier variables (``FROM hr.emp AS e,
     e.projects AS p``: INNER, no ``ON``) and an explicit JOIN with a
-    lateral right side.  The row form mirrors
-    ``Evaluator._iter_join_bindings``; when the right item is a plain
+    lateral right side.  The row form is the direct FROM loop's nested
+    loop (:func:`lateral_join_bindings`); when the right item is a plain
     range or UNPIVOT the chunk form flattens a whole left chunk at a
     time (:func:`flatten_lateral`) instead of re-entering the item
     enumeration per left row.
@@ -526,26 +483,11 @@ class LateralJoinOp(PlanOp):
         )
 
     def _iter_produce(self, evaluator, env):
-        # The governor sees each right binding once, inside the item
-        # enumeration, exactly as the direct FROM loop counts it; only a
-        # padded row is produced here without one.
-        governor = evaluator.governor
-        on_fn = evaluator.compiled(self.on) if self.on is not None else None
-        for left_binding in self.left.iter_bindings(evaluator, env):
-            left_env = env.extend(left_binding)
-            matched = False
-            for right_binding in evaluator._iter_item_bindings(
-                self.right_item, left_env
-            ):
-                combined = {**left_binding, **right_binding}
-                if on_fn is not None and on_fn(env.extend(combined)) is not True:
-                    continue
-                matched = True
-                yield combined
-            if self.kind == "LEFT" and not matched:
-                if governor is not None:
-                    governor.add(1)
-                yield pad_right_vars(left_binding, self.right_vars)
+        return lateral_join_bindings(
+            evaluator, env, self.left.iter_bindings(evaluator, env),
+            self.right_item, self.kind, self.on, self.right_vars,
+            evaluator.governor,
+        )
 
     def iter_chunks(self, evaluator, env, morsel=None, tables=None):
         if not self.native_chunks:
@@ -723,7 +665,7 @@ class MaterializeJoinOp(PlanOp):
         right_rows: Optional[List[Binding]] = None
         for left_binding in self.left.iter_bindings(evaluator, env):
             if right_rows is None:
-                right_rows = self.right.bindings(evaluator, env)
+                right_rows = list(self.right.iter_bindings(evaluator, env))
             matched = False
             for right_binding in right_rows:
                 combined = {**left_binding, **right_binding}
@@ -800,7 +742,7 @@ class HashJoinOp(PlanOp):
         for left_binding in self.left.iter_bindings(evaluator, env):
             if table is None:
                 table = {}
-                for right_binding in self.right.bindings(evaluator, env):
+                for right_binding in self.right.iter_bindings(evaluator, env):
                     key = _key_tuple(right_key_fns, env.extend(right_binding))
                     if key is None:
                         continue  # absent key: can never satisfy the equi-ON
@@ -1008,9 +950,7 @@ def _rechunk(source: Iterator[Binding]) -> Iterator[List[Binding]]:
         if chunk:
             yield chunk
     finally:
-        close = getattr(source, "close", None)
-        if close is not None:
-            close()
+        close_iter(source)
 
 
 def _apply_filters(chunk: List[Binding], filter_fns, env) -> List[Binding]:
@@ -1035,28 +975,81 @@ def governor_tick(governor) -> Optional[Callable[[int], None]]:
     return partial(_tick, governor) if governor is not None else None
 
 
-def lateral_bindings(item: ast.FromItem, value: Any, config) -> Any:
-    """The ``(element, AT value)`` pairs one range/UNPIVOT source value
-    binds — the case analysis of ``Evaluator._iter_range_bindings`` and
-    ``Evaluator._unpivot_bindings``, lazily for a bag so a
-    :class:`LazyBag` is pulled element by element."""
+def lateral_join_bindings(
+    evaluator, env, left_source, right_item, kind, on, right_vars, governor=None
+) -> Iterator[Binding]:
+    """The left-correlated nested loop, streamed: ``right_item`` is
+    enumerated once per left binding (through the evaluator's item choke
+    point, which counts each right binding), ``on`` keeps a combined
+    binding on TRUE, and a LEFT join pads an unmatched left binding —
+    which requires draining the right side per left row.  ``governor``
+    is told of each padded row when no enclosing enumeration counts the
+    join's output (:class:`LateralJoinOp`)."""
+    on_fn = evaluator.compiled(on) if on is not None else None
+    try:
+        for left_binding in left_source:
+            left_env = env.extend(left_binding)
+            matched = False
+            right_source = evaluator._iter_item_bindings(right_item, left_env)
+            try:
+                for right_binding in right_source:
+                    combined = {**left_binding, **right_binding}
+                    if on_fn is not None and on_fn(env.extend(combined)) is not True:
+                        continue
+                    matched = True
+                    yield combined
+            finally:
+                close_iter(right_source)
+            if kind == "LEFT" and not matched:
+                if governor is not None:
+                    governor.add(1)
+                yield pad_right_vars(left_binding, right_vars)
+    finally:
+        close_iter(left_source)
+
+
+def lateral_bindings(item: ast.FromItem, value: Any, config) -> Tuple[Any, Any]:
+    """``(elements, AT values)`` that one range / UNPIVOT source value
+    binds — the engine's one copy of the FROM-item case analysis the
+    oracle spells out in ``ReferenceEvaluator._range_bindings`` /
+    ``_unpivot_bindings`` (Section III-A).  AT values of ``None`` mean
+    "MISSING for every element" (bags, singletons); a bag is returned
+    as itself, so a :class:`LazyBag` is still pulled element by element.
+    """
     if isinstance(item, ast.FromUnpivot):
         if isinstance(value, Struct):
-            return [(attr_value, name) for name, attr_value in value._pairs]
+            return value.values(), value.keys()
         if not config.is_permissive:
             raise TypeCheckError(f"UNPIVOT expects a tuple, got {type_name(value)}")
         if value is None or value is MISSING:
-            return ()
-        return ((value, "_1"),)  # permissive: a non-tuple is {'_1': value}
+            return (), None
+        return (value,), ("_1",)
     if isinstance(value, list):
-        return zip(value, range(len(value)))
+        return value, range(len(value))
     if isinstance(value, Bag):
-        return zip(value, repeat(MISSING))  # bags have no positions
+        return value, None
     if not config.is_permissive:
         raise TypeCheckError(f"FROM expects a collection, got {type_name(value)}")
     if value is None or value is MISSING:
-        return ()
-    return ((value, MISSING),)
+        return (), None
+    return (value,), None
+
+
+def item_bindings(item: ast.FromItem, value: Any, config) -> Iterator[Binding]:
+    """The binding dicts of one range / UNPIVOT item whose source
+    evaluated to ``value``, lazily — the row form of
+    :func:`flatten_lateral`."""
+    elements, positions = lateral_bindings(item, value, config)
+    alias = item.value_alias if isinstance(item, ast.FromUnpivot) else item.alias
+    at = item.at_alias
+    if not at:
+        return ({alias: element} for element in elements)
+    if positions is None:
+        return ({alias: element, at: MISSING} for element in elements)
+    return (
+        {alias: element, at: position}
+        for element, position in zip(elements, positions)
+    )
 
 
 def flatten_lateral(
@@ -1134,7 +1127,10 @@ def flatten_lateral(
         start, size = owner + 1, 0
         row = rows[owner]
         pending = 0
-        for element, position in lateral_bindings(item, value, config):
+        elements, positions = lateral_bindings(item, value, config)
+        if positions is None:
+            positions = repeat(MISSING)  # bags have no positions
+        for element, position in zip(elements, positions):
             binding = {**row, alias: element}
             if at:
                 binding[at] = position

@@ -26,13 +26,14 @@ Comma-separated FROM items fold left-deep into the block's one operator
 tree; a later item that mentions an earlier variable becomes a
 :class:`~repro.core.plan_ops.LateralJoinOp`.
 
-Fallback rules (the reference semantics run unchanged) — see
+Fallback rules (the block streams over the direct FROM loop) — see
 docs/PLANNER.md:
 
-* strict typing mode: the reference pipeline's evaluation order is
-  observable through raised errors, so no block is planned at all
-  (:func:`plan_refusal` — with ``optimize=False`` and FROM-less blocks,
-  the only blocks without a plan);
+* strict typing mode: evaluation order is observable through raised
+  errors, so no block is planned at all (:func:`plan_refusal` — with
+  FROM-less blocks, the only blocks the engine runs without a plan;
+  ``optimize=False`` never reaches the planner, it runs the reference
+  interpreter);
 * correlated (lateral) right sides never hash or materialize: they
   re-range per left binding (:class:`~repro.core.plan_ops.LateralJoinOp`);
 * pushdown is skipped when the block has LET clauses (LET evaluates
@@ -52,6 +53,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
 from repro.config import EvalConfig
+from repro.core.clauses import item_vars
 from repro.core.plan_ops import (
     EmptyOp,
     HashJoinOp,
@@ -59,6 +61,7 @@ from repro.core.plan_ops import (
     MaterializeJoinOp,
     PlanOp,
     ScanOp,
+    close_iter,
 )
 from repro.functions.registry import REGISTRY
 from repro.syntax import ast
@@ -78,27 +81,6 @@ def free_names(node: ast.Node) -> Set[str]:
     proves independence).
     """
     return {n.name for n in node.walk() if isinstance(n, ast.VarRef)}
-
-
-def item_vars(item: ast.FromItem) -> List[str]:
-    """The variables a FROM item binds, in binding order (matches
-    ``Evaluator._collect_item_vars``)."""
-    result: List[str] = []
-    _collect_vars(item, result)
-    return result
-
-
-def _collect_vars(item: ast.FromItem, out: List[str]) -> None:
-    if isinstance(item, ast.FromCollection):
-        out.append(item.alias)
-        if item.at_alias:
-            out.append(item.at_alias)
-    elif isinstance(item, ast.FromUnpivot):
-        out.append(item.value_alias)
-        out.append(item.at_alias)
-    elif isinstance(item, ast.FromJoin):
-        _collect_vars(item.left, out)
-        _collect_vars(item.right, out)
 
 
 _UNSAFE_NODES = (ast.WindowCall, ast.SubqueryExpr, ast.CoerceSubquery, ast.Parameter)
@@ -183,29 +165,22 @@ class BlockPlan:
     #: shape never changes once planned; a replan is a new object).
     shape_hash: Optional[str] = field(default=None, repr=False, compare=False)
 
-    def execute(self, evaluator, env) -> list:
-        """Produce the block's binding environments eagerly (the
-        materialized form of :meth:`iter_envs`)."""
-        return list(self.iter_envs(evaluator, env))
-
     def iter_envs(self, evaluator, env):
-        """Stream the block's binding environments (replaces the
-        reference FROM loop and part of the WHERE in ``eval_block``).
+        """Stream the block's binding environments (in place of the
+        direct FROM loop and part of the WHERE).
 
         Pipelined: the tree's probe sides stream, so a downstream
         consumer that stops pulling (LIMIT, top-K, EXISTS) closes every
         operator; a right side is never enumerated before its left side
-        produces a row, matching the reference pipeline's behavior on
-        empty streams (error parity).
+        produces a row, matching the reference interpreter's behavior
+        on empty streams (error parity).
         """
         source = self.op.iter_bindings(evaluator, env)
         try:
             for row in source:
                 yield env.extend(row)
         finally:
-            close = getattr(source, "close", None)
-            if close is not None:
-                close()
+            close_iter(source)
 
     def explain(self, tracer=None) -> str:
         """The plan as text; with a tracer, annotated with runtime stats
@@ -240,9 +215,9 @@ class BlockPlan:
 
 
 def plan_refusal(block: ast.QueryBlock, config: EvalConfig) -> Optional[str]:
-    """Why a block has no physical plan (it runs the reference FROM
-    loop), or None when :func:`plan_block` plans it — the one refusal
-    ladder, which EXPLAIN prints."""
+    """Why a block has no physical plan (it streams over the direct
+    FROM loop), or None when :func:`plan_block` plans it — the one
+    refusal ladder, which EXPLAIN prints."""
     if not config.optimize:
         return "optimization disabled"
     if not config.is_permissive:

@@ -9,14 +9,15 @@ time: the physical operators yield lists of binding dicts
 chunks (:func:`repro.core.compile_expr.compile_batch`), and GROUP BY
 folds chunks into per-group accumulator state.
 
-Semantics are the eager reference pipeline's (``eval_block``): clauses
-run clause-major (all FROM rows, then LET over them, and so on within
-each chunk), which is exactly the order ``optimize=False`` evaluates
-in, so any error the batch path surfaces is one the reference
-semantics surfaces too.  The entry point is gated by
-``Evaluator._batch_decision`` — permissive mode, the top-level query or
-an uncorrelated derived table, no LIMIT/OFFSET — and anything the gate
-rejects stays on the streaming path.
+Semantics are the reference interpreter's (:mod:`repro.core.reference`,
+which this module never calls): clauses run clause-major (all FROM
+rows, then LET over them, and so on within each chunk), which is
+exactly the order ``optimize=False`` evaluates in, so any error the
+batch path surfaces is one the reference semantics surfaces too.  The
+entry point is gated by ``Evaluator._batch_decision`` — permissive
+mode, the top-level query or an uncorrelated derived table or
+set-operation operand, no LIMIT/OFFSET, PIVOT or window functions — and
+anything the gate rejects stays on the streaming path.
 
 Aggregate decomposition
 -----------------------
@@ -44,14 +45,16 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.core import clauses
 from repro.core.environment import Environment
 from repro.core.grouping_sets import expand_grouping_sets
-from repro.core.plan_ops import ScanOp, walk_ops
+from repro.core.plan_ops import ScanOp, close_iter, walk_ops
 from repro.datamodel.equality import group_key
 from repro.datamodel.values import Bag
 from repro.errors import EvaluationError, SQLPPError
 from repro.functions import operators as ops
 from repro.functions.registry import REGISTRY
+from repro.observability.tracer import StageTally
 from repro.syntax import ast
 
 Binding = Dict[str, Any]
@@ -306,12 +309,12 @@ def decompose_block(
 def cached_decomposition(
     evaluator, block: ast.QueryBlock, row_vars: Tuple[str, ...]
 ) -> Optional[Decomposition]:
-    """Per-evaluator memo of :func:`decompose_block` (the block node is
+    """Per-query memo of :func:`decompose_block` (the block node is
     kept alive alongside the result so id() keys stay unique)."""
-    entry = evaluator._decompositions.get(id(block))
+    cache = evaluator._caches.decompositions
+    entry = cache.get(id(block))
     if entry is None:
-        entry = (block, decompose_block(block, row_vars))
-        evaluator._decompositions[id(block)] = entry
+        entry = cache[id(block)] = (block, decompose_block(block, row_vars))
     return entry[1]
 
 
@@ -459,17 +462,6 @@ def finalize_groups(
 # =========================================================================
 
 
-class _Stage:
-    """Row/time tally for one clause stage of the batch pipeline."""
-
-    __slots__ = ("name", "rows", "elapsed")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.rows = 0
-        self.elapsed = 0.0
-
-
 @dataclass
 class BlockKernels:
     """Everything the batch executor compiles for one block's clauses
@@ -502,7 +494,7 @@ def block_kernels(evaluator, body: ast.QueryBlock, plan) -> BlockKernels:
     compiled = evaluator.compiled_batch
     var_order: List[str] = []
     for item in body.from_:
-        evaluator._collect_item_vars(item, var_order)
+        var_order.extend(clauses.item_vars(item))
     let_names = [let.name for let in body.lets]
     row_vars = tuple(var_order) + tuple(let_names)
     row_var_set = frozenset(row_vars)
@@ -559,10 +551,10 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
     residual_fn = kernels.residual_fn
     key_fns, value_fns = kernels.key_fns, kernels.value_fns
 
-    stages: List[_Stage] = []
+    stages: List[StageTally] = []
 
-    def stage(name: str) -> _Stage:
-        tally = _Stage(name)
+    def stage(name: str) -> StageTally:
+        tally = StageTally(name)
         stages.append(tally)
         return tally
 
@@ -646,9 +638,7 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
                 if chunk:
                     process_chunk(chunk)
         finally:
-            close = getattr(source, "close", None)
-            if close is not None:
-                close()
+            close_iter(source)
 
     # ---- GROUP BY ----------------------------------------------------
     group_envs: Optional[List[Environment]] = None
@@ -673,9 +663,7 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
         )
         group_stage.rows += len(group_envs)
         group_stage.elapsed += perf_counter() - started
-        output_vars = [key.alias for key in body.group_by.keys]
-        if body.group_by.group_as:
-            output_vars = output_vars + [body.group_by.group_as]
+        output_vars = clauses.group_output_vars(body.group_by)
 
     # ---- HAVING ------------------------------------------------------
     if group_envs is not None and body.having is not None:
@@ -708,16 +696,14 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
             values = [select_fn(current) for current in group_envs]
         else:
             values = [
-                evaluator._eval_star(current, output_vars)
-                for current in group_envs
+                clauses.eval_star(current, output_vars) for current in group_envs
             ]
         envs_out = group_envs
     elif kernels.select_fn is not None:
         values = kernels.select_fn(kept_rows, env)
     else:
         values = [
-            evaluator._eval_star(env.extend(row), output_vars)
-            for row in kept_rows
+            clauses.eval_star(env.extend(row), output_vars) for row in kept_rows
         ]
     if distinct:
         values = ops.distinct_elements(values)
@@ -730,31 +716,14 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
 
     # ---- stage records (streaming-recorder parity) -------------------
     if tracer is not None:
-        trace = tracer.trace
-        flush_started = perf_counter()
-        rows_in = 1
-        for tally in stages:
-            tracer.record_stage(
-                body, tally.name, rows_in, tally.rows, tally.elapsed
-            )
-            if trace is not None:
-                trace.event(
-                    tally.name,
-                    "stage",
-                    flush_started,
-                    tally.elapsed,
-                    {"rows_in": rows_in, "rows_out": tally.rows},
-                )
-            rows_in = tally.rows
+        tracer.flush_stages(body, stages, perf_counter())
 
     # ---- ORDER BY tail -----------------------------------------------
     if query.order_by:
         if envs_out is None and group_envs is None and not distinct:
             envs_out = [env.extend(row) for row in kept_rows]
-        values = evaluator._apply_order_by(
-            values, envs_out, query.order_by, env
-        )
-        return values
+        spec = evaluator._order_spec(query.order_by)
+        return clauses.apply_order_by(values, envs_out, spec, env)
     return Bag(values)
 
 
@@ -775,14 +744,11 @@ def explain_query(evaluator, query: ast.Query) -> List[str]:
     executors = explain_executors(evaluator, query)
     body = query.body
     if not isinstance(body, ast.QueryBlock):
-        return [
-            "plan: reference pipeline (query body is not a single query block)"
-        ] + executors
+        return [f"plan: none ({NOT_A_BLOCK})"] + executors
     batched = executors[0] == "executor: batch"
     plan = evaluator._block_plan(body)
     if plan is None:
-        reason = plan_refusal(body, evaluator.config)
-        lines = [f"plan: reference pipeline ({reason})"]
+        lines = [f"plan: unplanned ({plan_refusal(body, evaluator.config)})"]
     else:
         lines = [plan.explain()]
         if not plan.rewrites and not batched:
@@ -790,9 +756,12 @@ def explain_query(evaluator, query: ast.Query) -> List[str]:
                 "from: direct FROM loop (no rewrite fired, so row-at-a-time "
                 "execution does not go through the operator tree above)"
             )
-    if evaluator._can_stream(body):
-        lines.append(f"consumer: {describe_consumer(query, batched)}")
+    lines.append(f"consumer: {describe_consumer(query, batched)}")
     return lines + executors
+
+
+#: A set operation (whose operands have their own lines) or bare expression.
+NOT_A_BLOCK = "query body is not a single query block"
 
 
 def explain_executors(evaluator, query: ast.Query) -> List[str]:
@@ -801,17 +770,17 @@ def explain_executors(evaluator, query: ast.Query) -> List[str]:
     A dry run of the decisions execution makes, through the same
     functions (``Evaluator._batch_decision``, :func:`block_kernels`,
     ``PlanOp.batch_kernels``) and the same plan and kernel caches, on an
-    evaluator that is not executing: which of ``batch | stream |
-    reference`` runs the top-level block and each derived table
-    reachable in the top-level environment (with the clause that refused
-    the batch pipeline), and every expression of a batched block that
-    has no chunk kernel and takes the per-row env-space fallback, with
-    the node kind responsible.
+    evaluator that is not executing: which of ``batch | stream`` runs
+    the top-level block, each operand of a set operation and each
+    derived table reachable in the top-level environment (with the
+    clause that refused the batch pipeline), and every expression of a
+    batched block that has no chunk kernel and takes the per-row
+    env-space fallback, with the node kind responsible.
     """
     from repro.syntax.printer import print_ast
 
     env = Environment()
-    evaluator._top_query, evaluator._top_env = query, env
+    evaluator._enter(query, env)
     lines: List[str] = []
     fallbacks: List[ast.Expr] = []
     try:
@@ -847,20 +816,24 @@ def _explain_block(
     label = indent + title
     indent += "  "
     if not isinstance(body, ast.QueryBlock):
-        lines.append(f"{label}: reference (query body is not a single query block)")
-        # Bare block operands of a set operation run ``eval_block``;
-        # an operand with clauses of its own (ORDER BY, LIMIT) is a
-        # query evaluated in this same environment.
+        lines.append(f"{label}: none ({NOT_A_BLOCK})")
+        # Each operand of a set operation runs like a query evaluated
+        # in this same environment: a bare block without clauses of its
+        # own, or a query with them (ORDER BY, LIMIT).
         terms = [body.left, body.right] if isinstance(body, ast.SetOp) else []
         count = 0
         while terms:
             term = terms.pop(0)
             if isinstance(term, ast.SetOp):
                 terms[:0] = [term.left, term.right]
-            elif isinstance(term, (ast.Query, ast.SubqueryExpr)):
-                operand = term if isinstance(term, ast.Query) else term.query
+                continue
+            if isinstance(term, ast.QueryBlock):
+                term = ast.Query(body=term)
+            elif isinstance(term, ast.SubqueryExpr):
+                term = term.query
+            if isinstance(term, ast.Query):
                 count += _explain_block(
-                    evaluator, operand, env, indent, "operand", lines, fallbacks
+                    evaluator, term, env, indent, "operand", lines, fallbacks
                 )
         return count
     evaluator._note_reorder(query, body)
@@ -878,8 +851,7 @@ def _explain_block(
             fallbacks.extend(fn.fallbacks)
         items = [op.item for op in ops_ if isinstance(op, ScanOp)]
     else:
-        executor = "stream" if evaluator._can_stream(body) else "reference"
-        lines.append(f"{label}: {executor} ({reason})")
+        lines.append(f"{label}: stream ({reason})")
         stream_plan = evaluator._stream_plan(body)
         if stream_plan is not None:
             # Every scan of the tree is enumerated in the block's own
@@ -904,4 +876,3 @@ def _explain_block(
                 f"derived table {item.alias}", lines, fallbacks,
             )
     return count
-

@@ -15,7 +15,8 @@ stream of a query block:
 
 Window values are computed once per binding before the SELECT clause
 runs; the evaluator replaces each ``WindowCall`` node with a reference to
-the precomputed value.
+the precomputed value.  Both evaluators — the engine and the reference
+interpreter — run this module, each through its own ``eval_expr``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Any, Callable, Dict, List, TYPE_CHECKING
 
 from repro.datamodel.equality import group_key
 from repro.datamodel.ordering import sort_key
-from repro.datamodel.values import MISSING
 from repro.errors import EvaluationError
 from repro.functions.aggregates import SQL_AGGREGATES
 from repro.functions.registry import REGISTRY
@@ -39,6 +39,12 @@ RANKING_FUNCTIONS = frozenset(
 )
 OFFSET_FUNCTIONS = frozenset({"LAG", "LEAD"})
 VALUE_FUNCTIONS = frozenset({"FIRST_VALUE", "LAST_VALUE"})
+
+#: What evaluating a window call anywhere but a block's SELECT raises.
+OUTSIDE_SELECT = (
+    "window functions (OVER) are only allowed in the SELECT clause "
+    "of a query block"
+)
 
 
 def is_window_function(name: str) -> bool:
@@ -233,4 +239,31 @@ def find_window_calls(node: ast.Node) -> List[ast.WindowCall]:
     return found
 
 
-_MISSING_SENTINEL = MISSING  # re-exported for evaluator convenience
+def lower_window_calls(
+    select: ast.SelectClause, calls: List[ast.WindowCall]
+) -> ast.SelectClause:
+    """``select`` with its n-th window call replaced by a reference to
+    the variable :func:`bind_window_values` binds its value to — a
+    function of the block alone, so the engine caches it per block."""
+    names = {id(call): f"$window{number}" for number, call in enumerate(calls)}
+
+    def substitute(node: ast.Node) -> ast.Node:
+        name = names.get(id(node))
+        return node if name is None else ast.VarRef(name=name)
+
+    return select.transform(substitute)
+
+
+def bind_window_values(
+    calls: List[ast.WindowCall],
+    envs: List["Environment"],
+    evaluator: "Evaluator",
+) -> List["Environment"]:
+    """The final binding stream with every window call's value bound
+    (windows see the whole stream, so this is a pipeline breaker)."""
+    per_env: List[Dict[str, Any]] = [{} for __ in envs]
+    for number, call in enumerate(calls):
+        values = compute_window_values(call, envs, evaluator)
+        for extra, value in zip(per_env, values):
+            extra[f"$window{number}"] = value
+    return [env.extend(extra) for env, extra in zip(envs, per_env)]

@@ -7,8 +7,8 @@ data format such as JSON, CBOR, or Ion" (Section II): bags as
 ``missing``.
 
 Reading reuses the SQL++ expression parser (the notation *is* a constant
-SQL++ expression) and evaluates it with the Core evaluator, so the
-notation automatically stays consistent with the query language — e.g.
+SQL++ expression) and evaluates it with the reference interpreter, so
+the notation automatically stays consistent with the query language — e.g.
 a MISSING attribute value omits the attribute.
 
 :func:`dumps` pretty-prints any model value back in the same notation;
@@ -22,7 +22,7 @@ from typing import Any
 
 from repro.config import EvalConfig
 from repro.core.environment import Environment
-from repro.core.evaluator import Evaluator
+from repro.core.reference import ReferenceEvaluator
 from repro.datamodel.values import MISSING, Bag, Struct, type_name
 from repro.errors import FormatError, SQLPPError
 from repro.syntax.parser import parse_expression
@@ -32,8 +32,8 @@ def loads(text: str) -> Any:
     """Parse a literal value written in the paper's notation."""
     try:
         expr = parse_expression(text)
-        evaluator = Evaluator(catalog={}, config=EvalConfig(typing_mode="strict"))
-        return evaluator.eval_expr(expr, Environment())
+        oracle = ReferenceEvaluator({}, EvalConfig(typing_mode="strict"))
+        return oracle.eval_expr(expr, Environment())
     except SQLPPError as exc:
         raise FormatError(f"invalid SQL++ literal: {exc}") from exc
 

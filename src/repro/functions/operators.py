@@ -23,7 +23,7 @@ are exactly the SQL expressions that can map NULL to non-NULL).
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Optional
 
 from repro.config import EvalConfig
@@ -340,8 +340,14 @@ def in_collection(operand: Any, collection: Any, config: EvalConfig) -> Any:
         return config.type_error(
             f"IN expects a collection, got {type_name(collection)}"
         )
+    return in_elements(operand, collection, config)
+
+
+def in_elements(operand: Any, elements: Any, config: EvalConfig) -> Any:
+    """:func:`in_collection` over any iterable of elements, consumed
+    only up to the first match (a streamed subquery stops there)."""
     saw_unknown = False
-    for element in collection:
+    for element in elements:
         verdict = equals(operand, element, config)
         if verdict is True:
             return True
@@ -454,21 +460,97 @@ def navigate_index(base: Any, index: Any, config: EvalConfig) -> Any:
     return config.type_error(f"cannot index into {type_name(base)}")
 
 
+def wildcard_elements(value: Any, kind: str, config: EvalConfig) -> list:
+    """What one ``[*]`` (``kind`` ``elems``) or ``.*`` (``attrs``) path
+    step ranges over: a collection's elements / a tuple's values, nothing
+    for NULL or MISSING, and a type error for anything else."""
+    if kind == "attrs":
+        if isinstance(value, Struct):
+            return value.values()
+    elif isinstance(value, (list, Bag)):
+        return list(value)
+    if value is None or value is MISSING:
+        return []
+    checked = config.type_error(
+        f"path wildcard expects a collection, got {type_name(value)}"
+    )
+    return [] if checked is MISSING else [checked]
+
+
+def wildcard_path(base: Any, kind: str, steps: Any, config: EvalConfig) -> list:
+    """``base[*].a.b`` — map the trailing steps over the elements and
+    drop MISSING results (the data-exclusion signal); a further wildcard
+    step flattens one level.  Each step is ``(wildcard kind, attribute,
+    index thunk)`` with one of them set; an index is computed when its
+    step is reached."""
+    current = wildcard_elements(base, kind, config)
+    for wildcard, attr, index_of in steps:
+        if wildcard is not None:
+            current = [
+                element
+                for item in current
+                for element in wildcard_elements(item, wildcard, config)
+            ]
+        elif attr is not None:
+            current = [navigate_path(item, attr, config) for item in current]
+        else:
+            index = index_of()
+            current = [navigate_index(item, index, config) for item in current]
+    return [item for item in current if item is not MISSING]
+
+
+# =========================================================================
+# Tuple construction
+# =========================================================================
+
+
+def attribute_name(key: Any, config: EvalConfig) -> Any:
+    """A computed tuple-constructor attribute name: the string itself,
+    or a type error for an absent or non-string one (permissive mode:
+    MISSING, and the constructor omits the attribute)."""
+    if key is MISSING or key is None:
+        return config.type_error("tuple attribute name is absent")
+    if not isinstance(key, str):
+        return config.type_error(
+            f"tuple attribute name must be a string, got {type_name(key)}"
+        )
+    return key
+
+
+def tuple_merge(parts: Any, config: EvalConfig) -> Struct:
+    """``$TUPLE_MERGE``: the tuple ``SELECT a.*, b.x`` projections
+    build, merging tuple parts left to right.  NULL and MISSING parts
+    contribute nothing; any other non-tuple is a type error."""
+    result = Struct()
+    for value in parts:
+        if isinstance(value, Struct):
+            result = result.merged(value)
+        elif value is not MISSING and value is not None:
+            config.type_error(
+                f"SELECT item.* expects a tuple, got {type_name(value)}"
+            )
+    return result
+
+
 # =========================================================================
 # DISTINCT
 # =========================================================================
 
 
-def distinct_elements(items: Any) -> list:
-    """Remove duplicates under SQL++ deep equality, keeping first occurrence."""
+def iter_distinct(items: Any) -> Any:
+    """``items`` without duplicates under SQL++ deep equality, first
+    occurrence kept, as a stream."""
     seen = set()
-    result = []
     for item in items:
         key = group_key(item)
         if key not in seen:
             seen.add(key)
-            result.append(item)
-    return result
+            yield item
+
+
+def distinct_elements(items: Any) -> list:
+    """Remove duplicates under SQL++ deep equality, keeping first occurrence."""
+    return list(iter_distinct(items))
 
 
 def bag_or_list_elements(value: Any, config: EvalConfig):
@@ -478,3 +560,30 @@ def bag_or_list_elements(value: Any, config: EvalConfig):
     return config.type_error(
         f"set operation expects collections, got {type_name(value)}"
     )
+
+
+# =========================================================================
+# Operator symbols
+# =========================================================================
+
+_BINARY = {
+    "AND": logical_and,
+    "OR": logical_or,
+    "=": equals,
+    "!=": not_equals,
+    "||": concat,
+    **{op: partial(compare, op) for op in ("<", "<=", ">", ">=")},
+}
+_UNARY = {"NOT": logical_not, "-": negate}
+
+
+def binary_operator(op: str):
+    """The ``(left, right, config)`` function of a binary operator
+    symbol (anything else is arithmetic, which rejects unknown ones).
+    Both operands are always evaluated first, AND / OR included."""
+    return _BINARY.get(op) or partial(arithmetic, op)
+
+
+def unary_operator(op: str):
+    """The ``(value, config)`` function of a unary operator symbol."""
+    return _UNARY.get(op, unary_plus)

@@ -58,18 +58,17 @@ class QueryMetrics:
     parse_s: float = 0.0
     rewrite_s: float = 0.0
     #: Planner wall time; ``None`` means the planner never ran (the
-    #: reference pipeline, strict mode, or a plan-cache hit with no
-    #: planning work).  ``0.0`` is a real measurement — without the
-    #: sentinel a fast planned query was indistinguishable from
-    #: "planner off".
+    #: reference interpreter, strict mode, or a block without FROM).
+    #: ``0.0`` is a real measurement — without the sentinel a fast
+    #: planned query was indistinguishable from "planner off".
     plan_s: Optional[float] = None
     execute_s: float = 0.0
     total_s: float = 0.0
     #: Top-level result cardinality (None for scalar/error results).
     rows_returned: Optional[int] = None
     #: Whether any query block ran on the streaming (pipelined) clause
-    #: pipeline — False for the eager reference path (``optimize=False``)
-    #: and for shapes that cannot stream (PIVOT, window functions).
+    #: pipeline — False for the reference interpreter (``optimize=False``)
+    #: and for a query whose body is a bare expression.
     streamed: bool = False
     #: Whether the top-level block ran on the batch (chunk-vectorized)
     #: pipeline (docs/PLANNER.md); implies ``streamed``.

@@ -124,7 +124,8 @@ def plan_signature(plan) -> str:
 def plan_hash(plan) -> str:
     """A 12-hex-digit hash of the executed plan's shape, computed once
     per :class:`~repro.core.planner.BlockPlan`; the literal
-    ``"reference"`` when no physical plan ran (reference pipeline)."""
+    ``"reference"`` when no physical plan ran (the direct FROM loop, or
+    the reference interpreter)."""
     if plan is None:
         return "reference"
     if plan.shape_hash is None:

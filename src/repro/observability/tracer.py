@@ -1,9 +1,10 @@
 """Execution tracing for ``EXPLAIN ANALYZE``.
 
 An :class:`ExecTracer` rides along one query execution and accumulates,
-per physical operator (:mod:`repro.core.plan_ops`), per reference-path
-FROM item (the nested-loop pipeline of :mod:`repro.core.evaluator`) and
-per clause-pipeline stage:
+per physical operator (:mod:`repro.core.plan_ops`), per nested-loop
+FROM item (the engine's direct FROM loop in :mod:`repro.core.evaluator`
+and the reference interpreter's in :mod:`repro.core.reference`) and per
+clause-pipeline stage:
 
 * **invocations** — how many times the operator produced its bindings
   (a lateral right side runs once per left binding; everything else
@@ -116,6 +117,18 @@ def estimate_suffix(
     return text + ")"
 
 
+class StageTally:
+    """Row/time counters one clause stage of the streaming or batch
+    pipeline updates as rows pass (:meth:`ExecTracer.flush_stages`)."""
+
+    __slots__ = ("name", "rows", "elapsed")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.rows = 0
+        self.elapsed = 0.0
+
+
 class ExecTracer:
     """Collects per-operator and per-stage statistics for one execution."""
 
@@ -131,7 +144,7 @@ class ExecTracer:
         #: Physical operators, keyed by id(op); the op is kept alive
         #: alongside its stats so id() keys cannot be reused.
         self._op_stats: Dict[int, Tuple[Any, OpStats]] = {}
-        #: Reference-path FROM items, keyed by id(ast node).
+        #: Nested-loop FROM items, keyed by id(ast node).
         self._item_stats: Dict[int, Tuple[ast.FromItem, OpStats]] = {}
         #: Clause-pipeline stages, keyed by (id(block), stage name), in
         #: first-recorded order.
@@ -178,14 +191,23 @@ class ExecTracer:
         stats.rows_out += rows_out
         stats.time_s += elapsed_s
 
+    def begin_item(self, item: ast.FromItem) -> Optional[Any]:
+        """Open the span of one nested-loop FROM item's enumeration
+        (None without a span collector); :meth:`record_item` ends it."""
+        if self.trace is None:
+            return None
+        return self.trace.begin(describe_from_item(item), "item")
+
     def record_item(
-        self, item: ast.FromItem, rows_out: int, elapsed_s: float
+        self, item: ast.FromItem, rows_out: int, elapsed_s: float, span: Any = None
     ) -> None:
         entry = self._item_stats.get(id(item))
         if entry is None:
             entry = (item, OpStats(label=describe_from_item(item)))
             self._item_stats[id(item)] = entry
         entry[1].add(rows_out, rows_out, elapsed_s)
+        if span is not None:
+            self.trace.end(span, {"rows_out": rows_out})
 
     def record_stage(
         self,
@@ -194,13 +216,34 @@ class ExecTracer:
         rows_in: int,
         rows_out: int,
         elapsed_s: float,
+        started: float,
     ) -> None:
+        """One clause stage's tally — and, with a span collector, its
+        ``stage`` event at ``started``."""
         key = (id(block), stage)
         entry = self._stage_stats.get(key)
         if entry is None:
             entry = (block, OpStats(label=stage))
             self._stage_stats[key] = entry
         entry[1].add(rows_in, rows_out, elapsed_s)
+        if self.trace is not None:
+            self.trace.event(
+                stage, "stage", started, elapsed_s,
+                {"rows_in": rows_in, "rows_out": rows_out},
+            )
+
+    def flush_stages(
+        self, block: Any, stages: List["StageTally"], started: float
+    ) -> None:
+        """Record a finished pipeline's stage tallies in clause order;
+        ``rows_in`` chains from the previous stage's output (FROM's
+        input is the single seed binding)."""
+        rows_in = 1
+        for stage in stages:
+            self.record_stage(
+                block, stage.name, rows_in, stage.rows, stage.elapsed, started
+            )
+            rows_in = stage.rows
 
     def register_plan(self, block: Any, plan: Any) -> None:
         self._plans[id(block)] = (block, plan)
@@ -226,12 +269,12 @@ class ExecTracer:
             if block_id == id(block)
         ]
 
-    # -- rendering the reference (nested-loop) FROM tree ---------------
+    # -- rendering the nested-loop FROM tree ---------------------------
 
     def reference_lines(
         self, items: List[ast.FromItem], indent: int = 1
     ) -> List[str]:
-        """Annotated plan lines for a reference-pipeline FROM clause."""
+        """Annotated plan lines for a FROM clause run as nested loops."""
         lines: List[str] = []
         for item in items:
             lines.extend(self._item_lines(item, indent))
@@ -250,7 +293,7 @@ class ExecTracer:
 
 
 def describe_from_item(item: ast.FromItem) -> str:
-    """A one-line label for a reference-path FROM item, matching the
+    """A one-line label for a nested-loop FROM item, matching the
     vocabulary of the physical operators' ``describe()``."""
     from repro.syntax.printer import print_ast
 
@@ -264,5 +307,5 @@ def describe_from_item(item: ast.FromItem) -> str:
         )
     if isinstance(item, ast.FromJoin):
         on = f" ON {print_ast(item.on)}" if item.on is not None else ""
-        return f"NestedLoopJoin[{item.kind}] (reference){on}"
+        return f"NestedLoopJoin[{item.kind}] (lateral){on}"
     return type(item).__name__

@@ -141,3 +141,66 @@ class TestDatabase:
         db = Database()
         result = db.execute("SELECT VALUE ?.a FROM [1] AS x", parameters=[{"a": 5}])
         assert list(result) == [5]
+
+
+class TestRunSurfacesTakeTheDialsExecuteTakes:
+    """``execute``, ``execute_python``, ``explain_analyze`` and ``trace``
+    each really run the query, so each takes the same per-query dials —
+    ``EvalConfig``'s fields, forwarded through
+    ``Database._effective_config`` — and rejects anything else."""
+
+    #: A three-way OR chain is what rule SQLPPR03 rewrites to IN.
+    QUERY = (
+        "SELECT VALUE o.v FROM orders AS o WHERE o.k = 1 OR o.k = 2 OR o.k = 9"
+    )
+
+    @pytest.fixture
+    def db(self):
+        database = Database()
+        database.set("orders", [{"k": i % 4, "v": i} for i in range(40)])
+        return database
+
+    def test_explain_analyze(self, db):
+        assert "SQLPPR03" in db.explain_analyze(self.QUERY)
+        report = db.explain_analyze(self.QUERY, rewrite=False)
+        assert "rewrites: none" in report
+        assert db.metrics.last.rewrites == []
+        assert "rows returned: 20" in report
+        streamed = db.explain_analyze(self.QUERY, batch=False, max_rows=1000)
+        assert "executor: stream (batch=False)" in streamed
+        assert "executor: reference" in db.explain_analyze(
+            self.QUERY, optimize=False
+        )
+
+    def test_trace(self, db):
+        db.trace(self.QUERY)
+        assert db.metrics.last.batched is True
+        assert db.metrics.last.rewrites == ["SQLPPR03"]
+        db.trace(self.QUERY, batch=False)
+        assert db.metrics.last.batched is False
+        assert db.metrics.last.streamed is True
+        db.trace(self.QUERY, rewrite=False)
+        assert db.metrics.last.rewrites == []
+        context = db.trace(self.QUERY, parallel=2)
+        assert db.metrics.last.status == "ok"
+        assert "execute" in context.format_tree()
+
+    def test_execute_python(self, db):
+        assert sorted(db.execute_python(self.QUERY, batch=False)) == sorted(
+            db.execute_python(self.QUERY)
+        )
+        assert db.metrics.last.batched is True
+        db.execute_python(self.QUERY, optimize=False)
+        assert db.metrics.last.streamed is False
+
+    def test_limits_apply_on_every_surface(self, db):
+        from repro.errors import ResourceExhausted
+
+        for run in (db.execute, db.execute_python, db.explain_analyze, db.trace):
+            with pytest.raises(ResourceExhausted):
+                run(self.QUERY, max_rows=3)
+
+    def test_an_unknown_dial_is_a_type_error_everywhere(self, db):
+        for run in (db.execute, db.execute_python, db.explain_analyze, db.trace):
+            with pytest.raises(TypeError):
+                run(self.QUERY, vectorise=True)

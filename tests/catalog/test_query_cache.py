@@ -152,6 +152,52 @@ class TestRewriteCacheKey:
         assert db.metrics.counters["compile_cache_misses"] == misses + 1
 
 
+class TestEvaluatorCachesFollowTheCompileCache:
+    """The memoised evaluator's per-node caches (closures, kernels,
+    plans, reorder flags, decompositions, lowered window SELECTs) have
+    one lifetime rule: exactly as long as the query's compile-cache
+    entry."""
+
+    @staticmethod
+    def text(index: int) -> str:
+        return (
+            f"SELECT r.v AS v, COUNT(*) AS n FROM t AS r WHERE r.v > {index} "
+            "GROUP BY r.v"
+        )
+
+    def test_evicted_queries_take_their_derived_state_along(self):
+        db = make_db(query_store=False)
+        size = Database.COMPILE_CACHE_SIZE
+        for index in range(4 * size):
+            db.execute(self.text(index))
+            db.execute(self.text(index), batch=False)
+        assert len(db._compile_cache) == size
+        live = {id(compiled.core) for compiled in db._compile_cache.values()}
+        for evaluator in db._evaluators.values():
+            scopes = evaluator._scopes
+            assert set(scopes) <= live
+            assert len(scopes) == size
+            for name in (
+                "compiled", "batch_compiled", "plans", "decompositions",
+                "reorder_flags", "window_selects",
+            ):
+                entries = sum(len(getattr(caches, name)) for caches in scopes.values())
+                # A handful of nodes per query, none from evicted ones.
+                assert entries <= 16 * size, (name, entries)
+            blocks = sum(len(caches.plans) for caches in scopes.values())
+            assert blocks <= 2 * size  # the block and its COUNT subquery
+
+    def test_an_evicted_text_recompiles_and_reruns(self):
+        db = make_db(query_store=False)
+        first = db.execute(self.text(0))
+        for index in range(1, Database.COMPILE_CACHE_SIZE + 2):
+            db.execute(self.text(index))
+        (evaluator,) = db._evaluators.values()
+        assert len(evaluator._scopes) == Database.COMPILE_CACHE_SIZE
+        again = db.execute(self.text(0))
+        assert deep_equals(Bag(list(first)), Bag(list(again)))
+
+
 def count_calls(monkeypatch, owner, name):
     """Wrap the real ``owner.name`` so every call's result is recorded."""
     results = []

@@ -83,13 +83,13 @@ def test_batch_analytics_templates(monkeypatch):
 
 #: ``nested_streaming`` template -> the executor its top-level block runs
 #: on.  Comma-unnest, UNPIVOT and the subqueries over a row's own
-#: collection are batch; bounded consumers stream; windows need the
-#: whole input.
+#: collection are batch; bounded consumers stream, and so do windows —
+#: a blocking tail over the binding stream.
 NESTED_EXECUTORS = {
     "unnest": "batch", "unnest_group": "batch", "group_as": "batch",
     "topk": "stream", "limit_early": "stream", "exists_nested": "batch",
     "nested_select": "batch", "unpivot": "batch", "hetero_group": "batch",
-    "hetero_tags": "batch", "window_rank": "reference", "construct": "batch",
+    "hetero_tags": "batch", "window_rank": "stream", "construct": "batch",
 }
 
 

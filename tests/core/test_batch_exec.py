@@ -259,11 +259,11 @@ class TestEvaluatorMemoization:
         evaluators = dict(db._evaluators)
         assert len(evaluators) == 1
         (evaluator,) = evaluators.values()
-        compiled_before = len(evaluator._compiled)
+        compiled_before = len(evaluator._caches.compiled)
         db.execute(query)
         assert dict(db._evaluators) == evaluators
         # A cached plan re-executes without re-running compile_expr.
-        assert len(evaluator._compiled) == compiled_before
+        assert len(evaluator._caches.compiled) == compiled_before
 
     def test_parameters_rebind_without_a_fresh_evaluator(self):
         db = Database()
@@ -579,10 +579,16 @@ class TestExecutorExplain:
         assert "executor: batch" in cross
         assert "  Scan orders AS o\n" in cross  # the driving scan: no tag
         assert "Scan custs AS c  [materialized once]" in cross
-        assert "executor: reference (PIVOT or window functions" in db.explain_plan(
+        # Windows and PIVOT are blocking tails of the binding stream.
+        windowed = db.explain_plan(
             "SELECT o.oid AS oid, RANK() OVER (ORDER BY o.total) AS r "
             "FROM orders AS o"
         )
+        assert "executor: stream (PIVOT or window functions" in windowed
+        assert "executor: reference" not in windowed
+        pivoted = db.explain_plan("PIVOT o.total AT o.status FROM orders AS o")
+        assert "executor: stream (PIVOT or window functions" in pivoted
+        assert "consumer: one tuple assembled from the whole binding stream" in pivoted
         no_batch = Database(batch=False)
         no_batch.set("orders", [{"oid": 1}])
         assert "executor: stream (batch=False)" in no_batch.explain_plan(query)
@@ -595,8 +601,8 @@ class TestExecutorExplain:
             "UNION ALL SELECT VALUE c.cid FROM custs AS c"
         )
         plan = db.explain_plan(query)
-        assert "executor: reference (query body is not a single query block)" in plan
-        assert "  operand: batch" in plan
+        assert "executor: none (query body is not a single query block)" in plan
+        assert plan.count("  operand: batch") == 2  # the bare block too
         three_ways(db, query)
         db.execute(query)
         assert seen[-1] is False and db.metrics.last.batched is False
@@ -628,7 +634,8 @@ class TestExecutorExplain:
         # Streamed, the same block is analysed on the FROM loop it ran.
         report = db.explain_analyze(query, batch=False)
         assert "executor: stream (batch=False)" in report
-        assert "plan: reference pipeline" in report
+        assert "plan: direct FROM loop" in report
+        assert "reference" not in report
         assert db.metrics.last.batched is False
         report = db.explain_analyze(
             "SELECT VALUE o.oid FROM orders AS o WHERE o.total > 10"

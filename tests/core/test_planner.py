@@ -407,10 +407,10 @@ class TestExplain:
         assert "rewrites fired:\n  - (none)" in streamed
         assert "from: direct FROM loop (no rewrite fired" in streamed
         assert "executor: stream (LIMIT/OFFSET bounds the consumer)" in streamed
-        # The reference pipeline is named only where the planner refuses.
-        assert "plan: reference pipeline (no FROM clause)" in (
-            join_db.explain_plan("SELECT VALUE 1")
-        )
+        # A refusal names its reason; the block still streams.
+        unplanned = join_db.explain_plan("SELECT VALUE 1")
+        assert "plan: unplanned (no FROM clause)" in unplanned
+        assert "executor: stream (no FROM clause)" in unplanned
 
     def test_explain_plan_strict_mode(self, join_db):
         text = join_db.explain_plan(

@@ -54,12 +54,27 @@ class TestStreamedFlag:
         db.execute("SELECT VALUE t.v FROM t AS t", typing_mode="strict")
         assert db.metrics.last.streamed is True
 
-    def test_window_functions_fall_back_to_eager(self, db):
-        db.execute(
+    def test_window_functions_stream(self, db):
+        # Windows are a blocking tail over the binding stream, not a
+        # third executor.
+        query = (
             "SELECT t.v AS v, ROW_NUMBER() OVER (ORDER BY t.v) AS rn "
             "FROM t AS t"
         )
-        assert db.metrics.last.streamed is False
+        rows = db.execute(query)
+        assert db.metrics.last.streamed is True
+        assert db.metrics.last.batched is False
+        assert sorted(row["rn"] for row in rows) == list(range(1, 51))
+        assert "executor: stream" in db.explain_plan(query)
+
+    def test_pivot_from_less_and_set_operations_stream(self, db):
+        for query in (
+            "PIVOT t.v AT 'k' || CAST(t.v AS STRING) FROM t AS t",
+            "SELECT VALUE 1",
+            "SELECT VALUE t.v FROM t AS t UNION ALL SELECT VALUE t.v FROM t AS t",
+        ):
+            db.execute(query)
+            assert db.metrics.last.streamed is True, query
 
     def test_expression_only_query_does_not_stream(self, db):
         db.execute("1 + 1")

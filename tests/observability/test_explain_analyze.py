@@ -93,9 +93,11 @@ class TestEdgeShapes:
         )
         assert "not a single query block" in report
 
-    def test_strict_mode_uses_reference_path(self, join_db):
+    def test_strict_mode_streams_the_direct_from_loop(self, join_db):
         report = join_db.explain_analyze(JOIN_QUERY, typing_mode="strict")
-        assert "plan: reference pipeline" in report
+        assert "plan: direct FROM loop" in report
+        assert "executor: stream (strict typing mode)" in report
+        assert "reference" not in report
         assert "rows returned: 49" in report
 
 

@@ -28,6 +28,7 @@ from repro.core import parallel
 from repro.core.compile_expr import compile_batch
 from repro.core.environment import Environment
 from repro.core.evaluator import Evaluator
+from repro.core.reference import ReferenceEvaluator
 from repro.core.plan_ops import CHUNK_ROWS
 from repro.datamodel.equality import deep_equals
 from repro.datamodel.values import MISSING, Bag, Struct
@@ -498,7 +499,9 @@ def identical(left, right) -> bool:
 def check_kernel(expr, rows, sql_compat):
     catalog = Catalog()
     catalog.set("named", [1, 2, 3])
-    evaluator = Evaluator(catalog, EvalConfig(sql_compat=sql_compat))
+    config = EvalConfig(sql_compat=sql_compat)
+    evaluator = Evaluator(catalog, config)
+    interpreter = ReferenceEvaluator(catalog, config)
     root = Environment({"encl": 2})
 
     def attempt(fn):
@@ -512,7 +515,7 @@ def check_kernel(expr, rows, sql_compat):
     closure = evaluator.compiled(expr)
     by_closure = [attempt(lambda: closure(root.extend(row))) for row in rows]
     by_interpreter = [
-        attempt(lambda: evaluator.eval_expr(expr, root.extend(row))) for row in rows
+        attempt(lambda: interpreter.eval_expr(expr, root.extend(row))) for row in rows
     ]
     batch = compile_batch(expr, evaluator, ROW_VARS)
     errors = {outcome[1] for outcome in by_interpreter if outcome[0] == "error"}
