@@ -783,9 +783,9 @@ class Database:
         """The physical plan the optimizer chose for a query (the
         ``EXPLAIN`` verb): the block's one operator tree — hash joins,
         scans with pushed-down filters, materialization — the residual
-        WHERE and the rewrites that fired, or the planner's refusal
-        (strict mode, no FROM); then how the output is consumed and
-        which executor runs each block.  A view of the memoised
+        WHERE and the rewrites that fired (strict typing withholds the
+        ones that could hide an error); then how the output is consumed
+        and which executor runs each block.  A view of the memoised
         evaluator's own plan and decisions
         (:func:`repro.core.vectorized.explain_query`): explaining an
         already-executed query plans nothing again.  Under
@@ -892,13 +892,10 @@ class Database:
         actual (``est= actual= q-err=``, worst misestimate flagged); the
         clause pipeline's stage row counts and the per-phase timings
         (parse/rewrite/plan/execute) follow.  The annotated tree is
-        whatever the run enumerated FROM with: the block's physical plan
-        on the batch executor and wherever a rewrite fired, else the
-        nested-loop FROM tree of the direct FROM loop (or, under
-        ``optimize=False``, of the reference interpreter) — so all
-        execution strategies are observable, and the run analysed is
-        the run ``execute`` makes under the same ``dials``
-        (docs/OBSERVABILITY.md).
+        the block's one physical plan — whichever executor ran it — or,
+        under ``optimize=False``, the nested-loop FROM tree of the
+        reference interpreter; the run analysed is the run ``execute``
+        makes under the same ``dials`` (docs/OBSERVABILITY.md).
 
         The query really runs, so resource limits apply; a breached
         limit raises :class:`~repro.errors.ResourceExhausted` exactly as
@@ -917,10 +914,8 @@ class Database:
             if plan is not None:
                 lines.append(plan.explain(tracer))
             elif body.from_ is not None:
-                lines.append(
-                    "plan: direct FROM loop" if config.optimize else _REFERENCE_PLAN
-                )
-                lines.append("FROM")
+                # Only the oracle enumerates FROM without a plan.
+                lines.extend([_REFERENCE_PLAN, "FROM"])
                 lines.extend(tracer.reference_lines(list(body.from_)))
             else:
                 lines.append("plan: expression only (no FROM clause)")

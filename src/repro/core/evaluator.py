@@ -34,7 +34,7 @@ from repro.core import clauses, compile_expr, planner
 from repro.core.clauses import OrderKey, composite_parts
 from repro.core.environment import Environment
 from repro.core.grouping_sets import expand_grouping_sets
-from repro.core.plan_ops import close_iter, item_bindings, lateral_join_bindings
+from repro.core.plan_ops import close_iter
 from repro.core.windows import (
     bind_window_values,
     find_window_calls,
@@ -167,7 +167,7 @@ class _QueryCaches:
         self.root = root
         self.compiled: Dict[int, Any] = {}
         self.batch_compiled: Dict[Tuple[int, frozenset], Any] = {}
-        #: id(block) → (block, plan or None, data/feedback version); see
+        #: id(block) → (block, plan, data/feedback version); see
         #: :meth:`Evaluator._block_plan`.
         self.plans: Dict[int, Any] = {}
         self.decompositions: Dict[int, Any] = {}
@@ -229,7 +229,7 @@ class Evaluator(clauses.QueryEvaluator):
         #: (0 = serial); surfaced as ``QueryMetrics.parallel_workers``.
         self.parallel_workers = 0
         #: Wall time spent in the physical planner, or None when the
-        #: planner never ran for this execution (strict mode, no FROM).
+        #: planner never ran for this execution (no block has a FROM).
         #: Always measured — planning happens once per block per
         #: evaluator, never per binding — so `plan:` phase reporting
         #: does not depend on a tracer being attached.
@@ -322,8 +322,6 @@ class Evaluator(clauses.QueryEvaluator):
         self.streamed = True
         if query is self._top_query:
             self.batched = True
-        if self.tracer is not None:
-            self.tracer.register_plan(body, plan)
         return execute_batch_query(self, query, body, plan, env)
 
     # ------------------------------------------------------------------
@@ -650,17 +648,12 @@ class Evaluator(clauses.QueryEvaluator):
             return _tallied(source, stage)
 
         var_order: List[str] = []
-        plan = None
+        plan = self._block_plan(block)
         rows: Iterable[Environment] = iter((env,))
-        if block.from_ is not None:
-            plan = self._stream_plan(block)
-            if plan is not None:
-                rows = plan.iter_envs(self, env)
+        if plan is not None:
             for item in block.from_:
                 var_order.extend(clauses.item_vars(item))
-                if plan is None:
-                    rows = self._iter_from_item(item, rows)
-            rows = tally(rows, "FROM")
+            rows = tally(plan.iter_envs(self, env), "FROM")
 
         if block.lets:
             let_fns = []
@@ -753,12 +746,12 @@ class Evaluator(clauses.QueryEvaluator):
     # -- FROM ----------------------------------------------------------------
 
     def _block_plan(self, block: ast.QueryBlock):
-        """The block's physical plan, or None when the planner refuses
-        the block (:func:`planner.plan_refusal`: strict mode, no FROM —
-        it streams over the direct FROM loop).  One plan per block per
-        (data version, feedback version), built on first use and read
-        by every executor and every EXPLAIN surface."""
-        if planner.plan_refusal(block, self.config) is not None:
+        """The block's physical plan — the operator tree every executor
+        enumerates its FROM with — or None for a block without a FROM
+        clause.  One plan per block per (data version, feedback
+        version), built on first use and read by every executor and
+        every EXPLAIN surface; a tracer is told which plan ran."""
+        if block.from_ is None:
             return None
         version = self._catalog_data_version()
         caches = self._caches
@@ -786,31 +779,16 @@ class Evaluator(clauses.QueryEvaluator):
             # this query (from cache), so the plan phase reports 0 time
             # rather than absent.
             self.plan_time_s = 0.0
+        if self.tracer is not None:
+            self.tracer.register_plan(block, entry[1])
         return entry[1]
 
-    def _stream_plan(self, block: ast.QueryBlock):
-        """The plan the row-at-a-time pipelines run a block on: its one
-        plan exactly when a rewrite fired, else None (the direct FROM
-        loop).  A rewrite-free tree is that same loop behind
-        per-invocation operator overhead, which the per-group ``COLL_*``
-        subqueries of every GROUP BY would pay once per group
-        (docs/PLANNER.md, "One plan per block", has the measurement)."""
-        plan = self._block_plan(block)
-        if plan is None or not plan.rewrites:
-            return None
-        if self.tracer is not None:
-            self.tracer.register_plan(block, plan)
-        return plan
-
     def executed_plan(self, query: ast.Query):
-        """The plan the last execution ran ``query``'s block on, or None
-        when it ran the direct FROM loop — what the query store hashes
-        and cardinality feedback reads."""
+        """The cached plan of ``query``'s block (None: no FROM, not a
+        block) — what the query store hashes and cardinality feedback
+        reads."""
         entry = self._caches.plans.get(id(query.body))
-        plan = entry[1] if entry is not None else None
-        if plan is not None and (self.batched or plan.rewrites):
-            return plan
-        return None
+        return entry[1] if entry is not None else None
 
     def block_plans(self, query: ast.Query) -> List[Any]:
         """The plan of every block under ``query`` that has one, planned
@@ -829,78 +807,6 @@ class Evaluator(clauses.QueryEvaluator):
                 if plan is not None:
                     plans.append(plan)
         return plans
-
-    # -- FROM (streaming) ------------------------------------------------------
-
-    def _iter_from_item(
-        self, item: ast.FromItem, upstream: Iterable[Environment]
-    ) -> Iterator[Environment]:
-        """Lazily extend each upstream binding environment with one FROM
-        item's bindings (the left-correlated nested loop, streamed)."""
-        upstream = iter(upstream)
-        try:
-            for current in upstream:
-                inner = self._iter_item_bindings(item, current)
-                try:
-                    for binding in inner:
-                        yield current.extend(binding)
-                finally:
-                    close_iter(inner)
-        finally:
-            close_iter(upstream)
-
-    def _iter_item_bindings(
-        self, item: ast.FromItem, env: Environment
-    ) -> Iterator[Dict[str, Any]]:
-        """One FROM item's bindings, streamed — the shared enumeration
-        choke point for the direct FROM loop and the physical plan's
-        scan operators.  Governor row accounting happens in the row
-        loop (a timeout or ``max_rows`` breach fires mid-stream) and
-        EXPLAIN ANALYZE item statistics count rows as they are pulled.
-        """
-        tracer = self.tracer
-        if tracer is not None and not tracer.timing:
-            # Feedback-sampling mode measures physical operators only;
-            # per-item wall clocks are timing surface, skip them.
-            tracer = None
-        governor = self.governor
-        if tracer is None and governor is None:
-            return self._iter_item_rows(item, env)
-        return self._iter_item_instrumented(item, env, tracer, governor)
-
-    def _iter_item_instrumented(
-        self, item: ast.FromItem, env: Environment, tracer, governor
-    ) -> Iterator[Dict[str, Any]]:
-        tally = StageTally("item")
-        span = tracer.begin_item(item) if tracer is not None else None
-        source = self._iter_item_rows(item, env)
-        if tracer is not None:
-            source = _tallied(source, tally)
-        try:
-            for binding in source:
-                if governor is not None:
-                    governor.add(1)
-                yield binding
-        finally:
-            close_iter(source)
-            if tracer is not None:
-                tracer.record_item(item, tally.rows, tally.elapsed, span)
-
-    def _iter_item_rows(
-        self, item: ast.FromItem, env: Environment
-    ) -> Iterator[Dict[str, Any]]:
-        if isinstance(item, ast.FromJoin):
-            # An explicit JOIN with a lateral right side: the same nested
-            # loop the lateral operator's row form runs.
-            return lateral_join_bindings(
-                self, env, self._iter_item_bindings(item.left, env),
-                item.right, item.kind, item.on, clauses.item_vars(item.right),
-            )
-        if isinstance(item, (ast.FromCollection, ast.FromUnpivot)):
-            # Every caller pulls from inside a generator of its own, so
-            # evaluating the source here is still "on first pull".
-            return item_bindings(item, self.compiled(item.expr)(env), self.config)
-        raise EvaluationError(f"unknown FROM item {type(item).__name__}")
 
     # -- GROUP BY --------------------------------------------------------------
 

@@ -29,8 +29,11 @@ lazily, on the first probe-side row).
 
 Every operator must be observationally equivalent to the reference
 interpreter (:mod:`repro.core.reference`, which this module never
-calls) under permissive typing, the only mode the planner runs in;
-the property tests ``tests/properties/test_planner_equivalence.py`` and
+calls): the same bag under permissive typing, and under strict typing
+the same bag or an error of the class the reference raises (the planner
+withholds :class:`HashJoinOp`, pushed filters and :class:`EmptyOp` there
+— docs/PLANNER.md, "Strict typing mode").  The property tests
+``tests/properties/test_planner_equivalence.py`` and
 ``tests/properties/test_streaming_equivalence.py`` enforce this on
 generated workloads.
 """
@@ -51,7 +54,7 @@ from typing import (
     TYPE_CHECKING,
 )
 
-from repro.core.clauses import pad_right_vars
+from repro.core.clauses import item_vars, pad_right_vars
 from repro.datamodel.equality import group_key
 from repro.datamodel.values import Bag, LazyBag, MISSING, Struct, type_name
 from repro.errors import TypeCheckError
@@ -219,7 +222,7 @@ class PlanOp:
                     rows_out += 1
                     yield row
         finally:
-            source.close()
+            close_iter(source)
             if span is not None:
                 trace.end(span, {"rows_in": rows_in, "rows_out": rows_out})
             tracer.record_op(self, rows_in, rows_out, elapsed)
@@ -320,7 +323,7 @@ class ScanOp(PlanOp):
         self.item = item
 
     def _iter_produce(self, evaluator, env):
-        return evaluator._iter_item_bindings(self.item, env)
+        return item_rows(evaluator, self.item, env)
 
     def iter_chunks(self, evaluator, env, morsel=None, tables=None):
         if not isinstance(self.item, ast.FromCollection):
@@ -378,7 +381,7 @@ class ScanOp(PlanOp):
                     rows_out += len(chunk)
                     yield chunk
         finally:
-            source.close()
+            close_iter(source)
             if span is not None:
                 trace.end(span, {"rows_in": rows_in, "rows_out": rows_out})
             if tracer is not None:
@@ -452,7 +455,7 @@ class LateralJoinOp(PlanOp):
     Both spellings of the paper's left-correlation plan to it — a comma
     item whose free names touch earlier variables (``FROM hr.emp AS e,
     e.projects AS p``: INNER, no ``ON``) and an explicit JOIN with a
-    lateral right side.  The row form is the direct FROM loop's nested
+    lateral right side.  The row form is the specification's nested
     loop (:func:`lateral_join_bindings`); when the right item is a plain
     range or UNPIVOT the chunk form flattens a whole left chunk at a
     time (:func:`flatten_lateral`) instead of re-entering the item
@@ -611,7 +614,7 @@ class LateralJoinOp(PlanOp):
             if out:
                 yield out
         finally:
-            source.close()
+            close_iter(source)
             if span is not None:
                 trace.end(span, {"rows_in": rows_in, "rows_out": rows_out})
             if tracer is not None:
@@ -896,7 +899,7 @@ class HashJoinOp(PlanOp):
                 if out:
                     yield out
         finally:
-            source.close()
+            close_iter(source)
             if span is not None:
                 trace.end(span, {"rows_in": rows_in, "rows_out": rows_out})
             if tracer is not None:
@@ -975,22 +978,55 @@ def governor_tick(governor) -> Optional[Callable[[int], None]]:
     return partial(_tick, governor) if governor is not None else None
 
 
+def item_rows(evaluator, item: ast.FromItem, env) -> Iterator[Binding]:
+    """One FROM item's bindings in ``env``, streamed: the row form of
+    :class:`ScanOp` and of a lateral right side (which no operator
+    stands for — it re-ranges per left binding).  The one place the row
+    pipeline tells the governor of an enumerated binding, one at a time,
+    so a timeout or ``max_rows`` breach fires mid-stream; the source
+    expression is evaluated here, which every caller reaches from inside
+    a generator of its own — still "on first pull"."""
+    if isinstance(item, ast.FromJoin):
+        # Only as a lateral right side (the planner folds every other
+        # join into an operator): the same nested loop, whose output the
+        # accounting below counts, pads included.
+        rows = lateral_join_bindings(
+            evaluator, env, item_rows(evaluator, item.left, env),
+            item.right, item.kind, item.on, item_vars(item.right),
+        )
+    else:
+        rows = item_bindings(item, evaluator.compiled(item.expr)(env), evaluator.config)
+    governor = evaluator.governor
+    if governor is None:
+        return rows
+    return _governed(rows, governor)
+
+
+def _governed(rows: Iterator[Binding], governor) -> Iterator[Binding]:
+    try:
+        for row in rows:
+            governor.add(1)
+            yield row
+    finally:
+        close_iter(rows)
+
+
 def lateral_join_bindings(
     evaluator, env, left_source, right_item, kind, on, right_vars, governor=None
 ) -> Iterator[Binding]:
     """The left-correlated nested loop, streamed: ``right_item`` is
-    enumerated once per left binding (through the evaluator's item choke
-    point, which counts each right binding), ``on`` keeps a combined
-    binding on TRUE, and a LEFT join pads an unmatched left binding —
-    which requires draining the right side per left row.  ``governor``
-    is told of each padded row when no enclosing enumeration counts the
-    join's output (:class:`LateralJoinOp`)."""
+    enumerated once per left binding (:func:`item_rows`, which counts
+    each right binding), ``on`` keeps a combined binding on TRUE, and a
+    LEFT join pads an unmatched left binding — which requires draining
+    the right side per left row.  ``governor`` is told of each padded
+    row when no enclosing enumeration counts the join's output
+    (:class:`LateralJoinOp`)."""
     on_fn = evaluator.compiled(on) if on is not None else None
     try:
         for left_binding in left_source:
             left_env = env.extend(left_binding)
             matched = False
-            right_source = evaluator._iter_item_bindings(right_item, left_env)
+            right_source = item_rows(evaluator, right_item, left_env)
             try:
                 for right_binding in right_source:
                     combined = {**left_binding, **right_binding}

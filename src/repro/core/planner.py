@@ -24,16 +24,20 @@ rewrites it can fire:
 
 Comma-separated FROM items fold left-deep into the block's one operator
 tree; a later item that mentions an earlier variable becomes a
-:class:`~repro.core.plan_ops.LateralJoinOp`.
+:class:`~repro.core.plan_ops.LateralJoinOp`.  That tree is the engine's
+only FROM enumerator: every block with a FROM clause is planned, in both
+typing modes (``optimize=False`` never reaches the planner, it runs the
+reference interpreter).
 
-Fallback rules (the block streams over the direct FROM loop) — see
-docs/PLANNER.md:
+What is withheld, and where — see docs/PLANNER.md:
 
 * strict typing mode: evaluation order is observable through raised
-  errors, so no block is planned at all (:func:`plan_refusal` — with
-  FROM-less blocks, the only blocks the engine runs without a plan;
-  ``optimize=False`` never reaches the planner, it runs the reference
-  interpreter);
+  errors, so only the structural fold (scan, lateral, materialize-once,
+  materialize-right — each enumerates and evaluates exactly what the
+  nested loop does, a right side never before its left side yields a
+  row) applies; the rewrites that could turn an error into a result —
+  hash-equi-join, predicate-pushdown / drop-true, prune-empty, join
+  reorder — are each withheld where they are chosen below;
 * correlated (lateral) right sides never hash or materialize: they
   re-range per left binding (:class:`~repro.core.plan_ops.LateralJoinOp`);
 * pushdown is skipped when the block has LET clauses (LET evaluates
@@ -134,10 +138,6 @@ def and_fold(conjuncts: List[ast.Expr]) -> Optional[ast.Expr]:
     return folded
 
 
-#: Backwards-compatible private alias (pre-registry internal name).
-_and_fold = and_fold
-
-
 # =========================================================================
 # The plan
 # =========================================================================
@@ -166,8 +166,8 @@ class BlockPlan:
     shape_hash: Optional[str] = field(default=None, repr=False, compare=False)
 
     def iter_envs(self, evaluator, env):
-        """Stream the block's binding environments (in place of the
-        direct FROM loop and part of the WHERE).
+        """Stream the block's binding environments (the FROM clause
+        and the pushed part of the WHERE).
 
         Pipelined: the tree's probe sides stream, so a downstream
         consumer that stops pulling (LIMIT, top-K, EXISTS) closes every
@@ -214,19 +214,6 @@ class BlockPlan:
 # =========================================================================
 
 
-def plan_refusal(block: ast.QueryBlock, config: EvalConfig) -> Optional[str]:
-    """Why a block has no physical plan (it streams over the direct
-    FROM loop), or None when :func:`plan_block` plans it — the one
-    refusal ladder, which EXPLAIN prints."""
-    if not config.optimize:
-        return "optimization disabled"
-    if not config.is_permissive:
-        return "strict typing mode preserves evaluation order"
-    if block.from_ is None:
-        return "no FROM clause"
-    return None
-
-
 def plan_block(
     block: ast.QueryBlock,
     config: EvalConfig,
@@ -234,14 +221,14 @@ def plan_block(
     reorder_ok: bool = False,
     catalog_names: Optional[Set[str]] = None,
 ) -> Optional[BlockPlan]:
-    """Plan a Core query block; None only when :func:`plan_refusal`
-    names a reason.
+    """Plan a Core query block; None only for a block without a FROM
+    clause.
 
     Every other block gets the one operator tree it will ever have,
-    rewrites or not: the batch executor always runs it (the chunk
-    protocol needs a tree even for a bare scan), the row-at-a-time
-    pipelines consult it exactly when ``plan.rewrites`` is non-empty
-    (docs/PLANNER.md, "One plan per block").
+    rewrites or not, and every executor enumerates FROM through it: the
+    batch executor its chunk form, the row-at-a-time pipelines its row
+    form (docs/PLANNER.md, "One plan per block").  Under strict typing
+    only the structural fold applies (module docstring).
 
     ``stats`` is an optional
     :class:`repro.catalog.statistics.StatsProvider`; with one, scanned
@@ -255,10 +242,13 @@ def plan_block(
     collapse the whole pipeline to a zero-row
     :class:`~repro.core.plan_ops.EmptyOp` (EXPLAIN ``pruned:`` line).
     """
-    if plan_refusal(block, config) is not None:
+    if block.from_ is None:
         return None
+    # Strict typing: a rewrite that skips an evaluation can hide the
+    # error it would have raised, so each one below checks this.
+    permissive = config.is_permissive
 
-    if block.where is not None:
+    if block.where is not None and permissive:
         # Lazy import: absint layers on top of this module's helpers.
         from repro.analysis.absint import block_prune_reason
 
@@ -283,7 +273,7 @@ def plan_block(
     for index, item in enumerate(block.from_):
         right_vars = item_vars(item)
         if op is None:
-            op = _plan_item(item, rewrites)
+            op = _plan_item(item, rewrites, permissive)
         else:
             # ``FROM a, b`` is ``a INNER JOIN b ON TRUE`` with the
             # paper's left-correlation: fold it into the one tree.
@@ -291,7 +281,8 @@ def plan_block(
                 op = LateralJoinOp(op, item, "INNER", None, right_vars)
             else:
                 op = MaterializeJoinOp(
-                    op, _plan_item(item, rewrites), "INNER", None, right_vars
+                    op, _plan_item(item, rewrites, permissive), "INNER", None,
+                    right_vars,
                 )
                 rewrites.append(f"materialize-once: FROM item #{index + 1}")
             op.vars = bound + [name for name in right_vars if name not in bound]
@@ -300,11 +291,13 @@ def plan_block(
 
     residual_where = block.where
     # Pushdown is only safe when nothing evaluates between FROM and
-    # WHERE in the reference pipeline (LET does), and only sound when no
+    # WHERE in the reference pipeline (LET does), only sound when no
     # item rebinds an earlier item's variable (the conjunct would bind
-    # to the wrong one below the rebinding).
+    # to the wrong one below the rebinding), and only invisible under
+    # permissive typing (a pushed conjunct excludes rows before a
+    # sibling conjunct could raise on them).
     distinct = sum(len(variables) for variables in item_var_sets) == len(bound)
-    if block.where is not None and not block.lets and distinct:
+    if block.where is not None and not block.lets and distinct and permissive:
         conjuncts: List[ast.Expr] = []
         for conjunct in split_conjuncts(block.where):
             # A literal TRUE conjunct filters nothing and cannot raise
@@ -319,13 +312,15 @@ def plan_block(
             if not _push_conjunct(conjunct, op, item_var_sets, rewrites):
                 residual.append(conjunct)
         if len(residual) < len(split_conjuncts(block.where)):
-            residual_where = _and_fold(residual)
+            residual_where = and_fold(residual)
 
     stats_lines: List[str] = []
     order_line: Optional[str] = None
     if stats is not None:
         stats_lines = _stats_lines(op, stats)
-        op, order_line = _maybe_reorder(op, stats, reorder_ok, rewrites)
+        op, order_line = _maybe_reorder(
+            op, stats, reorder_ok and permissive, rewrites
+        )
         # After any reorder (it replaces operators): pin the planner's
         # row estimate onto every operator, so EXPLAIN ANALYZE can show
         # est= next to actual= and the query store can compute q-errors.
@@ -393,17 +388,17 @@ def _attach_filter(op: PlanOp, conjunct: ast.Expr, names: Set[str]) -> None:
     op.filters.append(conjunct)
 
 
-def _plan_item(item: ast.FromItem, rewrites: List[str]) -> PlanOp:
+def _plan_item(item: ast.FromItem, rewrites: List[str], permissive: bool) -> PlanOp:
     """Plan one FROM item subtree (joins recurse; leaves scan)."""
     if isinstance(item, ast.FromJoin):
-        return _plan_join(item, rewrites)
+        return _plan_join(item, rewrites, permissive)
     op = ScanOp(item)
     op.vars = item_vars(item)
     return op
 
 
-def _plan_join(item: ast.FromJoin, rewrites: List[str]) -> PlanOp:
-    left_op = _plan_item(item.left, rewrites)
+def _plan_join(item: ast.FromJoin, rewrites: List[str], permissive: bool) -> PlanOp:
+    left_op = _plan_item(item.left, rewrites, permissive)
     left_vars = set(item_vars(item.left))
     right_vars = item_vars(item.right)
     right_names = free_names(item.right)
@@ -413,10 +408,13 @@ def _plan_join(item: ast.FromJoin, rewrites: List[str]) -> PlanOp:
         # Lateral right side: the paper's left-correlation semantics.
         op = LateralJoinOp(left_op, item.right, item.kind, item.on, right_vars)
     else:
-        right_op = _plan_item(item.right, rewrites)
+        right_op = _plan_item(item.right, rewrites, permissive)
         split = None
+        # Strict typing never hashes: comparing keys of different
+        # categories must raise, where a hash probe just finds no match.
         if (
-            item.on is not None
+            permissive
+            and item.on is not None
             and item.kind in ("INNER", "LEFT")
             and not (left_vars & set(right_vars))
         ):

@@ -733,13 +733,12 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
 
 
 def explain_query(evaluator, query: ast.Query) -> List[str]:
-    """EXPLAIN below its header: the top-level block's one plan (or the
-    planner's refusal), whether the row-at-a-time pipeline runs it, how
-    the output is consumed, then :func:`explain_executors`.  All read
-    from ``evaluator`` — the database's memoised one — so a query that
-    already ran is explained from the plan it ran on."""
+    """EXPLAIN below its header: the top-level block's one plan (every
+    executor enumerates FROM through it), how the output is consumed,
+    then :func:`explain_executors`.  All read from ``evaluator`` — the
+    database's memoised one — so a query that already ran is explained
+    from the plan it ran on."""
     from repro.core.evaluator import describe_consumer
-    from repro.core.planner import plan_refusal
 
     executors = explain_executors(evaluator, query)
     body = query.body
@@ -747,15 +746,9 @@ def explain_query(evaluator, query: ast.Query) -> List[str]:
         return [f"plan: none ({NOT_A_BLOCK})"] + executors
     batched = executors[0] == "executor: batch"
     plan = evaluator._block_plan(body)
-    if plan is None:
-        lines = [f"plan: unplanned ({plan_refusal(body, evaluator.config)})"]
-    else:
-        lines = [plan.explain()]
-        if not plan.rewrites and not batched:
-            lines.append(
-                "from: direct FROM loop (no rewrite fired, so row-at-a-time "
-                "execution does not go through the operator tree above)"
-            )
+    lines = [
+        plan.explain() if plan is not None else "plan: unplanned (no FROM clause)"
+    ]
     lines.append(f"consumer: {describe_consumer(query, batched)}")
     return lines + executors
 
@@ -839,35 +832,22 @@ def _explain_block(
     evaluator._note_reorder(query, body)
     plan, reason = evaluator._batch_decision(query, body, env)
     count = 0
-    items: List[ast.FromItem] = []
     if plan is not None:
         lines.append(f"{label}: batch")
-        ops_ = walk_ops(plan.op)
         fns = block_kernels(evaluator, body, plan).all()
-        for op in ops_:
+        for op in walk_ops(plan.op):
             fns.extend(op.batch_kernels(evaluator))
         count = len(fns)
         for fn in fns:
             fallbacks.extend(fn.fallbacks)
-        items = [op.item for op in ops_ if isinstance(op, ScanOp)]
     else:
         lines.append(f"{label}: stream ({reason})")
-        stream_plan = evaluator._stream_plan(body)
-        if stream_plan is not None:
-            # Every scan of the tree is enumerated in the block's own
-            # environment (a lateral right side is not an operator, so
-            # the walk never reaches one).
-            items = [
-                op.item
-                for op in walk_ops(stream_plan.op)
-                if isinstance(op, ScanOp)
-            ]
-        elif body.from_:
-            leftmost = body.from_[0]
-            while isinstance(leftmost, ast.FromJoin):
-                leftmost = leftmost.left
-            items = [leftmost]
-    for item in items:
+        plan = evaluator._block_plan(body)
+    # Every scan of the tree is enumerated in the block's own
+    # environment (a lateral right side is not an operator, so the walk
+    # never reaches one).
+    for op in walk_ops(plan.op) if plan is not None else ():
+        item = op.item if isinstance(op, ScanOp) else None
         if isinstance(item, ast.FromCollection) and isinstance(
             item.expr, ast.SubqueryExpr
         ):

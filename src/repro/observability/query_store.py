@@ -124,8 +124,8 @@ def plan_signature(plan) -> str:
 def plan_hash(plan) -> str:
     """A 12-hex-digit hash of the executed plan's shape, computed once
     per :class:`~repro.core.planner.BlockPlan`; the literal
-    ``"reference"`` when no physical plan ran (the direct FROM loop, or
-    the reference interpreter)."""
+    ``"reference"`` when no physical plan ran (a body without a FROM
+    clause or that is not one block, or the reference interpreter)."""
     if plan is None:
         return "reference"
     if plan.shape_hash is None:

@@ -1,10 +1,9 @@
 """Execution tracing for ``EXPLAIN ANALYZE``.
 
 An :class:`ExecTracer` rides along one query execution and accumulates,
-per physical operator (:mod:`repro.core.plan_ops`), per nested-loop
-FROM item (the engine's direct FROM loop in :mod:`repro.core.evaluator`
-and the reference interpreter's in :mod:`repro.core.reference`) and per
-clause-pipeline stage:
+per physical operator (:mod:`repro.core.plan_ops` — the engine), per
+nested-loop FROM item (the reference interpreter only,
+:mod:`repro.core.reference`) and per clause-pipeline stage:
 
 * **invocations** — how many times the operator produced its bindings
   (a lateral right side runs once per left binding; everything else

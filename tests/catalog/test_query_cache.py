@@ -329,13 +329,24 @@ class TestDeriveOnce:
         from repro.compat.runner import build_database
         from repro.core import planner
 
-        plans = count_calls(monkeypatch, planner, "plan_block")
+        planned = []  # (block, plan): the block kept alive, so ids stay unique
+        original = planner.plan_block
+
+        def recording(block, *args, **kwargs):
+            plan = original(block, *args, **kwargs)
+            planned.append((block, plan))
+            return plan
+
+        monkeypatch.setattr(planner, "plan_block", recording)
         for case in all_cases():
             try:
                 build_database(case).execute(case.query)
             except errors.SQLPPError:
                 assert case.expect_error
-        # 96 at the parent commit, 33 of them re-plans of a block
-        # planned a moment earlier and 48 results thrown away.
-        assert len(plans) <= 63
-        assert all(plan is not None for plan in plans)
+        # Every block with a FROM clause that a case reaches, in either
+        # typing mode, is planned exactly once.
+        assert len(planned) == 65
+        assert len({id(block) for block, __ in planned}) == len(planned)
+        assert all(
+            block.from_ is not None and plan is not None for block, plan in planned
+        )

@@ -6,11 +6,18 @@ prints, the ones ``explain_analyze`` prints, and the
 ``batched``/``streamed`` flags a plain ``execute`` records all name the
 same executor — EXPLAIN is a view of the evaluator's own decisions, and
 EXPLAIN ANALYZE analyses the run ``execute`` makes.
+
+And the story has one FROM implementation in it: over the kit in both
+typing modes, every block with a FROM clause that executes under
+``optimize=True`` ran — and EXPLAIN, EXPLAIN ANALYZE and the query
+store's plan hash report — an operator tree.  That is the regression
+guard against a second FROM path reappearing beside the plan.
 """
 
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,6 +25,9 @@ import pytest
 from repro import Database, errors
 from repro.compat.corpus import all_cases
 from repro.compat.runner import build_database
+from repro.core.plan_ops import walk_ops
+from repro.observability import ExecTracer
+from repro.syntax import ast
 
 LAYERED = Path(__file__).resolve().parents[2] / "benchmarks" / "layered"
 
@@ -56,6 +66,47 @@ def test_kit_case(case):
         assert_one_story(db, case.query)
     except errors.SQLPPError:
         assert case.expect_error
+
+
+def assert_operator_trees(db: Database, query: str) -> None:
+    core = db.compile(query)
+    tracer = ExecTracer()
+    db.execute(query, tracer=tracer)
+    plan_hash = db.metrics.last.plan_hash
+    executed = 0
+    for node in core.walk():
+        if not isinstance(node, ast.QueryBlock) or node.from_ is None:
+            continue
+        if not tracer.stages_for(node):
+            continue  # no binding reached this block
+        executed += 1
+        plan = tracer.plan_for(node)
+        assert plan is not None, "a FROM block ran without its plan"
+        assert any(tracer.op_stats(op) is not None for op in walk_ops(plan.op))
+    # Per-item records are the oracle's; the engine enumerates operators.
+    assert not tracer._item_stats
+    body = core.body
+    if isinstance(body, ast.QueryBlock) and body.from_ is not None:
+        assert executed
+        assert plan_hash != "reference"
+        for text in (db.explain_plan(query), db.explain_analyze(query)):
+            assert "\nFROM\n  " in text and "\nrewrites fired:\n" in text
+            assert "\nplan:" not in text and "\nfrom:" not in text
+    else:
+        assert plan_hash == "reference"
+
+
+@pytest.mark.parametrize("typing_mode", ["permissive", "strict"])
+@pytest.mark.parametrize("case", all_cases(), ids=lambda case: case.case_id)
+def test_kit_case_runs_operator_trees(case, typing_mode):
+    native = case.typing_mode == typing_mode
+    db = build_database(replace(case, typing_mode=typing_mode))
+    try:
+        assert_operator_trees(db, case.query)
+    except errors.SQLPPError:
+        # The other typing mode may reject the case; its own may only
+        # where the case says so.
+        assert case.expect_error or not native
 
 
 def harness_modules(monkeypatch):

@@ -555,15 +555,16 @@ class TestExecutorExplain:
             assert "  Scan orders AS o" in plan
             assert "rewrites fired:\n  - (none)" in plan
             assert "reference pipeline" not in plan
-            assert "from: direct FROM loop" not in plan
+            assert "from:" not in plan
             assert "consumer: bag built a chunk" in plan
             assert "no env-space fallback" in plan
-            # The same text under batch=False: same plan, direct loop.
+            # The same plan text under batch=False: its row form runs.
             streamed = Database(batch=False)
             streamed.set("orders", [{"oid": 1, "cust": 1}])
             plan = streamed.explain_plan(query)
+            assert "  Scan orders AS o" in plan
             assert "rewrites fired:\n  - (none)" in plan
-            assert "from: direct FROM loop (no rewrite fired" in plan
+            assert "from:" not in plan
             assert "executor: stream (batch=False)" in plan
 
     def test_refusals_name_the_clause(self, db):
@@ -631,11 +632,14 @@ class TestExecutorExplain:
         assert "plan: reference pipeline" not in report
         db.execute(query)
         assert db.metrics.last.batched is True
-        # Streamed, the same block is analysed on the FROM loop it ran.
+        # Streamed, the same block is analysed on the same operator tree.
         report = db.explain_analyze(query, batch=False)
         assert "executor: stream (batch=False)" in report
-        assert "plan: direct FROM loop" in report
-        assert "reference" not in report
+        streamed_scan = next(
+            line for line in report.splitlines() if line.startswith("  Scan orders")
+        )
+        assert "rows_out=50" in streamed_scan and "actual=50" in streamed_scan
+        assert "reference" not in report and "\nplan:" not in report
         assert db.metrics.last.batched is False
         report = db.explain_analyze(
             "SELECT VALUE o.oid FROM orders AS o WHERE o.total > 10"

@@ -11,12 +11,11 @@ from __future__ import annotations
 import pytest
 
 from repro import Database, EvalConfig, TypeCheckError, to_python
-from repro.core.plan_ops import ScanOp
+from repro.core.plan_ops import MaterializeJoinOp, ScanOp
 from repro.core.planner import (
     free_names,
     is_relocatable,
     plan_block,
-    plan_refusal,
     split_conjuncts,
 )
 from repro.datamodel.equality import deep_equals
@@ -94,22 +93,38 @@ class TestPlanSelection:
         assert not any("hash-equi-join" in r for r in plan.rewrites)
 
     def test_strict_mode_never_plans(self, join_db):
+        # ... a rewrite that could hide an error: the block is planned
+        # (its tree is the only FROM enumerator), the equi-join is not
+        # hashed — a key-category mismatch must raise, not "not match".
         plan = self.plan_for(
             join_db,
             "SELECT u.uid AS uid FROM users AS u "
-            "JOIN orders AS o ON o.user_id = u.uid",
+            "JOIN orders AS o ON o.user_id = u.uid WHERE u.dept = 1",
             typing_mode="strict",
         )
-        assert plan is None
+        assert isinstance(plan.op, MaterializeJoinOp)
+        assert plan.rewrites == [
+            "materialize-right[INNER]: right side enumerated once"
+        ]
+        assert plan.residual_where is not None and not plan.op.left.filters
 
-    def test_optimize_off_never_plans(self, join_db):
-        plan = self.plan_for(
-            join_db,
+    def test_optimize_off_never_plans(self, join_db, monkeypatch):
+        # ``optimize=False`` is the reference interpreter: it never
+        # reaches the planner, on any surface.
+        from repro.core import planner
+
+        def boom(*args, **kwargs):
+            raise AssertionError("optimize=False reached the planner")
+
+        monkeypatch.setattr(planner, "plan_block", boom)
+        query = (
             "SELECT u.uid AS uid FROM users AS u "
-            "JOIN orders AS o ON o.user_id = u.uid",
-            optimize=False,
+            "JOIN orders AS o ON o.user_id = u.uid"
         )
-        assert plan is None
+        assert len(join_db.execute(query, optimize=False)) == 10
+        assert "reference pipeline" in join_db.explain_analyze(
+            query, optimize=False
+        )
 
     def test_pushdown_skipped_with_let(self, join_db):
         core = join_db.compile(
@@ -122,30 +137,119 @@ class TestPlanSelection:
 
     def test_single_scan_without_filter_uses_reference(self, join_db):
         # One plan per block: a rewrite-free block still has its plan (a
-        # bare scan tree, which the batch executor runs) ...
+        # bare scan tree) ...
         query = "SELECT u.uid AS uid FROM users AS u"
         plan = self.plan_for(join_db, query)
         assert plan is not None and plan.rewrites == []
         assert isinstance(plan.op, ScanOp)
-        # ... and the row-at-a-time pipeline keeps the reference FROM
-        # loop for it: no plan operator runs, the item statistics do.
-        tracer = ExecTracer()
-        join_db.execute(query, batch=False, tracer=tracer)
+        # ... and every executor enumerates FROM through it — the
+        # reference FROM loop is the oracle's alone: streamed, the scan
+        # operator runs and no per-item statistics are recorded.
         core = join_db.compile(query)
-        assert tracer.plan_for(core.body) is None
-        assert tracer.item_stats(core.body.from_[0]).rows_out == 8
-        assert join_db.metrics.last.plan_hash == "reference"
-        # The batch executor runs the same block on the plan.
-        tracer = ExecTracer()
-        join_db.execute(query, tracer=tracer)
-        assert tracer.plan_for(core.body) is not None
+        hashes = set()
+        for dials in ({"batch": False}, {}):
+            tracer = ExecTracer()
+            join_db.execute(query, tracer=tracer, **dials)
+            ran = tracer.plan_for(core.body)
+            assert isinstance(ran.op, ScanOp)
+            assert tracer.op_stats(ran.op).rows_out == 8
+            assert tracer.item_stats(core.body.from_[0]) is None
+            hashes.add(join_db.metrics.last.plan_hash)
         assert join_db.metrics.last.batched is True
-        assert join_db.metrics.last.plan_hash != "reference"
+        assert len(hashes) == 1 and "reference" not in hashes
+        tracer = ExecTracer()
+        join_db.execute(query, optimize=False, tracer=tracer)
+        assert tracer.plan_for(core.body) is None
+        assert join_db.metrics.last.plan_hash == "reference"
 
     def test_only_the_refusal_ladder_returns_no_plan(self, join_db):
+        # The one fact left: a block without FROM has nothing to plan.
         core = join_db.compile("SELECT VALUE 1")
-        assert plan_refusal(core.body, EvalConfig()) == "no FROM clause"
         assert plan_block(core.body, EvalConfig()) is None
+        assert plan_block(core.body, EvalConfig(typing_mode="strict")) is None
+
+
+# =========================================================================
+# Strict typing mode: the structural fold applies, every rewrite that can
+# turn an error into a result is withheld (docs/PLANNER.md)
+# =========================================================================
+
+#: The engine on both executors' dials, and the oracle.
+THREE_WAYS = ({}, {"batch": False}, {"optimize": False})
+
+
+class TestStrictWithheldRewrites:
+    @pytest.fixture
+    def db(self) -> Database:
+        db = Database()
+        db.set("typed", [{"k": 1, "a": 1}, {"k": "one", "a": 2}])
+        db.set("empty", [])
+        db.set("scalar", 5)
+        return db
+
+    def rewrites(self, db, query):
+        text = db.explain_plan(query, typing_mode="strict")
+        fired = text.split("rewrites fired:\n")[1].split("\nconsumer:")[0]
+        return [line.strip("- ").split(":")[0] for line in fired.splitlines()]
+
+    @pytest.mark.parametrize("dials", THREE_WAYS)
+    def test_equi_join_key_category_mismatch_raises(self, db, dials):
+        query = "SELECT l.a AS a FROM typed AS l JOIN typed AS r ON l.k = r.k"
+        with pytest.raises(TypeCheckError):
+            db.execute(query, typing_mode="strict", **dials)
+        # Permissive, the mismatch is "no match" and the join hashes.
+        assert len(db.execute(query, **dials)) == 2
+
+    @pytest.mark.parametrize("dials", THREE_WAYS)
+    def test_conjunct_raising_on_an_excluded_row_still_raises(self, db, dials):
+        # Pushed down, ``l.a = 1`` would drop the row ``l.k < 5`` raises on.
+        query = (
+            "SELECT VALUE l.a FROM typed AS l, typed AS r "
+            "WHERE l.a = 1 AND l.k < 5"
+        )
+        with pytest.raises(TypeCheckError):
+            db.execute(query, typing_mode="strict", **dials)
+        assert to_python(db.execute(query, **dials)) == [1, 1]
+
+    @pytest.mark.parametrize("dials", THREE_WAYS)
+    def test_empty_range_with_a_raising_sibling_is_not_pruned(self, db, dials):
+        query = (
+            "SELECT VALUE l.a FROM typed AS l "
+            "WHERE l.a > 5 AND l.a < 3 AND l.k < 5"
+        )
+        with pytest.raises(TypeCheckError):
+            db.execute(query, typing_mode="strict", **dials)
+        assert to_python(db.execute(query, **dials)) == []
+
+    @pytest.mark.parametrize("dials", THREE_WAYS)
+    def test_right_side_of_an_empty_left_side_is_never_enumerated(self, db, dials):
+        # ``scalar`` is not a collection: enumerating it raises.
+        query = "SELECT VALUE b FROM {left} AS a, scalar AS b"
+        empty = db.execute(
+            query.format(left="empty"), typing_mode="strict", **dials
+        )
+        assert to_python(empty) == []
+        with pytest.raises(TypeCheckError):
+            db.execute(query.format(left="typed"), typing_mode="strict", **dials)
+
+    def test_explain_lists_only_materialize_rewrites(self, db):
+        assert self.rewrites(
+            db,
+            "SELECT l.a AS a FROM typed AS l JOIN typed AS r ON l.k = r.k "
+            "WHERE l.a = 1 AND TRUE",
+        ) == ["materialize-right[INNER]"]
+        assert self.rewrites(
+            db, "SELECT VALUE b FROM empty AS a, scalar AS b WHERE a.x = 1"
+        ) == ["materialize-once"]
+        assert self.rewrites(
+            db, "SELECT VALUE l.a FROM typed AS l WHERE l.a > 5 AND l.a < 3"
+        ) == ["(none)"]
+        text = db.explain_plan(
+            "SELECT VALUE l.a FROM typed AS l WHERE l.a > 5 AND l.a < 3",
+            typing_mode="strict",
+        )
+        assert "  Scan typed AS l" in text and "pruned:" not in text
+        assert "unplanned" not in text
 
 
 # =========================================================================
@@ -394,20 +498,20 @@ class TestExplain:
         assert "predicate-pushdown" in text
 
     def test_explain_plan_reference_fallback(self, join_db):
-        # A rewrite-free block: its plan is shown with nothing fired;
-        # batch runs it, streaming says it keeps the direct FROM loop.
+        # A rewrite-free block: its plan is shown with nothing fired,
+        # and batch and stream both run it — no second FROM path to name.
         query = "SELECT u.uid AS uid FROM users AS u"
         text = join_db.explain_plan(query)
         assert "  Scan users AS u" in text
         assert "rewrites fired:\n  - (none)" in text
         assert "executor: batch" in text
-        assert "from: direct FROM loop" not in text
         assert "reference pipeline" not in text
         streamed = join_db.explain_plan(query + " LIMIT 2")
+        assert "  Scan users AS u" in streamed
         assert "rewrites fired:\n  - (none)" in streamed
-        assert "from: direct FROM loop (no rewrite fired" in streamed
+        assert "from:" not in text + streamed
         assert "executor: stream (LIMIT/OFFSET bounds the consumer)" in streamed
-        # A refusal names its reason; the block still streams.
+        # A block without FROM has nothing to plan; it still streams.
         unplanned = join_db.explain_plan("SELECT VALUE 1")
         assert "plan: unplanned (no FROM clause)" in unplanned
         assert "executor: stream (no FROM clause)" in unplanned

@@ -147,9 +147,10 @@ class TestTallyParity:
         assert t_batch == t_par, (t_batch, t_par)
 
     def test_lateral_operator_matches_streaming_item_tallies(self, small_morsels):
-        # A comma-unnest: batch (and the fan-out) run the lateral chunk
-        # operator; streamed, the rewrite-free block runs the direct
-        # FROM loop, whose per-item tallies are the same numbers.
+        # A comma-unnest: batch (and the fan-out) run the lateral
+        # operator's chunk form, streaming its row form — the same tree,
+        # so the same operator tallies, and no per-item statistics (those
+        # are the oracle's).
         db = Database(query_store=False)
         db.set("o", [{"k": i % 4, "items": list(range(i % 5))} for i in range(256)])
         query = "SELECT o.k AS k, i AS i FROM o AS o, o.items AS i"
@@ -159,18 +160,17 @@ class TestTallyParity:
         r3 = db.execute(query, parallel=2, tracer=par)
         assert db.metrics.last.parallel_workers >= 2
         assert len(r1) == len(r2) == len(r3) == 512 - 2  # i%5 over 256 rows
-        assert op_tallies(streaming) == {}
-        scan_item, lateral_item = db.compile(query).body.from_
         expected = {
-            "Scan o AS o": (256, streaming.item_stats(scan_item).rows_out),
-            "Lateral[INNER]": (len(r1), streaming.item_stats(lateral_item).rows_out),
+            "Scan o AS o": (256, 256),
+            "Lateral[INNER]": (len(r1), len(r1)),
         }
-        assert expected["Scan o AS o"] == (256, 256)
-        assert expected["Lateral[INNER]"] == (len(r1), len(r1))
+        assert op_tallies(streaming) == expected
         assert op_tallies(batch) == expected
         assert op_tallies(par) == expected
-        # With a pushed filter a rewrite fired, so streaming consults
-        # the same tree: operator tallies agree across all three.
+        scan_item, lateral_item = db.compile(query).body.from_
+        assert streaming.item_stats(scan_item) is None
+        assert streaming.item_stats(lateral_item) is None
+        # With a pushed filter too: operator tallies agree across all three.
         filtered = query + " WHERE i >= 2 AND o.k < 3"
         tracers = [ExecTracer(), ExecTracer(), ExecTracer()]
         db.execute(filtered, batch=False, tracer=tracers[0])
@@ -203,13 +203,12 @@ class TestTallyParity:
         assert op_tallies(light), "light tracer saw no plan ops"
         assert op_tallies(full) == op_tallies(light)
         assert op_tallies(full)["Scan r AS r"][1] == 100
-        # Streamed, the same block runs the direct FROM loop: no plan
-        # operator is tallied, the FROM item reports the same 100 rows.
-        streamed = ExecTracer()
-        db.execute(query, batch=False, tracer=streamed)
-        assert op_tallies(streamed) == {}
-        item = db.compile(query).body.from_[0]
-        assert streamed.item_stats(item).rows_out == 100
+        # Streamed, the same block runs the same scan operator (its row
+        # form) under either tracer: same tallies, no per-item record.
+        for streamed in (ExecTracer(), ExecTracer(timing=False)):
+            db.execute(query, batch=False, tracer=streamed)
+            assert op_tallies(streamed) == op_tallies(full)
+            assert streamed.item_stats(db.compile(query).body.from_[0]) is None
 
     def test_limit_early_termination_tallies_exact(self):
         # LIMIT shapes run on the streaming pipeline; the tally must be

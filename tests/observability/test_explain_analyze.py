@@ -20,6 +20,9 @@ JOIN_QUERY = (
     "FROM r AS r JOIN s AS s ON r.k = s.k WHERE r.v > 50"
 )
 
+#: A WHERE absint proves never TRUE: the plan is a single ``Empty`` operator.
+PRUNED_QUERY = "SELECT VALUE x.v FROM r AS x WHERE x.v > 5 AND x.v < 3 LIMIT 5"
+
 STATS = re.compile(r"\(calls=\d+ (rows_in=\d+ )?rows_out=\d+ time=[\d.]+[mu]?s\)")
 
 
@@ -93,12 +96,45 @@ class TestEdgeShapes:
         )
         assert "not a single query block" in report
 
-    def test_strict_mode_streams_the_direct_from_loop(self, join_db):
+    def test_strict_mode_streams_the_operator_tree(self, join_db):
+        # Strict blocks are planned too: the structural fold, with the
+        # hash join (and the pushdown of ``r.v > 50``) withheld.
         report = join_db.explain_analyze(JOIN_QUERY, typing_mode="strict")
-        assert "plan: direct FROM loop" in report
+        join_line, scan_line = report.splitlines()[4:6]
+        assert join_line.startswith(
+            "  NestedLoopJoin[INNER] (right side materialized once)"
+        )
+        assert "rows_out=100" in join_line
+        assert scan_line.startswith("    Scan r AS r") and "rows_out=100" in scan_line
+        assert "WHERE (residual): (r.v > 50)" in report
         assert "executor: stream (strict typing mode)" in report
-        assert "reference" not in report
+        assert "reference" not in report and "\nplan:" not in report
         assert "rows returned: 49" in report
+
+    @pytest.mark.parametrize(
+        "query, dials",
+        [
+            (PRUNED_QUERY, {}),
+            (PRUNED_QUERY, {"batch": False}),
+            # The same block as a per-row subquery.
+            (
+                "SELECT y.k AS k, (SELECT VALUE x.v FROM r AS x "
+                "WHERE x.v > 5 AND x.v < 3) AS vs FROM s AS y",
+                {},
+            ),
+        ],
+        ids=["limit", "batch-off", "per-row-subquery"],
+    )
+    def test_pruned_block_streams_under_a_timing_tracer(self, join_db, query, dials):
+        # The Empty operator's row form is a plain tuple iterator: the
+        # traced stream must close it like every other stream does.
+        report = join_db.explain_analyze(query, **dials)
+        assert "phases:" in report
+        if query is PRUNED_QUERY:
+            assert "  Empty (" in report and "rows_out=0" in report
+            assert "rows returned: 0" in report
+        else:
+            assert "rows returned: 10" in report
 
 
 class TestOneInternalRun:

@@ -47,6 +47,69 @@ class TestMaxRows:
             )
 
 
+#: 10 outer rows, 3 items each; ``p`` matches every ``o.k`` twice.
+JOIN_SHAPES = {
+    "explicit-lateral": (
+        "SELECT o.k AS k, i AS i FROM o AS o JOIN o.items AS i ON TRUE", 40
+    ),
+    "comma-lateral": ("SELECT o.k AS k, i AS i FROM o AS o, o.items AS i", 40),
+    # ON keeps 1 of 3 items: 10 scanned + 30 ranged, no pads.
+    "left-lateral": (
+        "SELECT o.k AS k, i AS i FROM o AS o LEFT JOIN o.items AS i ON i > 2", 40
+    ),
+    # 10 probe + 20 build + 20 joined.
+    "hash-join": ("SELECT o.k AS k FROM o AS o JOIN p AS p ON o.k = p.k", 50),
+}
+
+
+class TestOneAccountingPerShape:
+    """A query is charged the same ``max_rows`` whichever executor runs
+    it: batch and stream enumerate FROM through the same operator tree,
+    whose chunk and row forms account the same rows."""
+
+    @pytest.fixture
+    def join_db(self):
+        database = Database()
+        database.set("o", [{"k": i, "items": [1, 2, 3]} for i in range(10)])
+        database.set("p", [{"k": i % 10} for i in range(20)])
+        return database
+
+    @staticmethod
+    def threshold(database, query, **dials):
+        """The smallest ``max_rows`` the query completes under."""
+        for limit in range(1, 400):
+            try:
+                database.execute(query, max_rows=limit, **dials)
+            except ResourceExhausted:
+                continue
+            return limit
+        raise AssertionError("never completed")
+
+    @pytest.mark.parametrize("shape", JOIN_SHAPES)
+    def test_batch_and_stream_thresholds_agree(self, join_db, shape):
+        query, expected = JOIN_SHAPES[shape]
+        join_db.execute(query)
+        assert join_db.metrics.last.batched is True
+        join_db.execute(query, batch=False)
+        assert join_db.metrics.last.batched is False
+        batch = self.threshold(join_db, query)
+        stream = self.threshold(join_db, query, batch=False)
+        assert batch == stream == expected
+        # The oracle keeps its own eager accounting (it also counts a
+        # join item's output): never cheaper, not required to be equal.
+        assert self.threshold(join_db, query, optimize=False) >= expected
+
+    @pytest.mark.parametrize("dials", [{}, {"batch": False}], ids=["batch", "stream"])
+    def test_trace_has_one_span_per_scan(self, join_db, dials):
+        tree = join_db.trace(
+            "SELECT o.k AS k FROM o AS o, p AS p WHERE o.k = p.k", **dials
+        ).format_tree()
+        for scan in ("Scan o AS o", "Scan p AS p"):
+            assert tree.count(scan) == 1, tree
+        assert "[item]" not in tree
+        assert tree.count("[operator]") == 3  # the join and its two scans
+
+
 class TestTimeout:
     def test_timeout_stops_instead_of_hanging(self, db):
         with pytest.raises(ResourceExhausted) as excinfo:

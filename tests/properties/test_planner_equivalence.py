@@ -6,11 +6,18 @@ equi / composite / non-equi ON predicates, and conjunctive WHERE
 clauses — evaluation with ``optimize=True`` (hash joins, predicate
 pushdown, right-side materialization) must produce exactly the same
 bag as ``optimize=False`` (the executable reference semantics).
+
+Under ``typing_mode="strict"`` the contract (docs/LANGUAGE.md §8) is the
+same bag, or an error of the same class the reference raises: the keys
+mix integers and strings, so ``l.k = r.k`` raises whenever two
+categories meet, and the planner must not hash, push or prune that
+error away.  Run with ``REPRO_VERIFY_PLANS=1`` (CI's ``verify-plans``
+job) every plan built here also passes the structural verifier.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro import Database
+from repro import Database, errors
 from repro.datamodel.equality import deep_equals
 from repro.datamodel.values import Bag
 
@@ -58,12 +65,28 @@ query_parts = st.tuples(
 )
 
 
+def outcome(db: Database, query: str, **dials):
+    try:
+        return Bag(list(db.execute(query, **dials)))
+    except errors.SQLPPError as error:
+        return type(error)
+
+
 def run_both(db: Database, query: str) -> None:
-    optimized = db.execute(query, optimize=True)
-    reference = db.execute(query, optimize=False)
-    assert deep_equals(Bag(list(optimized)), Bag(list(reference))), (
-        f"planner parity violation for {query!r}"
-    )
+    """Engine (batch and stream) against the oracle, in both typing modes."""
+    for typing_mode in ("permissive", "strict"):
+        reference = outcome(db, query, optimize=False, typing_mode=typing_mode)
+        for dials in ({}, {"batch": False}):
+            optimized = outcome(db, query, typing_mode=typing_mode, **dials)
+            if isinstance(reference, type):
+                assert typing_mode == "strict" and optimized is reference, (
+                    f"{typing_mode} {dials}: {query!r} → {optimized}, "
+                    f"reference raises {reference.__name__}"
+                )
+            else:
+                assert not isinstance(optimized, type) and deep_equals(
+                    optimized, reference
+                ), f"planner parity violation ({typing_mode} {dials}) for {query!r}"
 
 
 @given(tables, query_parts)
