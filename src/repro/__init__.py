@@ -9,7 +9,7 @@ A complete SQL++ query processor in pure Python:
   GROUP BY ... GROUP AS, PIVOT/UNPIVOT, windows, set ops
   (:mod:`repro.syntax`);
 * the SQL++ Core evaluator and the SQL-as-sugar rewriter with the
-  SQL-compatibility flag and permissive/strict typing modes
+  SQL-compatibility flag and permissive / strict typing
   (:mod:`repro.core`, :mod:`repro.config`);
 * optional schemas with union types, validation, inference and static
   checking (:mod:`repro.schema`);

@@ -933,7 +933,9 @@ class Database:
         lines.append("")
         if config.optimize:
             lines.extend(
-                explain_executors(self._evaluator_for(config, None, None), core)
+                explain_executors(
+                    self._evaluator_for(config, None, None), core, tracer
+                )
             )
         else:
             lines.extend(_REFERENCE_EXECUTORS)

@@ -1130,17 +1130,18 @@ class _KernelCompiler:
         LIMIT / OFFSET; every expression relocatable
         (:func:`planner.is_relocatable`: total under permissive typing,
         so evaluating each element — where the streamed EXISTS stops at
-        its first hit — is unobservable).  The chunk's collections are
-        flattened in slices of ~CHUNK_ROWS with the owning row's index
-        kept alongside, WHERE and SELECT run as kernels over the slices,
-        and the survivors are segmented back by owner: a ``Bag`` per row
-        (empty, never MISSING, without survivors) or, for EXISTS, a
-        boolean.
+        its first hit — is unobservable; under strict typing an extra
+        evaluation can raise, which escapes the block's batch attempt
+        and sends it to the stream, ``Evaluator._eval_block_query``).
+        The chunk's collections are flattened in slices of ~CHUNK_ROWS
+        with the owning row's index kept alongside, WHERE and SELECT run
+        as kernels over the slices, and the survivors are segmented back
+        by owner: a ``Bag`` per row (empty, never MISSING, without
+        survivors) or, for EXISTS, a boolean.
         """
         body = query.body
         if (
-            not self.config.is_permissive
-            or not isinstance(body, ast.QueryBlock)
+            not isinstance(body, ast.QueryBlock)
             or query.order_by
             or query.limit is not None
             or query.offset is not None

@@ -42,7 +42,7 @@ from repro.core.windows import (
 )
 from repro.datamodel.equality import group_key
 from repro.datamodel.values import Bag
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, TypeCheckError
 from repro.functions import operators as ops
 from repro.observability.tracer import StageTally
 from repro.syntax import ast
@@ -307,7 +307,24 @@ class Evaluator(clauses.QueryEvaluator):
         self, query: ast.Query, body: ast.QueryBlock, env: Environment
     ) -> Any:
         """Run one block with its query's ORDER BY / LIMIT / OFFSET on
-        the executor :meth:`_batch_decision` picks: batch or stream."""
+        the executor :meth:`_batch_decision` picks: batch or stream.
+
+        Under strict typing the batch run is optimistic.  The chunk
+        kernels evaluate column-major, fold aggregates row-major and
+        test collection elements an early-terminating stream would never
+        pull, so *which* dynamic error a failing block raises — and, for
+        the over-evaluating kernels, whether it raises at all — can
+        differ from the stream's.  When a ``TypeCheckError`` or
+        ``EvaluationError`` escapes the attempt (a morsel worker's
+        included: it is re-raised in this process), the attempt is
+        discarded and the block runs on :meth:`_eval_query_streaming`,
+        whose answer — value or error — is final: batch ≡ ``batch=False``
+        by construction, for every kernel.  The replay is a recorded
+        decision and nothing else: the governor's row tally returns to
+        its value at block entry (its deadline keeps running), the
+        tracer forgets the attempt (:meth:`ExecTracer.replay`), and a
+        replayed top-level block reports ``batched`` False.
+        """
         self._note_reorder(query, body)
         plan, __ = self._batch_decision(query, body, env)
         if plan is None:
@@ -320,9 +337,25 @@ class Evaluator(clauses.QueryEvaluator):
         # ``batched`` describes the top-level block only (EXPLAIN
         # reports nested ones).
         self.streamed = True
-        if query is self._top_query:
+        top = query is self._top_query
+        if top:
             self.batched = True
-        return execute_batch_query(self, query, body, plan, env)
+        governor, tracer = self.governor, self.tracer
+        rows_at_entry = governor.rows if governor is not None else 0
+        mark = tracer.mark() if tracer is not None else None
+        try:
+            return execute_batch_query(self, query, body, plan, env)
+        except (TypeCheckError, EvaluationError) as error:
+            if self.config.is_permissive:
+                raise
+            if governor is not None:
+                governor.rows = rows_at_entry
+            if tracer is not None:
+                tracer.replay(mark, body, type(error).__name__)
+            if top:
+                self.batched = False
+                self.parallel_workers = 0
+        return self._eval_query_streaming(query, body, env)
 
     # ------------------------------------------------------------------
     # Batch (vectorized) execution
@@ -360,13 +393,13 @@ class Evaluator(clauses.QueryEvaluator):
         functions, whose blocking tails consume binding environments.
         GROUP BY with ORDER BY stays streaming because the sort keys may
         contain lowered aggregate sites that must see the group
-        environments.
+        environments.  The typing mode is not on the list: a strict
+        block runs the same kernels and is replayed on the stream if an
+        error escapes them (:meth:`_eval_block_query`).
         """
         config = self.config
         if not config.batch:
             return "batch=False"
-        if not config.is_permissive:
-            return "strict typing mode"
         if query is not self._top_query and env is not self._top_env:
             return "correlated subquery (row bindings in scope)"
         if query.limit is not None or query.offset is not None:

@@ -31,7 +31,7 @@ reference interpreter).
 
 What is withheld, and where — see docs/PLANNER.md:
 
-* strict typing mode: evaluation order is observable through raised
+* under strict typing evaluation order is observable through raised
   errors, so only the structural fold (scan, lateral, materialize-once,
   materialize-right — each enumerates and evaluates exactly what the
   nested loop does, a right side never before its left side yields a

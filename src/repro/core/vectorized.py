@@ -535,9 +535,12 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
     final query result (an ordered list under ORDER BY, else a Bag).
 
     The caller has already verified the gate
-    (``Evaluator._batch_decision``): permissive mode, optimization on,
-    the top-level query or a block evaluated in the top-level
-    environment, no LIMIT/OFFSET, and not GROUP BY + ORDER BY together.
+    (``Evaluator._batch_decision``): optimization on, the top-level
+    query or a block evaluated in the top-level environment, no
+    LIMIT/OFFSET, and not GROUP BY + ORDER BY together — in either
+    typing mode: under strict typing a kernel raises where it would
+    have returned MISSING, and the caller re-runs the block on the
+    stream when that escapes (``Evaluator._eval_block_query``).
     """
     config = evaluator.config
     tracer = evaluator.tracer
@@ -757,7 +760,7 @@ def explain_query(evaluator, query: ast.Query) -> List[str]:
 NOT_A_BLOCK = "query body is not a single query block"
 
 
-def explain_executors(evaluator, query: ast.Query) -> List[str]:
+def explain_executors(evaluator, query: ast.Query, tracer=None) -> List[str]:
     """The ``executor:`` / ``kernels:`` lines of EXPLAIN [ANALYZE].
 
     A dry run of the decisions execution makes, through the same
@@ -768,7 +771,10 @@ def explain_executors(evaluator, query: ast.Query) -> List[str]:
     derived table reachable in the top-level environment (with the
     clause that refused the batch pipeline), and every expression of a
     batched block that has no chunk kernel and takes the per-row
-    env-space fallback, with the node kind responsible.
+    env-space fallback, with the node kind responsible.  With the
+    ``tracer`` of a finished run (EXPLAIN ANALYZE), a block whose batch
+    attempt was replayed on the stream
+    (``Evaluator._eval_block_query``) says so.
     """
     from repro.syntax.printer import print_ast
 
@@ -778,7 +784,7 @@ def explain_executors(evaluator, query: ast.Query) -> List[str]:
     fallbacks: List[ast.Expr] = []
     try:
         kernels = _explain_block(
-            evaluator, query, env, "", "executor", lines, fallbacks
+            evaluator, query, env, "", "executor", lines, fallbacks, tracer
         )
     except SQLPPError as error:
         # Kernel compilation can reject what execution would reject
@@ -801,7 +807,7 @@ def explain_executors(evaluator, query: ast.Query) -> List[str]:
 
 def _explain_block(
     evaluator, query: ast.Query, env, indent: str, title: str,
-    lines: List[str], fallbacks: List[ast.Expr],
+    lines: List[str], fallbacks: List[ast.Expr], tracer,
 ) -> int:
     """Append one block's ``executor`` line (then its derived tables',
     indented); returns how many chunk kernels its batched blocks use."""
@@ -826,13 +832,17 @@ def _explain_block(
                 term = term.query
             if isinstance(term, ast.Query):
                 count += _explain_block(
-                    evaluator, term, env, indent, "operand", lines, fallbacks
+                    evaluator, term, env, indent, "operand", lines, fallbacks,
+                    tracer,
                 )
         return count
     evaluator._note_reorder(query, body)
     plan, reason = evaluator._batch_decision(query, body, env)
     count = 0
-    if plan is not None:
+    replayed = tracer.replay_of(body) if tracer is not None else None
+    if replayed is not None:
+        lines.append(f"{label}: batch → stream (replayed after {replayed})")
+    elif plan is not None:
         lines.append(f"{label}: batch")
         fns = block_kernels(evaluator, body, plan).all()
         for op in walk_ops(plan.op):
@@ -853,6 +863,6 @@ def _explain_block(
         ):
             count += _explain_block(
                 evaluator, item.expr.query, env, indent,
-                f"derived table {item.alias}", lines, fallbacks,
+                f"derived table {item.alias}", lines, fallbacks, tracer,
             )
     return count

@@ -45,7 +45,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.observability.tracer import format_seconds
 
@@ -184,6 +184,18 @@ class TraceContext:
         else:
             self.dropped += 1
         return span
+
+    def mark(self) -> Tuple[int, int]:
+        """How many spans are recorded and open: what :meth:`rewind`
+        returns to."""
+        return len(self.spans), len(self._stack)
+
+    def rewind(self, mark: Tuple[int, int]) -> None:
+        """Drop every span begun or recorded since ``mark`` (an
+        abandoned batch attempt, :meth:`ExecTracer.replay`)."""
+        recorded, open_ = mark
+        del self.spans[recorded:]
+        del self._stack[open_:]
 
     # -- structure -----------------------------------------------------
 

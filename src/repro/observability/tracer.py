@@ -33,7 +33,8 @@ Tracing is strictly opt-in: the evaluator's hot paths check a single
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.syntax import ast
@@ -155,6 +156,9 @@ class ExecTracer:
         #: so EXPLAIN ANALYZE renders the very operator objects the
         #: statistics above were recorded against.
         self._plans: Dict[int, Tuple[Any, Any]] = {}
+        #: Blocks whose batch attempt was abandoned for the stream, keyed
+        #: by id(block node): the class name of the error that escaped.
+        self._replays: Dict[int, Tuple[Any, str]] = {}
 
     # -- recording -----------------------------------------------------
 
@@ -247,10 +251,41 @@ class ExecTracer:
     def register_plan(self, block: Any, plan: Any) -> None:
         self._plans[id(block)] = (block, plan)
 
+    # -- replay: an abandoned attempt leaves no tallies ------------------
+
+    def mark(self) -> tuple:
+        """Everything recorded so far, as a point :meth:`replay` can
+        return to (taken when a block enters the batch executor)."""
+        tables = tuple(
+            {key: (node, replace(stats)) for key, (node, stats) in table.items()}
+            for table in (self._op_stats, self._stage_stats)
+        )
+        trace = self.trace
+        return tables, trace.mark() if trace is not None else None, perf_counter()
+
+    def replay(self, mark: tuple, block: Any, error: str) -> None:
+        """Forget what was recorded since ``mark`` — the batch attempt
+        of ``block`` that ``error`` (a class name) escaped from — and
+        note that the block is replayed on the stream: one ``replay``
+        span of the attempt's length instead of its operator spans."""
+        (self._op_stats, self._stage_stats), spans, started = mark
+        self._replays[id(block)] = (block, error)
+        if spans is not None:
+            self.trace.rewind(spans)
+            attrs = {"after": error, "executor": "batch → stream"}
+            elapsed = perf_counter() - started
+            self.trace.event("replay", "phase", started, elapsed, attrs)
+
     # -- lookup --------------------------------------------------------
 
     def plan_for(self, block: Any) -> Optional[Any]:
         entry = self._plans.get(id(block))
+        return entry[1] if entry is not None else None
+
+    def replay_of(self, block: Any) -> Optional[str]:
+        """The error class whose escape sent ``block`` from the batch
+        executor to the stream, or None (it ran where it was sent)."""
+        entry = self._replays.get(id(block))
         return entry[1] if entry is not None else None
 
     def op_stats(self, op: Any) -> Optional[OpStats]:

@@ -10,6 +10,7 @@ import pytest
 
 from repro import Database, errors
 from repro.core.vectorized import decompose_block
+from repro.datamodel.convert import to_python
 from repro.datamodel.equality import deep_equals
 from repro.datamodel.values import Bag
 
@@ -69,11 +70,14 @@ class TestBatchedFlag:
         assert db.metrics.last.batched is False
         assert db.metrics.last.streamed is True
 
-    def test_strict_mode_stays_streaming(self, db):
+    def test_strict_mode_batches(self, db):
+        # The typing mode is not a batch refusal: strict blocks run the
+        # same chunk kernels, optimistically (TestStrictReplay).
         db.execute(
             "SELECT VALUE o.oid FROM orders AS o", typing_mode="strict"
         )
-        assert db.metrics.last.batched is False
+        assert db.metrics.last.batched is True
+        assert db.metrics.last.streamed is True
 
     def test_comma_join_folds_into_one_tree_and_batches(self, db):
         # ``FROM a, b`` is ``a INNER JOIN b ON TRUE``: the comma items
@@ -569,9 +573,9 @@ class TestExecutorExplain:
 
     def test_refusals_name_the_clause(self, db):
         query = "SELECT VALUE o.oid FROM orders AS o"
-        assert "executor: stream (strict typing mode)" in db.explain_plan(
-            query, typing_mode="strict"
-        )
+        # The typing mode refuses nothing.
+        strict = db.explain_plan(query, typing_mode="strict")
+        assert "executor: batch\n" in strict and "strict" not in strict
         assert "executor: stream (LIMIT/OFFSET bounds the consumer)" in (
             db.explain_plan(query + " LIMIT 2")
         )
@@ -956,3 +960,172 @@ class TestSubqueryKernels:
         by_id = {row["id"]: row["hs"] for row in result}
         assert all(type(value) is Bag for value in by_id.values())
         assert [len(by_id[i]) for i in range(3)] == [1, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# Strict typing on the batch executor: optimistic run, replay on the stream
+# ---------------------------------------------------------------------------
+
+STRICT_DIALS = {
+    "default": {},
+    "parallel=2": {"parallel": 2},
+    "batch=False": {"batch": False},
+    "optimize=False": {"optimize": False},
+}
+
+
+def strict_outcomes(db: Database, query: str, **kwargs) -> dict:
+    """Per dial combination: the result as plain data, or the error class."""
+    outcomes = {}
+    for name, dials in STRICT_DIALS.items():
+        try:
+            outcomes[name] = to_python(db.execute(query, **dials, **kwargs))
+        except errors.SQLPPError as error:
+            outcomes[name] = type(error)
+    return outcomes
+
+
+class TestStrictReplay:
+    """Two-error-class cases where a bare batch run would surface a
+    different error than the stream (or an error where the stream returns
+    a row): an error escaping the batch attempt re-runs the block on the
+    stream, so every engine dial agrees with ``batch=False``."""
+
+    @pytest.fixture(autouse=True)
+    def forkable(self, monkeypatch):
+        from repro.core import parallel
+
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_ROWS", 2)
+        monkeypatch.setattr(parallel, "MIN_MORSEL_ROWS", 1)
+
+    @staticmethod
+    def strict_db(**values) -> Database:
+        db = Database(typing_mode="strict")
+        for name, rows in values.items():
+            db.set(name, rows)
+        return db
+
+    def assert_all(self, db, query, expected, **kwargs):
+        outcomes = strict_outcomes(db, query, **kwargs)
+        assert outcomes == dict.fromkeys(STRICT_DIALS, expected), (query, outcomes)
+
+    def test_column_major_surfaces_the_streams_error(self):
+        # Row 0 divides by zero, row 1 adds to a string: a column-major
+        # run evaluates every ``t.a + 1`` before any division.
+        query = "SELECT VALUE (t.a + 1) / t.b FROM t AS t"
+        db = self.strict_db(t=[{"a": 1, "b": 0}, {"a": "x", "b": 1}])
+        self.assert_all(db, query, errors.EvaluationError)
+        db.execute("SELECT VALUE t.b FROM t AS t")
+        assert db.metrics.last.batched is True
+        with pytest.raises(errors.EvaluationError):
+            db.execute(query)
+        assert db.metrics.last.batched is False
+        assert db.metrics.last.streamed is True
+        assert db.metrics.last.status == "error"
+
+    def test_errors_chunks_and_morsels_apart(self):
+        # The same two rows 28k apart: different chunks for the serial
+        # batch run, different morsels for the workers — whose rows the
+        # parent then projects as one column.
+        rows = [{"a": i, "b": 1} for i in range(30_000)]
+        rows[100] = {"a": 1, "b": 0}
+        rows[28_100] = {"a": "x", "b": 1}
+        db = self.strict_db(t=rows)
+        query = "SELECT VALUE (t.a + 1) / t.b FROM t AS t"
+        self.assert_all(db, query, errors.EvaluationError)
+        # The workers' scan succeeded; the replay is serial all the same.
+        with pytest.raises(errors.EvaluationError):
+            db.execute(query, parallel=2)
+        assert db.metrics.last.parallel_workers == 0
+        # No error: the strict block fans out and stays batched.
+        db.execute("SELECT VALUE t.b FROM t AS t", parallel=2)
+        assert db.metrics.last.batched is True
+        assert db.metrics.last.parallel_workers == 2
+
+    def test_row_major_fold_surfaces_the_group_major_error(self):
+        # Group b=1 is first seen at row 0 and holds the mistyped row 2;
+        # the stream and the oracle evaluate SUM group by group, the
+        # chunk fold row by row (row 1 divides by zero).
+        db = self.strict_db(
+            t=[{"a": 1, "b": 1}, {"a": 1, "b": 0}, {"a": "x", "b": 1}]
+        )
+        for argument in ("t.a / t.b", "(t.a + 1) / t.b"):
+            self.assert_all(
+                db,
+                f"SELECT t.b AS b, SUM({argument}) AS s FROM t AS t GROUP BY t.b",
+                errors.TypeCheckError,
+            )
+
+    def test_exists_kernel_tests_elements_the_stream_never_pulls(self):
+        # The streamed EXISTS stops at 5; the flatten-and-segment kernel
+        # compares 'z' > 1 too.  The oracle materializes the subquery
+        # and raises: the sanctioned exception of docs/LANGUAGE.md §8,
+        # now true of the batch executor as well.
+        query = (
+            "SELECT VALUE u.id FROM u AS u WHERE EXISTS "
+            "(SELECT VALUE x FROM u.xs AS x WHERE x > 1)"
+        )
+        db = self.strict_db(u=[{"id": 7, "xs": [5, 2, "z"]}])
+        outcomes = strict_outcomes(db, query)
+        assert outcomes.pop("optimize=False") is errors.TypeCheckError
+        assert outcomes == dict.fromkeys(outcomes, [7])
+        db.execute(query)
+        assert db.metrics.last.batched is False
+        assert db.metrics.last.streamed is True
+        assert db.metrics.last.status == "ok"
+
+    def test_projected_subquery_raises_everywhere(self):
+        db = self.strict_db(u=[{"id": 7, "xs": [5, 2, "z"]}])
+        self.assert_all(
+            db,
+            "SELECT VALUE (SELECT VALUE x FROM u.xs AS x WHERE x > 1) FROM u AS u",
+            errors.TypeCheckError,
+        )
+
+    def test_derived_table_replays_inside_its_enclosing_block(self):
+        # Both blocks enter the batch executor; the inner one's error is
+        # replayed there, the stream's verdict escapes the outer attempt
+        # and is replayed — to the same verdict — once more.
+        db = self.strict_db(t=[{"a": 1, "b": 0}, {"a": "x", "b": 1}])
+        self.assert_all(
+            db,
+            "SELECT VALUE d + 1 FROM (SELECT VALUE (t.a + 1) / t.b FROM t AS t) AS d",
+            errors.EvaluationError,
+        )
+
+    @pytest.mark.parametrize("max_rows", [4000, 6000])
+    def test_replay_rewinds_the_governor(self, max_rows):
+        # The aborted attempt scanned all 3,000 rows before its SELECT
+        # kernel raised; charged again on top of them, the replay's
+        # 2,501 would breach max_rows=4000 and hide the type error.
+        rows = [{"a": i} for i in range(3_000)]
+        rows[2_500] = {"a": "x"}
+        db = self.strict_db(t=rows)
+        self.assert_all(
+            db, "SELECT VALUE t.a + 1 FROM t AS t", errors.TypeCheckError,
+            max_rows=max_rows,
+        )
+
+    def test_limits_and_binding_errors_are_not_replayed(self, monkeypatch):
+        from repro.core.evaluator import Evaluator
+
+        streamed = []
+        stream = Evaluator._eval_query_streaming
+        monkeypatch.setattr(
+            Evaluator,
+            "_eval_query_streaming",
+            lambda self, *args: streamed.append(1) or stream(self, *args),
+        )
+        db = self.strict_db(t=[{"a": i} for i in range(100)], two=[1, 2])
+        with pytest.raises(errors.ResourceExhausted):
+            db.execute("SELECT VALUE t.a FROM t AS t", max_rows=10)
+        with pytest.raises(errors.BindingError):
+            db.execute("SELECT VALUE t.a + nowhere FROM t AS t, two AS s")
+        assert not streamed
+        # Permissive typing never replays, whatever escapes.
+        with pytest.raises(errors.EvaluationError):
+            db.execute("SELECT VALUE NO_SUCH_FN(t.a) FROM t AS t", typing_mode="permissive")
+        assert not streamed
+        with pytest.raises(errors.TypeCheckError):
+            db.execute("SELECT VALUE t.a + 'x' FROM t AS t")
+        assert streamed == [1]

@@ -522,7 +522,17 @@ class TestExplain:
             "JOIN orders AS o ON o.user_id = u.uid",
             typing_mode="strict",
         )
-        assert "strict typing" in text
+        # The plan says what strict typing withholds (the hash join: a
+        # key-category mismatch must raise, not "not match"); which
+        # executor runs it does not depend on the typing mode.
+        assert "NestedLoopJoin[INNER] (right side materialized once)" in text
+        assert "HashJoin" not in text and "hash-equi-join" not in text
+        fired = text[text.index("rewrites fired:"):text.index("consumer:")]
+        assert [line.split()[1] for line in fired.splitlines()[1:]] == [
+            "materialize-right[INNER]:"
+        ]
+        assert "\nexecutor: batch\n" in text
+        assert "strict" not in text
 
     def test_explain_plan_expression_body(self, join_db):
         text = join_db.explain_plan("1 + 1")

@@ -107,9 +107,37 @@ class TestEdgeShapes:
         assert "rows_out=100" in join_line
         assert scan_line.startswith("    Scan r AS r") and "rows_out=100" in scan_line
         assert "WHERE (residual): (r.v > 50)" in report
-        assert "executor: stream (strict typing mode)" in report
+        # ... and run on the chunk operators like permissive ones.
+        assert "\nexecutor: batch\n" in report
         assert "reference" not in report and "\nplan:" not in report
         assert "rows returned: 49" in report
+        # Unless a dynamic error escapes the batch attempt: the block is
+        # replayed on the stream, whose verdict — here a result, the
+        # streamed EXISTS stops at 5 and never compares 'z' — is final.
+        # The report is the replay's alone, plus the recorded decision.
+        db = Database(typing_mode="strict")
+        db.set("u", [{"id": 7, "xs": [5, 2, "z"]}, {"id": 8, "xs": [0]}])
+        query = (
+            "SELECT VALUE u.id FROM u AS u WHERE EXISTS "
+            "(SELECT VALUE x FROM u.xs AS x WHERE x > 1)"
+        )
+        report = db.explain_analyze(query)
+        assert (
+            "\nexecutor: batch → stream (replayed after TypeCheckError)\n"
+            "kernels: none (no block runs on the batch executor)"
+        ) in report
+        assert "  Scan u AS u  (calls=1 rows_out=2 " in report
+        stages = report.split("stages:")[1].split("executor:")[0]
+        names = [line.split()[0] for line in stages.splitlines()[1:4]]
+        assert names == ["FROM", "WHERE", "SELECT"]
+        assert stages.count("calls=1 ") == 3
+        assert "rows returned: 1" in report
+        assert (db.metrics.last.batched, db.metrics.last.streamed) == (False, True)
+        # EXPLAIN (no run to report on) names the executor it will try.
+        assert "\nexecutor: batch\n" in db.explain_plan(query)
+        tree = db.trace(query).format_tree()
+        assert tree.count("Scan u AS u [operator]") == 1
+        assert tree.count("replay  ") == 1 and "after=TypeCheckError" in tree
 
     @pytest.mark.parametrize(
         "query, dials",

@@ -12,6 +12,15 @@ Bag comparison (not ordered) is the right contract for unordered
 queries: the batch pipeline is clause-major like the eager reference
 engine, so its emission order can differ from the streaming pipeline's
 row-major order, but SQL++ query results without ORDER BY are bags.
+
+Every workload also runs under ``typing_mode="strict"``, where the
+generated rows (integers, strings, NULL and MISSING under one attribute)
+make the kernels raise.  The contract there: the engine's executors
+agree exactly — same bag or same error class, which the replay of
+``Evaluator._eval_block_query`` gives by construction — and against the
+oracle: the same bag, or an error of the same class, or the oracle
+raises where a bounded consumer (EXISTS, IN, LIMIT) stopped the engine
+before the offending element (docs/LANGUAGE.md §8).
 """
 
 from __future__ import annotations
@@ -60,17 +69,31 @@ def assert_bag_equal(left, right, query):
     assert deep_equals(left, right), f"batch parity violation for {query!r}"
 
 
+TYPING_MODES = ("permissive", "strict")
+
+
+def outcome(db: Database, query: str, **dials):
+    """The query's result, or the class of the error it raises."""
+    try:
+        return db.execute(query, **dials)
+    except SQLPPError as error:
+        return type(error)
+
+
 def run_modes(db: Database, query: str, ordered: bool = False) -> None:
-    streaming = db.execute(query, batch=False)
-    assert db.metrics.last.batched is False
-    batch = db.execute(query)
-    parallel_result = db.execute(query, parallel=2)
-    if ordered:
-        assert deep_equals(list(batch), list(streaming)), query
-        assert deep_equals(list(parallel_result), list(streaming)), query
-    else:
-        assert_bag_equal(batch, streaming, query)
-        assert_bag_equal(parallel_result, streaming, query)
+    for typing_mode in TYPING_MODES:
+        streaming = outcome(db, query, batch=False, typing_mode=typing_mode)
+        assert db.metrics.last.batched is False
+        for dials in ({}, {"parallel": 2}):
+            result = outcome(db, query, typing_mode=typing_mode, **dials)
+            if isinstance(streaming, type) or isinstance(result, type):
+                assert typing_mode == "strict" and result is streaming, (
+                    query, dials, result, streaming,
+                )
+            elif ordered:
+                assert deep_equals(list(result), list(streaming)), query
+            else:
+                assert_bag_equal(result, streaming, query)
 
 
 @pytest.fixture(autouse=True)
@@ -298,6 +321,34 @@ def four_ways(db: Database, query: str, ordered: bool = False) -> None:
     db.execute(query)
     assert db.metrics.last.batched is True, query
     assert db.verify_plan(query) == [], query
+    four_ways_strict(db, query)
+
+
+#: Consumers that may stop before an element the oracle's eager
+#: evaluation raises on (docs/LANGUAGE.md §8, "early termination").
+BOUNDED_CONSUMERS = ("EXISTS", " IN (SELECT", "LIMIT")
+
+
+def four_ways_strict(db: Database, query: str, one_class: bool = True) -> None:
+    """The strict contract.  ``one_class`` False: the data can raise
+    errors of two classes, and which the row-major stream meets first
+    need not be the one the clause-major oracle meets first."""
+
+    def strict(**dials):
+        result = outcome(db, query, typing_mode="strict", **dials)
+        return result if isinstance(result, type) else typed(result)
+
+    reference = strict(optimize=False)
+    streaming = strict(batch=False)
+    for overrides in ({}, {"parallel": 2}):
+        assert strict(**overrides) == streaming, (query, overrides)
+    if isinstance(streaming, type):
+        assert isinstance(reference, type), (query, streaming, reference)
+        assert streaming is reference or not one_class, (query, streaming, reference)
+    elif streaming != reference:
+        assert isinstance(reference, type), (query, streaming, reference)
+        assert any(word in query for word in BOUNDED_CONSUMERS), query
+    assert db.verify_plan(query, typing_mode="strict") == [], query
 
 
 @given(
@@ -319,6 +370,75 @@ def test_nested_from_parity(rows, from_, consumer):
 @settings(max_examples=150, deadline=None)
 def test_subquery_over_own_collection_parity(rows, query, sql_compat):
     four_ways(nested_db(rows, sql_compat), query)
+
+
+# ---------------------------------------------------------------------------
+# Strict typing: mostly clean rows, a little dirt
+# ---------------------------------------------------------------------------
+#
+# The strategies above are all-or-nothing under strict typing (the flat
+# rows never raise, the nested ones nearly always do).  Here the rows are
+# well typed except for at most two: a string where a number is expected
+# (``TypeCheckError``) and/or a zero divisor (``EvaluationError``) — so
+# samples mix results, one error, and two errors of different classes in
+# either order, which is where a bare column-major / row-major-fold /
+# over-evaluating batch run would surface the wrong one.
+
+clean_rows = st.lists(
+    st.fixed_dictionaries(
+        {
+            "a": st.integers(-3, 3),
+            "b": st.integers(1, 3),
+            "xs": st.lists(st.integers(0, 5), max_size=4),
+        }
+    ),
+    min_size=8,
+    max_size=24,
+)
+STRING_A, STRING_XS, ZERO_B = {"a": "x"}, {"xs": [5, "z", 2]}, {"b": 0}
+#: What to spoil, in row order.  Half the plans hold both error classes.
+DIRT_PLANS = [
+    (), (STRING_A,), (STRING_XS,), (ZERO_B,), (STRING_A, STRING_XS),
+    (ZERO_B, STRING_A), (STRING_A, ZERO_B), (ZERO_B, STRING_XS),
+    (STRING_XS, ZERO_B), (ZERO_B, STRING_A, STRING_XS),
+]
+
+STRICT_QUERIES = [
+    "SELECT VALUE (t.a + 1) / t.b FROM t AS t",
+    "SELECT VALUE t.a * 2 FROM t AS t WHERE 6 / t.b > 1 AND t.a < 3",
+    "SELECT VALUE w FROM t AS t LET w = t.a - 1, v = w / t.b WHERE v < 2",
+    "SELECT t.b AS b, SUM(t.a / t.b) AS s FROM t AS t GROUP BY t.b",
+    "SELECT t.b AS b, COUNT(*) AS n, MAX(t.a + 1) AS m FROM t AS t "
+    "GROUP BY t.b HAVING SUM(6 / t.b) > 0",
+    "SELECT DISTINCT VALUE t.a + t.b FROM t AS t",
+    "SELECT t.id AS id, x AS x FROM t AS t, t.xs AS x WHERE x / t.b >= 1",
+    "SELECT b, SUM(x) AS s FROM t AS t, t.xs AS x GROUP BY t.b AS b",
+    "SELECT VALUE t.id FROM t AS t WHERE EXISTS "
+    "(SELECT VALUE x FROM t.xs AS x WHERE x > 1)",
+    "SELECT VALUE t.id FROM t AS t WHERE t.a IN (SELECT VALUE x - 2 FROM t.xs AS x)",
+    "SELECT VALUE (SELECT VALUE x + t.a FROM t.xs AS x WHERE x > 1) FROM t AS t",
+    "SELECT VALUE COLL_SUM((SELECT VALUE x / t.b FROM t.xs AS x)) FROM t AS t",
+    "SELECT VALUE d + 1 FROM (SELECT VALUE t.a / t.b FROM t AS t) AS d",
+    "(SELECT VALUE t.a + 1 FROM t AS t) UNION ALL (SELECT VALUE 6 / t.b FROM t AS t)",
+    "SELECT VALUE t.id FROM t AS t ORDER BY t.a / t.b, t.id",
+]
+
+
+@given(
+    clean_rows,
+    st.sampled_from(DIRT_PLANS),
+    st.lists(st.integers(0, 7), min_size=3, max_size=3, unique=True).map(sorted),
+    st.sampled_from(STRICT_QUERIES),
+)
+@settings(max_examples=200, deadline=None)
+def test_strict_executors_agree_on_dirty_rows(rows, dirt, places, query):
+    rows = with_ids(rows)
+    for index, patch in zip(places, dirt):
+        rows[index].update(patch)
+    db = Database()
+    db.set("t", rows)
+    two_classes = ZERO_B in dirt and len(dirt) > 1
+    four_ways_strict(db, query, one_class=not two_classes)
 
 
 # ---------------------------------------------------------------------------
