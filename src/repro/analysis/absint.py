@@ -727,7 +727,9 @@ def _enumeration_total(item: ast.FromItem, available: Set[str]) -> bool:
     effects under permissive typing, extending ``available`` with the
     names it binds.  Permissive range/UNPIVOT enumeration itself is
     total (non-collections become singletons, absent values zero
-    bindings), so only the source expressions and ON need checking."""
+    bindings), so only the source expressions and ON need checking —
+    ``is_relocatable`` refuses what raises in both typing modes (an
+    unknown function, ``CAST`` target or ``IS`` type name)."""
     if isinstance(item, ast.FromJoin):
         if not _enumeration_total(item.left, available):
             return False

@@ -8,9 +8,11 @@ are stored in model form; plain Python data passed in is converted via
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List
+import weakref
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.datamodel.convert import from_python
+from repro.datamodel.values import Bag, LazyBag
 from repro.errors import CatalogError
 
 _NAME_CHARS = frozenset(
@@ -30,6 +32,39 @@ def validate_name(name: str) -> str:
     return name
 
 
+def weak_method(method: Callable[..., None]) -> Callable[..., None]:
+    """The bound ``method`` as a callable that holds its object weakly
+    and does nothing once that object is gone.  What a long-lived
+    object keeps of the ones it notifies, so that it neither keeps them
+    alive nor closes a reference cycle with them — a dropped
+    ``Database`` is then freed at once, not at the next cycle
+    collection."""
+    owner, function = weakref.ref(method.__self__), method.__func__
+
+    def call(*args: Any) -> None:
+        target = owner()
+        if target is not None:
+            function(target, *args)
+
+    return call
+
+
+def extended(name: str, existing: Any, elements: List[Any]) -> Any:
+    """The collection ``existing`` with ``elements`` (model values)
+    appended: a new bag, or a new array that keeps its order, sharing
+    the existing element objects.  Anything else cannot be appended to."""
+    if isinstance(existing, LazyBag):
+        raise CatalogError(
+            f"cannot insert into lazy named value {name!r} (set_lazy): "
+            "its elements come from the factory"
+        )
+    if isinstance(existing, Bag):
+        return existing.extended(elements)
+    if isinstance(existing, list):
+        return existing + elements
+    raise CatalogError(f"cannot insert into non-collection named value {name!r}")
+
+
 class Catalog:
     """A mutable mapping of dotted names to SQL++ values."""
 
@@ -39,27 +74,54 @@ class Catalog:
         #: query cache) key compiled plans to a catalog snapshot, since
         #: rewriting consults the set of catalog names.
         self.version = 0
-        #: Bumped on *every* mutation, including replacing the value
-        #: under an existing name.  Collection statistics
-        #: (:mod:`repro.catalog.statistics`) and the cost-based join
-        #: order derived from them are keyed to this, since they depend
-        #: on the data itself, not just the name set.
-        self.data_version = 0
+        #: One counter per name, bumped on every mutation of that name
+        #: (kept across ``drop``, so a re-created name never repeats a
+        #: version).  Whatever is derived from one collection's data —
+        #: its statistics (:mod:`repro.catalog.statistics`) — is pinned
+        #: to this, and a change to another name leaves it alone.
+        self._versions: Dict[str, int] = {}
+        self._watchers: List[Callable[[str, Optional[List[Any]]], None]] = []
+
+    def watch(self, watcher: Callable[[str, Optional[List[Any]]], None]) -> None:
+        """Call the bound method ``watcher(name, appended)`` after every
+        mutation: ``appended`` is the list of new elements when an
+        existing collection grew by :meth:`append`, None when the name
+        was created, replaced or dropped.  Held weakly
+        (:func:`weak_method`): the watcher reads this catalog."""
+        self._watchers.append(weak_method(watcher))
+
+    def version_of(self, name: str) -> int:
+        """How many times ``name`` has been mutated (0: never set)."""
+        return self._versions.get(name, 0)
+
+    def _changed(self, name: str, appended: Optional[List[Any]]) -> None:
+        self._versions[name] = self._versions.get(name, 0) + 1
+        for watcher in self._watchers:
+            watcher(name, appended)
 
     def set(self, name: str, value: Any) -> None:
         """Create or replace a named value (converted to model form)."""
-        if validate_name(name) not in self._values:
-            self.version += 1
-        self.data_version += 1
-        self._values[name] = from_python(value)
+        self.set_model(name, from_python(value))
 
     def set_model(self, name: str, value: Any) -> None:
         """Create or replace a named value that is already in model form
         (skips conversion; used by callers that validated the value)."""
         if validate_name(name) not in self._values:
             self.version += 1
-        self.data_version += 1
         self._values[name] = value
+        self._changed(name, None)
+
+    def append(self, name: str, elements: List[Any]) -> None:
+        """Append model-form ``elements`` to the collection under
+        ``name`` (created as a bag when absent) by installing
+        :func:`extended` of it: values handed out earlier stay the
+        snapshots they were, and the cost is that of the new elements
+        plus one pointer copy."""
+        if name not in self._values:
+            self.set_model(name, Bag(elements))
+            return
+        self._values[name] = extended(name, self._values[name], elements)
+        self._changed(name, elements)
 
     def get(self, name: str) -> Any:
         try:
@@ -72,7 +134,7 @@ class Catalog:
             raise CatalogError(f"unknown named value {name!r}")
         del self._values[name]
         self.version += 1
-        self.data_version += 1
+        self._changed(name, None)
 
     def names(self) -> List[str]:
         return sorted(self._values)

@@ -127,9 +127,13 @@ class Database:
             parallel=parallel,
             rewrite=rewrite,
         )
+        #: Per-database query metrics: monotonic counters, per-query
+        #: records, pluggable sinks (docs/OBSERVABILITY.md).
+        self.metrics = MetricsRegistry(sinks=metrics_sinks)
         #: Sampled collection statistics feeding the planner's
-        #: cost-based join ordering; cached per catalog data version.
-        self._stats = StatsProvider(self.catalog)
+        #: cost-based join ordering, per collection: advanced by
+        #: ``insert``, re-sampled after ``set``.
+        self._stats = StatsProvider(self.catalog, count=self.metrics.increment)
         # Memoized engine evaluators, keyed by effective EvalConfig
         # (frozen, hashable).  Re-running a query through the same
         # config reuses the evaluator's compiled-closure and
@@ -137,9 +141,6 @@ class Database:
         # object, so the id()-keyed caches hit — until that compile-cache
         # entry is evicted.  ``rebind`` resets per-execution state.
         self._evaluators: "OrderedDict[EvalConfig, Evaluator]" = OrderedDict()
-        #: Per-database query metrics: monotonic counters, per-query
-        #: records, pluggable sinks (docs/OBSERVABILITY.md).
-        self.metrics = MetricsRegistry(sinks=metrics_sinks)
         self._schemas: Dict[str, Any] = {}
         self._schema_version = 0
         # LRU parse+rewrite cache: repeated query texts (benchmark
@@ -204,7 +205,10 @@ class Database:
 
         Lazy values skip schema validation (validating would defeat the
         point by traversing everything up front); register a schema only
-        on materialized values.
+        on materialized values.  They are also read-only: the elements
+        are the factory's, so :meth:`insert` into one raises
+        :class:`~repro.errors.CatalogError` rather than draining the
+        generator into a materialized bag.
         """
         from repro.datamodel.convert import from_python
         from repro.datamodel.values import LazyBag
@@ -221,30 +225,49 @@ class Database:
         """Append elements to a named collection.
 
         ``values`` is an iterable of new elements (a list/bag, *not* one
-        element).  Creates the named value as a bag when absent.  With a
-        registered schema, the updated collection is re-validated and
-        the insert is rejected wholesale on a violation.
+        element).  Creates the named value as a bag when absent; an
+        array keeps its order.  Only the new elements are converted and
+        — with a registered schema — validated, the existing ones are
+        shared with the value that was there (:meth:`Catalog.append`),
+        so the cost follows the batch, not the collection.  The insert
+        is rejected wholesale on a violation: the collection, its
+        statistics and every cached plan stay as they were.
+
+        Statistics already collected for ``name`` advance by the new
+        elements; cached plans that read it are kept until it has grown
+        past the feedback tolerance, plans that read other collections
+        are never touched (docs/PLANNER.md, "Statistics").
         """
         from repro.datamodel.convert import from_python
-        from repro.datamodel.values import Bag
 
-        new_elements = from_python(list(values))
-        if name in self.catalog:
-            existing = self.catalog.get(name)
-            if isinstance(existing, Bag):
-                combined: Any = Bag(existing.to_list() + new_elements)
-            elif isinstance(existing, list):
-                combined = existing + new_elements
-            else:
-                from repro.errors import CatalogError
+        new_elements = [from_python(value) for value in values]
+        schema = self._schemas.get(name)
+        if schema is not None:
+            self._validate_appended(name, new_elements, schema)
+        self.catalog.append(name, new_elements)
 
-                raise CatalogError(
-                    f"cannot insert into non-collection named value {name!r}"
-                )
+    def _validate_appended(
+        self, name: str, new_elements: List[Any], schema: Any
+    ) -> None:
+        """Validate an insert against ``name``'s schema before anything
+        is installed: element by element under ``BAG<T>`` / ``ARRAY<T>``
+        (paths say ``name[len(existing) + j]``), as one whole value under
+        any other top-level shape (a union of collection types, say)."""
+        from repro.catalog.catalog import extended
+        from repro.schema.types import ArrayType, BagType
+        from repro.schema.validate import validate
+
+        existing = self.catalog.get(name) if name in self.catalog else Bag()
+        if isinstance(existing, list):
+            elementwise = isinstance(schema, (ArrayType, BagType))
+        else:  # a materialized bag (not a LazyBag: ``len`` would drain it)
+            elementwise = isinstance(schema, BagType) and type(existing) is Bag
+        if elementwise:
+            for index, element in enumerate(new_elements, len(existing)):
+                validate(element, schema.element, f"{name}[{index}]")
         else:
-            combined = Bag(new_elements)
-        # Route through set() so schema validation applies atomically.
-        self.set(name, combined)
+            # ``extended`` refuses what cannot be appended to.
+            validate(extended(name, existing, new_elements), schema, path=name)
 
     def drop(self, name: str) -> None:
         self.catalog.drop(name)
@@ -559,7 +582,7 @@ class Database:
             if store is not None:
                 metrics.fingerprint = compiled.fingerprint()
                 if tracer is None and store.wants_feedback(
-                    metrics.fingerprint, self.catalog.data_version
+                    metrics.fingerprint, self._stats
                 ):
                     # Sampled feedback run: attach the timing-free
                     # tracer so operators count rows (cardinality
@@ -597,6 +620,10 @@ class Database:
                 metrics.streamed = evaluator.streamed
                 metrics.batched = evaluator.batched
                 metrics.parallel_workers = evaluator.parallel_workers
+                if evaluator.plans_rebuilt:
+                    self.metrics.increment(
+                        "plans_rebuilt", evaluator.plans_rebuilt
+                    )
             metrics.total_s = perf_counter() - started
             if store is not None and metrics.fingerprint is not None:
                 self._store_observe(
@@ -655,7 +682,9 @@ class Database:
                 )
             # Mark even when nothing was learnable, so an unplannable
             # fingerprint is not re-traced forever.
-            store.mark_feedback(metrics.fingerprint, self.catalog.data_version)
+            store.mark_feedback(
+                metrics.fingerprint, self._stats, evaluator.reads(core)
+            )
         store.observe(
             metrics.fingerprint,
             metrics.query,
@@ -909,10 +938,15 @@ class Database:
         core = compiled.core
         lines = _explain_header(compiled)
         body = core.body
+        # The memoised evaluator the run used, still holding the run's
+        # plan decisions until ``explain_executors`` re-enters the query.
+        evaluator = (
+            self._evaluator_for(config, None, None) if config.optimize else None
+        )
         if isinstance(body, ast.QueryBlock):
             plan = tracer.plan_for(body)
             if plan is not None:
-                lines.append(plan.explain(tracer))
+                lines.append(plan.explain(tracer, evaluator.plan_notes(body)))
             elif body.from_ is not None:
                 # Only the oracle enumerates FROM without a plan.
                 lines.extend([_REFERENCE_PLAN, "FROM"])
@@ -931,12 +965,8 @@ class Database:
         else:
             lines.append(f"plan: none ({NOT_A_BLOCK})")
         lines.append("")
-        if config.optimize:
-            lines.extend(
-                explain_executors(
-                    self._evaluator_for(config, None, None), core, tracer
-                )
-            )
+        if evaluator is not None:
+            lines.extend(explain_executors(evaluator, core, tracer))
         else:
             lines.extend(_REFERENCE_EXECUTORS)
         lines.append("")

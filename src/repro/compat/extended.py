@@ -440,3 +440,19 @@ register(
         "wrongly-typed inputs.",
     )
 )
+
+register(
+    ConformanceCase(
+        case_id="X-prune-empty-raising-source",
+        section="IV-B",
+        title="A never-TRUE WHERE does not erase a raising FROM source",
+        query="SELECT VALUE NULL FROM CAST(FALSE AS NOPE) AS q WHERE NULL",
+        expect_error="EvaluationError",
+        typing_mode="permissive",
+        notes="An unknown CAST target is not a dynamic type error — it "
+        "raises in both typing modes — so the FROM source is evaluated "
+        "(and raises) even though the WHERE clause could never keep a "
+        "binding: an optimizer may prove the block empty only when "
+        "enumerating its FROM items cannot raise.",
+    )
+)

@@ -167,12 +167,29 @@ class _QueryCaches:
         self.root = root
         self.compiled: Dict[int, Any] = {}
         self.batch_compiled: Dict[Tuple[int, frozenset], Any] = {}
-        #: id(block) → (block, plan, data/feedback version); see
+        #: id(block) → :class:`_CachedPlan`; see
         #: :meth:`Evaluator._block_plan`.
-        self.plans: Dict[int, Any] = {}
+        self.plans: Dict[int, "_CachedPlan"] = {}
         self.decompositions: Dict[int, Any] = {}
         self.reorder_flags: Dict[int, Tuple[Any, bool]] = {}
         self.window_selects: Dict[int, Any] = {}
+
+
+class _CachedPlan:
+    """One block's plan with what says it is still good: the statistics
+    provider's ``generation`` when it was last found current (the one
+    integer the hot path compares), the stamp of the collections it
+    reads (looked at only when the generation moved) and their row
+    counts when planned (what EXPLAIN measures drift from)."""
+
+    __slots__ = ("block", "plan", "generation", "stamp", "rows")
+
+    def __init__(self, block: ast.QueryBlock, plan: Any):
+        self.block = block
+        self.plan = plan
+        self.generation = 0
+        self.stamp: Tuple = ()
+        self.rows: Dict[str, int] = {}
 
 
 class Evaluator(clauses.QueryEvaluator):
@@ -202,6 +219,10 @@ class Evaluator(clauses.QueryEvaluator):
         #: Optional :class:`repro.catalog.statistics.StatsProvider`
         #: feeding the planner's cost-based join ordering.
         self._stats = stats
+        #: id(block) → ``built — …`` / ``rebuilt — …`` for every plan
+        #: built since the current top-level query was entered; a block
+        #: that is not here ran (or is explained from) a reused plan.
+        self._plan_events: Dict[int, str] = {}
         #: Set by ``Database`` around ``execute``: a memoized evaluator
         #: that is mid-execution must not be rebound by a reentrant
         #: query (a lazy-bag factory issuing one while its consumer runs).
@@ -249,6 +270,7 @@ class Evaluator(clauses.QueryEvaluator):
         caches are the ones every lookup below uses."""
         self._top_query = query
         self._top_env = env
+        self._plan_events = {}
         caches = self._scopes.get(id(query))
         if caches is None:
             caches = self._scopes[id(query)] = _QueryCaches(query)
@@ -435,21 +457,6 @@ class Evaluator(clauses.QueryEvaluator):
             return set(self._catalog)
         except TypeError:  # pragma: no cover - defensive
             return set()
-
-    def _catalog_data_version(self):
-        """The catalog's data + feedback version, for plan staleness —
-        0 for plain mapping catalogs (tests), which never invalidate.
-        The feedback component makes a new cardinality observation
-        (query store, docs/OBSERVABILITY.md) invalidate cached plans
-        exactly once, so the corrected join order takes effect on the
-        next execution."""
-        if self._stats is None:
-            return 0
-        data_version = getattr(self._catalog, "data_version", 0)
-        feedback_version = getattr(self._stats, "feedback_version", None)
-        if feedback_version is None:
-            return data_version
-        return (data_version, feedback_version)
 
     def _eval_query_streaming(
         self, query: ast.Query, body: ast.QueryBlock, env: Environment
@@ -781,47 +788,117 @@ class Evaluator(clauses.QueryEvaluator):
     def _block_plan(self, block: ast.QueryBlock):
         """The block's physical plan — the operator tree every executor
         enumerates its FROM with — or None for a block without a FROM
-        clause.  One plan per block per (data version, feedback
-        version), built on first use and read by every executor and
-        every EXPLAIN surface; a tracer is told which plan ran."""
+        clause.  One plan per block, built on first use and read by
+        every executor and every EXPLAIN surface until a collection it
+        scans enters a new epoch or a feedback hint over one changes
+        (:class:`repro.catalog.statistics.StatsProvider`); while nothing
+        anywhere moved, that check is the one integer comparison below
+        (this runs per row for a streamed correlated subquery).  A
+        tracer is told which plan ran."""
         if block.from_ is None:
             return None
-        version = self._catalog_data_version()
-        caches = self._caches
-        entry = caches.plans.get(id(block))
-        if entry is None or entry[2] != version:
-            started = perf_counter()
-            plan = planner.plan_block(
-                block,
-                self.config,
-                stats=self._stats,
-                reorder_ok=caches.reorder_flags.get(id(block), (None, False))[1],
-                catalog_names=self._catalog_names(),
-            )
-            elapsed = perf_counter() - started
-            from repro.analysis.verify_plan import maybe_verify_block_plan
-
-            maybe_verify_block_plan(plan)
-            entry = (block, plan, version)
-            self.plan_time_s = (self.plan_time_s or 0.0) + elapsed
-            if self.tracer is not None and self.tracer.trace is not None:
-                self.tracer.trace.event("plan", "phase", started, elapsed)
-            caches.plans[id(block)] = entry
+        entry = self._caches.plans.get(id(block))
+        stats = self._stats
+        if entry is None or (
+            stats is not None and entry.generation != stats.generation
+        ):
+            entry = self._current_plan(block, entry)
         if self.plan_time_s is None:
             # Cache hit on a memoized evaluator: the planner "ran" for
             # this query (from cache), so the plan phase reports 0 time
             # rather than absent.
             self.plan_time_s = 0.0
         if self.tracer is not None:
-            self.tracer.register_plan(block, entry[1])
-        return entry[1]
+            self.tracer.register_plan(block, entry.plan)
+        return entry.plan
+
+    def _current_plan(
+        self, block: ast.QueryBlock, entry: Optional[_CachedPlan]
+    ) -> _CachedPlan:
+        """``entry`` revalidated against its stamp when only other
+        collections moved, else a newly built plan — a recorded decision
+        either way (:meth:`plan_notes`).  Plain mapping catalogs (no
+        statistics provider) never invalidate."""
+        stats = self._stats
+        event = "built — first use"
+        if entry is not None:
+            why = stats.stale(entry.stamp)
+            if why is None:
+                entry.generation = stats.generation
+                return entry
+            event = f"rebuilt — {why}"
+        caches = self._caches
+        started = perf_counter()
+        plan = planner.plan_block(
+            block,
+            self.config,
+            stats=stats,
+            reorder_ok=caches.reorder_flags.get(id(block), (None, False))[1],
+            catalog_names=self._catalog_names(),
+        )
+        elapsed = perf_counter() - started
+        from repro.analysis.verify_plan import maybe_verify_block_plan
+
+        maybe_verify_block_plan(plan)
+        entry = caches.plans[id(block)] = _CachedPlan(block, plan)
+        if stats is not None:
+            entry.generation = stats.generation
+            entry.stamp = stats.stamp(plan.reads, hints=True)
+            for name in plan.reads:
+                collected = stats.stats_for(name)
+                if collected is not None:
+                    entry.rows[name] = collected.row_count
+        self._plan_events[id(block)] = event
+        self.plan_time_s = (self.plan_time_s or 0.0) + elapsed
+        if self.tracer is not None and self.tracer.trace is not None:
+            self.tracer.trace.event("plan", "phase", started, elapsed)
+        return entry
+
+    @property
+    def plans_rebuilt(self) -> int:
+        """How many cached plans this execution had to build again."""
+        return sum(
+            event.startswith("rebuilt") for event in self._plan_events.values()
+        )
+
+    def plan_notes(self, block: ast.QueryBlock) -> List[str]:
+        """EXPLAIN's ``plan:`` line — whether the block's plan was built
+        for the query just entered or reused, and why — and one current
+        ``stats:`` line per scanned collection with statistics."""
+        entry = self._caches.plans.get(id(block))
+        stats = self._stats
+        if entry is None or stats is None:
+            return []
+        decision = self._plan_events.get(id(block))
+        if decision is None:
+            drifts = [
+                stats.drift(name, rows) for name, rows in entry.rows.items()
+            ]
+            decision = "reused"
+            if drifts:
+                decision += " — " + ", ".join(drifts)
+        lines = [f"plan: {decision}"]
+        for name in entry.plan.reads:
+            collected = stats.stats_for(name)
+            if collected is not None:
+                lines.append(f"stats: {name}: {collected.summary()}")
+        return lines
 
     def executed_plan(self, query: ast.Query):
         """The cached plan of ``query``'s block (None: no FROM, not a
         block) — what the query store hashes and cardinality feedback
         reads."""
         entry = self._caches.plans.get(id(query.body))
-        return entry[1] if entry is not None else None
+        return entry.plan if entry is not None else None
+
+    def reads(self, query: ast.Query) -> List[str]:
+        """The collections scanned by the plans of ``query``'s blocks
+        that have one so far, each once."""
+        caches = self._scopes.get(id(query))
+        entries = caches.plans.values() if caches is not None else ()
+        return list(
+            dict.fromkeys(name for entry in entries for name in entry.plan.reads)
+        )
 
     def block_plans(self, query: ast.Query) -> List[Any]:
         """The plan of every block under ``query`` that has one, planned

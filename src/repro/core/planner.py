@@ -54,7 +54,7 @@ by the property tests and the compat-kit parity test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.config import EvalConfig
 from repro.core.clauses import item_vars
@@ -67,7 +67,9 @@ from repro.core.plan_ops import (
     ScanOp,
     close_iter,
 )
+from repro.functions.operators import IS_KINDS
 from repro.functions.registry import REGISTRY
+from repro.functions.scalar import CAST_TARGETS
 from repro.syntax import ast
 
 
@@ -97,13 +99,22 @@ def is_relocatable(expr: ast.Expr) -> bool:
     Permissive typing turns dynamic type errors into MISSING, so most
     expressions are total; the exceptions that can still raise or carry
     evaluation state — window calls, subqueries, positional parameters,
-    unknown or ``*`` function calls — keep a conjunct pinned in place.
+    unknown or ``*`` function calls, an unknown ``CAST`` target or
+    ``IS`` type name (an ``EvaluationError`` in both typing modes) —
+    keep a conjunct pinned in place, and a FROM source from being
+    pruned (:func:`repro.analysis.absint.block_prune_reason`).
     """
     for node in expr.walk():
         if isinstance(node, _UNSAFE_NODES):
             return False
         if isinstance(node, ast.FunctionCall):
             if node.star or REGISTRY.lookup(node.name) is None:
+                return False
+        elif isinstance(node, ast.CastExpr):
+            if node.type_name.upper() not in CAST_TARGETS:
+                return False
+        elif isinstance(node, ast.IsPredicate):
+            if node.kind not in IS_KINDS:
                 return False
     return True
 
@@ -151,9 +162,10 @@ class BlockPlan:
     op: PlanOp
     residual_where: Optional[ast.Expr]
     rewrites: List[str]
-    #: ``stats: <collection>: rows=…`` EXPLAIN lines, one per scanned
-    #: collection with catalog statistics (empty without a provider).
-    stats_lines: List[str] = field(default_factory=list)
+    #: The names of the collections the tree scans
+    #: (:func:`scanned_names`): what the plan's estimates and join order
+    #: were derived from, so what its staleness stamp covers.
+    reads: Tuple[str, ...] = ()
     #: ``order: a ⋈ b (syntactic: b ⋈ a)`` EXPLAIN line for join plans
     #: costed against statistics; None when no join order was costed.
     order_line: Optional[str] = None
@@ -182,10 +194,14 @@ class BlockPlan:
         finally:
             close_iter(source)
 
-    def explain(self, tracer=None) -> str:
+    def explain(self, tracer=None, notes: Sequence[str] = ()) -> str:
         """The plan as text; with a tracer, annotated with runtime stats
         (EXPLAIN ANALYZE) and the est/actual/q-err comparison, the
-        worst misestimate flagged."""
+        worst misestimate flagged.  ``notes`` are the lines that
+        describe the plan's standing rather than its shape — the
+        ``plan:`` reuse decision and the current ``stats:``
+        (``Evaluator.plan_notes``); the shape alone is what
+        :func:`~repro.observability.query_store.plan_hash` hashes."""
         from repro.syntax.printer import print_ast
 
         worst_id = (
@@ -194,7 +210,7 @@ class BlockPlan:
         lines = ["FROM"] + self.op.explain_lines(1, tracer, worst_id)
         if self.pruned is not None:
             lines.append(f"pruned: {self.pruned}")
-        lines.extend(self.stats_lines)
+        lines.extend(notes)
         if self.order_line is not None:
             lines.append(self.order_line)
         if self.residual_where is not None:
@@ -314,10 +330,9 @@ def plan_block(
         if len(residual) < len(split_conjuncts(block.where)):
             residual_where = and_fold(residual)
 
-    stats_lines: List[str] = []
+    reads = scanned_names(op)
     order_line: Optional[str] = None
     if stats is not None:
-        stats_lines = _stats_lines(op, stats)
         op, order_line = _maybe_reorder(
             op, stats, reorder_ok and permissive, rewrites
         )
@@ -330,7 +345,7 @@ def plan_block(
         op=op,
         residual_where=residual_where,
         rewrites=rewrites,
-        stats_lines=stats_lines,
+        reads=reads,
         order_line=order_line,
     )
 
@@ -465,23 +480,21 @@ def _scan_ops(op: PlanOp) -> List[ScanOp]:
     return result
 
 
-def _stats_lines(op: PlanOp, stats) -> List[str]:
-    """One ``stats:`` line per scanned collection with statistics."""
+def scanned_names(op: PlanOp) -> Tuple[str, ...]:
+    """The collection names scanned at or below ``op``, each once: the
+    sources :func:`repro.catalog.statistics.source_name` recognizes (a
+    name the catalog does not hold — a variable — has no statistics and
+    never changes epoch, so including it costs nothing)."""
     from repro.catalog.statistics import source_name
 
-    lines: List[str] = []
-    seen: Set[str] = set()
+    names: List[str] = []
     for scan in _scan_ops(op):
         if not isinstance(scan.item, ast.FromCollection):
             continue
         name = source_name(scan.item.expr)
-        if name is None or name in seen:
-            continue
-        seen.add(name)
-        collected = stats.stats_for(name)
-        if collected is not None:
-            lines.append(f"stats: {name}: {collected.summary()}")
-    return lines
+        if name is not None and name not in names:
+            names.append(name)
+    return tuple(names)
 
 
 @dataclass

@@ -59,6 +59,7 @@ class ReferenceEvaluator(clauses.QueryEvaluator):
     streamed = False
     batched = False
     parallel_workers = 0
+    plans_rebuilt = 0
 
     def __init__(
         self,
@@ -75,6 +76,10 @@ class ReferenceEvaluator(clauses.QueryEvaluator):
         """No physical plan ever runs here (the query store hashes this
         as ``reference``)."""
         return None
+
+    def reads(self, query: ast.Query) -> List[str]:
+        """No plan, so no statistics read: nothing to re-trace for."""
+        return []
 
     # ------------------------------------------------------------------
     # Query blocks

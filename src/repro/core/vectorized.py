@@ -750,7 +750,9 @@ def explain_query(evaluator, query: ast.Query) -> List[str]:
     batched = executors[0] == "executor: batch"
     plan = evaluator._block_plan(body)
     lines = [
-        plan.explain() if plan is not None else "plan: unplanned (no FROM clause)"
+        plan.explain(notes=evaluator.plan_notes(body))
+        if plan is not None
+        else "plan: unplanned (no FROM clause)"
     ]
     lines.append(f"consumer: {describe_consumer(query, batched)}")
     return lines + executors

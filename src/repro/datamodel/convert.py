@@ -7,8 +7,10 @@ values (:class:`~repro.datamodel.values.Struct`,
 ``MISSING``).  These two functions are the bridge:
 
 * :func:`from_python` — dicts become structs, lists/tuples become arrays,
-  sets and frozensets become bags.  Model values pass through untouched,
-  so mixed inputs are fine.
+  sets and frozensets become bags.  Model values are accepted too, so
+  mixed inputs are fine, but they do not pass through: every struct and
+  collection is rebuilt, a deep copy whose cost follows the size of the
+  input (``Database.insert`` therefore converts only the new elements).
 * :func:`to_python` — structs become dicts, bags become lists (a bag's
   unorderedness cannot be expressed in JSON-style data; insertion order is
   kept).  ``MISSING`` elements of collections are dropped and ``MISSING``

@@ -241,6 +241,14 @@ class Bag:
         """The bag's elements as a list, in insertion order."""
         return list(self._items)
 
+    def extended(self, items: List[Any]) -> "Bag":
+        """A new bag of this bag's elements followed by ``items``.  The
+        element objects are shared, not copied (one pointer-level list
+        concatenation), and this bag is left as it was."""
+        combined = Bag.__new__(Bag)
+        combined._items = self._items + items
+        return combined
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bag):
             return NotImplemented
@@ -288,6 +296,9 @@ class LazyBag(Bag):
         return sum(1 for __ in self._factory())
 
     def add(self, item: Any) -> None:
+        raise TypeError("a lazy bag is read-only; materialize it first")
+
+    def extended(self, items: List[Any]) -> "Bag":
         raise TypeError("a lazy bag is read-only; materialize it first")
 
     def to_list(self) -> List[Any]:

@@ -385,6 +385,10 @@ _TYPE_KIND_NAMES = {
 }
 
 
+#: Every ``kind`` :func:`is_predicate` answers; any other raises.
+IS_KINDS = frozenset(_TYPE_KIND_NAMES) | {"NULL", "MISSING", "ABSENT"}
+
+
 def is_predicate(operand: Any, kind: str, config: EvalConfig) -> bool:
     """``x IS <kind>`` — never errors, never returns NULL.
 

@@ -90,6 +90,16 @@ def typeof(args: List[Any], config: EvalConfig) -> str:
     return type_name(args[0])
 
 
+_CAST_INTEGER = ("INTEGER", "INT", "BIGINT", "SMALLINT")
+_CAST_FLOAT = ("FLOAT", "DOUBLE", "REAL", "DECIMAL")
+_CAST_STRING = ("STRING", "VARCHAR", "CHAR", "TEXT")
+_CAST_BOOLEAN = ("BOOLEAN", "BOOL")
+
+#: Every type name ``CAST`` converts to; any other target raises in both
+#: typing modes (it is not a dynamic type error).
+CAST_TARGETS = frozenset(_CAST_INTEGER + _CAST_FLOAT + _CAST_STRING + _CAST_BOOLEAN)
+
+
 def cast_value(value: Any, target: str, config: EvalConfig) -> Any:
     """Implementation of ``CAST(x AS target)``.
 
@@ -102,23 +112,23 @@ def cast_value(value: Any, target: str, config: EvalConfig) -> Any:
         return None
     target = target.upper()
     try:
-        if target in ("INTEGER", "INT", "BIGINT", "SMALLINT"):
+        if target in _CAST_INTEGER:
             if isinstance(value, bool):
                 return int(value)
             if isinstance(value, (int, float)):
                 return int(value)
             if isinstance(value, str):
                 return int(value.strip())
-        elif target in ("FLOAT", "DOUBLE", "REAL", "DECIMAL"):
+        elif target in _CAST_FLOAT:
             if isinstance(value, bool):
                 return float(value)
             if isinstance(value, (int, float)):
                 return float(value)
             if isinstance(value, str):
                 return float(value.strip())
-        elif target in ("STRING", "VARCHAR", "CHAR", "TEXT"):
+        elif target in _CAST_STRING:
             return to_string_value(value)
-        elif target in ("BOOLEAN", "BOOL"):
+        elif target in _CAST_BOOLEAN:
             if isinstance(value, bool):
                 return value
             if isinstance(value, str):

@@ -149,6 +149,19 @@ _COUNTER_METRICS = {
         "repro_rows_returned_total",
         "Top-level result rows returned by successful queries.",
     ),
+    "stats_collected": (
+        "repro_stats_collected_total",
+        "Collection statistics sampled from a whole collection.",
+    ),
+    "stats_advanced": (
+        "repro_stats_advanced_total",
+        "Collection statistics advanced by the elements of an insert.",
+    ),
+    "plans_rebuilt": (
+        "repro_plans_rebuilt_total",
+        "Cached block plans built again (a collection they read was "
+        "replaced or outgrew the tolerance, or its feedback changed).",
+    ),
 }
 
 
@@ -168,6 +181,9 @@ class MetricsRegistry:
             "rows_returned_total": 0,
             "compile_cache_hits": 0,
             "compile_cache_misses": 0,
+            "stats_collected": 0,
+            "stats_advanced": 0,
+            "plans_rebuilt": 0,
         }
         #: Per-phase latency histograms (shared log-spaced buckets).
         self.histograms: Dict[str, Histogram] = {

@@ -23,7 +23,8 @@ module is that memory for the SQL++ engine:
   lines and Prometheus gauges.
 
 * **Cardinality feedback.**  On sampled executions (first run of a
-  fingerprint, or first run after the data changed) the store attaches
+  fingerprint, or first run after a collection it reads was replaced or
+  grew past the feedback tolerance) the store attaches
   a timing-free :class:`~repro.observability.tracer.ExecTracer`,
   compares each operator's actual output rows against the planner's
   estimate (q-error), and records the actuals into the catalog's
@@ -110,27 +111,18 @@ def query_fingerprint(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def plan_signature(plan) -> str:
-    """The plan's shape text: its EXPLAIN output minus ``stats:`` lines
-    (statistics drift with the data; the *shape* is what a plan change
-    should be detected on)."""
-    return "\n".join(
-        line
-        for line in plan.explain().splitlines()
-        if not line.strip().startswith("stats:")
-    )
-
-
 def plan_hash(plan) -> str:
-    """A 12-hex-digit hash of the executed plan's shape, computed once
-    per :class:`~repro.core.planner.BlockPlan`; the literal
+    """A 12-hex-digit hash of the executed plan's shape — its EXPLAIN
+    text without the ``plan:`` / ``stats:`` notes, which drift with the
+    data while the shape is what a plan change is detected on —
+    computed once per :class:`~repro.core.planner.BlockPlan`; the literal
     ``"reference"`` when no physical plan ran (a body without a FROM
     clause or that is not one block, or the reference interpreter)."""
     if plan is None:
         return "reference"
     if plan.shape_hash is None:
         plan.shape_hash = hashlib.sha256(
-            plan_signature(plan).encode("utf-8")
+            plan.explain().encode("utf-8")
         ).hexdigest()[:12]
     return plan.shape_hash
 
@@ -150,7 +142,7 @@ def record_plan_feedback(plan, tracer, provider) -> bool:
     completed (status ok) and was not cut short by LIMIT/OFFSET — a
     truncated count would poison the hints.
     """
-    from repro.core.planner import feedback_key, walk_plan_ops
+    from repro.core.planner import feedback_key, scanned_names, walk_plan_ops
 
     if plan is None:
         return False
@@ -162,7 +154,9 @@ def record_plan_feedback(plan, tracer, provider) -> bool:
         key = feedback_key(op)
         if key is None:
             continue
-        if provider.record_feedback(key, float(stats.rows_out)):
+        if provider.record_feedback(
+            key, float(stats.rows_out), scanned_names(op), op.est_rows
+        ):
             changed = True
     return changed
 
@@ -285,9 +279,10 @@ class QueryStore:
         self._events: Deque[Dict[str, Any]] = deque(maxlen=max_records)
         self.plan_change_count = 0
         self.regression_count = 0
-        #: fingerprint → catalog data_version it was last feedback-traced
-        #: under; drives :meth:`wants_feedback` sampling.
-        self._feedback_seen: Dict[str, Any] = {}
+        #: fingerprint → (provider generation, stamp of the collections
+        #: its plans read) as of its last feedback-traced run; drives
+        #: :meth:`wants_feedback` sampling.
+        self._feedback_seen: Dict[str, Tuple[int, Any]] = {}
         self._tail: Deque[str] = deque(maxlen=max_records)
         self._line_count = 0
         self._file: Optional[io.TextIOBase] = None
@@ -298,16 +293,32 @@ class QueryStore:
 
     # -- feedback sampling policy --------------------------------------
 
-    def wants_feedback(self, fingerprint: str, data_version: Any) -> bool:
+    def wants_feedback(self, fingerprint: str, provider) -> bool:
         """Whether the next execution of this fingerprint should run
-        with the timing-free tracer attached: yes on first sight and
-        again whenever the catalog data changed since the last trace."""
+        with the timing-free tracer attached: yes on first sight, and
+        again once a collection its plans read has entered a new epoch
+        of ``provider`` (a :class:`~repro.catalog.statistics.StatsProvider`:
+        replaced, or grown past the tolerance) since the last trace.
+        One integer comparison while nothing anywhere has moved."""
         with self._lock:
-            return self._feedback_seen.get(fingerprint) != data_version
+            seen = self._feedback_seen.get(fingerprint)
+            if seen is None:
+                return True
+            if seen[0] == provider.generation:
+                return False
+            if provider.stale(seen[1]) is not None:
+                return True
+            self._feedback_seen[fingerprint] = (provider.generation, seen[1])
+            return False
 
-    def mark_feedback(self, fingerprint: str, data_version: Any) -> None:
+    def mark_feedback(self, fingerprint: str, provider, reads) -> None:
+        """This fingerprint was just traced, its plans reading the
+        collections ``reads``."""
         with self._lock:
-            self._feedback_seen[fingerprint] = data_version
+            self._feedback_seen[fingerprint] = (
+                provider.generation,
+                provider.stamp(reads),
+            )
 
     # -- observation ----------------------------------------------------
 

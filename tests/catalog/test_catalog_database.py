@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Database
+from repro import Database, to_python
 from repro.catalog.catalog import Catalog, validate_name
 from repro.datamodel.values import Bag, Struct
 from repro.errors import CatalogError
@@ -141,6 +141,146 @@ class TestDatabase:
         db = Database()
         result = db.execute("SELECT VALUE ?.a FROM [1] AS x", parameters=[{"a": 5}])
         assert list(result) == [5]
+
+
+class TestCatalogWatch:
+    class Recorder:
+        def __init__(self):
+            self.seen = []
+
+        def changed(self, name, appended):
+            self.seen.append((name, appended))
+
+    def test_watcher_is_told_what_was_appended(self):
+        catalog, recorder = Catalog(), self.Recorder()
+        catalog.watch(recorder.changed)
+        catalog.set("t", [1])
+        catalog.append("t", [2, 3])
+        catalog.append("u", [4])  # created: nothing to advance from
+        catalog.drop("t")
+        assert recorder.seen == [("t", None), ("t", [2, 3]), ("u", None), ("t", None)]
+
+    def test_watching_keeps_nothing_alive(self):
+        import gc
+        import weakref
+
+        catalog, recorder = Catalog(), self.Recorder()
+        catalog.watch(recorder.changed)
+        gone = weakref.ref(recorder)
+        del recorder
+        assert gone() is None
+        catalog.set("t", [1])  # the dead watcher is skipped
+        # ... so a database's catalog and statistics form no cycle:
+        # dropping the database frees its data without the collector.
+        gc.disable()
+        try:
+            db = Database()
+            db.set("t", [{"a": 1}])
+            data = weakref.ref(db.catalog)
+            del db
+            assert data() is None
+        finally:
+            gc.enable()
+
+
+class TestInsertSemantics:
+    """``insert`` costs what the batch costs and changes nothing unless
+    it succeeds (docs/PLANNER.md "Statistics")."""
+
+    def test_existing_elements_are_shared_and_old_values_stay_snapshots(self):
+        db = Database()
+        db.set("t", [{"a": 1}, {"a": 2}])
+        before = db.get("t")
+        elements = list(before)
+        db.insert("t", [{"a": 3}])
+        after = db.get("t")
+        assert after is not before and len(before) == 2
+        assert all(x is y for x, y in zip(after, elements))
+        assert to_python(after) == [{"a": 1}, {"a": 2}, {"a": 3}]
+
+    def test_array_keeps_order_and_stays_an_array(self):
+        db = Database()
+        db.catalog.set_model("xs", [3, 1])
+        db.insert("xs", [2, 0])
+        assert db.get("xs") == [3, 1, 2, 0]
+        db.set_schema("xs", "ARRAY<INT>")
+        db.insert("xs", [9])
+        assert db.get("xs") == [3, 1, 2, 0, 9]
+
+    def test_absent_name_becomes_a_bag_under_its_schema(self):
+        from repro.errors import SchemaError
+
+        db = Database()
+        db.set_schema("t", "BAG<STRUCT<a INT>>")
+        with pytest.raises(SchemaError, match=r"t\[1\]\.a"):
+            db.insert("t", [{"a": 1}, {"a": "bad"}])
+        assert "t" not in db.catalog
+        db.insert("t", [{"a": 1}])
+        assert isinstance(db.get("t"), Bag)
+
+    def test_lazy_value_is_read_only(self):
+        pulled = []
+
+        def factory():
+            for i in range(3):
+                pulled.append(i)
+                yield {"a": i}
+
+        db = Database()
+        db.set_lazy("t", factory)
+        lazy = db.get("t")
+        with pytest.raises(CatalogError, match="lazy"):
+            db.insert("t", [{"a": 9}])
+        db.set_schema("u", "BAG<STRUCT<a INT>>")
+        db.set_lazy("u", factory)
+        with pytest.raises(CatalogError, match="lazy"):
+            db.insert("u", [{"a": 9}])
+        assert db.get("t") is lazy and pulled == []
+
+    def test_violation_in_element_j_leaves_everything_untouched(self):
+        from repro.errors import SchemaError
+
+        db = Database()
+        db.set("t", [{"a": i} for i in range(50)])
+        db.set_schema("t", "BAG<STRUCT<a INT>>")
+        query = "SELECT VALUE r.a FROM t AS r WHERE r.a >= 0"
+        db.execute(query)
+        db.execute(query)  # past the feedback re-plan
+        value, version = db.get("t"), db.catalog.version_of("t")
+        stats, generation = db._stats.stats_for("t"), db._stats.generation
+        counters = dict(db.metrics.counters)
+        with pytest.raises(SchemaError, match=r"^t\[52\]\.a: expected INT"):
+            db.insert("t", [{"a": 50}, {"a": 51}, {"a": "bad"}, {"a": 53}])
+        assert db.get("t") is value and len(value) == 50
+        assert db.catalog.version_of("t") == version
+        assert db._stats.stats_for("t") is stats
+        assert db._stats.generation == generation
+        assert db.metrics.counters == counters
+        assert "plan: reused — t +0.0 % rows" in db.explain_plan(query)
+
+    def test_union_of_collection_types_validates_the_whole_value(self):
+        from repro.errors import SchemaError
+        from repro.schema.types import ArrayType, BagType, IntegerType, UnionType
+
+        schema = UnionType((BagType(IntegerType()), ArrayType(IntegerType())))
+        db = Database()
+        db.set("t", [1, 2])
+        db.set_schema("t", schema)
+        db.insert("t", [3])
+        with pytest.raises(SchemaError, match="matches no alternative"):
+            db.insert("t", ["bad"])
+        assert to_python(db.get("t")) == [1, 2, 3]
+
+    def test_versions_are_per_name(self):
+        db = Database()
+        db.set("a", [1])
+        db.set("b", [1])
+        db.insert("a", [2])
+        assert (db.catalog.version_of("a"), db.catalog.version_of("b")) == (2, 1)
+        db.drop("a")
+        db.set("a", [1])
+        assert db.catalog.version_of("a") == 4  # never repeats across a drop
+        assert db.catalog.version_of("nope") == 0
 
 
 class TestRunSurfacesTakeTheDialsExecuteTakes:

@@ -68,9 +68,23 @@ class TestJoinOrderFlip:
         db = build_db()
         db.execute(FLIP_QUERY)
         assert "order: a ⋈ b" in db.explain_plan(FLIP_QUERY)
-        # Mutating the collection bumps data_version: stale actuals are
-        # dropped and planning falls back to fresh sampled estimates.
+        join_key = next(key for key in db._stats.feedback._rows if "join" in key)
+        assert db._stats.feedback_rows("scan|b|") == 600.0
+        # Replacing ``a`` starts a new epoch of ``a``: the actuals
+        # observed over it (its scan, the join) are stale and planning
+        # falls back to fresh sampled estimates — the hint over ``b``
+        # alone is as good as it was.
         db.set("a", [{"k": i, "bid": i % 600, "v": i} for i in range(5000)])
+        assert db._stats.feedback_rows("scan|a|(a.k = -1)") is None
+        assert db._stats.feedback_rows(join_key) is None
+        assert db._stats.feedback_rows("scan|b|") == 600.0
+
+    def test_small_append_keeps_hints_and_a_large_one_drops_them(self):
+        db = build_db()
+        db.execute(FLIP_QUERY)
+        db.insert("a", [{"k": -1, "bid": 1, "v": -1}] * 400)  # +8 %
+        assert db._stats.feedback_rows("scan|a|(a.k = -1)") == 3976.0
+        db.insert("a", [{"k": -1, "bid": 1, "v": -1}] * 200)  # +12 % in all
         assert db._stats.feedback_rows("scan|a|(a.k = -1)") is None
 
     def test_feedback_skipped_under_limit(self):
@@ -87,60 +101,91 @@ class TestJoinOrderFlip:
 
 
 class TestFeedbackHints:
+    """Hints carry the stamp they were observed under — here any
+    comparable value; :class:`StatsProvider` passes the epochs of the
+    collections the shape reads and judges staleness."""
+
     def test_record_and_lookup(self):
         hints = FeedbackHints()
-        assert hints.record("scan|a|f", 100.0, data_version=1)
-        assert hints.rows_for("scan|a|f", data_version=1) == 100.0
-        assert hints.rows_for("scan|a|f", data_version=2) is None
-        assert hints.rows_for("scan|a|other", data_version=1) is None
+        assert hints.record("scan|a|f", 100.0, stamp=(("a", 1),))
+        assert hints.get("scan|a|f") == (100.0, (("a", 1),))
+        assert hints.get("scan|a|other") is None
 
     def test_tolerance_suppresses_noise(self):
         hints = FeedbackHints()
-        assert hints.record("k", 100.0, data_version=1)
+        assert hints.record("k", 100.0, stamp=1)
         version = hints.version
         # Within 10%: stored, but no plan-relevant version bump.
-        assert not hints.record("k", 105.0, data_version=1)
+        assert not hints.record("k", 105.0, stamp=1)
         assert hints.version == version
-        assert hints.rows_for("k", data_version=1) == 105.0
+        assert hints.get("k") == (105.0, 1)
         # Beyond 10%: replan.
-        assert hints.record("k", 200.0, data_version=1)
+        assert hints.record("k", 200.0, stamp=1)
         assert hints.version > version
 
-    def test_data_version_change_clears(self):
+    def test_observation_under_a_new_stamp_counts_as_new(self):
         hints = FeedbackHints()
-        hints.record("k", 100.0, data_version=1)
+        hints.record("k", 100.0, stamp=1)
+        hints.record("other", 5.0, stamp=1)
         version = hints.version
-        hints.record("other", 5.0, data_version=2)
-        assert hints.rows_for("k", data_version=2) is None
+        # Same rows, but the collection entered a new epoch since: the
+        # plans built without the (stale) hint must see this one.
+        assert hints.record("k", 100.0, stamp=2)
         assert hints.version > version
+        assert hints.get("k") == (100.0, 2)
+        assert hints.get("other") == (5.0, 1)
+
+    def test_first_observation_is_judged_against_the_plans_estimate(self):
+        hints = FeedbackHints()
+        # Nothing known and nothing estimated (a lateral operator): news.
+        assert hints.record("lateral", 600.0, stamp=1)
+        # The plan estimated 100 and 104 arrived: stored, not news ...
+        version = hints.version
+        assert not hints.record("scan", 104.0, stamp=1, expected=100.0)
+        assert hints.get("scan") == (104.0, 1) and hints.version == version
+        # ... 3976 where 1 was estimated is.
+        assert hints.record("flip", 3976.0, stamp=1, expected=1.0)
+        # Once there is a hint, it is what plans assume, not the estimate.
+        assert not hints.record("flip", 4000.0, stamp=1, expected=1.0)
 
     def test_bounded_retention(self):
         hints = FeedbackHints()
         for i in range(FeedbackHints.MAX_HINTS + 10):
-            hints.record(f"k{i}", float(i + 1), data_version=1)
+            hints.record(f"k{i}", float(i + 1), stamp=1)
         assert len(hints) == FeedbackHints.MAX_HINTS
-        assert hints.rows_for("k0", data_version=1) is None
+        assert hints.get("k0") is None
         last = FeedbackHints.MAX_HINTS + 9
-        assert hints.rows_for(f"k{last}", data_version=1) == float(last + 1)
+        assert hints.get(f"k{last}") == (float(last + 1), 1)
 
 
 class TestProviderFeedback:
     def test_feedback_version_bumps_invalidate_plan_cache(self):
-        # The evaluator keys cached plans on (data_version,
-        # feedback_version); a fresh hint must replan exactly once.
+        # Cached plans are stamped with the hint version of each
+        # collection they read; a fresh hint must replan exactly once.
         db = build_db()
         version = db._stats.feedback_version
         db.execute(FLIP_QUERY)
         assert db._stats.feedback_version > version
+        db.execute(FLIP_QUERY)
+        assert db.metrics.counters["plans_rebuilt"] == 1
+        db.execute(FLIP_QUERY)
+        assert db.metrics.counters["plans_rebuilt"] == 1
 
     def test_second_execution_not_retraced(self):
         db = build_db()
+        db.set("c", B_ROWS)
         store = db.query_store()
         db.execute(FLIP_QUERY)
         fingerprint = db.metrics.last.fingerprint
-        assert not store.wants_feedback(fingerprint, db.catalog.data_version)
+        assert not store.wants_feedback(fingerprint, db._stats)
+        # Neither another collection's replacement nor a sub-tolerance
+        # append to one it reads re-arms the trace ...
+        db.set("c", B_ROWS[:10])
+        db.insert("b", [{"id": 600, "name": "b600"}])
+        assert not store.wants_feedback(fingerprint, db._stats)
+        # ... a replacement of one it reads does.
         db.set("b", B_ROWS + [{"id": 600, "name": "b600"}])
-        assert store.wants_feedback(fingerprint, db.catalog.data_version)
+        assert store.wants_feedback(fingerprint, db._stats)
 
 
 class TestLateralFeedback:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Database, EvalConfig, TypeCheckError, to_python
+from repro import Database, EvalConfig, TypeCheckError, errors, to_python
 from repro.core.plan_ops import MaterializeJoinOp, ScanOp
 from repro.core.planner import (
     free_names,
@@ -480,6 +480,34 @@ class TestAnalyses:
             parse_expression("x.a IN (SELECT VALUE t.b FROM t AS t)")
         )
         assert not is_relocatable(parse_expression("UNKNOWN_FN(x.a) = 1"))
+
+    def test_relocatable_rejects_what_raises_under_permissive_typing(self):
+        # Not dynamic type errors: these raise in both typing modes.
+        assert is_relocatable(parse_expression("CAST(x.a AS INT) IS INTEGER"))
+        assert not is_relocatable(parse_expression("CAST(x.a AS NOPE)"))
+        assert not is_relocatable(parse_expression("x.a IS NOPE"))
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "SELECT VALUE NULL FROM CAST(FALSE AS NOPE) AS q WHERE NULL",
+            "SELECT VALUE 1 FROM (1 IS NOPE) AS q WHERE FALSE",
+            "SELECT VALUE 1 FROM UNKNOWN_FN(1) AS q WHERE FALSE",
+            "SELECT VALUE 1 FROM [1, 2] AS q WHERE CAST(q AS NOPE) AND FALSE",
+        ],
+    )
+    def test_prune_empty_keeps_a_raising_from_source(self, query):
+        # A never-TRUE WHERE may erase only an enumeration that cannot
+        # raise: the engine used to answer <<>> where the oracle raises.
+        db = Database()
+        assert "pruned:" not in db.explain_plan(query)
+        for dials in ({}, {"batch": False}, {"optimize": False}):
+            with pytest.raises(errors.EvaluationError):
+                db.execute(query, **dials)
+        # The proof still fires over a source that cannot raise.
+        assert "pruned:" in db.explain_plan(
+            "SELECT VALUE 1 FROM CAST('1' AS INT) AS q WHERE NULL"
+        )
 
 
 # =========================================================================

@@ -6,6 +6,11 @@ import pytest
 
 from repro import Database
 
+#: A ``plan:`` line that says a FROM block has no operator tree
+#: (unplanned / reference / none), as opposed to the reuse decision
+#: (``plan: built | reused | rebuilt — …``) every planned block prints.
+UNPLANNED = re.compile(r"^plan: (?!built|reused|rebuilt)", re.M)
+
 
 @pytest.fixture
 def join_db():
@@ -109,7 +114,7 @@ class TestEdgeShapes:
         assert "WHERE (residual): (r.v > 50)" in report
         # ... and run on the chunk operators like permissive ones.
         assert "\nexecutor: batch\n" in report
-        assert "reference" not in report and "\nplan:" not in report
+        assert "reference" not in report and not UNPLANNED.search(report)
         assert "rows returned: 49" in report
         # Unless a dynamic error escapes the batch attempt: the block is
         # replayed on the stream, whose verdict — here a result, the
@@ -209,3 +214,106 @@ class TestOneInternalRun:
         assert join_db.metrics.last.query == "someone else's"
         assert "(compile cache: hit)" in report
         assert "  plan: " in report
+
+
+class TestPlanReuseIsARecordedDecision:
+    """EXPLAIN / EXPLAIN ANALYZE say whether the plan was reused or
+    rebuilt, and why; ``stats:`` always shows the current row counts;
+    the counters behind both are exported (docs/PLANNER.md,
+    "Statistics")."""
+
+    QUERY = "SELECT e.kind AS kind, COUNT(*) AS n FROM events AS e GROUP BY e.kind"
+    OTHER = "SELECT VALUE s.name FROM s AS s"
+
+    @staticmethod
+    def rows(start, stop):
+        return [{"id": i, "kind": "k%d" % (i % 3)} for i in range(start, stop)]
+
+    @staticmethod
+    def line(report, prefix):
+        return next(line for line in report.splitlines() if line.startswith(prefix))
+
+    @pytest.fixture
+    def db(self, join_db):
+        join_db.set("events", self.rows(0, 3000))
+        for _ in range(3):  # past the feedback-sampled run and its re-plan
+            join_db.execute(self.QUERY)
+            join_db.execute(self.OTHER)
+        return join_db
+
+    def test_first_plan_says_built(self, join_db):
+        join_db.set("events", self.rows(0, 30))
+        report = join_db.explain_plan(self.QUERY)
+        assert self.line(report, "plan:") == "plan: built — first use"
+        # ... and explained again, it is the cached one.
+        assert "plan: reused — events +0.0 % rows" in join_db.explain_plan(self.QUERY)
+
+    @pytest.mark.parametrize("surface", ["explain_plan", "explain_analyze"])
+    def test_small_insert_reuses_and_says_how_far_the_data_moved(self, db, surface):
+        db.insert("events", self.rows(3000, 3200))
+        report = getattr(db, surface)(self.QUERY)
+        assert self.line(report, "plan:") == (
+            "plan: reused — events +6.7 % rows since planned (tolerance 10 %)"
+        )
+        # The estimate is the plan's, the statistics are today's.
+        assert self.line(report, "stats:").startswith("stats: events: rows=3200 ")
+        if surface == "explain_analyze":
+            assert "(est=3000 actual=3200 q-err=1.07)" in report
+        # Mutating ``events`` is not a reason to look at ``s`` again.
+        assert self.line(getattr(db, surface)(self.OTHER), "plan:") == (
+            "plan: reused — s +0.0 % rows since planned (tolerance 10 %)"
+        )
+
+    @pytest.mark.parametrize("surface", ["explain_plan", "explain_analyze"])
+    def test_rebuilt_names_the_collection_and_the_reason(self, db, surface):
+        db.insert("events", self.rows(3000, 3400))
+        assert self.line(getattr(db, surface)(self.QUERY), "plan:") == (
+            "plan: rebuilt — events grew +13.3 % rows (tolerance 10 %)"
+        )
+        db.set("events", self.rows(0, 10))
+        report = getattr(db, surface)(self.QUERY)
+        assert self.line(report, "plan:") == "plan: rebuilt — events replaced"
+        assert self.line(report, "stats:").startswith("stats: events: rows=10 ")
+
+    def test_feedback_rebuild_says_so(self, join_db):
+        join_db.set("events", self.rows(0, 30))
+        # The feedback-sampled first run observes 30 rows where the
+        # range-filter selectivity guessed 10: worth a re-plan.
+        query = "SELECT VALUE e.id FROM events AS e WHERE e.id >= 0"
+        join_db.execute(query)
+        report = join_db.explain_analyze(query)
+        assert self.line(report, "plan:") == (
+            "plan: rebuilt — new cardinality feedback on events"
+        )
+        assert "est=30 actual=30" in report
+        # An observation that confirms the estimate is not.
+        join_db.execute(self.QUERY)
+        assert self.line(join_db.explain_plan(self.QUERY), "plan:").startswith(
+            "plan: reused — events +0.0 % rows"
+        )
+
+    def test_decisions_do_not_change_the_plan_hash(self, db):
+        db.execute(self.QUERY)
+        before = db.metrics.last.plan_hash
+        for stop in (3200, 3400):  # reused, then rebuilt over new statistics
+            db.insert("events", self.rows(stop - 200, stop))
+            db.execute(self.QUERY)
+            assert db.metrics.last.plan_hash == before
+        assert db.query_store().plan_change_count == 0
+
+    def test_counters_are_exported(self, db):
+        counters = db.metrics.counters
+        assert counters["stats_collected"] == 2 and counters["stats_advanced"] == 0
+        rebuilt = counters["plans_rebuilt"]
+        db.insert("events", self.rows(3000, 3200))
+        db.execute(self.QUERY)
+        assert counters["stats_advanced"] == 1 and counters["plans_rebuilt"] == rebuilt
+        db.insert("events", self.rows(3200, 3400))
+        db.execute(self.QUERY)
+        assert counters["stats_advanced"] == 2
+        assert counters["plans_rebuilt"] == rebuilt + 1
+        assert counters["stats_collected"] == 2
+        text = db.metrics.expose_text()
+        assert "repro_stats_advanced_total 2" in text
+        assert "repro_stats_collected_total 2" in text
+        assert f"repro_plans_rebuilt_total {rebuilt + 1}" in text

@@ -148,12 +148,25 @@ class TestDetection:
 
 class TestFeedbackSampling:
     def test_wants_feedback_first_sight_then_data_change(self):
+        from repro.catalog.catalog import Catalog
+        from repro.catalog.statistics import StatsProvider
+
+        catalog = Catalog()
+        catalog.set("t", [{"x": 1}] * 100)
+        catalog.set("other", [1])
+        provider = StatsProvider(catalog)
         store = QueryStore()
-        assert store.wants_feedback("fp1", 7)
-        store.mark_feedback("fp1", 7)
-        assert not store.wants_feedback("fp1", 7)
-        # Data changed under the same fingerprint: re-trace.
-        assert store.wants_feedback("fp1", 8)
+        assert store.wants_feedback("fp1", provider)
+        store.mark_feedback("fp1", provider, ["t"])
+        assert not store.wants_feedback("fp1", provider)
+        # Another collection changed, or the one it reads grew within
+        # the tolerance: still traced.
+        catalog.set("other", [2])
+        catalog.append("t", [1] * 10)
+        assert not store.wants_feedback("fp1", provider)
+        # The data it reads changed under the same fingerprint: re-trace.
+        catalog.append("t", [1])
+        assert store.wants_feedback("fp1", provider)
 
 
 # =========================================================================
