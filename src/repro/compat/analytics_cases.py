@@ -129,6 +129,56 @@ register(
     )
 )
 
+ABSENT_KEYS = (
+    "{{ {'id': 1, 'a': 3}, {'id': 2, 'a': null}, {'id': 3, 'a': 1}, {'id': 4} }}"
+)
+
+register(
+    ConformanceCase(
+        case_id="K-window-nulls-last",
+        section="V-B",
+        title="A window's ORDER BY honours NULLS LAST like the query's does",
+        data={"t": ABSENT_KEYS},
+        query="""
+            SELECT r.id AS id,
+                   ROW_NUMBER() OVER (ORDER BY r.a NULLS LAST) AS rn
+            FROM t AS r
+        """,
+        expected="""
+            {{
+              {'id': 3, 'rn': 1},
+              {'id': 1, 'rn': 2},
+              {'id': 4, 'rn': 3},
+              {'id': 2, 'rn': 4}
+            }}
+        """,
+        notes="Absent keys go last; among them MISSING sorts before NULL.",
+    )
+)
+
+register(
+    ConformanceCase(
+        case_id="K-window-desc-nulls-first",
+        section="V-B",
+        title="A window's ORDER BY ... DESC honours NULLS FIRST",
+        data={"t": ABSENT_KEYS},
+        query="""
+            SELECT r.id AS id,
+                   ROW_NUMBER() OVER (ORDER BY r.a DESC NULLS FIRST) AS rn
+            FROM t AS r
+        """,
+        expected="""
+            {{
+              {'id': 2, 'rn': 1},
+              {'id': 4, 'rn': 2},
+              {'id': 1, 'rn': 3},
+              {'id': 3, 'rn': 4}
+            }}
+        """,
+        notes="Descending: NULL before MISSING among the absent keys.",
+    )
+)
+
 register(
     ConformanceCase(
         case_id="K-deep-path",

@@ -59,9 +59,9 @@ class EvalConfig:
     #: Batch-vectorized execution (docs/PLANNER.md): eligible blocks
     #: exchange ~1024-row chunks between physical operators and map
     #: compiled closures over each chunk instead of crossing a Python
-    #: generator frame per binding.  Semantics are identical; shapes the
-    #: batch engine does not run (LIMIT/OFFSET, strict mode, PIVOT,
-    #: windows) stream instead.
+    #: generator frame per binding.  Semantics are identical; what the
+    #: batch engine does not run (correlated subqueries, blocks without
+    #: FROM, an unordered LIMIT/OFFSET) streams instead.
     batch: bool = True
     #: Morsel-driven parallelism: when >= 2, partitionable scans are
     #: split into morsels fanned across that many forked worker

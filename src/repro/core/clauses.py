@@ -4,16 +4,16 @@ Two evaluators run a Core query: the engine
 (:mod:`repro.core.evaluator` — compiled closures, physical plans, the
 batch and streaming executors) and the oracle it is checked against
 (:mod:`repro.core.reference` — an eager tree-walker).  What both must
-agree on *by construction* rather than by test lives here exactly once,
-parameterised by how the caller evaluates an expression (``key_fns``,
-``(name, value)`` pairs, ``eval_expr``) as :mod:`repro.core.windows` is.
-Nothing in this module knows about closures, plans or chunks.
+agree on *by construction* rather than by test lives here exactly once
+— and in :mod:`repro.core.windows` and :mod:`repro.core.tails` —
+parameterised by how the caller evaluates an expression (``(name,
+value)`` pairs, key columns, ``eval_expr``).  Nothing in this module
+knows about closures, plans or chunks.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.environment import Environment, Unbound
 from repro.datamodel.equality import group_key
@@ -101,6 +101,17 @@ def eval_star(env: Environment, var_order: List[str]) -> Struct:
     return result
 
 
+def literal_keys(expr: ast.StructLit) -> Optional[List[str]]:
+    """The constructor's attribute names when all are string literals."""
+    keys: List[str] = []
+    for field in expr.fields:
+        if isinstance(field.key, ast.Literal) and isinstance(field.key.value, str):
+            keys.append(field.key.value)
+        else:
+            return None
+    return keys
+
+
 def pivot_struct(pairs: Iterable[Tuple[Any, Any]], config) -> Struct:
     """``PIVOT v AT a``: one tuple from the ``(a, v)`` pair of every
     binding (Section VI-B, Listings 24-25).  A non-string name drops the
@@ -118,61 +129,111 @@ def pivot_struct(pairs: Iterable[Tuple[Any, Any]], config) -> Struct:
     return Struct(kept)
 
 
-# -- ORDER BY / LIMIT / OFFSET ------------------------------------------------
+# -- key columns: ORDER BY / top-K, DISTINCT, window partitions ---------------
 
 
-class OrderKey:
-    """A composite ORDER BY key with per-component direction.
-
-    ``parts`` holds one ``(absence_rank, sort_key)`` component per ORDER
-    BY item; comparison walks the components, flipping any marked
-    descending, and resolves full ties by input sequence number — which
-    makes the order total and reproduces exactly what the stable
-    multi-pass sort (sort once per key, last key first) used to produce.
-    """
-
-    __slots__ = ("parts", "descs", "seq")
-
-    def __init__(self, parts: Tuple, descs: Tuple[bool, ...], seq: int):
-        self.parts = parts
-        self.descs = descs
-        self.seq = seq
-
-    def __lt__(self, other: "OrderKey") -> bool:
-        for mine, theirs, desc in zip(self.parts, other.parts, self.descs):
-            if mine == theirs:
-                continue
-            return theirs < mine if desc else mine < theirs
-        return self.seq < other.seq
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrderKey):
-            return NotImplemented
-        return self.parts == other.parts and self.seq == other.seq
+def identity_column(column: List[Any]) -> List[tuple]:
+    """:func:`group_key` of every value, its ``str``/``int`` cases
+    inlined (``type(...) is`` keeps ``bool`` on the general path)."""
+    return [
+        ("4str", value)
+        if type(value) is str
+        else ("3num", value)
+        if type(value) is int
+        else group_key(value)
+        for value in column
+    ]
 
 
-#: One ORDER BY item ready to evaluate: ``(key_fn, desc, nulls_first)``
-#: (:meth:`QueryEvaluator._order_spec`; the full sort and the top-K heap).
-OrderSpec = List[Tuple[Callable[[Environment], Any], bool, Optional[bool]]]
+def order_parts(column: List[Any], item: ast.OrderItem) -> List[tuple]:
+    """One ORDER BY item's key column as ``(absence_rank, *sort_key)``
+    tuples that sort natively.  The absence rank implements NULLS
+    FIRST/LAST (SQL++ default: absent first ascending, last descending);
+    :func:`sort_key`'s ``str``/``int`` cases are inlined."""
+    absent = 0 if item.nulls_first is None or item.nulls_first != item.desc else 1
+    present = 1 - absent
+    null, missing = (absent,) + sort_key(None), (absent,) + sort_key(MISSING)
+    rank = (present,)
+    return [
+        null
+        if value is None
+        else missing
+        if value is MISSING
+        else (present, 3, 1, value)
+        if type(value) is int
+        else (present, 4, value)
+        if type(value) is str
+        else rank + sort_key(value)
+        for value in column
+    ]
 
 
-def composite_parts(spec: OrderSpec, sort_env: Environment) -> Tuple:
-    """One row's composite sort key: an ``(absence_rank, sort_key)``
-    component per ORDER BY item, each key evaluated exactly once.  The
-    absence rank implements NULLS FIRST/LAST (SQL++ default: absent
-    first ascending, last descending)."""
-    parts = []
-    for key_fn, desc, nulls_first in spec:
-        key_value = key_fn(sort_env)
-        absent = key_value is None or key_value is MISSING
-        if nulls_first is None:
-            primary = 0 if absent else 1
-        else:
-            primary = 0 if (absent == nulls_first) else 1
-            if desc:
-                primary = 1 - primary
-        parts.append((primary, sort_key(key_value)))
-    return tuple(parts)
+def sort_positions(
+    parts: List[List[tuple]], descs: List[bool], positions: List[int]
+) -> List[int]:
+    """``positions`` stably sorted, in place, on their rows of the
+    :func:`order_parts` columns ``parts``: rows whose keys all tie keep
+    their input order.  Keys of one direction sort once, as native
+    tuples; mixed ASC/DESC sorts once per key, last key first — so every
+    comparison runs in C."""
+    if len(set(descs)) == 1:
+        keys = parts[0] if len(parts) == 1 else list(zip(*parts))
+        positions.sort(key=keys.__getitem__, reverse=descs[0])
+    else:
+        for column, desc in zip(reversed(parts), reversed(descs)):
+            positions.sort(key=column.__getitem__, reverse=desc)
+    return positions
+
+
+class OrderedTail:
+    """``ORDER BY`` (``bound`` None: the full stable sort) or ``ORDER BY
+    ... LIMIT`` (the ``bound`` = limit + offset first rows: top-K), fed
+    a chunk of key columns and their payload at a time.
+
+    Top-K keeps at most ``bound`` rows between chunks, sorted: a chunk's
+    rows that sort strictly after the last kept row on the first key are
+    dropped by one comparison each, the rest are merged by
+    :func:`sort_positions` and cut back to ``bound`` — O(bound + chunk)
+    memory, and ties resolve by arrival order exactly as in the full
+    sort, which therefore returns the same prefix."""
+
+    def __init__(self, order_by: Sequence[ast.OrderItem], bound: Optional[int] = None):
+        self.items = order_by
+        self.descs = [item.desc for item in order_by]
+        self.bound = bound
+        self.parts: List[List[tuple]] = [[] for __ in order_by]
+        self.payload: List[Any] = []
+        self._full = False  # payload is sorted and ``bound`` rows long
+
+    def feed(self, key_columns: List[List[Any]], payload: List[Any]) -> None:
+        parts = [
+            order_parts(column, item)
+            for column, item in zip(key_columns, self.items)
+        ]
+        if self._full:
+            worst = self.parts[0][-1]
+            if self.descs[0]:
+                picks = [k for k, part in enumerate(parts[0]) if part >= worst]
+            else:
+                picks = [k for k, part in enumerate(parts[0]) if part <= worst]
+            parts = [[column[k] for k in picks] for column in parts]
+            payload = [payload[k] for k in picks]
+        if self.bound == 0 or not payload:
+            return
+        for kept, column in zip(self.parts, parts):
+            kept.extend(column)
+        self.payload.extend(payload)
+        if self.bound is not None and len(self.payload) >= self.bound:
+            self.finish()
+            self._full = True
+
+    def finish(self) -> List[Any]:
+        """The kept payload in ORDER BY order."""
+        order = list(range(len(self.payload)))
+        order = sort_positions(self.parts, self.descs, order)[: self.bound]
+        self.parts = [[column[k] for k in order] for column in self.parts]
+        self.payload = [self.payload[k] for k in order]
+        return self.payload
 
 
 def sort_env(
@@ -186,38 +247,6 @@ def sort_env(
     if isinstance(value, Struct):
         base = base.extend(dict(value.items()))
     return base
-
-
-def apply_order_by(
-    values: List[Any],
-    envs: Optional[List[Environment]],
-    spec: OrderSpec,
-    outer_env: Environment,
-) -> List[Any]:
-    """Stable single-pass sort on one composite key per row.
-
-    Each ORDER BY key is evaluated exactly once per row and the rows are
-    sorted once, on the composite of all keys — direction and absence
-    handled per component.  Uniform-direction keys sort as native
-    tuples; mixed ASC/DESC uses the :class:`OrderKey` comparator that
-    flips components individually.
-    """
-    all_parts = [
-        composite_parts(
-            spec,
-            sort_env(value, envs[position] if envs is not None else None, outer_env),
-        )
-        for position, value in enumerate(values)
-    ]
-    indexed = list(range(len(values)))
-    descs = tuple(desc for __, desc, ___ in spec)
-    if len(set(descs)) <= 1:
-        indexed.sort(key=all_parts.__getitem__, reverse=descs[0])
-    else:
-        indexed.sort(
-            key=lambda position: OrderKey(all_parts[position], descs, position)
-        )
-    return [values[position] for position in indexed]
 
 
 def cardinal(value: Any, what: str) -> int:
@@ -319,35 +348,30 @@ class QueryEvaluator:
             if not query.order_by and query.limit is None and query.offset is None:
                 return value
             values = list(require_collection(value, "query body"))
-        return self._finish_query(query, values, None, env)
+        return self._finish_query(query, values, env)
 
     def _finish_query(
-        self,
-        query: ast.Query,
-        values: List[Any],
-        envs: Optional[List[Environment]],
-        env: Environment,
+        self, query: ast.Query, values: List[Any], env: Environment,
+        ordered: bool = False,
     ) -> Any:
-        """``query``'s ORDER BY / OFFSET / LIMIT over its body's values
-        (and the binding environments they came from, if known)."""
-        if query.order_by:
-            spec = self._order_spec(query.order_by)
-            values = apply_order_by(values, envs, spec, env)
+        """``query``'s ORDER BY (unless its block already ``ordered``
+        them) / OFFSET / LIMIT over its body's values."""
+        if query.order_by and not ordered:
+            view = [sort_env(value, None, env) for value in values]
+            tail = OrderedTail(query.order_by)
+            tail.feed([self.column(item.expr, view) for item in query.order_by], values)
+            values = tail.finish()
         if query.offset is not None:
             values = values[cardinal(self.eval_expr(query.offset, env), "OFFSET"):]
         if query.limit is not None:
             values = values[: cardinal(self.eval_expr(query.limit, env), "LIMIT")]
         return values if query.order_by else Bag(values)
 
-    def _order_spec(self, order_by: Sequence[ast.OrderItem]) -> OrderSpec:
-        return [
-            (self._expr_fn(item.expr), item.desc, item.nulls_first)
-            for item in order_by
-        ]
-
-    def _expr_fn(self, expr: ast.Expr) -> Callable[[Environment], Any]:
-        """``expr`` as a function of the environment."""
-        return partial(self.eval_expr, expr)
+    def column(self, expr: ast.Expr, envs: List[Environment]) -> List[Any]:
+        """``expr`` in every environment: the env-space way to produce
+        the columns the tails consume."""
+        eval_expr = self.eval_expr
+        return [eval_expr(expr, env) for env in envs]
 
     def _eval_setop(self, setop: ast.SetOp, env: Environment) -> List[Any]:
         return combine_setop(

@@ -36,6 +36,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core import coercion
+from repro.core.clauses import literal_keys
 from repro.core.environment import Environment, Unbound
 from repro.core.plan_ops import flatten_lateral, governor_tick
 from repro.core.planner import free_names, is_relocatable, item_vars
@@ -506,7 +507,7 @@ def _compile_struct(expr: ast.StructLit, evaluator: "Evaluator") -> CompiledExpr
     value_fns = [compile_expr(field.value, evaluator) for field in expr.fields]
     # Constant string keys (the rewriter's SELECT lowering always makes
     # them) take a fast path.
-    keys = _literal_keys(expr)
+    keys = literal_keys(expr)
     if keys is not None:
         make = _struct_maker(keys)
 
@@ -533,17 +534,6 @@ def _compile_struct(expr: ast.StructLit, evaluator: "Evaluator") -> CompiledExpr
         return result
 
     return struct_dynamic
-
-
-def _literal_keys(expr: ast.StructLit) -> Optional[List[str]]:
-    """The constructor's attribute names when all are string literals."""
-    keys: List[str] = []
-    for field in expr.fields:
-        if isinstance(field.key, ast.Literal) and isinstance(field.key.value, str):
-            keys.append(field.key.value)
-        else:
-            return None
-    return keys
 
 
 def _struct_maker(keys: List[str]) -> Callable[[list], Struct]:
@@ -870,17 +860,22 @@ class _KernelCompiler:
         config = self.config
         navigate = ops.navigate_path
         # Inline cache: rows of one collection overwhelmingly share a
-        # layout, so remember where the attribute last was.  Exactly
-        # ``Struct`` guarantees unique names (values.py), so a hit at
-        # the cached position is the first match; anything else —
+        # layout, so remember where the attribute last was — the two
+        # most recent places, so the rows of a second common layout do
+        # not evict the first (one slot re-pointed by every off-layout
+        # row, which sent the whole next chunk to ``scan``).  Exactly
+        # ``Struct`` guarantees unique names (values.py), so a hit at a
+        # cached position is the first match; anything else —
         # duplicate-name tuples included — goes to ``navigate_path``.
-        cache = [0]
+        cache = [0, 0]
 
         def scan(pairs: list) -> Any:
             position = 0
             for name, value in pairs:
                 if name == attr:
-                    cache[0] = position
+                    if position != cache[0]:
+                        cache[1] = cache[0]
+                        cache[0] = position
                     return value
                 position += 1
             return MISSING
@@ -890,11 +885,13 @@ class _KernelCompiler:
                 column = memo.get(key)
                 if column is not None:
                     return column
-            at = cache[0]
+            at, other = cache
             column = [
                 (
                     pairs[at][1]
                     if len(pairs := base._pairs) > at and pairs[at][0] == attr
+                    else pairs[other][1]
+                    if len(pairs) > other and pairs[other][0] == attr
                     else scan(pairs)
                 )
                 if type(base) is Struct
@@ -1334,7 +1331,7 @@ class _KernelCompiler:
         ]
 
     def struct(self, expr: ast.StructLit) -> Optional[Kernel]:
-        keys = _literal_keys(expr)
+        keys = literal_keys(expr)
         if keys is None:
             return None
         values = [self.compile(field.value) for field in expr.fields]

@@ -10,14 +10,15 @@ clause.  Each clause is a function that inputs data and outputs data.").
 Every block runs on one of two executors: the batch (chunk-at-a-time)
 pipeline of :mod:`repro.core.vectorized` or the streaming generator
 chain below — ``FROM`` → ``LET`` → ``WHERE`` (keep on TRUE only) →
-``GROUP BY ... GROUP AS`` → ``HAVING`` → windows → ``SELECT VALUE`` /
-``SELECT *`` / ``PIVOT`` → ``ORDER BY`` / ``LIMIT`` / ``OFFSET``, with
-GROUP BY, windows and PIVOT as the pipeline breakers.  Every expression
-is evaluated through its compiled closure
-(:mod:`repro.core.compile_expr`).  The eager, tree-walking form of the
-same semantics is the oracle in :mod:`repro.core.reference`
-(``optimize=False``), which this module never calls; the clause
-semantics both need live in :mod:`repro.core.clauses`.
+``GROUP BY ... GROUP AS`` → ``HAVING``, then the tail every evaluator
+shares (:mod:`repro.core.tails`: windows → ``SELECT VALUE`` / ``SELECT
+*`` / ``PIVOT`` → ``ORDER BY`` / ``LIMIT`` / ``OFFSET``), with GROUP BY,
+windows and PIVOT as the pipeline breakers.  Every expression is
+evaluated through its compiled closure (:mod:`repro.core.compile_expr`).
+The eager, tree-walking form of the same semantics is the oracle in
+:mod:`repro.core.reference` (``optimize=False``), which this module
+never calls; the clause semantics both need live in
+:mod:`repro.core.clauses`.
 
 Unordered queries produce bags; ``ORDER BY`` produces arrays; ``PIVOT``
 queries produce a single tuple (Section VI-B).
@@ -25,65 +26,23 @@ queries produce a single tuple (Section VI-B).
 
 from __future__ import annotations
 
-import heapq
+from itertools import islice
 from time import perf_counter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.config import EvalConfig
 from repro.core import clauses, compile_expr, planner
-from repro.core.clauses import OrderKey, composite_parts
 from repro.core.environment import Environment
 from repro.core.grouping_sets import expand_grouping_sets
-from repro.core.plan_ops import close_iter
-from repro.core.windows import (
-    bind_window_values,
-    find_window_calls,
-    lower_window_calls,
-)
+from repro.core.plan_ops import CHUNK_ROWS, close_iter
+from repro.core.tails import EnvColumns, run_tail
+from repro.core.windows import find_window_calls, lower_window_calls, window_columns
 from repro.datamodel.equality import group_key
 from repro.datamodel.values import Bag
 from repro.errors import EvaluationError, TypeCheckError
 from repro.functions import operators as ops
 from repro.observability.tracer import StageTally
 from repro.syntax import ast
-
-
-class _ReverseKey:
-    """Inverts an :class:`OrderKey` so ``heapq``'s min-heap behaves as
-    a max-heap (the top-K consumer evicts the *largest* kept key)."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: OrderKey):
-        self.key = key
-
-    def __lt__(self, other: "_ReverseKey") -> bool:
-        return other.key < self.key
-
-
-def _parts_less(mine: Tuple, theirs: Tuple, descs: Tuple[bool, ...]) -> bool:
-    """Whether composite key ``mine`` sorts strictly before ``theirs``.
-
-    The allocation-free pre-check of the top-K hot loop: equal
-    composites return False because the candidate always carries the
-    larger sequence number, so arrival order breaks the tie against it
-    — the same verdict :class:`OrderKey` would reach, without
-    building one for the (overwhelmingly common) rejected rows.
-    """
-    for mine_part, theirs_part, desc in zip(mine, theirs, descs):
-        if mine_part == theirs_part:
-            continue
-        return theirs_part < mine_part if desc else mine_part < theirs_part
-    return False
-
-
-def _drain(source: Iterable) -> list:
-    """Every item of a stream, which is closed even if a producer raises."""
-    source = iter(source)
-    try:
-        return list(source)
-    finally:
-        close_iter(source)
 
 
 def _tallied(source: Iterable, tally: StageTally) -> Iterator:
@@ -106,41 +65,41 @@ def _tallied(source: Iterable, tally: StageTally) -> Iterator:
 
 
 def consumer_kind(query: ast.Query) -> str:
-    """How a streamed block's output is consumed — ``pivot`` (one tuple
-    from the whole binding stream), ``top-k`` (ORDER BY with LIMIT),
-    ``sort`` (ORDER BY alone), ``limit`` or ``bag``: what
-    :meth:`Evaluator._eval_query_streaming` branches on and what EXPLAIN
-    prints as ``consumer:`` (:func:`describe_consumer`)."""
+    """How a block's output is consumed — ``pivot`` (one tuple from the
+    whole binding stream), ``top-k`` (ORDER BY with LIMIT), ``sort``
+    (ORDER BY alone), ``limit`` (unordered LIMIT / OFFSET) or ``bag``:
+    what the executors branch on and EXPLAIN prints as ``consumer:``."""
     if isinstance(query.body.select, ast.PivotClause):
         return "pivot"
     if query.order_by:
         return "top-k" if query.limit is not None else "sort"
-    return "limit" if query.limit is not None else "bag"
+    if query.limit is not None or query.offset is not None:
+        return "limit"
+    return "bag"
+
+
+#: EXPLAIN's ``consumer:`` text per :func:`consumer_kind`; ``{how}`` is
+#: the executor — every consumer but the early-terminating ``limit``
+#: runs on either, taking its key columns from kernels or row closures.
+_CONSUMERS = {
+    "pivot": "one tuple assembled from the whole binding stream (PIVOT): "
+    "AT / value columns of the {how} input",
+    "top-k": "top-K (ORDER BY with LIMIT): keeps limit+offset rows between "
+    "chunks of the {how} input, one sort-key evaluation per row",
+    "sort": "full sort over the key columns of the {how} input "
+    "(ORDER BY without LIMIT)",
+    "limit": "streamed with early termination after OFFSET+LIMIT rows",
+    "bag": "streamed bag (rows pulled one at a time)",
+    "batched bag": "bag built a chunk (~1024 rows) at a time; under "
+    "batch=False a streamed bag (rows pulled one at a time)",
+}
 
 
 def describe_consumer(query: ast.Query, batched: bool) -> str:
-    """EXPLAIN's ``consumer:`` text for :func:`consumer_kind`.  The
-    batch executor refuses PIVOT and LIMIT, so those consumers only ever
-    stream; it builds its bag chunk by chunk."""
     kind = consumer_kind(query)
-    if kind == "pivot":
-        return "one tuple assembled from the whole binding stream (PIVOT)"
-    if kind == "top-k":
-        return (
-            "top-K heap (ORDER BY with LIMIT): keeps limit+offset rows, "
-            "one sort-key evaluation per row"
-        )
-    if kind == "sort":
-        how = "batched" if batched else "streamed"
-        return f"full sort over the {how} input (ORDER BY without LIMIT)"
-    if kind == "limit":
-        return "streamed with early termination after OFFSET+LIMIT rows"
-    if batched:
-        return (
-            "bag built a chunk (~1024 rows) at a time; under batch=False "
-            "a streamed bag (rows pulled one at a time)"
-        )
-    return "streamed bag (rows pulled one at a time)"
+    if kind == "bag" and batched:
+        kind = "batched bag"
+    return _CONSUMERS[kind].format(how="batched" if batched else "streamed")
 
 
 def _let_rows(let_fns, source: Iterable[Environment]) -> Iterator[Environment]:
@@ -293,8 +252,6 @@ class Evaluator(clauses.QueryEvaluator):
             entry = cache[id(expr)] = (expr, compile_expr.compile_expr(expr, self))
         return entry[1]
 
-    _expr_fn = compiled
-
     def compiled_batch(self, expr: ast.Expr, row_vars: frozenset):
         """The chunk kernel of an expression over bindings of
         ``row_vars`` (:func:`repro.core.compile_expr.compile_batch`),
@@ -410,28 +367,20 @@ class Evaluator(clauses.QueryEvaluator):
         ones rules SQLPPR01/SQLPPR02 synthesise over whole collections,
         and set-operation operands); correlated subqueries run once per
         outer row over usually small inputs, where chunking costs more
-        than it saves.  No LIMIT/OFFSET (bounded consumers are the
-        streaming pipeline's home turf), and no PIVOT or window
-        functions, whose blocking tails consume binding environments.
-        GROUP BY with ORDER BY stays streaming because the sort keys may
-        contain lowered aggregate sites that must see the group
-        environments.  The typing mode is not on the list: a strict
-        block runs the same kernels and is replayed on the stream if an
-        error escapes them (:meth:`_eval_block_query`).
+        than it saves.  An unordered LIMIT / OFFSET streams because
+        stopping the producers early is that consumer's whole point.
+        Neither a blocking tail nor the typing mode is on the list: a
+        strict block runs the same kernels and is replayed on the stream
+        if an error escapes them (:meth:`_eval_block_query`).
         """
-        config = self.config
-        if not config.batch:
+        if not self.config.batch:
             return "batch=False"
         if query is not self._top_query and env is not self._top_env:
             return "correlated subquery (row bindings in scope)"
-        if query.limit is not None or query.offset is not None:
-            return "LIMIT/OFFSET bounds the consumer"
         if body.from_ is None:
             return "no FROM clause"
-        if isinstance(body.select, ast.PivotClause) or self._window_select(body)[0]:
-            return "PIVOT or window functions need the whole input"
-        if body.group_by is not None and query.order_by:
-            return "GROUP BY with ORDER BY sorts over the group environments"
+        if consumer_kind(query) == "limit":
+            return "unordered LIMIT/OFFSET stops the producers early"
         return None
 
     def _batch_decision(
@@ -459,288 +408,190 @@ class Evaluator(clauses.QueryEvaluator):
             return set()
 
     def _eval_query_streaming(
-        self, query: ast.Query, body: ast.QueryBlock, env: Environment
+        self, query: ast.Query, body: ast.QueryBlock, env: Environment, head=None
     ) -> Any:
         """Pipelined evaluation of one block and its query's ORDER BY /
         LIMIT / OFFSET (docs/PLANNER.md).
 
         LIMIT/OFFSET cardinals are evaluated *before* the stream starts
         (decision log, docs/LANGUAGE.md §8) so the consumers can bound
-        the work: ``ORDER BY ... LIMIT k`` runs a top-K heap in O(k)
-        memory, an unordered LIMIT stops the producers as soon as
-        enough rows arrived, and a full ORDER BY still materializes but
-        over a streamed input.  PIVOT folds the whole binding stream
-        into its one tuple.
+        the work: an unordered LIMIT stops the producers as soon as
+        enough rows arrived; the blocking tails (:func:`tails.run_tail`)
+        take the stream a chunk of rows at a time, and ``ORDER BY ...
+        LIMIT k`` keeps k rows between chunks.  Where the SELECT can
+        wait (:meth:`_defers_select`) rows a top-K evicted never
+        evaluate their projection — including any error it would have
+        raised, the same visibility rule as every other
+        early-terminating consumer.  ``head`` is :meth:`_stream_rows`'s.
         """
         self.streamed = True
         kind = consumer_kind(query)
-        if kind == "pivot":
-            return self._pivot(body, env)
-        limit = self._cardinal(query.limit, env, "LIMIT")
-        offset = self._cardinal(query.offset, env, "OFFSET")
-        if kind == "top-k":
-            bound = limit + (offset or 0)
-            spec = self._order_spec(query.order_by)
-            select_fn = self._deferred_select_fn(body, query.order_by)
-            if select_fn is not None:
-                rows = self._stream_block(body, env, project=False)
-                kept, seen = self._top_k(rows, spec, bound, None)
-                values = self._project_kept(body, select_fn, kept, seen)
-            else:
-                pairs = self._stream_block(body, env)
-                kept, __ = self._top_k(pairs, spec, bound, env)
-                values = [value for value, __ in kept]
-            return values[offset:] if offset else values
-        source = iter(self._stream_block(body, env))
-        if kind == "sort":
-            pairs = _drain(source)
-            values = [value for value, __ in pairs]
-            envs: Optional[List[Environment]] = None
-            if pairs and pairs[0][1] is not None:
-                envs = [pair_env for __, pair_env in pairs]
-            spec = self._order_spec(query.order_by)
-            values = clauses.apply_order_by(values, envs, spec, env)
-            return values[offset:] if offset else values
-        values = []
-        try:
-            if limit != 0:
-                skipped = 0
-                for value, __ in source:
-                    if offset is not None and skipped < offset:
-                        skipped += 1
-                        continue
-                    values.append(value)
-                    if limit is not None and len(values) >= limit:
-                        break
-        finally:
-            close_iter(source)
-        return Bag(values)
-
-    def _pivot(self, block: ast.QueryBlock, env: Environment) -> Any:
-        """``PIVOT v AT a`` as the blocking tail of the binding stream:
-        one ``(a, v)`` pair per binding into :func:`clauses.pivot_struct`."""
-        select = self._window_select(block)[1]
-        at_fn, value_fn = self.compiled(select.at), self.compiled(select.value)
-        envs = _drain(self._stream_block(block, env, project=False))
+        bound, offset = (None, None) if kind == "pivot" else self._bounds(query, env)
+        if kind in ("bag", "limit"):
+            source = iter(self._stream_block(body, env, head))
+            try:
+                return Bag(islice(source, offset or 0, bound))
+            finally:
+                close_iter(source)
+        rows, stages, var_order = self._stream_rows(body, env, head)
+        source = iter(rows)
+        # CHUNK_ROWS rows at a time, until a chunk comes back empty.
+        chunks = iter(lambda: list(islice(source, CHUNK_ROWS)), [])
+        calls, select = self._window_select(body)
         started = perf_counter()
-        pairs = ((at_fn(current), value_fn(current)) for current in envs)
-        result = clauses.pivot_struct(pairs, self.config)
-        self._record_tail_stage(block, "PIVOT", len(envs), 1, started)
-        return result
-
-    def _record_tail_stage(
-        self, block: ast.QueryBlock, stage: str, rows_in: int, rows_out: int,
-        started: float,
-    ) -> None:
-        """Record a stage a blocking consumer ran after the stream (whose
-        own stages :meth:`_record_stream_stages` already flushed)."""
-        tracer = self.tracer
-        if tracer is not None and tracer.timing:
-            tracer.record_stage(
-                block, stage, rows_in, rows_out, perf_counter() - started, started
-            )
-
-    def _cardinal(
-        self, expr: Optional[ast.Expr], env: Environment, what: str
-    ) -> Optional[int]:
-        """A LIMIT / OFFSET operand's value, None when the clause is absent."""
-        if expr is None:
-            return None
-        return clauses.cardinal(self.eval_expr(expr, env), what)
-
-    def _top_k(
-        self,
-        source: Iterable[Any],
-        spec: clauses.OrderSpec,
-        bound: int,
-        outer_env: Optional[Environment],
-    ) -> Tuple[List[Any], int]:
-        """``ORDER BY ... LIMIT k`` via a bounded heap: the ``bound``
-        first items of ``source`` in ORDER BY order, and how many
-        arrived.
-
-        Items are ``(value, env)`` pairs whose keys evaluate in
-        :func:`clauses.sort_env` over ``outer_env`` — or, with
-        ``outer_env`` None, bare binding environments (the late-
-        materialization mode of :meth:`_deferred_select_fn`).  Keeps the
-        ``bound`` smallest composite keys seen so far (a min-heap of
-        inverted keys, so the root is the largest kept key and is
-        evicted when a smaller one arrives) — O(k) memory and exactly
-        one evaluation of each ORDER BY key per row.  Ties resolve by
-        arrival sequence, reproducing the stable full sort bit-for-bit.
-        """
-        source = iter(source)
-        if bound <= 0:
-            close_iter(source)
-            return [], 0
-        descs = tuple(desc for __, desc, ___ in spec)
-        heap: List[Tuple[_ReverseKey, Any]] = []
-        root_parts: Optional[Tuple] = None
-        seq = 0
-        sort_env = clauses.sort_env
         try:
-            for item in source:
-                if outer_env is None:
-                    parts = composite_parts(spec, item)
-                else:
-                    parts = composite_parts(
-                        spec, sort_env(item[0], item[1], outer_env)
-                    )
-                if root_parts is None:
-                    key = OrderKey(parts, descs, seq)
-                    heapq.heappush(heap, (_ReverseKey(key), item))
-                    if len(heap) == bound:
-                        root_parts = heap[0][0].key.parts
-                elif _parts_less(parts, root_parts, descs):
-                    key = OrderKey(parts, descs, seq)
-                    heapq.heapreplace(heap, (_ReverseKey(key), item))
-                    root_parts = heap[0][0].key.parts
-                seq += 1
+            result = run_tail(
+                chunks if bound != 0 else (),
+                EnvColumns(self, env, var_order),
+                select,
+                calls,
+                query.order_by,
+                self.config,
+                stages,
+                self._defers_select(body, query.order_by),
+                bound,
+            )
         finally:
             close_iter(source)
-        entries = sorted(heap, key=lambda entry: entry[0].key)
-        return [item for __, item in entries], seq
+            if self.tracer is not None and self.tracer.timing:
+                self.tracer.flush_stages(body, stages, started)
+        return result[offset:] if offset else result
 
-    def _deferred_select_fn(
+    def column(self, expr: ast.Expr, envs: List[Environment]) -> List[Any]:
+        fn = self.compiled(expr)
+        return [fn(env) for env in envs]
+
+    def _bounds(
+        self, query: ast.Query, env: Environment
+    ) -> Tuple[Optional[int], Optional[int]]:
+        """``(limit + offset, offset)`` of ``query``, each None where the
+        clause (for the sum: LIMIT) is absent."""
+        limit = offset = None
+        if query.limit is not None:
+            limit = clauses.cardinal(self.eval_expr(query.limit, env), "LIMIT")
+        if query.offset is not None:
+            offset = clauses.cardinal(self.eval_expr(query.offset, env), "OFFSET")
+        return (None if limit is None else limit + (offset or 0)), offset
+
+    def _defers_select(
         self, block: ast.QueryBlock, order_by: Sequence[ast.OrderItem]
-    ) -> Optional[Any]:
-        """The compiled SELECT expression when projection can be
-        deferred past the top-K heap (late materialization), else None.
+    ) -> bool:
+        """Whether no ORDER BY key can observe the projected value, so
+        the keys are columns over the binding rows and the SELECT can
+        wait for the rows the sort keeps (late materialization) — the
+        big win under a top-K when the projection is expensive.
 
-        Deferring evaluates the SELECT only for the k rows the heap
-        keeps — the big win when the projection is expensive (computed
-        attributes, nested subqueries).  It is sound only when the
-        ORDER BY keys provably cannot observe the projected value: the
-        select must be a non-DISTINCT ``SELECT VALUE`` of a tuple
-        literal with literal attribute names, none of which occur as a
-        variable name in any ORDER BY key (the keys' sort environment
+        Sound only for a non-DISTINCT ``SELECT VALUE`` of a tuple
+        literal with literal attribute names, none of which occurs as a
+        variable name in an ORDER BY key (the keys' sort environment
         overlays the output tuple's attributes, so a shared name could
-        shadow a binding variable).  Window values are bound by the
-        projecting stream, so a windowed SELECT is never deferred.
+        shadow a binding variable).  Window values are part of the
+        output rows, so a windowed SELECT is never deferred.
         """
         calls, select = self._window_select(block)
-        if calls or not isinstance(select, ast.SelectValue) or select.distinct:
-            return None
-        expr = select.expr
-        if not isinstance(expr, ast.StructLit):
-            return None
-        field_names = set()
-        for field in expr.fields:
-            if not isinstance(field.key, ast.Literal) or not isinstance(
-                field.key.value, str
-            ):
-                return None
-            field_names.add(field.key.value)
-        for item in order_by:
-            if planner.free_names(item.expr) & field_names:
-                return None
-        return self.compiled(expr)
-
-    def _project_kept(
-        self, block: ast.QueryBlock, select_fn, kept: List[Environment], seen: int
-    ) -> List[Any]:
-        """Late materialization: the SELECT expression runs only for the
-        binding environments the top-K heap kept, after the stream is
-        exhausted.  Rows the heap evicted never evaluate their
-        projection — including any error it would have raised, the same
-        visibility rule as every other early-terminating consumer
-        (docs/LANGUAGE.md §8)."""
-        started = perf_counter()
-        values = [select_fn(current) for current in kept]
-        self._record_tail_stage(block, "SELECT", seen, len(values), started)
-        return values
+        if (
+            not order_by
+            or calls
+            or not isinstance(select, ast.SelectValue)
+            or select.distinct
+            or not isinstance(select.expr, ast.StructLit)
+        ):
+            return False
+        names = clauses.literal_keys(select.expr)
+        return names is not None and not any(
+            planner.free_names(item.expr) & set(names) for item in order_by
+        )
 
     # -- streaming clause pipeline -------------------------------------------
 
-    def _stream_block(
-        self, block: ast.QueryBlock, env: Environment, project: bool = True
-    ) -> Iterator[Any]:
-        """The block's clause pipeline as a lazy generator chain.
+    def _stream_rows(
+        self,
+        block: ast.QueryBlock,
+        env: Environment,
+        head: Optional[Tuple[Iterable[Environment], List[StageTally]]] = None,
+    ) -> Tuple[Iterable[Environment], List[StageTally], List[str]]:
+        """The block's clause pipeline up to HAVING as a lazy generator
+        chain of binding environments, with its stage tallies and the
+        variables in scope for ``SELECT *``.
 
-        Yields ``(value, env)`` pairs — the output element plus the
-        binding environment it came from (None after DISTINCT, which
-        collapses environments).  Each clause wraps the previous
-        clause's iterator, so a consumer that stops early (LIMIT, top-K,
-        EXISTS) stops every upstream producer with it.  GROUP BY remains
-        a pipeline breaker but folds rows into hash-group state as they
-        arrive instead of buffering the binding stream; window functions
-        are the other breaker (they see the whole final binding stream).
-        A block without FROM is the single binding ``env``.
-
-        With ``project=False`` the SELECT clause is skipped and the
-        stream yields bare binding environments (window values bound) —
-        for the consumers that project themselves: :meth:`_pivot` and
-        the late materialization of :meth:`_project_kept`.
+        Each clause wraps the previous clause's iterator, so a consumer
+        that stops early (LIMIT, EXISTS) stops every upstream producer
+        with it.  GROUP BY is a pipeline breaker but folds rows into
+        hash-group state as they arrive instead of buffering the binding
+        stream.  A block without FROM is the single binding ``env``.
+        ``head`` is the batch executor's hand-over for a grouping its
+        fold cannot decompose: the environments its chunk operators kept
+        (FROM → LET → WHERE already ran) and those stages' tallies.
         """
-        tracer = self.tracer
-        if tracer is not None and not tracer.timing:
-            # Feedback-sampling mode: operators count their own rows
-            # inside the plan; the stage tallies (and their closures)
-            # are pure timing surface, so skip them entirely.
-            tracer = None
         stages: List[StageTally] = []
-
-        def tally(source: Iterable, name: str) -> Iterable:
-            if tracer is None:
-                return source
-            stage = StageTally(name)
-            stages.append(stage)
-            return _tallied(source, stage)
-
+        tally = self._tally
         var_order: List[str] = []
         plan = self._block_plan(block)
-        rows: Iterable[Environment] = iter((env,))
         if plan is not None:
             for item in block.from_:
                 var_order.extend(clauses.item_vars(item))
-            rows = tally(plan.iter_envs(self, env), "FROM")
-
-        if block.lets:
-            let_fns = []
-            for let in block.lets:
-                var_order.append(let.name)
-                let_fns.append((let.name, self.compiled(let.expr)))
-            rows = tally(_let_rows(let_fns, rows), "LET")
-
-        where_expr = block.where if plan is None else plan.residual_where
-        if where_expr is not None:
-            rows = tally(_filter_rows(self.compiled(where_expr), rows), "WHERE")
+        var_order.extend(let.name for let in block.lets)
+        if head is not None:
+            rows, stages = head
+        else:
+            rows = iter((env,))
+            if plan is not None:
+                rows = tally(stages, plan.iter_envs(self, env), "FROM")
+            if block.lets:
+                let_fns = [(let.name, self.compiled(let.expr)) for let in block.lets]
+                rows = tally(stages, _let_rows(let_fns, rows), "LET")
+            where_expr = block.where if plan is None else plan.residual_where
+            if where_expr is not None:
+                where_fn = self.compiled(where_expr)
+                rows = tally(stages, _filter_rows(where_fn, rows), "WHERE")
 
         if block.group_by is not None:
-            rows = tally(
-                self._iter_group_by(block.group_by, rows, env, var_order),
-                "GROUP BY",
-            )
+            grouped = self._iter_group_by(block.group_by, rows, env, var_order)
+            rows = tally(stages, grouped, "GROUP BY")
             var_order = clauses.group_output_vars(block.group_by)
 
         if block.having is not None:
-            rows = tally(_filter_rows(self.compiled(block.having), rows), "HAVING")
+            having_fn = self.compiled(block.having)
+            rows = tally(stages, _filter_rows(having_fn, rows), "HAVING")
+        return rows, stages, var_order
 
-        window_calls, select = self._window_select(block)
-        if window_calls:
-            rows = self._window_rows(window_calls, rows)
+    def _tally(self, stages: List[StageTally], source: Iterable, name: str):
+        """``source`` counted and timed as stage ``name`` — under a
+        timing tracer only: in feedback-sampling mode operators count
+        their own rows, and stage tallies are pure timing surface."""
+        if self.tracer is None or not self.tracer.timing:
+            return source
+        return _tallied(source, StageTally(name, stages))
 
-        if project:
-            if isinstance(select, ast.SelectValue):
-                select_fn = self.compiled(select.expr)
-                pairs = ((select_fn(current), current) for current in rows)
-            elif isinstance(select, ast.SelectStar):
-                star = clauses.eval_star
-                pairs = ((star(current, var_order), current) for current in rows)
-            else:
-                raise EvaluationError(
-                    "unexpected SELECT clause after rewriting: "
-                    + type(select).__name__
-                )
-            if select.distinct:
-                # DISTINCT collapses the binding environments.
-                values = ops.iter_distinct(value for value, __ in pairs)
-                rows = tally(((value, None) for value in values), "SELECT DISTINCT")
-            else:
-                rows = tally(pairs, "SELECT")
-        if tracer is None:
-            return rows
-        return self._record_stream_stages(rows, block, stages)
+    def _stream_block(
+        self, block: ast.QueryBlock, env: Environment, head=None
+    ) -> Iterator[Any]:
+        """The block's output values as a lazy stream, for the consumers
+        that may stop early (unordered LIMIT, EXISTS, IN): a row is
+        projected only when it is pulled.  Windows break the pipeline."""
+        rows, stages, var_order = self._stream_rows(block, env, head)
+        tally = self._tally
+        calls, select = self._window_select(block)
+        if calls:
+            cols = EnvColumns(self, env, var_order)
+            rows = tally(stages, self._window_rows(calls, rows, cols), "WINDOW")
+        if isinstance(select, ast.SelectValue):
+            select_fn = self.compiled(select.expr)
+            values = (select_fn(current) for current in rows)
+        elif isinstance(select, ast.SelectStar):
+            star = clauses.eval_star
+            values = (star(current, var_order) for current in rows)
+        else:
+            raise EvaluationError(
+                f"unexpected SELECT clause after rewriting: {type(select).__name__}"
+            )
+        if select.distinct:
+            values = tally(stages, ops.iter_distinct(values), "SELECT DISTINCT")
+        else:
+            values = tally(stages, values, "SELECT")
+        if self.tracer is None or not self.tracer.timing:
+            return values
+        return self._record_stream_stages(values, block, stages)
 
     def _window_select(
         self, block: ast.QueryBlock
@@ -758,16 +609,20 @@ class Evaluator(clauses.QueryEvaluator):
         return entry[1], entry[2]
 
     def _window_rows(
-        self, calls: List[ast.WindowCall], source: Iterable[Environment]
+        self, calls: List[ast.WindowCall], source: Iterable[Environment], cols
     ) -> Iterator[Environment]:
-        yield from bind_window_values(calls, _drain(source), self)
+        envs = list(source)
+        columns = window_columns(
+            calls, len(envs), lambda expr: self.column(expr, envs), self.config
+        )
+        yield from cols.bind(envs, columns)
 
     def _record_stream_stages(
         self,
-        source: Iterable[Tuple[Any, Optional[Environment]]],
+        source: Iterable[Any],
         block: ast.QueryBlock,
         stages: List[StageTally],
-    ) -> Iterator[Tuple[Any, Optional[Environment]]]:
+    ) -> Iterator[Any]:
         """Flush per-stage tallies to the tracer when the stream ends.
 
         The tallies update incrementally as rows pass each boundary, so
@@ -777,10 +632,8 @@ class Evaluator(clauses.QueryEvaluator):
         """
         started = perf_counter()
         try:
-            for pair in source:
-                yield pair
+            yield from source
         finally:
-            close_iter(source)
             self.tracer.flush_stages(block, stages, started)
 
     # -- FROM ----------------------------------------------------------------
@@ -979,11 +832,7 @@ class Evaluator(clauses.QueryEvaluator):
         needs full evaluation first (ORDER BY / LIMIT / OFFSET, set
         operations, PIVOT's single tuple)."""
         body = query.body
-        if (
-            not isinstance(body, ast.QueryBlock)
-            or consumer_kind(query) != "bag"
-            or query.offset is not None
-        ):
+        if not isinstance(body, ast.QueryBlock) or consumer_kind(query) != "bag":
             return None
         self.streamed = True
         return self._subquery_value_stream(body, env)
@@ -995,12 +844,7 @@ class Evaluator(clauses.QueryEvaluator):
         if governor is not None:
             governor.enter_query()
         try:
-            source = self._stream_block(body, env)
-            try:
-                for value, __ in source:
-                    yield value
-            finally:
-                close_iter(source)
+            yield from self._stream_block(body, env)
         finally:
             if governor is not None:
                 governor.exit_query()

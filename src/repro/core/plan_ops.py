@@ -21,7 +21,7 @@ strategy.  This module provides the physical operators the planner
 
 Operators follow the Volcano (iterator) model: the primary interface is
 :meth:`PlanOp.iter_bindings`, a generator yielding binding dicts one at
-a time, so a downstream consumer (top-K heap, LIMIT, EXISTS) can stop
+a time, so a downstream consumer (LIMIT, EXISTS, IN) can stop
 pulling and the whole pipeline stops producing.  Probe sides stream;
 only what *must* be materialized is — the hash-join build table and the
 materialize-once right side of an uncorrelated nested loop (both built

@@ -30,18 +30,15 @@ from repro.config import EvalConfig
 from repro.core import clauses, coercion
 from repro.core.environment import Environment, Unbound
 from repro.core.grouping_sets import expand_grouping_sets
-from repro.core.windows import (
-    OUTSIDE_SELECT,
-    bind_window_values,
-    find_window_calls,
-    lower_window_calls,
-)
+from repro.core.tails import EnvColumns, run_tail
+from repro.core.windows import OUTSIDE_SELECT, find_window_calls, lower_window_calls
 from repro.datamodel.equality import group_key
 from repro.datamodel.values import MISSING, Bag, Struct, is_collection, type_name
 from repro.errors import EvaluationError, TypeCheckError
 from repro.functions import operators as ops
 from repro.functions.registry import REGISTRY
 from repro.functions.scalar import cast_value
+from repro.observability.tracer import StageTally
 from repro.syntax import ast
 
 
@@ -88,27 +85,17 @@ class ReferenceEvaluator(clauses.QueryEvaluator):
     def _eval_block_query(
         self, query: ast.Query, block: ast.QueryBlock, env: Environment
     ) -> Any:
-        values, envs = self.eval_block(block, env)
-        if isinstance(block.select, ast.PivotClause):
-            return values[0]
-        return self._finish_query(query, values, envs, env)
-
-    def eval_block(
-        self, block: ast.QueryBlock, env: Environment
-    ) -> Tuple[List[Any], Optional[List[Environment]]]:
-        """One block's output values, plus the binding environments they
-        came from for ORDER BY (None after DISTINCT, which collapses
-        them, and for PIVOT's single tuple)."""
+        """One block and its query's ORDER BY / LIMIT / OFFSET: the
+        clauses below in order, each over the whole list of binding
+        environments, then the tail every evaluator shares
+        (:func:`tails.run_tail`), fed all of them at once."""
         eval_expr = self.eval_expr
-        tracer = self.tracer
-        mark = perf_counter() if tracer is not None else 0.0
+        stages: List[StageTally] = []
+        started = mark = perf_counter()
 
-        def record(stage: str, rows_in: int, rows_out: int) -> None:
+        def record(stage: str, rows_out: int) -> None:
             nonlocal mark
-            if tracer is not None:
-                now = perf_counter()
-                tracer.record_stage(block, stage, rows_in, rows_out, now - mark, mark)
-                mark = now
+            mark = StageTally(stage, stages).lap(rows_out, mark)
 
         # FROM — no FROM means a single empty binding.
         var_order: List[str] = []
@@ -121,69 +108,50 @@ class ReferenceEvaluator(clauses.QueryEvaluator):
                     for current in envs
                     for binding in self._item_bindings(item, current)
                 ]
-            record("FROM", 1, len(envs))
+            record("FROM", len(envs))
 
         if block.lets:
-            rows_in = len(envs)
             for let in block.lets:
                 var_order.append(let.name)
                 envs = [
                     current.bind(let.name, eval_expr(let.expr, current))
                     for current in envs
                 ]
-            record("LET", rows_in, len(envs))
+            record("LET", len(envs))
 
         if block.where is not None:
-            rows_in = len(envs)
             envs = [
                 current for current in envs if eval_expr(block.where, current) is True
             ]
-            record("WHERE", rows_in, len(envs))
+            record("WHERE", len(envs))
 
         if block.group_by is not None:
-            rows_in = len(envs)
             envs = self._apply_group_by(block.group_by, envs, env, var_order)
             var_order = clauses.group_output_vars(block.group_by)
-            record("GROUP BY", rows_in, len(envs))
+            record("GROUP BY", len(envs))
 
         if block.having is not None:
-            rows_in = len(envs)
             envs = [
                 current
                 for current in envs
                 if eval_expr(block.having, current) is True
             ]
-            record("HAVING", rows_in, len(envs))
+            record("HAVING", len(envs))
 
-        # Window functions (computed over the final binding stream).
+        # Window functions are computed over the final binding stream.
         select = block.select
         window_calls = find_window_calls(select)
         if window_calls:
             select = lower_window_calls(select, window_calls)
-            envs = bind_window_values(window_calls, envs, self)
-
+        result = run_tail(
+            [envs], EnvColumns(self, env, var_order), select, window_calls,
+            query.order_by, self.config, stages,
+        )
+        if self.tracer is not None:
+            self.tracer.flush_stages(block, stages, started)
         if isinstance(select, ast.PivotClause):
-            pairs = (
-                (eval_expr(select.at, current), eval_expr(select.value, current))
-                for current in envs
-            )
-            result = clauses.pivot_struct(pairs, self.config)
-            record("PIVOT", len(envs), 1)
-            return [result], None
-        if isinstance(select, ast.SelectValue):
-            values = [eval_expr(select.expr, current) for current in envs]
-        elif isinstance(select, ast.SelectStar):
-            values = [clauses.eval_star(current, var_order) for current in envs]
-        else:
-            raise EvaluationError(
-                f"unexpected SELECT clause after rewriting: {type(select).__name__}"
-            )
-        if select.distinct:
-            values = ops.distinct_elements(values)
-            record("SELECT DISTINCT", len(envs), len(values))
-            return values, None
-        record("SELECT", len(envs), len(values))
-        return values, envs
+            return result
+        return self._finish_query(query, result, env, ordered=True)
 
     # -- FROM ----------------------------------------------------------------
 

@@ -14,10 +14,10 @@ which this module never calls): clauses run clause-major (all FROM
 rows, then LET over them, and so on within each chunk), which is
 exactly the order ``optimize=False`` evaluates in, so any error the
 batch path surfaces is one the reference semantics surfaces too.  The
-entry point is gated by ``Evaluator._batch_decision`` — permissive
-mode, the top-level query or an uncorrelated derived table or
-set-operation operand, no LIMIT/OFFSET, PIVOT or window functions — and
-anything the gate rejects stays on the streaming path.
+block's tail — windows, PIVOT or SELECT, ORDER BY — is the one every
+evaluator runs (:mod:`repro.core.tails`), over columns from chunk
+kernels.  The entry point is gated by ``Evaluator._batch_decision``;
+what it rejects stays on the streaming path.
 
 Aggregate decomposition
 -----------------------
@@ -34,8 +34,8 @@ it keeps the raw per-member values (including NULL/MISSING, which the
 same registered aggregate definition over them at finalize time — so
 results are bit-identical to evaluating the lowered subquery.  Blocks
 whose GROUP AS variable is used outside recognized sites fall back to
-the semi-batch path (:meth:`Evaluator._iter_group_by` over the folded
-rows), which is always available.
+the semi-batch path: the streaming pipeline from GROUP BY on, over the
+rows the chunk operators kept.
 """
 
 from __future__ import annotations
@@ -43,15 +43,17 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Sequence, Tuple
 
 from repro.core import clauses
 from repro.core.environment import Environment
 from repro.core.grouping_sets import expand_grouping_sets
 from repro.core.plan_ops import ScanOp, close_iter, walk_ops
-from repro.datamodel.equality import group_key
-from repro.datamodel.values import Bag
-from repro.errors import EvaluationError, SQLPPError
+from repro.core.tails import EnvColumns, run_tail
+from repro.core.windows import find_window_calls, window_variable
+from repro.datamodel.values import Bag, Struct
+from repro.errors import SQLPPError
 from repro.functions import operators as ops
 from repro.functions.registry import REGISTRY
 from repro.observability.tracer import StageTally
@@ -93,11 +95,13 @@ class Decomposition:
 
     clause: ast.GroupByClause
     specs: List[AggSpec]
-    #: SELECT VALUE expression with aggregate sites replaced by
+    #: The SELECT VALUE clause with aggregate sites replaced by
     #: ``VarRef($foldN)`` placeholders.
-    select_expr: ast.Expr
+    select: ast.SelectValue
     #: HAVING predicate with sites replaced likewise, or None.
     having_expr: Optional[ast.Expr]
+    #: The query's ORDER BY items with sites replaced likewise.
+    order_by: List[ast.OrderItem]
     #: Row variables of the finalized group rows: key aliases then
     #: placeholder vars.
     group_row_vars: Tuple[str, ...]
@@ -254,16 +258,19 @@ def _rebuild_value(value: Any, rebuild) -> Any:
 
 
 def decompose_block(
-    block: ast.QueryBlock, row_vars: Tuple[str, ...]
+    block: ast.QueryBlock,
+    row_vars: Tuple[str, ...],
+    order_by: Sequence[ast.OrderItem] = (),
 ) -> Optional[Decomposition]:
     """Fold/finalize decomposition of a GROUP BY block, or None.
 
     ``row_vars`` are the binding variables in scope at the GROUP BY
-    (FROM variables plus LET names).  Decomposition requires a single
-    plain grouping set, a ``SELECT VALUE`` projection, and that every
-    use of the GROUP AS variable is a recognized lowered-aggregate
-    site; anything else returns None and the caller uses the
-    general-purpose grouping fallback.
+    (FROM variables plus LET names), ``order_by`` the ORDER BY of the
+    block's query, whose keys see the groups too.  Decomposition
+    requires a single plain grouping set, a ``SELECT VALUE`` projection
+    without window calls, and that every use of the GROUP AS variable
+    is a recognized lowered-aggregate site; anything else returns None
+    and the caller uses the general-purpose grouping fallback.
     """
     clause = block.group_by
     if clause is None:
@@ -273,48 +280,49 @@ def decompose_block(
         return None
     if not isinstance(block.select, ast.SelectValue):
         return None
+    if find_window_calls(block.select):
+        return None
     group_var = clause.group_as
     row_var_set = frozenset(row_vars)
     specs: List[AggSpec] = []
+    exprs = [block.select.expr, block.having] + [item.expr for item in order_by]
     if group_var is not None:
-        select_expr = _replace_sites(
-            block.select.expr, group_var, row_var_set, specs
-        )
-        having_expr = (
-            _replace_sites(block.having, group_var, row_var_set, specs)
-            if block.having is not None
-            else None
-        )
         from repro.core.planner import free_names
 
-        if group_var in free_names(select_expr):
-            return None
-        if having_expr is not None and group_var in free_names(having_expr):
-            return None
-    else:
-        select_expr = block.select.expr
-        having_expr = block.having
+        for index, expr in enumerate(exprs):
+            if expr is not None:
+                expr = _replace_sites(expr, group_var, row_var_set, specs)
+                if group_var in free_names(expr):
+                    return None
+                exprs[index] = expr
+    select_expr, having_expr, *order_exprs = exprs
     group_row_vars = tuple(key.alias for key in clause.keys) + tuple(
         spec.var for spec in specs
     )
     return Decomposition(
         clause=clause,
         specs=specs,
-        select_expr=select_expr,
+        select=dataclasses.replace(block.select, expr=select_expr),
         having_expr=having_expr,
+        order_by=[
+            dataclasses.replace(item, expr=expr)
+            for item, expr in zip(order_by, order_exprs)
+        ],
         group_row_vars=group_row_vars,
     )
 
 
 def cached_decomposition(
-    evaluator, block: ast.QueryBlock, row_vars: Tuple[str, ...]
+    evaluator, query: ast.Query, row_vars: Tuple[str, ...]
 ) -> Optional[Decomposition]:
-    """Per-query memo of :func:`decompose_block` (the block node is
-    kept alive alongside the result so id() keys stay unique)."""
+    """Per-query memo of :func:`decompose_block` over ``query``'s block
+    (the node is kept alive alongside the result so id() keys stay
+    unique)."""
     cache = evaluator._caches.decompositions
-    entry = cache.get(id(block))
+    entry = cache.get(id(query))
     if entry is None:
-        entry = cache[id(block)] = (block, decompose_block(block, row_vars))
+        decomp = decompose_block(query.body, row_vars, query.order_by)
+        entry = cache[id(query)] = (query, decomp)
     return entry[1]
 
 
@@ -339,19 +347,6 @@ def build_fold_fns(
     return key_fns, value_fns
 
 
-def _identity_column(column: List[Any]) -> List[tuple]:
-    """:func:`group_key` of every value, its ``str``/``int`` cases
-    inlined (``type(...) is`` keeps ``bool`` on the general path)."""
-    return [
-        ("4str", value)
-        if type(value) is str
-        else ("3num", value)
-        if type(value) is int
-        else group_key(value)
-        for value in column
-    ]
-
-
 def fold_chunk(
     chunk: List[Binding],
     env: Environment,
@@ -373,7 +368,7 @@ def fold_chunk(
     buckets: Dict[tuple, Any]
     if key_columns:
         buckets = {}
-        identities = zip(*[_identity_column(column) for column in key_columns])
+        identities = zip(*[clauses.identity_column(column) for column in key_columns])
         for index, identity in enumerate(identities):
             bucket = buckets.get(identity)
             if bucket is None:
@@ -465,10 +460,10 @@ def finalize_groups(
 @dataclass
 class BlockKernels:
     """Everything the batch executor compiles for one block's clauses
-    (the plan's operators compile their own, see
-    :meth:`PlanOp.batch_kernels`).  All of it comes from
-    ``Evaluator.compiled_batch``, so building this per execution is a
-    handful of cache probes."""
+    up to HAVING (the plan's operators compile their own,
+    :meth:`PlanOp.batch_kernels`; the tail's are compiled as it asks for
+    them, :class:`KernelColumns`).  All of it comes from
+    ``Evaluator.compiled_batch``: a handful of cache probes per run."""
 
     var_order: List[str]
     let_names: List[str]
@@ -477,20 +472,21 @@ class BlockKernels:
     residual_fn: Optional[Callable]
     key_fns: List[Callable]
     value_fns: List[Callable]
-    #: HAVING / SELECT VALUE kernels over the finalized group rows (or
-    #: the kept rows of an ungrouped block); None when absent or when
-    #: the semi-batch grouping fallback evaluates them in env space.
+    #: HAVING kernel over the finalized group rows (or the kept rows of
+    #: an ungrouped block); None when absent or when the semi-batch
+    #: grouping fallback evaluates it in env space.
     having_fn: Optional[Callable]
-    select_fn: Optional[Callable]
+    #: The row variables HAVING and the tail see.
+    out_vars: frozenset
 
     def all(self) -> List[Callable]:
         fns = [fn for __, fn in self.let_fns]
         fns += self.key_fns + self.value_fns
-        fns += [self.residual_fn, self.having_fn, self.select_fn]
-        return [fn for fn in fns if fn is not None]
+        return fns + [fn for fn in (self.residual_fn, self.having_fn) if fn]
 
 
-def block_kernels(evaluator, body: ast.QueryBlock, plan) -> BlockKernels:
+def block_kernels(evaluator, query: ast.Query, plan) -> BlockKernels:
+    body = query.body
     compiled = evaluator.compiled_batch
     var_order: List[str] = []
     for item in body.from_:
@@ -500,19 +496,16 @@ def block_kernels(evaluator, body: ast.QueryBlock, plan) -> BlockKernels:
     row_var_set = frozenset(row_vars)
 
     decomp: Optional[Decomposition] = None
-    if body.group_by is not None:
-        decomp = cached_decomposition(evaluator, body, row_vars)
     key_fns: List[Callable] = []
     value_fns: List[Callable] = []
-    having_expr, select_expr, out_vars = None, None, row_var_set
-    if decomp is not None:
-        key_fns, value_fns = build_fold_fns(evaluator, decomp, row_vars)
-        having_expr, select_expr = decomp.having_expr, decomp.select_expr
-        out_vars = frozenset(decomp.group_row_vars)
-    elif body.group_by is None:
-        having_expr = body.having
-        if isinstance(body.select, ast.SelectValue):
-            select_expr = body.select.expr
+    having_expr, out_vars = body.having, row_var_set
+    if body.group_by is not None:
+        decomp = cached_decomposition(evaluator, query, row_vars)
+        having_expr = None
+        if decomp is not None:
+            key_fns, value_fns = build_fold_fns(evaluator, decomp, row_vars)
+            having_expr = decomp.having_expr
+            out_vars = frozenset(decomp.group_row_vars)
     residual = plan.residual_where
     return BlockKernels(
         var_order=var_order,
@@ -526,80 +519,146 @@ def block_kernels(evaluator, body: ast.QueryBlock, plan) -> BlockKernels:
         key_fns=key_fns,
         value_fns=value_fns,
         having_fn=compiled(having_expr, out_vars) if having_expr is not None else None,
-        select_fn=compiled(select_expr, out_vars) if select_expr is not None else None,
+        out_vars=out_vars,
     )
+
+
+class KernelColumns:
+    """Columns over chunk rows (binding dicts) from chunk kernels: how
+    the batch executor produces what :func:`tails.run_tail` consumes.
+    ``fns`` ends up holding every kernel the tail asked for; kernels
+    over one list of rows share a memo of its ``VarRef`` / ``Path``
+    columns."""
+
+    def __init__(self, evaluator, env, row_vars: frozenset, var_order: List[str]):
+        self.evaluator, self.env, self.row_vars = evaluator, env, row_vars
+        self.var_order = var_order
+        self.fns: Dict[int, Callable] = {}
+        self.keys_see_output = False
+        self._rows: Any = None
+        self._memo: dict = {}
+
+    def column(self, expr: ast.Expr, rows: List[Binding]) -> List[Any]:
+        fn = self.fns.get(id(expr))
+        if fn is None:
+            fn = self.fns[id(expr)] = self.evaluator.compiled_batch(expr, self.row_vars)
+        if rows is not self._rows:
+            self._rows, self._memo = rows, {}
+        return fn(rows, self.env, self._memo)
+
+    def _env_columns(self, rows: Optional[List[Binding]]):
+        """The env-space producer, and ``rows`` as environments."""
+        extend = self.env.extend
+        envs = None if rows is None else [extend(row) for row in rows]
+        return EnvColumns(self.evaluator, self.env, self.var_order), envs
+
+    def star(self, rows: List[Binding]) -> List[Struct]:
+        cols, envs = self._env_columns(rows)
+        return cols.star(envs)
+
+    def bind(self, rows: List[Binding], columns: Dict[str, List[Any]]):
+        for name, column in columns.items():
+            for row, value in zip(rows, column):
+                row[name] = value
+        return rows
+
+    def output_keys(self, order_by, rows: Optional[List[Binding]], values: List[Any]):
+        """Keys that can see the output are evaluated per row in
+        :func:`clauses.sort_env` (a name the output tuple lacks falls
+        through to the row, then outwards): the env-space fallback."""
+        self.keys_see_output = True
+        cols, envs = self._env_columns(rows)
+        return cols.output_keys(order_by, envs, values)
+
+
+def batch_tail(evaluator, query, kernels, env, chunks, stages, bound=None):
+    """:func:`tails.run_tail` over a batched block's final binding rows
+    — ``chunks`` of them, after HAVING — and the :class:`KernelColumns`
+    that served it."""
+    body, order_by, row_vars = query.body, query.order_by, kernels.out_vars
+    calls, select = evaluator._window_select(body)
+    if kernels.decomp is not None:
+        select, order_by = kernels.decomp.select, kernels.decomp.order_by
+    if calls:
+        row_vars = row_vars | {window_variable(n) for n in range(len(calls))}
+    cols = KernelColumns(
+        evaluator, env, row_vars, kernels.var_order + kernels.let_names
+    )
+    deferred = evaluator._defers_select(body, query.order_by)
+    result = run_tail(
+        chunks, cols, select, calls, order_by, evaluator.config, stages, deferred, bound
+    )
+    return result, cols
+
+
+def _keep_true(rows: List[Binding], predicate_fn, env, tally: StageTally):
+    """The rows ``predicate_fn`` is TRUE for (WHERE, HAVING), tallied."""
+    started = perf_counter()
+    verdicts = predicate_fn(rows, env)
+    rows = [row for row, verdict in zip(rows, verdicts) if verdict is True]
+    tally.lap(len(rows), started)
+    return rows
 
 
 def execute_batch_query(evaluator, query, body, plan, env) -> Any:
     """Run one gated query block on the batch pipeline; returns the
-    final query result (an ordered list under ORDER BY, else a Bag).
+    final query result (an ordered list under ORDER BY, PIVOT's tuple,
+    else a Bag).
 
     The caller has already verified the gate
-    (``Evaluator._batch_decision``): optimization on, the top-level
-    query or a block evaluated in the top-level environment, no
-    LIMIT/OFFSET, and not GROUP BY + ORDER BY together — in either
-    typing mode: under strict typing a kernel raises where it would
-    have returned MISSING, and the caller re-runs the block on the
-    stream when that escapes (``Evaluator._eval_block_query``).
+    (``Evaluator._batch_decision``) — in either typing mode: under
+    strict typing a kernel raises where it would have returned MISSING,
+    and the caller re-runs the block on the stream when that escapes
+    (``Evaluator._eval_block_query``).
+
+    FROM → LET → WHERE run a chunk at a time, and so does the tail
+    (:func:`batch_tail`) unless GROUP BY, a window or PIVOT needs the
+    whole input: DISTINCT keeps the identities it has seen, a top-K its
+    ``limit + offset`` best rows.  LIMIT / OFFSET are evaluated before
+    the first row, as on the stream.
     """
     config = evaluator.config
-    tracer = evaluator.tracer
     op = plan.op
 
-    kernels = block_kernels(evaluator, body, plan)
-    var_order, let_names = kernels.var_order, kernels.let_names
-    row_vars = tuple(var_order) + tuple(let_names)
+    kernels = block_kernels(evaluator, query, plan)
+    row_vars = tuple(kernels.var_order) + tuple(kernels.let_names)
     decomp = kernels.decomp
     let_fns = kernels.let_fns
     residual_fn = kernels.residual_fn
-    key_fns, value_fns = kernels.key_fns, kernels.value_fns
 
     stages: List[StageTally] = []
+    from_stage = StageTally("FROM", stages)
+    let_stage = StageTally("LET", stages) if body.lets else None
+    where_stage = StageTally("WHERE", stages) if residual_fn is not None else None
 
-    def stage(name: str) -> StageTally:
-        tally = StageTally(name)
-        stages.append(tally)
-        return tally
+    def kept_chunks(source: Iterable[List[Binding]]) -> Iterator[List[Binding]]:
+        """FROM -> LET -> residual WHERE, a chunk at a time."""
+        source = iter(source)
+        try:
+            while True:
+                started = perf_counter()
+                chunk = next(source, None)
+                started = from_stage.lap(len(chunk or ()), started)
+                if chunk is None:
+                    return
+                if let_fns:
+                    for name, let_fn in let_fns:
+                        column = let_fn(chunk, env)
+                        for row, value in zip(chunk, column):
+                            row[name] = value
+                    let_stage.lap(len(chunk), started)
+                if residual_fn is not None:
+                    chunk = _keep_true(chunk, residual_fn, env, where_stage)
+                if chunk:
+                    yield chunk
+        finally:
+            close_iter(source)
 
-    from_stage = stage("FROM")
-    let_stage = stage("LET") if body.lets else None
-    where_stage = stage("WHERE") if residual_fn is not None else None
-    group_stage = stage("GROUP BY") if body.group_by is not None else None
-
+    # ---- FROM: serial chunks, or the morsel-parallel driver ----------
     folding = decomp is not None
     groups: GroupState = {}
     group_order: List[tuple] = []
-    kept_rows: List[Binding] = []
-
-    def process_chunk(chunk: List[Binding]) -> None:
-        """LET -> residual WHERE -> fold/accumulate, one chunk."""
-        if let_fns:
-            started = perf_counter()
-            for name, let_fn in let_fns:
-                column = let_fn(chunk, env)
-                for row, value in zip(chunk, column):
-                    row[name] = value
-            let_stage.rows += len(chunk)
-            let_stage.elapsed += perf_counter() - started
-        if residual_fn is not None:
-            started = perf_counter()
-            verdicts = residual_fn(chunk, env)
-            chunk = [
-                row for row, verdict in zip(chunk, verdicts) if verdict is True
-            ]
-            where_stage.rows += len(chunk)
-            where_stage.elapsed += perf_counter() - started
-            if not chunk:
-                return
-        if folding:
-            started = perf_counter()
-            fold_chunk(chunk, env, key_fns, value_fns, groups, group_order)
-            group_stage.elapsed += perf_counter() - started
-        else:
-            kept_rows.extend(chunk)
-
-    # ---- FROM: serial chunks, or the morsel-parallel driver ----------
-    ran_parallel = False
+    source: Optional[Iterable[List[Binding]]] = None
     if config.parallel >= 2 and query is evaluator._top_query:
         # Only the top-level block fans out: a derived table is scanned
         # (and so evaluated) inside each morsel worker, and pool workers
@@ -615,119 +674,54 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
             evaluator, op, env, parallel_mode, decomp, row_vars
         )
         if outcome is not None:
-            ran_parallel = True
             evaluator.parallel_workers = max(
                 evaluator.parallel_workers, outcome.workers
             )
-            from_stage.rows = outcome.rows_seen
             from_stage.elapsed = outcome.elapsed
             if outcome.mode == "fold":
+                from_stage.rows = outcome.rows_seen
                 group_order, groups = outcome.order, outcome.groups
+                source = ()
             else:
-                process_chunk(outcome.rows)
-
-    if not ran_parallel:
+                source = (outcome.rows,)
+    if source is None:
         source = op.iter_chunks(evaluator, env)
-        try:
-            while True:
-                started = perf_counter()
-                try:
-                    chunk = next(source)
-                except StopIteration:
-                    from_stage.elapsed += perf_counter() - started
-                    break
-                from_stage.rows += len(chunk)
-                from_stage.elapsed += perf_counter() - started
-                if chunk:
-                    process_chunk(chunk)
-        finally:
-            close_iter(source)
+    chunks: Iterable[List[Binding]] = kept_chunks(source)
 
-    # ---- GROUP BY ----------------------------------------------------
-    group_envs: Optional[List[Environment]] = None
-    output_vars: List[str] = list(var_order) + let_names
-    if folding:
-        started = perf_counter()
-        kept_rows = finalize_groups(decomp, group_order, groups, config)
-        group_stage.rows += len(kept_rows)
-        group_stage.elapsed += perf_counter() - started
-    elif body.group_by is not None:
+    if body.group_by is not None and not folding:
         # Semi-batch fallback: general grouping (grouping sets, GROUP AS
-        # consumed directly) over the folded rows via the streaming
-        # grouper, then env-space HAVING/SELECT.
+        # consumed directly) is the streaming pipeline's, from GROUP BY
+        # on, over the rows the chunk operators kept.
+        rows = (env.extend(row) for chunk in chunks for row in chunk)
+        return evaluator._eval_query_streaming(query, body, env, (rows, stages))
+
+    pivot = isinstance(body.select, ast.PivotClause)
+    bound = offset = None
+    if query.order_by and not pivot:
+        bound, offset = evaluator._bounds(query, env)
+        if bound == 0:
+            chunks = ()
+    if folding:
+        group_stage = StageTally("GROUP BY", stages)
+        key_fns, value_fns = kernels.key_fns, kernels.value_fns
+        for chunk in chunks:
+            started = perf_counter()
+            fold_chunk(chunk, env, key_fns, value_fns, groups, group_order)
+            group_stage.lap(0, started)
         started = perf_counter()
-        group_envs = list(
-            evaluator._iter_group_by(
-                body.group_by,
-                (env.extend(row) for row in kept_rows),
-                env,
-                output_vars,
-            )
-        )
-        group_stage.rows += len(group_envs)
-        group_stage.elapsed += perf_counter() - started
-        output_vars = clauses.group_output_vars(body.group_by)
-
-    # ---- HAVING ------------------------------------------------------
-    if group_envs is not None and body.having is not None:
-        having_stage = stage("HAVING")
-        started = perf_counter()
-        having_fn = evaluator.compiled(body.having)
-        group_envs = [
-            current for current in group_envs if having_fn(current) is True
-        ]
-        having_stage.rows = len(group_envs)
-        having_stage.elapsed = perf_counter() - started
-    elif kernels.having_fn is not None:
-        having_stage = stage("HAVING")
-        started = perf_counter()
-        verdicts = kernels.having_fn(kept_rows, env)
-        kept_rows = [
-            row for row, verdict in zip(kept_rows, verdicts) if verdict is True
-        ]
-        having_stage.rows = len(kept_rows)
-        having_stage.elapsed = perf_counter() - started
-
-    # ---- SELECT ------------------------------------------------------
-    select = body.select
-    distinct = select.distinct
-    started = perf_counter()
-    envs_out: Optional[List[Environment]] = None
-    if group_envs is not None:
-        if isinstance(select, ast.SelectValue):
-            select_fn = evaluator.compiled(select.expr)
-            values = [select_fn(current) for current in group_envs]
-        else:
-            values = [
-                clauses.eval_star(current, output_vars) for current in group_envs
-            ]
-        envs_out = group_envs
-    elif kernels.select_fn is not None:
-        values = kernels.select_fn(kept_rows, env)
-    else:
-        values = [
-            clauses.eval_star(env.extend(row), output_vars) for row in kept_rows
-        ]
-    if distinct:
-        values = ops.distinct_elements(values)
-        envs_out = None
-        select_stage = stage("SELECT DISTINCT")
-    else:
-        select_stage = stage("SELECT")
-    select_stage.rows = len(values)
-    select_stage.elapsed = perf_counter() - started
-
-    # ---- stage records (streaming-recorder parity) -------------------
-    if tracer is not None:
-        tracer.flush_stages(body, stages, perf_counter())
-
-    # ---- ORDER BY tail -----------------------------------------------
+        chunks = (finalize_groups(decomp, group_order, groups, config),)
+        group_stage.lap(len(chunks[0]), started)
+    if kernels.having_fn is not None:
+        having = kernels.having_fn, env, StageTally("HAVING", stages)
+        chunks = (_keep_true(rows, *having) for rows in chunks)
+    result, __ = batch_tail(evaluator, query, kernels, env, chunks, stages, bound)
+    if evaluator.tracer is not None:
+        evaluator.tracer.flush_stages(body, stages, perf_counter())
+    if pivot:
+        return result
     if query.order_by:
-        if envs_out is None and group_envs is None and not distinct:
-            envs_out = [env.extend(row) for row in kept_rows]
-        spec = evaluator._order_spec(query.order_by)
-        return clauses.apply_order_by(values, envs_out, spec, env)
-    return Bag(values)
+        return result[offset:] if offset else result
+    return Bag(result)
 
 
 # =========================================================================
@@ -846,7 +840,14 @@ def _explain_block(
         lines.append(f"{label}: batch → stream (replayed after {replayed})")
     elif plan is not None:
         lines.append(f"{label}: batch")
-        fns = block_kernels(evaluator, body, plan).all()
+        kernels = block_kernels(evaluator, query, plan)
+        fns = kernels.all()
+        if body.group_by is None or kernels.decomp is not None:
+            # The tail's kernels are the ones a run over no rows asks for.
+            __, cols = batch_tail(evaluator, query, kernels, env, ([],), [])
+            fns.extend(cols.fns.values())
+            if cols.keys_see_output:
+                fallbacks.extend(item.expr for item in query.order_by)
         for op in walk_ops(plan.op):
             fns.extend(op.batch_kernels(evaluator))
         count = len(fns)

@@ -14,25 +14,21 @@ stream of a query block:
   ORDER BY it aggregates the whole partition.
 
 Window values are computed once per binding before the SELECT clause
-runs; the evaluator replaces each ``WindowCall`` node with a reference to
-the precomputed value.  Both evaluators — the engine and the reference
-interpreter — run this module, each through its own ``eval_expr``.
+runs, from *columns* — one value per binding for each partition key,
+ordering key and argument; the evaluator replaces each ``WindowCall``
+node with a reference to the precomputed value.  The engine and the
+reference interpreter both run this module (:mod:`repro.core.tails`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, TYPE_CHECKING
+from typing import Any, Callable, Dict, List
 
-from repro.datamodel.equality import group_key
-from repro.datamodel.ordering import sort_key
+from repro.core.clauses import identity_column, order_parts, sort_positions
 from repro.errors import EvaluationError
 from repro.functions.aggregates import SQL_AGGREGATES
 from repro.functions.registry import REGISTRY
 from repro.syntax import ast
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.environment import Environment
-    from repro.core.evaluator import Evaluator
 
 RANKING_FUNCTIONS = frozenset(
     {"ROW_NUMBER", "RANK", "DENSE_RANK", "NTILE", "PERCENT_RANK"}
@@ -59,71 +55,54 @@ def is_window_function(name: str) -> bool:
 
 def compute_window_values(
     call: ast.WindowCall,
-    envs: List["Environment"],
-    evaluator: "Evaluator",
+    size: int,
+    partition_columns: List[List[Any]],
+    order_columns: List[List[Any]],
+    arg_columns: List[List[Any]],
+    config: Any,
 ) -> List[Any]:
-    """Evaluate one window call for every binding, in input order."""
+    """One window call's value for each of ``size`` rows, in input
+    order, from its key columns: one column per PARTITION BY expression,
+    per ORDER BY key and per call argument, each holding that
+    expression's value for every row.  Rows order within a partition by
+    the shared ORDER BY sort (:func:`clauses.sort_positions` — direction
+    and NULLS FIRST/LAST per key, ties in input order); rows whose keys
+    all sort equal are peers."""
     name = call.call.name.upper()
     if not is_window_function(name):
         raise EvaluationError(f"{call.call.name} is not a window function")
-
-    eval_expr = evaluator.eval_expr
-    order_items = call.spec.order_by
-
-    # Partition the binding stream.
-    partitions: Dict[tuple, List[int]] = {}
-    for position, env in enumerate(envs):
-        key = tuple(
-            group_key(eval_expr(expr, env)) for expr in call.spec.partition_by
-        )
-        partitions.setdefault(key, []).append(position)
-
-    results: List[Any] = [None] * len(envs)
+    order_by = call.spec.order_by
+    parts = [order_parts(column, item) for column, item in zip(order_columns, order_by)]
+    # Rows of a partition are peers when all their ORDER BY keys tie.
+    if len(parts) == 1:
+        peers = parts[0]
+    else:
+        peers = list(zip(*parts)) if parts else [()] * size
+    # One stable sort of the whole input orders every partition.
+    ordered = list(range(size))
+    if parts:
+        sort_positions(parts, [item.desc for item in order_by], ordered)
+    identities = [identity_column(column) for column in partition_columns]
+    keys = identities[0] if len(identities) == 1 else list(zip(*identities))
+    partitions: Dict[Any, List[int]] = {}
+    for position in ordered:
+        identity = keys[position] if keys else ()
+        partitions.setdefault(identity, []).append(position)
+    results: List[Any] = [None] * size
     for positions in partitions.values():
-        ordered = _order_positions(positions, envs, order_items, eval_expr)
-        _fill_partition(call, name, ordered, envs, evaluator, results)
+        _fill_partition(call, name, positions, peers, arg_columns, config, results)
     return results
-
-
-def _order_positions(
-    positions: List[int],
-    envs: List["Environment"],
-    order_items: List[ast.OrderItem],
-    eval_expr: Callable,
-) -> List[int]:
-    if not order_items:
-        return positions
-    decorated = list(positions)
-    for item in reversed(order_items):
-        decorated.sort(
-            key=lambda pos: sort_key(eval_expr(item.expr, envs[pos])),
-            reverse=item.desc,
-        )
-    return decorated
-
-
-def _order_rank_keys(
-    ordered: List[int],
-    envs: List["Environment"],
-    order_items: List[ast.OrderItem],
-    eval_expr: Callable,
-) -> List[tuple]:
-    return [
-        tuple(group_key(eval_expr(item.expr, envs[pos])) for item in order_items)
-        for pos in ordered
-    ]
 
 
 def _fill_partition(
     call: ast.WindowCall,
     name: str,
     ordered: List[int],
-    envs: List["Environment"],
-    evaluator: "Evaluator",
+    peers: List[Any],
+    args: List[List[Any]],
+    config: Any,
     results: List[Any],
 ) -> None:
-    eval_expr = evaluator.eval_expr
-    config = evaluator.config
     size = len(ordered)
 
     if name == "ROW_NUMBER":
@@ -132,14 +111,13 @@ def _fill_partition(
         return
 
     if name in ("RANK", "DENSE_RANK", "PERCENT_RANK"):
-        keys = _order_rank_keys(ordered, envs, call.spec.order_by, eval_expr)
         rank = dense = 0
         previous = object()
         for index, pos in enumerate(ordered):
-            if keys[index] != previous:
+            if peers[pos] != previous:
                 rank = index + 1
                 dense += 1
-                previous = keys[index]
+                previous = peers[pos]
             if name == "RANK":
                 results[pos] = rank
             elif name == "DENSE_RANK":
@@ -149,9 +127,9 @@ def _fill_partition(
         return
 
     if name == "NTILE":
-        if len(call.call.args) != 1:
+        if len(args) != 1:
             raise EvaluationError("NTILE expects one argument")
-        buckets = eval_expr(call.call.args[0], envs[ordered[0]]) if ordered else 1
+        buckets = args[0][ordered[0]]
         if not isinstance(buckets, int) or isinstance(buckets, bool) or buckets < 1:
             raise EvaluationError("NTILE argument must be a positive integer")
         for index, pos in enumerate(ordered):
@@ -159,63 +137,53 @@ def _fill_partition(
         return
 
     if name in OFFSET_FUNCTIONS:
-        args = call.call.args
         if not 1 <= len(args) <= 3:
             raise EvaluationError(f"{name} expects 1 to 3 arguments")
         direction = -1 if name == "LAG" else 1
         for index, pos in enumerate(ordered):
-            env = envs[pos]
             offset = 1
             if len(args) >= 2:
-                offset = eval_expr(args[1], env)
+                offset = args[1][pos]
                 if not isinstance(offset, int) or isinstance(offset, bool):
                     raise EvaluationError(f"{name} offset must be an integer")
             target = index + direction * offset
             if 0 <= target < size:
-                results[pos] = eval_expr(args[0], envs[ordered[target]])
+                results[pos] = args[0][ordered[target]]
             elif len(args) == 3:
-                results[pos] = eval_expr(args[2], env)
+                results[pos] = args[2][pos]
             else:
                 results[pos] = None
         return
 
     if name in VALUE_FUNCTIONS:
-        if len(call.call.args) != 1:
+        if len(args) != 1:
             raise EvaluationError(f"{name} expects one argument")
-        source = ordered[0] if name == "FIRST_VALUE" else ordered[-1]
-        value = eval_expr(call.call.args[0], envs[source])
+        value = args[0][ordered[0] if name == "FIRST_VALUE" else ordered[-1]]
         for pos in ordered:
             results[pos] = value
         return
 
     # Aggregate over a window.
-    coll_name = SQL_AGGREGATES[name]
-    definition = REGISTRY.lookup(coll_name)
+    definition = REGISTRY.lookup(SQL_AGGREGATES[name])
     assert definition is not None
-
-    def element(pos: int) -> Any:
-        if call.call.star:
-            return 1
-        return eval_expr(call.call.args[0], envs[pos])
-
+    if call.call.star:
+        values = [1] * size
+    else:
+        values = [args[0][pos] for pos in ordered]
     if call.spec.order_by:
         # Running aggregate: unbounded preceding .. current row, peers
         # included (RANGE semantics on ties).
-        keys = _order_rank_keys(ordered, envs, call.spec.order_by, eval_expr)
-        values = [element(pos) for pos in ordered]
         index = 0
         while index < size:
             end = index
-            while end + 1 < size and keys[end + 1] == keys[index]:
+            while end + 1 < size and peers[ordered[end + 1]] == peers[ordered[index]]:
                 end += 1
-            frame = values[: end + 1]
-            aggregate = definition.invoke([frame], config)
+            aggregate = definition.invoke([values[: end + 1]], config)
             for frame_index in range(index, end + 1):
                 results[ordered[frame_index]] = aggregate
             index = end + 1
     else:
-        frame = [element(pos) for pos in ordered]
-        aggregate = definition.invoke([frame], config)
+        aggregate = definition.invoke([values], config)
         for pos in ordered:
             results[pos] = aggregate
 
@@ -243,9 +211,9 @@ def lower_window_calls(
     select: ast.SelectClause, calls: List[ast.WindowCall]
 ) -> ast.SelectClause:
     """``select`` with its n-th window call replaced by a reference to
-    the variable :func:`bind_window_values` binds its value to — a
+    the variable (:func:`window_variable`) its value is bound to — a
     function of the block alone, so the engine caches it per block."""
-    names = {id(call): f"$window{number}" for number, call in enumerate(calls)}
+    names = {id(call): window_variable(number) for number, call in enumerate(calls)}
 
     def substitute(node: ast.Node) -> ast.Node:
         name = names.get(id(node))
@@ -254,16 +222,29 @@ def lower_window_calls(
     return select.transform(substitute)
 
 
-def bind_window_values(
+def window_variable(number: int) -> str:
+    """The row variable the ``number``-th window call's value is bound to."""
+    return f"$window{number}"
+
+
+def window_columns(
     calls: List[ast.WindowCall],
-    envs: List["Environment"],
-    evaluator: "Evaluator",
-) -> List["Environment"]:
-    """The final binding stream with every window call's value bound
-    (windows see the whole stream, so this is a pipeline breaker)."""
-    per_env: List[Dict[str, Any]] = [{} for __ in envs]
-    for number, call in enumerate(calls):
-        values = compute_window_values(call, envs, evaluator)
-        for extra, value in zip(per_env, values):
-            extra[f"$window{number}"] = value
-    return [env.extend(extra) for env, extra in zip(envs, per_env)]
+    size: int,
+    column: Callable[[ast.Expr], List[Any]],
+    config: Any,
+) -> Dict[str, List[Any]]:
+    """Every window call's value column over the ``size`` rows of the
+    final binding stream (all of it: a pipeline breaker), keyed by the
+    variable the lowered SELECT reads.  ``column(expr)`` is the caller's
+    way of evaluating ``expr`` once for every row."""
+    return {
+        window_variable(number): compute_window_values(
+            call,
+            size,
+            [column(expr) for expr in call.spec.partition_by],
+            [column(item.expr) for item in call.spec.order_by],
+            [column(arg) for arg in call.call.args],
+            config,
+        )
+        for number, call in enumerate(calls)
+    }

@@ -541,14 +541,18 @@ def tuple_merge(parts: Any, config: EvalConfig) -> Struct:
 # =========================================================================
 
 
-def iter_distinct(items: Any) -> Any:
+def iter_distinct(items: Any, key: Any = group_key, seen: Optional[set] = None) -> Any:
     """``items`` without duplicates under SQL++ deep equality, first
-    occurrence kept, as a stream."""
-    seen = set()
+    occurrence kept, as a stream.  ``key`` maps an item to its identity
+    (a caller holding an identity column passes positions and the
+    column's ``__getitem__``); ``seen`` carries the identities met so
+    far from one chunk of a stream to the next."""
+    if seen is None:
+        seen = set()
     for item in items:
-        key = group_key(item)
-        if key not in seen:
-            seen.add(key)
+        identity = key(item)
+        if identity not in seen:
+            seen.add(identity)
             yield item
 
 

@@ -119,14 +119,24 @@ def estimate_suffix(
 
 class StageTally:
     """Row/time counters one clause stage of the streaming or batch
-    pipeline updates as rows pass (:meth:`ExecTracer.flush_stages`)."""
+    pipeline updates as rows pass (:meth:`ExecTracer.flush_stages`);
+    opened at the end of ``stages``, the pipeline's list in clause
+    order."""
 
     __slots__ = ("name", "rows", "elapsed")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, stages: list):
         self.name = name
         self.rows = 0
         self.elapsed = 0.0
+        stages.append(self)
+
+    def lap(self, rows: int, since: float) -> float:
+        """Count ``rows`` more and the time since ``since``; returns now."""
+        now = perf_counter()
+        self.rows += rows
+        self.elapsed += now - since
+        return now
 
 
 class ExecTracer:

@@ -345,7 +345,7 @@ class TestDeriveOnce:
                 assert case.expect_error
         # Every block with a FROM clause that a case reaches, in either
         # typing mode, is planned exactly once.
-        assert len(planned) == 66
+        assert len(planned) == 68
         assert len({id(block) for block, __ in planned}) == len(planned)
         assert all(
             block.from_ is not None and plan is not None for block, plan in planned

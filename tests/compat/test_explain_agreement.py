@@ -154,17 +154,29 @@ def test_batch_analytics_templates(monkeypatch):
     for template in workloads.BATCH_TEMPLATES:
         assert_one_story(db, template.sql)
         assert db.metrics.last.batched, template.name
+    sql = {template.name: template.sql for template in workloads.BATCH_TEMPLATES}
+    # The sort has its own row; its keys cannot see a select alias, so
+    # the SELECT runs after it.
+    assert stage_labels(db, sql["order_full"]) == ["FROM", "ORDER BY", "SELECT"]
+    assert stage_labels(db, sql["distinct"]) == ["FROM", "SELECT DISTINCT"]
+
+
+def stage_labels(db: Database, query: str) -> list:
+    """The labels of EXPLAIN ANALYZE's ``stages:`` rows, in order."""
+    section = db.explain_analyze(query).split("\nstages:\n")[1].split("\n\n")[0]
+    return [line.split("  (")[0].strip() for line in section.splitlines()]
 
 
 #: ``nested_streaming`` template -> the executor its top-level block runs
 #: on.  Comma-unnest, UNPIVOT and the subqueries over a row's own
-#: collection are batch; bounded consumers stream, and so do windows —
-#: a blocking tail over the binding stream.
+#: collection are batch, and so are the blocking tails (top-K, windows:
+#: key columns from chunk kernels); only the unordered LIMIT streams,
+#: because stopping early is its point.
 NESTED_EXECUTORS = {
     "unnest": "batch", "unnest_group": "batch", "group_as": "batch",
-    "topk": "stream", "limit_early": "stream", "exists_nested": "batch",
+    "topk": "batch", "limit_early": "stream", "exists_nested": "batch",
     "nested_select": "batch", "unpivot": "batch", "hetero_group": "batch",
-    "hetero_tags": "batch", "window_rank": "stream", "construct": "batch",
+    "hetero_tags": "batch", "window_rank": "batch", "construct": "batch",
 }
 
 
@@ -182,10 +194,20 @@ def test_nested_streaming_templates(monkeypatch):
         assert executor.split()[1] == NESTED_EXECUTORS[template.name], (
             template.name, executor,
         )
-        if template.name in ("unnest", "unnest_group", "unpivot", "hetero_tags"):
+        if template.name in (
+            "unnest", "unnest_group", "unpivot", "hetero_tags", "topk", "window_rank"
+        ):
             assert kernels.endswith("no env-space fallback"), (template.name, kernels)
         if template.name in ("exists_nested", "nested_select"):
             assert "[Exists]" not in kernels and "[SubqueryExpr]" not in kernels
+    # The tails are recorded where they ran: a deferred top-K before the
+    # SELECT of the rows it kept, window values before the SELECT.
+    sql = {template.name: template.sql for template in workloads.NESTED_TEMPLATES}
+    assert stage_labels(db, sql["topk"]) == ["FROM", "TOP-K", "SELECT"]
+    assert stage_labels(db, sql["window_rank"]) == ["FROM", "WINDOW", "SELECT"]
+    assert "executor: stream (unordered LIMIT/OFFSET stops" in (
+        db.explain_plan(sql["limit_early"])
+    )
     # A subquery the kernel does not admit is still listed.
     kernels = db.explain_plan(
         "SELECT e.id AS id, (SELECT VALUE p.name FROM e.projects AS p "

@@ -122,7 +122,7 @@ def test_engine_never_enters_the_oracle(case, typing_mode, monkeypatch):
     )
     if typing_mode == case.typing_mode:
         assert _meets_expectation(case, oracle), oracle
-    monkeypatch.setattr(reference.ReferenceEvaluator, "eval_block", _boom)
+    monkeypatch.setattr(reference.ReferenceEvaluator, "_eval_block_query", _boom)
     monkeypatch.setattr(reference.ReferenceEvaluator, "eval_expr", _boom)
     for kind in list(reference._DISPATCH):
         monkeypatch.setitem(reference._DISPATCH, kind, _boom)

@@ -71,11 +71,13 @@ class TestBatchedFlag:
         assert db.metrics.last.batched is False
 
     def test_limit_stays_streaming(self, db):
-        # Bounded consumers (top-K, early termination) belong to the
-        # streaming pipeline; batch must decline.
+        # Early termination belongs to the streaming pipeline; batch
+        # must decline the unordered LIMIT — and only that one.
         db.execute("SELECT VALUE o.oid FROM orders AS o LIMIT 3")
         assert db.metrics.last.batched is False
         assert db.metrics.last.streamed is True
+        db.execute("SELECT VALUE o.oid FROM orders AS o ORDER BY o.oid LIMIT 3")
+        assert db.metrics.last.batched is True
 
     def test_strict_mode_batches(self, db):
         # The typing mode is not a batch refusal: strict blocks run the
@@ -522,7 +524,7 @@ class TestDerivedTablesBatch:
         assert db.metrics.last.batched is False
         assert db.metrics.last.streamed is True
         plan = db.explain_plan(query)
-        assert "executor: stream (LIMIT/OFFSET bounds the consumer)" in plan
+        assert "executor: stream (unordered LIMIT/OFFSET stops the producers early)" in plan
         assert "  derived table d: batch" in plan
 
     def test_limited_top_block_still_terminates_early(self, db):
@@ -583,23 +585,29 @@ class TestExecutorExplain:
         # The typing mode refuses nothing.
         strict = db.explain_plan(query, typing_mode="strict")
         assert "executor: batch\n" in strict and "strict" not in strict
-        assert "executor: stream (LIMIT/OFFSET bounds the consumer)" in (
+        # Only the unordered LIMIT keeps a block off the chunks (early
+        # termination is its point); an ordered one is a batched top-K.
+        assert "executor: stream (unordered LIMIT/OFFSET stops" in (
             db.explain_plan(query + " LIMIT 2")
+        )
+        assert "executor: batch\n" in db.explain_plan(
+            query + " ORDER BY o.oid LIMIT 2"
         )
         # A cross product is one tree like any other FROM: no refusal.
         cross = db.explain_plan("SELECT VALUE o.oid FROM orders AS o, custs AS c")
         assert "executor: batch" in cross
         assert "  Scan orders AS o\n" in cross  # the driving scan: no tag
         assert "Scan custs AS c  [materialized once]" in cross
-        # Windows and PIVOT are blocking tails of the binding stream.
+        # Windows and PIVOT are blocking tails over key columns, which
+        # the batch executor takes from chunk kernels.
         windowed = db.explain_plan(
             "SELECT o.oid AS oid, RANK() OVER (ORDER BY o.total) AS r "
             "FROM orders AS o"
         )
-        assert "executor: stream (PIVOT or window functions" in windowed
-        assert "executor: reference" not in windowed
+        assert "executor: batch\n" in windowed
+        assert "kernels: 2 columnar, no env-space fallback" in windowed
         pivoted = db.explain_plan("PIVOT o.total AT o.status FROM orders AS o")
-        assert "executor: stream (PIVOT or window functions" in pivoted
+        assert "executor: batch\n" in pivoted
         assert "consumer: one tuple assembled from the whole binding stream" in pivoted
         no_batch = Database(batch=False)
         no_batch.set("orders", [{"oid": 1}])

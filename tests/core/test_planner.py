@@ -538,7 +538,7 @@ class TestExplain:
         assert "  Scan users AS u" in streamed
         assert "rewrites fired:\n  - (none)" in streamed
         assert "from:" not in text + streamed
-        assert "executor: stream (LIMIT/OFFSET bounds the consumer)" in streamed
+        assert "executor: stream (unordered LIMIT/OFFSET stops" in streamed
         # A block without FROM has nothing to plan; it still streams.
         unplanned = join_db.explain_plan("SELECT VALUE 1")
         assert "plan: unplanned (no FROM clause)" in unplanned

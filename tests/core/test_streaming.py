@@ -55,17 +55,20 @@ class TestStreamedFlag:
         assert db.metrics.last.streamed is True
 
     def test_window_functions_stream(self, db):
-        # Windows are a blocking tail over the binding stream, not a
-        # third executor.
+        # Windows are a blocking tail over key columns, not a third
+        # executor: chunk kernels produce them on the batch executor,
+        # per-row closures under batch=False.
         query = (
             "SELECT t.v AS v, ROW_NUMBER() OVER (ORDER BY t.v) AS rn "
             "FROM t AS t"
         )
         rows = db.execute(query)
         assert db.metrics.last.streamed is True
-        assert db.metrics.last.batched is False
+        assert db.metrics.last.batched is True
         assert sorted(row["rn"] for row in rows) == list(range(1, 51))
-        assert "executor: stream" in db.explain_plan(query)
+        assert "executor: batch" in db.explain_plan(query)
+        assert db.execute(query, batch=False) == rows
+        assert db.metrics.last.batched is False
 
     def test_pivot_from_less_and_set_operations_stream(self, db):
         for query in (
@@ -262,7 +265,7 @@ class TestExplainStreaming:
         plan = db.explain_plan(
             "SELECT VALUE t.v FROM t AS t ORDER BY t.v LIMIT 3"
         )
-        assert "top-K heap" in plan
+        assert "consumer: top-K (ORDER BY with LIMIT)" in plan
         plan = db.explain_plan("SELECT VALUE t.v FROM t AS t LIMIT 3")
         assert "early termination" in plan
         plan = db.explain_plan("SELECT VALUE t.v FROM t AS t")

@@ -158,3 +158,46 @@ class TestWindowErrors:
     def test_non_window_function_with_over(self, wdb):
         with pytest.raises(EvaluationError):
             wdb.execute("SELECT LOWER(e.name) OVER () AS w FROM emps AS e")
+
+
+class TestWindowOrderingIsTheQuerysOrdering:
+    """A window's ORDER BY goes through the sort the query's ORDER BY
+    uses, so NULLS FIRST / LAST mean the same in both (they used to be
+    parsed and ignored: engine and oracle shared the code, so parity
+    never saw it)."""
+
+    ROWS = [{"id": 1, "a": 3}, {"id": 2, "a": None}, {"id": 3, "a": 1}, {"id": 4}]
+
+    @pytest.mark.parametrize(
+        "ordering",
+        [
+            "r.a", "r.a DESC", "r.a NULLS LAST", "r.a NULLS FIRST",
+            "r.a DESC NULLS FIRST", "r.a DESC NULLS LAST",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "dials", [{}, {"batch": False}, {"optimize": False}], ids=str
+    )
+    def test_row_number_follows_the_sorted_query(self, db, ordering, dials):
+        db.set("t", self.ROWS)
+        ordered = db.execute_python(
+            f"SELECT VALUE r.id FROM t AS r ORDER BY {ordering}", **dials
+        )
+        numbered = db.execute_python(
+            f"SELECT r.id AS id, ROW_NUMBER() OVER (ORDER BY {ordering}) AS rn "
+            "FROM t AS r",
+            **dials,
+        )
+        by_number = sorted(numbered, key=lambda row: row["rn"])
+        assert [row["id"] for row in by_number] == ordered
+
+    def test_nulls_last_and_desc_nulls_first(self, db):
+        db.set("t", self.ROWS)
+        assert db.execute_python(
+            "SELECT VALUE r.id FROM t AS r ORDER BY r.a NULLS LAST"
+        ) == [3, 1, 4, 2]
+        lag = db.execute_python(
+            "SELECT r.id AS id, LAG(r.id) OVER (ORDER BY r.a DESC NULLS FIRST) "
+            "AS prev FROM t AS r"
+        )
+        assert {row["id"]: row["prev"] for row in lag} == {2: None, 4: 2, 1: 4, 3: 1}

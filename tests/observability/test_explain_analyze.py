@@ -87,6 +87,97 @@ class TestAgreementAcrossPaths:
         assert row_count(optimized) == row_count(reference) == "49"
 
 
+def stage_rows(report: str) -> dict:
+    """``stages:`` section of an EXPLAIN ANALYZE report: label → line."""
+    lines = report.split("stages:\n")[1].split("\n\n")[0].splitlines()
+    assert all(STATS.search(line) for line in lines), lines
+    return {line.split("  (")[0].strip(): line for line in lines}
+
+
+class TestTailStages:
+    """Every blocking tail has its own ``stages:`` row — rows in / out
+    and time — on both executors and on the oracle; window time is not
+    billed to SELECT and ORDER BY time is not missing."""
+
+    DIALS = [{}, {"batch": False}, {"optimize": False}]
+
+    @pytest.mark.parametrize("dials", DIALS, ids=str)
+    def test_window_row(self, join_db, dials):
+        stages = stage_rows(
+            join_db.explain_analyze(
+                "SELECT r.v AS v, RANK() OVER (PARTITION BY r.k ORDER BY r.v) AS rk "
+                "FROM r AS r",
+                **dials,
+            )
+        )
+        assert list(stages) == ["FROM", "WINDOW", "SELECT"]
+        assert "rows_out=100" in stages["WINDOW"]
+
+    @pytest.mark.parametrize("dials", DIALS, ids=str)
+    def test_order_by_row(self, join_db, dials):
+        query = "SELECT VALUE r.v FROM r AS r ORDER BY r.k"
+        stages = stage_rows(join_db.explain_analyze(query, **dials))
+        assert list(stages) == ["FROM", "SELECT", "ORDER BY"]
+        assert "rows_out=100" in stages["ORDER BY"]
+
+    @pytest.mark.parametrize("dials", [{}, {"batch": False}], ids=str)
+    def test_top_k_row_and_the_deferred_select(self, join_db, dials):
+        # No key can see a select alias: the keys are columns of the
+        # binding rows and the SELECT runs for the three kept rows.
+        report = join_db.explain_analyze(
+            "SELECT r.v AS v FROM r AS r ORDER BY r.k DESC, r.v LIMIT 2 OFFSET 1",
+            **dials,
+        )
+        stages = stage_rows(report)
+        assert list(stages) == ["FROM", "TOP-K", "SELECT"]
+        assert "rows_in=100 rows_out=3" in stages["TOP-K"]
+        assert "rows_out=3" in stages["SELECT"]
+        assert "rows returned: 2" in report
+        # A key that names the alias sorts over the output rows.
+        query = "SELECT r.v AS v FROM r AS r ORDER BY v DESC LIMIT 3"
+        stages = stage_rows(join_db.explain_analyze(query, **dials))
+        assert list(stages) == ["FROM", "SELECT", "TOP-K"]
+        assert "rows_in=100 rows_out=3" in stages["TOP-K"]
+
+    @pytest.mark.parametrize("dials", DIALS, ids=str)
+    def test_pivot_row(self, join_db, dials):
+        query = "PIVOT s.k AT s.name FROM s AS s"
+        stages = stage_rows(join_db.explain_analyze(query, **dials))
+        assert list(stages) == ["FROM", "PIVOT"]
+        assert "rows_in=10 rows_out=1" in stages["PIVOT"]
+
+    def test_grouped_and_distinct_sorts(self, join_db):
+        query = "SELECT r.k AS k, COUNT(*) AS n FROM r AS r GROUP BY r.k ORDER BY n, k"
+        stages = stage_rows(join_db.explain_analyze(query))
+        assert list(stages) == ["FROM", "GROUP BY", "SELECT", "ORDER BY"]
+        query = "SELECT DISTINCT r.k AS k FROM r AS r ORDER BY k"
+        stages = stage_rows(join_db.explain_analyze(query))
+        assert list(stages) == ["FROM", "SELECT DISTINCT", "ORDER BY"]
+        assert "rows_in=100 rows_out=10" in stages["SELECT DISTINCT"]
+
+    #: Window keys, the deferred sort keys and PIVOT's operands are chunk
+    #: kernels; keys that can see the output are evaluated per row in env
+    #: space, and EXPLAIN says so.
+    KERNEL_LINES = {
+        "SELECT r.v AS v, RANK() OVER (PARTITION BY r.k ORDER BY r.v) AS rk "
+        "FROM r AS r": "kernels: 3 columnar, no env-space fallback",
+        "SELECT r.v AS v FROM r AS r ORDER BY r.k DESC, r.v LIMIT 3": (
+            "kernels: 3 columnar, no env-space fallback"
+        ),
+        "PIVOT s.k AT s.name FROM s AS s": (
+            "kernels: 2 columnar, no env-space fallback"
+        ),
+        "SELECT r.v AS v FROM r AS r ORDER BY v": (
+            "kernels: 1 columnar, env-space fallback for v [VarRef]"
+        ),
+    }
+
+    @pytest.mark.parametrize("query", list(KERNEL_LINES))
+    def test_tail_kernels_and_their_fallbacks_are_counted(self, join_db, query):
+        line = join_db.explain_plan(query).splitlines()[-1]
+        assert line == self.KERNEL_LINES[query]
+
+
 class TestEdgeShapes:
     def test_expression_only_query(self):
         report = Database().explain_analyze("1 + 1")
