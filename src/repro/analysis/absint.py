@@ -32,14 +32,17 @@ Three cooperating analyses, all *sound under two-valued absence*
   fully-bound expressions; the gate mirrors the planner's existing
   pushdown soundness conditions (docs/PLANNER.md).
 
-:func:`predicate_diagnostics` reports the same facts to users as lint
-rules SQLPP120–124 (docs/ANALYZER.md).
+:func:`constant_diagnostics` reports the folding facts to users as lint
+rules SQLPP122 / SQLPP123; the type-flow walk
+(:mod:`repro.analysis.typeflow`) reports the conjunction facts as
+SQLPP120 / 121 / 124 at each WHERE, HAVING and ON (docs/ANALYZER.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
     FrozenSet,
@@ -52,19 +55,6 @@ from typing import (
 )
 
 from repro import errors
-from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.lattice import (
-    BOOLEAN,
-    CATEGORIES,
-    MISSING_CAT,
-    NULL,
-    NUMBER,
-    ORDERED_CATEGORIES,
-    STRING,
-    AType,
-)
-from repro.analysis.rules import make
-from repro.analysis.typeflow import TypeFlow
 from repro.config import EvalConfig
 from repro.core.planner import (
     free_names,
@@ -78,13 +68,17 @@ from repro.functions import operators as ops
 from repro.syntax import ast
 from repro.syntax.printer import print_ast
 
+if TYPE_CHECKING:
+    from repro.analysis.diagnostics import Diagnostic
+
 __all__ = [
     "Contradiction",
     "block_prune_reason",
+    "constant_diagnostics",
     "fold_expr",
     "fold_query",
     "never_true",
-    "predicate_diagnostics",
+    "term_key",
     "unreachable_whens",
 ]
 
@@ -126,23 +120,6 @@ def _literal(value: Any, origin: ast.Node) -> ast.Literal:
     folded = ast.Literal(value=value)
     ast.copy_span(folded, origin)
     return folded
-
-
-def _apply_binary(op: str, left: Any, right: Any, config: EvalConfig) -> Any:
-    """Evaluate one binary operator exactly as compile_expr would."""
-    if op == "AND":
-        return ops.logical_and(left, right, config)
-    if op == "OR":
-        return ops.logical_or(left, right, config)
-    if op == "=":
-        return ops.equals(left, right, config)
-    if op == "!=":
-        return ops.not_equals(left, right, config)
-    if op in ("<", "<=", ">", ">="):
-        return ops.compare(op, left, right, config)
-    if op == "||":
-        return ops.concat(left, right, config)
-    return ops.arithmetic(op, left, right, config)
 
 
 def _branch_verdict(
@@ -227,13 +204,7 @@ def _fold_node(node: ast.Node, config: EvalConfig) -> ast.Node:
     """One bottom-up folding step (children already folded)."""
     try:
         if isinstance(node, ast.Unary) and _is_const(node.operand):
-            value = _const_value(node.operand)
-            if node.op == "NOT":
-                result = ops.logical_not(value, config)
-            elif node.op == "-":
-                result = ops.negate(value, config)
-            else:
-                result = ops.unary_plus(value, config)
+            result = ops.unary_operator(node.op)(_const_value(node.operand), config)
             return _literal(result, node) if _is_scalar(result) else node
 
         if (
@@ -241,11 +212,8 @@ def _fold_node(node: ast.Node, config: EvalConfig) -> ast.Node:
             and _is_const(node.left)
             and _is_const(node.right)
         ):
-            result = _apply_binary(
-                node.op,
-                _const_value(node.left),
-                _const_value(node.right),
-                config,
+            result = ops.binary_operator(node.op)(
+                _const_value(node.left), _const_value(node.right), config
             )
             return _literal(result, node) if _is_scalar(result) else node
 
@@ -355,26 +323,30 @@ class Contradiction:
     column: Optional[int] = None
 
 
-_KIND_TO_CAT = {"boolean": BOOLEAN, "number": NUMBER, "string": STRING}
-
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
 
 _CMP_OPS = frozenset(["=", "!=", "<", "<=", ">", ">="])
+
+#: The value categories a term may inhabit (the type lattice's names).
+_CATEGORIES = frozenset(
+    {"number", "string", "boolean", "null", "missing", "array", "bag", "tuple"}
+)
 
 #: ``IS <kind>`` to the categories the operand may inhabit when the
 #: predicate is TRUE.  Mirrors ``operators.is_predicate``: ``IS NULL``
 #: is true for NULL *and* MISSING (paper Section IV-C).
 _IS_KIND_CATS: Dict[str, FrozenSet[str]] = {
-    "null": frozenset({NULL, MISSING_CAT}),
-    "missing": frozenset({MISSING_CAT}),
-    "absent": frozenset({NULL, MISSING_CAT}),
-    "boolean": frozenset({BOOLEAN}),
-    "number": frozenset({NUMBER}),
-    "string": frozenset({STRING}),
+    "null": frozenset({"null", "missing"}),
+    "missing": frozenset({"missing"}),
+    "absent": frozenset({"null", "missing"}),
+    "boolean": frozenset({"boolean"}),
+    "number": frozenset({"number"}),
+    "string": frozenset({"string"}),
 }
 
 
 def _scalar_kind(value: Any) -> Optional[str]:
+    """The category of a comparable scalar, or None."""
     if isinstance(value, bool):
         return "boolean"
     if isinstance(value, (int, float)):
@@ -437,7 +409,7 @@ class _TermState:
             for value in self.values:
                 kind = _scalar_kind(value)
                 if self.cats is not None and (
-                    kind is None or _KIND_TO_CAT[kind] not in self.cats
+                    kind is None or kind not in self.cats
                 ):
                     continue
                 if self.lower is not None:
@@ -490,17 +462,17 @@ class _TermState:
         return None
 
 
-def _term_key(expr: ast.Expr) -> Optional[str]:
+def term_key(expr: ast.Expr) -> Optional[str]:
     """A stable identity for a deterministic navigation chain, or None."""
     if isinstance(expr, ast.VarRef):
         return expr.name
     if isinstance(expr, ast.Path):
-        base = _term_key(expr.base)
+        base = term_key(expr.base)
         return None if base is None else f"{base}.{expr.attr}"
     if isinstance(expr, ast.Index) and isinstance(expr.index, ast.Literal):
         position = expr.index.value
         if isinstance(position, int) and not isinstance(position, bool):
-            base = _term_key(expr.base)
+            base = term_key(expr.base)
             return None if base is None else f"{base}[{position}]"
     return None
 
@@ -536,7 +508,7 @@ def _apply_cmp(
     if kind is None:
         return None
     state = states.setdefault(key, _TermState(key))
-    reason = state.constrain_cats(frozenset({_KIND_TO_CAT[kind]}))
+    reason = state.constrain_cats(frozenset({kind}))
     if reason is None:
         if op == "=":
             state.constrain_value(value)
@@ -560,12 +532,12 @@ def _apply_conjunct(
     """Fold one conjunct into the per-term states; unrecognized shapes
     contribute nothing (which is always sound)."""
     if isinstance(conjunct, ast.Binary) and conjunct.op in _CMP_OPS:
-        key = _term_key(conjunct.left)
+        key = term_key(conjunct.left)
         if key is not None and _is_const(conjunct.right):
             return _apply_cmp(
                 states, key, conjunct.op, _const_value(conjunct.right), conjunct
             )
-        key = _term_key(conjunct.right)
+        key = term_key(conjunct.right)
         if key is not None and _is_const(conjunct.left):
             return _apply_cmp(
                 states,
@@ -588,7 +560,7 @@ def _apply_conjunct(
                     return absent
         if conjunct.negated:
             return None
-        key = _term_key(conjunct.operand)
+        key = term_key(conjunct.operand)
         if key is None:
             return None
         if low is not _UNKNOWN:
@@ -605,7 +577,7 @@ def _apply_conjunct(
         and isinstance(conjunct.collection, (ast.ArrayLit, ast.BagLit))
         and all(_is_const(item) for item in conjunct.collection.items)
     ):
-        key = _term_key(conjunct.operand)
+        key = term_key(conjunct.operand)
         if key is None:
             return None
         values = [
@@ -622,7 +594,7 @@ def _apply_conjunct(
             )
         state = states.setdefault(key, _TermState(key))
         cats = frozenset(
-            _KIND_TO_CAT[kind]
+            kind
             for kind in (_scalar_kind(v) for v in values)
             if kind is not None
         )
@@ -642,12 +614,12 @@ def _apply_conjunct(
         return None
 
     if isinstance(conjunct, ast.IsPredicate):
-        key = _term_key(conjunct.operand)
+        key = term_key(conjunct.operand)
         cats = _IS_KIND_CATS.get(conjunct.kind.lower())
         if key is None or cats is None:
             return None
         if conjunct.negated:
-            cats = CATEGORIES - cats
+            cats = _CATEGORIES - cats
         state = states.setdefault(key, _TermState(key))
         reason = state.constrain_cats(cats) or state.normalize()
         if reason is not None:
@@ -681,40 +653,6 @@ def never_true(
         if problem is not None:
             return problem
     return None
-
-
-# =========================================================================
-# Tautologies
-# =========================================================================
-
-
-def tautological_conjunct(
-    conjunct: ast.Expr, inferred: Optional[AType]
-) -> bool:
-    """True when ``x = x`` / ``x <= x`` is provably always TRUE.
-
-    Requires the type-flow lattice to exclude NULL and MISSING (an
-    absent operand makes the comparison absent, not TRUE) and, for
-    ordered comparisons, an ordered category.
-    """
-    if not isinstance(conjunct, ast.Binary):
-        return False
-    if conjunct.op not in ("=", "<=", ">="):
-        return False
-    key = _term_key(conjunct.left)
-    if key is None or key != _term_key(conjunct.right):
-        return False
-    if inferred is None:
-        return False
-    if inferred.may(NULL) or inferred.may(MISSING_CAT):
-        return False
-    if conjunct.op in ("<=", ">=") and not inferred.cats <= ORDERED_CATEGORIES:
-        return False
-    if conjunct.op == "=" and not all(
-        cat in (NUMBER, STRING, BOOLEAN) for cat in inferred.cats
-    ):
-        return False
-    return True
 
 
 # =========================================================================
@@ -839,10 +777,12 @@ def _reportable_fold(node: ast.Expr, config: EvalConfig) -> Optional[ast.Expr]:
     return None
 
 
-def _foldable_findings(
-    root: ast.Node, config: EvalConfig, out: List[Diagnostic]
-) -> None:
-    """SQLPP122 on each *maximal* constant-foldable subexpression."""
+def constant_diagnostics(core: ast.Query, config: EvalConfig) -> List["Diagnostic"]:
+    """SQLPP122 on each *maximal* constant-foldable subexpression and
+    SQLPP123 on each dead CASE branch of one rewritten Core query."""
+    from repro.analysis.rules import make
+
+    out: List["Diagnostic"] = []
 
     def visit(node: ast.Node) -> None:
         if isinstance(node, ast.Expr):
@@ -863,122 +803,19 @@ def _foldable_findings(
         for child in node.children():
             visit(child)
 
-    visit(root)
-
-
-def _conjunction_findings(
-    clause_name: str,
-    clause: ast.Expr,
-    block: Optional[ast.QueryBlock],
-    flow: Optional[TypeFlow],
-    env: Dict[str, AType],
-    config: EvalConfig,
-    out: List[Diagnostic],
-) -> None:
-    raw_conjuncts = split_conjuncts(clause)
-    folded = [fold_expr(conjunct, config) for conjunct in raw_conjuncts]
-    problem = never_true(folded, config)
-    if problem is not None:
-        out.append(
-            make(
-                "SQLPP120",
-                f"the {clause_name} clause can never be TRUE: "
-                f"{problem.reason}",
-                problem.line if problem.line is not None else clause.line,
-                problem.column
-                if problem.line is not None
-                else clause.column,
-                hint="no binding can ever satisfy this conjunction",
-            )
-        )
-        if clause_name == "WHERE" and block is not None and block.from_:
-            out.append(
-                make(
-                    "SQLPP124",
-                    "this query block is statically empty: its WHERE "
-                    "clause is never TRUE",
-                    clause.line,
-                    clause.column,
-                    hint="under optimize=True the planner collapses the "
-                    "block to a zero-row plan (EXPLAIN shows `pruned:`)",
-                )
-            )
-        return
-    for conjunct in raw_conjuncts:
-        inferred: Optional[AType] = None
-        if flow is not None and isinstance(conjunct, ast.Binary):
-            if _term_key(conjunct.left) is not None:
-                try:
-                    inferred = flow.infer(conjunct.left, env)
-                except Exception:
-                    inferred = None
-        if tautological_conjunct(conjunct, inferred):
-            out.append(
-                make(
-                    "SQLPP121",
-                    f"`{print_ast(conjunct)}` is always TRUE for every "
-                    "binding that reaches it",
-                    conjunct.line,
-                    conjunct.column,
-                    hint="the conjunct can be removed; the planner drops "
-                    "proven-true conjuncts before pushdown",
-                )
-            )
-
-
-def predicate_diagnostics(
-    core: ast.Query,
-    config: EvalConfig,
-    catalog_types: Optional[Dict[str, AType]] = None,
-) -> List[Diagnostic]:
-    """The SQLPP120-124 findings for one rewritten Core query."""
-    out: List[Diagnostic] = []
-    try:
-        _foldable_findings(core, config, out)
-    except Exception:  # pragma: no cover - lint must never break compile
-        pass
+    visit(core)
     for node in core.walk():
-        try:
-            if isinstance(node, ast.CaseExpr):
-                for index in unreachable_whens(node, config):
-                    condition = node.whens[index][0]
-                    out.append(
-                        make(
-                            "SQLPP123",
-                            f"CASE branch {index + 1} can never be taken",
-                            condition.line,
-                            condition.column,
-                            hint="the optimizer removes statically dead "
-                            "CASE branches",
-                        )
+        if isinstance(node, ast.CaseExpr):
+            for index in unreachable_whens(node, config):
+                condition = node.whens[index][0]
+                out.append(
+                    make(
+                        "SQLPP123",
+                        f"CASE branch {index + 1} can never be taken",
+                        condition.line,
+                        condition.column,
+                        hint="the optimizer removes statically dead "
+                        "CASE branches",
                     )
-            elif isinstance(node, ast.QueryBlock):
-                flow: Optional[TypeFlow] = None
-                env: Dict[str, AType] = {}
-                try:
-                    flow = TypeFlow(
-                        config=config, catalog_types=catalog_types or {}
-                    )
-                    if node.from_:
-                        for item in node.from_:
-                            flow._flow_from(item, env, [])
-                    # Typeflow's own findings (SQLPP101-105) are emitted
-                    # by the analyzer's dedicated pass; discard them.
-                    flow.diagnostics.clear()
-                except Exception:
-                    flow = None
-                if node.where is not None:
-                    _conjunction_findings(
-                        "WHERE", node.where, node, flow, env, config, out
-                    )
-                if node.having is not None:
-                    _conjunction_findings(
-                        "HAVING", node.having, node, flow, env, config, out
-                    )
-            elif isinstance(node, ast.FromJoin) and node.on is not None:
-                _conjunction_findings(
-                    "ON", node.on, None, None, {}, config, out
                 )
-        except Exception:  # pragma: no cover - lint must never break
-            continue
     return out

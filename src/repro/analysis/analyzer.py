@@ -8,12 +8,15 @@
    LIMIT), before the rewriter normalises it away;
 2. the sugar rewrite onto the Core (failures become ``SQLPP000``
    findings, not exceptions);
-3. the scope resolver over the Core tree;
-4. the abstract type-flow pass over the Core tree;
-5. a dry run of the semantic rewrite registry
+3. the type-flow walk over the Core tree
+   (:mod:`repro.analysis.typeflow`): scope, type and predicate rules
+   in one pass;
+4. a dry run of the semantic rewrite registry
    (:mod:`repro.core.rewrite_rules`) — each rewrite that would fire
    becomes an info-severity ``SQLPP11x`` finding whose ``fixable``
-   field names the rewrite rule.
+   field names the rewrite rule;
+5. the constant-folding facts of :mod:`repro.analysis.absint`
+   (``SQLPP122`` / ``SQLPP123``).
 
 Findings are deduplicated, filtered through inline
 ``-- sqlpp-ignore`` comments and the caller's suppression set, and
@@ -26,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.analysis.absint import constant_diagnostics
 from repro.analysis.diagnostics import (
     Diagnostic,
     dedupe,
@@ -34,8 +38,7 @@ from repro.analysis.diagnostics import (
 )
 from repro.analysis.lattice import AType
 from repro.analysis.rules import make
-from repro.analysis.scopes import ScopeResolver, _children
-from repro.analysis.typeflow import TypeFlow
+from repro.analysis.typeflow import flow_diagnostics
 from repro.config import EvalConfig
 from repro.errors import LexError, ParseError, RewriteError
 from repro.syntax import ast
@@ -111,33 +114,14 @@ def analyze_query(
         found.append(make("SQLPP000", _bare_message(error)))
         return found
 
-    resolver = ScopeResolver(catalog_names)
-    resolver.check_query(core)
-    found.extend(resolver.diagnostics)
-
-    flow = TypeFlow(config=options.config, catalog_types=options.catalog_types)
-    flow.check_query(core)
-    found.extend(flow.diagnostics)
-
-    found.extend(_rewrite_pass(core, options))
-    found.extend(_absint_pass(core, options))
-    return found
-
-
-def _absint_pass(
-    core: ast.Query, options: AnalyzerOptions
-) -> List[Diagnostic]:
-    """The abstract-interpretation pass (SQLPP120-124): constant facts,
-    contradictory/tautological conjuncts, dead CASE branches and
-    statically-empty blocks, over the sugar-lowered Core tree."""
-    from repro.analysis.absint import predicate_diagnostics
-
-    try:
-        return predicate_diagnostics(
-            core, options.config, catalog_types=dict(options.catalog_types)
+    found.extend(
+        flow_diagnostics(
+            core, options.config, catalog_names, options.catalog_types
         )
-    except Exception:  # pragma: no cover - lint must never raise
-        return []
+    )
+    found.extend(_rewrite_pass(core, options))
+    found.extend(constant_diagnostics(core, options.config))
+    return found
 
 
 def _rewrite_pass(
@@ -198,7 +182,7 @@ def _surface_pass(node: ast.Node, found: List[Diagnostic]) -> None:
         for clause, expr in (("LIMIT", node.limit), ("OFFSET", node.offset)):
             if expr is not None:
                 _check_negative_cardinal(clause, expr, found)
-    for child in _children(node):
+    for child in node.children():
         _surface_pass(child, found)
 
 

@@ -45,15 +45,6 @@ CATEGORIES: FrozenSet[str] = frozenset(
     {NUMBER, STRING, BOOLEAN, NULL, MISSING_CAT, ARRAY, BAG, TUPLE}
 )
 
-#: Categories the runtime's equality operator accepts (operators.py
-#: ``_equality_kind``) — absence compares via propagation, not values.
-EQUALITY_CATEGORIES: FrozenSet[str] = frozenset(
-    {BOOLEAN, NUMBER, STRING, ARRAY, BAG, TUPLE}
-)
-
-#: Categories with an order (operators.py ``_ORDERED_KINDS``).
-ORDERED_CATEGORIES: FrozenSet[str] = frozenset({NUMBER, STRING, BOOLEAN})
-
 #: Collection categories (iterable by FROM, aggregable by COLL_*).
 COLLECTION_CATEGORIES: FrozenSet[str] = frozenset({ARRAY, BAG})
 

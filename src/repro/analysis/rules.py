@@ -2,8 +2,8 @@
 
 Codes never change meaning once released; retired rules keep their
 number reserved.  The ``SQLPP0xx`` range is syntactic/structural (the
-scope resolver and the surface pass), ``SQLPP1xx`` is the abstract
-type-flow pass.  Every rule documents *when it is sound*: error
+type-flow walk's scope rules and the surface pass), ``SQLPP1xx`` is
+about types and values.  Every rule documents *when it is sound*: error
 severity is reserved for findings that are guaranteed runtime failures
 in **both** typing modes; anything mode-dependent or merely suspicious
 is a warning.
@@ -145,6 +145,33 @@ RULES: Dict[str, Rule] = {
             WARNING,
             "Comparing with = / != against NULL never yields TRUE; use "
             "IS [NOT] NULL.",
+        ),
+        # SQLPP106-108 are the checks static typing against a schema
+        # makes; like every type rule they are mode-dependent, hence
+        # warnings.
+        _rule(
+            "SQLPP106",
+            "operand-type-mismatch",
+            WARNING,
+            "An arithmetic, concatenation or unary operator's operands lie "
+            "in categories it never combines, so it never produces a "
+            "value: MISSING (permissive) or a type error (strict).",
+        ),
+        _rule(
+            "SQLPP107",
+            "range-over-non-collection",
+            WARNING,
+            "A FROM item ranges over a value that is provably never a "
+            "collection: a singleton binding (permissive) or a type error "
+            "(strict).",
+        ),
+        _rule(
+            "SQLPP108",
+            "unpivot-non-tuple",
+            WARNING,
+            "UNPIVOT ranges over a value that is provably never a tuple: "
+            "the singleton {'_1': value} (permissive) or a type error "
+            "(strict).",
         ),
         # The SQLPP11x range mirrors the semantic rewrite registry
         # (repro.core.rewrite_rules): each rule flags a construct the

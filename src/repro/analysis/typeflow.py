@@ -1,35 +1,67 @@
-"""The abstract interpreter: type flow over the Core AST.
+"""The one static analysis: a type-flow walk over the Core AST.
 
-Re-runs the evaluator's semantics over the :mod:`repro.analysis.lattice`
-instead of over values: every expression gets an :class:`AType`
-over-approximating the set of value categories permissive-mode
-evaluation can produce.  The transfer functions mirror
-:mod:`repro.functions.operators` and :mod:`repro.core.evaluator`
-precisely — e.g. AND/OR/NOT can only yield ``boolean``/``null``
-(``_to_truth`` folds a permissive type error into unknown), ``/`` may
-yield MISSING on a zero divisor, struct constructors drop
-always-MISSING attributes, and a grouping replaces the block scope.
+One walk re-runs the evaluator's binding rules and operator semantics
+over the :mod:`repro.analysis.lattice` instead of over values.  Every
+name in its environment is a :class:`Name` — the abstract type, the
+binding site, and whether anything read it — and every expression gets
+an :class:`AType` over-approximating the categories permissive-mode
+evaluation can produce.  On the way it reports:
 
-Findings:
+* ``SQLPP001``-``SQLPP004`` — scope: unbound names (the evaluator's
+  dotted-catalog-name rescue, ``hr.emp``, included), shadowing
+  bindings, unused LETs, calls no builtin accepts;
+* ``SQLPP101``-``SQLPP104`` and ``SQLPP106``-``SQLPP108`` — the type
+  rules (:data:`TYPE_RULES`): always-MISSING navigation, operands that
+  never combine, aggregates over non-collections, absent sort keys,
+  FROM / UNPIVOT over the wrong kind of value;
+* ``SQLPP120`` / ``SQLPP121`` / ``SQLPP124`` — the conjunction facts of
+  :mod:`repro.analysis.absint` at each WHERE / HAVING / ON, with the
+  tautology check typed by the walk's own environment.
 
-* ``SQLPP101`` always-missing: navigation that provably falls off a
-  closed tuple;
-* ``SQLPP102`` comparison-type-mismatch: operands in provably disjoint
-  categories;
-* ``SQLPP103`` aggregate-non-collection;
-* ``SQLPP104`` order-by-never-comparable: a sort key that is always
-  NULL/MISSING.
+Binding follows the evaluator: left-correlated FROM items, sequential
+LETs, a grouping replaces the block scope (only the key aliases and
+the ``GROUP AS`` variable survive, paper Section V-B), correlated
+subqueries see the enclosing environment, and ORDER BY keys see the
+output element's attributes overlaid on the row environment.  When the
+output shape is not statically known, unbound names in ORDER BY are
+not reported (a key may name an output attribute).
 
-Soundness is inclusion, so every transfer function may err only toward
-*more* categories; the hypothesis property test in ``tests/analysis``
-checks the contract against the real evaluator.
+The operators of :mod:`repro.functions.operators` have no hand-written
+abstract rule: :func:`transfer` runs the real operator over
+representative values of each operand category — ``0, 1, -1, 2.5`` /
+``'', 'a'`` / ``TRUE, FALSE`` / NULL / MISSING / ``[], [1]`` /
+``<<>>, <<1>>`` / ``{}, {'a': 1}`` — and takes the union of the result
+categories.  That is exact on the assumption the operators satisfy:
+the category of a result depends only on the operands' categories,
+except where a representative value (zero as a divisor) is listed to
+cover the exception.  Results are memoised per operator and operand
+categories, computed on first use.
+
+Soundness is inclusion, so every rule may err only toward *more*
+categories; hypothesis properties in ``tests/analysis`` check the
+walk and the transfers against the real evaluator in both typing
+modes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import difflib
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
+from typing import (
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
-from repro.analysis import lattice
+from repro.analysis.absint import Contradiction, fold_expr, never_true, term_key
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.lattice import (
     ABSENT_CATEGORIES,
@@ -37,21 +69,19 @@ from repro.analysis.lattice import (
     BAG,
     BOOLEAN,
     BOOLEAN_T,
-    BOTTOM,
     COLLECTION_CATEGORIES,
-    EQUALITY_CATEGORIES,
     MISSING_CAT,
     MISSING_T,
     NULL,
     NULL_T,
     NUMBER,
-    ORDERED_CATEGORIES,
     STRING,
     TOP,
     TUPLE,
     AType,
     array_of,
     bag_of,
+    category_of,
     element_of,
     infer_literal,
     join,
@@ -63,13 +93,29 @@ from repro.analysis.lattice import (
 )
 from repro.analysis.rules import make
 from repro.config import EvalConfig
+from repro.core.planner import split_conjuncts
+from repro.errors import SQLPPError
+from repro.functions import operators as ops
 from repro.syntax import ast
 
-_Env = Dict[str, AType]
+#: The codes :func:`repro.schema.check_query` reports: findings about
+#: types, as opposed to scope, predicates or style.
+TYPE_RULES: FrozenSet[str] = frozenset(
+    {
+        "SQLPP101",
+        "SQLPP102",
+        "SQLPP103",
+        "SQLPP104",
+        "SQLPP106",
+        "SQLPP107",
+        "SQLPP108",
+    }
+)
 
-#: Success-category table for builtins whose result category is fixed.
-#: The envelope (NULL/MISSING propagation and permissive type errors)
-#: is added uniformly in :meth:`TypeFlow._infer_call`.
+#: Success-category table for builtins whose result category is fixed,
+#: by canonical name.  The envelope (NULL/MISSING propagation and
+#: permissive type errors) is added uniformly in
+#: :meth:`TypeFlow._infer_call`.
 _CALL_RESULTS: Dict[str, Tuple[str, ...]] = {
     "ABS": (NUMBER,),
     "CEIL": (NUMBER,),
@@ -125,62 +171,132 @@ _CALL_RESULTS: Dict[str, Tuple[str, ...]] = {
     "TUPLE_UNION": (TUPLE,),
 }
 
+#: Builtins that consume absence: the result is one of the arguments,
+#: or NULL / MISSING.
+_COALESCE_FAMILY = ("COALESCE", "IFNULL", "IFMISSING", "IFMISSINGORNULL")
+
+#: Builtins whose result category follows the argument values, not a
+#: fixed table: their result is :data:`TOP`.
+_UNKNOWN_RESULTS = (
+    "COLL_MAX",
+    "COLL_MIN",
+    "GREATEST",
+    "LEAST",
+    "MISSINGIF",
+    "NULLIF",
+    "REVERSE",
+)
+
+
+# ----------------------------------------------------------------------
+# Operator transfer, derived from repro.functions.operators
+# ----------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _representatives() -> Dict[str, Tuple[object, ...]]:
+    from repro.datamodel.values import MISSING, Bag, Struct
+
+    return {
+        NUMBER: (0, 1, -1, 2.5),
+        STRING: ("", "a"),
+        BOOLEAN: (True, False),
+        NULL: (None,),
+        MISSING_CAT: (MISSING,),
+        ARRAY: ([], [1]),
+        BAG: (Bag(), Bag([1])),
+        TUPLE: (Struct(), Struct({"a": 1})),
+    }
+
+
+_PERMISSIVE = EvalConfig()
+
+
+@lru_cache(maxsize=None)
+def transfer(op: str, *categories: str) -> FrozenSet[str]:
+    """The categories operator ``op`` produces under permissive typing
+    for one operand of each given category — unary with one category,
+    binary with two.  Strict typing produces the same values or raises."""
+    apply = ops.unary_operator(op) if len(categories) == 1 else ops.binary_operator(op)
+    reps = _representatives()
+    results: Set[str] = set()
+    for operands in product(*(reps[category] for category in categories)):
+        try:
+            results.add(category_of(apply(*operands, _PERMISSIVE)))
+        except SQLPPError:
+            pass  # raises in both modes: contributes no value
+    return frozenset(results)
+
+
+def _present(atype: AType) -> FrozenSet[str]:
+    return atype.cats - ABSENT_CATEGORIES
+
+
+# ----------------------------------------------------------------------
+# The walk
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class Name:
+    """One name in scope: its abstract type, where it was bound, and
+    whether anything read it (for unused-LET)."""
+
+    name: str
+    type: AType
+    kind: str = "from"  # 'from' | 'at' | 'let' | 'group' | 'key' | 'output'
+    line: Optional[int] = None
+    column: Optional[int] = None
+    used: bool = False
+    report_unused: bool = False
+
+
+_Env = Dict[str, Name]
+
 
 class TypeFlow:
-    """Abstract interpretation of one Core query."""
+    """One walk over a Core query: scope, types and predicate facts."""
 
     def __init__(
         self,
         config: Optional[EvalConfig] = None,
-        catalog_types: Optional[Dict[str, AType]] = None,
+        catalog_types: Optional[Mapping[str, AType]] = None,
+        catalog_names: Sequence[str] = (),
     ) -> None:
         self.config = config if config is not None else EvalConfig()
-        self._catalog: Dict[str, AType] = (
-            dict(catalog_types) if catalog_types else {}
-        )
+        self._types: Dict[str, AType] = dict(catalog_types or {})
+        self._names = set(catalog_names) | set(self._types)
         self.diagnostics: List[Diagnostic] = []
+        # Depth of lenient contexts (ORDER BY over an unknown output
+        # shape): unbound names are not reported there.
+        self._lenient = 0
+
+    def _report(
+        self,
+        code: str,
+        message: str,
+        at: Union[ast.Node, Name, Contradiction],
+        hint: Optional[str] = None,
+    ) -> None:
+        """One finding, positioned at ``at``'s source span."""
+        self.diagnostics.append(
+            make(code, message, line=at.line, column=at.column, hint=hint)
+        )
 
     # ------------------------------------------------------------------
     # Queries and blocks
     # ------------------------------------------------------------------
 
-    def check_query(
-        self, query: ast.Query, env: Optional[_Env] = None
-    ) -> AType:
+    def flow_query(self, query: ast.Query, env: Optional[_Env] = None) -> AType:
         env = dict(env) if env else {}
-        element, block_env, shaped = self._flow_body(query.body, env)
-        order_env = dict(env)
-        order_env.update(block_env)
-        if (
-            shaped
-            and element.only(TUPLE)
-            and element.attrs is not None
-            and not element.open
-        ):
-            # Mirror the evaluator's sort environment: ORDER BY keys see
-            # the output element's attributes overlaid on the row env.
-            for name, attr_type in element.attrs:
-                if name in order_env:
-                    order_env[name] = join(order_env[name], attr_type)
-                else:
-                    order_env[name] = attr_type
-        for item in query.order_by:
-            key_type = self.infer(item.expr, order_env)
-            if key_type.is_always_absent():
-                self.diagnostics.append(
-                    make(
-                        "SQLPP104",
-                        "ORDER BY key is always "
-                        f"{key_type.describe().upper()}; it cannot "
-                        "order the result",
-                        line=item.line,
-                        column=item.column,
-                    )
-                )
+        element, block_env, shaped, local = self._flow_body(query.body, env)
+        if query.order_by:
+            self._flow_order_by(query, env, block_env, element, shaped)
         if query.limit is not None:
             self.infer(query.limit, env)
         if query.offset is not None:
             self.infer(query.offset, env)
+        self._report_unused(local)
         if not shaped:
             # PIVOT blocks and bare-expression bodies produce a single
             # value, not a stream.
@@ -189,106 +305,159 @@ class TypeFlow:
             return array_of(element)
         return bag_of(element)
 
+    def _flow_order_by(
+        self,
+        query: ast.Query,
+        env: _Env,
+        block_env: _Env,
+        element: AType,
+        shaped: bool,
+    ) -> None:
+        order_env = dict(env)
+        order_env.update(block_env)
+        known = (
+            shaped
+            and element.only(TUPLE)
+            and element.attrs is not None
+            and not element.open
+        )
+        if known:
+            # The sort environment: the output element's attributes
+            # overlaid on the row environment.
+            for name, attr_type in element.attrs or ():
+                previous = order_env.get(name)
+                if previous is not None:
+                    attr_type = join(previous.type, attr_type)
+                order_env[name] = Name(name, attr_type, "output", used=True)
+        else:
+            self._lenient += 1
+        try:
+            for item in query.order_by:
+                key_type = self.infer(item.expr, order_env)
+                if key_type.is_always_absent():
+                    self._report(
+                        "SQLPP104",
+                        "ORDER BY key is always "
+                        f"{key_type.describe().upper()}; it cannot "
+                        "order the result",
+                        item,
+                    )
+        finally:
+            if not known:
+                self._lenient -= 1
+
     def _flow_body(
         self, body: ast.Node, env: _Env
-    ) -> Tuple[AType, _Env, bool]:
-        """``(element_or_value_type, sort_env, is_stream)``."""
+    ) -> Tuple[AType, _Env, bool, List[Name]]:
+        """``(element_or_value_type, sort_env, is_stream, locals)``."""
         if isinstance(body, ast.QueryBlock):
             return self._flow_block(body, env)
         if isinstance(body, ast.SetOp):
-            left, __, left_stream = self._flow_body(body.left, env)
-            right, __, right_stream = self._flow_body(body.right, env)
+            left, __, left_stream, left_local = self._flow_body(body.left, env)
+            right, __, right_stream, right_local = self._flow_body(
+                body.right, env
+            )
+            self._report_unused(left_local + right_local)
             if left_stream and right_stream:
-                return join(left, right), {}, True
-            return TOP, {}, True
+                return join(left, right), {}, True, []
+            return TOP, {}, True, []
         if isinstance(body, ast.Query):
-            return element_of(self.check_query(body, env)), {}, True
-        return self.infer(body, env), {}, False
+            return element_of(self.flow_query(body, env)), {}, True, []
+        return self.infer(body, env), {}, False, []
 
     def _flow_block(
         self, block: ast.QueryBlock, outer_env: _Env
-    ) -> Tuple[AType, _Env, bool]:
+    ) -> Tuple[AType, _Env, bool, List[Name]]:
         env = dict(outer_env)
-        local_names: List[str] = []
-
-        if block.from_ is not None:
-            for item in block.from_:
-                self._flow_from(item, env, local_names)
+        local: List[Name] = []
+        for item in block.from_ or ():
+            local.extend(self._flow_from(item, env))
         for let in block.lets:
-            env[let.name] = self.infer(let.expr, env)
-            local_names.append(let.name)
+            binding = self._bind(env, let.name, "let", let, self.infer(let.expr, env))
+            binding.report_unused = not let.name.startswith(("_", "$"))
+            local.append(binding)
         if block.where is not None:
             self.infer(block.where, env)
+            self._flow_predicate("WHERE", block.where, env, bool(block.from_))
 
-        if block.group_by is not None:
-            key_types: List[Tuple[str, AType]] = []
-            for key in block.group_by.keys:
+        group_by = block.group_by
+        if group_by is not None:
+            key_types: List[Tuple[ast.GroupKey, AType]] = []
+            for key in group_by.keys:
                 key_type = self.infer(key.expr, env)
-                if block.group_by.mode != "simple":
+                if group_by.mode != "simple":
                     # ROLLUP/CUBE/GROUPING SETS: a key not in the
                     # active set evaluates to NULL for that group.
                     key_type = widen(key_type, NULL)
-                key_types.append((key.alias, key_type))
-            group_element = tuple_of(
-                sorted((name, env.get(name, TOP)) for name in set(local_names)),
-                open=False,
-            )
-            env = dict(outer_env)
-            for alias, key_type in key_types:
-                env[alias] = key_type
-            if block.group_by.group_as is not None:
-                env[block.group_by.group_as] = bag_of(group_element)
+                key_types.append((key, key_type))
+            # Grouping replaces the block scope: only the key aliases
+            # and the GROUP AS variable survive.
+            group_env = dict(outer_env)
+            for key, key_type in key_types:
+                self._bind(
+                    group_env, key.alias, "key", key, key_type, shadow_check=False
+                )
+            if group_by.group_as is not None:
+                # GROUP AS captures every block-local binding into the
+                # group's tuples, so they all count as used.
+                for binding in local:
+                    binding.used = True
+                names = {binding.name for binding in local}
+                group_type = bag_of(
+                    tuple_of(sorted((n, env[n].type) for n in names), open=False)
+                )
+                self._bind(group_env, group_by.group_as, "group", group_by, group_type)
+            env = group_env
 
         if block.having is not None:
             self.infer(block.having, env)
+            self._flow_predicate("HAVING", block.having, env, False)
 
         select = block.select
         if isinstance(select, ast.SelectValue):
-            return self.infer(select.expr, env), env, True
-        if isinstance(select, ast.SelectList):
-            attrs: List[Tuple[str, AType]] = []
-            known = True
-            for item in select.items:
-                item_type = self.infer(item.expr, env)
-                if item.star or item.alias is None:
-                    known = False
-                else:
-                    attrs.append((item.alias, item_type))
-            return tuple_of(sorted(attrs) if known else None), env, True
+            return self.infer(select.expr, env), env, True, local
         if isinstance(select, ast.SelectStar):
-            return tuple_of(None), env, True
+            for binding in env.values():
+                binding.used = True
+            return tuple_of(None), env, True, local
         if isinstance(select, ast.PivotClause):
             self.infer(select.value, env)
             self.infer(select.at, env)
-            return TOP, env, False
-        return TOP, env, True
+            return TOP, env, False, local
+        return TOP, env, True, local
 
-    def _flow_from(
-        self, item: ast.FromItem, env: _Env, local_names: List[str]
-    ) -> List[str]:
-        """Flow one FROM item; returns the names it binds."""
-        bound: List[str] = []
+    def _flow_from(self, item: ast.FromItem, env: _Env) -> List[Name]:
+        """Flow one FROM item, binding its names into ``env``."""
         if isinstance(item, ast.FromCollection):
             source = self.infer(item.expr, env)
+            present = _present(source)
             parts: List[AType] = []
             if source.cats & COLLECTION_CATEGORIES:
                 parts.append(element_of(source))
-            value_cats = (
-                source.cats - COLLECTION_CATEGORIES - ABSENT_CATEGORIES
-            )
-            if value_cats:
+            if present - COLLECTION_CATEGORIES:
                 # Permissive mode ranges over a non-collection as a
                 # singleton of itself (NULL/MISSING yield no bindings).
                 parts.append(narrow(source, ARRAY, BAG, NULL, MISSING_CAT))
-            env[item.alias] = join_all(parts)
-            bound.append(item.alias)
+            if present and not present & COLLECTION_CATEGORIES:
+                self._report(
+                    "SQLPP107",
+                    f"FROM ranges over a non-collection ({source.describe()}) "
+                    f"as {item.alias!r}: a singleton under permissive typing, "
+                    "a type error under strict",
+                    item.expr,
+                )
+            bound = [self._bind(env, item.alias, "from", item, join_all(parts))]
             if item.at_alias is not None:
-                # AT over an array is the position; over a bag it is
-                # MISSING.
-                env[item.at_alias] = scalar(NUMBER, MISSING_CAT)
-                bound.append(item.at_alias)
-        elif isinstance(item, ast.FromUnpivot):
+                # AT over an array is the position; over a bag MISSING.
+                bound.append(
+                    self._bind(
+                        env, item.at_alias, "at", item, scalar(NUMBER, MISSING_CAT)
+                    )
+                )
+            return bound
+        if isinstance(item, ast.FromUnpivot):
             source = self.infer(item.expr, env)
+            present = _present(source)
             parts = []
             if TUPLE in source.cats:
                 if source.attrs is not None and not source.open:
@@ -300,25 +469,152 @@ class TypeFlow:
                     )
                 else:
                     parts.append(TOP)
-            value_cats = source.cats - {TUPLE} - ABSENT_CATEGORIES
-            if value_cats:
+            if present - {TUPLE}:
                 # A non-tuple unpivots as the singleton {_1: value}.
                 parts.append(narrow(source, TUPLE, NULL, MISSING_CAT))
-            env[item.value_alias] = join_all(parts)
-            env[item.at_alias] = scalar(STRING)
-            bound.extend([item.value_alias, item.at_alias])
-        elif isinstance(item, ast.FromJoin):
-            bound.extend(self._flow_from(item.left, env, local_names))
-            right_names = self._flow_from(item.right, env, local_names)
+            if present and TUPLE not in present:
+                self._report(
+                    "SQLPP108",
+                    f"UNPIVOT over a non-tuple ({source.describe()}) as "
+                    f"{item.value_alias!r}: {{'_1': value}} under permissive "
+                    "typing, a type error under strict",
+                    item.expr,
+                )
+            return [
+                self._bind(env, item.value_alias, "from", item, join_all(parts)),
+                self._bind(env, item.at_alias, "at", item, scalar(STRING)),
+            ]
+        if isinstance(item, ast.FromJoin):
+            bound = self._flow_from(item.left, env)
+            right = self._flow_from(item.right, env)
             if item.kind == "LEFT":
                 # An unmatched left row pads the right side with NULL.
-                for name in right_names:
-                    env[name] = widen(env[name], NULL)
-            bound.extend(right_names)
+                for binding in right:
+                    binding.type = widen(binding.type, NULL)
             if item.on is not None:
                 self.infer(item.on, env)
-        local_names.extend(bound)
-        return bound
+                self._flow_predicate("ON", item.on, env, False)
+            return bound + right
+        return []
+
+    # ------------------------------------------------------------------
+    # Binding and resolution
+    # ------------------------------------------------------------------
+
+    def _bind(
+        self,
+        env: _Env,
+        name: str,
+        kind: str,
+        node: ast.Node,
+        atype: AType,
+        shadow_check: bool = True,
+    ) -> Name:
+        previous = env.get(name)
+        if shadow_check and previous is not None and not name.startswith("$"):
+            self._report(
+                "SQLPP002",
+                f"{kind.upper()} binding {name!r} shadows the "
+                f"{previous.kind.upper()} binding of the same name",
+                node,
+            )
+        binding = Name(name, atype, kind, node.line, node.column)
+        env[name] = binding
+        return binding
+
+    def _free(self, name: str, env: _Env) -> bool:
+        """Neither a variable in scope, a named value, nor a
+        rewriter-synthesized name (``$g`` — correct by construction)."""
+        return name not in env and name not in self._names and not name.startswith("$")
+
+    def _lookup(self, node: ast.VarRef, env: _Env) -> AType:
+        binding = env.get(node.name)
+        if binding is not None:
+            binding.used = True
+            return binding.type
+        if self._free(node.name, env):
+            self._report_unbound(node.name, env, node)
+        return self._types.get(node.name, TOP)
+
+    def _report_unbound(self, name: str, env: _Env, node: ast.Node) -> None:
+        if self._lenient:
+            return
+        close = difflib.get_close_matches(name, sorted(set(env) | self._names), n=1)
+        self._report(
+            "SQLPP001",
+            f"unbound name {name!r}: not a variable in scope and "
+            "not a named value in the database",
+            node,
+            hint=f"did you mean {close[0]!r}?" if close else None,
+        )
+
+    def _report_unused(self, local: List[Name]) -> None:
+        for binding in local:
+            if binding.report_unused and not binding.used:
+                self._report(
+                    "SQLPP003",
+                    f"LET binding {binding.name!r} is never used",
+                    binding,
+                    hint="remove it, or rename it with a leading "
+                    "underscore to keep it intentionally",
+                )
+
+    # ------------------------------------------------------------------
+    # Predicates: SQLPP120 / 121 / 124
+    # ------------------------------------------------------------------
+
+    def _flow_predicate(
+        self, clause: str, expr: ast.Expr, env: _Env, has_from: bool
+    ) -> None:
+        conjuncts = split_conjuncts(expr)
+        problem = never_true(
+            [fold_expr(conjunct, self.config) for conjunct in conjuncts],
+            self.config,
+        )
+        if problem is not None:
+            self._report(
+                "SQLPP120",
+                f"the {clause} clause can never be TRUE: {problem.reason}",
+                problem if problem.line is not None else expr,
+                hint="no binding can ever satisfy this conjunction",
+            )
+            if clause == "WHERE" and has_from:
+                self._report(
+                    "SQLPP124",
+                    "this query block is statically empty: its WHERE "
+                    "clause is never TRUE",
+                    expr,
+                    hint="under optimize=True the planner collapses the "
+                    "block to a zero-row plan (EXPLAIN shows `pruned:`)",
+                )
+            return
+        for conjunct in conjuncts:
+            if self._tautological(conjunct, env):
+                self._report(
+                    "SQLPP121",
+                    f"`{_printed(conjunct)}` is always TRUE for every "
+                    "binding that reaches it",
+                    conjunct,
+                    hint="the conjunct can be removed; the planner drops "
+                    "proven-true conjuncts before pushdown",
+                )
+
+    def _tautological(self, conjunct: ast.Expr, env: _Env) -> bool:
+        """``x = x`` / ``x <= x`` over a term the walk proves present and
+        orderable (an absent operand makes the comparison absent)."""
+        if not isinstance(conjunct, ast.Binary) or conjunct.op not in ("=", "<=", ">="):
+            return False
+        key = term_key(conjunct.left)
+        if key is None or key != term_key(conjunct.right):
+            return False
+        # Already reported on when the clause was flowed: infer quietly.
+        reported = self.diagnostics
+        self.diagnostics = []
+        try:
+            inferred = self.infer(conjunct.left, env)
+        finally:
+            self.diagnostics = reported
+        return inferred.only(NUMBER, STRING, BOOLEAN)
 
     # ------------------------------------------------------------------
     # Expressions
@@ -328,9 +624,7 @@ class TypeFlow:
         if isinstance(node, ast.Literal):
             return infer_literal(node.value)
         if isinstance(node, ast.VarRef):
-            if node.name in env:
-                return env[node.name]
-            return self._catalog.get(node.name, TOP)
+            return self._lookup(node, env)
         if isinstance(node, ast.Path):
             return self._infer_path(node, env)
         if isinstance(node, ast.Index):
@@ -348,9 +642,10 @@ class TypeFlow:
         if isinstance(node, ast.BagLit):
             return bag_of(self._element_join(node.items, env))
         if isinstance(node, ast.Unary):
-            return self._infer_unary(node, env)
+            return self._infer_operator(node, [self.infer(node.operand, env)])
         if isinstance(node, ast.Binary):
-            return self._infer_binary(node, env)
+            left = self.infer(node.left, env)
+            return self._infer_operator(node, [left, self.infer(node.right, env)])
         if isinstance(node, ast.IsPredicate):
             self.infer(node.operand, env)
             return BOOLEAN_T
@@ -375,15 +670,16 @@ class TypeFlow:
             return scalar(BOOLEAN, NULL, MISSING_CAT)
         if isinstance(node, ast.Exists):
             operand = self.infer(node.operand, env)
-            result = BOOLEAN_T
-            if operand.cats - COLLECTION_CATEGORIES - ABSENT_CATEGORIES:
-                result = widen(result, MISSING_CAT)
-            return result
+            if _present(operand) - COLLECTION_CATEGORIES:
+                return widen(BOOLEAN_T, MISSING_CAT)
+            return BOOLEAN_T
         if isinstance(node, ast.CaseExpr):
             return self._infer_case(node, env)
         if isinstance(node, ast.FunctionCall):
             return self._infer_call(node, env)
         if isinstance(node, ast.WindowCall):
+            # The window-function name is dispatched by the window
+            # engine, not the scalar registry: no name check.
             for arg in node.call.args:
                 self.infer(arg, env)
             for expr in node.spec.partition_by:
@@ -392,23 +688,31 @@ class TypeFlow:
                 self.infer(item.expr, env)
             return TOP
         if isinstance(node, ast.SubqueryExpr):
-            return self.check_query(node.query, env)
+            return self.flow_query(node.query, env)
         if isinstance(node, ast.CoerceSubquery):
-            self.check_query(node.query, env)
+            self.flow_query(node.query, env)
             return TOP
         if isinstance(node, ast.CastExpr):
             return self._infer_cast(node, env)
-        if isinstance(node, ast.Parameter):
-            return TOP
         return TOP
 
     # -- navigation ---------------------------------------------------
 
     def _infer_path(self, node: ast.Path, env: _Env) -> AType:
-        whole = self._dotted_catalog_type(node, env)
-        if whole is not None:
-            return whole
-        base = self._infer_path_base(node, env)
+        names, root = _name_chain(node)
+        if root is not None and self._free(root.name, env):
+            # The evaluator's rescue: the shortest dotted prefix that
+            # names a catalog value ('hr.emp' stored under one name).
+            for length in range(2, len(names) + 1):
+                dotted = ".".join(names[:length])
+                if dotted in self._names:
+                    if length == len(names):
+                        return self._types.get(dotted, TOP)
+                    break
+            else:
+                self._report_unbound(root.name, env, root)
+                return TOP
+        base = self.infer(node.base, env)
         parts: List[AType] = []
         if TUPLE in base.cats:
             if base.attrs is not None:
@@ -424,57 +728,21 @@ class TypeFlow:
                 parts.append(TOP)
         if NULL in base.cats:
             parts.append(NULL_T)
-        if MISSING_CAT in base.cats:
+        if MISSING_CAT in base.cats or _present(base) - {TUPLE}:
+            # Navigating a non-tuple value: MISSING (permissive) or a
+            # type error (strict).
             parts.append(MISSING_T)
-        if base.cats - {TUPLE} - ABSENT_CATEGORIES:
-            # Navigating a non-tuple value: MISSING in *both* typing
-            # modes (absent data, not a type error).
-            parts.append(MISSING_T)
-        result = join_all(parts) if parts else BOTTOM
+        result = join_all(parts)
         if result.is_always_missing() and not base.is_always_absent():
-            self.diagnostics.append(
-                make(
-                    "SQLPP101",
-                    f"navigation .{node.attr} always produces MISSING",
-                    line=node.line,
-                    column=node.column,
-                    hint="the closed tuple shape here has no attribute "
-                    f"{node.attr!r}",
-                )
+            self._report(
+                "SQLPP101",
+                f"navigation .{node.attr} always produces MISSING",
+                node,
+                hint=f"the closed tuple shape here has no attribute {node.attr!r}"
+                if TUPLE in base.cats
+                else f"it navigates into a value typed {base.describe()}",
             )
         return result
-
-    def _dotted_catalog_type(
-        self, node: ast.Path, env: _Env
-    ) -> Optional[AType]:
-        """The stored type when the whole path spells a dotted catalog
-        name (``hr.emp`` stored as one name), else None."""
-        chain = [node.attr]
-        current: ast.Expr = node.base
-        while isinstance(current, ast.Path):
-            chain.append(current.attr)
-            current = current.base
-        if isinstance(current, ast.VarRef) and current.name not in env:
-            chain.append(current.name)
-            chain.reverse()
-            return self._catalog.get(".".join(chain))
-        return None
-
-    def _infer_path_base(self, node: ast.Path, env: _Env) -> AType:
-        """The base type of a navigation, including the evaluator's
-        dotted-catalog-name rescue (``hr.emp`` stored as one name)."""
-        chain: List[str] = []
-        current: ast.Expr = node.base
-        while isinstance(current, ast.Path):
-            chain.append(current.attr)
-            current = current.base
-        if isinstance(current, ast.VarRef) and current.name not in env:
-            chain.append(current.name)
-            chain.reverse()
-            dotted = ".".join(chain)
-            if dotted in self._catalog:
-                return self._catalog[dotted]
-        return self.infer(node.base, env)
 
     def _infer_index(self, node: ast.Index, env: _Env) -> AType:
         base = self.infer(node.base, env)
@@ -482,176 +750,91 @@ class TypeFlow:
         if TUPLE in base.cats:
             return TOP
         parts: List[AType] = []
-        if ARRAY in base.cats or BAG in base.cats:
+        if base.cats & COLLECTION_CATEGORIES:
             parts.append(element_of(base))
         if NULL in base.cats:
             parts.append(NULL_T)
         # Out-of-bounds, non-integer index, or a non-indexable base:
         # MISSING (permissive) / raise (strict).
         parts.append(MISSING_T)
-        return join_all(parts)
+        result = join_all(parts)
+        if result.is_always_missing() and not base.is_always_absent():
+            self._report(
+                "SQLPP101",
+                f"indexing into a value typed {base.describe()} always "
+                "produces MISSING",
+                node,
+            )
+        return result
 
     # -- constructors -------------------------------------------------
 
     def _infer_struct(self, node: ast.StructLit, env: _Env) -> AType:
-        attrs: List[Tuple[str, AType]] = []
+        attrs: Dict[str, AType] = {}
         literal_keys = True
         for field in node.fields:
             value_type = self.infer(field.value, env)
             key = field.key
             if isinstance(key, ast.Literal) and isinstance(key.value, str):
-                attrs.append((key.value, value_type))
+                # Later duplicates win at runtime; mirror that here.
+                attrs[key.value] = value_type
             else:
                 self.infer(key, env)
                 literal_keys = False
         if not literal_keys:
             return tuple_of(None)
-        # Later duplicates win at runtime; mirror that here.
-        merged: Dict[str, AType] = {}
-        for name, value_type in attrs:
-            merged[name] = value_type
-        return tuple_of(sorted(merged.items()), open=False)
+        return tuple_of(sorted(attrs.items()), open=False)
 
-    def _element_join(
-        self, items: List[ast.Expr], env: _Env
-    ) -> Optional[AType]:
+    def _element_join(self, items: List[ast.Expr], env: _Env) -> Optional[AType]:
         # Constructors drop MISSING elements.
-        joined = join_all(
-            narrow(self.infer(item, env), MISSING_CAT) for item in items
-        )
+        joined = join_all(narrow(self.infer(item, env), MISSING_CAT) for item in items)
         return joined if items else None
 
     # -- operators ----------------------------------------------------
 
-    def _infer_unary(self, node: ast.Unary, env: _Env) -> AType:
-        operand = self.infer(node.operand, env)
-        if node.op == "NOT":
-            # _to_truth folds non-booleans and MISSING into unknown.
-            return scalar(BOOLEAN, NULL)
-        cats = set()
-        if NUMBER in operand.cats:
-            cats.add(NUMBER)
-        if NULL in operand.cats:
-            cats.add(NULL)
-        if MISSING_CAT in operand.cats or (
-            operand.cats - {NUMBER} - ABSENT_CATEGORIES
-        ):
-            cats.add(MISSING_CAT)
-        return scalar(*cats) if cats else BOTTOM
-
-    def _infer_binary(self, node: ast.Binary, env: _Env) -> AType:
-        left = self.infer(node.left, env)
-        right = self.infer(node.right, env)
+    def _infer_operator(
+        self, node: Union[ast.Unary, ast.Binary], operands: List[AType]
+    ) -> AType:
+        """The derived transfer over every combination of operand
+        categories; a mismatch when every combination of *present*
+        categories yields only MISSING."""
         op = node.op.upper()
-        if op in ("AND", "OR"):
-            return scalar(BOOLEAN, NULL)
-        if op in ("+", "-", "*", "/", "%"):
-            return self._arith(left, right, divides=op in ("/", "%"))
-        if op == "||":
-            return self._concat(left, right)
-        if op in ("=", "!=", "<>"):
-            return self._equality(node, left, right)
-        if op in ("<", "<=", ">", ">="):
-            return self._ordering(node, left, right)
-        return TOP
+        present = [transfer(op, *cats) for cats in product(*map(_present, operands))]
+        if present and all(cell == MISSING_T.cats for cell in present):
+            self._report_mismatch(node, op, operands)
+        every = product(*(operand.cats for operand in operands))
+        return scalar(*{cat for cats in every for cat in transfer(op, *cats)})
 
-    def _arith(self, left: AType, right: AType, divides: bool) -> AType:
-        cats = set()
-        both_number = NUMBER in left.cats and NUMBER in right.cats
-        if both_number:
-            cats.add(NUMBER)
-        if MISSING_CAT in left.cats or MISSING_CAT in right.cats:
-            cats.add(MISSING_CAT)
-        if NULL in left.cats or NULL in right.cats:
-            cats.add(NULL)
-        non_number = (left.cats - {NUMBER} - ABSENT_CATEGORIES) or (
-            right.cats - {NUMBER} - ABSENT_CATEGORIES
-        )
-        if non_number or (divides and both_number):
-            # Type mismatch, or division by zero: MISSING permissive.
-            cats.add(MISSING_CAT)
-        return scalar(*cats) if cats else BOTTOM
-
-    def _concat(self, left: AType, right: AType) -> AType:
-        cats = set()
-        if STRING in left.cats and STRING in right.cats:
-            cats.add(STRING)
-        if MISSING_CAT in left.cats or MISSING_CAT in right.cats:
-            cats.add(MISSING_CAT)
-        if NULL in left.cats or NULL in right.cats:
-            cats.add(NULL)
-        if (left.cats - {STRING} - ABSENT_CATEGORIES) or (
-            right.cats - {STRING} - ABSENT_CATEGORIES
-        ):
-            cats.add(MISSING_CAT)
-        return scalar(*cats) if cats else BOTTOM
-
-    def _equality(
-        self, node: ast.Binary, left: AType, right: AType
-    ) -> AType:
-        left_kinds = left.cats & EQUALITY_CATEGORIES
-        right_kinds = right.cats & EQUALITY_CATEGORIES
-        cats = set()
-        if left_kinds & right_kinds:
-            cats.add(BOOLEAN)
-        if MISSING_CAT in left.cats or MISSING_CAT in right.cats:
-            cats.add(MISSING_CAT)
-        if NULL in left.cats or NULL in right.cats:
-            cats.add(NULL)
-        # A kind mismatch is a type error (MISSING in permissive mode);
-        # it is ruled out only when both sides are one identical kind.
-        if not (left_kinds == right_kinds and len(left_kinds) == 1):
-            cats.add(MISSING_CAT)
-        if not (left_kinds & right_kinds) and left_kinds and right_kinds:
-            self.diagnostics.append(
-                make(
-                    "SQLPP102",
-                    f"{node.op} compares disjoint types "
-                    f"({left.describe()} vs {right.describe()}); it can "
-                    "never compare actual values",
-                    line=node.line,
-                    column=node.column,
-                )
+    def _report_mismatch(
+        self, node: Union[ast.Unary, ast.Binary], op: str, operands: List[AType]
+    ) -> None:
+        described = [operand.describe() for operand in operands]
+        if op in ("=", "!="):
+            self._report(
+                "SQLPP102",
+                f"{node.op} compares disjoint types ({' vs '.join(described)}); "
+                "it can never compare actual values",
+                node,
             )
-        return scalar(*cats) if cats else BOTTOM
-
-    def _ordering(
-        self, node: ast.Binary, left: AType, right: AType
-    ) -> AType:
-        left_kinds = left.cats & ORDERED_CATEGORIES
-        right_kinds = right.cats & ORDERED_CATEGORIES
-        cats = set()
-        if left_kinds & right_kinds:
-            cats.add(BOOLEAN)
-        if MISSING_CAT in left.cats or MISSING_CAT in right.cats:
-            cats.add(MISSING_CAT)
-        if NULL in left.cats or NULL in right.cats:
-            cats.add(NULL)
-        left_values = left.cats - ABSENT_CATEGORIES
-        right_values = right.cats - ABSENT_CATEGORIES
-        # A type error (no common order) is ruled out only when both
-        # sides can only be one identical ordered kind.
-        if not (
-            left_values == right_values
-            and len(left_values) == 1
-            and left_values <= ORDERED_CATEGORIES
-        ):
-            cats.add(MISSING_CAT)
-        if (
-            left_values
-            and right_values
-            and not (left_kinds & right_kinds)
-        ):
-            self.diagnostics.append(
-                make(
-                    "SQLPP102",
-                    f"{node.op} compares values with no common order "
-                    f"({left.describe()} vs {right.describe()})",
-                    line=node.line,
-                    column=node.column,
-                )
+        elif op in ("<", "<=", ">", ">="):
+            self._report(
+                "SQLPP102",
+                f"{node.op} compares values with no common order "
+                f"({' vs '.join(described)})",
+                node,
             )
-        return scalar(*cats) if cats else BOTTOM
+        else:
+            if len(operands) == 1:
+                kind = "unary"
+            else:
+                kind = "concatenation" if op == "||" else "arithmetic"
+            self._report(
+                "SQLPP106",
+                f"{kind} {node.op} over {' and '.join(described)} never "
+                "produces a value: MISSING under permissive typing, a type "
+                "error under strict",
+                node,
+            )
 
     # -- conditionals, calls, casts ----------------------------------
 
@@ -662,11 +845,8 @@ class TypeFlow:
         for when, then in node.whens:
             self.infer(when, env)
             branches.append(self.infer(then, env))
-        if node.else_ is not None:
-            branches.append(self.infer(node.else_, env))
-        else:
-            branches.append(NULL_T)
-        result = join_all(branches)
+        otherwise = NULL_T if node.else_ is None else self.infer(node.else_, env)
+        result = join_all(branches + [otherwise])
         if not self.config.sql_compat:
             # Core semantics: a MISSING operand/condition makes the
             # whole CASE MISSING (compat treats it as a non-match).
@@ -676,34 +856,60 @@ class TypeFlow:
     def _infer_call(self, node: ast.FunctionCall, env: _Env) -> AType:
         from repro.functions.registry import REGISTRY
 
+        definition = REGISTRY.lookup(node.name)
+        if definition is None and not node.name.startswith("$"):
+            self._report_unknown_function(node)
+        elif definition is not None and not node.star:
+            count = len(node.args)
+            if count < definition.min_args or (
+                definition.max_args is not None and count > definition.max_args
+            ):
+                expected = (
+                    str(definition.min_args)
+                    if definition.max_args == definition.min_args
+                    else f"{definition.min_args}..{definition.max_args or 'N'}"
+                )
+                self._report(
+                    "SQLPP004",
+                    f"{definition.name} expects {expected} argument(s), got {count}",
+                    node,
+                )
         arg_types = [self.infer(arg, env) for arg in node.args]
-        name = node.name.upper()
-        definition = REGISTRY.lookup(name)
-        if (
-            definition is not None
-            and definition.is_aggregate
-            and arg_types
-        ):
+        if definition is None:
+            return TOP
+        if definition.is_aggregate and arg_types:
             operand = arg_types[0]
             if operand.cats and not (
                 operand.cats & (COLLECTION_CATEGORIES | ABSENT_CATEGORIES)
             ):
-                self.diagnostics.append(
-                    make(
-                        "SQLPP103",
-                        f"{definition.name} applied to a value that is "
-                        f"never a collection ({operand.describe()})",
-                        line=node.line,
-                        column=node.column,
-                    )
+                self._report(
+                    "SQLPP103",
+                    f"{definition.name} applied to a value that is "
+                    f"never a collection ({operand.describe()})",
+                    node,
                 )
-        if name in ("COALESCE", "IFNULL", "IFMISSING", "IFMISSINGORNULL"):
+        if definition.name in _COALESCE_FAMILY:
             return widen(join_all(arg_types), NULL, MISSING_CAT)
-        base = _CALL_RESULTS.get(name)
+        base = _CALL_RESULTS.get(definition.name)
         if base is None:
             return TOP
         # The envelope: absence propagation plus permissive type errors.
         return scalar(*base, NULL, MISSING_CAT)
+
+    def _report_unknown_function(self, node: ast.FunctionCall) -> None:
+        from repro.functions.aggregates import SQL_AGGREGATES
+        from repro.functions.registry import REGISTRY
+
+        name = node.name.upper()
+        if name in SQL_AGGREGATES:
+            hint: Optional[str] = (
+                "SQL aggregates are compat-mode sugar; in core mode call "
+                f"{SQL_AGGREGATES[name]} over a collection"
+            )
+        else:
+            close = difflib.get_close_matches(name, REGISTRY.names(), n=1)
+            hint = f"did you mean {close[0]}?" if close else None
+        self._report("SQLPP004", f"unknown function {node.name!r}", node, hint=hint)
 
     def _infer_cast(self, node: ast.CastExpr, env: _Env) -> AType:
         self.infer(node.operand, env)
@@ -718,25 +924,69 @@ class TypeFlow:
         return TOP
 
 
+def _name_chain(node: ast.Path) -> Tuple[List[str], Optional[ast.VarRef]]:
+    """``hr.emp.name`` -> ``(['hr', 'emp', 'name'], VarRef('hr'))``; the
+    root is None when the path does not bottom out in a variable."""
+    names: List[str] = []
+    current: ast.Expr = node
+    while isinstance(current, ast.Path):
+        names.append(current.attr)
+        current = current.base
+    if not isinstance(current, ast.VarRef):
+        return names, None
+    names.append(current.name)
+    names.reverse()
+    return names, current
+
+
+def _printed(node: ast.Node) -> str:
+    from repro.syntax.printer import print_ast
+
+    return print_ast(node)
+
+
+# ----------------------------------------------------------------------
+# Entry points: every client reaches the walk through one of these
+# ----------------------------------------------------------------------
+
+
+def flow_diagnostics(
+    query: ast.Query,
+    config: Optional[EvalConfig] = None,
+    catalog_names: Sequence[str] = (),
+    catalog_types: Optional[Mapping[str, AType]] = None,
+) -> List[Diagnostic]:
+    """Every finding of one walk over a Core query."""
+    flow = TypeFlow(config, catalog_types, catalog_names)
+    flow.flow_query(query)
+    return flow.diagnostics
+
+
+def infer_in_scope(
+    expr: ast.Expr,
+    config: Optional[EvalConfig] = None,
+    catalog_types: Optional[Mapping[str, AType]] = None,
+    items: Sequence[ast.FromItem] = (),
+) -> AType:
+    """The abstract type of ``expr`` for the bindings of ``items``."""
+    flow = TypeFlow(config, catalog_types)
+    env: _Env = {}
+    for item in items:
+        flow._flow_from(item, env)
+    return flow.infer(expr, env)
+
+
 def infer_expression(
     source: str,
-    env: Optional[Dict[str, AType]] = None,
+    env: Optional[Mapping[str, AType]] = None,
     config: Optional[EvalConfig] = None,
-    catalog_types: Optional[Dict[str, AType]] = None,
+    catalog_types: Optional[Mapping[str, AType]] = None,
 ) -> Tuple[AType, List[Diagnostic]]:
-    """Infer the abstract type of a standalone expression.
-
-    The entry point the soundness property test drives: parse
-    ``source`` as an expression and run the abstract interpreter over
-    it.  Returns the inferred type and any diagnostics the flow pass
-    emitted along the way.
-    """
+    """The abstract type of a standalone expression, and the findings
+    the walk emitted over it (what the soundness property drives)."""
     from repro.syntax.parser import parse_expression
 
-    flow = TypeFlow(config=config, catalog_types=catalog_types)
-    result = flow.infer(parse_expression(source), dict(env) if env else {})
+    flow = TypeFlow(config, catalog_types)
+    names = {name: Name(name, atype) for name, atype in (env or {}).items()}
+    result = flow.infer(parse_expression(source), names)
     return result, flow.diagnostics
-
-
-# Re-exported for the property test's runtime comparison.
-category_of = lattice.category_of

@@ -366,17 +366,12 @@ def _binding_regressions(
     core: ast.Query,
     catalog_names: Sequence[str],
 ) -> List[str]:
-    from repro.analysis.scopes import ScopeResolver
+    from repro.analysis.typeflow import flow_diagnostics
 
     def unbound(query: ast.Query) -> Set[str]:
-        resolver = ScopeResolver(catalog_names=tuple(catalog_names))
-        try:
-            resolver.check_query(query)
-        except Exception:  # pragma: no cover - resolver must not throw
-            return set()
         return {
             diagnostic.message
-            for diagnostic in resolver.diagnostics
+            for diagnostic in flow_diagnostics(query, catalog_names=catalog_names)
             if diagnostic.code == "SQLPP001"
         }
 

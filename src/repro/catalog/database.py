@@ -361,6 +361,8 @@ class Database:
 
     def _schema_attrs(self) -> Dict[str, Any]:
         """Attribute sets per schemaful named value, for disambiguation."""
+        if not self._schemas:
+            return {}
         from repro.schema.types import element_attribute_names
 
         attrs: Dict[str, Any] = {}
@@ -391,21 +393,30 @@ class Database:
         )
         return self._compile_query(query, config).core
 
-    def _rewrite_catalog_types(self) -> Dict[str, Any]:
-        """Abstract catalog types for the rewrite registry's typeflow
-        safety checks, from *registered* schemas only: values are
-        validated on ``set``, so a declared non-optional attribute is
-        genuinely never MISSING.  Sampled shapes are excluded — they are
-        softened to open shapes anyway and could never prove presence.
-        """
-        if not self._schemas:
-            return {}
-        from repro.analysis.lattice import from_schema
+    def _catalog_types(self, sampled: bool = False) -> Dict[str, Any]:
+        """Abstract catalog types seeding the type-flow walk.
 
-        return {
-            name: from_schema(schema)
-            for name, schema in self._schemas.items()
-        }
+        Registered schemas give *closed* shapes, trusted because values
+        are validated on ``set``: a declared non-optional attribute is
+        genuinely never MISSING — the rewrite registry's safety checks
+        use these alone.  With ``sampled``, schemaless named values up to
+        ``CHECK_SAMPLE_LIMIT`` elements add their inferred shapes,
+        *softened* open: a sample proves what exists, not what cannot.
+        """
+        if not (self._schemas or sampled):
+            return {}
+        from repro.analysis.lattice import from_schema, soften
+
+        types: Dict[str, Any] = {}
+        for name in self.catalog.names() if sampled else self._schemas:
+            schema = self._schemas.get(name)
+            if schema is not None:
+                types[name] = from_schema(schema)
+            elif sampled:
+                inferred = self._sampled_schema(name)
+                if inferred is not None:
+                    types[name] = soften(from_schema(inferred))
+        return types
 
     def _compile_query(
         self,
@@ -464,7 +475,7 @@ class Database:
         core = pre_core
         if rewrite_on:
             core, fired = rewrite_rules.apply_rules(
-                pre_core, config, catalog_types=self._rewrite_catalog_types()
+                pre_core, config, catalog_types=self._catalog_types()
             )
             from repro.analysis.verify_plan import maybe_verify_rewrite
 
@@ -709,7 +720,7 @@ class Database:
         """Statically analyze a query without executing it.
 
         Runs the :mod:`repro.analysis` passes — parse, rewrite to Core,
-        scope resolution, abstract type flow — against this database's
+        the one type-flow walk — against this database's
         catalog, language dials and registered schemas, and returns the
         list of :class:`~repro.analysis.Diagnostic` findings (empty
         when the query is clean).  Never raises on a bad query: a parse
@@ -730,25 +741,14 @@ class Database:
         """
         from repro.analysis import AnalyzerOptions, analyze
         from repro.analysis.diagnostics import ERROR, WARNING
-        from repro.analysis.lattice import AType, from_schema, soften
 
         config = self._effective_config(
             typing_mode=typing_mode, sql_compat=sql_compat
         )
-        catalog_types: Dict[str, AType] = {}
-        for name in self.catalog.names():
-            schema = self._schemas.get(name)
-            if schema is None:
-                schema = self._sampled_schema(name)
-                if schema is None:
-                    continue
-                catalog_types[name] = soften(from_schema(schema))
-            else:
-                catalog_types[name] = from_schema(schema)
         options = AnalyzerOptions(
             config=config,
             catalog_names=tuple(self.catalog.names()),
-            catalog_types=catalog_types,
+            catalog_types=self._catalog_types(sampled=True),
             schema_attrs=self._schema_attrs(),
             suppress=tuple(suppress),
         )

@@ -149,42 +149,37 @@ class RewriteContext:
     ) -> bool:
         """Whether the typeflow lattice proves ``key`` is never MISSING
         for bindings of ``item`` (so a semi-join needs no ``IS NOT
-        MISSING`` guard).  Absence of schema information means "no":
-        the lattice only proves presence from declared shapes."""
-        if not self.catalog_types:
-            return False
-        try:
-            from repro.analysis.lattice import MISSING_CAT, AType
-            from repro.analysis.typeflow import TypeFlow
-
-            flow = TypeFlow(
-                config=self.config,
-                catalog_types=self.catalog_types,  # type: ignore[arg-type]
-            )
-            env: Dict[str, AType] = {}
-            flow._flow_from(item, env, [])
-            inferred = flow.infer(key, env)
-        except Exception:  # pragma: no cover - lattice bugs must not
-            return False  # block execution, only widen to "guard".
-        return not inferred.may(MISSING_CAT)
+        MISSING`` guard)."""
+        return self._never_missing(key, (item,), elements=False)
 
     def elements_provably_present(self, collection: ast.Expr) -> bool:
         """Whether the typeflow lattice proves every element of
         ``collection`` (an uncorrelated subquery) is non-MISSING."""
+        return self._never_missing(collection, (), elements=True)
+
+    def _never_missing(
+        self,
+        expr: ast.Expr,
+        items: Tuple[ast.FromItem, ...],
+        elements: bool,
+    ) -> bool:
+        """The type-flow walk's verdict over the bindings of ``items``.
+        Absence of schema information means "no": the lattice only
+        proves presence from declared shapes."""
         if not self.catalog_types:
             return False
-        try:
-            from repro.analysis.lattice import MISSING_CAT, element_of
-            from repro.analysis.typeflow import TypeFlow
+        from repro.analysis.lattice import MISSING_CAT, element_of
+        from repro.analysis.typeflow import infer_in_scope
 
-            flow = TypeFlow(
-                config=self.config,
-                catalog_types=self.catalog_types,  # type: ignore[arg-type]
+        try:
+            inferred = infer_in_scope(
+                expr, self.config, self.catalog_types, items  # type: ignore[arg-type]
             )
-            inferred = flow.infer(collection, {})
-        except Exception:  # pragma: no cover
-            return False
-        return not element_of(inferred).may(MISSING_CAT)
+        except Exception:  # pragma: no cover - lattice bugs must not
+            return False  # block execution, only widen to "guard".
+        if elements:
+            inferred = element_of(inferred)
+        return not inferred.may(MISSING_CAT)
 
 
 #: A rule's matcher+transformer: applied to one block, returns the

@@ -581,8 +581,14 @@ _BINARY = {
     "!=": not_equals,
     "||": concat,
     **{op: partial(compare, op) for op in ("<", "<=", ">", ">=")},
+    **{op: partial(arithmetic, op) for op in ("+", "-", "*", "/", "%")},
 }
-_UNARY = {"NOT": logical_not, "-": negate}
+_UNARY = {"NOT": logical_not, "-": negate, "+": unary_plus}
+
+#: Every operator symbol :func:`binary_operator` / :func:`unary_operator`
+#: serve (the parser normalises ``<>`` to ``!=``).
+BINARY_SYMBOLS = tuple(_BINARY)
+UNARY_SYMBOLS = tuple(_UNARY)
 
 
 def binary_operator(op: str):

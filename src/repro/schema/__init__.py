@@ -11,45 +11,74 @@ The *query stability* tenet — "the result of a working query should not
 change if a schema is imposed on existing data" — holds by construction:
 schemas influence validation and static checks only, never evaluation
 (tested property-style in ``tests/schema``).
+
+The names below load their submodule on first use (PEP 562): the engine
+reaches :mod:`repro.schema.types` without loading DDL parsing,
+inference or validation.
 """
 
-from repro.schema.types import (
-    AnyType,
-    ArrayType,
-    BagType,
-    BooleanType,
-    FloatType,
-    IntegerType,
-    NullType,
-    SchemaType,
-    StringType,
-    StructField,
-    StructType,
-    UnionType,
-    element_attribute_names,
-)
-from repro.schema.validate import validate, conforms
-from repro.schema.ddl import parse_schema
-from repro.schema.infer import infer_schema
-from repro.schema.typecheck import check_query
+from __future__ import annotations
 
-__all__ = [
-    "AnyType",
-    "ArrayType",
-    "BagType",
-    "BooleanType",
-    "FloatType",
-    "IntegerType",
-    "NullType",
-    "SchemaType",
-    "StringType",
-    "StructField",
-    "StructType",
-    "UnionType",
-    "element_attribute_names",
-    "validate",
-    "conforms",
-    "parse_schema",
-    "infer_schema",
-    "check_query",
-]
+import importlib
+from typing import TYPE_CHECKING, Any, Dict, List
+
+if TYPE_CHECKING:
+    from repro.syntax import ast
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "AnyType",
+            "ArrayType",
+            "BagType",
+            "BooleanType",
+            "FloatType",
+            "IntegerType",
+            "NullType",
+            "SchemaType",
+            "StringType",
+            "StructField",
+            "StructType",
+            "UnionType",
+            "element_attribute_names",
+        ),
+        "types",
+    ),
+    "validate": "validate",
+    "conforms": "validate",
+    "parse_schema": "ddl",
+    "infer_schema": "infer",
+}
+
+__all__ = sorted([*_EXPORTS, "check_query"])
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def check_query(query: ast.Query, schemas: Dict[str, Any]) -> List[str]:
+    """Statically type-check a (rewritten) query against schemas.
+
+    A view of the lint analysis: each named value is seeded with its
+    schema's abstract type and the messages of the type rules
+    (:data:`repro.analysis.typeflow.TYPE_RULES`) come back; an empty
+    list means "no static type errors found".  Pass the output of
+    :meth:`repro.catalog.Database.compile` together with the database's
+    registered schemas.
+    """
+    from repro.analysis.lattice import from_schema
+    from repro.analysis.typeflow import TYPE_RULES, flow_diagnostics
+
+    types = {name: from_schema(schema) for name, schema in schemas.items()}
+    return [
+        diagnostic.message
+        for diagnostic in flow_diagnostics(query, catalog_types=types)
+        if diagnostic.code in TYPE_RULES
+    ]

@@ -2,10 +2,14 @@
 minimal trigger, stays silent on the corrected query, and reports a
 usable source position."""
 
+import pytest
+
+from repro import Database
 from repro.analysis import AnalyzerOptions, analyze
 from repro.analysis.lattice import from_schema
 from repro.analysis.rules import RULES, rule_for
 from repro.config import EvalConfig
+from repro.errors import BindingError
 from repro.schema.ddl import parse_schema
 
 EMP_SCHEMA = from_schema(
@@ -46,8 +50,6 @@ class TestRegistry:
             assert rule.severity in ("error", "warning", "info")
 
     def test_rule_for_unknown_code(self):
-        import pytest
-
         with pytest.raises(KeyError):
             rule_for("SQLPP999")
 
@@ -87,6 +89,17 @@ class TestUnboundVariable001:
             CORE_OPTS,
         )
 
+    def test_unbound_name_inside_case(self):
+        # Two FROM variables: the bare name is not disambiguated, and
+        # evaluation raises BindingError.
+        query = (
+            "SELECT VALUE CASE WHEN nosuch > 1 THEN 1 ELSE 0 END "
+            "FROM [1, 2] AS x, [3] AS y"
+        )
+        assert "nosuch" in find(query, "SQLPP001").message
+        with pytest.raises(BindingError):
+            Database().execute(query)
+
 
 class TestShadowedVariable002:
     def test_let_shadows_from(self):
@@ -120,6 +133,12 @@ class TestUnusedLet003:
             "SELECT VALUE x FROM emp AS e LET x = e.name", CORE_OPTS
         )
 
+    def test_binding_used_only_inside_case_is_fine(self):
+        assert "SQLPP003" not in codes(
+            "SELECT VALUE CASE WHEN v > 1 THEN 1 ELSE 0 END "
+            "FROM [1, 2] AS x LET v = x"
+        )
+
 
 class TestUnknownFunction004:
     def test_unknown_function_with_hint(self):
@@ -133,6 +152,14 @@ class TestUnknownFunction004:
 
     def test_known_function_is_fine(self):
         assert codes("SELECT VALUE ABS(-1)") == []
+
+    def test_unknown_function_inside_case(self):
+        diagnostic = find(
+            "SELECT VALUE CASE WHEN FLOR(x) > 1 THEN 1 ELSE 0 END "
+            "FROM [1, 2] AS x",
+            "SQLPP004",
+        )
+        assert "FLOOR" in (diagnostic.hint or "")
 
 
 class TestDuplicateKey005:
@@ -182,6 +209,16 @@ class TestAlwaysMissing101:
         assert "SQLPP101" not in codes(
             "SELECT VALUE e.salary FROM emp AS e", COMPAT_OPTS
         )
+
+    def test_array_concatenation_is_not_missing(self):
+        # `||` concatenates two arrays; the attribute is present.
+        assert codes("SELECT VALUE v.a FROM [{'a': [1] || [2]}] AS v") == []
+
+    def test_indexing_a_string(self):
+        diagnostic = find(
+            "SELECT VALUE e.name[0] FROM emp AS e", "SQLPP101", SCHEMA_OPTS
+        )
+        assert "string" in diagnostic.message
 
 
 class TestComparisonMismatch102:
@@ -234,6 +271,11 @@ class TestOrderByNeverComparable104:
             "SELECT e.age AS k FROM emp AS e ORDER BY k", SCHEMA_OPTS
         )
 
+    def test_array_concatenation_key_is_comparable(self):
+        assert "SQLPP104" not in codes(
+            "SELECT VALUE x FROM [1, 2] AS x ORDER BY [x] || [1]"
+        )
+
 
 class TestEqualsNull105:
     def test_equals_null(self):
@@ -251,4 +293,59 @@ class TestEqualsNull105:
     def test_is_null_is_fine(self):
         assert "SQLPP105" not in codes(
             "SELECT VALUE e FROM emp AS e WHERE e.name IS NULL", CORE_OPTS
+        )
+
+
+class TestOperandTypeMismatch106:
+    def test_arithmetic_over_a_string(self):
+        diagnostic = find(
+            "SELECT VALUE e.name * 2 FROM emp AS e", "SQLPP106", SCHEMA_OPTS
+        )
+        assert diagnostic.severity == "warning"
+        assert "arithmetic" in diagnostic.message
+
+    def test_unary_minus_over_a_string(self):
+        assert "SQLPP106" in codes(
+            "SELECT VALUE -e.name FROM emp AS e", SCHEMA_OPTS
+        )
+
+    def test_concatenating_a_number(self):
+        assert "||" in find(
+            "SELECT VALUE e.age || 'x' FROM emp AS e", "SQLPP106", SCHEMA_OPTS
+        ).message
+
+    def test_compatible_operands_are_fine(self):
+        assert codes(
+            "SELECT VALUE e.age * 2 FROM emp AS e", SCHEMA_OPTS
+        ) == []
+        assert codes("SELECT VALUE x || [1] FROM [[0]] AS x") == []
+
+    def test_unknown_operands_are_fine(self):
+        assert "SQLPP106" not in codes(
+            "SELECT VALUE e.name * 2 FROM emp AS e", COMPAT_OPTS
+        )
+
+
+class TestRangeOverNonCollection107:
+    def test_from_over_a_scalar_attribute(self):
+        diagnostic = find(
+            "SELECT VALUE x FROM emp AS e, e.age AS x", "SQLPP107", SCHEMA_OPTS
+        )
+        assert "non-collection" in diagnostic.message
+        assert diagnostic.severity == "warning"
+
+    def test_from_over_a_collection_is_fine(self):
+        assert codes("SELECT VALUE x FROM [1] AS x") == []
+
+
+class TestUnpivotNonTuple108:
+    def test_unpivot_a_number(self):
+        assert "SQLPP108" in codes(
+            "SELECT VALUE v FROM emp AS e, UNPIVOT e.age AS v AT k",
+            SCHEMA_OPTS,
+        )
+
+    def test_unpivot_a_tuple_is_fine(self):
+        assert "SQLPP108" not in codes(
+            "SELECT VALUE v FROM emp AS e, UNPIVOT e AS v AT k", SCHEMA_OPTS
         )

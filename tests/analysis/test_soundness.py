@@ -4,11 +4,13 @@ For any expression the generator produces and any environment, the
 category of the value permissive-mode evaluation returns must be
 contained in the statically inferred category set — and in particular
 a static always-MISSING verdict means evaluation really returns
-MISSING.  This is the contract that makes every ``cats``-based rule
-(SQLPP101/102/103/104) trustworthy: over-approximation can hide a
-warning but can never fabricate one.
+MISSING.  Under strict typing, any value evaluation returns instead of
+raising must be in the inferred set too.  This is the contract that
+makes every ``cats``-based rule (SQLPP101-108) trustworthy:
+over-approximation can hide a warning but can never fabricate one.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.lattice import (
@@ -25,6 +27,7 @@ from repro.core.environment import Environment
 from repro.core.evaluator import Evaluator
 from repro.datamodel.convert import from_python
 from repro.datamodel.values import MISSING, Bag, Struct
+from repro.syntax.parser import parse_expression
 from repro.errors import SQLPPError
 
 
@@ -61,6 +64,8 @@ VARIABLES = {
         },
     ),
     "xs": st.lists(st.integers(0, 5), max_size=3),
+    "ys": st.lists(st.sampled_from(["p", None]), max_size=2),
+    "bag": st.lists(st.integers(0, 2), max_size=2).map(Bag),
 }
 
 LEAVES = st.sampled_from(
@@ -70,6 +75,10 @@ LEAVES = st.sampled_from(
         "flag",
         "nn",
         "xs",
+        "ys",
+        "bag",
+        "[1, 2]",
+        "<<1, 'a'>>",
         "row",
         "row.a",
         "row.b",
@@ -94,14 +103,21 @@ def _unary(sub):
         sub.map(lambda a: f"({a} IS NULL)"),
         sub.map(lambda a: f"ABS({a})"),
         sub.map(lambda a: f"-({a})"),
+        sub.map(lambda a: f"(EXISTS ({a}))"),
     )
 
 
 def _binary(sub):
     ops = st.sampled_from(
-        ["+", "-", "*", "/", "%", "=", "!=", "<", ">=", "AND", "OR", "||"]
+        [
+            "+", "-", "*", "/", "%", "=", "!=", "<", "<=", ">", ">=",
+            "AND", "OR", "||",
+        ]
     )
-    return st.builds(lambda op, a, b: f"({a} {op} {b})", ops, sub, sub)
+    return st.one_of(
+        st.builds(lambda op, a, b: f"({a} {op} {b})", ops, sub, sub),
+        st.builds(lambda a, b: f"({a} IN {b})", sub, sub),
+    )
 
 
 def _shaped(sub):
@@ -126,22 +142,26 @@ EXPRESSIONS = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(source=EXPRESSIONS, bindings=st.fixed_dictionaries(VARIABLES))
-def test_static_categories_contain_runtime_category(source, bindings):
+@settings(max_examples=400, deadline=None)
+@given(
+    source=EXPRESSIONS,
+    bindings=st.fixed_dictionaries(VARIABLES),
+    typing_mode=st.sampled_from(["permissive", "strict"]),
+)
+def test_static_categories_contain_runtime_category(
+    source, bindings, typing_mode
+):
     values = {
         name: from_python(value) for name, value in bindings.items()
     }
     env_types = {
         name: atype_of_value(value) for name, value in values.items()
     }
-    config = EvalConfig(typing_mode="permissive", sql_compat=False)
+    config = EvalConfig(typing_mode=typing_mode, sql_compat=False)
 
     inferred, _diagnostics = infer_expression(
         source, env_types, config=config
     )
-
-    from repro.syntax.parser import parse_expression
 
     evaluator = Evaluator(Catalog(), config)
     try:
@@ -149,16 +169,35 @@ def test_static_categories_contain_runtime_category(source, bindings):
             parse_expression(source), Environment(dict(values))
         )
     except SQLPPError:
-        # Permissive evaluation refused outright; the category claim
-        # is about produced values only.
+        # Evaluation refused outright (every strict type error); the
+        # category claim is about produced values only.
         return
 
     assert category_of(value) in inferred.cats, (
         f"{source!r} evaluated to category {category_of(value)} "
-        f"outside inferred {inferred.describe()}"
+        f"outside inferred {inferred.describe()} ({typing_mode})"
     )
     if inferred.is_always_missing():
         assert value is MISSING
+
+
+@pytest.mark.parametrize(
+    "source, category",
+    [
+        ("[1] || [2]", "array"),
+        ("(xs || xs)[0]", "number"),
+        ("'a' || 'b'", "string"),
+        ("1 IN <<1, 2>>", "boolean"),
+        ("EXISTS <<>>", "boolean"),
+    ],
+)
+def test_collection_operands(source, category):
+    inferred, diagnostics = infer_expression(
+        source, {"xs": atype_of_value([1])}
+    )
+    assert category in inferred.cats
+    assert not inferred.is_always_missing()
+    assert diagnostics == []
 
 
 @settings(max_examples=150, deadline=None)

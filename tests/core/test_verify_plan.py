@@ -266,6 +266,28 @@ class TestRewriteVerification:
         violations = verify_rewrite(core, broken, [], ["xs"])
         assert any("binding error" in v for v in violations)
 
+    def test_binding_regression_inside_case(self):
+        core = rewrite_query(
+            parse("SELECT VALUE CASE WHEN a > 1 THEN a ELSE 0 END FROM xs AS a"),
+            EvalConfig(),
+            catalog_names=("xs",),
+        )
+        import dataclasses
+
+        rogue = ast.VarRef(name="nowhere")
+        rogue.line, rogue.column = 1, 1
+        case = core.body.select.expr
+        broken_case = dataclasses.replace(case, whens=[(rogue, case.whens[0][1])])
+        broken = dataclasses.replace(
+            core,
+            body=dataclasses.replace(
+                core.body,
+                select=dataclasses.replace(core.body.select, expr=broken_case),
+            ),
+        )
+        violations = verify_rewrite(core, broken, [], ["xs"])
+        assert any("'nowhere'" in v for v in violations)
+
     def test_firing_without_position(self):
         config = EvalConfig()
         core = rewrite_query(

@@ -94,6 +94,32 @@ class TestStaticChecker:
             == []
         )
 
+    def test_array_concatenation_is_an_array(self):
+        db = Database()
+        db.set("t", [{"b": [1, 2], "s": "x"}])
+        db.set_schema("t", "BAG<STRUCT<b ARRAY<INT>, s STRING>>")
+        assert self.findings(db, "SELECT VALUE (r.b || r.b)[0] FROM t AS r") == []
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "SELECT VALUE (r.b || r.b)[0] FROM t AS r",
+            "SELECT VALUE r.s * 2 FROM t AS r",
+            "SELECT VALUE -r.s FROM t AS r",
+            "SELECT VALUE x FROM t AS r, r.s AS x",
+            "SELECT VALUE r FROM t AS r ORDER BY r.b || r.b",
+            "SELECT VALUE r.nosuch FROM t AS r",
+        ],
+    )
+    def test_check_query_is_a_view_of_db_check(self, query):
+        from repro.analysis.typeflow import TYPE_RULES
+
+        db = Database()
+        db.set("t", [{"b": [1, 2], "s": "x"}])
+        db.set_schema("t", "BAG<STRUCT<b ARRAY<INT>, s STRING>>")
+        linted = [d.message for d in db.check(query) if d.code in TYPE_RULES]
+        assert self.findings(db, query) == linted
+
     def test_no_schema_means_no_findings(self):
         db = Database()
         db.set("t", [{"anything": 1}])
