@@ -76,29 +76,30 @@ def group_binding(
 def group_element(env: Environment, var_order: List[str]) -> Struct:
     """One element of a GROUP AS bag: a tuple of the input bindings
     (Listing 14: ``{ e: ..., p: ... }``)."""
-    element = Struct()
+    pairs = []
     for name in var_order:
         try:
             value = env.lookup(name)
         except Unbound:
             continue
-        element = element.with_attr(name, value)
-    return element
+        if value is not MISSING:
+            pairs.append((name, value))
+    return Struct(pairs)
 
 
 def eval_star(env: Environment, var_order: List[str]) -> Struct:
     """``SELECT *``: splice tuple-valued bindings, name the rest."""
-    result = Struct()
+    pairs = []
     for name in var_order:
         try:
             value = env.lookup(name)
         except Unbound:
             continue
         if isinstance(value, Struct):
-            result = result.merged(value)
+            pairs += value.items()
         elif value is not MISSING:
-            result = result.with_attr(name, value)
-    return result
+            pairs.append((name, value))
+    return Struct(pairs)
 
 
 def literal_keys(expr: ast.StructLit) -> Optional[List[str]]:

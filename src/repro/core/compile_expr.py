@@ -42,7 +42,15 @@ from repro.core.plan_ops import flatten_lateral, governor_tick
 from repro.core.planner import free_names, is_relocatable, item_vars
 from repro.core.windows import OUTSIDE_SELECT
 from repro.datamodel.equality import group_key
-from repro.datamodel.values import MISSING, Bag, Struct, is_collection, type_name
+from repro.datamodel.values import (
+    MISSING,
+    Bag,
+    Shape,
+    Struct,
+    is_collection,
+    shape_of,
+    type_name,
+)
 from repro.errors import EvaluationError
 from repro.functions import operators as ops
 from repro.functions.registry import REGISTRY
@@ -509,15 +517,10 @@ def _compile_struct(expr: ast.StructLit, evaluator: "Evaluator") -> CompiledExpr
     # them) take a fast path.
     keys = literal_keys(expr)
     if keys is not None:
-        make = _struct_maker(keys)
+        shape = shape_of(tuple(keys))
 
         def struct(env: Environment) -> Struct:
-            pairs = []
-            for key, fn in zip(keys, value_fns):
-                value = fn(env)
-                if value is not MISSING:
-                    pairs.append((key, value))
-            return make(pairs)
+            return _literal_struct(shape, tuple([fn(env) for fn in value_fns]))
 
         return struct
     config = evaluator.config
@@ -526,25 +529,27 @@ def _compile_struct(expr: ast.StructLit, evaluator: "Evaluator") -> CompiledExpr
     def struct_dynamic(env: Environment) -> Struct:
         # An absent or mistyped name omits the attribute before its
         # value is evaluated (strict mode: raises).
-        result = Struct()
+        pairs = []
         for key_fn, value_fn in zip(key_fns, value_fns):
             key = ops.attribute_name(key_fn(env), config)
-            if key is not MISSING:
-                result = result.with_attr(key, value_fn(env))
-        return result
+            if key is not MISSING and (value := value_fn(env)) is not MISSING:
+                pairs.append((key, value))
+        return Struct(pairs)
 
     return struct_dynamic
 
 
-def _struct_maker(keys: List[str]) -> Callable[[list], Struct]:
-    """The constructor a compiled tuple literal may use for its pairs.
-
-    The compiled constructors drop MISSING values themselves and their
-    names are literal strings, which is everything ``Struct.__init__``
-    validates — except that only the public constructor notices
-    duplicate names, so a literal that repeats a name keeps using it.
-    """
-    return Struct._trusted if len(set(keys)) == len(keys) else Struct
+def _literal_struct(shape: Shape, row: tuple) -> Struct:
+    """The tuple a literal-keyed constructor of ``shape`` builds from
+    ``row``, one value per name.  The names are literal strings, which
+    is all ``Struct.__init__`` would check besides MISSING; a MISSING
+    value omits its attribute (Section IV-B), and the row takes the
+    interned shape of the names left."""
+    if MISSING in row:
+        kept = [k for k, value in enumerate(row) if value is not MISSING]
+        shape = shape_of(tuple(map(shape.names.__getitem__, kept)))
+        row = tuple(map(row.__getitem__, kept))
+    return Struct._trusted(shape, row)
 
 
 #: Every concrete ``ast.Expr`` kind → its row-closure compiler (the
@@ -859,40 +864,19 @@ class _KernelCompiler:
         attr = expr.attr
         config = self.config
         navigate = ops.navigate_path
-        # Inline cache: rows of one collection overwhelmingly share a
-        # layout, so remember where the attribute last was — the two
-        # most recent places, so the rows of a second common layout do
-        # not evict the first (one slot re-pointed by every off-layout
-        # row, which sent the whole next chunk to ``scan``).  Exactly
-        # ``Struct`` guarantees unique names (values.py), so a hit at a
-        # cached position is the first match; anything else —
-        # duplicate-name tuples included — goes to ``navigate_path``.
-        cache = [0, 0]
-
-        def scan(pairs: list) -> Any:
-            position = 0
-            for name, value in pairs:
-                if name == attr:
-                    if position != cache[0]:
-                        cache[1] = cache[0]
-                        cache[0] = position
-                    return value
-                position += 1
-            return MISSING
-
+        # One dict probe in the row's interned shape: the first position
+        # of the name (first match, duplicate names or not), or a miss,
+        # which is MISSING.
         def path_column(rows: List[dict], memo: dict) -> List[Any]:
             if key is not None:
                 column = memo.get(key)
                 if column is not None:
                     return column
-            at, other = cache
             column = [
                 (
-                    pairs[at][1]
-                    if len(pairs := base._pairs) > at and pairs[at][0] == attr
-                    else pairs[other][1]
-                    if len(pairs) > other and pairs[other][0] == attr
-                    else scan(pairs)
+                    MISSING
+                    if (at := base._shape.index.get(attr)) is None
+                    else base._values[at]
                 )
                 if type(base) is Struct
                 else navigate(base, attr, config)
@@ -1335,28 +1319,16 @@ class _KernelCompiler:
         if keys is None:
             return None
         values = [self.compile(field.value) for field in expr.fields]
-        make = _struct_maker(keys)
+        shape = shape_of(tuple(keys))
+        make = Struct._trusted
         if not keys:
-            return lambda rows, memo: [make([]) for __ in rows]
+            return lambda rows, memo: [make(shape, ()) for __ in rows]
 
         def struct_column(rows: List[dict], memo: dict) -> List[Struct]:
             columns = [value(rows, memo) for value in values]
-            pair_columns = [
-                [(key, v) for v in column] for key, column in zip(keys, columns)
-            ]
-            pair_rows = list(map(list, zip(*pair_columns)))
-            # A MISSING value omits its attribute (Section IV-B); only
-            # the rows that have one are rebuilt.
-            for column in columns:
-                if MISSING in column:
-                    for position, v in enumerate(column):
-                        if v is MISSING:
-                            pair_rows[position] = [
-                                pair
-                                for pair in pair_rows[position]
-                                if pair[1] is not MISSING
-                            ]
-            return [make(pairs) for pairs in pair_rows]
+            if any(MISSING in column for column in columns):
+                return [_literal_struct(shape, row) for row in zip(*columns)]
+            return [make(shape, row) for row in zip(*columns)]
 
         return struct_column
 

@@ -1123,7 +1123,7 @@ def flatten_lateral(
                 [
                     {**row, alias: attr_value, at: name}
                     for row, value in pairs
-                    for name, attr_value in value._pairs
+                    for name, attr_value in zip(value._shape.names, value._values)
                 ]
             )
         elif at:

@@ -465,13 +465,15 @@ class ReferenceEvaluator(clauses.QueryEvaluator):
         """Tuple construction; a MISSING attribute value omits the
         attribute (Section IV-B: "the output tuple will not have a title
         attribute")."""
-        result = Struct()
+        pairs = []
         for field in expr.fields:
             key = ops.attribute_name(self.eval_expr(field.key, env), self.config)
             if key is MISSING:
                 continue
-            result = result.with_attr(key, self.eval_expr(field.value, env))
-        return result
+            value = self.eval_expr(field.value, env)
+            if value is not MISSING:
+                pairs.append((key, value))
+        return Struct(pairs)
 
     def _eval_arraylit(self, expr: ast.ArrayLit, env: Environment) -> list:
         values = (self.eval_expr(item, env) for item in expr.items)

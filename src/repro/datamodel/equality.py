@@ -51,6 +51,10 @@ def deep_equals(left: Any, right: Any) -> bool:
     if isinstance(left, Struct):
         if not isinstance(right, Struct) or len(left) != len(right):
             return False
+        shape = left._shape
+        if shape is right._shape and not shape.duplicates:
+            # One shape of unique names: the pairs line up by position.
+            return all(map(deep_equals, left._values, right._values))
         return _multiset_equals(
             [list(pair) for pair in left.items()],
             [list(pair) for pair in right.items()],
@@ -99,6 +103,16 @@ def group_key(value: Any) -> Tuple:
     if isinstance(value, Bag):
         return ("6bag", tuple(sorted(group_key(item) for item in value)))
     if isinstance(value, Struct):
+        return _struct_group_key(value)
+    raise TypeError(f"not a SQL++ value: {value!r}")
+
+
+def _struct_group_key(value: Struct) -> Tuple:
+    # A function of its own: the comprehension's closure would otherwise
+    # cost every scalar key a cell.
+    order = value._shape.order
+    if order is None:  # duplicate names: sort the pairs themselves
         pairs = sorted((name, group_key(item)) for name, item in value.items())
         return ("7tup", tuple(pairs))
-    raise TypeError(f"not a SQL++ value: {value!r}")
+    values = value._values
+    return ("7tup", tuple([(name, group_key(values[at])) for name, at in order]))

@@ -46,8 +46,18 @@ def sort_key(value: Any) -> Tuple:
     if isinstance(value, list):
         return (5, tuple(sort_key(item) for item in value))
     if isinstance(value, Struct):
-        pairs = sorted((name, sort_key(item)) for name, item in value.items())
-        return (6, tuple(pairs))
+        return _struct_sort_key(value)
     if isinstance(value, Bag):
         return (7, tuple(sorted(sort_key(item) for item in value)))
     raise TypeError(f"not a SQL++ value: {value!r}")
+
+
+def _struct_sort_key(value: Struct) -> Tuple:
+    # A function of its own: the comprehension's closure would otherwise
+    # cost every scalar key a cell.
+    order = value._shape.order
+    if order is None:  # duplicate names: sort the pairs themselves
+        pairs = sorted((name, sort_key(item)) for name, item in value.items())
+        return (6, tuple(pairs))
+    values = value._values
+    return (6, tuple([(name, sort_key(values[at])) for name, at in order]))

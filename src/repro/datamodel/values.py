@@ -15,6 +15,7 @@ returns the first binding).
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Mapping
 from typing import Any, Iterable, Iterator, List, Tuple, Union
 
@@ -55,6 +56,56 @@ SCALAR_TYPES = (bool, int, float, str)
 Value = Union[None, Missing, bool, int, float, str, list, "Bag", "Struct"]
 
 
+class Shape:
+    """The attribute names of a :class:`Struct`, shared by every struct
+    with the same name sequence.
+
+    ``names`` is the name tuple, in insertion order; ``index`` maps each
+    name to its *first* position (navigation's first-match rule);
+    ``duplicates`` says whether a name repeats.  A shape with unique
+    names also keeps ``order``, its ``(name, position)`` pairs sorted by
+    name, the canonical attribute order of grouping and sort keys.
+
+    Shapes are interned: build them with :func:`shape_of`, never
+    directly, so that equal name tuples share one object (and structs of
+    one shape can be compared position by position).
+    """
+
+    __slots__ = ("names", "index", "duplicates", "order", "__weakref__")
+
+    def __init__(self, names: Tuple[str, ...]):
+        self.names = names
+        index: dict = {}
+        for position, name in enumerate(names):
+            index.setdefault(name, position)
+        self.index = index
+        self.duplicates = len(index) != len(names)
+        self.order = None if self.duplicates else tuple(sorted(index.items()))
+
+    def __reduce__(self):
+        # Re-intern on unpickling: worker results share the parent's shapes.
+        return (shape_of, (self.names,))
+
+    def __repr__(self) -> str:
+        return f"Shape{self.names!r}"
+
+
+#: Every live shape by its name tuple.  Weak-valued, so the name tuples
+#: of data that is gone (PIVOT output, one-off JSON objects) do not pile
+#: up: a shape lives exactly as long as some struct holds it.
+_SHAPES: "weakref.WeakValueDictionary[Tuple[str, ...], Shape]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def shape_of(names: Tuple[str, ...]) -> Shape:
+    """The interned :class:`Shape` of the name tuple ``names``."""
+    shape = _SHAPES.get(names)
+    if shape is None:
+        shape = _SHAPES[names] = Shape(names)
+    return shape
+
+
 class Struct:
     """A SQL++ tuple: an unordered multiset of attribute name/value pairs.
 
@@ -74,71 +125,74 @@ class Struct:
     Construct structs through the evaluator (which silently omits MISSING
     attributes) or filter before constructing.
 
-    A tuple that does repeat a name is an instance of the (otherwise
-    identical) subclass :class:`_DuplicateNameStruct`, so ``type(value)
-    is Struct`` proves the names unique.  The batch path kernels
-    (:mod:`repro.core.compile_expr`) rely on that to read an attribute
-    at a remembered position; everything else uses ``isinstance`` and
-    never notices.
+    Physically a struct is its interned :class:`Shape` (the names, stored
+    once for every struct that has them) and a tuple of values, one per
+    name.  Navigation is a lookup in the shape's first-position index,
+    duplicate names or not.
     """
 
-    __slots__ = ("_pairs",)
+    __slots__ = ("_shape", "_values")
 
     def __init__(
         self,
         pairs: Union[Mapping[str, Any], Iterable[Tuple[str, Any]], None] = None,
     ):
-        if pairs is None:
-            items: List[Tuple[str, Any]] = []
-        elif isinstance(pairs, dict) or (
-            # The ABC check is slow; a list of pairs (every projected
-            # row) must not pay for it.
-            not isinstance(pairs, list) and isinstance(pairs, Mapping)
-        ):
-            items = list(pairs.items())
-        else:
-            items = [(name, value) for name, value in pairs]
-        for name, value in items:
-            if not isinstance(name, str):
-                raise TypeError(
-                    f"struct attribute names must be strings, got {name!r}"
-                )
-            if value is MISSING:
-                raise ValueError(
-                    f"MISSING may not appear as the value of attribute {name!r}; "
-                    "omit the attribute instead"
-                )
-        self._pairs = items
-        if len(items) > 1 and len({name for name, __ in items}) != len(items):
-            # Same layout, so the instance can change class in place.
-            self.__class__ = _DuplicateNameStruct
+        names: List[str] = []
+        values: List[Any] = []
+        if pairs is not None:
+            if isinstance(pairs, dict) or (
+                # The ABC check is slow; a list of pairs (every reader's
+                # tuple) must not pay for it.
+                not isinstance(pairs, list) and isinstance(pairs, Mapping)
+            ):
+                pairs = pairs.items()
+            for name, value in pairs:
+                if not isinstance(name, str):
+                    raise TypeError(
+                        f"struct attribute names must be strings, got {name!r}"
+                    )
+                if value is MISSING:
+                    raise ValueError(
+                        f"MISSING may not appear as the value of attribute "
+                        f"{name!r}; omit the attribute instead"
+                    )
+                names.append(name)
+                values.append(value)
+        self._shape = shape_of(tuple(names))
+        self._values = tuple(values)
 
     @classmethod
-    def _trusted(cls, pairs: List[Tuple[str, Any]]) -> "Struct":
-        """Internal constructor: adopt ``pairs`` without validation.
+    def _trusted(cls, shape: Shape, values: Tuple[Any, ...]) -> "Struct":
+        """Internal constructor: adopt ``shape`` and the ``values`` tuple
+        (one value per name of ``shape``) without validation.
 
         For callers that guarantee by construction what ``__init__``
-        checks per pair — distinct string names, no MISSING values —
-        such as the compiled tuple constructors, whose keys are literal
-        strings and which drop MISSING attributes themselves.  The list
-        is adopted, not copied.
+        checks — string names, no MISSING values — such as the compiled
+        tuple constructors, whose keys are literal strings and which drop
+        MISSING attributes themselves.
         """
-        struct = cls.__new__(cls)
-        struct._pairs = pairs
+        struct = _new_struct(cls)
+        struct._shape = shape
+        struct._values = values
         return struct
+
+    def __reduce__(self):
+        return (Struct._trusted, (self._shape, self._values))
 
     # -- mapping-style access ------------------------------------------------
 
     def get(self, name: str, default: Any = MISSING) -> Any:
         """Return the first value bound to ``name``, or ``default``."""
-        for key, value in self._pairs:
-            if key == name:
-                return value
-        return default
+        position = self._shape.index.get(name)
+        return default if position is None else self._values[position]
 
     def get_all(self, name: str) -> List[Any]:
         """Return every value bound to ``name`` (duplicates included)."""
-        return [value for key, value in self._pairs if key == name]
+        shape = self._shape
+        if not shape.duplicates:
+            position = shape.index.get(name)
+            return [] if position is None else [self._values[position]]
+        return [value for key, value in zip(shape.names, self._values) if key == name]
 
     def __getitem__(self, name: str) -> Any:
         value = self.get(name)
@@ -147,23 +201,23 @@ class Struct:
         return value
 
     def __contains__(self, name: object) -> bool:
-        return any(key == name for key, __ in self._pairs)
+        return isinstance(name, str) and name in self._shape.index
 
     def keys(self) -> List[str]:
         """Attribute names, in insertion order (duplicates included)."""
-        return [key for key, __ in self._pairs]
+        return list(self._shape.names)
 
     def values(self) -> List[Any]:
-        return [value for __, value in self._pairs]
+        return list(self._values)
 
     def items(self) -> List[Tuple[str, Any]]:
-        return list(self._pairs)
+        return list(zip(self._shape.names, self._values))
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self.keys())
+        return iter(self._shape.names)
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._values)
 
     # -- construction helpers ------------------------------------------------
 
@@ -175,15 +229,22 @@ class Struct:
         """
         if value is MISSING:
             return self
-        return Struct(self._pairs + [(name, value)])
+        if not isinstance(name, str):
+            raise TypeError(f"struct attribute names must be strings, got {name!r}")
+        return Struct._trusted(
+            shape_of(self._shape.names + (name,)), self._values + (value,)
+        )
 
     def merged(self, other: "Struct") -> "Struct":
         """Return the concatenation of this struct's pairs and ``other``'s."""
-        return Struct(self._pairs + other._pairs)
+        return Struct._trusted(
+            shape_of(self._shape.names + other._shape.names),
+            self._values + other._values,
+        )
 
     def to_dict(self) -> dict:
         """Convert to a ``dict`` (later duplicates win, matching JSON)."""
-        return dict(self._pairs)
+        return dict(zip(self._shape.names, self._values))
 
     # -- equality ------------------------------------------------------------
 
@@ -203,14 +264,14 @@ class Struct:
     __hash__ = None  # type: ignore[assignment]  # mutable-style container
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{name!r}: {value!r}" for name, value in self._pairs)
+        inner = ", ".join(
+            f"{name!r}: {value!r}"
+            for name, value in zip(self._shape.names, self._values)
+        )
         return "{" + inner + "}"
 
 
-class _DuplicateNameStruct(Struct):
-    """A :class:`Struct` with a repeated attribute name (see there)."""
-
-    __slots__ = ()
+_new_struct = object.__new__
 
 
 class Bag:

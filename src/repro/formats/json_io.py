@@ -23,10 +23,9 @@ from repro.errors import FormatError
 def loads(text: str, top_level_bag: bool = True) -> Any:
     """Parse JSON text into model values."""
     try:
-        data = json.loads(text, object_pairs_hook=_pairs_to_struct)
+        value = json.loads(text, object_pairs_hook=Struct)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
-    value = _convert(data)
     if top_level_bag and isinstance(value, list):
         return Bag(value)
     return value
@@ -35,18 +34,6 @@ def loads(text: str, top_level_bag: bool = True) -> Any:
 def dumps(value: Any, indent: int = 2) -> str:
     """Serialise a model value as JSON (bags become arrays)."""
     return json.dumps(_to_jsonable(value), indent=indent)
-
-
-def _pairs_to_struct(pairs) -> Struct:
-    return Struct(pairs)
-
-
-def _convert(value: Any) -> Any:
-    if isinstance(value, Struct):
-        return Struct([(name, _convert(item)) for name, item in value.items()])
-    if isinstance(value, list):
-        return [_convert(item) for item in value]
-    return value
 
 
 def _to_jsonable(value: Any) -> Any:

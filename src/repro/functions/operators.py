@@ -525,15 +525,15 @@ def tuple_merge(parts: Any, config: EvalConfig) -> Struct:
     """``$TUPLE_MERGE``: the tuple ``SELECT a.*, b.x`` projections
     build, merging tuple parts left to right.  NULL and MISSING parts
     contribute nothing; any other non-tuple is a type error."""
-    result = Struct()
+    pairs: list = []
     for value in parts:
         if isinstance(value, Struct):
-            result = result.merged(value)
+            pairs += value.items()
         elif value is not MISSING and value is not None:
             config.type_error(
                 f"SELECT item.* expects a tuple, got {type_name(value)}"
             )
-    return result
+    return Struct(pairs)
 
 
 # =========================================================================

@@ -177,14 +177,14 @@ def attribute_names(args: List[Any], config: EvalConfig) -> Any:
 @builtin("TUPLE_UNION", 2, None)
 def tuple_union(args: List[Any], config: EvalConfig) -> Any:
     """Concatenate the attribute pairs of two or more tuples."""
-    result = Struct()
+    pairs: list = []
     for value in args:
         if not isinstance(value, Struct):
             return config.type_error(
                 f"TUPLE_UNION expects tuples, got {type_name(value)}"
             )
-        result = result.merged(value)
-    return result
+        pairs += value.items()
+    return Struct(pairs)
 
 
 @builtin("GREATEST", 2, None)

@@ -63,6 +63,20 @@ class TestRowsMode:
         assert db.metrics.last.parallel_workers == 2
         assert_bag_equal(result, db.execute(query, batch=False))
 
+    def test_worker_rows_come_back_on_the_parents_shapes(self, small_morsels):
+        # Rows cross the fork pickled; unpickling re-interns their
+        # shapes, so they share the serial run's shape objects.
+        db = build_db()
+        for query in (
+            "SELECT VALUE f FROM fact AS f WHERE f.v < 50",
+            "SELECT VALUE {'v': f.v, 'name': d.name} "
+            "FROM fact AS f JOIN dim AS d ON f.k = d.k WHERE f.v < 50",
+        ):
+            fanned = list(db.execute(query))
+            assert db.metrics.last.parallel_workers == 2
+            serial = list(db.execute(query, parallel=0))
+            assert all(row._shape is serial[0]._shape for row in fanned)
+
     def test_order_by_is_order_exact(self, small_morsels):
         # Ordered merge: morsel order == serial row order, so the final
         # sort sees identical input and ties break identically.

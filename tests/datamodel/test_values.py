@@ -1,10 +1,14 @@
 """Unit tests for the value types (paper, Section II)."""
 
+import gc
+import json
 import pickle
 from collections.abc import Mapping
 
 import pytest
 
+from repro import Database
+from repro.datamodel import values
 from repro.datamodel.values import (
     MISSING,
     Bag,
@@ -13,6 +17,7 @@ from repro.datamodel.values import (
     is_absent,
     is_collection,
     is_scalar,
+    shape_of,
     type_name,
 )
 
@@ -128,27 +133,63 @@ class TestStruct:
                 Struct(bad_value)
 
     def test_trusted_constructor_adopts_pairs_unchecked(self):
-        pairs = [("a", 1), ("b", None)]
-        struct = Struct._trusted(pairs)
-        assert type(struct) is Struct
-        assert struct == Struct(pairs)
-        assert struct.items() == pairs
-        pairs.append(("c", 3))  # adopted, not copied
-        assert struct.get("c") == 3
+        shape = shape_of(("a", "b"))
+        struct = Struct._trusted(shape, (1, None))
+        assert type(struct._values) is tuple
+        assert struct == Struct([("a", 1), ("b", None)])
+        assert struct.items() == [("a", 1), ("b", None)]
+        # Equal name tuples, however built, share one interned shape.
+        assert Struct({"a": 2, "b": 3})._shape is shape
+        assert Struct([("a", 1)]).with_attr("b", 2)._shape is shape
+        assert shape_of(tuple(["a", "b"])) is shape
 
-    def test_exact_struct_type_proves_unique_names(self):
-        # What the batch path kernels' positional attribute cache
-        # relies on: a repeated name changes the instance's class.
+    def test_shape_records_duplicate_names(self):
         unique = Struct([("a", 1), ("b", 2)])
         repeated = Struct([("a", 1), ("a", 2)])
-        assert type(unique) is Struct
-        assert type(repeated) is not Struct and isinstance(repeated, Struct)
-        assert type(unique.with_attr("a", 3)) is not Struct
-        assert type(unique.merged(unique)) is not Struct
-        assert type(unique.merged(Struct({"c": 3}))) is Struct
-        assert type_name(repeated) == "tuple"
+        assert not unique._shape.duplicates
+        assert repeated._shape.duplicates
+        assert repeated._shape.index == {"a": 0}  # the first position
+        assert repeated.get("a") == 1 and repeated.get_all("a") == [1, 2]
+        assert unique.with_attr("a", 3)._shape.duplicates
+        assert unique.merged(unique)._shape.duplicates
+        assert not unique.merged(Struct({"c": 3}))._shape.duplicates
+        assert type(repeated) is Struct and type_name(repeated) == "tuple"
         clone = pickle.loads(pickle.dumps(repeated))
-        assert type(clone) is type(repeated) and clone == repeated
+        assert clone._shape is repeated._shape and clone == repeated
+
+
+class TestShape:
+    def test_intern_table_forgets_shapes_of_dropped_data(self):
+        # PIVOT and computed attribute names make name tuples out of
+        # data; the table of shapes must not keep them once the tuples
+        # that use them are gone.
+        db = Database()
+        db.set("kv", [{"k": f"key{i}", "v": i % 10} for i in range(20_000)])
+        gc.collect()
+        before = len(values._SHAPES)
+        pivoted = db.execute("PIVOT x.v AT x.k FROM kv AS x")
+        singletons = db.execute("SELECT VALUE {x.k: x.v} FROM kv AS x")
+        assert len(pivoted) == len(singletons) == 20_000
+        assert len(values._SHAPES) > before + 20_000
+        del pivoted, singletons
+        db.close()
+        del db
+        gc.collect()
+        assert len(values._SHAPES) <= before
+
+    def test_flat_rows_leave_one_tracked_object_each(self):
+        # A flat row is a struct over an all-atom values tuple, which the
+        # collector untracks at its first pass; only the struct remains.
+        rows = json.loads(
+            json.dumps([{"id": i, "name": f"n{i}", "x": i / 2} for i in range(500)])
+        )
+        db = Database()
+        db.set("t", rows)
+        gc.collect()
+        stored = list(db.get("t"))
+        assert len(stored) == 500
+        assert not any(gc.is_tracked(row._values) for row in stored)
+        db.close()
 
 
 class TestBag:

@@ -639,8 +639,8 @@ def check_kernel(expr, rows, sql_compat):
     ]
     batch = compile_batch(expr, evaluator, ROW_VARS)
     errors = {outcome[1] for outcome in by_interpreter if outcome[0] == "error"}
-    # Twice: the second call starts from the inline attribute-position
-    # caches the first one left behind.
+    # Twice: whatever the first call leaves behind in the compiled
+    # kernel must not change the second call's column.
     for __ in range(2):
         kernel = attempt(lambda: batch(rows, root))
         if kernel[0] == "error":
@@ -714,8 +714,8 @@ KERNEL_CASES = [
 
 #: Every value category under ``r.a``/``r.b``, the attribute at
 #: different positions, absent and repeated, and non-tuple bases.  The
-#: repeated-name rows sit where a position remembered from a
-#: neighbouring layout would read the *second* ``a``.
+#: repeated-name rows put a second ``a`` where a neighbouring layout
+#: has its only one, so reading any position but the first is caught.
 DIRTY_CHUNK = [
     {"r": Struct(pairs), "s": s_value}
     for pairs, s_value in [

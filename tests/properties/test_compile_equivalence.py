@@ -14,6 +14,7 @@ a row closure, and either a chunk kernel or a recorded env-space
 ``fallback`` — a new node kind cannot ship on one side only.
 """
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.catalog.catalog import Catalog
@@ -24,9 +25,10 @@ from repro.core.evaluator import Evaluator
 from repro.core.reference import ReferenceEvaluator
 from repro.datamodel.convert import from_python
 from repro.datamodel.equality import deep_equals
-from repro.datamodel.values import MISSING
+from repro.datamodel.values import MISSING, Struct
 from repro.errors import SQLPPError
 from repro.syntax import ast
+from repro.syntax.parser import parse_expression
 
 #: ``q`` is the range variable of generated subqueries (unbound elsewhere).
 identifiers = st.sampled_from(["x", "y", "r", "zz", "q"])
@@ -312,3 +314,96 @@ def test_every_expression_kind_is_handled_on_every_side():
         batch = compile_expr.compile_batch(sample, engine, frozenset({"x"}))
         # A chunk kernel, or the recorded env-space fallback.
         assert kind in compile_expr._KERNELS or sample in batch.fallbacks, kind
+
+
+# -- chunk kernels over mixed shapes ------------------------------------------
+#
+# The ``Path`` kernel reads an attribute through the row's interned shape
+# and the struct-literal kernel builds its rows against one precomputed
+# shape.  Over chunks whose rows interleave layouts — the attribute at
+# different positions, absent, or repeated with the first binding not
+# at the position a neighbouring layout uses — both must agree with the
+# row closure and the oracle row by row, in both typing modes, and the
+# tuples they build must share the shapes the closure's tuples have.
+
+SHAPE_CASES = [
+    "r.a", "r.b", "r.a.n", "r['a']", "r.a + 1", "r.a IS MISSING",
+    "{'x': r.a, 'y': r.b}", "{'x': r.a, 'x': r.b}", "{'x': r.a}", "{}",
+    "{'x': r.a.n, 'y': 1}", "{'a': r.b, 'b': r.a}",
+]
+
+MIXED_SHAPE_CHUNK = [
+    {"r": from_python(value)}
+    for value in [
+        {"a": 1, "b": 2},
+        {"b": 1, "a": 2},
+        {"pad": 0, "a": {"n": 3}},
+        {"a": 1, "b": 2},
+        {"b": "z"},
+        {},
+        {"a": None, "b": 4},
+        {"pad": 1, "b": 5, "a": 6},
+        {"a": 7, "b": 8},
+        5,
+        None,
+        MISSING,
+    ]
+] + [
+    {"r": from_python(Struct(pairs))}
+    for pairs in [
+        [("b", 1), ("a", "first"), ("a", "second")],
+        [("a", {"n": 1}), ("pad", 0), ("a", 2)],
+        [("pad", 0), ("pad", 1), ("b", 9)],
+        [("b", 1), ("a", "first"), ("a", "second")],
+    ]
+]
+
+
+def shapes(value):
+    """Every struct shape in ``value``, outermost first."""
+    if isinstance(value, Struct):
+        found = [value._shape]
+        for item in value._values:
+            found += shapes(item)
+        return found
+    return []
+
+
+@pytest.mark.parametrize("typing_mode", ["permissive", "strict"])
+@pytest.mark.parametrize("source", SHAPE_CASES)
+def test_shape_kernels_over_mixed_and_duplicate_layouts(source, typing_mode):
+    expr = parse_expression(source)
+    config = EvalConfig(typing_mode=typing_mode)
+    engine = Evaluator(Catalog(), config)
+    oracle = ReferenceEvaluator(Catalog(), config)
+    root = Environment({})
+    batch = compile_expr.compile_batch(expr, engine, frozenset({"r"}))
+    closure = engine.compiled(expr)
+    for chunk in (MIXED_SHAPE_CHUNK, MIXED_SHAPE_CHUNK[::-1]):
+        outcomes = []
+        for row in chunk:
+            try:
+                closed = closure(root.extend(row))
+            except SQLPPError as exc:
+                closed = type(exc)
+            try:
+                walked = oracle.eval_expr(expr, root.extend(row))
+            except SQLPPError as exc:
+                walked = type(exc)
+            if isinstance(closed, type) or isinstance(walked, type):
+                assert closed is walked, (row, closed, walked)
+            else:
+                assert deep_equals(closed, walked), (row, closed, walked)
+            outcomes.append(closed)
+        errors = {o for o in outcomes if isinstance(o, type)}
+        try:
+            column = batch(chunk, root)
+        except SQLPPError as exc:
+            # Strict typing: the kernel raises what some row raises.
+            assert type(exc) in errors, (source, exc)
+            continue
+        assert not errors, (source, errors)
+        for value, closed in zip(column, outcomes):
+            assert (value is MISSING) == (closed is MISSING)
+            assert deep_equals(value, closed), (value, closed)
+            assert list(map(id, shapes(value))) == list(map(id, shapes(closed)))
