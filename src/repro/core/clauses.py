@@ -133,14 +133,16 @@ def pivot_struct(pairs: Iterable[Tuple[Any, Any]], config) -> Struct:
 # -- key columns: ORDER BY / top-K, DISTINCT, window partitions ---------------
 
 
-def identity_column(column: List[Any]) -> List[tuple]:
-    """:func:`group_key` of every value, its ``str``/``int`` cases
-    inlined (``type(...) is`` keeps ``bool`` on the general path)."""
+def identity_column(column: List[Any]) -> List[Any]:
+    """A hashable identity per value, equal iff the values are
+    :func:`deep_equals`-equal: an ``int``, ``float`` or ``str`` is its
+    own identity (Python's ``==`` and ``hash`` already unify ``1`` and
+    ``1.0`` and keep strings apart from numbers), anything else its
+    :func:`group_key` — ``bool`` included, which ``==`` would confuse
+    with ``1`` (``type(...) is`` keeps it off the raw path)."""
     return [
-        ("4str", value)
-        if type(value) is str
-        else ("3num", value)
-        if type(value) is int
+        value
+        if (kind := type(value)) is int or kind is str or kind is float
         else group_key(value)
         for value in column
     ]

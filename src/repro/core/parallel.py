@@ -22,8 +22,9 @@ pickling.  Two result modes:
 * ``rows`` — workers return their morsel's binding rows; the parent
   runs the remaining clauses (LET, residual WHERE, grouping) serially.
 * ``fold`` — workers fold their morsel into decomposed GROUP BY
-  accumulator state (:func:`repro.core.vectorized.fold_chunk`) and
-  return the compact per-group state; the parent merges.
+  state (:func:`repro.core.vectorized.fold_chunk`) and return their
+  aggregates' partial states; the parent merges them in morsel order
+  through each aggregate's ``merge``.
 
 Observability and limits compose across the fork: each worker runs a
 fresh :class:`~repro.observability.ExecTracer` and returns per-operator
@@ -88,8 +89,7 @@ class ParallelOutcome:
     #: Parent-side wall time of the whole fan-out.
     elapsed: float = 0.0
     rows: List[Binding] = field(default_factory=list)
-    order: List[tuple] = field(default_factory=list)
-    groups: GroupState = field(default_factory=dict)
+    groups: Optional[GroupState] = None
 
 
 def _spine(op) -> Optional[Tuple[ScanOp, List[HashJoinOp]]]:
@@ -135,17 +135,19 @@ def _run_morsel(span: Tuple[int, int]):
     try:
         rows_seen = 0
         if state["mode"] == "fold":
-            key_fns, value_fns = build_fold_fns(
-                evaluator, state["decomp"], state["row_vars"]
-            )
-            groups: GroupState = {}
-            order: List[tuple] = []
+            decomp = state["decomp"]
+            key_fns, value_fns = build_fold_fns(evaluator, decomp, state["row_vars"])
+            machines = decomp.machines
+            groups = GroupState.empty(machines)
             for chunk in op.iter_chunks(
                 evaluator, env, morsel=span, tables=state["tables"]
             ):
                 rows_seen += len(chunk)
-                fold_chunk(chunk, env, key_fns, value_fns, groups, order)
-            payload: Any = (order, groups)
+                fold_chunk(
+                    chunk, env, key_fns, value_fns, machines, groups,
+                    evaluator.config,
+                )
+            payload: Any = groups
         else:
             rows: List[Binding] = []
             for chunk in op.iter_chunks(
@@ -293,7 +295,7 @@ def try_parallel(
 
     outcome = ParallelOutcome(mode=mode, workers=workers)
     governor_delta = 0
-    partials: List[Tuple[List[tuple], GroupState]] = []
+    partials: List[GroupState] = []
     for result in results:
         __, rows_seen, payload, tallies, delta = result
         outcome.rows_seen += rows_seen
@@ -308,7 +310,7 @@ def try_parallel(
                     op_list[index], invocations, rows_in, rows_out, time_s
                 )
     if mode == "fold":
-        outcome.order, outcome.groups = merge_folds(partials)
+        outcome.groups = merge_folds(partials, decomp.machines, config)
 
     governor = evaluator.governor
     if governor is not None and governor_delta:

@@ -27,12 +27,12 @@ grp AS g))`` over the GROUP AS bag.  Evaluated literally, that
 materializes every group's members and re-runs a subquery per group.
 :func:`decompose_block` recognizes those lowered call sites and inverts
 them: each becomes an :class:`AggSpec` whose value expression is
-evaluated *per input row* during the fold, so groups accumulate plain
-value lists and never materialize member tuples.  The fold is exact —
-it keeps the raw per-member values (including NULL/MISSING, which the
-``COLL_*`` definitions treat per their own semantics) and invokes the
-same registered aggregate definition over them at finalize time — so
-results are bit-identical to evaluating the lowered subquery.  Blocks
+evaluated *per input row* during the fold and stepped into the
+aggregate's state machine (:mod:`repro.functions.aggregates`) at the
+row's dense group id, so groups never materialize member tuples.  The
+fold is exact — ``COLL_X`` *is* the one-group fold of the same machine,
+stepped over the same values in the same order — so results are
+bit-identical to evaluating the lowered subquery.  Blocks
 whose GROUP AS variable is used outside recognized sites fall back to
 the semi-batch path: the streaming pipeline from GROUP BY on, over the
 rows the chunk operators kept.
@@ -54,7 +54,7 @@ from repro.core.tails import EnvColumns, run_tail
 from repro.core.windows import find_window_calls, window_variable
 from repro.datamodel.values import Bag, Struct
 from repro.errors import SQLPPError
-from repro.functions import operators as ops
+from repro.functions.aggregates import Aggregate, State, machine_for
 from repro.functions.registry import REGISTRY
 from repro.observability.tracer import StageTally
 from repro.syntax import ast
@@ -77,16 +77,20 @@ class AggSpec:
 
     During the fold, ``value_expr`` (row-space: the lowered
     ``g.e.salary`` path rewritten back to the binding variable
-    ``e.salary``) is evaluated per input row and appended to the
-    group's accumulator list; at finalize time ``definition`` is
-    invoked over the (optionally deduplicated) list and the result is
-    bound to ``var`` in the group's output row.
+    ``e.salary``) is evaluated per input row and stepped into
+    ``machine`` (``aggregates.machine_for(definition, distinct)``); at
+    finalize time the machine's ``final`` of each group is bound to
+    ``var`` in the group's output row.
     """
 
     var: str
     definition: Any
     distinct: bool
     value_expr: ast.Expr
+    machine: Aggregate = dataclasses.field(init=False)
+
+    def __post_init__(self) -> None:
+        self.machine = machine_for(self.definition, self.distinct)
 
 
 @dataclass
@@ -105,6 +109,10 @@ class Decomposition:
     #: Row variables of the finalized group rows: key aliases then
     #: placeholder vars.
     group_row_vars: Tuple[str, ...]
+
+    @property
+    def machines(self) -> List[Aggregate]:
+        return [spec.machine for spec in self.specs]
 
 
 def _rebinds(expr: ast.Expr, name: str) -> bool:
@@ -330,10 +338,24 @@ def cached_decomposition(
 # Group folding (shared by the serial path and the morsel workers)
 # =========================================================================
 
-#: Group accumulator: identity tuple -> (key values, one value list per
-#: AggSpec).  ``order`` preserves first-seen group order, which is the
-#: output order of the reference pipeline.
-GroupState = Dict[tuple, Tuple[List[Any], List[List[Any]]]]
+@dataclass
+class GroupState:
+    """The fold state of a decomposed GROUP BY: groups numbered densely
+    in first-seen order — the output order of the reference pipeline —
+    and one aggregate state machine's state per :class:`AggSpec`."""
+
+    #: Group identity → group id.  One key's identity is its
+    #: :func:`clauses.identity_column` element, several keys' the tuple
+    #: of theirs; no keys is the implicit single group ``()``.
+    ids: Dict[Any, int]
+    #: Group id → the key values of the group's first row.
+    keys: List[List[Any]]
+    #: Per AggSpec, its machine's state (lists indexed by group id).
+    states: List[State]
+
+    @classmethod
+    def empty(cls, machines: List[Aggregate]) -> "GroupState":
+        return cls({}, [], [machine.init() for machine in machines])
 
 
 def build_fold_fns(
@@ -352,102 +374,95 @@ def fold_chunk(
     env: Environment,
     key_fns: List[Callable],
     value_fns: List[Callable],
+    machines: List[Aggregate],
     groups: GroupState,
-    order: List[tuple],
+    config,
 ) -> None:
-    """Fold one chunk of binding rows into the group accumulators.
+    """Fold one chunk of binding rows into ``groups``.
 
-    The chunk is partitioned by group identity and each group's
-    accumulators are extended once per chunk, not once per row.  Groups
-    are met in first-seen order and a group's values keep row order —
-    :func:`merge_folds` and the parallel barrier depend on both.
+    Each row's group identity is probed into ``groups.ids`` once (an
+    identity not seen before takes the next dense id), then every
+    aggregate steps its whole value column at those ids.  Groups are
+    numbered in first-seen order and each steps its values in row
+    order — :func:`merge_folds` and the parallel barrier depend on both.
     """
     memo: dict = {}
     key_columns = [fn(chunk, env, memo) for fn in key_fns]
     value_columns = [fn(chunk, env, memo) for fn in value_fns]
-    buckets: Dict[tuple, Any]
-    if key_columns:
-        buckets = {}
-        identities = zip(*[clauses.identity_column(column) for column in key_columns])
-        for index, identity in enumerate(identities):
-            bucket = buckets.get(identity)
-            if bucket is None:
-                buckets[identity] = [index]
-            else:
-                bucket.append(index)
-    else:
+    ids, keys = groups.ids, groups.keys
+    if not key_columns:
         # No keys is the implicit single group, not zero groups.
-        buckets = {(): range(len(chunk))}
-    for identity, indexes in buckets.items():  # dicts keep first-seen order
-        state = groups.get(identity)
-        if state is None:
-            state = (
-                [column[indexes[0]] for column in key_columns],
-                [[] for __ in value_columns],
-            )
-            groups[identity] = state
-            order.append(identity)
-        for accumulator, column in zip(state[1], value_columns):
-            if len(indexes) == len(chunk):
-                accumulator.extend(column)  # the whole chunk is one group
-            elif len(indexes) == 1:
-                accumulator.append(column[indexes[0]])
-            else:
-                accumulator.extend([column[index] for index in indexes])
+        if not keys:
+            ids[()] = 0
+            keys.append([])
+        gids: List[Any] = [0] * len(chunk)
+    else:
+        columns = [clauses.identity_column(column) for column in key_columns]
+        identities = columns[0] if len(columns) == 1 else list(zip(*columns))
+        gids = list(map(ids.get, identities))
+        if None in gids:
+            for index in range(gids.index(None), len(gids)):
+                if gids[index] is None:
+                    identity = identities[index]
+                    gid = ids.get(identity)
+                    if gid is None:
+                        gid = ids[identity] = len(keys)
+                        keys.append([column[index] for column in key_columns])
+                    gids[index] = gid
+    for machine, state, column in zip(machines, groups.states, value_columns):
+        machine.grow(state, len(keys))
+        machine.step(state, gids, column, config)
 
 
 def merge_folds(
-    partials: Iterable[Tuple[List[tuple], GroupState]],
-) -> Tuple[List[tuple], GroupState]:
-    """Merge per-morsel fold states in morsel order.
+    partials: Iterable[GroupState], machines: List[Aggregate], config
+) -> GroupState:
+    """Merge per-morsel fold states in morsel order, through each
+    machine's ``merge``.
 
     Morsels partition the scan in row order, so first-seen group order
-    and per-group value order across the merged state equal the serial
-    fold's — the parallel result is bit-identical, not just
-    bag-equal.
+    across the merged state equals the serial fold's, and each group
+    merges its partial states in row order.  The merged result is the
+    serial one bit for bit, except where ``merge`` re-associates: float
+    SUM / AVG add per-morsel partial totals, and MIN / MAX over data
+    with NaN may keep a different element (docs/PLANNER.md).
     """
-    groups: GroupState = {}
-    order: List[tuple] = []
-    for partial_order, partial_groups in partials:
-        for identity in partial_order:
-            key_values, value_lists = partial_groups[identity]
-            state = groups.get(identity)
-            if state is None:
-                groups[identity] = (key_values, value_lists)
-                order.append(identity)
-            else:
-                for target, part in zip(state[1], value_lists):
-                    target.extend(part)
-    return order, groups
+    merged = GroupState.empty(machines)
+    ids, keys = merged.ids, merged.keys
+    for partial in partials:
+        gids = []
+        for identity, key_values in zip(partial.ids, partial.keys):
+            gid = ids.get(identity)
+            if gid is None:
+                gid = ids[identity] = len(keys)
+                keys.append(key_values)
+            gids.append(gid)
+        for machine, state, other in zip(machines, merged.states, partial.states):
+            machine.grow(state, len(keys))
+            machine.merge(state, other, gids, config)
+    return merged
 
 
 def finalize_groups(
-    decomp: Decomposition,
-    order: List[tuple],
-    groups: GroupState,
-    config,
+    decomp: Decomposition, groups: GroupState, config
 ) -> List[Binding]:
-    """Finalize fold state into group output rows.
-
-    Mirrors the reference semantics of the lowered subquery: optional
-    DISTINCT over the raw member values, then the registered ``COLL_*``
-    definition over a bag of them.  An empty input with no keys still
-    produces the single implicit group (SQL's one-row answer).
-    """
+    """Finalize fold state into group output rows: each machine's
+    ``final`` per group.  An empty input with no keys still produces
+    the single implicit group (SQL's one-row answer)."""
     clause = decomp.clause
-    if not order and not clause.keys:
-        groups[()] = ([], [[] for __ in decomp.specs])
-        order.append(())
+    if not groups.keys and not clause.keys:
+        groups.ids[()] = 0
+        groups.keys.append([])
+    finals = []
+    for spec, state in zip(decomp.specs, groups.states):
+        spec.machine.grow(state, len(groups.keys))
+        finals.append((spec.var, spec.machine.final, state))
+    aliases = [key.alias for key in clause.keys]
     rows: List[Binding] = []
-    for identity in order:
-        key_values, value_lists = groups[identity]
-        row: Binding = {}
-        for key, value in zip(clause.keys, key_values):
-            row[key.alias] = value
-        for spec, values in zip(decomp.specs, value_lists):
-            if spec.distinct:
-                values = ops.distinct_elements(values)
-            row[spec.var] = spec.definition.invoke([Bag(values)], config)
+    for gid, key_values in enumerate(groups.keys):
+        row: Binding = dict(zip(aliases, key_values))
+        for var, final, state in finals:
+            row[var] = final(state, gid, config)
         rows.append(row)
     return rows
 
@@ -656,8 +671,8 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
 
     # ---- FROM: serial chunks, or the morsel-parallel driver ----------
     folding = decomp is not None
-    groups: GroupState = {}
-    group_order: List[tuple] = []
+    machines = decomp.machines if folding else []
+    groups = GroupState.empty(machines)
     source: Optional[Iterable[List[Binding]]] = None
     if config.parallel >= 2 and query is evaluator._top_query:
         # Only the top-level block fans out: a derived table is scanned
@@ -680,7 +695,7 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
             from_stage.elapsed = outcome.elapsed
             if outcome.mode == "fold":
                 from_stage.rows = outcome.rows_seen
-                group_order, groups = outcome.order, outcome.groups
+                groups = outcome.groups
                 source = ()
             else:
                 source = (outcome.rows,)
@@ -706,10 +721,10 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
         key_fns, value_fns = kernels.key_fns, kernels.value_fns
         for chunk in chunks:
             started = perf_counter()
-            fold_chunk(chunk, env, key_fns, value_fns, groups, group_order)
+            fold_chunk(chunk, env, key_fns, value_fns, machines, groups, config)
             group_stage.lap(0, started)
         started = perf_counter()
-        chunks = (finalize_groups(decomp, group_order, groups, config),)
+        chunks = (finalize_groups(decomp, groups, config),)
         group_stage.lap(len(chunks[0]), started)
     if kernels.having_fn is not None:
         having = kernels.having_fn, env, StageTally("HAVING", stages)

@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, List
 
 from repro.core.clauses import identity_column, order_parts, sort_positions
 from repro.errors import EvaluationError
-from repro.functions.aggregates import SQL_AGGREGATES
+from repro.functions.aggregates import SQL_AGGREGATES, machine_for
 from repro.functions.registry import REGISTRY
 from repro.syntax import ast
 
@@ -172,13 +172,19 @@ def _fill_partition(
         values = [args[0][pos] for pos in ordered]
     if call.spec.order_by:
         # Running aggregate: unbounded preceding .. current row, peers
-        # included (RANGE semantics on ties).
+        # included (RANGE semantics on ties).  Each peer group steps into
+        # one running state, read after the group (a value-list machine's
+        # read invokes the definition over the prefix).
+        machine = machine_for(definition)
+        state = machine.init(1)
         index = 0
         while index < size:
             end = index
             while end + 1 < size and peers[ordered[end + 1]] == peers[ordered[index]]:
                 end += 1
-            aggregate = definition.invoke([values[: end + 1]], config)
+            peer_values = values[index : end + 1]
+            machine.step(state, [0] * len(peer_values), peer_values, config)
+            aggregate = machine.final(state, 0, config)
             for frame_index in range(index, end + 1):
                 results[ordered[frame_index]] = aggregate
             index = end + 1

@@ -23,21 +23,62 @@ exclude them in permissive mode (see :func:`_numbers`); MIN/MAX instead
 return MISSING when elements are mutually incomparable — there is no
 principled "skip" for an ordering, so the whole aggregate carries the
 data-exclusion signal.  Strict mode raises in both cases.
+
+One state machine per aggregate
+-------------------------------
+
+Each aggregate is an :class:`Aggregate`: a state machine over *dense
+group ids* 0, 1, 2, …, whose state is a few plain lists indexed by
+group id (COUNT's counts; SUM's and AVG's one running ``+=`` total and
+count; MIN's and MAX's best element so far; …):
+
+* ``init(n)`` is the state of ``n`` groups at their initial value,
+  ``grow(state, n)`` extends a state to ``n`` groups;
+* ``step(state, gids, column, config)`` folds a column of values, the
+  i-th into group ``gids[i]``: one loop, exact-type cases inlined, the
+  generic operators of :mod:`repro.functions.operators` only on the
+  slow path;
+* ``merge(state, other, gids, config)`` folds a partial state, its
+  group i into group ``gids[i]``, as if its rows came after
+  ``state``'s;
+* ``final(state, gid, config)`` reads one group's aggregate.
+
+The composable Core function is the one-group fold of its machine,
+``COLL_X(collection) = final(fold(step, init, collection))`` — calling
+an :class:`Aggregate` is that — so the batch GROUP BY fold
+(:func:`repro.core.vectorized.fold_chunk`), morsel workers' partial
+states (:mod:`repro.core.parallel`), running window aggregates
+(:mod:`repro.core.windows`), the streaming GROUP AS path and the
+reference interpreter all run one definition.  COUNT, SUM, AVG, MIN,
+MAX, EVERY and SOME fold in O(1) state per group.  ARRAY_AGG, STDDEV,
+VARIANCE, COUNT_DISTINCT and every DISTINCT site fold with
+:class:`ValueList`, whose state is the group's values and whose
+``final`` runs the registered definition over them.
+
+A permissive type error that the definition answers with MISSING for
+the whole aggregate (an incomparable MIN/MAX pair, a non-boolean
+before EVERY/SOME decide, an overflowing SUM) *poisons* the group: its
+state becomes MISSING and later steps leave it alone.  Under strict
+typing the same step raises what :meth:`FunctionDef.invoke` raises for
+the definition (``TypeCheckError("COLL_X: …")``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.config import EvalConfig
 from repro.datamodel.values import MISSING, Bag, type_name
 from repro.functions.operators import compare, distinct_elements
-from repro.functions.registry import builtin
+from repro.functions.registry import REGISTRY, FunctionDef, builtin
+
+#: A machine's state: parallel lists indexed by group id.
+State = List[list]
 
 
-def _elements(name: str, value: Any) -> Optional[list]:
-    """Extract the non-absent elements of the collection argument.
+def _collection(name: str, value: Any) -> Optional[list]:
+    """The elements of the collection argument, absent ones included.
 
     Returns None when the argument itself is absent (aggregate → NULL),
     raises TypeError when it is not a collection.
@@ -45,11 +86,18 @@ def _elements(name: str, value: Any) -> Optional[list]:
     if value is None or value is MISSING:
         return None
     if isinstance(value, Bag):
-        items = value.to_list()
-    elif isinstance(value, list):
-        items = value
-    else:
-        raise TypeError(f"{name} expects a collection, got {type_name(value)}")
+        return value.to_list()
+    if isinstance(value, list):
+        return value
+    raise TypeError(f"{name} expects a collection, got {type_name(value)}")
+
+
+def _elements(name: str, value: Any) -> Optional[list]:
+    """The non-absent elements of the collection argument (see
+    :func:`_collection`)."""
+    items = _collection(name, value)
+    if items is None:
+        return None
     return [item for item in items if item is not None and item is not MISSING]
 
 
@@ -71,95 +119,298 @@ def _numbers(name: str, items: list, config: EvalConfig) -> List[Any]:
     return numbers
 
 
-@builtin("COLL_COUNT", 1, 1, propagate_absent=False, is_aggregate=True)
-def coll_count(args: List[Any], config: EvalConfig) -> Any:
-    items = _elements("COLL_COUNT", args[0])
-    if items is None:
-        return None
-    return len(items)
+# =========================================================================
+# The machines
+# =========================================================================
 
 
-@builtin("COLL_SUM", 1, 1, propagate_absent=False, is_aggregate=True)
-def coll_sum(args: List[Any], config: EvalConfig) -> Any:
-    items = _elements("COLL_SUM", args[0])
-    if items is None:
-        return None
-    numbers = _numbers("COLL_SUM", items, config)
-    if not numbers:
-        return None
-    total = 0
-    for item in numbers:
-        total += item
-    return total
+class Aggregate:
+    """One aggregate's ``(init, step, merge, final)`` definition; calling
+    it is the composable Core function ``COLL_X`` (module docstring)."""
+
+    #: A group's initial value in each of the state's lists.
+    initial: Sequence[Any] = ()
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def init(self, groups: int = 0) -> State:
+        return [[value] * groups for value in self.initial]
+
+    def grow(self, state: State, groups: int) -> None:
+        for column, value in zip(state, self.initial):
+            column.extend([value] * (groups - len(column)))
+
+    def step(
+        self, state: State, gids: Sequence[int], column: Sequence[Any],
+        config: EvalConfig,
+    ) -> None:
+        raise NotImplementedError
+
+    def merge(
+        self, state: State, other: State, gids: Sequence[int], config: EvalConfig
+    ) -> None:
+        raise NotImplementedError
+
+    def final(self, state: State, gid: int, config: EvalConfig) -> Any:
+        raise NotImplementedError
+
+    def __call__(self, args: List[Any], config: EvalConfig) -> Any:
+        items = _collection(self.name, args[0])
+        if items is None:
+            return None
+        state = self.init(1)
+        self.step(state, [0] * len(items), items, config)
+        return self.final(state, 0, config)
+
+    def _reject(self, message: str, config: EvalConfig) -> Any:
+        """A type error inside the aggregate, exactly as
+        :meth:`FunctionDef.invoke` maps one: MISSING (the poisoned
+        state) in permissive mode, raised in strict mode."""
+        return config.type_error(f"{self.name}: {message}")
 
 
-@builtin("COLL_AVG", 1, 1, propagate_absent=False, is_aggregate=True)
-def coll_avg(args: List[Any], config: EvalConfig) -> Any:
-    items = _elements("COLL_AVG", args[0])
-    if items is None:
-        return None
-    numbers = _numbers("COLL_AVG", items, config)
-    if not numbers:
-        return None
-    return sum(numbers) / len(numbers)
+class _Count(Aggregate):
+    """COUNT: the number of non-absent elements."""
+
+    initial = (0,)
+
+    def step(self, state, gids, column, config):
+        counts = state[0]
+        for gid, value in zip(gids, column):
+            if value is not None and value is not MISSING:
+                counts[gid] += 1
+
+    def merge(self, state, other, gids, config):
+        counts = state[0]
+        for gid, count in zip(gids, other[0]):
+            counts[gid] += count
+
+    def final(self, state, gid, config):
+        return state[0][gid]
 
 
-@builtin("COLL_MIN", 1, 1, propagate_absent=False, is_aggregate=True)
-def coll_min(args: List[Any], config: EvalConfig) -> Any:
-    items = _elements("COLL_MIN", args[0])
-    if items is None or not items:
-        return None
-    best = items[0]
-    for item in items[1:]:
-        verdict = compare("<", item, best, config)
-        if verdict is MISSING:
+class _Total(Aggregate):
+    """SUM and AVG: one running ``+=`` total of the numeric elements,
+    from int 0 in element order, and their count.  Other elements are
+    skipped in permissive mode and raise in strict mode; a total that
+    overflows poisons the group."""
+
+    initial = (0, 0)
+
+    def __init__(self, name: str, average: bool):
+        super().__init__(name)
+        self.average = average
+
+    def step(self, state, gids, column, config):
+        totals, counts = state
+        for gid, value in zip(gids, column):
+            kind = type(value)
+            if kind is int or kind is float:
+                try:
+                    totals[gid] += value
+                except (TypeError, ArithmeticError):  # poisoned, or overflow
+                    self._add(state, gid, value, config)
+                    continue
+                counts[gid] += 1
+            elif value is not None and value is not MISSING:
+                self._add(state, gid, value, config)
+
+    def _add(self, state, gid, value, config):
+        totals, counts = state
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not config.is_permissive:
+                message = f"{self.name} expects numbers, got {type_name(value)}"
+                self._reject(message, config)
+            return
+        if totals[gid] is MISSING:
+            return
+        try:
+            totals[gid] += value
+        except ArithmeticError as error:
+            totals[gid] = self._reject(str(error), config)
+            return
+        counts[gid] += 1
+
+    def merge(self, state, other, gids, config):
+        totals, counts = state
+        for gid, total, count in zip(gids, *other):
+            if totals[gid] is MISSING or (count == 0 and total is not MISSING):
+                continue
+            if total is MISSING:
+                totals[gid] = MISSING
+                continue
+            try:
+                totals[gid] += total
+            except ArithmeticError as error:
+                totals[gid] = self._reject(str(error), config)
+                continue
+            counts[gid] += count
+
+    def final(self, state, gid, config):
+        total, count = state[0][gid], state[1][gid]
+        if total is MISSING:
             return MISSING
-        if verdict is True:
-            best = item
-    return best
+        if count == 0:
+            return None
+        if not self.average:
+            return total
+        try:
+            return total / count
+        except ArithmeticError as error:
+            return self._reject(str(error), config)
 
 
-@builtin("COLL_MAX", 1, 1, propagate_absent=False, is_aggregate=True)
-def coll_max(args: List[Any], config: EvalConfig) -> Any:
-    items = _elements("COLL_MAX", args[0])
-    if items is None or not items:
-        return None
-    best = items[0]
-    for item in items[1:]:
-        verdict = compare(">", item, best, config)
-        if verdict is MISSING:
-            return MISSING
-        if verdict is True:
-            best = item
-    return best
+#: Types whose same-type ``<`` / ``>`` is :func:`compare`'s verdict.
+_ORDERED = frozenset({int, float, str, bool})
 
 
-@builtin("COLL_EVERY", 1, 1, propagate_absent=False, is_aggregate=True)
-def coll_every(args: List[Any], config: EvalConfig) -> Any:
-    """True when every non-absent element is TRUE (empty → True)."""
-    items = _elements("COLL_EVERY", args[0])
-    if items is None:
-        return None
-    for item in items:
-        if not isinstance(item, bool):
-            raise TypeError(f"COLL_EVERY expects booleans, got {type_name(item)}")
-        if item is False:
-            return False
-    return True
+class _Extreme(Aggregate):
+    """MIN and MAX: the best element so far — None before the first,
+    MISSING once two elements were incomparable (poisoned)."""
+
+    initial = (None,)
+
+    def __init__(self, name: str, op: str):
+        super().__init__(name)
+        self.op = op
+
+    def step(self, state, gids, column, config):
+        best = state[0]
+        lower = self.op == "<"
+        for gid, value in zip(gids, column):
+            current = best[gid]
+            kind = type(value)
+            if kind is type(current) and kind in _ORDERED:
+                if (value < current) if lower else (value > current):
+                    best[gid] = value
+            elif value is not None and value is not MISSING:
+                self._meet(best, gid, value, config)
+
+    def _meet(self, best, gid, value, config):
+        current = best[gid]
+        if current is None:
+            best[gid] = value
+        elif current is not MISSING:
+            verdict = compare(self.op, value, current, config)
+            if verdict is MISSING:
+                best[gid] = MISSING
+            elif verdict is True:
+                best[gid] = value
+
+    def merge(self, state, other, gids, config):
+        best = state[0]
+        for gid, value in zip(gids, other[0]):
+            if value is MISSING:
+                best[gid] = MISSING
+            elif value is not None:
+                self._meet(best, gid, value, config)
+
+    def final(self, state, gid, config):
+        return state[0][gid]
 
 
-@builtin("COLL_SOME", 1, 1, propagate_absent=False, is_aggregate=True)
-def coll_some(args: List[Any], config: EvalConfig) -> Any:
-    """True when some non-absent element is TRUE (empty → False)."""
-    items = _elements("COLL_SOME", args[0])
-    if items is None:
-        return None
-    for item in items:
-        if not isinstance(item, bool):
-            raise TypeError(f"COLL_SOME expects booleans, got {type_name(item)}")
-        if item is True:
-            return True
-    return False
+class _Quantifier(Aggregate):
+    """EVERY and SOME: the first non-absent element equal to
+    ``decisive`` (EVERY: FALSE, SOME: TRUE) decides the group and later
+    elements are not looked at; a non-boolean before that is a type
+    error.  Empty → ``not decisive``."""
+
+    def __init__(self, name: str, decisive: bool):
+        super().__init__(name)
+        self.decisive = decisive
+        self.initial = (not decisive,)
+
+    def step(self, state, gids, column, config):
+        verdicts = state[0]
+        decisive, undecided = self.decisive, not self.decisive
+        for gid, value in zip(gids, column):
+            if (
+                verdicts[gid] is undecided
+                and value is not undecided
+                and value is not None
+                and value is not MISSING
+            ):
+                verdicts[gid] = (
+                    decisive
+                    if value is decisive
+                    else self._reject(
+                        f"{self.name} expects booleans, got {type_name(value)}",
+                        config,
+                    )
+                )
+
+    def merge(self, state, other, gids, config):
+        verdicts, undecided = state[0], not self.decisive
+        for gid, verdict in zip(gids, other[0]):
+            if verdicts[gid] is undecided:
+                verdicts[gid] = verdict
+
+    def final(self, state, gid, config):
+        return state[0][gid]
+
+
+class ValueList(Aggregate):
+    """The generic machine: a group's state is its values in row order,
+    and ``final`` invokes ``definition`` over them (deduplicated first
+    for a DISTINCT site)."""
+
+    def __init__(self, definition: FunctionDef, distinct: bool = False):
+        super().__init__(definition.name)
+        self.definition = definition
+        self.distinct = distinct
+
+    def init(self, groups=0):
+        return [[[] for __ in range(groups)]]
+
+    def grow(self, state, groups):
+        lists = state[0]
+        lists.extend([] for __ in range(groups - len(lists)))
+
+    def step(self, state, gids, column, config):
+        lists = state[0]
+        for gid, value in zip(gids, column):
+            lists[gid].append(value)
+
+    def merge(self, state, other, gids, config):
+        lists = state[0]
+        for gid, values in zip(gids, other[0]):
+            lists[gid].extend(values)
+
+    def final(self, state, gid, config):
+        values = state[0][gid]
+        if self.distinct:
+            values = distinct_elements(values)
+        return self.definition.invoke([Bag(values)], config)
+
+
+def machine_for(definition: FunctionDef, distinct: bool = False) -> Aggregate:
+    """The machine a fold over ``definition``'s aggregate runs: the
+    O(1)-state machine ``definition`` is the one-group fold of, or a
+    :class:`ValueList` for value-list aggregates and DISTINCT sites."""
+    machine = definition.fn
+    if not isinstance(machine, Aggregate) or distinct:
+        return ValueList(definition, distinct)
+    return machine
+
+
+for _machine in (
+    _Count("COLL_COUNT"),
+    _Total("COLL_SUM", average=False),
+    _Total("COLL_AVG", average=True),
+    _Extreme("COLL_MIN", "<"),
+    _Extreme("COLL_MAX", ">"),
+    _Quantifier("COLL_EVERY", decisive=False),
+    _Quantifier("COLL_SOME", decisive=True),
+):
+    REGISTRY.register(
+        _machine.name, _machine, 1, 1, propagate_absent=False, is_aggregate=True
+    )
+
+
+# =========================================================================
+# Value-list aggregates
+# =========================================================================
 
 
 @builtin("COLL_ARRAY_AGG", 1, 1, propagate_absent=False, is_aggregate=True)
@@ -232,7 +483,5 @@ def is_sql_aggregate(name: str) -> bool:
 # Outside a grouped query block the SQL names behave as their composable
 # COLL_* twins (``AVG([1, 2, 3])`` → 2), which is the Core reading; the
 # rewriter intercepts them *inside* SQL-compat grouped blocks first.
-from repro.functions.registry import REGISTRY  # noqa: E402
-
 for _sql_name, _coll_name in SQL_AGGREGATES.items():
     REGISTRY.alias(_coll_name, _sql_name)

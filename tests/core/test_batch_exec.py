@@ -342,16 +342,28 @@ class TestEvaluatorMemoization:
 
 
 class TestPartitionedFold:
-    """``fold_chunk`` partitions each chunk by group identity and
-    extends accumulators once per (group, chunk); the state it builds
-    must be exactly the row-at-a-time fold's."""
+    """``fold_chunk`` probes each row's group identity into dense group
+    ids and steps every aggregate's machine over the whole chunk; the
+    state it builds must be exactly the row-at-a-time fold's."""
 
-    @staticmethod
-    def fold(key_sources, rows, chunk_size):
+    #: (Core aggregate, argument) per fold site; ARRAY_AGG's value list
+    #: exposes each group's row order.
+    SITES = (
+        ("COLL_COUNT", "t.v"),
+        ("COLL_SUM", "t.v"),
+        ("COLL_MAX", "t.v"),
+        ("COLL_ARRAY_AGG", "t.i"),
+    )
+
+    @classmethod
+    def fold(cls, key_sources, rows, chunk_size):
+        from repro.config import DEFAULT_CONFIG
         from repro.core import vectorized
         from repro.core.compile_expr import compile_batch
         from repro.core.environment import Environment
         from repro.core.evaluator import Evaluator
+        from repro.functions.aggregates import machine_for
+        from repro.functions.registry import REGISTRY
         from repro.syntax.parser import parse_expression
 
         evaluator = Evaluator({})
@@ -362,19 +374,22 @@ class TestPartitionedFold:
         ]
         value_fns = [
             compile_batch(parse_expression(source), evaluator, row_vars)
-            for source in ("t.v", "t.i")
+            for __, source in cls.SITES
         ]
+        machines = [machine_for(REGISTRY.lookup(name)) for name, __ in cls.SITES]
         env = Environment()
-        groups, order = {}, []
+        groups = vectorized.GroupState.empty(machines)
         for start in range(0, len(rows), chunk_size):
             vectorized.fold_chunk(
-                rows[start : start + chunk_size], env, key_fns, value_fns, groups, order
+                rows[start : start + chunk_size], env, key_fns, value_fns,
+                machines, groups, DEFAULT_CONFIG,
             )
-        return key_fns, value_fns, order, groups
+        return key_fns, value_fns, machines, groups
 
     @staticmethod
     def fold_row_at_a_time(key_fns, value_fns, rows):
-        """The loop ``fold_chunk`` replaced, kept as the reference."""
+        """Per-group key values and value lists, row by row: the
+        reference the dense-id fold is checked against."""
         from repro.core.environment import Environment
         from repro.datamodel.equality import group_key
 
@@ -412,19 +427,28 @@ class TestPartitionedFold:
     @pytest.mark.parametrize("keys", [[], ["t.k"], ["t.k", "t.j"]])
     @pytest.mark.parametrize("chunk_size", [1, 3, 7, 40])
     def test_state_equals_the_row_at_a_time_fold(self, keys, chunk_size):
-        # A group spans chunk boundaries at every chunk size < 40;
-        # first-seen group order and per-group value order are exact
-        # (merge_folds and the parallel barrier depend on both).
+        # A group spans chunk boundaries at every chunk size < 40; groups
+        # are numbered in first-seen order and each folds its values in
+        # row order (merge_folds and the parallel barrier depend on
+        # both), so every group's final is its aggregate's definition
+        # over the row-at-a-time value list.
+        from repro.config import DEFAULT_CONFIG
+        from repro.functions.registry import REGISTRY
+
         rows = self.rows()
-        key_fns, value_fns, order, groups = self.fold(keys, rows, chunk_size)
+        key_fns, value_fns, machines, groups = self.fold(keys, rows, chunk_size)
         want_order, want_groups = self.fold_row_at_a_time(key_fns, value_fns, rows)
-        assert order == want_order
-        assert list(groups) == list(want_groups)
-        for identity in want_order:
-            key_values, accumulators = groups[identity]
-            want_keys, want_accumulators = want_groups[identity]
-            assert deep_equals(key_values, want_keys)
-            assert accumulators == want_accumulators
+        assert list(groups.ids.values()) == list(range(len(want_order)))
+        assert len(groups.keys) == len(want_order)
+        for gid, identity in enumerate(want_order):
+            want_keys, want_values = want_groups[identity]
+            assert deep_equals(groups.keys[gid], want_keys)
+            for (name, __), machine, state, values in zip(
+                self.SITES, machines, groups.states, want_values
+            ):
+                want = REGISTRY.lookup(name).invoke([Bag(values)], DEFAULT_CONFIG)
+                got = machine.final(state, gid, DEFAULT_CONFIG)
+                assert deep_equals(got, want), (name, gid)
 
     def test_keyless_aggregate_is_one_group_even_when_empty(self):
         db = Database()

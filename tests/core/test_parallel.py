@@ -167,6 +167,33 @@ class TestFoldMode:
         assert_bag_equal(result, db.execute(query, parallel=0))
         assert_bag_equal(result, db.execute(query, optimize=False))
 
+    def test_float_sum_adds_per_morsel_partials(self, small_morsels):
+        # A documented difference from serial (docs/PLANNER.md):
+        # workers return partial states and the barrier merges them in
+        # morsel order, so a float SUM / AVG is the sum of per-morsel
+        # partial totals.  2**54 absorbs every 1.0 added to it one at a
+        # time, but not a morsel's whole partial.
+        import math
+
+        n = 256
+        values = [2.0**54] + [1.0] * (n - 1)
+        db = Database(parallel=2)
+        db.set("fact", [{"v": v} for v in values])
+        query = "SELECT SUM(f.v) AS s, AVG(f.v) AS a FROM fact AS f"
+        (serial,) = db.execute(query, parallel=0)
+        assert serial["s"] == 2.0**54
+        (fanned,) = db.execute(query)
+        assert db.metrics.last.parallel_workers == 2
+        span = max(math.ceil(n / (2 * 4)), parallel.MIN_MORSEL_ROWS)
+        total = 0
+        for start in range(0, n, span):
+            partial = 0
+            for value in values[start : start + span]:
+                partial += value
+            total += partial
+        assert fanned["s"] == total != serial["s"]
+        assert fanned["a"] == total / n
+
     def test_distinct_aggregate_fold_parity(self, small_morsels):
         db = build_db()
         query = (

@@ -126,6 +126,35 @@ class TestWindowedAggregates:
         # b and c are salary peers: RANGE semantics include both.
         assert result["b"] == result["c"] == 500
 
+    @pytest.mark.parametrize("typing_mode", ["permissive", "strict"])
+    @pytest.mark.parametrize(
+        "dials", [{}, {"batch": False}, {"optimize": False}],
+        ids=["batch", "stream", "oracle"],
+    )
+    def test_running_aggregate_steps_once_per_peer_group(
+        self, wdb, typing_mode, dials
+    ):
+        # Peer groups: dept 1 {100}, {200, 200}; dept 2 {50}, {150}.  The
+        # running state takes one step per peer group instead of
+        # re-aggregating the prefix.
+        from unittest import mock
+
+        from repro.functions.registry import REGISTRY
+
+        machine = REGISTRY.lookup("COLL_SUM").fn
+        with mock.patch.object(machine, "step", wraps=machine.step) as step:
+            result = by_name(
+                wdb.execute(
+                    "SELECT e.name, SUM(e.salary) OVER (PARTITION BY e.dept "
+                    "ORDER BY e.salary) AS w FROM emps AS e",
+                    typing_mode=typing_mode,
+                    **dials,
+                )
+            )
+        assert step.call_count == 4
+        assert sorted(len(call.args[2]) for call in step.call_args_list) == [1, 1, 1, 2]
+        assert result == {"a": 100, "b": 500, "c": 500, "d": 50, "e": 200}
+
     def test_count_star_window(self, wdb):
         result = by_name(
             wdb.execute(
