@@ -19,6 +19,7 @@ from repro.core.environment import Environment, Unbound
 from repro.datamodel.equality import group_key
 from repro.datamodel.ordering import sort_key
 from repro.datamodel.values import MISSING, Bag, Struct, is_collection, type_name
+from repro.datamodel.values import shape_of
 from repro.errors import BindingError, EvaluationError, TypeCheckError
 from repro.functions import operators as ops
 from repro.syntax import ast
@@ -85,6 +86,20 @@ def group_element(env: Environment, var_order: List[str]) -> Struct:
         if value is not MISSING:
             pairs.append((name, value))
     return Struct(pairs)
+
+
+def group_elements(rows: List[Binding], var_order: List[str]) -> List[Struct]:
+    """:func:`group_element` of every binding row (a dict); the rows
+    that bind every variable share one interned shape."""
+    shape, elements = shape_of(tuple(var_order)), []
+    for row in rows:
+        values = tuple([row.get(name, MISSING) for name in var_order])
+        if MISSING in values or shape.duplicates:
+            pairs = [pair for pair in zip(var_order, values) if pair[1] is not MISSING]
+            elements.append(Struct(pairs))
+        else:
+            elements.append(Struct._trusted(shape, values))
+    return elements
 
 
 def eval_star(env: Environment, var_order: List[str]) -> Struct:

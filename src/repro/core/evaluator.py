@@ -33,11 +33,9 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 from repro.config import EvalConfig
 from repro.core import clauses, compile_expr, planner
 from repro.core.environment import Environment
-from repro.core.grouping_sets import expand_grouping_sets
 from repro.core.plan_ops import CHUNK_ROWS, close_iter
 from repro.core.tails import EnvColumns, run_tail
 from repro.core.windows import find_window_calls, lower_window_calls, window_columns
-from repro.datamodel.equality import group_key
 from repro.datamodel.values import Bag
 from repro.errors import EvaluationError, TypeCheckError
 from repro.functions import operators as ops
@@ -408,7 +406,7 @@ class Evaluator(clauses.QueryEvaluator):
             return set()
 
     def _eval_query_streaming(
-        self, query: ast.Query, body: ast.QueryBlock, env: Environment, head=None
+        self, query: ast.Query, body: ast.QueryBlock, env: Environment
     ) -> Any:
         """Pipelined evaluation of one block and its query's ORDER BY /
         LIMIT / OFFSET (docs/PLANNER.md).
@@ -422,18 +420,18 @@ class Evaluator(clauses.QueryEvaluator):
         wait (:meth:`_defers_select`) rows a top-K evicted never
         evaluate their projection — including any error it would have
         raised, the same visibility rule as every other
-        early-terminating consumer.  ``head`` is :meth:`_stream_rows`'s.
+        early-terminating consumer.
         """
         self.streamed = True
         kind = consumer_kind(query)
         bound, offset = (None, None) if kind == "pivot" else self._bounds(query, env)
         if kind in ("bag", "limit"):
-            source = iter(self._stream_block(body, env, head))
+            source = iter(self._stream_block(body, env))
             try:
                 return Bag(islice(source, offset or 0, bound))
             finally:
                 close_iter(source)
-        rows, stages, var_order = self._stream_rows(body, env, head)
+        rows, stages, var_order = self._stream_rows(body, env)
         source = iter(rows)
         # CHUNK_ROWS rows at a time, until a chunk comes back empty.
         chunks = iter(lambda: list(islice(source, CHUNK_ROWS)), [])
@@ -505,10 +503,7 @@ class Evaluator(clauses.QueryEvaluator):
     # -- streaming clause pipeline -------------------------------------------
 
     def _stream_rows(
-        self,
-        block: ast.QueryBlock,
-        env: Environment,
-        head: Optional[Tuple[Iterable[Environment], List[StageTally]]] = None,
+        self, block: ast.QueryBlock, env: Environment
     ) -> Tuple[Iterable[Environment], List[StageTally], List[str]]:
         """The block's clause pipeline up to HAVING as a lazy generator
         chain of binding environments, with its stage tallies and the
@@ -517,11 +512,9 @@ class Evaluator(clauses.QueryEvaluator):
         Each clause wraps the previous clause's iterator, so a consumer
         that stops early (LIMIT, EXISTS) stops every upstream producer
         with it.  GROUP BY is a pipeline breaker but folds rows into
-        hash-group state as they arrive instead of buffering the binding
-        stream.  A block without FROM is the single binding ``env``.
-        ``head`` is the batch executor's hand-over for a grouping its
-        fold cannot decompose: the environments its chunk operators kept
-        (FROM → LET → WHERE already ran) and those stages' tallies.
+        group state as they arrive instead of buffering the binding
+        stream (:meth:`_stream_groups`).  A block without FROM is the
+        single binding ``env``.
         """
         stages: List[StageTally] = []
         tally = self._tally
@@ -531,22 +524,19 @@ class Evaluator(clauses.QueryEvaluator):
             for item in block.from_:
                 var_order.extend(clauses.item_vars(item))
         var_order.extend(let.name for let in block.lets)
-        if head is not None:
-            rows, stages = head
-        else:
-            rows = iter((env,))
-            if plan is not None:
-                rows = tally(stages, plan.iter_envs(self, env), "FROM")
-            if block.lets:
-                let_fns = [(let.name, self.compiled(let.expr)) for let in block.lets]
-                rows = tally(stages, _let_rows(let_fns, rows), "LET")
-            where_expr = block.where if plan is None else plan.residual_where
-            if where_expr is not None:
-                where_fn = self.compiled(where_expr)
-                rows = tally(stages, _filter_rows(where_fn, rows), "WHERE")
+        rows = iter((env,))
+        if plan is not None:
+            rows = tally(stages, plan.iter_envs(self, env), "FROM")
+        if block.lets:
+            let_fns = [(let.name, self.compiled(let.expr)) for let in block.lets]
+            rows = tally(stages, _let_rows(let_fns, rows), "LET")
+        where_expr = block.where if plan is None else plan.residual_where
+        if where_expr is not None:
+            where_fn = self.compiled(where_expr)
+            rows = tally(stages, _filter_rows(where_fn, rows), "WHERE")
 
         if block.group_by is not None:
-            grouped = self._iter_group_by(block.group_by, rows, env, var_order)
+            grouped = self._stream_groups(block.group_by, rows, env, var_order)
             rows = tally(stages, grouped, "GROUP BY")
             var_order = clauses.group_output_vars(block.group_by)
 
@@ -563,13 +553,11 @@ class Evaluator(clauses.QueryEvaluator):
             return source
         return _tallied(source, StageTally(name, stages))
 
-    def _stream_block(
-        self, block: ast.QueryBlock, env: Environment, head=None
-    ) -> Iterator[Any]:
+    def _stream_block(self, block: ast.QueryBlock, env: Environment) -> Iterator[Any]:
         """The block's output values as a lazy stream, for the consumers
         that may stop early (unordered LIMIT, EXISTS, IN): a row is
         projected only when it is pulled.  Windows break the pipeline."""
-        rows, stages, var_order = self._stream_rows(block, env, head)
+        rows, stages, var_order = self._stream_rows(block, env)
         tally = self._tally
         calls, select = self._window_select(block)
         if calls:
@@ -773,53 +761,40 @@ class Evaluator(clauses.QueryEvaluator):
 
     # -- GROUP BY --------------------------------------------------------------
 
-    def _iter_group_by(
+    def _stream_groups(
         self,
         clause: ast.GroupByClause,
         source: Iterable[Environment],
         outer_env: Environment,
         var_order: List[str],
     ) -> Iterator[Environment]:
-        """Streaming hash aggregation: fold each arriving row into the
-        per-grouping-set group state instead of buffering the binding
-        stream.  Each key expression is evaluated once per row (shared
-        across grouping sets, inactive keys masked to NULL) and the
-        GROUP AS element is built once per row, so memory is bounded by
-        the number of groups — plus the grouped members when GROUP AS
-        retains them, which is inherent to its semantics."""
+        """GROUP BY on the stream: the batch executor's fold
+        (:func:`vectorized.fold_chunk`) over ``CHUNK_ROWS`` environments
+        at a time, their keys evaluated row-major (one row's keys before
+        the next row's).  Only the GROUP AS collector folds: aggregate
+        sites are not decomposed, so an aggregate argument is evaluated
+        only where the SELECT reads ``COLL_*`` over the group."""
+        from repro.core import vectorized
+
         key_fns = [self.compiled(key.expr) for key in clause.keys]
-        key_sets = [set(indexes) for indexes in expand_grouping_sets(clause)]
-        # One (groups, first-seen order) pair per grouping set.
-        states: List[Tuple[Dict[tuple, Tuple[List[Any], List[Any]]], List[tuple]]]
-        states = [({}, []) for __ in key_sets]
-        group_as = clause.group_as
-        for current in source:
-            key_values_all = [key_fn(current) for key_fn in key_fns]
-            element = (
-                clauses.group_element(current, var_order) if group_as else None
-            )
-            for active, (groups, order) in zip(key_sets, states):
-                key_values = [
-                    value if index in active else None
-                    for index, value in enumerate(key_values_all)
+        specs = [vectorized.AggSpec(clause.group_as)] if clause.group_as else []
+        machines = [spec.machine for spec in specs]
+        sets = vectorized.GroupState.sets(clause, machines)
+        source = iter(source)
+        try:
+            for chunk in iter(lambda: list(islice(source, CHUNK_ROWS)), []):
+                keys = [[key_fn(current) for key_fn in key_fns] for current in chunk]
+                values = [
+                    [clauses.group_element(current, var_order) for current in chunk]
+                    for __ in specs
                 ]
-                identity = tuple(group_key(value) for value in key_values)
-                group = groups.get(identity)
-                if group is None:
-                    group = (key_values, [])
-                    groups[identity] = group
-                    order.append(identity)
-                if group_as:
-                    group[1].append(element)
-        for groups, order in states:
-            if not groups and not clause.keys:
-                # Implicit aggregation over empty input still produces a
-                # single (empty) group, matching SQL's one-row answer.
-                groups[()] = ([], [])
-                order.append(())
-            for identity in order:
-                binding = clauses.group_binding(clause, *groups[identity])
-                yield outer_env.extend(binding)
+                vectorized.fold_chunk(
+                    len(chunk), list(zip(*keys)), values, machines, sets, self.config
+                )
+        finally:
+            close_iter(source)
+        for binding in vectorized.finalize_groups(clause, specs, sets, self.config):
+            yield outer_env.extend(binding)
 
     # -- subquery value streams ----------------------------------------------
 

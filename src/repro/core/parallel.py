@@ -21,10 +21,10 @@ pickling.  Two result modes:
 
 * ``rows`` — workers return their morsel's binding rows; the parent
   runs the remaining clauses (LET, residual WHERE, grouping) serially.
-* ``fold`` — workers fold their morsel into decomposed GROUP BY
-  state (:func:`repro.core.vectorized.fold_chunk`) and return their
-  aggregates' partial states; the parent merges them in morsel order
-  through each aggregate's ``merge``.
+* ``fold`` — workers fold their morsel into GROUP BY state
+  (:func:`repro.core.vectorized.fold_chunk`, one state per grouping
+  set) and return their machines' partial states; the parent merges
+  them in morsel order, set by set, through each machine's ``merge``.
 
 Observability and limits compose across the fork: each worker runs a
 fresh :class:`~repro.observability.ExecTracer` and returns per-operator
@@ -58,6 +58,7 @@ from repro.core.vectorized import (
     GroupState,
     build_fold_fns,
     fold_chunk,
+    fold_columns,
     merge_folds,
 )
 
@@ -89,7 +90,7 @@ class ParallelOutcome:
     #: Parent-side wall time of the whole fan-out.
     elapsed: float = 0.0
     rows: List[Binding] = field(default_factory=list)
-    groups: Optional[GroupState] = None
+    groups: Optional[List[GroupState]] = None
 
 
 def _spine(op) -> Optional[Tuple[ScanOp, List[HashJoinOp]]]:
@@ -135,18 +136,16 @@ def _run_morsel(span: Tuple[int, int]):
     try:
         rows_seen = 0
         if state["mode"] == "fold":
-            decomp = state["decomp"]
-            key_fns, value_fns = build_fold_fns(evaluator, decomp, state["row_vars"])
+            decomp, row_vars = state["decomp"], state["row_vars"]
+            key_fns, value_fns = build_fold_fns(evaluator, decomp, row_vars)
             machines = decomp.machines
-            groups = GroupState.empty(machines)
+            groups = GroupState.sets(decomp.clause, machines)
             for chunk in op.iter_chunks(
                 evaluator, env, morsel=span, tables=state["tables"]
             ):
                 rows_seen += len(chunk)
-                fold_chunk(
-                    chunk, env, key_fns, value_fns, machines, groups,
-                    evaluator.config,
-                )
+                columns = fold_columns(chunk, env, key_fns, value_fns, row_vars)
+                fold_chunk(len(chunk), *columns, machines, groups, evaluator.config)
             payload: Any = groups
         else:
             rows: List[Binding] = []
@@ -295,7 +294,7 @@ def try_parallel(
 
     outcome = ParallelOutcome(mode=mode, workers=workers)
     governor_delta = 0
-    partials: List[GroupState] = []
+    partials: List[List[GroupState]] = []
     for result in results:
         __, rows_seen, payload, tallies, delta = result
         outcome.rows_seen += rows_seen
@@ -310,7 +309,8 @@ def try_parallel(
                     op_list[index], invocations, rows_in, rows_out, time_s
                 )
     if mode == "fold":
-        outcome.groups = merge_folds(partials, decomp.machines, config)
+        outcome.groups = GroupState.sets(decomp.clause, decomp.machines)
+        merge_folds(outcome.groups, partials, decomp.machines, config)
 
     governor = evaluator.governor
     if governor is not None and governor_delta:

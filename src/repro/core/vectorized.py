@@ -7,7 +7,8 @@ frames dominates.  This module executes the same clause pipeline a
 time: the physical operators yield lists of binding dicts
 (:meth:`PlanOp.iter_chunks`), compiled expressions map over whole
 chunks (:func:`repro.core.compile_expr.compile_batch`), and GROUP BY
-folds chunks into per-group accumulator state.
+folds chunks into per-group state machines (:func:`fold_chunk`, the
+one GROUP BY both executors run).
 
 Semantics are the reference interpreter's (:mod:`repro.core.reference`,
 which this module never calls): clauses run clause-major (all FROM
@@ -29,13 +30,13 @@ materializes every group's members and re-runs a subquery per group.
 them: each becomes an :class:`AggSpec` whose value expression is
 evaluated *per input row* during the fold and stepped into the
 aggregate's state machine (:mod:`repro.functions.aggregates`) at the
-row's dense group id, so groups never materialize member tuples.  The
-fold is exact — ``COLL_X`` *is* the one-group fold of the same machine,
-stepped over the same values in the same order — so results are
-bit-identical to evaluating the lowered subquery.  Blocks
-whose GROUP AS variable is used outside recognized sites fall back to
-the semi-batch path: the streaming pipeline from GROUP BY on, over the
-rows the chunk operators kept.
+row's dense group id.  The fold is exact — ``COLL_X`` *is* the
+one-group fold of the same machine, stepped over the same values in the
+same order.  Every GROUP BY block decomposes: a GROUP AS variable still
+referenced after that gets one more machine collecting the group
+(``aggregates.MEMBERS``), and grouping sets keep a :class:`GroupState`
+each.  The stream runs the same :func:`fold_chunk` with the collector
+alone (``Evaluator._stream_groups``).
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ from repro.core.environment import Environment
 from repro.core.grouping_sets import expand_grouping_sets
 from repro.core.plan_ops import ScanOp, close_iter, walk_ops
 from repro.core.tails import EnvColumns, run_tail
-from repro.core.windows import find_window_calls, window_variable
+from repro.core.windows import find_window_calls, lower_window_calls, window_variable
 from repro.datamodel.values import Bag, Struct
 from repro.errors import SQLPPError
-from repro.functions.aggregates import Aggregate, State, machine_for
+from repro.functions.aggregates import MEMBERS, Aggregate, State, machine_for
 from repro.functions.registry import REGISTRY
 from repro.observability.tracer import StageTally
 from repro.syntax import ast
@@ -73,24 +74,29 @@ _FOLD_VAR = "$fold"
 
 @dataclass
 class AggSpec:
-    """One decomposed aggregate call site.
+    """One machine of a GROUP BY fold: a decomposed aggregate call site,
+    or — ``definition`` None — the GROUP AS collector.
 
     During the fold, ``value_expr`` (row-space: the lowered
     ``g.e.salary`` path rewritten back to the binding variable
     ``e.salary``) is evaluated per input row and stepped into
-    ``machine`` (``aggregates.machine_for(definition, distinct)``); at
-    finalize time the machine's ``final`` of each group is bound to
-    ``var`` in the group's output row.
+    ``machine`` (``aggregates.machine_for(definition, distinct)``), and
+    the collector steps each row's group element into
+    ``aggregates.MEMBERS``; each group's ``final`` is bound to ``var``.
     """
 
     var: str
-    definition: Any
-    distinct: bool
-    value_expr: ast.Expr
+    definition: Any = None
+    distinct: bool = False
+    value_expr: Optional[ast.Expr] = None
     machine: Aggregate = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
-        self.machine = machine_for(self.definition, self.distinct)
+        self.machine = (
+            MEMBERS
+            if self.definition is None
+            else machine_for(self.definition, self.distinct)
+        )
 
 
 @dataclass
@@ -99,20 +105,26 @@ class Decomposition:
 
     clause: ast.GroupByClause
     specs: List[AggSpec]
-    #: The SELECT VALUE clause with aggregate sites replaced by
-    #: ``VarRef($foldN)`` placeholders.
-    select: ast.SelectValue
+    #: The SELECT clause with aggregate sites replaced by
+    #: ``VarRef($foldN)`` placeholders and its window calls lowered
+    #: (:func:`windows.lower_window_calls`).
+    select: ast.SelectClause
+    #: The SELECT's window calls, sites replaced likewise.
+    calls: List[ast.WindowCall]
     #: HAVING predicate with sites replaced likewise, or None.
     having_expr: Optional[ast.Expr]
     #: The query's ORDER BY items with sites replaced likewise.
     order_by: List[ast.OrderItem]
-    #: Row variables of the finalized group rows: key aliases then
-    #: placeholder vars.
-    group_row_vars: Tuple[str, ...]
 
     @property
     def machines(self) -> List[Aggregate]:
         return [spec.machine for spec in self.specs]
+
+    @property
+    def group_row_vars(self) -> Tuple[str, ...]:
+        """The group rows' variables: key aliases, then spec variables."""
+        specs = tuple(spec.var for spec in self.specs)
+        return tuple(key.alias for key in self.clause.keys) + specs
 
 
 def _rebinds(expr: ast.Expr, name: str) -> bool:
@@ -214,39 +226,40 @@ def _match_site(
 
 
 def _replace_sites(
-    expr: ast.Expr,
+    node: ast.Node,
     group_var: str,
     row_vars: frozenset,
     specs: List[AggSpec],
-) -> ast.Expr:
-    """Replace lowered aggregate sites with placeholder variables.
+) -> ast.Node:
+    """Replace lowered aggregate sites under ``node`` (an expression or
+    a SELECT clause) with placeholder variables.
 
     Top-down so an outer site is matched before its interior is
     touched; unmatched subqueries are left opaque (their aggregate
     sites, if any, reference their *own* group variable and must not
     be folded against ours — a remaining free reference to our group
-    variable is caught by the caller's free-name check).
+    variable makes the caller collect the group for it).
     """
 
-    def rebuild(node: ast.Node) -> ast.Node:
-        if isinstance(node, ast.Expr):
-            site = _match_site(node, group_var, row_vars)
+    def rebuild(current: ast.Node) -> ast.Node:
+        if isinstance(current, ast.Expr):
+            site = _match_site(current, group_var, row_vars)
             if site is not None:
                 definition, distinct, value_expr = site
                 var = f"{_FOLD_VAR}{len(specs)}"
                 specs.append(AggSpec(var, definition, distinct, value_expr))
-                return ast.copy_span(ast.VarRef(name=var), node)
-        if isinstance(node, (ast.SubqueryExpr, ast.CoerceSubquery)):
-            return node
+                return ast.copy_span(ast.VarRef(name=var), current)
+        if isinstance(current, (ast.SubqueryExpr, ast.CoerceSubquery)):
+            return current
         changes = {}
-        for fld in dataclasses.fields(node):
-            old = getattr(node, fld.name)
+        for fld in dataclasses.fields(current):
+            old = getattr(current, fld.name)
             new = _rebuild_value(old, rebuild)
             if new is not old:
                 changes[fld.name] = new
-        return dataclasses.replace(node, **changes) if changes else node
+        return dataclasses.replace(current, **changes) if changes else current
 
-    return rebuild(expr)
+    return rebuild(node)
 
 
 def _rebuild_value(value: Any, rebuild) -> Any:
@@ -269,60 +282,48 @@ def decompose_block(
     block: ast.QueryBlock,
     row_vars: Tuple[str, ...],
     order_by: Sequence[ast.OrderItem] = (),
-) -> Optional[Decomposition]:
-    """Fold/finalize decomposition of a GROUP BY block, or None.
+) -> Decomposition:
+    """The fold/finalize form of a GROUP BY block.
 
     ``row_vars`` are the binding variables in scope at the GROUP BY
     (FROM variables plus LET names), ``order_by`` the ORDER BY of the
-    block's query, whose keys see the groups too.  Decomposition
-    requires a single plain grouping set, a ``SELECT VALUE`` projection
-    without window calls, and that every use of the GROUP AS variable
-    is a recognized lowered-aggregate site; anything else returns None
-    and the caller uses the general-purpose grouping fallback.
+    block's query, whose keys see the groups too.  Every recognized
+    lowered aggregate site in the SELECT, HAVING and ORDER BY becomes an
+    :class:`AggSpec`.  If the GROUP AS variable is still referenced
+    after that — or ``SELECT *`` reads it — one more spec collects each
+    group's elements for it; otherwise no group keeps member tuples.
     """
-    clause = block.group_by
-    if clause is None:
-        return None
-    sets = expand_grouping_sets(clause)
-    if sets != [list(range(len(clause.keys)))]:
-        return None
-    if not isinstance(block.select, ast.SelectValue):
-        return None
-    if find_window_calls(block.select):
-        return None
-    group_var = clause.group_as
-    row_var_set = frozenset(row_vars)
-    specs: List[AggSpec] = []
-    exprs = [block.select.expr, block.having] + [item.expr for item in order_by]
-    if group_var is not None:
+    clause, specs = block.group_by, []
+    nodes = [block.select, block.having] + [item.expr for item in order_by]
+    if clause.group_as is not None:
         from repro.core.planner import free_names
 
-        for index, expr in enumerate(exprs):
-            if expr is not None:
-                expr = _replace_sites(expr, group_var, row_var_set, specs)
-                if group_var in free_names(expr):
-                    return None
-                exprs[index] = expr
-    select_expr, having_expr, *order_exprs = exprs
-    group_row_vars = tuple(key.alias for key in clause.keys) + tuple(
-        spec.var for spec in specs
-    )
+        group_var, scope = clause.group_as, frozenset(row_vars)
+        nodes = [
+            node if node is None else _replace_sites(node, group_var, scope, specs)
+            for node in nodes
+        ]
+        free = set().union(*[free_names(node) for node in nodes if node is not None])
+        if group_var in free or isinstance(nodes[0], ast.SelectStar):
+            specs.append(AggSpec(group_var))
+    select, having, *order_exprs = nodes
+    calls = find_window_calls(select)
     return Decomposition(
         clause=clause,
         specs=specs,
-        select=dataclasses.replace(block.select, expr=select_expr),
-        having_expr=having_expr,
+        select=lower_window_calls(select, calls) if calls else select,
+        calls=calls,
+        having_expr=having,
         order_by=[
             dataclasses.replace(item, expr=expr)
             for item, expr in zip(order_by, order_exprs)
         ],
-        group_row_vars=group_row_vars,
     )
 
 
 def cached_decomposition(
     evaluator, query: ast.Query, row_vars: Tuple[str, ...]
-) -> Optional[Decomposition]:
+) -> Decomposition:
     """Per-query memo of :func:`decompose_block` over ``query``'s block
     (the node is kept alive alongside the result so id() keys stay
     unique)."""
@@ -335,18 +336,21 @@ def cached_decomposition(
 
 
 # =========================================================================
-# Group folding (shared by the serial path and the morsel workers)
+# Group folding (shared by both executors and the morsel workers)
 # =========================================================================
 
 @dataclass
 class GroupState:
-    """The fold state of a decomposed GROUP BY: groups numbered densely
-    in first-seen order — the output order of the reference pipeline —
-    and one aggregate state machine's state per :class:`AggSpec`."""
+    """The fold state of one grouping set: groups numbered densely in
+    first-seen order — the output order of the reference pipeline — and
+    one state machine's state per :class:`AggSpec`."""
 
-    #: Group identity → group id.  One key's identity is its
-    #: :func:`clauses.identity_column` element, several keys' the tuple
-    #: of theirs; no keys is the implicit single group ``()``.
+    #: Indexes of the GROUP BY keys the set groups by; the others are
+    #: NULL in its groups.
+    keep: Tuple[int, ...]
+    #: Group identity → group id.  One kept key's identity is its
+    #: :func:`clauses.identity_column` element, several keys' (or none)
+    #: the tuple of theirs.
     ids: Dict[Any, int]
     #: Group id → the key values of the group's first row.
     keys: List[List[Any]]
@@ -354,71 +358,78 @@ class GroupState:
     states: List[State]
 
     @classmethod
-    def empty(cls, machines: List[Aggregate]) -> "GroupState":
-        return cls({}, [], [machine.init() for machine in machines])
+    def sets(cls, clause: ast.GroupByClause, machines: List[Aggregate]) -> list:
+        """One empty state per grouping set of ``clause``, in output order."""
+        return [
+            cls(tuple(keep), {}, [], [machine.init() for machine in machines])
+            for keep in expand_grouping_sets(clause)
+        ]
 
 
 def build_fold_fns(
     evaluator, decomp: Decomposition, row_vars: Tuple[str, ...]
-) -> Tuple[List[Callable], List[Callable]]:
-    """Batch-compiled key and aggregate-value functions for a fold."""
+) -> Tuple[List[Callable], List[Optional[Callable]]]:
+    """Batch-compiled key functions and, per spec, its value function
+    (None for the GROUP AS collector)."""
     row_var_set = frozenset(row_vars)
     compiled = evaluator.compiled_batch
     key_fns = [compiled(key.expr, row_var_set) for key in decomp.clause.keys]
-    value_fns = [compiled(spec.value_expr, row_var_set) for spec in decomp.specs]
+    value_fns = [
+        None if spec.value_expr is None else compiled(spec.value_expr, row_var_set)
+        for spec in decomp.specs
+    ]
     return key_fns, value_fns
 
 
-def fold_chunk(
-    chunk: List[Binding],
-    env: Environment,
-    key_fns: List[Callable],
-    value_fns: List[Callable],
-    machines: List[Aggregate],
-    groups: GroupState,
-    config,
-) -> None:
-    """Fold one chunk of binding rows into ``groups``.
-
-    Each row's group identity is probed into ``groups.ids`` once (an
-    identity not seen before takes the next dense id), then every
-    aggregate steps its whole value column at those ids.  Groups are
-    numbered in first-seen order and each steps its values in row
-    order — :func:`merge_folds` and the parallel barrier depend on both.
-    """
+def fold_columns(chunk: List[Binding], env, key_fns, value_fns, var_order) -> tuple:
+    """A chunk of binding rows as :func:`fold_chunk`'s key and value
+    columns: chunk kernels sharing one memo, and the rows' group
+    elements for the collector."""
     memo: dict = {}
     key_columns = [fn(chunk, env, memo) for fn in key_fns]
-    value_columns = [fn(chunk, env, memo) for fn in value_fns]
-    ids, keys = groups.ids, groups.keys
-    if not key_columns:
-        # No keys is the implicit single group, not zero groups.
-        if not keys:
-            ids[()] = 0
-            keys.append([])
-        gids: List[Any] = [0] * len(chunk)
-    else:
-        columns = [clauses.identity_column(column) for column in key_columns]
-        identities = columns[0] if len(columns) == 1 else list(zip(*columns))
-        gids = list(map(ids.get, identities))
+    value_columns = [
+        clauses.group_elements(chunk, var_order) if fn is None else fn(chunk, env, memo)
+        for fn in value_fns
+    ]
+    return key_columns, value_columns
+
+
+def fold_chunk(size, key_columns, value_columns, machines, sets, config) -> None:
+    """Fold ``size`` rows — one column per GROUP BY key, one per machine
+    — into every grouping set's state.
+
+    Per set, each row's identity over the keys it keeps is probed into
+    its ``ids`` once (an identity not seen before takes the next dense
+    id), then every machine steps its whole value column at those ids.
+    Groups are numbered in first-seen order and each steps its values in
+    row order — :func:`merge_folds` and the parallel barrier depend on
+    both.
+    """
+    identities = [clauses.identity_column(column) for column in key_columns]
+    for groups in sets:
+        ids, keys, keep = groups.ids, groups.keys, groups.keep
+        if len(keep) == 1:
+            kept = identities[keep[0]]
+        else:
+            kept = list(zip(*[identities[k] for k in keep])) if keep else [()] * size
+        gids = list(map(ids.get, kept))
         if None in gids:
-            for index in range(gids.index(None), len(gids)):
-                if gids[index] is None:
-                    identity = identities[index]
+            for row in range(gids.index(None), size):
+                if gids[row] is None:
+                    identity = kept[row]
                     gid = ids.get(identity)
                     if gid is None:
                         gid = ids[identity] = len(keys)
-                        keys.append([column[index] for column in key_columns])
-                    gids[index] = gid
-    for machine, state, column in zip(machines, groups.states, value_columns):
-        machine.grow(state, len(keys))
-        machine.step(state, gids, column, config)
+                        keys.append([column[row] for column in key_columns])
+                    gids[row] = gid
+        for machine, state, column in zip(machines, groups.states, value_columns):
+            machine.grow(state, len(keys))
+            machine.step(state, gids, column, config)
 
 
-def merge_folds(
-    partials: Iterable[GroupState], machines: List[Aggregate], config
-) -> GroupState:
-    """Merge per-morsel fold states in morsel order, through each
-    machine's ``merge``.
+def merge_folds(sets: List[GroupState], partials, machines, config) -> None:
+    """Merge per-morsel fold states into ``sets`` in morsel order, set
+    by set, through each machine's ``merge``.
 
     Morsels partition the scan in row order, so first-seen group order
     across the merged state equals the serial fold's, and each group
@@ -427,43 +438,43 @@ def merge_folds(
     SUM / AVG add per-morsel partial totals, and MIN / MAX over data
     with NaN may keep a different element (docs/PLANNER.md).
     """
-    merged = GroupState.empty(machines)
-    ids, keys = merged.ids, merged.keys
-    for partial in partials:
-        gids = []
-        for identity, key_values in zip(partial.ids, partial.keys):
-            gid = ids.get(identity)
-            if gid is None:
-                gid = ids[identity] = len(keys)
-                keys.append(key_values)
-            gids.append(gid)
-        for machine, state, other in zip(machines, merged.states, partial.states):
-            machine.grow(state, len(keys))
-            machine.merge(state, other, gids, config)
-    return merged
+    for partial_sets in partials:
+        for merged, partial in zip(sets, partial_sets):
+            ids, keys = merged.ids, merged.keys
+            gids = []
+            for identity, key_values in zip(partial.ids, partial.keys):
+                gid = ids.get(identity)
+                if gid is None:
+                    gid = ids[identity] = len(keys)
+                    keys.append(key_values)
+                gids.append(gid)
+            for machine, state, other in zip(machines, merged.states, partial.states):
+                machine.grow(state, len(keys))
+                machine.merge(state, other, gids, config)
 
 
-def finalize_groups(
-    decomp: Decomposition, groups: GroupState, config
-) -> List[Binding]:
-    """Finalize fold state into group output rows: each machine's
-    ``final`` per group.  An empty input with no keys still produces
-    the single implicit group (SQL's one-row answer)."""
-    clause = decomp.clause
-    if not groups.keys and not clause.keys:
-        groups.ids[()] = 0
-        groups.keys.append([])
-    finals = []
-    for spec, state in zip(decomp.specs, groups.states):
-        spec.machine.grow(state, len(groups.keys))
-        finals.append((spec.var, spec.machine.final, state))
+def finalize_groups(clause, specs, sets: List[GroupState], config) -> List[Binding]:
+    """The group output rows, set after set and in first-seen order
+    within each: the key aliases (NULL where the set leaves the key out)
+    and each spec's variable bound to its machine's ``final``.  An empty
+    input with no keys still produces the single implicit group (SQL's
+    one-row answer); a set that keeps no key of a keyed clause, none."""
     aliases = [key.alias for key in clause.keys]
     rows: List[Binding] = []
-    for gid, key_values in enumerate(groups.keys):
-        row: Binding = dict(zip(aliases, key_values))
-        for var, final, state in finals:
-            row[var] = final(state, gid, config)
-        rows.append(row)
+    for groups in sets:
+        if not groups.keys and not clause.keys:
+            groups.ids[()] = 0
+            groups.keys.append([])
+        nulls = {a: None for k, a in enumerate(aliases) if k not in groups.keep}
+        finals = []
+        for spec, state in zip(specs, groups.states):
+            spec.machine.grow(state, len(groups.keys))
+            finals.append((spec.var, spec.machine.final, state))
+        for gid, values in enumerate(groups.keys):
+            row: Binding = dict(zip(aliases, values), **nulls)
+            for var, final, state in finals:
+                row[var] = final(state, gid, config)
+            rows.append(row)
     return rows
 
 
@@ -486,18 +497,17 @@ class BlockKernels:
     let_fns: List[Tuple[str, Callable]]
     residual_fn: Optional[Callable]
     key_fns: List[Callable]
-    value_fns: List[Callable]
+    #: Per fold spec, its value kernel (None: the GROUP AS collector).
+    value_fns: List[Optional[Callable]]
     #: HAVING kernel over the finalized group rows (or the kept rows of
-    #: an ungrouped block); None when absent or when the semi-batch
-    #: grouping fallback evaluates it in env space.
+    #: an ungrouped block); None when absent.
     having_fn: Optional[Callable]
     #: The row variables HAVING and the tail see.
     out_vars: frozenset
 
     def all(self) -> List[Callable]:
-        fns = [fn for __, fn in self.let_fns]
-        fns += self.key_fns + self.value_fns
-        return fns + [fn for fn in (self.residual_fn, self.having_fn) if fn]
+        fns = [fn for __, fn in self.let_fns] + self.key_fns + self.value_fns
+        return [fn for fn in fns + [self.residual_fn, self.having_fn] if fn]
 
 
 def block_kernels(evaluator, query: ast.Query, plan) -> BlockKernels:
@@ -512,15 +522,13 @@ def block_kernels(evaluator, query: ast.Query, plan) -> BlockKernels:
 
     decomp: Optional[Decomposition] = None
     key_fns: List[Callable] = []
-    value_fns: List[Callable] = []
+    value_fns: List[Optional[Callable]] = []
     having_expr, out_vars = body.having, row_var_set
     if body.group_by is not None:
         decomp = cached_decomposition(evaluator, query, row_vars)
-        having_expr = None
-        if decomp is not None:
-            key_fns, value_fns = build_fold_fns(evaluator, decomp, row_vars)
-            having_expr = decomp.having_expr
-            out_vars = frozenset(decomp.group_row_vars)
+        key_fns, value_fns = build_fold_fns(evaluator, decomp, row_vars)
+        having_expr = decomp.having_expr
+        out_vars = frozenset(decomp.group_row_vars)
     residual = plan.residual_where
     return BlockKernels(
         var_order=var_order,
@@ -590,15 +598,16 @@ def batch_tail(evaluator, query, kernels, env, chunks, stages, bound=None):
     """:func:`tails.run_tail` over a batched block's final binding rows
     — ``chunks`` of them, after HAVING — and the :class:`KernelColumns`
     that served it."""
-    body, order_by, row_vars = query.body, query.order_by, kernels.out_vars
-    calls, select = evaluator._window_select(body)
-    if kernels.decomp is not None:
-        select, order_by = kernels.decomp.select, kernels.decomp.order_by
+    body, decomp, row_vars = query.body, kernels.decomp, kernels.out_vars
+    if decomp is None:
+        calls, select = evaluator._window_select(body)
+        order_by, var_order = query.order_by, kernels.var_order + kernels.let_names
+    else:
+        calls, select, order_by = decomp.calls, decomp.select, decomp.order_by
+        var_order = clauses.group_output_vars(decomp.clause)
     if calls:
         row_vars = row_vars | {window_variable(n) for n in range(len(calls))}
-    cols = KernelColumns(
-        evaluator, env, row_vars, kernels.var_order + kernels.let_names
-    )
+    cols = KernelColumns(evaluator, env, row_vars, var_order)
     deferred = evaluator._defers_select(body, query.order_by)
     result = run_tail(
         chunks, cols, select, calls, order_by, evaluator.config, stages, deferred, bound
@@ -672,7 +681,7 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
     # ---- FROM: serial chunks, or the morsel-parallel driver ----------
     folding = decomp is not None
     machines = decomp.machines if folding else []
-    groups = GroupState.empty(machines)
+    groups = GroupState.sets(decomp.clause, machines) if folding else []
     source: Optional[Iterable[List[Binding]]] = None
     if config.parallel >= 2 and query is evaluator._top_query:
         # Only the top-level block fans out: a derived table is scanned
@@ -703,13 +712,6 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
         source = op.iter_chunks(evaluator, env)
     chunks: Iterable[List[Binding]] = kept_chunks(source)
 
-    if body.group_by is not None and not folding:
-        # Semi-batch fallback: general grouping (grouping sets, GROUP AS
-        # consumed directly) is the streaming pipeline's, from GROUP BY
-        # on, over the rows the chunk operators kept.
-        rows = (env.extend(row) for chunk in chunks for row in chunk)
-        return evaluator._eval_query_streaming(query, body, env, (rows, stages))
-
     pivot = isinstance(body.select, ast.PivotClause)
     bound = offset = None
     if query.order_by and not pivot:
@@ -721,10 +723,11 @@ def execute_batch_query(evaluator, query, body, plan, env) -> Any:
         key_fns, value_fns = kernels.key_fns, kernels.value_fns
         for chunk in chunks:
             started = perf_counter()
-            fold_chunk(chunk, env, key_fns, value_fns, machines, groups, config)
+            columns = fold_columns(chunk, env, key_fns, value_fns, row_vars)
+            fold_chunk(len(chunk), *columns, machines, groups, config)
             group_stage.lap(0, started)
         started = perf_counter()
-        chunks = (finalize_groups(decomp, groups, config),)
+        chunks = (finalize_groups(decomp.clause, decomp.specs, groups, config),)
         group_stage.lap(len(chunks[0]), started)
     if kernels.having_fn is not None:
         having = kernels.having_fn, env, StageTally("HAVING", stages)
@@ -801,7 +804,7 @@ def explain_executors(evaluator, query: ast.Query, tracer=None) -> List[str]:
         # Kernel compilation can reject what execution would reject
         # (a malformed constant LIKE pattern); EXPLAIN still prints.
         return [f"executor: undetermined ({error})"]
-    if not kernels:
+    if not any(line.endswith(": batch") for line in lines):
         lines.append("kernels: none (no block runs on the batch executor)")
     elif not fallbacks:
         lines.append(f"kernels: {kernels} columnar, no env-space fallback")
@@ -857,12 +860,11 @@ def _explain_block(
         lines.append(f"{label}: batch")
         kernels = block_kernels(evaluator, query, plan)
         fns = kernels.all()
-        if body.group_by is None or kernels.decomp is not None:
-            # The tail's kernels are the ones a run over no rows asks for.
-            __, cols = batch_tail(evaluator, query, kernels, env, ([],), [])
-            fns.extend(cols.fns.values())
-            if cols.keys_see_output:
-                fallbacks.extend(item.expr for item in query.order_by)
+        # The tail's kernels are the ones a run over no rows asks for.
+        __, cols = batch_tail(evaluator, query, kernels, env, ([],), [])
+        fns.extend(cols.fns.values())
+        if cols.keys_see_output:
+            fallbacks.extend(item.expr for item in query.order_by)
         for op in walk_ops(plan.op):
             fns.extend(op.batch_kernels(evaluator))
         count = len(fns)

@@ -45,15 +45,16 @@ count; MIN's and MAX's best element so far; …):
 
 The composable Core function is the one-group fold of its machine,
 ``COLL_X(collection) = final(fold(step, init, collection))`` — calling
-an :class:`Aggregate` is that — so the batch GROUP BY fold
-(:func:`repro.core.vectorized.fold_chunk`), morsel workers' partial
+an :class:`Aggregate` is that — so the GROUP BY fold both executors
+run (:func:`repro.core.vectorized.fold_chunk`), morsel workers' partial
 states (:mod:`repro.core.parallel`), running window aggregates
-(:mod:`repro.core.windows`), the streaming GROUP AS path and the
+(:mod:`repro.core.windows`), ``COLL_X`` over a GROUP AS bag and the
 reference interpreter all run one definition.  COUNT, SUM, AVG, MIN,
 MAX, EVERY and SOME fold in O(1) state per group.  ARRAY_AGG, STDDEV,
 VARIANCE, COUNT_DISTINCT and every DISTINCT site fold with
 :class:`ValueList`, whose state is the group's values and whose
-``final`` runs the registered definition over them.
+``final`` runs the registered definition over them.  GROUP AS itself
+is :data:`MEMBERS`: the same value list, whose ``final`` is the bag.
 
 A permissive type error that the definition answers with MISSING for
 the whole aggregate (an incomparable MIN/MAX pair, a non-boolean
@@ -350,15 +351,10 @@ class _Quantifier(Aggregate):
         return state[0][gid]
 
 
-class ValueList(Aggregate):
-    """The generic machine: a group's state is its values in row order,
-    and ``final`` invokes ``definition`` over them (deduplicated first
-    for a DISTINCT site)."""
-
-    def __init__(self, definition: FunctionDef, distinct: bool = False):
-        super().__init__(definition.name)
-        self.definition = definition
-        self.distinct = distinct
+class Members(Aggregate):
+    """GROUP AS as a machine: a group's state is its values in row
+    order and ``final`` is their bag (Listing 14's group, when the
+    values are the rows' group elements)."""
 
     def init(self, groups=0):
         return [[[] for __ in range(groups)]]
@@ -376,6 +372,24 @@ class ValueList(Aggregate):
         lists = state[0]
         for gid, values in zip(gids, other[0]):
             lists[gid].extend(values)
+
+    def final(self, state, gid, config):
+        return Bag(state[0][gid])
+
+
+#: The GROUP AS collector of every fold.
+MEMBERS = Members("GROUP AS")
+
+
+class ValueList(Members):
+    """The generic machine: a group's state is its values in row order,
+    and ``final`` invokes ``definition`` over them (deduplicated first
+    for a DISTINCT site)."""
+
+    def __init__(self, definition: FunctionDef, distinct: bool = False):
+        super().__init__(definition.name)
+        self.definition = definition
+        self.distinct = distinct
 
     def final(self, state, gid, config):
         values = state[0][gid]

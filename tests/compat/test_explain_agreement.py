@@ -133,6 +133,43 @@ def test_kit_case_runs_operator_trees(case, typing_mode):
         )
 
 
+#: EXPLAIN's ``kernels:`` line for a query none of whose blocks batches.
+NO_KERNELS = "kernels: none (no block runs on the batch executor)"
+
+
+def assert_kernels_line_agrees(text: str) -> None:
+    """The ``kernels:`` line says "none" exactly when no block's
+    ``executor`` line is ``batch``: a batched block without a kernel
+    reads ``kernels: 0 columnar, …``."""
+    lines = executor_lines(text)
+    batched = any(line.split(": ", 1)[1] == "batch" for line in lines[:-1])
+    assert batched is (lines[-1] != NO_KERNELS), lines
+
+
+@pytest.mark.parametrize("typing_mode", ["permissive", "strict"])
+@pytest.mark.parametrize("case", all_cases(), ids=lambda case: case.case_id)
+def test_kit_case_kernels_line(case, typing_mode):
+    db = build_database(replace(case, typing_mode=typing_mode))
+    try:
+        text = db.explain_plan(case.query)
+    except errors.SQLPPError:
+        assert case.expect_error or case.typing_mode != typing_mode
+        return
+    assert_kernels_line_agrees(text)
+
+
+def test_kernels_line_of_a_batched_block_without_kernels():
+    db = Database()
+    db.set("t", [{"a": 1}, {"a": 2}])
+    for query in (
+        "SELECT * FROM t AS t",
+        "SELECT t.a AS a, COUNT(*) AS n FROM t AS t GROUP BY ROLLUP (t.a)",
+    ):
+        lines = executor_lines(db.explain_plan(query))
+        assert lines[0] == "executor: batch"
+        assert lines[-1].startswith("kernels: ") and lines[-1] != NO_KERNELS
+
+
 def harness_modules(monkeypatch):
     # The harness modules import each other by bare name (run.py's way).
     monkeypatch.syspath_prepend(str(LAYERED))
@@ -159,6 +196,32 @@ def test_batch_analytics_templates(monkeypatch):
     # the SELECT runs after it.
     assert stage_labels(db, sql["order_full"]) == ["FROM", "ORDER BY", "SELECT"]
     assert stage_labels(db, sql["distinct"]) == ["FROM", "SELECT DISTINCT"]
+
+
+def test_layered_templates_kernels_line(monkeypatch):
+    datagen, workloads = harness_modules(monkeypatch)
+    data = {
+        "orders": datagen.orders(1, 300, 30),
+        "users": datagen.users(1, 30),
+        "hr.emp": datagen.employees(1, 120),
+        "events": datagen.events(1, 120, dirty=True),
+        "events_dirty": datagen.events(1, 120, dirty=True),
+        "prices": datagen.prices(1, 20),
+    }
+    permissive, strict = Database(), Database(typing_mode="strict")
+    for db in (permissive, strict):
+        for name, rows in data.items():
+            db.set(name, rows)
+    templates = (
+        workloads.BATCH_TEMPLATES
+        + workloads.NESTED_TEMPLATES
+        + workloads.DASHBOARD_TEMPLATES
+        + (workloads.CLI_TEMPLATE,)
+    )
+    for template in templates:
+        assert_kernels_line_agrees(permissive.explain_plan(template.sql))
+    for template in workloads.STRICT_TEMPLATES:
+        assert_kernels_line_agrees(strict.explain_plan(template.sql))
 
 
 def stage_labels(db: Database, query: str) -> list:

@@ -11,10 +11,16 @@ import re
 import pytest
 
 from repro import Database, errors
-from repro.core.vectorized import decompose_block
+from repro.compat.corpus import all_cases
+from repro.compat.runner import build_database
+from repro.core.clauses import item_vars
+from repro.core.vectorized import Decomposition, GroupState, decompose_block
 from repro.datamodel.convert import to_python
 from repro.datamodel.equality import deep_equals
 from repro.datamodel.values import Bag
+from repro.functions.aggregates import MEMBERS
+from repro.syntax import ast
+from repro.syntax.printer import print_ast
 
 #: A ``plan:`` line that says a FROM block has no operator tree
 #: (unplanned / reference / none), as opposed to the reuse decision
@@ -147,9 +153,8 @@ class TestBatchParity:
         )
 
     def test_group_as_stays_correct(self, db):
-        # GROUP AS makes the whole group visible — not decomposable into
-        # per-morsel folds, so the batch path takes the semi-batch route
-        # through the streaming group operator.
+        # GROUP AS makes the whole group visible: the fold collects each
+        # group's elements beside the aggregate sites.
         three_ways(
             db,
             "SELECT c, (SELECT VALUE g.o.oid FROM g AS g) AS oids "
@@ -202,21 +207,61 @@ class TestDecomposition:
         assert len(decomp.specs) == 2
         assert [spec.distinct for spec in decomp.specs] == [False, False]
 
-    def test_group_as_reference_declines(self, db):
+        # Every use of the group is a site: no member tuples are kept.
+        assert all(spec.value_expr is not None for spec in decomp.specs)
+
+    def test_group_as_reference_collects(self, db):
         block = self.core(
             db,
             "SELECT c, (SELECT VALUE g.o.oid FROM g AS g) AS oids "
             "FROM orders AS o GROUP BY o.cust AS c GROUP AS g",
         )
-        assert decompose_block(block, ("o",)) is None
+        decomp = decompose_block(block, ("o",))
+        (collector,) = decomp.specs
+        assert collector.var == "g" and collector.value_expr is None
+        assert collector.machine is MEMBERS
+        assert decomp.group_row_vars == ("c", "g")
 
-    def test_rollup_declines(self, db):
+    def test_rollup_decomposes(self, db):
         block = self.core(
             db,
             "SELECT o.cust AS c, COUNT(*) AS n FROM orders AS o "
             "GROUP BY ROLLUP (o.cust, o.open)",
         )
-        assert decompose_block(block, ("o",)) is None
+        decomp = decompose_block(block, ("o",))
+        assert [spec.definition.name for spec in decomp.specs] == ["COLL_COUNT"]
+        sets = GroupState.sets(decomp.clause, decomp.machines)
+        assert [groups.keep for groups in sets] == [(0, 1), (0,), ()]
+
+    def test_window_over_aggregates_is_lowered_after_the_sites(self, db):
+        block = self.core(
+            db,
+            "SELECT c, RANK() OVER (ORDER BY SUM(o.total) DESC) AS rk "
+            "FROM orders AS o GROUP BY o.cust AS c",
+        )
+        decomp = decompose_block(block, ("o",))
+        (call,) = decomp.calls
+        assert "$fold0" in print_ast(call) and "$window0" in print_ast(decomp.select)
+
+    def test_every_grouped_kit_block_decomposes(self):
+        # No refusal is left: every GROUP BY block of the kit, nested
+        # ones included, has a fold form.
+        grouped = 0
+        for case in all_cases():
+            try:
+                core = build_database(case).compile(case.query)
+            except errors.SQLPPError:
+                continue
+            for node in core.walk():
+                if isinstance(node, ast.QueryBlock) and node.group_by is not None:
+                    row_vars = [
+                        name for item in node.from_ or () for name in item_vars(item)
+                    ] + [let.name for let in node.lets]
+                    assert isinstance(
+                        decompose_block(node, tuple(row_vars)), Decomposition
+                    ), case.case_id
+                    grouped += 1
+        assert grouped >= 13
 
 
 class TestExplainSurfaces:
@@ -378,12 +423,14 @@ class TestPartitionedFold:
         ]
         machines = [machine_for(REGISTRY.lookup(name)) for name, __ in cls.SITES]
         env = Environment()
-        groups = vectorized.GroupState.empty(machines)
+        clause = ast.GroupByClause(
+            keys=[ast.GroupKey(parse_expression(source), "k") for source in key_sources]
+        )
+        (groups,) = sets = vectorized.GroupState.sets(clause, machines)
         for start in range(0, len(rows), chunk_size):
-            vectorized.fold_chunk(
-                rows[start : start + chunk_size], env, key_fns, value_fns,
-                machines, groups, DEFAULT_CONFIG,
-            )
+            chunk = rows[start : start + chunk_size]
+            columns = vectorized.fold_columns(chunk, env, key_fns, value_fns, ["t"])
+            vectorized.fold_chunk(len(chunk), *columns, machines, sets, DEFAULT_CONFIG)
         return key_fns, value_fns, machines, groups
 
     @staticmethod
@@ -470,6 +517,104 @@ class TestPartitionedFold:
         three_ways(db, query)
         db.execute(query)
         assert db.metrics.last.batched is True
+
+
+class TestOneGroupBy:
+    """Every GROUP BY runs ``fold_chunk``: on the batch executor GROUP
+    AS, grouping sets and windows over groups fold binding rows as they
+    are — no input row becomes an ``Environment`` — and only the group
+    rows reach the tail."""
+
+    #: Kit cases whose GROUP BY left the chunks before one fold existed.
+    CASES = (
+        "L12", "L14", "L18", "L26", "K-rollup-nested", "K-grouping-sets-nested",
+        "K-window-of-aggregates",
+    )
+    GROUP_AS = (
+        "SELECT dept AS dept, (SELECT VALUE v.e.name FROM g AS v) AS names "
+        "FROM hr.emp AS e GROUP BY e.dept AS dept GROUP AS g"
+    )
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Count folds, the env-space group elements, and the blocks the
+        row pipeline runs."""
+        from repro.core import clauses, vectorized
+        from repro.core.evaluator import Evaluator
+
+        seen = {"folds": 0, "elements": 0, "streamed": []}
+        fold_chunk = vectorized.fold_chunk
+        group_element = clauses.group_element
+        stream_rows = Evaluator._stream_rows
+
+        def fold_spy(*args):
+            seen["folds"] += 1
+            return fold_chunk(*args)
+
+        def element_spy(*args):
+            seen["elements"] += 1
+            return group_element(*args)
+
+        def stream_spy(self, block, env):
+            seen["streamed"].append(block)
+            return stream_rows(self, block, env)
+
+        monkeypatch.setattr(vectorized, "fold_chunk", fold_spy)
+        monkeypatch.setattr(clauses, "group_element", element_spy)
+        monkeypatch.setattr(Evaluator, "_stream_rows", stream_spy)
+        return seen
+
+    def assert_folded(self, db, query, monkeypatch, **dials):
+        db.execute(query, **dials)
+        seen = self.spy(monkeypatch)
+        db.execute(query, **dials)
+        assert db.metrics.last.batched
+        assert seen["folds"] >= 1 and seen["elements"] == 0
+        # Only the per-group subqueries over the group stream.
+        assert all(block.group_by is None for block in seen["streamed"])
+        monkeypatch.undo()
+
+    @pytest.mark.parametrize("case_id", CASES)
+    def test_kit_case_folds_binding_rows(self, case_id, monkeypatch):
+        (case,) = [case for case in all_cases() if case.case_id == case_id]
+        self.assert_folded(build_database(case), case.query, monkeypatch)
+
+    @pytest.mark.parametrize("typing_mode", ["permissive", "strict"])
+    def test_group_as_template_folds_binding_rows(self, typing_mode, monkeypatch):
+        db = Database(typing_mode=typing_mode)
+        db.set(
+            "hr.emp",
+            [{"id": i, "dept": f"d{i % 7}", "name": f"n{i}"} for i in range(3000)],
+        )
+        self.assert_folded(db, self.GROUP_AS, monkeypatch)
+        # The stream folds too, with the collector alone; it and the
+        # oracle build each element from the row's environment.
+        seen = self.spy(monkeypatch)
+        three_ways(db, self.GROUP_AS)
+        assert seen["folds"] >= 2 and seen["elements"] == 3000 * 2
+
+    def test_aggregates_over_a_lazy_source_collect_no_members(self):
+        # COUNT / SUM are sites: no GROUP AS collector, so the fold holds
+        # O(groups) state and one chunk of rows (the E15 bar), not 100k
+        # member tuples.
+        import tracemalloc
+
+        db = Database()
+        db.set_lazy("big", lambda: ({"k": i % 7, "x": i} for i in range(100_000)))
+        query = (
+            "SELECT k AS k, COUNT(*) AS n, SUM(b.x) AS s FROM big AS b "
+            "GROUP BY b.k AS k"
+        )
+        db.execute(query)
+        tracemalloc.start()
+        try:
+            rows = db.execute(query)
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert db.metrics.last.batched
+        assert peak < 4 * 1024 * 1024, f"GROUP BY peak {peak} bytes"
+        assert len(rows) == 7 and sum(row["n"] for row in rows) == 100_000
 
 
 class TestDerivedTablesBatch:

@@ -155,6 +155,29 @@ class TestTailStages:
         assert list(stages) == ["FROM", "SELECT DISTINCT", "ORDER BY"]
         assert "rows_in=100 rows_out=10" in stages["SELECT DISTINCT"]
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "SELECT k AS k, (SELECT VALUE x.r.v FROM g AS x) AS vs FROM r AS r "
+            "GROUP BY r.k AS k GROUP AS g HAVING COLL_COUNT(g) > 9",
+            "SELECT r.k AS k, COUNT(*) AS n FROM r AS r GROUP BY ROLLUP (r.k) "
+            "HAVING COUNT(*) > 10",
+        ],
+        ids=["group_as", "rollup"],
+    )
+    def test_grouped_rows_agree_on_both_executors(self, join_db, query):
+        # One fold on both executors: the same stages, the same rows.
+        def rows(dials):
+            stages = stage_rows(join_db.explain_analyze(query, **dials))
+            return {
+                name: re.search(r"(rows_in=\d+ )?rows_out=\d+", line).group(0)
+                for name, line in stages.items()
+            }
+
+        batch = rows({})
+        assert list(batch) == ["FROM", "GROUP BY", "HAVING", "SELECT"]
+        assert rows({"batch": False}) == batch
+
     #: Window keys, the deferred sort keys and PIVOT's operands are chunk
     #: kernels; keys that can see the output are evaluated per row in env
     #: space, and EXPLAIN says so.

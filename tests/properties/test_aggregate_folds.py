@@ -133,9 +133,9 @@ def decomposition(names, distinct, keys=("t.k",)):
         clause=clause,
         specs=specs,
         select=ast.SelectValue(parse_expression("k")),
+        calls=[],
         having_expr=None,
         order_by=[],
-        group_row_vars=("k",) + tuple(spec.var for spec in specs),
     )
 
 
@@ -152,14 +152,13 @@ def rows_of(key_column, value_column):
 def fold(decomp, rows, chunk_size, config):
     evaluator = Evaluator({}, config)
     key_fns, value_fns = vectorized.build_fold_fns(evaluator, decomp, ("t",))
-    groups = vectorized.GroupState.empty(decomp.machines)
+    sets = vectorized.GroupState.sets(decomp.clause, decomp.machines)
     env = Environment()
     for start in range(0, len(rows), chunk_size):
-        vectorized.fold_chunk(
-            rows[start : start + chunk_size], env, key_fns, value_fns,
-            decomp.machines, groups, config,
-        )
-    return vectorized.finalize_groups(decomp, groups, config)
+        chunk = rows[start : start + chunk_size]
+        columns = vectorized.fold_columns(chunk, env, key_fns, value_fns, ("t",))
+        vectorized.fold_chunk(len(chunk), *columns, decomp.machines, sets, config)
+    return vectorized.finalize_groups(decomp.clause, decomp.specs, sets, config)
 
 
 def by_group(key_column, value_column):

@@ -183,7 +183,7 @@ def test_group_by_then_order_by_an_aggregate_alias(rows, direction, limit, offse
         f"ORDER BY COUNT(*){direction}, c NULLS FIRST" + bounds(limit, None),
         True,
     )
-    # GROUP AS consumed directly: the semi-batch grouping fallback.
+    # GROUP AS consumed directly: the fold collects each group's members.
     assert_all_agree(
         db,
         "SELECT c AS c, (SELECT VALUE v.t.id FROM g AS v) AS ids FROM t AS t "
@@ -239,3 +239,43 @@ def test_pivot(rows):
         "LET n = COLL_COUNT(g)",
         False,
     )
+
+
+#: Grouping sets with the machines of every kind: O(1) state (COUNT,
+#: SUM, MAX) and a value list (COUNT DISTINCT).
+AGGREGATES = (
+    "COUNT(*) AS n, SUM(t.j) AS total, MAX(t.j) AS top, COUNT(DISTINCT t.a) AS na"
+)
+GROUPINGS = (
+    f"SELECT t.s AS s, t.j AS j, {AGGREGATES} FROM t AS t GROUP BY ROLLUP (t.s, t.j)",
+    f"SELECT t.s AS s, t.c AS c, {AGGREGATES} FROM t AS t GROUP BY CUBE (t.s, t.c)",
+    f"SELECT t.j AS j, t.b AS b, {AGGREGATES} FROM t AS t "
+    "GROUP BY GROUPING SETS ((t.j), (t.b), ())",
+    # GROUP AS consumed in the SELECT and in HAVING.
+    "SELECT s AS s, (SELECT VALUE v.t.id FROM g AS v) AS ids FROM t AS t "
+    "GROUP BY t.s AS s GROUP AS g HAVING COLL_COUNT(g) > 2",
+    # SELECT * over groups, with and without the group.
+    "SELECT * FROM t AS t GROUP BY t.s AS s, t.c AS c GROUP AS g",
+    "SELECT * FROM t AS t GROUP BY t.a AS a",
+    # A window over an aggregate.
+    "SELECT s AS s, COUNT(*) AS n, RANK() OVER (ORDER BY COUNT(*) DESC) AS r "
+    "FROM t AS t GROUP BY t.s AS s",
+    # PIVOT over groups: a decomposed site beside the group itself.
+    "PIVOT [COLL_SUM((SELECT VALUE v.t.j FROM g AS v)), COLL_COUNT(g)] AT s "
+    "FROM t AS t GROUP BY t.s AS s GROUP AS g",
+    # A LET before GROUP BY is an attribute of every group element.
+    "SELECT s AS s, g AS g FROM t AS t LET d = t.j * 2 GROUP BY t.s AS s GROUP AS g",
+    # Empty input: one group without keys, none with them (a grouping
+    # set that keeps no key included).
+    "SELECT COUNT(*) AS n, SUM(t.j) AS total FROM t AS t WHERE t.j > 9",
+    "SELECT t.s AS s, COUNT(*) AS n FROM t AS t WHERE t.j > 9 GROUP BY ROLLUP (t.s)",
+    "SELECT s AS s, g AS g FROM t AS t WHERE t.j > 9 GROUP BY t.s AS s GROUP AS g",
+)
+
+
+@given(ROWS)
+@settings(max_examples=25, deadline=None)
+def test_grouping(rows):
+    db = database(rows)
+    for query in GROUPINGS:
+        assert_all_agree(db, query, False)
