@@ -770,7 +770,7 @@ def _rows_at(rows: List[dict], memo: dict, picks: List[int]):
 
 
 def compile_batch(
-    expr: ast.Expr, evaluator: "Evaluator", row_vars: frozenset
+    expr: ast.Expr, evaluator: "Evaluator", row_vars: frozenset, one_row: bool = False
 ) -> "BatchExpr":
     """Compile ``expr`` to a function over a whole chunk of bindings.
 
@@ -783,7 +783,25 @@ def compile_batch(
     lists the nodes that had no kernel and run the env-space closure per
     row; callers go through ``Evaluator.compiled_batch`` so an
     expression is compiled once per evaluator, not per execution.
+
+    ``one_row`` compiles for the one-row chunks the stream pulls where
+    row order is observable: the expression's closure over each row,
+    which evaluates exactly what a row-at-a-time pipeline does (the
+    segmented subquery works a row's whole collection, where a streamed
+    EXISTS stops at its first hit) and costs less than columns of one.
     """
+    if one_row:
+        env_fn = evaluator.compiled(expr)
+
+        def one_row_batch(
+            rows: List[dict], env: Environment, memo: Optional[dict] = None
+        ) -> List[Any]:
+            if len(rows) == 1:
+                return [env_fn(env.extend(rows[0]))]
+            return [env_fn(env.extend(row)) for row in rows]
+
+        one_row_batch.fallbacks = (expr,)  # type: ignore[attr-defined]
+        return one_row_batch
     compiler = _KernelCompiler(evaluator, row_vars)
     kernel = compiler.compile(expr)
 

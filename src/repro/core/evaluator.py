@@ -87,9 +87,11 @@ _CONSUMERS = {
     "sort": "full sort over the key columns of the {how} input "
     "(ORDER BY without LIMIT)",
     "limit": "streamed with early termination after OFFSET+LIMIT rows",
-    "bag": "streamed bag (rows pulled one at a time)",
+    "bag": "streamed bag (operators pulled ~1024 rows at a time, one "
+    "where row order is observable)",
     "batched bag": "bag built a chunk (~1024 rows) at a time; under "
-    "batch=False a streamed bag (rows pulled one at a time)",
+    "batch=False a streamed bag (operators pulled the same way, one row "
+    "at a time where row order is observable)",
 }
 
 
@@ -123,7 +125,7 @@ class _QueryCaches:
     def __init__(self, root: Optional[ast.Query]):
         self.root = root
         self.compiled: Dict[int, Any] = {}
-        self.batch_compiled: Dict[Tuple[int, frozenset], Any] = {}
+        self.batch_compiled: Dict[Tuple[int, frozenset, bool], Any] = {}
         #: id(block) → :class:`_CachedPlan`; see
         #: :meth:`Evaluator._block_plan`.
         self.plans: Dict[int, "_CachedPlan"] = {}
@@ -250,18 +252,20 @@ class Evaluator(clauses.QueryEvaluator):
             entry = cache[id(expr)] = (expr, compile_expr.compile_expr(expr, self))
         return entry[1]
 
-    def compiled_batch(self, expr: ast.Expr, row_vars: frozenset):
+    def compiled_batch(
+        self, expr: ast.Expr, row_vars: frozenset, one_row: bool = False
+    ):
         """The chunk kernel of an expression over bindings of
-        ``row_vars`` (:func:`repro.core.compile_expr.compile_batch`),
-        compiled once per query like :meth:`compiled`, not once per
-        execution."""
+        ``row_vars`` (:func:`repro.core.compile_expr.compile_batch`;
+        ``one_row`` for one-row chunks), compiled once per query like
+        :meth:`compiled`, not once per execution."""
         cache = self._caches.batch_compiled
-        key = (id(expr), row_vars)
+        key = (id(expr), row_vars, one_row)
         entry = cache.get(key)
         if entry is None:
             entry = cache[key] = (
                 expr,
-                compile_expr.compile_batch(expr, self, row_vars),
+                compile_expr.compile_batch(expr, self, row_vars, one_row),
             )
         return entry[1]
 
@@ -426,12 +430,14 @@ class Evaluator(clauses.QueryEvaluator):
         kind = consumer_kind(query)
         bound, offset = (None, None) if kind == "pivot" else self._bounds(query, env)
         if kind in ("bag", "limit"):
-            source = iter(self._stream_block(body, env))
+            source = iter(self._stream_block(body, env, early=kind == "limit"))
             try:
                 return Bag(islice(source, offset or 0, bound))
             finally:
                 close_iter(source)
-        rows, stages, var_order = self._stream_rows(body, env)
+        rows, stages, var_order = self._stream_rows(
+            body, env, self._pull_size(body, early=False)
+        )
         source = iter(rows)
         # CHUNK_ROWS rows at a time, until a chunk comes back empty.
         chunks = iter(lambda: list(islice(source, CHUNK_ROWS)), [])
@@ -502,18 +508,30 @@ class Evaluator(clauses.QueryEvaluator):
 
     # -- streaming clause pipeline -------------------------------------------
 
+    def _pull_size(self, block: ast.QueryBlock, early: bool) -> int:
+        """Rows per operator pull on the stream: one where row order is
+        observable — a consumer that can stop ``early`` (unless GROUP BY
+        drains the FROM anyway), or strict typing, where the stream is
+        the replay target and column-major kernels would change which
+        error surfaces — else ``CHUNK_ROWS``."""
+        if self.config.is_permissive and not (early and block.group_by is None):
+            return CHUNK_ROWS
+        return 1
+
     def _stream_rows(
-        self, block: ast.QueryBlock, env: Environment
+        self, block: ast.QueryBlock, env: Environment, size: int
     ) -> Tuple[Iterable[Environment], List[StageTally], List[str]]:
         """The block's clause pipeline up to HAVING as a lazy generator
         chain of binding environments, with its stage tallies and the
         variables in scope for ``SELECT *``.
 
-        Each clause wraps the previous clause's iterator, so a consumer
-        that stops early (LIMIT, EXISTS) stops every upstream producer
-        with it.  GROUP BY is a pipeline breaker but folds rows into
-        group state as they arrive instead of buffering the binding
-        stream (:meth:`_stream_groups`).  A block without FROM is the
+        FROM is the block's operator tree pulled ``size`` rows at a
+        time (:meth:`_pull_size`) and flattened; each later clause
+        wraps the previous clause's iterator, so a consumer that stops
+        early (LIMIT, EXISTS) stops every upstream producer with it.
+        GROUP BY is a pipeline breaker but folds rows into group state
+        as they arrive instead of buffering the binding stream
+        (:meth:`_stream_groups`).  A block without FROM is the
         single binding ``env``.
         """
         stages: List[StageTally] = []
@@ -526,7 +544,7 @@ class Evaluator(clauses.QueryEvaluator):
         var_order.extend(let.name for let in block.lets)
         rows = iter((env,))
         if plan is not None:
-            rows = tally(stages, plan.iter_envs(self, env), "FROM")
+            rows = tally(stages, plan.iter_envs(self, env, size), "FROM")
         if block.lets:
             let_fns = [(let.name, self.compiled(let.expr)) for let in block.lets]
             rows = tally(stages, _let_rows(let_fns, rows), "LET")
@@ -553,11 +571,16 @@ class Evaluator(clauses.QueryEvaluator):
             return source
         return _tallied(source, StageTally(name, stages))
 
-    def _stream_block(self, block: ast.QueryBlock, env: Environment) -> Iterator[Any]:
-        """The block's output values as a lazy stream, for the consumers
-        that may stop early (unordered LIMIT, EXISTS, IN): a row is
-        projected only when it is pulled.  Windows break the pipeline."""
-        rows, stages, var_order = self._stream_rows(block, env)
+    def _stream_block(
+        self, block: ast.QueryBlock, env: Environment, early: bool
+    ) -> Iterator[Any]:
+        """The block's output values as a lazy stream — for the bag, and
+        for the consumers that may stop ``early`` (unordered LIMIT,
+        EXISTS, IN): a row is projected only when it is pulled.
+        Windows break the pipeline."""
+        rows, stages, var_order = self._stream_rows(
+            block, env, self._pull_size(block, early)
+        )
         tally = self._tally
         calls, select = self._window_select(block)
         if calls:
@@ -819,7 +842,7 @@ class Evaluator(clauses.QueryEvaluator):
         if governor is not None:
             governor.enter_query()
         try:
-            yield from self._stream_block(body, env)
+            yield from self._stream_block(body, env, early=True)
         finally:
             if governor is not None:
                 governor.exit_query()

@@ -95,14 +95,12 @@ class ParallelOutcome:
 
 def _spine(op) -> Optional[Tuple[ScanOp, List[HashJoinOp]]]:
     """The probe spine of an operator tree: the chain of hash joins and
-    natively-chunked lateral operators down the left side ending in a
-    morsel-capable base scan (with the hash joins, whose tables the
-    parent prebuilds), or None."""
+    lateral operators down the left side ending in a morsel-capable
+    base scan (with the hash joins, whose tables the parent prebuilds),
+    or None."""
     joins: List[HashJoinOp] = []
     node = op
-    while isinstance(node, HashJoinOp) or (
-        isinstance(node, LateralJoinOp) and node.native_chunks
-    ):
+    while isinstance(node, (HashJoinOp, LateralJoinOp)):
         if isinstance(node, HashJoinOp):
             joins.append(node)
         node = node.left

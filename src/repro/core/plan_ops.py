@@ -17,15 +17,25 @@ strategy.  This module provides the physical operators the planner
 * :class:`LateralJoinOp` — the paper's left-correlation (``FROM hr.emp
   AS e, e.projects AS p`` and JOINs with a lateral right side): the
   right item ranges over an expression of the left variables, a whole
-  left chunk flattened at a time on the chunk protocol.
+  left chunk flattened at a time.
 
-Operators follow the Volcano (iterator) model: the primary interface is
-:meth:`PlanOp.iter_bindings`, a generator yielding binding dicts one at
-a time, so a downstream consumer (LIMIT, EXISTS, IN) can stop
-pulling and the whole pipeline stops producing.  Probe sides stream;
-only what *must* be materialized is — the hash-join build table and the
-materialize-once right side of an uncorrelated nested loop (both built
-lazily, on the first probe-side row).
+One protocol: an operator yields its bindings only as *chunks* — lists
+of binding dicts — from :meth:`PlanOp.iter_chunks`, whose ``size``
+bounds one pull.  No chunk is longer than ``size``, and an operator
+pulls from its source and evaluates expressions at most one slice of
+``size`` rows ahead of the chunk it yields; at ``size=1`` each operator
+pulls, evaluates and tells the governor exactly what the
+specification's nested loop does, one binding at a time, in the same
+order, before it yields.  The executor and the typing
+mode pick ``size``: the batch executor and morsel workers pull
+:data:`CHUNK_ROWS`, and so does the stream when typing is permissive and
+its consumer drains the block; the stream pulls one-row chunks where
+row order is observable — a consumer that can stop early (unordered
+LIMIT / OFFSET, EXISTS, IN) and strict typing, where it is the replay
+target and column-major kernels would change which error surfaces.
+Closing the iterator closes the whole upstream pipeline.  Only what
+*must* be materialized is — the hash-join build table and the
+materialize-once right side (both built lazily, on the first left row).
 
 Every operator must be observationally equivalent to the reference
 interpreter (:mod:`repro.core.reference`, which this module never
@@ -41,7 +51,7 @@ generated workloads.
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from time import perf_counter
 from typing import (
     Any,
@@ -54,7 +64,7 @@ from typing import (
     TYPE_CHECKING,
 )
 
-from repro.core.clauses import item_vars, pad_right_vars
+from repro.core.clauses import pad_right_vars
 from repro.datamodel.equality import group_key
 from repro.datamodel.values import Bag, LazyBag, MISSING, Struct, type_name
 from repro.errors import TypeCheckError
@@ -66,9 +76,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 Binding = Dict[str, Any]
 
-#: Target rows per chunk in the batch protocol.  Chunks are advisory —
-#: an operator may emit slightly larger or smaller ones — so the value
-#: trades Python loop overhead against cache residency, not semantics.
+#: Rows per chunk where row order is not observable (module docstring):
+#: an upper bound — filtered or final chunks are smaller — trading
+#: Python loop overhead against cache residency, not semantics.
 CHUNK_ROWS = 1024
 
 #: Rows between cooperative :class:`ResourceGovernor` checks inside a
@@ -115,141 +125,109 @@ class PlanOp:
         #: model-derived estimates.
         self.est_source: str = "model"
 
-    def iter_bindings(
-        self, evaluator: "Evaluator", env: "Environment"
-    ) -> Iterator[Binding]:
-        """Yield this operator's binding rows one at a time, with pushed
-        filters applied per row inside the stream and (when the
-        evaluator carries an :class:`~repro.observability.ExecTracer`)
-        instrumentation.  Closing the generator closes the whole
-        upstream pipeline, so consumers that stop early (LIMIT, top-K,
-        EXISTS) stop production too.
-
-        Subclasses implement :meth:`_iter_produce`; recorded timing is
-        inclusive of child operators, as is conventional for EXPLAIN
-        ANALYZE output, and for a stream it means "time spent inside
-        ``next()`` of this operator", which includes its children's
-        production time but not the consumer's."""
-        tracer = evaluator.tracer
-        if tracer is not None:
-            if tracer.timing:
-                return self._iter_traced(evaluator, env, tracer)
-            return self._iter_counted(evaluator, env, tracer)
-        if not self.filters:
-            return self._iter_produce(evaluator, env)
-        return self._iter_filtered(evaluator, env)
-
     def iter_chunks(
         self,
         evaluator: "Evaluator",
         env: "Environment",
+        size: int = CHUNK_ROWS,
         morsel: Optional[Tuple[int, int]] = None,
         tables: Optional[Dict[int, Dict[Tuple, List[Binding]]]] = None,
     ) -> Iterator[List[Binding]]:
-        """Yield this operator's binding rows in chunks of ~CHUNK_ROWS.
+        """Yield this operator's binding rows in chunks of at most
+        ``size`` rows, its pushed filters applied — the one way an
+        operator yields bindings (module docstring).
 
-        The batch protocol: downstream consumers process a Python list
-        of binding dicts at a time, so compiled expressions map over
-        whole chunks instead of crossing a generator frame per row.
-        This default adapter batches :meth:`iter_bindings` — every
-        operator participates from day one; operators with a native
-        chunk implementation (scan, hash join, lateral) override it and
-        skip the per-row generator entirely.
+        With an :class:`~repro.observability.ExecTracer` the operator's
+        rows in (produced) and out (surviving its filters) are counted
+        as they pass, and its span and stats recorded when the iterator
+        finishes — by exhaustion or by an early ``close()``, in which
+        case the counts cover exactly the rows that were pulled.  The
+        clock is read only under a timing tracer; recorded time is
+        inclusive of child operators, as is conventional for EXPLAIN
+        ANALYZE.
 
         ``morsel`` is a ``(start, stop)`` row span over the operator's
-        *base scan* for morsel-driven parallelism; only native
-        implementations over materialized sources accept one.
-        ``tables`` optionally maps ``id(op)`` to a prebuilt hash-join
-        build table (shared copy-on-write across forked workers).
+        *base scan* for morsel-driven parallelism; ``tables``
+        optionally maps ``id(op)`` to a prebuilt hash-join build table
+        (shared copy-on-write across forked workers).
         """
-        if morsel is not None:
-            raise ValueError(
-                f"{type(self).__name__} does not support morsel scans"
-            )
-        return _rechunk(self.iter_bindings(evaluator, env))
+        chunks = self._produce(evaluator, env, size, morsel, tables)
+        tracer = evaluator.tracer
+        if tracer is None and not self.filters:
+            return chunks
+        return self._observed(evaluator, env, chunks, tracer, size == 1)
 
-    def batch_kernels(self, evaluator: "Evaluator") -> List[Any]:
-        """The chunk kernels this operator's native ``iter_chunks`` runs
-        (from ``Evaluator.compiled_batch``, so compiled once per
-        evaluator); empty for operators that batch through the row
-        stream.  EXPLAIN reads their ``fallbacks``."""
-        return []
-
-    def _iter_produce(
-        self, evaluator: "Evaluator", env: "Environment"
-    ) -> Iterator[Binding]:
+    def _produce(
+        self, evaluator, env, size: int, morsel, tables
+    ) -> Iterator[List[Binding]]:
+        """The operator's rows before its pushed filters, in chunks of
+        at most ``size``, each told to the governor before it is
+        yielded."""
         raise NotImplementedError
 
-    def _iter_filtered(
-        self, evaluator: "Evaluator", env: "Environment"
-    ) -> Iterator[Binding]:
-        fns = [evaluator.compiled(predicate) for predicate in self.filters]
-        for row in self._iter_produce(evaluator, env):
-            row_env = env.extend(row)
-            if all(fn(row_env) is True for fn in fns):
-                yield row
+    def _kernels(self, evaluator: "Evaluator", one_row: bool = False) -> List[Any]:
+        """The chunk kernels the operator itself runs (join keys and
+        conditions, a lateral source); ``one_row`` asks for the kernels
+        of one-row pulls (``Evaluator.compiled_batch``)."""
+        return []
 
-    def _iter_traced(
-        self, evaluator: "Evaluator", env: "Environment", tracer
-    ) -> Iterator[Binding]:
-        """The instrumented stream: counts rows in (produced) and out
-        (surviving pushed filters) incrementally, and records the span
-        and operator stats when the stream finishes — by exhaustion or
-        by an early ``close()`` from a downstream consumer, in which
-        case the counts cover exactly the rows that were pulled."""
-        trace = tracer.trace
-        fns = [evaluator.compiled(predicate) for predicate in self.filters]
+    def _filter_kernels(
+        self, evaluator: "Evaluator", one_row: bool = False
+    ) -> List[Any]:
+        row_vars = frozenset(self.vars)
+        return [evaluator.compiled_batch(p, row_vars, one_row) for p in self.filters]
+
+    def batch_kernels(self, evaluator: "Evaluator") -> List[Any]:
+        """Every chunk kernel this operator runs — its own, then its
+        pushed filters' — from ``Evaluator.compiled_batch``, so compiled
+        once per evaluator.  EXPLAIN counts them and reads their
+        ``fallbacks``."""
+        return self._kernels(evaluator) + self._filter_kernels(evaluator)
+
+    def _observed(
+        self, evaluator, env, chunks, tracer, one_row
+    ) -> Iterator[List[Binding]]:
+        """``chunks`` through the pushed-filter kernels, counted (and,
+        under a timing tracer, timed) for the tracer."""
+        fns = self._filter_kernels(evaluator, one_row)
+        timing = tracer is not None and tracer.timing
+        trace = tracer.trace if tracer is not None else None
         span = trace.begin(self.describe(), "operator") if trace is not None else None
         rows_in = 0
         rows_out = 0
         elapsed = 0.0
-        source = self._iter_produce(evaluator, env)
+        started = perf_counter() if timing else 0.0
         try:
-            while True:
-                started = perf_counter()
-                try:
-                    row = next(source)
-                except StopIteration:
-                    elapsed += perf_counter() - started
-                    break
-                rows_in += 1
-                keep = True
-                if fns:
-                    row_env = env.extend(row)
-                    keep = all(fn(row_env) is True for fn in fns)
+            for chunk in chunks:
+                rows_in += len(chunk)
+                for fn in fns:
+                    verdicts = fn(chunk, env)
+                    if len(chunk) == 1:
+                        # A one-row pull keeps or drops its chunk whole.
+                        chunk = chunk if verdicts[0] is True else []
+                    else:
+                        chunk = [
+                            row
+                            for row, verdict in zip(chunk, verdicts)
+                            if verdict is True
+                        ]
+                    if not chunk:
+                        break
+                if chunk:
+                    rows_out += len(chunk)
+                    if timing:
+                        elapsed += perf_counter() - started
+                    yield chunk
+                    if timing:
+                        started = perf_counter()
+            if timing:
                 elapsed += perf_counter() - started
-                if keep:
-                    rows_out += 1
-                    yield row
         finally:
-            close_iter(source)
+            close_iter(chunks)
             if span is not None:
                 trace.end(span, {"rows_in": rows_in, "rows_out": rows_out})
-            tracer.record_op(self, rows_in, rows_out, elapsed)
-
-    def _iter_counted(
-        self, evaluator: "Evaluator", env: "Environment", tracer
-    ) -> Iterator[Binding]:
-        """Row counting without per-row clock reads: the cardinality-
-        feedback mode (``ExecTracer(timing=False)``) still needs exact
-        rows in/out — including under early termination — but must not
-        pay two ``perf_counter`` calls per row on a sampled execution."""
-        fns = [evaluator.compiled(predicate) for predicate in self.filters]
-        rows_in = 0
-        rows_out = 0
-        source = self._iter_produce(evaluator, env)
-        try:
-            for row in source:
-                rows_in += 1
-                if fns:
-                    row_env = env.extend(row)
-                    if not all(fn(row_env) is True for fn in fns):
-                        continue
-                rows_out += 1
-                yield row
-        finally:
-            close_iter(source)
-            tracer.record_op(self, rows_in, rows_out, 0.0)
+            if tracer is not None:
+                tracer.record_op(self, rows_in, rows_out, elapsed)
 
     # -- EXPLAIN -----------------------------------------------------------
 
@@ -302,10 +280,7 @@ class EmptyOp(PlanOp):
         self.reason = reason
         self.est_rows = 0.0
 
-    def _iter_produce(self, evaluator, env):
-        return iter(())
-
-    def iter_chunks(self, evaluator, env, morsel=None, tables=None):
+    def _produce(self, evaluator, env, size, morsel, tables):
         # A morsel request would be a driver bug (there is no base scan
         # to partition), but answering it with emptiness is still exact.
         return iter(())
@@ -321,14 +296,6 @@ class ScanOp(PlanOp):
     def __init__(self, item: ast.FromItem):
         super().__init__()
         self.item = item
-
-    def _iter_produce(self, evaluator, env):
-        return item_rows(evaluator, self.item, env)
-
-    def iter_chunks(self, evaluator, env, morsel=None, tables=None):
-        if not isinstance(self.item, ast.FromCollection):
-            return super().iter_chunks(evaluator, env, morsel, tables)
-        return self._iter_scan_chunks(evaluator, env, morsel)
 
     def morsel_rows(self, evaluator, env) -> Optional[int]:
         """Row count of a materialized FromCollection source, or None.
@@ -346,69 +313,39 @@ class ScanOp(PlanOp):
             return len(value)
         return None
 
-    def batch_kernels(self, evaluator):
-        if not isinstance(self.item, ast.FromCollection):
-            return []
-        row_vars = frozenset(self.vars)
-        return [
-            evaluator.compiled_batch(predicate, row_vars)
-            for predicate in self.filters
-        ]
-
-    def _iter_scan_chunks(self, evaluator, env, morsel):
-        tracer = evaluator.tracer
-        trace = tracer.trace if tracer is not None else None
-        span = (
-            trace.begin(self.describe(), "operator") if trace is not None else None
-        )
-        filter_fns = self.batch_kernels(evaluator)
-        rows_in = 0
-        rows_out = 0
-        elapsed = 0.0
-        source = self._scan_chunks(evaluator, env, morsel)
-        try:
-            while True:
-                started = perf_counter()
-                try:
-                    chunk = next(source)
-                except StopIteration:
-                    elapsed += perf_counter() - started
-                    break
-                rows_in += len(chunk)
-                chunk = _apply_filters(chunk, filter_fns, env)
-                elapsed += perf_counter() - started
-                if chunk:
-                    rows_out += len(chunk)
-                    yield chunk
-        finally:
-            close_iter(source)
-            if span is not None:
-                trace.end(span, {"rows_in": rows_in, "rows_out": rows_out})
-            if tracer is not None:
-                tracer.record_op(self, rows_in, rows_out, elapsed)
-
-    def _scan_chunks(self, evaluator, env, morsel):
-        """Raw (pre-filter) chunks for one FromCollection: what
-        :func:`lateral_bindings` says the source binds, cut into chunks,
-        the governor told every GOVERNOR_TICK rows."""
+    def _produce(self, evaluator, env, size, morsel, tables):
+        """What :func:`lateral_bindings` says the source binds, ``size``
+        elements per pull."""
         item = self.item
-        alias = item.alias
-        at = item.at_alias
-        governor = evaluator.governor
-        config = evaluator.config
+        tick = governor_tick(evaluator.governor)
         value = evaluator.compiled(item.expr)(env)
-        elements, positions = lateral_bindings(item, value, config)
+        elements, positions = lateral_bindings(item, value, evaluator.config)
         if isinstance(elements, LazyBag):
-            # Streams element-wise (materializing it would defeat its
-            # purpose), ticking the governor as elements are pulled so a
-            # slow source cannot defer a timeout to the chunk boundary.
-            if morsel is not None:
-                raise ValueError("cannot morsel-scan a lazy bag")
-            pieces = flatten_lateral(
-                item, [{}], [value], config, governor_tick(governor), False
-            )
-            for chunk, __ in pieces:
+            # Pulled element by element, never past the chunk being
+            # built, the governor told as elements arrive so a slow
+            # source cannot defer a timeout to the chunk boundary.
+            for chunk, __ in flatten_lateral(
+                item, [{}], [value], evaluator.config, tick, False, size
+            ):
                 yield chunk
+            return
+        alias = item.value_alias if isinstance(item, ast.FromUnpivot) else item.alias
+        at = item.at_alias
+        if size == 1:
+            # One binding per pull, without slicing a chunk out of the
+            # source each time: the stream's pull where order shows.
+            if not at:
+                for element in elements:
+                    if tick is not None:
+                        tick(1)
+                    yield [{alias: element}]
+                return
+            if positions is None:
+                positions = repeat(MISSING)  # bags have no positions
+            for element, position in zip(elements, positions):
+                if tick is not None:
+                    tick(1)
+                yield [{alias: element, at: position}]
             return
         if isinstance(elements, Bag):
             elements = elements.to_list()
@@ -417,19 +354,18 @@ class ScanOp(PlanOp):
             # A singleton binding belongs to the first morsel.
             base, stop = morsel
             elements = elements[base:stop]
-        for start in range(0, len(elements), CHUNK_ROWS):
-            piece = elements[start : start + CHUNK_ROWS]
-            if governor is not None:
-                _tick(governor, len(piece))
+        for start in range(0, len(elements), size):
+            piece = elements[start : start + size]
+            if tick is not None:
+                tick(len(piece))
             if not at:
                 yield [{alias: element} for element in piece]
             elif positions is None:
                 yield [{alias: element, at: MISSING} for element in piece]
             else:
-                origin = base + start
+                names = positions[base + start : base + start + size]
                 yield [
-                    {alias: element, at: origin + offset}
-                    for offset, element in enumerate(piece)
+                    {alias: element, at: name} for element, name in zip(piece, names)
                 ]
 
     def describe(self) -> str:
@@ -448,19 +384,129 @@ class ScanOp(PlanOp):
         return f"Scan {type(self.item).__name__}"
 
 
-class LateralJoinOp(PlanOp):
+class _JoinOp(PlanOp):
+    """The nested loop every join operator is.
+
+    For each chunk of left rows, :meth:`_pairing` yields the candidate
+    rows the right side pairs them with, in left-major slices of at
+    most ``size`` rows, with the index of the left row each candidate
+    extends; the join's conditions (:meth:`_conditions`) keep a
+    candidate on TRUE, a LEFT join pads each left row no candidate
+    survived for — in left order — and the output is cut into chunks
+    of at most ``size``.  At ``size=1`` that is the specification's
+    loop: one left row, then one candidate at a time.
+    """
+
+    #: Whether the join tells the governor of each output row: a right
+    #: side materialized or hashed was told of once, as it was built,
+    #: while a lateral right side is told of as it is ranged
+    #: (:func:`flatten_lateral`), before ``ON``.  LEFT pads always are.
+    counts_matches = True
+
+    def __init__(
+        self,
+        left: PlanOp,
+        kind: str,
+        on: Optional[ast.Expr],
+        right_vars: List[str],
+    ):
+        super().__init__()
+        self.left = left
+        self.kind = kind
+        self.on = on
+        self.right_vars = right_vars
+
+    def _kernels(self, evaluator, one_row=False):
+        return self._conditions(evaluator, one_row)
+
+    def _conditions(self, evaluator, one_row: bool = False) -> List[Any]:
+        """The kernels that keep a candidate row: the ``ON``, if any."""
+        if self.on is None:
+            return []
+        return [evaluator.compiled_batch(self.on, frozenset(self.vars), one_row)]
+
+    def _pairing(self, evaluator, env, size, tables, tick, want_owners):
+        """A function from one left chunk to its ``(candidates,
+        owners)`` slices."""
+        raise NotImplementedError
+
+    def _produce(self, evaluator, env, size, morsel, tables):
+        conditions = self._conditions(evaluator, size == 1)
+        tick = governor_tick(evaluator.governor)
+        count = tick if self.counts_matches else None
+        is_left = self.kind == "LEFT"
+        right_vars = self.right_vars
+        pairing = self._pairing(evaluator, env, size, tables, tick, is_left)
+        out: List[Binding] = []
+        source = self.left.iter_chunks(evaluator, env, size, morsel, tables)
+        try:
+            for left_chunk in source:
+                #: Left rows below ``settled`` have had their LEFT pad
+                #: decided; ``matched`` marks rows that kept a candidate.
+                settled = 0
+                matched = bytearray(len(left_chunk)) if is_left else None
+                for rows, owners in pairing(left_chunk):
+                    for fn in conditions:
+                        if not rows:
+                            break
+                        keep = [
+                            k for k, verdict in enumerate(fn(rows, env))
+                            if verdict is True
+                        ]
+                        if len(keep) != len(rows):
+                            rows = [rows[k] for k in keep]
+                            if is_left:
+                                owners = [owners[k] for k in keep]
+                    if count is not None and rows:
+                        count(len(rows))
+                    if is_left:
+                        # Owners ascend, so a row of owner ``o`` proves
+                        # every earlier left row complete: pad those
+                        # that never matched, in left order.
+                        merged: List[Binding] = []
+                        for row, owner in zip(rows, owners):
+                            if settled < owner:
+                                merged.extend(
+                                    _pads(left_chunk, matched, settled, owner,
+                                          right_vars, tick)
+                                )
+                                settled = owner
+                            matched[owner] = 1
+                            merged.append(row)
+                        rows = merged
+                    out += rows
+                    while len(out) >= size:
+                        chunk, out = out[:size], out[size:]
+                        yield chunk
+                if is_left:
+                    out += _pads(
+                        left_chunk, matched, settled, len(left_chunk),
+                        right_vars, tick,
+                    )
+                    while len(out) >= size:
+                        chunk, out = out[:size], out[size:]
+                        yield chunk
+            if out:
+                yield out
+        finally:
+            close_iter(source)
+
+
+class LateralJoinOp(_JoinOp):
     """Left-correlated FROM: the right item ranges over an expression of
     the left side's variables, once per left binding.
 
     Both spellings of the paper's left-correlation plan to it — a comma
     item whose free names touch earlier variables (``FROM hr.emp AS e,
     e.projects AS p``: INNER, no ``ON``) and an explicit JOIN with a
-    lateral right side.  The row form is the specification's nested
-    loop (:func:`lateral_join_bindings`); when the right item is a plain
-    range or UNPIVOT the chunk form flattens a whole left chunk at a
-    time (:func:`flatten_lateral`) instead of re-entering the item
-    enumeration per left row.
+    lateral right side; the right item is always one range or UNPIVOT
+    item (the planner re-associates a lateral join item into the
+    left-deep tree).  Its source is a kernel over the left chunk, and
+    the chunk is flattened (:func:`flatten_lateral`) instead of
+    re-entering the item enumeration per left row.
     """
+
+    counts_matches = False
 
     def __init__(
         self,
@@ -470,155 +516,23 @@ class LateralJoinOp(PlanOp):
         on: Optional[ast.Expr],
         right_vars: List[str],
     ):
-        super().__init__()
-        self.left = left
+        super().__init__(left, kind, on, right_vars)
         self.right_item = right_item
-        self.kind = kind
-        self.on = on
-        self.right_vars = right_vars
 
-    @property
-    def native_chunks(self) -> bool:
-        """Whether :meth:`iter_chunks` flattens natively (and so accepts
-        a morsel for its base scan) rather than batching the row form."""
-        return isinstance(
-            self.right_item, (ast.FromCollection, ast.FromUnpivot)
+    def _kernels(self, evaluator, one_row=False):
+        source = evaluator.compiled_batch(
+            self.right_item.expr, frozenset(self.left.vars), one_row
         )
+        return [source] + self._conditions(evaluator, one_row)
 
-    def _iter_produce(self, evaluator, env):
-        return lateral_join_bindings(
-            evaluator, env, self.left.iter_bindings(evaluator, env),
-            self.right_item, self.kind, self.on, self.right_vars,
-            evaluator.governor,
-        )
-
-    def iter_chunks(self, evaluator, env, morsel=None, tables=None):
-        if not self.native_chunks:
-            return super().iter_chunks(evaluator, env, morsel, tables)
-        return self._iter_lateral_chunks(evaluator, env, morsel, tables)
-
-    def _kernels(self, evaluator):
-        """``(source, ON or None, filters)``: the right item's source
-        over the left variables, the rest over the flattened rows."""
-        compiled = evaluator.compiled_batch
-        out_vars = frozenset(self.vars)
-        return (
-            compiled(self.right_item.expr, frozenset(self.left.vars)),
-            compiled(self.on, out_vars) if self.on is not None else None,
-            [compiled(p, out_vars) for p in self.filters],
-        )
-
-    def batch_kernels(self, evaluator):
-        if not self.native_chunks:
-            return []
-        source_fn, on_fn, filter_fns = self._kernels(evaluator)
-        return [source_fn] + ([on_fn] if on_fn is not None else []) + filter_fns
-
-    def _iter_lateral_chunks(self, evaluator, env, morsel, tables):
-        tracer = evaluator.tracer
-        trace = tracer.trace if tracer is not None else None
-        span = (
-            trace.begin(self.describe(), "operator") if trace is not None else None
-        )
-        source_fn, on_fn, filter_fns = self._kernels(evaluator)
+    def _pairing(self, evaluator, env, size, tables, tick, want_owners):
+        source_fn = self._kernels(evaluator, size == 1)[0]
         item = self.right_item
         config = evaluator.config
-        governor = evaluator.governor
-        tick = governor_tick(governor)
-        is_left = self.kind == "LEFT"
-        right_vars = self.right_vars
-        rows_in = 0
-        rows_out = 0
-        elapsed = 0.0
-        out: List[Binding] = []
-        source = self.left.iter_chunks(
-            evaluator, env, morsel=morsel, tables=tables
+        return lambda left_chunk: flatten_lateral(
+            item, left_chunk, source_fn(left_chunk, env), config, tick,
+            want_owners, size,
         )
-        try:
-            while True:
-                started = perf_counter()
-                try:
-                    left_chunk = next(source)
-                except StopIteration:
-                    elapsed += perf_counter() - started
-                    break
-                #: Left rows below ``settled`` have had their LEFT pad
-                #: decided; ``matched`` marks rows that kept a binding.
-                settled = 0
-                matched = bytearray(len(left_chunk)) if is_left else None
-                pads = 0
-                pieces = flatten_lateral(
-                    item, left_chunk, source_fn(left_chunk, env), config,
-                    tick, want_owners=is_left,
-                )
-                for rows, owners in pieces:
-                    if on_fn is not None:
-                        verdicts = on_fn(rows, env)
-                        if is_left:
-                            owners = [
-                                owner
-                                for owner, verdict in zip(owners, verdicts)
-                                if verdict is True
-                            ]
-                        rows = [
-                            row
-                            for row, verdict in zip(rows, verdicts)
-                            if verdict is True
-                        ]
-                    if is_left:
-                        # Owners ascend, so a row of owner ``o`` proves
-                        # every earlier left row complete: pad those
-                        # that never matched, in left order.
-                        merged: List[Binding] = []
-                        for row, owner in zip(rows, owners):
-                            while settled < owner:
-                                if not matched[settled]:
-                                    merged.append(
-                                        pad_right_vars(
-                                            left_chunk[settled], right_vars
-                                        )
-                                    )
-                                    pads += 1
-                                settled += 1
-                            matched[owner] = 1
-                            merged.append(row)
-                        rows = merged
-                    rows_in += len(rows)
-                    if out:
-                        out.extend(rows)
-                    else:
-                        out = rows
-                    if len(out) >= CHUNK_ROWS:
-                        ready = _apply_filters(out, filter_fns, env)
-                        out = []
-                        rows_out += len(ready)
-                        elapsed += perf_counter() - started
-                        if ready:
-                            yield ready
-                        started = perf_counter()
-                if is_left:
-                    tail = [
-                        pad_right_vars(left_chunk[index], right_vars)
-                        for index in range(settled, len(left_chunk))
-                        if not matched[index]
-                    ]
-                    rows_in += len(tail)
-                    out.extend(tail)
-                    if governor is not None:
-                        _tick(governor, pads + len(tail))
-                elapsed += perf_counter() - started
-            started = perf_counter()
-            out = _apply_filters(out, filter_fns, env)
-            rows_out += len(out)
-            elapsed += perf_counter() - started
-            if out:
-                yield out
-        finally:
-            close_iter(source)
-            if span is not None:
-                trace.end(span, {"rows_in": rows_in, "rows_out": rows_out})
-            if tracer is not None:
-                tracer.record_op(self, rows_in, rows_out, elapsed)
 
     def describe(self) -> str:
         from repro.syntax.printer import print_ast
@@ -636,7 +550,7 @@ class LateralJoinOp(PlanOp):
         return lines
 
 
-class MaterializeJoinOp(PlanOp):
+class MaterializeJoinOp(_JoinOp):
     """Nested loop with the uncorrelated right side materialized once.
 
     Exact reference semantics for any ``ON`` predicate (same pairs, same
@@ -652,36 +566,26 @@ class MaterializeJoinOp(PlanOp):
         on: Optional[ast.Expr],
         right_vars: List[str],
     ):
-        super().__init__()
-        self.left = left
+        super().__init__(left, kind, on, right_vars)
         self.right = right
-        self.kind = kind
-        self.on = on
-        self.right_vars = right_vars
 
-    def _iter_produce(self, evaluator, env):
-        governor = evaluator.governor
-        on_fn = evaluator.compiled(self.on) if self.on is not None else None
-        # The right side materializes only once a left row exists: the
-        # reference never enumerates the right of an empty left side
-        # (error parity), and a closed stream never pays for it.
+    def _pairing(self, evaluator, env, size, tables, tick, want_owners):
         right_rows: Optional[List[Binding]] = None
-        for left_binding in self.left.iter_bindings(evaluator, env):
+
+        def pairing(left_chunk):
+            nonlocal right_rows
             if right_rows is None:
-                right_rows = list(self.right.iter_bindings(evaluator, env))
-            matched = False
-            for right_binding in right_rows:
-                combined = {**left_binding, **right_binding}
-                if on_fn is not None and on_fn(env.extend(combined)) is not True:
-                    continue
-                matched = True
-                if governor is not None:
-                    governor.add(1)
-                yield combined
-            if self.kind == "LEFT" and not matched:
-                if governor is not None:
-                    governor.add(1)
-                yield pad_right_vars(left_binding, self.right_vars)
+                # Materialized only once a left row exists: the
+                # reference never enumerates the right of an empty left
+                # side (error parity), and a closed stream never pays.
+                right_rows = [
+                    row
+                    for chunk in self.right.iter_chunks(evaluator, env, size)
+                    for row in chunk
+                ]
+            return _pair_slices(left_chunk, repeat(right_rows), size)
+
+        return pairing
 
     def describe(self) -> str:
         from repro.syntax.printer import print_ast
@@ -697,7 +601,7 @@ class MaterializeJoinOp(PlanOp):
         return self.left.explain_lines(indent, tracer, worst_id) + right
 
 
-class HashJoinOp(PlanOp):
+class HashJoinOp(_JoinOp):
     """Hash equi-join: build a hash table over the right side once,
     probe it per left binding.
 
@@ -722,53 +626,31 @@ class HashJoinOp(PlanOp):
         residual: List[ast.Expr],
         right_vars: List[str],
     ):
-        super().__init__()
-        self.left = left
+        super().__init__(left, kind, None, right_vars)
         self.right = right
-        self.kind = kind
         self.left_keys = left_keys
         self.right_keys = right_keys
         self.residual = residual
-        self.right_vars = right_vars
 
-    def _iter_produce(self, evaluator, env):
-        governor = evaluator.governor
-        left_key_fns = [evaluator.compiled(key) for key in self.left_keys]
-        right_key_fns = [evaluator.compiled(key) for key in self.right_keys]
-        residual_fns = [evaluator.compiled(p) for p in self.residual]
+    def _key_kernels(self, evaluator, one_row=False):
+        """``(probe keys, build keys)`` kernel lists."""
+        compiled = evaluator.compiled_batch
+        left_vars = frozenset(self.left.vars)
+        right_vars = frozenset(self.right.vars)
+        return (
+            [compiled(key, left_vars, one_row) for key in self.left_keys],
+            [compiled(key, right_vars) for key in self.right_keys],
+        )
 
-        # The probe (left) side streams; the build table is the one
-        # thing a hash join *must* materialize, and it is built lazily
-        # on the first probe row so an empty or early-closed probe side
-        # never pays for (or observes errors from) the build side.
-        table: Optional[Dict[Tuple, List[Binding]]] = None
-        for left_binding in self.left.iter_bindings(evaluator, env):
-            if table is None:
-                table = {}
-                for right_binding in self.right.iter_bindings(evaluator, env):
-                    key = _key_tuple(right_key_fns, env.extend(right_binding))
-                    if key is None:
-                        continue  # absent key: can never satisfy the equi-ON
-                    table.setdefault(key, []).append(right_binding)
-            key = _key_tuple(left_key_fns, env.extend(left_binding))
-            matched = False
-            for right_binding in (table.get(key, ()) if key is not None else ()):
-                combined = {**left_binding, **right_binding}
-                if residual_fns:
-                    combined_env = env.extend(combined)
-                    if not all(fn(combined_env) is True for fn in residual_fns):
-                        continue
-                matched = True
-                if governor is not None:
-                    governor.add(1)
-                yield combined
-            if self.kind == "LEFT" and not matched:
-                if governor is not None:
-                    governor.add(1)
-                yield pad_right_vars(left_binding, self.right_vars)
+    def _kernels(self, evaluator, one_row=False):
+        probe, build = self._key_kernels(evaluator, one_row)
+        return probe + build + self._conditions(evaluator, one_row)
 
-    def iter_chunks(self, evaluator, env, morsel=None, tables=None):
-        return self._iter_join_chunks(evaluator, env, morsel, tables)
+    def _conditions(self, evaluator, one_row=False):
+        out_vars = frozenset(self.vars)
+        return [
+            evaluator.compiled_batch(p, out_vars, one_row) for p in self.residual
+        ]
 
     def build_table(
         self, evaluator, env
@@ -779,131 +661,32 @@ class HashJoinOp(PlanOp):
         the table once in the parent process before forking: workers
         then share the pages copy-on-write instead of each re-building.
         """
-        key_fns = self._kernels(evaluator)[1]
+        key_fns = self._key_kernels(evaluator)[1]
         table: Dict[Tuple, List[Binding]] = {}
         for chunk in self.right.iter_chunks(evaluator, env):
-            key_columns = [fn(chunk, env) for fn in key_fns]
-            for index, right_binding in enumerate(chunk):
-                parts = []
-                for column in key_columns:
-                    value = column[index]
-                    if value is None or value is MISSING:
-                        parts = None
-                        break  # absent key: can never satisfy the equi-ON
-                    parts.append(group_key(value))
-                if parts is not None:
-                    table.setdefault(tuple(parts), []).append(right_binding)
+            for key, right_binding in zip(_hash_keys(key_fns, chunk, env), chunk):
+                if key is not None:  # absent key: can never satisfy the equi-ON
+                    table.setdefault(key, []).append(right_binding)
         return table
 
-    def _kernels(self, evaluator):
-        """``(probe key, build key, residual, filter)`` kernel lists."""
-        compiled = evaluator.compiled_batch
-        left_vars = frozenset(self.left.vars)
-        right_vars = frozenset(self.right.vars)
-        out_vars = frozenset(self.vars)
-        return (
-            [compiled(key, left_vars) for key in self.left_keys],
-            [compiled(key, right_vars) for key in self.right_keys],
-            [compiled(p, out_vars) for p in self.residual],
-            [compiled(p, out_vars) for p in self.filters],
-        )
-
-    def batch_kernels(self, evaluator):
-        return [fn for fns in self._kernels(evaluator) for fn in fns]
-
-    def _iter_join_chunks(self, evaluator, env, morsel, tables):
-        tracer = evaluator.tracer
-        governor = evaluator.governor
-        trace = tracer.trace if tracer is not None else None
-        span = (
-            trace.begin(self.describe(), "operator") if trace is not None else None
-        )
-        left_key_fns, __, residual_fns, filter_fns = self._kernels(evaluator)
-        is_left = self.kind == "LEFT"
-        right_vars = self.right_vars
+    def _pairing(self, evaluator, env, size, tables, tick, want_owners):
         table = tables.get(id(self)) if tables is not None else None
-        rows_in = 0
-        rows_out = 0
-        elapsed = 0.0
-        out: List[Binding] = []
-        source = self.left.iter_chunks(
-            evaluator, env, morsel=morsel, tables=tables
-        )
-        try:
-            while True:
-                started = perf_counter()
-                try:
-                    probe = next(source)
-                except StopIteration:
-                    elapsed += perf_counter() - started
-                    break
-                if table is None:
-                    # Built lazily on the first probe chunk, like the
-                    # streaming path: an empty or early-closed probe
-                    # side never pays for (or observes errors from) the
-                    # build side.
-                    table = self.build_table(evaluator, env)
-                key_columns = [fn(probe, env) for fn in left_key_fns]
-                # Gather candidate pairs for the whole probe chunk, then
-                # batch-evaluate residual conjuncts over all candidates.
-                candidates: List[Binding] = []
-                candidate_left: List[int] = []
-                for index, left_binding in enumerate(probe):
-                    parts = []
-                    for column in key_columns:
-                        value = column[index]
-                        if value is None or value is MISSING:
-                            parts = None
-                            break
-                        parts.append(group_key(value))
-                    if parts is None:
-                        continue
-                    for right_binding in table.get(tuple(parts), ()):
-                        candidates.append({**left_binding, **right_binding})
-                        candidate_left.append(index)
-                keep = [True] * len(candidates)
-                for fn in residual_fns:
-                    verdicts = fn(candidates, env)
-                    for pair, verdict in enumerate(verdicts):
-                        if keep[pair] and verdict is not True:
-                            keep[pair] = False
-                per_left: List[List[Binding]] = [[] for _ in probe]
-                for pair, combined in enumerate(candidates):
-                    if keep[pair]:
-                        per_left[candidate_left[pair]].append(combined)
-                produced = 0
-                for index, left_binding in enumerate(probe):
-                    matches = per_left[index]
-                    if matches:
-                        out.extend(matches)
-                        produced += len(matches)
-                    elif is_left:
-                        out.append(pad_right_vars(left_binding, right_vars))
-                        produced += 1
-                if governor is not None:
-                    _tick(governor, produced)
-                rows_in += produced
-                ready: Optional[List[Binding]] = None
-                if len(out) >= CHUNK_ROWS:
-                    ready = _apply_filters(out, filter_fns, env)
-                    out = []
-                    rows_out += len(ready)
-                elapsed += perf_counter() - started
-                if ready:
-                    yield ready
-            if out:
-                started = perf_counter()
-                out = _apply_filters(out, filter_fns, env)
-                rows_out += len(out)
-                elapsed += perf_counter() - started
-                if out:
-                    yield out
-        finally:
-            close_iter(source)
-            if span is not None:
-                trace.end(span, {"rows_in": rows_in, "rows_out": rows_out})
-            if tracer is not None:
-                tracer.record_op(self, rows_in, rows_out, elapsed)
+        key_fns = self._key_kernels(evaluator, size == 1)[0]
+
+        def pairing(left_chunk):
+            nonlocal table
+            if table is None:
+                # Built lazily on the first probe chunk: an empty or
+                # early-closed probe side never pays for (or observes
+                # errors from) the build side.
+                table = self.build_table(evaluator, env)
+            matches = [
+                table.get(key, ()) if key is not None else ()
+                for key in _hash_keys(key_fns, left_chunk, env)
+            ]
+            return _pair_slices(left_chunk, matches, size)
+
+        return pairing
 
     def describe(self) -> str:
         from repro.syntax.printer import print_ast
@@ -941,107 +724,67 @@ def walk_ops(op: PlanOp) -> List[PlanOp]:
     return result
 
 
-def _rechunk(source: Iterator[Binding]) -> Iterator[List[Binding]]:
-    """Batch a row stream into chunks, closing it with the consumer."""
-    try:
-        chunk: List[Binding] = []
-        for row in source:
-            chunk.append(row)
-            if len(chunk) >= CHUNK_ROWS:
-                yield chunk
-                chunk = []
-        if chunk:
-            yield chunk
-    finally:
-        close_iter(source)
+def _pads(left_chunk, matched, start, stop, right_vars, tick) -> List[Binding]:
+    """LEFT pads for the rows ``start:stop`` of ``left_chunk`` that
+    never matched, told to the governor."""
+    pads = [
+        pad_right_vars(left_chunk[index], right_vars)
+        for index in range(start, stop)
+        if not matched[index]
+    ]
+    if pads and tick is not None:
+        tick(len(pads))
+    return pads
 
 
-def _apply_filters(chunk: List[Binding], filter_fns, env) -> List[Binding]:
-    """The rows of ``chunk`` every pushed-filter kernel finds TRUE."""
-    for fn in filter_fns:
-        if not chunk:
-            break
-        verdicts = fn(chunk, env)
-        chunk = [row for row, verdict in zip(chunk, verdicts) if verdict is True]
-    return chunk
+def _pair_slices(left_rows, rights, size: int):
+    """Left-major ``(pairs, owners)`` slices of at most ``size`` rows:
+    each left row merged with each right row ``rights`` pairs it with,
+    and the index of the left row each pair extends."""
+    flat: List[Binding] = []
+    owners: List[int] = []
+    for owner, (left, matches) in enumerate(zip(left_rows, rights)):
+        for right in matches:
+            flat.append({**left, **right})
+            owners.append(owner)
+            if len(flat) == size:
+                yield flat, owners
+                flat, owners = [], []
+    if flat:
+        yield flat, owners
+
+
+def _hash_keys(key_fns, rows: List[Binding], env) -> List[Optional[Tuple]]:
+    """Each row's composite hash key, or None where a component is
+    NULL/MISSING (Core equality: such keys never match)."""
+    keys: List[Optional[Tuple]] = []
+    for values in zip(*[fn(rows, env) for fn in key_fns]):
+        key: Optional[Tuple] = ()
+        for value in values:
+            if value is None or value is MISSING:
+                key = None
+                break
+            key += (group_key(value),)
+        keys.append(key)
+    return keys
 
 
 def _tick(governor, produced: int) -> None:
-    """Account ``produced`` rows in steps of at most GOVERNOR_TICK, so a
-    breach reports a tally within one tick of the row path's."""
-    for offset in range(0, produced, GOVERNOR_TICK):
-        governor.add(min(GOVERNOR_TICK, produced - offset))
+    """Account ``produced`` rows in steps of at most GOVERNOR_TICK, none
+    stepping over ``max_rows``: a breach fires, and reports its tally,
+    on the row a row-at-a-time count would."""
+    limit = governor.max_rows
+    while produced > 0:
+        step = min(GOVERNOR_TICK, produced)
+        if limit is not None and governor.rows <= limit < governor.rows + step:
+            step = limit + 1 - governor.rows
+        governor.add(step)
+        produced -= step
 
 
 def governor_tick(governor) -> Optional[Callable[[int], None]]:
     """:func:`flatten_lateral`'s ``tick`` for a governor (None: no limits)."""
     return partial(_tick, governor) if governor is not None else None
-
-
-def item_rows(evaluator, item: ast.FromItem, env) -> Iterator[Binding]:
-    """One FROM item's bindings in ``env``, streamed: the row form of
-    :class:`ScanOp` and of a lateral right side (which no operator
-    stands for — it re-ranges per left binding).  The one place the row
-    pipeline tells the governor of an enumerated binding, one at a time,
-    so a timeout or ``max_rows`` breach fires mid-stream; the source
-    expression is evaluated here, which every caller reaches from inside
-    a generator of its own — still "on first pull"."""
-    if isinstance(item, ast.FromJoin):
-        # Only as a lateral right side (the planner folds every other
-        # join into an operator): the same nested loop, whose output the
-        # accounting below counts, pads included.
-        rows = lateral_join_bindings(
-            evaluator, env, item_rows(evaluator, item.left, env),
-            item.right, item.kind, item.on, item_vars(item.right),
-        )
-    else:
-        rows = item_bindings(item, evaluator.compiled(item.expr)(env), evaluator.config)
-    governor = evaluator.governor
-    if governor is None:
-        return rows
-    return _governed(rows, governor)
-
-
-def _governed(rows: Iterator[Binding], governor) -> Iterator[Binding]:
-    try:
-        for row in rows:
-            governor.add(1)
-            yield row
-    finally:
-        close_iter(rows)
-
-
-def lateral_join_bindings(
-    evaluator, env, left_source, right_item, kind, on, right_vars, governor=None
-) -> Iterator[Binding]:
-    """The left-correlated nested loop, streamed: ``right_item`` is
-    enumerated once per left binding (:func:`item_rows`, which counts
-    each right binding), ``on`` keeps a combined binding on TRUE, and a
-    LEFT join pads an unmatched left binding — which requires draining
-    the right side per left row.  ``governor`` is told of each padded
-    row when no enclosing enumeration counts the join's output
-    (:class:`LateralJoinOp`)."""
-    on_fn = evaluator.compiled(on) if on is not None else None
-    try:
-        for left_binding in left_source:
-            left_env = env.extend(left_binding)
-            matched = False
-            right_source = item_rows(evaluator, right_item, left_env)
-            try:
-                for right_binding in right_source:
-                    combined = {**left_binding, **right_binding}
-                    if on_fn is not None and on_fn(env.extend(combined)) is not True:
-                        continue
-                    matched = True
-                    yield combined
-            finally:
-                close_iter(right_source)
-            if kind == "LEFT" and not matched:
-                if governor is not None:
-                    governor.add(1)
-                yield pad_right_vars(left_binding, right_vars)
-    finally:
-        close_iter(left_source)
 
 
 def lateral_bindings(item: ast.FromItem, value: Any, config) -> Tuple[Any, Any]:
@@ -1071,23 +814,6 @@ def lateral_bindings(item: ast.FromItem, value: Any, config) -> Tuple[Any, Any]:
     return (value,), None
 
 
-def item_bindings(item: ast.FromItem, value: Any, config) -> Iterator[Binding]:
-    """The binding dicts of one range / UNPIVOT item whose source
-    evaluated to ``value``, lazily — the row form of
-    :func:`flatten_lateral`."""
-    elements, positions = lateral_bindings(item, value, config)
-    alias = item.value_alias if isinstance(item, ast.FromUnpivot) else item.alias
-    at = item.at_alias
-    if not at:
-        return ({alias: element} for element in elements)
-    if positions is None:
-        return ({alias: element, at: MISSING} for element in elements)
-    return (
-        {alias: element, at: position}
-        for element, position in zip(elements, positions)
-    )
-
-
 def flatten_lateral(
     item: ast.FromItem,
     rows: List[Binding],
@@ -1095,22 +821,25 @@ def flatten_lateral(
     config,
     tick: Optional[Callable[[int], None]],
     want_owners: bool,
+    size: int = CHUNK_ROWS,
 ) -> Iterator[Tuple[List[Binding], List[int]]]:
     """Range a FromCollection / FromUnpivot item over ``column`` (its
     source evaluated per row of ``rows``), yielding ``(flat, owners)``
     slices: each row extended with each binding its value produces, and
     (when ``want_owners``) the index of the row every flat row extends.
 
-    Slices are cut at ~CHUNK_ROWS whatever the collections' sizes, so a
-    row holding a huge or lazy collection never materializes it whole;
-    ``tick`` (the governor's accounting, :func:`governor_tick`) is told
-    of the rows produced since its last call.
+    Slices hold at most ``size`` rows whatever the collections' sizes,
+    so a row holding a huge or lazy collection never materializes it
+    whole and is pulled no further than the slice being built; ``tick``
+    (the governor's accounting, :func:`governor_tick`) is told of a
+    slice's rows before it is yielded, and at least every GOVERNOR_TICK
+    rows while one is built.
     """
     unpivot = isinstance(item, ast.FromUnpivot)
     alias = item.value_alias if unpivot else item.alias
     at = item.at_alias
     #: The overwhelmingly common source: a materialized array (tuple,
-    #: for UNPIVOT) of chunk size or less.  Runs of them flatten in one
+    #: for UNPIVOT) that fits the slice.  Runs of them flatten in one
     #: comprehension; anything else takes ``lateral_bindings``.
     simple = Struct if unpivot else list
     flat: List[Binding] = []
@@ -1144,23 +873,25 @@ def flatten_lateral(
                 chain.from_iterable(map(repeat, range(start, stop), sizes))
             )
 
-    start = size = 0  # the pending run column[start:owner] and its row count
+    start = run = 0  # the pending run column[start:owner] and its row count
     for owner, value in enumerate(column):
-        quick = type(value) is simple and len(value) <= CHUNK_ROWS
-        if quick and size + len(value) <= CHUNK_ROWS:
-            size += len(value)
+        quick = type(value) is simple
+        if quick and len(flat) + run + len(value) <= size:
+            run += len(value)
             continue
-        if size:
+        if run:
             extend_run(start, owner)
             if tick is not None:
-                tick(size)
-            if len(flat) >= CHUNK_ROWS:
+                tick(run)
+            run = 0
+        if quick and len(value) <= size:
+            # The run did not fit beside the slice: it starts the next.
+            if flat:
                 yield flat, owners
                 flat, owners = [], []
-        if quick:
-            start, size = owner, len(value)
+            start, run = owner, len(value)
             continue
-        start, size = owner + 1, 0
+        start = owner + 1
         row = rows[owner]
         pending = 0
         elements, positions = lateral_bindings(item, value, config)
@@ -1174,30 +905,19 @@ def flatten_lateral(
             if want_owners:
                 owners.append(owner)
             pending += 1
-            if pending >= GOVERNOR_TICK:
+            full = len(flat) >= size
+            if full or pending >= GOVERNOR_TICK:
                 if tick is not None:
                     tick(pending)
                 pending = 0
-            if len(flat) >= CHUNK_ROWS:
-                yield flat, owners
-                flat, owners = [], []
+                if full:
+                    yield flat, owners
+                    flat, owners = [], []
         if pending and tick is not None:
             tick(pending)
-    if size:
+    if run:
         extend_run(start, len(column))
         if tick is not None:
-            tick(size)
+            tick(run)
     if flat:
         yield flat, owners
-
-
-def _key_tuple(key_fns, env) -> Optional[Tuple]:
-    """The composite hash key for one binding, or None when any
-    component is NULL/MISSING (Core equality: such keys never match)."""
-    parts = []
-    for fn in key_fns:
-        value = fn(env)
-        if value is None or value is MISSING:
-            return None
-        parts.append(group_key(value))
-    return tuple(parts)

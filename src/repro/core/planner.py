@@ -177,22 +177,24 @@ class BlockPlan:
     #: shape never changes once planned; a replan is a new object).
     shape_hash: Optional[str] = field(default=None, repr=False, compare=False)
 
-    def iter_envs(self, evaluator, env):
+    def iter_envs(self, evaluator, env, size):
         """Stream the block's binding environments (the FROM clause
-        and the pushed part of the WHERE).
+        and the pushed part of the WHERE): the operator tree's chunks of
+        at most ``size`` rows, flattened.
 
-        Pipelined: the tree's probe sides stream, so a downstream
-        consumer that stops pulling (LIMIT, top-K, EXISTS) closes every
-        operator; a right side is never enumerated before its left side
-        produces a row, matching the reference interpreter's behavior
-        on empty streams (error parity).
+        A downstream consumer that stops pulling (LIMIT, EXISTS) closes
+        every operator; a right side is never enumerated before its
+        left side produces a row, matching the reference interpreter's
+        behavior on empty streams (error parity).
         """
-        source = self.op.iter_bindings(evaluator, env)
+        chunks = self.op.iter_chunks(evaluator, env, size)
+        extend = env.extend
         try:
-            for row in source:
-                yield env.extend(row)
+            for chunk in chunks:
+                for row in chunk:
+                    yield extend(row)
         finally:
-            close_iter(source)
+            close_iter(chunks)
 
     def explain(self, tracer=None, notes: Sequence[str] = ()) -> str:
         """The plan as text; with a tracer, annotated with runtime stats
@@ -241,10 +243,10 @@ def plan_block(
     clause.
 
     Every other block gets the one operator tree it will ever have,
-    rewrites or not, and every executor enumerates FROM through it: the
-    batch executor its chunk form, the row-at-a-time pipelines its row
-    form (docs/PLANNER.md, "One plan per block").  Under strict typing
-    only the structural fold applies (module docstring).
+    rewrites or not, and every executor pulls FROM from it in chunks,
+    of one row where row order is observable (docs/PLANNER.md, "One
+    plan per block").  Under strict typing only the structural fold
+    applies (module docstring).
 
     ``stats`` is an optional
     :class:`repro.catalog.statistics.StatsProvider`; with one, scanned
@@ -284,26 +286,19 @@ def plan_block(
 
     rewrites: List[str] = []
     item_var_sets: List[Set[str]] = []
-    bound: List[str] = []
     op: Optional[PlanOp] = None
     for index, item in enumerate(block.from_):
-        right_vars = item_vars(item)
         if op is None:
             op = _plan_item(item, rewrites, permissive)
-        else:
+        elif free_names(item) & set(op.vars):
             # ``FROM a, b`` is ``a INNER JOIN b ON TRUE`` with the
             # paper's left-correlation: fold it into the one tree.
-            if free_names(item) & set(bound):
-                op = LateralJoinOp(op, item, "INNER", None, right_vars)
-            else:
-                op = MaterializeJoinOp(
-                    op, _plan_item(item, rewrites, permissive), "INNER", None,
-                    right_vars,
-                )
-                rewrites.append(f"materialize-once: FROM item #{index + 1}")
-            op.vars = bound + [name for name in right_vars if name not in bound]
-        bound = list(op.vars)
-        item_var_sets.append(set(right_vars))
+            op = _fold_lateral(op, item, rewrites, permissive)
+        else:
+            op = _join(op, item, "INNER", None, rewrites, permissive)
+            # A comma's materialize-right goes by its own name.
+            rewrites[-1] = f"materialize-once: FROM item #{index + 1}"
+        item_var_sets.append(set(item_vars(item)))
 
     residual_where = block.where
     # Pushdown is only safe when nothing evaluates between FROM and
@@ -312,7 +307,8 @@ def plan_block(
     # to the wrong one below the rebinding), and only invisible under
     # permissive typing (a pushed conjunct excludes rows before a
     # sibling conjunct could raise on them).
-    distinct = sum(len(variables) for variables in item_var_sets) == len(bound)
+    declared = [name for item in block.from_ for name in item_vars(item)]
+    distinct = len(set(declared)) == len(declared)
     if block.where is not None and not block.lets and distinct and permissive:
         conjuncts: List[ast.Expr] = []
         for conjunct in split_conjuncts(block.where):
@@ -414,48 +410,71 @@ def _plan_item(item: ast.FromItem, rewrites: List[str], permissive: bool) -> Pla
 
 def _plan_join(item: ast.FromJoin, rewrites: List[str], permissive: bool) -> PlanOp:
     left_op = _plan_item(item.left, rewrites, permissive)
-    left_vars = set(item_vars(item.left))
-    right_vars = item_vars(item.right)
-    right_names = free_names(item.right)
+    return _join(left_op, item.right, item.kind, item.on, rewrites, permissive)
+
+
+def _fold_lateral(
+    op: PlanOp, item: ast.FromItem, rewrites: List[str], permissive: bool
+) -> PlanOp:
+    """Fold a comma item that touches ``op``'s variables onto it.  A
+    join item re-associates into the left-deep tree — ``a, (x JOIN z ON
+    p)`` is ``(a, x) JOIN z ON p``, for inner and LEFT joins alike — so
+    every lateral right side is one range or UNPIVOT item."""
+    if isinstance(item, ast.FromJoin):
+        op = _fold_lateral(op, item.left, rewrites, permissive)
+        return _join(op, item.right, item.kind, item.on, rewrites, permissive)
+    return _join(op, item, "INNER", None, rewrites, permissive)
+
+
+def _join(
+    left_op: PlanOp,
+    item: ast.FromItem,
+    kind: str,
+    on: Optional[ast.Expr],
+    rewrites: List[str],
+    permissive: bool,
+) -> PlanOp:
+    """``left_op kind JOIN item ON on``: lateral when the item touches
+    the left variables, else a hash or materialize-right join."""
+    left_vars = set(left_op.vars)
+    right_vars = item_vars(item)
 
     op: PlanOp
-    if right_names & left_vars:
+    if free_names(item) & left_vars:
         # Lateral right side: the paper's left-correlation semantics.
-        op = LateralJoinOp(left_op, item.right, item.kind, item.on, right_vars)
+        op = LateralJoinOp(left_op, item, kind, on, right_vars)
     else:
-        right_op = _plan_item(item.right, rewrites, permissive)
+        right_op = _plan_item(item, rewrites, permissive)
         split = None
         # Strict typing never hashes: comparing keys of different
         # categories must raise, where a hash probe just finds no match.
         if (
             permissive
-            and item.on is not None
-            and item.kind in ("INNER", "LEFT")
+            and on is not None
+            and kind in ("INNER", "LEFT")
             and not (left_vars & set(right_vars))
         ):
-            split = _split_equi_on(item.on, left_vars, set(right_vars))
+            split = _split_equi_on(on, left_vars, set(right_vars))
         if split is not None:
             left_keys, right_keys, residual = split
             op = HashJoinOp(
                 left_op,
                 right_op,
-                item.kind,
+                kind,
                 left_keys,
                 right_keys,
                 residual,
                 right_vars,
             )
             rewrites.append(
-                f"hash-equi-join[{item.kind}]: {op.describe()}"
+                f"hash-equi-join[{kind}]: {op.describe()}"
             )
         else:
-            op = MaterializeJoinOp(
-                left_op, right_op, item.kind, item.on, right_vars
-            )
+            op = MaterializeJoinOp(left_op, right_op, kind, on, right_vars)
             rewrites.append(
-                f"materialize-right[{item.kind}]: right side enumerated once"
+                f"materialize-right[{kind}]: right side enumerated once"
             )
-    op.vars = item_vars(item)
+    op.vars = left_op.vars + [name for name in right_vars if name not in left_vars]
     return op
 
 
@@ -916,7 +935,7 @@ def lateral_feedback_key(op: PlanOp) -> Optional[str]:
     and joins that feed it), or None."""
     from repro.syntax.printer import print_ast
 
-    if not isinstance(op, LateralJoinOp) or not op.native_chunks:
+    if not isinstance(op, LateralJoinOp):
         return None
     left = feedback_key(op.left)
     if left is None:

@@ -28,7 +28,7 @@ import pytest
 from repro import Database, errors
 from repro.compat.corpus import all_cases
 from repro.compat.runner import build_database
-from repro.core.plan_ops import walk_ops
+from repro.core.plan_ops import LateralJoinOp, walk_ops
 from repro.observability import ExecTracer
 from repro.syntax import ast
 
@@ -168,6 +168,56 @@ def test_kernels_line_of_a_batched_block_without_kernels():
         lines = executor_lines(db.explain_plan(query))
         assert lines[0] == "executor: batch"
         assert lines[-1].startswith("kernels: ") and lines[-1] != NO_KERNELS
+
+
+#: Shapes whose ON, pushed filters and lateral sources are chunk kernels
+#: like any other operator's: a non-equi join, a strict join, a
+#: first-item UNPIVOT with a pushed filter, and a lateral join item.
+OPERATOR_KERNEL_SHAPES = [
+    ("permissive", "SELECT VALUE 1 FROM t AS r JOIN u AS s ON r.a < s.k"),
+    ("strict", "SELECT VALUE 1 FROM t AS r JOIN u AS s ON r.a = s.k"),
+    (
+        "permissive",
+        "SELECT VALUE 1 FROM UNPIVOT {'a': 1, 'b': 2} AS v AT k WHERE v > 1",
+    ),
+    (
+        "permissive",
+        "SELECT VALUE 1 FROM t AS a, a.xs AS x JOIN u AS z ON x = z.k "
+        "WHERE z.k > 0",
+    ),
+]
+
+
+def operator_kernels(op) -> int:
+    """One kernel per ON, residual, pushed filter, hash key and lateral
+    source of ``op``."""
+    count = len(op.filters) + len(getattr(op, "residual", ()))
+    count += getattr(op, "on", None) is not None
+    count += isinstance(op, LateralJoinOp)
+    count += len(getattr(op, "left_keys", ())) + len(getattr(op, "right_keys", ()))
+    return count
+
+
+def kernels_count(text: str) -> int:
+    return int(executor_lines(text)[-1].split()[1])
+
+
+@pytest.mark.parametrize("typing_mode, query", OPERATOR_KERNEL_SHAPES)
+def test_kernels_line_counts_every_operator_kernel(typing_mode, query):
+    db = Database(typing_mode=typing_mode)
+    db.set("t", [{"a": 1, "xs": [1, 2]}, {"a": 2, "xs": [3]}])
+    db.set("u", [{"k": 1}, {"k": 3}])
+    tracer = ExecTracer()
+    db.execute(query, tracer=tracer)
+    plan = tracer.plan_for(db.compile(query).body)
+    expected = sum(operator_kernels(op) for op in walk_ops(plan.op))
+    assert expected > 0
+    # What the same SELECT over a bare scan counts: the tail's kernels.
+    tail = kernels_count(db.explain_plan("SELECT VALUE 1 FROM t AS t"))
+    assert executor_lines(db.explain_plan(query)) == [
+        "executor: batch",
+        f"kernels: {tail + expected} columnar, no env-space fallback",
+    ]
 
 
 def harness_modules(monkeypatch):

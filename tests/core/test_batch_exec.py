@@ -555,9 +555,9 @@ class TestOneGroupBy:
             seen["elements"] += 1
             return group_element(*args)
 
-        def stream_spy(self, block, env):
+        def stream_spy(self, block, env, size):
             seen["streamed"].append(block)
-            return stream_rows(self, block, env)
+            return stream_rows(self, block, env, size)
 
         monkeypatch.setattr(vectorized, "fold_chunk", fold_spy)
         monkeypatch.setattr(clauses, "group_element", element_spy)
@@ -740,7 +740,7 @@ class TestExecutorExplain:
             assert "from:" not in plan
             assert "consumer: bag built a chunk" in plan
             assert "no env-space fallback" in plan
-            # The same plan text under batch=False: its row form runs.
+            # The same plan text under batch=False: the stream pulls it.
             streamed = Database(batch=False)
             streamed.set("orders", [{"oid": 1, "cust": 1}])
             plan = streamed.explain_plan(query)
@@ -844,9 +844,9 @@ class TestKernelsCompileOnce:
         calls = []
         original = compile_expr.compile_batch
 
-        def counting(expr, evaluator, row_vars):
+        def counting(expr, evaluator, row_vars, one_row=False):
             calls.append(expr)
-            return original(expr, evaluator, row_vars)
+            return original(expr, evaluator, row_vars, one_row)
 
         monkeypatch.setattr(compile_expr, "compile_batch", counting)
         return calls
@@ -1051,13 +1051,17 @@ class TestLateralChunks:
         db.set_lazy("emp", rows)
         config = EvalConfig()
         plan = plan_block(db.compile(UNNEST).body, config)
-        assert isinstance(plan.op, LateralJoinOp) and plan.op.native_chunks
-        chunks = plan.op.iter_chunks(Evaluator(db.catalog, config), Environment())
-        first = next(chunks)
-        assert CHUNK_ROWS <= len(first) <= 2 * CHUNK_ROWS
-        assert closed == []
-        chunks.close()
-        assert closed == [True]
+        assert isinstance(plan.op, LateralJoinOp)
+        evaluator = Evaluator(db.catalog, config)
+        for size in (CHUNK_ROWS, 1):
+            chunks = plan.op.iter_chunks(evaluator, Environment(), size)
+            first = next(chunks)
+            # ``size`` bounds a chunk, and a full one is cut at it.
+            assert len(first) == size
+            assert closed == []
+            chunks.close()
+            assert closed == [True]
+            closed.clear()
 
     def test_left_lateral_pads_in_left_order(self):
         db = Database()
@@ -1093,6 +1097,48 @@ class TestLateralChunks:
         assert len(three_ways(db, query)) == 2 * (3 * CHUNK_ROWS + 2)
         three_ways(db, NESTED_SELECT)
         three_ways(db, EXISTS_NESTED)
+
+
+class TestChunkSize:
+    """``size`` bounds one pull of every operator: no chunk is longer,
+    and the rows, in order, are the same at every size."""
+
+    SHAPES = {
+        "scan": "SELECT VALUE e.id FROM emp AS e WHERE e.id > 2",
+        "lateral": "SELECT e.id AS id, p AS p FROM emp AS e, e.projects AS p",
+        "left-lateral": (
+            "SELECT e.id AS id, p AS p FROM emp AS e "
+            "LEFT JOIN e.projects AS p ON p.h > 4"
+        ),
+        "materialize": (
+            "SELECT e.id AS id, d.k AS k FROM emp AS e JOIN dept AS d ON e.id < d.k"
+        ),
+        "hash": (
+            "SELECT e.id AS id, d.k AS k FROM emp AS e "
+            "LEFT JOIN dept AS d ON e.id = d.k"
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_no_chunk_is_longer_than_size(self, shape):
+        from repro.config import EvalConfig
+        from repro.core.environment import Environment
+        from repro.core.evaluator import Evaluator
+        from repro.core.plan_ops import CHUNK_ROWS
+        from repro.core.planner import plan_block
+
+        db = emp_db(rows=12, projects=3)
+        db.set("dept", [{"k": k % 8} for k in range(16)])
+        config = EvalConfig()
+        plan = plan_block(db.compile(self.SHAPES[shape]).body, config)
+        evaluator = Evaluator(db.catalog, config)
+        runs = {}
+        for size in (1, 3, CHUNK_ROWS):
+            chunks = list(plan.op.iter_chunks(evaluator, Environment(), size))
+            assert all(0 < len(chunk) <= size for chunk in chunks), size
+            runs[size] = [row for chunk in chunks for row in chunk]
+        assert runs[1] == runs[3] == runs[CHUNK_ROWS]
+        assert runs[1]
 
 
 class TestSubqueryKernels:

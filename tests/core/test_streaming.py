@@ -18,7 +18,8 @@ import pytest
 
 from repro import Database
 from repro.datamodel import Bag, LazyBag, from_python
-from repro.errors import TypeCheckError
+from repro.errors import EvaluationError, TypeCheckError
+from repro.observability import ExecTracer
 
 
 @pytest.fixture
@@ -140,6 +141,62 @@ class TestEarlyTermination:
             database.execute(query, typing_mode="strict", optimize=False)
 
 
+class TestStrictRowOrder:
+    """Under strict typing the stream is the replay target, so it pulls
+    one row at a time through every operator: evaluated row-major, ``l``'s
+    first row divides by zero (``EvaluationError``) before the second
+    row's ``'x'`` meets an arithmetic operator (``TypeCheckError``, which
+    the column-major batch attempt raises first)."""
+
+    LATERAL = "SELECT VALUE x FROM l AS l JOIN [10 / l.a] AS x ON x / 0 > 1"
+    JOIN = "SELECT VALUE l.a FROM l AS l JOIN r AS r ON (l.a + 1) > (10 / r.b)"
+
+    @pytest.fixture
+    def strict_db(self):
+        database = Database(typing_mode="strict")
+        database.set("l", [{"a": 1, "xs": [0, 1]}, {"a": "x", "xs": [0]}])
+        database.set("r", [{"b": 0}, {"b": 2}])
+        return database
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            LATERAL,
+            LATERAL + " LIMIT 1",
+            JOIN,
+            JOIN + " LIMIT 1",
+            f"SELECT VALUE EXISTS ({JOIN}) FROM [1] AS one",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "dials", [{"optimize": False}, {}, {"batch": False}],
+        ids=["reference", "default", "stream"],
+    )
+    def test_errors_surface_in_row_order(self, strict_db, query, dials):
+        with pytest.raises(EvaluationError):
+            strict_db.execute(query, **dials)
+
+    def test_exists_in_on_stops_at_its_first_hit(self):
+        # The stream's ON is the EXISTS closure, which stops at 5; a
+        # kernel over the whole collection would compare 'z' > 1.
+        database = Database(typing_mode="strict")
+        database.set("t", [{"id": 1, "xs": [5, 2, "z"]}])
+        database.set("u", [{"k": 1}])
+        query = (
+            "SELECT VALUE a.id FROM t AS a JOIN u AS b ON EXISTS "
+            "(SELECT VALUE x FROM a.xs AS x WHERE x > 1)"
+        )
+        assert database.execute(query) == Bag([1])
+        assert database.execute(query, batch=False) == Bag([1])
+
+    def test_the_batch_attempt_is_replayed(self, strict_db):
+        tracer = ExecTracer()
+        with pytest.raises(EvaluationError):
+            strict_db.execute(self.LATERAL, tracer=tracer)
+        body = strict_db.compile(self.LATERAL).body
+        assert tracer.replay_of(body) == "TypeCheckError"
+
+
 class TestLazyCollections:
     def test_set_lazy_round_trips(self):
         db = Database()
@@ -183,6 +240,43 @@ class TestLazyCollections:
         )
         assert result == Bag([True])
         assert source.yielded == 3
+
+    @pytest.mark.parametrize(
+        "query, expected, yielded",
+        [
+            # A pushed filter: the scan pulls until three rows survive.
+            (
+                "SELECT VALUE l.v FROM lz AS l WHERE l.v >= 10 LIMIT 3",
+                Bag([10, 11, 12]),
+                13,
+            ),
+            (
+                "SELECT VALUE EXISTS (SELECT VALUE l.v FROM lz AS l "
+                "WHERE l.v >= 10) FROM [1] AS one",
+                Bag([True]),
+                11,
+            ),
+            # A comma cross product: each left row pairs with both of
+            # the right side's rows before the next left row is pulled.
+            (
+                "SELECT VALUE l.v FROM lz AS l, [1, 2] AS b LIMIT 3",
+                Bag([0, 0, 1]),
+                2,
+            ),
+            (
+                "SELECT VALUE EXISTS (SELECT VALUE l.v FROM lz AS l, "
+                "[1, 2] AS b) FROM [1] AS one",
+                Bag([True]),
+                1,
+            ),
+        ],
+    )
+    def test_early_consumers_pull_through_operators(self, query, expected, yielded):
+        source = CountingSource([{"v": i} for i in range(1000)])
+        db = Database()
+        db.set_lazy("lz", source)
+        assert db.execute(query) == expected
+        assert source.yielded == yielded
 
     def test_top_k_consumes_everything_but_keeps_k(self):
         # Top-K must see every row (the minimum could be last); the win

@@ -147,10 +147,10 @@ class TestTallyParity:
         assert t_batch == t_par, (t_batch, t_par)
 
     def test_lateral_operator_matches_streaming_item_tallies(self, small_morsels):
-        # A comma-unnest: batch (and the fan-out) run the lateral
-        # operator's chunk form, streaming its row form — the same tree,
-        # so the same operator tallies, and no per-item statistics (those
-        # are the oracle's).
+        # A comma-unnest: batch (and the fan-out) and the stream pull
+        # the same lateral operator's chunks — the same tree, so the
+        # same operator tallies, and no per-item statistics (those are
+        # the oracle's).
         db = Database(query_store=False)
         db.set("o", [{"k": i % 4, "items": list(range(i % 5))} for i in range(256)])
         query = "SELECT o.k AS k, i AS i FROM o AS o, o.items AS i"

@@ -273,7 +273,7 @@ class TestEdgeShapes:
         ids=["limit", "batch-off", "per-row-subquery"],
     )
     def test_pruned_block_streams_under_a_timing_tracer(self, join_db, query, dials):
-        # The Empty operator's row form is a plain tuple iterator: the
+        # The Empty operator produces a plain tuple iterator: the
         # traced stream must close it like every other stream does.
         report = join_db.explain_analyze(query, **dials)
         assert "phases:" in report

@@ -59,13 +59,33 @@ JOIN_SHAPES = {
     ),
     # 10 probe + 20 build + 20 joined.
     "hash-join": ("SELECT o.k AS k FROM o AS o JOIN p AS p ON o.k = p.k", 50),
+    # 10 left + 20 materialized once + the 90 pairs ON keeps.
+    "non-equi": ("SELECT o.k AS k FROM o AS o JOIN p AS p ON o.k < p.k", 120),
+    # The 3 attributes, before the pushed filter.
+    "unpivot": (
+        "SELECT VALUE v FROM UNPIVOT {'a': 1, 'b': 2, 'c': 3} AS v AT n "
+        "WHERE v > 1",
+        3,
+    ),
+}
+
+#: Under LIMIT 3 the stream pulls one row at a time and stops with the
+#: third output row: what a row-at-a-time nested loop would have counted.
+LIMIT_SHAPES = {
+    # 2 probe rows + 20 build + 3 joined.
+    "hash-join": ("SELECT o.k AS k FROM o AS o JOIN p AS p ON o.k = p.k LIMIT 3", 25),
+    # 1 left row + 20 materialized once + 3 pairs.
+    "comma-cross": ("SELECT o.k AS k FROM o AS o, p AS p LIMIT 3", 24),
+    # 1 left row + its 3 items.
+    "comma-lateral": ("SELECT o.k AS k, i AS i FROM o AS o, o.items AS i LIMIT 3", 4),
 }
 
 
 class TestOneAccountingPerShape:
     """A query is charged the same ``max_rows`` whichever executor runs
-    it: batch and stream enumerate FROM through the same operator tree,
-    whose chunk and row forms account the same rows."""
+    it: batch and stream pull FROM from the same operator tree, whose
+    operators account the same rows whatever size of chunk they are
+    asked for."""
 
     @pytest.fixture
     def join_db(self):
@@ -98,6 +118,23 @@ class TestOneAccountingPerShape:
         # The oracle keeps its own eager accounting (it also counts a
         # join item's output): never cheaper, not required to be equal.
         assert self.threshold(join_db, query, optimize=False) >= expected
+
+    def test_comma_cross_product_is_charged_its_materialization(self, join_db):
+        # 10 left + 20 materialized once + 200 pairs on both executors;
+        # the oracle re-enumerates ``p`` per left row and counts those
+        # 200 bindings only — the one shape it is cheaper on.
+        query = "SELECT o.k AS k FROM o AS o, p AS p"
+        join_db.execute(query)
+        assert join_db.metrics.last.batched is True
+        batch = self.threshold(join_db, query)
+        stream = self.threshold(join_db, query, batch=False)
+        assert batch == stream == 230
+        assert self.threshold(join_db, query, optimize=False) == 210
+
+    @pytest.mark.parametrize("shape", LIMIT_SHAPES)
+    def test_limit_stops_the_accounting_with_the_stream(self, join_db, shape):
+        query, expected = LIMIT_SHAPES[shape]
+        assert self.threshold(join_db, query, batch=False) == expected
 
     @pytest.mark.parametrize("dials", [{}, {"batch": False}], ids=["batch", "stream"])
     def test_trace_has_one_span_per_scan(self, join_db, dials):
