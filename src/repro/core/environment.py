@@ -44,7 +44,7 @@ class Environment:
 
     def extend(self, bindings: Dict[str, Any]) -> "Environment":
         """A child environment with the given additional bindings."""
-        return Environment(bindings, parent=self)
+        return Environment(bindings, self)
 
     def bind(self, name: str, value: Any) -> "Environment":
         """A child environment with one additional binding."""

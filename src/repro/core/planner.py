@@ -65,7 +65,6 @@ from repro.core.plan_ops import (
     MaterializeJoinOp,
     PlanOp,
     ScanOp,
-    close_iter,
 )
 from repro.functions.operators import IS_KINDS
 from repro.functions.registry import REGISTRY
@@ -176,25 +175,6 @@ class BlockPlan:
     #: Memo of :func:`repro.observability.query_store.plan_hash` (the
     #: shape never changes once planned; a replan is a new object).
     shape_hash: Optional[str] = field(default=None, repr=False, compare=False)
-
-    def iter_envs(self, evaluator, env, size):
-        """Stream the block's binding environments (the FROM clause
-        and the pushed part of the WHERE): the operator tree's chunks of
-        at most ``size`` rows, flattened.
-
-        A downstream consumer that stops pulling (LIMIT, EXISTS) closes
-        every operator; a right side is never enumerated before its
-        left side produces a row, matching the reference interpreter's
-        behavior on empty streams (error parity).
-        """
-        chunks = self.op.iter_chunks(evaluator, env, size)
-        extend = env.extend
-        try:
-            for chunk in chunks:
-                for row in chunk:
-                    yield extend(row)
-        finally:
-            close_iter(chunks)
 
     def explain(self, tracer=None, notes: Sequence[str] = ()) -> str:
         """The plan as text; with a tracer, annotated with runtime stats

@@ -5,18 +5,20 @@ values, then PIVOT's one tuple or ``SELECT [DISTINCT]`` and the query's
 ``ORDER BY`` / ``LIMIT`` — is a function of *columns* over those rows:
 one value per row for each window key and argument, PIVOT operand,
 SELECT expression and ORDER BY key.  :func:`run_tail` is that function;
-the evaluators differ only in how they produce a column — chunk kernels
-on the batch executor (``vectorized.KernelColumns``), a compiled closure
-per row on the stream and a tree-walk per row in the reference
-interpreter (both :class:`EnvColumns`).  The column-form pieces it
-assembles live in :mod:`repro.core.clauses` (sort, top-K, identities)
-and :mod:`repro.core.windows`.
+the evaluators differ only in how they produce a column — the block
+executor's chunk kernels (``vectorized.KernelColumns``: column kernels
+in its columns mode, a compiled closure per row in its rows mode) and a
+tree-walk per row in the reference interpreter (:class:`EnvColumns`).
+The rows mode's lazy bag runs the same SELECT, a row at a time
+(:func:`projection`).  The column-form pieces it assembles live in
+:mod:`repro.core.clauses` (sort, top-K, identities) and
+:mod:`repro.core.windows`.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.clauses import (
     OrderedTail,
@@ -37,13 +39,17 @@ from repro.syntax import ast
 
 class EnvColumns:
     """Columns over binding *environments*, one evaluation per row: how
-    the row pipeline and the reference interpreter produce what
-    :func:`run_tail` consumes (``vectorized.KernelColumns`` is the other)."""
+    the reference interpreter produces what :func:`run_tail` consumes
+    (``vectorized.KernelColumns`` is the other), and where the block
+    executor evaluates ORDER BY keys that can see the output."""
 
     def __init__(self, evaluator, outer_env: Environment, var_order: List[str]):
         self.column = evaluator.column
         self.outer_env = outer_env
         self.var_order = var_order
+
+    def kernel(self, expr: ast.Expr) -> Callable[[list], List[Any]]:
+        return lambda envs: self.column(expr, envs)
 
     def star(self, envs: List[Environment]) -> List[Struct]:
         return [eval_star(env, self.var_order) for env in envs]
@@ -68,6 +74,54 @@ class EnvColumns:
         outer = self.outer_env
         view = [sort_env(value, env, outer) for value, env in zip(values, envs)]
         return [self.column(item.expr, view) for item in order_by]
+
+
+def projection(
+    select: ast.Node, cols: Any, by_fields: bool = False
+) -> Callable[[list], List[Any]]:
+    """``SELECT [DISTINCT]`` as a function of one chunk of rows; DISTINCT
+    carries the identities it has passed from chunk to chunk.  With
+    ``by_fields``, a DISTINCT tuple literal with distinct literal names —
+    determined by its field values (an absent one is its own value and
+    an omitted attribute) — takes its identity from the field columns
+    and is built only for a row seen for the first time."""
+    seen: set = set()
+    if (
+        by_fields
+        and isinstance(select, ast.SelectValue)
+        and select.distinct
+        and isinstance(select.expr, ast.StructLit)
+        and len(set(literal_keys(select.expr) or ())) == len(select.expr.fields) > 0
+    ):
+        fields = [field.value for field in select.expr.fields]
+
+        def distinct_tuples(rows: list) -> List[Any]:
+            identities = list(
+                zip(*[identity_column(cols.column(expr, rows)) for expr in fields])
+            )
+            firsts = ops.iter_distinct(range(len(rows)), identities.__getitem__, seen)
+            return cols.column(select.expr, [rows[k] for k in firsts])
+
+        return distinct_tuples
+    if isinstance(select, ast.SelectValue):
+        values = cols.kernel(select.expr)
+    elif isinstance(select, ast.SelectStar):
+        values = cols.star
+    else:
+        raise EvaluationError(
+            f"unexpected SELECT clause after rewriting: {type(select).__name__}"
+        )
+    if not select.distinct:
+        return values
+    return lambda rows: list(ops.iter_distinct(values(rows), seen=seen))
+
+
+def bind_windows(rows: list, cols: Any, calls: List[ast.WindowCall], config) -> list:
+    """``rows`` (the whole input) with each window call's value bound."""
+    columns = window_columns(
+        calls, len(rows), lambda expr: cols.column(expr, rows), config
+    )
+    return cols.bind(rows, columns)
 
 
 def run_tail(
@@ -112,27 +166,14 @@ def run_tail(
         distinct = "SELECT DISTINCT" if select.distinct else "SELECT"
         select_stage = StageTally(distinct, stages)
         order_stage = StageTally(order_name, stages) if order is not None else None
-    # A DISTINCT tuple literal with distinct literal names is determined
-    # by its field values (an absent one is its own value and an omitted
-    # attribute), so it takes its identity from the field columns.
-    fields = None
-    if (
-        isinstance(select, ast.SelectValue)
-        and select.distinct
-        and isinstance(select.expr, ast.StructLit)
-        and len(set(literal_keys(select.expr) or ())) == len(select.expr.fields) > 0
-    ):
-        fields = [field.value for field in select.expr.fields]
+    if not (pivot or deferred):
+        select_values = projection(select, cols, by_fields=True)
     pairs: List[Tuple[Any, Any]] = []
     out: List[Any] = []
-    seen: set = set()
     for rows in chunks:
         mark = perf_counter()
         if calls:
-            columns = window_columns(
-                calls, len(rows), lambda expr: cols.column(expr, rows), config
-            )
-            rows = cols.bind(rows, columns)
+            rows = bind_windows(rows, cols, calls, config)
             mark = window_stage.lap(len(rows), mark)
         if pivot:
             names = cols.column(select.at, rows)
@@ -143,23 +184,7 @@ def run_tail(
             order.feed([cols.column(item.expr, rows) for item in order_by], rows)
             mark = order_stage.lap(0, mark)
             continue
-        if fields is not None:
-            # A tuple is built only for a row seen for the first time.
-            identities = list(
-                zip(*[identity_column(cols.column(expr, rows)) for expr in fields])
-            )
-            firsts = ops.iter_distinct(range(len(rows)), identities.__getitem__, seen)
-            values = cols.column(select.expr, [rows[k] for k in firsts])
-        elif isinstance(select, ast.SelectValue):
-            values = cols.column(select.expr, rows)
-        elif isinstance(select, ast.SelectStar):
-            values = cols.star(rows)
-        else:
-            raise EvaluationError(
-                f"unexpected SELECT clause after rewriting: {type(select).__name__}"
-            )
-        if select.distinct and fields is None:
-            values = list(ops.iter_distinct(values, seen=seen))
+        values = select_values(rows)
         mark = select_stage.lap(len(values), mark)
         if order is None:
             out.extend(values)

@@ -1,24 +1,24 @@
-"""Batch-vectorized execution of a planned query block.
+"""The block executor: every query block runs here.
 
-The streaming clause pipeline (docs/PLANNER.md) moves one binding row
-per generator frame; for large scans the interpreter overhead of those
-frames dominates.  This module executes the same clause pipeline a
-*chunk* (~:data:`~repro.core.plan_ops.CHUNK_ROWS` binding rows) at a
-time: the physical operators yield lists of binding dicts
-(:meth:`PlanOp.iter_chunks`), compiled expressions map over whole
-chunks (:func:`repro.core.compile_expr.compile_batch`), and GROUP BY
-folds chunks into per-group state machines (:func:`fold_chunk`, the
-one GROUP BY both executors run).
-
-Semantics are the reference interpreter's (:mod:`repro.core.reference`,
-which this module never calls): clauses run clause-major (all FROM
-rows, then LET over them, and so on within each chunk), which is
-exactly the order ``optimize=False`` evaluates in, so any error the
-batch path surfaces is one the reference semantics surfaces too.  The
-block's tail — windows, PIVOT or SELECT, ORDER BY — is the one every
-evaluator runs (:mod:`repro.core.tails`), over columns from chunk
-kernels.  The entry point is gated by ``Evaluator._batch_decision``;
-what it rejects stays on the streaming path.
+A query block is one pipeline of clauses (paper, Section V-B), and
+:func:`execute_block` is the one function that runs it, in one of two
+modes.  In *columns* mode it moves a *chunk*
+(~:data:`~repro.core.plan_ops.CHUNK_ROWS` binding rows) at a time: the
+physical operators yield lists of binding dicts
+(:meth:`PlanOp.iter_chunks`), compiled expressions map over whole chunks
+(:func:`repro.core.compile_expr.compile_batch`), and GROUP BY folds
+chunks into per-group state machines (:func:`fold_chunk`).  Clauses run
+clause-major within each chunk (all FROM rows, then LET over them, and
+so on), the order ``optimize=False`` evaluates in, so any error the
+columns mode surfaces is one the reference semantics
+(:mod:`repro.core.reference`, which this module never calls) surfaces
+too.  In *rows* mode the same function evaluates one row's clauses
+before the next row's, each expression through its closure, so a
+consumer that stops early (LIMIT, EXISTS, IN) stops the producers where
+a row-at-a-time pipeline would, and a strict block raises the error
+such a pipeline raises first.  ``Evaluator._batch_decision`` picks the
+mode.  The block's tail — windows, PIVOT or SELECT, ORDER BY — is the
+one every evaluator runs (:mod:`repro.core.tails`).
 
 Aggregate decomposition
 -----------------------
@@ -35,14 +35,16 @@ one-group fold of the same machine, stepped over the same values in the
 same order.  Every GROUP BY block decomposes: a GROUP AS variable still
 referenced after that gets one more machine collecting the group
 (``aggregates.MEMBERS``), and grouping sets keep a :class:`GroupState`
-each.  The stream runs the same :func:`fold_chunk` with the collector
-alone (``Evaluator._stream_groups``).
+each.  Rows mode runs the same :func:`fold_chunk` with the collector
+alone (``decompose_block(..., sites=False)``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 from typing import Sequence, Tuple
@@ -50,8 +52,8 @@ from typing import Sequence, Tuple
 from repro.core import clauses
 from repro.core.environment import Environment
 from repro.core.grouping_sets import expand_grouping_sets
-from repro.core.plan_ops import ScanOp, close_iter, walk_ops
-from repro.core.tails import EnvColumns, run_tail
+from repro.core.plan_ops import CHUNK_ROWS, ScanOp, close_iter, walk_ops
+from repro.core.tails import EnvColumns, bind_windows, projection, run_tail
 from repro.core.windows import find_window_calls, lower_window_calls, window_variable
 from repro.datamodel.values import Bag, Struct
 from repro.errors import SQLPPError
@@ -282,6 +284,7 @@ def decompose_block(
     block: ast.QueryBlock,
     row_vars: Tuple[str, ...],
     order_by: Sequence[ast.OrderItem] = (),
+    sites: bool = True,
 ) -> Decomposition:
     """The fold/finalize form of a GROUP BY block.
 
@@ -292,10 +295,14 @@ def decompose_block(
     :class:`AggSpec`.  If the GROUP AS variable is still referenced
     after that — or ``SELECT *`` reads it — one more spec collects each
     group's elements for it; otherwise no group keeps member tuples.
+    Without ``sites`` (the executor's rows mode) the clauses stay as
+    written and the GROUP AS collector is the only spec.
     """
     clause, specs = block.group_by, []
     nodes = [block.select, block.having] + [item.expr for item in order_by]
-    if clause.group_as is not None:
+    if clause.group_as is not None and not sites:
+        specs.append(AggSpec(clause.group_as))
+    elif clause.group_as is not None:
         from repro.core.planner import free_names
 
         group_var, scope = clause.group_as, frozenset(row_vars)
@@ -319,20 +326,6 @@ def decompose_block(
             for item, expr in zip(order_by, order_exprs)
         ],
     )
-
-
-def cached_decomposition(
-    evaluator, query: ast.Query, row_vars: Tuple[str, ...]
-) -> Decomposition:
-    """Per-query memo of :func:`decompose_block` over ``query``'s block
-    (the node is kept alive alongside the result so id() keys stay
-    unique)."""
-    cache = evaluator._caches.decompositions
-    entry = cache.get(id(query))
-    if entry is None:
-        decomp = decompose_block(query.body, row_vars, query.order_by)
-        entry = cache[id(query)] = (query, decomp)
-    return entry[1]
 
 
 # =========================================================================
@@ -367,24 +360,37 @@ class GroupState:
 
 
 def build_fold_fns(
-    evaluator, decomp: Decomposition, row_vars: Tuple[str, ...]
+    evaluator, decomp: Decomposition, row_vars: Tuple[str, ...], one_row: bool = False
 ) -> Tuple[List[Callable], List[Optional[Callable]]]:
     """Batch-compiled key functions and, per spec, its value function
     (None for the GROUP AS collector)."""
     row_var_set = frozenset(row_vars)
     compiled = evaluator.compiled_batch
-    key_fns = [compiled(key.expr, row_var_set) for key in decomp.clause.keys]
+    key_fns = [compiled(key.expr, row_var_set, one_row) for key in decomp.clause.keys]
     value_fns = [
-        None if spec.value_expr is None else compiled(spec.value_expr, row_var_set)
+        None
+        if spec.value_expr is None
+        else compiled(spec.value_expr, row_var_set, one_row)
         for spec in decomp.specs
     ]
     return key_fns, value_fns
 
 
-def fold_columns(chunk: List[Binding], env, key_fns, value_fns, var_order) -> tuple:
+def fold_columns(
+    chunk: List[Binding], env, key_fns, value_fns, var_order, one_row: bool = False
+) -> tuple:
     """A chunk of binding rows as :func:`fold_chunk`'s key and value
     columns: chunk kernels sharing one memo, and the rows' group
-    elements for the collector."""
+    elements for the collector.  ``one_row`` (the executor's rows mode,
+    whose only spec is the collector) evaluates one row's keys before
+    the next row's and builds each element from the row's environment."""
+    if one_row:
+        keys = [[fn([row], env)[0] for fn in key_fns] for row in chunk]
+        elements = [
+            [clauses.group_element(env.extend(row), var_order) for row in chunk]
+            for __ in value_fns
+        ]
+        return list(zip(*keys)), elements
     memo: dict = {}
     key_columns = [fn(chunk, env, memo) for fn in key_fns]
     value_columns = [
@@ -479,20 +485,36 @@ def finalize_groups(clause, specs, sets: List[GroupState], config) -> List[Bindi
 
 
 # =========================================================================
-# The batch executor
+# The block executor
 # =========================================================================
+
+
+def consumer_kind(query: ast.Query) -> str:
+    """How a block's output is consumed — ``pivot`` (one tuple from the
+    whole binding stream), ``top-k`` (ORDER BY with LIMIT), ``sort``
+    (ORDER BY alone), ``limit`` (unordered LIMIT / OFFSET) or ``bag``:
+    what the executor branches on and EXPLAIN prints as ``consumer:``."""
+    if isinstance(query.body.select, ast.PivotClause):
+        return "pivot"
+    if query.order_by:
+        return "top-k" if query.limit is not None else "sort"
+    if query.limit is not None or query.offset is not None:
+        return "limit"
+    return "bag"
 
 
 @dataclass
 class BlockKernels:
-    """Everything the batch executor compiles for one block's clauses
-    up to HAVING (the plan's operators compile their own,
-    :meth:`PlanOp.batch_kernels`; the tail's are compiled as it asks for
-    them, :class:`KernelColumns`).  All of it comes from
-    ``Evaluator.compiled_batch``: a handful of cache probes per run."""
+    """What the executor compiles for one block in one mode: its clauses
+    up to HAVING and the pieces of its tail (the operators compile their
+    own, :meth:`PlanOp.batch_kernels`; the tail's columns are compiled
+    as it asks, :class:`KernelColumns`), through
+    ``Evaluator.compiled_batch`` — ``one_row`` in rows mode."""
 
-    var_order: List[str]
-    let_names: List[str]
+    plan: Any
+    one_row: bool
+    #: FROM variables, then LET names: the binding rows' variables.
+    row_vars: Tuple[str, ...]
     decomp: Optional[Decomposition]
     let_fns: List[Tuple[str, Callable]]
     residual_fn: Optional[Callable]
@@ -502,60 +524,147 @@ class BlockKernels:
     #: HAVING kernel over the finalized group rows (or the kept rows of
     #: an ungrouped block); None when absent.
     having_fn: Optional[Callable]
-    #: The row variables HAVING and the tail see.
-    out_vars: frozenset
+    #: The tail: the SELECT with its window ``calls`` lowered, the ORDER
+    #: BY (aggregate sites replaced), the variables its rows bind, the
+    #: ones ``SELECT *`` reads, and whether the SELECT can wait for the
+    #: rows the sort keeps (:func:`_defers_select`).
+    select: ast.SelectClause
+    calls: List[ast.WindowCall]
+    order_by: List[ast.OrderItem]
+    tail_vars: frozenset
+    star_vars: List[str]
+    deferred: bool
 
     def all(self) -> List[Callable]:
         fns = [fn for __, fn in self.let_fns] + self.key_fns + self.value_fns
         return [fn for fn in fns + [self.residual_fn, self.having_fn] if fn]
 
+    def columns(self, evaluator, env) -> "KernelColumns":
+        return KernelColumns(
+            evaluator, env, self.tail_vars, self.star_vars, self.one_row
+        )
 
-def block_kernels(evaluator, query: ast.Query, plan) -> BlockKernels:
+    def tail(self, chunks, cols, config, stages, bound=None) -> Any:
+        """:func:`tails.run_tail` over the block's final binding rows."""
+        return run_tail(
+            chunks, cols, self.select, self.calls, self.order_by, config,
+            stages, self.deferred, bound,
+        )
+
+
+def block_kernels(evaluator, query: ast.Query, plan, one_row: bool = False):
+    """The :class:`BlockKernels` of ``query``'s block in one mode, built
+    on first use; a rebuilt plan may leave a different residual WHERE,
+    whose kernel is the only one compiled again."""
+    cache = evaluator._caches.block_kernels
+    entry = cache.get((id(query), one_row))
+    if entry is None:
+        kernels = _compile_block(evaluator, query, plan, one_row)
+    elif entry[1].plan is not plan:
+        kernels = dataclasses.replace(
+            entry[1],
+            plan=plan,
+            residual_fn=_residual_fn(
+                evaluator, query.body, plan, entry[1].row_vars, one_row
+            ),
+        )
+    else:
+        return entry[1]
+    cache[id(query), one_row] = (query, kernels)
+    return kernels
+
+
+def _residual_fn(evaluator, body, plan, row_vars, one_row: bool) -> Optional[Callable]:
+    residual = body.where if plan is None else plan.residual_where
+    if residual is None:
+        return None
+    return evaluator.compiled_batch(residual, frozenset(row_vars), one_row)
+
+
+def _compile_block(evaluator, query: ast.Query, plan, one_row: bool) -> BlockKernels:
     body = query.body
     compiled = evaluator.compiled_batch
-    var_order: List[str] = []
-    for item in body.from_:
-        var_order.extend(clauses.item_vars(item))
-    let_names = [let.name for let in body.lets]
-    row_vars = tuple(var_order) + tuple(let_names)
-    row_var_set = frozenset(row_vars)
-
+    from_vars = [name for item in body.from_ or () for name in clauses.item_vars(item)]
+    row_vars = tuple(from_vars) + tuple(let.name for let in body.lets)
+    scope = frozenset(row_vars)
+    calls = find_window_calls(body.select)
+    select = lower_window_calls(body.select, calls) if calls else body.select
+    deferred = _defers_select(select, calls, query.order_by)
+    having, order_by, out_vars, star_vars = body.having, query.order_by, scope, row_vars
     decomp: Optional[Decomposition] = None
     key_fns: List[Callable] = []
     value_fns: List[Optional[Callable]] = []
-    having_expr, out_vars = body.having, row_var_set
     if body.group_by is not None:
-        decomp = cached_decomposition(evaluator, query, row_vars)
-        key_fns, value_fns = build_fold_fns(evaluator, decomp, row_vars)
-        having_expr = decomp.having_expr
-        out_vars = frozenset(decomp.group_row_vars)
-    residual = plan.residual_where
+        decomp = decompose_block(body, row_vars, query.order_by, sites=not one_row)
+        key_fns, value_fns = build_fold_fns(evaluator, decomp, row_vars, one_row)
+        calls, select, order_by = decomp.calls, decomp.select, decomp.order_by
+        having, out_vars = decomp.having_expr, frozenset(decomp.group_row_vars)
+        star_vars = clauses.group_output_vars(decomp.clause)
     return BlockKernels(
-        var_order=var_order,
-        let_names=let_names,
+        plan=plan,
+        one_row=one_row,
+        row_vars=row_vars,
         decomp=decomp,
         let_fns=[
-            (let.name, compiled(let.expr, frozenset(var_order + let_names[:index])))
-            for index, let in enumerate(body.lets)
+            (let.name, compiled(let.expr, frozenset(row_vars[:k]), one_row))
+            for k, let in enumerate(body.lets, len(from_vars))
         ],
-        residual_fn=compiled(residual, row_var_set) if residual is not None else None,
+        residual_fn=_residual_fn(evaluator, body, plan, row_vars, one_row),
         key_fns=key_fns,
         value_fns=value_fns,
-        having_fn=compiled(having_expr, out_vars) if having_expr is not None else None,
-        out_vars=out_vars,
+        having_fn=None if having is None else compiled(having, out_vars, one_row),
+        select=select,
+        calls=calls,
+        order_by=order_by,
+        tail_vars=out_vars | {window_variable(n) for n in range(len(calls))},
+        star_vars=list(star_vars),
+        deferred=deferred,
+    )
+
+
+def _defers_select(select, calls, order_by: Sequence[ast.OrderItem]) -> bool:
+    """Whether no ORDER BY key can observe the projected value, so the
+    keys are columns over the binding rows and the SELECT can wait for
+    the rows the sort keeps (late materialization) — the big win under
+    a top-K when the projection is expensive.
+
+    Sound only for a non-DISTINCT ``SELECT VALUE`` of a tuple literal
+    with literal attribute names, none of which occurs as a variable
+    name in an ORDER BY key (the keys' sort environment overlays the
+    output tuple's attributes, so a shared name could shadow a binding
+    variable).  Window values are part of the output rows, so a
+    windowed SELECT is never deferred.
+    """
+    if (
+        not order_by
+        or calls
+        or not isinstance(select, ast.SelectValue)
+        or select.distinct
+        or not isinstance(select.expr, ast.StructLit)
+    ):
+        return False
+    from repro.core.planner import free_names
+
+    names = clauses.literal_keys(select.expr)
+    return names is not None and not any(
+        free_names(item.expr) & set(names) for item in order_by
     )
 
 
 class KernelColumns:
     """Columns over chunk rows (binding dicts) from chunk kernels: how
-    the batch executor produces what :func:`tails.run_tail` consumes.
-    ``fns`` ends up holding every kernel the tail asked for; kernels
-    over one list of rows share a memo of its ``VarRef`` / ``Path``
-    columns."""
+    the executor produces what :func:`tails.run_tail` consumes.  ``fns``
+    ends up holding every kernel the tail asked for; kernels over one
+    list of rows share a memo of its ``VarRef`` / ``Path`` columns.
+    ``one_row`` (rows mode) compiles each for one-row chunks: its
+    closure per row."""
 
-    def __init__(self, evaluator, env, row_vars: frozenset, var_order: List[str]):
+    def __init__(
+        self, evaluator, env, row_vars: frozenset, var_order: List[str],
+        one_row: bool = False,
+    ):
         self.evaluator, self.env, self.row_vars = evaluator, env, row_vars
-        self.var_order = var_order
+        self.var_order, self.one_row = var_order, one_row
         self.fns: Dict[int, Callable] = {}
         self.keys_see_output = False
         self._rows: Any = None
@@ -564,10 +673,21 @@ class KernelColumns:
     def column(self, expr: ast.Expr, rows: List[Binding]) -> List[Any]:
         fn = self.fns.get(id(expr))
         if fn is None:
-            fn = self.fns[id(expr)] = self.evaluator.compiled_batch(expr, self.row_vars)
+            fn = self.fns[id(expr)] = self.evaluator.compiled_batch(
+                expr, self.row_vars, self.one_row
+            )
         if rows is not self._rows:
             self._rows, self._memo = rows, {}
         return fn(rows, self.env, self._memo)
+
+    def kernel(self, expr: ast.Expr) -> Callable[[List[Binding]], List[Any]]:
+        """``expr``'s column as a function of the rows alone."""
+        if not self.one_row:
+            return lambda rows: self.column(expr, rows)
+        fn = self.fns[id(expr)] = self.evaluator.compiled_batch(
+            expr, self.row_vars, True
+        )
+        return partial(fn, env=self.env)
 
     def _env_columns(self, rows: Optional[List[Binding]]):
         """The env-space producer, and ``rows`` as environments."""
@@ -594,148 +714,225 @@ class KernelColumns:
         return cols.output_keys(order_by, envs, values)
 
 
-def batch_tail(evaluator, query, kernels, env, chunks, stages, bound=None):
-    """:func:`tails.run_tail` over a batched block's final binding rows
-    — ``chunks`` of them, after HAVING — and the :class:`KernelColumns`
-    that served it."""
-    body, decomp, row_vars = query.body, kernels.decomp, kernels.out_vars
-    if decomp is None:
-        calls, select = evaluator._window_select(body)
-        order_by, var_order = query.order_by, kernels.var_order + kernels.let_names
-    else:
-        calls, select, order_by = decomp.calls, decomp.select, decomp.order_by
-        var_order = clauses.group_output_vars(decomp.clause)
-    if calls:
-        row_vars = row_vars | {window_variable(n) for n in range(len(calls))}
-    cols = KernelColumns(evaluator, env, row_vars, var_order)
-    deferred = evaluator._defers_select(body, query.order_by)
-    result = run_tail(
-        chunks, cols, select, calls, order_by, evaluator.config, stages, deferred, bound
-    )
-    return result, cols
-
-
-def _keep_true(rows: List[Binding], predicate_fn, env, tally: StageTally):
-    """The rows ``predicate_fn`` is TRUE for (WHERE, HAVING), tallied."""
-    started = perf_counter()
+def _keep_true(rows: List[Binding], predicate_fn, env, tally=None):
+    """The rows ``predicate_fn`` is TRUE for (WHERE, HAVING), tallied
+    when ``tally`` is given."""
+    started = perf_counter() if tally is not None else 0.0
     verdicts = predicate_fn(rows, env)
-    rows = [row for row, verdict in zip(rows, verdicts) if verdict is True]
-    tally.lap(len(rows), started)
+    if len(rows) == 1:
+        rows = rows if verdicts[0] is True else []
+    else:
+        rows = [row for row, verdict in zip(rows, verdicts) if verdict is True]
+    if tally is not None:
+        tally.lap(len(rows), started)
     return rows
 
 
-def execute_batch_query(evaluator, query, body, plan, env) -> Any:
-    """Run one gated query block on the batch pipeline; returns the
-    final query result (an ordered list under ORDER BY, PIVOT's tuple,
-    else a Bag).
+def _one_row_chunks(chunks: Iterable[List[Binding]]) -> Iterator[List[Binding]]:
+    return ([row] for chunk in chunks for row in chunk)
 
-    The caller has already verified the gate
-    (``Evaluator._batch_decision``) — in either typing mode: under
-    strict typing a kernel raises where it would have returned MISSING,
-    and the caller re-runs the block on the stream when that escapes
-    (``Evaluator._eval_block_query``).
 
-    FROM → LET → WHERE run a chunk at a time, and so does the tail
-    (:func:`batch_tail`) unless GROUP BY, a window or PIVOT needs the
-    whole input: DISTINCT keeps the identities it has seen, a top-K its
-    ``limit + offset`` best rows.  LIMIT / OFFSET are evaluated before
-    the first row, as on the stream.
+def _rechunked(chunks: Iterable[List[Binding]]) -> Iterator[List[Binding]]:
+    """Rows mode's chunks regrouped ``CHUNK_ROWS`` rows at a time, for a
+    consumer that drains its input anyway (the fold, the blocking
+    tails): a chunk is yielded as soon as it is full."""
+    chunk: List[Binding] = []
+    for part in chunks:
+        chunk.extend(part)
+        if len(chunk) >= CHUNK_ROWS:
+            yield chunk
+            chunk = []
+    if chunk:
+        yield chunk
+
+
+def execute_block(evaluator, query, plan, env, rows=False, stream=False) -> Any:
+    """Run one query block and its query's ORDER BY / LIMIT / OFFSET —
+    the engine's one block executor.  Returns the query result (an
+    ordered list under ORDER BY, PIVOT's tuple, else a Bag) or, with
+    ``stream``, the output values as a lazy iterator (EXISTS, IN).
+
+    *Columns* mode runs each clause over chunks of up to
+    :data:`CHUNK_ROWS` rows through chunk kernels, folds GROUP BY through
+    the decomposed aggregate sites, and may fan the top-level block out
+    over morsels.  *Rows* mode (``rows``) evaluates what a row-at-a-time
+    pipeline does, in its order: every expression is its closure per row
+    (``compiled_batch(..., one_row=True)``), the operators are pulled
+    ``Evaluator._pull_size`` rows at a time, and one row runs LET and
+    WHERE (after GROUP BY: HAVING) before the next.  A bag or unordered
+    LIMIT projects a row when it is pulled, so a consumer that stops
+    stops the producers; the GROUP BY fold (the GROUP AS collector
+    alone) and the blocking tails take the rows regrouped
+    ``CHUNK_ROWS`` at a time.  A block without FROM is the single
+    binding ``env``.  LIMIT / OFFSET are evaluated before the first
+    pull; stage tallies are kept under a timing tracer only.
     """
-    config = evaluator.config
-    op = plan.op
-
-    kernels = block_kernels(evaluator, query, plan)
-    row_vars = tuple(kernels.var_order) + tuple(kernels.let_names)
-    decomp = kernels.decomp
-    let_fns = kernels.let_fns
-    residual_fn = kernels.residual_fn
-
+    body, config = query.body, evaluator.config
+    kernels = block_kernels(evaluator, query, plan, rows)
+    kind = consumer_kind(query)
+    bound = offset = None
+    if not stream and kind != "pivot":
+        bound, offset = evaluator._bounds(query, env)
+    tracer = evaluator.tracer
+    timing = tracer is not None and tracer.timing
     stages: List[StageTally] = []
-    from_stage = StageTally("FROM", stages)
-    let_stage = StageTally("LET", stages) if body.lets else None
-    where_stage = StageTally("WHERE", stages) if residual_fn is not None else None
+    started = perf_counter() if timing else 0.0
+
+    def tally(name: str) -> Optional[StageTally]:
+        return StageTally(name, stages) if timing else None
+
+    let_fns, residual_fn = kernels.let_fns, kernels.residual_fn
+    from_stage = tally("FROM") if plan is not None else None
+    let_stage = tally("LET") if let_fns else None
+    where_stage = tally("WHERE") if residual_fn is not None else None
 
     def kept_chunks(source: Iterable[List[Binding]]) -> Iterator[List[Binding]]:
-        """FROM -> LET -> residual WHERE, a chunk at a time."""
+        """FROM → LET → residual WHERE, a chunk (rows mode: a row) at a
+        time."""
         source = iter(source)
         try:
-            while True:
-                started = perf_counter()
-                chunk = next(source, None)
-                started = from_stage.lap(len(chunk or ()), started)
-                if chunk is None:
-                    return
-                if let_fns:
-                    for name, let_fn in let_fns:
-                        column = let_fn(chunk, env)
-                        for row, value in zip(chunk, column):
-                            row[name] = value
-                    let_stage.lap(len(chunk), started)
-                if residual_fn is not None:
-                    chunk = _keep_true(chunk, residual_fn, env, where_stage)
-                if chunk:
-                    yield chunk
+            mark = perf_counter() if timing else 0.0
+            for pulled in source:
+                if from_stage is not None:
+                    from_stage.lap(len(pulled), mark)
+                parts = (pulled,)
+                if rows and len(pulled) > 1:
+                    parts = [[row] for row in pulled]
+                for chunk in parts:
+                    if let_fns:
+                        mark = perf_counter() if timing else 0.0
+                        for name, let_fn in let_fns:
+                            column = let_fn(chunk, env)
+                            if len(chunk) == 1:
+                                chunk[0][name] = column[0]
+                            else:
+                                for row, value in zip(chunk, column):
+                                    row[name] = value
+                        if let_stage is not None:
+                            let_stage.lap(len(chunk), mark)
+                    if residual_fn is not None:
+                        chunk = _keep_true(chunk, residual_fn, env, where_stage)
+                    if chunk:
+                        yield chunk
+                mark = perf_counter() if timing else 0.0
         finally:
             close_iter(source)
 
-    # ---- FROM: serial chunks, or the morsel-parallel driver ----------
-    folding = decomp is not None
-    machines = decomp.machines if folding else []
-    groups = GroupState.sets(decomp.clause, machines) if folding else []
+    # ---- FROM: the operator tree, or the morsel-parallel driver --------
+    decomp = kernels.decomp
+    machines = decomp.machines if decomp is not None else []
+    groups = GroupState.sets(decomp.clause, machines) if decomp is not None else []
     source: Optional[Iterable[List[Binding]]] = None
-    if config.parallel >= 2 and query is evaluator._top_query:
+    size = 1
+    if plan is None:
+        source = ([{}],)
+    elif rows:
+        size = evaluator._pull_size(body, stream or kind == "limit")
+        source = plan.op.iter_chunks(evaluator, env, size)
+    elif config.parallel >= 2 and query is evaluator._top_query:
         # Only the top-level block fans out: a derived table is scanned
         # (and so evaluated) inside each morsel worker, and pool workers
         # cannot fork pools of their own.
         from repro.core.parallel import try_parallel
 
         parallel_mode = (
-            "fold"
-            if folding and not let_fns and residual_fn is None
+            "fold" if decomp is not None and not let_fns and residual_fn is None
             else "rows"
         )
         outcome = try_parallel(
-            evaluator, op, env, parallel_mode, decomp, row_vars
+            evaluator, plan.op, env, parallel_mode, decomp, kernels.row_vars
         )
         if outcome is not None:
             evaluator.parallel_workers = max(
                 evaluator.parallel_workers, outcome.workers
             )
-            from_stage.elapsed = outcome.elapsed
-            if outcome.mode == "fold":
-                from_stage.rows = outcome.rows_seen
-                groups = outcome.groups
-                source = ()
-            else:
-                source = (outcome.rows,)
+            folded = outcome.mode == "fold"
+            if from_stage is not None:
+                from_stage.elapsed = outcome.elapsed
+                from_stage.rows = outcome.rows_seen if folded else 0
+            groups = outcome.groups if folded else groups
+            source = () if folded else (outcome.rows,)
     if source is None:
-        source = op.iter_chunks(evaluator, env)
-    chunks: Iterable[List[Binding]] = kept_chunks(source)
+        source = plan.op.iter_chunks(evaluator, env)
+    if rows and not (timing or let_fns or residual_fn):
+        # Nothing runs per row before GROUP BY or the tail.
+        chunks = source if size == 1 else _one_row_chunks(source)
+    else:
+        chunks = kept_chunks(source)
 
-    pivot = isinstance(body.select, ast.PivotClause)
-    bound = offset = None
-    if query.order_by and not pivot:
-        bound, offset = evaluator._bounds(query, env)
-        if bound == 0:
-            chunks = ()
-    if folding:
-        group_stage = StageTally("GROUP BY", stages)
-        key_fns, value_fns = kernels.key_fns, kernels.value_fns
-        for chunk in chunks:
-            started = perf_counter()
-            columns = fold_columns(chunk, env, key_fns, value_fns, row_vars)
-            fold_chunk(len(chunk), *columns, machines, groups, config)
-            group_stage.lap(0, started)
-        started = perf_counter()
-        chunks = (finalize_groups(decomp.clause, decomp.specs, groups, config),)
-        group_stage.lap(len(chunks[0]), started)
+    if decomp is not None:
+        group_stage = tally("GROUP BY")
+
+        def grouped(chunks) -> Iterator[List[Binding]]:
+            """Every chunk folded, then the group rows: one chunk of them
+            (rows mode: a row at a time)."""
+            key_fns, value_fns = kernels.key_fns, kernels.value_fns
+            for chunk in _rechunked(chunks) if rows else chunks:
+                mark = perf_counter() if timing else 0.0
+                columns = fold_columns(
+                    chunk, env, key_fns, value_fns, kernels.row_vars, rows
+                )
+                fold_chunk(len(chunk), *columns, machines, groups, config)
+                if group_stage is not None:
+                    group_stage.lap(0, mark)
+            mark = perf_counter() if timing else 0.0
+            group_rows = finalize_groups(decomp.clause, decomp.specs, groups, config)
+            if group_stage is not None:
+                group_stage.lap(len(group_rows), mark)
+            yield from _one_row_chunks((group_rows,)) if rows else (group_rows,)
+
+        chunks = grouped(chunks)
     if kernels.having_fn is not None:
-        having = kernels.having_fn, env, StageTally("HAVING", stages)
-        chunks = (_keep_true(rows, *having) for rows in chunks)
-    result, __ = batch_tail(evaluator, query, kernels, env, chunks, stages, bound)
-    if evaluator.tracer is not None:
-        evaluator.tracer.flush_stages(body, stages, perf_counter())
-    if pivot:
+        having = kernels.having_fn, env, tally("HAVING")
+        chunks = (_keep_true(chunk, *having) for chunk in chunks)
+    cols = kernels.columns(evaluator, env)
+
+    def lazy_values(chunks) -> Iterator[Any]:
+        """Rows mode's bag: SELECT [DISTINCT] a row at a time, as the
+        consumer pulls (windows first drain the rows).  The tallies are
+        flushed when the stream ends, so a consumer that stops early
+        leaves exact counts."""
+        chunks = iter(chunks)
+        try:
+            if kernels.calls:
+                window_stage = tally("WINDOW")
+                mark = perf_counter() if timing else 0.0
+                every = [row for chunk in chunks for row in chunk]
+                every = bind_windows(every, cols, kernels.calls, config)
+                if window_stage is not None:
+                    window_stage.lap(len(every), mark)
+                chunks = _one_row_chunks((every,))
+            select = kernels.select
+            select_stage = tally("SELECT DISTINCT" if select.distinct else "SELECT")
+            select_values = projection(select, cols)
+            for chunk in chunks:
+                mark = perf_counter() if timing else 0.0
+                values = select_values(chunk)
+                if select_stage is not None:
+                    select_stage.lap(len(values), mark)
+                yield from values
+        finally:
+            close_iter(chunks)
+            if timing:
+                tracer.flush_stages(body, stages, started)
+
+    if rows and kind in ("bag", "limit"):
+        values = lazy_values(chunks)
+        if stream:
+            return values
+        try:
+            return Bag(islice(values, offset or 0, bound))
+        finally:
+            close_iter(values)
+    if rows:
+        chunks = _rechunked(chunks)
+    try:
+        result = kernels.tail(() if bound == 0 else chunks, cols, config, stages, bound)
+    finally:
+        close_iter(chunks)
+        if timing:
+            tracer.flush_stages(body, stages, started)
+    if kind == "pivot":
         return result
     if query.order_by:
         return result[offset:] if offset else result
@@ -780,14 +977,14 @@ def explain_executors(evaluator, query: ast.Query, tracer=None) -> List[str]:
     A dry run of the decisions execution makes, through the same
     functions (``Evaluator._batch_decision``, :func:`block_kernels`,
     ``PlanOp.batch_kernels``) and the same plan and kernel caches, on an
-    evaluator that is not executing: which of ``batch | stream`` runs
-    the top-level block, each operand of a set operation and each
-    derived table reachable in the top-level environment (with the
-    clause that refused the batch pipeline), and every expression of a
-    batched block that has no chunk kernel and takes the per-row
-    env-space fallback, with the node kind responsible.  With the
-    ``tracer`` of a finished run (EXPLAIN ANALYZE), a block whose batch
-    attempt was replayed on the stream
+    evaluator that is not executing: which mode — ``batch`` (columns)
+    or ``stream`` (rows) — runs the top-level block, each operand of a
+    set operation and each derived table reachable in the top-level
+    environment (with the clause that refused columns mode), and every
+    expression of a batched block that has no chunk kernel and takes
+    the per-row env-space fallback, with the node kind responsible.
+    With the ``tracer`` of a finished run (EXPLAIN ANALYZE), a block
+    whose columns attempt was replayed in rows mode
     (``Evaluator._eval_block_query``) says so.
     """
     from repro.syntax.printer import print_ast
@@ -856,12 +1053,13 @@ def _explain_block(
     replayed = tracer.replay_of(body) if tracer is not None else None
     if replayed is not None:
         lines.append(f"{label}: batch → stream (replayed after {replayed})")
-    elif plan is not None:
+    elif reason is None:
         lines.append(f"{label}: batch")
         kernels = block_kernels(evaluator, query, plan)
         fns = kernels.all()
         # The tail's kernels are the ones a run over no rows asks for.
-        __, cols = batch_tail(evaluator, query, kernels, env, ([],), [])
+        cols = kernels.columns(evaluator, env)
+        kernels.tail(([],), cols, evaluator.config, [])
         fns.extend(cols.fns.values())
         if cols.keys_see_output:
             fallbacks.extend(item.expr for item in query.order_by)
@@ -872,7 +1070,6 @@ def _explain_block(
             fallbacks.extend(fn.fallbacks)
     else:
         lines.append(f"{label}: stream ({reason})")
-        plan = evaluator._block_plan(body)
     # Every scan of the tree is enumerated in the block's own
     # environment (a lateral right side is not an operator, so the walk
     # never reaches one).

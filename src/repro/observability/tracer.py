@@ -9,17 +9,16 @@ nested-loop FROM item (the reference interpreter only,
   (a lateral right side runs once per left binding; everything else
   typically once per block evaluation);
 * **rows in / rows out** — binding rows before and after the operator's
-  attached filters (for stages: stream size entering/leaving the stage);
-* **wall time** — inclusive of children, as is conventional for
-  ``EXPLAIN ANALYZE`` output.
+  attached filters (for stages: rows entering/leaving the stage);
+* **wall time** — for an operator inclusive of children, as is
+  conventional for ``EXPLAIN ANALYZE`` output; for a stage its own work.
 
-On the streaming clause pipeline (docs/PLANNER.md) rows are tallied
-incrementally as each one crosses a generator boundary and the
-accumulated statistics are flushed when the stream closes, so counts
+The block executor (``vectorized.execute_block``, docs/PLANNER.md)
+tallies a stage's rows as each chunk — in rows mode, each row — crosses
+it and flushes the statistics when the block's stream closes, so counts
 stay exact under early termination — a ``LIMIT 4`` records the four
-rows that flowed, because the rest were never produced.  A stage's
-wall time includes the time spent pulling from the stages upstream of
-it (the streaming analogue of "inclusive of children").
+rows that flowed, because the rest were never produced.  Stage tallies
+are kept under a timing tracer only.
 
 An ``ExecTracer`` may additionally carry a
 :class:`~repro.observability.spans.TraceContext`; the same choke points
@@ -118,10 +117,10 @@ def estimate_suffix(
 
 
 class StageTally:
-    """Row/time counters one clause stage of the streaming or batch
-    pipeline updates as rows pass (:meth:`ExecTracer.flush_stages`);
-    opened at the end of ``stages``, the pipeline's list in clause
-    order."""
+    """Row/time counters one clause stage of a block updates as rows
+    pass (:meth:`ExecTracer.flush_stages`); opened at the end of
+    ``stages``, the block's list in clause order.  The elapsed time is
+    the stage's own, not its upstream stages'."""
 
     __slots__ = ("name", "rows", "elapsed")
 
@@ -147,9 +146,9 @@ class ExecTracer:
     ) -> None:
         #: Whether per-row wall clocks run.  ``timing=False`` is the
         #: query store's cardinality-feedback mode: operators count rows
-        #: in/out but skip the per-row ``perf_counter`` reads and the
-        #: streaming stage tallies, so a feedback-sampled execution pays
-        #: close to nothing beyond the untraced path.
+        #: in/out but skip the per-row ``perf_counter`` reads, and no
+        #: block keeps stage tallies, so a feedback-sampled execution
+        #: pays close to nothing beyond the untraced path.
         self.timing = timing
         #: Physical operators, keyed by id(op); the op is kept alive
         #: alongside its stats so id() keys cannot be reused.
@@ -166,7 +165,7 @@ class ExecTracer:
         #: so EXPLAIN ANALYZE renders the very operator objects the
         #: statistics above were recorded against.
         self._plans: Dict[int, Tuple[Any, Any]] = {}
-        #: Blocks whose batch attempt was abandoned for the stream, keyed
+        #: Blocks whose columns attempt was abandoned for rows mode, keyed
         #: by id(block node): the class name of the error that escaped.
         self._replays: Dict[int, Tuple[Any, str]] = {}
 
@@ -265,7 +264,8 @@ class ExecTracer:
 
     def mark(self) -> tuple:
         """Everything recorded so far, as a point :meth:`replay` can
-        return to (taken when a block enters the batch executor)."""
+        return to (taken when a strict block enters the executor's
+        columns mode, the only attempt that can be replayed)."""
         tables = tuple(
             {key: (node, replace(stats)) for key, (node, stats) in table.items()}
             for table in (self._op_stats, self._stage_stats)
@@ -274,9 +274,9 @@ class ExecTracer:
         return tables, trace.mark() if trace is not None else None, perf_counter()
 
     def replay(self, mark: tuple, block: Any, error: str) -> None:
-        """Forget what was recorded since ``mark`` — the batch attempt
+        """Forget what was recorded since ``mark`` — the columns attempt
         of ``block`` that ``error`` (a class name) escaped from — and
-        note that the block is replayed on the stream: one ``replay``
+        note that the block is replayed in rows mode: one ``replay``
         span of the attempt's length instead of its operator spans."""
         (self._op_stats, self._stage_stats), spans, started = mark
         self._replays[id(block)] = (block, error)
@@ -293,8 +293,8 @@ class ExecTracer:
         return entry[1] if entry is not None else None
 
     def replay_of(self, block: Any) -> Optional[str]:
-        """The error class whose escape sent ``block`` from the batch
-        executor to the stream, or None (it ran where it was sent)."""
+        """The error class whose escape sent ``block`` from the columns
+        mode to rows mode, or None (it ran where it was sent)."""
         entry = self._replays.get(id(block))
         return entry[1] if entry is not None else None
 

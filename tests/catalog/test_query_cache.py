@@ -154,7 +154,7 @@ class TestRewriteCacheKey:
 
 class TestEvaluatorCachesFollowTheCompileCache:
     """The memoised evaluator's per-node caches (closures, kernels,
-    plans, reorder flags, decompositions, lowered window SELECTs) have
+    plans, reorder flags, each block's compiled clauses) have
     one lifetime rule: exactly as long as the query's compile-cache
     entry."""
 
@@ -178,8 +178,8 @@ class TestEvaluatorCachesFollowTheCompileCache:
             assert set(scopes) <= live
             assert len(scopes) == size
             for name in (
-                "compiled", "batch_compiled", "plans", "decompositions",
-                "reorder_flags", "window_selects",
+                "compiled", "batch_compiled", "plans", "block_kernels",
+                "reorder_flags",
             ):
                 entries = sum(len(getattr(caches, name)) for caches in scopes.values())
                 # A handful of nodes per query, none from evicted ones.

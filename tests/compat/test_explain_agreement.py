@@ -124,8 +124,9 @@ def test_kit_case_runs_operator_trees(case, typing_mode):
         return
     if typing_mode == "strict":
         # The typing mode picks what an operator returns, never the
-        # executor: the regression guard against a typing-mode rung
-        # reappearing in ``Evaluator._batch_refusal``.
+        # executor's mode (columns or rows): the regression guard
+        # against a typing-mode rung reappearing in
+        # ``Evaluator._batch_refusal``.
         twin = build_database(replace(case, typing_mode="permissive"))
         assert (
             executor_lines(db.explain_plan(case.query))[0]

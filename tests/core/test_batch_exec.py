@@ -538,14 +538,13 @@ class TestOneGroupBy:
     @staticmethod
     def spy(monkeypatch):
         """Count folds, the env-space group elements, and the blocks the
-        row pipeline runs."""
+        executor runs in rows mode."""
         from repro.core import clauses, vectorized
-        from repro.core.evaluator import Evaluator
 
         seen = {"folds": 0, "elements": 0, "streamed": []}
         fold_chunk = vectorized.fold_chunk
         group_element = clauses.group_element
-        stream_rows = Evaluator._stream_rows
+        execute_block = vectorized.execute_block
 
         def fold_spy(*args):
             seen["folds"] += 1
@@ -555,13 +554,14 @@ class TestOneGroupBy:
             seen["elements"] += 1
             return group_element(*args)
 
-        def stream_spy(self, block, env, size):
-            seen["streamed"].append(block)
-            return stream_rows(self, block, env, size)
+        def block_spy(evaluator, query, plan, env, rows=False, stream=False):
+            if rows:
+                seen["streamed"].append(query.body)
+            return execute_block(evaluator, query, plan, env, rows, stream)
 
         monkeypatch.setattr(vectorized, "fold_chunk", fold_spy)
         monkeypatch.setattr(clauses, "group_element", element_spy)
-        monkeypatch.setattr(Evaluator, "_stream_rows", stream_spy)
+        monkeypatch.setattr(vectorized, "execute_block", block_spy)
         return seen
 
     def assert_folded(self, db, query, monkeypatch, **dials):
@@ -626,13 +626,14 @@ class TestDerivedTablesBatch:
         from repro.core import vectorized
 
         seen = []
-        original = vectorized.execute_batch_query
+        original = vectorized.execute_block
 
-        def spy(evaluator, query, body, plan, env):
-            seen.append(query is evaluator._top_query)
-            return original(evaluator, query, body, plan, env)
+        def spy(evaluator, query, plan, env, rows=False, stream=False):
+            if not rows:
+                seen.append(query is evaluator._top_query)
+            return original(evaluator, query, plan, env, rows, stream)
 
-        monkeypatch.setattr(vectorized, "execute_batch_query", spy)
+        monkeypatch.setattr(vectorized, "execute_block", spy)
         return seen
 
     def test_semijoin_rule_output_batches_its_derived_table(self, db, monkeypatch):
@@ -1239,6 +1240,23 @@ class TestStrictReplay:
         outcomes = strict_outcomes(db, query, **kwargs)
         assert outcomes == dict.fromkeys(STRICT_DIALS, expected), (query, outcomes)
 
+    @pytest.mark.parametrize("typing_mode", ["permissive", "strict"])
+    def test_only_strict_blocks_mark_the_tracer(self, typing_mode, monkeypatch):
+        # A replay point copies every recorded tally; only a strict block
+        # can be replayed, so only a strict block takes one.
+        from repro.observability import ExecTracer
+
+        marks = []
+        mark = ExecTracer.mark
+        monkeypatch.setattr(
+            ExecTracer, "mark", lambda self: marks.append(1) or mark(self)
+        )
+        db = Database(typing_mode=typing_mode)
+        db.set("t", [{"a": i} for i in range(5)])
+        db.explain_analyze("SELECT VALUE t.a FROM t AS t WHERE t.a > 2")
+        assert db.metrics.last.batched is True
+        assert len(marks) >= 1 if typing_mode == "strict" else not marks
+
     def test_column_major_surfaces_the_streams_error(self):
         # Row 0 divides by zero, row 1 adds to a string: a column-major
         # run evaluates every ``t.a + 1`` before any division.
@@ -1337,15 +1355,17 @@ class TestStrictReplay:
         )
 
     def test_limits_and_binding_errors_are_not_replayed(self, monkeypatch):
-        from repro.core.evaluator import Evaluator
+        from repro.core import vectorized
 
         streamed = []
-        stream = Evaluator._eval_query_streaming
-        monkeypatch.setattr(
-            Evaluator,
-            "_eval_query_streaming",
-            lambda self, *args: streamed.append(1) or stream(self, *args),
-        )
+        execute_block = vectorized.execute_block
+
+        def spy(evaluator, query, plan, env, rows=False, stream=False):
+            if rows:
+                streamed.append(1)
+            return execute_block(evaluator, query, plan, env, rows, stream)
+
+        monkeypatch.setattr(vectorized, "execute_block", spy)
         db = self.strict_db(t=[{"a": i} for i in range(100)], two=[1, 2])
         with pytest.raises(errors.ResourceExhausted):
             db.execute("SELECT VALUE t.a FROM t AS t", max_rows=10)

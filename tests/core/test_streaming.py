@@ -176,6 +176,39 @@ class TestStrictRowOrder:
         with pytest.raises(EvaluationError):
             strict_db.execute(query, **dials)
 
+    #: Stage-level shapes over ``l = [{a: 1, s: 'x'}, {a: 0, s: 1}]``:
+    #: one row's LET, WHERE, GROUP BY keys and (lazy) SELECT run before
+    #: the next row's, so row 0's ``'x'`` raises before row 1 divides by
+    #: zero — except where a sort drains the WHERE first.
+    STAGE_SHAPES = [
+        ("SELECT VALUE y FROM l AS l LET y = 10 / l.a WHERE y + l.s > 0",
+         TypeCheckError),
+        ("SELECT VALUE y FROM l AS l LET y = 10 / l.a WHERE y + l.s > 0 LIMIT 5",
+         TypeCheckError),
+        ("SELECT VALUE y FROM l AS l LET y = 10 / l.a WHERE y + l.s > 0 ORDER BY y",
+         TypeCheckError),
+        ("SELECT VALUE y FROM l AS l LET y = 10 / l.a, x = l.a + l.s", TypeCheckError),
+        ("SELECT VALUE y FROM l AS l LET y = 10 / l.a, x = l.a + l.s ORDER BY l.a",
+         TypeCheckError),
+        ("SELECT VALUE y FROM l AS l LET y = 10 / l.a, x = l.a + l.s LIMIT 1",
+         TypeCheckError),
+        ("SELECT VALUE l.a + l.s FROM l AS l WHERE 10 / l.a > 0", TypeCheckError),
+        ("SELECT VALUE l.a + l.s FROM l AS l WHERE 10 / l.a > 0 ORDER BY l.a",
+         EvaluationError),
+        ("SELECT k1 AS k1 FROM l AS l GROUP BY 10 / l.a AS k1, l.a + l.s AS k2",
+         TypeCheckError),
+        ("SELECT VALUE [10 / l.a, l.a + l.s] FROM l AS l ORDER BY l.a", TypeCheckError),
+    ]
+
+    @pytest.mark.parametrize("query, error", STAGE_SHAPES)
+    @pytest.mark.parametrize("dials", [{}, {"batch": False}], ids=["default", "stream"])
+    def test_clauses_run_a_row_at_a_time(self, query, error, dials):
+        database = Database(typing_mode="strict")
+        database.set("l", [{"a": 1, "s": "x"}, {"a": 0, "s": 1}])
+        with pytest.raises(error) as raised:
+            database.execute(query, **dials)
+        assert type(raised.value) is error
+
     def test_exists_in_on_stops_at_its_first_hit(self):
         # The stream's ON is the EXISTS closure, which stops at 5; a
         # kernel over the whole collection would compare 'z' > 1.

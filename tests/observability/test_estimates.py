@@ -187,6 +187,22 @@ class TestTallyParity:
         db.execute(JOIN_QUERY, batch=False, tracer=light)
         assert op_tallies(full) == op_tallies(light)
 
+    @pytest.mark.parametrize("dials", [{}, {"batch": False}], ids=str)
+    def test_light_tracer_records_no_stages(self, dials):
+        # Feedback sampling counts operator rows only, in either mode:
+        # stage tallies are timing surface.
+        db = build_db()
+        query = "SELECT VALUE y FROM r AS r LET y = r.v + 1 WHERE y > 2"
+        full, light = ExecTracer(), ExecTracer(timing=False)
+        db.execute(query, tracer=full, **dials)
+        db.execute(query, tracer=light, **dials)
+        body = db.compile(query).body
+        assert [stats.label for stats in full.stages_for(body)] == [
+            "FROM", "LET", "WHERE", "SELECT",
+        ]
+        assert light.stages_for(body) == []
+        assert op_tallies(light) == op_tallies(full)
+
     def test_light_tracer_does_not_change_plan_choice(self):
         # Any tracer must observe the plan an untraced run executes —
         # rewrite-free scan-only shapes included: the batch executor

@@ -178,6 +178,47 @@ class TestTailStages:
         assert list(batch) == ["FROM", "GROUP BY", "HAVING", "SELECT"]
         assert rows({"batch": False}) == batch
 
+    @pytest.mark.parametrize(
+        "query, labels",
+        [
+            (
+                "SELECT VALUE y FROM r AS r LET y = r.v + 1 WHERE y > r.k * 5",
+                ["FROM", "LET", "WHERE", "SELECT"],
+            ),
+            (
+                "SELECT r.k AS k, COUNT(*) AS n FROM r AS r GROUP BY r.k "
+                "HAVING COUNT(*) > 9",
+                ["FROM", "GROUP BY", "HAVING", "SELECT"],
+            ),
+            (
+                "SELECT k AS k, (SELECT VALUE x.r.v FROM g AS x) AS vs FROM r AS r "
+                "GROUP BY r.k AS k GROUP AS g",
+                ["FROM", "GROUP BY", "SELECT"],
+            ),
+            (
+                "SELECT DISTINCT VALUE r.k FROM r AS r",
+                ["FROM", "SELECT DISTINCT"],
+            ),
+            (
+                "SELECT VALUE r.v FROM r AS r WHERE r.v > r.k * 5 LIMIT 3",
+                ["FROM", "SELECT"],
+            ),
+        ],
+        ids=["let_where", "having", "group_as", "distinct", "limit"],
+    )
+    def test_stage_rows_agree_on_both_modes(self, join_db, query, labels):
+        # One executor: the same stages, the same rows in and out.
+        def rows(dials):
+            stages = stage_rows(join_db.explain_analyze(query, **dials))
+            return {
+                name: re.search(r"(rows_in=\d+ )?rows_out=\d+", line).group(0)
+                for name, line in stages.items()
+            }
+
+        batch = rows({})
+        assert list(batch) == labels
+        assert rows({"batch": False}) == batch
+
     #: Window keys, the deferred sort keys and PIVOT's operands are chunk
     #: kernels; keys that can see the output are evaluated per row in env
     #: space, and EXPLAIN says so.
