@@ -80,6 +80,9 @@ class Catalog:
         #: its statistics (:mod:`repro.catalog.statistics`) — is pinned
         #: to this, and a change to another name leaves it alone.
         self._versions: Dict[str, int] = {}
+        #: Per name, the version of its last create / replace / drop:
+        #: what :meth:`appended_since` compares with.
+        self._replaced: Dict[str, int] = {}
         self._watchers: List[Callable[[str, Optional[List[Any]]], None]] = []
 
     def watch(self, watcher: Callable[[str, Optional[List[Any]]], None]) -> None:
@@ -94,8 +97,17 @@ class Catalog:
         """How many times ``name`` has been mutated (0: never set)."""
         return self._versions.get(name, 0)
 
+    def appended_since(self, name: str, version: int) -> bool:
+        """Whether every mutation of ``name`` after its ``version`` was
+        an :meth:`append`: the value now under it is then the one of
+        that version followed by the elements appended since (it shares
+        that prefix, :func:`extended`)."""
+        return self._replaced.get(name, 0) <= version
+
     def _changed(self, name: str, appended: Optional[List[Any]]) -> None:
-        self._versions[name] = self._versions.get(name, 0) + 1
+        version = self._versions[name] = self._versions.get(name, 0) + 1
+        if appended is None:
+            self._replaced[name] = version
         for watcher in self._watchers:
             watcher(name, appended)
 

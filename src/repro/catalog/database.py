@@ -236,7 +236,10 @@ class Database:
         Statistics already collected for ``name`` advance by the new
         elements; cached plans that read it are kept until it has grown
         past the feedback tolerance, plans that read other collections
-        are never touched (docs/PLANNER.md, "Statistics").
+        are never touched (docs/PLANNER.md, "Statistics").  The next
+        untraced run of a grouped query that keeps its fold state over
+        ``name`` folds only the new elements into it (docs/PLANNER.md,
+        "Caching").
         """
         from repro.datamodel.convert import from_python
 
@@ -635,6 +638,8 @@ class Database:
                     self.metrics.increment(
                         "plans_rebuilt", evaluator.plans_rebuilt
                     )
+                if evaluator.groups_advanced:
+                    self.metrics.increment("groups_advanced")
             metrics.total_s = perf_counter() - started
             if store is not None and metrics.fingerprint is not None:
                 self._store_observe(
@@ -930,7 +935,7 @@ class Database:
         limit raises :class:`~repro.errors.ResourceExhausted` exactly as
         ``execute`` would.
         """
-        from repro.core.vectorized import NOT_A_BLOCK, explain_executors
+        from repro.core.vectorized import NOT_A_BLOCK, explain_executors, groups_note
 
         config = self._effective_config(**dials)
         tracer = ExecTracer()
@@ -946,7 +951,10 @@ class Database:
         if isinstance(body, ast.QueryBlock):
             plan = tracer.plan_for(body)
             if plan is not None:
-                lines.append(plan.explain(tracer, evaluator.plan_notes(body)))
+                notes = evaluator.plan_notes(body)
+                if metrics.batched and body.group_by is not None:
+                    notes.append(groups_note(evaluator, core, plan, traced=True))
+                lines.append(plan.explain(tracer, notes))
             elif body.from_ is not None:
                 # Only the oracle enumerates FROM without a plan.
                 lines.extend([_REFERENCE_PLAN, "FROM"])

@@ -82,6 +82,9 @@ class _QueryCaches:
         #: (id(query), rows mode) → ``vectorized.BlockKernels``.
         self.block_kernels: Dict[Tuple[int, bool], Any] = {}
         self.reorder_flags: Dict[int, Tuple[Any, bool]] = {}
+        #: id(block) → ``vectorized.HeldFold``: a top-level GROUP BY
+        #: block's fold kept between executions.
+        self.folds: Dict[int, Any] = {}
 
 
 class _CachedPlan:
@@ -158,6 +161,10 @@ class Evaluator(clauses.QueryEvaluator):
         #: How many morsel workers the parallel driver actually used
         #: (0 = serial); surfaced as ``QueryMetrics.parallel_workers``.
         self.parallel_workers = 0
+        #: Whether the top-level block's fold continued a held state
+        #: (``vectorized.HeldFold``); surfaced as the ``groups_advanced``
+        #: counter.
+        self.groups_advanced = False
         #: Wall time spent in the physical planner, or None when the
         #: planner never ran for this execution (no block has a FROM).
         #: Always measured — planning happens once per block per

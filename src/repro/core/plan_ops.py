@@ -348,7 +348,7 @@ class ScanOp(PlanOp):
                 yield [{alias: element, at: position}]
             return
         if isinstance(elements, Bag):
-            elements = elements.to_list()
+            elements = elements._items  # only sliced: a span costs its length
         base = 0
         if morsel is not None:
             # A singleton binding belongs to the first morsel.

@@ -57,6 +57,7 @@ class ReferenceEvaluator(clauses.QueryEvaluator):
     batched = False
     parallel_workers = 0
     plans_rebuilt = 0
+    groups_advanced = False
 
     def __init__(
         self,

@@ -18,7 +18,9 @@ consumer that stops early (LIMIT, EXISTS, IN) stops the producers where
 a row-at-a-time pipeline would, and a strict block raises the error
 such a pipeline raises first.  ``Evaluator._batch_decision`` picks the
 mode.  The block's tail — windows, PIVOT or SELECT, ORDER BY — is the
-one every evaluator runs (:mod:`repro.core.tails`).
+one every evaluator runs (:mod:`repro.core.tails`).  A top-level GROUP
+BY over a collection grown by ``insert`` keeps its fold between runs
+and folds only the appended elements (:class:`HeldFold`).
 
 Aggregate decomposition
 -----------------------
@@ -57,7 +59,7 @@ from repro.core.tails import EnvColumns, bind_windows, projection, run_tail
 from repro.core.windows import find_window_calls, lower_window_calls, window_variable
 from repro.datamodel.values import Bag, Struct
 from repro.errors import SQLPPError
-from repro.functions.aggregates import MEMBERS, Aggregate, State, machine_for
+from repro.functions.aggregates import MEMBERS, Aggregate, Members, State, machine_for
 from repro.functions.registry import REGISTRY
 from repro.observability.tracer import StageTally
 from repro.syntax import ast
@@ -464,19 +466,21 @@ def finalize_groups(clause, specs, sets: List[GroupState], config) -> List[Bindi
     within each: the key aliases (NULL where the set leaves the key out)
     and each spec's variable bound to its machine's ``final``.  An empty
     input with no keys still produces the single implicit group (SQL's
-    one-row answer); a set that keeps no key of a keyed clause, none."""
+    one-row answer); a set that keeps no key of a keyed clause, none.
+    The fold state is only read, so it can be folded further and
+    finalized again."""
     aliases = [key.alias for key in clause.keys]
     rows: List[Binding] = []
     for groups in sets:
-        if not groups.keys and not clause.keys:
-            groups.ids[()] = 0
-            groups.keys.append([])
+        keys, states = groups.keys, groups.states
+        if not keys and not clause.keys:
+            keys, states = [[]], [spec.machine.init(1) for spec in specs]
         nulls = {a: None for k, a in enumerate(aliases) if k not in groups.keep}
-        finals = []
-        for spec, state in zip(specs, groups.states):
-            spec.machine.grow(state, len(groups.keys))
-            finals.append((spec.var, spec.machine.final, state))
-        for gid, values in enumerate(groups.keys):
+        finals = [
+            (spec.var, spec.machine.final, state)
+            for spec, state in zip(specs, states)
+        ]
+        for gid, values in enumerate(keys):
             row: Binding = dict(zip(aliases, values), **nulls)
             for var, final, state in finals:
                 row[var] = final(state, gid, config)
@@ -534,6 +538,10 @@ class BlockKernels:
     tail_vars: frozenset
     star_vars: List[str]
     deferred: bool
+    #: Why the GROUP BY fold may not be kept between executions by the
+    #: rungs decided once per block ("" when it may; None until
+    #: :func:`hold_refusal` first needs them).
+    maintained: Optional[str] = None
 
     def all(self) -> List[Callable]:
         fns = [fn for __, fn in self.let_fns] + self.key_fns + self.value_fns
@@ -567,6 +575,7 @@ def block_kernels(evaluator, query: ast.Query, plan, one_row: bool = False):
             residual_fn=_residual_fn(
                 evaluator, query.body, plan, entry[1].row_vars, one_row
             ),
+            maintained=None,
         )
     else:
         return entry[1]
@@ -824,11 +833,18 @@ def execute_block(evaluator, query, plan, env, rows=False, stream=False) -> Any:
     groups = GroupState.sets(decomp.clause, machines) if decomp is not None else []
     source: Optional[Iterable[List[Binding]]] = None
     size = 1
+    held = None
     if plan is None:
         source = ([{}],)
     elif rows:
         size = evaluator._pull_size(body, stream or kind == "limit")
         source = plan.op.iter_chunks(evaluator, env, size)
+    elif decomp is not None and hold_refusal(evaluator, query, kernels) is None:
+        # A maintained fold: the groups held from the last run, stepped
+        # over the elements appended since.
+        held, start = _resume_fold(evaluator, query, plan.reads[0])
+        groups = held.groups or groups
+        source = plan.op.iter_chunks(evaluator, env, morsel=(start, held.folded))
     elif config.parallel >= 2 and query is evaluator._top_query:
         # Only the top-level block fans out: a derived table is scanned
         # (and so evaluated) inside each morsel worker, and pool workers
@@ -875,6 +891,8 @@ def execute_block(evaluator, query, plan, env, rows=False, stream=False) -> Any:
                 fold_chunk(len(chunk), *columns, machines, groups, config)
                 if group_stage is not None:
                     group_stage.lap(0, mark)
+            if held is not None:
+                _keep_fold(evaluator, query, held, groups)
             mark = perf_counter() if timing else 0.0
             group_rows = finalize_groups(decomp.clause, decomp.specs, groups, config)
             if group_stage is not None:
@@ -940,6 +958,130 @@ def execute_block(evaluator, query, plan, env, rows=False, stream=False) -> Any:
 
 
 # =========================================================================
+# Maintained folds: a GROUP BY over a collection grown by insert
+# =========================================================================
+
+
+class HeldFold:
+    """A top-level GROUP BY block's fold kept between executions
+    (docs/PLANNER.md, "Caching"): ``groups`` (one :class:`GroupState`
+    per grouping set; None until a fold finished) has folded the first
+    ``folded`` elements of the collection the block scans, as of that
+    collection's ``version``."""
+
+    __slots__ = ("version", "folded", "groups")
+
+    def __init__(self) -> None:
+        self.version = self.folded = 0
+        self.groups: Optional[List[GroupState]] = None
+
+
+def _maintained(evaluator, query, kernels) -> str:
+    """Why a block's fold may not be kept between executions by the
+    rungs decided once per compiled block (docs/PLANNER.md, "Caching"),
+    or "": the top-level query's block, FROM one scan of a catalog
+    collection (with lateral items over it), no other name in the query
+    that the catalog could resolve, no ``?`` parameter, O(1) state per
+    group in every machine, no resource limit and no morsel workers."""
+    from repro.catalog.statistics import source_name
+
+    config, plan = evaluator.config, kernels.plan
+    if query is not evaluator._caches.root:
+        return "not the top-level query's block"
+    scans = [op for op in walk_ops(plan.op) if isinstance(op, ScanOp)]
+    item = scans[0].item if len(scans) == 1 else None
+    if not isinstance(item, ast.FromCollection) or source_name(item.expr) is None:
+        return "FROM is not one scan of a catalog collection"
+    catalog = evaluator._catalog_names()
+    roots = catalog | {name.split(".", 1)[0] for name in catalog}
+    source = item.expr
+    while isinstance(source, ast.Path):
+        source = source.base
+    for node in query.walk():
+        if isinstance(node, ast.VarRef) and node.name in roots and node is not source:
+            again = "is named again in the query (the catalog could resolve it)"
+            return f"{node.name} {again}"
+        if isinstance(node, ast.Parameter):
+            return "a ? parameter"
+    for spec in kernels.decomp.specs:
+        if isinstance(spec.machine, Members):
+            distinct = " (DISTINCT)" if spec.distinct else ""
+            return f"{spec.machine.name}{distinct} keeps every value of its group"
+    if config.has_limits:
+        return "a resource limit (timeout_s / max_rows / max_recursion) is set"
+    if config.parallel >= 2:
+        return f"parallel={config.parallel} folds in morsel workers"
+    return ""
+
+
+def hold_refusal(evaluator, query, kernels) -> Optional[str]:
+    """Why the GROUP BY block of ``kernels`` (columns mode) folds its
+    whole input this run, or None when it continues the fold its last
+    run kept.  The collection is looked at first — a few dictionary
+    probes per run — and the rungs decided once per compiled block
+    (:func:`_maintained`) only for one grown by ``insert``."""
+    reads, catalog = kernels.plan.reads, evaluator._catalog
+    if len(reads) != 1:
+        return "FROM is not one scan of a catalog collection"
+    name = reads[0]
+    if not hasattr(catalog, "appended_since"):
+        return "the catalog keeps no append lineage"
+    if name not in catalog or type(catalog.get(name)) not in (Bag, list):
+        return f"{name} is not a materialised collection"
+    if not catalog.appended_since(name, catalog.version_of(name) - 1):
+        return f"{name} has not grown by insert since it was last set"
+    if kernels.maintained is None:
+        kernels.maintained = _maintained(evaluator, query, kernels)
+    return kernels.maintained or None
+
+
+def _resume_fold(evaluator, query: ast.Query, name: str) -> Tuple[HeldFold, int]:
+    """The fold a maintained block runs on, moved to collection ``name``
+    as it is now, and the first element still to fold.  The held state
+    is popped (:func:`_keep_fold` stores it back once the fold finished,
+    so a fold that raises leaves none) and continued only when ``name``
+    was just appended to since and no tracer is attached: a traced run's
+    operator counts and cardinality feedback are whole-collection
+    truths."""
+    catalog = evaluator._catalog
+    held = evaluator._caches.folds.pop(id(query.body), None)
+    if (
+        held is None
+        or evaluator.tracer is not None
+        or not catalog.appended_since(name, held.version)
+    ):
+        held = HeldFold()
+    start = held.folded
+    held.version, held.folded = catalog.version_of(name), len(catalog.get(name))
+    return held, start
+
+
+def _keep_fold(evaluator, query: ast.Query, held: HeldFold, groups) -> None:
+    """Hold ``groups``, the finished fold of :func:`_resume_fold`."""
+    evaluator.groups_advanced = evaluator.groups_advanced or held.groups is not None
+    held.groups = groups
+    evaluator._caches.folds[id(query.body)] = held
+
+
+def groups_note(evaluator, query: ast.Query, plan, traced: bool = False) -> str:
+    """EXPLAIN's ``groups:`` line for a top-level GROUP BY block in
+    columns mode (``traced``: EXPLAIN ANALYZE's)."""
+    refusal = hold_refusal(evaluator, query, block_kernels(evaluator, query, plan))
+    if refusal is not None:
+        return f"groups: folded per run — {refusal}"
+    if traced:
+        return "groups: re-folded (traced run)"
+    name, catalog = plan.reads[0], evaluator._catalog
+    held = evaluator._caches.folds.get(id(query.body))
+    length = len(catalog.get(name))
+    if held is None or not catalog.appended_since(name, held.version):
+        state = f"nothing held yet: the next read folds {length} rows"
+    else:
+        state = f"{held.folded} rows folded, {length - held.folded} appended since"
+    return f"groups: maintained — {name} grown by insert ({state})"
+
+
+# =========================================================================
 # EXPLAIN: which executor runs which block, and where kernels fell back
 # =========================================================================
 
@@ -958,11 +1100,13 @@ def explain_query(evaluator, query: ast.Query) -> List[str]:
         return [f"plan: none ({NOT_A_BLOCK})"] + executors
     batched = executors[0] == "executor: batch"
     plan = evaluator._block_plan(body)
-    lines = [
-        plan.explain(notes=evaluator.plan_notes(body))
-        if plan is not None
-        else "plan: unplanned (no FROM clause)"
-    ]
+    if plan is None:
+        lines = ["plan: unplanned (no FROM clause)"]
+    else:
+        notes = evaluator.plan_notes(body)
+        if batched and body.group_by is not None:
+            notes.append(groups_note(evaluator, query, plan))
+        lines = [plan.explain(notes=notes)]
     lines.append(f"consumer: {describe_consumer(query, batched)}")
     return lines + executors
 

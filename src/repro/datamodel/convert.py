@@ -20,15 +20,30 @@ values (:class:`~repro.datamodel.values.Struct`,
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from collections.abc import Mapping
+from typing import Any
 
 from repro.datamodel.values import MISSING, Bag, Struct, SCALAR_TYPES
 
 
 def from_python(value: Any) -> Any:
-    """Convert plain Python data to a SQL++ model value (recursively)."""
+    """Convert plain Python data to a SQL++ model value (recursively).
+
+    An exact ``dict`` or ``list`` (what ``json.load`` produces) is
+    recognized by its type before the ``isinstance`` chain every other
+    input goes through; both routes build the same value."""
     if value is None or value is MISSING or isinstance(value, SCALAR_TYPES):
         return value
+    kind = type(value)
+    if kind is dict:
+        return Struct(
+            [
+                (name if type(name) is str else str(name), from_python(item))
+                for name, item in value.items()
+            ]
+        )
+    if kind is list:
+        return [from_python(item) for item in value]
     if isinstance(value, Struct):
         return Struct([(name, from_python(item)) for name, item in value.items()])
     if isinstance(value, Bag):

@@ -162,6 +162,11 @@ _COUNTER_METRICS = {
         "Cached block plans built again (a collection they read was "
         "replaced or outgrew the tolerance, or its feedback changed).",
     ),
+    "groups_advanced": (
+        "repro_groups_advanced_total",
+        "Executions whose GROUP BY continued a held fold state over the "
+        "elements appended since, instead of folding the whole collection.",
+    ),
 }
 
 
@@ -184,6 +189,7 @@ class MetricsRegistry:
             "stats_collected": 0,
             "stats_advanced": 0,
             "plans_rebuilt": 0,
+            "groups_advanced": 0,
         }
         #: Per-phase latency histograms (shared log-spaced buckets).
         self.histograms: Dict[str, Histogram] = {

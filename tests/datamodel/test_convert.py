@@ -1,9 +1,62 @@
 """Python ↔ model conversion."""
 
+from collections import OrderedDict
+from typing import Any, Mapping
+
 import pytest
 
 from repro.datamodel.convert import from_python, to_python
-from repro.datamodel.values import MISSING, Bag, Struct
+from repro.datamodel.equality import deep_equals
+from repro.datamodel.values import MISSING, SCALAR_TYPES, Bag, Struct
+
+
+def isinstance_chain(value: Any) -> Any:
+    """``from_python`` as an ``isinstance`` chain only, with no exact-type
+    dispatch: what the converter must keep agreeing with."""
+    if value is None or value is MISSING or isinstance(value, SCALAR_TYPES):
+        return value
+    if isinstance(value, Struct):
+        return Struct([(name, isinstance_chain(item)) for name, item in value.items()])
+    if isinstance(value, Bag):
+        return Bag(isinstance_chain(item) for item in value)
+    if isinstance(value, Mapping):
+        pairs = [(str(name), isinstance_chain(item)) for name, item in value.items()]
+        return Struct(pairs)
+    if isinstance(value, (list, tuple)):
+        return [isinstance_chain(item) for item in value]
+    if isinstance(value, (set, frozenset)):
+        return Bag(isinstance_chain(item) for item in value)
+    raise TypeError(
+        f"cannot represent {type(value).__name__} value {value!r} in the "
+        "SQL++ data model"
+    )
+
+
+class Key(str):
+    pass
+
+
+class Row(dict):
+    pass
+
+
+class Items(list):
+    pass
+
+
+CORPUS = [
+    {"a": {"b": [1, 2.5, {"c": None}]}, "d": []},
+    [[1, [2, [3]]], {"x": "y"}, (4, 5), {6}],
+    (1, (2, {"t": (3,)})),
+    frozenset({1, 2}),
+    OrderedDict([("z", 1), ("a", [OrderedDict(k=2)])]),
+    {1: "one", 2.5: "two", None: "none", True: "yes", Key("k"): {Key("j"): 1}},
+    Row(a=Row(b=Items([1, Row(c=2)]))),
+    Struct([("a", {"b": [1]}), ("a", Bag([{"c": (2,)}]))]),
+    Bag([{"a": 1}, [1, {2}], Bag([None])]),
+    [MISSING, {"a": MISSING}],
+    {"": {}, "nested": [[], [[]], {}]},
+]
 
 
 class TestFromPython:
@@ -44,6 +97,31 @@ class TestFromPython:
     def test_unsupported_type_rejected(self):
         with pytest.raises(TypeError):
             from_python(object())
+
+
+    @pytest.mark.parametrize("value", CORPUS)
+    def test_exact_type_dispatch_builds_what_the_isinstance_chain_builds(
+        self, value
+    ):
+        try:
+            expected = isinstance_chain(value)
+        except Exception as error:  # a MISSING attribute: Struct refuses it
+            with pytest.raises(type(error)) as got:
+                from_python(value)
+            assert str(got.value) == str(error)
+            return
+        converted = from_python(value)
+        assert type(converted) is type(expected)
+        assert deep_equals(converted, expected)
+        assert repr(converted) == repr(expected)
+
+    @pytest.mark.parametrize("value", [object(), [1, {"a": 1j}], {"k": {3, object}}])
+    def test_unrepresentable_message_is_unchanged(self, value):
+        with pytest.raises(TypeError) as expected:
+            isinstance_chain(value)
+        with pytest.raises(TypeError) as got:
+            from_python(value)
+        assert str(got.value) == str(expected.value)
 
 
 class TestToPython:
