@@ -21,6 +21,7 @@ can be set per database or overridden per query.
 from __future__ import annotations
 
 import dataclasses
+import warnings
 from collections import OrderedDict
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -108,7 +109,6 @@ class Database:
         max_rows: Optional[int] = None,
         max_recursion: Optional[int] = None,
         batch: bool = True,
-        parallel: int = 0,
         rewrite: bool = True,
         metrics_sinks: Optional[List[Any]] = None,
         query_store: Any = True,
@@ -124,7 +124,6 @@ class Database:
             max_rows=max_rows,
             max_recursion=max_recursion,
             batch=batch,
-            parallel=parallel,
             rewrite=rewrite,
         )
         #: Per-database query metrics: monotonic counters, per-query
@@ -322,8 +321,16 @@ class Database:
         The dials are exactly ``EvalConfig``'s fields
         (:func:`dataclasses.replace` raises ``TypeError`` for any other
         name); ``None`` and absent both mean "inherit", so a
-        database-level limit cannot be *unset* per query.
+        database-level limit cannot be *unset* per query.  The removed
+        ``parallel`` dial is still accepted, with a
+        ``DeprecationWarning``, and ignored: every query runs serially.
         """
+        if dials.pop("parallel", None) is not None:
+            warnings.warn(
+                "the parallel dial was removed; the query runs serially",
+                DeprecationWarning,
+                stacklevel=3,
+            )
         overrides = {
             name: value for name, value in dials.items() if value is not None
         }
@@ -553,8 +560,7 @@ class Database:
         engine, with identical results (docs/PLANNER.md);
         ``rewrite=False`` disables just the semantic rewrite registry
         (docs/REWRITER.md); ``batch=False`` disables the chunk-vectorized
-        executor; ``parallel=N`` (N >= 2) fans partitionable scans out
-        over N morsel workers; ``timeout_s`` / ``max_rows`` /
+        executor; ``timeout_s`` / ``max_rows`` /
         ``max_recursion`` tighten the resource limits, a breach raising
         :class:`~repro.errors.ResourceExhausted` (docs/OBSERVABILITY.md).
 
@@ -633,7 +639,6 @@ class Database:
                 metrics.plan_s = evaluator.plan_time_s
                 metrics.streamed = evaluator.streamed
                 metrics.batched = evaluator.batched
-                metrics.parallel_workers = evaluator.parallel_workers
                 if evaluator.plans_rebuilt:
                     self.metrics.increment(
                         "plans_rebuilt", evaluator.plans_rebuilt

@@ -39,9 +39,7 @@ wall time (see docs/OBSERVABILITY.md); ``--stats`` prints per-query
 phase timings, and ``--timeout`` / ``--max-rows`` / ``--max-recursion``
 stop runaway queries with a partial-progress report instead of a hang.
 
-``--parallel N`` fans partitionable base scans across N forked worker
-processes (morsel-driven; see docs/PLANNER.md), and ``--no-batch``
-falls back from the chunk-vectorized executor to the row-at-a-time
+``--no-batch`` falls back from the chunk-vectorized executor to the row-at-a-time
 streaming pipeline.  ``--no-rewrite`` disables the semantic rewrite
 registry (docs/REWRITER.md) the same way ``--no-optimize`` bypasses
 the physical planner; ``--explain-rewrites`` prints, for each query,
@@ -112,14 +110,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="for each query, print the Core before/after the rewrite "
         "registry and the rewrites that fired, instead of executing",
-    )
-    parser.add_argument(
-        "--parallel",
-        type=int,
-        default=0,
-        metavar="N",
-        help="fan partitionable scans across N worker processes "
-        "(morsel-driven; 0 = serial, the default)",
     )
     parser.add_argument(
         "--stats",
@@ -213,8 +203,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--version", action="version", version=f"sqlpp {__version__}"
     )
     args = parser.parse_args(argv)
-    if args.parallel < 0:
-        parser.error("--parallel expects a non-negative worker count")
 
     if args.compat_kit:
         from repro.compat import format_report, run_cases
@@ -243,7 +231,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         optimize=not args.no_optimize,
         batch=not args.no_batch,
         rewrite=not args.no_rewrite,
-        parallel=args.parallel,
         timeout_s=args.timeout,
         max_rows=args.max_rows,
         max_recursion=args.max_recursion,

@@ -63,12 +63,6 @@ class EvalConfig:
     #: batch engine does not run (correlated subqueries, blocks without
     #: FROM, an unordered LIMIT/OFFSET) streams instead.
     batch: bool = True
-    #: Morsel-driven parallelism: when >= 2, partitionable scans are
-    #: split into morsels fanned across that many forked worker
-    #: processes (hash-join probe and decomposable aggregation run
-    #: per-morsel, results merge in morsel order).  0 disables; plans
-    #: with a non-partitionable consumer run the serial batch path.
-    parallel: int = 0
     #: Semantic rewrites (docs/REWRITER.md): the safety-checked rule
     #: registry (:mod:`repro.core.rewrite_rules`) that runs between
     #: sugar lowering and physical planning — correlated EXISTS/IN →
@@ -91,8 +85,6 @@ class EvalConfig:
             raise ValueError("max_rows must be non-negative")
         if self.max_recursion is not None and self.max_recursion < 1:
             raise ValueError("max_recursion must be at least 1")
-        if self.parallel < 0:
-            raise ValueError("parallel must be non-negative")
 
     @property
     def has_limits(self) -> bool:

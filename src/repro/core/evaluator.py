@@ -158,9 +158,6 @@ class Evaluator(clauses.QueryEvaluator):
         #: Whether the top-level block ran in the executor's columns
         #: mode; surfaced as ``QueryMetrics.batched``.
         self.batched = False
-        #: How many morsel workers the parallel driver actually used
-        #: (0 = serial); surfaced as ``QueryMetrics.parallel_workers``.
-        self.parallel_workers = 0
         #: Whether the top-level block's fold continued a held state
         #: (``vectorized.HeldFold``); surfaced as the ``groups_advanced``
         #: counter.
@@ -255,8 +252,7 @@ class Evaluator(clauses.QueryEvaluator):
         never pull, so *which* dynamic error a failing block raises —
         and, for the over-evaluating kernels, whether it raises at all —
         can differ from rows mode's.  When a ``TypeCheckError`` or
-        ``EvaluationError`` escapes the attempt (a morsel worker's
-        included: it is re-raised in this process), the attempt is
+        ``EvaluationError`` escapes the attempt, the attempt is
         discarded and the block runs again in rows mode, whose answer —
         value or error — is final: batch ≡ ``batch=False`` by
         construction, for every kernel.  The replay is a recorded
@@ -291,7 +287,6 @@ class Evaluator(clauses.QueryEvaluator):
                 tracer.replay(mark, body, type(error).__name__)
             if top:
                 self.batched = False
-                self.parallel_workers = 0
         return vectorized.execute_block(self, query, plan, env, rows=True)
 
     # ------------------------------------------------------------------

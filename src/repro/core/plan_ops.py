@@ -27,9 +27,9 @@ pulls from its source and evaluates expressions at most one slice of
 pulls, evaluates and tells the governor exactly what the
 specification's nested loop does, one binding at a time, in the same
 order, before it yields.  The executor and the typing
-mode pick ``size``: the batch executor and morsel workers pull
-:data:`CHUNK_ROWS`, and so does the stream when typing is permissive and
-its consumer drains the block; the stream pulls one-row chunks where
+mode pick ``size``: the batch executor pulls :data:`CHUNK_ROWS`, and
+so does the stream when typing is permissive and its consumer drains
+the block; the stream pulls one-row chunks where
 row order is observable — a consumer that can stop early (unordered
 LIMIT / OFFSET, EXISTS, IN) and strict typing, where it is the replay
 target and column-major kernels would change which error surfaces.
@@ -131,7 +131,6 @@ class PlanOp:
         env: "Environment",
         size: int = CHUNK_ROWS,
         morsel: Optional[Tuple[int, int]] = None,
-        tables: Optional[Dict[int, Dict[Tuple, List[Binding]]]] = None,
     ) -> Iterator[List[Binding]]:
         """Yield this operator's binding rows in chunks of at most
         ``size`` rows, its pushed filters applied — the one way an
@@ -147,18 +146,17 @@ class PlanOp:
         ANALYZE.
 
         ``morsel`` is a ``(start, stop)`` row span over the operator's
-        *base scan* for morsel-driven parallelism; ``tables``
-        optionally maps ``id(op)`` to a prebuilt hash-join build table
-        (shared copy-on-write across forked workers).
+        *base scan*: a maintained GROUP BY fold scans only the elements
+        appended since its last run.
         """
-        chunks = self._produce(evaluator, env, size, morsel, tables)
+        chunks = self._produce(evaluator, env, size, morsel)
         tracer = evaluator.tracer
         if tracer is None and not self.filters:
             return chunks
         return self._observed(evaluator, env, chunks, tracer, size == 1)
 
     def _produce(
-        self, evaluator, env, size: int, morsel, tables
+        self, evaluator, env, size: int, morsel
     ) -> Iterator[List[Binding]]:
         """The operator's rows before its pushed filters, in chunks of
         at most ``size``, each told to the governor before it is
@@ -280,9 +278,7 @@ class EmptyOp(PlanOp):
         self.reason = reason
         self.est_rows = 0.0
 
-    def _produce(self, evaluator, env, size, morsel, tables):
-        # A morsel request would be a driver bug (there is no base scan
-        # to partition), but answering it with emptiness is still exact.
+    def _produce(self, evaluator, env, size, morsel):
         return iter(())
 
     def describe(self) -> str:
@@ -297,23 +293,7 @@ class ScanOp(PlanOp):
         super().__init__()
         self.item = item
 
-    def morsel_rows(self, evaluator, env) -> Optional[int]:
-        """Row count of a materialized FromCollection source, or None.
-
-        The morsel driver partitions this range into spans; a lazy bag
-        (or a non-collection singleton) has no cheap stable range, so
-        such scans stay serial.
-        """
-        if not isinstance(self.item, ast.FromCollection):
-            return None
-        value = evaluator.compiled(self.item.expr)(env)
-        if isinstance(value, LazyBag):
-            return None
-        if isinstance(value, (list, Bag)):
-            return len(value)
-        return None
-
-    def _produce(self, evaluator, env, size, morsel, tables):
+    def _produce(self, evaluator, env, size, morsel):
         """What :func:`lateral_bindings` says the source binds, ``size``
         elements per pull."""
         item = self.item
@@ -351,7 +331,6 @@ class ScanOp(PlanOp):
             elements = elements._items  # only sliced: a span costs its length
         base = 0
         if morsel is not None:
-            # A singleton binding belongs to the first morsel.
             base, stop = morsel
             elements = elements[base:stop]
         for start in range(0, len(elements), size):
@@ -425,20 +404,20 @@ class _JoinOp(PlanOp):
             return []
         return [evaluator.compiled_batch(self.on, frozenset(self.vars), one_row)]
 
-    def _pairing(self, evaluator, env, size, tables, tick, want_owners):
+    def _pairing(self, evaluator, env, size, tick, want_owners):
         """A function from one left chunk to its ``(candidates,
         owners)`` slices."""
         raise NotImplementedError
 
-    def _produce(self, evaluator, env, size, morsel, tables):
+    def _produce(self, evaluator, env, size, morsel):
         conditions = self._conditions(evaluator, size == 1)
         tick = governor_tick(evaluator.governor)
         count = tick if self.counts_matches else None
         is_left = self.kind == "LEFT"
         right_vars = self.right_vars
-        pairing = self._pairing(evaluator, env, size, tables, tick, is_left)
+        pairing = self._pairing(evaluator, env, size, tick, is_left)
         out: List[Binding] = []
-        source = self.left.iter_chunks(evaluator, env, size, morsel, tables)
+        source = self.left.iter_chunks(evaluator, env, size, morsel)
         try:
             for left_chunk in source:
                 #: Left rows below ``settled`` have had their LEFT pad
@@ -525,7 +504,7 @@ class LateralJoinOp(_JoinOp):
         )
         return [source] + self._conditions(evaluator, one_row)
 
-    def _pairing(self, evaluator, env, size, tables, tick, want_owners):
+    def _pairing(self, evaluator, env, size, tick, want_owners):
         source_fn = self._kernels(evaluator, size == 1)[0]
         item = self.right_item
         config = evaluator.config
@@ -569,7 +548,7 @@ class MaterializeJoinOp(_JoinOp):
         super().__init__(left, kind, on, right_vars)
         self.right = right
 
-    def _pairing(self, evaluator, env, size, tables, tick, want_owners):
+    def _pairing(self, evaluator, env, size, tick, want_owners):
         right_rows: Optional[List[Binding]] = None
 
         def pairing(left_chunk):
@@ -652,37 +631,25 @@ class HashJoinOp(_JoinOp):
             evaluator.compiled_batch(p, out_vars, one_row) for p in self.residual
         ]
 
-    def build_table(
-        self, evaluator, env
-    ) -> Dict[Tuple, List[Binding]]:
-        """Materialize the build-side hash table chunk-at-a-time.
-
-        Factored out of the probe loop so the morsel driver can build
-        the table once in the parent process before forking: workers
-        then share the pages copy-on-write instead of each re-building.
-        """
-        key_fns = self._key_kernels(evaluator)[1]
-        table: Dict[Tuple, List[Binding]] = {}
-        for chunk in self.right.iter_chunks(evaluator, env):
-            for key, right_binding in zip(_hash_keys(key_fns, chunk, env), chunk):
-                if key is not None:  # absent key: can never satisfy the equi-ON
-                    table.setdefault(key, []).append(right_binding)
-        return table
-
-    def _pairing(self, evaluator, env, size, tables, tick, want_owners):
-        table = tables.get(id(self)) if tables is not None else None
-        key_fns = self._key_kernels(evaluator, size == 1)[0]
+    def _pairing(self, evaluator, env, size, tick, want_owners):
+        probe_fns, build_fns = self._key_kernels(evaluator, size == 1)
+        table: Optional[Dict[Tuple, List[Binding]]] = None
 
         def pairing(left_chunk):
             nonlocal table
             if table is None:
-                # Built lazily on the first probe chunk: an empty or
-                # early-closed probe side never pays for (or observes
-                # errors from) the build side.
-                table = self.build_table(evaluator, env)
+                # Built lazily, chunk at a time, on the first probe
+                # chunk: an empty or early-closed probe side never pays
+                # for (or observes errors from) the build side.
+                table = {}
+                for chunk in self.right.iter_chunks(evaluator, env):
+                    keys = _hash_keys(build_fns, chunk, env)
+                    for key, right_binding in zip(keys, chunk):
+                        if key is not None:  # absent: never satisfies the equi-ON
+                            table.setdefault(key, []).append(right_binding)
             matches = [
                 table.get(key, ()) if key is not None else ()
-                for key in _hash_keys(key_fns, left_chunk, env)
+                for key in _hash_keys(probe_fns, left_chunk, env)
             ]
             return _pair_slices(left_chunk, matches, size)
 
@@ -713,9 +680,7 @@ class HashJoinOp(_JoinOp):
 
 
 def walk_ops(op: PlanOp) -> List[PlanOp]:
-    """Pre-order enumeration of an operator tree — the deterministic
-    index space parallel worker tallies are keyed by (identical in
-    parent and forked children since the tree itself is inherited)."""
+    """Pre-order enumeration of an operator tree."""
     result = [op]
     for attr in ("left", "right"):
         child = getattr(op, attr, None)

@@ -13,7 +13,7 @@ VALUE`` / ``SELECT *`` / ``PIVOT`` → ``ORDER BY`` / ``LIMIT`` /
 
 It is the oracle every other execution strategy is checked against, so
 it is independent of them: no compiled closures, no planner, no
-physical operators, no batch / stream / parallel code.  It shares with
+physical operators, no batch / stream code.  It shares with
 the engine only the clause semantics of :mod:`repro.core.clauses` and
 :mod:`repro.core.windows`, parameterised by this class's own
 :meth:`ReferenceEvaluator.eval_expr`, and keeps the tracer and governor
@@ -51,11 +51,10 @@ class ReferenceEvaluator(clauses.QueryEvaluator):
     """
 
     #: What ``Database`` reads off any evaluator after a run: the oracle
-    #: never plans, streams, batches or forks.
+    #: never plans, streams or batches.
     plan_time_s = None
     streamed = False
     batched = False
-    parallel_workers = 0
     plans_rebuilt = 0
     groups_advanced = False
 

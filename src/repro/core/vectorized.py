@@ -331,7 +331,7 @@ def decompose_block(
 
 
 # =========================================================================
-# Group folding (shared by both executors and the morsel workers)
+# Group folding (both modes of the block executor)
 # =========================================================================
 
 @dataclass
@@ -410,8 +410,7 @@ def fold_chunk(size, key_columns, value_columns, machines, sets, config) -> None
     its ``ids`` once (an identity not seen before takes the next dense
     id), then every machine steps its whole value column at those ids.
     Groups are numbered in first-seen order and each steps its values in
-    row order — :func:`merge_folds` and the parallel barrier depend on
-    both.
+    row order — a maintained fold (:class:`HeldFold`) depends on both.
     """
     identities = [clauses.identity_column(column) for column in key_columns]
     for groups in sets:
@@ -433,32 +432,6 @@ def fold_chunk(size, key_columns, value_columns, machines, sets, config) -> None
         for machine, state, column in zip(machines, groups.states, value_columns):
             machine.grow(state, len(keys))
             machine.step(state, gids, column, config)
-
-
-def merge_folds(sets: List[GroupState], partials, machines, config) -> None:
-    """Merge per-morsel fold states into ``sets`` in morsel order, set
-    by set, through each machine's ``merge``.
-
-    Morsels partition the scan in row order, so first-seen group order
-    across the merged state equals the serial fold's, and each group
-    merges its partial states in row order.  The merged result is the
-    serial one bit for bit, except where ``merge`` re-associates: float
-    SUM / AVG add per-morsel partial totals, and MIN / MAX over data
-    with NaN may keep a different element (docs/PLANNER.md).
-    """
-    for partial_sets in partials:
-        for merged, partial in zip(sets, partial_sets):
-            ids, keys = merged.ids, merged.keys
-            gids = []
-            for identity, key_values in zip(partial.ids, partial.keys):
-                gid = ids.get(identity)
-                if gid is None:
-                    gid = ids[identity] = len(keys)
-                    keys.append(key_values)
-                gids.append(gid)
-            for machine, state, other in zip(machines, merged.states, partial.states):
-                machine.grow(state, len(keys))
-                machine.merge(state, other, gids, config)
 
 
 def finalize_groups(clause, specs, sets: List[GroupState], config) -> List[Binding]:
@@ -762,9 +735,8 @@ def execute_block(evaluator, query, plan, env, rows=False, stream=False) -> Any:
     ``stream``, the output values as a lazy iterator (EXISTS, IN).
 
     *Columns* mode runs each clause over chunks of up to
-    :data:`CHUNK_ROWS` rows through chunk kernels, folds GROUP BY through
-    the decomposed aggregate sites, and may fan the top-level block out
-    over morsels.  *Rows* mode (``rows``) evaluates what a row-at-a-time
+    :data:`CHUNK_ROWS` rows through chunk kernels and folds GROUP BY
+    through the decomposed aggregate sites.  *Rows* mode (``rows``) evaluates what a row-at-a-time
     pipeline does, in its order: every expression is its closure per row
     (``compiled_batch(..., one_row=True)``), the operators are pulled
     ``Evaluator._pull_size`` rows at a time, and one row runs LET and
@@ -827,15 +799,14 @@ def execute_block(evaluator, query, plan, env, rows=False, stream=False) -> Any:
         finally:
             close_iter(source)
 
-    # ---- FROM: the operator tree, or the morsel-parallel driver --------
+    # ---- FROM: the operator tree -----------------------------------------
     decomp = kernels.decomp
     machines = decomp.machines if decomp is not None else []
     groups = GroupState.sets(decomp.clause, machines) if decomp is not None else []
-    source: Optional[Iterable[List[Binding]]] = None
     size = 1
     held = None
     if plan is None:
-        source = ([{}],)
+        source: Iterable[List[Binding]] = ([{}],)
     elif rows:
         size = evaluator._pull_size(body, stream or kind == "limit")
         source = plan.op.iter_chunks(evaluator, env, size)
@@ -845,30 +816,7 @@ def execute_block(evaluator, query, plan, env, rows=False, stream=False) -> Any:
         held, start = _resume_fold(evaluator, query, plan.reads[0])
         groups = held.groups or groups
         source = plan.op.iter_chunks(evaluator, env, morsel=(start, held.folded))
-    elif config.parallel >= 2 and query is evaluator._top_query:
-        # Only the top-level block fans out: a derived table is scanned
-        # (and so evaluated) inside each morsel worker, and pool workers
-        # cannot fork pools of their own.
-        from repro.core.parallel import try_parallel
-
-        parallel_mode = (
-            "fold" if decomp is not None and not let_fns and residual_fn is None
-            else "rows"
-        )
-        outcome = try_parallel(
-            evaluator, plan.op, env, parallel_mode, decomp, kernels.row_vars
-        )
-        if outcome is not None:
-            evaluator.parallel_workers = max(
-                evaluator.parallel_workers, outcome.workers
-            )
-            folded = outcome.mode == "fold"
-            if from_stage is not None:
-                from_stage.elapsed = outcome.elapsed
-                from_stage.rows = outcome.rows_seen if folded else 0
-            groups = outcome.groups if folded else groups
-            source = () if folded else (outcome.rows,)
-    if source is None:
+    else:
         source = plan.op.iter_chunks(evaluator, env)
     if rows and not (timing or let_fns or residual_fn):
         # Nothing runs per row before GROUP BY or the tail.
@@ -982,7 +930,7 @@ def _maintained(evaluator, query, kernels) -> str:
     or "": the top-level query's block, FROM one scan of a catalog
     collection (with lateral items over it), no other name in the query
     that the catalog could resolve, no ``?`` parameter, O(1) state per
-    group in every machine, no resource limit and no morsel workers."""
+    group in every machine and no resource limit."""
     from repro.catalog.statistics import source_name
 
     config, plan = evaluator.config, kernels.plan
@@ -1009,8 +957,6 @@ def _maintained(evaluator, query, kernels) -> str:
             return f"{spec.machine.name}{distinct} keeps every value of its group"
     if config.has_limits:
         return "a resource limit (timeout_s / max_rows / max_recursion) is set"
-    if config.parallel >= 2:
-        return f"parallel={config.parallel} folds in morsel workers"
     return ""
 
 

@@ -83,7 +83,7 @@ class Shape:
         self.order = None if self.duplicates else tuple(sorted(index.items()))
 
     def __reduce__(self):
-        # Re-intern on unpickling: worker results share the parent's shapes.
+        # Re-intern on unpickling: an unpickled struct shares the live shapes.
         return (shape_of, (self.names,))
 
     def __repr__(self) -> str:

@@ -38,16 +38,12 @@ count; MIN's and MAX's best element so far; …):
   i-th into group ``gids[i]``: one loop, exact-type cases inlined, the
   generic operators of :mod:`repro.functions.operators` only on the
   slow path;
-* ``merge(state, other, gids, config)`` folds a partial state, its
-  group i into group ``gids[i]``, as if its rows came after
-  ``state``'s;
 * ``final(state, gid, config)`` reads one group's aggregate.
 
 The composable Core function is the one-group fold of its machine,
 ``COLL_X(collection) = final(fold(step, init, collection))`` — calling
-an :class:`Aggregate` is that — so the GROUP BY fold both executors
-run (:func:`repro.core.vectorized.fold_chunk`), morsel workers' partial
-states (:mod:`repro.core.parallel`), running window aggregates
+an :class:`Aggregate` is that — so the GROUP BY fold the block executor
+runs (:func:`repro.core.vectorized.fold_chunk`), running window aggregates
 (:mod:`repro.core.windows`), ``COLL_X`` over a GROUP AS bag and the
 reference interpreter all run one definition.  COUNT, SUM, AVG, MIN,
 MAX, EVERY and SOME fold in O(1) state per group.  ARRAY_AGG, STDDEV,
@@ -74,7 +70,7 @@ from repro.datamodel.values import MISSING, Bag, type_name
 from repro.functions.operators import compare, distinct_elements
 from repro.functions.registry import REGISTRY, FunctionDef, builtin
 
-#: A machine's state: parallel lists indexed by group id.
+#: A machine's state: lists of equal length, indexed by group id.
 State = List[list]
 
 
@@ -148,11 +144,6 @@ class Aggregate:
     ) -> None:
         raise NotImplementedError
 
-    def merge(
-        self, state: State, other: State, gids: Sequence[int], config: EvalConfig
-    ) -> None:
-        raise NotImplementedError
-
     def final(self, state: State, gid: int, config: EvalConfig) -> Any:
         raise NotImplementedError
 
@@ -181,11 +172,6 @@ class _Count(Aggregate):
         for gid, value in zip(gids, column):
             if value is not None and value is not MISSING:
                 counts[gid] += 1
-
-    def merge(self, state, other, gids, config):
-        counts = state[0]
-        for gid, count in zip(gids, other[0]):
-            counts[gid] += count
 
     def final(self, state, gid, config):
         return state[0][gid]
@@ -232,21 +218,6 @@ class _Total(Aggregate):
             totals[gid] = self._reject(str(error), config)
             return
         counts[gid] += 1
-
-    def merge(self, state, other, gids, config):
-        totals, counts = state
-        for gid, total, count in zip(gids, *other):
-            if totals[gid] is MISSING or (count == 0 and total is not MISSING):
-                continue
-            if total is MISSING:
-                totals[gid] = MISSING
-                continue
-            try:
-                totals[gid] += total
-            except ArithmeticError as error:
-                totals[gid] = self._reject(str(error), config)
-                continue
-            counts[gid] += count
 
     def final(self, state, gid, config):
         total, count = state[0][gid], state[1][gid]
@@ -299,14 +270,6 @@ class _Extreme(Aggregate):
             elif verdict is True:
                 best[gid] = value
 
-    def merge(self, state, other, gids, config):
-        best = state[0]
-        for gid, value in zip(gids, other[0]):
-            if value is MISSING:
-                best[gid] = MISSING
-            elif value is not None:
-                self._meet(best, gid, value, config)
-
     def final(self, state, gid, config):
         return state[0][gid]
 
@@ -341,12 +304,6 @@ class _Quantifier(Aggregate):
                     )
                 )
 
-    def merge(self, state, other, gids, config):
-        verdicts, undecided = state[0], not self.decisive
-        for gid, verdict in zip(gids, other[0]):
-            if verdicts[gid] is undecided:
-                verdicts[gid] = verdict
-
     def final(self, state, gid, config):
         return state[0][gid]
 
@@ -367,11 +324,6 @@ class Members(Aggregate):
         lists = state[0]
         for gid, value in zip(gids, column):
             lists[gid].append(value)
-
-    def merge(self, state, other, gids, config):
-        lists = state[0]
-        for gid, values in zip(gids, other[0]):
-            lists[gid].extend(values)
 
     def final(self, state, gid, config):
         return Bag(state[0][gid])

@@ -73,8 +73,6 @@ class QueryMetrics:
     #: Whether the top-level block ran on the batch (chunk-vectorized)
     #: pipeline (docs/PLANNER.md); implies ``streamed``.
     batched: bool = False
-    #: Morsel workers the parallel driver used (0 = serial execution).
-    parallel_workers: int = 0
     #: Query-store fingerprint (normalized AST + mode dials + catalog
     #: version) and executed-plan hash, so ad-hoc logs join cleanly
     #: against the store; None when the store is off or compile failed.
@@ -109,7 +107,6 @@ class QueryMetrics:
             "rows_returned": self.rows_returned,
             "streamed": self.streamed,
             "batched": self.batched,
-            "parallel_workers": self.parallel_workers,
             "fingerprint": self.fingerprint,
             "plan_hash": self.plan_hash,
             "rewrites": list(self.rewrites),

@@ -180,29 +180,6 @@ class ExecTracer:
             self._op_stats[id(op)] = entry
         entry[1].add(rows_in, rows_out, elapsed_s)
 
-    def merge_op(
-        self,
-        op: Any,
-        invocations: int,
-        rows_in: int,
-        rows_out: int,
-        elapsed_s: float,
-    ) -> None:
-        """Fold a worker tracer's tally into this tracer, preserving the
-        worker-side invocation count.  ``record_op`` counts each call as
-        one invocation, so merging N workers through it would sum their
-        rows but report N invocations regardless of how many each worker
-        made — breaking tally parity with the serial run."""
-        entry = self._op_stats.get(id(op))
-        if entry is None:
-            entry = (op, OpStats(label=op.describe()))
-            self._op_stats[id(op)] = entry
-        stats = entry[1]
-        stats.invocations += invocations
-        stats.rows_in += rows_in
-        stats.rows_out += rows_out
-        stats.time_s += elapsed_s
-
     def begin_item(self, item: ast.FromItem) -> Optional[Any]:
         """Open the span of one nested-loop FROM item's enumeration
         (None without a span collector); :meth:`record_item` ends it."""

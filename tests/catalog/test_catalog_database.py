@@ -319,9 +319,8 @@ class TestRunSurfacesTakeTheDialsExecuteTakes:
         db.trace(self.QUERY, batch=False)
         assert db.metrics.last.batched is False
         assert db.metrics.last.streamed is True
-        db.trace(self.QUERY, rewrite=False)
+        context = db.trace(self.QUERY, rewrite=False)
         assert db.metrics.last.rewrites == []
-        context = db.trace(self.QUERY, parallel=2)
         assert db.metrics.last.status == "ok"
         assert "execute" in context.format_tree()
 
@@ -344,3 +343,18 @@ class TestRunSurfacesTakeTheDialsExecuteTakes:
         for run in (db.execute, db.execute_python, db.explain_analyze, db.trace):
             with pytest.raises(TypeError):
                 run(self.QUERY, vectorise=True)
+
+    def test_the_removed_parallel_dial(self, db, capsys):
+        # A per-query ``parallel`` still runs, serially, with a warning;
+        # the constructor keyword and the CLI flag are gone.
+        from repro.cli import main
+
+        with pytest.warns(DeprecationWarning, match="parallel"):
+            fanned = db.execute(self.QUERY, parallel=2)
+        assert fanned == db.execute(self.QUERY)
+        with pytest.raises(TypeError):
+            Database(parallel=2)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--parallel", "2", "-c", "SELECT VALUE 1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --parallel" in capsys.readouterr().err

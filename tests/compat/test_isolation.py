@@ -8,8 +8,8 @@ FROM-less / ``UNION ALL`` / ``INTERSECT`` case on the other, in both
 typing modes:
 
 * with ``ReferenceEvaluator``'s block and expression evaluation patched
-  to raise, the engine under default dials, ``batch=False`` and
-  ``parallel=2`` still produces what the oracle produced beforehand;
+  to raise, the engine under default dials and ``batch=False`` still
+  produces what the oracle produced beforehand;
 * with ``compile_expr.compile_expr``, ``compile_expr.compile_batch`` and
   ``planner.plan_block`` patched to raise, ``optimize=False`` still
   produces what the engine produced beforehand.
@@ -25,7 +25,7 @@ import pytest
 from repro import errors
 from repro.compat.corpus import ConformanceCase, all_cases
 from repro.compat.runner import _results_equal, build_database
-from repro.core import compile_expr, parallel, planner, reference
+from repro.core import compile_expr, planner, reference
 from repro.formats.sqlpp_text import loads
 
 T = "{{ {'k': 'a', 'v': 1}, {'k': 'b', 'v': 2}, {'k': 'a', 'v': 3} }}"
@@ -72,7 +72,7 @@ EXTRA_CASES = [
 
 CASES = list(all_cases()) + EXTRA_CASES
 TYPING_MODES = ["permissive", "strict"]
-ENGINE_DIALS = {"default": {}, "batch=False": {"batch": False}, "parallel=2": {"parallel": 2}}
+ENGINE_DIALS = {"default": {}, "batch=False": {"batch": False}}
 
 
 def _boom(*args, **kwargs):
@@ -112,8 +112,6 @@ parametrized = pytest.mark.parametrize(
 @parametrized
 @pytest.mark.parametrize("typing_mode", TYPING_MODES)
 def test_engine_never_enters_the_oracle(case, typing_mode, monkeypatch):
-    monkeypatch.setattr(parallel, "MIN_PARALLEL_ROWS", 4)
-    monkeypatch.setattr(parallel, "MIN_MORSEL_ROWS", 2)
     # Everything that needs the oracle happens first: loading literals
     # (formats/sqlpp_text.py evaluates them on it) and its own verdict.
     databases = {name: build_database(case) for name in ENGINE_DIALS}

@@ -7,8 +7,7 @@ corpora — ``optimize=True`` must be observationally identical to
 the same error class.  Every case runs in *both* typing modes, whatever
 the one it was written for: the strict contract (docs/LANGUAGE.md §8) is
 the same result, or an error of the same class the oracle raises.
-The engine runs under default dials, ``batch=False`` and ``parallel=2``
-(thresholds forced down, so the kit's ten-row tables really fork).
+The engine runs under default dials and ``batch=False``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import pytest
 from repro import errors
 from repro.compat.corpus import all_cases
 from repro.compat.runner import build_database
-from repro.core import parallel
 from repro.datamodel.equality import deep_equals
 from repro.datamodel.values import Bag
 
@@ -35,9 +33,7 @@ def _outcome(db, case, **dials):
 @pytest.mark.parametrize(
     "case", all_cases(), ids=lambda case: case.case_id
 )
-def test_optimized_equals_reference(case, monkeypatch):
-    monkeypatch.setattr(parallel, "MIN_PARALLEL_ROWS", 4)
-    monkeypatch.setattr(parallel, "MIN_MORSEL_ROWS", 2)
+def test_optimized_equals_reference(case):
     for typing_mode in ("permissive", "strict"):
         assert_parity(replace(case, typing_mode=typing_mode))
 
@@ -45,7 +41,7 @@ def test_optimized_equals_reference(case, monkeypatch):
 def assert_parity(case):
     typing_mode = case.typing_mode
     reference = _outcome(build_database(case), case, optimize=False)
-    for dials in ({}, {"batch": False}, {"parallel": 2}):
+    for dials in ({}, {"batch": False}):
         optimized = _outcome(build_database(case), case, **dials)
         assert optimized[0] == reference[0], (
             f"{case.case_id} {typing_mode} {dials}: optimized → {optimized}, "

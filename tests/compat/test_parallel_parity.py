@@ -1,34 +1,27 @@
-"""Batch + parallel parity over the full compatibility kit.
+"""The removed ``parallel`` dial over the full compatibility kit.
 
-Acceptance bar for the PR-6 executor (docs/PLANNER.md "Batch
-execution"): on every conformance case — every paper listing plus the
-extended and analytics corpora — execution with the batch pipeline on
-and ``parallel=2`` must be observationally identical to
-``optimize=False``: same result bag (or array, for ordered cases) or
-the same error class.
-
-The fork thresholds are forced down so the kit's small fixtures
-genuinely exercise the morsel fan-out wherever a case's plan is
-partitionable; everything else takes the serial batch or streaming
-path, which is exactly the production gating logic.
+Morsel parallelism is gone (docs/PLANNER.md, "Morsel parallelism: a
+decision record"); every query runs serially.  A per-query
+``parallel=N`` is still accepted by ``Database._effective_config``, with
+a ``DeprecationWarning``, so callers that pass it keep working.  On
+every conformance case — every paper listing plus the extended and
+analytics corpora — the ``batch`` arm runs the engine under default
+dials and the ``parallel2`` arm passes the deprecated keyword; both
+must be observationally identical to ``optimize=False``: the same
+result bag (or array, for ordered cases) or the same error class.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import pytest
 
 from repro import errors
 from repro.compat.corpus import all_cases
 from repro.compat.runner import build_database
-from repro.core import parallel
 from repro.datamodel.equality import deep_equals
 from repro.datamodel.values import Bag
-
-
-@pytest.fixture(autouse=True)
-def forkable_fixtures(monkeypatch):
-    monkeypatch.setattr(parallel, "MIN_PARALLEL_ROWS", 4)
-    monkeypatch.setattr(parallel, "MIN_MORSEL_ROWS", 2)
 
 
 def _outcome(db, case, **kwargs):
@@ -43,10 +36,15 @@ def _outcome(db, case, **kwargs):
     "case", all_cases(), ids=lambda case: case.case_id
 )
 def test_parallel_equals_reference(case, workers):
-    candidate = _outcome(build_database(case), case, parallel=workers)
+    dials = {"parallel": workers} if workers else {}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        candidate = _outcome(build_database(case), case, **dials)
+    deprecations = [w for w in caught if w.category is DeprecationWarning]
+    assert len(deprecations) == (1 if workers else 0), case.case_id
     reference = _outcome(build_database(case), case, optimize=False)
     assert candidate[0] == reference[0], (
-        f"{case.case_id}: parallel → {candidate}, reference → {reference}"
+        f"{case.case_id}: engine → {candidate}, reference → {reference}"
     )
     if candidate[0] == "error":
         assert candidate[1] == reference[1]

@@ -7,6 +7,7 @@ execution").
 from __future__ import annotations
 
 import re
+import time
 
 import pytest
 
@@ -476,8 +477,7 @@ class TestPartitionedFold:
     def test_state_equals_the_row_at_a_time_fold(self, keys, chunk_size):
         # A group spans chunk boundaries at every chunk size < 40; groups
         # are numbered in first-seen order and each folds its values in
-        # row order (merge_folds and the parallel barrier depend on
-        # both), so every group's final is its aggregate's definition
+        # row order, so every group's final is its aggregate's definition
         # over the row-at-a-time value list.
         from repro.config import DEFAULT_CONFIG
         from repro.functions.registry import REGISTRY
@@ -1142,6 +1142,30 @@ class TestChunkSize:
         assert runs[1]
 
 
+class TestMidChunkTimeout:
+    def test_timeout_fires_inside_a_chunk(self):
+        # A slow lazy source emits ~25 rows before the 50ms deadline; a
+        # batch loop that only checked limits at chunk boundaries would
+        # block for the full 1024-row chunk (~2s) before noticing.  The
+        # scan ticks the governor every 64 pulls, so the error must
+        # arrive promptly and report far fewer than 1024 rows.
+        def slow_rows():
+            for i in range(100_000):
+                time.sleep(0.002)
+                yield {"x": i}
+
+        db = Database(timeout_s=0.05)
+        db.set_lazy("slow", lambda: slow_rows())
+        started = time.perf_counter()
+        with pytest.raises(errors.ResourceExhausted) as info:
+            db.execute("SELECT VALUE s.x FROM slow AS s WHERE s.x >= 0")
+        elapsed = time.perf_counter() - started
+        assert db.metrics.last.batched is True
+        assert info.value.kind == "timeout"
+        assert info.value.rows_produced < 1024
+        assert elapsed < 1.0
+
+
 class TestSubqueryKernels:
     def test_admitted_shapes_leave_the_fallback_list(self):
         db = emp_db(rows=5, projects=3)
@@ -1199,7 +1223,6 @@ class TestSubqueryKernels:
 
 STRICT_DIALS = {
     "default": {},
-    "parallel=2": {"parallel": 2},
     "batch=False": {"batch": False},
     "optimize=False": {"optimize": False},
 }
@@ -1221,13 +1244,6 @@ class TestStrictReplay:
     different error than the stream (or an error where the stream returns
     a row): an error escaping the batch attempt re-runs the block on the
     stream, so every engine dial agrees with ``batch=False``."""
-
-    @pytest.fixture(autouse=True)
-    def forkable(self, monkeypatch):
-        from repro.core import parallel
-
-        monkeypatch.setattr(parallel, "MIN_PARALLEL_ROWS", 2)
-        monkeypatch.setattr(parallel, "MIN_MORSEL_ROWS", 1)
 
     @staticmethod
     def strict_db(**values) -> Database:
@@ -1272,23 +1288,14 @@ class TestStrictReplay:
         assert db.metrics.last.status == "error"
 
     def test_errors_chunks_and_morsels_apart(self):
-        # The same two rows 28k apart: different chunks for the serial
-        # batch run, different morsels for the workers — whose rows the
-        # parent then projects as one column.
+        # The same two rows 28k apart, in different chunks of the
+        # columns-mode run.
         rows = [{"a": i, "b": 1} for i in range(30_000)]
         rows[100] = {"a": 1, "b": 0}
         rows[28_100] = {"a": "x", "b": 1}
         db = self.strict_db(t=rows)
         query = "SELECT VALUE (t.a + 1) / t.b FROM t AS t"
         self.assert_all(db, query, errors.EvaluationError)
-        # The workers' scan succeeded; the replay is serial all the same.
-        with pytest.raises(errors.EvaluationError):
-            db.execute(query, parallel=2)
-        assert db.metrics.last.parallel_workers == 0
-        # No error: the strict block fans out and stays batched.
-        db.execute("SELECT VALUE t.b FROM t AS t", parallel=2)
-        assert db.metrics.last.batched is True
-        assert db.metrics.last.parallel_workers == 2
 
     def test_row_major_fold_surfaces_the_group_major_error(self):
         # Group b=1 is first seen at row 0 and holds the mistyped row 2;

@@ -359,10 +359,9 @@ class TestRefusals:
                 "a resource limit (timeout_s / max_rows / max_recursion) is set",
             ),
             ({"timeout_s": 60.0}, "a resource limit (timeout_s / max_rows / max_recursion) is set"),
-            ({"parallel": 2}, "parallel=2 folds in morsel workers"),
         ],
     )
-    def test_a_governed_or_parallel_database(self, dials, reason):
+    def test_a_governed_database(self, dials, reason):
         db = grown(**dials)
         assert groups_line(db, COUNT_BY_KIND) == f"groups: folded per run — {reason}"
         db.execute(COUNT_BY_KIND)

@@ -1,7 +1,6 @@
 """Per-operator cardinality annotations on EXPLAIN ANALYZE — ``est=``,
 ``actual=``, ``q-err=`` on every plan line, the worst-misestimate flag —
-across all three executors (streaming, batch-vectorized, parallel), and
-tally parity: the same query must report the same per-operator row
+in both modes of the executor (rows and columns), and tally parity: the same query must report the same per-operator row
 counts no matter which engine ran it, including under LIMIT early
 termination.
 """
@@ -13,7 +12,6 @@ import re
 import pytest
 
 from repro import Database
-from repro.core import parallel
 from repro.observability import ExecTracer
 
 JOIN_QUERY = (
@@ -22,12 +20,6 @@ JOIN_QUERY = (
 )
 
 EST = re.compile(r"\(est=[\d.?]+ actual=\d+( q-err=[\d.]+[^)]*)?\)")
-
-
-@pytest.fixture
-def small_morsels(monkeypatch):
-    monkeypatch.setattr(parallel, "MIN_PARALLEL_ROWS", 64)
-    monkeypatch.setattr(parallel, "MIN_MORSEL_ROWS", 32)
 
 
 def build_db(n: int = 100, **kwargs) -> Database:
@@ -70,13 +62,6 @@ class TestEstimateAnnotations:
         assert EST.search(out), out
         assert "q-err=" in out
         assert len(EST.findall(out)) >= 3
-
-    def test_parallel_plan_lines_carry_estimates(self, small_morsels):
-        db = build_db(n=256)
-        out = db.explain_analyze(JOIN_QUERY, parallel=2)
-        assert db.metrics.last.parallel_workers >= 2
-        assert EST.search(out), out
-        assert "q-err=" in out
 
     def test_worst_misestimate_flagged(self):
         db = skew_db()
@@ -128,56 +113,45 @@ def op_tallies(tracer: ExecTracer) -> dict:
 
 
 class TestTallyParity:
-    """Satellite (c): per-operator row tallies agree across streaming,
-    batch and parallel runs of the same query."""
+    """Satellite (c): per-operator row tallies agree across streaming
+    and batch runs of the same query."""
 
-    def test_streaming_batch_parallel_agree(self, small_morsels):
+    def test_streaming_and_batch_agree(self):
         db = build_db(n=256)
-        streaming, batch, par = ExecTracer(), ExecTracer(), ExecTracer()
+        streaming, batch = ExecTracer(), ExecTracer()
         r1 = db.execute(JOIN_QUERY, batch=False, tracer=streaming)
         r2 = db.execute(JOIN_QUERY, tracer=batch)
-        r3 = db.execute(JOIN_QUERY, parallel=2, tracer=par)
-        assert db.metrics.last.parallel_workers >= 2
-        assert len(r1) == len(r2) == len(r3)
-        t_stream, t_batch, t_par = (
-            op_tallies(streaming), op_tallies(batch), op_tallies(par)
-        )
+        assert len(r1) == len(r2)
+        t_stream, t_batch = op_tallies(streaming), op_tallies(batch)
         assert t_stream == t_batch, (t_stream, t_batch)
-        # Worker tallies merged at the barrier sum to the serial count.
-        assert t_batch == t_par, (t_batch, t_par)
 
-    def test_lateral_operator_matches_streaming_item_tallies(self, small_morsels):
-        # A comma-unnest: batch (and the fan-out) and the stream pull
-        # the same lateral operator's chunks — the same tree, so the
-        # same operator tallies, and no per-item statistics (those are
-        # the oracle's).
+    def test_lateral_operator_matches_streaming_item_tallies(self):
+        # A comma-unnest: batch and the stream pull the same lateral
+        # operator's chunks — the same tree, so the same operator
+        # tallies, and no per-item statistics (those are the oracle's).
         db = Database(query_store=False)
         db.set("o", [{"k": i % 4, "items": list(range(i % 5))} for i in range(256)])
         query = "SELECT o.k AS k, i AS i FROM o AS o, o.items AS i"
-        streaming, batch, par = ExecTracer(), ExecTracer(), ExecTracer()
+        streaming, batch = ExecTracer(), ExecTracer()
         r1 = db.execute(query, batch=False, tracer=streaming)
         r2 = db.execute(query, tracer=batch)
-        r3 = db.execute(query, parallel=2, tracer=par)
-        assert db.metrics.last.parallel_workers >= 2
-        assert len(r1) == len(r2) == len(r3) == 512 - 2  # i%5 over 256 rows
+        assert len(r1) == len(r2) == 512 - 2  # i%5 over 256 rows
         expected = {
             "Scan o AS o": (256, 256),
             "Lateral[INNER]": (len(r1), len(r1)),
         }
         assert op_tallies(streaming) == expected
         assert op_tallies(batch) == expected
-        assert op_tallies(par) == expected
         scan_item, lateral_item = db.compile(query).body.from_
         assert streaming.item_stats(scan_item) is None
         assert streaming.item_stats(lateral_item) is None
-        # With a pushed filter too: operator tallies agree across all three.
+        # With a pushed filter too: operator tallies agree in both modes.
         filtered = query + " WHERE i >= 2 AND o.k < 3"
-        tracers = [ExecTracer(), ExecTracer(), ExecTracer()]
+        tracers = [ExecTracer(), ExecTracer()]
         db.execute(filtered, batch=False, tracer=tracers[0])
         db.execute(filtered, tracer=tracers[1])
-        db.execute(filtered, parallel=2, tracer=tracers[2])
         tallies = [op_tallies(tracer) for tracer in tracers]
-        assert tallies[0] == tallies[1] == tallies[2], tallies
+        assert tallies[0] == tallies[1], tallies
         assert tallies[0]["Lateral[INNER]"][0] > tallies[0]["Lateral[INNER]"][1] > 0
 
     def test_light_tracer_counts_match_full_tracer(self):
@@ -240,22 +214,3 @@ class TestTallyParity:
             scan = next(v for k, v in tallies.items() if k.startswith("Scan"))
             assert scan[1] == 4, tallies
 
-    def test_parallel_invocations_preserved(self, small_morsels):
-        # merge_op folds worker invocation counts instead of counting
-        # one invocation per merged worker record.
-        db = build_db(n=256)
-        serial, par = ExecTracer(), ExecTracer()
-        db.execute(JOIN_QUERY, tracer=serial)
-        db.execute(JOIN_QUERY, parallel=2, tracer=par)
-        assert db.metrics.last.parallel_workers >= 2
-        serial_calls = {
-            stats.label: stats.invocations
-            for _op, stats in serial._op_stats.values()
-        }
-        par_calls = {
-            stats.label: stats.invocations
-            for _op, stats in par._op_stats.values()
-        }
-        assert set(serial_calls) == set(par_calls)
-        for label, calls in par_calls.items():
-            assert calls >= serial_calls[label]

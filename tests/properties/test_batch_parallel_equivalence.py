@@ -1,12 +1,10 @@
-"""Property test: the batch (chunk-vectorized) executor and the morsel
-fan-out preserve streaming semantics.
+"""Property test: the batch (chunk-vectorized) executor preserves
+streaming semantics.
 
 For randomly generated workloads — heterogeneous rows with optional
 (sometimes-MISSING) attributes, filters, LET chains, joins, GROUP BY
-with aggregates and HAVING — execution with ``batch=True`` (and with
-``parallel=2``, thresholds forced down so the tiny tables actually
-fork) must produce the same *bag* as the row-at-a-time streaming
-pipeline, and the identical *list* when ORDER BY fixes a total order.
+with aggregates and HAVING — execution with ``batch=True`` must produce
+the same *bag* as the row-at-a-time streaming pipeline, and the identical *list* when ORDER BY fixes a total order.
 
 Bag comparison (not ordered) is the right contract for unordered
 queries: the batch pipeline is clause-major like the eager reference
@@ -33,7 +31,6 @@ from hypothesis import given, settings, strategies as st
 from repro import Database
 from repro.catalog.catalog import Catalog
 from repro.config import EvalConfig
-from repro.core import parallel
 from repro.core.compile_expr import compile_batch
 from repro.core.environment import Environment
 from repro.core.evaluator import Evaluator
@@ -84,24 +81,21 @@ def run_modes(db: Database, query: str, ordered: bool = False) -> None:
     for typing_mode in TYPING_MODES:
         streaming = outcome(db, query, batch=False, typing_mode=typing_mode)
         assert db.metrics.last.batched is False
-        for dials in ({}, {"parallel": 2}):
-            result = outcome(db, query, typing_mode=typing_mode, **dials)
-            if isinstance(streaming, type) or isinstance(result, type):
-                assert typing_mode == "strict" and result is streaming, (
-                    query, dials, result, streaming,
-                )
-            elif ordered:
-                assert deep_equals(list(result), list(streaming)), query
-            else:
-                assert_bag_equal(result, streaming, query)
+        result = outcome(db, query, typing_mode=typing_mode)
+        if isinstance(streaming, type) or isinstance(result, type):
+            assert typing_mode == "strict" and result is streaming, (
+                query, result, streaming,
+            )
+        elif ordered:
+            assert deep_equals(list(result), list(streaming)), query
+        else:
+            assert_bag_equal(result, streaming, query)
 
 
 @pytest.fixture(autouse=True)
-def forkable_fixtures(monkeypatch):
-    """Tiny generated tables must still exercise the real fan-out, and
-    every plan any sample produces goes through the structural verifier."""
-    monkeypatch.setattr(parallel, "MIN_PARALLEL_ROWS", 8)
-    monkeypatch.setattr(parallel, "MIN_MORSEL_ROWS", 4)
+def verified(monkeypatch):
+    """Every plan any sample produces goes through the structural
+    verifier."""
     monkeypatch.setenv("REPRO_VERIFY_PLANS", "1")
 
 
@@ -173,10 +167,10 @@ def test_join_parity(left, right, kind):
 # over (paper, Section III-A: array, bag, empty, scalar, tuple, NULL,
 # absent, array of arrays), queried through every comma / JOIN / UNPIVOT
 # spelling of left-correlation and through subqueries over the row's own
-# collection.  Four executions must agree — default (batch), the eager
-# reference (``optimize=False``), streaming (``batch=False``) and the
-# morsel fan-out — in value *and* in type: a Bag stays a Bag (an empty
-# one, never MISSING), an array an array.
+# collection.  Three executions must agree — default (batch), the eager
+# reference (``optimize=False``) and streaming (``batch=False``) — in
+# value *and* in type: a Bag stays a Bag (an empty one, never MISSING),
+# an array an array.
 
 nested_elements = st.one_of(
     st.none(),
@@ -311,17 +305,17 @@ def nested_db(rows, sql_compat: bool = True) -> Database:
     return db
 
 
-def four_ways(db: Database, query: str, ordered: bool = False) -> None:
+def three_ways(db: Database, query: str, ordered: bool = False) -> None:
     reference = db.execute(query, optimize=False)
     assert isinstance(reference, list if ordered else Bag), query
     expected = typed(reference)
-    for overrides in ({}, {"batch": False}, {"parallel": 2}):
+    for overrides in ({}, {"batch": False}):
         result = db.execute(query, **overrides)
         assert typed(result) == expected, (query, overrides)
     db.execute(query)
     assert db.metrics.last.batched is True, query
     assert db.verify_plan(query) == [], query
-    four_ways_strict(db, query)
+    three_ways_strict(db, query)
 
 
 #: Consumers that may stop before an element the oracle's eager
@@ -329,29 +323,11 @@ def four_ways(db: Database, query: str, ordered: bool = False) -> None:
 BOUNDED_CONSUMERS = ("EXISTS", " IN (SELECT", "LIMIT")
 
 
-def equal_up_to_float_rounding(left, right) -> bool:
-    """:func:`typed` forms equal but for the last bits of floats: a
-    ``parallel`` fold merges per-morsel partial states, so a float SUM /
-    AVG adds partial totals where the serial fold adds element by
-    element (docs/PLANNER.md)."""
-    if isinstance(left, tuple) and isinstance(right, tuple):
-        if left[:1] == right[:1] == ("number",) and isinstance(left[1], float):
-            return math.isclose(left[1], right[1], rel_tol=1e-9, abs_tol=1e-12)
-        return len(left) == len(right) and all(
-            equal_up_to_float_rounding(a, b) for a, b in zip(left, right)
-        )
-    return left == right
-
-
-def four_ways_strict(
-    db: Database, query: str, one_class: bool = True, float_sums: bool = False
-) -> None:
+def three_ways_strict(db: Database, query: str, one_class: bool = True) -> None:
     """The strict contract.  ``one_class`` False: the data can raise
     errors of two classes, and which the row-major stream meets first
-    need not be the one the clause-major oracle meets first.
-    ``float_sums``: the query outputs a grouped SUM / AVG over floats,
-    which a ``parallel`` fold may round differently; every other result
-    must match serial exactly."""
+    need not be the one the clause-major oracle meets first.  The
+    executor's two modes agree exactly."""
 
     def strict(**dials):
         result = outcome(db, query, typing_mode="strict", **dials)
@@ -360,11 +336,6 @@ def four_ways_strict(
     reference = strict(optimize=False)
     streaming = strict(batch=False)
     assert strict() == streaming, query
-    parallel = strict(parallel=2)
-    if float_sums:
-        assert equal_up_to_float_rounding(parallel, streaming), query
-    else:
-        assert parallel == streaming, query
     if isinstance(streaming, type):
         assert isinstance(reference, type), (query, streaming, reference)
         assert streaming is reference or not one_class, (query, streaming, reference)
@@ -386,13 +357,13 @@ def test_nested_from_parity(rows, from_, consumer):
     query = template.format(
         from_=clause, vars=", ".join(f"'{name}': {name}" for name in variables)
     )
-    four_ways(nested_db(rows), query, ordered)
+    three_ways(nested_db(rows), query, ordered)
 
 
 @given(nested_rows, st.sampled_from(NESTED_SUBQUERIES), st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_subquery_over_own_collection_parity(rows, query, sql_compat):
-    four_ways(nested_db(rows, sql_compat), query)
+    three_ways(nested_db(rows, sql_compat), query)
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +416,6 @@ STRICT_QUERIES = [
     "(SELECT VALUE t.a + 1 FROM t AS t) UNION ALL (SELECT VALUE 6 / t.b FROM t AS t)",
     "SELECT VALUE t.id FROM t AS t ORDER BY t.a / t.b, t.id",
 ]
-#: The strict query whose output is a float SUM (``/`` yields floats).
-FLOAT_SUM_QUERY = "SELECT t.b AS b, SUM(t.a / t.b) AS s FROM t AS t GROUP BY t.b"
-assert FLOAT_SUM_QUERY in STRICT_QUERIES
 
 
 @given(
@@ -464,9 +432,7 @@ def test_strict_executors_agree_on_dirty_rows(rows, dirt, places, query):
     db = Database()
     db.set("t", rows)
     two_classes = ZERO_B in dirt and len(dirt) > 1
-    four_ways_strict(
-        db, query, one_class=not two_classes, float_sums=query == FLOAT_SUM_QUERY
-    )
+    three_ways_strict(db, query, one_class=not two_classes)
 
 
 # ---------------------------------------------------------------------------

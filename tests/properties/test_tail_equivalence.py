@@ -3,11 +3,10 @@
 ORDER BY, top-K, DISTINCT, window functions and PIVOT are functions of
 key columns (``repro.core.tails``); the evaluators differ only in how
 they produce a column — chunk kernels on the batch executor, one closure
-call per row under ``batch=False``, the morsel workers' rows under
-``parallel=2``, the tree-walker under ``optimize=False``.  Over
-generated rows whose keys mix NULL, MISSING, booleans, ints, floats
-(``1`` and ``1.0``: one key), strings and nested values with heavy ties,
-all four must return the same answer in both typing modes: position by
+call per row under ``batch=False``, the tree-walker under
+``optimize=False``.  Over generated rows whose keys mix NULL, MISSING,
+booleans, ints, floats (``1`` and ``1.0``: one key), strings and nested
+values with heavy ties, all three must return the same answer in both typing modes: position by
 position when the query is ordered — ties keep input order, so a top-K
 is a prefix of the full sort — and as a bag otherwise.
 
@@ -22,7 +21,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Database
-from repro.core import parallel
 from repro.datamodel.equality import deep_equals
 from repro.datamodel.values import Bag
 from repro.errors import SQLPPError
@@ -52,7 +50,7 @@ ORDER_ITEMS = st.lists(
 #: 0, inside the input, and past its end.
 CARDINALS = st.sampled_from([None, 0, 1, 3, 7, 50])
 
-ENGINE_DIALS = ({}, {"batch": False}, {"parallel": 2})
+ENGINE_DIALS = ({}, {"batch": False})
 
 
 def order_by(items) -> str:
@@ -95,11 +93,9 @@ def assert_all_agree(db: Database, query: str, ordered: bool) -> None:
 
 
 @pytest.fixture(autouse=True)
-def forkable_and_verified(monkeypatch):
-    """Tiny generated tables still fork real morsel workers, and every
-    plan a sample builds goes through the structural verifier."""
-    monkeypatch.setattr(parallel, "MIN_PARALLEL_ROWS", 8)
-    monkeypatch.setattr(parallel, "MIN_MORSEL_ROWS", 4)
+def verified(monkeypatch):
+    """Every plan a sample builds goes through the structural
+    verifier."""
     monkeypatch.setenv("REPRO_VERIFY_PLANS", "1")
 
 
