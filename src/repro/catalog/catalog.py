@@ -11,6 +11,7 @@ from __future__ import annotations
 import weakref
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
+from repro.catalog.columns import ColumnSource
 from repro.datamodel.convert import from_python
 from repro.datamodel.values import Bag, LazyBag
 from repro.errors import CatalogError
@@ -83,6 +84,10 @@ class Catalog:
         #: Per name, the version of its last create / replace / drop:
         #: what :meth:`appended_since` compares with.
         self._replaced: Dict[str, int] = {}
+        #: Per name, the stored columns scans have shredded from it
+        #: (:meth:`column_source`); discarded when the name is replaced
+        #: or dropped.
+        self._sources: Dict[str, ColumnSource] = {}
         self._watchers: List[Callable[[str, Optional[List[Any]]], None]] = []
 
     def watch(self, watcher: Callable[[str, Optional[List[Any]]], None]) -> None:
@@ -104,10 +109,40 @@ class Catalog:
         that prefix, :func:`extended`)."""
         return self._replaced.get(name, 0) <= version
 
+    def column_source(self, name: str, value: Any) -> Optional[ColumnSource]:
+        """The stored columns (:mod:`repro.catalog.columns`) of the
+        collection under ``name`` when ``value`` — what a scan is about
+        to range over — is that very bag or array, pinned to the name's
+        current version; None for anything else (a lazy bag, a value
+        that is not the catalog's)."""
+        if self._values.get(name) is not value:
+            return None
+        kind = type(value)
+        if kind is Bag:
+            elements = value._items
+        elif kind is list:
+            elements = value
+        else:
+            return None
+        version = self._versions[name]
+        source = self._sources.get(name)
+        if source is None:
+            source = self._sources[name] = ColumnSource(elements, version)
+        elif source.version != version:
+            # Only an append moves the version without discarding the
+            # source (``_changed``): the shredded prefix still holds.
+            source.advance(elements, version)
+        return source
+
+    def stored_columns(self, name: str) -> Optional[ColumnSource]:
+        """The stored columns held for ``name`` (None: none yet)."""
+        return self._sources.get(name)
+
     def _changed(self, name: str, appended: Optional[List[Any]]) -> None:
         version = self._versions[name] = self._versions.get(name, 0) + 1
         if appended is None:
             self._replaced[name] = version
+            self._sources.pop(name, None)
         for watcher in self._watchers:
             watcher(name, appended)
 

@@ -45,8 +45,8 @@ def pad_right_vars(left_binding: Binding, right_vars: List[str]) -> Binding:
     variables of joins nested inside the right side and AT position
     variables — becomes NULL.
 
-    Shared by the oracle's nested loop and every physical join operator
-    so the padding sets cannot drift apart.
+    The oracle's nested loop pads with it; the physical join operators
+    pad the same ``right_vars`` as NULL columns (``plan_ops._padded``).
     """
     padded = dict(left_binding)
     for name in right_vars:
@@ -88,12 +88,14 @@ def group_element(env: Environment, var_order: List[str]) -> Struct:
     return Struct(pairs)
 
 
-def group_elements(rows: List[Binding], var_order: List[str]) -> List[Struct]:
-    """:func:`group_element` of every binding row (a dict); the rows
-    that bind every variable share one interned shape."""
+def group_elements(
+    size: int, columns: List[List[Any]], var_order: List[str]
+) -> List[Struct]:
+    """:func:`group_element` of each of ``size`` rows given as
+    ``columns``, one per name of ``var_order``; the rows that bind every
+    variable share one interned shape."""
     shape, elements = shape_of(tuple(var_order)), []
-    for row in rows:
-        values = tuple([row.get(name, MISSING) for name in var_order])
+    for values in zip(*columns) if columns else [()] * size:
         if MISSING in values or shape.duplicates:
             pairs = [pair for pair in zip(var_order, values) if pair[1] is not MISSING]
             elements.append(Struct(pairs))

@@ -37,6 +37,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core import coercion
 from repro.core.clauses import literal_keys
+from repro.core.chunk import Chunk, survivors
 from repro.core.environment import Environment, Unbound
 from repro.core.plan_ops import flatten_lateral, governor_tick
 from repro.core.planner import free_names, is_relocatable, item_vars
@@ -61,8 +62,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.evaluator import Evaluator
 
 CompiledExpr = Callable[[Environment], Any]
-#: Chunk-at-a-time compiled expression: ``(rows, outer_env) -> values``
-#: (plus an optional shared per-chunk memo, see :func:`compile_batch`).
+#: Chunk-at-a-time compiled expression: ``(chunk, outer_env) -> values``
+#: (see :func:`compile_batch`).
 BatchExpr = Callable[..., List[Any]]
 
 
@@ -587,8 +588,9 @@ _CLOSURES: Dict[type, Callable[[Any, "Evaluator"], CompiledExpr]] = {
 # =========================================================================
 #
 # The batch executor evaluates an expression over a whole chunk of
-# binding rows.  Each AST node compiles to a *kernel*
-# ``kern(rows, memo) -> column``: one tight list comprehension whose
+# binding rows (:class:`repro.core.chunk.Chunk`: one column per
+# variable).  Each AST node compiles to a *kernel*
+# ``kern(chunk, env) -> column``: one tight list comprehension whose
 # well-typed case is inlined (``type(v) in {int, float}`` picks
 # ``v > lit``) and whose every other case — NULL, MISSING, booleans,
 # mistyped or nested values — calls the single definition in
@@ -596,12 +598,14 @@ _CLOSURES: Dict[type, Callable[[Any, "Evaluator"], CompiledExpr]] = {
 # not ``isinstance``, which keeps ``bool`` (an ``int`` subclass) off
 # the number path, so ``TRUE > 0`` still type-errors.
 #
-# ``memo`` is the per-chunk column cache: ``VarRef``/``Path`` columns
-# are stored under a structural key (``"o"``, ``("o", "qty")``) so a
-# base is dereferenced once per chunk however many conjuncts use it.
-# It also carries the enclosing environment under :data:`_ENV` for the
-# one other path: a node kind without a kernel evaluates through the
-# env-space closure per row (:meth:`_KernelCompiler.fallback`) and is
+# A ``VarRef`` kernel is the chunk's own column.  ``Path`` columns are
+# kept in the chunk's ``memo`` under a structural key (``("o", "qty")``)
+# so a base is dereferenced once per chunk however many kernels use it;
+# ``alias.attr`` over a variable a catalog scan binds reads the
+# collection's stored column through the chunk's positions
+# (:mod:`repro.catalog.columns`).  ``env`` is the enclosing environment,
+# for the one other path: a node kind without a kernel evaluates through
+# the env-space closure per row (:meth:`_KernelCompiler.fallback`) and is
 # recorded on the compiled function's ``fallbacks``.
 #
 # Sub-expressions are evaluated column-major, so when two rows of a
@@ -609,10 +613,7 @@ _CLOSURES: Dict[type, Callable[[Any, "Evaluator"], CompiledExpr]] = {
 # row than the reference reports — always one the reference raises too
 # (docs/LANGUAGE.md §8).
 
-Kernel = Callable[[List[dict], dict], List[Any]]
-
-#: Memo key of the environment the chunk's bindings extend.
-_ENV = None
+Kernel = Callable[[Chunk, Environment], List[Any]]
 
 _compare = ops.compare
 _equals = ops.equals
@@ -749,24 +750,16 @@ def _streamed_exists_rows(
     have pulled: for each owner not already decided (``hit``), its rows
     up to and including its first survivor (``keep``: surviving
     positions, None for all)."""
-    survivors = set(keep) if keep is not None else None
+    kept = set(keep) if keep is not None else None
     pulled = 0
     decided = -1  # owners ascend, so one "decided in this slice" suffices
     for k, owner in enumerate(owners):
         if owner == decided or hit[owner]:
             continue
         pulled += 1
-        if survivors is None or k in survivors:
+        if kept is None or k in kept:
             decided = owner
     return pulled
-
-
-def _rows_at(rows: List[dict], memo: dict, picks: List[int]):
-    """The sub-chunk at positions ``picks`` with a memo of its own
-    (memoised columns are positional, so they do not carry over)."""
-    if len(picks) == len(rows):
-        return rows, memo
-    return [rows[k] for k in picks], {_ENV: memo[_ENV]}
 
 
 def compile_batch(
@@ -774,46 +767,53 @@ def compile_batch(
 ) -> "BatchExpr":
     """Compile ``expr`` to a function over a whole chunk of bindings.
 
-    The result maps ``(rows, env) -> values`` where ``rows`` is a list of
-    binding dicts each containing (at least) the names in ``row_vars``
-    and ``env`` is the enclosing environment those bindings would extend.
-    Callers evaluating several expressions over the *same* chunk may pass
-    one ``memo`` dict to all of them so shared ``VarRef``/``Path``
-    columns are computed once.  ``fallbacks`` on the returned function
-    lists the nodes that had no kernel and run the env-space closure per
-    row; callers go through ``Evaluator.compiled_batch`` so an
-    expression is compiled once per evaluator, not per execution.
+    The result maps ``(chunk, env) -> values`` where ``chunk`` is a
+    :class:`~repro.core.chunk.Chunk` binding (at least) the names in
+    ``row_vars`` — or a list of binding dicts, adapted at the entry —
+    and ``env`` is the enclosing environment those bindings would
+    extend.  Kernels over the same chunk share its ``memo``, so a
+    ``Path`` column is computed once per chunk.  ``fallbacks`` on the
+    returned function lists the nodes that had no kernel and run the
+    env-space closure per row; ``stored_reads`` the variables of its
+    ``alias.attr`` reads, which a chunk whose ``alias`` a catalog scan
+    binds serves from stored columns.  Callers go through
+    ``Evaluator.compiled_batch`` so an expression is compiled once per
+    evaluator, not per execution.
 
     ``one_row`` compiles for the one-row chunks the stream pulls where
-    row order is observable: the expression's closure over each row,
-    which evaluates exactly what a row-at-a-time pipeline does (the
-    segmented subquery works a row's whole collection, where a streamed
-    EXISTS stops at its first hit) and costs less than columns of one.
+    row order is observable: the expression's closure (``closure`` on
+    the result) over each row, which evaluates exactly what a
+    row-at-a-time pipeline does (the segmented subquery works a row's
+    whole collection, where a streamed EXISTS stops at its first hit)
+    and costs less than columns of one.
     """
     if one_row:
         env_fn = evaluator.compiled(expr)
 
-        def one_row_batch(
-            rows: List[dict], env: Environment, memo: Optional[dict] = None
-        ) -> List[Any]:
-            if len(rows) == 1:
-                return [env_fn(env.extend(rows[0]))]
-            return [env_fn(env.extend(row)) for row in rows]
+        def one_row_batch(rows: Chunk, env: Environment) -> List[Any]:
+            if type(rows) is list:
+                bindings = rows
+            else:
+                bindings = rows._rows or rows.rows()
+            if len(bindings) == 1:
+                return [env_fn(env.extend(bindings[0]))]
+            extend = env.extend
+            return [env_fn(extend(row)) for row in bindings]
 
         one_row_batch.fallbacks = (expr,)  # type: ignore[attr-defined]
+        one_row_batch.stored_reads = ()  # type: ignore[attr-defined]
+        one_row_batch.closure = env_fn  # type: ignore[attr-defined]
         return one_row_batch
     compiler = _KernelCompiler(evaluator, row_vars)
     kernel = compiler.compile(expr)
 
-    def batch(
-        rows: List[dict], env: Environment, memo: Optional[dict] = None
-    ) -> List[Any]:
-        if memo is None:
-            memo = {}
-        memo[_ENV] = env
-        return kernel(rows, memo)
+    def batch(rows: Chunk, env: Environment) -> List[Any]:
+        if type(rows) is list:
+            rows = Chunk.from_rows(rows)
+        return kernel(rows, env)
 
     batch.fallbacks = tuple(compiler.fallbacks)  # type: ignore[attr-defined]
+    batch.stored_reads = tuple(compiler.stored_reads)  # type: ignore[attr-defined]
     return batch
 
 
@@ -825,6 +825,8 @@ class _KernelCompiler:
         self.config = evaluator.config
         self.row_vars = row_vars
         self.fallbacks: List[ast.Expr] = []
+        #: The variable of each ``alias.attr`` read over a row variable.
+        self.stored_reads: List[str] = []
 
     def compile(self, expr: ast.Expr) -> Kernel:
         method = _KERNELS.get(type(expr))
@@ -838,9 +840,9 @@ class _KernelCompiler:
         self.fallbacks.append(expr)
         env_fn = self.evaluator.compiled(expr)
 
-        def batch_fallback(rows: List[dict], memo: dict) -> List[Any]:
-            extend = memo[_ENV].extend
-            return [env_fn(extend(row)) for row in rows]
+        def batch_fallback(rows: Chunk, env) -> List[Any]:
+            extend = env.extend
+            return [env_fn(extend(row)) for row in rows.rows()]
 
         return batch_fallback
 
@@ -848,20 +850,14 @@ class _KernelCompiler:
 
     def literal(self, expr: ast.Literal) -> Kernel:
         value = expr.value
-        return lambda rows, memo: [value] * len(rows)
+        return lambda rows, env: [value] * rows.size
 
     def var_ref(self, expr: ast.VarRef) -> Optional[Kernel]:
         name = expr.name
         if name not in self.row_vars:
             return None
 
-        def var_column(rows: List[dict], memo: dict) -> List[Any]:
-            column = memo.get(name)
-            if column is None:
-                column = memo[name] = [row[name] for row in rows]
-            return column
-
-        return var_column
+        return lambda rows, env: rows.column(name)
 
     def _column_key(self, expr: ast.Expr) -> Any:
         """Structural memo key of a path rooted at a row variable."""
@@ -878,19 +874,15 @@ class _KernelCompiler:
             # Rooted outside the row: possibly a dotted catalog name,
             # which only the env-space closure resolves.
             return None
-        base_kernel = self.compile(expr.base)
         attr = expr.attr
         config = self.config
         navigate = ops.navigate_path
-        # One dict probe in the row's interned shape: the first position
-        # of the name (first match, duplicate names or not), or a miss,
-        # which is MISSING.
-        def path_column(rows: List[dict], memo: dict) -> List[Any]:
-            if key is not None:
-                column = memo.get(key)
-                if column is not None:
-                    return column
-            column = [
+
+        def probe(bases: List[Any]) -> List[Any]:
+            # One dict probe in the value's interned shape: the first
+            # position of the name (first match, duplicate names or not),
+            # or a miss, which is MISSING.
+            return [
                 (
                     MISSING
                     if (at := base._shape.index.get(attr)) is None
@@ -898,10 +890,39 @@ class _KernelCompiler:
                 )
                 if type(base) is Struct
                 else navigate(base, attr, config)
-                for base in base_kernel(rows, memo)
+                for base in bases
             ]
-            if key is not None:
-                memo[key] = column
+
+        if key is not None and isinstance(expr.base, ast.VarRef):
+            name = expr.base.name
+            self.stored_reads.append(name)
+
+            def variable_path(rows: Chunk, env) -> List[Any]:
+                memo = rows.memo
+                if memo is None:
+                    memo = rows.memo = {}
+                column = memo.get(key)
+                if column is None:
+                    stored = rows.stored.get(name)
+                    if stored is not None:
+                        column = stored[0].read(attr, stored[1], navigate, config)
+                    else:
+                        column = probe(rows.column(name))
+                    memo[key] = column
+                return column
+
+            return variable_path
+        base_kernel = self.compile(expr.base)
+
+        def path_column(rows: Chunk, env) -> List[Any]:
+            if key is None:
+                return probe(base_kernel(rows, env))
+            memo = rows.memo
+            if memo is None:
+                memo = rows.memo = {}
+            column = memo.get(key)
+            if column is None:
+                column = memo[key] = probe(base_kernel(rows, env))
             return column
 
         return path_column
@@ -911,9 +932,9 @@ class _KernelCompiler:
         index = self.compile(expr.index)
         config = self.config
         navigate = ops.navigate_index
-        return lambda rows, memo: [
+        return lambda rows, env: [
             navigate(b, i, config)
-            for b, i in zip(base(rows, memo), index(rows, memo))
+            for b, i in zip(base(rows, env), index(rows, env))
         ]
 
     # -- operators ---------------------------------------------------------
@@ -928,34 +949,34 @@ class _KernelCompiler:
             if kind in _NUMBERS or (kind is str and op not in _NUMBER_ONLY):
                 template = _LITERAL_OPS[op]
                 kinds = _STRINGS if kind is str else _NUMBERS
-                return lambda rows, memo: template(
-                    left(rows, memo), lit, kinds, config
+                return lambda rows, env: template(
+                    left(rows, env), lit, kinds, config
                 )
         right = self.compile(expr.right)
         columns = _COLUMN_OPS.get(op)
         if columns is not None:
-            return lambda rows, memo: columns(
-                left(rows, memo), right(rows, memo), config
+            return lambda rows, env: columns(
+                left(rows, env), right(rows, env), config
             )
-        return lambda rows, memo: [
+        return lambda rows, env: [
             _arithmetic(op, a, b, config)
-            for a, b in zip(left(rows, memo), right(rows, memo))
+            for a, b in zip(left(rows, env), right(rows, env))
         ]
 
     def unary(self, expr: ast.Unary) -> Kernel:
         operand = self.compile(expr.operand)
         config = self.config
         if expr.op == "NOT":
-            return lambda rows, memo: _not_column(operand(rows, memo), config)
+            return lambda rows, env: _not_column(operand(rows, env), config)
         if expr.op == "-":
             negate = ops.negate
-            return lambda rows, memo: [
+            return lambda rows, env: [
                 -v if type(v) in _NUMBERS else negate(v, config)
-                for v in operand(rows, memo)
+                for v in operand(rows, env)
             ]
         unary_plus = ops.unary_plus
-        return lambda rows, memo: [
-            unary_plus(v, config) for v in operand(rows, memo)
+        return lambda rows, env: [
+            unary_plus(v, config) for v in operand(rows, env)
         ]
 
     def is_predicate(self, expr: ast.IsPredicate) -> Kernel:
@@ -964,28 +985,28 @@ class _KernelCompiler:
         negated = expr.negated
         if kind == "MISSING":
             if negated:
-                return lambda rows, memo: [
-                    v is not MISSING for v in operand(rows, memo)
+                return lambda rows, env: [
+                    v is not MISSING for v in operand(rows, env)
                 ]
-            return lambda rows, memo: [v is MISSING for v in operand(rows, memo)]
+            return lambda rows, env: [v is MISSING for v in operand(rows, env)]
         if kind in ("NULL", "ABSENT"):
             # ``IS NULL`` holds for MISSING too (ops.is_predicate).
             if negated:
-                return lambda rows, memo: [
+                return lambda rows, env: [
                     v is not None and v is not MISSING
-                    for v in operand(rows, memo)
+                    for v in operand(rows, env)
                 ]
-            return lambda rows, memo: [
-                v is None or v is MISSING for v in operand(rows, memo)
+            return lambda rows, env: [
+                v is None or v is MISSING for v in operand(rows, env)
             ]
         config = self.config
         test = ops.is_predicate
         if negated:
-            return lambda rows, memo: [
-                not test(v, kind, config) for v in operand(rows, memo)
+            return lambda rows, env: [
+                not test(v, kind, config) for v in operand(rows, env)
             ]
-        return lambda rows, memo: [
-            test(v, kind, config) for v in operand(rows, memo)
+        return lambda rows, env: [
+            test(v, kind, config) for v in operand(rows, env)
         ]
 
     def between(self, expr: ast.Between) -> Kernel:
@@ -997,12 +1018,12 @@ class _KernelCompiler:
         at_least, at_most = _COLUMN_OPS[">="], _COLUMN_OPS["<="]
         both = _COLUMN_OPS["AND"]
 
-        def between_column(rows: List[dict], memo: dict) -> List[Any]:
+        def between_column(rows: Chunk, env) -> List[Any]:
             # All three operand columns before any comparison, as the
             # reference interpreter orders it.
-            values = operand(rows, memo)
-            lows = low(rows, memo)
-            highs = high(rows, memo)
+            values = operand(rows, env)
+            lows = low(rows, env)
+            highs = high(rows, env)
             verdicts = both(
                 at_least(values, lows, config),
                 at_most(values, highs, config),
@@ -1024,12 +1045,12 @@ class _KernelCompiler:
             # mistyped) take the one definition in ops.like.
             fullmatch = ops._like_regex(pattern, escape).fullmatch
 
-            def like_column(rows: List[dict], memo: dict) -> List[Any]:
+            def like_column(rows: Chunk, env) -> List[Any]:
                 verdicts = [
                     (fullmatch(v) is not None)
                     if type(v) is str
                     else like(v, pattern, escape, config)
-                    for v in operand(rows, memo)
+                    for v in operand(rows, env)
                 ]
                 return _not_column(verdicts, config) if negated else verdicts
 
@@ -1039,13 +1060,13 @@ class _KernelCompiler:
             self.compile(expr.escape) if expr.escape is not None else None
         )
 
-        def like_dynamic_column(rows: List[dict], memo: dict) -> List[Any]:
-            values = operand(rows, memo)
-            patterns = pattern_kernel(rows, memo)
+        def like_dynamic_column(rows: Chunk, env) -> List[Any]:
+            values = operand(rows, env)
+            patterns = pattern_kernel(rows, env)
             escapes = (
-                escape_kernel(rows, memo)
+                escape_kernel(rows, env)
                 if escape_kernel is not None
-                else [None] * len(rows)
+                else [None] * rows.size
             )
             verdicts = [
                 like(v, p, e, config)
@@ -1070,18 +1091,18 @@ class _KernelCompiler:
                 frozenset(key[1] for key in keys) if category == "string" else None
             )
 
-            def probe_column(rows: List[dict], memo: dict) -> List[Any]:
+            def probe_column(rows: Chunk, env) -> List[Any]:
                 if members is not None:
                     verdicts = [
                         (v in members)
                         if type(v) is str
                         else _probe_verdict(v, probe, config)
-                        for v in operand(rows, memo)
+                        for v in operand(rows, env)
                     ]
                 else:
                     verdicts = [
                         _probe_verdict(v, probe, config)
-                        for v in operand(rows, memo)
+                        for v in operand(rows, env)
                     ]
                 return _not_column(verdicts, config) if negated else verdicts
 
@@ -1089,10 +1110,10 @@ class _KernelCompiler:
         collection = self.compile(expr.collection)
         contains = ops.in_collection
 
-        def in_column(rows: List[dict], memo: dict) -> List[Any]:
+        def in_column(rows: Chunk, env) -> List[Any]:
             verdicts = [
                 contains(v, c, config)
-                for v, c in zip(operand(rows, memo), collection(rows, memo))
+                for v, c in zip(operand(rows, env), collection(rows, env))
             ]
             return _not_column(verdicts, config) if negated else verdicts
 
@@ -1106,7 +1127,7 @@ class _KernelCompiler:
         operand = self.compile(expr.operand)
         config = self.config
         exists = ops.exists
-        return lambda rows, memo: [exists(v, config) for v in operand(rows, memo)]
+        return lambda rows, env: [exists(v, config) for v in operand(rows, env)]
 
     # -- subqueries over a row's own collection ----------------------------
 
@@ -1173,6 +1194,7 @@ class _KernelCompiler:
             compiler = _KernelCompiler(self.evaluator, row_vars)
             kernel = compiler.compile(expr)
             self.fallbacks.extend(compiler.fallbacks)
+            self.stored_reads.extend(compiler.stored_reads)
             return kernel
 
         items = body.from_
@@ -1183,27 +1205,27 @@ class _KernelCompiler:
         evaluator = self.evaluator
         config = self.config
 
-        def slices(level: int, rows: List[dict], owners: Any, memo: dict, tick):
+        def slices(level: int, rows: Chunk, owners: Any, env, tick):
             """``(flat rows, owner per flat row)`` after ranging items
             ``level``.. over ``rows`` (whose own owners are ``owners``)."""
             if level == len(items):
                 yield rows, owners
                 return
-            column = sources[level](rows, memo)
+            column = sources[level](rows, env)
             for flat, local in flatten_lateral(
-                items[level], rows, column, config, tick, True
+                items[level], rows, column, config, tick
             ):
                 if owners is not None:
                     local = [owners[k] for k in local]
-                yield from slices(
-                    level + 1, flat, local, {_ENV: memo[_ENV]}, tick
-                )
+                yield from slices(level + 1, flat, local, env, tick)
 
-        def subquery_column(rows: List[dict], memo: dict) -> List[Any]:
+        def subquery_column(rows: Chunk, env) -> List[Any]:
             if not rows:
                 return []
             hit = [False] * len(rows)
-            segments: List[List[Any]] = [] if exists else [[] for __ in rows]
+            segments: List[List[Any]] = []
+            if not exists:
+                segments = [[] for __ in range(len(rows))]
             governor = evaluator.governor
             account = tick = governor_tick(governor)
             if governor is not None:
@@ -1213,15 +1235,10 @@ class _KernelCompiler:
                     # is what the first-hit-stopping stream would pull.
                     tick = lambda produced: governor.add(0)  # noqa: E731
             try:
-                for flat, owners in slices(0, rows, None, memo, tick):
-                    flat_memo = {_ENV: memo[_ENV]}
+                for flat, owners in slices(0, rows, None, env, tick):
                     keep = None
                     if where is not None:
-                        keep = [
-                            k
-                            for k, verdict in enumerate(where(flat, flat_memo))
-                            if verdict is True
-                        ]
+                        keep = survivors(where(flat, env))
                     if exists:
                         if account is not None:
                             account(_streamed_exists_rows(owners, keep, hit))
@@ -1233,15 +1250,15 @@ class _KernelCompiler:
                                 hit[owners[k]] = True
                                 first.append(k)
                         if first:
-                            select(*_rows_at(flat, flat_memo, first))
+                            select(flat.keep(first), env)
                         continue
                     if keep is not None:
                         if not keep:
                             continue
                         if len(keep) != len(flat):
                             owners = [owners[k] for k in keep]
-                        flat, flat_memo = _rows_at(flat, flat_memo, keep)
-                    for owner, value in zip(owners, select(flat, flat_memo)):
+                        flat = flat.keep(keep)
+                    for owner, value in zip(owners, select(flat, env)):
                         segments[owner].append(value)
             finally:
                 if governor is not None:
@@ -1268,14 +1285,14 @@ class _KernelCompiler:
         otherwise = self.compile(expr.else_) if expr.else_ is not None else None
         equals_columns = _COLUMN_OPS["="]
 
-        def case_column(rows: List[dict], memo: dict) -> List[Any]:
+        def case_column(rows: Chunk, env) -> List[Any]:
             out: List[Any] = [None] * len(rows)
-            #: Output positions still undecided, their rows and memo.
+            #: Output positions still undecided, and their rows.
             pending: Any = range(len(rows))
-            live, live_memo = rows, memo
+            live = rows
             subjects = None
             if operand is not None:
-                subjects = operand(rows, memo)
+                subjects = operand(rows, env)
                 if propagate:
                     keep = [k for k, v in enumerate(subjects) if v is not MISSING]
                     if len(keep) != len(rows):
@@ -1283,18 +1300,17 @@ class _KernelCompiler:
                             if v is MISSING:
                                 out[k] = MISSING
                         pending = keep
-                        live, live_memo = _rows_at(rows, memo, keep)
+                        live = rows.keep(keep)
                         subjects = [subjects[k] for k in keep]
             for condition, result in whens:
                 if not live:
                     return out
-                verdicts = condition(live, live_memo)
+                verdicts = condition(live, env)
                 if subjects is not None:
                     verdicts = equals_columns(subjects, verdicts, config)
-                hits = [k for k, v in enumerate(verdicts) if v is True]
+                hits = survivors(verdicts)
                 if hits:
-                    hit_rows, hit_memo = _rows_at(live, live_memo, hits)
-                    for k, value in zip(hits, result(hit_rows, hit_memo)):
+                    for k, value in zip(hits, result(live.keep(hits), env)):
                         out[pending[k]] = value
                 rest = []
                 for k, v in enumerate(verdicts):
@@ -1304,11 +1320,11 @@ class _KernelCompiler:
                         rest.append(k)
                 if len(rest) != len(live):
                     pending = [pending[k] for k in rest]
-                    live, live_memo = _rows_at(live, live_memo, rest)
+                    live = live.keep(rest)
                     if subjects is not None:
                         subjects = [subjects[k] for k in rest]
             if otherwise is not None and live:
-                for position, value in zip(pending, otherwise(live, live_memo)):
+                for position, value in zip(pending, otherwise(live, env)):
                     out[position] = value
             return out
 
@@ -1326,10 +1342,10 @@ class _KernelCompiler:
         invoke = definition.invoke
         args = [self.compile(arg) for arg in expr.args]
         if not args:
-            return lambda rows, memo: [invoke([], config) for __ in rows]
-        return lambda rows, memo: [
+            return lambda rows, env: [invoke([], config) for __ in range(rows.size)]
+        return lambda rows, env: [
             invoke(list(values), config)
-            for values in zip(*[arg(rows, memo) for arg in args])
+            for values in zip(*[arg(rows, env) for arg in args])
         ]
 
     def struct(self, expr: ast.StructLit) -> Optional[Kernel]:
@@ -1340,24 +1356,24 @@ class _KernelCompiler:
         shape = shape_of(tuple(keys))
         make = Struct._trusted
         if not keys:
-            return lambda rows, memo: [make(shape, ()) for __ in rows]
+            return lambda rows, env: [make(shape, ()) for __ in range(rows.size)]
 
-        def struct_column(rows: List[dict], memo: dict) -> List[Struct]:
-            columns = [value(rows, memo) for value in values]
+        def struct_column(rows: Chunk, env) -> List[Struct]:
+            columns = [value(rows, env) for value in values]
             if any(MISSING in column for column in columns):
                 return [_literal_struct(shape, row) for row in zip(*columns)]
             return [make(shape, row) for row in zip(*columns)]
 
         return struct_column
 
-    def _items(self, items: List[ast.Expr]) -> Callable[[List[dict], dict], list]:
+    def _items(self, items: List[ast.Expr]) -> Kernel:
         """Rows of present item values for an array/bag constructor."""
         kernels = [self.compile(item) for item in items]
         if not kernels:
-            return lambda rows, memo: [[] for __ in rows]
-        return lambda rows, memo: [
+            return lambda rows, env: [[] for __ in range(rows.size)]
+        return lambda rows, env: [
             [v for v in values if v is not MISSING]
-            for values in zip(*[kernel(rows, memo) for kernel in kernels])
+            for values in zip(*[kernel(rows, env) for kernel in kernels])
         ]
 
     def array(self, expr: ast.ArrayLit) -> Kernel:
@@ -1365,7 +1381,7 @@ class _KernelCompiler:
 
     def bag(self, expr: ast.BagLit) -> Kernel:
         items = self._items(expr.items)
-        return lambda rows, memo: [Bag(values) for values in items(rows, memo)]
+        return lambda rows, env: [Bag(values) for values in items(rows, env)]
 
 
 _KERNELS = {

@@ -19,23 +19,26 @@ strategy.  This module provides the physical operators the planner
   right item ranges over an expression of the left variables, a whole
   left chunk flattened at a time.
 
-One protocol: an operator yields its bindings only as *chunks* — lists
-of binding dicts — from :meth:`PlanOp.iter_chunks`, whose ``size``
-bounds one pull.  No chunk is longer than ``size``, and an operator
-pulls from its source and evaluates expressions at most one slice of
-``size`` rows ahead of the chunk it yields; at ``size=1`` each operator
-pulls, evaluates and tells the governor exactly what the
-specification's nested loop does, one binding at a time, in the same
-order, before it yields.  The executor and the typing
-mode pick ``size``: the batch executor pulls :data:`CHUNK_ROWS`, and
-so does the stream when typing is permissive and its consumer drains
-the block; the stream pulls one-row chunks where
-row order is observable — a consumer that can stop early (unordered
-LIMIT / OFFSET, EXISTS, IN) and strict typing, where it is the replay
-target and column-major kernels would change which error surfaces.
-Closing the iterator closes the whole upstream pipeline.  Only what
-*must* be materialized is — the hash-join build table and the
-materialize-once right side (both built lazily, on the first left row).
+One protocol: an operator yields its bindings only as *chunks*
+(:class:`repro.core.chunk.Chunk`: a row count and one column per bound
+variable) from :meth:`PlanOp.iter_chunks`, whose ``size`` bounds one
+pull.  No chunk is longer than ``size``, and an operator pulls from its
+source and evaluates expressions at most one slice of ``size`` rows
+ahead of the chunk it yields; at ``size=1`` each operator pulls,
+evaluates and tells the governor exactly what the specification's
+nested loop does, one binding at a time, in the same order, before it
+yields.  The executor and the typing mode pick ``size``: the batch
+executor pulls :data:`CHUNK_ROWS`, and so does the stream when typing is
+permissive and its consumer drains the block; the stream pulls one-row
+chunks where row order is observable — a consumer that can stop early
+(unordered LIMIT / OFFSET, EXISTS, IN) and strict typing, where it is
+the replay target and column-major kernels would change which error
+surfaces.  Closing the iterator closes the whole upstream pipeline.
+Only what *must* be materialized is — the hash-join build table and the
+materialize-once right side (both built lazily, on the first left
+chunk).  A scan of a catalog collection binds its alias as positions
+into the collection (:meth:`Catalog.column_source`); filters and joins
+take positions as they take columns.
 
 Every operator must be observationally equivalent to the reference
 interpreter (:mod:`repro.core.reference`, which this module never
@@ -51,7 +54,7 @@ generated workloads.
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 from time import perf_counter
 from typing import (
     Any,
@@ -60,11 +63,12 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
     TYPE_CHECKING,
 )
 
-from repro.core.clauses import pad_right_vars
+from repro.core.chunk import Chunk, cut, survivors
 from repro.datamodel.equality import group_key
 from repro.datamodel.values import Bag, LazyBag, MISSING, Struct, type_name
 from repro.errors import TypeCheckError
@@ -73,8 +77,6 @@ from repro.syntax import ast
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.environment import Environment
     from repro.core.evaluator import Evaluator
-
-Binding = Dict[str, Any]
 
 #: Rows per chunk where row order is not observable (module docstring):
 #: an upper bound — filtered or final chunks are smaller — trading
@@ -100,7 +102,7 @@ def close_iter(it) -> None:
 
 
 class PlanOp:
-    """Base class: produces binding dicts for one FROM item subtree."""
+    """Base class: produces the binding chunks of one FROM item subtree."""
 
     #: Variables this operator binds (set by the planner).
     vars: List[str]
@@ -131,7 +133,7 @@ class PlanOp:
         env: "Environment",
         size: int = CHUNK_ROWS,
         morsel: Optional[Tuple[int, int]] = None,
-    ) -> Iterator[List[Binding]]:
+    ) -> Iterator[Chunk]:
         """Yield this operator's binding rows in chunks of at most
         ``size`` rows, its pushed filters applied — the one way an
         operator yields bindings (module docstring).
@@ -157,7 +159,7 @@ class PlanOp:
 
     def _produce(
         self, evaluator, env, size: int, morsel
-    ) -> Iterator[List[Binding]]:
+    ) -> Iterator[Chunk]:
         """The operator's rows before its pushed filters, in chunks of
         at most ``size``, each told to the governor before it is
         yielded."""
@@ -184,7 +186,7 @@ class PlanOp:
 
     def _observed(
         self, evaluator, env, chunks, tracer, one_row
-    ) -> Iterator[List[Binding]]:
+    ) -> Iterator[Chunk]:
         """``chunks`` through the pushed-filter kernels, counted (and,
         under a timing tracer, timed) for the tracer."""
         fns = self._filter_kernels(evaluator, one_row)
@@ -197,22 +199,19 @@ class PlanOp:
         started = perf_counter() if timing else 0.0
         try:
             for chunk in chunks:
-                rows_in += len(chunk)
+                rows_in += chunk.size
                 for fn in fns:
                     verdicts = fn(chunk, env)
-                    if len(chunk) == 1:
+                    if chunk.size == 1:
                         # A one-row pull keeps or drops its chunk whole.
-                        chunk = chunk if verdicts[0] is True else []
+                        if verdicts[0] is not True:
+                            break
                     else:
-                        chunk = [
-                            row
-                            for row, verdict in zip(chunk, verdicts)
-                            if verdict is True
-                        ]
-                    if not chunk:
-                        break
-                if chunk:
-                    rows_out += len(chunk)
+                        chunk = chunk.keep(survivors(verdicts))
+                        if not chunk.size:
+                            break
+                else:
+                    rows_out += chunk.size
                     if timing:
                         elapsed += perf_counter() - started
                     yield chunk
@@ -290,8 +289,16 @@ class ScanOp(PlanOp):
     pushed filters before any cross product."""
 
     def __init__(self, item: ast.FromItem):
+        from repro.catalog.statistics import source_name
+
         super().__init__()
         self.item = item
+        #: The catalog name a FromCollection ranges over, if its source
+        #: is name-shaped; the scan reads that collection's stored
+        #: columns when the name resolves to it (not to a variable).
+        self.source_name = (
+            source_name(item.expr) if isinstance(item, ast.FromCollection) else None
+        )
 
     def _produce(self, evaluator, env, size, morsel):
         """What :func:`lateral_bindings` says the source binds, ``size``
@@ -305,7 +312,7 @@ class ScanOp(PlanOp):
             # built, the governor told as elements arrive so a slow
             # source cannot defer a timeout to the chunk boundary.
             for chunk, __ in flatten_lateral(
-                item, [{}], [value], evaluator.config, tick, False, size
+                item, Chunk(1, {}), [value], evaluator.config, tick, size
             ):
                 yield chunk
             return
@@ -314,38 +321,41 @@ class ScanOp(PlanOp):
         if size == 1:
             # One binding per pull, without slicing a chunk out of the
             # source each time: the stream's pull where order shows.
-            if not at:
-                for element in elements:
-                    if tick is not None:
-                        tick(1)
-                    yield [{alias: element}]
-                return
             if positions is None:
                 positions = repeat(MISSING)  # bags have no positions
             for element, position in zip(elements, positions):
                 if tick is not None:
                     tick(1)
-                yield [{alias: element, at: position}]
+                if at:
+                    yield Chunk.of_row({alias: element, at: position})
+                else:
+                    yield Chunk.of_row({alias: element})
             return
+        source = None
+        if self.source_name is not None:
+            # The catalog's stored columns (Catalog.column_source), when
+            # the name resolved to its collection; plain mappings have none.
+            column_source = getattr(evaluator._catalog, "column_source", None)
+            if column_source is not None:
+                source = column_source(self.source_name, value)
         if isinstance(elements, Bag):
             elements = elements._items  # only sliced: a span costs its length
-        base = 0
-        if morsel is not None:
-            base, stop = morsel
-            elements = elements[base:stop]
-        for start in range(0, len(elements), size):
-            piece = elements[start : start + size]
+        start, stop = (0, len(elements)) if morsel is None else morsel
+        for first in range(start, stop, size):
+            last = min(first + size, stop)
             if tick is not None:
-                tick(len(piece))
-            if not at:
-                yield [{alias: element} for element in piece]
-            elif positions is None:
-                yield [{alias: element, at: MISSING} for element in piece]
+                tick(last - first)
+            if source is not None:
+                chunk = Chunk(last - first, {}, {alias: (source, range(first, last))})
             else:
-                names = positions[base + start : base + start + size]
-                yield [
-                    {alias: element, at: name} for element, name in zip(piece, names)
-                ]
+                chunk = Chunk(last - first, {alias: elements[first:last]})
+            if at:
+                chunk.columns[at] = (
+                    [MISSING] * (last - first)
+                    if positions is None
+                    else list(positions[first:last])
+                )
+            yield chunk
 
     def describe(self) -> str:
         from repro.syntax.printer import print_ast
@@ -404,71 +414,72 @@ class _JoinOp(PlanOp):
             return []
         return [evaluator.compiled_batch(self.on, frozenset(self.vars), one_row)]
 
-    def _pairing(self, evaluator, env, size, tick, want_owners):
+    def _pairing(self, evaluator, env, size, tick):
         """A function from one left chunk to its ``(candidates,
-        owners)`` slices."""
+        owners)`` slices: chunks of left rows paired with right rows,
+        and the index of the left row each candidate extends."""
         raise NotImplementedError
 
     def _produce(self, evaluator, env, size, morsel):
-        conditions = self._conditions(evaluator, size == 1)
-        tick = governor_tick(evaluator.governor)
-        count = tick if self.counts_matches else None
-        is_left = self.kind == "LEFT"
-        right_vars = self.right_vars
-        pairing = self._pairing(evaluator, env, size, tick, is_left)
-        out: List[Binding] = []
         source = self.left.iter_chunks(evaluator, env, size, morsel)
         try:
-            for left_chunk in source:
-                #: Left rows below ``settled`` have had their LEFT pad
-                #: decided; ``matched`` marks rows that kept a candidate.
-                settled = 0
-                matched = bytearray(len(left_chunk)) if is_left else None
-                for rows, owners in pairing(left_chunk):
-                    for fn in conditions:
-                        if not rows:
-                            break
-                        keep = [
-                            k for k, verdict in enumerate(fn(rows, env))
-                            if verdict is True
-                        ]
-                        if len(keep) != len(rows):
-                            rows = [rows[k] for k in keep]
-                            if is_left:
-                                owners = [owners[k] for k in keep]
-                    if count is not None and rows:
-                        count(len(rows))
-                    if is_left:
-                        # Owners ascend, so a row of owner ``o`` proves
-                        # every earlier left row complete: pad those
-                        # that never matched, in left order.
-                        merged: List[Binding] = []
-                        for row, owner in zip(rows, owners):
-                            if settled < owner:
-                                merged.extend(
-                                    _pads(left_chunk, matched, settled, owner,
-                                          right_vars, tick)
-                                )
-                                settled = owner
-                            matched[owner] = 1
-                            merged.append(row)
-                        rows = merged
-                    out += rows
-                    while len(out) >= size:
-                        chunk, out = out[:size], out[size:]
-                        yield chunk
-                if is_left:
-                    out += _pads(
-                        left_chunk, matched, settled, len(left_chunk),
-                        right_vars, tick,
-                    )
-                    while len(out) >= size:
-                        chunk, out = out[:size], out[size:]
-                        yield chunk
-            if out:
-                yield out
+            yield from cut(self._pieces(evaluator, env, size, source), size)
         finally:
             close_iter(source)
+
+    def _pieces(self, evaluator, env, size, source) -> Iterator[Chunk]:
+        """The output rows in order, in pieces of at most ``size``."""
+        conditions = self._conditions(evaluator, size == 1)
+        tick = governor_tick(evaluator.governor)
+        tell = tick if self.counts_matches else None
+        is_left = self.kind == "LEFT"
+        right_vars = self.right_vars
+        pairing = self._pairing(evaluator, env, size, tick)
+        for left_chunk in source:
+            #: Left rows below ``settled`` have had their LEFT pad
+            #: decided; ``matched`` marks rows that kept a candidate.
+            settled = 0
+            matched = bytearray(left_chunk.size) if is_left else None
+            for rows, owners in pairing(left_chunk):
+                for fn in conditions:
+                    if not rows.size:
+                        break
+                    keep = survivors(fn(rows, env))
+                    if len(keep) != rows.size:
+                        rows = rows.take(keep)
+                        if is_left:
+                            owners = list(map(owners.__getitem__, keep))
+                if tell is not None and rows.size:
+                    tell(rows.size)
+                if is_left:
+                    # Owners ascend, so a row of owner ``o`` proves every
+                    # earlier left row complete: pad those that never
+                    # matched, in left order.
+                    lefts: List[int] = []
+                    picks: List[int] = []
+                    for k, owner in enumerate(owners):
+                        if settled < owner:
+                            pads = [
+                                j for j in range(settled, owner) if not matched[j]
+                            ]
+                            lefts += pads
+                            picks += [-1] * len(pads)
+                            settled = owner
+                        matched[owner] = 1
+                        lefts.append(owner)
+                        picks.append(k)
+                    if len(picks) != len(owners):
+                        if tick is not None:
+                            tick(len(picks) - len(owners))
+                        rows = _padded(left_chunk, rows, lefts, picks, right_vars)
+                if rows.size:
+                    yield rows
+            if is_left:
+                pads = [j for j in range(settled, left_chunk.size) if not matched[j]]
+                if pads:
+                    if tick is not None:
+                        tick(len(pads))
+                    yield _padded(left_chunk, None, pads, None, right_vars)
 
 
 class LateralJoinOp(_JoinOp):
@@ -504,13 +515,12 @@ class LateralJoinOp(_JoinOp):
         )
         return [source] + self._conditions(evaluator, one_row)
 
-    def _pairing(self, evaluator, env, size, tick, want_owners):
+    def _pairing(self, evaluator, env, size, tick):
         source_fn = self._kernels(evaluator, size == 1)[0]
         item = self.right_item
         config = evaluator.config
         return lambda left_chunk: flatten_lateral(
-            item, left_chunk, source_fn(left_chunk, env), config, tick,
-            want_owners, size,
+            item, left_chunk, source_fn(left_chunk, env), config, tick, size
         )
 
     def describe(self) -> str:
@@ -548,8 +558,8 @@ class MaterializeJoinOp(_JoinOp):
         super().__init__(left, kind, on, right_vars)
         self.right = right
 
-    def _pairing(self, evaluator, env, size, tick, want_owners):
-        right_rows: Optional[List[Binding]] = None
+    def _pairing(self, evaluator, env, size, tick):
+        right_rows: Optional[Chunk] = None
 
         def pairing(left_chunk):
             nonlocal right_rows
@@ -557,12 +567,13 @@ class MaterializeJoinOp(_JoinOp):
                 # Materialized only once a left row exists: the
                 # reference never enumerates the right of an empty left
                 # side (error parity), and a closed stream never pays.
-                right_rows = [
-                    row
-                    for chunk in self.right.iter_chunks(evaluator, env, size)
-                    for row in chunk
-                ]
-            return _pair_slices(left_chunk, repeat(right_rows), size)
+                right_rows = Chunk.concat(
+                    list(self.right.iter_chunks(evaluator, env, size))
+                )
+            every = range(len(right_rows))
+            return _pair_slices(
+                left_chunk, right_rows, [every] * len(left_chunk), size
+            )
 
         return pairing
 
@@ -581,8 +592,15 @@ class MaterializeJoinOp(_JoinOp):
 
 
 class HashJoinOp(_JoinOp):
-    """Hash equi-join: build a hash table over the right side once,
-    probe it per left binding.
+    """Hash equi-join: a hash table over the right (build) side, probed
+    with each left chunk's keys.
+
+    The table is built once per execution, lazily, on the first probe
+    chunk (an empty or early-closed probe side never pays for the build
+    side, nor observes its errors): the build rows are kept as one chunk
+    and the table maps each key to the positions of its build rows.  A
+    probe chunk's output takes its left columns by owner and the build
+    columns by match.
 
     Key semantics follow Core equality (:func:`repro.functions.operators
     .equals`): a NULL or MISSING key component makes the ``ON``
@@ -631,27 +649,35 @@ class HashJoinOp(_JoinOp):
             evaluator.compiled_batch(p, out_vars, one_row) for p in self.residual
         ]
 
-    def _pairing(self, evaluator, env, size, tick, want_owners):
+    def _pairing(self, evaluator, env, size, tick):
         probe_fns, build_fns = self._key_kernels(evaluator, size == 1)
-        table: Optional[Dict[Tuple, List[Binding]]] = None
+        table: Optional[Dict[Tuple, List[int]]] = None
+        build: Optional[Chunk] = None
 
         def pairing(left_chunk):
-            nonlocal table
+            nonlocal table, build
             if table is None:
-                # Built lazily, chunk at a time, on the first probe
-                # chunk: an empty or early-closed probe side never pays
-                # for (or observes errors from) the build side.
-                table = {}
+                # Built a chunk at a time on the first probe chunk (class
+                # docstring): key → the positions of its build rows.
+                table, chunks, base = {}, [], 0
                 for chunk in self.right.iter_chunks(evaluator, env):
                     keys = _hash_keys(build_fns, chunk, env)
-                    for key, right_binding in zip(keys, chunk):
+                    for position, key in enumerate(keys, base):
                         if key is not None:  # absent: never satisfies the equi-ON
-                            table.setdefault(key, []).append(right_binding)
+                            found = table.get(key)
+                            if found is None:
+                                table[key] = [position]
+                            else:
+                                found.append(position)
+                    chunks.append(chunk)
+                    base += len(chunk)
+                build = Chunk.concat(chunks)
+            get = table.get
             matches = [
-                table.get(key, ()) if key is not None else ()
+                () if key is None else get(key, ())
                 for key in _hash_keys(probe_fns, left_chunk, env)
             ]
-            return _pair_slices(left_chunk, matches, size)
+            return _pair_slices(left_chunk, build, matches, size)
 
         return pairing
 
@@ -689,37 +715,46 @@ def walk_ops(op: PlanOp) -> List[PlanOp]:
     return result
 
 
-def _pads(left_chunk, matched, start, stop, right_vars, tick) -> List[Binding]:
-    """LEFT pads for the rows ``start:stop`` of ``left_chunk`` that
-    never matched, told to the governor."""
-    pads = [
-        pad_right_vars(left_chunk[index], right_vars)
-        for index in range(start, stop)
-        if not matched[index]
-    ]
-    if pads and tick is not None:
-        tick(len(pads))
-    return pads
+def _padded(
+    left_chunk: Chunk,
+    pairs: Optional[Chunk],
+    lefts: List[int],
+    picks: Optional[List[int]],
+    right_vars: List[str],
+) -> Chunk:
+    """LEFT-join output in left order: the left rows at ``lefts``, each
+    with the right variables of the candidate at ``picks`` in ``pairs``
+    or, at ``-1`` (every one without ``pairs``), NULL — the padding
+    every join operator and the oracle share."""
+    rows = left_chunk.take(lefts)
+    for name in right_vars:
+        if picks is None:
+            column = [None] * len(lefts)
+        else:
+            values = pairs.column(name)
+            column = [None if k < 0 else values[k] for k in picks]
+        rows.bind(name, column)
+    return rows
 
 
-def _pair_slices(left_rows, rights, size: int):
+def _pair_slices(
+    left_chunk: Chunk, right: Chunk, matches: List[Sequence[int]], size: int
+) -> Iterator[Tuple[Chunk, List[int]]]:
     """Left-major ``(pairs, owners)`` slices of at most ``size`` rows:
-    each left row merged with each right row ``rights`` pairs it with,
-    and the index of the left row each pair extends."""
-    flat: List[Binding] = []
-    owners: List[int] = []
-    for owner, (left, matches) in enumerate(zip(left_rows, rights)):
-        for right in matches:
-            flat.append({**left, **right})
-            owners.append(owner)
-            if len(flat) == size:
-                yield flat, owners
-                flat, owners = [], []
-    if flat:
-        yield flat, owners
+    each left row paired with the right rows at the positions
+    ``matches`` lists for it, and the index of the left row each pair
+    extends.  The index lists are cut lazily, a slice at a time."""
+    picks = chain.from_iterable(matches)
+    owners = chain.from_iterable(map(repeat, count(), map(len, matches)))
+    while True:
+        chosen = list(islice(picks, size))
+        if not chosen:
+            return
+        lefts = list(islice(owners, len(chosen)))
+        yield left_chunk.take(lefts).merged(right.take(chosen)), lefts
 
 
-def _hash_keys(key_fns, rows: List[Binding], env) -> List[Optional[Tuple]]:
+def _hash_keys(key_fns, rows: Chunk, env) -> List[Optional[Tuple]]:
     """Each row's composite hash key, or None where a component is
     NULL/MISSING (Core equality: such keys never match)."""
     keys: List[Optional[Tuple]] = []
@@ -781,17 +816,17 @@ def lateral_bindings(item: ast.FromItem, value: Any, config) -> Tuple[Any, Any]:
 
 def flatten_lateral(
     item: ast.FromItem,
-    rows: List[Binding],
+    rows: Chunk,
     column: List[Any],
     config,
     tick: Optional[Callable[[int], None]],
-    want_owners: bool,
     size: int = CHUNK_ROWS,
-) -> Iterator[Tuple[List[Binding], List[int]]]:
+) -> Iterator[Tuple[Chunk, List[int]]]:
     """Range a FromCollection / FromUnpivot item over ``column`` (its
     source evaluated per row of ``rows``), yielding ``(flat, owners)``
-    slices: each row extended with each binding its value produces, and
-    (when ``want_owners``) the index of the row every flat row extends.
+    slices: the rows at ``owners`` (each row repeated once per binding
+    its value produces) with the item's variables bound to those
+    bindings.
 
     Slices hold at most ``size`` rows whatever the collections' sizes,
     so a row holding a huge or lazy collection never materializes it
@@ -805,84 +840,77 @@ def flatten_lateral(
     at = item.at_alias
     #: The overwhelmingly common source: a materialized array (tuple,
     #: for UNPIVOT) that fits the slice.  Runs of them flatten in one
-    #: comprehension; anything else takes ``lateral_bindings``.
+    #: step; anything else takes ``lateral_bindings``.
     simple = Struct if unpivot else list
-    flat: List[Binding] = []
     owners: List[int] = []
+    values: List[Any] = []
+    names: List[Any] = []
+
+    def emit() -> Tuple[Chunk, List[int]]:
+        nonlocal owners, values, names
+        flat = rows.take(owners)
+        flat.bind(alias, values)
+        if at:
+            flat.bind(at, names)
+        done = flat, owners
+        owners, values, names = [], [], []
+        return done
 
     def extend_run(start: int, stop: int) -> None:
-        pairs = zip(rows[start:stop], column[start:stop])
+        run = column[start:stop]
         if unpivot:
-            flat.extend(
-                [
-                    {**row, alias: attr_value, at: name}
-                    for row, value in pairs
-                    for name, attr_value in zip(value._shape.names, value._values)
-                ]
-            )
-        elif at:
-            flat.extend(
-                [
-                    {**row, alias: element, at: position}
-                    for row, value in pairs
-                    for position, element in enumerate(value)
-                ]
-            )
+            values.extend(chain.from_iterable(value._values for value in run))
+            sizes = [len(value._values) for value in run]
+            if at:
+                names.extend(chain.from_iterable(value._shape.names for value in run))
         else:
-            flat.extend(
-                [{**row, alias: element} for row, value in pairs for element in value]
-            )
-        if want_owners:
-            sizes = map(len, column[start:stop])
-            owners.extend(
-                chain.from_iterable(map(repeat, range(start, stop), sizes))
-            )
+            values.extend(chain.from_iterable(run))
+            sizes = list(map(len, run))
+            if at:
+                names.extend(chain.from_iterable(map(range, sizes)))
+        owners.extend(chain.from_iterable(map(repeat, range(start, stop), sizes)))
 
     start = run = 0  # the pending run column[start:owner] and its row count
     for owner, value in enumerate(column):
         quick = type(value) is simple
-        if quick and len(flat) + run + len(value) <= size:
-            run += len(value)
-            continue
+        if quick:
+            width = len(value._values) if unpivot else len(value)
+            if len(owners) + run + width <= size:
+                run += width
+                continue
         if run:
             extend_run(start, owner)
             if tick is not None:
                 tick(run)
             run = 0
-        if quick and len(value) <= size:
+        if quick and width <= size:
             # The run did not fit beside the slice: it starts the next.
-            if flat:
-                yield flat, owners
-                flat, owners = [], []
-            start, run = owner, len(value)
+            if owners:
+                yield emit()
+            start, run = owner, width
             continue
         start = owner + 1
-        row = rows[owner]
         pending = 0
         elements, positions = lateral_bindings(item, value, config)
         if positions is None:
             positions = repeat(MISSING)  # bags have no positions
         for element, position in zip(elements, positions):
-            binding = {**row, alias: element}
-            if at:
-                binding[at] = position
-            flat.append(binding)
-            if want_owners:
-                owners.append(owner)
+            owners.append(owner)
+            values.append(element)
+            names.append(position)
             pending += 1
-            full = len(flat) >= size
+            full = len(owners) >= size
             if full or pending >= GOVERNOR_TICK:
                 if tick is not None:
                     tick(pending)
                 pending = 0
                 if full:
-                    yield flat, owners
-                    flat, owners = [], []
+                    yield emit()
         if pending and tick is not None:
             tick(pending)
     if run:
         extend_run(start, len(column))
         if tick is not None:
             tick(run)
-    if flat:
-        yield flat, owners
+    if owners:
+        yield emit()

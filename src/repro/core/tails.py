@@ -5,10 +5,11 @@ values, then PIVOT's one tuple or ``SELECT [DISTINCT]`` and the query's
 ``ORDER BY`` / ``LIMIT`` — is a function of *columns* over those rows:
 one value per row for each window key and argument, PIVOT operand,
 SELECT expression and ORDER BY key.  :func:`run_tail` is that function;
-the evaluators differ only in how they produce a column — the block
-executor's chunk kernels (``vectorized.KernelColumns``: column kernels
-in its columns mode, a compiled closure per row in its rows mode) and a
-tree-walk per row in the reference interpreter (:class:`EnvColumns`).
+the evaluators differ only in how they produce a column and what holds
+their rows — the block executor's chunk kernels over chunks
+(``vectorized.KernelColumns``: column kernels in its columns mode, a
+compiled closure per row in its rows mode) and a tree-walk per row over
+environments in the reference interpreter (:class:`EnvColumns`).
 The rows mode's lazy bag runs the same SELECT, a row at a time
 (:func:`projection`).  The column-form pieces it assembles live in
 :mod:`repro.core.clauses` (sort, top-K, identities) and
@@ -61,6 +62,23 @@ class EnvColumns:
             for env, values in zip(envs, zip(*columns.values()))
         ]
 
+    @staticmethod
+    def take(envs: List[Environment], picks: List[int]) -> List[Environment]:
+        return [envs[k] for k in picks]
+
+    @staticmethod
+    def concat(parts: Iterable[List[Environment]]) -> List[Environment]:
+        return [env for part in parts for env in part]
+
+    @staticmethod
+    def payload(envs: List[Environment]) -> List[Environment]:
+        """What a sort keeps of each row (:meth:`gather` gets it back)."""
+        return envs
+
+    @staticmethod
+    def gather(payload: List[Environment]) -> List[Environment]:
+        return payload
+
     def output_keys(
         self,
         order_by: Sequence[ast.OrderItem],
@@ -99,8 +117,10 @@ def projection(
             identities = list(
                 zip(*[identity_column(cols.column(expr, rows)) for expr in fields])
             )
-            firsts = ops.iter_distinct(range(len(rows)), identities.__getitem__, seen)
-            return cols.column(select.expr, [rows[k] for k in firsts])
+            firsts = list(
+                ops.iter_distinct(range(len(rows)), identities.__getitem__, seen)
+            )
+            return cols.column(select.expr, cols.take(rows, firsts))
 
         return distinct_tuples
     if isinstance(select, ast.SelectValue):
@@ -140,9 +160,10 @@ def run_tail(
     query's ``ORDER BY`` — the output values as a list, sorted and cut
     to ``bound`` (limit + offset) rows when ordered.
 
-    ``chunks`` yields the rows a list at a time and ``cols`` takes
-    columns of them: that is all an evaluator supplies.  Windows and
-    PIVOT need the whole input; every other tail runs per chunk —
+    ``chunks`` yields the rows a part at a time and ``cols`` takes
+    columns of them and picks, joins and keeps rows of the parts
+    (``take``, ``concat``, ``payload`` / ``gather``): that is all an
+    evaluator supplies.  Windows and PIVOT need the whole input; every other tail runs per chunk —
     DISTINCT carries the identities it has seen, the sort its kept rows
     (:class:`OrderedTail`).  ``select`` has its ``calls`` lowered
     (:func:`windows.lower_window_calls`).  With ``deferred`` (sound only
@@ -152,7 +173,7 @@ def run_tail(
     """
     pivot = isinstance(select, ast.PivotClause)
     if calls or pivot:
-        chunks = [[row for chunk in chunks for row in chunk]]
+        chunks = [cols.concat(chunks)]
 
     window_stage = StageTally("WINDOW", stages) if calls else None
     order = OrderedTail(order_by, bound) if order_by and not pivot else None
@@ -181,7 +202,10 @@ def run_tail(
             mark = select_stage.lap(0, mark)
             continue
         if deferred:
-            order.feed([cols.column(item.expr, rows) for item in order_by], rows)
+            order.feed(
+                [cols.column(item.expr, rows) for item in order_by],
+                cols.payload(rows),
+            )
             mark = order_stage.lap(0, mark)
             continue
         values = select_values(rows)
@@ -203,6 +227,6 @@ def run_tail(
     values = order.finish()
     mark = order_stage.lap(len(values), mark)
     if deferred:
-        values = cols.column(select.expr, values)
+        values = cols.column(select.expr, cols.gather(values))
         select_stage.lap(len(values), mark)
     return values

@@ -4,8 +4,9 @@ A query block is one pipeline of clauses (paper, Section V-B), and
 :func:`execute_block` is the one function that runs it, in one of two
 modes.  In *columns* mode it moves a *chunk*
 (~:data:`~repro.core.plan_ops.CHUNK_ROWS` binding rows) at a time: the
-physical operators yield lists of binding dicts
-(:meth:`PlanOp.iter_chunks`), compiled expressions map over whole chunks
+physical operators yield chunks of one column per bound variable
+(:class:`~repro.core.chunk.Chunk`, :meth:`PlanOp.iter_chunks`),
+compiled expressions map over whole chunks
 (:func:`repro.core.compile_expr.compile_batch`), and GROUP BY folds
 chunks into per-group state machines (:func:`fold_chunk`).  Clauses run
 clause-major within each chunk (all FROM rows, then LET over them, and
@@ -52,19 +53,18 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 from typing import Sequence, Tuple
 
 from repro.core import clauses
+from repro.core.chunk import Chunk, cut, survivors
 from repro.core.environment import Environment
 from repro.core.grouping_sets import expand_grouping_sets
 from repro.core.plan_ops import CHUNK_ROWS, ScanOp, close_iter, walk_ops
 from repro.core.tails import EnvColumns, bind_windows, projection, run_tail
 from repro.core.windows import find_window_calls, lower_window_calls, window_variable
-from repro.datamodel.values import Bag, Struct
+from repro.datamodel.values import Bag, LazyBag, Struct
 from repro.errors import SQLPPError
 from repro.functions.aggregates import MEMBERS, Aggregate, Members, State, machine_for
 from repro.functions.registry import REGISTRY
 from repro.observability.tracer import StageTally
 from repro.syntax import ast
-
-Binding = Dict[str, Any]
 
 #: Placeholder-variable prefix for decomposed aggregate results; ``$``
 #: keeps the names out of the user-writable identifier space.
@@ -379,24 +379,29 @@ def build_fold_fns(
 
 
 def fold_columns(
-    chunk: List[Binding], env, key_fns, value_fns, var_order, one_row: bool = False
+    chunk: Chunk, env, key_fns, value_fns, var_order, one_row: bool = False
 ) -> tuple:
     """A chunk of binding rows as :func:`fold_chunk`'s key and value
-    columns: chunk kernels sharing one memo, and the rows' group
-    elements for the collector.  ``one_row`` (the executor's rows mode,
-    whose only spec is the collector) evaluates one row's keys before
-    the next row's and builds each element from the row's environment."""
+    columns: chunk kernels, and the rows' group elements for the
+    collector.  ``one_row`` (the executor's rows mode, whose only spec
+    is the collector) evaluates one row's keys before the next row's and
+    builds each element from the row's environment."""
     if one_row:
-        keys = [[fn([row], env)[0] for fn in key_fns] for row in chunk]
+        closures = [fn.closure for fn in key_fns]
+        envs = [env.extend(row) for row in chunk.rows()]
+        keys = [[closure(row_env) for closure in closures] for row_env in envs]
         elements = [
-            [clauses.group_element(env.extend(row), var_order) for row in chunk]
+            [clauses.group_element(row_env, var_order) for row_env in envs]
             for __ in value_fns
         ]
         return list(zip(*keys)), elements
-    memo: dict = {}
-    key_columns = [fn(chunk, env, memo) for fn in key_fns]
+    key_columns = [fn(chunk, env) for fn in key_fns]
     value_columns = [
-        clauses.group_elements(chunk, var_order) if fn is None else fn(chunk, env, memo)
+        clauses.group_elements(
+            chunk.size, [chunk.column(name) for name in var_order], var_order
+        )
+        if fn is None
+        else fn(chunk, env)
         for fn in value_fns
     ]
     return key_columns, value_columns
@@ -434,7 +439,7 @@ def fold_chunk(size, key_columns, value_columns, machines, sets, config) -> None
             machine.step(state, gids, column, config)
 
 
-def finalize_groups(clause, specs, sets: List[GroupState], config) -> List[Binding]:
+def finalize_groups(clause, specs, sets: List[GroupState], config) -> Chunk:
     """The group output rows, set after set and in first-seen order
     within each: the key aliases (NULL where the set leaves the key out)
     and each spec's variable bound to its machine's ``final``.  An empty
@@ -443,22 +448,22 @@ def finalize_groups(clause, specs, sets: List[GroupState], config) -> List[Bindi
     The fold state is only read, so it can be folded further and
     finalized again."""
     aliases = [key.alias for key in clause.keys]
-    rows: List[Binding] = []
+    names = aliases + [spec.var for spec in specs]
+    rows: List[List[Any]] = []
     for groups in sets:
         keys, states = groups.keys, groups.states
         if not keys and not clause.keys:
             keys, states = [[]], [spec.machine.init(1) for spec in specs]
-        nulls = {a: None for k, a in enumerate(aliases) if k not in groups.keep}
+        keep = groups.keep
         finals = [
-            (spec.var, spec.machine.final, state)
-            for spec, state in zip(specs, states)
+            (spec.machine.final, state) for spec, state in zip(specs, states)
         ]
         for gid, values in enumerate(keys):
-            row: Binding = dict(zip(aliases, values), **nulls)
-            for var, final, state in finals:
-                row[var] = final(state, gid, config)
+            row = [value if k in keep else None for k, value in enumerate(values)]
+            row += [final(state, gid, config) for final, state in finals]
             rows.append(row)
-    return rows
+    columns = [list(column) for column in zip(*rows)] or [[] for __ in names]
+    return Chunk(len(rows), dict(zip(names, columns)))
 
 
 # =========================================================================
@@ -634,12 +639,10 @@ def _defers_select(select, calls, order_by: Sequence[ast.OrderItem]) -> bool:
 
 
 class KernelColumns:
-    """Columns over chunk rows (binding dicts) from chunk kernels: how
-    the executor produces what :func:`tails.run_tail` consumes.  ``fns``
-    ends up holding every kernel the tail asked for; kernels over one
-    list of rows share a memo of its ``VarRef`` / ``Path`` columns.
-    ``one_row`` (rows mode) compiles each for one-row chunks: its
-    closure per row."""
+    """Columns over chunks from chunk kernels: how the executor produces
+    what :func:`tails.run_tail` consumes.  ``fns`` ends up holding every
+    kernel the tail asked for.  ``one_row`` (rows mode) compiles each for
+    one-row chunks: its closure per row."""
 
     def __init__(
         self, evaluator, env, row_vars: frozenset, var_order: List[str],
@@ -649,20 +652,16 @@ class KernelColumns:
         self.var_order, self.one_row = var_order, one_row
         self.fns: Dict[int, Callable] = {}
         self.keys_see_output = False
-        self._rows: Any = None
-        self._memo: dict = {}
 
-    def column(self, expr: ast.Expr, rows: List[Binding]) -> List[Any]:
+    def column(self, expr: ast.Expr, rows: Chunk) -> List[Any]:
         fn = self.fns.get(id(expr))
         if fn is None:
             fn = self.fns[id(expr)] = self.evaluator.compiled_batch(
                 expr, self.row_vars, self.one_row
             )
-        if rows is not self._rows:
-            self._rows, self._memo = rows, {}
-        return fn(rows, self.env, self._memo)
+        return fn(rows, self.env)
 
-    def kernel(self, expr: ast.Expr) -> Callable[[List[Binding]], List[Any]]:
+    def kernel(self, expr: ast.Expr) -> Callable[[Chunk], List[Any]]:
         """``expr``'s column as a function of the rows alone."""
         if not self.one_row:
             return lambda rows: self.column(expr, rows)
@@ -671,23 +670,22 @@ class KernelColumns:
         )
         return partial(fn, env=self.env)
 
-    def _env_columns(self, rows: Optional[List[Binding]]):
+    def _env_columns(self, rows: Optional[Chunk]):
         """The env-space producer, and ``rows`` as environments."""
         extend = self.env.extend
-        envs = None if rows is None else [extend(row) for row in rows]
+        envs = None if rows is None else [extend(row) for row in rows.rows()]
         return EnvColumns(self.evaluator, self.env, self.var_order), envs
 
-    def star(self, rows: List[Binding]) -> List[Struct]:
+    def star(self, rows: Chunk) -> List[Struct]:
         cols, envs = self._env_columns(rows)
         return cols.star(envs)
 
-    def bind(self, rows: List[Binding], columns: Dict[str, List[Any]]):
+    def bind(self, rows: Chunk, columns: Dict[str, List[Any]]) -> Chunk:
         for name, column in columns.items():
-            for row, value in zip(rows, column):
-                row[name] = value
+            rows.bind(name, column)
         return rows
 
-    def output_keys(self, order_by, rows: Optional[List[Binding]], values: List[Any]):
+    def output_keys(self, order_by, rows: Optional[Chunk], values: List[Any]):
         """Keys that can see the output are evaluated per row in
         :func:`clauses.sort_env` (a name the output tuple lacks falls
         through to the row, then outwards): the env-space fallback."""
@@ -695,37 +693,36 @@ class KernelColumns:
         cols, envs = self._env_columns(rows)
         return cols.output_keys(order_by, envs, values)
 
+    @staticmethod
+    def take(rows: Chunk, picks: List[int]) -> Chunk:
+        return rows.take(picks)
 
-def _keep_true(rows: List[Binding], predicate_fn, env, tally=None):
+    @staticmethod
+    def concat(chunks: Iterable[Chunk]) -> Chunk:
+        return Chunk.concat(list(chunks))
+
+    @staticmethod
+    def payload(rows: Chunk) -> List[Tuple[Chunk, int]]:
+        """What a sort keeps of each row: its chunk and index."""
+        return list(zip([rows] * rows.size, range(rows.size)))
+
+    @staticmethod
+    def gather(payload: List[Tuple[Chunk, int]]) -> Chunk:
+        return Chunk.gather(payload)
+
+
+def _keep_true(rows: Chunk, predicate_fn, env, tally=None) -> Chunk:
     """The rows ``predicate_fn`` is TRUE for (WHERE, HAVING), tallied
     when ``tally`` is given."""
     started = perf_counter() if tally is not None else 0.0
-    verdicts = predicate_fn(rows, env)
-    if len(rows) == 1:
-        rows = rows if verdicts[0] is True else []
-    else:
-        rows = [row for row, verdict in zip(rows, verdicts) if verdict is True]
+    rows = rows.keep(survivors(predicate_fn(rows, env)))
     if tally is not None:
         tally.lap(len(rows), started)
     return rows
 
 
-def _one_row_chunks(chunks: Iterable[List[Binding]]) -> Iterator[List[Binding]]:
-    return ([row] for chunk in chunks for row in chunk)
-
-
-def _rechunked(chunks: Iterable[List[Binding]]) -> Iterator[List[Binding]]:
-    """Rows mode's chunks regrouped ``CHUNK_ROWS`` rows at a time, for a
-    consumer that drains its input anyway (the fold, the blocking
-    tails): a chunk is yielded as soon as it is full."""
-    chunk: List[Binding] = []
-    for part in chunks:
-        chunk.extend(part)
-        if len(chunk) >= CHUNK_ROWS:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
+def _one_row_chunks(chunks: Iterable[Chunk]) -> Iterator[Chunk]:
+    return (row for chunk in chunks for row in chunk.split())
 
 
 def execute_block(evaluator, query, plan, env, rows=False, stream=False) -> Any:
@@ -767,7 +764,7 @@ def execute_block(evaluator, query, plan, env, rows=False, stream=False) -> Any:
     let_stage = tally("LET") if let_fns else None
     where_stage = tally("WHERE") if residual_fn is not None else None
 
-    def kept_chunks(source: Iterable[List[Binding]]) -> Iterator[List[Binding]]:
+    def kept_chunks(source: Iterable[Chunk]) -> Iterator[Chunk]:
         """FROM → LET → residual WHERE, a chunk (rows mode: a row) at a
         time."""
         source = iter(source)
@@ -775,25 +772,18 @@ def execute_block(evaluator, query, plan, env, rows=False, stream=False) -> Any:
             mark = perf_counter() if timing else 0.0
             for pulled in source:
                 if from_stage is not None:
-                    from_stage.lap(len(pulled), mark)
-                parts = (pulled,)
-                if rows and len(pulled) > 1:
-                    parts = [[row] for row in pulled]
+                    from_stage.lap(pulled.size, mark)
+                parts = pulled.split() if rows else (pulled,)
                 for chunk in parts:
                     if let_fns:
                         mark = perf_counter() if timing else 0.0
                         for name, let_fn in let_fns:
-                            column = let_fn(chunk, env)
-                            if len(chunk) == 1:
-                                chunk[0][name] = column[0]
-                            else:
-                                for row, value in zip(chunk, column):
-                                    row[name] = value
+                            chunk.bind(name, let_fn(chunk, env))
                         if let_stage is not None:
                             let_stage.lap(len(chunk), mark)
                     if residual_fn is not None:
                         chunk = _keep_true(chunk, residual_fn, env, where_stage)
-                    if chunk:
+                    if chunk.size:
                         yield chunk
                 mark = perf_counter() if timing else 0.0
         finally:
@@ -806,7 +796,7 @@ def execute_block(evaluator, query, plan, env, rows=False, stream=False) -> Any:
     size = 1
     held = None
     if plan is None:
-        source: Iterable[List[Binding]] = ([{}],)
+        source: Iterable[Chunk] = (Chunk(1, {}),)
     elif rows:
         size = evaluator._pull_size(body, stream or kind == "limit")
         source = plan.op.iter_chunks(evaluator, env, size)
@@ -827,11 +817,11 @@ def execute_block(evaluator, query, plan, env, rows=False, stream=False) -> Any:
     if decomp is not None:
         group_stage = tally("GROUP BY")
 
-        def grouped(chunks) -> Iterator[List[Binding]]:
+        def grouped(chunks) -> Iterator[Chunk]:
             """Every chunk folded, then the group rows: one chunk of them
             (rows mode: a row at a time)."""
             key_fns, value_fns = kernels.key_fns, kernels.value_fns
-            for chunk in _rechunked(chunks) if rows else chunks:
+            for chunk in cut(chunks, CHUNK_ROWS) if rows else chunks:
                 mark = perf_counter() if timing else 0.0
                 columns = fold_columns(
                     chunk, env, key_fns, value_fns, kernels.row_vars, rows
@@ -863,7 +853,7 @@ def execute_block(evaluator, query, plan, env, rows=False, stream=False) -> Any:
             if kernels.calls:
                 window_stage = tally("WINDOW")
                 mark = perf_counter() if timing else 0.0
-                every = [row for chunk in chunks for row in chunk]
+                every = Chunk.concat(list(chunks))
                 every = bind_windows(every, cols, kernels.calls, config)
                 if window_stage is not None:
                     window_stage.lap(len(every), mark)
@@ -891,7 +881,7 @@ def execute_block(evaluator, query, plan, env, rows=False, stream=False) -> Any:
         finally:
             close_iter(values)
     if rows:
-        chunks = _rechunked(chunks)
+        chunks = cut(chunks, CHUNK_ROWS)
     try:
         result = kernels.tail(() if bound == 0 else chunks, cols, config, stages, bound)
     finally:
@@ -1083,9 +1073,10 @@ def explain_executors(evaluator, query: ast.Query, tracer=None) -> List[str]:
     evaluator._enter(query, env)
     lines: List[str] = []
     fallbacks: List[ast.Expr] = []
+    reads: List[Tuple[str, Optional[str]]] = []
     try:
         kernels = _explain_block(
-            evaluator, query, env, "", "executor", lines, fallbacks, tracer
+            evaluator, query, env, "", "executor", lines, fallbacks, reads, tracer
         )
     except SQLPPError as error:
         # Kernel compilation can reject what execution would reject
@@ -1093,25 +1084,63 @@ def explain_executors(evaluator, query: ast.Query, tracer=None) -> List[str]:
         return [f"executor: undetermined ({error})"]
     if not any(line.endswith(": batch") for line in lines):
         lines.append("kernels: none (no block runs on the batch executor)")
-    elif not fallbacks:
-        lines.append(f"kernels: {kernels} columnar, no env-space fallback")
+        return lines
+    head = f"kernels: {kernels} columnar{_stored_note(reads)}"
+    if not fallbacks:
+        lines.append(f"{head}, no env-space fallback")
     else:
         seen: Dict[int, ast.Expr] = {id(node): node for node in fallbacks}
         rendered = "; ".join(
             f"{print_ast(node)} [{type(node).__name__}]" for node in seen.values()
         )
-        lines.append(
-            f"kernels: {kernels} columnar, env-space fallback for {rendered}"
-        )
+        lines.append(f"{head}, env-space fallback for {rendered}")
     return lines
+
+
+def _stored_note(reads: List[Tuple[str, Optional[str]]]) -> str:
+    """The ``kernels:`` line's account of the ``alias.attr`` reads: how
+    many read stored columns, and why each other variable's do not."""
+    stored = sum(why is None for __, why in reads)
+    parts = []
+    if stored:
+        parts.append(f"{stored} stored-column read{'' if stored == 1 else 's'}")
+    parts += [f"{name}: {why}" for name, why in dict(reads).items() if why]
+    return f" ({'; '.join(parts)})" if parts else ""
+
+
+def _scan_sources(evaluator, plan) -> Dict[str, Optional[str]]:
+    """Per variable a scan of ``plan`` binds to elements: None when its
+    ``alias.attr`` reads are served from stored columns
+    (:meth:`Catalog.column_source`), else why not."""
+    catalog = evaluator._catalog
+    column_source = getattr(catalog, "column_source", None)
+    sources: Dict[str, Optional[str]] = {}
+    for op in walk_ops(plan.op):
+        if not isinstance(op, ScanOp) or not isinstance(op.item, ast.FromCollection):
+            continue
+        name, why = op.source_name, "not a catalog scan"
+        if name is not None and name in catalog:
+            # The scans of a block evaluated in the top-level
+            # environment resolve the name to the catalog's value.
+            value = catalog[name]
+            if type(value) is LazyBag:
+                why = "lazy source"
+            elif column_source is not None:
+                why = None if column_source(name, value) else why
+        sources[op.item.alias] = why
+    return sources
 
 
 def _explain_block(
     evaluator, query: ast.Query, env, indent: str, title: str,
-    lines: List[str], fallbacks: List[ast.Expr], tracer,
+    lines: List[str], fallbacks: List[ast.Expr],
+    reads: List[Tuple[str, Optional[str]]], tracer,
 ) -> int:
     """Append one block's ``executor`` line (then its derived tables',
-    indented); returns how many chunk kernels its batched blocks use."""
+    indented); returns how many chunk kernels its batched blocks use.
+    ``fallbacks`` collects their env-space fallbacks, ``reads`` their
+    ``alias.attr`` reads, each with why it is not served from stored
+    columns (None: it is)."""
     body = query.body
     label = indent + title
     indent += "  "
@@ -1134,7 +1163,7 @@ def _explain_block(
             if isinstance(term, ast.Query):
                 count += _explain_block(
                     evaluator, term, env, indent, "operand", lines, fallbacks,
-                    tracer,
+                    reads, tracer,
                 )
         return count
     evaluator._note_reorder(query, body)
@@ -1149,15 +1178,20 @@ def _explain_block(
         fns = kernels.all()
         # The tail's kernels are the ones a run over no rows asks for.
         cols = kernels.columns(evaluator, env)
-        kernels.tail(([],), cols, evaluator.config, [])
+        kernels.tail((Chunk(0, {}),), cols, evaluator.config, [])
         fns.extend(cols.fns.values())
         if cols.keys_see_output:
             fallbacks.extend(item.expr for item in query.order_by)
         for op in walk_ops(plan.op):
             fns.extend(op.batch_kernels(evaluator))
         count = len(fns)
+        sources = _scan_sources(evaluator, plan)
         for fn in fns:
             fallbacks.extend(fn.fallbacks)
+            reads.extend(
+                (name, sources.get(name, "not a catalog scan"))
+                for name in fn.stored_reads
+            )
     else:
         lines.append(f"{label}: stream ({reason})")
     # Every scan of the tree is enumerated in the block's own
@@ -1170,6 +1204,6 @@ def _explain_block(
         ):
             count += _explain_block(
                 evaluator, item.expr.query, env, indent,
-                f"derived table {item.alias}", lines, fallbacks, tracer,
+                f"derived table {item.alias}", lines, fallbacks, reads, tracer,
             )
     return count

@@ -215,10 +215,13 @@ def test_kernels_line_counts_every_operator_kernel(typing_mode, query):
     assert expected > 0
     # What the same SELECT over a bare scan counts: the tail's kernels.
     tail = kernels_count(db.explain_plan("SELECT VALUE 1 FROM t AS t"))
-    assert executor_lines(db.explain_plan(query)) == [
-        "executor: batch",
-        f"kernels: {tail + expected} columnar, no env-space fallback",
-    ]
+    executor, kernels = executor_lines(db.explain_plan(query))
+    assert executor == "executor: batch"
+    # The count, then the account of the stored-column reads, if any.
+    assert re.fullmatch(
+        rf"kernels: {tail + expected} columnar( \([^)]*\))?, no env-space fallback",
+        kernels,
+    ), kernels
 
 
 def harness_modules(monkeypatch):

@@ -775,7 +775,10 @@ class TestExecutorExplain:
             "FROM orders AS o"
         )
         assert "executor: batch\n" in windowed
-        assert "kernels: 2 columnar, no env-space fallback" in windowed
+        assert (
+            "kernels: 2 columnar (2 stored-column reads), no env-space fallback"
+            in windowed
+        )
         pivoted = db.explain_plan("PIVOT o.total AT o.status FROM orders AS o")
         assert "executor: batch\n" in pivoted
         assert "consumer: one tuple assembled from the whole binding stream" in pivoted
@@ -802,7 +805,9 @@ class TestExecutorExplain:
             "SELECT VALUE CAST(o.oid AS STRING) FROM orders AS o WHERE o.total > ?"
         )
         kernels = plan.splitlines()[-1]
-        assert kernels.startswith("kernels: 2 columnar, env-space fallback for")
+        assert kernels.startswith(
+            "kernels: 2 columnar (1 stored-column read), env-space fallback for"
+        )
         assert "? [Parameter]" in kernels
         assert "[CastExpr]" in kernels
 
@@ -834,7 +839,10 @@ class TestExecutorExplain:
             "SELECT VALUE o.oid FROM orders AS o WHERE o.total > 10"
         )
         assert "executor: batch" in report
-        assert "kernels: 2 columnar, no env-space fallback" in report
+        assert (
+            "kernels: 2 columnar (2 stored-column reads), no env-space fallback"
+            in report
+        )
 
 
 class TestKernelsCompileOnce:
@@ -931,7 +939,10 @@ class TestLateralChunks:
         ) in plan
         assert "materialized once" not in plan
         assert "executor: batch" in plan
-        assert "kernels: 4 columnar, no env-space fallback" in plan
+        assert (
+            "kernels: 4 columnar (3 stored-column reads; p: not a catalog scan), "
+            "no env-space fallback"
+        ) in plan
         three_ways(db, UNNEST + " WHERE p.h > 1 AND e.id < 2")
 
     def test_unpivot_source_goes_through_the_kernels(self, monkeypatch):
@@ -1137,7 +1148,7 @@ class TestChunkSize:
         for size in (1, 3, CHUNK_ROWS):
             chunks = list(plan.op.iter_chunks(evaluator, Environment(), size))
             assert all(0 < len(chunk) <= size for chunk in chunks), size
-            runs[size] = [row for chunk in chunks for row in chunk]
+            runs[size] = [row for chunk in chunks for row in chunk.rows()]
         assert runs[1] == runs[3] == runs[CHUNK_ROWS]
         assert runs[1]
 

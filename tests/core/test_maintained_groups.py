@@ -196,7 +196,7 @@ class TestAdvancing:
         config = db._config
         first = vectorized.finalize_groups(clause, specs, sets, config)
         second = vectorized.finalize_groups(clause, specs, sets, config)
-        assert first == second == [{"$fold0": 0, "$fold1": None}]
+        assert first.rows() == second.rows() == [{"$fold0": 0, "$fold1": None}]
         assert sets[0].ids == {} and sets[0].keys == []
         assert sets[0].states == [machine.init() for machine in machines]
 

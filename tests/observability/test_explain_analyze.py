@@ -224,15 +224,18 @@ class TestTailStages:
     #: space, and EXPLAIN says so.
     KERNEL_LINES = {
         "SELECT r.v AS v, RANK() OVER (PARTITION BY r.k ORDER BY r.v) AS rk "
-        "FROM r AS r": "kernels: 3 columnar, no env-space fallback",
+        "FROM r AS r": (
+            "kernels: 3 columnar (3 stored-column reads), no env-space fallback"
+        ),
         "SELECT r.v AS v FROM r AS r ORDER BY r.k DESC, r.v LIMIT 3": (
-            "kernels: 3 columnar, no env-space fallback"
+            "kernels: 3 columnar (3 stored-column reads), no env-space fallback"
         ),
         "PIVOT s.k AT s.name FROM s AS s": (
-            "kernels: 2 columnar, no env-space fallback"
+            "kernels: 2 columnar (2 stored-column reads), no env-space fallback"
         ),
         "SELECT r.v AS v FROM r AS r ORDER BY v": (
-            "kernels: 1 columnar, env-space fallback for v [VarRef]"
+            "kernels: 1 columnar (1 stored-column read), "
+            "env-space fallback for v [VarRef]"
         ),
     }
 

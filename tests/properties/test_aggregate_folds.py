@@ -35,6 +35,7 @@ from hypothesis import given, settings, strategies as st
 from repro import Database
 from repro.config import EvalConfig
 from repro.core import vectorized, windows
+from repro.core.chunk import Chunk
 from repro.core.environment import Environment
 from repro.core.evaluator import Evaluator
 from repro.core.plan_ops import CHUNK_ROWS
@@ -155,10 +156,10 @@ def fold(decomp, rows, chunk_size, config):
     sets = vectorized.GroupState.sets(decomp.clause, decomp.machines)
     env = Environment()
     for start in range(0, len(rows), chunk_size):
-        chunk = rows[start : start + chunk_size]
+        chunk = Chunk.from_rows(rows[start : start + chunk_size])
         columns = vectorized.fold_columns(chunk, env, key_fns, value_fns, ("t",))
         vectorized.fold_chunk(len(chunk), *columns, decomp.machines, sets, config)
-    return vectorized.finalize_groups(decomp.clause, decomp.specs, sets, config)
+    return vectorized.finalize_groups(decomp.clause, decomp.specs, sets, config).rows()
 
 
 def by_group(key_column, value_column):

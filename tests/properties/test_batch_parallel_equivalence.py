@@ -31,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 from repro import Database
 from repro.catalog.catalog import Catalog
 from repro.config import EvalConfig
+from repro.core.chunk import Chunk
 from repro.core.compile_expr import compile_batch
 from repro.core.environment import Environment
 from repro.core.evaluator import Evaluator
@@ -633,10 +634,29 @@ def check_kernel(expr, rows, sql_compat):
     ]
     batch = compile_batch(expr, evaluator, ROW_VARS)
     errors = {outcome[1] for outcome in by_interpreter if outcome[0] == "error"}
-    # Twice: whatever the first call leaves behind in the compiled
-    # kernel must not change the second call's column.
-    for __ in range(2):
-        kernel = attempt(lambda: batch(rows, root))
+    catalog.set_model("rs", [row["r"] for row in rows])
+
+    def scanned(positions):
+        source = catalog.column_source("rs", catalog.get("rs"))
+        s_column = [row["s"] for row in rows]
+        return Chunk(len(rows), {"s": s_column}, {"r": (source, positions)})
+
+    def inputs():
+        # Twice: whatever the first call leaves behind in the compiled
+        # kernel must not change the second call's column.
+        yield rows
+        yield rows
+        # ``r`` scanned from a stored catalog collection: read through
+        # the stored columns at its positions, before an insert and,
+        # from the extended columns, after it — the prefix by a range,
+        # the appended copy by a list of positions (as after a filter).
+        yield scanned(range(len(rows)))
+        catalog.append("rs", [row["r"] for row in rows])
+        yield scanned(range(len(rows)))
+        yield scanned([len(rows) + k for k in range(len(rows))])
+
+    for chunk in inputs():
+        kernel = attempt(lambda: batch(chunk, root))
         if kernel[0] == "error":
             # Column-major order may surface another row's error first,
             # but only one the reference raises on this chunk too.
