@@ -170,20 +170,19 @@ def _rewrite_pass(
 # ----------------------------------------------------------------------
 
 
-def _surface_pass(node: ast.Node, found: List[Diagnostic]) -> None:
+def _surface_pass(query: ast.Node, found: List[Diagnostic]) -> None:
     """Syntactic rules over the pre-rewrite tree."""
-    if isinstance(node, ast.StructLit):
-        _check_duplicate_keys(node, found)
-    elif isinstance(node, ast.SelectList):
-        _check_duplicate_aliases(node, found)
-    elif isinstance(node, ast.Binary):
-        _check_equals_null(node, found)
-    elif isinstance(node, ast.Query):
-        for clause, expr in (("LIMIT", node.limit), ("OFFSET", node.offset)):
-            if expr is not None:
-                _check_negative_cardinal(clause, expr, found)
-    for child in node.children():
-        _surface_pass(child, found)
+    for node in query.walk():
+        if isinstance(node, ast.StructLit):
+            _check_duplicate_keys(node, found)
+        elif isinstance(node, ast.SelectList):
+            _check_duplicate_aliases(node, found)
+        elif isinstance(node, ast.Binary):
+            _check_equals_null(node, found)
+        elif isinstance(node, ast.Query):
+            for clause, expr in (("LIMIT", node.limit), ("OFFSET", node.offset)):
+                if expr is not None:
+                    _check_negative_cardinal(clause, expr, found)
 
 
 def _check_duplicate_keys(

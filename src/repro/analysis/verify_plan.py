@@ -251,21 +251,12 @@ def query_scope_names(query: ast.Query, catalog_names: Sequence[str]) -> Set[str
     names (and the roots of its dotted ones) plus every variable any
     block of the query binds — a superset of each block's enclosing
     scope, which is all the stray-name check needs."""
-    from repro.core.planner import item_vars
+    from repro.core.clauses import bound_names
 
-    names: Set[str] = set()
+    names = bound_names(query)
     for name in catalog_names:
         names.add(name)
         names.add(name.split(".", 1)[0])
-    for node in query.walk():
-        if isinstance(node, (ast.FromCollection, ast.FromUnpivot)):
-            names.update(item_vars(node))
-        elif isinstance(node, ast.LetBinding):
-            names.add(node.name)
-        elif isinstance(node, ast.GroupByClause):
-            names.update(key.alias for key in node.keys)
-            if node.group_as:
-                names.add(node.group_as)
     return names
 
 

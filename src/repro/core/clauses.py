@@ -9,11 +9,17 @@ agree on *by construction* rather than by test lives here exactly once
 parameterised by how the caller evaluates an expression (``(name,
 value)`` pairs, key columns, ``eval_expr``).  Nothing in this module
 knows about closures, plans or chunks.
+
+The scope helpers at the top (:func:`item_vars`, :func:`block_vars`,
+:func:`bound_names`, :class:`FreshNames`) are the compile passes' too:
+the rewriter, the rule registry, the executor and the plan verifier ask
+them which variables a FROM item, a block or a subtree binds, and which
+names are still free to generate.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.environment import Environment, Unbound
 from repro.datamodel.equality import group_key
@@ -29,15 +35,69 @@ Binding = Dict[str, Any]
 # -- FROM ---------------------------------------------------------------------
 
 
-def item_vars(item: ast.FromItem) -> List[str]:
-    """The variables a FROM item binds, in binding order."""
+def item_vars(item: ast.FromItem, at: bool = True) -> List[str]:
+    """The variables a FROM item binds, in binding order; without ``at``
+    only its range variables (no AT position or UNPIVOT name)."""
     if isinstance(item, ast.FromCollection):
-        return [item.alias, item.at_alias] if item.at_alias else [item.alias]
+        return [item.alias, item.at_alias] if item.at_alias and at else [item.alias]
     if isinstance(item, ast.FromUnpivot):
-        return [item.value_alias, item.at_alias]
+        return [item.value_alias, item.at_alias] if at else [item.value_alias]
     if isinstance(item, ast.FromJoin):
-        return item_vars(item.left) + item_vars(item.right)
+        return item_vars(item.left, at) + item_vars(item.right, at)
     return []
+
+
+def block_vars(block: ast.QueryBlock) -> List[str]:
+    """The variables a block binds below its GROUP BY, in binding order:
+    every FROM item's, then every LET's."""
+    names = [name for item in block.from_ or () for name in item_vars(item)]
+    return names + [let.name for let in block.lets]
+
+
+def bound_names(node: ast.Node) -> Set[str]:
+    """Every variable bound anywhere under ``node``: by a FROM or UNPIVOT
+    item (AT variables included), a LET, a GROUP BY key or GROUP AS."""
+    return {name for sub in node.walk() for name in _binds(sub)}
+
+
+def _binds(node: ast.Node) -> List[str]:
+    if isinstance(node, (ast.FromCollection, ast.FromUnpivot)):
+        return item_vars(node)
+    if isinstance(node, ast.LetBinding):
+        return [node.name]
+    if isinstance(node, ast.GroupKey):
+        return [node.alias]
+    if isinstance(node, ast.GroupByClause) and node.group_as is not None:
+        return [node.group_as]
+    return []
+
+
+class FreshNames:
+    """The generated variable names of one compile pass (``$group1``,
+    ``$g_elem2``, ``$semi3`` ...): one counter across every base, skipping
+    any name the query already uses.  ``$`` is a legal identifier
+    character, so a user variable can look generated; a generated name
+    equal to it would capture its references."""
+
+    def __init__(self, root: ast.Node) -> None:
+        self._root = root
+        self._taken: Optional[Set[str]] = None
+        self._count = 0
+
+    def __call__(self, base: str) -> str:
+        if self._taken is None:  # most queries never need a fresh name
+            self._taken = {
+                name
+                for node in self._root.walk()
+                for name in (
+                    [node.name] if isinstance(node, ast.VarRef) else _binds(node)
+                )
+            }
+        while True:
+            self._count += 1
+            name = f"{base}{self._count}"
+            if name not in self._taken:
+                return name
 
 
 def pad_right_vars(left_binding: Binding, right_vars: List[str]) -> Binding:

@@ -61,14 +61,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.config import EvalConfig
-from repro.core.planner import (
-    and_fold,
-    free_names,
-    is_relocatable,
-    item_vars,
-    split_conjuncts,
-)
-from repro.core.rewriter import _block_variables as block_variables
+from repro.core.clauses import FreshNames, block_vars, bound_names, item_vars
+from repro.core.planner import and_fold, free_names, is_relocatable, split_conjuncts
 from repro.syntax import ast
 from repro.syntax.ast import copy_span, copy_span_tree
 from repro.syntax.printer import print_ast
@@ -76,7 +70,7 @@ from repro.syntax.printer import print_ast
 #: Bumped on any change to a rule's matcher or transformer.  Part of the
 #: Database compile-cache key: cached (pre, post, fired) entries from an
 #: older registry must not survive an upgrade.
-REGISTRY_VERSION = 1
+REGISTRY_VERSION = 2
 
 #: The aggregate functions SQLPPR02 knows how to decorrelate.  Each maps
 #: to how an *empty* group coerces on the original path, which the LEFT
@@ -122,23 +116,20 @@ class RewriteResult:
 
 class RewriteContext:
     """Per-pass state shared by the rules: the config, optional abstract
-    catalog types feeding the typeflow safety checks, and a fresh-name
-    counter (``$semi1``, ``$dec2`` — the ``$`` prefix keeps synthesized
-    names out of the user's namespace, like the sugar rewriter's
-    ``$group1``)."""
+    catalog types feeding the typeflow safety checks, and the pass's
+    fresh-name supply over ``query`` (``$semi1``, ``$dec2`` — numbered
+    like the sugar rewriter's ``$group1``, and never a name the query
+    already uses)."""
 
     def __init__(
         self,
         config: EvalConfig,
-        catalog_types: Optional[Dict[str, object]] = None,
+        catalog_types: Optional[Dict[str, object]],
+        query: ast.Query,
     ) -> None:
         self.config = config
         self.catalog_types: Dict[str, object] = dict(catalog_types or {})
-        self._counter = 0
-
-    def fresh(self, base: str) -> str:
-        self._counter += 1
-        return f"${base}{self._counter}"
+        self.fresh = FreshNames(query)
 
     # ------------------------------------------------------------------
     # Typeflow-backed safety checks
@@ -321,7 +312,7 @@ def _no_alias_capture(
 ) -> bool:
     """Reject subqueries whose variables shadow an outer name: the
     free-name analysis above cannot tell the two apart."""
-    return not inner_vars & block_variables(block)
+    return not inner_vars.intersection(block_vars(block))
 
 
 def _missing_guard(key: ast.Expr, origin: ast.Node) -> ast.Expr:
@@ -349,36 +340,16 @@ def _describe_source(expr: ast.Expr) -> str:
 _GENERATED_NAME = re.compile(r"\$[A-Za-z_][A-Za-z_0-9]*")
 
 
-def _bound_generated_names(node: ast.Node) -> Set[str]:
-    """Generated (``$``-prefixed) names *bound inside* ``node`` — by a
-    FROM alias, LET, GROUP key alias or GROUP AS.  Free references to
-    enclosing generated bindings are excluded on purpose: renaming
-    those would conflate subqueries that read different outer values."""
-    bound: Set[str] = set()
-    for sub in node.walk():
-        if isinstance(sub, ast.FromCollection):
-            bound.add(sub.alias)
-            if sub.at_alias is not None:
-                bound.add(sub.at_alias)
-        elif isinstance(sub, ast.FromUnpivot):
-            bound.add(sub.value_alias)
-            bound.add(sub.at_alias)
-        elif isinstance(sub, ast.LetBinding):
-            bound.add(sub.name)
-        elif isinstance(sub, ast.GroupKey):
-            bound.add(sub.alias)
-        elif isinstance(sub, ast.GroupByClause) and sub.group_as is not None:
-            bound.add(sub.group_as)
-    return {name for name in bound if name.startswith("$")}
-
-
 def _canonical_text(node: ast.Node) -> str:
     """``print_ast`` with locally-bound generated names alpha-renamed in
     first-appearance order.  The sugar rewriter mints fresh ``$group1``
     / ``$g_elem2`` names per lowering, so two occurrences of the same
     surface subquery print differently; their canonical texts coincide
     exactly when the subqueries differ only in those bound names."""
-    bound = _bound_generated_names(node)
+    # Only names bound inside: renaming free references to enclosing
+    # generated bindings would conflate subqueries that read different
+    # outer values.
+    bound = {name for name in bound_names(node) if name.startswith("$")}
     if not bound:
         return print_ast(node)
     mapping: Dict[str, str] = {}
@@ -394,25 +365,29 @@ def _canonical_text(node: ast.Node) -> str:
     return _GENERATED_NAME.sub(rename, print_ast(node))
 
 
-def _scope_occurrence_texts(
-    roots: Sequence[ast.Expr], kinds: Tuple[type, ...]
-) -> List[str]:
-    """Canonical texts of every ``kinds`` node at block scope — reached
-    without entering another subquery (CASE branches are descended:
-    a conditional occurrence at block scope still reads the same
-    environment, so substituting it is value-preserving)."""
-    texts: List[str] = []
+_CONDITIONAL = (ast.CaseExpr,)
 
-    def walk(node: ast.Node) -> None:
-        if isinstance(node, kinds):
-            texts.append(_canonical_text(node))
-            return
-        for child in node.children():
-            walk(child)
 
-    for root in roots:
-        walk(root)
-    return texts
+def _occurrences(
+    roots: Sequence[ast.Expr], kinds: Tuple[type, ...], stop: Tuple[type, ...] = ()
+) -> List[ast.Expr]:
+    """Every ``kinds`` node at block scope under ``roots``: reached
+    without entering a subquery (evaluated zero or many times, under a
+    different scope) or a ``stop`` node.  Without ``stop``, CASE branches
+    are descended: a conditional occurrence at block scope still reads
+    the same environment, so substituting it is value-preserving; with
+    ``stop=_CONDITIONAL`` only the unconditional occurrences remain (a
+    branch may never evaluate)."""
+
+    def prune(node: ast.Node) -> bool:
+        return ast.is_subquery(node) or isinstance(node, stop)
+
+    return [
+        node  # type: ignore[misc]
+        for root in roots
+        for node in root.walk(prune)
+        if isinstance(node, kinds)
+    ]
 
 
 def _all_occurrence_count(
@@ -537,7 +512,7 @@ def _try_semijoin_exists(
     scan = _single_from_collection(inner)
     if scan is None:
         return None
-    outer_vars = set(block_variables(block))
+    outer_vars = set(block_vars(block))
     inner_vars = set(item_vars(scan))
     if not _no_alias_capture(block, inner_vars):
         return None
@@ -564,7 +539,7 @@ def _try_semijoin_exists(
             "correlation key not provably present: guarded with "
             "IS NOT MISSING (an absent key matches no outer row)"
         )
-    alias = ctx.fresh("semi")
+    alias = ctx.fresh("$semi")
     semi_block = copy_span_tree(
         ast.QueryBlock(
             select=ast.SelectValue(expr=correlation.inner_key, distinct=True),
@@ -603,7 +578,7 @@ def _try_semijoin_in(
     if _subquery_of(conjunct.collection) is None:
         return None  # a subquery always yields a collection, so the
         # non-collection type error of IN cannot occur — load-bearing!
-    outer_vars = set(block_variables(block))
+    outer_vars = set(block_vars(block))
     if free_names(conjunct.collection) & outer_vars:
         return None  # correlated IN-subquery: not handled (yet)
     operand = conjunct.operand
@@ -618,8 +593,8 @@ def _try_semijoin_in(
         "collection is a subquery, so it is always a collection "
         "(the FROM-over-scalar singleton divergence cannot occur)",
     ]
-    element = ctx.fresh("e")
-    alias = ctx.fresh("semi")
+    element = ctx.fresh("$e")
+    alias = ctx.fresh("$semi")
     semi_where: Optional[ast.Expr] = None
     if ctx.elements_provably_present(conjunct.collection):
         safety.append(
@@ -701,9 +676,10 @@ def _r02_decorrelate_scalar(
     if not isinstance(block.select, ast.SelectValue):
         return None
 
-    candidates = _unconditional_occurrences(
+    candidates = _occurrences(
         [block.select.expr] + ([block.where] if block.where else []),
         (ast.CoerceSubquery,),
+        _CONDITIONAL,
     )
     for node in candidates:
         assert isinstance(node, ast.CoerceSubquery)
@@ -742,7 +718,7 @@ def _match_decorrelatable(
     if aggregate is None:
         return None
     key_field, call = aggregate
-    outer_vars = set(block_variables(block))
+    outer_vars = set(block_vars(block))
     inner_vars = set(item_vars(scan))
     if not _no_alias_capture(block, inner_vars):
         return None
@@ -776,8 +752,8 @@ def _match_decorrelatable(
             "aggregate on either path)"
         )
 
-    key_alias = ctx.fresh("dk")
-    alias = ctx.fresh("dec")
+    key_alias = ctx.fresh("$dk")
+    alias = ctx.fresh("$dec")
     dec_block = copy_span_tree(
         ast.QueryBlock(
             select=ast.SelectValue(
@@ -834,8 +810,8 @@ def _match_decorrelatable(
     )
     scope_count = sum(
         1
-        for text in _scope_occurrence_texts(roots, (ast.CoerceSubquery,))
-        if text == target
+        for occurrence in _occurrences(roots, (ast.CoerceSubquery,))
+        if _canonical_text(occurrence) == target
     )
     if _all_occurrence_count(roots, (ast.CoerceSubquery,), target) != (
         scope_count
@@ -1109,14 +1085,11 @@ def _r04_cse_to_let(
         return None
     if not isinstance(block.select, ast.SelectValue):
         return None
-    where_occurrences = _unconditional_occurrences(
-        [block.where] if block.where is not None else [],
-        (ast.SubqueryExpr, ast.CoerceSubquery),
-    )
-    select_occurrences = _unconditional_occurrences(
-        [block.select.expr], (ast.SubqueryExpr, ast.CoerceSubquery)
-    )
     kinds = (ast.SubqueryExpr, ast.CoerceSubquery)
+    where_occurrences = _occurrences(
+        [block.where] if block.where is not None else [], kinds, _CONDITIONAL
+    )
+    select_occurrences = _occurrences([block.select.expr], kinds, _CONDITIONAL)
     roots: List[ast.Expr] = (
         [block.where] if block.where is not None else []
     ) + [block.select.expr]
@@ -1130,7 +1103,7 @@ def _r04_cse_to_let(
             order.append((text, node))
     for node in where_occurrences:
         in_where.add(_canonical_text(node))
-    scope_texts = _scope_occurrence_texts(roots, kinds)
+    scope_texts = [_canonical_text(node) for node in _occurrences(roots, kinds)]
     for text, node in order:
         if counts[text] < 2:
             continue
@@ -1142,7 +1115,7 @@ def _r04_cse_to_let(
             # shadowing alias could change its meaning; the transform
             # below cannot tell scopes apart, so skip this candidate.
             continue
-        name = ctx.fresh("cse")
+        name = ctx.fresh("$cse")
         safety = [
             f"{counts[text]} unconditional occurrences: the original "
             "evaluated the subquery at least that often per binding",
@@ -1190,28 +1163,6 @@ def _r04_cse_to_let(
         )
         return new_block, result
     return None
-
-
-def _unconditional_occurrences(
-    roots: Sequence[ast.Expr], kinds: Tuple[type, ...]
-) -> List[ast.Expr]:
-    """Nodes of ``kinds`` reached without crossing a CASE (branches may
-    never evaluate) or entering another subquery (evaluated zero or
-    many times, under a different scope)."""
-    found: List[ast.Expr] = []
-
-    def walk(node: ast.Node) -> None:
-        if isinstance(node, kinds):
-            found.append(node)  # type: ignore[arg-type]
-            return  # do not descend into its own body
-        if isinstance(node, ast.CaseExpr):
-            return
-        for child in node.children():
-            walk(child)
-
-    for root in roots:
-        walk(root)
-    return found
 
 
 # =========================================================================
@@ -1277,7 +1228,7 @@ def apply_rules(
     """
     if not (config.rewrite and config.optimize):
         return query, ()
-    ctx = RewriteContext(config, catalog_types)
+    ctx = RewriteContext(config, catalog_types, query)
     fired: List[RewriteResult] = []
 
     def visit(node: ast.Node) -> ast.Node:

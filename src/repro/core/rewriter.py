@@ -36,23 +36,60 @@ Core mode SELECT is *always* shorthand for SELECT VALUE (Section V-A).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.config import EvalConfig
+from repro.core.clauses import FreshNames, block_vars, group_output_vars, item_vars
 from repro.errors import RewriteError
 from repro.functions.aggregates import SQL_AGGREGATES
+from repro.functions.registry import REGISTRY
 from repro.syntax import ast
-from repro.syntax.ast import copy_span
+from repro.syntax.ast import copy_span, copy_span_tree
 from repro.syntax.printer import print_ast
 
-#: Internal variable names use '$' so they can never collide with user
-#: identifiers from the default lexer alphabet in a parsed query... they
-#: can (``$`` is a legal identifier character), but the fresh-name counter
-#: also guarantees uniqueness within one rewrite.
+#: Bases of the generated variable names (numbered by :class:`FreshNames`,
+#: which skips every name the query already uses).
 _GROUP_VAR = "$group"
 _GROUP_ELEM = "$g_elem"
 
+_SCALAR = "scalar"
+_COLLECTION = "collection"
 _SCALAR_BINOPS = frozenset({"=", "!=", "<", "<=", ">", ">=", "+", "-", "*", "/", "%", "||"})
+
+
+def _argument_context(call: ast.FunctionCall) -> str:
+    """Aggregate arguments are collections; every other argument a scalar."""
+    definition = REGISTRY.lookup(call.name)
+    if (definition is not None and definition.is_aggregate) or _is_sql_aggregate(call):
+        return _COLLECTION
+    return _SCALAR
+
+
+#: Section V-A's coercion rule as data: the context each child of an
+#: expression kind sits in.  A plain-``SELECT`` subquery in a ``scalar``
+#: context coerces to its single value, in a ``collection`` context to
+#: the collection of its single attribute's values, and in no context
+#: (None, and every kind not listed) stays a collection of tuples.  An
+#: entry is one context for every child, a dict by field, or a function
+#: of the node giving either; a child that is not an expression (a struct
+#: field, path step, window spec or order key) hands its entry on to its
+#: own children, and a dict entry for an expression child (a window's
+#: own call) replaces that child's row.
+_CHILD_CONTEXT: Dict[type, Any] = {
+    ast.Binary: lambda expr: _SCALAR if expr.op in _SCALAR_BINOPS else None,
+    ast.Unary: lambda expr: _SCALAR if expr.op in ("-", "+") else None,
+    ast.FunctionCall: _argument_context,
+    ast.WindowCall: {"call": {"args": _SCALAR}, "spec": _SCALAR},
+    ast.InPredicate: {"operand": _SCALAR, "collection": _COLLECTION},
+    ast.Like: _SCALAR,
+    ast.Between: _SCALAR,
+    ast.IsPredicate: _SCALAR,
+    ast.CaseExpr: _SCALAR,
+    ast.CastExpr: _SCALAR,
+    ast.Index: {"base": None, "index": _SCALAR},
+    ast.PathWildcard: {"base": None, "steps": _SCALAR},
+    ast.StructLit: {"fields": {"key": _SCALAR, "value": None}},
+}
 
 
 def rewrite_query(
@@ -68,7 +105,7 @@ def rewrite_query(
     ``schema_attrs`` optionally maps a catalog name to the attribute
     names of its elements, enabling multi-variable disambiguation.
     """
-    rewriter = _Rewriter(config, catalog_names, schema_attrs or {})
+    rewriter = _Rewriter(config, catalog_names, schema_attrs or {}, FreshNames(query))
     return rewriter.rewrite_query(query, scope=frozenset())
 
 
@@ -78,6 +115,7 @@ class _Rewriter:
         config: EvalConfig,
         catalog_names: Iterable[str],
         schema_attrs: Dict[str, Set[str]],
+        fresh: FreshNames,
     ):
         self._config = config
         self._schema_attrs = schema_attrs
@@ -86,59 +124,25 @@ class _Rewriter:
             parts = name.split(".")
             for end in range(1, len(parts) + 1):
                 self._catalog_prefixes.add(".".join(parts[:end]))
-        self._fresh_counter = 0
-
-    def _fresh(self, base: str) -> str:
-        self._fresh_counter += 1
-        return f"{base}{self._fresh_counter}"
+        self._fresh = fresh
 
     # ------------------------------------------------------------------
     # Query / body traversal
     # ------------------------------------------------------------------
 
     def rewrite_query(self, query: ast.Query, scope: FrozenSet[str]) -> ast.Query:
-        body = query.body
+        body, order_by = query.body, query.order_by
         if isinstance(body, ast.QueryBlock):
-            block, order_by = self._rewrite_block(body, query.order_by, scope)
-            return dataclasses.replace(
-                query,
-                body=block,
-                order_by=order_by,
-                limit=self._rewrite_expr(query.limit, scope, "scalar"),
-                offset=self._rewrite_expr(query.offset, scope, "scalar"),
-            )
-        if isinstance(body, ast.SetOp):
-            return dataclasses.replace(
-                query,
-                body=self._rewrite_setop(body, scope),
-                order_by=[
-                    dataclasses.replace(
-                        item, expr=self._rewrite_expr(item.expr, scope, "scalar")
-                    )
-                    for item in query.order_by
-                ],
-                limit=self._rewrite_expr(query.limit, scope, "scalar"),
-                offset=self._rewrite_expr(query.offset, scope, "scalar"),
-            )
-        # Bare-expression query.
+            body, order_by = self._rewrite_block(body, order_by, scope)
+        else:
+            body = self._rewrite_term(body, scope)
+            order_by = [self._rewrite(item, scope, _SCALAR) for item in order_by]
         return dataclasses.replace(
             query,
-            body=self._rewrite_expr(body, scope, None),
-            order_by=[
-                dataclasses.replace(
-                    item, expr=self._rewrite_expr(item.expr, scope, "scalar")
-                )
-                for item in query.order_by
-            ],
-            limit=self._rewrite_expr(query.limit, scope, "scalar"),
-            offset=self._rewrite_expr(query.offset, scope, "scalar"),
-        )
-
-    def _rewrite_setop(self, setop: ast.SetOp, scope: FrozenSet[str]) -> ast.SetOp:
-        return dataclasses.replace(
-            setop,
-            left=self._rewrite_term(setop.left, scope),
-            right=self._rewrite_term(setop.right, scope),
+            body=body,
+            order_by=order_by,
+            limit=self._rewrite(query.limit, scope, _SCALAR),
+            offset=self._rewrite(query.offset, scope, _SCALAR),
         )
 
     def _rewrite_term(self, term: ast.Node, scope: FrozenSet[str]) -> ast.Node:
@@ -146,10 +150,14 @@ class _Rewriter:
             block, __ = self._rewrite_block(term, [], scope)
             return block
         if isinstance(term, ast.SetOp):
-            return self._rewrite_setop(term, scope)
+            return dataclasses.replace(
+                term,
+                left=self._rewrite_term(term.left, scope),
+                right=self._rewrite_term(term.right, scope),
+            )
         if isinstance(term, ast.Query):
             return self.rewrite_query(term, scope)
-        return self._rewrite_expr(term, scope, None)
+        return self._rewrite(term, scope, None)
 
     # ------------------------------------------------------------------
     # Query blocks
@@ -161,26 +169,21 @@ class _Rewriter:
         order_by: Sequence[ast.OrderItem],
         scope: FrozenSet[str],
     ) -> Tuple[ast.QueryBlock, List[ast.OrderItem]]:
-        block_vars = _block_variables(block)
-        from_scope = scope | block_vars
+        variables = frozenset(block_vars(block))
+        from_scope = scope | variables
 
         # 1. Bare-column disambiguation (SQL-compat only, needs a FROM).
         if self._config.sql_compat and block.from_ is not None:
-            block = self._disambiguate_block(block, scope, block_vars)
+            block = self._disambiguate_block(block, scope, variables)
 
         # 2. FROM / LET / WHERE expressions rewrite in the binding scope.
         new_from = (
-            [self._rewrite_from_item(item, from_scope) for item in block.from_]
+            [self._rewrite(item, from_scope, None) for item in block.from_]
             if block.from_ is not None
             else None
         )
-        new_lets = [
-            dataclasses.replace(
-                let, expr=self._rewrite_expr(let.expr, from_scope, None)
-            )
-            for let in block.lets
-        ]
-        new_where = self._rewrite_expr(block.where, from_scope, None)
+        new_lets = [self._rewrite(let, from_scope, None) for let in block.lets]
+        new_where = self._rewrite(block.where, from_scope, None)
 
         # 3. Aggregate sugar (SQL-compat only).
         group_by = block.group_by
@@ -189,37 +192,25 @@ class _Rewriter:
         order_items = list(order_by)
         if self._config.sql_compat and block.from_ is not None:
             select, having, order_items, group_by = self._rewrite_aggregation(
-                block, select, having, order_items, group_by, block_vars
+                select, having, order_items, group_by, variables
             )
 
         # 4. Scope for the output clauses.
-        if group_by is not None:
-            output_scope = scope | {key.alias for key in group_by.keys}
-            if group_by.group_as:
-                output_scope = output_scope | {group_by.group_as}
-        else:
-            output_scope = from_scope
+        output_scope = (
+            from_scope if group_by is None else scope.union(group_output_vars(group_by))
+        )
 
-        if group_by is not None:
-            group_by = dataclasses.replace(
-                group_by,
-                keys=[
-                    dataclasses.replace(
-                        key, expr=self._rewrite_expr(key.expr, from_scope, None)
-                    )
-                    for key in group_by.keys
-                ],
-            )
-        having = self._rewrite_expr(having, output_scope, None)
+        group_by = self._rewrite(group_by, from_scope, None)
+        having = self._rewrite(having, output_scope, None)
         order_items = [
-            dataclasses.replace(
-                item, expr=self._rewrite_expr(item.expr, output_scope, "scalar")
-            )
-            for item in order_items
+            self._rewrite(item, output_scope, _SCALAR) for item in order_items
         ]
 
         # 5. SELECT sugar → SELECT VALUE (both modes).
-        select = self._rewrite_select(select, output_scope)
+        if isinstance(select, ast.SelectList):
+            select = self._lower_select_list(select, output_scope)
+        else:
+            select = self._rewrite(select, output_scope, None)
 
         return (
             dataclasses.replace(
@@ -234,48 +225,9 @@ class _Rewriter:
             order_items,
         )
 
-    def _rewrite_from_item(
-        self, item: ast.FromItem, scope: FrozenSet[str]
-    ) -> ast.FromItem:
-        if isinstance(item, ast.FromCollection):
-            return dataclasses.replace(
-                item, expr=self._rewrite_expr(item.expr, scope, None)
-            )
-        if isinstance(item, ast.FromUnpivot):
-            return dataclasses.replace(
-                item, expr=self._rewrite_expr(item.expr, scope, None)
-            )
-        if isinstance(item, ast.FromJoin):
-            return dataclasses.replace(
-                item,
-                left=self._rewrite_from_item(item.left, scope),
-                right=self._rewrite_from_item(item.right, scope),
-                on=self._rewrite_expr(item.on, scope, None),
-            )
-        raise RewriteError(f"unknown FROM item {type(item).__name__}")
-
     # ------------------------------------------------------------------
     # SELECT sugar
     # ------------------------------------------------------------------
-
-    def _rewrite_select(
-        self, select: ast.SelectClause, scope: FrozenSet[str]
-    ) -> ast.SelectClause:
-        if isinstance(select, ast.SelectValue):
-            return dataclasses.replace(
-                select, expr=self._rewrite_expr(select.expr, scope, None)
-            )
-        if isinstance(select, ast.SelectList):
-            return self._lower_select_list(select, scope)
-        if isinstance(select, ast.SelectStar):
-            return select
-        if isinstance(select, ast.PivotClause):
-            return dataclasses.replace(
-                select,
-                value=self._rewrite_expr(select.value, scope, None),
-                at=self._rewrite_expr(select.at, scope, None),
-            )
-        raise RewriteError(f"unknown SELECT clause {type(select).__name__}")
 
     def _lower_select_list(
         self, select: ast.SelectList, scope: FrozenSet[str]
@@ -290,7 +242,7 @@ class _Rewriter:
         pending_fields: List[ast.StructField] = []
         has_star = any(item.star for item in select.items)
         for position, item in enumerate(select.items):
-            expr = self._rewrite_expr(item.expr, scope, "scalar")
+            expr = self._rewrite(item.expr, scope, _SCALAR)
             if item.star:
                 if pending_fields:
                     parts.append(
@@ -329,12 +281,11 @@ class _Rewriter:
 
     def _rewrite_aggregation(
         self,
-        block: ast.QueryBlock,
         select: ast.SelectClause,
         having: Optional[ast.Expr],
         order_items: List[ast.OrderItem],
         group_by: Optional[ast.GroupByClause],
-        block_vars: FrozenSet[str],
+        variables: FrozenSet[str],
     ):
         """Rewrite SQL aggregate calls over the ``GROUP AS`` group.
 
@@ -343,15 +294,10 @@ class _Rewriter:
         single-group clause is synthesised (SQL's one-row-even-when-empty
         semantics are preserved by the evaluator for keyless grouping).
         """
-        output_exprs = _select_expressions(select) + (
-            [having] if having is not None else []
-        ) + [item.expr for item in order_items]
-        has_aggregates = any(
-            _contains_sql_aggregate(expr) for expr in output_exprs
-        )
-        if group_by is None and not has_aggregates:
-            return select, having, order_items, group_by
         if group_by is None:
+            outputs = [select, having] + [item.expr for item in order_items]
+            if not _has_sql_aggregate(root for root in outputs if root is not None):
+                return select, having, order_items, group_by
             group_by = ast.GroupByClause(keys=[], group_as=None)
 
         group_var = group_by.group_as or self._fresh(_GROUP_VAR)
@@ -361,96 +307,42 @@ class _Rewriter:
         key_by_text = {print_ast(key.expr): key.alias for key in group_by.keys}
         elem_var = self._fresh(_GROUP_ELEM)
 
-        def lower(expr: Optional[ast.Expr]) -> Optional[ast.Expr]:
-            if expr is None:
-                return None
-            return self._lower_grouped_expr(
-                expr, key_by_text, group_var, elem_var, block_vars
-            )
-
-        if isinstance(select, ast.SelectValue):
-            select = dataclasses.replace(select, expr=lower(select.expr))
-        elif isinstance(select, ast.SelectList):
-            select = dataclasses.replace(
-                select,
-                items=[
-                    dataclasses.replace(item, expr=lower(item.expr))
-                    for item in select.items
-                ],
-            )
-        having = lower(having)
-        order_items = [
-            dataclasses.replace(item, expr=lower(item.expr))
-            for item in order_items
-        ]
-        return select, having, order_items, group_by
-
-    def _lower_grouped_expr(
-        self,
-        expr: ast.Expr,
-        key_by_text: Dict[str, str],
-        group_var: str,
-        elem_var: str,
-        block_vars: FrozenSet[str],
-    ) -> ast.Expr:
-        """Rewrite one output expression of a grouped block.
-
-        Occurrences of a group-key expression become references to the
-        key's alias; SQL aggregate calls become ``COLL_*`` over a
-        ``SELECT VALUE`` subquery ranging over the group.
-        """
-
-        def walk(node: ast.Node) -> ast.Node:
+        def lower(node: ast.Node) -> Optional[ast.Node]:
+            """Occurrences of a group-key expression become references to
+            the key's alias; SQL aggregate calls become ``COLL_*`` over a
+            ``SELECT VALUE`` subquery ranging over the group."""
             if isinstance(node, ast.Expr):
-                text = print_ast(node)
-                if text in key_by_text:
-                    return copy_span(
-                        ast.VarRef(name=key_by_text[text]), node
-                    )
-            if isinstance(node, ast.FunctionCall) and node.name.upper() in SQL_AGGREGATES:
-                return self._lower_aggregate_call(
-                    node, group_var, elem_var, block_vars
-                )
+                alias = key_by_text.get(print_ast(node))
+                if alias is not None:
+                    return copy_span(ast.VarRef(name=alias), node)
+            if _is_sql_aggregate(node):
+                assert isinstance(node, ast.FunctionCall)
+                return self._lower_aggregate_call(node, group_var, elem_var, variables)
             if isinstance(node, ast.SubqueryExpr):
-                # Nested query blocks manage their own grouping.
-                return node
+                return node  # nested query blocks manage their own grouping
             if isinstance(node, ast.WindowCall):
                 # The window function itself is a *window* aggregate,
                 # evaluated over the partition — but aggregates inside
                 # its arguments or its PARTITION BY / ORDER BY keys are
                 # grouping aggregates (``RANK() OVER (ORDER BY SUM(v))``
                 # runs after GROUP BY), so those do get lowered.
-                return dataclasses.replace(
-                    node,
-                    call=dataclasses.replace(
-                        node.call, args=[walk(arg) for arg in node.call.args]
-                    ),
-                    spec=dataclasses.replace(
-                        node.spec,
-                        partition_by=[walk(key) for key in node.spec.partition_by],
-                        order_by=[
-                            dataclasses.replace(item, expr=walk(item.expr))
-                            for item in node.spec.order_by
-                        ],
-                    ),
-                )
-            # Rebuild children through this same walk.
-            changes = {}
-            for fld in dataclasses.fields(node):
-                old = getattr(node, fld.name)
-                new = _walk_value(old, walk)
-                if new is not old:
-                    changes[fld.name] = new
-            return dataclasses.replace(node, **changes) if changes else node
+                call = node.call.map_children(lambda arg, _field: arg.rewrite(lower))
+                spec = node.spec.rewrite(lower)
+                return dataclasses.replace(node, call=call, spec=spec)
+            return None
 
-        return walk(expr)
+        if isinstance(select, (ast.SelectValue, ast.SelectList)):
+            select = select.rewrite(lower)
+        having = None if having is None else having.rewrite(lower)
+        order_items = [item.rewrite(lower) for item in order_items]
+        return select, having, order_items, group_by
 
     def _lower_aggregate_call(
         self,
         call: ast.FunctionCall,
         group_var: str,
         elem_var: str,
-        block_vars: FrozenSet[str],
+        variables: FrozenSet[str],
     ) -> ast.Expr:
         """``AVG(e.salary)`` → ``COLL_AVG((SELECT VALUE g.e.salary FROM grp AS g))``."""
         coll_name = SQL_AGGREGATES[call.name.upper()]
@@ -461,43 +353,17 @@ class _Rewriter:
                 raise RewriteError(
                     f"aggregate {call.name} expects exactly one argument"
                 )
-            value_expr = _substitute_block_vars(
-                call.args[0], block_vars, elem_var
-            )
-        subquery = copy_span(
-            ast.Query(
-                body=copy_span(
-                    ast.QueryBlock(
-                        select=copy_span(
-                            ast.SelectValue(
-                                expr=value_expr, distinct=call.distinct
-                            ),
-                            call,
-                        ),
-                        from_=[
-                            copy_span(
-                                ast.FromCollection(
-                                    expr=copy_span(
-                                        ast.VarRef(name=group_var), call
-                                    ),
-                                    alias=elem_var,
-                                ),
-                                call,
-                            )
-                        ],
-                    ),
-                    call,
-                )
-            ),
-            call,
+            value_expr = _substitute_block_vars(call.args[0], variables, elem_var)
+        # Every synthesized node points at the aggregate call; the value
+        # expression keeps its own spans.
+        source = copy_span_tree(
+            ast.FromCollection(expr=ast.VarRef(name=group_var), alias=elem_var), call
         )
-        return copy_span(
-            ast.FunctionCall(
-                name=coll_name,
-                args=[copy_span(ast.SubqueryExpr(query=subquery), call)],
-            ),
-            call,
-        )
+        select = ast.SelectValue(expr=value_expr, distinct=call.distinct)
+        block = ast.QueryBlock(select=copy_span(select, call), from_=[source])
+        query = copy_span(ast.Query(body=copy_span(block, call)), call)
+        subquery = copy_span(ast.SubqueryExpr(query=query), call)
+        return copy_span(ast.FunctionCall(name=coll_name, args=[subquery]), call)
 
     # ------------------------------------------------------------------
     # Bare-column disambiguation
@@ -507,78 +373,50 @@ class _Rewriter:
         self,
         block: ast.QueryBlock,
         outer_scope: FrozenSet[str],
-        block_vars: FrozenSet[str],
+        variables: FrozenSet[str],
     ) -> ast.QueryBlock:
-        from_vars = _from_aliases(block.from_ or [])
+        from_vars = [
+            name for item in block.from_ or () for name in item_vars(item, at=False)
+        ]
         if not from_vars:
             return block
         schema_map = self._from_var_schemas(block.from_ or [])
-        scope = outer_scope | block_vars
-        group_aliases = (
-            {key.alias for key in block.group_by.keys} if block.group_by else set()
-        )
-        if block.group_by and block.group_by.group_as:
-            group_aliases.add(block.group_by.group_as)
+        scope = outer_scope | variables
+        if block.group_by is not None:
+            output_scope = scope.union(group_output_vars(block.group_by))
+        else:
+            output_scope = scope
 
-        def resolve(node: ast.Node, extra: FrozenSet[str]) -> ast.Node:
-            def walk(inner: ast.Node) -> ast.Node:
+        def resolve(node: Optional[ast.Node], known: FrozenSet[str]) -> Any:
+            def qualify(inner: ast.Node) -> Optional[ast.Node]:
                 if isinstance(inner, ast.SubqueryExpr):
                     # Nested blocks see the same rule via their own pass;
                     # their additional variables are handled when the
                     # rewriter recurses into the subquery later.
                     return inner
-                if isinstance(inner, ast.VarRef):
-                    name = inner.name
-                    if name in scope or name in extra:
-                        return inner
-                    if name in self._catalog_prefixes:
-                        return inner
-                    target = self._pick_disambiguation_target(
-                        name, from_vars, schema_map
-                    )
-                    if target is not None:
-                        return copy_span(
-                            ast.Path(
-                                base=copy_span(
-                                    ast.VarRef(name=target), inner
-                                ),
-                                attr=name,
-                            ),
-                            inner,
-                        )
+                if not isinstance(inner, ast.VarRef):
+                    return None
+                name = inner.name
+                if name in known or name in self._catalog_prefixes:
                     return inner
-                changes = {}
-                for fld in dataclasses.fields(inner):
-                    old = getattr(inner, fld.name)
-                    new = _walk_value(old, walk)
-                    if new is not old:
-                        changes[fld.name] = new
-                return dataclasses.replace(inner, **changes) if changes else inner
+                target = self._pick_disambiguation_target(name, from_vars, schema_map)
+                if target is None:
+                    return inner
+                return copy_span(
+                    ast.Path(base=copy_span(ast.VarRef(name=target), inner), attr=name),
+                    inner,
+                )
 
-            return walk(node)
+            return None if node is None else node.rewrite(qualify)
 
-        none_extra: FrozenSet[str] = frozenset()
-        output_extra = frozenset(group_aliases)
-        changes: dict = {}
-        if block.where is not None:
-            changes["where"] = resolve(block.where, none_extra)
-        if block.lets:
-            changes["lets"] = [
-                dataclasses.replace(let, expr=resolve(let.expr, none_extra))
-                for let in block.lets
-            ]
-        if block.group_by is not None:
-            changes["group_by"] = dataclasses.replace(
-                block.group_by,
-                keys=[
-                    dataclasses.replace(key, expr=resolve(key.expr, none_extra))
-                    for key in block.group_by.keys
-                ],
-            )
-        if block.having is not None:
-            changes["having"] = resolve(block.having, output_extra)
-        changes["select"] = resolve(block.select, output_extra)
-        return dataclasses.replace(block, **changes)
+        return dataclasses.replace(
+            block,
+            where=resolve(block.where, scope),
+            lets=[resolve(let, scope) for let in block.lets],
+            group_by=resolve(block.group_by, scope),
+            having=resolve(block.having, output_scope),
+            select=resolve(block.select, output_scope),
+        )
 
     def _pick_disambiguation_target(
         self,
@@ -601,252 +439,56 @@ class _Rewriter:
     ) -> Dict[str, Set[str]]:
         """Map FROM variables to attribute sets from the optional schema."""
         result: Dict[str, Set[str]] = {}
-
-        def visit(item: ast.FromItem) -> None:
-            if isinstance(item, ast.FromCollection):
-                name = _catalog_name_of(item.expr)
-                if name is not None and name in self._schema_attrs:
-                    result[item.alias] = self._schema_attrs[name]
-            elif isinstance(item, ast.FromJoin):
-                visit(item.left)
-                visit(item.right)
-
         for item in items:
-            visit(item)
+            # The FROM items of this block only: expressions (and the
+            # subqueries in them) are not entered.
+            for node in item.walk(lambda sub: isinstance(sub, ast.Expr)):
+                if isinstance(node, ast.FromCollection):
+                    name = _catalog_name_of(node.expr)
+                    if name is not None and name in self._schema_attrs:
+                        result[node.alias] = self._schema_attrs[name]
         return result
 
     # ------------------------------------------------------------------
     # Expressions: recursion + coercion marking
     # ------------------------------------------------------------------
 
-    def _rewrite_expr(
-        self,
-        expr: Optional[ast.Expr],
-        scope: FrozenSet[str],
-        context: Optional[str],
-    ) -> Optional[ast.Expr]:
-        """Recurse into an expression, rewriting nested query blocks and
-        (in SQL-compat mode) marking subquery coercions by context."""
-        if expr is None:
+    def _rewrite(self, node: Any, scope: FrozenSet[str], context: Any) -> Any:
+        """Rewrite the query blocks nested in ``node`` and (in SQL-compat
+        mode) mark subquery coercions.  ``context`` is the coercion
+        context ``node`` sits in; a node that is not an expression hands
+        it on to its children, an expression looks theirs up in
+        :data:`_CHILD_CONTEXT` (unless handed a dict of its own)."""
+        if node is None:
             return None
-        if isinstance(expr, ast.SubqueryExpr):
-            rewritten = self.rewrite_query(expr.query, scope)
+        if isinstance(node, ast.SubqueryExpr):
+            rewritten = self.rewrite_query(node.query, scope)
             if (
                 self._config.sql_compat
-                and context in ("scalar", "collection")
-                and _is_plain_select_query(expr.query)
+                and context in (_SCALAR, _COLLECTION)
+                and _is_plain_select_query(node.query)
             ):
-                return copy_span(
-                    ast.CoerceSubquery(query=rewritten, mode=context), expr
-                )
-            return dataclasses.replace(expr, query=rewritten)
-        if isinstance(expr, ast.Binary):
-            child_context = "scalar" if expr.op in _SCALAR_BINOPS else None
-            return dataclasses.replace(
-                expr,
-                left=self._rewrite_expr(expr.left, scope, child_context),
-                right=self._rewrite_expr(expr.right, scope, child_context),
+                coerced = ast.CoerceSubquery(query=rewritten, mode=context)
+                return copy_span(coerced, node)
+            return dataclasses.replace(node, query=rewritten)
+        if isinstance(node, ast.CoerceSubquery):
+            return node
+        if isinstance(node, ast.Expr) and not isinstance(context, dict):
+            context = _CHILD_CONTEXT.get(type(node))
+            if callable(context):
+                context = context(node)
+        if isinstance(context, dict):
+            return node.map_children(
+                lambda child, field: self._rewrite(child, scope, context.get(field))
             )
-        if isinstance(expr, ast.Unary):
-            child_context = "scalar" if expr.op in ("-", "+") else None
-            return dataclasses.replace(
-                expr, operand=self._rewrite_expr(expr.operand, scope, child_context)
-            )
-        if isinstance(expr, ast.Like):
-            return dataclasses.replace(
-                expr,
-                operand=self._rewrite_expr(expr.operand, scope, "scalar"),
-                pattern=self._rewrite_expr(expr.pattern, scope, "scalar"),
-                escape=self._rewrite_expr(expr.escape, scope, "scalar"),
-            )
-        if isinstance(expr, ast.Between):
-            return dataclasses.replace(
-                expr,
-                operand=self._rewrite_expr(expr.operand, scope, "scalar"),
-                low=self._rewrite_expr(expr.low, scope, "scalar"),
-                high=self._rewrite_expr(expr.high, scope, "scalar"),
-            )
-        if isinstance(expr, ast.InPredicate):
-            return dataclasses.replace(
-                expr,
-                operand=self._rewrite_expr(expr.operand, scope, "scalar"),
-                collection=self._rewrite_expr(expr.collection, scope, "collection"),
-            )
-        if isinstance(expr, ast.IsPredicate):
-            return dataclasses.replace(
-                expr, operand=self._rewrite_expr(expr.operand, scope, "scalar")
-            )
-        if isinstance(expr, ast.Exists):
-            return dataclasses.replace(
-                expr, operand=self._rewrite_expr(expr.operand, scope, None)
-            )
-        if isinstance(expr, ast.CaseExpr):
-            return dataclasses.replace(
-                expr,
-                operand=self._rewrite_expr(expr.operand, scope, "scalar"),
-                whens=[
-                    (
-                        self._rewrite_expr(cond, scope, "scalar"),
-                        self._rewrite_expr(result, scope, "scalar"),
-                    )
-                    for cond, result in expr.whens
-                ],
-                else_=self._rewrite_expr(expr.else_, scope, "scalar"),
-            )
-        if isinstance(expr, ast.FunctionCall):
-            from repro.functions.registry import REGISTRY
-
-            definition = REGISTRY.lookup(expr.name)
-            if (
-                definition is not None and definition.is_aggregate
-            ) or expr.name.upper() in SQL_AGGREGATES:
-                arg_context: Optional[str] = "collection"
-            else:
-                arg_context = "scalar"
-            return dataclasses.replace(
-                expr,
-                args=[
-                    self._rewrite_expr(arg, scope, arg_context) for arg in expr.args
-                ],
-            )
-        if isinstance(expr, ast.WindowCall):
-            return dataclasses.replace(
-                expr,
-                call=dataclasses.replace(
-                    expr.call,
-                    args=[
-                        self._rewrite_expr(arg, scope, "scalar")
-                        for arg in expr.call.args
-                    ],
-                ),
-                spec=dataclasses.replace(
-                    expr.spec,
-                    partition_by=[
-                        self._rewrite_expr(key, scope, "scalar")
-                        for key in expr.spec.partition_by
-                    ],
-                    order_by=[
-                        dataclasses.replace(
-                            item,
-                            expr=self._rewrite_expr(item.expr, scope, "scalar"),
-                        )
-                        for item in expr.spec.order_by
-                    ],
-                ),
-            )
-        if isinstance(expr, ast.Path):
-            return dataclasses.replace(
-                expr, base=self._rewrite_expr(expr.base, scope, None)
-            )
-        if isinstance(expr, ast.Index):
-            return dataclasses.replace(
-                expr,
-                base=self._rewrite_expr(expr.base, scope, None),
-                index=self._rewrite_expr(expr.index, scope, "scalar"),
-            )
-        if isinstance(expr, ast.PathWildcard):
-            return dataclasses.replace(
-                expr,
-                base=self._rewrite_expr(expr.base, scope, None),
-                steps=[
-                    dataclasses.replace(
-                        step, index=self._rewrite_expr(step.index, scope, "scalar")
-                    )
-                    if step.index is not None
-                    else step
-                    for step in expr.steps
-                ],
-            )
-        if isinstance(expr, ast.StructLit):
-            return dataclasses.replace(
-                expr,
-                fields=[
-                    dataclasses.replace(
-                        field,
-                        key=self._rewrite_expr(field.key, scope, "scalar"),
-                        value=self._rewrite_expr(field.value, scope, None),
-                    )
-                    for field in expr.fields
-                ],
-            )
-        if isinstance(expr, ast.ArrayLit):
-            return dataclasses.replace(
-                expr,
-                items=[self._rewrite_expr(item, scope, None) for item in expr.items],
-            )
-        if isinstance(expr, ast.BagLit):
-            return dataclasses.replace(
-                expr,
-                items=[self._rewrite_expr(item, scope, None) for item in expr.items],
-            )
-        if isinstance(expr, ast.CastExpr):
-            return dataclasses.replace(
-                expr, operand=self._rewrite_expr(expr.operand, scope, "scalar")
-            )
-        # Literal, VarRef, Parameter, CoerceSubquery: nothing to do.
-        return expr
+        return node.map_children(
+            lambda child, _field: self._rewrite(child, scope, context)
+        )
 
 
 # =========================================================================
 # Helpers
 # =========================================================================
-
-
-def _walk_value(value, walk):
-    if isinstance(value, ast.Node):
-        return walk(value)
-    if isinstance(value, list):
-        items = [_walk_value(item, walk) for item in value]
-        if all(new is old for new, old in zip(items, value)):
-            return value
-        return items
-    if isinstance(value, tuple):
-        items = tuple(_walk_value(item, walk) for item in value)
-        if all(new is old for new, old in zip(items, value)):
-            return value
-        return items
-    return value
-
-
-def _block_variables(block: ast.QueryBlock) -> FrozenSet[str]:
-    """The variables a block introduces: FROM aliases, AT vars, LETs."""
-    names: Set[str] = set()
-
-    def visit(item: ast.FromItem) -> None:
-        if isinstance(item, ast.FromCollection):
-            names.add(item.alias)
-            if item.at_alias:
-                names.add(item.at_alias)
-        elif isinstance(item, ast.FromUnpivot):
-            names.add(item.value_alias)
-            names.add(item.at_alias)
-        elif isinstance(item, ast.FromJoin):
-            visit(item.left)
-            visit(item.right)
-
-    for item in block.from_ or []:
-        visit(item)
-    for let in block.lets:
-        names.add(let.name)
-    return frozenset(names)
-
-
-def _from_aliases(items: Sequence[ast.FromItem]) -> List[str]:
-    """FROM collection aliases, in clause order (no AT/LET names)."""
-    aliases: List[str] = []
-
-    def visit(item: ast.FromItem) -> None:
-        if isinstance(item, ast.FromCollection):
-            aliases.append(item.alias)
-        elif isinstance(item, ast.FromUnpivot):
-            aliases.append(item.value_alias)
-        elif isinstance(item, ast.FromJoin):
-            visit(item.left)
-            visit(item.right)
-
-    for item in items:
-        visit(item)
-    return aliases
 
 
 def _catalog_name_of(expr: ast.Expr) -> Optional[str]:
@@ -860,44 +502,27 @@ def _catalog_name_of(expr: ast.Expr) -> Optional[str]:
     return None
 
 
-def _select_expressions(select: ast.SelectClause) -> List[ast.Expr]:
-    if isinstance(select, ast.SelectValue):
-        return [select.expr]
-    if isinstance(select, ast.SelectList):
-        return [item.expr for item in select.items]
-    if isinstance(select, ast.PivotClause):
-        return [select.value, select.at]
-    return []
+def _is_sql_aggregate(node: ast.Node) -> bool:
+    return isinstance(node, ast.FunctionCall) and node.name.upper() in SQL_AGGREGATES
 
 
-def _contains_sql_aggregate(expr: ast.Expr) -> bool:
-    """True when a SQL aggregate call occurs outside nested subqueries."""
-
-    def scan(node: ast.Node) -> bool:
-        if isinstance(node, ast.SubqueryExpr):
-            # Nested blocks own their aggregates.
-            return False
-        if isinstance(node, ast.WindowCall):
-            # The window function itself is not a grouping aggregate,
-            # but aggregates inside its arguments or spec are (they
-            # imply SQL's implicit grouping: RANK() OVER (ORDER BY
-            # SUM(v)) groups first, ranks after).
-            children = list(node.call.args) + list(node.spec.partition_by) + [
-                item.expr for item in node.spec.order_by
-            ]
-            return any(scan(child) for child in children)
-        if (
-            isinstance(node, ast.FunctionCall)
-            and node.name.upper() in SQL_AGGREGATES
-        ):
-            return True
-        return any(scan(child) for child in node.children())
-
-    return scan(expr)
+def _has_sql_aggregate(roots: Iterable[ast.Node]) -> bool:
+    """Whether a SQL aggregate call occurs under ``roots`` outside nested
+    subqueries.  A window's own function is not one, but aggregates in
+    its arguments or spec are: ``RANK() OVER (ORDER BY SUM(v))`` implies
+    SQL's implicit grouping (groups first, ranks after)."""
+    window_calls: Set[int] = set()
+    for root in roots:
+        for node in root.walk(ast.is_subquery):
+            if isinstance(node, ast.WindowCall):
+                window_calls.add(id(node.call))
+            elif _is_sql_aggregate(node) and id(node) not in window_calls:
+                return True
+    return False
 
 
 def _substitute_block_vars(
-    expr: ast.Expr, block_vars: FrozenSet[str], elem_var: str
+    expr: ast.Expr, variables: FrozenSet[str], elem_var: str
 ) -> ast.Expr:
     """Replace references to block variables v with ``elem_var.v``.
 
@@ -907,35 +532,27 @@ def _substitute_block_vars(
     so the substitution stops for that name inside them.
     """
 
-    def walk(node: ast.Node, active: FrozenSet[str]) -> ast.Node:
-        if isinstance(node, ast.VarRef) and node.name in active:
-            return copy_span(
-                ast.Path(
-                    base=copy_span(ast.VarRef(name=elem_var), node),
-                    attr=node.name,
-                ),
-                node,
-            )
-        if isinstance(node, ast.SubqueryExpr):
-            body = node.query.body
-            if isinstance(body, ast.QueryBlock):
-                inner_active = active - _block_variables(body)
+    def substitute(active: FrozenSet[str]):
+        def visit(node: ast.Node) -> Optional[ast.Node]:
+            if isinstance(node, ast.VarRef) and node.name in active:
+                base = copy_span(ast.VarRef(name=elem_var), node)
+                return copy_span(ast.Path(base=base, attr=node.name), node)
+            if isinstance(node, ast.Query) and isinstance(node.body, ast.QueryBlock):
+                block = node.body  # the query's ORDER BY sees its variables too
+            elif isinstance(node, ast.QueryBlock):
+                block = node  # an operand of a set operation
             else:
-                inner_active = active
-            if not inner_active:
+                return None
+            inner = active - set(block_vars(block))
+            if not inner:
                 return node
-            return dataclasses.replace(
-                node, query=walk(node.query, inner_active)
+            return node.map_children(
+                lambda child, _field: child.rewrite(substitute(inner))
             )
-        changes = {}
-        for fld in dataclasses.fields(node):
-            old = getattr(node, fld.name)
-            new = _walk_value(old, lambda child: walk(child, active))
-            if new is not old:
-                changes[fld.name] = new
-        return dataclasses.replace(node, **changes) if changes else node
 
-    return walk(expr, block_vars)
+        return visit
+
+    return expr.rewrite(substitute(variables))
 
 
 def _is_plain_select_query(query: ast.Query) -> bool:

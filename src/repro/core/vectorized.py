@@ -131,29 +131,6 @@ class Decomposition:
         return tuple(key.alias for key in self.clause.keys) + specs
 
 
-def _rebinds(expr: ast.Expr, name: str) -> bool:
-    """Whether any scope inside ``expr`` rebinds ``name`` (a nested
-    subquery shadowing the group-element variable would make reverse
-    substitution unsound)."""
-    for node in expr.walk():
-        if isinstance(node, ast.FromCollection):
-            if node.alias == name or node.at_alias == name:
-                return True
-        elif isinstance(node, ast.FromUnpivot):
-            if node.value_alias == name or node.at_alias == name:
-                return True
-        elif isinstance(node, ast.LetBinding):
-            if node.name == name:
-                return True
-        elif isinstance(node, ast.GroupKey):
-            if node.alias == name:
-                return True
-        elif isinstance(node, ast.GroupByClause):
-            if node.group_as == name:
-                return True
-    return False
-
-
 def _match_site(
     node: ast.Expr, group_var: str, row_vars: frozenset
 ) -> Optional[Tuple[Any, bool, ast.Expr]]:
@@ -198,7 +175,9 @@ def _match_site(
     if not isinstance(item.expr, ast.VarRef) or item.expr.name != group_var:
         return None
     elem = item.alias
-    if _rebinds(body.select.expr, elem):
+    if elem in clauses.bound_names(body.select.expr):
+        # A nested scope rebinding the element variable would make the
+        # reverse substitution below unsound.
         return None
 
     failed: List[bool] = []
@@ -245,7 +224,7 @@ def _replace_sites(
     variable makes the caller collect the group for it).
     """
 
-    def rebuild(current: ast.Node) -> ast.Node:
+    def replace(current: ast.Node) -> Optional[ast.Node]:
         if isinstance(current, ast.Expr):
             site = _match_site(current, group_var, row_vars)
             if site is not None:
@@ -253,33 +232,9 @@ def _replace_sites(
                 var = f"{_FOLD_VAR}{len(specs)}"
                 specs.append(AggSpec(var, definition, distinct, value_expr))
                 return ast.copy_span(ast.VarRef(name=var), current)
-        if isinstance(current, (ast.SubqueryExpr, ast.CoerceSubquery)):
-            return current
-        changes = {}
-        for fld in dataclasses.fields(current):
-            old = getattr(current, fld.name)
-            new = _rebuild_value(old, rebuild)
-            if new is not old:
-                changes[fld.name] = new
-        return dataclasses.replace(current, **changes) if changes else current
+        return current if ast.is_subquery(current) else None
 
-    return rebuild(node)
-
-
-def _rebuild_value(value: Any, rebuild) -> Any:
-    if isinstance(value, ast.Node):
-        return rebuild(value)
-    if isinstance(value, list):
-        new_items = [_rebuild_value(item, rebuild) for item in value]
-        if all(new is old for new, old in zip(new_items, value)):
-            return value
-        return new_items
-    if isinstance(value, tuple):
-        new_items = tuple(_rebuild_value(item, rebuild) for item in value)
-        if all(new is old for new, old in zip(new_items, value)):
-            return value
-        return new_items
-    return value
+    return node.rewrite(replace)
 
 
 def decompose_block(
@@ -571,8 +526,7 @@ def _residual_fn(evaluator, body, plan, row_vars, one_row: bool) -> Optional[Cal
 def _compile_block(evaluator, query: ast.Query, plan, one_row: bool) -> BlockKernels:
     body = query.body
     compiled = evaluator.compiled_batch
-    from_vars = [name for item in body.from_ or () for name in clauses.item_vars(item)]
-    row_vars = tuple(from_vars) + tuple(let.name for let in body.lets)
+    row_vars = tuple(clauses.block_vars(body))
     scope = frozenset(row_vars)
     calls = find_window_calls(body.select)
     select = lower_window_calls(body.select, calls) if calls else body.select
@@ -594,7 +548,7 @@ def _compile_block(evaluator, query: ast.Query, plan, one_row: bool) -> BlockKer
         decomp=decomp,
         let_fns=[
             (let.name, compiled(let.expr, frozenset(row_vars[:k]), one_row))
-            for k, let in enumerate(body.lets, len(from_vars))
+            for k, let in enumerate(body.lets, len(row_vars) - len(body.lets))
         ],
         residual_fn=_residual_fn(evaluator, body, plan, row_vars, one_row),
         key_fns=key_fns,

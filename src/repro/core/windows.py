@@ -196,21 +196,11 @@ def _fill_partition(
 
 def find_window_calls(node: ast.Node) -> List[ast.WindowCall]:
     """Window calls in an expression/clause, not entering subqueries."""
-    found: List[ast.WindowCall] = []
 
-    def scan(current: ast.Node) -> None:
-        if isinstance(current, ast.SubqueryExpr) or isinstance(
-            current, ast.CoerceSubquery
-        ):
-            return
-        if isinstance(current, ast.WindowCall):
-            found.append(current)
-            return
-        for child in current.children():
-            scan(child)
+    def prune(sub: ast.Node) -> bool:
+        return ast.is_subquery(sub) or isinstance(sub, ast.WindowCall)
 
-    scan(node)
-    return found
+    return [call for call in node.walk(prune) if isinstance(call, ast.WindowCall)]
 
 
 def lower_window_calls(

@@ -8,14 +8,17 @@ into SQL++ Core forms (``SELECT VALUE``, ``COLL_*`` over ``GROUP AS``
 groups) before evaluation, exactly as the paper describes SQL being
 "syntactic sugar" over the Core (Section I).
 
-Generic traversal: :meth:`Node.children` yields child nodes and
-:meth:`Node.transform` rebuilds a node bottom-up through a callback, both
-derived automatically from dataclass fields, so rewrite passes stay short.
+Generic traversal, derived from the dataclass fields so every compile
+pass shares it: :meth:`Node.children` yields child nodes,
+:meth:`Node.walk` searches a tree (optionally pruned, e.g. at
+:func:`is_subquery`), :meth:`Node.rewrite` rebuilds it top-down and
+:meth:`Node.transform` bottom-up, both over :meth:`Node.map_children`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, List, Optional, Tuple, TypeVar
 
@@ -42,14 +45,55 @@ class Node:
 
     def children(self) -> Iterator["Node"]:
         """Yield every direct child node (recursing into lists/tuples)."""
-        for fld in dataclasses.fields(self):
-            yield from _nodes_in(getattr(self, fld.name))
+        return iter(_child_nodes(self))
 
-    def walk(self) -> Iterator["Node"]:
-        """Yield this node and every descendant, pre-order."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+    def walk(
+        self, prune: Optional[Callable[["Node"], bool]] = None
+    ) -> Iterator["Node"]:
+        """Yield this node and every descendant, pre-order.
+
+        A node for which ``prune`` holds is yielded but not entered: a
+        walk that stays in one query scope prunes at :func:`is_subquery`.
+        """
+        stack: List[Node] = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if prune is None or not prune(node):
+                children = _child_nodes(node)
+                children.reverse()
+                stack.extend(children)
+
+    def map_children(self, fn: Callable[["Node", str], "Node"]) -> "Node":
+        """This node with ``fn(child, field)`` in place of each direct
+        child node (inside lists and tuples too), in field declaration
+        order.  Nodes are never mutated in place: the node itself is
+        returned when no child changed."""
+        changes = {}
+        for name in _child_fields(type(self)):
+            old = getattr(self, name)
+            if isinstance(old, Node):
+                new = fn(old, name)
+            elif isinstance(old, (list, tuple)):
+                new = _map_items(old, fn, name)
+            else:
+                continue
+            if new is not old:
+                changes[name] = new
+        return dataclasses.replace(self, **changes) if changes else self
+
+    def rewrite(self, fn: Callable[["Node"], Optional["Node"]]) -> "Node":
+        """Rebuild the tree top-down.
+
+        ``fn(node)`` returns the node's replacement, which is not
+        descended into, or None to keep the node and rewrite its
+        children (in field declaration order).  Untouched subtrees are
+        shared.
+        """
+        replacement = fn(self)
+        if replacement is not None:
+            return replacement
+        return self.map_children(lambda child, _field: child.rewrite(fn))
 
     def transform(self, fn: Callable[["Node"], "Node"]) -> "Node":
         """Rebuild the tree bottom-up, applying ``fn`` to every node.
@@ -58,22 +102,46 @@ class Node:
         (possibly rebuilt) node itself.  Nodes are never mutated in place;
         untouched subtrees are shared.
         """
-        changes = {}
-        for fld in dataclasses.fields(self):
-            old = getattr(self, fld.name)
-            new = _transform_value(old, fn)
-            if new is not old:
-                changes[fld.name] = new
-        node = dataclasses.replace(self, **changes) if changes else self
-        return fn(node)
+        return fn(self.map_children(lambda child, _field: child.transform(fn)))
 
 
-def _nodes_in(value: Any) -> Iterator[Node]:
+@functools.cache
+def _child_fields(cls: type) -> Tuple[str, ...]:
+    """The fields of a node class that can hold child nodes: all but the
+    span, in declaration order."""
+    return tuple(
+        fld.name for fld in dataclasses.fields(cls) if fld.name not in ("line", "column")
+    )
+
+
+def _child_nodes(node: Node) -> List[Node]:
+    found: List[Node] = []
+    for name in _child_fields(type(node)):
+        _collect_nodes(getattr(node, name), found)
+    return found
+
+
+def _collect_nodes(value: Any, found: List[Node]) -> None:
     if isinstance(value, Node):
-        yield value
+        found.append(value)
     elif isinstance(value, (list, tuple)):
         for item in value:
-            yield from _nodes_in(item)
+            _collect_nodes(item, found)
+
+
+def _map_items(value: Any, fn: Callable[[Node, str], Node], name: str) -> Any:
+    """A list or tuple of children (nested ones too, as in CASE's WHEN
+    pairs) with ``fn`` applied; ``value`` itself when nothing changed."""
+    items = []
+    for item in value:
+        if isinstance(item, Node):
+            item = fn(item, name)
+        elif isinstance(item, (list, tuple)):
+            item = _map_items(item, fn, name)
+        items.append(item)
+    if all(new is old for new, old in zip(items, value)):
+        return value
+    return items if isinstance(value, list) else tuple(items)
 
 
 NodeT = TypeVar("NodeT", bound=Node)
@@ -109,22 +177,6 @@ def copy_span_tree(target: NodeT, source: Node) -> NodeT:
             node.line = source.line
             node.column = source.column
     return target
-
-
-def _transform_value(value: Any, fn: Callable[[Node], Node]) -> Any:
-    if isinstance(value, Node):
-        return value.transform(fn)
-    if isinstance(value, list):
-        new_items = [_transform_value(item, fn) for item in value]
-        if all(new is old for new, old in zip(new_items, value)):
-            return value
-        return new_items
-    if isinstance(value, tuple):
-        new_items = tuple(_transform_value(item, fn) for item in value)
-        if all(new is old for new, old in zip(new_items, value)):
-            return value
-        return new_items
-    return value
 
 
 # =========================================================================
@@ -386,6 +438,12 @@ class CoerceSubquery(Expr):
 
     query: "Query"
     mode: str  # 'scalar' or 'collection'
+
+
+def is_subquery(node: Node) -> bool:
+    """Whether ``node`` opens a nested query scope: the ``prune`` of a
+    walk that must not look inside another block."""
+    return isinstance(node, (SubqueryExpr, CoerceSubquery))
 
 
 @dataclass

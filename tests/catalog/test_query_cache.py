@@ -101,7 +101,9 @@ class TestRewriteCacheKey:
         db = make_db()
         db.execute(REWRITABLE)
         before = db.compile(REWRITABLE)
-        monkeypatch.setattr(rewrite_rules, "REGISTRY_VERSION", 2)
+        monkeypatch.setattr(
+            rewrite_rules, "REGISTRY_VERSION", rewrite_rules.REGISTRY_VERSION + 1
+        )
         misses = db.metrics.counters["compile_cache_misses"]
         after = db.compile(REWRITABLE)
         assert after is not before

@@ -221,6 +221,21 @@ class TestR02DecorrelateScalar:
         )
         assert "SQLPPR02" not in codes
 
+    def test_no_fire_on_scalar_in_a_nested_block(self):
+        # The subquery reads the middle block's LET ``c``, which shadows
+        # the outer FROM ``c``; decorrelating it against the outer block
+        # would join on the wrong variable.
+        query = (
+            "SELECT VALUE (SELECT VALUE 0 + (SELECT SUM(o.amt) FROM orders "
+            "AS o WHERE o.cust = c.id) FROM [{'id': 3}] AS m LET c = m) "
+            "FROM customers AS c"
+        )
+        __, codes = fired_codes(query)
+        assert "SQLPPR02" not in codes
+        db = make_db()
+        assert [list(row) for row in db.execute(query)] == [[7]] * 5
+        assert_same_result(db, query)
+
 
 OR_QUERY = (
     "SELECT VALUE c.name FROM customers AS c "
@@ -520,3 +535,40 @@ class TestSynthesizedSpans:
         assert {node.line for node in synthesized} <= {
             node.line for node in core.walk() if node.line is not None
         }
+
+
+SEMI_CAPTURE_QUERY = (
+    "SELECT VALUE 1 FROM u AS {x} WHERE EXISTS "
+    "(SELECT VALUE 1 FROM o AS o WHERE o.uid = {x}.id AND o.q = 8)"
+)
+
+
+class TestGeneratedNames:
+    """The registry's generated names avoid every name in the query:
+    an outer alias spelled ``$semi1`` must not be captured by the
+    semi-join alias SQLPPR01 introduces."""
+
+    @pytest.fixture
+    def uo_db(self) -> Database:
+        db = Database()
+        db.set("u", [{"id": 1}, {"id": 2}])
+        db.set("o", [{"uid": 1, "q": 8}, {"uid": 2, "q": 3}])
+        return db
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_outer_alias_spelled_like_semijoin_alias(self, uo_db, optimize):
+        plain = uo_db.execute(SEMI_CAPTURE_QUERY.format(x="x"), optimize=optimize)
+        renamed = uo_db.execute(
+            SEMI_CAPTURE_QUERY.format(x="$semi1"), optimize=optimize
+        )
+        assert list(plain) == [1]
+        assert list(renamed) == list(plain)
+
+    def test_semijoin_alias_skips_the_taken_name(self, uo_db):
+        text = uo_db.explain_rewrites(SEMI_CAPTURE_QUERY.format(x="$semi1"))
+        assert "SQLPPR01" in text
+        assert "AS $semi2 ON ($semi1.id = $semi2)" in text
+
+    def test_numbering_unchanged_without_collision(self, uo_db):
+        text = uo_db.explain_rewrites(SEMI_CAPTURE_QUERY.format(x="x"))
+        assert "AS $semi1 ON (x.id = $semi1)" in text

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datamodel.convert import to_python
 
 
 @pytest.fixture
@@ -66,6 +67,19 @@ class TestAggregateSugar:
             "SELECT d AS d, COUNT(*) AS n"
         )
         assert "FROM grp AS" in plan
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_set_operation_operand_shadows_block_variable(self, db, optimize):
+        # Each UNION operand rebinds ``e``: its ``e`` is not the grouped
+        # row's, so it must not become ``$g_elem.e``.
+        db.set("emp", [{"salary": 1}, {"salary": 2}])
+        db.set("t", [1, 2, 3])
+        query = (
+            "SELECT SUM(COLL_SUM((SELECT VALUE e FROM t AS e UNION ALL "
+            "SELECT VALUE e FROM t AS e))) AS m FROM emp AS e"
+        )
+        assert "$g_elem2.e" not in db.explain(query)
+        assert to_python(db.execute(query, optimize=optimize)) == [{"m": 24}]
 
 
 class TestBareColumns:
@@ -141,6 +155,48 @@ class TestCoercionMarking:
         )
         assert "COERCE" not in plan
 
+    def test_window_aggregate_argument_is_scalar(self, edb):
+        # A window's own call is not a grouping aggregate: its argument is
+        # one value per row, not the collection an aggregate call takes.
+        query = (
+            "SELECT e.name AS n, SUM((SELECT x.salary FROM emp AS x "
+            "WHERE x.name = e.name)) OVER () AS s FROM emp AS e"
+        )
+        assert "SUM(COERCE_SCALAR(" in edb.explain(query)
+        assert to_python(edb.execute(query)) == [{"n": "a", "s": 10}]
+
     def test_from_position_not_marked(self, edb):
         plan = edb.explain("SELECT VALUE v FROM (SELECT e.name FROM emp AS e) AS v")
         assert "COERCE" not in plan
+
+
+CAPTURE_QUERY = (
+    "SELECT VALUE (SELECT SUM(y.b + {z}.b) AS s FROM t AS y) FROM t AS {z}"
+)
+
+
+class TestGeneratedNames:
+    """``$`` is a legal identifier character, so a user variable can be
+    spelled like a generated one; the generated names must avoid it."""
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_user_variable_spelled_like_group_element_is_not_captured(
+        self, db, optimize
+    ):
+        db.set("t", [{"a": 1, "b": 2}, {"a": 1, "b": 3}, {"a": 2, "b": 5}])
+        plain = db.execute(CAPTURE_QUERY.format(z="z"), optimize=optimize)
+        renamed = db.execute(CAPTURE_QUERY.format(z="$g_elem2"), optimize=optimize)
+        assert sorted(to_python(plain), key=str) == [
+            [{"s": 16}],
+            [{"s": 19}],
+            [{"s": 25}],
+        ]
+        assert sorted(to_python(renamed), key=str) == sorted(
+            to_python(plain), key=str
+        )
+
+    def test_generated_names_skip_the_taken_one(self, db):
+        db.set("t", [{"b": 1}])
+        plan = db.explain(CAPTURE_QUERY.format(z="$g_elem2"))
+        assert "$group1 AS $g_elem3" in plan
+        assert "$g_elem3.y.b" in plan
