@@ -84,12 +84,7 @@ class Chunk:
             if name not in self.stored and not self.size:
                 return []
             source, positions = self.stored[name]
-            elements = source.elements
-            if type(positions) is range:
-                column = elements[positions.start : positions.stop]
-            else:
-                column = list(map(elements.__getitem__, positions))
-            self.columns[name] = column
+            column = self.columns[name] = taken(source.elements, positions)
         return column
 
     def bind(self, name: str, column: List[Any]) -> None:
@@ -99,6 +94,29 @@ class Chunk:
             self.memo = None
         self.columns[name] = column
         self._rows = None
+
+    def bind_stored(self, name: str, source: Any, positions: Sequence[int]) -> None:
+        """Add (or rebind) ``name`` as ``positions`` into ``source``."""
+        if name in self.columns or name in self.stored:
+            self.columns.pop(name, None)
+            self.memo = None
+        self.stored[name] = (source, positions)
+        self._rows = None
+
+    def project(self, names: Iterable[str]) -> "Chunk":
+        """The same rows binding only the variables in ``names``, their
+        columns, positions and derived columns (``memo``) shared."""
+        stored = {name: entry for name, entry in self.stored.items() if name in names}
+        columns = {
+            name: column
+            for name, column in self.columns.items()
+            if name in names and name not in stored
+        }
+        chunk = Chunk(self.size, columns, stored)
+        if self.memo is None:
+            self.memo = {}
+        chunk.memo = self.memo
+        return chunk
 
     def rows(self) -> List[Dict[str, Any]]:
         """One binding dict per row, for an ``Environment``."""
@@ -217,6 +235,13 @@ class Chunk:
                 total += chunk.size
         picks = [offsets[id(chunk)] + index for chunk, index in pairs]
         return Chunk.concat(chunks).take(picks)
+
+
+def taken(values: List[Any], positions: Sequence[int]) -> List[Any]:
+    """``values`` at ``positions``: a slice for a ``range``, else a take."""
+    if type(positions) is range:
+        return values[positions.start : positions.stop]
+    return list(map(values.__getitem__, positions))
 
 
 #: The survivors of a one-row chunk whose row survived.

@@ -25,7 +25,7 @@ from repro.core.environment import Environment, Unbound
 from repro.datamodel.equality import group_key
 from repro.datamodel.ordering import sort_key
 from repro.datamodel.values import MISSING, Bag, Struct, is_collection, type_name
-from repro.datamodel.values import shape_of
+from repro.datamodel.values import positions_of, shape_of
 from repro.errors import BindingError, EvaluationError, TypeCheckError
 from repro.functions import operators as ops
 from repro.syntax import ast
@@ -154,13 +154,18 @@ def group_elements(
     """:func:`group_element` of each of ``size`` rows given as
     ``columns``, one per name of ``var_order``; the rows that bind every
     variable share one interned shape."""
-    shape, elements = shape_of(tuple(var_order)), []
-    for values in zip(*columns) if columns else [()] * size:
-        if MISSING in values or shape.duplicates:
-            pairs = [pair for pair in zip(var_order, values) if pair[1] is not MISSING]
-            elements.append(Struct(pairs))
-        else:
-            elements.append(Struct._trusted(shape, values))
+    shape = shape_of(tuple(var_order))
+    if not columns:
+        return [Struct._trusted(shape, ()) for __ in range(size)]
+    rows = list(zip(*columns))
+    if shape.duplicates:
+        absent: Iterable[int] = range(len(rows))
+    else:
+        absent = set().union(*(positions_of(column, MISSING) for column in columns))
+    elements = [Struct._trusted(shape, values) for values in rows]
+    for k in absent:
+        pairs = [pair for pair in zip(var_order, rows[k]) if pair[1] is not MISSING]
+        elements[k] = Struct(pairs)
     return elements
 
 

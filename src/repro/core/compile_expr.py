@@ -39,7 +39,7 @@ from repro.core import coercion
 from repro.core.clauses import literal_keys
 from repro.core.chunk import Chunk, survivors
 from repro.core.environment import Environment, Unbound
-from repro.core.plan_ops import flatten_lateral, governor_tick
+from repro.core.plan_ops import governor_tick, lateral_slices
 from repro.core.planner import free_names, is_relocatable, item_vars
 from repro.core.windows import OUTSIDE_SELECT
 from repro.datamodel.equality import group_key
@@ -49,6 +49,7 @@ from repro.datamodel.values import (
     Shape,
     Struct,
     is_collection,
+    positions_of,
     shape_of,
     type_name,
 )
@@ -545,11 +546,13 @@ def _literal_struct(shape: Shape, row: tuple) -> Struct:
     ``row``, one value per name.  The names are literal strings, which
     is all ``Struct.__init__`` would check besides MISSING; a MISSING
     value omits its attribute (Section IV-B), and the row takes the
-    interned shape of the names left."""
-    if MISSING in row:
-        kept = [k for k, value in enumerate(row) if value is not MISSING]
-        shape = shape_of(tuple(map(shape.names.__getitem__, kept)))
-        row = tuple(map(row.__getitem__, kept))
+    interned shape of the names left.  The values are compared by
+    identity: ``MISSING in row`` would call a tuple value's ``__eq__``."""
+    for value in row:
+        if value is MISSING:
+            kept = [k for k, value in enumerate(row) if value is not MISSING]
+            shape = shape_of(tuple(map(shape.names.__getitem__, kept)))
+            return Struct._trusted(shape, tuple(map(row.__getitem__, kept)))
     return Struct._trusted(shape, row)
 
 
@@ -776,7 +779,8 @@ def compile_batch(
     returned function lists the nodes that had no kernel and run the
     env-space closure per row; ``stored_reads`` the variables of its
     ``alias.attr`` reads, which a chunk whose ``alias`` a catalog scan
-    binds serves from stored columns.  Callers go through
+    binds serves from stored columns; ``laterals`` the FROM items its
+    subqueries range a whole chunk over.  Callers go through
     ``Evaluator.compiled_batch`` so an expression is compiled once per
     evaluator, not per execution.
 
@@ -802,6 +806,7 @@ def compile_batch(
 
         one_row_batch.fallbacks = (expr,)  # type: ignore[attr-defined]
         one_row_batch.stored_reads = ()  # type: ignore[attr-defined]
+        one_row_batch.laterals = ()  # type: ignore[attr-defined]
         one_row_batch.closure = env_fn  # type: ignore[attr-defined]
         return one_row_batch
     compiler = _KernelCompiler(evaluator, row_vars)
@@ -814,6 +819,7 @@ def compile_batch(
 
     batch.fallbacks = tuple(compiler.fallbacks)  # type: ignore[attr-defined]
     batch.stored_reads = tuple(compiler.stored_reads)  # type: ignore[attr-defined]
+    batch.laterals = tuple(compiler.laterals)  # type: ignore[attr-defined]
     return batch
 
 
@@ -827,6 +833,8 @@ class _KernelCompiler:
         self.fallbacks: List[ast.Expr] = []
         #: The variable of each ``alias.attr`` read over a row variable.
         self.stored_reads: List[str] = []
+        #: The FROM items of the segmented subqueries, outermost first.
+        self.laterals: List[ast.FromItem] = []
 
     def compile(self, expr: ast.Expr) -> Kernel:
         method = _KERNELS.get(type(expr))
@@ -1145,7 +1153,7 @@ class _KernelCompiler:
         Admitted: a single block, ``SELECT VALUE`` without DISTINCT,
         FROM made only of range / UNPIVOT items whose sources mention
         nothing but row variables and earlier items' variables (so each
-        is the lateral flatten of :func:`plan_ops.flatten_lateral`), an
+        is the lateral flatten of :func:`plan_ops.lateral_slices`), an
         optional WHERE, and no LET / GROUP BY / HAVING / ORDER BY /
         LIMIT / OFFSET; every expression relocatable
         (:func:`planner.is_relocatable`: total under permissive typing,
@@ -1195,9 +1203,21 @@ class _KernelCompiler:
             kernel = compiler.compile(expr)
             self.fallbacks.extend(compiler.fallbacks)
             self.stored_reads.extend(compiler.stored_reads)
+            self.laterals.extend(compiler.laterals)
             return kernel
 
         items = body.from_
+        self.laterals.extend(items)
+        #: Per level, the variables the rows flattened there carry: those
+        #: a later item, WHERE or SELECT reads (the subquery holds no
+        #: nested query, so free_names sees every reference).
+        read = [free_names(body.select.expr)]
+        if body.where is not None:
+            read.append(free_names(body.where))
+        carry = [
+            frozenset().union(*read, *map(free_names, (i.expr for i in items[k + 1 :])))
+            for k in range(len(items))
+        ]
         sources = [inner(item.expr, names) for item, names in zip(items, scopes)]
         inner_vars = frozenset(scope)
         where = inner(body.where, inner_vars) if body.where is not None else None
@@ -1211,9 +1231,9 @@ class _KernelCompiler:
             if level == len(items):
                 yield rows, owners
                 return
-            column = sources[level](rows, env)
-            for flat, local in flatten_lateral(
-                items[level], rows, column, config, tick
+            for flat, local in lateral_slices(
+                items[level], rows, sources[level], env, config, tick,
+                carry=carry[level],
             ):
                 if owners is not None:
                     local = [owners[k] for k in local]
@@ -1360,9 +1380,11 @@ class _KernelCompiler:
 
         def struct_column(rows: Chunk, env) -> List[Struct]:
             columns = [value(rows, env) for value in values]
-            if any(MISSING in column for column in columns):
-                return [_literal_struct(shape, row) for row in zip(*columns)]
-            return [make(shape, row) for row in zip(*columns)]
+            out = [make(shape, row) for row in zip(*columns)]
+            # Only the rows holding MISSING are rebuilt, found by identity.
+            for k in set().union(*(positions_of(c, MISSING) for c in columns)):
+                out[k] = _literal_struct(shape, out[k]._values)
+            return out
 
         return struct_column
 

@@ -68,7 +68,7 @@ from typing import (
     TYPE_CHECKING,
 )
 
-from repro.core.chunk import Chunk, cut, survivors
+from repro.core.chunk import Chunk, cut, survivors, taken
 from repro.datamodel.equality import group_key
 from repro.datamodel.values import Bag, LazyBag, MISSING, Struct, type_name
 from repro.errors import TypeCheckError
@@ -519,8 +519,8 @@ class LateralJoinOp(_JoinOp):
         source_fn = self._kernels(evaluator, size == 1)[0]
         item = self.right_item
         config = evaluator.config
-        return lambda left_chunk: flatten_lateral(
-            item, left_chunk, source_fn(left_chunk, env), config, tick, size
+        return lambda left_chunk: lateral_slices(
+            item, left_chunk, source_fn, env, config, tick, size
         )
 
     def describe(self) -> str:
@@ -812,6 +812,66 @@ def lateral_bindings(item: ast.FromItem, value: Any, config) -> Tuple[Any, Any]:
     if value is None or value is MISSING:
         return (), None
     return (value,), None
+
+
+def lateral_slices(
+    item: ast.FromItem,
+    rows: Chunk,
+    source_fn: Callable[[Chunk, Any], List[Any]],
+    env: Any,
+    config,
+    tick: Optional[Callable[[int], None]],
+    size: int = CHUNK_ROWS,
+    carry: Optional[frozenset] = None,
+) -> Iterator[Tuple[Chunk, List[int]]]:
+    """The one lateral flatten of a chunk (:func:`flatten_lateral`'s
+    slices), ``source_fn`` being the item's source kernel; the slices
+    bind only the variables of ``rows`` in ``carry`` (None: all).
+
+    In columns mode (``size`` > 1), when ``item`` is ``v.attr AS p``
+    and ``rows`` holds ``v`` as positions into a stored collection,
+    ``p`` is bound as positions into that source's
+    child of ``attr`` (:meth:`ColumnSource.flatten`), so ``p.attr``
+    reads the child's stored columns.  The child encodes the permissive
+    FROM cases; under strict typing it serves only a chunk whose every
+    value is an array or a bag, and any other runs the per-value
+    flatten, which decides the error."""
+    expr = item.expr
+    stored = None
+    if size > 1 and type(item) is ast.FromCollection and type(expr) is ast.Path:
+        base = expr.base
+        if type(base) is ast.VarRef:
+            stored = rows.stored.get(base.name)
+    column = None
+    if stored is not None and not config.is_permissive:
+        column = source_fn(rows, env)
+        if not all(type(value) is list or type(value) is Bag for value in column):
+            stored = None
+    if stored is None and column is None:
+        column = source_fn(rows, env)
+    if carry is not None:
+        rows = rows.project(carry)
+    if stored is None:
+        return flatten_lateral(item, rows, column, config, tick, size)
+    child, places, owners = stored[0].flatten(expr.attr, stored[1])
+    return _child_slices(item, rows, child, places, owners, tick, size)
+
+
+def _child_slices(item, rows, child, places, owners, tick, size):
+    """:func:`lateral_slices` over a child source: ``size`` flattened
+    rows at a time, the governor told of each slice before it is
+    yielded."""
+    alias, at = item.alias, item.at_alias
+    for start in range(0, len(owners), size):
+        local = owners[start : start + size] if len(owners) > size else owners
+        picks = places[start : start + size]
+        flat = rows.take(local)
+        flat.bind_stored(alias, child, picks)
+        if at:
+            flat.bind(at, taken(child.at, picks))
+        if tick is not None:
+            tick(len(local))
+        yield flat, local
 
 
 def flatten_lateral(

@@ -47,7 +47,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 from typing import Sequence, Tuple
@@ -56,7 +56,7 @@ from repro.core import clauses
 from repro.core.chunk import Chunk, cut, survivors
 from repro.core.environment import Environment
 from repro.core.grouping_sets import expand_grouping_sets
-from repro.core.plan_ops import CHUNK_ROWS, ScanOp, close_iter, walk_ops
+from repro.core.plan_ops import CHUNK_ROWS, LateralJoinOp, ScanOp, close_iter, walk_ops
 from repro.core.tails import EnvColumns, bind_windows, projection, run_tail
 from repro.core.windows import find_window_calls, lower_window_calls, window_variable
 from repro.datamodel.values import Bag, LazyBag, Struct
@@ -1062,14 +1062,24 @@ def _stored_note(reads: List[Tuple[str, Optional[str]]]) -> str:
     return f" ({'; '.join(parts)})" if parts else ""
 
 
-def _scan_sources(evaluator, plan) -> Dict[str, Optional[str]]:
-    """Per variable a scan of ``plan`` binds to elements: None when its
-    ``alias.attr`` reads are served from stored columns
-    (:meth:`Catalog.column_source`), else why not."""
+def _scan_sources(evaluator, plan, laterals=()) -> Dict[str, Optional[str]]:
+    """Per variable a scan of ``plan``, one of its lateral items or one
+    of ``laterals`` (the items its segmented subqueries range) binds to
+    elements: None when its ``alias.attr`` reads are served from stored
+    columns (:meth:`Catalog.column_source`; for a lateral ``v.attr AS
+    p``, a child source, :func:`plan_ops.lateral_slices`), else why not."""
     catalog = evaluator._catalog
     column_source = getattr(catalog, "column_source", None)
+    strict = not evaluator.config.is_permissive
     sources: Dict[str, Optional[str]] = {}
-    for op in walk_ops(plan.op):
+    #: Under strict typing, the elements of each variable served.
+    elements: Dict[str, List[Any]] = {}
+    items = []
+    # Reversed pre-order: an operator after the ones below it.
+    for op in reversed(walk_ops(plan.op)):
+        if isinstance(op, LateralJoinOp):
+            items.append(op.right_item)
+            continue
         if not isinstance(op, ScanOp) or not isinstance(op.item, ast.FromCollection):
             continue
         name, why = op.source_name, "not a catalog scan"
@@ -1079,9 +1089,31 @@ def _scan_sources(evaluator, plan) -> Dict[str, Optional[str]]:
             value = catalog[name]
             if type(value) is LazyBag:
                 why = "lazy source"
-            elif column_source is not None:
-                why = None if column_source(name, value) else why
+            elif column_source is not None and column_source(name, value):
+                why = None
+                if strict:
+                    elements[op.item.alias] = list(value)
         sources[op.item.alias] = why
+    for item in chain(items, laterals):
+        if not isinstance(item, ast.FromCollection):
+            continue
+        expr = item.expr
+        if isinstance(expr, ast.VarRef):
+            why = "not a catalog scan"  # a variable's collection
+        elif not isinstance(expr, ast.Path) or not isinstance(expr.base, ast.VarRef):
+            why = "lateral over an expression"
+        else:
+            why = sources.get(expr.base.name, "not a catalog scan")
+            if why is None and strict:
+                values = [
+                    e.get(expr.attr) if isinstance(e, Struct) else None
+                    for e in elements[expr.base.name]
+                ]
+                if all(type(v) is list or type(v) is Bag for v in values):
+                    elements[item.alias] = list(chain.from_iterable(values))
+                else:
+                    why = "strict: not every value a collection"
+        sources[item.alias] = why
     return sources
 
 
@@ -1139,7 +1171,8 @@ def _explain_block(
         for op in walk_ops(plan.op):
             fns.extend(op.batch_kernels(evaluator))
         count = len(fns)
-        sources = _scan_sources(evaluator, plan)
+        laterals = [item for fn in fns for item in fn.laterals]
+        sources = _scan_sources(evaluator, plan, laterals)
         for fn in fns:
             fallbacks.extend(fn.fallbacks)
             reads.extend(

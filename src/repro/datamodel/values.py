@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import weakref
 from collections.abc import Mapping
+from itertools import compress, count, repeat
+from operator import is_
 from typing import Any, Iterable, Iterator, List, Tuple, Union
 
 
@@ -380,6 +382,15 @@ def is_scalar(value: Any) -> bool:
 def is_collection(value: Any) -> bool:
     """True for arrays (lists) and bags."""
     return isinstance(value, (list, Bag))
+
+
+def positions_of(values: List[Any], marker: Any) -> List[int]:
+    """The positions of ``marker`` (MISSING, a sentinel) in ``values``,
+    found by identity: ``marker in values`` would call ``__eq__`` on every
+    tuple- or bag-valued one.  The common miss is one ``any`` pass."""
+    if not any(map(is_, values, repeat(marker))):
+        return []
+    return list(compress(count(), map(is_, values, repeat(marker))))
 
 
 def is_absent(value: Any) -> bool:

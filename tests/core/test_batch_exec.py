@@ -940,8 +940,7 @@ class TestLateralChunks:
         assert "materialized once" not in plan
         assert "executor: batch" in plan
         assert (
-            "kernels: 4 columnar (3 stored-column reads; p: not a catalog scan), "
-            "no env-space fallback"
+            "kernels: 4 columnar (5 stored-column reads), no env-space fallback"
         ) in plan
         three_ways(db, UNNEST + " WHERE p.h > 1 AND e.id < 2")
 

@@ -237,10 +237,10 @@ class TestExplain:
         assert lazy.splitlines()[-1] == (
             "kernels: 1 columnar (x: lazy source), no env-space fallback"
         )
-        nested = db.explain_plan("SELECT VALUE p.v FROM e AS e, e.xs AS p")
+        nested = db.explain_plan("SELECT VALUE p.v FROM e AS e, e.xs[0] AS p")
         assert nested.splitlines()[-1] == (
-            "kernels: 2 columnar (1 stored-column read; p: not a catalog scan), "
-            "no env-space fallback"
+            "kernels: 2 columnar (1 stored-column read; "
+            "p: lateral over an expression), no env-space fallback"
         )
 
 
