@@ -6,11 +6,12 @@ Three cooperating analyses, all *sound under two-valued absence*
 * **Constant folding** (:func:`fold_query` / :func:`fold_expr`) —
   literal arithmetic, string concatenation, boolean connectives,
   comparisons, ``BETWEEN`` / ``LIKE`` / ``IN`` / ``IS`` over literal
-  operands, and ``CASE`` with a constant scrutinee.  Folding *executes
-  the real runtime operators* (:mod:`repro.functions.operators`) under
-  the query's own :class:`~repro.config.EvalConfig`, so a fold can
-  never disagree with evaluation; a subexpression whose evaluation
-  raises (e.g. ``1 + 'a'`` in strict mode) simply stays unfolded.
+  operands, and ``CASE`` with a constant scrutinee.  Folding *runs the
+  engine's compiled closure* (:func:`repro.core.compile_expr.compile_expr`)
+  of the node under the query's own :class:`~repro.config.EvalConfig`,
+  so a fold can never disagree with evaluation; a subexpression whose
+  evaluation raises (e.g. ``1 + 'a'`` in strict mode) simply stays
+  unfolded.
 
 * **Conjunction satisfiability** (:func:`never_true`) — an interval /
   value-set / type-category domain over the conjuncts of a WHERE, ON
@@ -41,6 +42,7 @@ SQLPP120 / 121 / 124 at each WHERE, HAVING and ON (docs/ANALYZER.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -56,6 +58,8 @@ from typing import (
 
 from repro import errors
 from repro.config import EvalConfig
+from repro.core.compile_expr import compile_expr
+from repro.core.environment import Environment
 from repro.core.planner import (
     free_names,
     is_relocatable,
@@ -91,28 +95,21 @@ __all__ = [
 _UNKNOWN = object()
 
 
-def _is_const(node: ast.Node) -> bool:
-    """True for a literal scalar/absent value we may compute with."""
-    if not isinstance(node, ast.Literal):
-        return False
-    value = node.value
-    return (
-        value is None
-        or value is MISSING
-        or isinstance(value, (bool, int, float, str))
-    )
-
-
-def _const_value(node: ast.Node) -> Any:
-    return cast(ast.Literal, node).value
-
-
 def _is_scalar(value: Any) -> bool:
     return (
         value is None
         or value is MISSING
         or isinstance(value, (bool, int, float, str))
     )
+
+
+def _is_const(node: ast.Node) -> bool:
+    """True for a literal scalar/absent value we may compute with."""
+    return isinstance(node, ast.Literal) and _is_scalar(node.value)
+
+
+def _const_value(node: ast.Node) -> Any:
+    return cast(ast.Literal, node).value
 
 
 def _literal(value: Any, origin: ast.Node) -> ast.Literal:
@@ -122,165 +119,129 @@ def _literal(value: Any, origin: ast.Node) -> ast.Literal:
     return folded
 
 
-def _branch_verdict(
-    searched: bool, subject: Any, condition: ast.Expr, config: EvalConfig
-) -> Any:
-    """The match verdict of one constant-conditioned CASE branch, or
-    :data:`_UNKNOWN` when the condition is dynamic or comparing the
-    simple-CASE subject would raise at runtime."""
-    if not _is_const(condition):
-        return _UNKNOWN
-    value = _const_value(condition)
-    if searched:
-        return value
-    try:
-        return ops.equals(subject, value, config)
-    except errors.SQLPPError:
-        return _UNKNOWN
+#: A CASE branch's static outcome (:func:`_case_outcomes`).
+_TAKEN, _ABSENT, _SKIPPED, _DYNAMIC, _DEAD = (
+    "taken", "missing", "skipped", "dynamic", "dead"
+)
+
+
+def _case_outcomes(node: ast.CaseExpr, config: EvalConfig) -> List[str]:
+    """Each WHEN branch's static outcome, in order, mirroring
+    ``ReferenceEvaluator._eval_caseexpr``: taken (reached, it produces
+    the result), missing (reached, the whole CASE is MISSING outside
+    sql_compat — a MISSING simple-CASE operand makes the first branch
+    so), skipped (a constant non-match), dynamic (decided at runtime,
+    or comparing the simple-CASE operand would raise), dead (after a
+    taken or missing branch).  Empty for a simple CASE whose operand
+    is not constant."""
+    subject: Any = None
+    if node.operand is not None:
+        if not _is_const(node.operand):
+            return []
+        subject = _const_value(node.operand)
+    propagate = not config.sql_compat
+    outcomes: List[str] = []
+    for condition, __ in node.whens:
+        if outcomes and outcomes[-1] in (_TAKEN, _ABSENT, _DEAD):
+            outcomes.append(_DEAD)
+            continue
+        verdict: Any = _UNKNOWN
+        if subject is MISSING and propagate:
+            verdict = MISSING
+        elif _is_const(condition):
+            verdict = _const_value(condition)
+            if node.operand is not None:
+                try:
+                    verdict = ops.equals(subject, verdict, config)
+                except errors.SQLPPError:
+                    verdict = _UNKNOWN
+        if verdict is _UNKNOWN:
+            outcomes.append(_DYNAMIC)
+        elif verdict is True:
+            outcomes.append(_TAKEN)
+        elif verdict is MISSING and propagate:
+            outcomes.append(_ABSENT)
+        else:  # FALSE / NULL / non-boolean / sql_compat MISSING
+            outcomes.append(_SKIPPED)
+    return outcomes
 
 
 def _fold_case(node: ast.CaseExpr, config: EvalConfig) -> ast.Expr:
-    """Fold a CASE whose scrutinee (and some conditions) are constant.
-
-    Mirrors ``ReferenceEvaluator._eval_caseexpr`` exactly: a MISSING simple-CASE
-    operand (outside sql_compat) short-circuits the whole expression;
-    branch conditions are tried in order; a MISSING verdict (outside
-    sql_compat) makes the CASE MISSING.  Dropping a constant
-    non-matching branch is sound because literal conditions are pure.
-    """
-    searched = node.operand is None
-    subject: Any = None
-    if not searched:
-        operand = node.operand
-        assert operand is not None
-        if not _is_const(operand):
-            return node
-        subject = _const_value(operand)
-        if subject is MISSING and not config.sql_compat:
-            return _literal(MISSING, node)
-
+    """Fold a CASE whose scrutinee (and some conditions) are constant:
+    drop the branches that never match (sound because literal
+    conditions are pure) and everything after the first branch that
+    always does or makes the CASE MISSING."""
+    outcomes = _case_outcomes(node, config)
+    if not outcomes:
+        return node
     kept: List[Tuple[ast.Expr, ast.Expr]] = []
     else_: Optional[ast.Expr] = node.else_
-    decidable = True  # no dynamic condition seen yet
-    changed = False
-    for index, (condition, result) in enumerate(node.whens):
-        verdict = _branch_verdict(searched, subject, condition, config)
-        if verdict is _UNKNOWN:
-            decidable = False
-            kept.append((condition, result))
+    for (condition, result), outcome in zip(node.whens, outcomes):
+        if outcome == _SKIPPED:
             continue
-        if verdict is True:
-            if decidable and not kept:
-                return result
-            # Reached => matches; everything after is unreachable.
-            kept.append((condition, result))
+        if outcome in (_TAKEN, _ABSENT) and not kept:
+            # No dynamic condition before it: decided.
+            return result if outcome == _TAKEN else _literal(MISSING, node)
+        kept.append((condition, result))
+        if outcome in (_TAKEN, _ABSENT):
+            # Reached => decides (the runtime produces the result or the
+            # MISSING): the rest is unreachable.
             else_ = None
-            changed = changed or index + 1 < len(node.whens)
             break
-        if verdict is MISSING and not config.sql_compat:
-            if decidable and not kept:
-                return _literal(MISSING, node)
-            # Reached => whole CASE is MISSING; keep the branch (the
-            # runtime produces the MISSING), drop the unreachable rest.
-            kept.append((condition, result))
-            else_ = None
-            changed = changed or index + 1 < len(node.whens)
-            break
-        # FALSE / NULL / non-boolean / sql_compat MISSING: never matches.
-        changed = True
-    else:
-        if not kept:
-            # Every branch statically misses: the CASE is its ELSE arm.
-            return else_ if else_ is not None else _literal(None, node)
-
-    if not changed and else_ is node.else_:
+    if not kept:
+        # Every branch statically misses: the CASE is its ELSE arm.
+        return else_ if else_ is not None else _literal(None, node)
+    if len(kept) == len(node.whens) and else_ is node.else_:
         return node
     folded = ast.CaseExpr(operand=node.operand, whens=kept, else_=else_)
     ast.copy_span(folded, node)
     return folded
 
 
+#: The node kinds folded when every operand is a constant.
+_FOLDABLE = (
+    ast.Unary, ast.Binary, ast.IsPredicate, ast.Between, ast.Like, ast.InPredicate
+)
+
+
+def _constant_operands(node: ast.Node) -> bool:
+    """Whether ``node`` is foldable and its operands are constants (an
+    IN's collection: an array or bag literal of constants)."""
+    if not isinstance(node, _FOLDABLE):
+        return False
+    if isinstance(node, ast.InPredicate):
+        collection = node.collection
+        return (
+            _is_const(node.operand)
+            and isinstance(collection, (ast.ArrayLit, ast.BagLit))
+            and all(map(_is_const, collection.items))
+        )
+    return all(map(_is_const, node.children()))
+
+
+@lru_cache(maxsize=8)
+def _constant_evaluator(config: EvalConfig) -> Any:
+    """An engine evaluator over no catalog, to run constant closures."""
+    from repro.core.evaluator import Evaluator
+
+    return Evaluator({}, config)
+
+
 def _fold_node(node: ast.Node, config: EvalConfig) -> ast.Node:
     """One bottom-up folding step (children already folded)."""
+    if isinstance(node, ast.CaseExpr):
+        return _fold_case(node, config)
+    if not _constant_operands(node):
+        return node
+    expr = cast(ast.Expr, node)
     try:
-        if isinstance(node, ast.Unary) and _is_const(node.operand):
-            result = ops.unary_operator(node.op)(_const_value(node.operand), config)
-            return _literal(result, node) if _is_scalar(result) else node
-
-        if (
-            isinstance(node, ast.Binary)
-            and _is_const(node.left)
-            and _is_const(node.right)
-        ):
-            result = ops.binary_operator(node.op)(
-                _const_value(node.left), _const_value(node.right), config
-            )
-            return _literal(result, node) if _is_scalar(result) else node
-
-        if isinstance(node, ast.IsPredicate) and _is_const(node.operand):
-            verdict = ops.is_predicate(
-                _const_value(node.operand), node.kind, config
-            )
-            return _literal(not verdict if node.negated else verdict, node)
-
-        if (
-            isinstance(node, ast.Between)
-            and _is_const(node.operand)
-            and _is_const(node.low)
-            and _is_const(node.high)
-        ):
-            value = _const_value(node.operand)
-            verdict = ops.logical_and(
-                ops.compare(">=", value, _const_value(node.low), config),
-                ops.compare("<=", value, _const_value(node.high), config),
-                config,
-            )
-            if node.negated:
-                verdict = ops.logical_not(verdict, config)
-            return _literal(verdict, node) if _is_scalar(verdict) else node
-
-        if (
-            isinstance(node, ast.Like)
-            and _is_const(node.operand)
-            and _is_const(node.pattern)
-            and (node.escape is None or _is_const(node.escape))
-        ):
-            escape = (
-                None if node.escape is None else _const_value(node.escape)
-            )
-            verdict = ops.like(
-                _const_value(node.operand),
-                _const_value(node.pattern),
-                escape,
-                config,
-            )
-            if node.negated:
-                verdict = ops.logical_not(verdict, config)
-            return _literal(verdict, node) if _is_scalar(verdict) else node
-
-        if (
-            isinstance(node, ast.InPredicate)
-            and _is_const(node.operand)
-            and isinstance(node.collection, (ast.ArrayLit, ast.BagLit))
-            and all(_is_const(item) for item in node.collection.items)
-        ):
-            verdict = ops.in_collection(
-                _const_value(node.operand),
-                [_const_value(item) for item in node.collection.items],
-                config,
-            )
-            if node.negated:
-                verdict = ops.logical_not(verdict, config)
-            return _literal(verdict, node) if _is_scalar(verdict) else node
-
-        if isinstance(node, ast.CaseExpr):
-            return _fold_case(node, config)
+        result = compile_expr(expr, _constant_evaluator(config))(Environment())
     except errors.SQLPPError:
         # Evaluating this operator raises at runtime (e.g. a strict-mode
         # type mismatch, or a LIKE pattern ending in its escape char):
         # keep the node so the runtime raises exactly as before.
         return node
-    return node
+    return _literal(result, node) if _is_scalar(result) else node
 
 
 def fold_expr(expr: ast.Expr, config: EvalConfig) -> ast.Expr:
@@ -731,35 +692,11 @@ def block_prune_reason(
 
 def unreachable_whens(node: ast.CaseExpr, config: EvalConfig) -> List[int]:
     """Indices of CASE branches that can never produce the result."""
-    searched = node.operand is None
-    subject: Any = None
-    if not searched:
-        operand = node.operand
-        assert operand is not None
-        if not _is_const(operand):
-            return []
-        subject = _const_value(operand)
-        if subject is MISSING and not config.sql_compat:
-            # The whole CASE is MISSING before any branch is tried.
-            return list(range(len(node.whens)))
-    out: List[int] = []
-    terminal = False
-    for index, (condition, _result) in enumerate(node.whens):
-        if terminal:
-            out.append(index)
-            continue
-        verdict = _branch_verdict(searched, subject, condition, config)
-        if verdict is _UNKNOWN:
-            continue
-        if verdict is True:
-            terminal = True  # this branch is fine; later ones are dead
-            continue
-        if verdict is MISSING and not config.sql_compat:
-            out.append(index)  # reaching it yields MISSING, not a result
-            terminal = True
-            continue
-        out.append(index)  # constant non-match
-    return out
+    return [
+        index
+        for index, outcome in enumerate(_case_outcomes(node, config))
+        if outcome not in (_TAKEN, _DYNAMIC)
+    ]
 
 
 def _reportable_fold(node: ast.Expr, config: EvalConfig) -> Optional[ast.Expr]:

@@ -268,8 +268,8 @@ def verify_block_plan(plan: Any, scope_names: Optional[Set[str]] = None) -> List
     names plus any enclosing block's variables), when the caller knows
     them — additionally checks that a lateral right item references
     nothing else."""
-    from repro.core.plan_ops import EmptyOp, PlanOp
-    from repro.core.planner import BlockPlan, walk_plan_ops
+    from repro.core.plan_ops import EmptyOp, PlanOp, walk_ops
+    from repro.core.planner import BlockPlan
 
     violations: List[str] = []
     if not isinstance(plan, BlockPlan):
@@ -278,7 +278,7 @@ def verify_block_plan(plan: Any, scope_names: Optional[Set[str]] = None) -> List
         return [f"plan has no operator tree: {type(plan.op).__name__}"]
 
     seen_ids: Set[int] = set()
-    for op in walk_plan_ops(plan.op):
+    for op in walk_ops(plan.op):
         if id(op) in seen_ids:
             violations.append(
                 f"{type(op).__name__} appears more than once in the "

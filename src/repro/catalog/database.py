@@ -493,7 +493,7 @@ class Database:
                 pre_core, core, fired, catalog_names=self.catalog.names()
             )
         if config.optimize:
-            # Constant folding executes the real runtime operators, so
+            # Constant folding runs the engine's compiled closures, so
             # the folded tree is observationally identical (a raising
             # subexpression stays unfolded); ``pre_core`` stays unfolded
             # so query-store fingerprints are unaffected.

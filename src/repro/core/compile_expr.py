@@ -21,19 +21,32 @@ first answer.  The property test
 env)`` over generated expressions, so the engine cannot drift from the
 reference semantics unnoticed.
 
-**Two forms, one semantics.**  :func:`compile_expr` is the env-space
-form (one binding in, one value out) the streaming pipeline calls per
-row; :func:`compile_batch` is the column-at-a-time form the batch
-pipeline calls per chunk (see "Column-at-a-time kernels" below).  Both
-defer to the same ``ops.*`` definitions, and
-``tests/properties/test_batch_parallel_equivalence.py`` checks kernel
-== closure == interpreter per node kind.
+**Two forms, one operator table.**  :func:`compile_expr` is the
+env-space form (one binding in, one value out) rows mode calls per row;
+:func:`compile_batch` is the column-at-a-time form columns mode calls
+per chunk (see "Column-at-a-time kernels" below).  Each operator's
+instances in both forms — its row closure and its ``column OP
+literal`` and ``column OP column`` kernels — are generated from its
+one entry in the operator table of :mod:`repro.functions.operators`
+("Operator instances" below), and every other node calls the same
+``ops.*`` definitions; ``tests/properties/test_batch_parallel_equivalence.py``
+checks kernel == closure == interpreter per node kind.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from operator import itemgetter
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.core import coercion
 from repro.core.clauses import literal_keys
@@ -51,7 +64,6 @@ from repro.datamodel.values import (
     is_collection,
     positions_of,
     shape_of,
-    type_name,
 )
 from repro.errors import EvaluationError
 from repro.functions import operators as ops
@@ -66,6 +78,81 @@ CompiledExpr = Callable[[Environment], Any]
 #: Chunk-at-a-time compiled expression: ``(chunk, outer_env) -> values``
 #: (see :func:`compile_batch`).
 BatchExpr = Callable[..., List[Any]]
+
+
+# =========================================================================
+# Operator instances, generated from the operator table
+# =========================================================================
+#
+# Each entry of the table in :mod:`repro.functions.operators` holds an
+# operator's definition, a Python expression that agrees with it and
+# the exact operand types on which it does.  One source template per
+# arity turns an entry into its instances: the row closure, the
+# ``column OP column`` kernel and (binary) the ``column OP literal``
+# kernel, whose literal's type class is known when it is compiled.  A
+# symbol's instances are built on its first use and kept for the
+# process; nothing is generated per query.
+
+_SOURCES = {
+    1: """
+def closure(operand_fn, config):
+    def row(env):
+        a = operand_fn(env)
+        return {body}
+    return row
+def column(values, config):
+    return [{body} for a in values]
+""",
+    2: """
+def closure(left_fn, right_fn, config):
+    def row(env):
+        a = left_fn(env)
+        b = right_fn(env)
+        return {body}
+    return row
+def column(left, right, config):
+    return [{body} for a, b in zip(left, right)]
+def literal(values, b, kinds, config):
+    return [({fast}) if type(a) in kinds else apply(a, b, config) for a in values]
+""",
+}
+
+
+class _Instances(NamedTuple):
+    closure: Callable[..., CompiledExpr]
+    column: Callable[..., List[Any]]
+    literal: Optional[Callable[..., List[Any]]]
+    #: Exact type -> its class, for a literal operand.
+    kinds: Dict[type, frozenset]
+
+
+_INSTANCES: Dict[Tuple[int, str], _Instances] = {}
+
+
+def _instances(op: str, arity: int = 2) -> _Instances:
+    """The generated instances of operator ``op`` of ``arity``."""
+    found = _INSTANCES.get((arity, op))
+    if found is not None:
+        return found
+    spec = ops.binary_spec(op) if arity == 2 else ops.unary_spec(op)
+    names = "ab"[:arity]
+    namespace: Dict[str, Any] = {"apply": spec.definition}
+    guards: List[str] = []
+    kinds: Dict[type, frozenset] = {}
+    for k, types in enumerate(spec.types):
+        namespace[f"T{k}"], namespace[f"K{k}"] = types[0], frozenset(types)
+        kinds.update(dict.fromkeys(types, namespace[f"K{k}"]))
+        test = f"is T{k}" if len(types) == 1 else f"in K{k}"
+        guards.append(" and ".join(f"type({n}) {test}" for n in names))
+    body = f"apply({', '.join(names)}, config)"
+    if spec.fast is not None:
+        body = f"({spec.fast}) if ({') or ('.join(guards)}) else {body}"
+    source = _SOURCES[arity].format(body=body, fast=spec.fast)
+    exec(compile(source, f"<operator {op}>", "exec"), namespace)
+    found = _INSTANCES[(arity, op)] = _Instances(
+        namespace["closure"], namespace["column"], namespace.get("literal"), kinds
+    )
+    return found
 
 
 def _literal_probe_set(collection: ast.Expr) -> Any:
@@ -211,18 +298,30 @@ def _compile_path_wildcard(
 
 
 def _compile_binary(expr: ast.Binary, evaluator: "Evaluator") -> CompiledExpr:
-    config = evaluator.config
-    apply = ops.binary_operator(expr.op)
-    left_fn = compile_expr(expr.left, evaluator)
-    right_fn = compile_expr(expr.right, evaluator)
-    return lambda env: apply(left_fn(env), right_fn(env), config)
+    return _instances(expr.op).closure(
+        compile_expr(expr.left, evaluator),
+        compile_expr(expr.right, evaluator),
+        evaluator.config,
+    )
 
 
 def _compile_unary(expr: ast.Unary, evaluator: "Evaluator") -> CompiledExpr:
-    config = evaluator.config
-    apply = ops.unary_operator(expr.op)
-    operand_fn = compile_expr(expr.operand, evaluator)
-    return lambda env: apply(operand_fn(env), config)
+    return _instances(expr.op, 1).closure(
+        compile_expr(expr.operand, evaluator), evaluator.config
+    )
+
+
+def _negatable(compiler: Callable[[Any, "Evaluator"], CompiledExpr]):
+    """``compiler`` for a node kind with a ``negated`` flag (LIKE, IN,
+    BETWEEN): the NOT operator's closure over its verdict when set."""
+
+    def compile_node(expr: Any, evaluator: "Evaluator") -> CompiledExpr:
+        verdict = compiler(expr, evaluator)
+        if not expr.negated:
+            return verdict
+        return _instances("NOT", 1).closure(verdict, evaluator.config)
+
+    return compile_node
 
 
 def _compile_is(expr: ast.IsPredicate, evaluator: "Evaluator") -> CompiledExpr:
@@ -239,22 +338,16 @@ def _compile_between(expr: ast.Between, evaluator: "Evaluator") -> CompiledExpr:
     operand_fn = compile_expr(expr.operand, evaluator)
     low_fn = compile_expr(expr.low, evaluator)
     high_fn = compile_expr(expr.high, evaluator)
-    negated = expr.negated
-
-    def between(env: Environment) -> Any:
-        # All three operands evaluate before any comparison, exactly
-        # as the reference interpreter orders it (error parity).
-        value = operand_fn(env)
-        low = low_fn(env)
-        high = high_fn(env)
-        verdict = ops.logical_and(
-            ops.compare(">=", value, low, config),
-            ops.compare("<=", value, high, config),
-            config,
-        )
-        return ops.logical_not(verdict, config) if negated else verdict
-
-    return between
+    # The operators' closures run over the tuple of the three operands,
+    # all evaluated before any comparison, exactly as the reference
+    # interpreter orders it (error parity).
+    value, low, high = itemgetter(0), itemgetter(1), itemgetter(2)
+    verdict = _instances("AND").closure(
+        _instances(">=").closure(value, low, config),
+        _instances("<=").closure(value, high, config),
+        config,
+    )
+    return lambda env: verdict((operand_fn(env), low_fn(env), high_fn(env)))
 
 
 def _subquery_stream(collection: ast.Expr) -> Optional[Tuple[ast.Query, bool]]:
@@ -270,17 +363,12 @@ def _subquery_stream(collection: ast.Expr) -> Optional[Tuple[ast.Query, bool]]:
 def _compile_in(expr: ast.InPredicate, evaluator: "Evaluator") -> CompiledExpr:
     config = evaluator.config
     operand_fn = compile_expr(expr.operand, evaluator)
-    negated = expr.negated
     probe = _literal_probe_set(expr.collection)
     if probe is not None:
         # Literal single-category IN list (what the OR→IN rewrite
         # emits): probe a precomputed group-key set instead of
         # re-evaluating the list and comparing linearly per row.
-        def contains_probe(env: Environment) -> Any:
-            verdict = _probe_verdict(operand_fn(env), probe, config)
-            return ops.logical_not(verdict, config) if negated else verdict
-
-        return contains_probe
+        return lambda env: _probe_verdict(operand_fn(env), probe, config)
     collection_fn = compile_expr(expr.collection, evaluator)
     streamed = _subquery_stream(expr.collection)
 
@@ -294,10 +382,8 @@ def _compile_in(expr: ast.InPredicate, evaluator: "Evaluator") -> CompiledExpr:
             # conditions, like every shape without a value stream.
             stream = evaluator.open_value_stream(streamed[0], env)
         if stream is not None:
-            verdict = _in_stream(operand, stream, streamed[1], config)
-        else:
-            verdict = ops.in_collection(operand, collection_fn(env), config)
-        return ops.logical_not(verdict, config) if negated else verdict
+            return _in_stream(operand, stream, streamed[1], config)
+        return ops.in_collection(operand, collection_fn(env), config)
 
     return contains
 
@@ -424,69 +510,56 @@ def _compile_collection(expr: Any, evaluator: "Evaluator") -> CompiledExpr:
     return collection
 
 
-def _constant_like(expr: ast.Like) -> Optional[Tuple[str, Optional[str]]]:
-    """``(pattern, escape char)`` of a LIKE whose pattern and ESCAPE are
-    string literals (the overwhelmingly common case), else None."""
+def _constant_like(expr: ast.Like) -> Optional[Tuple[str, Optional[str], Any]]:
+    """``(pattern, escape char, fullmatch)`` of a LIKE whose pattern and
+    ESCAPE are string literals (the overwhelmingly common case), its
+    regex compiled once; else None.  A pattern that ends in its escape
+    character is None too: ``ops.like`` raises for it per row, so a
+    block without rows must not."""
     if not (
         isinstance(expr.pattern, ast.Literal)
         and isinstance(expr.pattern.value, str)
     ):
         return None
-    if expr.escape is None:
-        return expr.pattern.value, None
-    if (
-        isinstance(expr.escape, ast.Literal)
-        and isinstance(expr.escape.value, str)
-        and len(expr.escape.value) == 1
-    ):
-        return expr.pattern.value, expr.escape.value
-    return None
+    escape = None
+    if expr.escape is not None:
+        escape = expr.escape.value if isinstance(expr.escape, ast.Literal) else None
+        if not isinstance(escape, str) or len(escape) != 1:
+            return None
+    try:
+        regex = ops._like_regex(expr.pattern.value, escape)
+    except EvaluationError:
+        return None
+    return expr.pattern.value, escape, regex.fullmatch
 
 
 def _compile_like(expr: ast.Like, evaluator: "Evaluator") -> CompiledExpr:
     config = evaluator.config
     operand_fn = compile_expr(expr.operand, evaluator)
-    negated = expr.negated
-
-    # A constant pattern compiles its regex exactly once.
+    like = ops.like
     constant = _constant_like(expr)
     if constant is not None:
-        regex = ops._like_regex(*constant)
+        # Non-strings (NULL, MISSING, mistyped) take the one definition
+        # in ops.like.
+        pattern, escape, fullmatch = constant
 
         def like_constant(env: Environment) -> Any:
             value = operand_fn(env)
-            if value is MISSING:
-                # NOT still applies to the unknown verdict (NOT MISSING
-                # normalises to NULL, like the interpreter's
-                # ops.logical_not), so fall through instead of returning.
-                verdict: Any = MISSING
-            elif value is None:
-                verdict = None
-            elif not isinstance(value, str):
-                verdict = config.type_error(
-                    f"LIKE expects strings, got {type_name(value)}"
-                )
-            else:
-                verdict = regex.fullmatch(value) is not None
-            return ops.logical_not(verdict, config) if negated else verdict
+            if type(value) is str:
+                return fullmatch(value) is not None
+            return like(value, pattern, escape, config)
 
         return like_constant
-
     pattern_fn = compile_expr(expr.pattern, evaluator)
     escape_fn = (
         compile_expr(expr.escape, evaluator) if expr.escape is not None else None
     )
-
-    def like_dynamic(env: Environment) -> Any:
-        verdict = ops.like(
-            operand_fn(env),
-            pattern_fn(env),
-            escape_fn(env) if escape_fn is not None else None,
-            config,
-        )
-        return ops.logical_not(verdict, config) if negated else verdict
-
-    return like_dynamic
+    return lambda env: like(
+        operand_fn(env),
+        pattern_fn(env),
+        escape_fn(env) if escape_fn is not None else None,
+        config,
+    )
 
 
 def _compile_call(expr: ast.FunctionCall, evaluator: "Evaluator") -> CompiledExpr:
@@ -569,9 +642,9 @@ _CLOSURES: Dict[type, Callable[[Any, "Evaluator"], CompiledExpr]] = {
     ast.Binary: _compile_binary,
     ast.Unary: _compile_unary,
     ast.IsPredicate: _compile_is,
-    ast.Like: _compile_like,
-    ast.Between: _compile_between,
-    ast.InPredicate: _compile_in,
+    ast.Like: _negatable(_compile_like),
+    ast.Between: _negatable(_compile_between),
+    ast.InPredicate: _negatable(_compile_in),
     ast.Exists: _compile_exists,
     ast.CaseExpr: _compile_case,
     ast.FunctionCall: _compile_call,
@@ -593,13 +666,11 @@ _CLOSURES: Dict[type, Callable[[Any, "Evaluator"], CompiledExpr]] = {
 # The batch executor evaluates an expression over a whole chunk of
 # binding rows (:class:`repro.core.chunk.Chunk`: one column per
 # variable).  Each AST node compiles to a *kernel*
-# ``kern(chunk, env) -> column``: one tight list comprehension whose
-# well-typed case is inlined (``type(v) in {int, float}`` picks
-# ``v > lit``) and whose every other case — NULL, MISSING, booleans,
-# mistyped or nested values — calls the single definition in
-# :mod:`repro.functions.operators`.  The test is on the *exact* type,
-# not ``isinstance``, which keeps ``bool`` (an ``int`` subclass) off
-# the number path, so ``TRUE > 0`` still type-errors.
+# ``kern(chunk, env) -> column``.  An operator's kernel is one of its
+# generated instances: a list comprehension whose well-typed case is
+# the table's inlined expression (``type(a) in {int, float}`` picks
+# ``a > b``) and whose every other case — NULL, MISSING, booleans,
+# mistyped or nested values — calls the operator's definition.
 #
 # A ``VarRef`` kernel is the chunk's own column.  ``Path`` columns are
 # kept in the chunk's ``memo`` under a structural key (``("o", "qty")``)
@@ -618,132 +689,20 @@ _CLOSURES: Dict[type, Callable[[Any, "Evaluator"], CompiledExpr]] = {
 
 Kernel = Callable[[Chunk, Environment], List[Any]]
 
-_compare = ops.compare
-_equals = ops.equals
-_not_equals = ops.not_equals
-_arithmetic = ops.arithmetic
 
-#: The exact types of the two scalar categories with a fast path.
-_NUMBERS = frozenset((int, float))
-_STRINGS = frozenset((str,))
+def _negatable_kernel(method: Callable[..., Optional[Kernel]]):
+    """``method`` of :class:`_KernelCompiler` for a node kind with a
+    ``negated`` flag: the NOT operator's column kernel over its verdicts
+    when set."""
 
-#: ``column OP literal`` per operator symbol; ``kinds`` is the literal's
-#: own category (:data:`_NUMBERS` or :data:`_STRINGS`).
-_LITERAL_OPS: Dict[str, Callable[..., List[Any]]] = {
-    "<": lambda column, lit, kinds, config: [
-        (v < lit) if type(v) in kinds else _compare("<", v, lit, config)
-        for v in column
-    ],
-    "<=": lambda column, lit, kinds, config: [
-        (v <= lit) if type(v) in kinds else _compare("<=", v, lit, config)
-        for v in column
-    ],
-    ">": lambda column, lit, kinds, config: [
-        (v > lit) if type(v) in kinds else _compare(">", v, lit, config)
-        for v in column
-    ],
-    ">=": lambda column, lit, kinds, config: [
-        (v >= lit) if type(v) in kinds else _compare(">=", v, lit, config)
-        for v in column
-    ],
-    "=": lambda column, lit, kinds, config: [
-        (v == lit) if type(v) in kinds else _equals(v, lit, config)
-        for v in column
-    ],
-    "!=": lambda column, lit, kinds, config: [
-        (v != lit) if type(v) in kinds else _not_equals(v, lit, config)
-        for v in column
-    ],
-    "+": lambda column, lit, kinds, config: [
-        (v + lit) if type(v) in kinds else _arithmetic("+", v, lit, config)
-        for v in column
-    ],
-    "-": lambda column, lit, kinds, config: [
-        (v - lit) if type(v) in kinds else _arithmetic("-", v, lit, config)
-        for v in column
-    ],
-    "*": lambda column, lit, kinds, config: [
-        (v * lit) if type(v) in kinds else _arithmetic("*", v, lit, config)
-        for v in column
-    ],
-}
+    def compile_node(compiler: "_KernelCompiler", expr: Any) -> Optional[Kernel]:
+        kernel = method(compiler, expr)
+        if kernel is None or not expr.negated:
+            return kernel
+        not_column, config = _instances("NOT", 1).column, compiler.config
+        return lambda rows, env: not_column(kernel(rows, env), config)
 
-#: Arithmetic has no string fast path: ``'a' + 'b'`` is a type error.
-_NUMBER_ONLY = frozenset("+-*")
-
-#: ``column OP column`` per operator symbol; the fast path needs exact
-#: numbers on both sides.  ``/`` and ``%`` (zero and exact-integer
-#: division rules) and anything unknown stay on ``ops.arithmetic``.
-_COLUMN_OPS: Dict[str, Callable[..., List[Any]]] = {
-    "<": lambda left, right, config: [
-        (a < b) if type(a) in _NUMBERS and type(b) in _NUMBERS
-        else _compare("<", a, b, config)
-        for a, b in zip(left, right)
-    ],
-    "<=": lambda left, right, config: [
-        (a <= b) if type(a) in _NUMBERS and type(b) in _NUMBERS
-        else _compare("<=", a, b, config)
-        for a, b in zip(left, right)
-    ],
-    ">": lambda left, right, config: [
-        (a > b) if type(a) in _NUMBERS and type(b) in _NUMBERS
-        else _compare(">", a, b, config)
-        for a, b in zip(left, right)
-    ],
-    ">=": lambda left, right, config: [
-        (a >= b) if type(a) in _NUMBERS and type(b) in _NUMBERS
-        else _compare(">=", a, b, config)
-        for a, b in zip(left, right)
-    ],
-    "=": lambda left, right, config: [
-        (a == b) if type(a) in _NUMBERS and type(b) in _NUMBERS
-        else _equals(a, b, config)
-        for a, b in zip(left, right)
-    ],
-    "!=": lambda left, right, config: [
-        (a != b) if type(a) in _NUMBERS and type(b) in _NUMBERS
-        else _not_equals(a, b, config)
-        for a, b in zip(left, right)
-    ],
-    "+": lambda left, right, config: [
-        (a + b) if type(a) in _NUMBERS and type(b) in _NUMBERS
-        else _arithmetic("+", a, b, config)
-        for a, b in zip(left, right)
-    ],
-    "-": lambda left, right, config: [
-        (a - b) if type(a) in _NUMBERS and type(b) in _NUMBERS
-        else _arithmetic("-", a, b, config)
-        for a, b in zip(left, right)
-    ],
-    "*": lambda left, right, config: [
-        (a * b) if type(a) in _NUMBERS and type(b) in _NUMBERS
-        else _arithmetic("*", a, b, config)
-        for a, b in zip(left, right)
-    ],
-    # Both sides are always evaluated, as in the reference interpreter.
-    "AND": lambda left, right, config: [
-        (a and b) if type(a) is bool and type(b) is bool
-        else ops.logical_and(a, b, config)
-        for a, b in zip(left, right)
-    ],
-    "OR": lambda left, right, config: [
-        (a or b) if type(a) is bool and type(b) is bool
-        else ops.logical_or(a, b, config)
-        for a, b in zip(left, right)
-    ],
-    "||": lambda left, right, config: [
-        (a + b) if type(a) is str and type(b) is str
-        else ops.concat(a, b, config)
-        for a, b in zip(left, right)
-    ],
-}
-
-
-def _not_column(column: List[Any], config: Any) -> List[Any]:
-    return [
-        (not v) if type(v) is bool else ops.logical_not(v, config)
-        for v in column
-    ]
+    return compile_node
 
 
 def _streamed_exists_rows(
@@ -948,44 +907,24 @@ class _KernelCompiler:
     # -- operators ---------------------------------------------------------
 
     def binary(self, expr: ast.Binary) -> Kernel:
-        op = expr.op
+        instances = _instances(expr.op)
         config = self.config
         left = self.compile(expr.left)
-        if op in _LITERAL_OPS and isinstance(expr.right, ast.Literal):
+        if isinstance(expr.right, ast.Literal):
             lit = expr.right.value
-            kind = type(lit)
-            if kind in _NUMBERS or (kind is str and op not in _NUMBER_ONLY):
-                template = _LITERAL_OPS[op]
-                kinds = _STRINGS if kind is str else _NUMBERS
-                return lambda rows, env: template(
-                    left(rows, env), lit, kinds, config
-                )
+            kinds = instances.kinds.get(type(lit))
+            if kinds is not None:
+                literal = instances.literal
+                return lambda rows, env: literal(left(rows, env), lit, kinds, config)
         right = self.compile(expr.right)
-        columns = _COLUMN_OPS.get(op)
-        if columns is not None:
-            return lambda rows, env: columns(
-                left(rows, env), right(rows, env), config
-            )
-        return lambda rows, env: [
-            _arithmetic(op, a, b, config)
-            for a, b in zip(left(rows, env), right(rows, env))
-        ]
+        column = instances.column
+        return lambda rows, env: column(left(rows, env), right(rows, env), config)
 
     def unary(self, expr: ast.Unary) -> Kernel:
         operand = self.compile(expr.operand)
         config = self.config
-        if expr.op == "NOT":
-            return lambda rows, env: _not_column(operand(rows, env), config)
-        if expr.op == "-":
-            negate = ops.negate
-            return lambda rows, env: [
-                -v if type(v) in _NUMBERS else negate(v, config)
-                for v in operand(rows, env)
-            ]
-        unary_plus = ops.unary_plus
-        return lambda rows, env: [
-            unary_plus(v, config) for v in operand(rows, env)
-        ]
+        column = _instances(expr.op, 1).column
+        return lambda rows, env: column(operand(rows, env), config)
 
     def is_predicate(self, expr: ast.IsPredicate) -> Kernel:
         operand = self.compile(expr.operand)
@@ -1022,9 +961,8 @@ class _KernelCompiler:
         low = self.compile(expr.low)
         high = self.compile(expr.high)
         config = self.config
-        negated = expr.negated
-        at_least, at_most = _COLUMN_OPS[">="], _COLUMN_OPS["<="]
-        both = _COLUMN_OPS["AND"]
+        at_least, at_most = _instances(">=").column, _instances("<=").column
+        both = _instances("AND").column
 
         def between_column(rows: Chunk, env) -> List[Any]:
             # All three operand columns before any comparison, as the
@@ -1032,37 +970,29 @@ class _KernelCompiler:
             values = operand(rows, env)
             lows = low(rows, env)
             highs = high(rows, env)
-            verdicts = both(
+            return both(
                 at_least(values, lows, config),
                 at_most(values, highs, config),
                 config,
             )
-            return _not_column(verdicts, config) if negated else verdicts
 
         return between_column
 
     def like(self, expr: ast.Like) -> Kernel:
         operand = self.compile(expr.operand)
         config = self.config
-        negated = expr.negated
         like = ops.like
         constant = _constant_like(expr)
         if constant is not None:
-            pattern, escape = constant
-            # The pattern compiles once; non-strings (NULL, MISSING,
-            # mistyped) take the one definition in ops.like.
-            fullmatch = ops._like_regex(pattern, escape).fullmatch
-
-            def like_column(rows: Chunk, env) -> List[Any]:
-                verdicts = [
-                    (fullmatch(v) is not None)
-                    if type(v) is str
-                    else like(v, pattern, escape, config)
-                    for v in operand(rows, env)
-                ]
-                return _not_column(verdicts, config) if negated else verdicts
-
-            return like_column
+            # Non-strings (NULL, MISSING, mistyped) take the one
+            # definition in ops.like, as in the row closure.
+            pattern, escape, fullmatch = constant
+            return lambda rows, env: [
+                (fullmatch(v) is not None)
+                if type(v) is str
+                else like(v, pattern, escape, config)
+                for v in operand(rows, env)
+            ]
         pattern_kernel = self.compile(expr.pattern)
         escape_kernel = (
             self.compile(expr.escape) if expr.escape is not None else None
@@ -1076,11 +1006,10 @@ class _KernelCompiler:
                 if escape_kernel is not None
                 else [None] * rows.size
             )
-            verdicts = [
+            return [
                 like(v, p, e, config)
                 for v, p, e in zip(values, patterns, escapes)
             ]
-            return _not_column(verdicts, config) if negated else verdicts
 
         return like_dynamic_column
 
@@ -1089,7 +1018,6 @@ class _KernelCompiler:
             return None  # early-terminating probe lives in the evaluator
         operand = self.compile(expr.operand)
         config = self.config
-        negated = expr.negated
         probe = _literal_probe_set(expr.collection)
         if probe is not None:
             category, keys, __ = probe
@@ -1101,31 +1029,21 @@ class _KernelCompiler:
 
             def probe_column(rows: Chunk, env) -> List[Any]:
                 if members is not None:
-                    verdicts = [
+                    return [
                         (v in members)
                         if type(v) is str
                         else _probe_verdict(v, probe, config)
                         for v in operand(rows, env)
                     ]
-                else:
-                    verdicts = [
-                        _probe_verdict(v, probe, config)
-                        for v in operand(rows, env)
-                    ]
-                return _not_column(verdicts, config) if negated else verdicts
+                return [_probe_verdict(v, probe, config) for v in operand(rows, env)]
 
             return probe_column
         collection = self.compile(expr.collection)
         contains = ops.in_collection
-
-        def in_column(rows: Chunk, env) -> List[Any]:
-            verdicts = [
-                contains(v, c, config)
-                for v, c in zip(operand(rows, env), collection(rows, env))
-            ]
-            return _not_column(verdicts, config) if negated else verdicts
-
-        return in_column
+        return lambda rows, env: [
+            contains(v, c, config)
+            for v, c in zip(operand(rows, env), collection(rows, env))
+        ]
 
     def exists(self, expr: ast.Exists) -> Optional[Kernel]:
         if isinstance(expr.operand, ast.SubqueryExpr):
@@ -1303,7 +1221,7 @@ class _KernelCompiler:
             for condition, result in expr.whens
         ]
         otherwise = self.compile(expr.else_) if expr.else_ is not None else None
-        equals_columns = _COLUMN_OPS["="]
+        equals_columns = _instances("=").column
 
         def case_column(rows: Chunk, env) -> List[Any]:
             out: List[Any] = [None] * len(rows)
@@ -1414,9 +1332,9 @@ _KERNELS = {
     ast.Binary: _KernelCompiler.binary,
     ast.Unary: _KernelCompiler.unary,
     ast.IsPredicate: _KernelCompiler.is_predicate,
-    ast.Between: _KernelCompiler.between,
-    ast.Like: _KernelCompiler.like,
-    ast.InPredicate: _KernelCompiler.in_predicate,
+    ast.Between: _negatable_kernel(_KernelCompiler.between),
+    ast.Like: _negatable_kernel(_KernelCompiler.like),
+    ast.InPredicate: _negatable_kernel(_KernelCompiler.in_predicate),
     ast.Exists: _KernelCompiler.exists,
     ast.SubqueryExpr: _KernelCompiler.subquery,
     ast.CaseExpr: _KernelCompiler.case,

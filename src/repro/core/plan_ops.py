@@ -706,13 +706,18 @@ class HashJoinOp(_JoinOp):
 
 
 def walk_ops(op: PlanOp) -> List[PlanOp]:
-    """Pre-order enumeration of an operator tree."""
+    """Pre-order enumeration of an operator tree (build sides included)."""
     result = [op]
     for attr in ("left", "right"):
         child = getattr(op, attr, None)
         if child is not None:
             result.extend(walk_ops(child))
     return result
+
+
+def scan_ops(op: PlanOp) -> List[ScanOp]:
+    """The scans at or below ``op``, in :func:`walk_ops` order."""
+    return [scan for scan in walk_ops(op) if isinstance(scan, ScanOp)]
 
 
 def _padded(

@@ -65,6 +65,8 @@ from repro.core.plan_ops import (
     MaterializeJoinOp,
     PlanOp,
     ScanOp,
+    scan_ops,
+    walk_ops,
 )
 from repro.functions.operators import IS_KINDS
 from repro.functions.registry import REGISTRY
@@ -467,18 +469,6 @@ def _join(
 MIN_REORDER_ROWS = 512
 
 
-def _scan_ops(op: PlanOp) -> List[ScanOp]:
-    result: List[ScanOp] = []
-    if isinstance(op, ScanOp):
-        result.append(op)
-        return result
-    for child in ("left", "right"):
-        sub = getattr(op, child, None)
-        if isinstance(sub, PlanOp):
-            result.extend(_scan_ops(sub))
-    return result
-
-
 def scanned_names(op: PlanOp) -> Tuple[str, ...]:
     """The collection names scanned at or below ``op``, each once: the
     sources :func:`repro.catalog.statistics.source_name` recognizes (a
@@ -487,7 +477,7 @@ def scanned_names(op: PlanOp) -> Tuple[str, ...]:
     from repro.catalog.statistics import source_name
 
     names: List[str] = []
-    for scan in _scan_ops(op):
+    for scan in scan_ops(op):
         if not isinstance(scan.item, ast.FromCollection):
             continue
         name = source_name(scan.item.expr)
@@ -862,15 +852,6 @@ def _split_equi_on(
 # filters on the same collection.
 
 
-def walk_plan_ops(op: PlanOp):
-    """Yield ``op`` and every operator below it (build sides included)."""
-    yield op
-    for child in ("left", "right"):
-        sub = getattr(op, child, None)
-        if isinstance(sub, PlanOp):
-            yield from walk_plan_ops(sub)
-
-
 def scan_feedback_key(scan: PlanOp) -> Optional[str]:
     """The feedback-hint key for a base-collection scan, or None."""
     from repro.catalog.statistics import source_name
@@ -895,7 +876,7 @@ def join_feedback_key(op: PlanOp) -> Optional[str]:
     if not isinstance(op, HashJoinOp):
         return None
     names: List[str] = []
-    for scan in _scan_ops(op):
+    for scan in scan_ops(op):
         if not isinstance(scan.item, ast.FromCollection):
             return None
         name = source_name(scan.item.expr)
@@ -1054,7 +1035,7 @@ def _key_divisor(op: HashJoinOp, stats) -> Optional[float]:
     for side, keys in ((op.left, op.left_keys), (op.right, op.right_keys)):
         scans = {
             scan.item.alias: scan
-            for scan in _scan_ops(side)
+            for scan in scan_ops(side)
             if isinstance(scan.item, ast.FromCollection)
         }
         for key in keys:
@@ -1083,7 +1064,7 @@ def _worst_misestimate(root: PlanOp, tracer) -> Optional[int]:
 
     worst_id: Optional[int] = None
     worst_q = 2.0
-    for op in walk_plan_ops(root):
+    for op in walk_ops(root):
         estimate = getattr(op, "est_rows", None)
         if estimate is None:
             continue

@@ -56,7 +56,14 @@ from repro.core import clauses
 from repro.core.chunk import Chunk, cut, survivors
 from repro.core.environment import Environment
 from repro.core.grouping_sets import expand_grouping_sets
-from repro.core.plan_ops import CHUNK_ROWS, LateralJoinOp, ScanOp, close_iter, walk_ops
+from repro.core.plan_ops import (
+    CHUNK_ROWS,
+    LateralJoinOp,
+    ScanOp,
+    close_iter,
+    scan_ops,
+    walk_ops,
+)
 from repro.core.tails import EnvColumns, bind_windows, projection, run_tail
 from repro.core.windows import find_window_calls, lower_window_calls, window_variable
 from repro.datamodel.values import Bag, LazyBag, Struct
@@ -880,7 +887,7 @@ def _maintained(evaluator, query, kernels) -> str:
     config, plan = evaluator.config, kernels.plan
     if query is not evaluator._caches.root:
         return "not the top-level query's block"
-    scans = [op for op in walk_ops(plan.op) if isinstance(op, ScanOp)]
+    scans = scan_ops(plan.op)
     item = scans[0].item if len(scans) == 1 else None
     if not isinstance(item, ast.FromCollection) or source_name(item.expr) is None:
         return "FROM is not one scan of a catalog collection"

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache, partial
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional, Tuple
 
 from repro.config import EvalConfig
 from repro.datamodel.equality import deep_equals, group_key
@@ -571,19 +571,54 @@ def bag_or_list_elements(value: Any, config: EvalConfig):
 
 
 # =========================================================================
-# Operator symbols
+# The operator table
 # =========================================================================
 
+_NUMBERS = (int, float)
+_STRINGS = (str,)
+_BOOLEANS = (bool,)
+_ORDERED = (_NUMBERS, _STRINGS)
+
+
+class OperatorSpec(NamedTuple):
+    """One operator symbol.  ``definition`` is its semantics, and all
+    the reference interpreter calls.  ``fast`` is a Python expression
+    over the operands ``a`` (and ``b``) that agrees with the definition
+    whenever every operand's *exact* type lies in one class of
+    ``types`` (``1 < 2.5``, ``'a' < 'b'``; not ``1 < 'a'``); exact types
+    keep ``bool``, an ``int`` subclass, off the number path.  The engine
+    compiles its row closures and chunk kernels from the two
+    (:mod:`repro.core.compile_expr`); without ``fast`` the definition
+    is the only path."""
+
+    definition: Callable[..., Any]
+    fast: Optional[str] = None
+    types: Tuple[Tuple[type, ...], ...] = ()
+
+
 _BINARY = {
-    "AND": logical_and,
-    "OR": logical_or,
-    "=": equals,
-    "!=": not_equals,
-    "||": concat,
-    **{op: partial(compare, op) for op in ("<", "<=", ">", ">=")},
-    **{op: partial(arithmetic, op) for op in ("+", "-", "*", "/", "%")},
+    "AND": OperatorSpec(logical_and, "a and b", (_BOOLEANS,)),
+    "OR": OperatorSpec(logical_or, "a or b", (_BOOLEANS,)),
+    "=": OperatorSpec(equals, "a == b", _ORDERED),
+    "!=": OperatorSpec(not_equals, "a != b", _ORDERED),
+    "<": OperatorSpec(partial(compare, "<"), "a < b", _ORDERED),
+    "<=": OperatorSpec(partial(compare, "<="), "a <= b", _ORDERED),
+    ">": OperatorSpec(partial(compare, ">"), "a > b", _ORDERED),
+    ">=": OperatorSpec(partial(compare, ">="), "a >= b", _ORDERED),
+    "||": OperatorSpec(concat, "a + b", (_STRINGS,)),
+    # Arithmetic has no string path: ``'a' + 'b'`` is a type error.
+    "+": OperatorSpec(partial(arithmetic, "+"), "a + b", (_NUMBERS,)),
+    "-": OperatorSpec(partial(arithmetic, "-"), "a - b", (_NUMBERS,)),
+    "*": OperatorSpec(partial(arithmetic, "*"), "a * b", (_NUMBERS,)),
+    # Division by zero and exact integer division: the definition only.
+    "/": OperatorSpec(partial(arithmetic, "/")),
+    "%": OperatorSpec(partial(arithmetic, "%")),
 }
-_UNARY = {"NOT": logical_not, "-": negate, "+": unary_plus}
+_UNARY = {
+    "NOT": OperatorSpec(logical_not, "not a", (_BOOLEANS,)),
+    "-": OperatorSpec(negate, "-a", (_NUMBERS,)),
+    "+": OperatorSpec(unary_plus, "a", (_NUMBERS,)),
+}
 
 #: Every operator symbol :func:`binary_operator` / :func:`unary_operator`
 #: serve (the parser normalises ``<>`` to ``!=``).
@@ -591,13 +626,24 @@ BINARY_SYMBOLS = tuple(_BINARY)
 UNARY_SYMBOLS = tuple(_UNARY)
 
 
+def binary_spec(op: str) -> OperatorSpec:
+    """The table entry of a binary operator symbol (anything else is
+    arithmetic, which rejects unknown ones)."""
+    return _BINARY.get(op) or OperatorSpec(partial(arithmetic, op))
+
+
+def unary_spec(op: str) -> OperatorSpec:
+    """The table entry of a unary operator symbol."""
+    return _UNARY.get(op) or _UNARY["+"]
+
+
 def binary_operator(op: str):
     """The ``(left, right, config)`` function of a binary operator
-    symbol (anything else is arithmetic, which rejects unknown ones).
-    Both operands are always evaluated first, AND / OR included."""
-    return _BINARY.get(op) or partial(arithmetic, op)
+    symbol.  Both operands are always evaluated first, AND / OR
+    included."""
+    return binary_spec(op).definition
 
 
 def unary_operator(op: str):
     """The ``(value, config)`` function of a unary operator symbol."""
-    return _UNARY.get(op, unary_plus)
+    return unary_spec(op).definition

@@ -142,12 +142,13 @@ def record_plan_feedback(plan, tracer, provider) -> bool:
     completed (status ok) and was not cut short by LIMIT/OFFSET — a
     truncated count would poison the hints.
     """
-    from repro.core.planner import feedback_key, scanned_names, walk_plan_ops
+    from repro.core.plan_ops import walk_ops
+    from repro.core.planner import feedback_key, scanned_names
 
     if plan is None:
         return False
     changed = False
-    for op in walk_plan_ops(plan.op):
+    for op in walk_ops(plan.op):
         stats = tracer.op_stats(op)
         if stats is None:
             continue
@@ -164,12 +165,12 @@ def record_plan_feedback(plan, tracer, provider) -> bool:
 def plan_max_qerror(plan, tracer) -> Optional[float]:
     """The worst per-operator q-error of one traced execution, or None
     when no operator carried both an estimate and a tally."""
-    from repro.core.planner import walk_plan_ops
+    from repro.core.plan_ops import walk_ops
 
     if plan is None:
         return None
     worst: Optional[float] = None
-    for op in walk_plan_ops(plan.op):
+    for op in walk_ops(plan.op):
         estimate = getattr(op, "est_rows", None)
         if estimate is None:
             continue

@@ -99,6 +99,24 @@ class TestConstantFolding:
         # ... but permissive mode folds it to its MISSING verdict.
         assert fold_expr(expr, PERMISSIVE).value is MISSING
 
+    @pytest.mark.parametrize("optimize", [True, False])
+    @pytest.mark.parametrize(
+        "collection, negated, value",
+        [
+            ("[MISSING, 2]", "", False),
+            ("[MISSING, 2]", "NOT", True),
+            ("<<MISSING, 2>>", "", False),
+            ("[NULL, 2]", "", None),
+        ],
+    )
+    def test_in_over_a_literal_holding_missing(
+        self, collection, negated, value, optimize
+    ):
+        # The collection constructors leave a MISSING item out, so the
+        # list is [2]: the fold must not compare against MISSING.
+        query = f"SELECT VALUE 1 {negated} IN {collection} FROM [1] AS z"
+        assert list(Database(optimize=optimize).execute(query)) == [value]
+
     def test_dynamic_operands_stay(self):
         folded = fold_expr(_where("t > 1 + 1"), PERMISSIVE)
         assert isinstance(folded, ast.Binary)
@@ -191,6 +209,18 @@ class TestCaseReachability:
     def test_all_dynamic_alive(self):
         node = self._case("CASE WHEN t > 0 THEN 1 WHEN t < 0 THEN 2 END")
         assert unreachable_whens(node, PERMISSIVE) == []
+
+    @pytest.mark.parametrize(
+        "text, kept",
+        [
+            ("CASE WHEN t > 0 THEN 1 WHEN FALSE THEN 2 WHEN t < 0 THEN 3 END", [1, 3]),
+            ("CASE WHEN t > 0 THEN 1 WHEN TRUE THEN 2 WHEN t < 0 THEN 3 END", [1, 2]),
+            ("CASE WHEN FALSE THEN 1 WHEN t > 0 THEN 2 END", [2]),
+        ],
+    )
+    def test_fold_keeps_the_reachable_branches(self, text, kept):
+        folded = fold_expr(self._case(text), PERMISSIVE)
+        assert [result.value for __, result in folded.whens] == kept
 
 
 class TestBlockPruneReason:

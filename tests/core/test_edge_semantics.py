@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import Bag, MISSING, Struct
-from repro.errors import BindingError, ParseError
+from repro import Bag, Database, MISSING, Struct
+from repro.errors import BindingError, EvaluationError, ParseError, TypeCheckError
 
 from tests.conftest import bag_of
 
@@ -127,10 +127,37 @@ class TestDegenerateQueries:
         path = "r" + "[0]" * 30
         assert bag_of(db.execute(f"SELECT VALUE {path} FROM deep AS r")) == [7]
 
+    @pytest.mark.parametrize("dials", [{}, {"batch": False}, {"optimize": False}])
+    def test_bad_like_pattern_raises_only_over_rows(self, db, dials):
+        # A pattern ending in its escape character is an evaluation
+        # error: a block with no row to evaluate it on returns nothing.
+        query = "SELECT VALUE x FROM {} AS x WHERE x LIKE 'a!' ESCAPE '!'"
+        db.set("none", [])
+        db.set("one", ["a"])
+        assert bag_of(db.execute(query.format("none"), **dials)) == []
+        with pytest.raises(EvaluationError, match="ends with escape"):
+            db.execute(query.format("one"), **dials)
+
     def test_self_join_same_collection(self, db):
         db.set("t", [1, 2])
         result = bag_of(db.execute("SELECT VALUE [a, b] FROM t AS a, t AS b"))
         assert len(result) == 4
+
+
+class TestStrictErrorMessages:
+    @pytest.mark.parametrize("pattern", ["'a%'", "r.p"])
+    def test_like_over_a_non_string_reports_both_operands(self, pattern):
+        # The constant-pattern closure, the chunk kernel and the oracle
+        # all raise from ops.like, with the same message.
+        db = Database(typing_mode="strict")
+        db.set("t", [{"x": 5, "p": "a%"}, {"x": "ab", "p": "a%"}])
+        query = f"SELECT VALUE r.x LIKE {pattern} FROM t AS r"
+        messages = set()
+        for dials in ({}, {"batch": False}, {"optimize": False}):
+            with pytest.raises(TypeCheckError) as raised:
+                db.execute(query, **dials)
+            messages.add(str(raised.value))
+        assert messages == {"LIKE expects strings, got integer and string"}
 
 
 class TestParseErrors:

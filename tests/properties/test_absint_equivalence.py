@@ -11,15 +11,25 @@ subexpressions, contradictory/tautological conjunctions, constant
 CASE scrutinees, and interval bounds that a mixed-type attribute makes
 hazardous (a string row raises under strict comparison — pruning must
 never erase that error, which is why it is permissive-only).
+
+A second property folds generated constant expressions on their own:
+the folded tree evaluates to what the original does, in both typing
+modes, with NULL and MISSING items inside array and bag literals.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import Database, errors
+from repro.analysis.absint import fold_expr
+from repro.config import EvalConfig
+from repro.core.environment import Environment
+from repro.core.reference import ReferenceEvaluator
 from repro.datamodel.equality import deep_equals
-from repro.datamodel.values import Bag
+from repro.datamodel.values import MISSING, Bag
+from repro.functions import operators as ops
+from repro.syntax import ast
 
 value_strategy = st.one_of(
     st.none(),
@@ -98,3 +108,85 @@ def test_optimized_equals_reference(data, query, typing_mode):
         f"fold/prune parity violation for {query!r} [{typing_mode}] "
         f"over {data!r}"
     )
+
+
+# -- folding constant expressions ------------------------------------------
+
+constants = st.builds(
+    ast.Literal,
+    st.one_of(
+        st.none(),
+        st.just(MISSING),
+        st.booleans(),
+        st.integers(-2, 3),
+        st.sampled_from([0.0, 2.5]),
+        st.sampled_from(["a", "ab", "a%", "_"]),
+    ),
+)
+
+
+def constant_expressions(depth=2):
+    if depth == 0:
+        return constants
+    inner = constant_expressions(depth - 1)
+    items = st.lists(st.one_of(constants, inner), max_size=3)
+    return st.one_of(
+        constants,
+        st.builds(ast.Binary, st.sampled_from(ops.BINARY_SYMBOLS), inner, inner),
+        st.builds(ast.Unary, st.sampled_from(ops.UNARY_SYMBOLS), inner),
+        st.builds(
+            ast.IsPredicate,
+            inner,
+            st.sampled_from(["NULL", "MISSING", "INTEGER", "STRING"]),
+            st.booleans(),
+        ),
+        st.builds(ast.Between, inner, inner, inner, st.booleans()),
+        st.builds(
+            ast.Like, inner, inner, st.one_of(st.none(), constants), st.booleans()
+        ),
+        st.builds(
+            ast.InPredicate,
+            inner,
+            st.one_of(st.builds(ast.ArrayLit, items), st.builds(ast.BagLit, items)),
+            st.booleans(),
+        ),
+        st.builds(
+            ast.CaseExpr,
+            st.one_of(st.none(), inner),
+            st.lists(st.tuples(inner, inner), min_size=1, max_size=2),
+            st.one_of(st.none(), inner),
+        ),
+    )
+
+
+def evaluated(expr, config):
+    try:
+        return ("value", ReferenceEvaluator({}, config).eval_expr(expr, Environment()))
+    except errors.SQLPPError as exc:
+        return ("error", type(exc).__name__)
+
+
+@given(
+    constant_expressions(),
+    st.builds(
+        EvalConfig,
+        typing_mode=st.sampled_from(["permissive", "strict"]),
+        sql_compat=st.booleans(),
+    ),
+)
+@example(
+    ast.InPredicate(
+        ast.Literal(1), ast.ArrayLit([ast.Literal(MISSING), ast.Literal(2)])
+    ),
+    EvalConfig(),
+)
+@settings(max_examples=400, deadline=None)
+def test_fold_equals_evaluation(expr, config):
+    want = evaluated(expr, config)
+    got = evaluated(fold_expr(expr, config), config)
+    assert want[0] == got[0], (want, got)
+    if want[0] == "error":
+        assert want[1] == got[1]
+    else:
+        assert type(want[1]) is type(got[1]), (want, got)
+        assert deep_equals(want[1], got[1]), (want, got)

@@ -11,7 +11,12 @@ independent implementations, not of the compiler with itself.
 The exhaustiveness test holds the three per-node-kind tables against
 the AST: every concrete ``ast.Expr`` subclass has a tree-walker entry,
 a row closure, and either a chunk kernel or a recorded env-space
-``fallback`` — a new node kind cannot ship on one side only.
+``fallback`` — a new node kind cannot ship on one side only.  Likewise
+every operator symbol has a fast path in the operator table or is on
+its slow-only list, and every instance generated from the table — row
+closure, ``column OP literal`` and ``column OP column`` kernel —
+agrees with the operator's definition and the oracle on the boundary
+operands where a Python fast path could drift from SQL++.
 """
 
 import pytest
@@ -27,6 +32,7 @@ from repro.datamodel.convert import from_python
 from repro.datamodel.equality import deep_equals
 from repro.datamodel.values import MISSING, Struct
 from repro.errors import SQLPPError
+from repro.functions import operators as ops
 from repro.syntax import ast
 from repro.syntax.parser import parse_expression
 
@@ -407,3 +413,85 @@ def test_shape_kernels_over_mixed_and_duplicate_layouts(source, typing_mode):
             assert (value is MISSING) == (closed is MISSING)
             assert deep_equals(value, closed), (value, closed)
             assert list(map(id, shapes(value))) == list(map(id, shapes(closed)))
+
+
+# -- the operator table ---------------------------------------------------------
+
+#: The symbols whose definition is their only path.
+SLOW_ONLY = {"/", "%"}
+
+#: Operands where a Python fast path could drift from SQL++: booleans
+#: next to numbers (``TRUE < 1``, ``TRUE + 1``), int / float
+#: (``1 = 1.0``, ``2 < 2.5``), a negative zero, strings on comparisons,
+#: ``||`` and arithmetic, the absent values and nested values.
+BOUNDARY = [
+    True, False, 1, 1.0, 2, 2.5, -0.0, 0, "a", "b", None, MISSING,
+    Struct({"a": 1}), [1],
+]
+
+
+def test_every_operator_symbol_has_a_fast_path_or_is_slow_only():
+    for table, symbols in (
+        (ops._BINARY, ops.BINARY_SYMBOLS), (ops._UNARY, ops.UNARY_SYMBOLS)
+    ):
+        assert set(table) == set(symbols)
+        for symbol, spec in table.items():
+            assert (spec.fast is None) == (symbol in SLOW_ONLY), symbol
+            assert (not spec.types) == (spec.fast is None), symbol
+
+
+def outcome(fn):
+    try:
+        return ("value", fn())
+    except SQLPPError as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+def same(left, right):
+    if left[0] != "value" or right[0] != "value":
+        return left == right
+    a, b = left[1], right[1]
+    return (a is MISSING) == (b is MISSING) and type(a) is type(b) and (
+        deep_equals(a, b)
+    )
+
+
+@pytest.mark.parametrize("typing_mode", ["permissive", "strict"])
+def test_generated_instances_match_definition_and_oracle(typing_mode):
+    config = EvalConfig(typing_mode=typing_mode)
+    oracle = ReferenceEvaluator(Catalog(), config)
+    env = Environment({})
+    for op in ops.BINARY_SYMBOLS:
+        made = compile_expr._instances(op)
+        definition = ops.binary_operator(op)
+        for a in BOUNDARY:
+            for b in BOUNDARY:
+                want = outcome(lambda: definition(a, b, config))
+                tree = ast.Binary(op, ast.Literal(a), ast.Literal(b))
+                runs = {
+                    "oracle": lambda: oracle.eval_expr(tree, env),
+                    "closure": lambda: made.closure(
+                        lambda e: a, lambda e: b, config
+                    )(env),
+                    "column": lambda: made.column([a], [b], config)[0],
+                }
+                kinds = made.kinds.get(type(b))
+                if kinds is not None:
+                    runs["literal"] = lambda: made.literal([a], b, kinds, config)[0]
+                for name, run in runs.items():
+                    got = outcome(run)
+                    assert same(want, got), (op, a, b, name, want, got)
+    for op in ops.UNARY_SYMBOLS:
+        made = compile_expr._instances(op, 1)
+        definition = ops.unary_operator(op)
+        for a in BOUNDARY:
+            want = outcome(lambda: definition(a, config))
+            tree = ast.Unary(op, ast.Literal(a))
+            runs = {
+                "oracle": lambda: oracle.eval_expr(tree, env),
+                "closure": lambda: made.closure(lambda e: a, config)(env),
+                "column": lambda: made.column([a], config)[0],
+            }
+            for name, run in runs.items():
+                got = outcome(run)
+                assert same(want, got), (op, a, name, want, got)

@@ -35,6 +35,7 @@ from repro import Database, errors
 from repro.catalog import statistics
 from repro.catalog.statistics import FeedbackHints, collect_stats
 from repro.core import planner
+from repro.core.plan_ops import walk_ops
 from repro.datamodel.equality import deep_equals
 from repro.datamodel.values import Bag
 
@@ -119,9 +120,9 @@ def check_estimates(db: Database) -> None:
                 )
                 cached_ops = {
                     planner.feedback_key(op): op
-                    for op in planner.walk_plan_ops(entry.plan.op)
+                    for op in walk_ops(entry.plan.op)
                 }
-                for op in planner.walk_plan_ops(fresh.op):
+                for op in walk_ops(fresh.op):
                     twin = cached_ops.get(planner.feedback_key(op))
                     if twin is None or None in (op.est_rows, twin.est_rows):
                         continue
