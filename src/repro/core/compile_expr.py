@@ -1,4 +1,4 @@
-"""Expression compilation: AST → Python closures.
+"""Expression compilation: AST → Python closures and chunk kernels.
 
 A tree-walking interpreter repeats the same dispatch and field accesses
 on every binding — for a query over n rows, n times.  This module
@@ -12,31 +12,46 @@ overhead this addresses; ablation A4 measures the effect.
 :mod:`repro.functions.operators`, which the closures, the chunk kernels
 and the reference interpreter (:mod:`repro.core.reference`) all call;
 what is written per evaluator is only the order in which operands are
-evaluated.  Every concrete ``ast.Expr`` kind has a row closure
-(:data:`_CLOSURES`) — subqueries re-enter ``Evaluator.eval_query``,
-EXISTS / IN over a subquery probe its value stream and stop at the
-first answer.  The property test
+evaluated.  The property test
 ``tests/properties/test_compile_equivalence.py`` checks
 ``Evaluator.compiled(expr)(env) == ReferenceEvaluator.eval_expr(expr,
 env)`` over generated expressions, so the engine cannot drift from the
 reference semantics unnoticed.
 
-**Two forms, one operator table.**  :func:`compile_expr` is the
-env-space form (one binding in, one value out) rows mode calls per row;
+**Two forms, one node table.**  :func:`compile_expr` is the env-space
+form (one binding in, one value out) rows mode calls per row;
 :func:`compile_batch` is the column-at-a-time form columns mode calls
-per chunk (see "Column-at-a-time kernels" below).  Each operator's
-instances in both forms — its row closure and its ``column OP
-literal`` and ``column OP column`` kernels — are generated from its
-one entry in the operator table of :mod:`repro.functions.operators`
-("Operator instances" below), and every other node calls the same
-``ops.*`` definitions; ``tests/properties/test_batch_parallel_equivalence.py``
-checks kernel == closure == interpreter per node kind.
+per chunk (see "Column-at-a-time kernels" below).  A pointwise node —
+one whose value is a function of its children's values, all evaluated
+first — is declared once in the node table (:data:`_NODES`): its
+children and one Python expression over their values.  Both forms are
+generated from that declaration ("The node table" below), so they
+cannot drift apart.  The table covers the operators (their expressions
+come from the operator table of :mod:`repro.functions.operators`),
+index, IS, BETWEEN, LIKE, IN and EXISTS over a value, CAST, array and
+bag constructors, tuple constructors with literal names, function calls
+(registered, DISTINCT aggregates, ``$TUPLE_MERGE`` and the per-row error
+of an unknown function or ``f(*)``) and parameters.  Written by hand
+(:data:`_HAND_WRITTEN`), each for a reason:
+
+- literals, variables and paths: the chunk's column memo, stored
+  columns and dotted catalog names;
+- ``e[*]`` / ``e.*`` paths: their ``[i]`` steps are thunks, evaluated
+  only where the path reaches them;
+- CASE: it short-circuits, and its kernel runs over selection vectors;
+- every subquery kind, EXISTS / IN over a subquery included: value
+  streams that stop at the first answer, and segment kernels;
+- tuple constructors with computed names: a name decides whether its
+  value is evaluated;
+- window calls: lowered to variables before a SELECT compiles them.
+
+``tests/properties/test_batch_parallel_equivalence.py`` checks kernel ==
+closure == interpreter per node kind.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from operator import itemgetter
+from functools import lru_cache, partial
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -62,7 +77,6 @@ from repro.datamodel.values import (
     Shape,
     Struct,
     is_collection,
-    positions_of,
     shape_of,
 )
 from repro.errors import EvaluationError
@@ -78,81 +92,144 @@ CompiledExpr = Callable[[Environment], Any]
 #: Chunk-at-a-time compiled expression: ``(chunk, outer_env) -> values``
 #: (see :func:`compile_batch`).
 BatchExpr = Callable[..., List[Any]]
+Kernel = Callable[[Chunk, Environment], List[Any]]
 
 
 # =========================================================================
-# Operator instances, generated from the operator table
+# The node table
 # =========================================================================
 #
-# Each entry of the table in :mod:`repro.functions.operators` holds an
-# operator's definition, a Python expression that agrees with it and
-# the exact operand types on which it does.  One source template per
-# arity turns an entry into its instances: the row closure, the
-# ``column OP column`` kernel and (binary) the ``column OP literal``
-# kernel, whose literal's type class is known when it is compiled.  A
-# symbol's instances are built on its first use and kept for the
-# process; nothing is generated per query.
+# A declaration (:data:`_Node`) names a node's children, one body
+# (:class:`_Body`) and the values of the body's constants.  A body is a
+# Python expression over the children's values, bound to ``a``, ``b``,
+# ``c`` … in order, over ``config`` and over its named constants; each
+# is declared once, at module level.  The variant is chosen when the
+# node is compiled (the IS kind, a literal LIKE pattern, a literal IN
+# list, a literal right operand), and the per-node values it needs (the
+# pattern, the shape, the cast target, the function) are constants, not
+# source text.  One source template turns a body into both forms, each
+# of which compiles the children in order: ``row(env)`` evaluates their
+# closures, then the body; ``column(rows, env)`` evaluates their
+# kernels, then ``[body for a, … in zip(…)]``.  A body's forms are built
+# on its first use at an arity and kept for the process; nothing is
+# generated per query.
 
-_SOURCES = {
-    1: """
-def closure(operand_fn, config):
-    def row(env):
-        a = operand_fn(env)
-        return {body}
+_SOURCE = """
+def closure(children, evaluator, values):
+    {unpack}config = evaluator.config
+{closures}    def row(env):
+{reads}        return {body}
     return row
-def column(values, config):
-    return [{body} for a in values]
-""",
-    2: """
-def closure(left_fn, right_fn, config):
-    def row(env):
-        a = left_fn(env)
-        b = right_fn(env)
-        return {body}
-    return row
-def column(left, right, config):
-    return [{body} for a, b in zip(left, right)]
-def literal(values, b, kinds, config):
-    return [({fast}) if type(a) in kinds else apply(a, b, config) for a in values]
-""",
-}
+def kernel(children, compiler, values):
+    {unpack}config = compiler.config
+{kernels}    def column(rows, env):
+        return [{body} for {targets} in {source}]
+    return column
+"""
 
 
-class _Instances(NamedTuple):
+class _Forms(NamedTuple):
+    #: ``(children, evaluator, constants) -> row(env)``
     closure: Callable[..., CompiledExpr]
-    column: Callable[..., List[Any]]
-    literal: Optional[Callable[..., List[Any]]]
-    #: Exact type -> its class, for a literal operand.
-    kinds: Dict[type, frozenset]
+    #: ``(children, kernel compiler, constants) -> column(rows, env)``
+    kernel: Callable[..., Kernel]
 
 
-_INSTANCES: Dict[Tuple[int, str], _Instances] = {}
+#: Every body, for the test that a second run of the same queries
+#: generates nothing.
+_BODIES: List["_Body"] = []
 
 
-def _instances(op: str, arity: int = 2) -> _Instances:
-    """The generated instances of operator ``op`` of ``arity``."""
-    found = _INSTANCES.get((arity, op))
-    if found is not None:
-        return found
-    spec = ops.binary_spec(op) if arity == 2 else ops.unary_spec(op)
-    names = "ab"[:arity]
-    namespace: Dict[str, Any] = {"apply": spec.definition}
-    guards: List[str] = []
-    kinds: Dict[type, frozenset] = {}
-    for k, types in enumerate(spec.types):
-        namespace[f"T{k}"], namespace[f"K{k}"] = types[0], frozenset(types)
-        kinds.update(dict.fromkeys(types, namespace[f"K{k}"]))
-        test = f"is T{k}" if len(types) == 1 else f"in K{k}"
-        guards.append(" and ".join(f"type({n}) {test}" for n in names))
-    body = f"apply({', '.join(names)}, config)"
-    if spec.fast is not None:
-        body = f"({spec.fast}) if ({') or ('.join(guards)}) else {body}"
-    source = _SOURCES[arity].format(body=body, fast=spec.fast)
-    exec(compile(source, f"<operator {op}>", "exec"), namespace)
-    found = _INSTANCES[(arity, op)] = _Instances(
-        namespace["closure"], namespace["column"], namespace.get("literal"), kinds
-    )
-    return found
+class _Body(Dict[int, _Forms]):
+    """A body over the constants ``names``: an arity → its generated
+    forms, built on first use.  ``{tuple}``, ``{args}`` and
+    ``{present}`` in its text stand for every child's value as a tuple,
+    as arguments, and for "none of them MISSING"."""
+
+    def __init__(self, text: str, *names: str):
+        super().__init__()
+        self.text, self.names = text, names
+        _BODIES.append(self)
+
+    def __missing__(self, arity: int) -> _Forms:
+        names = [chr(97 + k) if k < 26 else f"a{k}" for k in range(arity)]
+        values = ", ".join(names)
+        calls = [f"f_{name}(rows, env)" for name in names]
+        source = _SOURCE.format(
+            unpack="".join(f"{name}, " for name in self.names) + "= values\n    "
+            if self.names else "",
+            closures="".join(
+                f"    f_{name} = compile_expr(children[{k}], evaluator)\n"
+                for k, name in enumerate(names)
+            ),
+            kernels="".join(
+                f"    f_{name} = compiler.compile(children[{k}])\n"
+                for k, name in enumerate(names)
+            ),
+            reads="".join(f"        {name} = f_{name}(env)\n" for name in names),
+            body=self.text.format(
+                tuple=f"({values},)" if arity == 1 else f"({values})",
+                args=values,
+                present=" and ".join(f"{n} is not MISSING" for n in names) or "True",
+            ),
+            targets=values or "__",
+            source=(
+                f"zip({', '.join(calls)})" if arity > 1
+                else calls[0] if calls else "range(rows.size)"
+            ),
+        )
+        namespace = dict(_BODY_NAMES, compile_expr=compile_expr)
+        exec(compile(source, f"<node {self.text}>", "exec"), namespace)
+        forms = self[arity] = _Forms(namespace["closure"], namespace["kernel"])
+        return forms
+
+
+#: A declaration: its children (AST expressions, or declarations nested
+#: in it), its body and one value per name of the body's constants.  A
+#: plain tuple: one is built per node compiled.
+_Node = Tuple[Tuple[Any, ...], _Body, Tuple[Any, ...]]
+
+
+def _raise(message: str) -> Any:
+    raise EvaluationError(message)
+
+
+def _tuple_part(value: Any, config: Any) -> Any:
+    """A ``$TUPLE_MERGE`` part, checked as soon as it is evaluated, as
+    ``ops.tuple_merge`` checks it: a non-tuple is its type error (strict
+    mode: raises before the next part is evaluated), else no attribute."""
+    if value is None or value is MISSING or isinstance(value, Struct):
+        return value
+    return ops.tuple_merge((value,), config)
+
+
+def _parameter(evaluator: "Evaluator", index: int) -> Any:
+    # Read per call: a memoised evaluator is rebound between runs.
+    parameters = evaluator._parameters
+    if index >= len(parameters):
+        raise EvaluationError(f"no value supplied for parameter #{index + 1}")
+    return parameters[index]
+
+
+def _call_distinct(invoke: Any, args: List[Any], config: Any) -> Any:
+    if args and is_collection(args[0]):
+        args[0] = ops.distinct_elements(args[0])
+    return invoke(args, config)
+
+
+def _literal_struct(shape: Shape, row: tuple) -> Struct:
+    """The tuple a literal-keyed constructor of ``shape`` builds from
+    ``row``, one value per name.  The names are literal strings, which
+    is all ``Struct.__init__`` would check besides MISSING; a MISSING
+    value omits its attribute (Section IV-B), and the row takes the
+    interned shape of the names left.  The values are compared by
+    identity: ``MISSING in row`` would call a tuple value's ``__eq__``."""
+    for value in row:
+        if value is MISSING:
+            kept = [k for k, value in enumerate(row) if value is not MISSING]
+            shape = shape_of(tuple(map(shape.names.__getitem__, kept)))
+            return Struct._trusted(shape, tuple(map(row.__getitem__, kept)))
+    return Struct._trusted(shape, row)
 
 
 def _literal_probe_set(collection: ast.Expr) -> Any:
@@ -206,6 +283,270 @@ def _probe_verdict(value: Any, probe: Any, config: Any) -> Any:
     return group_key(value) in keys
 
 
+#: The names a body may read besides its operands, ``config`` and its
+#: constants.
+_BODY_NAMES: Dict[str, Any] = {
+    "MISSING": MISSING,
+    "Bag": Bag,
+    "trusted": Struct._trusted,
+    "literal_struct": _literal_struct,
+    "navigate_index": ops.navigate_index,
+    "is_predicate": ops.is_predicate,
+    "like": ops.like,
+    "in_collection": ops.in_collection,
+    "probe_verdict": _probe_verdict,
+    "exists": ops.exists,
+    "cast_value": cast_value,
+    "tuple_part": _tuple_part,
+    "tuple_merge": ops.tuple_merge,
+    "call_distinct": _call_distinct,
+    "parameter": _parameter,
+    "fail": _raise,
+}
+
+
+def _classes(types: Any, names: str, consts: Dict[str, Any]) -> str:
+    """The test that the exact types of the operands ``names`` all lie
+    in one class of ``types``; the classes join ``consts``."""
+    guards = []
+    for k, members in enumerate(types):
+        if len(members) == 1:
+            consts[f"T{k}"], test = members[0], f"is T{k}"
+        else:
+            consts[f"K{k}"], test = frozenset(members), f"in K{k}"
+        guards.append(" and ".join(f"type({name}) {test}" for name in names))
+    return " or ".join(f"({guard})" for guard in guards)
+
+
+@lru_cache(maxsize=None)
+def _operator(symbol: str, arity: int) -> Tuple[_Body, Tuple[Any, ...]]:
+    """Operator ``symbol``'s body and constants: the table's Python
+    expression where every operand's exact type lies in one of its
+    classes, its definition otherwise."""
+    spec = ops.binary_spec(symbol) if arity == 2 else ops.unary_spec(symbol)
+    names = "ab"[:arity]
+    consts: Dict[str, Any] = {"apply": spec.definition}
+    text = f"apply({', '.join(names)}, config)"
+    if spec.fast is not None:
+        text = f"({spec.fast}) if {_classes(spec.types, names, consts)} else {text}"
+    return _Body(text, *consts), tuple(consts.values())
+
+
+@lru_cache(maxsize=None)
+def _operator_literal(symbol: str) -> _Body:
+    """A binary operator whose right operand is a literal of one of its
+    classes, the constant ``b``: only ``a``'s exact type is tested."""
+    fast = ops.binary_spec(symbol).fast
+    text = f"({fast}) if type(a) in kinds else apply(a, b, config)"
+    return _Body(text, "apply", "b", "kinds")
+
+
+def _declare_binary(expr: ast.Binary, evaluator: "Evaluator") -> _Node:
+    if isinstance(expr.right, ast.Literal):
+        spec = ops.binary_spec(expr.op)
+        for members in spec.types:
+            if type(expr.right.value) in members:
+                constants = (spec.definition, expr.right.value, frozenset(members))
+                return (expr.left,), _operator_literal(expr.op), constants
+    return ((expr.left, expr.right), *_operator(expr.op, 2))
+
+
+def _not_if(negated: bool, node: _Node) -> _Node:
+    """``node``'s verdict, under the NOT operator when ``negated``."""
+    return ((node,), *_operator("NOT", 1)) if negated else node
+
+
+#: The IS kinds decided by identity (``IS NULL`` holds for MISSING too,
+#: as in ``ops.is_predicate``); every other kind (None) asks it.
+_IS_TESTS = {
+    "MISSING": "a is MISSING",
+    "NULL": "a is None or a is MISSING",
+    "ABSENT": "a is None or a is MISSING",
+    None: "is_predicate(a, kind, config)",
+}
+_IS = {
+    (kind, negated): _Body(f"not ({test})" if negated else test, "kind")
+    for kind, test in _IS_TESTS.items()
+    for negated in (False, True)
+}
+
+
+def _declare_is(expr: ast.IsPredicate, evaluator: "Evaluator") -> _Node:
+    kind = expr.kind if expr.kind in _IS_TESTS else None
+    return (expr.operand,), _IS[kind, expr.negated], (expr.kind,)
+
+
+#: ``a >= b AND a <= c``: ``b <= a <= c`` where all three lie in one
+#: class of the comparisons, the three operators' definitions otherwise.
+_BETWEEN_CONSTS = {
+    "at_least": ops.binary_operator(">="),
+    "at_most": ops.binary_operator("<="),
+    "both": ops.binary_operator("AND"),
+}
+_BETWEEN = _Body(
+    f"(b <= a <= c) if {_classes(ops.binary_spec('>=').types, 'abc', _BETWEEN_CONSTS)}"
+    " else both(at_least(a, b, config), at_most(a, c, config), config)",
+    *_BETWEEN_CONSTS,
+)
+
+
+def _declare_between(expr: ast.Between, evaluator: "Evaluator") -> _Node:
+    node = (expr.operand, expr.low, expr.high), _BETWEEN, (*_BETWEEN_CONSTS.values(),)
+    return _not_if(expr.negated, node)
+
+
+def _constant_like(expr: ast.Like) -> Optional[Tuple[Any, str, Optional[str]]]:
+    """The compiled ``fullmatch``, pattern and escape character of a
+    LIKE whose pattern and ESCAPE are string literals (the
+    overwhelmingly common case); else None.  A pattern that ends in its
+    escape character is None too: ``ops.like`` raises for it per row,
+    so a block without rows must not."""
+    if not (
+        isinstance(expr.pattern, ast.Literal)
+        and isinstance(expr.pattern.value, str)
+    ):
+        return None
+    escape = None
+    if expr.escape is not None:
+        escape = expr.escape.value if isinstance(expr.escape, ast.Literal) else None
+        if not isinstance(escape, str) or len(escape) != 1:
+            return None
+    try:
+        regex = ops._like_regex(expr.pattern.value, escape)
+    except EvaluationError:
+        return None
+    return regex.fullmatch, expr.pattern.value, escape
+
+
+#: Non-strings (NULL, MISSING, mistyped) take the one definition in
+#: ops.like.
+_LIKE = _Body(
+    "(fullmatch(a) is not None) if type(a) is str"
+    " else like(a, pattern, escape, config)",
+    "fullmatch",
+    "pattern",
+    "escape",
+)
+_LIKE_DYNAMIC = _Body("like(a, b, None, config)")
+_LIKE_ESCAPE = _Body("like(a, b, c, config)")
+
+
+def _declare_like(expr: ast.Like, evaluator: "Evaluator") -> _Node:
+    constant = _constant_like(expr)
+    if constant is not None:
+        node: _Node = (expr.operand,), _LIKE, constant
+    elif expr.escape is None:
+        node = (expr.operand, expr.pattern), _LIKE_DYNAMIC, ()
+    else:
+        node = (expr.operand, expr.pattern, expr.escape), _LIKE_ESCAPE, ()
+    return _not_if(expr.negated, node)
+
+
+def _subquery_stream(collection: ast.Expr) -> Optional[Tuple[ast.Query, bool]]:
+    """``(query, rows are coerced)`` for an IN collection that is a
+    subquery whose values can be probed one at a time, else None."""
+    if isinstance(collection, ast.SubqueryExpr):
+        return collection.query, False
+    if isinstance(collection, ast.CoerceSubquery) and collection.mode == "collection":
+        return collection.query, True
+    return None
+
+
+_IN = _Body("in_collection(a, b, config)")
+#: A literal single-category IN list (what the OR→IN rewrite emits)
+#: probes a precomputed set instead of comparing linearly per row; a
+#: string list probes its raw literals.
+_IN_STRINGS = _Body(
+    "(a in members) if type(a) is str else probe_verdict(a, probe, config)",
+    "members",
+    "probe",
+)
+_IN_PROBE = _Body("probe_verdict(a, probe, config)", "probe")
+
+
+def _declare_in(expr: ast.InPredicate, evaluator: "Evaluator") -> Optional[_Node]:
+    if _subquery_stream(expr.collection) is not None:
+        return None
+    probe = _literal_probe_set(expr.collection)
+    if probe is None:
+        node: _Node = (expr.operand, expr.collection), _IN, ()
+    elif probe[0] == "string":
+        members = frozenset(key[1] for key in probe[1])
+        node = (expr.operand,), _IN_STRINGS, (members, probe)
+    else:
+        node = (expr.operand,), _IN_PROBE, (probe,)
+    return _not_if(expr.negated, node)
+
+
+_CALL = _Body("invoke([{args}], config)", "invoke")
+_CALL_DISTINCT = _Body("call_distinct(invoke, [{args}], config)", "invoke")
+#: Raised per row, without evaluating the arguments: a block without
+#: rows must not observe the error.
+_FAIL = _Body("fail(message)", "message")
+_TUPLE_PART = _Body("tuple_part(a, config)")
+_TUPLE_MERGE = _Body("tuple_merge({tuple}, config)")
+
+
+def _declare_call(expr: ast.FunctionCall, evaluator: "Evaluator") -> _Node:
+    if expr.name == "$TUPLE_MERGE":
+        parts = tuple(((arg,), _TUPLE_PART, ()) for arg in expr.args)
+        return parts, _TUPLE_MERGE, ()
+    definition = REGISTRY.lookup(expr.name)
+    if definition is None:
+        return (), _FAIL, (f"unknown function {expr.name}",)
+    if expr.star:
+        return (), _FAIL, (f"{expr.name}(*) is only meaningful inside a grouped query",)
+    body = _CALL_DISTINCT if expr.distinct and definition.is_aggregate else _CALL
+    return tuple(expr.args), body, (definition.invoke,)
+
+
+#: Constant string keys (the rewriter's SELECT lowering always makes
+#: them): one precomputed shape, rebuilt only for a row holding MISSING.
+_STRUCT = _Body(
+    "trusted(shape, {tuple}) if {present} else literal_struct(shape, {tuple})",
+    "shape",
+)
+_INDEX = _Body("navigate_index(a, b, config)")
+_EXISTS = _Body("exists(a, config)")
+_CAST = _Body("cast_value(a, target, config)", "target")
+_ARRAY = _Body("[item for item in {tuple} if item is not MISSING]")
+_BAG = _Body("Bag([item for item in {tuple} if item is not MISSING])")
+_PARAMETER = _Body("parameter(owner, index)", "owner", "index")
+
+
+def _declare_struct(expr: ast.StructLit, evaluator: "Evaluator") -> Optional[_Node]:
+    keys = literal_keys(expr)
+    if keys is None:
+        return None
+    values = tuple(field.value for field in expr.fields)
+    return values, _STRUCT, (shape_of(tuple(keys)),)
+
+
+#: Every pointwise kind → its declaration, or None for the variant
+#: written by hand (:data:`_HAND_WRITTEN`).  A declaration nested in
+#: another (a negated verdict, a ``$TUPLE_MERGE`` part) is its own.
+_NODES: Dict[type, Callable[[Any, "Evaluator"], Optional[_Node]]] = {
+    ast.Binary: _declare_binary,
+    ast.Unary: lambda expr, evaluator: ((expr.operand,), *_operator(expr.op, 1)),
+    ast.Index: lambda expr, evaluator: ((expr.base, expr.index), _INDEX, ()),
+    ast.IsPredicate: _declare_is,
+    ast.Between: _declare_between,
+    ast.Like: _declare_like,
+    ast.InPredicate: _declare_in,
+    ast.Exists: lambda expr, evaluator: (
+        None if isinstance(expr.operand, ast.SubqueryExpr)
+        else ((expr.operand,), _EXISTS, ())
+    ),
+    ast.CastExpr: lambda expr, evaluator: ((expr.operand,), _CAST, (expr.type_name,)),
+    ast.ArrayLit: lambda expr, evaluator: (tuple(expr.items), _ARRAY, ()),
+    ast.BagLit: lambda expr, evaluator: (tuple(expr.items), _BAG, ()),
+    ast.StructLit: _declare_struct,
+    ast.FunctionCall: _declare_call,
+    ast.Parameter: lambda expr, evaluator: ((), _PARAMETER, (evaluator, expr.index)),
+    tuple: lambda node, evaluator: node,
+}
+
+
 def compile_expr(expr: ast.Expr, evaluator: "Evaluator") -> CompiledExpr:
     """Compile ``expr`` to the closure the engine evaluates it with.
 
@@ -214,15 +555,16 @@ def compile_expr(expr: ast.Expr, evaluator: "Evaluator") -> CompiledExpr:
     closures are built before its first row, and a block without rows
     must not observe the error.
     """
-    compiler = _CLOSURES.get(type(expr))
+    declare = _NODES.get(type(expr))
+    node = declare(expr, evaluator) if declare is not None else None
+    if node is not None:
+        children, body, values = node
+        return body[len(children)].closure(children, evaluator, values)
+    compiler = _HAND_WRITTEN.get(type(expr))
     if compiler is None:
         message = f"cannot evaluate {type(expr).__name__}"
         return lambda env: _raise(message)
-    return compiler(expr, evaluator)
-
-
-def _raise(message: str) -> Any:
-    raise EvaluationError(message)
+    return compiler[0](expr, evaluator)
 
 
 def _compile_literal(expr: ast.Literal, evaluator: "Evaluator") -> CompiledExpr:
@@ -269,13 +611,6 @@ def _compile_path(expr: ast.Path, evaluator: "Evaluator") -> CompiledExpr:
     return named_path
 
 
-def _compile_index(expr: ast.Index, evaluator: "Evaluator") -> CompiledExpr:
-    config = evaluator.config
-    base_fn = compile_expr(expr.base, evaluator)
-    index_fn = compile_expr(expr.index, evaluator)
-    return lambda env: ops.navigate_index(base_fn(env), index_fn(env), config)
-
-
 def _compile_path_wildcard(
     expr: ast.PathWildcard, evaluator: "Evaluator"
 ) -> CompiledExpr:
@@ -297,93 +632,28 @@ def _compile_path_wildcard(
     return path_wildcard
 
 
-def _compile_binary(expr: ast.Binary, evaluator: "Evaluator") -> CompiledExpr:
-    return _instances(expr.op).closure(
-        compile_expr(expr.left, evaluator),
-        compile_expr(expr.right, evaluator),
-        evaluator.config,
-    )
-
-
-def _compile_unary(expr: ast.Unary, evaluator: "Evaluator") -> CompiledExpr:
-    return _instances(expr.op, 1).closure(
-        compile_expr(expr.operand, evaluator), evaluator.config
-    )
-
-
-def _negatable(compiler: Callable[[Any, "Evaluator"], CompiledExpr]):
-    """``compiler`` for a node kind with a ``negated`` flag (LIKE, IN,
-    BETWEEN): the NOT operator's closure over its verdict when set."""
-
-    def compile_node(expr: Any, evaluator: "Evaluator") -> CompiledExpr:
-        verdict = compiler(expr, evaluator)
-        if not expr.negated:
-            return verdict
-        return _instances("NOT", 1).closure(verdict, evaluator.config)
-
-    return compile_node
-
-
-def _compile_is(expr: ast.IsPredicate, evaluator: "Evaluator") -> CompiledExpr:
+def _compile_in_stream(expr: ast.InPredicate, evaluator: "Evaluator") -> CompiledExpr:
+    """IN over a subquery whose values can be probed one at a time."""
     config = evaluator.config
     operand_fn = compile_expr(expr.operand, evaluator)
-    kind = expr.kind
-    if expr.negated:
-        return lambda env: not ops.is_predicate(operand_fn(env), kind, config)
-    return lambda env: ops.is_predicate(operand_fn(env), kind, config)
-
-
-def _compile_between(expr: ast.Between, evaluator: "Evaluator") -> CompiledExpr:
-    config = evaluator.config
-    operand_fn = compile_expr(expr.operand, evaluator)
-    low_fn = compile_expr(expr.low, evaluator)
-    high_fn = compile_expr(expr.high, evaluator)
-    # The operators' closures run over the tuple of the three operands,
-    # all evaluated before any comparison, exactly as the reference
-    # interpreter orders it (error parity).
-    value, low, high = itemgetter(0), itemgetter(1), itemgetter(2)
-    verdict = _instances("AND").closure(
-        _instances(">=").closure(value, low, config),
-        _instances("<=").closure(value, high, config),
-        config,
-    )
-    return lambda env: verdict((operand_fn(env), low_fn(env), high_fn(env)))
-
-
-def _subquery_stream(collection: ast.Expr) -> Optional[Tuple[ast.Query, bool]]:
-    """``(query, rows are coerced)`` for an IN collection that is a
-    subquery whose values can be probed one at a time, else None."""
-    if isinstance(collection, ast.SubqueryExpr):
-        return collection.query, False
-    if isinstance(collection, ast.CoerceSubquery) and collection.mode == "collection":
-        return collection.query, True
-    return None
-
-
-def _compile_in(expr: ast.InPredicate, evaluator: "Evaluator") -> CompiledExpr:
-    config = evaluator.config
-    operand_fn = compile_expr(expr.operand, evaluator)
-    probe = _literal_probe_set(expr.collection)
-    if probe is not None:
-        # Literal single-category IN list (what the OR→IN rewrite
-        # emits): probe a precomputed group-key set instead of
-        # re-evaluating the list and comparing linearly per row.
-        return lambda env: _probe_verdict(operand_fn(env), probe, config)
     collection_fn = compile_expr(expr.collection, evaluator)
-    streamed = _subquery_stream(expr.collection)
+    query, coerce_rows = _subquery_stream(expr.collection)  # type: ignore[misc]
+    negated = expr.negated
 
     def contains(env: Environment) -> Any:
         operand = operand_fn(env)
         stream = None
-        if streamed is not None and operand is not MISSING:
+        if operand is not MISSING:
             # Probe the subquery row by row: the first TRUE comparison
             # stops its producers (docs/LANGUAGE.md §8).  A MISSING
             # operand needs the collection fully evaluated for its side
             # conditions, like every shape without a value stream.
-            stream = evaluator.open_value_stream(streamed[0], env)
+            stream = evaluator.open_value_stream(query, env)
         if stream is not None:
-            return _in_stream(operand, stream, streamed[1], config)
-        return ops.in_collection(operand, collection_fn(env), config)
+            verdict = _in_stream(operand, stream, coerce_rows, config)
+        else:
+            verdict = ops.in_collection(operand, collection_fn(env), config)
+        return ops.logical_not(verdict, config) if negated else verdict
 
     return contains
 
@@ -401,11 +671,10 @@ def _in_stream(operand: Any, stream, coerce_rows: bool, config: Any) -> Any:
 
 
 def _compile_exists(expr: ast.Exists, evaluator: "Evaluator") -> CompiledExpr:
+    """EXISTS over a subquery."""
     config = evaluator.config
     operand_fn = compile_expr(expr.operand, evaluator)
-    if not isinstance(expr.operand, ast.SubqueryExpr):
-        return lambda env: ops.exists(operand_fn(env), config)
-    query = expr.operand.query
+    query = expr.operand.query  # type: ignore[attr-defined]
 
     def exists_subquery(env: Environment) -> Any:
         # EXISTS only asks whether the result is non-empty: stop the
@@ -478,128 +747,11 @@ def _compile_coerce(expr: ast.CoerceSubquery, evaluator: "Evaluator") -> Compile
     return lambda env: coerce(evaluator.eval_query(query, env), config)
 
 
-def _compile_parameter(expr: ast.Parameter, evaluator: "Evaluator") -> CompiledExpr:
-    index = expr.index
-
-    def parameter(env: Environment) -> Any:
-        # Read per call: a memoised evaluator is rebound between runs.
-        parameters = evaluator._parameters
-        if index >= len(parameters):
-            raise EvaluationError(f"no value supplied for parameter #{index + 1}")
-        return parameters[index]
-
-    return parameter
-
-
-def _compile_cast(expr: ast.CastExpr, evaluator: "Evaluator") -> CompiledExpr:
-    config = evaluator.config
-    operand_fn = compile_expr(expr.operand, evaluator)
-    target = expr.type_name
-    return lambda env: cast_value(operand_fn(env), target, config)
-
-
-def _compile_collection(expr: Any, evaluator: "Evaluator") -> CompiledExpr:
-    """Array / bag construction; a MISSING item is left out."""
-    item_fns = [compile_expr(item, evaluator) for item in expr.items]
-    make = Bag if isinstance(expr, ast.BagLit) else list
-
-    def collection(env: Environment) -> Any:
-        values = (fn(env) for fn in item_fns)
-        return make(value for value in values if value is not MISSING)
-
-    return collection
-
-
-def _constant_like(expr: ast.Like) -> Optional[Tuple[str, Optional[str], Any]]:
-    """``(pattern, escape char, fullmatch)`` of a LIKE whose pattern and
-    ESCAPE are string literals (the overwhelmingly common case), its
-    regex compiled once; else None.  A pattern that ends in its escape
-    character is None too: ``ops.like`` raises for it per row, so a
-    block without rows must not."""
-    if not (
-        isinstance(expr.pattern, ast.Literal)
-        and isinstance(expr.pattern.value, str)
-    ):
-        return None
-    escape = None
-    if expr.escape is not None:
-        escape = expr.escape.value if isinstance(expr.escape, ast.Literal) else None
-        if not isinstance(escape, str) or len(escape) != 1:
-            return None
-    try:
-        regex = ops._like_regex(expr.pattern.value, escape)
-    except EvaluationError:
-        return None
-    return expr.pattern.value, escape, regex.fullmatch
-
-
-def _compile_like(expr: ast.Like, evaluator: "Evaluator") -> CompiledExpr:
-    config = evaluator.config
-    operand_fn = compile_expr(expr.operand, evaluator)
-    like = ops.like
-    constant = _constant_like(expr)
-    if constant is not None:
-        # Non-strings (NULL, MISSING, mistyped) take the one definition
-        # in ops.like.
-        pattern, escape, fullmatch = constant
-
-        def like_constant(env: Environment) -> Any:
-            value = operand_fn(env)
-            if type(value) is str:
-                return fullmatch(value) is not None
-            return like(value, pattern, escape, config)
-
-        return like_constant
-    pattern_fn = compile_expr(expr.pattern, evaluator)
-    escape_fn = (
-        compile_expr(expr.escape, evaluator) if expr.escape is not None else None
-    )
-    return lambda env: like(
-        operand_fn(env),
-        pattern_fn(env),
-        escape_fn(env) if escape_fn is not None else None,
-        config,
-    )
-
-
-def _compile_call(expr: ast.FunctionCall, evaluator: "Evaluator") -> CompiledExpr:
-    config = evaluator.config
-    arg_fns = [compile_expr(arg, evaluator) for arg in expr.args]
-    if expr.name == "$TUPLE_MERGE":
-        return lambda env: ops.tuple_merge((fn(env) for fn in arg_fns), config)
-    definition = REGISTRY.lookup(expr.name)
-    if definition is None:
-        message = f"unknown function {expr.name}"
-        return lambda env: _raise(message)
-    if expr.star:
-        message = f"{expr.name}(*) is only meaningful inside a grouped query"
-        return lambda env: _raise(message)
-    if not (expr.distinct and definition.is_aggregate):
-        return lambda env: definition.invoke([fn(env) for fn in arg_fns], config)
-
-    def call_distinct(env: Environment) -> Any:
-        args = [fn(env) for fn in arg_fns]
-        if args and is_collection(args[0]):
-            args[0] = ops.distinct_elements(args[0])
-        return definition.invoke(args, config)
-
-    return call_distinct
-
-
 def _compile_struct(expr: ast.StructLit, evaluator: "Evaluator") -> CompiledExpr:
-    value_fns = [compile_expr(field.value, evaluator) for field in expr.fields]
-    # Constant string keys (the rewriter's SELECT lowering always makes
-    # them) take a fast path.
-    keys = literal_keys(expr)
-    if keys is not None:
-        shape = shape_of(tuple(keys))
-
-        def struct(env: Environment) -> Struct:
-            return _literal_struct(shape, tuple([fn(env) for fn in value_fns]))
-
-        return struct
+    """A tuple constructor with computed names."""
     config = evaluator.config
     key_fns = [compile_expr(field.key, evaluator) for field in expr.fields]
+    value_fns = [compile_expr(field.value, evaluator) for field in expr.fields]
 
     def struct_dynamic(env: Environment) -> Struct:
         # An absent or mistyped name omits the attribute before its
@@ -614,51 +766,6 @@ def _compile_struct(expr: ast.StructLit, evaluator: "Evaluator") -> CompiledExpr
     return struct_dynamic
 
 
-def _literal_struct(shape: Shape, row: tuple) -> Struct:
-    """The tuple a literal-keyed constructor of ``shape`` builds from
-    ``row``, one value per name.  The names are literal strings, which
-    is all ``Struct.__init__`` would check besides MISSING; a MISSING
-    value omits its attribute (Section IV-B), and the row takes the
-    interned shape of the names left.  The values are compared by
-    identity: ``MISSING in row`` would call a tuple value's ``__eq__``."""
-    for value in row:
-        if value is MISSING:
-            kept = [k for k, value in enumerate(row) if value is not MISSING]
-            shape = shape_of(tuple(map(shape.names.__getitem__, kept)))
-            return Struct._trusted(shape, tuple(map(row.__getitem__, kept)))
-    return Struct._trusted(shape, row)
-
-
-#: Every concrete ``ast.Expr`` kind → its row-closure compiler (the
-#: exhaustiveness test in tests/properties/test_compile_equivalence.py
-#: holds this, the reference interpreter's dispatch and the kernel table
-#: against the AST).
-_CLOSURES: Dict[type, Callable[[Any, "Evaluator"], CompiledExpr]] = {
-    ast.Literal: _compile_literal,
-    ast.VarRef: _compile_var_ref,
-    ast.Path: _compile_path,
-    ast.Index: _compile_index,
-    ast.PathWildcard: _compile_path_wildcard,
-    ast.Binary: _compile_binary,
-    ast.Unary: _compile_unary,
-    ast.IsPredicate: _compile_is,
-    ast.Like: _negatable(_compile_like),
-    ast.Between: _negatable(_compile_between),
-    ast.InPredicate: _negatable(_compile_in),
-    ast.Exists: _compile_exists,
-    ast.CaseExpr: _compile_case,
-    ast.FunctionCall: _compile_call,
-    ast.WindowCall: _compile_window_call,
-    ast.SubqueryExpr: _compile_subquery,
-    ast.CoerceSubquery: _compile_coerce,
-    ast.Parameter: _compile_parameter,
-    ast.CastExpr: _compile_cast,
-    ast.StructLit: _compile_struct,
-    ast.ArrayLit: _compile_collection,
-    ast.BagLit: _compile_collection,
-}
-
-
 # =========================================================================
 # Column-at-a-time kernels (the batch pipeline)
 # =========================================================================
@@ -666,11 +773,8 @@ _CLOSURES: Dict[type, Callable[[Any, "Evaluator"], CompiledExpr]] = {
 # The batch executor evaluates an expression over a whole chunk of
 # binding rows (:class:`repro.core.chunk.Chunk`: one column per
 # variable).  Each AST node compiles to a *kernel*
-# ``kern(chunk, env) -> column``.  An operator's kernel is one of its
-# generated instances: a list comprehension whose well-typed case is
-# the table's inlined expression (``type(a) in {int, float}`` picks
-# ``a > b``) and whose every other case — NULL, MISSING, booleans,
-# mistyped or nested values — calls the operator's definition.
+# ``kern(chunk, env) -> column``; a declared node's is its generated
+# column form.
 #
 # A ``VarRef`` kernel is the chunk's own column.  ``Path`` columns are
 # kept in the chunk's ``memo`` under a structural key (``("o", "qty")``)
@@ -686,23 +790,6 @@ _CLOSURES: Dict[type, Callable[[Any, "Evaluator"], CompiledExpr]] = {
 # chunk would both raise, the error reported may belong to a different
 # row than the reference reports — always one the reference raises too
 # (docs/LANGUAGE.md §8).
-
-Kernel = Callable[[Chunk, Environment], List[Any]]
-
-
-def _negatable_kernel(method: Callable[..., Optional[Kernel]]):
-    """``method`` of :class:`_KernelCompiler` for a node kind with a
-    ``negated`` flag: the NOT operator's column kernel over its verdicts
-    when set."""
-
-    def compile_node(compiler: "_KernelCompiler", expr: Any) -> Optional[Kernel]:
-        kernel = method(compiler, expr)
-        if kernel is None or not expr.negated:
-            return kernel
-        not_column, config = _instances("NOT", 1).column, compiler.config
-        return lambda rows, env: not_column(kernel(rows, env), config)
-
-    return compile_node
 
 
 def _streamed_exists_rows(
@@ -796,12 +883,17 @@ class _KernelCompiler:
         self.laterals: List[ast.FromItem] = []
 
     def compile(self, expr: ast.Expr) -> Kernel:
-        method = _KERNELS.get(type(expr))
+        declare = _NODES.get(type(expr))
+        node = declare(expr, self.evaluator) if declare is not None else None
+        if node is not None:
+            children, body, values = node
+            return body[len(children)].kernel(children, self, values)
+        method = _HAND_WRITTEN.get(type(expr), (None, None))[1]
         kernel = method(self, expr) if method is not None else None
         return kernel if kernel is not None else self.fallback(expr)
 
     def fallback(self, expr: ast.Expr) -> Kernel:
-        """Subqueries, windows, parameters, casts, wildcards, names
+        """Subqueries, windows, wildcards, computed tuple names, names
         outside ``row_vars``: bind each row and run the env-space
         closure — the only path besides the kernels."""
         self.fallbacks.append(expr)
@@ -894,179 +986,14 @@ class _KernelCompiler:
 
         return path_column
 
-    def index(self, expr: ast.Index) -> Kernel:
-        base = self.compile(expr.base)
-        index = self.compile(expr.index)
-        config = self.config
-        navigate = ops.navigate_index
-        return lambda rows, env: [
-            navigate(b, i, config)
-            for b, i in zip(base(rows, env), index(rows, env))
-        ]
-
-    # -- operators ---------------------------------------------------------
-
-    def binary(self, expr: ast.Binary) -> Kernel:
-        instances = _instances(expr.op)
-        config = self.config
-        left = self.compile(expr.left)
-        if isinstance(expr.right, ast.Literal):
-            lit = expr.right.value
-            kinds = instances.kinds.get(type(lit))
-            if kinds is not None:
-                literal = instances.literal
-                return lambda rows, env: literal(left(rows, env), lit, kinds, config)
-        right = self.compile(expr.right)
-        column = instances.column
-        return lambda rows, env: column(left(rows, env), right(rows, env), config)
-
-    def unary(self, expr: ast.Unary) -> Kernel:
-        operand = self.compile(expr.operand)
-        config = self.config
-        column = _instances(expr.op, 1).column
-        return lambda rows, env: column(operand(rows, env), config)
-
-    def is_predicate(self, expr: ast.IsPredicate) -> Kernel:
-        operand = self.compile(expr.operand)
-        kind = expr.kind
-        negated = expr.negated
-        if kind == "MISSING":
-            if negated:
-                return lambda rows, env: [
-                    v is not MISSING for v in operand(rows, env)
-                ]
-            return lambda rows, env: [v is MISSING for v in operand(rows, env)]
-        if kind in ("NULL", "ABSENT"):
-            # ``IS NULL`` holds for MISSING too (ops.is_predicate).
-            if negated:
-                return lambda rows, env: [
-                    v is not None and v is not MISSING
-                    for v in operand(rows, env)
-                ]
-            return lambda rows, env: [
-                v is None or v is MISSING for v in operand(rows, env)
-            ]
-        config = self.config
-        test = ops.is_predicate
-        if negated:
-            return lambda rows, env: [
-                not test(v, kind, config) for v in operand(rows, env)
-            ]
-        return lambda rows, env: [
-            test(v, kind, config) for v in operand(rows, env)
-        ]
-
-    def between(self, expr: ast.Between) -> Kernel:
-        operand = self.compile(expr.operand)
-        low = self.compile(expr.low)
-        high = self.compile(expr.high)
-        config = self.config
-        at_least, at_most = _instances(">=").column, _instances("<=").column
-        both = _instances("AND").column
-
-        def between_column(rows: Chunk, env) -> List[Any]:
-            # All three operand columns before any comparison, as the
-            # reference interpreter orders it.
-            values = operand(rows, env)
-            lows = low(rows, env)
-            highs = high(rows, env)
-            return both(
-                at_least(values, lows, config),
-                at_most(values, highs, config),
-                config,
-            )
-
-        return between_column
-
-    def like(self, expr: ast.Like) -> Kernel:
-        operand = self.compile(expr.operand)
-        config = self.config
-        like = ops.like
-        constant = _constant_like(expr)
-        if constant is not None:
-            # Non-strings (NULL, MISSING, mistyped) take the one
-            # definition in ops.like, as in the row closure.
-            pattern, escape, fullmatch = constant
-            return lambda rows, env: [
-                (fullmatch(v) is not None)
-                if type(v) is str
-                else like(v, pattern, escape, config)
-                for v in operand(rows, env)
-            ]
-        pattern_kernel = self.compile(expr.pattern)
-        escape_kernel = (
-            self.compile(expr.escape) if expr.escape is not None else None
-        )
-
-        def like_dynamic_column(rows: Chunk, env) -> List[Any]:
-            values = operand(rows, env)
-            patterns = pattern_kernel(rows, env)
-            escapes = (
-                escape_kernel(rows, env)
-                if escape_kernel is not None
-                else [None] * rows.size
-            )
-            return [
-                like(v, p, e, config)
-                for v, p, e in zip(values, patterns, escapes)
-            ]
-
-        return like_dynamic_column
-
-    def in_predicate(self, expr: ast.InPredicate) -> Optional[Kernel]:
-        if isinstance(expr.collection, (ast.SubqueryExpr, ast.CoerceSubquery)):
-            return None  # early-terminating probe lives in the evaluator
-        operand = self.compile(expr.operand)
-        config = self.config
-        probe = _literal_probe_set(expr.collection)
-        if probe is not None:
-            category, keys, __ = probe
-            # A string list probes its raw literals; every other value
-            # (and every other category) asks _probe_verdict.
-            members = (
-                frozenset(key[1] for key in keys) if category == "string" else None
-            )
-
-            def probe_column(rows: Chunk, env) -> List[Any]:
-                if members is not None:
-                    return [
-                        (v in members)
-                        if type(v) is str
-                        else _probe_verdict(v, probe, config)
-                        for v in operand(rows, env)
-                    ]
-                return [_probe_verdict(v, probe, config) for v in operand(rows, env)]
-
-            return probe_column
-        collection = self.compile(expr.collection)
-        contains = ops.in_collection
-        return lambda rows, env: [
-            contains(v, c, config)
-            for v, c in zip(operand(rows, env), collection(rows, env))
-        ]
-
-    def exists(self, expr: ast.Exists) -> Optional[Kernel]:
-        if isinstance(expr.operand, ast.SubqueryExpr):
-            # Any other subquery keeps the evaluator's early-terminating
-            # stream, as for IN.
-            return self._segmented_subquery(expr.operand.query, exists=True)
-        operand = self.compile(expr.operand)
-        config = self.config
-        exists = ops.exists
-        return lambda rows, env: [exists(v, config) for v in operand(rows, env)]
-
     # -- subqueries over a row's own collection ----------------------------
 
-    def subquery(self, expr: ast.SubqueryExpr) -> Optional[Kernel]:
-        return self._segmented_subquery(expr.query, exists=False)
-
-    def _segmented_subquery(
-        self, query: ast.Query, exists: bool
-    ) -> Optional[Kernel]:
+    def subquery(self, expr: Any) -> Optional[Kernel]:
         """Flatten-and-segment kernel for ``(SELECT VALUE f FROM r.xs AS
-        x [, ...] [WHERE g])`` — the one subquery shape evaluated for a
-        whole chunk at once, or None (every other shape: the env-space
-        fallback, one ``eval_query`` per row).
+        x [, ...] [WHERE g])`` and an EXISTS over it — the one subquery
+        shape evaluated for a whole chunk at once, or None (every other
+        shape: the env-space fallback, one ``eval_query`` per row, and
+        the evaluator's early-terminating stream for EXISTS, as for IN).
 
         Admitted: a single block, ``SELECT VALUE`` without DISTINCT,
         FROM made only of range / UNPIVOT items whose sources mention
@@ -1085,6 +1012,8 @@ class _KernelCompiler:
         by owner: a ``Bag`` per row (empty, never MISSING, without
         survivors) or, for EXISTS, a boolean.
         """
+        exists = isinstance(expr, ast.Exists)
+        query = expr.operand.query if exists else expr.query
         body = query.body
         if (
             not isinstance(body, ast.QueryBlock)
@@ -1221,7 +1150,7 @@ class _KernelCompiler:
             for condition, result in expr.whens
         ]
         otherwise = self.compile(expr.else_) if expr.else_ is not None else None
-        equals_columns = _instances("=").column
+        equals = ops.equals
 
         def case_column(rows: Chunk, env) -> List[Any]:
             out: List[Any] = [None] * len(rows)
@@ -1245,7 +1174,9 @@ class _KernelCompiler:
                     return out
                 verdicts = condition(live, env)
                 if subjects is not None:
-                    verdicts = equals_columns(subjects, verdicts, config)
+                    verdicts = [
+                        equals(s, v, config) for s, v in zip(subjects, verdicts)
+                    ]
                 hits = survivors(verdicts)
                 if hits:
                     for k, value in zip(hits, result(live.keep(hits), env)):
@@ -1268,78 +1199,23 @@ class _KernelCompiler:
 
         return case_column
 
-    # -- calls and constructors --------------------------------------------
 
-    def call(self, expr: ast.FunctionCall) -> Optional[Kernel]:
-        if expr.name == "$TUPLE_MERGE" or expr.star or expr.distinct:
-            return None
-        definition = REGISTRY.lookup(expr.name)
-        if definition is None:
-            return None  # the env-space closure raises uniformly
-        config = self.config
-        invoke = definition.invoke
-        args = [self.compile(arg) for arg in expr.args]
-        if not args:
-            return lambda rows, env: [invoke([], config) for __ in range(rows.size)]
-        return lambda rows, env: [
-            invoke(list(values), config)
-            for values in zip(*[arg(rows, env) for arg in args])
-        ]
-
-    def struct(self, expr: ast.StructLit) -> Optional[Kernel]:
-        keys = literal_keys(expr)
-        if keys is None:
-            return None
-        values = [self.compile(field.value) for field in expr.fields]
-        shape = shape_of(tuple(keys))
-        make = Struct._trusted
-        if not keys:
-            return lambda rows, env: [make(shape, ()) for __ in range(rows.size)]
-
-        def struct_column(rows: Chunk, env) -> List[Struct]:
-            columns = [value(rows, env) for value in values]
-            out = [make(shape, row) for row in zip(*columns)]
-            # Only the rows holding MISSING are rebuilt, found by identity.
-            for k in set().union(*(positions_of(c, MISSING) for c in columns)):
-                out[k] = _literal_struct(shape, out[k]._values)
-            return out
-
-        return struct_column
-
-    def _items(self, items: List[ast.Expr]) -> Kernel:
-        """Rows of present item values for an array/bag constructor."""
-        kernels = [self.compile(item) for item in items]
-        if not kernels:
-            return lambda rows, env: [[] for __ in range(rows.size)]
-        return lambda rows, env: [
-            [v for v in values if v is not MISSING]
-            for values in zip(*[kernel(rows, env) for kernel in kernels])
-        ]
-
-    def array(self, expr: ast.ArrayLit) -> Kernel:
-        return self._items(expr.items)
-
-    def bag(self, expr: ast.BagLit) -> Kernel:
-        items = self._items(expr.items)
-        return lambda rows, env: [Bag(values) for values in items(rows, env)]
-
-
-_KERNELS = {
-    ast.Literal: _KernelCompiler.literal,
-    ast.VarRef: _KernelCompiler.var_ref,
-    ast.Path: _KernelCompiler.path,
-    ast.Index: _KernelCompiler.index,
-    ast.Binary: _KernelCompiler.binary,
-    ast.Unary: _KernelCompiler.unary,
-    ast.IsPredicate: _KernelCompiler.is_predicate,
-    ast.Between: _negatable_kernel(_KernelCompiler.between),
-    ast.Like: _negatable_kernel(_KernelCompiler.like),
-    ast.InPredicate: _negatable_kernel(_KernelCompiler.in_predicate),
-    ast.Exists: _KernelCompiler.exists,
-    ast.SubqueryExpr: _KernelCompiler.subquery,
-    ast.CaseExpr: _KernelCompiler.case,
-    ast.FunctionCall: _KernelCompiler.call,
-    ast.StructLit: _KernelCompiler.struct,
-    ast.ArrayLit: _KernelCompiler.array,
-    ast.BagLit: _KernelCompiler.bag,
+#: The kinds written by hand (module docstring), and the variants their
+#: declaration in :data:`_NODES` leaves here: kind → its row-closure
+#: compiler and its kernel method (None, or a method that returns None:
+#: the env-space fallback).  The exhaustiveness test in
+#: tests/properties/test_compile_equivalence.py holds this, the node
+#: table and the reference interpreter's dispatch against the AST.
+_HAND_WRITTEN: Dict[type, Tuple[Callable[..., CompiledExpr], Any]] = {
+    ast.Literal: (_compile_literal, _KernelCompiler.literal),
+    ast.VarRef: (_compile_var_ref, _KernelCompiler.var_ref),
+    ast.Path: (_compile_path, _KernelCompiler.path),
+    ast.PathWildcard: (_compile_path_wildcard, None),
+    ast.CaseExpr: (_compile_case, _KernelCompiler.case),
+    ast.WindowCall: (_compile_window_call, None),
+    ast.SubqueryExpr: (_compile_subquery, _KernelCompiler.subquery),
+    ast.CoerceSubquery: (_compile_coerce, None),
+    ast.InPredicate: (_compile_in_stream, None),
+    ast.Exists: (_compile_exists, _KernelCompiler.subquery),
+    ast.StructLit: (_compile_struct, None),
 }

@@ -633,8 +633,13 @@ def binary_spec(op: str) -> OperatorSpec:
 
 
 def unary_spec(op: str) -> OperatorSpec:
-    """The table entry of a unary operator symbol."""
-    return _UNARY.get(op) or _UNARY["+"]
+    """The table entry of a unary operator symbol (anything else raises
+    when it is evaluated, as an unknown binary symbol does)."""
+    return _UNARY.get(op) or OperatorSpec(partial(_unknown_unary, op))
+
+
+def _unknown_unary(op: str, value: Any, config: EvalConfig) -> Any:
+    raise EvaluationError(f"unknown unary operator {op!r}")
 
 
 def binary_operator(op: str):

@@ -697,6 +697,7 @@ KERNEL_CASES = [
     "r.a / 2", "r.a / r.b", "r.a % 2", "r.a + 'a'", "1 + r.a",
     "r.a > 1 AND r.b < 3", "r.a OR r.b", "r.a AND TRUE", "NOT r.a", "-r.a", "+r.a",
     "r.a IS NULL", "r.a IS NOT NULL", "r.a IS MISSING", "r.a IS NOT MISSING",
+    "r.a IS NOT STRING", "NO_SUCH_FN(r.a)",
     "r.a || r.b", "r.a || 'z'",
     "r.a BETWEEN 1 AND 3", "r.a NOT BETWEEN r.b AND 5",
     "r.a LIKE 'a%'", "r.a NOT LIKE '_'", "r.a LIKE r.b", "r.a LIKE 'a!%' ESCAPE '!'",
@@ -709,7 +710,10 @@ KERNEL_CASES = [
     "CASE r.a WHEN 1 THEN 'one' WHEN r.b THEN 'same' END",
     "CASE WHEN r.a THEN 1 END",
     "CASE WHEN r.a = 1 THEN 1 / 0 WHEN r.a = 'a' THEN UPPER(r.a) ELSE r.a.n END",
-    "CAST(r.a AS STRING)", "encl + r.a", "named[r.a]",
+    "CAST(r.a AS INT)", "CAST(r.b AS STRING)", "COLL_COUNT(DISTINCT r.b)",
+    "$TUPLE_MERGE(r, {'n': r.a})",
+    # Names outside the row keep the env-space fallback.
+    "encl + r.a", "named[r.a]",
     "(SELECT VALUE x FROM named AS x WHERE x = r.a)",
     # Subqueries over the row's own collection: segment kernels ...
     "(SELECT VALUE x FROM r.b AS x)", "(SELECT VALUE x + 1 FROM r.b AS x WHERE x >= 1)",

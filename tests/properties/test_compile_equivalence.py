@@ -8,21 +8,24 @@ modes and both compat modes.  The two share no evaluation code (only
 the value-level ``ops.*`` definitions), so this is a comparison between
 independent implementations, not of the compiler with itself.
 
-The exhaustiveness test holds the three per-node-kind tables against
-the AST: every concrete ``ast.Expr`` subclass has a tree-walker entry,
-a row closure, and either a chunk kernel or a recorded env-space
-``fallback`` — a new node kind cannot ship on one side only.  Likewise
-every operator symbol has a fast path in the operator table or is on
-its slow-only list, and every instance generated from the table — row
-closure, ``column OP literal`` and ``column OP column`` kernel —
-agrees with the operator's definition and the oracle on the boundary
-operands where a Python fast path could drift from SQL++.
+The exhaustiveness test holds the engine's one node table and its
+hand-written kinds, and the oracle's dispatch, against the AST: every
+concrete ``ast.Expr`` subclass has a tree-walker entry, a row closure,
+and either a chunk kernel or a recorded env-space ``fallback`` — a new
+node kind cannot ship on one side only.  Likewise every operator symbol
+has a fast path in the operator table or is on its slow-only list, and
+both forms generated from it — row closure and chunk kernel, over a
+column or a literal right operand — agree with the operator's
+definition and the oracle on the boundary operands where a Python fast
+path could drift from SQL++.  The generated forms are kept per body, not
+per query: a second run of the compatibility kit adds none.
 """
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.catalog.catalog import Catalog
+from repro.compat.runner import run_cases
 from repro.config import EvalConfig
 from repro.core import compile_expr, reference
 from repro.core.environment import Environment
@@ -312,14 +315,41 @@ def test_every_expression_kind_is_handled_on_every_side():
     kinds = concrete_expression_kinds()
     assert set(SAMPLES) == kinds, "add a sample for the new node kind"
     assert set(reference._DISPATCH) == kinds  # the tree-walker
-    assert set(compile_expr._CLOSURES) == kinds  # the row compiler
-    assert set(compile_expr._KERNELS) <= kinds
+    # The engine: declared once in the node table (which also takes a
+    # declaration nested in another), or written by hand; only IN /
+    # EXISTS over a subquery and computed tuple names are variants a
+    # declaration leaves to the hand-written compilers.
+    declared = set(compile_expr._NODES) - {tuple}
+    by_hand = set(compile_expr._HAND_WRITTEN)
+    assert declared | by_hand == kinds
+    assert declared & by_hand == {ast.InPredicate, ast.Exists, ast.StructLit}
     engine = Evaluator({}, EvalConfig())
     for kind, sample in SAMPLES.items():
         assert callable(engine.compiled(sample))
         batch = compile_expr.compile_batch(sample, engine, frozenset({"x"}))
         # A chunk kernel, or the recorded env-space fallback.
-        assert kind in compile_expr._KERNELS or sample in batch.fallbacks, kind
+        kernel = compile_expr._HAND_WRITTEN.get(kind, (None, None))[1]
+        assert (
+            kind in declared and compile_expr._NODES[kind](sample, engine)
+            or kernel is not None
+            or sample in batch.fallbacks
+        ), kind
+
+
+def generated_forms():
+    return {
+        (body.text, body.names, arity): forms
+        for body in compile_expr._BODIES
+        for arity, forms in body.items()
+    }
+
+
+def test_generated_forms_are_kept_per_body_not_per_query():
+    run_cases()
+    forms = generated_forms()
+    assert forms
+    run_cases()
+    assert generated_forms() == forms
 
 
 # -- chunk kernels over mixed shapes ------------------------------------------
@@ -456,42 +486,80 @@ def same(left, right):
     )
 
 
+def forms_over(tree, values, engine):
+    """``tree``'s row closure and chunk kernel over one binding of
+    ``values`` (``a``, ``b``)."""
+    row = dict(zip("ab", values))
+    batch = compile_expr.compile_batch(tree, engine, frozenset(row))
+    return {
+        "closure": lambda: engine.compiled(tree)(Environment(row)),
+        "kernel": lambda: batch([row], Environment({}))[0],
+    }
+
+
 @pytest.mark.parametrize("typing_mode", ["permissive", "strict"])
 def test_generated_instances_match_definition_and_oracle(typing_mode):
     config = EvalConfig(typing_mode=typing_mode)
+    engine = Evaluator(Catalog(), config)
     oracle = ReferenceEvaluator(Catalog(), config)
     env = Environment({})
+    left, right = ast.VarRef("a"), ast.VarRef("b")
     for op in ops.BINARY_SYMBOLS:
-        made = compile_expr._instances(op)
         definition = ops.binary_operator(op)
         for a in BOUNDARY:
             for b in BOUNDARY:
                 want = outcome(lambda: definition(a, b, config))
                 tree = ast.Binary(op, ast.Literal(a), ast.Literal(b))
-                runs = {
-                    "oracle": lambda: oracle.eval_expr(tree, env),
-                    "closure": lambda: made.closure(
-                        lambda e: a, lambda e: b, config
-                    )(env),
-                    "column": lambda: made.column([a], [b], config)[0],
-                }
-                kinds = made.kinds.get(type(b))
-                if kinds is not None:
-                    runs["literal"] = lambda: made.literal([a], b, kinds, config)[0]
+                runs = {"oracle": lambda: oracle.eval_expr(tree, env)}
+                # Over a column, and over a literal right operand (its
+                # own variant where the literal lies in a class).
+                for shape in (right, ast.Literal(b)):
+                    made = forms_over(ast.Binary(op, left, shape), (a, b), engine)
+                    runs.update({f"{name} {shape}": run for name, run in made.items()})
                 for name, run in runs.items():
                     got = outcome(run)
                     assert same(want, got), (op, a, b, name, want, got)
     for op in ops.UNARY_SYMBOLS:
-        made = compile_expr._instances(op, 1)
         definition = ops.unary_operator(op)
         for a in BOUNDARY:
             want = outcome(lambda: definition(a, config))
             tree = ast.Unary(op, ast.Literal(a))
-            runs = {
-                "oracle": lambda: oracle.eval_expr(tree, env),
-                "closure": lambda: made.closure(lambda e: a, config)(env),
-                "column": lambda: made.column([a], config)[0],
-            }
+            runs = {"oracle": lambda: oracle.eval_expr(tree, env)}
+            runs.update(forms_over(ast.Unary(op, left), (a,), engine))
             for name, run in runs.items():
                 got = outcome(run)
                 assert same(want, got), (op, a, name, want, got)
+
+
+@pytest.mark.parametrize("typing_mode", ["permissive", "strict"])
+def test_a_cast_runs_under_the_query_typing_mode(typing_mode):
+    config = EvalConfig(typing_mode=typing_mode)
+    engine = Evaluator(Catalog(), config)
+    oracle = ReferenceEvaluator(Catalog(), config)
+    tree = ast.CastExpr(ast.VarRef("a"), "INTEGER")
+    want = outcome(lambda: oracle.eval_expr(tree, Environment({"a": "x"})))
+    assert want[0] == ("error" if typing_mode == "strict" else "value")
+    for name, run in forms_over(tree, ("x",), engine).items():
+        assert same(want, outcome(run)), name
+
+
+def test_an_unknown_unary_symbol_raises_when_evaluated():
+    # As an unknown binary symbol does: not unary plus, and not before a
+    # row reaches it.
+    config = EvalConfig()
+    engine = Evaluator(Catalog(), config)
+    oracle = ReferenceEvaluator(Catalog(), config)
+    tree = ast.Unary("~", ast.VarRef("a"))
+    message = "unknown unary operator '~'"
+    runs = forms_over(tree, (5,), engine)
+    runs["oracle"] = lambda: oracle.eval_expr(tree, Environment({"a": 5}))
+    for name, run in runs.items():
+        assert outcome(run) == ("error", "EvaluationError", message), name
+    block = ast.Query(
+        body=ast.QueryBlock(
+            select=ast.SelectValue(tree),
+            from_=[ast.FromCollection(ast.ArrayLit([]), "a")],
+        )
+    )
+    for evaluator in (engine, oracle):
+        assert len(evaluator.eval_query(block, Environment({}))) == 0
