@@ -15,8 +15,11 @@ Three cooperating analyses, all *sound under two-valued absence*
 
 * **Conjunction satisfiability** (:func:`never_true`) — an interval /
   value-set / type-category domain over the conjuncts of a WHERE, ON
-  or HAVING clause.  The key observation making this mode-safe: a
-  filter keeps a binding only when the predicate is *exactly* ``TRUE``
+  or HAVING clause.  Its categories are the lattice's
+  (:mod:`repro.analysis.lattice`), and ``IS [NOT] <kind>`` narrows a
+  term to the lattice's derived IS-kind map.  The key observation
+  making this mode-safe: a filter keeps a binding only when the
+  predicate is *exactly* ``TRUE``
   (:func:`repro.functions.operators.is_true`), so proving the
   conjunction can never be TRUE proves the clause empty even when
   individual conjuncts yield NULL or MISSING.  Comparisons against an
@@ -288,38 +291,11 @@ _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
 
 _CMP_OPS = frozenset(["=", "!=", "<", "<=", ">", ">="])
 
-#: The value categories a term may inhabit (the type lattice's names).
-_CATEGORIES = frozenset(
-    {"number", "string", "boolean", "null", "missing", "array", "bag", "tuple"}
-)
-
-#: ``IS <kind>`` to the categories the operand may inhabit when the
-#: predicate is TRUE.  Mirrors ``operators.is_predicate``: ``IS NULL``
-#: is true for NULL *and* MISSING (paper Section IV-C).
-_IS_KIND_CATS: Dict[str, FrozenSet[str]] = {
-    "null": frozenset({"null", "missing"}),
-    "missing": frozenset({"missing"}),
-    "absent": frozenset({"null", "missing"}),
-    "boolean": frozenset({"boolean"}),
-    "number": frozenset({"number"}),
-    "string": frozenset({"string"}),
-}
-
-
-def _scalar_kind(value: Any) -> Optional[str]:
-    """The category of a comparable scalar, or None."""
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, (int, float)):
-        return "number"
-    if isinstance(value, str):
-        return "string"
-    return None
-
-
 @dataclass
 class _TermState:
-    """Accumulated constraints on one comparable term (``x``, ``a.b``)."""
+    """Accumulated constraints on one comparable term (``x``, ``a.b``):
+    the lattice categories it may inhabit, and over its scalar values a
+    value set, bounds and exclusions."""
 
     key: str
     cats: Optional[FrozenSet[str]] = None
@@ -365,16 +341,16 @@ class _TermState:
 
     def normalize(self) -> Optional[str]:
         """Check consistency after a mutation; a reason means empty."""
+        from repro.analysis.lattice import category_of
+
         if self.values is not None:
             kept = []
             for value in self.values:
-                kind = _scalar_kind(value)
-                if self.cats is not None and (
-                    kind is None or kind not in self.cats
-                ):
+                kind = category_of(value)
+                if self.cats is not None and kind not in self.cats:
                     continue
                 if self.lower is not None:
-                    if kind != _scalar_kind(self.lower):
+                    if kind != category_of(self.lower):
                         continue
                     if self.lower_strict:
                         if not value > self.lower:
@@ -382,7 +358,7 @@ class _TermState:
                     elif not value >= self.lower:
                         continue
                 if self.upper is not None:
-                    if kind != _scalar_kind(self.upper):
+                    if kind != category_of(self.upper):
                         continue
                     if self.upper_strict:
                         if not value < self.upper:
@@ -401,7 +377,7 @@ class _TermState:
         if (
             self.lower is not None
             and self.upper is not None
-            and _scalar_kind(self.lower) == _scalar_kind(self.upper)
+            and category_of(self.lower) == category_of(self.upper)
         ):
             if self.lower > self.upper or (
                 self.lower == self.upper
@@ -462,14 +438,13 @@ def _apply_cmp(
     value: Any,
     origin: ast.Expr,
 ) -> Optional[Contradiction]:
+    from repro.analysis.lattice import category_of
+
     absent = _absent_contradiction(value, origin)
     if absent is not None:
         return absent
-    kind = _scalar_kind(value)
-    if kind is None:
-        return None
     state = states.setdefault(key, _TermState(key))
-    reason = state.constrain_cats(frozenset({kind}))
+    reason = state.constrain_cats(frozenset({category_of(value)}))
     if reason is None:
         if op == "=":
             state.constrain_value(value)
@@ -492,6 +467,10 @@ def _apply_conjunct(
 ) -> Optional[Contradiction]:
     """Fold one conjunct into the per-term states; unrecognized shapes
     contribute nothing (which is always sound)."""
+    # The lattice is imported on first use here and in _TermState /
+    # _apply_cmp: folding, which every compile runs, does not need it.
+    from repro.analysis.lattice import category_of, is_kind_categories
+
     if isinstance(conjunct, ast.Binary) and conjunct.op in _CMP_OPS:
         key = term_key(conjunct.left)
         if key is not None and _is_const(conjunct.right):
@@ -542,9 +521,9 @@ def _apply_conjunct(
         if key is None:
             return None
         values = [
-            _const_value(item)
-            for item in conjunct.collection.items
-            if _scalar_kind(_const_value(item)) is not None
+            value
+            for value in map(_const_value, conjunct.collection.items)
+            if value is not None and value is not MISSING
         ]
         if not values:
             return Contradiction(
@@ -554,12 +533,7 @@ def _apply_conjunct(
                 conjunct.column,
             )
         state = states.setdefault(key, _TermState(key))
-        cats = frozenset(
-            kind
-            for kind in (_scalar_kind(v) for v in values)
-            if kind is not None
-        )
-        reason = state.constrain_cats(cats)
+        reason = state.constrain_cats(frozenset(map(category_of, values)))
         if reason is None:
             if state.values is None:
                 state.values = list(values)
@@ -576,11 +550,9 @@ def _apply_conjunct(
 
     if isinstance(conjunct, ast.IsPredicate):
         key = term_key(conjunct.operand)
-        cats = _IS_KIND_CATS.get(conjunct.kind.lower())
-        if key is None or cats is None:
+        if key is None or conjunct.kind not in ops.IS_KINDS:
             return None
-        if conjunct.negated:
-            cats = _CATEGORIES - cats
+        cats = is_kind_categories(conjunct.kind, conjunct.negated)
         state = states.setdefault(key, _TermState(key))
         reason = state.constrain_cats(cats) or state.normalize()
         if reason is not None:

@@ -22,14 +22,28 @@ tuple contributes ``missing``; a nullable schema field contributes
 ``null``.  With no schema, everything starts at :data:`TOP` (any
 category at all) and the pass still runs — schema-optionality all the
 way down.
+
+The lattice is also the one abstract domain every analysis reads: it
+owns the categories, α (:func:`category_of`), γ (the representative
+values of each category) and the transfers derived by running the
+engine over γ — :func:`transfer` for the operators of
+:mod:`repro.functions.operators` and :func:`is_kind_categories` for
+``IS <kind>``.  Both are memoised and computed on first use, never at
+import.  A builtin declares its result as an ``IS`` kind where it is
+registered (:class:`repro.functions.registry.FunctionDef`), and the
+IS-kind map turns that kind into categories.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from functools import lru_cache
+from itertools import product
+from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
-from repro.schema import types as schema_types
+from repro.config import EvalConfig
+from repro.errors import SQLPPError
+from repro.functions import operators as ops
 
 NUMBER = "number"
 STRING = "string"
@@ -277,6 +291,67 @@ def category_of(value: object) -> str:
     return TUPLE
 
 
+# ----------------------------------------------------------------------
+# γ, and the transfers derived by running the engine over it
+# ----------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _representatives() -> Dict[str, Tuple[object, ...]]:
+    """γ: representative values of each category.  The derived
+    transfers are exact on the assumption the engine satisfies: a
+    result's category depends only on its operands' categories, except
+    where a listed value covers the exception (zero as a divisor,
+    ``2.5`` for ``IS INTEGER``)."""
+    from repro.datamodel.values import MISSING, Bag, Struct
+
+    return {
+        NUMBER: (0, 1, -1, 2.5),
+        STRING: ("", "a"),
+        BOOLEAN: (True, False),
+        NULL: (None,),
+        MISSING_CAT: (MISSING,),
+        ARRAY: ([], [1]),
+        BAG: (Bag(), Bag([1])),
+        TUPLE: (Struct(), Struct({"a": 1})),
+    }
+
+
+_PERMISSIVE = EvalConfig()
+
+
+@lru_cache(maxsize=None)
+def transfer(op: str, *categories: str) -> FrozenSet[str]:
+    """The categories operator ``op`` produces under permissive typing
+    for one operand of each given category — unary with one category,
+    binary with two.  Strict typing produces the same values or raises."""
+    apply = ops.unary_operator(op) if len(categories) == 1 else ops.binary_operator(op)
+    reps = _representatives()
+    results: Set[str] = set()
+    for operands in product(*(reps[category] for category in categories)):
+        try:
+            results.add(category_of(apply(*operands, _PERMISSIVE)))
+        except SQLPPError:
+            pass  # raises in both modes: contributes no value
+    return frozenset(results)
+
+
+@lru_cache(maxsize=None)
+def is_kind_categories(kind: str, negated: bool = False) -> FrozenSet[str]:
+    """The categories a value may inhabit when ``value IS <kind>`` (``IS
+    NOT <kind>`` when ``negated``) is TRUE, for a kind in
+    :data:`repro.functions.operators.IS_KINDS`.  ``IS`` never raises
+    and answers alike in both typing modes."""
+    return frozenset(
+        category
+        for category, values in _representatives().items()
+        if any(
+            ops.is_predicate(value, kind, _PERMISSIVE) is not negated
+            for value in values
+        )
+    )
+
+
 def soften(abstract: AType) -> AType:
     """Open every tuple shape in an :class:`AType`.
 
@@ -301,6 +376,8 @@ def from_schema(schema: object) -> AType:
     may fall off); nullable fields gain ``null``.  ``AnyType`` maps to
     every *value* category — a stored value is never itself MISSING.
     """
+    from repro.schema import types as schema_types
+
     if isinstance(schema, schema_types.AnyType):
         return AType(cats=CATEGORIES - frozenset({MISSING_CAT}))
     if isinstance(schema, schema_types.BooleanType):

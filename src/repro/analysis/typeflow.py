@@ -26,16 +26,15 @@ output element's attributes overlaid on the row environment.  When the
 output shape is not statically known, unbound names in ORDER BY are
 not reported (a key may name an output attribute).
 
-The operators of :mod:`repro.functions.operators` have no hand-written
-abstract rule: :func:`transfer` runs the real operator over
-representative values of each operand category — ``0, 1, -1, 2.5`` /
-``'', 'a'`` / ``TRUE, FALSE`` / NULL / MISSING / ``[], [1]`` /
-``<<>>, <<1>>`` / ``{}, {'a': 1}`` — and takes the union of the result
-categories.  That is exact on the assumption the operators satisfy:
-the category of a result depends only on the operands' categories,
-except where a representative value (zero as a divisor) is listed to
-cover the exception.  Results are memoised per operator and operand
-categories, computed on first use.
+No rule here is a private table.  Operators read the lattice's
+derived :func:`~repro.analysis.lattice.transfer`, which runs the real
+operator over representative values of each operand category.  A call
+reads the result its builtin declares where it is registered (an
+``IS`` kind, "one of the arguments", or unknown) and a CAST the kind
+of :data:`repro.functions.scalar.CAST_TARGETS`; the lattice's
+:func:`~repro.analysis.lattice.is_kind_categories` turns a kind into
+categories.  The arity message of SQLPP004 is the one the builtin
+raises at runtime.
 
 Soundness is inclusion, so every rule may err only toward *more*
 categories; hypothesis properties in ``tests/analysis`` check the
@@ -47,7 +46,6 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import (
     Dict,
@@ -56,7 +54,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -81,21 +78,21 @@ from repro.analysis.lattice import (
     AType,
     array_of,
     bag_of,
-    category_of,
     element_of,
     infer_literal,
+    is_kind_categories,
     join,
     join_all,
     narrow,
     scalar,
+    transfer,
     tuple_of,
     widen,
 )
 from repro.analysis.rules import make
 from repro.config import EvalConfig
 from repro.core.planner import split_conjuncts
-from repro.errors import SQLPPError
-from repro.functions import operators as ops
+from repro.functions.scalar import CAST_TARGETS
 from repro.syntax import ast
 
 #: The codes :func:`repro.schema.check_query` reports: findings about
@@ -111,122 +108,6 @@ TYPE_RULES: FrozenSet[str] = frozenset(
         "SQLPP108",
     }
 )
-
-#: Success-category table for builtins whose result category is fixed,
-#: by canonical name.  The envelope (NULL/MISSING propagation and
-#: permissive type errors) is added uniformly in
-#: :meth:`TypeFlow._infer_call`.
-_CALL_RESULTS: Dict[str, Tuple[str, ...]] = {
-    "ABS": (NUMBER,),
-    "CEIL": (NUMBER,),
-    "FLOOR": (NUMBER,),
-    "ROUND": (NUMBER,),
-    "TRUNC": (NUMBER,),
-    "SIGN": (NUMBER,),
-    "SQRT": (NUMBER,),
-    "POWER": (NUMBER,),
-    "MOD": (NUMBER,),
-    "EXP": (NUMBER,),
-    "LN": (NUMBER,),
-    "LOG10": (NUMBER,),
-    "PI": (NUMBER,),
-    "CHAR_LENGTH": (NUMBER,),
-    "POSITION": (NUMBER,),
-    "ARRAY_LENGTH": (NUMBER,),
-    "COLL_COUNT": (NUMBER,),
-    "COLL_COUNT_DISTINCT": (NUMBER,),
-    "COLL_SUM": (NUMBER,),
-    "COLL_AVG": (NUMBER,),
-    "COLL_STDDEV": (NUMBER,),
-    "COLL_VARIANCE": (NUMBER,),
-    "LOWER": (STRING,),
-    "UPPER": (STRING,),
-    "SUBSTRING": (STRING,),
-    "TRIM": (STRING,),
-    "LTRIM": (STRING,),
-    "RTRIM": (STRING,),
-    "REPLACE": (STRING,),
-    "TO_STRING": (STRING,),
-    "CONCAT": (STRING,),
-    "REPEAT": (STRING,),
-    "TYPEOF": (STRING,),
-    "CONTAINS": (BOOLEAN,),
-    "STARTS_WITH": (BOOLEAN,),
-    "ENDS_WITH": (BOOLEAN,),
-    "ARRAY_CONTAINS": (BOOLEAN,),
-    "COLL_EVERY": (BOOLEAN,),
-    "COLL_SOME": (BOOLEAN,),
-    "SPLIT": (ARRAY,),
-    "RANGE": (ARRAY,),
-    "ARRAY_CONCAT": (ARRAY,),
-    "ARRAY_DISTINCT": (ARRAY,),
-    "ARRAY_FLATTEN": (ARRAY,),
-    "ARRAY_SLICE": (ARRAY,),
-    "ARRAY_SORT": (ARRAY,),
-    "COLL_ARRAY_AGG": (ARRAY,),
-    "TO_ARRAY": (ARRAY,),
-    "ATTRIBUTE_NAMES": (ARRAY,),
-    "TO_BAG": (BAG,),
-    "BAG": (BAG,),
-    "TUPLE_UNION": (TUPLE,),
-}
-
-#: Builtins that consume absence: the result is one of the arguments,
-#: or NULL / MISSING.
-_COALESCE_FAMILY = ("COALESCE", "IFNULL", "IFMISSING", "IFMISSINGORNULL")
-
-#: Builtins whose result category follows the argument values, not a
-#: fixed table: their result is :data:`TOP`.
-_UNKNOWN_RESULTS = (
-    "COLL_MAX",
-    "COLL_MIN",
-    "GREATEST",
-    "LEAST",
-    "MISSINGIF",
-    "NULLIF",
-    "REVERSE",
-)
-
-
-# ----------------------------------------------------------------------
-# Operator transfer, derived from repro.functions.operators
-# ----------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _representatives() -> Dict[str, Tuple[object, ...]]:
-    from repro.datamodel.values import MISSING, Bag, Struct
-
-    return {
-        NUMBER: (0, 1, -1, 2.5),
-        STRING: ("", "a"),
-        BOOLEAN: (True, False),
-        NULL: (None,),
-        MISSING_CAT: (MISSING,),
-        ARRAY: ([], [1]),
-        BAG: (Bag(), Bag([1])),
-        TUPLE: (Struct(), Struct({"a": 1})),
-    }
-
-
-_PERMISSIVE = EvalConfig()
-
-
-@lru_cache(maxsize=None)
-def transfer(op: str, *categories: str) -> FrozenSet[str]:
-    """The categories operator ``op`` produces under permissive typing
-    for one operand of each given category — unary with one category,
-    binary with two.  Strict typing produces the same values or raises."""
-    apply = ops.unary_operator(op) if len(categories) == 1 else ops.binary_operator(op)
-    reps = _representatives()
-    results: Set[str] = set()
-    for operands in product(*(reps[category] for category in categories)):
-        try:
-            results.add(category_of(apply(*operands, _PERMISSIVE)))
-        except SQLPPError:
-            pass  # raises in both modes: contributes no value
-    return frozenset(results)
-
 
 def _present(atype: AType) -> FrozenSet[str]:
     return atype.cats - ABSENT_CATEGORIES
@@ -746,13 +627,14 @@ class TypeFlow:
 
     def _infer_index(self, node: ast.Index, env: _Env) -> AType:
         base = self.infer(node.base, env)
-        self.infer(node.index, env)
+        index = self.infer(node.index, env)
         if TUPLE in base.cats:
             return TOP
         parts: List[AType] = []
         if base.cats & COLLECTION_CATEGORIES:
             parts.append(element_of(base))
-        if NULL in base.cats:
+        if NULL in base.cats or (NULL in index.cats and base.cats - {MISSING_CAT}):
+            # A NULL base, or a NULL index into anything but MISSING.
             parts.append(NULL_T)
         # Out-of-bounds, non-integer index, or a non-indexable base:
         # MISSING (permissive) / raise (strict).
@@ -860,20 +742,9 @@ class TypeFlow:
         if definition is None and not node.name.startswith("$"):
             self._report_unknown_function(node)
         elif definition is not None and not node.star:
-            count = len(node.args)
-            if count < definition.min_args or (
-                definition.max_args is not None and count > definition.max_args
-            ):
-                expected = (
-                    str(definition.min_args)
-                    if definition.max_args == definition.min_args
-                    else f"{definition.min_args}..{definition.max_args or 'N'}"
-                )
-                self._report(
-                    "SQLPP004",
-                    f"{definition.name} expects {expected} argument(s), got {count}",
-                    node,
-                )
+            refused = definition.arity_error(len(node.args))
+            if refused is not None:
+                self._report("SQLPP004", refused, node)
         arg_types = [self.infer(arg, env) for arg in node.args]
         if definition is None:
             return TOP
@@ -888,13 +759,9 @@ class TypeFlow:
                     f"never a collection ({operand.describe()})",
                     node,
                 )
-        if definition.name in _COALESCE_FAMILY:
+        if definition.result == "ARGUMENT":
             return widen(join_all(arg_types), NULL, MISSING_CAT)
-        base = _CALL_RESULTS.get(definition.name)
-        if base is None:
-            return TOP
-        # The envelope: absence propagation plus permissive type errors.
-        return scalar(*base, NULL, MISSING_CAT)
+        return _of_kind(definition.result)
 
     def _report_unknown_function(self, node: ast.FunctionCall) -> None:
         from repro.functions.aggregates import SQL_AGGREGATES
@@ -913,15 +780,15 @@ class TypeFlow:
 
     def _infer_cast(self, node: ast.CastExpr, env: _Env) -> AType:
         self.infer(node.operand, env)
-        target = node.type_name.lower()
-        if target in ("int", "integer", "bigint", "smallint", "float",
-                      "double", "real", "decimal", "numeric", "number"):
-            return scalar(NUMBER, NULL, MISSING_CAT)
-        if target in ("string", "varchar", "char", "text"):
-            return scalar(STRING, NULL, MISSING_CAT)
-        if target in ("bool", "boolean"):
-            return scalar(BOOLEAN, NULL, MISSING_CAT)
+        return _of_kind(CAST_TARGETS.get(node.type_name.upper()))
+
+
+def _of_kind(kind: Optional[str]) -> AType:
+    """A declared ``IS`` kind's categories (⊤ when None) in the envelope
+    of absence propagation and permissive type errors."""
+    if kind is None:
         return TOP
+    return scalar(*is_kind_categories(kind), NULL, MISSING_CAT)
 
 
 def _name_chain(node: ast.Path) -> Tuple[List[str], Optional[ast.VarRef]]:

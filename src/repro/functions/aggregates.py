@@ -360,17 +360,23 @@ def machine_for(definition: FunctionDef, distinct: bool = False) -> Aggregate:
     return machine
 
 
-for _machine in (
-    _Count("COLL_COUNT"),
-    _Total("COLL_SUM", average=False),
-    _Total("COLL_AVG", average=True),
-    _Extreme("COLL_MIN", "<"),
-    _Extreme("COLL_MAX", ">"),
-    _Quantifier("COLL_EVERY", decisive=False),
-    _Quantifier("COLL_SOME", decisive=True),
+for _machine, _result in (
+    (_Count("COLL_COUNT"), "NUMBER"),
+    (_Total("COLL_SUM", average=False), "NUMBER"),
+    (_Total("COLL_AVG", average=True), "NUMBER"),
+    (_Extreme("COLL_MIN", "<"), None),
+    (_Extreme("COLL_MAX", ">"), None),
+    (_Quantifier("COLL_EVERY", decisive=False), "BOOLEAN"),
+    (_Quantifier("COLL_SOME", decisive=True), "BOOLEAN"),
 ):
     REGISTRY.register(
-        _machine.name, _machine, 1, 1, propagate_absent=False, is_aggregate=True
+        _machine.name,
+        _machine,
+        1,
+        1,
+        propagate_absent=False,
+        is_aggregate=True,
+        result=_result,
     )
 
 
@@ -379,7 +385,9 @@ for _machine in (
 # =========================================================================
 
 
-@builtin("COLL_ARRAY_AGG", 1, 1, propagate_absent=False, is_aggregate=True)
+@builtin(
+    "COLL_ARRAY_AGG", 1, 1, propagate_absent=False, is_aggregate=True, result="ARRAY"
+)
 def coll_array_agg(args: List[Any], config: EvalConfig) -> Any:
     """Materialise the collection's non-absent elements as an array."""
     items = _elements("COLL_ARRAY_AGG", args[0])
@@ -388,7 +396,9 @@ def coll_array_agg(args: List[Any], config: EvalConfig) -> Any:
     return items
 
 
-@builtin("COLL_STDDEV", 1, 1, propagate_absent=False, is_aggregate=True)
+@builtin(
+    "COLL_STDDEV", 1, 1, propagate_absent=False, is_aggregate=True, result="NUMBER"
+)
 def coll_stddev(args: List[Any], config: EvalConfig) -> Any:
     """Sample standard deviation (NULL for fewer than two elements)."""
     items = _elements("COLL_STDDEV", args[0])
@@ -402,7 +412,9 @@ def coll_stddev(args: List[Any], config: EvalConfig) -> Any:
     return math.sqrt(variance)
 
 
-@builtin("COLL_VARIANCE", 1, 1, propagate_absent=False, is_aggregate=True)
+@builtin(
+    "COLL_VARIANCE", 1, 1, propagate_absent=False, is_aggregate=True, result="NUMBER"
+)
 def coll_variance(args: List[Any], config: EvalConfig) -> Any:
     """Sample variance (NULL for fewer than two elements)."""
     items = _elements("COLL_VARIANCE", args[0])
@@ -415,7 +427,14 @@ def coll_variance(args: List[Any], config: EvalConfig) -> Any:
     return sum((x - mean) ** 2 for x in numbers) / (len(numbers) - 1)
 
 
-@builtin("COLL_COUNT_DISTINCT", 1, 1, propagate_absent=False, is_aggregate=True)
+@builtin(
+    "COLL_COUNT_DISTINCT",
+    1,
+    1,
+    propagate_absent=False,
+    is_aggregate=True,
+    result="NUMBER",
+)
 def coll_count_distinct(args: List[Any], config: EvalConfig) -> Any:
     items = _elements("COLL_COUNT_DISTINCT", args[0])
     if items is None:

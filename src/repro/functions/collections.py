@@ -22,19 +22,19 @@ def _collection_arg(name: str, value: Any) -> list:
     raise TypeError(f"{name} expects a collection, got {type_name(value)}")
 
 
-@builtin("ARRAY_LENGTH", 1, 1)
+@builtin("ARRAY_LENGTH", 1, 1, result="NUMBER")
 def array_length(args: List[Any], config: EvalConfig) -> Any:
     return len(_collection_arg("ARRAY_LENGTH", args[0]))
 
 
-@builtin("ARRAY_CONTAINS", 2, 2)
+@builtin("ARRAY_CONTAINS", 2, 2, result="BOOLEAN")
 def array_contains(args: List[Any], config: EvalConfig) -> Any:
     items = _collection_arg("ARRAY_CONTAINS", args[0])
     needle = args[1]
     return any(equals(item, needle, config) is True for item in items)
 
 
-@builtin("ARRAY_CONCAT", 2, None)
+@builtin("ARRAY_CONCAT", 2, None, result="ARRAY")
 def array_concat(args: List[Any], config: EvalConfig) -> Any:
     result: list = []
     for value in args:
@@ -42,12 +42,12 @@ def array_concat(args: List[Any], config: EvalConfig) -> Any:
     return result
 
 
-@builtin("ARRAY_DISTINCT", 1, 1)
+@builtin("ARRAY_DISTINCT", 1, 1, result="ARRAY")
 def array_distinct(args: List[Any], config: EvalConfig) -> Any:
     return distinct_elements(_collection_arg("ARRAY_DISTINCT", args[0]))
 
 
-@builtin("ARRAY_FLATTEN", 1, 1)
+@builtin("ARRAY_FLATTEN", 1, 1, result="ARRAY")
 def array_flatten(args: List[Any], config: EvalConfig) -> Any:
     """Flatten one level of nesting; non-collection elements pass through."""
     result: list = []
@@ -59,7 +59,7 @@ def array_flatten(args: List[Any], config: EvalConfig) -> Any:
     return result
 
 
-@builtin("ARRAY_SLICE", 2, 3)
+@builtin("ARRAY_SLICE", 2, 3, result="ARRAY")
 def array_slice(args: List[Any], config: EvalConfig) -> Any:
     """``ARRAY_SLICE(a, start [, end])`` — 0-based half-open slice."""
     items = _collection_arg("ARRAY_SLICE", args[0])
@@ -74,7 +74,7 @@ def array_slice(args: List[Any], config: EvalConfig) -> Any:
     return items[start:]
 
 
-@builtin("ARRAY_SORT", 1, 1)
+@builtin("ARRAY_SORT", 1, 1, result="ARRAY")
 def array_sort(args: List[Any], config: EvalConfig) -> Any:
     """Sort a collection into an array using the SQL++ total order."""
     from repro.datamodel.ordering import sort_key
@@ -83,7 +83,7 @@ def array_sort(args: List[Any], config: EvalConfig) -> Any:
     return sorted(items, key=sort_key)
 
 
-@builtin("TO_ARRAY", 1, 1, propagate_absent=False)
+@builtin("TO_ARRAY", 1, 1, propagate_absent=False, result="ARRAY")
 def to_array(args: List[Any], config: EvalConfig) -> Any:
     """Coerce to an array: arrays pass, bags enumerate, scalars wrap."""
     value = args[0]
@@ -96,7 +96,7 @@ def to_array(args: List[Any], config: EvalConfig) -> Any:
     return [value]
 
 
-@builtin("TO_BAG", 1, 1, propagate_absent=False)
+@builtin("TO_BAG", 1, 1, propagate_absent=False, result="BAG")
 def to_bag(args: List[Any], config: EvalConfig) -> Any:
     """Coerce to a bag: bags pass, arrays enumerate, scalars wrap."""
     value = args[0]
@@ -109,7 +109,7 @@ def to_bag(args: List[Any], config: EvalConfig) -> Any:
     return Bag([value])
 
 
-@builtin("RANGE", 1, 3)
+@builtin("RANGE", 1, 3, result="ARRAY")
 def range_fn(args: List[Any], config: EvalConfig) -> Any:
     """``RANGE(stop)`` / ``RANGE(start, stop [, step])`` — integer array."""
     for value in args:

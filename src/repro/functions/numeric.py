@@ -16,12 +16,12 @@ def _number_arg(name: str, value: Any) -> Any:
     return value
 
 
-@builtin("ABS", 1, 1)
+@builtin("ABS", 1, 1, result="NUMBER")
 def abs_fn(args: List[Any], config: EvalConfig) -> Any:
     return abs(_number_arg("ABS", args[0]))
 
 
-@builtin("CEIL", 1, 1)
+@builtin("CEIL", 1, 1, result="NUMBER")
 def ceil(args: List[Any], config: EvalConfig) -> Any:
     return math.ceil(_number_arg("CEIL", args[0]))
 
@@ -29,12 +29,12 @@ def ceil(args: List[Any], config: EvalConfig) -> Any:
 REGISTRY.alias("CEIL", "CEILING")
 
 
-@builtin("FLOOR", 1, 1)
+@builtin("FLOOR", 1, 1, result="NUMBER")
 def floor(args: List[Any], config: EvalConfig) -> Any:
     return math.floor(_number_arg("FLOOR", args[0]))
 
 
-@builtin("ROUND", 1, 2)
+@builtin("ROUND", 1, 2, result="NUMBER")
 def round_fn(args: List[Any], config: EvalConfig) -> Any:
     value = _number_arg("ROUND", args[0])
     if len(args) == 2:
@@ -45,12 +45,12 @@ def round_fn(args: List[Any], config: EvalConfig) -> Any:
     return round(value)
 
 
-@builtin("TRUNC", 1, 1)
+@builtin("TRUNC", 1, 1, result="NUMBER")
 def trunc(args: List[Any], config: EvalConfig) -> Any:
     return math.trunc(_number_arg("TRUNC", args[0]))
 
 
-@builtin("SIGN", 1, 1)
+@builtin("SIGN", 1, 1, result="NUMBER")
 def sign(args: List[Any], config: EvalConfig) -> Any:
     value = _number_arg("SIGN", args[0])
     if value > 0:
@@ -60,7 +60,7 @@ def sign(args: List[Any], config: EvalConfig) -> Any:
     return 0
 
 
-@builtin("SQRT", 1, 1)
+@builtin("SQRT", 1, 1, result="NUMBER")
 def sqrt(args: List[Any], config: EvalConfig) -> Any:
     value = _number_arg("SQRT", args[0])
     if value < 0:
@@ -68,17 +68,20 @@ def sqrt(args: List[Any], config: EvalConfig) -> Any:
     return math.sqrt(value)
 
 
-@builtin("POWER", 2, 2)
+@builtin("POWER", 2, 2, result="NUMBER")
 def power(args: List[Any], config: EvalConfig) -> Any:
     base = _number_arg("POWER", args[0])
     exponent = _number_arg("POWER", args[1])
-    return base**exponent
+    result = base**exponent
+    if isinstance(result, complex):
+        raise ValueError("POWER of a negative number to a non-integral power")
+    return result
 
 
 REGISTRY.alias("POWER", "POW")
 
 
-@builtin("MOD", 2, 2)
+@builtin("MOD", 2, 2, result="NUMBER")
 def mod(args: List[Any], config: EvalConfig) -> Any:
     left = _number_arg("MOD", args[0])
     right = _number_arg("MOD", args[1])
@@ -87,12 +90,12 @@ def mod(args: List[Any], config: EvalConfig) -> Any:
     return left % right
 
 
-@builtin("EXP", 1, 1)
+@builtin("EXP", 1, 1, result="NUMBER")
 def exp(args: List[Any], config: EvalConfig) -> Any:
     return math.exp(_number_arg("EXP", args[0]))
 
 
-@builtin("LN", 1, 1)
+@builtin("LN", 1, 1, result="NUMBER")
 def ln(args: List[Any], config: EvalConfig) -> Any:
     value = _number_arg("LN", args[0])
     if value <= 0:
@@ -100,7 +103,7 @@ def ln(args: List[Any], config: EvalConfig) -> Any:
     return math.log(value)
 
 
-@builtin("LOG10", 1, 1)
+@builtin("LOG10", 1, 1, result="NUMBER")
 def log10(args: List[Any], config: EvalConfig) -> Any:
     value = _number_arg("LOG10", args[0])
     if value <= 0:
@@ -108,6 +111,6 @@ def log10(args: List[Any], config: EvalConfig) -> Any:
     return math.log10(value)
 
 
-@builtin("PI", 0, 0)
+@builtin("PI", 0, 0, result="NUMBER")
 def pi(args: List[Any], config: EvalConfig) -> float:
     return math.pi

@@ -14,6 +14,16 @@ null input, would return a non-null result, the same expression returns
 the same result given MISSING") is carried by the individual function
 implementations, which receive the :class:`~repro.config.EvalConfig` and
 check its ``sql_compat`` flag.
+
+Each builtin also declares its result type once, where it is
+registered: ``result=`` is an ``IS`` kind of
+:func:`repro.functions.operators.is_predicate` (``NUMBER``, ``STRING``,
+``BOOLEAN``, ``ARRAY``, ``BAG``, ``TUPLE``) that every non-absent
+result satisfies, ``"ARGUMENT"`` when the result is one of the
+arguments (the ``COALESCE`` family), or None when nothing is known.
+The type-flow walk (:mod:`repro.analysis.typeflow`) reads it, and a
+property in ``tests/analysis/test_transfer.py`` checks it against the
+implementation.
 """
 
 from __future__ import annotations
@@ -39,21 +49,26 @@ class FunctionDef:
     max_args: Optional[int]  # None = variadic
     propagate_absent: bool = True
     is_aggregate: bool = False  # True for the COLL_* collection aggregates
+    result: Optional[str] = None  # the declared result (module docstring)
+
+    def arity_error(self, count: int) -> Optional[str]:
+        """Why a call with ``count`` arguments is refused, or None."""
+        if count >= self.min_args and (
+            self.max_args is None or count <= self.max_args
+        ):
+            return None
+        expected = (
+            str(self.min_args)
+            if self.max_args == self.min_args
+            else f"{self.min_args}..{self.max_args or 'N'}"
+        )
+        return f"{self.name} expects {expected} argument(s), got {count}"
 
     def invoke(self, args: List[Any], config: EvalConfig) -> Any:
         """Check arity, apply the absence rule, call the implementation."""
-        count = len(args)
-        if count < self.min_args or (
-            self.max_args is not None and count > self.max_args
-        ):
-            expected = (
-                str(self.min_args)
-                if self.max_args == self.min_args
-                else f"{self.min_args}..{self.max_args or 'N'}"
-            )
-            raise EvaluationError(
-                f"{self.name} expects {expected} argument(s), got {count}"
-            )
+        refused = self.arity_error(len(args))
+        if refused is not None:
+            raise EvaluationError(refused)
         if self.propagate_absent:
             if any(arg is MISSING for arg in args):
                 return MISSING
@@ -83,8 +98,11 @@ class FunctionRegistry:
         max_args: Optional[int] = -1,
         propagate_absent: bool = True,
         is_aggregate: bool = False,
+        *,
+        result: Optional[str],
     ) -> FunctionDef:
-        """Register a builtin.  ``max_args=-1`` means ``max_args=min_args``."""
+        """Register a builtin.  ``max_args=-1`` means ``max_args=min_args``;
+        ``result`` is required (module docstring)."""
         if max_args == -1:
             max_args = min_args
         definition = FunctionDef(
@@ -94,6 +112,7 @@ class FunctionRegistry:
             max_args=max_args,
             propagate_absent=propagate_absent,
             is_aggregate=is_aggregate,
+            result=result,
         )
         self._functions[definition.name] = definition
         return definition
@@ -124,6 +143,8 @@ def builtin(
     max_args: Optional[int] = -1,
     propagate_absent: bool = True,
     is_aggregate: bool = False,
+    *,
+    result: Optional[str],
 ):
     """Decorator registering a function in :data:`REGISTRY`."""
 
@@ -135,6 +156,7 @@ def builtin(
             max_args,
             propagate_absent=propagate_absent,
             is_aggregate=is_aggregate,
+            result=result,
         )
         return fn
 

@@ -8,7 +8,7 @@ composability-first setting) a MISSING input propagates instead.
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, Dict, List
 
 from repro.config import EvalConfig
 from repro.datamodel.values import MISSING, Bag, Struct, type_name
@@ -16,7 +16,7 @@ from repro.errors import EvaluationError
 from repro.functions.registry import builtin
 
 
-@builtin("COALESCE", 1, None, propagate_absent=False)
+@builtin("COALESCE", 1, None, propagate_absent=False, result="ARGUMENT")
 def coalesce(args: List[Any], config: EvalConfig) -> Any:
     """First non-absent argument.
 
@@ -35,28 +35,28 @@ def coalesce(args: List[Any], config: EvalConfig) -> Any:
     return None
 
 
-@builtin("IFNULL", 2, 2, propagate_absent=False)
+@builtin("IFNULL", 2, 2, propagate_absent=False, result="ARGUMENT")
 def ifnull(args: List[Any], config: EvalConfig) -> Any:
     """``IFNULL(x, default)`` — default when x is NULL (MISSING passes through)."""
     value, default = args
     return default if value is None else value
 
 
-@builtin("IFMISSING", 2, 2, propagate_absent=False)
+@builtin("IFMISSING", 2, 2, propagate_absent=False, result="ARGUMENT")
 def ifmissing(args: List[Any], config: EvalConfig) -> Any:
     """``IFMISSING(x, default)`` — default when x is MISSING."""
     value, default = args
     return default if value is MISSING else value
 
 
-@builtin("IFMISSINGORNULL", 2, 2, propagate_absent=False)
+@builtin("IFMISSINGORNULL", 2, 2, propagate_absent=False, result="ARGUMENT")
 def ifmissingornull(args: List[Any], config: EvalConfig) -> Any:
     """``IFMISSINGORNULL(x, default)`` — default when x is absent."""
     value, default = args
     return default if value is None or value is MISSING else value
 
 
-@builtin("NULLIF", 2, 2, propagate_absent=False)
+@builtin("NULLIF", 2, 2, propagate_absent=False, result=None)
 def nullif(args: List[Any], config: EvalConfig) -> Any:
     """``NULLIF(a, b)`` — NULL when a = b, else a."""
     from repro.functions.operators import equals
@@ -70,7 +70,7 @@ def nullif(args: List[Any], config: EvalConfig) -> Any:
     return left
 
 
-@builtin("MISSINGIF", 2, 2, propagate_absent=False)
+@builtin("MISSINGIF", 2, 2, propagate_absent=False, result=None)
 def missingif(args: List[Any], config: EvalConfig) -> Any:
     """``MISSINGIF(a, b)`` — MISSING when a = b, else a (Couchbase-style)."""
     from repro.functions.operators import equals
@@ -84,7 +84,7 @@ def missingif(args: List[Any], config: EvalConfig) -> Any:
     return left
 
 
-@builtin("TYPEOF", 1, 1, propagate_absent=False)
+@builtin("TYPEOF", 1, 1, propagate_absent=False, result="STRING")
 def typeof(args: List[Any], config: EvalConfig) -> str:
     """The SQL++ type name of the argument (``'missing'`` for MISSING)."""
     return type_name(args[0])
@@ -95,9 +95,15 @@ _CAST_FLOAT = ("FLOAT", "DOUBLE", "REAL", "DECIMAL")
 _CAST_STRING = ("STRING", "VARCHAR", "CHAR", "TEXT")
 _CAST_BOOLEAN = ("BOOLEAN", "BOOL")
 
-#: Every type name ``CAST`` converts to; any other target raises in both
-#: typing modes (it is not a dynamic type error).
-CAST_TARGETS = frozenset(_CAST_INTEGER + _CAST_FLOAT + _CAST_STRING + _CAST_BOOLEAN)
+#: Every type name ``CAST`` converts to, and the ``IS`` kind of what it
+#: produces; any other target raises in both typing modes (it is not a
+#: dynamic type error).
+CAST_TARGETS: Dict[str, str] = {
+    **dict.fromkeys(_CAST_INTEGER, "INTEGER"),
+    **dict.fromkeys(_CAST_FLOAT, "FLOAT"),
+    **dict.fromkeys(_CAST_STRING, "STRING"),
+    **dict.fromkeys(_CAST_BOOLEAN, "BOOLEAN"),
+}
 
 
 def cast_value(value: Any, target: str, config: EvalConfig) -> Any:
@@ -158,12 +164,12 @@ def to_string_value(value: Any) -> str:
     raise ValueError(f"cannot convert {type_name(value)} to string")
 
 
-@builtin("TO_STRING", 1, 1)
+@builtin("TO_STRING", 1, 1, result="STRING")
 def to_string(args: List[Any], config: EvalConfig) -> Any:
     return to_string_value(args[0])
 
 
-@builtin("ATTRIBUTE_NAMES", 1, 1)
+@builtin("ATTRIBUTE_NAMES", 1, 1, result="ARRAY")
 def attribute_names(args: List[Any], config: EvalConfig) -> Any:
     """The attribute names of a tuple, as an array of strings."""
     value = args[0]
@@ -174,7 +180,7 @@ def attribute_names(args: List[Any], config: EvalConfig) -> Any:
     return value.keys()
 
 
-@builtin("TUPLE_UNION", 2, None)
+@builtin("TUPLE_UNION", 2, None, result="TUPLE")
 def tuple_union(args: List[Any], config: EvalConfig) -> Any:
     """Concatenate the attribute pairs of two or more tuples."""
     pairs: list = []
@@ -187,7 +193,7 @@ def tuple_union(args: List[Any], config: EvalConfig) -> Any:
     return Struct(pairs)
 
 
-@builtin("GREATEST", 2, None)
+@builtin("GREATEST", 2, None, result=None)
 def greatest(args: List[Any], config: EvalConfig) -> Any:
     """Largest of the arguments (pairwise comparable scalars)."""
     from repro.functions.operators import compare
@@ -199,7 +205,7 @@ def greatest(args: List[Any], config: EvalConfig) -> Any:
     return best
 
 
-@builtin("LEAST", 2, None)
+@builtin("LEAST", 2, None, result=None)
 def least(args: List[Any], config: EvalConfig) -> Any:
     """Smallest of the arguments (pairwise comparable scalars)."""
     from repro.functions.operators import compare
@@ -218,7 +224,7 @@ REGISTRY.alias("IFNULL", "NVL")
 REGISTRY.alias("TYPEOF", "TYPE")
 
 
-@builtin("BAG", 0, None, propagate_absent=False)
+@builtin("BAG", 0, None, propagate_absent=False, result="BAG")
 def bag_constructor(args: List[Any], config: EvalConfig) -> Bag:
     """Function-style bag constructor: ``BAG(1, 2, 3)``."""
     return Bag(arg for arg in args if arg is not MISSING)

@@ -20,17 +20,17 @@ def _string_arg(name: str, value: Any, config: EvalConfig) -> str:
     return value
 
 
-@builtin("LOWER", 1, 1)
+@builtin("LOWER", 1, 1, result="STRING")
 def lower(args: List[Any], config: EvalConfig) -> Any:
     return _string_arg("LOWER", args[0], config).lower()
 
 
-@builtin("UPPER", 1, 1)
+@builtin("UPPER", 1, 1, result="STRING")
 def upper(args: List[Any], config: EvalConfig) -> Any:
     return _string_arg("UPPER", args[0], config).upper()
 
 
-@builtin("CHAR_LENGTH", 1, 1)
+@builtin("CHAR_LENGTH", 1, 1, result="NUMBER")
 def char_length(args: List[Any], config: EvalConfig) -> Any:
     return len(_string_arg("CHAR_LENGTH", args[0], config))
 
@@ -38,7 +38,7 @@ def char_length(args: List[Any], config: EvalConfig) -> Any:
 REGISTRY.alias("CHAR_LENGTH", "CHARACTER_LENGTH", "LENGTH")
 
 
-@builtin("SUBSTRING", 2, 3)
+@builtin("SUBSTRING", 2, 3, result="STRING")
 def substring(args: List[Any], config: EvalConfig) -> Any:
     """``SUBSTRING(s, start [, length])`` with SQL's 1-based start."""
     text = _string_arg("SUBSTRING", args[0], config)
@@ -61,28 +61,28 @@ def substring(args: List[Any], config: EvalConfig) -> Any:
 REGISTRY.alias("SUBSTRING", "SUBSTR")
 
 
-@builtin("TRIM", 1, 2)
+@builtin("TRIM", 1, 2, result="STRING")
 def trim(args: List[Any], config: EvalConfig) -> Any:
     text = _string_arg("TRIM", args[0], config)
     chars = _string_arg("TRIM", args[1], config) if len(args) == 2 else None
     return text.strip(chars)
 
 
-@builtin("LTRIM", 1, 2)
+@builtin("LTRIM", 1, 2, result="STRING")
 def ltrim(args: List[Any], config: EvalConfig) -> Any:
     text = _string_arg("LTRIM", args[0], config)
     chars = _string_arg("LTRIM", args[1], config) if len(args) == 2 else None
     return text.lstrip(chars)
 
 
-@builtin("RTRIM", 1, 2)
+@builtin("RTRIM", 1, 2, result="STRING")
 def rtrim(args: List[Any], config: EvalConfig) -> Any:
     text = _string_arg("RTRIM", args[0], config)
     chars = _string_arg("RTRIM", args[1], config) if len(args) == 2 else None
     return text.rstrip(chars)
 
 
-@builtin("REPLACE", 3, 3)
+@builtin("REPLACE", 3, 3, result="STRING")
 def replace(args: List[Any], config: EvalConfig) -> Any:
     text = _string_arg("REPLACE", args[0], config)
     old = _string_arg("REPLACE", args[1], config)
@@ -90,7 +90,7 @@ def replace(args: List[Any], config: EvalConfig) -> Any:
     return text.replace(old, new)
 
 
-@builtin("POSITION", 2, 2)
+@builtin("POSITION", 2, 2, result="NUMBER")
 def position(args: List[Any], config: EvalConfig) -> Any:
     """``POSITION(needle, haystack)`` — 1-based index, 0 when absent."""
     needle = _string_arg("POSITION", args[0], config)
@@ -98,28 +98,28 @@ def position(args: List[Any], config: EvalConfig) -> Any:
     return haystack.find(needle) + 1
 
 
-@builtin("CONTAINS", 2, 2)
+@builtin("CONTAINS", 2, 2, result="BOOLEAN")
 def contains(args: List[Any], config: EvalConfig) -> Any:
     haystack = _string_arg("CONTAINS", args[0], config)
     needle = _string_arg("CONTAINS", args[1], config)
     return needle in haystack
 
 
-@builtin("STARTS_WITH", 2, 2)
+@builtin("STARTS_WITH", 2, 2, result="BOOLEAN")
 def starts_with(args: List[Any], config: EvalConfig) -> Any:
     text = _string_arg("STARTS_WITH", args[0], config)
     prefix = _string_arg("STARTS_WITH", args[1], config)
     return text.startswith(prefix)
 
 
-@builtin("ENDS_WITH", 2, 2)
+@builtin("ENDS_WITH", 2, 2, result="BOOLEAN")
 def ends_with(args: List[Any], config: EvalConfig) -> Any:
     text = _string_arg("ENDS_WITH", args[0], config)
     suffix = _string_arg("ENDS_WITH", args[1], config)
     return text.endswith(suffix)
 
 
-@builtin("SPLIT", 2, 2)
+@builtin("SPLIT", 2, 2, result="ARRAY")
 def split(args: List[Any], config: EvalConfig) -> Any:
     """Split a string into an array on a separator."""
     text = _string_arg("SPLIT", args[0], config)
@@ -129,13 +129,13 @@ def split(args: List[Any], config: EvalConfig) -> Any:
     return text.split(separator)
 
 
-@builtin("CONCAT", 1, None)
+@builtin("CONCAT", 1, None, result="STRING")
 def concat_fn(args: List[Any], config: EvalConfig) -> Any:
     """Variadic string concatenation (function form of ``||``)."""
     return "".join(_string_arg("CONCAT", arg, config) for arg in args)
 
 
-@builtin("REVERSE", 1, 1)
+@builtin("REVERSE", 1, 1, result=None)
 def reverse(args: List[Any], config: EvalConfig) -> Any:
     value = args[0]
     if isinstance(value, str):
@@ -145,7 +145,7 @@ def reverse(args: List[Any], config: EvalConfig) -> Any:
     raise TypeError(f"REVERSE expects a string or array, got {type_name(value)}")
 
 
-@builtin("REPEAT", 2, 2)
+@builtin("REPEAT", 2, 2, result="STRING")
 def repeat(args: List[Any], config: EvalConfig) -> Any:
     text = _string_arg("REPEAT", args[0], config)
     count = args[1]

@@ -152,6 +152,7 @@ class TestConjunctionSatisfiability:
             "t.x < 'a' AND t.x > 5",  # disjoint categories
             "t.x = 1 AND t.x IS NULL",
             "t.x IS MISSING AND t.x IS NOT MISSING",
+            "t.x IS ARRAY AND t.x IS STRING",
             "t.x = NULL",  # absent literal never =-matches
             "t.x IN [] AND t.x = 1",
             "t.x IN [1, 2] AND t.x = 3",
@@ -172,6 +173,7 @@ class TestConjunctionSatisfiability:
             "t.x IN [1, 2] AND t.x = 2",
             "t.x != 1 AND t.x != 2",
             "t.x IS NULL",
+            "t.x IS NUMBER AND t.x IS NOT INTEGER",  # 2.5
             "t.x > 5 AND t.y < 3",  # different terms
             "t.x < t.y",  # no constant side
         ],

@@ -47,6 +47,19 @@ class TestCheck:
         )
         assert "SQLPP102" in codes(found)
 
+    def test_a_null_index_is_not_always_missing(self):
+        # n[i] with i NULL is NULL on the engine and the oracle alike.
+        db = Database()
+        db.set("t", [{"n": 5, "i": None}])
+        query = "SELECT VALUE r.n[r.i] FROM t AS r"
+        for typing_mode in ("permissive", "strict"):
+            for optimize in (True, False):
+                result = db.execute(
+                    query, typing_mode=typing_mode, optimize=optimize
+                )
+                assert list(result) == [None]
+            assert db.check(query, typing_mode=typing_mode) == []
+
     def test_suppress_parameter(self):
         db = Database()
         db.set("emp", [{"name": "bob", "age": 41}])

@@ -30,8 +30,14 @@ print(json.dumps(sorted(
 )))
 """
 
-#: What the compile path needs: constant folding and the plan verifier.
-ALLOWED = {"repro.analysis", "repro.analysis.absint", "repro.analysis.verify_plan"}
+#: What the compile path needs: constant folding, the plan verifier and,
+#: for a WHERE clause, the lattice the conjunction domain reads.
+ALLOWED = {
+    "repro.analysis",
+    "repro.analysis.absint",
+    "repro.analysis.lattice",
+    "repro.analysis.verify_plan",
+}
 
 
 def test_plain_execute_loads_only_folding_and_the_verifier():

@@ -93,51 +93,62 @@ LEAVES = st.sampled_from(
 )
 
 
-def _unary(sub):
-    return st.one_of(
-        # Parenthesized as a whole: NOT binds looser than the arithmetic
-        # and comparison operators, so a bare "NOT (x)" nested as a
-        # binary operand ("x + NOT (x)") would not parse.
-        sub.map(lambda a: f"(NOT ({a}))"),
-        sub.map(lambda a: f"({a} IS MISSING)"),
-        sub.map(lambda a: f"({a} IS NULL)"),
-        sub.map(lambda a: f"ABS({a})"),
-        sub.map(lambda a: f"-({a})"),
-        sub.map(lambda a: f"(EXISTS ({a}))"),
-    )
+#: Expression templates by arity.  One ``builds`` per arity keeps the
+#: recursive strategy small: hypothesis labels every branch that
+#: mentions the sub-strategy, at a cost that grows with their number.
+UNARY = [
+    # Parenthesized as a whole: NOT binds looser than the arithmetic
+    # and comparison operators, so a bare "NOT (x)" nested as a
+    # binary operand ("x + NOT (x)") would not parse.
+    "(NOT ({0}))",
+    "({0} IS MISSING)",
+    "({0} IS NULL)",
+    "ABS({0})",
+    "-({0})",
+    "(EXISTS ({0}))",
+    "{{'k': {0}}}",
+    "{{'k': {0}}}.k",
+    "ROUND({0})",
+    "CHAR_LENGTH({0})",
+    "CAST({0} AS INT)",
+    "CAST({0} AS STRING)",
+    "CAST({0} AS BOOLEAN)",
+    # Constant exponents only: nested powers of generated operands
+    # would build integers of millions of digits.
+    "POWER({0}, 2)",
+    "POWER({0}, 0.5)",
+    "POWER({0}, 2.5)",
+    "POWER({0}, -1)",
+    "POWER({0}, nn)",
+]
 
-
-def _binary(sub):
-    ops = st.sampled_from(
-        [
+BINARY = [
+    *(
+        f"({{0}} {op} {{1}})"
+        for op in (
             "+", "-", "*", "/", "%", "=", "!=", "<", "<=", ">", ">=",
-            "AND", "OR", "||",
-        ]
-    )
-    return st.one_of(
-        st.builds(lambda op, a, b: f"({a} {op} {b})", ops, sub, sub),
-        st.builds(lambda a, b: f"({a} IN {b})", sub, sub),
-    )
+            "AND", "OR", "||", "IN", "LIKE",
+        )
+    ),
+    "({0})[{1}]",
+    "[{0}, {1}]",
+    "COALESCE({0}, {1})",
+    "SUBSTRING({0}, {1})",
+    "ROUND({0}, {1})",
+]
 
-
-def _shaped(sub):
-    return st.one_of(
-        st.builds(lambda a, b: f"[{a}, {b}]", sub, sub),
-        sub.map(lambda a: f"{{'k': {a}}}"),
-        sub.map(lambda a: f"{{'k': {a}}}.k"),
-        st.builds(lambda a, b: f"COALESCE({a}, {b})", sub, sub),
-        st.builds(
-            lambda a, b, c: f"CASE WHEN {a} THEN {b} ELSE {c} END",
-            sub,
-            sub,
-            sub,
-        ),
-    )
-
+TERNARY = [
+    "CASE WHEN {0} THEN {1} ELSE {2} END",
+    "({0} BETWEEN {1} AND {2})",
+]
 
 EXPRESSIONS = st.recursive(
     LEAVES,
-    lambda sub: st.one_of(_unary(sub), _binary(sub), _shaped(sub)),
+    lambda sub: st.one_of(
+        st.builds(str.format, st.sampled_from(UNARY), sub),
+        st.builds(str.format, st.sampled_from(BINARY), sub, sub),
+        st.builds(str.format, st.sampled_from(TERNARY), sub, sub, sub),
+    ),
     max_leaves=8,
 )
 
@@ -147,9 +158,10 @@ EXPRESSIONS = st.recursive(
     source=EXPRESSIONS,
     bindings=st.fixed_dictionaries(VARIABLES),
     typing_mode=st.sampled_from(["permissive", "strict"]),
+    sql_compat=st.booleans(),
 )
 def test_static_categories_contain_runtime_category(
-    source, bindings, typing_mode
+    source, bindings, typing_mode, sql_compat
 ):
     values = {
         name: from_python(value) for name, value in bindings.items()
@@ -157,7 +169,7 @@ def test_static_categories_contain_runtime_category(
     env_types = {
         name: atype_of_value(value) for name, value in values.items()
     }
-    config = EvalConfig(typing_mode=typing_mode, sql_compat=False)
+    config = EvalConfig(typing_mode=typing_mode, sql_compat=sql_compat)
 
     inferred, _diagnostics = infer_expression(
         source, env_types, config=config
@@ -175,7 +187,7 @@ def test_static_categories_contain_runtime_category(
 
     assert category_of(value) in inferred.cats, (
         f"{source!r} evaluated to category {category_of(value)} "
-        f"outside inferred {inferred.describe()} ({typing_mode})"
+        f"outside inferred {inferred.describe()} ({config})"
     )
     if inferred.is_always_missing():
         assert value is MISSING
@@ -198,6 +210,24 @@ def test_collection_operands(source, category):
     assert category in inferred.cats
     assert not inferred.is_always_missing()
     assert diagnostics == []
+
+
+@pytest.mark.parametrize(
+    "source, described",
+    [
+        ("0[NULL]", "null|missing"),
+        ("'abc'[NULL]", "null|missing"),
+        ("[1, 2][NULL]", "number|null|missing"),
+        ("[1, 2][nn]", "number|null|missing"),
+        ("0[1]", "missing"),
+    ],
+)
+def test_a_null_index_may_produce_null(source, described):
+    inferred, diagnostics = infer_expression(source, {"nn": scalar("null")})
+    assert inferred.describe() == described
+    assert [d.code for d in diagnostics] == (
+        ["SQLPP101"] if described == "missing" else []
+    )
 
 
 @settings(max_examples=150, deadline=None)

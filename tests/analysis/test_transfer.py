@@ -1,24 +1,34 @@
-"""The derived operator transfer, and the builtin result table.
+"""The lattice's derived transfers, and each builtin's declared result.
 
-``transfer`` runs the real operators over
-representative values of each category; the property here checks the
-representative-value assumption on arbitrary values, nested collections
-included, in both typing modes: the category of every concrete result
-is in the derived set.  The exhaustiveness test makes a new builtin
-declare its abstract result before it can ship.
+``transfer`` and ``is_kind_categories`` run the real operators and
+``IS`` over γ, the representative values of each category; the
+properties here check the representative-value assumption on arbitrary
+values, nested collections included, in both typing modes: the
+category of every concrete result is in the derived set.  Every
+builtin declares its result type where it is registered, and every
+non-absent result it returns, over γ and over generated arguments,
+satisfies that declaration.
 """
+
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import typeflow
-from repro.analysis.lattice import CATEGORIES, category_of
-from repro.analysis.typeflow import transfer
+from repro.analysis import lattice
+from repro.analysis.lattice import (
+    CATEGORIES,
+    category_of,
+    is_kind_categories,
+    transfer,
+)
+from repro.analysis.typeflow import infer_expression
 from repro.config import EvalConfig
 from repro.datamodel.values import MISSING, Bag, Struct
 from repro.errors import SQLPPError
 from repro.functions import operators as ops
 from repro.functions.registry import REGISTRY
+from repro.functions.scalar import CAST_TARGETS, cast_value
 
 MODES = [EvalConfig(typing_mode="permissive"), EvalConfig(typing_mode="strict")]
 
@@ -95,15 +105,86 @@ def test_every_symbol_and_category_pair_has_a_result():
                 assert transfer(op, left, right), (op, left, right)
 
 
+#: γ: the lattice's representative values of every category.
+GAMMA = [v for values in lattice._representatives().values() for v in values]
+
+
+def _declared_result_holds(definition, args, config):
+    """Whether ``definition``'s declared result admits what it returns
+    for ``args`` (an error or an absent result admits anything)."""
+    try:
+        result = definition.invoke(list(args), config)
+    except SQLPPError:
+        return True
+    if result is None or result is MISSING or definition.result is None:
+        return True
+    if definition.result == "ARGUMENT":
+        return any(result is arg for arg in args)
+    return ops.is_predicate(result, definition.result, config) is True
+
+
 @pytest.mark.parametrize("name", REGISTRY.names())
 def test_every_builtin_declares_its_abstract_result(name):
-    canonical = REGISTRY.lookup(name).name
-    homes = [
-        canonical in typeflow._CALL_RESULTS,
-        canonical in typeflow._COALESCE_FAMILY,
-        canonical in typeflow._UNKNOWN_RESULTS,
-    ]
-    assert homes.count(True) == 1, (
-        f"{name} ({canonical}) needs an abstract result: a _CALL_RESULTS "
-        "entry, the COALESCE family, or _UNKNOWN_RESULTS"
-    )
+    definition = REGISTRY.lookup(name)
+    declared = definition.result
+    assert declared is None or declared == "ARGUMENT" or declared in ops.IS_KINDS
+    most = definition.max_args
+    if most is None:
+        most = definition.min_args + 1
+    for count in range(definition.min_args, min(most, 3) + 1):
+        for args in product(GAMMA, repeat=count):
+            for config in MODES:
+                assert _declared_result_holds(definition, args, config), (name, args)
+
+
+CANONICAL = sorted({REGISTRY.lookup(name).name for name in REGISTRY.names()})
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    name=st.sampled_from(CANONICAL), data=st.data(), config=st.sampled_from(MODES)
+)
+def test_builtin_results_satisfy_their_declared_kind(name, data, config):
+    definition = REGISTRY.lookup(name)
+    most = definition.max_args
+    if most is None:
+        most = definition.min_args + 2
+    args = data.draw(st.lists(values, min_size=definition.min_args, max_size=most))
+    assert _declared_result_holds(definition, args, config), (name, args)
+
+
+def test_every_cast_target_declares_its_result():
+    for (target, kind), value, config in product(CAST_TARGETS.items(), GAMMA, MODES):
+        try:
+            result = cast_value(value, target, config)
+        except SQLPPError:
+            continue
+        if result is not None and result is not MISSING:
+            assert ops.is_predicate(result, kind, config), (target, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(ops.IS_KINDS)), value=values)
+def test_is_kind_map_contains_the_category_of_every_verdict(kind, value):
+    for config in MODES:
+        verdict = ops.is_predicate(value, kind, config)
+        assert category_of(value) in is_kind_categories(kind, negated=not verdict)
+
+
+@pytest.mark.parametrize(
+    "source, described",
+    [
+        ("CAST(x AS NUMERIC)", lattice.TOP.describe()),
+        ("CAST(x AS NUMBER)", lattice.TOP.describe()),
+        ("CAST(x AS BIGINT)", "number|null|missing"),
+        ("CAST(x AS TEXT)", "string|null|missing"),
+        ("POWER(x, 2)", "number|null|missing"),
+        ("IFNULL(x, 'a')", "number|string|null|missing"),
+        ("GREATEST(x, 2)", lattice.TOP.describe()),
+    ],
+)
+def test_calls_and_casts_read_the_declarations(source, described):
+    inferred, diagnostics = infer_expression(source, {"x": lattice.NUMBER_T})
+    assert inferred.describe() == described
+    assert diagnostics == []
+

@@ -29,6 +29,11 @@ class TestOneShot:
     def test_strict_flag(self, capsys):
         assert main(["--strict", "-c", "1 + 'a'"]) == 1
 
+    def test_power_with_no_real_result(self, capsys):
+        assert main(["-c", "SELECT VALUE POWER(-1, 0.5)"]) == 0
+        assert main(["--strict", "-c", "SELECT VALUE POWER(-1, 0.5)"]) == 1
+        assert "POWER" in capsys.readouterr().err
+
 
 class TestScriptsAndLoading:
     def test_script_file(self, tmp_path, capsys):

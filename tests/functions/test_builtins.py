@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from repro.datamodel.values import MISSING
+from repro.errors import TypeCheckError
 
 
 @pytest.fixture
@@ -108,6 +110,18 @@ class TestNumerics:
         assert run("SQRT(-1) IS MISSING") is True
         assert run("LN(0) IS MISSING") is True
         assert run("MOD(1, 0) IS MISSING") is True
+
+    def test_power_never_returns_a_complex_number(self, db):
+        # A negative base to a non-integral power has no real result: a
+        # dynamic type error like SQRT(-1), not a Python complex.
+        db.set("t", [{"b": -1, "e": 0.5}, {"b": 2, "e": 10}])
+        query = "SELECT VALUE POWER(r.b, r.e) + 1 FROM t AS r"
+        for optimize in (True, False):
+            assert db.execute("POWER(-1, 0.5) IS MISSING", optimize=optimize)
+            assert list(db.execute(query, optimize=optimize)) == [MISSING, 1025]
+        with pytest.raises(TypeCheckError, match="POWER"):
+            db.execute(query, typing_mode="strict")
+        assert type(db.execute("POWER(2, 10)")) is int
 
 
 class TestCollections:

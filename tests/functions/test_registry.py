@@ -11,7 +11,7 @@ from repro.functions.registry import FunctionRegistry
 @pytest.fixture
 def registry():
     reg = FunctionRegistry()
-    reg.register("ADD", lambda args, config: args[0] + args[1], 2)
+    reg.register("ADD", lambda args, config: args[0] + args[1], 2, result="NUMBER")
     reg.register(
         "FIRST_PRESENT",
         lambda args, config: next(
@@ -20,6 +20,7 @@ def registry():
         1,
         None,
         propagate_absent=False,
+        result="ARGUMENT",
     )
     return reg
 

@@ -543,6 +543,26 @@ def test_a_cast_runs_under_the_query_typing_mode(typing_mode):
         assert same(want, outcome(run)), name
 
 
+@pytest.mark.parametrize("typing_mode", ["permissive", "strict"])
+def test_power_without_a_real_result_is_a_dynamic_type_error(typing_mode):
+    config = EvalConfig(typing_mode=typing_mode)
+    engine = Evaluator(Catalog(), config)
+    oracle = ReferenceEvaluator(Catalog(), config)
+    tree = ast.FunctionCall("POWER", [ast.VarRef("a"), ast.VarRef("b")])
+    for values, want in (((-1, 0.5), None), ((2, 10), ("value", 1024))):
+        runs = forms_over(tree, values, engine)
+        env = Environment(dict(zip("ab", values)))
+        runs["oracle"] = lambda: oracle.eval_expr(tree, env)
+        for name, run in runs.items():
+            got = outcome(run)
+            if want is not None:
+                assert same(want, got), name
+            elif typing_mode == "strict":
+                assert got[:2] == ("error", "TypeCheckError"), name
+            else:
+                assert got == ("value", MISSING), name
+
+
 def test_an_unknown_unary_symbol_raises_when_evaluated():
     # As an unknown binary symbol does: not unary plus, and not before a
     # row reaches it.
