@@ -1,7 +1,8 @@
 """E18 — the semantic rewrite registry (docs/REWRITER.md).
 
-A/B of ``rewrite=True`` vs ``rewrite=False`` (physical planning on in
-both arms) on the shapes the registry targets:
+A/B of the engine with its rule registry against the same engine with
+the registry emptied for the call (:func:`naive`; physical
+planning on in both arms) on the shapes the registry targets:
 
 * correlated ``EXISTS`` at n=10k and n=100k — SQLPPR01 turns the
   per-outer-row subquery re-evaluation (O(outer × inner)) into a
@@ -13,18 +14,21 @@ both arms) on the shapes the registry targets:
 * a CSE-heavy query — SQLPPR04 evaluates the repeated subquery once
   per binding instead of once per occurrence.
 
-Both arms must agree exactly on every result (bag comparison) — the
-same contract the compat-kit sweep (tests/compat/test_rewrite_parity.py)
-pins corpus-wide.
+Both arms must agree exactly on every result (bag comparison); the
+compat-kit sweep (tests/compat/test_rewrite_parity.py) pins the
+registry against the oracle (``optimize=False``) corpus-wide, which is
+too slow to time here.
 """
 
 from __future__ import annotations
 
 import time
+from unittest import mock
 
 import pytest
 
 from repro import Database
+from repro.core import rewrite_rules
 from repro.datamodel.equality import deep_equals
 from repro.datamodel.values import Bag
 
@@ -53,6 +57,15 @@ CSE_QUERY = (
 )
 
 
+def naive(db: Database, query: str):
+    """``query`` on ``db`` with no rule in the registry; the changed
+    registry version keeps it in a compile-cache entry of its own."""
+    with mock.patch.multiple(
+        rewrite_rules, RULES=(), REGISTRY_VERSION=-rewrite_rules.REGISTRY_VERSION
+    ):
+        return db.execute(query)
+
+
 def tables(n: int):
     n_customers = max(n // 10, 10)
     customers = [{"id": i, "name": f"c{i}"} for i in range(n_customers)]
@@ -76,7 +89,7 @@ def build_db(n: int) -> Database:
 def small_db():
     db = build_db(N_SMALL)
     db.execute(EXISTS_QUERY)  # warm both arms' compile caches
-    db.execute(EXISTS_QUERY, rewrite=False)
+    naive(db, EXISTS_QUERY)
     return db
 
 
@@ -91,8 +104,8 @@ def big_db():
 def agreement_verified(small_db):
     """Both arms agree on every benchmarked query (checked once)."""
     for query in (EXISTS_QUERY, OR_QUERY, CSE_QUERY):
-        on = small_db.execute(query, rewrite=True)
-        off = small_db.execute(query, rewrite=False)
+        on = small_db.execute(query)
+        off = naive(small_db, query)
         assert deep_equals(Bag(list(on)), Bag(list(off))), query
     return True
 
@@ -101,7 +114,7 @@ def agreement_verified(small_db):
 class TestCorrelatedExists:
     def test_naive_correlated(self, benchmark, small_db, agreement_verified):
         benchmark.pedantic(
-            lambda: small_db.execute(EXISTS_QUERY, rewrite=False),
+            lambda: naive(small_db, EXISTS_QUERY),
             rounds=2,
             iterations=1,
         )
@@ -119,7 +132,7 @@ class TestCorrelatedExistsAtScale:
 @pytest.mark.benchmark(group="E18-or-chain-n10000")
 class TestOrChain:
     def test_linear_or_probe(self, benchmark, small_db, agreement_verified):
-        benchmark(lambda: small_db.execute(OR_QUERY, rewrite=False))
+        benchmark(lambda: naive(small_db, OR_QUERY))
 
     def test_in_set_probe(self, benchmark, small_db, agreement_verified):
         benchmark(lambda: small_db.execute(OR_QUERY))
@@ -129,7 +142,7 @@ class TestOrChain:
 class TestCse:
     def test_per_occurrence(self, benchmark, small_db, agreement_verified):
         benchmark.pedantic(
-            lambda: small_db.execute(CSE_QUERY, rewrite=False),
+            lambda: naive(small_db, CSE_QUERY),
             rounds=2,
             iterations=1,
         )
@@ -143,7 +156,7 @@ def test_exists_speedup_claim(small_db, agreement_verified):
     small_db.execute(EXISTS_QUERY)  # warm
 
     started = time.perf_counter()
-    reference = small_db.execute(EXISTS_QUERY, rewrite=False)
+    reference = naive(small_db, EXISTS_QUERY)
     naive_s = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -170,5 +183,5 @@ def test_rewrites_fired_as_expected(small_db):
     assert small_db.metrics.last.rewrites == ["SQLPPR03"]
     small_db.execute(CSE_QUERY)
     assert small_db.metrics.last.rewrites == ["SQLPPR04"]
-    small_db.execute(EXISTS_QUERY, rewrite=False)
+    naive(small_db, EXISTS_QUERY)
     assert small_db.metrics.last.rewrites == []

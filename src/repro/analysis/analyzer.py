@@ -133,14 +133,13 @@ def _rewrite_pass(
     info finding in the ``SQLPP11x`` range whose ``fixable`` field
     carries the rewrite code, so ``lint --json`` consumers see exactly
     which registered rewrite the engine would apply.  The dry run
-    forces ``optimize``/``rewrite`` on — the point is to describe the
-    opportunity even for callers that run with rewrites disabled —
-    but keeps the caller's typing mode, so mode-gated rules report
-    truthfully.
+    forces ``optimize`` on — the point is to describe the opportunity
+    even for callers that run the oracle — but keeps the caller's
+    typing mode, so mode-gated rules report truthfully.
     """
     from repro.core import rewrite_rules
 
-    config = replace(options.config, optimize=True, rewrite=True)
+    config = replace(options.config, optimize=True)
     try:
         __, fired = rewrite_rules.apply_rules(
             core, config, catalog_types=dict(options.catalog_types)

@@ -42,6 +42,7 @@ from itertools import product
 from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.config import EvalConfig
+from repro.datamodel.values import MISSING
 from repro.errors import SQLPPError
 from repro.functions import operators as ops
 
@@ -254,6 +255,8 @@ def element_of(collection: AType) -> AType:
 
 def infer_literal(value: object) -> AType:
     """The abstract type of a Python literal from the parser."""
+    if value is MISSING:
+        return MISSING_T
     if value is None:
         return NULL_T
     if isinstance(value, bool):
@@ -268,7 +271,7 @@ def infer_literal(value: object) -> AType:
 def category_of(value: object) -> str:
     """The lattice category of a runtime value (for the soundness
     property test and schema-free seeding from sample data)."""
-    from repro.datamodel.values import MISSING, Bag, Struct
+    from repro.datamodel.values import Bag, Struct
 
     if value is MISSING:
         return MISSING_CAT
@@ -303,7 +306,7 @@ def _representatives() -> Dict[str, Tuple[object, ...]]:
     result's category depends only on its operands' categories, except
     where a listed value covers the exception (zero as a divisor,
     ``2.5`` for ``IS INTEGER``)."""
-    from repro.datamodel.values import MISSING, Bag, Struct
+    from repro.datamodel.values import Bag, Struct
 
     return {
         NUMBER: (0, 1, -1, 2.5),

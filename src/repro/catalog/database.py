@@ -66,14 +66,12 @@ class CompiledQuery:
     core: ast.Query
     #: Sugar-lowered only — what the query store fingerprints, so
     #: workload history and cardinality feedback survive registry
-    #: upgrades and per-query ``rewrite=False`` (docs/REWRITER.md).
+    #: upgrades (docs/REWRITER.md).
     pre_core: ast.Query
     #: Fired semantic rewrites, each with its discharged conditions.
     fired: Tuple[Any, ...]
     typing_mode: str
     sql_compat: bool
-    #: Whether the rewrite registry ran (``rewrite`` and ``optimize``).
-    rewrite_on: bool
     catalog_version: int
     _fingerprint: Optional[str] = None
 
@@ -102,30 +100,17 @@ class Database:
 
     def __init__(
         self,
-        typing_mode: str = "permissive",
-        sql_compat: bool = True,
-        optimize: bool = True,
-        timeout_s: Optional[float] = None,
-        max_rows: Optional[int] = None,
-        max_recursion: Optional[int] = None,
-        batch: bool = True,
-        rewrite: bool = True,
         metrics_sinks: Optional[List[Any]] = None,
         query_store: Any = True,
+        **dials: Any,
     ):
+        """``dials`` are :class:`EvalConfig`'s fields (any other name
+        raises ``TypeError``); ``metrics_sinks`` and ``query_store``
+        configure observability."""
         from repro.catalog.statistics import StatsProvider
 
         self.catalog = Catalog()
-        self._config = EvalConfig(
-            typing_mode=typing_mode,
-            sql_compat=sql_compat,
-            optimize=optimize,
-            timeout_s=timeout_s,
-            max_rows=max_rows,
-            max_recursion=max_recursion,
-            batch=batch,
-            rewrite=rewrite,
-        )
+        self._config = EvalConfig(**dials)
         #: Per-database query metrics: monotonic counters, per-query
         #: records, pluggable sinks (docs/OBSERVABILITY.md).
         self.metrics = MetricsRegistry(sinks=metrics_sinks)
@@ -148,8 +133,8 @@ class Database:
         # language dials and the catalog/schema state the rewriter
         # consults (name set for dotted-name resolution, schema
         # attributes for disambiguation).
-        # The key also includes the semantic-rewrite gate and registry
-        # version (:meth:`_compile_query`).
+        # The key also includes the registry version under ``optimize``
+        # (:meth:`_compile_query`).
         self._compile_cache: "OrderedDict[Tuple, CompiledQuery]" = (
             OrderedDict()
         )
@@ -438,7 +423,7 @@ class Database:
         """The one compile function: the cached :class:`CompiledQuery`
         for a query text under ``config``, building it on a miss.
 
-        The cache key includes the effective registry gate and
+        Under ``optimize`` the cache key includes
         ``rewrite_rules.REGISTRY_VERSION`` (read dynamically), so a
         registry upgrade invalidates cached rewritten queries exactly
         once, mirroring the stats provider's ``feedback_version``.
@@ -450,17 +435,15 @@ class Database:
         updated either way.  With a :class:`TraceContext`, a cache miss
         additionally records ``parse`` and ``rewrite`` phase spans.
         """
-        rewrite_on = config.rewrite and config.optimize
         key = (
             query,
             config.typing_mode,
             config.sql_compat,
             self.catalog.version,
             self._schema_version,
-            rewrite_on,
-            rewrite_rules.REGISTRY_VERSION if rewrite_on else 0,
-            # Constant folding only runs under optimize, so the dial
-            # changes the cached Core tree, not just the plan.
+            rewrite_rules.REGISTRY_VERSION if config.optimize else 0,
+            # The registry and constant folding only run under optimize,
+            # so the switch changes the cached Core tree, not just the plan.
             config.optimize,
         )
         compiled = self._compile_cache.get(key)
@@ -483,7 +466,7 @@ class Database:
         )
         fired: Tuple[Any, ...] = ()
         core = pre_core
-        if rewrite_on:
+        if config.optimize:
             core, fired = rewrite_rules.apply_rules(
                 pre_core, config, catalog_types=self._catalog_types()
             )
@@ -492,7 +475,6 @@ class Database:
             maybe_verify_rewrite(
                 pre_core, core, fired, catalog_names=self.catalog.names()
             )
-        if config.optimize:
             # Constant folding runs the engine's compiled closures, so
             # the folded tree is observationally identical (a raising
             # subexpression stays unfolded); ``pre_core`` stays unfolded
@@ -515,7 +497,6 @@ class Database:
             fired=fired,
             typing_mode=config.typing_mode,
             sql_compat=config.sql_compat,
-            rewrite_on=rewrite_on,
             catalog_version=self.catalog.version,
         )
         self._compile_cache[key] = compiled
@@ -558,9 +539,7 @@ class Database:
         same set): the language dials ``typing_mode`` / ``sql_compat``;
         ``optimize=False`` runs the reference interpreter instead of the
         engine, with identical results (docs/PLANNER.md);
-        ``rewrite=False`` disables just the semantic rewrite registry
-        (docs/REWRITER.md); ``batch=False`` disables the chunk-vectorized
-        executor; ``timeout_s`` / ``max_rows`` /
+        ``timeout_s`` / ``max_rows`` /
         ``max_recursion`` tighten the resource limits, a breach raising
         :class:`~repro.errors.ResourceExhausted` (docs/OBSERVABILITY.md).
 
@@ -904,8 +883,8 @@ class Database:
         compiled = self._compile_query(query, config)
         lines = [f"pre:  {print_ast(compiled.pre_core)}"]
         if not compiled.fired:
-            if not compiled.rewrite_on:
-                lines.append("rewrites: disabled (rewrite/optimize off)")
+            if not config.optimize:
+                lines.append("rewrites: disabled (optimize off)")
             else:
                 lines.append("rewrites: none applicable")
             return "\n".join(lines)

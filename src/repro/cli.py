@@ -39,12 +39,11 @@ wall time (see docs/OBSERVABILITY.md); ``--stats`` prints per-query
 phase timings, and ``--timeout`` / ``--max-rows`` / ``--max-recursion``
 stop runaway queries with a partial-progress report instead of a hang.
 
-``--no-batch`` falls back from the chunk-vectorized executor to the row-at-a-time
-streaming pipeline.  ``--no-rewrite`` disables the semantic rewrite
-registry (docs/REWRITER.md) the same way ``--no-optimize`` bypasses
-the physical planner; ``--explain-rewrites`` prints, for each query,
-the Core before/after the registry ran and every rewrite that fired
-with its discharged safety conditions, instead of executing.
+``--no-optimize`` runs the reference interpreter (the oracle) instead
+of the engine: no semantic rewrites (docs/REWRITER.md), no physical
+planning, the same answers.  ``--explain-rewrites`` prints, for each
+query, the Core before/after the registry ran and every rewrite that
+fired with its discharged safety conditions, instead of executing.
 
 ``--trace-out FILE`` records a structured span trace of every executed
 query and writes one Chrome trace-event JSON file at exit (load it in
@@ -92,18 +91,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--no-optimize",
         action="store_true",
         help="run the reference interpreter instead of the engine",
-    )
-    parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable the batch (chunk-vectorized) executor; queries "
-        "run on the row-at-a-time streaming pipeline",
-    )
-    parser.add_argument(
-        "--no-rewrite",
-        action="store_true",
-        help="disable the semantic rewrite registry (decorrelation, "
-        "semi-joins, CSE — see docs/REWRITER.md)",
     )
     parser.add_argument(
         "--explain-rewrites",
@@ -229,8 +216,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         typing_mode="strict" if args.strict else "permissive",
         sql_compat=not args.core,
         optimize=not args.no_optimize,
-        batch=not args.no_batch,
-        rewrite=not args.no_rewrite,
         timeout_s=args.timeout,
         max_rows=args.max_rows,
         max_recursion=args.max_recursion,

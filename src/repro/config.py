@@ -15,6 +15,13 @@ The unified SQL++ definition exposes two orthogonal switches:
   identically.  When off, the language is the fully composable SQL++
   Core: ``SELECT`` is pure sugar for ``SELECT VALUE`` and no implicit
   coercion ever happens.
+
+Besides the two dials, :class:`EvalConfig` holds one switch that must
+not change any answer — ``optimize``, engine or oracle — and the
+resource limits.  How the engine runs a query (which semantic rewrites
+fire, which blocks run in the executor's columns or rows mode) is its
+own decision, never a setting: each choice must return what the oracle
+returns.
 """
 
 from __future__ import annotations
@@ -41,9 +48,10 @@ class EvalConfig:
     typing_mode: str = PERMISSIVE
     sql_compat: bool = True
     #: Engine or oracle.  On (the default), the engine runs the query:
-    #: compiled closures, physical planning (hash equi-joins, predicate
-    #: pushdown, right-side materialization — see docs/PLANNER.md), the
-    #: batch and streaming executors.  ``optimize=False`` runs the
+    #: the semantic rewrite registry (docs/REWRITER.md), compiled
+    #: closures, physical planning (hash equi-joins, predicate pushdown,
+    #: right-side materialization — see docs/PLANNER.md) and the one
+    #: executor in its columns and rows modes.  ``optimize=False`` runs the
     #: executable reference semantics instead — the eager tree-walking
     #: interpreter of :mod:`repro.core.reference`, which shares no
     #: execution code with the engine; results must be identical
@@ -56,22 +64,6 @@ class EvalConfig:
     timeout_s: Optional[float] = None
     max_rows: Optional[int] = None
     max_recursion: Optional[int] = None
-    #: Batch-vectorized execution (docs/PLANNER.md): eligible blocks
-    #: exchange ~1024-row chunks between physical operators and map
-    #: compiled closures over each chunk instead of crossing a Python
-    #: generator frame per binding.  Semantics are identical; what the
-    #: batch engine does not run (correlated subqueries, blocks without
-    #: FROM, an unordered LIMIT/OFFSET) streams instead.
-    batch: bool = True
-    #: Semantic rewrites (docs/REWRITER.md): the safety-checked rule
-    #: registry (:mod:`repro.core.rewrite_rules`) that runs between
-    #: sugar lowering and physical planning — correlated EXISTS/IN →
-    #: semi-join, scalar-subquery decorrelation, OR-chain → IN,
-    #: repeated-subquery CSE.  ``rewrite=False`` keeps the Core query
-    #: exactly as the sugar rewriter produced it; results must be
-    #: identical either way (each rule discharges explicit safety
-    #: conditions before firing).  Ignored when ``optimize`` is off.
-    rewrite: bool = True
 
     def __post_init__(self) -> None:
         if self.typing_mode not in (PERMISSIVE, STRICT):

@@ -52,9 +52,9 @@ _CONSUMERS = {
     "limit": "streamed with early termination after OFFSET+LIMIT rows",
     "bag": "streamed bag (operators pulled ~1024 rows at a time, one "
     "where row order is observable)",
-    "batched bag": "bag built a chunk (~1024 rows) at a time; under "
-    "batch=False a streamed bag (operators pulled the same way, one row "
-    "at a time where row order is observable)",
+    "batched bag": "bag built a chunk (~1024 rows) at a time; in rows "
+    "mode a streamed bag (operators pulled the same way, one row at a "
+    "time where row order is observable)",
 }
 
 
@@ -254,7 +254,7 @@ class Evaluator(clauses.QueryEvaluator):
         can differ from rows mode's.  When a ``TypeCheckError`` or
         ``EvaluationError`` escapes the attempt, the attempt is
         discarded and the block runs again in rows mode, whose answer —
-        value or error — is final: batch ≡ ``batch=False`` by
+        value or error — is final: columns mode ≡ rows mode by
         construction, for every kernel.  The replay is a recorded
         decision and nothing else: the governor's row tally returns to
         its value at block entry (its deadline keeps running), the
@@ -327,8 +327,6 @@ class Evaluator(clauses.QueryEvaluator):
         strict block runs the same kernels and is replayed in rows mode
         if an error escapes them (:meth:`_eval_block_query`).
         """
-        if not self.config.batch:
-            return "batch=False"
         if query is not self._top_query and env is not self._top_env:
             return "correlated subquery (row bindings in scope)"
         if body.from_ is None:

@@ -100,7 +100,8 @@ def is_relocatable(expr: ast.Expr) -> bool:
     Permissive typing turns dynamic type errors into MISSING, so most
     expressions are total; the exceptions that can still raise or carry
     evaluation state — window calls, subqueries, positional parameters,
-    unknown or ``*`` function calls, an unknown ``CAST`` target or
+    unknown or ``*`` function calls and calls with the wrong number of
+    arguments, an unknown ``CAST`` target or
     ``IS`` type name (an ``EvaluationError`` in both typing modes) —
     keep a conjunct pinned in place, and a FROM source from being
     pruned (:func:`repro.analysis.absint.block_prune_reason`).
@@ -109,7 +110,12 @@ def is_relocatable(expr: ast.Expr) -> bool:
         if isinstance(node, _UNSAFE_NODES):
             return False
         if isinstance(node, ast.FunctionCall):
-            if node.star or REGISTRY.lookup(node.name) is None:
+            definition = REGISTRY.lookup(node.name)
+            if (
+                node.star
+                or definition is None
+                or definition.arity_error(len(node.args)) is not None
+            ):
                 return False
         elif isinstance(node, ast.CastExpr):
             if node.type_name.upper() not in CAST_TARGETS:

@@ -39,11 +39,11 @@ The registry:
     A subquery repeated in unconditional positions is hoisted into a
     ``LET``, evaluated once per binding instead of once per occurrence.
 
-Rewrites run only under ``config.optimize`` with ``config.rewrite``
-(the registry's own dial); all but ``SQLPPR03`` additionally require
-permissive typing, because they change how often subexpressions are
-evaluated and only permissive evaluation is total.  Results must be
-indistinguishable with the registry on or off — the property tests in
+Rewrites run whenever ``config.optimize`` is on; all but ``SQLPPR03``
+additionally require permissive typing, because they change how often
+subexpressions are evaluated and only permissive evaluation is total.
+Results must be indistinguishable from the oracle's
+(``optimize=False``, which never rewrites) — the property tests in
 ``tests/properties/test_rewrite_equivalence.py`` and the full
 compat-kit sweep in ``tests/compat/test_rewrite_parity.py`` pin that.
 
@@ -1222,11 +1222,11 @@ def apply_rules(
     re-visited, so the driver terminates.  Returns the rewritten query
     (``query`` itself when nothing fired) and the ordered firings.
 
-    Gated on ``config.rewrite`` *and* ``config.optimize``: the rewrites
-    exist to feed the physical planner, and ``optimize=False`` promises
-    the untouched reference semantics.
+    Gated on ``config.optimize``: the rewrites exist to feed the
+    physical planner, and ``optimize=False`` promises the untouched
+    reference semantics.
     """
-    if not (config.rewrite and config.optimize):
+    if not config.optimize:
         return query, ()
     ctx = RewriteContext(config, catalog_types, query)
     fired: List[RewriteResult] = []

@@ -68,11 +68,31 @@ def sqrt(args: List[Any], config: EvalConfig) -> Any:
     return math.sqrt(value)
 
 
+#: Largest bit length of a POWER result: beyond it an integer result
+#: would lie outside the float range, where a float result overflows.
+POWER_MAX_BITS = 1024
+
+
 @builtin("POWER", 2, 2, result="NUMBER")
 def power(args: List[Any], config: EvalConfig) -> Any:
     base = _number_arg("POWER", args[0])
     exponent = _number_arg("POWER", args[1])
-    result = base**exponent
+    out_of_range = OverflowError("result outside the float range")
+    if type(base) is int and type(exponent) is int and exponent > 0:
+        # |base| >= 2 ** (bits - 1), so this bound on the result's bit
+        # length decides a huge power before computing it; below it the
+        # result has fewer than 2 * POWER_MAX_BITS bits and is checked
+        # exactly.
+        if exponent * (abs(base).bit_length() - 1) >= POWER_MAX_BITS:
+            raise out_of_range
+        result = base**exponent
+        if result.bit_length() > POWER_MAX_BITS:
+            raise out_of_range
+        return result
+    try:
+        result = base**exponent
+    except OverflowError:
+        raise out_of_range from None
     if isinstance(result, complex):
         raise ValueError("POWER of a negative number to a non-integral power")
     return result

@@ -148,7 +148,8 @@ def cast_value(value: Any, target: str, config: EvalConfig) -> Any:
                 return bool(value)
         else:
             raise EvaluationError(f"unknown CAST target type {target}")
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
+        # OverflowError: an infinite float has no integer.
         return config.type_error(f"cannot cast {type_name(value)} to {target}")
     return config.type_error(f"cannot cast {type_name(value)} to {target}")
 

@@ -34,7 +34,7 @@ module is that memory for the SQL++ engine:
   execution of the same fingerprint.
 
 * **Persistence.**  One JSON-lines record per execution, bounded
-  retention (the file is compacted to the newest ``max_records``
+  retention (the file is compacted to the newest ``MAX_RECORDS``
   records once it doubles past the bound), and corruption-tolerant
   reload: a torn or garbled line is skipped, not fatal — a crashed
   process must not brick its own history.
@@ -57,6 +57,21 @@ from repro.observability.tracer import q_error
 #: Stored query text is bounded: the store keys on fingerprints, the
 #: text is only a human-readable exemplar for reports and gauge labels.
 STORE_TEXT_LIMIT = 200
+
+#: Fingerprints kept in memory; the least recently seen is evicted.
+MAX_FINGERPRINTS = 256
+
+#: Records kept in memory and replayed on reload; the file is compacted
+#: to this many once it doubles past it.
+MAX_RECORDS = 512
+
+#: Executions a fingerprint needs before its median is trusted enough
+#: to call a slow run a regression.
+MIN_HISTORY = 5
+
+#: How far past the stored median a latency must land to count as a
+#: regression.
+REGRESSION_FACTOR = 4.0
 
 #: Per-fingerprint q-error history window (max is tracked separately
 #: and never forgets).
@@ -256,35 +271,21 @@ class QueryStore:
 
     ``path=None`` keeps the store purely in memory.  With a path, every
     observation appends one JSON-lines record and reload replays the
-    newest ``max_records`` of them through the same aggregation code —
+    newest ``MAX_RECORDS`` of them through the same aggregation code —
     so persisted state and live state cannot drift apart structurally.
     """
 
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        max_fingerprints: int = 256,
-        max_records: int = 512,
-        min_history: int = 5,
-        regression_factor: float = 4.0,
-    ) -> None:
+    def __init__(self, path: Optional[str] = None) -> None:
         self.path = path
-        self.max_fingerprints = max_fingerprints
-        self.max_records = max_records
-        #: Executions a fingerprint needs before its median is trusted
-        #: enough to call a slow run a regression.
-        self.min_history = min_history
-        #: How far past the stored median a latency must land to count.
-        self.regression_factor = regression_factor
         self._entries: "OrderedDict[str, StoreEntry]" = OrderedDict()
-        self._events: Deque[Dict[str, Any]] = deque(maxlen=max_records)
+        self._events: Deque[Dict[str, Any]] = deque(maxlen=MAX_RECORDS)
         self.plan_change_count = 0
         self.regression_count = 0
         #: fingerprint → (provider generation, stamp of the collections
         #: its plans read) as of its last feedback-traced run; drives
         #: :meth:`wants_feedback` sampling.
         self._feedback_seen: Dict[str, Tuple[int, Any]] = {}
-        self._tail: Deque[str] = deque(maxlen=max_records)
+        self._tail: Deque[str] = deque(maxlen=MAX_RECORDS)
         self._line_count = 0
         self._file: Optional[io.TextIOBase] = None
         self._lock = threading.RLock()
@@ -370,7 +371,7 @@ class QueryStore:
         if entry is None:
             entry = StoreEntry(fingerprint, query[:STORE_TEXT_LIMIT])
             self._entries[fingerprint] = entry
-            while len(self._entries) > self.max_fingerprints:
+            while len(self._entries) > MAX_FINGERPRINTS:
                 self._entries.popitem(last=False)
         self._entries.move_to_end(fingerprint)
 
@@ -380,8 +381,8 @@ class QueryStore:
         # itself first.
         if (
             status == "ok"
-            and entry.latency.count >= self.min_history
-            and total_s > self.regression_factor * entry.latency.quantile(0.5)
+            and entry.latency.count >= MIN_HISTORY
+            and total_s > REGRESSION_FACTOR * entry.latency.quantile(0.5)
         ):
             entry.regressions += 1
             self.regression_count += 1
@@ -454,11 +455,11 @@ class QueryStore:
         self._file.write(line + "\n")
         self._file.flush()
         self._line_count += 1
-        if self._line_count > self.max_records * 2:
+        if self._line_count > MAX_RECORDS * 2:
             self._compact()
 
     def _compact(self) -> None:
-        """Rewrite the file down to the newest ``max_records`` records.
+        """Rewrite the file down to the newest ``MAX_RECORDS`` records.
 
         Atomic via write-to-temp + rename, so a crash mid-compaction
         leaves either the old file or the new one, never a torn half."""
@@ -480,7 +481,7 @@ class QueryStore:
         except (OSError, UnicodeDecodeError):
             return
         self._line_count = len(lines)
-        for line in lines[-self.max_records :]:
+        for line in lines[-MAX_RECORDS:]:
             line = line.strip()
             if not line:
                 continue

@@ -266,6 +266,15 @@ class TestOrderByNeverComparable104:
         )
         assert "MISSING" in diagnostic.message
 
+    def test_literal_missing_key(self):
+        # The MISSING literal is typed ``missing``, as NULL is ``null``.
+        diagnostic = find(
+            "SELECT VALUE x FROM [1] AS x ORDER BY MISSING", "SQLPP104"
+        )
+        assert "always MISSING" in diagnostic.message
+        null = find("SELECT VALUE x FROM [1] AS x ORDER BY NULL", "SQLPP104")
+        assert "always NULL" in null.message
+
     def test_comparable_key_is_fine(self):
         assert "SQLPP104" not in codes(
             "SELECT e.age AS k FROM emp AS e ORDER BY k", SCHEMA_OPTS

@@ -6,6 +6,7 @@ from repro import Database, to_python
 from repro.catalog.catalog import Catalog, validate_name
 from repro.datamodel.values import Bag, Struct
 from repro.errors import CatalogError
+from tests.rows_mode import REASON, rows_mode
 
 
 class TestCatalog:
@@ -302,32 +303,32 @@ class TestRunSurfacesTakeTheDialsExecuteTakes:
 
     def test_explain_analyze(self, db):
         assert "SQLPPR03" in db.explain_analyze(self.QUERY)
-        report = db.explain_analyze(self.QUERY, rewrite=False)
+        with rows_mode():
+            streamed = db.explain_analyze(self.QUERY, max_rows=1000)
+        assert f"executor: stream ({REASON})" in streamed
+        report = db.explain_analyze(self.QUERY, optimize=False)
         assert "rewrites: none" in report
         assert db.metrics.last.rewrites == []
         assert "rows returned: 20" in report
-        streamed = db.explain_analyze(self.QUERY, batch=False, max_rows=1000)
-        assert "executor: stream (batch=False)" in streamed
-        assert "executor: reference" in db.explain_analyze(
-            self.QUERY, optimize=False
-        )
+        assert "executor: reference" in report
 
     def test_trace(self, db):
         db.trace(self.QUERY)
         assert db.metrics.last.batched is True
         assert db.metrics.last.rewrites == ["SQLPPR03"]
-        db.trace(self.QUERY, batch=False)
+        with rows_mode():
+            db.trace(self.QUERY)
         assert db.metrics.last.batched is False
         assert db.metrics.last.streamed is True
-        context = db.trace(self.QUERY, rewrite=False)
+        context = db.trace(self.QUERY, optimize=False)
         assert db.metrics.last.rewrites == []
         assert db.metrics.last.status == "ok"
         assert "execute" in context.format_tree()
 
     def test_execute_python(self, db):
-        assert sorted(db.execute_python(self.QUERY, batch=False)) == sorted(
-            db.execute_python(self.QUERY)
-        )
+        with rows_mode():
+            rows = db.execute_python(self.QUERY, max_rows=1000)
+        assert sorted(rows) == sorted(db.execute_python(self.QUERY))
         assert db.metrics.last.batched is True
         db.execute_python(self.QUERY, optimize=False)
         assert db.metrics.last.streamed is False
@@ -346,15 +347,35 @@ class TestRunSurfacesTakeTheDialsExecuteTakes:
 
     def test_the_removed_parallel_dial(self, db, capsys):
         # A per-query ``parallel`` still runs, serially, with a warning;
-        # the constructor keyword and the CLI flag are gone.
+        # the constructor keyword and the CLI flag are gone.  ``batch``
+        # and ``rewrite`` are gone everywhere: the executor's mode and
+        # the rewrite registry are the engine's own decisions.
         from repro.cli import main
 
         with pytest.warns(DeprecationWarning, match="parallel"):
             fanned = db.execute(self.QUERY, parallel=2)
         assert fanned == db.execute(self.QUERY)
-        with pytest.raises(TypeError):
-            Database(parallel=2)
-        with pytest.raises(SystemExit) as exit_info:
-            main(["--parallel", "2", "-c", "SELECT VALUE 1"])
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments: --parallel" in capsys.readouterr().err
+        for removed in ("parallel", "batch", "rewrite"):
+            with pytest.raises(TypeError):
+                Database(**{removed: 2 if removed == "parallel" else False})
+        for removed in ("batch", "rewrite"):
+            with pytest.raises(TypeError):
+                db.execute(self.QUERY, **{removed: False})
+        for flag in ("--parallel", "--no-batch", "--no-rewrite"):
+            arguments = [flag, "2"] if flag == "--parallel" else [flag]
+            with pytest.raises(SystemExit) as exit_info:
+                main(arguments + ["-c", "SELECT VALUE 1"])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_eval_config_holds_the_two_dials_the_oracle_switch_and_limits(self):
+        import dataclasses
+
+        from repro.config import EvalConfig
+
+        assert [field.name for field in dataclasses.fields(EvalConfig)] == [
+            "typing_mode", "sql_compat", "optimize",
+            "timeout_s", "max_rows", "max_recursion",
+        ]
+        # ``Database`` restates none of them: they pass through.
+        assert Database(max_rows=5)._config == EvalConfig(max_rows=5)

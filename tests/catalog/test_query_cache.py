@@ -10,6 +10,7 @@ from __future__ import annotations
 from repro import Database
 from repro.datamodel.equality import deep_equals
 from repro.datamodel.values import Bag
+from tests.rows_mode import rows_mode
 
 
 QUERY = "SELECT r.v AS v FROM t AS r WHERE r.v > 1"
@@ -90,8 +91,9 @@ REWRITABLE = (
 class TestRewriteCacheKey:
     """The semantic rewrite registry participates in the cache key:
     bumping ``REGISTRY_VERSION`` invalidates cached rewritten queries
-    exactly once, and per-query ``rewrite=False`` compiles into its own
-    entry rather than poisoning (or being poisoned by) the default."""
+    exactly once, and the oracle (``optimize=False``, which never
+    rewrites) compiles into its own entry rather than poisoning (or
+    being poisoned by) the default."""
 
     def test_registry_version_bump_invalidates_exactly_once(
         self, monkeypatch
@@ -119,13 +121,13 @@ class TestRewriteCacheKey:
 
     def test_per_query_rewrite_disable_is_a_distinct_entry(self):
         db = make_db()
-        on = db.execute(REWRITABLE, rewrite=True)
+        on = db.execute(REWRITABLE)
         misses = db.metrics.counters["compile_cache_misses"]
-        off = db.execute(REWRITABLE, rewrite=False)
+        off = db.execute(REWRITABLE, optimize=False)
         assert db.metrics.counters["compile_cache_misses"] == misses + 1
-        # Both dials now hit their own entries.
-        db.execute(REWRITABLE, rewrite=True)
-        db.execute(REWRITABLE, rewrite=False)
+        # Both now hit their own entries.
+        db.execute(REWRITABLE)
+        db.execute(REWRITABLE, optimize=False)
         assert db.metrics.counters["compile_cache_misses"] == misses + 1
         from repro.datamodel.equality import deep_equals as eq
 
@@ -134,7 +136,7 @@ class TestRewriteCacheKey:
     def test_registry_version_ignored_when_rewrites_off(self, monkeypatch):
         from repro.core import rewrite_rules
 
-        db = make_db(rewrite=False)
+        db = make_db(optimize=False)
         before = db.compile(REWRITABLE)
         monkeypatch.setattr(rewrite_rules, "REGISTRY_VERSION", 99)
         # With the registry off the version cannot affect the compiled
@@ -168,14 +170,16 @@ class TestEvaluatorCachesFollowTheCompileCache:
         )
 
     def test_evicted_queries_take_their_derived_state_along(self):
-        db = make_db(query_store=False)
+        # Columns mode and rows mode, each on a database of its own.
         size = Database.COMPILE_CACHE_SIZE
-        for index in range(4 * size):
-            db.execute(self.text(index))
-            db.execute(self.text(index), batch=False)
-        assert len(db._compile_cache) == size
-        live = {id(compiled.core) for compiled in db._compile_cache.values()}
-        for evaluator in db._evaluators.values():
+        for rows in (False, True):
+            db = make_db(query_store=False)
+            with rows_mode(rows):
+                for index in range(4 * size):
+                    db.execute(self.text(index))
+            assert len(db._compile_cache) == size
+            live = {id(compiled.core) for compiled in db._compile_cache.values()}
+            (evaluator,) = db._evaluators.values()
             scopes = evaluator._scopes
             assert set(scopes) <= live
             assert len(scopes) == size
@@ -185,7 +189,7 @@ class TestEvaluatorCachesFollowTheCompileCache:
             ):
                 entries = sum(len(getattr(caches, name)) for caches in scopes.values())
                 # A handful of nodes per query, none from evicted ones.
-                assert entries <= 16 * size, (name, entries)
+                assert entries <= 16 * size, (name, rows, entries)
             blocks = sum(len(caches.plans) for caches in scopes.values())
             assert blocks <= 2 * size  # the block and its COUNT subquery
 
@@ -320,7 +324,7 @@ class TestDeriveOnce:
         db = make_db()
         db.execute(QUERY)
         assert len(configs) == 1
-        db.execute(QUERY, batch=False, timeout_s=5.0)
+        db.execute(QUERY, max_rows=100, timeout_s=5.0)
         assert len(configs) == 2
         db.explain_analyze(QUERY)
         assert len(configs) == 3

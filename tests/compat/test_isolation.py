@@ -1,14 +1,14 @@
 """The engine and the oracle are isolated from each other, both ways.
 
 ``optimize=False`` runs :mod:`repro.core.reference` and nothing of the
-engine; every other dial combination runs the engine and nothing of the
-oracle.  Held here by breaking one side and running the whole compat
+engine; ``optimize=True`` runs the engine, in either executor mode,
+and nothing of the oracle.  Held here by breaking one side and running the whole compat
 kit (listings, extended and analytics cases) plus one PIVOT / window /
 FROM-less / ``UNION ALL`` / ``INTERSECT`` case on the other, in both
 typing modes:
 
 * with ``ReferenceEvaluator``'s block and expression evaluation patched
-  to raise, the engine under default dials and ``batch=False`` still
+  to raise, the engine in columns mode and in rows mode still
   produces what the oracle produced beforehand;
 * with ``compile_expr.compile_expr``, ``compile_expr.compile_batch`` and
   ``planner.plan_block`` patched to raise, ``optimize=False`` still
@@ -27,6 +27,7 @@ from repro.compat.corpus import ConformanceCase, all_cases
 from repro.compat.runner import _results_equal, build_database
 from repro.core import compile_expr, planner, reference
 from repro.formats.sqlpp_text import loads
+from tests.rows_mode import ROWS, run
 
 T = "{{ {'k': 'a', 'v': 1}, {'k': 'b', 'v': 2}, {'k': 'a', 'v': 3} }}"
 
@@ -72,7 +73,7 @@ EXTRA_CASES = [
 
 CASES = list(all_cases()) + EXTRA_CASES
 TYPING_MODES = ["permissive", "strict"]
-ENGINE_DIALS = {"default": {}, "batch=False": {"batch": False}}
+ENGINE_DIALS = {"default": {}, "rows": ROWS}
 
 
 def _boom(*args, **kwargs):
@@ -125,7 +126,9 @@ def test_engine_never_enters_the_oracle(case, typing_mode, monkeypatch):
     for kind in list(reference._DISPATCH):
         monkeypatch.setitem(reference._DISPATCH, kind, _boom)
     for name, dials in ENGINE_DIALS.items():
-        engine = _outcome(databases[name], case, typing_mode=typing_mode, **dials)
+        engine = run(
+            _outcome, databases[name], case, typing_mode=typing_mode, **dials
+        )
         assert _same(case, engine, oracle), (name, engine, oracle)
 
 

@@ -7,7 +7,9 @@ corpora — ``optimize=True`` must be observationally identical to
 the same error class.  Every case runs in *both* typing modes, whatever
 the one it was written for: the strict contract (docs/LANGUAGE.md §8) is
 the same result, or an error of the same class the oracle raises.
-The engine runs under default dials and ``batch=False``.
+The engine runs in rows mode here (the strict replay target); its
+default columns mode is held to the same oracle, per (case, typing
+mode), in ``test_rewrite_parity.py``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.compat.corpus import all_cases
 from repro.compat.runner import build_database
 from repro.datamodel.equality import deep_equals
 from repro.datamodel.values import Bag
+from tests.rows_mode import rows_mode
 
 
 def _outcome(db, case, **dials):
@@ -41,17 +44,17 @@ def test_optimized_equals_reference(case):
 def assert_parity(case):
     typing_mode = case.typing_mode
     reference = _outcome(build_database(case), case, optimize=False)
-    for dials in ({}, {"batch": False}):
-        optimized = _outcome(build_database(case), case, **dials)
-        assert optimized[0] == reference[0], (
-            f"{case.case_id} {typing_mode} {dials}: optimized → {optimized}, "
-            f"reference → {reference}"
-        )
-        if optimized[0] == "error":
-            assert optimized[1] == reference[1]
-            continue
-        left, right = optimized[1], reference[1]
-        if not case.ordered:
-            left = Bag(list(left)) if isinstance(left, (list, Bag)) else left
-            right = Bag(list(right)) if isinstance(right, (list, Bag)) else right
-        assert deep_equals(left, right)
+    with rows_mode():
+        optimized = _outcome(build_database(case), case)
+    assert optimized[0] == reference[0], (
+        f"{case.case_id} {typing_mode} rows mode: optimized → {optimized}, "
+        f"reference → {reference}"
+    )
+    if optimized[0] == "error":
+        assert optimized[1] == reference[1]
+        return
+    left, right = optimized[1], reference[1]
+    if not case.ordered:
+        left = Bag(list(left)) if isinstance(left, (list, Bag)) else left
+        right = Bag(list(right)) if isinstance(right, (list, Bag)) else right
+    assert deep_equals(left, right)

@@ -2,34 +2,32 @@
 
 Acceptance bar for the semantic rewrite registry (docs/REWRITER.md):
 on every conformance case — every paper listing plus the extended and
-analytics corpora, each swept in *both* typing modes — execution with
-the registry enabled must be observationally identical to
-``rewrite=False``: same result bag (or array, for ordered cases) or
-the same error class.  The sweep runs with physical planning on, so it
-also covers the registry's interaction with pushdown and hash joins.
+analytics corpora, each swept in *both* typing modes — the engine under
+default settings (the registry on, physical planning, columns mode)
+must be observationally identical to the oracle, ``optimize=False``,
+which never rewrites: same result bag (or array, for ordered cases) or
+the same error class.  So the sweep also covers the registry's
+interaction with pushdown and hash joins.  Rows mode is held to the
+same oracle in ``test_optimizer_parity.py``.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
 from repro import errors
 from repro.catalog.database import Database
 from repro.compat.corpus import all_cases
+from repro.compat.runner import build_database
 from repro.datamodel.equality import deep_equals
 from repro.datamodel.values import Bag
 
 
-def _build_database(case, typing_mode: str) -> Database:
-    db = Database(typing_mode=typing_mode, sql_compat=case.sql_compat)
-    for name, literal in case.data.items():
-        db.load_value(name, literal)
-    return db
-
-
-def _outcome(db: Database, case, rewrite: bool):
+def _outcome(db: Database, case, **dials):
     try:
-        return ("value", db.execute(case.query, rewrite=rewrite))
+        return ("value", db.execute(case.query, **dials))
     except errors.SQLPPError as exc:
         return ("error", type(exc).__name__)
 
@@ -37,12 +35,9 @@ def _outcome(db: Database, case, rewrite: bool):
 @pytest.mark.parametrize("typing_mode", ["permissive", "strict"])
 @pytest.mark.parametrize("case", all_cases(), ids=lambda case: case.case_id)
 def test_rewritten_equals_reference(case, typing_mode):
-    rewritten = _outcome(
-        _build_database(case, typing_mode), case, rewrite=True
-    )
-    reference = _outcome(
-        _build_database(case, typing_mode), case, rewrite=False
-    )
+    case = replace(case, typing_mode=typing_mode)
+    rewritten = _outcome(build_database(case), case)
+    reference = _outcome(build_database(case), case, optimize=False)
     assert rewritten[0] == reference[0], (
         f"{case.case_id} [{typing_mode}]: "
         f"rewritten → {rewritten}, reference → {reference}"

@@ -22,6 +22,7 @@ from repro.datamodel.values import Bag
 from repro.functions.aggregates import MEMBERS
 from repro.syntax import ast
 from repro.syntax.printer import print_ast
+from tests.rows_mode import REASON, ROWS, rows_mode, run
 
 #: A ``plan:`` line that says a FROM block has no operator tree
 #: (unplanned / reference / none), as opposed to the reuse decision
@@ -30,9 +31,9 @@ UNPLANNED = re.compile(r"^plan: (?!built|reused|rebuilt)", re.M)
 
 
 def three_ways(db: Database, query: str, ordered: bool = False, **kwargs):
-    """Run batch, streaming-only and reference; assert 3-way parity."""
+    """Run columns mode, rows mode and reference; assert 3-way parity."""
     batch = db.execute(query, **kwargs)
-    streaming = db.execute(query, batch=False, **kwargs)
+    streaming = run(db.execute, query, rows=True, **kwargs)
     reference = db.execute(query, optimize=False, **kwargs)
     if ordered:
         assert deep_equals(list(batch), list(streaming))
@@ -66,10 +67,8 @@ class TestBatchedFlag:
         assert db.metrics.last.streamed is True
 
     def test_batch_false_disables(self, db):
-        db.execute(
-            "SELECT VALUE o.oid FROM orders AS o WHERE o.total > 10",
-            batch=False,
-        )
+        with rows_mode():
+            db.execute("SELECT VALUE o.oid FROM orders AS o WHERE o.total > 10")
         assert db.metrics.last.batched is False
         assert db.metrics.last.streamed is True
 
@@ -349,7 +348,7 @@ class TestEvaluatorMemoization:
         db.set("t", [{"x": 1}])
         query = "SELECT VALUE t.x FROM t AS t"
         db.execute(query)
-        db.execute(query, batch=False)
+        db.execute(query, max_rows=10)
         db.execute(query, typing_mode="strict")
         assert len(db._evaluators) == 3
 
@@ -360,7 +359,7 @@ class TestEvaluatorMemoization:
         # config, so the same memo slot) while its consumer query is
         # mid-execution: the inner query must not rebind the evaluator
         # the outer one is running on.
-        db = Database(batch=batch)
+        db = Database()
         db.set("t", [{"x": i} for i in range(10)])
         inner_results = []
 
@@ -376,7 +375,7 @@ class TestEvaluatorMemoization:
 
         db.set_lazy("lz", factory)
         outer_query = "SELECT VALUE l.v FROM lz AS l WHERE l.v > ?"
-        outer = db.execute(outer_query, parameters=[2])
+        outer = run(db.execute, outer_query, parameters=[2], rows=not batch)
         # Were the memoised evaluator rebound, `?` would now be 7.
         assert sorted(outer) == [3, 4, 5]
         assert inner_results == [[8, 9]]
@@ -668,17 +667,15 @@ class TestDerivedTablesBatch:
             "SELECT c.cid AS cid, (SELECT VALUE o.oid FROM orders AS o "
             "WHERE o.cust = c.cid AND o.total > 50) AS big FROM custs AS c"
         )
-        # rewrite=False keeps the scalar subquery correlated (SQLPPR02
-        # would decorrelate it); EXPLAIN describes the same core.
-        no_rewrite = Database(rewrite=False)
-        no_rewrite.set("orders", db.get("orders"))
-        no_rewrite.set("custs", db.get("custs"))
-        plan = no_rewrite.explain_plan(query)
-        three_ways(no_rewrite, query)
+        # No rule decorrelates a collection-valued subquery; EXPLAIN
+        # describes the same core.
+        plan = db.explain_plan(query)
+        assert "rewrites: none" in plan
+        three_ways(db, query)
         seen.clear()
-        no_rewrite.execute(query)
+        db.execute(query)
         assert seen == [True]  # seven correlated evaluations, none batched
-        assert no_rewrite.metrics.last.batched is True
+        assert db.metrics.last.batched is True
         assert "derived table" not in plan
         assert "[SubqueryExpr]" in plan.splitlines()[-1]
 
@@ -741,14 +738,12 @@ class TestExecutorExplain:
             assert "from:" not in plan
             assert "consumer: bag built a chunk" in plan
             assert "no env-space fallback" in plan
-            # The same plan text under batch=False: the stream pulls it.
-            streamed = Database(batch=False)
-            streamed.set("orders", [{"oid": 1, "cust": 1}])
-            plan = streamed.explain_plan(query)
+            # The same plan text in rows mode: the stream pulls it.
+            plan = run(db.explain_plan, query, rows=True)
             assert "  Scan orders AS o" in plan
             assert "rewrites fired:\n  - (none)" in plan
             assert "from:" not in plan
-            assert "executor: stream (batch=False)" in plan
+            assert f"executor: stream ({REASON})" in plan
 
     def test_refusals_name_the_clause(self, db):
         query = "SELECT VALUE o.oid FROM orders AS o"
@@ -782,10 +777,9 @@ class TestExecutorExplain:
         pivoted = db.explain_plan("PIVOT o.total AT o.status FROM orders AS o")
         assert "executor: batch\n" in pivoted
         assert "consumer: one tuple assembled from the whole binding stream" in pivoted
-        no_batch = Database(batch=False)
-        no_batch.set("orders", [{"oid": 1}])
-        assert "executor: stream (batch=False)" in no_batch.explain_plan(query)
-        assert "kernels: none" in no_batch.explain_plan(query)
+        with rows_mode():
+            assert f"executor: stream ({REASON})" in db.explain_plan(query)
+            assert "kernels: none" in db.explain_plan(query)
 
     def test_set_operation_operands_with_their_own_clauses(self, db, monkeypatch):
         seen = TestDerivedTablesBatch.batched_blocks(monkeypatch)
@@ -834,8 +828,8 @@ class TestExecutorExplain:
         db.execute(query)
         assert db.metrics.last.batched is True
         # Streamed, the same block is analysed on the same operator tree.
-        report = db.explain_analyze(query, batch=False)
-        assert "executor: stream (batch=False)" in report
+        report = run(db.explain_analyze, query, rows=True)
+        assert f"executor: stream ({REASON})" in report
         streamed_scan = next(
             line for line in report.splitlines() if line.startswith("  Scan orders")
         )
@@ -973,7 +967,7 @@ class TestLateralChunks:
             lambda self, expr, env: walked.append(expr) or original(self, expr, env),
         )
         db.execute(query)
-        db.execute(query, batch=False)
+        run(db.execute, query, rows=True)
         assert walked == []
 
     def test_max_rows_fires_inside_a_lateral_chunk(self):
@@ -982,7 +976,7 @@ class TestLateralChunks:
         db = emp_db(rows=10, projects=500)
         batch = exhausted(db, UNNEST, max_rows=700)
         assert db.metrics.last.batched is True
-        streamed = exhausted(db, UNNEST, max_rows=700, batch=False)
+        streamed = run(exhausted, db, UNNEST, max_rows=700, rows=True)
         assert batch.kind == streamed.kind == "max_rows"
         assert streamed.rows_produced == 701
         assert abs(batch.rows_produced - streamed.rows_produced) <= GOVERNOR_TICK
@@ -996,7 +990,7 @@ class TestLateralChunks:
             assert "no env-space fallback" in db.explain_plan(query)
             batch = exhausted(db, query, max_rows=700)
             assert db.metrics.last.batched is True
-            streamed = exhausted(db, query, max_rows=700, batch=False)
+            streamed = run(exhausted, db, query, max_rows=700, rows=True)
             assert batch.kind == streamed.kind == "max_rows"
             assert (
                 abs(batch.rows_produced - streamed.rows_produced) <= GOVERNOR_TICK
@@ -1004,9 +998,9 @@ class TestLateralChunks:
         # An EXISTS whose first element hits: the stream pulls one
         # project per employee (20 rows in all) and the kernel, which
         # evaluates all 5 000, accounts exactly that.
-        for overrides in ({}, {"batch": False}):
-            assert len(db.execute(EXISTS_NESTED, max_rows=20, **overrides)) == 10
-            assert exhausted(db, EXISTS_NESTED, max_rows=19, **overrides)
+        for overrides in ({}, ROWS):
+            assert len(run(db.execute, EXISTS_NESTED, max_rows=20, **overrides)) == 10
+            assert run(exhausted, db, EXISTS_NESTED, max_rows=19, **overrides)
         # One level of nesting is over a max_recursion of 1 either way.
         assert exhausted(db, NESTED_SELECT, max_recursion=1).kind == "max_recursion"
 
@@ -1045,9 +1039,9 @@ class TestLateralChunks:
 
         db = Database()
         db.set_lazy("emp", rows)
-        for overrides in ({}, {"batch": False}, {"optimize": False}):
+        for overrides in ({}, ROWS, {"optimize": False}):
             with pytest.raises(RuntimeError, match="source broke at row 6"):
-                db.execute(UNNEST, **overrides)
+                run(db.execute, UNNEST, **overrides)
 
     def test_early_close_closes_the_left_child(self):
         from repro.config import EvalConfig
@@ -1240,7 +1234,7 @@ class TestSubqueryKernels:
 
 STRICT_DIALS = {
     "default": {},
-    "batch=False": {"batch": False},
+    "rows": ROWS,
     "optimize=False": {"optimize": False},
 }
 
@@ -1250,7 +1244,7 @@ def strict_outcomes(db: Database, query: str, **kwargs) -> dict:
     outcomes = {}
     for name, dials in STRICT_DIALS.items():
         try:
-            outcomes[name] = to_python(db.execute(query, **dials, **kwargs))
+            outcomes[name] = to_python(run(db.execute, query, **dials, **kwargs))
         except errors.SQLPPError as error:
             outcomes[name] = type(error)
     return outcomes
@@ -1260,7 +1254,7 @@ class TestStrictReplay:
     """Two-error-class cases where a bare batch run would surface a
     different error than the stream (or an error where the stream returns
     a row): an error escaping the batch attempt re-runs the block on the
-    stream, so every engine dial agrees with ``batch=False``."""
+    stream, so columns mode agrees with rows mode."""
 
     @staticmethod
     def strict_db(**values) -> Database:

@@ -6,6 +6,7 @@ from repro import Bag, Database, MISSING, Struct
 from repro.errors import BindingError, EvaluationError, ParseError, TypeCheckError
 
 from tests.conftest import bag_of
+from tests.rows_mode import ROWS, run
 
 
 class TestNameResolution:
@@ -127,16 +128,16 @@ class TestDegenerateQueries:
         path = "r" + "[0]" * 30
         assert bag_of(db.execute(f"SELECT VALUE {path} FROM deep AS r")) == [7]
 
-    @pytest.mark.parametrize("dials", [{}, {"batch": False}, {"optimize": False}])
+    @pytest.mark.parametrize("dials", [{}, ROWS, {"optimize": False}])
     def test_bad_like_pattern_raises_only_over_rows(self, db, dials):
         # A pattern ending in its escape character is an evaluation
         # error: a block with no row to evaluate it on returns nothing.
         query = "SELECT VALUE x FROM {} AS x WHERE x LIKE 'a!' ESCAPE '!'"
         db.set("none", [])
         db.set("one", ["a"])
-        assert bag_of(db.execute(query.format("none"), **dials)) == []
+        assert bag_of(run(db.execute, query.format("none"), **dials)) == []
         with pytest.raises(EvaluationError, match="ends with escape"):
-            db.execute(query.format("one"), **dials)
+            run(db.execute, query.format("one"), **dials)
 
     def test_self_join_same_collection(self, db):
         db.set("t", [1, 2])
@@ -153,9 +154,9 @@ class TestStrictErrorMessages:
         db.set("t", [{"x": 5, "p": "a%"}, {"x": "ab", "p": "a%"}])
         query = f"SELECT VALUE r.x LIKE {pattern} FROM t AS r"
         messages = set()
-        for dials in ({}, {"batch": False}, {"optimize": False}):
+        for dials in ({}, ROWS, {"optimize": False}):
             with pytest.raises(TypeCheckError) as raised:
-                db.execute(query, **dials)
+                run(db.execute, query, **dials)
             messages.add(str(raised.value))
         assert messages == {"LIKE expects strings, got integer and string"}
 

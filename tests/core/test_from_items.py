@@ -17,6 +17,7 @@ import pytest
 from repro import Database, errors
 from repro.datamodel.equality import deep_equals
 from repro.datamodel.values import Bag
+from tests.rows_mode import ROWS, run
 
 SOURCES = {
     "array": "[10, 20, 30]",
@@ -51,7 +52,7 @@ FORMS = {
 }
 FORMS.update(
     {
-        f"{name}-streamed": (template, {"batch": False})
+        f"{name}-streamed": (template, ROWS)
         for name, (template, __) in list(FORMS.items())
     }
 )
@@ -59,7 +60,7 @@ FORMS.update(
 
 def outcome(query, **dials):
     try:
-        return ("value", Database().execute(query, **dials))
+        return ("value", run(Database().execute, query, **dials))
     except errors.SQLPPError as exc:
         return ("error", type(exc).__name__, str(exc))
 
@@ -90,7 +91,7 @@ def test_the_pinned_behaviour():
     assert len(Database().execute("SELECT VALUE v FROM NULL AS v")) == 0
     rows = Database().execute("SELECT VALUE [v, a] FROM UNPIVOT 7 AS v AT a")
     assert list(rows) == [[7, "_1"]]
-    for dials in ({}, {"batch": False}, {"optimize": False}):
+    for dials in ({}, ROWS, {"optimize": False}):
         for query, message in (
             ("SELECT VALUE v FROM 7 AS v", "FROM expects a collection, got integer"),
             ("SELECT VALUE v FROM MISSING AS v", "FROM expects a collection, got missing"),
@@ -104,7 +105,7 @@ def test_the_pinned_behaviour():
             ),
         ):
             with pytest.raises(errors.TypeCheckError, match=message):
-                Database().execute(query, typing_mode="strict", **dials)
+                run(Database().execute, query, typing_mode="strict", **dials)
 
 
 def test_a_lazy_bag_streams_through_every_form():
@@ -119,8 +120,8 @@ def test_a_lazy_bag_streams_through_every_form():
     db.set_lazy("lz", factory)
     query = "SELECT VALUE [l.v, p] FROM lz AS l AT p"
     expected = db.execute(query, optimize=False)
-    for dials in ({}, {"batch": False}):
-        assert deep_equals(Bag(list(db.execute(query, **dials))), expected)
+    for dials in ({}, ROWS):
+        assert deep_equals(Bag(list(run(db.execute, query, **dials))), expected)
     # Pulled element by element: LIMIT stops the source early.
     del pulled[:]
     assert len(db.execute("SELECT VALUE l.v FROM lz AS l LIMIT 3")) == 3

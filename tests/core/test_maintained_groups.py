@@ -17,6 +17,7 @@ from repro.datamodel.convert import to_python
 from repro.datamodel.equality import deep_equals
 from repro.errors import TypeCheckError
 from repro.functions.registry import REGISTRY
+from tests.rows_mode import ROWS, run
 
 COUNT_BY_KIND = (
     "SELECT ev.kind AS kind, COUNT(*) AS n FROM events AS ev GROUP BY ev.kind"
@@ -382,11 +383,11 @@ class TestRefusals:
             "SELECT VALUE x.n FROM (SELECT ev.kind AS kind, COUNT(*) AS n "
             "FROM events AS ev GROUP BY ev.kind) AS x"
         )
-        for query, dials in ((COUNT_BY_KIND, {"batch": False}), (derived, {})):
-            db.execute(query, **dials)
+        for query, dials in ((COUNT_BY_KIND, ROWS), (derived, {})):
+            run(db.execute, query, **dials)
             db.insert("events", events(1200, 1210))
             folded()
-            db.execute(query, **dials)
+            run(db.execute, query, **dials)
             assert folded() == len(db.get("events"))
             db.set("events", events(0, 1000))
             db.insert("events", events(1000, 1200))

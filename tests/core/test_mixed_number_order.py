@@ -9,9 +9,10 @@ would agree with itself.
 import pytest
 
 from repro import Database
+from tests.rows_mode import ROWS, run
 
 XS = [2, 1.5, 3, 2.5, 1]
-DIALS = [{}, {"batch": False}, {"optimize": False}]
+DIALS = [{}, ROWS, {"optimize": False}]
 
 
 @pytest.fixture(scope="module")
@@ -23,14 +24,17 @@ def db():
 
 @pytest.mark.parametrize("dials", DIALS, ids=["batch", "stream", "oracle"])
 def test_ascending(db, dials):
-    result = db.execute_python("SELECT VALUE t.x FROM t AS t ORDER BY t.x", **dials)
+    result = run(
+        db.execute_python, "SELECT VALUE t.x FROM t AS t ORDER BY t.x", **dials
+    )
     assert result == [1, 1.5, 2, 2.5, 3]
     assert [type(x) for x in result] == [int, float, int, float, int]
 
 
 @pytest.mark.parametrize("dials", DIALS, ids=["batch", "stream", "oracle"])
 def test_descending_top_three(db, dials):
-    result = db.execute_python(
+    result = run(
+        db.execute_python,
         "SELECT VALUE t.x FROM t AS t ORDER BY t.x DESC LIMIT 3", **dials
     )
     assert result == [3, 2.5, 2]

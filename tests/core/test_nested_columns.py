@@ -22,6 +22,7 @@ from repro import Database, errors
 from repro.datamodel.convert import from_python
 from repro.datamodel.equality import deep_equals
 from repro.datamodel.values import MISSING, Bag, Struct
+from tests.rows_mode import ROWS, run
 
 
 def parents(start, stop, width=3):
@@ -37,7 +38,7 @@ def parents(start, stop, width=3):
 
 def outcome(db: Database, query: str, **dials):
     try:
-        return Bag(list(db.execute(query, **dials)))
+        return Bag(list(run(db.execute, query, **dials)))
     except errors.SQLPPError as error:
         return type(error)
 
@@ -45,7 +46,7 @@ def outcome(db: Database, query: str, **dials):
 def agrees(db: Database, query: str, **kwargs):
     """The answer or error class, checked against rows mode and the oracle."""
     got = outcome(db, query, **kwargs)
-    for dials in ({"batch": False}, {"optimize": False}):
+    for dials in (ROWS, {"optimize": False}):
         other = outcome(db, query, **{**kwargs, **dials})
         if isinstance(got, type) or isinstance(other, type):
             assert got is other, (query, dials, got, other)
@@ -162,7 +163,7 @@ def test_the_child_holds_the_permissive_cases():
     assert child.elements[4] == 5
 
 
-@pytest.mark.parametrize("dials", [{}, {"batch": False}], ids=["batch", "rows"])
+@pytest.mark.parametrize("dials", [{}, ROWS], ids=["batch", "rows"])
 def test_a_null_in_strict_mode_still_raises(dials):
     db = Database(typing_mode="strict")
     elements = parents(0, 3000)
@@ -170,7 +171,7 @@ def test_a_null_in_strict_mode_still_raises(dials):
     db.set("h", elements)
     for query in (SHAPES["at"], SHAPES["subquery"], SHAPES["two-level"]):
         with pytest.raises(errors.TypeCheckError):
-            db.execute(query, **dials)
+            run(db.execute, query, **dials)
         with pytest.raises(errors.TypeCheckError):
             db.execute(query, optimize=False)
 
@@ -183,9 +184,9 @@ class TestLimits:
         db.set("h", parents(0, 3000))
         for limit in (10, 1500, 5000, 9000):
             tallies = set()
-            for dials in ({}, {"batch": False}):
+            for dials in ({}, ROWS):
                 with pytest.raises(errors.ResourceExhausted) as info:
-                    db.execute(self.QUERY, max_rows=limit, **dials)
+                    run(db.execute, self.QUERY, max_rows=limit, **dials)
                 tallies.add(info.value.rows_produced)
             # A row-at-a-time count fires on the row after the limit.
             assert tallies == {limit + 1}
@@ -282,7 +283,7 @@ def test_threads_share_one_child():
 class TestExplain:
     @staticmethod
     def kernels(db, query, **dials):
-        return db.explain_plan(query, **dials).splitlines()[-1]
+        return run(db.explain_plan, query, **dials).splitlines()[-1]
 
     def test_a_child_served_variable_counts_as_a_stored_read(self):
         db = Database()

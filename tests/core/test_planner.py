@@ -22,6 +22,7 @@ from repro.datamodel.equality import deep_equals
 from repro.datamodel.values import Bag
 from repro.observability import ExecTracer
 from repro.syntax.parser import parse_expression
+from tests.rows_mode import ROWS, run
 
 
 def both_ways(db: Database, query: str, **kwargs):
@@ -147,9 +148,9 @@ class TestPlanSelection:
         # operator runs and no per-item statistics are recorded.
         core = join_db.compile(query)
         hashes = set()
-        for dials in ({"batch": False}, {}):
+        for dials in (ROWS, {}):
             tracer = ExecTracer()
-            join_db.execute(query, tracer=tracer, **dials)
+            run(join_db.execute, query, tracer=tracer, **dials)
             ran = tracer.plan_for(core.body)
             assert isinstance(ran.op, ScanOp)
             assert tracer.op_stats(ran.op).rows_out == 8
@@ -175,7 +176,7 @@ class TestPlanSelection:
 # =========================================================================
 
 #: The engine on both executors' dials, and the oracle.
-THREE_WAYS = ({}, {"batch": False}, {"optimize": False})
+THREE_WAYS = ({}, ROWS, {"optimize": False})
 
 
 class TestStrictWithheldRewrites:
@@ -196,9 +197,9 @@ class TestStrictWithheldRewrites:
     def test_equi_join_key_category_mismatch_raises(self, db, dials):
         query = "SELECT l.a AS a FROM typed AS l JOIN typed AS r ON l.k = r.k"
         with pytest.raises(TypeCheckError):
-            db.execute(query, typing_mode="strict", **dials)
+            run(db.execute, query, typing_mode="strict", **dials)
         # Permissive, the mismatch is "no match" and the join hashes.
-        assert len(db.execute(query, **dials)) == 2
+        assert len(run(db.execute, query, **dials)) == 2
 
     @pytest.mark.parametrize("dials", THREE_WAYS)
     def test_conjunct_raising_on_an_excluded_row_still_raises(self, db, dials):
@@ -208,8 +209,8 @@ class TestStrictWithheldRewrites:
             "WHERE l.a = 1 AND l.k < 5"
         )
         with pytest.raises(TypeCheckError):
-            db.execute(query, typing_mode="strict", **dials)
-        assert to_python(db.execute(query, **dials)) == [1, 1]
+            run(db.execute, query, typing_mode="strict", **dials)
+        assert to_python(run(db.execute, query, **dials)) == [1, 1]
 
     @pytest.mark.parametrize("dials", THREE_WAYS)
     def test_empty_range_with_a_raising_sibling_is_not_pruned(self, db, dials):
@@ -218,19 +219,20 @@ class TestStrictWithheldRewrites:
             "WHERE l.a > 5 AND l.a < 3 AND l.k < 5"
         )
         with pytest.raises(TypeCheckError):
-            db.execute(query, typing_mode="strict", **dials)
-        assert to_python(db.execute(query, **dials)) == []
+            run(db.execute, query, typing_mode="strict", **dials)
+        assert to_python(run(db.execute, query, **dials)) == []
 
     @pytest.mark.parametrize("dials", THREE_WAYS)
     def test_right_side_of_an_empty_left_side_is_never_enumerated(self, db, dials):
         # ``scalar`` is not a collection: enumerating it raises.
         query = "SELECT VALUE b FROM {left} AS a, scalar AS b"
-        empty = db.execute(
+        empty = run(
+            db.execute,
             query.format(left="empty"), typing_mode="strict", **dials
         )
         assert to_python(empty) == []
         with pytest.raises(TypeCheckError):
-            db.execute(query.format(left="typed"), typing_mode="strict", **dials)
+            run(db.execute, query.format(left="typed"), typing_mode="strict", **dials)
 
     def test_explain_lists_only_materialize_rewrites(self, db):
         assert self.rewrites(
@@ -486,6 +488,8 @@ class TestAnalyses:
         assert is_relocatable(parse_expression("CAST(x.a AS INT) IS INTEGER"))
         assert not is_relocatable(parse_expression("CAST(x.a AS NOPE)"))
         assert not is_relocatable(parse_expression("x.a IS NOPE"))
+        assert is_relocatable(parse_expression("LOWER(x.a)"))
+        assert not is_relocatable(parse_expression("LOWER(x.a, x.b)"))
 
     @pytest.mark.parametrize(
         "query",
@@ -493,6 +497,7 @@ class TestAnalyses:
             "SELECT VALUE NULL FROM CAST(FALSE AS NOPE) AS q WHERE NULL",
             "SELECT VALUE 1 FROM (1 IS NOPE) AS q WHERE FALSE",
             "SELECT VALUE 1 FROM UNKNOWN_FN(1) AS q WHERE FALSE",
+            "SELECT VALUE NULL FROM LOWER(NULL, NULL) AS q WHERE NULL",
             "SELECT VALUE 1 FROM [1, 2] AS q WHERE CAST(q AS NOPE) AND FALSE",
         ],
     )
@@ -501,9 +506,9 @@ class TestAnalyses:
         # raise: the engine used to answer <<>> where the oracle raises.
         db = Database()
         assert "pruned:" not in db.explain_plan(query)
-        for dials in ({}, {"batch": False}, {"optimize": False}):
+        for dials in ({}, ROWS, {"optimize": False}):
             with pytest.raises(errors.EvaluationError):
-                db.execute(query, **dials)
+                run(db.execute, query, **dials)
         # The proof still fires over a source that cannot raise.
         assert "pruned:" in db.explain_plan(
             "SELECT VALUE 1 FROM CAST('1' AS INT) AS q WHERE NULL"

@@ -55,9 +55,10 @@ def fired_codes(
 
 
 def assert_same_result(db: Database, query: str, **dials) -> None:
-    """Results with the registry on and off must be indistinguishable."""
-    on = db.execute(query, rewrite=True, **dials)
-    off = db.execute(query, rewrite=False, **dials)
+    """Results with the registry on must be indistinguishable from the
+    oracle's (``optimize=False``, which never rewrites)."""
+    on = db.execute(query, **dials)
+    off = db.execute(query, optimize=False, **dials)
     if isinstance(on, (list, Bag)):
         assert deep_equals(Bag(list(on)), Bag(list(off)))
     else:
@@ -296,8 +297,8 @@ class TestR03OrToIn:
         # NULL id: OR folds to NULL; MISSING id: IN yields MISSING.
         # Both are not-TRUE, so the rows drop on both paths.
         db = make_db()
-        on = db.execute(OR_QUERY, rewrite=True)
-        off = db.execute(OR_QUERY, rewrite=False)
+        on = db.execute(OR_QUERY)
+        off = db.execute(OR_QUERY, optimize=False)
         assert deep_equals(Bag(list(on)), Bag(list(off)))
         assert "nul" not in list(on) and "mis" not in list(on)
 
@@ -352,7 +353,7 @@ class TestR04CseToLet:
 
 class TestRegistrySurfaces:
     def test_disabled_registry_fires_nothing(self):
-        config = EvalConfig(rewrite=False)
+        config = EvalConfig(optimize=False)
         core = rewrite_query(
             parse(OR_QUERY), config, catalog_names=("customers",)
         )
@@ -361,12 +362,10 @@ class TestRegistrySurfaces:
         assert fired == ()
 
     def test_optimize_off_implies_no_rewrites(self):
-        config = EvalConfig(optimize=False)
-        core = rewrite_query(
-            parse(OR_QUERY), config, catalog_names=("customers",)
-        )
-        __, fired = apply_rules(core, config)
-        assert fired == ()
+        db = make_db(optimize=False)
+        db.execute(OR_QUERY)
+        assert db.metrics.last.rewrites == []
+        assert "rewrites: none" in db.explain_plan(OR_QUERY)
 
     def test_explain_plan_reports_firings(self):
         db = make_db()
@@ -397,9 +396,9 @@ class TestRegistrySurfaces:
         assert "rewrites: none applicable" in text
 
     def test_explain_rewrites_disabled(self):
-        db = make_db(rewrite=False)
+        db = make_db(optimize=False)
         text = db.explain_rewrites(OR_QUERY)
-        assert "rewrites: disabled" in text
+        assert "rewrites: disabled (optimize off)" in text
 
     def test_metrics_record_rewrites(self):
         db = make_db()
@@ -431,11 +430,12 @@ class TestRegistrySurfaces:
 
     def test_fingerprint_taken_pre_rewrite(self):
         # The query-store fingerprint must survive registry upgrades:
-        # the same text fingerprints identically with rewrites on/off.
+        # the same text fingerprints identically on the engine, which
+        # rewrites, and on the oracle, which does not.
         db = make_db()
-        db.execute(OR_QUERY, rewrite=True)
+        db.execute(OR_QUERY)
         on = db.metrics.last.fingerprint
-        db.execute(OR_QUERY, rewrite=False)
+        db.execute(OR_QUERY, optimize=False)
         off = db.metrics.last.fingerprint
         assert on is not None and on == off
 

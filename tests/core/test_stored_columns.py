@@ -18,6 +18,7 @@ from repro.catalog.columns import NOT_A_TUPLE
 from repro.datamodel.convert import from_python
 from repro.datamodel.equality import deep_equals
 from repro.datamodel.values import Bag, Struct
+from tests.rows_mode import ROWS, rows_mode, run
 
 QTY = "SELECT VALUE t.qty FROM t AS t WHERE t.qty >= 0"
 
@@ -27,10 +28,10 @@ def rows(start, stop):
 
 
 def same(db: Database, query: str, **kwargs):
-    """The answer, checked against ``batch=False`` and the oracle."""
+    """The answer, checked against rows mode and the oracle."""
     got = db.execute(query, **kwargs)
-    for dials in ({"batch": False}, {"optimize": False}):
-        other = db.execute(query, **{**kwargs, **dials})
+    for dials in (ROWS, {"optimize": False}):
+        other = run(db.execute, query, **{**kwargs, **dials})
         assert deep_equals(Bag(list(got)), Bag(list(other))), (query, dials)
     return got
 
@@ -98,8 +99,8 @@ class TestLimits:
             db.execute(QTY, max_rows=1500)
         # A row-at-a-time count fires on the row after the limit.
         assert info.value.rows_produced == 1501
-        with pytest.raises(errors.ResourceExhausted) as info:
-            db.execute(QTY, max_rows=1500, batch=False)
+        with pytest.raises(errors.ResourceExhausted) as info, rows_mode():
+            db.execute(QTY, max_rows=1500)
         assert info.value.rows_produced == 1501
         source = db.catalog.stored_columns("t")
         column = source.columns["qty"]
@@ -167,8 +168,8 @@ def outcome(db: Database, query: str, **dials):
 def test_heterogeneous_elements_read_like_the_oracle(query, typing_mode):
     db = hetero_db(typing_mode)
     got = outcome(db, query)
-    for dials in ({"batch": False}, {"optimize": False}):
-        other = outcome(db, query, **dials)
+    for dials in (ROWS, {"optimize": False}):
+        other = run(outcome, db, query, **dials)
         if isinstance(got, type):
             assert got is other, (query, dials, got, other)
         else:
@@ -193,8 +194,8 @@ def test_a_limit_stops_before_a_mistyped_element(typing_mode):
     # raises; docs/LANGUAGE.md §8).
     db = hetero_db(typing_mode)
     query = "SELECT VALUE h.a FROM h AS h LIMIT 1"
-    for dials in ({}, {"batch": False}):
-        assert db.execute_python(query, **dials) == [1]
+    for dials in ({}, ROWS):
+        assert run(db.execute_python, query, **dials) == [1]
 
 
 def test_dotted_catalog_names_are_stored():

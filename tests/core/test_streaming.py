@@ -20,6 +20,7 @@ from repro import Database
 from repro.datamodel import Bag, LazyBag, from_python
 from repro.errors import EvaluationError, TypeCheckError
 from repro.observability import ExecTracer
+from tests.rows_mode import ROWS, run
 
 
 @pytest.fixture
@@ -58,7 +59,7 @@ class TestStreamedFlag:
     def test_window_functions_stream(self, db):
         # Windows are a blocking tail over key columns, not a third
         # executor: chunk kernels produce them on the batch executor,
-        # per-row closures under batch=False.
+        # per-row closures in rows mode.
         query = (
             "SELECT t.v AS v, ROW_NUMBER() OVER (ORDER BY t.v) AS rn "
             "FROM t AS t"
@@ -68,7 +69,7 @@ class TestStreamedFlag:
         assert db.metrics.last.batched is True
         assert sorted(row["rn"] for row in rows) == list(range(1, 51))
         assert "executor: batch" in db.explain_plan(query)
-        assert db.execute(query, batch=False) == rows
+        assert run(db.execute, query, rows=True) == rows
         assert db.metrics.last.batched is False
 
     def test_pivot_from_less_and_set_operations_stream(self, db):
@@ -169,12 +170,12 @@ class TestStrictRowOrder:
         ],
     )
     @pytest.mark.parametrize(
-        "dials", [{"optimize": False}, {}, {"batch": False}],
+        "dials", [{"optimize": False}, {}, ROWS],
         ids=["reference", "default", "stream"],
     )
     def test_errors_surface_in_row_order(self, strict_db, query, dials):
         with pytest.raises(EvaluationError):
-            strict_db.execute(query, **dials)
+            run(strict_db.execute, query, **dials)
 
     #: Stage-level shapes over ``l = [{a: 1, s: 'x'}, {a: 0, s: 1}]``:
     #: one row's LET, WHERE, GROUP BY keys and (lazy) SELECT run before
@@ -201,12 +202,12 @@ class TestStrictRowOrder:
     ]
 
     @pytest.mark.parametrize("query, error", STAGE_SHAPES)
-    @pytest.mark.parametrize("dials", [{}, {"batch": False}], ids=["default", "stream"])
+    @pytest.mark.parametrize("dials", [{}, ROWS], ids=["default", "stream"])
     def test_clauses_run_a_row_at_a_time(self, query, error, dials):
         database = Database(typing_mode="strict")
         database.set("l", [{"a": 1, "s": "x"}, {"a": 0, "s": 1}])
         with pytest.raises(error) as raised:
-            database.execute(query, **dials)
+            run(database.execute, query, **dials)
         assert type(raised.value) is error
 
     def test_exists_in_on_stops_at_its_first_hit(self):
@@ -220,7 +221,7 @@ class TestStrictRowOrder:
             "(SELECT VALUE x FROM a.xs AS x WHERE x > 1)"
         )
         assert database.execute(query) == Bag([1])
-        assert database.execute(query, batch=False) == Bag([1])
+        assert run(database.execute, query, rows=True) == Bag([1])
 
     def test_the_batch_attempt_is_replayed(self, strict_db):
         tracer = ExecTracer()

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import EvaluationError
 
 from tests.conftest import bag_of
+from tests.rows_mode import ROWS, run
 
 
 @pytest.fixture
@@ -128,7 +129,7 @@ class TestWindowedAggregates:
 
     @pytest.mark.parametrize("typing_mode", ["permissive", "strict"])
     @pytest.mark.parametrize(
-        "dials", [{}, {"batch": False}, {"optimize": False}],
+        "dials", [{}, ROWS, {"optimize": False}],
         ids=["batch", "stream", "oracle"],
     )
     def test_running_aggregate_steps_once_per_peer_group(
@@ -144,7 +145,8 @@ class TestWindowedAggregates:
         machine = REGISTRY.lookup("COLL_SUM").fn
         with mock.patch.object(machine, "step", wraps=machine.step) as step:
             result = by_name(
-                wdb.execute(
+                run(
+                    wdb.execute,
                     "SELECT e.name, SUM(e.salary) OVER (PARTITION BY e.dept "
                     "ORDER BY e.salary) AS w FROM emps AS e",
                     typing_mode=typing_mode,
@@ -195,7 +197,7 @@ class TestWindowOrderingIsTheQuerysOrdering:
     parsed and ignored: engine and oracle shared the code, so parity
     never saw it)."""
 
-    ROWS = [{"id": 1, "a": 3}, {"id": 2, "a": None}, {"id": 3, "a": 1}, {"id": 4}]
+    TABLE = [{"id": 1, "a": 3}, {"id": 2, "a": None}, {"id": 3, "a": 1}, {"id": 4}]
 
     @pytest.mark.parametrize(
         "ordering",
@@ -205,14 +207,16 @@ class TestWindowOrderingIsTheQuerysOrdering:
         ],
     )
     @pytest.mark.parametrize(
-        "dials", [{}, {"batch": False}, {"optimize": False}], ids=str
+        "dials", [{}, ROWS, {"optimize": False}], ids=str
     )
     def test_row_number_follows_the_sorted_query(self, db, ordering, dials):
-        db.set("t", self.ROWS)
-        ordered = db.execute_python(
+        db.set("t", self.TABLE)
+        ordered = run(
+            db.execute_python,
             f"SELECT VALUE r.id FROM t AS r ORDER BY {ordering}", **dials
         )
-        numbered = db.execute_python(
+        numbered = run(
+            db.execute_python,
             f"SELECT r.id AS id, ROW_NUMBER() OVER (ORDER BY {ordering}) AS rn "
             "FROM t AS r",
             **dials,
@@ -221,7 +225,7 @@ class TestWindowOrderingIsTheQuerysOrdering:
         assert [row["id"] for row in by_number] == ordered
 
     def test_nulls_last_and_desc_nulls_first(self, db):
-        db.set("t", self.ROWS)
+        db.set("t", self.TABLE)
         assert db.execute_python(
             "SELECT VALUE r.id FROM t AS r ORDER BY r.a NULLS LAST"
         ) == [3, 1, 4, 2]

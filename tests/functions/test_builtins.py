@@ -6,6 +6,7 @@ import pytest
 
 from repro.datamodel.values import MISSING
 from repro.errors import TypeCheckError
+from tests.rows_mode import run as run_in
 
 
 @pytest.fixture
@@ -122,6 +123,54 @@ class TestNumerics:
         with pytest.raises(TypeCheckError, match="POWER"):
             db.execute(query, typing_mode="strict")
         assert type(db.execute("POWER(2, 10)")) is int
+
+    @pytest.mark.parametrize("optimize", [True, False], ids=["engine", "oracle"])
+    def test_power_outside_the_float_range(self, db, optimize):
+        # An integer result keeps its exact type up to 1024 bits; past
+        # that it is the dynamic error a float overflow is, decided
+        # before the power is computed (so a huge one costs nothing).
+        exact = db.execute("POWER(2, 1023)", optimize=optimize)
+        assert type(exact) is int and exact == 2**1023
+        assert db.execute("POWER(-2, 1023)", optimize=optimize) == -(2**1023)
+        for query in (
+            "POWER(2, 1024)",
+            "POWER(-3, 647)",
+            "POWER(7, 3000000)",
+            "POWER(2.0, 5000)",
+        ):
+            assert db.execute(query, optimize=optimize, timeout_s=0.5) is MISSING
+            with pytest.raises(
+                TypeCheckError, match="POWER: result outside the float range"
+            ):
+                db.execute(query, optimize=optimize, typing_mode="strict")
+        assert db.execute("POWER(1, 10000000000)", optimize=optimize) == 1
+        assert db.execute("POWER(2, -3000)", optimize=optimize) == 0.0
+
+
+class TestCast:
+    """CAST of an infinite float to an integer type is the dynamic type
+    error CAST('inf' AS INT) is — never a raw Python OverflowError."""
+
+    @pytest.mark.parametrize("optimize", [True, False], ids=["engine", "oracle"])
+    def test_a_constant(self, db, optimize):
+        assert db.execute("CAST(1e309 AS INT)", optimize=optimize) is MISSING
+        assert db.execute("CAST('inf' AS INT)", optimize=optimize) is MISSING
+        with pytest.raises(TypeCheckError, match="cannot cast float to INT"):
+            db.execute("CAST(1e309 AS INT)", optimize=optimize, typing_mode="strict")
+
+    @pytest.mark.parametrize(
+        "dials",
+        [{}, {"rows": True}, {"optimize": False}],
+        ids=["kernel", "closure", "oracle"],
+    )
+    def test_a_float_column(self, db, dials):
+        db.set("t", [{"x": float("inf")}, {"x": 2.5}, {"x": float("-inf")}])
+        query = "SELECT VALUE CAST(t.x AS INT) FROM t AS t"
+        assert list(run_in(db.execute, query, **dials)) == [MISSING, 2, MISSING]
+        literal = "SELECT VALUE CAST(x AS INT) FROM [1e309, 2.5] AS x"
+        assert list(run_in(db.execute, literal, **dials)) == [MISSING, 2]
+        with pytest.raises(TypeCheckError, match="cannot cast float to INT"):
+            run_in(db.execute, query, typing_mode="strict", **dials)
 
 
 class TestCollections:

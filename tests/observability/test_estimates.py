@@ -13,6 +13,7 @@ import pytest
 
 from repro import Database
 from repro.observability import ExecTracer
+from tests.rows_mode import ROWS, run
 
 JOIN_QUERY = (
     "SELECT r.v AS v, s.name AS name FROM r AS r "
@@ -49,7 +50,7 @@ def skew_db(**kwargs) -> Database:
 class TestEstimateAnnotations:
     def test_streaming_plan_lines_carry_estimates(self):
         db = build_db()
-        out = db.explain_analyze(JOIN_QUERY, batch=False)
+        out = run(db.explain_analyze, JOIN_QUERY, rows=True)
         assert EST.search(out), out
         assert "q-err=" in out
         # Every operator of the join plan is annotated: the join and
@@ -65,8 +66,10 @@ class TestEstimateAnnotations:
 
     def test_worst_misestimate_flagged(self):
         db = skew_db()
-        out = db.explain_analyze(
-            "SELECT a.v AS v FROM a AS a WHERE a.k = -1", batch=False
+        out = run(
+            db.explain_analyze,
+            "SELECT a.v AS v FROM a AS a WHERE a.k = -1",
+            rows=True,
         )
         # Sample says k is unique (est ~1); actually 1976 rows match.
         assert "worst misestimate" in out
@@ -76,19 +79,17 @@ class TestEstimateAnnotations:
 
     def test_no_flag_when_estimates_are_good(self):
         db = build_db()
-        out = db.explain_analyze(
-            "SELECT r.v AS v FROM r AS r", batch=False
-        )
+        out = run(db.explain_analyze, "SELECT r.v AS v FROM r AS r", rows=True)
         assert "worst misestimate" not in out
 
     def test_unknown_estimate_renders_question_mark(self):
         # A correlated (lateral) right side has no closed-form estimate.
         db = Database(query_store=False)
         db.set("o", [{"items": [1, 2, 3], "k": 1} for _ in range(600)])
-        out = db.explain_analyze(
-            "SELECT i AS i FROM o AS o, o.items AS i "
-            "WHERE o.k = 1 AND i > 1",
-            batch=False,
+        out = run(
+            db.explain_analyze,
+            "SELECT i AS i FROM o AS o, o.items AS i WHERE o.k = 1 AND i > 1",
+            rows=True,
         )
         assert "est=? actual=" in out, out
 
@@ -119,7 +120,7 @@ class TestTallyParity:
     def test_streaming_and_batch_agree(self):
         db = build_db(n=256)
         streaming, batch = ExecTracer(), ExecTracer()
-        r1 = db.execute(JOIN_QUERY, batch=False, tracer=streaming)
+        r1 = run(db.execute, JOIN_QUERY, tracer=streaming, rows=True)
         r2 = db.execute(JOIN_QUERY, tracer=batch)
         assert len(r1) == len(r2)
         t_stream, t_batch = op_tallies(streaming), op_tallies(batch)
@@ -133,7 +134,7 @@ class TestTallyParity:
         db.set("o", [{"k": i % 4, "items": list(range(i % 5))} for i in range(256)])
         query = "SELECT o.k AS k, i AS i FROM o AS o, o.items AS i"
         streaming, batch = ExecTracer(), ExecTracer()
-        r1 = db.execute(query, batch=False, tracer=streaming)
+        r1 = run(db.execute, query, tracer=streaming, rows=True)
         r2 = db.execute(query, tracer=batch)
         assert len(r1) == len(r2) == 512 - 2  # i%5 over 256 rows
         expected = {
@@ -148,7 +149,7 @@ class TestTallyParity:
         # With a pushed filter too: operator tallies agree in both modes.
         filtered = query + " WHERE i >= 2 AND o.k < 3"
         tracers = [ExecTracer(), ExecTracer()]
-        db.execute(filtered, batch=False, tracer=tracers[0])
+        run(db.execute, filtered, tracer=tracers[0], rows=True)
         db.execute(filtered, tracer=tracers[1])
         tallies = [op_tallies(tracer) for tracer in tracers]
         assert tallies[0] == tallies[1], tallies
@@ -157,19 +158,19 @@ class TestTallyParity:
     def test_light_tracer_counts_match_full_tracer(self):
         db = build_db()
         full, light = ExecTracer(), ExecTracer(timing=False)
-        db.execute(JOIN_QUERY, batch=False, tracer=full)
-        db.execute(JOIN_QUERY, batch=False, tracer=light)
+        run(db.execute, JOIN_QUERY, tracer=full, rows=True)
+        run(db.execute, JOIN_QUERY, tracer=light, rows=True)
         assert op_tallies(full) == op_tallies(light)
 
-    @pytest.mark.parametrize("dials", [{}, {"batch": False}], ids=str)
+    @pytest.mark.parametrize("dials", [{}, ROWS], ids=str)
     def test_light_tracer_records_no_stages(self, dials):
         # Feedback sampling counts operator rows only, in either mode:
         # stage tallies are timing surface.
         db = build_db()
         query = "SELECT VALUE y FROM r AS r LET y = r.v + 1 WHERE y > 2"
         full, light = ExecTracer(), ExecTracer(timing=False)
-        db.execute(query, tracer=full, **dials)
-        db.execute(query, tracer=light, **dials)
+        run(db.execute, query, tracer=full, **dials)
+        run(db.execute, query, tracer=light, **dials)
         body = db.compile(query).body
         assert [stats.label for stats in full.stages_for(body)] == [
             "FROM", "LET", "WHERE", "SELECT",
@@ -196,7 +197,7 @@ class TestTallyParity:
         # Streamed, the same block runs the same scan operator (its row
         # form) under either tracer: same tallies, no per-item record.
         for streamed in (ExecTracer(), ExecTracer(timing=False)):
-            db.execute(query, batch=False, tracer=streamed)
+            run(db.execute, query, tracer=streamed, rows=True)
             assert op_tallies(streamed) == op_tallies(full)
             assert streamed.item_stats(db.compile(query).body.from_[0]) is None
 

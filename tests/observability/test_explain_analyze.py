@@ -5,6 +5,7 @@ import re
 import pytest
 
 from repro import Database
+from tests.rows_mode import ROWS, run
 
 #: A ``plan:`` line that says a FROM block has no operator tree
 #: (unplanned / reference / none), as opposed to the reuse decision
@@ -99,12 +100,13 @@ class TestTailStages:
     and time — on both executors and on the oracle; window time is not
     billed to SELECT and ORDER BY time is not missing."""
 
-    DIALS = [{}, {"batch": False}, {"optimize": False}]
+    DIALS = [{}, ROWS, {"optimize": False}]
 
     @pytest.mark.parametrize("dials", DIALS, ids=str)
     def test_window_row(self, join_db, dials):
         stages = stage_rows(
-            join_db.explain_analyze(
+            run(
+                join_db.explain_analyze,
                 "SELECT r.v AS v, RANK() OVER (PARTITION BY r.k ORDER BY r.v) AS rk "
                 "FROM r AS r",
                 **dials,
@@ -116,15 +118,16 @@ class TestTailStages:
     @pytest.mark.parametrize("dials", DIALS, ids=str)
     def test_order_by_row(self, join_db, dials):
         query = "SELECT VALUE r.v FROM r AS r ORDER BY r.k"
-        stages = stage_rows(join_db.explain_analyze(query, **dials))
+        stages = stage_rows(run(join_db.explain_analyze, query, **dials))
         assert list(stages) == ["FROM", "SELECT", "ORDER BY"]
         assert "rows_out=100" in stages["ORDER BY"]
 
-    @pytest.mark.parametrize("dials", [{}, {"batch": False}], ids=str)
+    @pytest.mark.parametrize("dials", [{}, ROWS], ids=str)
     def test_top_k_row_and_the_deferred_select(self, join_db, dials):
         # No key can see a select alias: the keys are columns of the
         # binding rows and the SELECT runs for the three kept rows.
-        report = join_db.explain_analyze(
+        report = run(
+            join_db.explain_analyze,
             "SELECT r.v AS v FROM r AS r ORDER BY r.k DESC, r.v LIMIT 2 OFFSET 1",
             **dials,
         )
@@ -135,14 +138,14 @@ class TestTailStages:
         assert "rows returned: 2" in report
         # A key that names the alias sorts over the output rows.
         query = "SELECT r.v AS v FROM r AS r ORDER BY v DESC LIMIT 3"
-        stages = stage_rows(join_db.explain_analyze(query, **dials))
+        stages = stage_rows(run(join_db.explain_analyze, query, **dials))
         assert list(stages) == ["FROM", "SELECT", "TOP-K"]
         assert "rows_in=100 rows_out=3" in stages["TOP-K"]
 
     @pytest.mark.parametrize("dials", DIALS, ids=str)
     def test_pivot_row(self, join_db, dials):
         query = "PIVOT s.k AT s.name FROM s AS s"
-        stages = stage_rows(join_db.explain_analyze(query, **dials))
+        stages = stage_rows(run(join_db.explain_analyze, query, **dials))
         assert list(stages) == ["FROM", "PIVOT"]
         assert "rows_in=10 rows_out=1" in stages["PIVOT"]
 
@@ -168,7 +171,7 @@ class TestTailStages:
     def test_grouped_rows_agree_on_both_executors(self, join_db, query):
         # One fold on both executors: the same stages, the same rows.
         def rows(dials):
-            stages = stage_rows(join_db.explain_analyze(query, **dials))
+            stages = stage_rows(run(join_db.explain_analyze, query, **dials))
             return {
                 name: re.search(r"(rows_in=\d+ )?rows_out=\d+", line).group(0)
                 for name, line in stages.items()
@@ -176,7 +179,7 @@ class TestTailStages:
 
         batch = rows({})
         assert list(batch) == ["FROM", "GROUP BY", "HAVING", "SELECT"]
-        assert rows({"batch": False}) == batch
+        assert rows(ROWS) == batch
 
     @pytest.mark.parametrize(
         "query, labels",
@@ -209,7 +212,7 @@ class TestTailStages:
     def test_stage_rows_agree_on_both_modes(self, join_db, query, labels):
         # One executor: the same stages, the same rows in and out.
         def rows(dials):
-            stages = stage_rows(join_db.explain_analyze(query, **dials))
+            stages = stage_rows(run(join_db.explain_analyze, query, **dials))
             return {
                 name: re.search(r"(rows_in=\d+ )?rows_out=\d+", line).group(0)
                 for name, line in stages.items()
@@ -217,7 +220,7 @@ class TestTailStages:
 
         batch = rows({})
         assert list(batch) == labels
-        assert rows({"batch": False}) == batch
+        assert rows(ROWS) == batch
 
     #: Window keys, the deferred sort keys and PIVOT's operands are chunk
     #: kernels; keys that can see the output are evaluated per row in env
@@ -306,7 +309,7 @@ class TestEdgeShapes:
         "query, dials",
         [
             (PRUNED_QUERY, {}),
-            (PRUNED_QUERY, {"batch": False}),
+            (PRUNED_QUERY, ROWS),
             # The same block as a per-row subquery.
             (
                 "SELECT y.k AS k, (SELECT VALUE x.v FROM r AS x "
@@ -319,7 +322,7 @@ class TestEdgeShapes:
     def test_pruned_block_streams_under_a_timing_tracer(self, join_db, query, dials):
         # The Empty operator produces a plain tuple iterator: the
         # traced stream must close it like every other stream does.
-        report = join_db.explain_analyze(query, **dials)
+        report = run(join_db.explain_analyze, query, **dials)
         assert "phases:" in report
         if query is PRUNED_QUERY:
             assert "  Empty (" in report and "rows_out=0" in report

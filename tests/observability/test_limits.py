@@ -5,6 +5,7 @@ import pytest
 from repro import Database
 from repro.config import EvalConfig
 from repro.errors import ResourceExhausted
+from tests.rows_mode import ROWS, run
 
 
 @pytest.fixture
@@ -99,7 +100,7 @@ class TestOneAccountingPerShape:
         """The smallest ``max_rows`` the query completes under."""
         for limit in range(1, 400):
             try:
-                database.execute(query, max_rows=limit, **dials)
+                run(database.execute, query, max_rows=limit, **dials)
             except ResourceExhausted:
                 continue
             return limit
@@ -110,10 +111,10 @@ class TestOneAccountingPerShape:
         query, expected = JOIN_SHAPES[shape]
         join_db.execute(query)
         assert join_db.metrics.last.batched is True
-        join_db.execute(query, batch=False)
+        run(join_db.execute, query, rows=True)
         assert join_db.metrics.last.batched is False
         batch = self.threshold(join_db, query)
-        stream = self.threshold(join_db, query, batch=False)
+        stream = self.threshold(join_db, query, rows=True)
         assert batch == stream == expected
         # The oracle keeps its own eager accounting (it also counts a
         # join item's output): never cheaper, not required to be equal.
@@ -127,19 +128,21 @@ class TestOneAccountingPerShape:
         join_db.execute(query)
         assert join_db.metrics.last.batched is True
         batch = self.threshold(join_db, query)
-        stream = self.threshold(join_db, query, batch=False)
+        stream = self.threshold(join_db, query, rows=True)
         assert batch == stream == 230
         assert self.threshold(join_db, query, optimize=False) == 210
 
     @pytest.mark.parametrize("shape", LIMIT_SHAPES)
     def test_limit_stops_the_accounting_with_the_stream(self, join_db, shape):
         query, expected = LIMIT_SHAPES[shape]
-        assert self.threshold(join_db, query, batch=False) == expected
+        assert self.threshold(join_db, query, rows=True) == expected
 
-    @pytest.mark.parametrize("dials", [{}, {"batch": False}], ids=["batch", "stream"])
+    @pytest.mark.parametrize("dials", [{}, ROWS], ids=["batch", "stream"])
     def test_trace_has_one_span_per_scan(self, join_db, dials):
-        tree = join_db.trace(
-            "SELECT o.k AS k FROM o AS o, p AS p WHERE o.k = p.k", **dials
+        tree = run(
+            join_db.trace,
+            "SELECT o.k AS k FROM o AS o, p AS p WHERE o.k = p.k",
+            **dials,
         ).format_tree()
         for scan in ("Scan o AS o", "Scan p AS p"):
             assert tree.count(scan) == 1, tree

@@ -18,6 +18,7 @@ from repro.observability import (
     plan_hash,
     query_fingerprint,
 )
+from repro.observability import query_store
 from repro.observability.query_store import STORE_TEXT_LIMIT, StoreEntry
 
 
@@ -94,13 +95,15 @@ class TestDetection:
         assert store.observe("fp2", "q2", "bbb", "ok", 0.01, 1) == []
         assert store.plan_change_count == 0
 
-    def test_latency_regression_needs_history(self):
-        store = QueryStore(min_history=5, regression_factor=4.0)
+    def test_latency_regression_needs_history(self, monkeypatch):
+        monkeypatch.setattr(query_store, "MIN_HISTORY", 5)
+        monkeypatch.setattr(query_store, "REGRESSION_FACTOR", 4.0)
+        store = QueryStore()
         # Four fast runs: not enough history to trust the median.
         for _ in range(4):
             store.observe("fp1", "q", "aaa", "ok", 0.01, 1)
         assert store.observe("fp1", "q", "aaa", "ok", 10.0, 1) == []
-        store2 = QueryStore(min_history=5, regression_factor=4.0)
+        store2 = QueryStore()
         for _ in range(5):
             store2.observe("fp1", "q", "aaa", "ok", 0.01, 1)
         events = store2.observe("fp1", "q", "aaa", "ok", 10.0, 1)
@@ -108,8 +111,9 @@ class TestDetection:
         assert store2.regression_count == 1
         assert store2.entry("fp1").regressions == 1
 
-    def test_errors_do_not_pollute_latency(self):
-        store = QueryStore(min_history=5)
+    def test_errors_do_not_pollute_latency(self, monkeypatch):
+        monkeypatch.setattr(query_store, "MIN_HISTORY", 5)
+        store = QueryStore()
         for _ in range(5):
             store.observe("fp1", "q", "aaa", "ok", 0.01, 1)
         store.observe("fp1", "q", "aaa", "error", 50.0, None)
@@ -127,8 +131,9 @@ class TestDetection:
         assert entry.max_qerror == 8.0
         assert entry.median_qerror() == 3.0
 
-    def test_fingerprint_lru_eviction(self):
-        store = QueryStore(max_fingerprints=3)
+    def test_fingerprint_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(query_store, "MAX_FINGERPRINTS", 3)
+        store = QueryStore()
         for i in range(5):
             store.observe(f"fp{i}", "q", None, "ok", 0.01, 1)
         assert len(store) == 3
@@ -196,9 +201,10 @@ class TestPersistence:
         finally:
             reloaded.close()
 
-    def test_bounded_retention_compacts_file(self, tmp_path):
+    def test_bounded_retention_compacts_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(query_store, "MAX_RECORDS", 8)
         path = str(tmp_path / "store.jsonl")
-        store = QueryStore(path=path, max_records=8)
+        store = QueryStore(path=path)
         for i in range(40):
             store.observe(f"fp{i}", f"q{i}", None, "ok", 0.01, 1)
         store.close()
@@ -206,7 +212,7 @@ class TestPersistence:
             lines = handle.read().splitlines()
         # Compaction keeps the file within 2x the retention bound.
         assert len(lines) <= 16
-        reloaded = QueryStore(path=path, max_records=8)
+        reloaded = QueryStore(path=path)
         try:
             # Only the newest records survive; the oldest are gone.
             assert reloaded.entry("fp0") is None

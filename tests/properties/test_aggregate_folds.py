@@ -15,9 +15,9 @@ floats / strings / tuples, in both typing modes:
   the deduplicated values), at chunk sizes 1, 3 and ``CHUNK_ROWS``; in
   strict mode, where the definition raises for some group the fold
   raises the same error class;
-* end to end, a grouped query returns the same bag on the batch
-  executor, ``batch=False`` and ``optimize=False`` (or raises the same
-  error class);
+* end to end, a grouped query returns the same bag in the executor's
+  columns mode, its rows mode and on ``optimize=False`` (or raises the
+  same error class);
 * a running window aggregate equals the prefix definition re-invoked
   per peer group;
 * ``AVG(x)`` is ``SUM(x) / COUNT(x)`` bit for bit — one running total.
@@ -48,6 +48,7 @@ from repro.functions.operators import compare, distinct_elements
 from repro.functions.registry import REGISTRY, FunctionDef
 from repro.syntax import ast
 from repro.syntax.parser import parse_expression
+from tests.rows_mode import ROWS, run
 
 MODES = ("permissive", "strict")
 
@@ -284,7 +285,7 @@ def test_machines_equal_the_list_definitions(mode, values):
             assert identical(got[1], want[1]), (name, got, want)
 
 
-# -- end to end: batch ≡ batch=False ≡ optimize=False ------------------------
+# -- end to end: columns mode ≡ rows mode ≡ optimize=False -------------------
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -305,8 +306,8 @@ def test_grouped_aggregates_agree_on_every_executor(
     for name in SQL_AGGREGATES:
         query = f"SELECT k, {name}({modifier}t.v) AS a FROM t AS t GROUP BY t.k AS k"
         batch = outcome(lambda: db.execute(query))
-        for dials in ({"batch": False}, {"optimize": False}):
-            other = outcome(lambda: db.execute(query, **dials))
+        for dials in (ROWS, {"optimize": False}):
+            other = outcome(lambda: run(db.execute, query, **dials))
             assert same_outcome(batch, other), (query, dials, batch, other)
 
 
@@ -360,24 +361,27 @@ FLOATS = [0.1] * 10 + [0.7, 1e16, 1.0, -1e16, 0.3]
 
 @pytest.mark.parametrize(
     "dials",
-    [{}, {"batch": False}, {"optimize": False}],
+    [{}, ROWS, {"optimize": False}],
     ids=["batch", "stream", "oracle"],
 )
 def test_avg_is_sum_over_count_bitwise(dials):
     db = Database()
     db.set("t", [{"g": i % 2, "x": x} for i, x in enumerate(FLOATS)])
     naive = functools.reduce(operator.add, FLOATS, 0)
-    (whole,) = db.execute(
-        "SELECT AVG(t.x) AS a, SUM(t.x) AS s, COUNT(t.x) AS n FROM t AS t", **dials
+    (whole,) = run(
+        db.execute,
+        "SELECT AVG(t.x) AS a, SUM(t.x) AS s, COUNT(t.x) AS n FROM t AS t",
+        **dials,
     )
     assert whole["s"] == naive  # one left-to-right running total
     assert whole["a"] == whole["s"] / whole["n"]
-    grouped = db.execute(
+    grouped = run(
+        db.execute,
         "SELECT g, AVG(t.x) AS a, SUM(t.x) AS s, COUNT(t.x) AS n "
         "FROM t AS t GROUP BY t.g AS g",
         **dials,
     )
     for row in grouped:
         assert row["a"] == row["s"] / row["n"]
-    core = db.execute(f"COLL_AVG({FLOATS!r})", **dials)
-    assert core == db.execute(f"COLL_SUM({FLOATS!r})", **dials) / len(FLOATS)
+    core = run(db.execute, f"COLL_AVG({FLOATS!r})", **dials)
+    assert core == run(db.execute, f"COLL_SUM({FLOATS!r})", **dials) / len(FLOATS)

@@ -3,8 +3,9 @@ streaming semantics.
 
 For randomly generated workloads — heterogeneous rows with optional
 (sometimes-MISSING) attributes, filters, LET chains, joins, GROUP BY
-with aggregates and HAVING — execution with ``batch=True`` must produce
-the same *bag* as the row-at-a-time streaming pipeline, and the identical *list* when ORDER BY fixes a total order.
+with aggregates and HAVING — execution in the executor's columns mode
+must produce the same *bag* as its row-at-a-time rows mode, and the
+identical *list* when ORDER BY fixes a total order.
 
 Bag comparison (not ordered) is the right contract for unordered
 queries: the batch pipeline is clause-major like the eager reference
@@ -42,6 +43,7 @@ from repro.datamodel.values import MISSING, Bag, Struct
 from repro.errors import SQLPPError
 from repro.syntax import ast
 from repro.syntax.parser import parse_expression
+from tests.rows_mode import ROWS, run
 
 
 def row_strategy():
@@ -73,14 +75,14 @@ TYPING_MODES = ("permissive", "strict")
 def outcome(db: Database, query: str, **dials):
     """The query's result, or the class of the error it raises."""
     try:
-        return db.execute(query, **dials)
+        return run(db.execute, query, **dials)
     except SQLPPError as error:
         return type(error)
 
 
 def run_modes(db: Database, query: str, ordered: bool = False) -> None:
     for typing_mode in TYPING_MODES:
-        streaming = outcome(db, query, batch=False, typing_mode=typing_mode)
+        streaming = outcome(db, query, rows=True, typing_mode=typing_mode)
         assert db.metrics.last.batched is False
         result = outcome(db, query, typing_mode=typing_mode)
         if isinstance(streaming, type) or isinstance(result, type):
@@ -168,8 +170,8 @@ def test_join_parity(left, right, kind):
 # over (paper, Section III-A: array, bag, empty, scalar, tuple, NULL,
 # absent, array of arrays), queried through every comma / JOIN / UNPIVOT
 # spelling of left-correlation and through subqueries over the row's own
-# collection.  Three executions must agree — default (batch), the eager
-# reference (``optimize=False``) and streaming (``batch=False``) — in
+# collection.  Three executions must agree — default (columns mode), the
+# eager reference (``optimize=False``) and rows mode — in
 # value *and* in type: a Bag stays a Bag (an empty one, never MISSING),
 # an array an array.
 
@@ -310,8 +312,8 @@ def three_ways(db: Database, query: str, ordered: bool = False) -> None:
     reference = db.execute(query, optimize=False)
     assert isinstance(reference, list if ordered else Bag), query
     expected = typed(reference)
-    for overrides in ({}, {"batch": False}):
-        result = db.execute(query, **overrides)
+    for overrides in ({}, ROWS):
+        result = run(db.execute, query, **overrides)
         assert typed(result) == expected, (query, overrides)
     db.execute(query)
     assert db.metrics.last.batched is True, query
@@ -335,7 +337,7 @@ def three_ways_strict(db: Database, query: str, one_class: bool = True) -> None:
         return result if isinstance(result, type) else typed(result)
 
     reference = strict(optimize=False)
-    streaming = strict(batch=False)
+    streaming = strict(rows=True)
     assert strict() == streaming, query
     if isinstance(streaming, type):
         assert isinstance(reference, type), (query, streaming, reference)

@@ -7,7 +7,8 @@ is replaced or has drifted past ``FeedbackHints.TOLERANCE``
 (docs/PLANNER.md, "Statistics").  For any interleaving of ``set`` /
 ``insert`` / ``drop`` on two collections, checked after every step with
 four dashboard-shaped queries and a two-collection join, in both typing
-modes, with ``batch`` on and off and with the query store on and off:
+modes, in the executor's columns mode and with rows mode forced
+(``tests/rows_mode.py``), and with the query store on and off:
 
 (a) every result (or error class) equals that of a fresh ``Database``
     rebuilt from the final data, and that of the oracle
@@ -17,7 +18,7 @@ modes, with ``batch`` on and off and with the query store on and off:
 (c) every cached plan that still passes its staleness check estimates
     each operator within the tolerance of a plan built now (compounded
     once per collection the operator reads);
-(d) a read repeated at once equals the first, and with ``batch`` on
+(d) a read repeated at once equals the first, and in columns mode
     some grouped read continued a maintained fold (``groups_advanced``;
     docs/PLANNER.md, "Caching") instead of folding everything — every
     interleaving holds an insert into a collection already read.
@@ -39,6 +40,7 @@ from repro.core import planner
 from repro.core.plan_ops import walk_ops
 from repro.datamodel.equality import deep_equals
 from repro.datamodel.values import Bag
+from tests.rows_mode import rows_mode
 
 QUERIES = {
     "count_by_kind": (
@@ -181,9 +183,7 @@ def test_any_interleaving_equals_rebuild_from_scratch(typing_mode, batch):
         # an insert advances a maintained fold (docs/PLANNER.md,
         # "Caching") instead of folding the whole collection.
         for query_store in (False, True):
-            dials = {
-                "typing_mode": typing_mode, "batch": batch, "query_store": query_store,
-            }
+            dials = {"typing_mode": typing_mode, "query_store": query_store}
             db = Database(**dials)
             model: dict = {}
             for verb, name, rows in steps:
@@ -199,8 +199,9 @@ def test_any_interleaving_equals_rebuild_from_scratch(typing_mode, batch):
                 check(db, model, dials)
             advanced.append(db.metrics.counters["groups_advanced"])
 
-    interleaving()
-    # Rows mode (``batch=False``) never keeps a fold.
+    with rows_mode(not batch):
+        interleaving()
+    # Rows mode never keeps a fold.
     assert (sum(advanced) > 0) is batch
 
 

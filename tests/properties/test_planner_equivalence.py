@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro import Database, errors
 from repro.datamodel.equality import deep_equals
 from repro.datamodel.values import Bag
+from tests.rows_mode import ROWS, run
 
 # Rows with optional attributes: a dropped key means the attribute is
 # MISSING, exercising the planner's NULL/MISSING key handling.
@@ -73,11 +74,12 @@ def outcome(db: Database, query: str, **dials):
 
 
 def run_both(db: Database, query: str) -> None:
-    """Engine (batch and stream) against the oracle, in both typing modes."""
+    """Engine (columns and rows mode) against the oracle, in both typing
+    modes."""
     for typing_mode in ("permissive", "strict"):
         reference = outcome(db, query, optimize=False, typing_mode=typing_mode)
-        for dials in ({}, {"batch": False}):
-            optimized = outcome(db, query, typing_mode=typing_mode, **dials)
+        for dials in ({}, ROWS):
+            optimized = run(outcome, db, query, typing_mode=typing_mode, **dials)
             if isinstance(reference, type):
                 assert typing_mode == "strict" and optimized is reference, (
                     f"{typing_mode} {dials}: {query!r} → {optimized}, "

@@ -2,11 +2,14 @@
 
 Per rule, for randomly generated data — rows whose correlation keys
 may be NULL, MISSING, int, float, or the wrong type entirely —
-evaluation with ``rewrite=True`` must be indistinguishable from
-``rewrite=False``, in both typing modes (same result bag, or the same
-error class).  These are exactly the hazards each rule's safety
-conditions discharge: absent keys, duplicate inner keys, empty groups,
-mixed equality categories, int/float key unification.
+evaluation on the engine, which runs the registry, must be
+indistinguishable from the oracle (``optimize=False``), which never
+rewrites, in both typing modes (same result bag, or the same error
+class, or — strict, over EXISTS / IN — an oracle error where the
+engine's early-terminating consumer stopped first).  These are exactly
+the hazards each rule's safety conditions discharge: absent keys,
+duplicate inner keys, empty groups, mixed equality categories,
+int/float key unification.
 """
 
 from __future__ import annotations
@@ -45,16 +48,21 @@ def inner_rows():
 
 
 def run_both(db: Database, query: str, typing_mode: str) -> None:
-    def outcome(rewrite: bool):
+    def outcome(optimize: bool):
         try:
             return ("value", db.execute(
-                query, typing_mode=typing_mode, rewrite=rewrite
+                query, typing_mode=typing_mode, optimize=optimize
             ))
         except errors.SQLPPError as exc:
             return ("error", type(exc).__name__)
 
     on = outcome(True)
     off = outcome(False)
+    if typing_mode == "strict" and on[0] == "value" and off[0] == "error":
+        # The oracle evaluates a bounded consumer eagerly and may meet
+        # an error the engine stopped before (docs/LANGUAGE.md §8).
+        assert "EXISTS" in query or " IN (SELECT" in query, (query, on, off)
+        return
     assert on[0] == off[0], f"{query!r}: on → {on}, off → {off}"
     if on[0] == "error":
         assert on[1] == off[1]

@@ -3,7 +3,7 @@
 ORDER BY, top-K, DISTINCT, window functions and PIVOT are functions of
 key columns (``repro.core.tails``); the evaluators differ only in how
 they produce a column — chunk kernels on the batch executor, one closure
-call per row under ``batch=False``, the tree-walker under
+call per row in rows mode, the tree-walker under
 ``optimize=False``.  Over generated rows whose keys mix NULL, MISSING,
 booleans, ints, floats (``1`` and ``1.0``: one key), strings and nested
 values with heavy ties, all three must return the same answer in both typing modes: position by
@@ -24,13 +24,14 @@ from repro import Database
 from repro.datamodel.equality import deep_equals
 from repro.datamodel.values import Bag
 from repro.errors import SQLPPError
+from tests.rows_mode import ROWS, run
 
 #: Few distinct values per kind, so ties, duplicates and peers are the
 #: rule; an attribute left out of a row is MISSING.
 KEYS = st.sampled_from(
     [None, True, 0, 1, 1.0, 2, 2.5, "a", "b", [1], [1, 2], {"z": 1}, {"z": None}]
 )
-ROWS = st.lists(
+ROW_LISTS = st.lists(
     st.fixed_dictionaries(
         {"j": st.integers(0, 3), "s": st.sampled_from(["p", "q", "r"])},
         optional={"a": KEYS, "b": KEYS, "c": st.sampled_from([None, 1, 1.0, "x"])},
@@ -50,7 +51,7 @@ ORDER_ITEMS = st.lists(
 #: 0, inside the input, and past its end.
 CARDINALS = st.sampled_from([None, 0, 1, 3, 7, 50])
 
-ENGINE_DIALS = ({}, {"batch": False})
+ENGINE_DIALS = ({}, ROWS)
 
 
 def order_by(items) -> str:
@@ -70,7 +71,7 @@ def database(rows) -> Database:
 
 def outcome(db: Database, query: str, **dials):
     try:
-        return db.execute(query, **dials)
+        return run(db.execute, query, **dials)
     except SQLPPError as error:
         return type(error)
 
@@ -99,7 +100,7 @@ def verified(monkeypatch):
     monkeypatch.setenv("REPRO_VERIFY_PLANS", "1")
 
 
-@given(ROWS, ORDER_ITEMS, CARDINALS, CARDINALS)
+@given(ROW_LISTS, ORDER_ITEMS, CARDINALS, CARDINALS)
 @settings(max_examples=40, deadline=None)
 def test_sort_and_top_k(rows, items, limit, offset):
     db = database(rows)
@@ -114,7 +115,7 @@ def test_sort_and_top_k(rows, items, limit, offset):
     )
 
 
-@given(ROWS, st.sampled_from(["", " DESC"]), CARDINALS)
+@given(ROW_LISTS, st.sampled_from(["", " DESC"]), CARDINALS)
 @settings(max_examples=25, deadline=None)
 def test_select_alias_shadowing_a_binding_variable(rows, direction, limit):
     db = database(rows)
@@ -143,7 +144,7 @@ def test_select_alias_shadowing_a_binding_variable(rows, direction, limit):
     )
 
 
-@given(ROWS, ORDER_ITEMS)
+@given(ROW_LISTS, ORDER_ITEMS)
 @settings(max_examples=25, deadline=None)
 def test_distinct(rows, items):
     db = database(rows)
@@ -162,7 +163,7 @@ def test_distinct(rows, items):
     )
 
 
-@given(ROWS, st.sampled_from(["", " DESC"]), CARDINALS, CARDINALS)
+@given(ROW_LISTS, st.sampled_from(["", " DESC"]), CARDINALS, CARDINALS)
 @settings(max_examples=25, deadline=None)
 def test_group_by_then_order_by_an_aggregate_alias(rows, direction, limit, offset):
     db = database(rows)
@@ -188,7 +189,7 @@ def test_group_by_then_order_by_an_aggregate_alias(rows, direction, limit, offse
     )
 
 
-@given(ROWS, ORDER_ITEMS)
+@given(ROW_LISTS, ORDER_ITEMS)
 @settings(max_examples=25, deadline=None)
 def test_windows(rows, items):
     db = database(rows)
@@ -205,9 +206,10 @@ def test_windows(rows, items):
     )
     # A window orders its rows as the query's own ORDER BY would: its
     # NULLS FIRST / LAST are not decoration.
-    for dials in ({}, {"batch": False}, {"optimize": False}):
-        ids = db.execute(f"SELECT VALUE t.id FROM t AS t {over}, t.id", **dials)
-        numbered = db.execute_python(
+    for dials in ({}, ROWS, {"optimize": False}):
+        ids = run(db.execute, f"SELECT VALUE t.id FROM t AS t {over}, t.id", **dials)
+        numbered = run(
+            db.execute_python,
             f"SELECT t.id AS id, ROW_NUMBER() OVER ({over}, t.id) AS rn FROM t AS t",
             **dials,
         )
@@ -222,7 +224,7 @@ def test_windows(rows, items):
     )
 
 
-@given(ROWS)
+@given(ROW_LISTS)
 @settings(max_examples=25, deadline=None)
 def test_pivot(rows):
     db = database(rows)
@@ -269,7 +271,7 @@ GROUPINGS = (
 )
 
 
-@given(ROWS)
+@given(ROW_LISTS)
 @settings(max_examples=25, deadline=None)
 def test_grouping(rows):
     db = database(rows)
