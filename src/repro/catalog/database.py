@@ -622,8 +622,8 @@ class Database:
                     self.metrics.increment(
                         "plans_rebuilt", evaluator.plans_rebuilt
                     )
-                if evaluator.groups_advanced:
-                    self.metrics.increment("groups_advanced")
+                if evaluator.advanced:
+                    self.metrics.increment(evaluator.advanced)
             metrics.total_s = perf_counter() - started
             if store is not None and metrics.fingerprint is not None:
                 self._store_observe(
@@ -919,7 +919,7 @@ class Database:
         limit raises :class:`~repro.errors.ResourceExhausted` exactly as
         ``execute`` would.
         """
-        from repro.core.vectorized import NOT_A_BLOCK, explain_executors, groups_note
+        from repro.core.vectorized import NOT_A_BLOCK, explain_executors, hold_note
 
         config = self._effective_config(**dials)
         tracer = ExecTracer()
@@ -936,8 +936,13 @@ class Database:
             plan = tracer.plan_for(body)
             if plan is not None:
                 notes = evaluator.plan_notes(body)
-                if metrics.batched and body.group_by is not None:
-                    notes.append(groups_note(evaluator, core, plan, traced=True))
+                held = (
+                    hold_note(evaluator, core, plan, traced=True)
+                    if metrics.batched
+                    else None
+                )
+                if held is not None:
+                    notes.append(held)
                 lines.append(plan.explain(tracer, notes))
             elif body.from_ is not None:
                 # Only the oracle enumerates FROM without a plan.

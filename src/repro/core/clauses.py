@@ -234,7 +234,8 @@ def order_parts(column: List[Any], item: ast.OrderItem) -> List[tuple]:
     """One ORDER BY item's key column as ``(absence_rank, *sort_key)``
     tuples that sort natively.  The absence rank implements NULLS
     FIRST/LAST (SQL++ default: absent first ascending, last descending);
-    :func:`sort_key`'s ``str``/``int`` cases are inlined."""
+    :func:`sort_key`'s ``str``, ``int`` and non-NaN ``float`` cases are
+    inlined."""
     absent = 0 if item.nulls_first is None or item.nulls_first != item.desc else 1
     present = 1 - absent
     null, missing = (absent,) + sort_key(None), (absent,) + sort_key(MISSING)
@@ -245,9 +246,9 @@ def order_parts(column: List[Any], item: ast.OrderItem) -> List[tuple]:
         else missing
         if value is MISSING
         else (present, 3, 1, value)
-        if type(value) is int
+        if (kind := type(value)) is int or kind is float and value == value
         else (present, 4, value)
-        if type(value) is str
+        if kind is str
         else rank + sort_key(value)
         for value in column
     ]
@@ -277,10 +278,13 @@ class OrderedTail:
 
     Top-K keeps at most ``bound`` rows between chunks, sorted: a chunk's
     rows that sort strictly after the last kept row on the first key are
-    dropped by one comparison each, the rest are merged by
+    dropped by one comparison each (the later keys' parts are built for
+    the survivors only), the rest are merged by
     :func:`sort_positions` and cut back to ``bound`` — O(bound + chunk)
     memory, and ties resolve by arrival order exactly as in the full
-    sort, which therefore returns the same prefix."""
+    sort, which therefore returns the same prefix.  So a finished top-K
+    fed further rows — the next elements of an append-only input — is
+    the top-K of the whole input (``vectorized.HeldFold``)."""
 
     def __init__(self, order_by: Sequence[ast.OrderItem], bound: Optional[int] = None):
         self.items = order_by
@@ -291,20 +295,22 @@ class OrderedTail:
         self._full = False  # payload is sorted and ``bound`` rows long
 
     def feed(self, key_columns: List[List[Any]], payload: List[Any]) -> None:
-        parts = [
-            order_parts(column, item)
-            for column, item in zip(key_columns, self.items)
-        ]
+        first, *rest = key_columns
+        first = order_parts(first, self.items[0])
         if self._full:
             worst = self.parts[0][-1]
             if self.descs[0]:
-                picks = [k for k, part in enumerate(parts[0]) if part >= worst]
+                picks = [k for k, part in enumerate(first) if part >= worst]
             else:
-                picks = [k for k, part in enumerate(parts[0]) if part <= worst]
-            parts = [[column[k] for k in picks] for column in parts]
+                picks = [k for k, part in enumerate(first) if part <= worst]
+            first = [first[k] for k in picks]
+            rest = [[column[k] for k in picks] for column in rest]
             payload = [payload[k] for k in picks]
         if self.bound == 0 or not payload:
             return
+        parts = [first] + [
+            order_parts(column, item) for column, item in zip(rest, self.items[1:])
+        ]
         for kept, column in zip(self.parts, parts):
             kept.extend(column)
         self.payload.extend(payload)

@@ -83,7 +83,8 @@ class _QueryCaches:
         self.block_kernels: Dict[Tuple[int, bool], Any] = {}
         self.reorder_flags: Dict[int, Tuple[Any, bool]] = {}
         #: id(block) → ``vectorized.HeldFold``: a top-level GROUP BY
-        #: block's fold kept between executions.
+        #: block's fold or top-K block's kept rows, held between
+        #: executions.
         self.folds: Dict[int, Any] = {}
 
 
@@ -158,10 +159,10 @@ class Evaluator(clauses.QueryEvaluator):
         #: Whether the top-level block ran in the executor's columns
         #: mode; surfaced as ``QueryMetrics.batched``.
         self.batched = False
-        #: Whether the top-level block's fold continued a held state
-        #: (``vectorized.HeldFold``); surfaced as the ``groups_advanced``
-        #: counter.
-        self.groups_advanced = False
+        #: The counter to bump when the top-level block continued a held
+        #: state (``vectorized.HeldFold``): ``groups_advanced`` for a
+        #: GROUP BY fold, ``topk_advanced`` for a top-K; None otherwise.
+        self.advanced: Optional[str] = None
         #: Wall time spent in the physical planner, or None when the
         #: planner never ran for this execution (no block has a FROM).
         #: Always measured — planning happens once per block per

@@ -69,8 +69,16 @@ from typing import (
 )
 
 from repro.core.chunk import Chunk, cut, survivors, taken
+from repro.core.clauses import identity_column
 from repro.datamodel.equality import group_key
-from repro.datamodel.values import Bag, LazyBag, MISSING, Struct, type_name
+from repro.datamodel.values import (
+    Bag,
+    LazyBag,
+    MISSING,
+    Struct,
+    positions_of,
+    type_name,
+)
 from repro.errors import TypeCheckError
 from repro.syntax import ast
 
@@ -133,6 +141,7 @@ class PlanOp:
         env: "Environment",
         size: int = CHUNK_ROWS,
         morsel: Optional[Tuple[int, int]] = None,
+        tally: Any = None,
     ) -> Iterator[Chunk]:
         """Yield this operator's binding rows in chunks of at most
         ``size`` rows, its pushed filters applied — the one way an
@@ -148,17 +157,20 @@ class PlanOp:
         ANALYZE.
 
         ``morsel`` is a ``(start, stop)`` row span over the operator's
-        *base scan*: a maintained GROUP BY fold scans only the elements
-        appended since its last run.
+        *base scan*: a maintained block (a GROUP BY fold or a top-K)
+        scans only the elements appended since its last run.  ``tally``
+        (an ``ExecTracer``) counts the rows of the operator and of the
+        ones below it along the base scan in place of the evaluator's
+        tracer: a maintained block counts them on every run.
         """
-        chunks = self._produce(evaluator, env, size, morsel)
-        tracer = evaluator.tracer
+        chunks = self._produce(evaluator, env, size, morsel, tally)
+        tracer = evaluator.tracer if tally is None else tally
         if tracer is None and not self.filters:
             return chunks
         return self._observed(evaluator, env, chunks, tracer, size == 1)
 
     def _produce(
-        self, evaluator, env, size: int, morsel
+        self, evaluator, env, size: int, morsel, tally
     ) -> Iterator[Chunk]:
         """The operator's rows before its pushed filters, in chunks of
         at most ``size``, each told to the governor before it is
@@ -277,7 +289,7 @@ class EmptyOp(PlanOp):
         self.reason = reason
         self.est_rows = 0.0
 
-    def _produce(self, evaluator, env, size, morsel):
+    def _produce(self, evaluator, env, size, morsel, tally):
         return iter(())
 
     def describe(self) -> str:
@@ -300,7 +312,7 @@ class ScanOp(PlanOp):
             source_name(item.expr) if isinstance(item, ast.FromCollection) else None
         )
 
-    def _produce(self, evaluator, env, size, morsel):
+    def _produce(self, evaluator, env, size, morsel, tally):
         """What :func:`lateral_bindings` says the source binds, ``size``
         elements per pull."""
         item = self.item
@@ -420,8 +432,8 @@ class _JoinOp(PlanOp):
         and the index of the left row each candidate extends."""
         raise NotImplementedError
 
-    def _produce(self, evaluator, env, size, morsel):
-        source = self.left.iter_chunks(evaluator, env, size, morsel)
+    def _produce(self, evaluator, env, size, morsel, tally):
+        source = self.left.iter_chunks(evaluator, env, size, morsel, tally)
         try:
             yield from cut(self._pieces(evaluator, env, size, source), size)
         finally:
@@ -606,8 +618,8 @@ class HashJoinOp(_JoinOp):
     .equals`): a NULL or MISSING key component makes the ``ON``
     conjunct non-TRUE, so such rows never match — they are skipped on
     both sides (and LEFT-padded on the probe side).  Non-absent keys
-    hash by :func:`repro.datamodel.equality.group_key`, whose identity
-    coincides with the deep equality ``=`` uses on non-absent values.
+    hash by GROUP BY's identity (:func:`_hash_keys`), which coincides
+    with the deep equality ``=`` uses on non-absent values.
 
     ``residual`` holds the non-equi conjuncts of a conjunctive ``ON``;
     they are evaluated per key-matching pair, like the reference.
@@ -759,11 +771,21 @@ def _pair_slices(
         yield left_chunk.take(lefts).merged(right.take(chosen)), lefts
 
 
-def _hash_keys(key_fns, rows: Chunk, env) -> List[Optional[Tuple]]:
-    """Each row's composite hash key, or None where a component is
-    NULL/MISSING (Core equality: such keys never match)."""
-    keys: List[Optional[Tuple]] = []
-    for values in zip(*[fn(rows, env) for fn in key_fns]):
+def _hash_keys(key_fns, rows: Chunk, env) -> List[Any]:
+    """Each row's hash key, or None where a key is NULL/MISSING (Core
+    equality: such keys never match).  One key's is GROUP BY's identity
+    (:func:`clauses.identity_column`), several keys' the tuple of their
+    :func:`group_key`."""
+    columns = [fn(rows, env) for fn in key_fns]
+    if len(columns) == 1:
+        column = columns[0]
+        keys: List[Any] = identity_column(column)
+        for absent in (None, MISSING):
+            for k in positions_of(column, absent):
+                keys[k] = None
+        return keys
+    keys = []
+    for values in zip(*columns):
         key: Optional[Tuple] = ()
         for value in values:
             if value is None or value is MISSING:

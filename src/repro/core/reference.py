@@ -56,7 +56,7 @@ class ReferenceEvaluator(clauses.QueryEvaluator):
     streamed = False
     batched = False
     plans_rebuilt = 0
-    groups_advanced = False
+    advanced = None
 
     def __init__(
         self,

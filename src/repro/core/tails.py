@@ -154,6 +154,7 @@ def run_tail(
     stages: list,
     deferred: bool = False,
     bound: Optional[int] = None,
+    order: Optional[OrderedTail] = None,
 ) -> Any:
     """A block from its final binding rows (after HAVING) on: window
     values, then ``PIVOT``'s one tuple or ``SELECT [DISTINCT]`` and the
@@ -169,14 +170,18 @@ def run_tail(
     (:func:`windows.lower_window_calls`).  With ``deferred`` (sound only
     when no ORDER BY key can see a select alias) the keys are columns of
     the binding rows and the SELECT runs last, for the rows the sort
-    kept.  Each tail opens a tally in ``stages`` (EXPLAIN ANALYZE).
+    kept.  ``order`` continues a top-K an earlier run finished (a block
+    maintained between runs, ``vectorized.HeldFold``): ``chunks`` are
+    then the rows that arrived since.  Each tail opens a tally in
+    ``stages`` (EXPLAIN ANALYZE).
     """
     pivot = isinstance(select, ast.PivotClause)
     if calls or pivot:
         chunks = [cols.concat(chunks)]
 
     window_stage = StageTally("WINDOW", stages) if calls else None
-    order = OrderedTail(order_by, bound) if order_by and not pivot else None
+    if order is None and order_by and not pivot:
+        order = OrderedTail(order_by, bound)
     order_name = "ORDER BY" if bound is None else "TOP-K"
     if pivot:
         select_stage = StageTally("PIVOT", stages)
@@ -227,6 +232,10 @@ def run_tail(
     values = order.finish()
     mark = order_stage.lap(len(values), mark)
     if deferred:
-        values = cols.column(select.expr, cols.gather(values))
+        rows = cols.gather(values)
+        # The kept rows as one part: a top-K held for the next run keeps
+        # none of this run's parts alive.
+        order.payload = cols.payload(rows)
+        values = cols.column(select.expr, rows)
         select_stage.lap(len(values), mark)
     return values

@@ -20,8 +20,9 @@ a row-at-a-time pipeline would, and a strict block raises the error
 such a pipeline raises first.  ``Evaluator._batch_decision`` picks the
 mode.  The block's tail — windows, PIVOT or SELECT, ORDER BY — is the
 one every evaluator runs (:mod:`repro.core.tails`).  A top-level GROUP
-BY over a collection grown by ``insert`` keeps its fold between runs
-and folds only the appended elements (:class:`HeldFold`).
+BY or top-K over a collection grown by ``insert`` keeps its fold or its
+kept rows between runs and is fed only the appended elements
+(:class:`HeldFold`).
 
 Aggregate decomposition
 -----------------------
@@ -54,6 +55,7 @@ from typing import Sequence, Tuple
 
 from repro.core import clauses
 from repro.core.chunk import Chunk, cut, survivors
+from repro.core.clauses import OrderedTail
 from repro.core.environment import Environment
 from repro.core.grouping_sets import expand_grouping_sets
 from repro.core.plan_ops import (
@@ -70,7 +72,7 @@ from repro.datamodel.values import Bag, LazyBag, Struct
 from repro.errors import SQLPPError
 from repro.functions.aggregates import MEMBERS, Aggregate, Members, State, machine_for
 from repro.functions.registry import REGISTRY
-from repro.observability.tracer import StageTally
+from repro.observability.tracer import ExecTracer, StageTally
 from repro.syntax import ast
 
 #: Placeholder-variable prefix for decomposed aggregate results; ``$``
@@ -478,8 +480,8 @@ class BlockKernels:
     tail_vars: frozenset
     star_vars: List[str]
     deferred: bool
-    #: Why the GROUP BY fold may not be kept between executions by the
-    #: rungs decided once per block ("" when it may; None until
+    #: Why the GROUP BY fold or top-K may not be kept between executions
+    #: by the rungs decided once per block ("" when it may; None until
     #: :func:`hold_refusal` first needs them).
     maintained: Optional[str] = None
 
@@ -492,11 +494,11 @@ class BlockKernels:
             evaluator, env, self.tail_vars, self.star_vars, self.one_row
         )
 
-    def tail(self, chunks, cols, config, stages, bound=None) -> Any:
+    def tail(self, chunks, cols, config, stages, bound=None, order=None) -> Any:
         """:func:`tails.run_tail` over the block's final binding rows."""
         return run_tail(
             chunks, cols, self.select, self.calls, self.order_by, config,
-            stages, self.deferred, bound,
+            stages, self.deferred, bound, order,
         )
 
 
@@ -755,18 +757,25 @@ def execute_block(evaluator, query, plan, env, rows=False, stream=False) -> Any:
     machines = decomp.machines if decomp is not None else []
     groups = GroupState.sets(decomp.clause, machines) if decomp is not None else []
     size = 1
-    held = None
+    held = counter = order = None
     if plan is None:
         source: Iterable[Chunk] = (Chunk(1, {}),)
     elif rows:
         size = evaluator._pull_size(body, stream or kind == "limit")
         source = plan.op.iter_chunks(evaluator, env, size)
-    elif decomp is not None and hold_refusal(evaluator, query, kernels) is None:
-        # A maintained fold: the groups held from the last run, stepped
-        # over the elements appended since.
-        held, start = _resume_fold(evaluator, query, plan.reads[0])
-        groups = held.groups or groups
-        source = plan.op.iter_chunks(evaluator, env, morsel=(start, held.folded))
+    elif (decomp is not None or kind == "top-k") and hold_refusal(
+        evaluator, query, kernels
+    ) is None:
+        # A maintained block: the groups or top-K held from the last
+        # run, fed the elements appended since.
+        held, start, counter = _resume(evaluator, query, plan)
+        if decomp is not None:
+            groups = held.state or groups
+        else:
+            order = held.state or OrderedTail(kernels.order_by, bound)
+        source = plan.op.iter_chunks(
+            evaluator, env, morsel=(start, held.folded), tally=counter
+        )
     else:
         source = plan.op.iter_chunks(evaluator, env)
     if rows and not (timing or let_fns or residual_fn):
@@ -791,7 +800,7 @@ def execute_block(evaluator, query, plan, env, rows=False, stream=False) -> Any:
                 if group_stage is not None:
                     group_stage.lap(0, mark)
             if held is not None:
-                _keep_fold(evaluator, query, held, groups)
+                _keep(evaluator, query, held, groups, counter)
             mark = perf_counter() if timing else 0.0
             group_rows = finalize_groups(decomp.clause, decomp.specs, groups, config)
             if group_stage is not None:
@@ -844,11 +853,22 @@ def execute_block(evaluator, query, plan, env, rows=False, stream=False) -> Any:
     if rows:
         chunks = cut(chunks, CHUNK_ROWS)
     try:
-        result = kernels.tail(() if bound == 0 else chunks, cols, config, stages, bound)
+        result = kernels.tail(
+            () if bound == 0 else chunks, cols, config, stages, bound, order
+        )
     finally:
         close_iter(chunks)
         if timing:
             tracer.flush_stages(body, stages, started)
+    if order is not None:
+        if kernels.deferred and order.payload:
+            # The kept rows (one gathered chunk) as plain columns: no
+            # positions into a collection keep its stored columns alive
+            # once it is replaced.
+            kept = order.payload[0][0]
+            kept = Chunk(kept.size, {name: kept.column(name) for name in kept.names()})
+            order.payload = KernelColumns.payload(kept)
+        _keep(evaluator, query, held, order, counter)
     if kind == "pivot":
         return result
     if query.order_by:
@@ -857,31 +877,40 @@ def execute_block(evaluator, query, plan, env, rows=False, stream=False) -> Any:
 
 
 # =========================================================================
-# Maintained folds: a GROUP BY over a collection grown by insert
+# Maintained blocks: a GROUP BY or top-K over a collection grown by insert
 # =========================================================================
 
 
 class HeldFold:
-    """A top-level GROUP BY block's fold kept between executions
-    (docs/PLANNER.md, "Caching"): ``groups`` (one :class:`GroupState`
-    per grouping set; None until a fold finished) has folded the first
-    ``folded`` elements of the collection the block scans, as of that
-    collection's ``version``."""
+    """A top-level block's state kept between executions (docs/PLANNER.md,
+    "Caching"): ``state`` — a GROUP BY's fold (one :class:`GroupState`
+    per grouping set) or a top-K's finished :class:`OrderedTail`; None
+    until a run finished — has been fed the first ``folded`` elements of
+    the collection the block scans, as of that collection's ``version``.
+    ``counts`` holds, per operator of ``plan`` in :func:`walk_ops`
+    order, its ``(rows_in, rows_out)`` over those elements (None: never
+    counted), so a run fed only the delta can still report what a whole
+    run would have counted."""
 
-    __slots__ = ("version", "folded", "groups")
+    __slots__ = ("version", "folded", "state", "plan", "counts")
 
-    def __init__(self) -> None:
+    def __init__(self, plan) -> None:
         self.version = self.folded = 0
-        self.groups: Optional[List[GroupState]] = None
+        self.state: Any = None
+        self.plan = plan
+        self.counts: List[Optional[Tuple[int, int]]] = [None] * len(
+            walk_ops(plan.op)
+        )
 
 
 def _maintained(evaluator, query, kernels) -> str:
-    """Why a block's fold may not be kept between executions by the
-    rungs decided once per compiled block (docs/PLANNER.md, "Caching"),
-    or "": the top-level query's block, FROM one scan of a catalog
-    collection (with lateral items over it), no other name in the query
-    that the catalog could resolve, no ``?`` parameter, O(1) state per
-    group in every machine and no resource limit."""
+    """Why a block's fold or top-K may not be kept between executions by
+    the rungs decided once per compiled block (docs/PLANNER.md,
+    "Caching"), or "": the top-level query's block, FROM one scan of a
+    catalog collection (with lateral items over it), no other name in
+    the query that the catalog could resolve, no ``?`` parameter, O(1)
+    state per group in every machine (a top-K: no DISTINCT and no
+    window) and no resource limit."""
     from repro.catalog.statistics import source_name
 
     config, plan = evaluator.config, kernels.plan
@@ -902,21 +931,27 @@ def _maintained(evaluator, query, kernels) -> str:
             return f"{node.name} {again}"
         if isinstance(node, ast.Parameter):
             return "a ? parameter"
-    for spec in kernels.decomp.specs:
-        if isinstance(spec.machine, Members):
-            distinct = " (DISTINCT)" if spec.distinct else ""
-            return f"{spec.machine.name}{distinct} keeps every value of its group"
+    if kernels.decomp is None:
+        if getattr(query.body.select, "distinct", False):
+            return "SELECT DISTINCT needs every row"
+        if kernels.calls:
+            return "a window function needs every row"
+    else:
+        for spec in kernels.decomp.specs:
+            if isinstance(spec.machine, Members):
+                distinct = " (DISTINCT)" if spec.distinct else ""
+                return f"{spec.machine.name}{distinct} keeps every value of its group"
     if config.has_limits:
         return "a resource limit (timeout_s / max_rows / max_recursion) is set"
     return ""
 
 
 def hold_refusal(evaluator, query, kernels) -> Optional[str]:
-    """Why the GROUP BY block of ``kernels`` (columns mode) folds its
-    whole input this run, or None when it continues the fold its last
-    run kept.  The collection is looked at first — a few dictionary
-    probes per run — and the rungs decided once per compiled block
-    (:func:`_maintained`) only for one grown by ``insert``."""
+    """Why the GROUP BY or top-K block of ``kernels`` (columns mode) is
+    fed its whole input this run, or None when it continues the state
+    its last run kept.  The collection is looked at first — a few
+    dictionary probes per run — and the rungs decided once per compiled
+    block (:func:`_maintained`) only for one grown by ``insert``."""
     reads, catalog = kernels.plan.reads, evaluator._catalog
     if len(reads) != 1:
         return "FROM is not one scan of a catalog collection"
@@ -932,50 +967,97 @@ def hold_refusal(evaluator, query, kernels) -> Optional[str]:
     return kernels.maintained or None
 
 
-def _resume_fold(evaluator, query: ast.Query, name: str) -> Tuple[HeldFold, int]:
-    """The fold a maintained block runs on, moved to collection ``name``
-    as it is now, and the first element still to fold.  The held state
-    is popped (:func:`_keep_fold` stores it back once the fold finished,
-    so a fold that raises leaves none) and continued only when ``name``
-    was just appended to since and no tracer is attached: a traced run's
-    operator counts and cardinality feedback are whole-collection
-    truths."""
-    catalog = evaluator._catalog
+def _shape(plan) -> List[Optional[str]]:
+    """What the operator counts of a held state are keyed by: each
+    operator's feedback key, in :func:`walk_ops` order."""
+    from repro.core.planner import feedback_key
+
+    return [feedback_key(op) for op in walk_ops(plan.op)]
+
+
+def _resume(evaluator, query: ast.Query, plan) -> Tuple[HeldFold, int, Any]:
+    """The state a maintained block runs on, moved to the collection it
+    scans as that is now, the first element still to feed, and the
+    tracer its operators count rows into.  The held state is popped
+    (:func:`_keep` stores it back once the run finished, so a run that
+    raises leaves none) and continued when the collection was only
+    appended to since, under no tracer or a timing-free one (the query
+    store's feedback run), and over a plan of the same shape — the
+    plan it ran on, or one rebuilt since with the same feedback keys.
+    A timing tracer (EXPLAIN ANALYZE, ``trace``) runs over the whole
+    collection, counts into itself and leaves the state it built.  A
+    tracer is meant for one execution, so its counts are this run's."""
+    catalog, tracer = evaluator._catalog, evaluator.tracer
+    name = plan.reads[0]
+    timing = tracer is not None and tracer.timing
     held = evaluator._caches.folds.pop(id(query.body), None)
-    if (
-        held is None
-        or evaluator.tracer is not None
-        or not catalog.appended_since(name, held.version)
-    ):
-        held = HeldFold()
+    if held is not None and held.plan is not plan:
+        if _shape(held.plan) != _shape(plan):
+            held = None
+        else:
+            held.plan = plan
+    if held is None or timing or not catalog.appended_since(name, held.version):
+        held = HeldFold(plan)
     start = held.folded
     held.version, held.folded = catalog.version_of(name), len(catalog.get(name))
-    return held, start
+    return held, start, tracer if timing else ExecTracer(timing=False)
 
 
-def _keep_fold(evaluator, query: ast.Query, held: HeldFold, groups) -> None:
-    """Hold ``groups``, the finished fold of :func:`_resume_fold`."""
-    evaluator.groups_advanced = evaluator.groups_advanced or held.groups is not None
-    held.groups = groups
+def _keep(evaluator, query: ast.Query, held: HeldFold, state, counter) -> None:
+    """Hold ``state``, the finished fold or top-K of :func:`_resume`, its
+    operator counts advanced by this run's, read from ``counter``.  A
+    timing-free tracer is credited the counts over the whole collection,
+    which is what a run fed all of it would have recorded: cardinality
+    feedback and q-errors read the same numbers either way."""
+    if held.state is not None:
+        evaluator.advanced = (
+            "topk_advanced" if isinstance(state, OrderedTail) else "groups_advanced"
+        )
+    tracer = evaluator.tracer
+    for k, op in enumerate(walk_ops(held.plan.op)):
+        stats = counter.op_stats(op)
+        if stats is not None:
+            rows_in, rows_out = held.counts[k] or (0, 0)
+            held.counts[k] = (rows_in + stats.rows_in, rows_out + stats.rows_out)
+        if tracer is not None and tracer is not counter and held.counts[k]:
+            tracer.record_op(op, *held.counts[k], 0.0)
+    held.state = state
     evaluator._caches.folds[id(query.body)] = held
 
 
-def groups_note(evaluator, query: ast.Query, plan, traced: bool = False) -> str:
+#: Per kind of held state: EXPLAIN's label, what a run that keeps none
+#: does, what a timing-traced run does, and the verb for feeding rows.
+_HOLD_WORDS = {
+    "groups": ("folded per run", "re-folded", "folds", "folded"),
+    "top-k": ("sorted per run", "re-sorted", "scans", "scanned"),
+}
+
+
+def hold_note(evaluator, query: ast.Query, plan, traced: bool = False) -> Optional[str]:
     """EXPLAIN's ``groups:`` line for a top-level GROUP BY block in
-    columns mode (``traced``: EXPLAIN ANALYZE's)."""
-    refusal = hold_refusal(evaluator, query, block_kernels(evaluator, query, plan))
+    columns mode, or its ``top-k:`` line for a top-K block (``traced``:
+    EXPLAIN ANALYZE's); None for any other block."""
+    kernels = block_kernels(evaluator, query, plan)
+    if kernels.decomp is not None:
+        label = "groups"
+    elif consumer_kind(query) == "top-k":
+        label = "top-k"
+    else:
+        return None
+    per_run, redo, verb, done = _HOLD_WORDS[label]
+    refusal = hold_refusal(evaluator, query, kernels)
     if refusal is not None:
-        return f"groups: folded per run — {refusal}"
+        return f"{label}: {per_run} — {refusal}"
     if traced:
-        return "groups: re-folded (traced run)"
+        return f"{label}: {redo} (traced run)"
     name, catalog = plan.reads[0], evaluator._catalog
     held = evaluator._caches.folds.get(id(query.body))
     length = len(catalog.get(name))
     if held is None or not catalog.appended_since(name, held.version):
-        state = f"nothing held yet: the next read folds {length} rows"
+        state = f"nothing held yet: the next read {verb} {length} rows"
     else:
-        state = f"{held.folded} rows folded, {length - held.folded} appended since"
-    return f"groups: maintained — {name} grown by insert ({state})"
+        state = f"{held.folded} rows {done}, {length - held.folded} appended since"
+    return f"{label}: maintained — {name} grown by insert ({state})"
 
 
 # =========================================================================
@@ -1001,8 +1083,9 @@ def explain_query(evaluator, query: ast.Query) -> List[str]:
         lines = ["plan: unplanned (no FROM clause)"]
     else:
         notes = evaluator.plan_notes(body)
-        if batched and body.group_by is not None:
-            notes.append(groups_note(evaluator, query, plan))
+        held = hold_note(evaluator, query, plan) if batched else None
+        if held is not None:
+            notes.append(held)
         lines = [plan.explain(notes=notes)]
     lines.append(f"consumer: {describe_consumer(query, batched)}")
     return lines + executors

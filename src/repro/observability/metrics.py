@@ -164,6 +164,12 @@ _COUNTER_METRICS = {
         "Executions whose GROUP BY continued a held fold state over the "
         "elements appended since, instead of folding the whole collection.",
     ),
+    "topk_advanced": (
+        "repro_topk_advanced_total",
+        "Executions whose ORDER BY ... LIMIT continued its held rows over "
+        "the elements appended since, instead of sorting the whole "
+        "collection.",
+    ),
 }
 
 
@@ -187,6 +193,7 @@ class MetricsRegistry:
             "stats_advanced": 0,
             "plans_rebuilt": 0,
             "groups_advanced": 0,
+            "topk_advanced": 0,
         }
         #: Per-phase latency histograms (shared log-spaced buckets).
         self.histograms: Dict[str, Histogram] = {

@@ -31,7 +31,11 @@ module is that memory for the SQL++ engine:
   :class:`~repro.catalog.statistics.FeedbackHints` under plan-shape
   keys.  The planner prefers those hints over sampled statistics, so a
   join order chosen from a bad estimate corrects itself on the next
-  execution of the same fingerprint.
+  execution of the same fingerprint.  A sampled run still continues a
+  block's held fold or top-K (``vectorized.HeldFold``) over the
+  elements appended since: the tracer is credited each operator's
+  counts over the whole collection, so the actuals are the ones a full
+  run would have observed.
 
 * **Persistence.**  One JSON-lines record per execution, bounded
   retention (the file is compacted to the newest ``MAX_RECORDS``

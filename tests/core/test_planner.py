@@ -427,6 +427,34 @@ class TestLeftJoinPadding:
         assert sum(1 for row in result if row["v"] is None) == 2
         assert sum(1 for row in result if row["v"] == "hit") == 1
 
+    @pytest.mark.parametrize("rows", [False, True], ids=["columns", "rows"])
+    def test_one_hash_key_matches_by_group_by_identity(self, rows):
+        # One key hashes by GROUP BY's identity: 1 = 1.0, while TRUE and
+        # '1' are other values, and NULL / MISSING never match.
+        db = Database()
+        db.load_value(
+            "l",
+            "<< {'n': 0, 'k': 1}, {'n': 1, 'k': 1.0}, {'n': 2, 'k': true}, "
+            "{'n': 3, 'k': '1'}, {'n': 4, 'k': null}, {'n': 5} >>",
+        )
+        db.load_value(
+            "r", "<< {'k': 1.0, 'v': 'one'}, {'k': null, 'v': 'null'}, {'v': 'missing'} >>"
+        )
+        query = (
+            "SELECT l.n AS n, r.v AS v FROM l AS l "
+            "LEFT JOIN r AS r ON l.k = r.k"
+        )
+        assert "HashJoin[LEFT] key (l.k = r.k)" in db.explain_plan(query)
+        result = to_python(run(both_ways, db, query, rows=rows))
+        assert sorted(result, key=lambda row: row["n"]) == [
+            {"n": 0, "v": "one"},
+            {"n": 1, "v": "one"},
+            {"n": 2, "v": None},
+            {"n": 3, "v": None},
+            {"n": 4, "v": None},
+            {"n": 5, "v": None},
+        ]
+
 
 # =========================================================================
 # Pushdown parity

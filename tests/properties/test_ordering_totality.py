@@ -1,12 +1,13 @@
 """Property tests for ordering totality and aggregate absence-skipping.
 
-Two paper-level guarantees that must hold for *any* value, not just the
+Paper-level guarantees that must hold for *any* value, not just the
 listings' data:
 
 * ``ordering.sort_key`` imposes a total order on the entire data model —
   heterogeneous values, NaN included — because ORDER BY must never crash
   on whatever mix of types a schemaless collection holds (paper,
-  Section III: one data model, no flat-tables assumption);
+  Section III: one data model, no flat-tables assumption), and the
+  ORDER BY key parts every evaluator sorts on are exactly that order;
 * every ``COLL_*`` aggregate skips NULL and MISSING *identically* in
   permissive and strict typing modes: absent values are the data-
   exclusion signal, not a type error, so stop-on-error mode must not
@@ -18,9 +19,11 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro import Database
+from repro.core.clauses import order_parts
 from repro.datamodel.equality import deep_equals
 from repro.datamodel.ordering import sort_key
-from repro.datamodel.values import Bag, Struct
+from repro.datamodel.values import MISSING, Bag, Struct
+from repro.syntax import ast
 
 # -- heterogeneous model values, NaN and infinities included -----------------
 
@@ -146,3 +149,38 @@ def test_boolean_aggregates_skip_absence_identically(tokens):
         assert deep_equals(with_absence, strict_result), aggregate
         without_absence = PERMISSIVE_DB.execute(f"{aggregate}({cleaned})")
         assert deep_equals(with_absence, without_absence), aggregate
+
+
+# -- ORDER BY key parts are the absence rank and the sort key ----------------
+
+order_values = st.one_of(
+    values,
+    st.just(MISSING),
+    st.sampled_from(
+        [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, True, False, 1, 1.0]
+    ),
+)
+
+
+@given(
+    st.lists(order_values, max_size=8),
+    st.booleans(),
+    st.sampled_from([None, True, False]),
+)
+@settings(max_examples=100, deadline=None)
+def test_order_parts_are_the_absence_rank_and_the_sort_key(column, desc, nulls_first):
+    """``clauses.order_parts`` inlines ``sort_key``'s common cases.  The
+    oracle sorts through it too, so no engine ≡ oracle comparison can
+    see a slip there: each part is the row's absence rank followed by
+    exactly its ``sort_key``, in both directions and NULLS orders."""
+    item = ast.OrderItem(expr=ast.Literal(value=None), desc=desc, nulls_first=nulls_first)
+    first = not desc if nulls_first is None else nulls_first
+    # The sort runs reversed under DESC: an absent value leads the
+    # output when its rank is below the present one's, or above it.
+    absent = int(first == desc)
+    parts = order_parts(column, item)
+    assert len(parts) == len(column)
+    for value, part in zip(column, parts):
+        rank = absent if value is None or value is MISSING else 1 - absent
+        assert part == (rank,) + sort_key(value)
+        assert type(part[-1]) is type(sort_key(value)[-1])
